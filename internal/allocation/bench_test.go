@@ -254,7 +254,9 @@ func BenchmarkFeasProbe(b *testing.B) {
 	base := sortUnitsByBandwidthDesc(in.Units)
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
-			eng := newFeasEngine(in.Brokers, in.Publishers, in.ProfileCapacity)
+			table := newPublisherTable(in.Publishers, base)
+			compileUnits(base, table, 1)
+			eng := newFeasEngine(in.Brokers, table, in.ProfileCapacity)
 			eng.reset(base, 1)
 			if !eng.probe(nil, nil, w) {
 				b.Fatal("pool must be feasible")
@@ -275,12 +277,42 @@ func BenchmarkFeasibilityTest(b *testing.B) {
 	in := benchInput(b)
 	units := sortUnitsByBandwidthDesc(in.Units)
 	brokers := sortBrokersByCapacity(in.Brokers)
-	cache := make(map[string]bitvector.Load)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !feasibleFirstFit(units, brokers, in.Publishers, in.ProfileCapacity, cache) {
+		if !feasibleFirstFit(units, brokers, in.Publishers, in.ProfileCapacity) {
 			b.Fatal("pool must be feasible")
 		}
 	}
+}
+
+// BenchmarkProbeReplay reports the feasibility kernel's unit cost: the
+// nanoseconds one replayed placement takes (first-fit scan, intersect load,
+// aggregate merge) when a scratch pack is restored from the empty
+// checkpoint and a 20,000-unit pool is replayed serially — what a CRAM
+// probe does 7,000 times over at that scale.
+func BenchmarkProbeReplay(b *testing.B) {
+	units, pubs := testWorkload(1, 40, 500, 5, 200)
+	var totalBW float64
+	for _, u := range units {
+		totalBW += u.Load.Bandwidth
+	}
+	// Bandwidth-bound brokers at 2.2x the even share, as in the E13 scale
+	// workload.
+	brokers := testBrokers(20, 2.2*totalBW/20, message.MatchingDelayFn{PerSub: 1e-9, Base: 1e-6})
+	base := sortUnitsByBandwidthDesc(units)
+	table := newPublisherTable(pubs, base)
+	compileUnits(base, table, 1)
+	eng := newFeasEngine(brokers, table, testCap)
+	eng.reset(base, 1)
+	pk := newPack(brokers, table, testCap)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pk.restore(eng.ckpts[0].states)
+		if !eng.replay(pk, nil, 0, len(base), len(base), nil, nil) {
+			b.Fatal("pool must be feasible")
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(base)), "ns/placement")
 }

@@ -224,7 +224,7 @@ type candHeap []candidate
 func (h candHeap) Len() int           { return len(h) }
 func (h candHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h candHeap) Less(i, j int) bool { return candBefore(h[i], h[j]) }
-func (h *candHeap) Push(x any) { *h = append(*h, x.(candidate)) }
+func (h *candHeap) Push(x any)        { *h = append(*h, x.(candidate)) }
 func (h *candHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -238,7 +238,9 @@ type cramRun struct {
 	c        *CRAM
 	capacity int
 	brokers  []*BrokerSpec
-	pubs     map[string]*bitvector.PublisherStats
+	// table indexes the run's publishers for the dense packing state; it
+	// lives exactly as long as this Allocate call.
+	table *bitvector.PublisherTable
 
 	gifs      map[string]*gif
 	byKey     map[string]*gif // fingerprint -> gif
@@ -256,8 +258,8 @@ type cramRun struct {
 	// spill, when non-nil, routes the seed-phase candidates through the
 	// external sorter instead of the heap; the main loop then merges the
 	// sorted stream with the overlay heap of post-seed candidates.
-	spill   *candSpill
-	nextGIF int
+	spill    *candSpill
+	nextGIF  int
 	nextUnit int
 	// par is the normalized Parallelism (always >= 1).
 	par int
@@ -354,35 +356,38 @@ func (r *cramRun) markDirty() {
 }
 
 // applyPool commits a pool change incrementally: the removed units are
-// filtered out of the sorted cache (by identity) and the added units
-// spliced in at their BIN PACKING positions — O(n + a·log n) against the
-// O(n log n) resort of a full rebuild, which at million-unit scale is
-// the difference between a linear pass and a dominant sort per accepted
-// clustering. The order is a strict total order, so the repaired slice
-// is byte-identical to what poolUnits would rebuild. A fresh slice is
-// built because the feasibility engine aliases the previous one: its
-// reset diffs old base against new by position to decide which pack
-// checkpoints survive, which an in-place splice would corrupt.
-func (r *cramRun) applyPool(removed map[*Unit]bool, added []*Unit) {
-	// Memoize the committed units' input loads here, on the coordinator,
-	// before any later probe can read them (loadOf's memo contract).
-	// Unconditional across both branches, including the markDirty
-	// fallback below.
-	for _, u := range added {
-		u.memoInputLoad(r.pubs)
-	}
-	if r.sorted == nil || r.sortedDirty {
+// cut out of the sorted cache (located by binary search on the pool order,
+// confirmed by identity) and the added units spliced in at their BIN
+// PACKING positions — O(n + (r+a)·log n) against the O(n log n) resort of
+// a full rebuild, which at million-unit scale is the difference between a
+// linear pass and a dominant sort per accepted clustering. The order is a
+// strict total order, so the repaired slice is byte-identical to what
+// poolUnits would rebuild. A fresh slice is built because the feasibility
+// engine aliases the previous one: its reset diffs old base against new by
+// position to decide which pack checkpoints survive, which an in-place
+// splice would corrupt.
+func (r *cramRun) applyPool(removed, added []*Unit) {
+	// Memoize the committed units' compiled form here, on the coordinator,
+	// before any later probe can read it (Unit.packed's memo contract).
+	// Unconditional across both branches, including the markDirty fallback
+	// below.
+	compileUnits(added, r.table, 1)
+	cut := poolPositions(r.sorted, removed)
+	if r.sorted == nil || r.sortedDirty || len(cut) != len(removed) {
+		// No valid base — or a removed unit the search cannot locate, which
+		// takes a bandwidth that does not order (NaN from broken publisher
+		// statistics): rebuild from the GIFs, which needs no order.
 		r.markDirty()
 		return
 	}
 	r.probeGen++
 	out := make([]*Unit, 0, len(r.sorted)+len(added))
-	for _, u := range r.sorted {
-		if removed != nil && removed[u] {
-			continue
-		}
-		out = append(out, u)
+	next := 0
+	for _, i := range cut {
+		out = append(out, r.sorted[next:i]...)
+		next = i + 1
 	}
+	out = append(out, r.sorted[next:]...)
 	for _, u := range added {
 		i := sort.Search(len(out), func(i int) bool { return unitBefore(u, out[i]) })
 		out = append(out, nil)
@@ -397,7 +402,7 @@ func (r *cramRun) applyPool(removed map[*Unit]bool, added []*Unit) {
 func (r *cramRun) engine() *feasEngine {
 	base := r.poolUnits()
 	if r.eng == nil {
-		r.eng = newFeasEngine(r.brokers, r.pubs, r.capacity)
+		r.eng = newFeasEngine(r.brokers, r.table, r.capacity)
 	}
 	r.eng.reset(base, r.poolVersion)
 	return r.eng
@@ -408,7 +413,7 @@ func (r *cramRun) engine() *feasEngine {
 // merged into the sorted order. The incremental engine gives the same
 // answer a from-scratch repack would, with the per-unit broker scans
 // spread across the workers.
-func (r *cramRun) feasible(removed map[*Unit]bool, added []*Unit) bool {
+func (r *cramRun) feasible(removed, added []*Unit) bool {
 	r.c.stats.PackAttempts++
 	return r.engine().probe(removed, added, r.par)
 }
@@ -430,7 +435,7 @@ func (r *cramRun) feasible(removed map[*Unit]bool, added []*Unit) bool {
 // Either way parallelism changes wall-clock time only, never the probe
 // sequence, the stats, or the result. mk must be pure: it is called from
 // worker goroutines and must not touch run state.
-func (r *cramRun) searchMaxFeasible(lo, hi int, mk func(k int) (map[*Unit]bool, *Unit)) int {
+func (r *cramRun) searchMaxFeasible(lo, hi int, mk func(k int) (removed []*Unit, merged *Unit)) int {
 	eng := r.engine() // sync once; probes may then run concurrently
 	eval := func(k, workers int) bool {
 		rem, add := mk(k)
@@ -535,7 +540,7 @@ func (c *CRAM) run(in *Input) (*cramRun, *Assignment, error) {
 		c:          c,
 		capacity:   in.ProfileCapacity,
 		brokers:    sortBrokersByCapacity(in.Brokers),
-		pubs:       in.Publishers,
+		table:      newPublisherTable(in.Publishers, in.Units),
 		gifs:       make(map[string]*gif),
 		byKey:      make(map[string]*gif),
 		ps:         poset.New(),
@@ -571,11 +576,10 @@ func (c *CRAM) run(in *Input) (*cramRun, *Assignment, error) {
 	}
 	c.stats.InitialGIFs = len(r.gifs)
 
-	// Memoize every input unit's input-side load up front, fanned out
-	// across the workers; every later feasibility probe then reads the
-	// memo off the unit. Unconditional so units recycled from an earlier
-	// run with different publisher statistics cannot carry a stale load.
-	warmInLoadCache(in.Units, r.pubs, r.par)
+	// Compile every input unit against the run's publisher table up front,
+	// fanned out across the workers; every later feasibility probe then
+	// reads the memo off the unit.
+	compileUnits(in.Units, r.table, r.par)
 
 	// Initial allocation test without clustering (the algorithm terminates
 	// immediately if the raw pool does not fit).
@@ -700,7 +704,7 @@ func (c *CRAM) run(in *Input) (*cramRun, *Assignment, error) {
 
 	// Materialize the final (feasible by construction) allocation.
 	units := r.poolUnits()
-	a, err := packFirstFit(units, r.brokers, r.pubs, r.capacity, make(map[string]bitvector.Load))
+	a, err := packFirstFit(units, r.brokers, r.table, r.capacity)
 	if err != nil {
 		// Cannot happen: every committed pool passed the feasibility test.
 		return nil, nil, fmt.Errorf("CRAM: final pack of feasible pool failed: %w", err)
@@ -937,22 +941,14 @@ func (r *cramRun) clusterSelf(g *gif, exhaustive bool) bool {
 	if n < 2 {
 		return false
 	}
-	bestK := r.searchMaxFeasible(2, n, func(k int) (map[*Unit]bool, *Unit) {
-		merged := MergeUnits(r.probeID("self:"+g.id, k), r.capacity, g.units[:k]...)
-		removed := make(map[*Unit]bool, k)
-		for _, u := range g.units[:k] {
-			removed[u] = true
-		}
-		return removed, merged
+	bestK := r.searchMaxFeasible(2, n, func(k int) ([]*Unit, *Unit) {
+		return g.units[:k], MergeUnits(r.probeID("self:"+g.id, k), r.capacity, g.units[:k]...)
 	})
 	if bestK < 2 {
 		return false
 	}
-	removed := make(map[*Unit]bool, bestK)
-	for _, u := range g.units[:bestK] {
-		removed[u] = true
-	}
-	merged := MergeUnits(r.newUnitID(), r.capacity, g.units[:bestK]...)
+	removed := g.units[:bestK]
+	merged := MergeUnits(r.newUnitID(), r.capacity, removed...)
 	g.units = append([]*Unit{}, g.units[bestK:]...)
 	g.insertUnit(merged)
 	r.applyPool(removed, []*Unit{merged})
@@ -966,11 +962,11 @@ func (r *cramRun) clusterSelf(g *gif, exhaustive bool) bool {
 func (r *cramRun) clusterLightest(a, b *gif, exhaustive bool) bool {
 	ua, ub := a.units[0], b.units[0]
 	merged := MergeUnits(r.probeID("pair:"+a.id+"|"+b.id, 2), r.capacity, ua, ub)
-	if !r.feasible(map[*Unit]bool{ua: true, ub: true}, []*Unit{merged}) {
+	if !r.feasible([]*Unit{ua, ub}, []*Unit{merged}) {
 		return false
 	}
 	merged.ID = r.newUnitID() // mint only at commit
-	r.applyPool(map[*Unit]bool{ua: true, ub: true}, []*Unit{merged})
+	r.applyPool([]*Unit{ua, ub}, []*Unit{merged})
 	r.detachUnit(a, ua, exhaustive)
 	r.detachUnit(b, ub, exhaustive)
 	r.attachUnit(merged, exhaustive)
@@ -985,30 +981,21 @@ func (r *cramRun) clusterLightest(a, b *gif, exhaustive bool) bool {
 func (r *cramRun) clusterCovering(covering, covered *gif, exhaustive bool) bool {
 	uc := covering.units[0]
 	n := len(covered.units)
-	bestM := r.searchMaxFeasible(1, n, func(m int) (map[*Unit]bool, *Unit) {
+	bestM := r.searchMaxFeasible(1, n, func(m int) ([]*Unit, *Unit) {
 		parts := append([]*Unit{uc}, covered.units[:m]...)
-		merged := MergeUnits(r.probeID("cover:"+covering.id+"|"+covered.id, m), r.capacity, parts...)
-		removed := make(map[*Unit]bool, m+1)
-		for _, u := range parts {
-			removed[u] = true
-		}
-		return removed, merged
+		return parts, MergeUnits(r.probeID("cover:"+covering.id+"|"+covered.id, m), r.capacity, parts...)
 	})
 	if bestM == 0 {
 		return false
 	}
 	parts := append([]*Unit{uc}, covered.units[:bestM]...)
-	removed := make(map[*Unit]bool, len(parts))
-	for _, u := range parts {
-		removed[u] = true
-	}
 	merged := MergeUnits(r.newUnitID(), r.capacity, parts...)
 	covering.removeUnit(uc)
 	for _, u := range parts[1:] {
 		covered.removeUnit(u)
 	}
 	covering.insertUnit(merged)
-	r.applyPool(removed, []*Unit{merged})
+	r.applyPool(parts, []*Unit{merged})
 	if len(covered.units) == 0 {
 		r.dropGIF(covered)
 	} else {
@@ -1096,17 +1083,13 @@ func (r *cramRun) tryCoveredSet(parent, other *gif, exhaustive bool) bool {
 		parts = append(parts, g.units[0])
 	}
 	merged := MergeUnits(r.probeID("cgs:"+parent.id+"|"+other.id, len(parts)), r.capacity, parts...)
-	removed := make(map[*Unit]bool, len(parts))
-	for _, u := range parts {
-		removed[u] = true
-	}
-	if !r.feasible(removed, []*Unit{merged}) {
+	if !r.feasible(parts, []*Unit{merged}) {
 		return false
 	}
 	merged.ID = r.newUnitID() // mint only at commit
 	// Commit: merged profile equals the parent's (CGS members are covered),
 	// so the merged unit joins the parent GIF.
-	r.applyPool(removed, []*Unit{merged})
+	r.applyPool(parts, []*Unit{merged})
 	parent.removeUnit(puc)
 	for _, g := range cgs {
 		g.removeUnit(g.units[0])

@@ -2,6 +2,7 @@ package allocation
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -11,25 +12,34 @@ import (
 
 // feasEngine answers CRAM's allocation-feasibility probes ("does the pool
 // still BIN-PACK with these units removed and that merged unit added?")
-// incrementally. Three observations make the probes cheap:
+// by replaying first-fit packing over the committed pool. Three things
+// keep a probe cheap:
 //
-//  1. First-fit packing is prefix-deterministic: the broker states after
+//  1. The replay is flat. reset compiles the committed pool into one
+//     contiguous []packUnit (bandwidth, memoized input load, filter count
+//     and publisher-indexed vector list per position), removed units are a
+//     sorted position list walked alongside it, and the broker states are
+//     a reusable scratch pack restored in place from a checkpoint — so a
+//     placement is array walks over the dense state of packing.go, with no
+//     map lookup, no Unit or Profile dereference and, in the steady state,
+//     no allocation.
+//  2. First-fit packing is prefix-deterministic: the broker states after
 //     placing the first i units depend only on those i units. A probe's
 //     unit stream is identical to the committed base pool up to the
 //     earliest modified position p (the first removed unit or the added
-//     unit's sorted insertion point), so packing can resume from a
-//     checkpoint of the base prefix instead of replaying from unit 0.
-//     CRAM removes the *lightest* units of a group, which sit near the
-//     tail of the bandwidth-descending order, so p is typically large and
-//     most of the pack is skipped.
-//  2. Checkpoints of the base prefix can be recorded opportunistically
-//     during any probe while it is still inside its unmodified region —
-//     no dedicated replay pass is needed, and after a commit the
-//     checkpoints covering the unchanged prefix stay valid.
-//  3. Per-unit input loads are pure functions of (profile, publisher
-//     stats); committed units carry the value memoized on the Unit by
-//     the CRAM coordinator (see loadOf), so concurrent probes pay a
-//     plain field read and never write shared state for it.
+//     unit's insertion point), so packing resumes from a checkpoint of the
+//     base prefix instead of replaying from unit 0. Checkpoints are
+//     recorded opportunistically by any probe still inside its unmodified
+//     region, and after a commit those covering the unchanged prefix stay
+//     valid. How much this saves depends on the workload: CRAM removes
+//     the lightest units of a group, which sit near the tail of the
+//     bandwidth-descending order, but the merged unit it adds is heavy
+//     and inserts near the front, so p is usually small. Measured on the
+//     20,000-subscription scale workload (seed 1): 7,419 probes replay
+//     52.5M placements, 7,083 per probe.
+//  3. Committed units carry their compiled form memoized on the Unit by
+//     the CRAM coordinator (see Unit.packedFor), so concurrent probes pay
+//     a plain field read and never write shared state for it.
 //
 // probe is safe for concurrent use (CRAM's speculative binary-search
 // evaluation runs probes in parallel), and each probe can additionally
@@ -40,24 +50,30 @@ import (
 // results never depend on it.
 type feasEngine struct {
 	brokers  []*BrokerSpec
-	pubs     map[string]*bitvector.PublisherStats
+	table    *bitvector.PublisherTable
 	capacity int
 
-	// mu guards ckpts, the one structure concurrent probes share mutably.
-	mu    sync.Mutex
-	ckpts []feasCkpt // ascending by pos; states are immutable once stored
+	// mu guards ckpts and scratch, the structures concurrent probes share
+	// mutably.
+	mu sync.Mutex
+	// ckpts is ascending by pos and starts with the empty pack at pos 0;
+	// states are immutable once stored.
+	ckpts []feasCkpt
+	// scratch holds the idle scratch packs, one per probe that has ever
+	// run concurrently.
+	scratch []*pack
 
 	version int
-	base    []*Unit // the committed pool in BIN PACKING order
-	index   map[*Unit]int
-	every   int // checkpoint spacing in units
+	base    []*Unit    // the committed pool in BIN PACKING order
+	stream  []packUnit // stream[i] is base[i] compiled
+	every   int        // checkpoint spacing in units
 }
 
 // feasCkpt is a snapshot of the broker states after first-fit packing the
 // first pos units of the base pool.
 type feasCkpt struct {
 	pos    int
-	states []*brokerState
+	states []brokerState
 }
 
 // maxCkptBrokers bounds checkpoint memory: beyond this broker-pool size
@@ -66,14 +82,18 @@ type feasCkpt struct {
 // incremental.
 const maxCkptBrokers = 256
 
-func newFeasEngine(brokers []*BrokerSpec, pubs map[string]*bitvector.PublisherStats,
-	capacity int) *feasEngine {
-	return &feasEngine{brokers: brokers, pubs: pubs, capacity: capacity}
+func newFeasEngine(brokers []*BrokerSpec, t *bitvector.PublisherTable, capacity int) *feasEngine {
+	return &feasEngine{
+		brokers: brokers, table: t, capacity: capacity,
+		ckpts: []feasCkpt{{pos: 0, states: newPack(brokers, t, capacity).states}},
+	}
 }
 
-// reset points the engine at a new committed base pool. Checkpoints whose
-// positions lie within the longest unchanged prefix (compared by unit
-// identity) remain valid and are kept; the rest are dropped.
+// reset points the engine at a new committed base pool, which must be in
+// BIN PACKING order (unitBefore). Checkpoints whose positions lie within
+// the longest unchanged prefix (compared by unit identity) remain valid
+// and are kept, as is that prefix of the compiled stream; the rest is
+// dropped and recompiled.
 func (e *feasEngine) reset(base []*Unit, version int) {
 	if e.base != nil && e.version == version {
 		return
@@ -89,158 +109,167 @@ func (e *feasEngine) reset(base []*Unit, version int) {
 		}
 	}
 	e.ckpts = kept
+	e.stream = slices.Grow(e.stream[:common], len(base)-common)
+	for _, u := range base[common:] {
+		e.stream = append(e.stream, u.packedFor(e.table))
+	}
 	e.base = base
 	e.version = version
-	e.index = make(map[*Unit]int, len(base))
-	for i, u := range base {
-		e.index[u] = i
-	}
 	e.every = len(base) / 16
 	if e.every < 64 {
 		e.every = 64
 	}
 }
 
-// loadOf returns the unit's input-side load. Committed units carry the
-// value memoized on the Unit itself (written by the CRAM coordinator at
-// pool ingestion and at merge commit), so the replay loop pays a plain
-// field read — not a lock plus a lookup in an ever-growing string-keyed
-// map, which dominated large-pool probe profiles. Units without the
-// memo (per-probe hypothetical merges) are computed on the fly and
-// deliberately NOT memoized here: speculative probes run on worker
-// goroutines, and writing a shared unit's memo from them would race.
-func (e *feasEngine) loadOf(u *Unit) bitvector.Load {
-	if u.inLoadOK {
-		return u.inLoad
+// poolPositions returns the ascending, duplicate-free positions of the
+// given units in a pool held in BIN PACKING order, each found by binary
+// search on that order and confirmed by identity; units not in the pool are
+// ignored.
+func poolPositions(pool []*Unit, units []*Unit) []int {
+	pos := make([]int, 0, len(units))
+	for _, u := range units {
+		i := sort.Search(len(pool), func(i int) bool { return !unitBefore(pool[i], u) })
+		if i < len(pool) && pool[i] == u {
+			pos = append(pos, i)
+		}
 	}
-	return bitvector.EstimateLoad(u.Profile, e.pubs)
+	sort.Ints(pos)
+	return slices.Compact(pos)
 }
 
-// recordCkpt stores a snapshot of states as the packing outcome of the
-// base prefix [0, pos). Appends are monotone in pos so the list stays
-// sorted; a concurrent probe that already recorded this far wins.
-func (e *feasEngine) recordCkpt(pos int, states []*brokerState) {
-	cl := make([]*brokerState, len(states))
-	for i, s := range states {
-		cl[i] = s.clone()
-	}
+// recordCkpt stores a snapshot of the pack as the outcome of the base
+// prefix [0, pos). Appends are monotone in pos so the list stays sorted; a
+// concurrent probe that already recorded this far wins.
+func (e *feasEngine) recordCkpt(pos int, pk *pack) {
+	snap := pk.snapshot()
 	e.mu.Lock()
-	if n := len(e.ckpts); n == 0 || e.ckpts[n-1].pos < pos {
-		e.ckpts = append(e.ckpts, feasCkpt{pos: pos, states: cl})
+	if e.ckpts[len(e.ckpts)-1].pos < pos {
+		e.ckpts = append(e.ckpts, feasCkpt{pos: pos, states: snap})
 	}
 	e.mu.Unlock()
 }
 
 // probe reports whether the base pool with the given hypothetical
-// modification still first-fit packs onto the broker pool. The answer is
-// bit-for-bit identical to rebuilding the modified pool and packing it
-// from scratch (feasibleFirstFit); only the amount of replayed work
-// differs. removed units are skipped, added units are merged into the
-// bandwidth-descending order exactly as cramRun.feasible always did.
+// modification still first-fit packs onto the broker pool: removed units
+// are skipped, added units are merged into the bandwidth-descending
+// stream, each ahead of the first base unit of strictly lower bandwidth.
+// The answer is that of packing the probe's stream from scratch; only the
+// amount of replayed work differs. The stream is NOT always the BIN
+// PACKING order of the modified pool: an added unit whose bandwidth ties
+// with base units goes after all of them, where unitBefore — the order
+// the pool takes once the change is committed — breaks the tie by ID. The
+// two orders can pack differently, so a probe vouches for its own stream
+// only (ROADMAP item 4 records the divergence; TestProbeBandwidthTieOrder
+// pins the behaviour).
 //
 // workers parallelizes the per-unit broker scan *inside* this one probe
 // (see probeTeam); 1 or less runs the scan serially. The placement — and
 // therefore the answer — is identical at any worker count.
-func (e *feasEngine) probe(removed map[*Unit]bool, added []*Unit, workers int) bool {
-	// Earliest position at which the probe's stream diverges from base.
-	p := len(e.base)
-	//greenvet:ordered min-reduction over a set; the minimum is the same in any visit order
-	for u := range removed {
-		if i, ok := e.index[u]; ok && i < p {
-			p = i
-		}
+func (e *feasEngine) probe(removed, added []*Unit, workers int) bool {
+	rem := poolPositions(e.base, removed)
+	sorted := make([]*Unit, len(added))
+	copy(sorted, added)
+	sort.Slice(sorted, func(i, j int) bool { return unitBefore(sorted[i], sorted[j]) })
+	add := make([]packUnit, len(sorted))
+	for i, u := range sorted {
+		add[i] = u.packedFor(e.table)
 	}
-	add := make([]*Unit, len(added))
-	copy(add, added)
-	sort.Slice(add, func(i, j int) bool {
-		if add[i].Load.Bandwidth != add[j].Load.Bandwidth {
-			return add[i].Load.Bandwidth > add[j].Load.Bandwidth
-		}
-		return add[i].ID < add[j].ID
-	})
-	for _, u := range add {
+
+	// Earliest position at which the probe's stream diverges from base.
+	p := len(e.stream)
+	if len(rem) > 0 {
+		p = rem[0]
+	}
+	for i := range add {
 		// First index whose bandwidth drops strictly below the added
-		// unit's — the position the merge loop below inserts at.
-		i := sort.Search(len(e.base), func(i int) bool {
-			return e.base[i].Load.Bandwidth < u.Load.Bandwidth
-		})
-		if i < p {
-			p = i
+		// unit's — the position replay inserts at.
+		bw := add[i].load.Bandwidth
+		at := sort.Search(len(e.stream), func(i int) bool { return e.stream[i].load.Bandwidth < bw })
+		if at < p {
+			p = at
 		}
 	}
 
-	// Resume from the latest checkpoint at or before p.
-	start := 0
-	var snap []*brokerState
+	// Resume from the latest checkpoint at or before p, on a scratch pack
+	// of this probe's own.
+	var pk *pack
 	e.mu.Lock()
-	for _, ck := range e.ckpts {
-		if ck.pos <= p && ck.pos > start {
-			start, snap = ck.pos, ck.states
+	from := e.ckpts[0]
+	for _, ck := range e.ckpts[1:] {
+		if ck.pos <= p {
+			from = ck
 		}
 	}
-	lastCkpt := 0
-	if n := len(e.ckpts); n > 0 {
-		lastCkpt = e.ckpts[n-1].pos
+	lastCkpt := e.ckpts[len(e.ckpts)-1].pos
+	if n := len(e.scratch); n > 0 {
+		pk, e.scratch = e.scratch[n-1], e.scratch[:n-1]
 	}
 	e.mu.Unlock()
-
-	states := make([]*brokerState, len(e.brokers))
-	if snap == nil {
-		for i, b := range e.brokers {
-			states[i] = &brokerState{spec: b, agg: bitvector.NewProfile(e.capacity)}
-		}
-	} else {
-		for i, s := range snap {
-			states[i] = s.clone()
-		}
+	if pk == nil {
+		pk = newPack(e.brokers, e.table, e.capacity)
 	}
+	defer func() {
+		e.mu.Lock()
+		e.scratch = append(e.scratch, pk)
+		e.mu.Unlock()
+	}()
+	pk.restore(from.states)
 
-	place := func(u *Unit) bool {
-		uIn := e.loadOf(u)
-		for _, bs := range states {
-			if ok, inter := bs.fits(u, uIn, e.pubs); ok {
-				bs.accept(u, uIn, inter)
-				return true
-			}
-		}
-		return false
-	}
-	if w := min(workers, len(states)); w > 1 {
-		team := newProbeTeam(states, e.pubs, w)
+	var team *probeTeam
+	if w := min(workers, len(pk.states)); w > 1 {
+		team = newProbeTeam(pk, w)
 		defer team.release()
-		place = func(u *Unit) bool { return team.place(u, e.loadOf(u)) }
 	}
+	return e.replay(pk, team, from.pos, p, lastCkpt, rem, add)
+}
 
+// replay first-fit packs stream[start:] onto pk with the probe's
+// modifications merged in: rem lists the positions to skip, ascending; add
+// the compiled units to insert, in stream order. p is the first modified
+// position and lastCkpt the highest checkpointed one.
+//
+//greenvet:hotpath the feasibility replay loop: one iteration per replayed unit, ~7,000 per probe on the 20k pool
+func (e *feasEngine) replay(pk *pack, team *probeTeam, start, p, lastCkpt int, rem []int, add []packUnit) bool {
 	canCkpt := len(e.brokers) <= maxCkptBrokers
 	ai := 0
-	for i := start; i < len(e.base); i++ {
-		u := e.base[i]
+	for i := start; i < len(e.stream); i++ {
+		pu := &e.stream[i]
 		// While still replaying the unmodified prefix (i <= p, so no add
 		// has been flushed and no removal skipped), the states describe
 		// the base pool itself — snapshot them for future probes.
 		if canCkpt && i > start && i <= p && i > lastCkpt && i%e.every == 0 {
-			e.recordCkpt(i, states)
+			e.recordCkpt(i, pk)
 			lastCkpt = i
 		}
-		for ai < len(add) && add[ai].Load.Bandwidth > u.Load.Bandwidth {
-			if !place(add[ai]) {
+		for ai < len(add) && add[ai].load.Bandwidth > pu.load.Bandwidth {
+			if !place(pk, team, &add[ai]) {
 				return false
 			}
 			ai++
 		}
-		if removed != nil && removed[u] {
+		if len(rem) > 0 && rem[0] == i {
+			rem = rem[1:]
 			continue
 		}
-		if !place(u) {
+		if !place(pk, team, pu) {
 			return false
 		}
 	}
 	for ; ai < len(add); ai++ {
-		if !place(add[ai]) {
+		if !place(pk, team, &add[ai]) {
 			return false
 		}
 	}
 	return true
+}
+
+// place puts one unit on its first-fit broker: serially, or through the
+// probe's worker team when it has one.
+func place(pk *pack, team *probeTeam, pu *packUnit) bool {
+	if team != nil {
+		return team.place(pu)
+	}
+	return pk.place(pu) >= 0
 }
 
 // probeTeam parallelizes the broker scan of a single first-fit placement.
@@ -265,19 +294,17 @@ func (e *feasEngine) probe(removed map[*Unit]bool, added []*Unit, workers int) b
 // replaces pessimized low-core machines so badly that the 1-CPU
 // container measured parallel == serial.
 type probeTeam struct {
-	states []*brokerState
-	pubs   map[string]*bitvector.PublisherStats
-	w      int
+	pk *pack
+	w  int
 
 	// round is the publication sequence: the coordinator increments it
-	// after writing u/uIn, workers scan once per increment. stop ends the
+	// after writing pu, workers scan once per increment. stop ends the
 	// workers' loop at the next increment. done counts workers finished
 	// with the current round.
 	round atomic.Int64
 	done  atomic.Int64
 	stop  atomic.Bool
-	u     *Unit
-	uIn   bitvector.Load
+	pu    *packUnit
 	res   []placeResult
 
 	// mu guards the two condition variables of the slow path: workers
@@ -299,8 +326,8 @@ type placeResult struct {
 	_      [40]byte
 }
 
-func newProbeTeam(states []*brokerState, pubs map[string]*bitvector.PublisherStats, w int) *probeTeam {
-	t := &probeTeam{states: states, pubs: pubs, w: w, res: make([]placeResult, w)}
+func newProbeTeam(pk *pack, w int) *probeTeam {
+	t := &probeTeam{pk: pk, w: w, res: make([]placeResult, w)}
 	t.roundCond = sync.NewCond(&t.mu)
 	t.doneCond = sync.NewCond(&t.mu)
 	for i := 1; i < w; i++ {
@@ -334,10 +361,9 @@ func spinUntil(cond func() bool) bool {
 
 // scan finds worker i's first fit for the published unit.
 func (t *probeTeam) scan(i int) {
-	u, uIn := t.u, t.uIn
 	t.res[i].broker = -1
-	for b := i; b < len(t.states); b += t.w {
-		if ok, inter := t.states[b].fits(u, uIn, t.pubs); ok {
+	for b := i; b < len(t.pk.states); b += t.w {
+		if ok, inter := t.pk.states[b].fits(t.pu, t.pk.stats); ok {
 			t.res[i].broker = b
 			t.res[i].inter = inter
 			return
@@ -370,8 +396,8 @@ func (t *probeTeam) worker(i int) {
 
 // place runs one placement round: publish the unit, scan class 0 while
 // the workers scan theirs, reduce to the global first fit, accept.
-func (t *probeTeam) place(u *Unit, uIn bitvector.Load) bool {
-	t.u, t.uIn = u, uIn
+func (t *probeTeam) place(pu *packUnit) bool {
+	t.pu = pu
 	t.done.Store(0)
 	t.round.Add(1)
 	t.mu.Lock()
@@ -398,7 +424,7 @@ func (t *probeTeam) place(u *Unit, uIn bitvector.Load) bool {
 	if best < 0 {
 		return false
 	}
-	t.states[best].accept(u, uIn, inter)
+	t.pk.states[best].accept(pu, inter, t.pk.capacity)
 	return true
 }
 

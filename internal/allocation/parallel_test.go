@@ -55,13 +55,16 @@ func TestCRAMDeterministicAcrossParallelism(t *testing.T) {
 // TestFeasEngineMatchesFromScratch fuzzes the incremental feasibility
 // engine against the from-scratch reference: random removed sets and merged
 // additions, with occasional committed modifications in between so
-// checkpoint revalidation is exercised too. Worker counts 1-4 rotate across
-// trials, so the parallel broker-scan team is held to the same reference.
+// checkpoint revalidation, stream-prefix reuse and scratch-pack reuse are
+// exercised too. Every probe runs serially and through probeTeams of 4 and
+// 8 workers; all three must give the reference's answer.
 func TestFeasEngineMatchesFromScratch(t *testing.T) {
 	units, pubs := testWorkload(7, 6, 30, 10, 100)
 	brokers := sortBrokersByCapacity(testBrokers(8, 18_000, stdDelay()))
 	base := sortUnitsByBandwidthDesc(units)
-	eng := newFeasEngine(brokers, pubs, testCap)
+	table := newPublisherTable(pubs, units)
+	compileUnits(units, table, 1)
+	eng := newFeasEngine(brokers, table, testCap)
 	version := 1
 	eng.reset(base, version)
 	rng := rand.New(rand.NewSource(99))
@@ -84,8 +87,6 @@ func TestFeasEngineMatchesFromScratch(t *testing.T) {
 			added = append(added, MergeUnits(fmt.Sprintf("probe-%d", trial), testCap, parts...))
 		}
 
-		got := eng.probe(removed, added, 1+trial%4)
-
 		var mod []*Unit
 		for _, u := range base {
 			if !removed[u] {
@@ -93,10 +94,12 @@ func TestFeasEngineMatchesFromScratch(t *testing.T) {
 			}
 		}
 		mod = sortUnitsByBandwidthDesc(append(mod, added...))
-		want := feasibleFirstFit(mod, brokers, pubs, testCap, make(map[string]bitvector.Load))
-		if got != want {
-			t.Fatalf("trial %d: engine=%v, from-scratch=%v (removed=%d, added=%d)",
-				trial, got, want, len(removed), len(added))
+		want := feasibleFirstFit(mod, brokers, pubs, testCap)
+		for _, workers := range []int{1, 4, 8} {
+			if got := eng.probe(parts, added, workers); got != want {
+				t.Fatalf("trial %d workers %d: engine=%v, from-scratch=%v (removed=%d, added=%d)",
+					trial, workers, got, want, len(parts), len(added))
+			}
 		}
 		if want {
 			feasYes++
@@ -107,6 +110,7 @@ func TestFeasEngineMatchesFromScratch(t *testing.T) {
 		// Occasionally commit a feasible modification so the engine's base
 		// pool and checkpoints go through the reset/revalidation path.
 		if want && trial%9 == 3 {
+			compileUnits(added, table, 1)
 			base = mod
 			version++
 			eng.reset(base, version)

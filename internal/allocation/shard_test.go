@@ -178,11 +178,11 @@ func TestShardRoutingDeterministic(t *testing.T) {
 // TestShardCountResolution pins the auto-sizing policy.
 func TestShardCountResolution(t *testing.T) {
 	cases := []struct{ cfg, gifs, want int }{
-		{0, 100, 1},                      // below the floor: unsharded
-		{0, autoShardMinGIFs, 64},        // √4096
-		{0, 1 << 20, maxAutoShards},      // capped
-		{7, 10, 7},                       // explicit wins regardless of size
-		{1, 1 << 20, 1},                  // explicit 1 disables
+		{0, 100, 1},                 // below the floor: unsharded
+		{0, autoShardMinGIFs, 64},   // √4096
+		{0, 1 << 20, maxAutoShards}, // capped
+		{7, 10, 7},                  // explicit wins regardless of size
+		{1, 1 << 20, 1},             // explicit 1 disables
 	}
 	for _, c := range cases {
 		if got := shardCount(c.cfg, c.gifs); got != c.want {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"github.com/greenps/greenps/internal/bitvector"
 	"github.com/greenps/greenps/internal/parwork"
 )
 
@@ -55,8 +54,9 @@ func (f *FBF) Allocate(in *Input) (*Assignment, error) {
 	}
 	rng.Shuffle(len(units), func(i, j int) { units[i], units[j] = units[j], units[i] })
 	brokers := sortBrokersByCapacity(in.Brokers)
-	warmInLoadCache(units, in.Publishers, parwork.Workers(f.Parallelism))
-	a, err := packFirstFit(units, brokers, in.Publishers, in.ProfileCapacity, make(map[string]bitvector.Load))
+	table := newPublisherTable(in.Publishers, units)
+	compileUnits(units, table, parwork.Workers(f.Parallelism))
+	a, err := packFirstFit(units, brokers, table, in.ProfileCapacity)
 	if err != nil {
 		return nil, fmt.Errorf("FBF: %w", err)
 	}
@@ -87,8 +87,9 @@ func (bp *BinPacking) Allocate(in *Input) (*Assignment, error) {
 	}
 	units := sortUnitsByBandwidthDesc(in.Units)
 	brokers := sortBrokersByCapacity(in.Brokers)
-	warmInLoadCache(units, in.Publishers, parwork.Workers(bp.Parallelism))
-	a, err := packFirstFit(units, brokers, in.Publishers, in.ProfileCapacity, make(map[string]bitvector.Load))
+	table := newPublisherTable(in.Publishers, units)
+	compileUnits(units, table, parwork.Workers(bp.Parallelism))
+	a, err := packFirstFit(units, brokers, table, in.ProfileCapacity)
 	if err != nil {
 		return nil, fmt.Errorf("BINPACKING: %w", err)
 	}

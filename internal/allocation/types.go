@@ -66,24 +66,26 @@ type Unit struct {
 	// broker (whose aggregate filter the parent stores once).
 	Filters int
 
-	// inLoad memoizes EstimateLoad(Profile, pubs) — the unit's input-side
-	// traffic — for the feasibility engine's replay loop, which reads it
-	// once per unit per probe. CRAM writes it from the coordinator only
-	// (at pool ingestion and at merge commit), so concurrent probes see a
-	// settled value; probes never write it themselves (a hypothetical
-	// unit's load is computed per probe without memoizing). The memo is
-	// refreshed unconditionally at the start of every run, so a unit
-	// reused across runs with different publisher statistics cannot leak
-	// a stale load.
-	inLoad   bitvector.Load
-	inLoadOK bool
+	// packed memoizes the unit compiled against the publisher table of the
+	// run that is packing it (packedBy; a memo left by an earlier run
+	// belongs to another table and is ignored), so the feasibility engine's
+	// replay stream and the final pack read it instead of recompiling per
+	// probe. The algorithms write it from their coordinating goroutine only
+	// — at pool ingestion (compileUnits) and at merge commit (applyPool) —
+	// so concurrent probes see a settled value; probes never write it
+	// themselves (a hypothetical merged unit is compiled per probe without
+	// memoizing).
+	packed   packUnit
+	packedBy *bitvector.PublisherTable
 }
 
-// memoInputLoad computes and stores the unit's input-side load.
-// Coordinator-only: must not race with probes reading the memo.
-func (u *Unit) memoInputLoad(pubs map[string]*bitvector.PublisherStats) {
-	u.inLoad = bitvector.EstimateLoad(u.Profile, pubs)
-	u.inLoadOK = true
+// packedFor returns the unit compiled against the table: the memo when it
+// was made for this table, a fresh compilation otherwise.
+func (u *Unit) packedFor(t *bitvector.PublisherTable) packUnit {
+	if u.packedBy == t {
+		return u.packed
+	}
+	return compileUnit(u, t)
 }
 
 // NewSubscriptionUnit wraps a single subscription into a unit.

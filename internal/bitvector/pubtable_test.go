@@ -1,0 +1,86 @@
+package bitvector
+
+import (
+	"reflect"
+	"testing"
+)
+
+// TestPublisherTable covers the table's contract: indices are ranks in the
+// sorted union of the statistics' and the profiles' publishers, Compile
+// lists a profile's vectors in that order as views of the originals, and
+// Profile assembles the inverse.
+func TestPublisherTable(t *testing.T) {
+	stats := map[string]*PublisherStats{
+		"adv2":  {AdvID: "adv2", Rate: 2},
+		"adv10": {AdvID: "adv10", Rate: 10},
+	}
+	p := NewProfile(64)
+	p.Record("adv2", 5)
+	p.Record("adv10", 7)
+	p.Record("orphan", 9) // no statistics
+	q := NewProfile(64)
+	q.Record("orphan", 1)
+	q.Record("adv1", 3) // no statistics, sorts first
+
+	tab := NewPublisherTable(stats, []*Profile{p, q})
+	if tab.Len() != 4 {
+		t.Fatalf("table indexes %d publishers, want 4", tab.Len())
+	}
+	wantStats := []*PublisherStats{nil, stats["adv10"], stats["adv2"], nil} // adv1 adv10 adv2 orphan
+	if !reflect.DeepEqual(tab.Stats(), wantStats) {
+		t.Fatalf("stats by index = %v, want %v", tab.Stats(), wantStats)
+	}
+
+	entries := tab.Compile(p)
+	wantPubs := []int32{1, 2, 3}
+	for i, e := range entries {
+		if e.Pub != wantPubs[i] {
+			t.Fatalf("entry %d has publisher index %d, want %d", i, e.Pub, wantPubs[i])
+		}
+	}
+	if got, want := entries[0].V.Snapshot(), p.Vector("adv10").Snapshot(); got != want {
+		t.Fatalf("compiled view %+v differs from its vector %+v", got, want)
+	}
+
+	byPub := make([]*Vector, tab.Len())
+	for i := range entries {
+		byPub[entries[i].Pub] = entries[i].V.Clone()
+	}
+	if got := tab.Profile(byPub, 64); !reflect.DeepEqual(got.Snapshot(), p.Snapshot()) ||
+		!reflect.DeepEqual(got.Publishers(), p.Publishers()) {
+		t.Fatalf("Profile(Compile(p)) = %+v, want %+v", got.Snapshot(), p.Snapshot())
+	}
+
+	stranger := NewProfile(64)
+	stranger.Record("elsewhere", 1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Compile accepted a publisher the table does not index")
+		}
+	}()
+	tab.Compile(stranger)
+}
+
+// TestVectorCopyFromAndReset checks the two in-place mutators the packing
+// scratch state relies on, including a capacity change on CopyFrom.
+func TestVectorCopyFromAndReset(t *testing.T) {
+	src := New(100)
+	for _, id := range []int{3, 64, 99, 150} { // 150 slides the window
+		src.Set(id)
+	}
+	for _, dst := range []*Vector{New(100), New(1280)} {
+		dst.Set(7)
+		dst.CopyFrom(src)
+		if dst.Snapshot() != src.Snapshot() || dst.Count() != src.Count() {
+			t.Fatalf("CopyFrom: got %v (count %d), want %v (count %d)", dst, dst.Count(), src, src.Count())
+		}
+		dst.Set(151)
+		if src.Get(151) {
+			t.Fatal("CopyFrom shares word storage with its source")
+		}
+		dst.Reset()
+		if want := New(dst.Capacity()); dst.Snapshot() != want.Snapshot() || dst.Count() != 0 {
+			t.Fatalf("Reset left %v, want an empty vector of capacity %d", dst, dst.Capacity())
+		}
+	}
+}

@@ -133,6 +133,10 @@ type ScalePoint struct {
 	SpilledRuns      int   `json:"spilled_runs"`
 	GenMillis        int64 `json:"gen_millis"`
 	AllocMillis      int64 `json:"alloc_millis"`
+	// PrevAllocMillis is the alloc_millis this row held before it was last
+	// regenerated — the "before" of BENCH_scale.json's before/after pair.
+	// Filled by the file's writer, not by a run.
+	PrevAllocMillis int64 `json:"alloc_millis_prev,omitempty"`
 }
 
 // ScaleOpts parameterizes one scale point.

@@ -93,7 +93,9 @@ func TestWriteScaleBenchJSON(t *testing.T) {
 	if path == "" {
 		t.Skip("BENCH_SCALE_JSON not set")
 	}
-	_, points, err := ScaleSweep(Config{Seed: 1}, false)
+	// One worker: the file is a single-core trajectory, comparable across
+	// machines with different core counts.
+	_, points, err := ScaleSweep(Config{Seed: 1, Parallelism: 1}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,6 +111,21 @@ func TestWriteScaleBenchJSON(t *testing.T) {
 	}
 	if headline.SpilledRuns == 0 {
 		t.Error("100k point spilled no runs: candidate generation stayed in memory")
+	}
+	// Carry each row's previous wall time along, so the file always shows
+	// the before/after of the last change to the allocation path.
+	if old, err := os.ReadFile(path); err == nil {
+		var prev []*ScalePoint
+		if err := json.Unmarshal(old, &prev); err != nil {
+			t.Fatalf("existing %s: %v", path, err)
+		}
+		for _, pt := range points {
+			for _, was := range prev {
+				if was.Subs == pt.Subs {
+					pt.PrevAllocMillis = was.AllocMillis
+				}
+			}
+		}
 	}
 	data, err := json.MarshalIndent(points, "", "  ")
 	if err != nil {

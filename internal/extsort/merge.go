@@ -71,11 +71,11 @@ func (w *runWriter) discard() {
 // ioBufSize window, decoding each into a pooled record scratch buffer
 // that it owns and reuses (grown by class when a larger record arrives).
 type runReader struct {
-	f    *os.File
-	buf  []byte // pooled I/O window; buf[pos:] is unread
-	pos  int
-	rec  []byte // pooled record scratch, reused across next calls
-	eof  bool   // underlying file is exhausted (buffered bytes may remain)
+	f   *os.File
+	buf []byte // pooled I/O window; buf[pos:] is unread
+	pos int
+	rec []byte // pooled record scratch, reused across next calls
+	eof bool   // underlying file is exhausted (buffered bytes may remain)
 }
 
 func openRunReader(f *os.File) (*runReader, error) {
