@@ -255,7 +255,7 @@ func BenchmarkFeasProbe(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
 			table := newPublisherTable(in.Publishers, base)
-			compileUnits(base, table, 1)
+			compileUnits(base, table, new(classTable), 1)
 			eng := newFeasEngine(in.Brokers, table, in.ProfileCapacity)
 			eng.reset(base, 1)
 			if !eng.probe(nil, nil, w) {
@@ -302,7 +302,7 @@ func BenchmarkProbeReplay(b *testing.B) {
 	brokers := testBrokers(20, 2.2*totalBW/20, message.MatchingDelayFn{PerSub: 1e-9, Base: 1e-6})
 	base := sortUnitsByBandwidthDesc(units)
 	table := newPublisherTable(pubs, base)
-	compileUnits(base, table, 1)
+	compileUnits(base, table, new(classTable), 1)
 	eng := newFeasEngine(brokers, table, testCap)
 	eng.reset(base, 1)
 	pk := newPack(brokers, table, testCap)

@@ -241,6 +241,9 @@ type cramRun struct {
 	// table indexes the run's publishers for the dense packing state; it
 	// lives exactly as long as this Allocate call.
 	table *bitvector.PublisherTable
+	// classes interns the committed units' compiled content against table
+	// (pool ingestion and every merge commit, coordinator only).
+	classes classTable
 
 	gifs      map[string]*gif
 	byKey     map[string]*gif // fingerprint -> gif
@@ -371,7 +374,7 @@ func (r *cramRun) applyPool(removed, added []*Unit) {
 	// before any later probe can read it (Unit.packed's memo contract).
 	// Unconditional across both branches, including the markDirty fallback
 	// below.
-	compileUnits(added, r.table, 1)
+	compileUnits(added, r.table, &r.classes, 1)
 	cut := poolPositions(r.sorted, removed)
 	if r.sorted == nil || r.sortedDirty || len(cut) != len(removed) {
 		// No valid base — or a removed unit the search cannot locate, which
@@ -579,7 +582,7 @@ func (c *CRAM) run(in *Input) (*cramRun, *Assignment, error) {
 	// Compile every input unit against the run's publisher table up front,
 	// fanned out across the workers; every later feasibility probe then
 	// reads the memo off the unit.
-	compileUnits(in.Units, r.table, r.par)
+	compileUnits(in.Units, r.table, &r.classes, r.par)
 
 	// Initial allocation test without clustering (the algorithm terminates
 	// immediately if the raw pool does not fit).

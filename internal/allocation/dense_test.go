@@ -55,40 +55,87 @@ func sameLoad(a, b bitvector.Load) bool {
 		math.Float64bits(a.Bandwidth) == math.Float64bits(b.Bandwidth)
 }
 
+// denseCoverage tallies which paths of the kernel a differential run took.
+type denseCoverage struct {
+	placed int
+	// fullRejects are fits calls the saturation mark decided and
+	// boundRejects those left to the rate bound itself; walkRejects are rate
+	// rejections the bound let through to the walk (it just did not fire);
+	// memoFits are fits calls answered from the run memo, orSkips accepts
+	// that left the aggregate alone.
+	fullRejects, boundRejects, walkRejects, memoFits, orSkips int
+}
+
+func (c *denseCoverage) add(o denseCoverage) {
+	c.placed += o.placed
+	c.fullRejects += o.fullRejects
+	c.boundRejects += o.boundRejects
+	c.walkRejects += o.walkRejects
+	c.memoFits += o.memoFits
+	c.orSkips += o.orSkips
+}
+
 // checkDenseAgainstReference first-fits the unit stream through the dense
 // state and through refBroker side by side, comparing bit for bit: every
-// unit's input load, every fits decision and intersect load on every
-// broker tried, and after every placement the accepting broker's loads,
+// unit's input load, every fits decision on every broker tried, the
+// intersect load wherever the unit is admitted (a rejected fits leaves it
+// unspecified), and after every placement the accepting broker's loads,
 // filter count and full aggregate (publisher set, windows, words, cached
-// popcounts). It returns how many units were placed.
+// popcounts). The units are compiled and interned as an algorithm would
+// (compileUnits), so equal contents share a class and the run memo is live;
+// every few units the pack is moved through snapshot and restore, as a
+// resumed probe's is.
 func checkDenseAgainstReference(t *testing.T, units []*Unit, brokers []*BrokerSpec,
-	pubs map[string]*bitvector.PublisherStats, capacity int) int {
+	pubs map[string]*bitvector.PublisherStats, capacity int) denseCoverage {
 	t.Helper()
 	table := newPublisherTable(pubs, units)
+	compileUnits(units, table, new(classTable), 2)
 	pk := newPack(brokers, table, capacity)
 	ref := make([]*refBroker, len(brokers))
 	for i, b := range brokers {
 		ref[i] = &refBroker{spec: b, agg: bitvector.NewProfile(capacity)}
 	}
-	placed := 0
+	var cov denseCoverage
 	for ui, u := range units {
-		pu := compileUnit(u, table)
+		if ui%5 == 3 {
+			snap := pk.snapshot()
+			pk = newPack(brokers, table, capacity)
+			pk.restore(snap)
+		}
+		pu := u.packedFor(table)
 		uIn := bitvector.EstimateLoad(u.Profile, pubs)
 		if !sameLoad(pu.in, uIn) {
 			t.Fatalf("unit %d: dense input load %+v, EstimateLoad %+v", ui, pu.in, uIn)
 		}
 		for b := range pk.states {
 			bs := &pk.states[b]
-			ok, inter := bs.fits(&pu, pk.stats)
+			memo := bs.lastKnown && pu.class == bs.last
+			ok, inter := bs.fits(&pu, pk.stats, pk.ratesOrdered)
 			wantOK, wantInter := ref[b].fits(u, uIn, pubs)
-			if ok != wantOK || !sameLoad(inter, wantInter) {
+			if ok != wantOK || ok && !sameLoad(inter, wantInter) {
 				t.Fatalf("unit %d broker %d: dense fits = %v %+v, reference = %v %+v",
 					ui, b, ok, inter, wantOK, wantInter)
+			}
+			if bs.outLoad.Bandwidth+pu.load.Bandwidth < bs.spec.OutputBandwidth {
+				lim := bs.spec.Delay.MaxRate(bs.filters + pu.filters)
+				switch {
+				case pk.ratesOrdered && pu.in.Rate < bs.fullBelow && pu.filters >= 1:
+					cov.fullRejects++
+				case memo:
+					cov.memoFits++
+				case pk.ratesOrdered && bs.inLoad.Rate+pu.in.Rate-pu.in.Rate > lim:
+					cov.boundRejects++
+				case !ok:
+					cov.walkRejects++
+				}
 			}
 			if !ok {
 				continue
 			}
-			bs.accept(&pu, inter, capacity)
+			if pu.class == bs.last {
+				cov.orSkips++
+			}
+			bs.accept(&pu, inter, capacity, pk.ratesOrdered)
 			ref[b].accept(u, uIn, wantInter)
 			if !sameLoad(bs.inLoad, ref[b].inLoad) || !sameLoad(bs.outLoad, ref[b].outLoad) ||
 				bs.filters != ref[b].filters {
@@ -111,12 +158,20 @@ func checkDenseAgainstReference(t *testing.T, units []*Unit, brokers []*BrokerSp
 					t.Fatalf("unit %d broker %d publisher %s: cached count %d, reference %d", ui, b, adv, g, w)
 				}
 			}
-			placed++
+			cov.placed++
 			break
 		}
 	}
-	return placed
+	return cov
 }
+
+// Mode bits of denseCase beyond the capacity choice in the low bits.
+const (
+	denseMixedCaps  = 0x10 // units of differing vector capacities: Or clamps
+	denseMisaligned = 0x20 // window starts off the word grid
+	denseRepeats    = 0x40 // runs of equal contents
+	denseSaturated  = 0x80 // brokers the rate criterion fills first
+)
 
 // denseCase generates one adversarial first-fit input from a seed: units
 // whose profiles hold 1 to nPubs publishers (some absent from the
@@ -124,10 +179,20 @@ func checkDenseAgainstReference(t *testing.T, units []*Unit, brokers []*BrokerSp
 // or misaligned against each other, or wholly disjoint, at capacities that
 // can exceed the aggregate's so Or has to clamp; and brokers tight enough
 // that both admission criteria reject.
+//
+// denseRepeats makes the stream runs of 2–6 units of one content, with equal
+// or differing loads and filter counts, some runs broken by a unit of other
+// content, and some members carrying the same set bits in a longer window —
+// an equal fingerprint, another class: interning by fingerprint or by hash
+// alone would hand them the wrong intersect load. denseSaturated gives the
+// brokers ample bandwidth and a steep matching-delay slope, so that the rate
+// criterion rejects both by the bound and — where the overlap with the
+// aggregate decides — only after the walk; one case in four of it carries a
+// negative publisher rate, which must switch the bound off.
 func denseCase(seed int64, nUnits, nPubs int, mode uint8) ([]*Unit, []*BrokerSpec, map[string]*bitvector.PublisherStats, int) {
 	rng := rand.New(rand.NewSource(seed))
 	caps := []int{64, 100, 128, 256, bitvector.DefaultCapacity}
-	capacity := caps[int(mode)%len(caps)]
+	capacity := caps[int(mode&0x0f)%len(caps)]
 	pubs := make(map[string]*bitvector.PublisherStats)
 	advs := make([]string, nPubs)
 	for p := range advs {
@@ -140,10 +205,40 @@ func denseCase(seed int64, nUnits, nPubs int, mode uint8) ([]*Unit, []*BrokerSpe
 			}
 		}
 	}
-	units := make([]*Unit, nUnits)
-	for i := range units {
+	if mode&denseSaturated != 0 && seed%4 == 0 {
+		if st := pubs[advs[0]]; st != nil {
+			st.Rate = -st.Rate
+		}
+	}
+	newVector := func(unitCap int) *bitvector.Vector {
+		v := bitvector.New(unitCap)
+		start := 64 * rng.Intn(4) // word-aligned against the other units
+		if mode&denseMisaligned != 0 {
+			start = rng.Intn(300) // misaligned
+		}
+		if rng.Intn(6) == 0 {
+			start += 5000 // disjoint from everything near the origin
+		}
+		width := 1 + rng.Intn(2*unitCap) // past capacity: the window slides
+		switch rng.Intn(8) {
+		case 0: // never recorded: empty window
+		case 1: // recorded, then slid out: a window without a set bit
+			v.Set(start)
+			v.Observe(start + 3*unitCap)
+		default:
+			density := 1 + rng.Intn(255)
+			for id := start; id < start+width; id++ {
+				if rng.Intn(256) < density {
+					v.Set(id)
+				}
+			}
+			v.Observe(start + width - 1)
+		}
+		return v
+	}
+	newContent := func() bitvector.ProfileSnapshot {
 		unitCap := capacity
-		if mode&0x10 != 0 && rng.Intn(3) == 0 {
+		if mode&denseMixedCaps != 0 && rng.Intn(3) == 0 {
 			unitCap = caps[rng.Intn(len(caps))]
 		}
 		snap := bitvector.ProfileSnapshot{Cap: unitCap, Vectors: make(map[string]bitvector.VectorSnapshot)}
@@ -155,30 +250,58 @@ func denseCase(seed int64, nUnits, nPubs int, mode uint8) ([]*Unit, []*BrokerSpe
 			k = nPubs
 		}
 		for _, p := range rng.Perm(nPubs)[:k] {
-			v := bitvector.New(unitCap)
-			start := 64 * rng.Intn(4) // word-aligned against the other units
-			if mode&0x20 != 0 {
-				start = rng.Intn(300) // misaligned
+			snap.Vectors[advs[p]] = newVector(unitCap).Snapshot()
+		}
+		return snap
+	}
+	// widened is the content with every window that has room observed a few
+	// IDs further: the same set bits, so the same fingerprint, over a longer
+	// window.
+	widened := func(snap bitvector.ProfileSnapshot) bitvector.ProfileSnapshot {
+		out := bitvector.ProfileSnapshot{Cap: snap.Cap, Vectors: make(map[string]bitvector.VectorSnapshot)}
+		for adv, vs := range snap.Vectors {
+			v, err := bitvector.FromSnapshot(vs)
+			if err != nil {
+				panic(err)
 			}
-			if rng.Intn(6) == 0 {
-				start += 5000 // disjoint from everything near the origin
+			if w := v.Window(); w > 0 && w+3 <= v.Capacity() {
+				v.Observe(v.LastID() + 3)
 			}
-			width := 1 + rng.Intn(2*unitCap) // past capacity: the window slides
+			out.Vectors[adv] = v.Snapshot()
+		}
+		return out
+	}
+	newLoad := func() (bitvector.Load, int) {
+		return bitvector.Load{Rate: 50 * rng.Float64(), Bandwidth: 1000 * rng.Float64()}, 1 + rng.Intn(3)
+	}
+
+	units := make([]*Unit, nUnits)
+	var run bitvector.ProfileSnapshot // content of the run in progress
+	var runLoad bitvector.Load
+	var runFilters, runLeft int
+	for i := range units {
+		var snap bitvector.ProfileSnapshot
+		load, filters := newLoad()
+		switch {
+		case mode&denseRepeats == 0:
+			snap = newContent()
+		case runLeft == 0:
+			run, runLoad, runFilters, runLeft = newContent(), load, filters, 1+rng.Intn(5)
+			snap = run
+		default:
+			runLeft--
 			switch rng.Intn(8) {
-			case 0: // never recorded: empty window
-			case 1: // recorded, then slid out: a window without a set bit
-				v.Set(start)
-				v.Observe(start + 3*unitCap)
+			case 0: // a stranger breaks the run, which then resumes
+				snap = newContent()
+				runLeft++
+			case 1:
+				snap = widened(run)
 			default:
-				density := 1 + rng.Intn(255)
-				for id := start; id < start+width; id++ {
-					if rng.Intn(256) < density {
-						v.Set(id)
-					}
+				snap = run
+				if rng.Intn(2) == 0 {
+					load, filters = runLoad, runFilters
 				}
-				v.Observe(start + width - 1)
 			}
-			snap.Vectors[advs[p]] = v.Snapshot()
 		}
 		prof, err := bitvector.ProfileFromSnapshot(snap)
 		if err != nil {
@@ -188,8 +311,8 @@ func denseCase(seed int64, nUnits, nPubs int, mode uint8) ([]*Unit, []*BrokerSpe
 			ID:      fmt.Sprintf("u%d", i),
 			Members: []Member{{SubID: fmt.Sprintf("s%d", i)}},
 			Profile: prof,
-			Load:    bitvector.Load{Rate: 50 * rng.Float64(), Bandwidth: 1000 * rng.Float64()},
-			Filters: 1 + rng.Intn(3),
+			Load:    load,
+			Filters: filters,
 		}
 	}
 	brokers := make([]*BrokerSpec, 1+rng.Intn(5))
@@ -199,36 +322,122 @@ func denseCase(seed int64, nUnits, nPubs int, mode uint8) ([]*Unit, []*BrokerSpe
 			OutputBandwidth: 500 + 4000*rng.Float64(),
 			Delay:           message.MatchingDelayFn{PerSub: 0.0005 * rng.Float64(), Base: 0.002 * rng.Float64()},
 		}
+		if mode&denseSaturated != 0 {
+			brokers[i].OutputBandwidth *= 20
+			brokers[i].Delay.PerSub = 0.0005 + 0.004*rng.Float64()
+		}
 	}
 	return units, brokers, pubs, capacity
 }
 
 // TestDenseFitsMatchesReference is the property test behind the dense
 // kernel: across a few hundred generated inputs the dense state and the
-// map-based reference agree bit for bit after every placement.
+// map-based reference agree bit for bit after every placement, and the
+// inputs reach every path of the kernel — the walk, the saturation mark, the
+// rate bound firing and just not firing, the run memo and the skipped OR.
 func TestDenseFitsMatchesReference(t *testing.T) {
-	placed, total := 0, 0
-	for seed := int64(0); seed < 300; seed++ {
+	var cov denseCoverage
+	total := 0
+	for seed := int64(0); seed < 400; seed++ {
 		nPubs := []int{1, 3, 12, 40}[seed%4]
-		units, brokers, pubs, capacity := denseCase(seed, 40, nPubs, uint8(seed))
-		placed += checkDenseAgainstReference(t, units, brokers, pubs, capacity)
+		// The low six mode bits cycle with the seed; the two new modes take
+		// turns over the upper hundred.
+		mode := uint8(seed) & 0x3f
+		if seed >= 300 {
+			mode |= []uint8{denseRepeats, denseSaturated, denseRepeats | denseSaturated}[seed%3]
+		}
+		units, brokers, pubs, capacity := denseCase(seed, 40, nPubs, mode)
+		cov.add(checkDenseAgainstReference(t, units, brokers, pubs, capacity))
 		total += len(units)
 	}
-	if placed == 0 || placed == total {
-		t.Fatalf("one-sided coverage: %d of %d units placed; the inputs must both admit and reject", placed, total)
+	if cov.placed == 0 || cov.placed == total {
+		t.Fatalf("one-sided coverage: %d of %d units placed; the inputs must both admit and reject", cov.placed, total)
+	}
+	if cov.fullRejects == 0 || cov.boundRejects == 0 || cov.walkRejects == 0 || cov.memoFits == 0 || cov.orSkips == 0 {
+		t.Fatalf("a kernel path went unexercised: %+v", cov)
+	}
+	t.Logf("coverage over %d units: %+v", total, cov)
+}
+
+// TestSaturationImpliesBound checks saturation's claim numerically: whenever
+// a unit's input rate q is below saturation(rate, lim), the rate bound
+// fl(fl(rate+q) − q) is above lim — across magnitudes from 1e-3 to 1e12,
+// limits a few ulps to a few percent under the rate, and q both tiny and
+// right under the threshold, where the two roundings cost the most.
+func TestSaturationImpliesBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	fired := 0
+	for trial := 0; trial < 200000; trial++ {
+		rate := math.Pow(10, -3+15*rng.Float64())
+		lim := rate * (1 - math.Pow(10, -16*rng.Float64()))
+		if trial%7 == 0 {
+			lim = math.Nextafter(rate, 0) // one ulp under: never saturated
+		}
+		below := saturation(rate, lim)
+		if !(below > 0) {
+			continue
+		}
+		fired++
+		for _, q := range []float64{0, rate * rng.Float64(), below * rng.Float64(), math.Nextafter(below, 0)} {
+			if !(q < below) {
+				continue
+			}
+			if !(rate+q-q > lim) {
+				t.Fatalf("rate %v lim %v: q %v is below saturation %v, but the bound %v does not exceed lim",
+					rate, lim, q, below, rate+q-q)
+			}
+		}
+	}
+	if fired == 0 {
+		t.Fatal("no trial was saturated")
+	}
+}
+
+// TestInternIsExactContent pins what a class is: equal bits in equal
+// windows. Two profiles with one fingerprint but different window ends must
+// not share a class — their intersect loads divide by different widths —
+// while a clone must.
+func TestInternIsExactContent(t *testing.T) {
+	pubs := map[string]*bitvector.PublisherStats{"P": {AdvID: "P", Rate: 10, Bandwidth: 1000}}
+	unit := func(id string, last int) *Unit {
+		prof := bitvector.NewProfile(testCap)
+		for seq := 0; seq < 50; seq++ {
+			prof.Record("P", seq)
+		}
+		prof.Sync(map[string]*bitvector.PublisherStats{"P": {AdvID: "P", LastSeq: last}})
+		return &Unit{ID: id, Members: []Member{{SubID: id}}, Profile: prof, Filters: 1}
+	}
+	a, b, c := unit("a", 99), unit("b", 99), unit("c", 149)
+	if a.Profile.FingerprintKey() != c.Profile.FingerprintKey() {
+		t.Fatal("the example needs equal fingerprints")
+	}
+	units := []*Unit{a, b, c}
+	compileUnits(units, newPublisherTable(pubs, units), new(classTable), 1)
+	if a.packed.class == 0 || a.packed.class != b.packed.class {
+		t.Fatalf("equal contents got classes %d and %d", a.packed.class, b.packed.class)
+	}
+	if &a.packed.entries[0] != &b.packed.entries[0] {
+		t.Fatal("units of one class must share the canonical entries")
+	}
+	if c.packed.class == a.packed.class {
+		t.Fatal("a longer window with the same bits was interned into the same class")
 	}
 }
 
 // FuzzDenseFitsEquivalence drives random unit streams — publishers missing
 // from the statistics, empty vectors, misaligned and disjoint windows,
-// capacity-clamped Or, profiles of 1 and of 40 publishers — through the
-// dense first-fit state and through the retained bitvector.IntersectLoad +
-// Profile.Or reference.
+// capacity-clamped Or, profiles of 1 and of 40 publishers, runs of repeated
+// contents, rate-saturated brokers — through the dense first-fit state and
+// through the retained bitvector.IntersectLoad + Profile.Or reference.
 func FuzzDenseFitsEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(20), uint8(1), uint8(0))
 	f.Add(int64(2), uint8(30), uint8(40), uint8(0x20))
 	f.Add(int64(3), uint8(60), uint8(7), uint8(0x31))
 	f.Add(int64(4), uint8(10), uint8(40), uint8(0x13))
+	f.Add(int64(5), uint8(63), uint8(2), uint8(denseRepeats))
+	f.Add(int64(6), uint8(63), uint8(11), uint8(denseRepeats|denseMisaligned|denseMixedCaps|3))
+	f.Add(int64(7), uint8(63), uint8(5), uint8(denseSaturated))
+	f.Add(int64(8), uint8(63), uint8(2), uint8(denseSaturated|denseRepeats|4))
 	f.Fuzz(func(t *testing.T, seed int64, nUnits, nPubs, mode uint8) {
 		units, brokers, pubs, capacity := denseCase(seed, 1+int(nUnits)%64, 1+int(nPubs)%40, mode)
 		checkDenseAgainstReference(t, units, brokers, pubs, capacity)
@@ -291,12 +500,16 @@ func TestProbeBandwidthTieOrder(t *testing.T) {
 // fits, accept, place and replay with a measurement: once a scratch pack
 // has seen every publisher on every broker it uses, restoring it from the
 // empty checkpoint and replaying the whole pool serially allocates nothing.
+// Two in five of the pool's subscriptions sink everything their publisher
+// sends, so the stream has runs of one class and the replay goes through
+// the run memo and the skipped OR as well as the walk.
 func TestPlacementAllocationFree(t *testing.T) {
 	units, pubs := testWorkload(3, 6, 40, 10, 100)
 	brokers := sortBrokersByCapacity(testBrokers(12, 30_000, stdDelay()))
 	base := sortUnitsByBandwidthDesc(units)
 	table := newPublisherTable(pubs, base)
-	compileUnits(base, table, 1)
+	var classes classTable
+	compileUnits(base, table, &classes, 1)
 	eng := newFeasEngine(brokers, table, testCap)
 	eng.reset(base, 1)
 	pk := newPack(brokers, table, testCap)
@@ -309,7 +522,17 @@ func TestPlacementAllocationFree(t *testing.T) {
 			t.Fatal("pool must be feasible")
 		}
 	}
+	memo := false
+	for i := range eng.stream {
+		if b := pk.place(&eng.stream[i]); b >= 0 && pk.states[b].lastKnown {
+			memo = true
+		}
+	}
 	replay()
+	if !memo || len(classes.entries) >= len(base) {
+		t.Fatalf("%d classes over %d units, memo reached: %v — the replay does not cover the run memo",
+			len(classes.entries), len(base), memo)
+	}
 	if n := testing.AllocsPerRun(20, replay); n != 0 {
 		t.Errorf("steady-state serial replay allocates %v times per pool, want 0", n)
 	}

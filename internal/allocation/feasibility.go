@@ -12,18 +12,34 @@ import (
 
 // feasEngine answers CRAM's allocation-feasibility probes ("does the pool
 // still BIN-PACK with these units removed and that merged unit added?")
-// by replaying first-fit packing over the committed pool. Three things
-// keep a probe cheap:
+// by replaying first-fit packing over the committed pool. A probe replays
+// nearly the whole pool — the merged unit it adds is heavy and inserts near
+// the front of the bandwidth-descending order, so the earliest modified
+// position is usually small: 7,083 of the pool's units per probe on the
+// 20,000-subscription scale workload (seed 1; 7,419 probes, 52.5M
+// placements), 10.6M placements in one 8,000-subscription plan. What keeps
+// that affordable is the cost of a placement, counted on those two
+// workloads:
 //
 //  1. The replay is flat. reset compiles the committed pool into one
-//     contiguous []packUnit (bandwidth, memoized input load, filter count
-//     and publisher-indexed vector list per position), removed units are a
-//     sorted position list walked alongside it, and the broker states are
-//     a reusable scratch pack restored in place from a checkpoint — so a
-//     placement is array walks over the dense state of packing.go, with no
+//     contiguous []packUnit (bandwidth, memoized input load, filter count,
+//     class and publisher-indexed vector list per position), removed units
+//     are a sorted position list walked alongside it, and the broker states
+//     are a reusable scratch pack restored in place from a checkpoint — no
 //     map lookup, no Unit or Profile dereference and, in the steady state,
 //     no allocation.
-//  2. First-fit packing is prefix-deterministic: the broker states after
+//  2. Most broker tests are decided without vector arithmetic (packing.go).
+//     A placement tries ~17 brokers on the 8k plan and ~8 on the 20k pool
+//     before one admits the unit; the 8k plan's leading brokers are
+//     rate-saturated and cost one comparison each (152M of 177M fits calls),
+//     the 20k pool's are out of bandwidth (372M of 424M). Of the calls that
+//     get as far as the intersect load, the run memo answers 2.6M and 29.6M
+//     — the pool is runs of identical compiled content, 1,634 distinct
+//     contents among the 20k pool's units — and 21.7M and 22.9M walk
+//     AndCount over the unit's publishers: two walks per placement on the 8k
+//     plan, less than one in two on the 20k pool. accept skips its OR walk
+//     for 3.1M of 10.6M and 37.2M of 52.5M placements.
+//  3. First-fit packing is prefix-deterministic: the broker states after
 //     placing the first i units depend only on those i units. A probe's
 //     unit stream is identical to the committed base pool up to the
 //     earliest modified position p (the first removed unit or the added
@@ -31,13 +47,8 @@ import (
 //     base prefix instead of replaying from unit 0. Checkpoints are
 //     recorded opportunistically by any probe still inside its unmodified
 //     region, and after a commit those covering the unchanged prefix stay
-//     valid. How much this saves depends on the workload: CRAM removes
-//     the lightest units of a group, which sit near the tail of the
-//     bandwidth-descending order, but the merged unit it adds is heavy
-//     and inserts near the front, so p is usually small. Measured on the
-//     20,000-subscription scale workload (seed 1): 7,419 probes replay
-//     52.5M placements, 7,083 per probe.
-//  3. Committed units carry their compiled form memoized on the Unit by
+//     valid. With p usually small they save little on these workloads.
+//  4. Committed units carry their compiled form memoized on the Unit by
 //     the CRAM coordinator (see Unit.packedFor), so concurrent probes pay
 //     a plain field read and never write shared state for it.
 //
@@ -282,17 +293,20 @@ func place(pk *pack, team *probeTeam, pu *packUnit) bool {
 // round/done atomics order every hand-off, so a worker never reads a
 // broker while it is being mutated.
 //
-// Profile-guided design note: a placement averages ~70 failed fits of
-// ~70ns each before succeeding (the leading brokers are full), so the
-// scan is worth splitting but a placement is only ~5µs of work — channel
-// hand-offs would eat the gain. Waiters therefore spin optimistically
-// for a bounded budget — on a multi-core machine the partner is already
-// running and answers within it — and park on a condition variable when
-// the budget expires, which is the oversubscribed case (more workers
-// than cores, or a descheduled partner) where continuing to spin would
-// burn the very core the partner needs. The unbounded spin this
-// replaces pessimized low-core machines so badly that the 1-CPU
-// container measured parallel == serial.
+// Profile-guided design note: a serial placement is a scan of ~8–17 brokers
+// of which all but one or two are rejected in O(1) (saturated, out of
+// bandwidth, or the rate bound) and at most a couple walk the unit's
+// vectors — ~100 ns in all on the recorded workloads — so a round
+// (publish, cross-core hand-off, reduce) costs several times the scan it
+// splits, and channel hand-offs would cost more still. The team pays only
+// where a scan is long: many brokers that each need the walk. Waiters spin
+// optimistically for a bounded budget — on a multi-core machine the partner
+// is already running and answers within it — and park on a condition
+// variable when the budget expires, which is the oversubscribed case (more
+// workers than cores, or a descheduled partner) where continuing to spin
+// would burn the very core the partner needs. The unbounded spin this
+// replaces pessimized low-core machines so badly that the 1-CPU container
+// measured parallel == serial. ROADMAP item 3 holds the measurements.
 type probeTeam struct {
 	pk *pack
 	w  int
@@ -363,7 +377,7 @@ func spinUntil(cond func() bool) bool {
 func (t *probeTeam) scan(i int) {
 	t.res[i].broker = -1
 	for b := i; b < len(t.pk.states); b += t.w {
-		if ok, inter := t.pk.states[b].fits(t.pu, t.pk.stats); ok {
+		if ok, inter := t.pk.states[b].fits(t.pu, t.pk.stats, t.pk.ratesOrdered); ok {
 			t.res[i].broker = b
 			t.res[i].inter = inter
 			return
@@ -424,7 +438,7 @@ func (t *probeTeam) place(pu *packUnit) bool {
 	if best < 0 {
 		return false
 	}
-	t.pk.states[best].accept(pu, inter, t.pk.capacity)
+	t.pk.states[best].accept(pu, inter, t.pk.capacity, t.pk.ratesOrdered)
 	return true
 }
 

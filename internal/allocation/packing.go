@@ -21,8 +21,12 @@ type packUnit struct {
 	filters int
 	// entries lists the profile's vectors by ascending publisher index —
 	// ascending advertisement ID, the order bitvector.EstimateLoad and
-	// IntersectLoad accumulate in.
+	// IntersectLoad accumulate in. Units of one class share one slice.
 	entries []bitvector.PubVector
+	// class names the exact content of entries within the run (see
+	// classTable); 0 means not interned — a hypothetical merged unit
+	// compiled for one probe, or a unit compiled outside compileUnits.
+	class int32
 }
 
 // compileUnit compiles the unit against the table. A pure function of
@@ -59,20 +63,55 @@ func newPublisherTable(pubs map[string]*bitvector.PublisherStats, units []*Unit)
 	return bitvector.NewPublisherTable(pubs, profiles)
 }
 
+// classTable interns compiled entry lists by exact content for one run —
+// one table pairs with one PublisherTable and dies with it. Two units are of
+// one class iff bitvector.CompiledEqual holds for their entries (publisher
+// index, firstID, lastID, capacity, words; the hash only indexes): equal
+// fingerprints are not enough, because the intersect load divides by window
+// widths a fingerprint does not see. Units of a class share the canonical
+// entries slice, and a broker that has just accepted one knows what the next
+// one does to it (brokerState.last). The zero value is ready to use; intern
+// is for the coordinating goroutine only.
+type classTable struct {
+	byHash  map[uint64][]int32
+	entries [][]bitvector.PubVector // entries[c-1] is class c's canonical list
+}
+
+// intern gives pu its class, minting one when its content is new, and
+// points it at the class's canonical entries. h must be
+// bitvector.HashCompiled(pu.entries).
+func (ct *classTable) intern(pu *packUnit, h uint64) {
+	if ct.byHash == nil {
+		ct.byHash = make(map[uint64][]int32)
+	}
+	for _, c := range ct.byHash[h] {
+		if bitvector.CompiledEqual(ct.entries[c-1], pu.entries) {
+			pu.entries, pu.class = ct.entries[c-1], c
+			return
+		}
+	}
+	ct.entries = append(ct.entries, pu.entries)
+	pu.class = int32(len(ct.entries))
+	ct.byHash[h] = append(ct.byHash[h], pu.class)
+}
+
 // compileUnits memoizes every unit's compiled form up front, the
-// compilations fanned out across workers. The memos themselves are
-// written serially from the caller's goroutine; compileUnit is pure, so
-// worker count cannot change the memoized values. Existing memos are
-// overwritten: a unit recycled from an earlier run belongs to another
-// table.
-func compileUnits(units []*Unit, t *bitvector.PublisherTable, workers int) {
+// compilations and content hashes fanned out across workers. Interning and
+// the memos themselves are written serially from the caller's goroutine, in
+// unit order; compileUnit is pure, so worker count cannot change the
+// memoized values or the class numbering. Existing memos are overwritten: a
+// unit recycled from an earlier run belongs to another table.
+func compileUnits(units []*Unit, t *bitvector.PublisherTable, classes *classTable, workers int) {
 	packed := make([]packUnit, len(units))
+	hashes := make([]uint64, len(units))
 	parwork.Run(len(units), workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			packed[i] = compileUnit(units[i], t)
+			hashes[i] = bitvector.HashCompiled(packed[i].entries)
 		}
 	})
 	for i, u := range units {
+		classes.intern(&packed[i], hashes[i])
 		u.packed, u.packedBy = packed[i], t
 	}
 }
@@ -96,24 +135,66 @@ type brokerState struct {
 	outLoad bitvector.Load
 	// filters is the routing-table entry count.
 	filters int
+	// last is the class of the unit accepted last, 0 when that unit had none
+	// or nothing is hosted: agg already contains every unit of that class.
+	// lastInter is the intersect load of such a unit against agg, valid once
+	// lastKnown — from the second consecutive accept of the class on, when
+	// fits has computed it against an aggregate the accept then left as it
+	// was. Any accept of another class overwrites all three; restore copies
+	// them with the rest of the state.
+	last      int32
+	lastKnown bool
+	lastInter bitvector.Load
+	// fullBelow marks a rate-saturated broker: fits' rate bound rejects every
+	// unit of at least one filter whose input rate is below it, whatever
+	// else the unit holds (see saturation). accept recomputes it from the
+	// state it leaves; it is positive only once the broker is saturated.
+	fullBelow float64
 }
 
 // fits applies the paper's two admission criteria (Section IV-A): after
 // accepting the unit, (1) the broker's remaining output bandwidth must stay
 // strictly positive, and (2) its incoming publication rate must not exceed
 // its maximum matching rate (the inverse of the matching delay at the new
-// routing-table size). On success it returns the intersect load it already
-// computed, so accept need not recompute it.
+// routing-table size). On success it returns the intersect load it used, so
+// accept need not recompute it; on rejection the returned load is
+// unspecified.
 //
 // The intersect load is bitvector.IntersectLoad(aggregate, unit profile)
 // as an array walk: for each publisher both sides hold and the statistics
 // describe, the intersection cardinality over the wider window, summed in
 // ascending advertisement-ID order — the same terms in the same order, so
-// the same bits.
+// the same bits. Exact shortcuts keep most calls off that walk (DESIGN.md
+// §7.1):
 //
-//greenvet:hotpath first-fit admission test: ~8 calls per replayed unit, 52.5M replayed units in one 20k-subscription CRAM run
-func (bs *brokerState) fits(pu *packUnit, stats []*bitvector.PublisherStats) (bool, bitvector.Load) {
+//   - Run memo: when the broker's last two accepts were of the unit's class,
+//     the aggregate is what the previous fits of that class walked, and the
+//     walk would return lastInter again.
+//   - Rate bound (ratesOrdered: every publisher rate finite and
+//     non-negative): the walk's inter.Rate cannot exceed pu.in.Rate — each of
+//     its terms is at most the matching term of pu.in.Rate, accumulated in
+//     the same order over a subset, and IEEE operations are monotone — so
+//     (inLoad.Rate + pu.in.Rate) − pu.in.Rate is a floating-point lower bound
+//     on the rate the walk would arrive at. Above the limit, the unit is
+//     rejected without it.
+//   - Saturation: fullBelow caches, per accept, for which units that bound
+//     is certain to fire, so a full broker costs one comparison beyond the
+//     bandwidth test.
+//
+//greenvet:hotpath first-fit admission test: ~17 calls per replayed unit, 10.6M replayed units in one 8k-subscription plan
+func (bs *brokerState) fits(pu *packUnit, stats []*bitvector.PublisherStats, ratesOrdered bool) (bool, bitvector.Load) {
 	if bs.outLoad.Bandwidth+pu.load.Bandwidth >= bs.spec.OutputBandwidth {
+		return false, bitvector.Load{}
+	}
+	if ratesOrdered && pu.in.Rate < bs.fullBelow && pu.filters >= 1 {
+		return false, bitvector.Load{}
+	}
+	lim := bs.spec.Delay.MaxRate(bs.filters + pu.filters)
+	sum := bs.inLoad.Rate + pu.in.Rate
+	if bs.lastKnown && pu.class == bs.last {
+		return sum-bs.lastInter.Rate <= lim, bs.lastInter
+	}
+	if ratesOrdered && sum-pu.in.Rate > lim {
 		return false, bitvector.Load{}
 	}
 	var inter bitvector.Load
@@ -138,20 +219,36 @@ func (bs *brokerState) fits(pu *packUnit, stats []*bitvector.PublisherStats) (bo
 		inter.Rate += st.Rate * f
 		inter.Bandwidth += st.Bandwidth * f
 	}
-	newInRate := bs.inLoad.Rate + pu.in.Rate - inter.Rate
-	return newInRate <= bs.spec.Delay.MaxRate(bs.filters+pu.filters), inter
+	return sum-inter.Rate <= lim, inter
 }
 
 // accept commits the unit to the broker. inter must be the intersect load
 // fits returned for the same unit against the same state. The aggregate
 // update is Profile.Or entry by entry: a publisher the unit mentions gains
 // a vector even when the unit's own is empty, and Vector.Or drops bits
-// older than the aggregate's window exactly as it does there.
+// older than the aggregate's window exactly as it does there. A unit of the
+// class accepted last finds its content already in the aggregate — Vector.Or
+// is idempotent — so the walk is skipped and inter, which fits computed
+// against this very aggregate, is what the next unit of the class will get.
 //
 //greenvet:hotpath one call per replayed unit, beside fits
-func (bs *brokerState) accept(pu *packUnit, inter bitvector.Load, capacity int) {
+func (bs *brokerState) accept(pu *packUnit, inter bitvector.Load, capacity int, ratesOrdered bool) {
 	bs.inLoad.Rate += pu.in.Rate - inter.Rate
 	bs.inLoad.Bandwidth += pu.in.Bandwidth - inter.Bandwidth
+	bs.outLoad = bs.outLoad.Add(pu.load)
+	bs.filters += pu.filters
+	// The mark can be positive only where the rate exceeds the limit with
+	// one more filter, 1/delay; well short of that — the common case, and
+	// the only one on a bandwidth-bound pool — it stays 0 for the price of a
+	// multiplication instead of MaxRate's division.
+	bs.fullBelow = 0
+	if ratesOrdered && bs.spec.Delay.PerSub >= 0 && bs.inLoad.Rate*bs.spec.Delay.Delay(bs.filters+1) > 0.99 {
+		bs.fullBelow = saturation(bs.inLoad.Rate, bs.spec.Delay.MaxRate(bs.filters+1))
+	}
+	if pu.class != 0 && pu.class == bs.last {
+		bs.lastKnown, bs.lastInter = true, inter
+		return
+	}
 	for i := range pu.entries {
 		e := &pu.entries[i]
 		v := bs.agg[e.Pub]
@@ -165,8 +262,20 @@ func (bs *brokerState) accept(pu *packUnit, inter bitvector.Load, capacity int) 
 		}
 		v.Or(&e.V)
 	}
-	bs.outLoad = bs.outLoad.Add(pu.load)
-	bs.filters += pu.filters
+	bs.last, bs.lastKnown = pu.class, false
+}
+
+// saturation returns the input rate below which fits' rate bound rejects
+// every unit of at least one filter, for a broker whose aggregate sinks rate
+// msgs/s and whose limit with one more filter is lim; 0 or less (or NaN)
+// when there is no such rate. With a matching delay that does not fall as
+// filters are added, no such unit faces a higher limit than lim, and the
+// bound fl(fl(rate+q) − q) loses at most (2·rate+q)·2⁻⁵³·(1+2⁻⁵³) to its two
+// roundings; for q below (rate−lim)·2⁵⁰ − 2·rate that is under
+// (rate−lim)/4 — a factor of two to spare for the roundings of this very
+// expression — so the bound stays above lim (DESIGN.md §7.1).
+func saturation(rate, lim float64) float64 {
+	return (rate-lim)*(1<<50) - 2*rate
 }
 
 // restore overwrites bs with the contents of src, a state of the same
@@ -193,6 +302,8 @@ func (bs *brokerState) restore(src *brokerState) {
 		}
 	}
 	bs.inLoad, bs.outLoad, bs.filters = src.inLoad, src.outLoad, src.filters
+	bs.last, bs.lastKnown, bs.lastInter = src.last, src.lastKnown, src.lastInter
+	bs.fullBelow = src.fullBelow
 }
 
 // takeSpare pops a parked vector, or returns nil when none is parked.
@@ -209,9 +320,12 @@ func (bs *brokerState) takeSpare() *bitvector.Vector {
 // pack is one first-fit packing in progress: the broker states in trial
 // order plus the run-wide context fits and accept need.
 type pack struct {
-	states   []brokerState
-	stats    []*bitvector.PublisherStats
-	capacity int
+	states []brokerState
+	stats  []*bitvector.PublisherStats
+	// ratesOrdered is the table's RatesOrdered: whether fits may use the
+	// rate bound.
+	ratesOrdered bool
+	capacity     int
 }
 
 // newPack returns an empty packing of the brokers, tried in the given
@@ -223,7 +337,7 @@ func newPack(brokers []*BrokerSpec, t *bitvector.PublisherTable, capacity int) *
 	for i, b := range brokers {
 		states[i] = brokerState{spec: b, agg: aggs[i*n : (i+1)*n : (i+1)*n]}
 	}
-	return &pack{states: states, stats: t.Stats(), capacity: capacity}
+	return &pack{states: states, stats: t.Stats(), ratesOrdered: t.RatesOrdered(), capacity: capacity}
 }
 
 // snapshot deep-copies the broker states, for a checkpoint.
@@ -251,8 +365,8 @@ func (p *pack) restore(snap []brokerState) {
 func (p *pack) place(pu *packUnit) int {
 	for b := range p.states {
 		bs := &p.states[b]
-		if ok, inter := bs.fits(pu, p.stats); ok {
-			bs.accept(pu, inter, p.capacity)
+		if ok, inter := bs.fits(pu, p.stats, p.ratesOrdered); ok {
+			bs.accept(pu, inter, p.capacity, p.ratesOrdered)
 			return b
 		}
 	}

@@ -57,17 +57,37 @@ func TestCRAMDeterministicAcrossParallelism(t *testing.T) {
 // additions, with occasional committed modifications in between so
 // checkpoint revalidation, stream-prefix reuse and scratch-pack reuse are
 // exercised too. Every probe runs serially and through probeTeams of 4 and
-// 8 workers; all three must give the reference's answer.
+// 8 workers; all three must give the reference's answer. The pool is
+// duplicated — every subscription appears one to four times under distinct
+// IDs — so that the replay stream is runs of one class, resumed probes start
+// from checkpoints taken inside such runs, and committed merges of
+// duplicates re-enter the class table; the oracle compiles against a table
+// of its own, without classes, and so never takes the memo path.
 func TestFeasEngineMatchesFromScratch(t *testing.T) {
-	units, pubs := testWorkload(7, 6, 30, 10, 100)
+	seedUnits, pubs := testWorkload(7, 6, 12, 10, 100)
+	rng := rand.New(rand.NewSource(99))
+	var units []*Unit
+	for _, u := range seedUnits {
+		units = append(units, u)
+		for c := rng.Intn(4); c > 0; c-- {
+			dup := *u
+			dup.ID = fmt.Sprintf("%s-dup%d", u.ID, c)
+			dup.Members = []Member{{SubID: dup.ID, Load: u.Load}}
+			dup.Profile = u.Profile.Clone()
+			units = append(units, &dup)
+		}
+	}
 	brokers := sortBrokersByCapacity(testBrokers(8, 18_000, stdDelay()))
 	base := sortUnitsByBandwidthDesc(units)
 	table := newPublisherTable(pubs, units)
-	compileUnits(units, table, 1)
+	var classes classTable
+	compileUnits(units, table, &classes, 1)
+	if len(classes.entries) >= len(units) {
+		t.Fatalf("%d classes for %d units: the pool has no duplicates", len(classes.entries), len(units))
+	}
 	eng := newFeasEngine(brokers, table, testCap)
 	version := 1
 	eng.reset(base, version)
-	rng := rand.New(rand.NewSource(99))
 
 	feasYes, feasNo := 0, 0
 	for trial := 0; trial < 80; trial++ {
@@ -110,14 +130,14 @@ func TestFeasEngineMatchesFromScratch(t *testing.T) {
 		// Occasionally commit a feasible modification so the engine's base
 		// pool and checkpoints go through the reset/revalidation path.
 		if want && trial%9 == 3 {
-			compileUnits(added, table, 1)
+			compileUnits(added, table, &classes, 1)
 			base = mod
 			version++
 			eng.reset(base, version)
 		}
 	}
 	if feasYes == 0 || feasNo == 0 {
-		t.Logf("one-sided fuzz coverage: %d feasible, %d infeasible", feasYes, feasNo)
+		t.Fatalf("one-sided fuzz coverage: %d feasible, %d infeasible", feasYes, feasNo)
 	}
 }
 

@@ -55,7 +55,7 @@ func (f *FBF) Allocate(in *Input) (*Assignment, error) {
 	rng.Shuffle(len(units), func(i, j int) { units[i], units[j] = units[j], units[i] })
 	brokers := sortBrokersByCapacity(in.Brokers)
 	table := newPublisherTable(in.Publishers, units)
-	compileUnits(units, table, parwork.Workers(f.Parallelism))
+	compileUnits(units, table, new(classTable), parwork.Workers(f.Parallelism))
 	a, err := packFirstFit(units, brokers, table, in.ProfileCapacity)
 	if err != nil {
 		return nil, fmt.Errorf("FBF: %w", err)
@@ -88,7 +88,7 @@ func (bp *BinPacking) Allocate(in *Input) (*Assignment, error) {
 	units := sortUnitsByBandwidthDesc(in.Units)
 	brokers := sortBrokersByCapacity(in.Brokers)
 	table := newPublisherTable(in.Publishers, units)
-	compileUnits(units, table, parwork.Workers(bp.Parallelism))
+	compileUnits(units, table, new(classTable), parwork.Workers(bp.Parallelism))
 	a, err := packFirstFit(units, brokers, table, in.ProfileCapacity)
 	if err != nil {
 		return nil, fmt.Errorf("BINPACKING: %w", err)

@@ -247,7 +247,8 @@ func (v *Vector) maskTail() {
 // two windows share a word-aligned offset — the common case after Sync,
 // where every vector is anchored on the publisher's LastSeq — each step is
 // a single OR of whole words; odd offsets fall back to the realigning
-// extract path.
+// extract path. Or is idempotent: a second Or of the same vector changes
+// nothing (allocation's first-fit kernel skips it on that ground).
 func (v *Vector) Or(o *Vector) {
 	if o.Window() == 0 {
 		return
@@ -255,20 +256,19 @@ func (v *Vector) Or(o *Vector) {
 	if v.Window() == 0 {
 		v.firstID = o.firstID
 		v.lastID = o.lastID
-		copy(v.words, o.words)
-		if o.capacity > v.capacity {
-			// Clamp to v's capacity: keep the newest bits.
-			over := o.lastID - o.firstID + 1 - v.capacity
-			if over > 0 {
-				v.shiftDown(over)
-				v.firstID += over
-			}
+		if o.capacity <= v.capacity {
+			copy(v.words, o.words)
+			v.maskTail()
+			v.recount()
+			return
 		}
-		v.maskTail()
-		v.recount()
-		return
-	}
-	if o.lastID > v.lastID {
+		// o may hold a wider window than v can: anchor v on the newest
+		// capacity IDs and fold them in below like any other overlap.
+		if over := o.Window() - v.capacity; over > 0 {
+			v.firstID += over
+		}
+		clear(v.words)
+	} else if o.lastID > v.lastID {
 		v.Observe(o.lastID)
 	}
 	// Fold o's set bits into v, dropping bits older than v's window. After

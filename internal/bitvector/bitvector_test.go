@@ -474,6 +474,90 @@ func TestQuickOrMatchesModel(t *testing.T) {
 	}
 }
 
+// TestOrIdempotent is the property allocation's first-fit kernel rests its
+// skipped OR on: after v.Or(o), a second v.Or(o) changes nothing — firstID,
+// lastID, cached count and every word stay bit-equal — and the merge is the
+// per-bit union over the merged window. Destinations are empty or filled;
+// sources aligned with them, misaligned, disjoint, empty, slid clean of
+// bits, and of a larger capacity holding a wider window than the
+// destination can, so that Or has to clamp.
+func TestOrIdempotent(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	caps := []int{64, 100, 128, 256, DefaultCapacity}
+	fill := func(capacity, start int) *Vector {
+		v := New(capacity)
+		switch rng.Intn(6) {
+		case 0: // empty window
+		case 1: // a window slid clean of bits
+			v.Set(start)
+			v.Observe(start + 3*capacity)
+		default:
+			width := 1 + rng.Intn(2*capacity)
+			density := 1 + rng.Intn(255)
+			for id := start; id < start+width; id++ {
+				if rng.Intn(256) < density {
+					v.Set(id)
+				}
+			}
+			v.Observe(start + width - 1)
+		}
+		return v
+	}
+	clamped := 0
+	for trial := 0; trial < 4000; trial++ {
+		vStart, oStart := 64*rng.Intn(4), 64*rng.Intn(4) // aligned
+		switch rng.Intn(3) {
+		case 0:
+			oStart = rng.Intn(300) // misaligned
+		case 1:
+			oStart += 5000 // disjoint
+		}
+		v := fill(caps[rng.Intn(len(caps))], vStart)
+		o := fill(caps[rng.Intn(len(caps))], oStart)
+		if o.Window() > v.Capacity() {
+			clamped++
+		}
+		union := make(map[int]bool)
+		for _, x := range []*Vector{v, o} {
+			for id := x.FirstID(); id <= x.LastID(); id++ {
+				if x.Get(id) {
+					union[id] = true
+				}
+			}
+		}
+		before := o.Clone()
+		v.Or(o)
+		once := v.Clone()
+		v.Or(o)
+		if v.firstID != once.firstID || v.lastID != once.lastID || v.count != once.count {
+			t.Fatalf("trial %d: second Or moved %v to %v", trial, once, v)
+		}
+		for i := range v.words {
+			if v.words[i] != once.words[i] {
+				t.Fatalf("trial %d: second Or changed word %d: %#x to %#x", trial, i, once.words[i], v.words[i])
+			}
+		}
+		n := 0
+		for id := v.FirstID(); id <= v.LastID(); id++ {
+			if v.Get(id) != union[id] {
+				t.Fatalf("trial %d: bit %d = %v after Or, the union has %v (v=%v o=%v)", trial, id, v.Get(id), union[id], once, o)
+			}
+			if union[id] {
+				n++
+			}
+		}
+		if v.Count() != n {
+			t.Fatalf("trial %d: cached count %d, per-bit count %d", trial, v.Count(), n)
+		}
+		if o.firstID != before.firstID || o.lastID != before.lastID || o.count != before.count {
+			t.Fatalf("trial %d: Or modified its source", trial)
+		}
+	}
+	if clamped == 0 {
+		t.Fatal("no trial had a source window wider than the destination's capacity")
+	}
+}
+
 func TestCloneIndependence(t *testing.T) {
 	v := New(32)
 	v.Set(1)

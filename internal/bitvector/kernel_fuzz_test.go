@@ -60,8 +60,9 @@ func refCounts(a, b *Vector) (and, or, xor, andnot int) {
 }
 
 // FuzzKernelEquivalence drives random window offsets, capacities, and
-// densities through the four specialized count kernels and the Or merge,
-// asserting bit-for-bit agreement with the naive per-bit reference. Both
+// densities through the four specialized count kernels and the Or merge
+// (into a filled and into an empty vector, once and twice), asserting
+// bit-for-bit agreement with the naive per-bit reference. Both
 // dispatch paths are exercised: word-aligned offsets (forced for half the
 // inputs) take the fast walkers, odd offsets the realigning fallback.
 func FuzzKernelEquivalence(f *testing.F) {
@@ -138,6 +139,32 @@ func FuzzKernelEquivalence(f *testing.F) {
 		}
 		if m.Count() != want {
 			t.Errorf("Or merge cached count = %d, per-bit recount = %d", m.Count(), want)
+		}
+
+		// Or is idempotent, and into an empty vector it keeps the newest
+		// bits its capacity holds — the source may hold a wider window.
+		again := m.Clone()
+		again.Or(b)
+		if again.String() != m.String() || again.Count() != m.Count() {
+			t.Errorf("second Or changed the merge: %v (count %d) to %v (count %d)", m, m.Count(), again, again.Count())
+		}
+		e := New(capA)
+		e.Or(b)
+		if e.LastID() != b.LastID() || e.Window() != min(b.Window(), capA) {
+			t.Errorf("Or into empty: window [%d,%d] from source [%d,%d] at capacity %d",
+				e.FirstID(), e.LastID(), b.FirstID(), b.LastID(), capA)
+		}
+		want = 0
+		for id := e.FirstID(); id <= e.LastID(); id++ {
+			if e.Get(id) != b.Get(id) {
+				t.Errorf("Or into empty: bit %d = %v, source has %v", id, e.Get(id), b.Get(id))
+			}
+			if b.Get(id) {
+				want++
+			}
+		}
+		if e.Count() != want {
+			t.Errorf("Or into empty: cached count = %d, per-bit recount = %d", e.Count(), want)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package bitvector
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 )
@@ -18,6 +19,9 @@ import (
 type PublisherTable struct {
 	ids   []string
 	stats []*PublisherStats // nil where the publisher has no statistics entry
+	// ratesOrdered records that every statistics entry's Rate is finite and
+	// non-negative, checked once at construction.
+	ratesOrdered bool
 }
 
 // PubVector is one publisher's vector of a compiled profile. V is a
@@ -56,9 +60,13 @@ func NewPublisherTable(stats map[string]*PublisherStats, profiles []*Profile) *P
 	if len(ids) > known {
 		sort.Strings(ids)
 	}
-	t := &PublisherTable{ids: ids, stats: make([]*PublisherStats, len(ids))}
+	t := &PublisherTable{ids: ids, stats: make([]*PublisherStats, len(ids)), ratesOrdered: true}
 	for i, id := range ids {
-		t.stats[i] = stats[id]
+		st := stats[id]
+		t.stats[i] = st
+		if st != nil && !(st.Rate >= 0 && st.Rate <= math.MaxFloat64) {
+			t.ratesOrdered = false
+		}
 	}
 	return t
 }
@@ -69,6 +77,13 @@ func (t *PublisherTable) Len() int { return len(t.ids) }
 // Stats returns the per-index publisher statistics, nil where a publisher
 // has none. The slice is shared and must not be modified.
 func (t *PublisherTable) Stats() []*PublisherStats { return t.stats }
+
+// RatesOrdered reports whether every publisher's Rate was finite and
+// non-negative when the table was built. Only then is a sum of rate ×
+// fraction terms monotone in its fractions under floating-point rounding —
+// what allocation's rate-bound rejection rests on (DESIGN.md §7.1); a NaN,
+// infinite or negative rate turns the bound off for the run.
+func (t *PublisherTable) RatesOrdered() bool { return t.ratesOrdered }
 
 // Compile lists the profile's vectors by table index, ascending, as views
 // that share the profile's bit storage. It panics on a publisher the table
@@ -100,4 +115,43 @@ func (t *PublisherTable) Profile(byPub []*Vector, capacity int) *Profile {
 		}
 	}
 	return p
+}
+
+// HashCompiled hashes a compiled profile's exact content — publisher index,
+// window, capacity and words of every entry — for interning. Equal content
+// hashes equal; the converse is CompiledEqual's to decide.
+func HashCompiled(entries []PubVector) uint64 {
+	const prime = 0x100000001b3
+	h := uint64(0xcbf29ce484222325)
+	mix := func(x uint64) { h = (h ^ x) * prime }
+	for i := range entries {
+		e := &entries[i]
+		mix(uint64(e.Pub))
+		mix(uint64(e.V.firstID))
+		mix(uint64(e.V.lastID))
+		mix(uint64(e.V.capacity))
+		for _, w := range e.V.words {
+			mix(w)
+		}
+	}
+	return h
+}
+
+// CompiledEqual reports whether two compiled profiles hold exactly the same
+// content: the same publishers in the same order, each with the same
+// firstID, lastID, capacity, popcount and words. Stricter than equal
+// fingerprints, which ignore where a window starts and ends; two lists that
+// pass are interchangeable in every vector operation.
+func CompiledEqual(a, b []PubVector) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := &a[i], &b[i]
+		if x.Pub != y.Pub || x.V.firstID != y.V.firstID || x.V.lastID != y.V.lastID ||
+			x.V.capacity != y.V.capacity || x.V.count != y.V.count || !slices.Equal(x.V.words, y.V.words) {
+			return false
+		}
+	}
+	return true
 }

@@ -64,9 +64,9 @@ func TestRunZeroAndOneWorker(t *testing.T) {
 	const n = 100
 	for _, w := range []int{Workers(0), 1} {
 		visits := make([]int32, n)
-		chunks := 0
+		var chunks atomic.Int32 // chunks run concurrently when w > 1
 		Run(n, w, func(lo, hi int) {
-			chunks++
+			chunks.Add(1)
 			for i := lo; i < hi; i++ {
 				atomic.AddInt32(&visits[i], 1)
 			}
@@ -76,8 +76,8 @@ func TestRunZeroAndOneWorker(t *testing.T) {
 				t.Fatalf("w=%d: index %d visited %d times", w, i, v)
 			}
 		}
-		if w == 1 && chunks != 1 {
-			t.Errorf("w=1: ran %d chunks, want 1 inline call", chunks)
+		if w == 1 && chunks.Load() != 1 {
+			t.Errorf("w=1: ran %d chunks, want 1 inline call", chunks.Load())
 		}
 	}
 }

@@ -18,6 +18,7 @@ package poset
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -41,26 +42,64 @@ type Node struct {
 	// in the poset (CRAM replaces nodes on merge rather than mutating).
 	summary *bitvector.Summary
 
-	parents  map[*Node]struct{}
-	children map[*Node]struct{}
+	// parents and children are the covering edges, each sorted by ID (IDs
+	// are unique within a poset). The slices are copy-on-write — link and
+	// unlink install a fresh slice and never write to an installed one — so
+	// Children and Parents hand them out as they are: a caller's slice keeps
+	// its contents whatever happens to the poset afterwards, and searches pay
+	// neither a copy nor a sort per visited node.
+	parents  []*Node
+	children []*Node
 }
 
 // IsRoot reports whether the node is the virtual universal root.
 func (n *Node) IsRoot() bool { return n.Profile == nil }
 
 // Children returns the node's direct children sorted by ID (deterministic).
-func (n *Node) Children() []*Node { return sortedNodes(n.children) }
+// The slice is shared and must not be modified.
+func (n *Node) Children() []*Node { return n.children }
 
-// Parents returns the node's direct parents sorted by ID.
-func (n *Node) Parents() []*Node { return sortedNodes(n.parents) }
+// Parents returns the node's direct parents sorted by ID. The slice is
+// shared and must not be modified.
+func (n *Node) Parents() []*Node { return n.parents }
 
-func sortedNodes(set map[*Node]struct{}) []*Node {
-	out := make([]*Node, 0, len(set))
-	for n := range set {
-		out = append(out, n)
+// find returns n's position in the ID-sorted list, or where it would go.
+func find(list []*Node, n *Node) (int, bool) {
+	i := sort.Search(len(list), func(i int) bool { return list[i].ID >= n.ID })
+	return i, i < len(list) && list[i] == n
+}
+
+// with returns a copy of the ID-sorted list with n in it.
+func with(list []*Node, n *Node) []*Node {
+	i, ok := find(list, n)
+	if ok {
+		return list
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	out := make([]*Node, len(list)+1)
+	copy(out, list[:i])
+	out[i] = n
+	copy(out[i+1:], list[i:])
 	return out
+}
+
+// without returns a copy of the ID-sorted list with n left out.
+func without(list []*Node, n *Node) []*Node {
+	i, ok := find(list, n)
+	if !ok {
+		return list
+	}
+	return slices.Delete(slices.Clone(list), i, i+1)
+}
+
+// link adds the covering edge par -> ch; unlink removes it.
+func link(par, ch *Node) {
+	par.children = with(par.children, ch)
+	ch.parents = with(ch.parents, par)
+}
+
+func unlink(par, ch *Node) {
+	par.children = without(par.children, ch)
+	ch.parents = without(ch.parents, par)
 }
 
 // Poset is the DAG. It is not safe for concurrent use.
@@ -75,11 +114,7 @@ type Poset struct {
 // New returns an empty poset with a virtual universal root.
 func New() *Poset {
 	return &Poset{
-		root: &Node{
-			ID:       "<root>",
-			parents:  make(map[*Node]struct{}),
-			children: make(map[*Node]struct{}),
-		},
+		root:  &Node{ID: "<root>"},
 		nodes: make(map[string]*Node),
 	}
 }
@@ -116,14 +151,7 @@ func (p *Poset) Insert(id string, prof *bitvector.Profile, payload any) (*Node, 
 	if prof == nil || prof.Empty() {
 		return nil, fmt.Errorf("poset: node %q has an empty profile", id)
 	}
-	n := &Node{
-		ID:       id,
-		Profile:  prof,
-		Payload:  payload,
-		summary:  bitvector.Summarize(prof),
-		parents:  make(map[*Node]struct{}),
-		children: make(map[*Node]struct{}),
-	}
+	n := &Node{ID: id, Profile: prof, Payload: payload, summary: bitvector.Summarize(prof)}
 
 	parents, equal := p.findParents(prof)
 	if equal != nil {
@@ -133,19 +161,14 @@ func (p *Poset) Insert(id string, prof *bitvector.Profile, payload any) (*Node, 
 
 	for _, par := range parents {
 		for _, ch := range children {
-			if _, ok := par.children[ch]; ok {
-				delete(par.children, ch)
-				delete(ch.parents, par)
-			}
+			unlink(par, ch)
 		}
 	}
 	for _, par := range parents {
-		par.children[n] = struct{}{}
-		n.parents[par] = struct{}{}
+		link(par, n)
 	}
 	for _, ch := range children {
-		n.children[ch] = struct{}{}
-		ch.parents[n] = struct{}{}
+		link(n, ch)
 	}
 	p.nodes[id] = n
 	return n, nil
@@ -259,8 +282,7 @@ func maximalOnly(cands []*Node) []*Node {
 		for len(queue) > 0 && !reachable {
 			cur := queue[0]
 			queue = queue[1:]
-			//greenvet:ordered pure reachability query; the boolean result is the same in any visit order
-			for par := range cur.parents {
+			for _, par := range cur.parents {
 				if _, ok := seen[par]; ok {
 					continue
 				}
@@ -287,25 +309,22 @@ func (p *Poset) Remove(id string) error {
 	if !ok {
 		return fmt.Errorf("poset: node %q not present", id)
 	}
-	for par := range n.parents {
-		delete(par.children, n)
+	parents, children := n.parents, n.children
+	for _, par := range parents {
+		unlink(par, n)
 	}
-	for ch := range n.children {
-		delete(ch.parents, n)
+	for _, ch := range children {
+		unlink(n, ch)
 	}
-	for par := range n.parents {
-		for ch := range n.children {
-			if _, dup := par.children[ch]; !dup {
-				par.children[ch] = struct{}{}
-				ch.parents[par] = struct{}{}
-			}
+	for _, par := range parents {
+		for _, ch := range children {
+			link(par, ch)
 		}
 	}
 	// Children left parentless attach to the root.
-	for ch := range n.children {
+	for _, ch := range children {
 		if len(ch.parents) == 0 {
-			ch.parents[p.root] = struct{}{}
-			p.root.children[ch] = struct{}{}
+			link(p.root, ch)
 		}
 	}
 	delete(p.nodes, id)
@@ -319,8 +338,7 @@ func (p *Poset) CoveredBy(n *Node) []*Node {
 	var out []*Node
 	seen := make(map[*Node]struct{})
 	queue := make([]*Node, 0, len(n.children))
-	//greenvet:ordered collects the full descendant set; out is sorted by ID before returning
-	for ch := range n.children {
+	for _, ch := range n.children {
 		queue = append(queue, ch)
 		seen[ch] = struct{}{}
 	}
@@ -328,8 +346,7 @@ func (p *Poset) CoveredBy(n *Node) []*Node {
 		cur := queue[0]
 		queue = queue[1:]
 		out = append(out, cur)
-		//greenvet:ordered collects the full descendant set; out is sorted by ID before returning
-		for ch := range cur.children {
+		for _, ch := range cur.children {
 			if _, ok := seen[ch]; !ok {
 				seen[ch] = struct{}{}
 				queue = append(queue, ch)
@@ -603,7 +620,7 @@ func (p *Poset) CheckInvariants() error {
 			if r != bitvector.RelSuperset {
 				return fmt.Errorf("poset: edge %s -> %s has relationship %v, want superset", n.ID, ch.ID, r)
 			}
-			if _, ok := ch.parents[n]; !ok {
+			if _, ok := find(ch.parents, n); !ok {
 				return fmt.Errorf("poset: edge %s -> %s missing back-link", n.ID, ch.ID)
 			}
 		}
