@@ -52,13 +52,14 @@ type CRAM struct {
 	// MaxIterations caps the clustering loop as a safety net; 0 means
 	// 64×(initial group count), far beyond any convergent run.
 	MaxIterations int
-	// Parallelism caps the worker count of the parallel inner loops (the
-	// seed-phase partner-search fan-out, the poset BFS, the exhaustive
-	// scan, the per-unit broker scans inside each feasibility probe, and
-	// the speculative binary-search probes). 0 or negative means
-	// runtime.GOMAXPROCS(0). Every parallel loop reduces in a canonical
-	// order, so the Assignment and every CRAMStats counter are bit-for-bit
-	// identical at any setting — Parallelism is purely a wall-clock knob.
+	// Parallelism caps the worker count of the loops that fan out: unit
+	// compilation at ingestion, the seed-phase partner searches, the poset
+	// BFS and the exhaustive scan of one partner search, and (from 6 up) the
+	// speculative binary-search probes. A feasibility probe itself is
+	// serial. 0 or negative means runtime.GOMAXPROCS(0). Every parallel loop
+	// reduces in a canonical order, so the Assignment and every CRAMStats
+	// counter are bit-for-bit identical at any setting — Parallelism is
+	// purely a wall-clock knob.
 	Parallelism int
 	// Shards sets the shard count of the sharded exhaustive partner scan
 	// (DESIGN.md §14): GIFs are routed to shards by summary signature and
@@ -266,17 +267,13 @@ type cramRun struct {
 	nextUnit int
 	// par is the normalized Parallelism (always >= 1).
 	par int
-	// eng is the incremental feasibility engine; rebuilt lazily against
-	// the current pool via engine().
+	// eng is the feasibility engine; synced lazily to the current pool via
+	// engine().
 	eng *feasEngine
-	// probeGen distinguishes probe-unit cache keys across committed pool
-	// states: within one generation a (clustering site, k) pair denotes
-	// one fixed unit content, so content-keyed load memoization is safe.
-	probeGen int
 	// sorted caches the pool in BIN PACKING order; poolUnits rebuilds it
 	// after each committed change so feasibility tests are O(n) merges
 	// instead of O(n log n) sorts. poolVersion counts rebuilds so the
-	// feasibility engine knows when its checkpoints need revalidating.
+	// feasibility engine knows when to recompile its stream.
 	sorted      []*Unit
 	sortedDirty bool
 	poolVersion int
@@ -349,13 +346,12 @@ func (r *cramRun) sortedGIFIDs() []string {
 	return r.gifIDs
 }
 
-// markDirty invalidates the sorted pool cache after a committed change and
-// opens a new probe generation. It forces a full O(n log n) rebuild at the
-// next poolUnits call; commit sites that know their exact unit delta use
-// applyPool instead and only fall back here when no valid base exists.
+// markDirty invalidates the sorted pool cache after a committed change. It
+// forces a full O(n log n) rebuild at the next poolUnits call; commit sites
+// that know their exact unit delta use applyPool instead and only fall back
+// here when no valid base exists.
 func (r *cramRun) markDirty() {
 	r.sortedDirty = true
-	r.probeGen++
 }
 
 // applyPool commits a pool change incrementally: the removed units are
@@ -367,8 +363,8 @@ func (r *cramRun) markDirty() {
 // strict total order, so the repaired slice is byte-identical to what
 // poolUnits would rebuild. A fresh slice is built because the feasibility
 // engine aliases the previous one: its reset diffs old base against new by
-// position to decide which pack checkpoints survive, which an in-place
-// splice would corrupt.
+// position to decide how much of its compiled stream survives, which an
+// in-place splice would corrupt.
 func (r *cramRun) applyPool(removed, added []*Unit) {
 	// Memoize the committed units' compiled form here, on the coordinator,
 	// before any later probe can read it (Unit.packed's memo contract).
@@ -383,7 +379,6 @@ func (r *cramRun) applyPool(removed, added []*Unit) {
 		r.markDirty()
 		return
 	}
-	r.probeGen++
 	out := make([]*Unit, 0, len(r.sorted)+len(added))
 	next := 0
 	for _, i := range cut {
@@ -413,36 +408,28 @@ func (r *cramRun) engine() *feasEngine {
 
 // feasible runs the allocation test on the current pool with the given
 // hypothetical modification: removed units are skipped and added units are
-// merged into the sorted order. The incremental engine gives the same
-// answer a from-scratch repack would, with the per-unit broker scans
-// spread across the workers.
+// merged into the sorted order.
 func (r *cramRun) feasible(removed, added []*Unit) bool {
 	r.c.stats.PackAttempts++
-	return r.engine().probe(removed, added, r.par)
+	return r.engine().probe(removed, added)
 }
 
 // searchMaxFeasible runs the binary search shared by clusterSelf and
 // clusterCovering: the largest k in [lo, hi] whose hypothetical
 // modification mk(k) keeps the pool allocatable, or 0 when none does.
 // The search path — and therefore PackAttempts — is exactly the serial
-// one. Parallelism accelerates it on two axes:
-//
-//   - Below 6 workers, each canonical probe runs alone with the full
-//     worker count splitting its per-unit broker scans (probeTeam).
-//   - From 6 workers up, the engine additionally evaluates the probes the
-//     *next* binary-search steps could need (both branch outcomes)
-//     concurrently with the current one, the workers divided between the
-//     targets. Memoized speculative results are consumed when the
-//     canonical path reaches them and discarded otherwise.
-//
-// Either way parallelism changes wall-clock time only, never the probe
-// sequence, the stats, or the result. mk must be pure: it is called from
-// worker goroutines and must not touch run state.
+// one. From 6 workers up, the probes the *next* binary-search steps could
+// need (both branch outcomes) are evaluated concurrently with the current
+// one, each serial inside; memoized speculative results are consumed when
+// the canonical path reaches them and discarded otherwise. Parallelism
+// changes wall-clock time only, never the probe sequence, the stats, or the
+// result. mk must be pure: it is called from worker goroutines and must not
+// touch run state.
 func (r *cramRun) searchMaxFeasible(lo, hi int, mk func(k int) (removed []*Unit, merged *Unit)) int {
 	eng := r.engine() // sync once; probes may then run concurrently
-	eval := func(k, workers int) bool {
+	eval := func(k int) bool {
 		rem, add := mk(k)
-		return eng.probe(rem, []*Unit{add}, workers)
+		return eng.probe(rem, []*Unit{add})
 	}
 	memo := make(map[int]bool)
 	best := 0
@@ -477,22 +464,18 @@ func (r *cramRun) searchMaxFeasible(lo, hi int, mk func(k int) (removed []*Unit,
 					}
 					level = next
 				}
-				per := r.par / len(targets)
-				if per < 1 {
-					per = 1
-				}
 				results := make([]bool, len(targets))
 				var g parwork.Group
 				for i, t := range targets {
 					i, t := i, t
-					g.Go(func() { results[i] = eval(t, per) })
+					g.Go(func() { results[i] = eval(t) })
 				}
 				g.Wait()
 				for i, t := range targets {
 					memo[t] = results[i]
 				}
 			} else {
-				memo[k] = eval(k, r.par)
+				memo[k] = eval(k)
 			}
 			res = memo[k]
 		}
@@ -507,13 +490,9 @@ func (r *cramRun) searchMaxFeasible(lo, hi int, mk func(k int) (removed []*Unit,
 	return best
 }
 
-// probeID names a hypothetical merged unit for load memoization. Within
-// one probe generation (no committed change in between) the same site/k
-// pair always denotes the same unit content, so the key is a sound cache
-// key; committed units get a fresh cram-u ID at commit time instead.
-func (r *cramRun) probeID(site string, k int) string {
-	return fmt.Sprintf("probe|%d|%s|%d", r.probeGen, site, k)
-}
+// probeUnitID names every hypothetical merged unit; nothing reads it. A
+// committed unit mints its cram-u ID at commit time instead.
+const probeUnitID = "probe"
 
 // newUnitID mints a unit ID for a merged cluster.
 func (r *cramRun) newUnitID() string {
@@ -935,17 +914,16 @@ func (r *cramRun) clusterPair(a, b *gif, exhaustive bool) bool {
 }
 
 // clusterSelf merges units within one GIF: binary search for the largest
-// cluster of its lightest units that still allocates. Probes use
-// content-keyed unit IDs; the committed merged unit mints its cram-u ID
-// only after the search settles, so minted IDs never depend on how many
-// infeasible probes ran.
+// cluster of its lightest units that still allocates. The committed merged
+// unit mints its cram-u ID only after the search settles, so minted IDs
+// never depend on how many infeasible probes ran.
 func (r *cramRun) clusterSelf(g *gif, exhaustive bool) bool {
 	n := len(g.units)
 	if n < 2 {
 		return false
 	}
 	bestK := r.searchMaxFeasible(2, n, func(k int) ([]*Unit, *Unit) {
-		return g.units[:k], MergeUnits(r.probeID("self:"+g.id, k), r.capacity, g.units[:k]...)
+		return g.units[:k], MergeUnits(probeUnitID, r.capacity, g.units[:k]...)
 	})
 	if bestK < 2 {
 		return false
@@ -964,7 +942,7 @@ func (r *cramRun) clusterSelf(g *gif, exhaustive bool) bool {
 // and the generic pairwise case).
 func (r *cramRun) clusterLightest(a, b *gif, exhaustive bool) bool {
 	ua, ub := a.units[0], b.units[0]
-	merged := MergeUnits(r.probeID("pair:"+a.id+"|"+b.id, 2), r.capacity, ua, ub)
+	merged := MergeUnits(probeUnitID, r.capacity, ua, ub)
 	if !r.feasible([]*Unit{ua, ub}, []*Unit{merged}) {
 		return false
 	}
@@ -986,7 +964,7 @@ func (r *cramRun) clusterCovering(covering, covered *gif, exhaustive bool) bool 
 	n := len(covered.units)
 	bestM := r.searchMaxFeasible(1, n, func(m int) ([]*Unit, *Unit) {
 		parts := append([]*Unit{uc}, covered.units[:m]...)
-		return parts, MergeUnits(r.probeID("cover:"+covering.id+"|"+covered.id, m), r.capacity, parts...)
+		return parts, MergeUnits(probeUnitID, r.capacity, parts...)
 	})
 	if bestM == 0 {
 		return false
@@ -1085,7 +1063,7 @@ func (r *cramRun) tryCoveredSet(parent, other *gif, exhaustive bool) bool {
 	for _, g := range cgs {
 		parts = append(parts, g.units[0])
 	}
-	merged := MergeUnits(r.probeID("cgs:"+parent.id+"|"+other.id, len(parts)), r.capacity, parts...)
+	merged := MergeUnits(probeUnitID, r.capacity, parts...)
 	if !r.feasible(parts, []*Unit{merged}) {
 		return false
 	}

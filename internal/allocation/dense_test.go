@@ -12,10 +12,9 @@ import (
 )
 
 // feasibleFirstFit reports whether the units, in the given order, first-fit
-// pack onto the brokers: the from-scratch oracle the incremental
-// feasibility engine is held to. It is a plain packFirstFit — the same
-// dense state as every other packing, with no checkpoint, stream or scratch
-// reuse.
+// pack onto the brokers: the from-scratch oracle the feasibility engine is
+// held to. It is a plain packFirstFit — the same
+// dense state as every other packing, with no stream or scratch reuse.
 func feasibleFirstFit(units []*Unit, brokers []*BrokerSpec, pubs map[string]*bitvector.PublisherStats, capacity int) bool {
 	_, err := packFirstFit(units, brokers, newPublisherTable(pubs, units), capacity)
 	return err == nil
@@ -83,8 +82,9 @@ func (c *denseCoverage) add(o denseCoverage) {
 // filter count and full aggregate (publisher set, windows, words, cached
 // popcounts). The units are compiled and interned as an algorithm would
 // (compileUnits), so equal contents share a class and the run memo is live;
-// every few units the pack is moved through snapshot and restore, as a
-// resumed probe's is.
+// every few units the stream so far is replayed onto the pack after a clear,
+// as a probe reuses a scratch pack, so the comparison also runs against
+// states built on parked vectors.
 func checkDenseAgainstReference(t *testing.T, units []*Unit, brokers []*BrokerSpec,
 	pubs map[string]*bitvector.PublisherStats, capacity int) denseCoverage {
 	t.Helper()
@@ -98,9 +98,11 @@ func checkDenseAgainstReference(t *testing.T, units []*Unit, brokers []*BrokerSp
 	var cov denseCoverage
 	for ui, u := range units {
 		if ui%5 == 3 {
-			snap := pk.snapshot()
-			pk = newPack(brokers, table, capacity)
-			pk.restore(snap)
+			pk.clear()
+			for _, prev := range units[:ui] {
+				pu := prev.packedFor(table)
+				pk.place(&pu)
+			}
 		}
 		pu := u.packedFor(table)
 		uIn := bitvector.EstimateLoad(u.Profile, pubs)
@@ -475,17 +477,15 @@ func TestProbeBandwidthTieOrder(t *testing.T) {
 	brokers := testBrokers(2, 2500, message.MatchingDelayFn{Base: 1.0 / 25})
 
 	base := sortUnitsByBandwidthDesc([]*Unit{u1, u2, u3})
-	for _, workers := range []int{1, 2} {
-		eng := newFeasEngine(brokers, newPublisherTable(pubs, base), testCap)
-		eng.reset(base, 1)
-		got := eng.probe(nil, []*Unit{m}, workers)
-		own := feasibleFirstFit([]*Unit{u1, u2, u3, m}, brokers, pubs, testCap)
-		if got != own {
-			t.Fatalf("workers=%d: probe = %v, from-scratch pack of the probe's own stream = %v", workers, got, own)
-		}
-		if got {
-			t.Fatalf("workers=%d: probe admitted the tie; it no longer places the added unit after its bandwidth ties", workers)
-		}
+	eng := newFeasEngine(brokers, newPublisherTable(pubs, base), testCap)
+	eng.reset(base, 1)
+	got := eng.probe(nil, []*Unit{m})
+	own := feasibleFirstFit([]*Unit{u1, u2, u3, m}, brokers, pubs, testCap)
+	if got != own {
+		t.Fatalf("probe = %v, from-scratch pack of the probe's own stream = %v", got, own)
+	}
+	if got {
+		t.Fatal("probe admitted the tie; it no longer places the added unit after its bandwidth ties")
 	}
 	committed := sortUnitsByBandwidthDesc([]*Unit{u1, u2, u3, m})
 	if committed[0] != m {
@@ -498,8 +498,8 @@ func TestProbeBandwidthTieOrder(t *testing.T) {
 
 // TestPlacementAllocationFree pins the //greenvet:hotpath declarations on
 // fits, accept, place and replay with a measurement: once a scratch pack
-// has seen every publisher on every broker it uses, restoring it from the
-// empty checkpoint and replaying the whole pool serially allocates nothing.
+// has seen every publisher on every broker it uses, clearing it and
+// replaying the whole pool allocates nothing.
 // Two in five of the pool's subscriptions sink everything their publisher
 // sends, so the stream has runs of one class and the replay goes through
 // the run memo and the skipped OR as well as the walk.
@@ -513,12 +513,9 @@ func TestPlacementAllocationFree(t *testing.T) {
 	eng := newFeasEngine(brokers, table, testCap)
 	eng.reset(base, 1)
 	pk := newPack(brokers, table, testCap)
-	empty := eng.ckpts[0]
 	replay := func() {
-		pk.restore(empty.states)
-		// lastCkpt past the pool: the measurement is of placement, not of
-		// checkpoint recording.
-		if !eng.replay(pk, nil, 0, len(base), len(base), nil, nil) {
+		pk.clear()
+		if !eng.replay(pk, nil, nil) {
 			t.Fatal("pool must be feasible")
 		}
 	}
@@ -534,6 +531,6 @@ func TestPlacementAllocationFree(t *testing.T) {
 			len(classes.entries), len(base), memo)
 	}
 	if n := testing.AllocsPerRun(20, replay); n != 0 {
-		t.Errorf("steady-state serial replay allocates %v times per pool, want 0", n)
+		t.Errorf("steady-state replay allocates %v times per pool, want 0", n)
 	}
 }

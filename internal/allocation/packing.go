@@ -123,9 +123,9 @@ type brokerState struct {
 	// filter), one vector per publisher-table index; nil where no hosted
 	// unit mentions the publisher.
 	agg []*bitvector.Vector
-	// spare parks vectors that restore took out of agg, for reuse by the
-	// next accept or restore: a scratch state that serves probe after
-	// probe stops allocating once it has seen every publisher.
+	// spare parks vectors that clear took out of agg, for reuse by the next
+	// accept: a scratch state that serves probe after probe stops
+	// allocating once it has seen every publisher.
 	spare []*bitvector.Vector
 	// inLoad is the estimated load of agg (publications entering the
 	// broker).
@@ -140,8 +140,7 @@ type brokerState struct {
 	// lastInter is the intersect load of such a unit against agg, valid once
 	// lastKnown — from the second consecutive accept of the class on, when
 	// fits has computed it against an aggregate the accept then left as it
-	// was. Any accept of another class overwrites all three; restore copies
-	// them with the rest of the state.
+	// was. Any accept of another class overwrites all three.
 	last      int32
 	lastKnown bool
 	lastInter bitvector.Load
@@ -278,32 +277,16 @@ func saturation(rate, lim float64) float64 {
 	return (rate-lim)*(1<<50) - 2*rate
 }
 
-// restore overwrites bs with the contents of src, a state of the same
-// broker over the same table, reusing bs's vectors instead of cloning
-// src's.
-func (bs *brokerState) restore(src *brokerState) {
-	for p, sv := range src.agg {
-		v := bs.agg[p]
-		switch {
-		case sv == nil:
-			if v != nil {
-				bs.spare = append(bs.spare, v)
-				bs.agg[p] = nil
-			}
-		case v != nil:
-			v.CopyFrom(sv)
-		default:
-			if v = bs.takeSpare(); v != nil {
-				v.CopyFrom(sv)
-			} else {
-				v = sv.Clone()
-			}
-			bs.agg[p] = v
+// clear empties bs in place, parking its aggregate vectors in spare for the
+// next accept to reuse.
+func (bs *brokerState) clear() {
+	for p, v := range bs.agg {
+		if v != nil {
+			bs.spare = append(bs.spare, v)
+			bs.agg[p] = nil
 		}
 	}
-	bs.inLoad, bs.outLoad, bs.filters = src.inLoad, src.outLoad, src.filters
-	bs.last, bs.lastKnown, bs.lastInter = src.last, src.lastKnown, src.lastInter
-	bs.fullBelow = src.fullBelow
+	*bs = brokerState{spec: bs.spec, agg: bs.agg, spare: bs.spare}
 }
 
 // takeSpare pops a parked vector, or returns nil when none is parked.
@@ -340,21 +323,10 @@ func newPack(brokers []*BrokerSpec, t *bitvector.PublisherTable, capacity int) *
 	return &pack{states: states, stats: t.Stats(), ratesOrdered: t.RatesOrdered(), capacity: capacity}
 }
 
-// snapshot deep-copies the broker states, for a checkpoint.
-func (p *pack) snapshot() []brokerState {
-	out := make([]brokerState, len(p.states))
+// clear empties the packing in place, keeping its vectors for reuse.
+func (p *pack) clear() {
 	for i := range p.states {
-		bs := &p.states[i]
-		out[i] = brokerState{spec: bs.spec, agg: make([]*bitvector.Vector, len(bs.agg))}
-		out[i].restore(bs)
-	}
-	return out
-}
-
-// restore overwrites the packing with a snapshot of the same brokers.
-func (p *pack) restore(snap []brokerState) {
-	for i := range p.states {
-		p.states[i].restore(&snap[i])
+		p.states[i].clear()
 	}
 }
 

@@ -4,29 +4,38 @@ import (
 	"fmt"
 	"math/rand"
 	"regexp"
+	"runtime"
 	"strconv"
 	"testing"
 
 	"github.com/greenps/greenps/internal/bitvector"
+	"github.com/greenps/greenps/internal/parwork"
 )
 
 // TestCRAMDeterministicAcrossParallelism is the contract the tentpole rides
 // on: Parallelism is purely a wall-clock knob. For each metric and search
 // mode, the Assignment fingerprint and the complete CRAMStats must be
-// identical at every parallelism level.
+// identical at every parallelism level — also when the worker goroutines
+// outnumber the processors (procs 1: eight workers' speculative probes
+// share one).
 func TestCRAMDeterministicAcrossParallelism(t *testing.T) {
 	in := stdInput(t)
 	cases := []struct {
 		name       string
 		metric     bitvector.Metric
 		exhaustive bool
+		procs      int // GOMAXPROCS for the case; 0 leaves it alone
 	}{
-		{"xor-poset", bitvector.MetricXor, false},
-		{"ios-poset", bitvector.MetricIOS, false},
-		{"intersect-exhaustive", bitvector.MetricIntersect, true},
+		{"xor-poset", bitvector.MetricXor, false, 0},
+		{"ios-poset", bitvector.MetricIOS, false, 0},
+		{"intersect-exhaustive", bitvector.MetricIntersect, true, 0},
+		{"ios-poset-one-proc", bitvector.MetricIOS, false, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.procs > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
+			}
 			var wantFP string
 			var wantStats CRAMStats
 			for _, par := range []int{1, 2, 8} {
@@ -52,17 +61,17 @@ func TestCRAMDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestFeasEngineMatchesFromScratch fuzzes the incremental feasibility
-// engine against the from-scratch reference: random removed sets and merged
-// additions, with occasional committed modifications in between so
-// checkpoint revalidation, stream-prefix reuse and scratch-pack reuse are
-// exercised too. Every probe runs serially and through probeTeams of 4 and
-// 8 workers; all three must give the reference's answer. The pool is
-// duplicated — every subscription appears one to four times under distinct
-// IDs — so that the replay stream is runs of one class, resumed probes start
-// from checkpoints taken inside such runs, and committed merges of
-// duplicates re-enter the class table; the oracle compiles against a table
-// of its own, without classes, and so never takes the memo path.
+// TestFeasEngineMatchesFromScratch fuzzes the feasibility engine against
+// the from-scratch reference: random removed sets and merged additions, with
+// occasional committed modifications in between so stream-prefix reuse and
+// scratch-pack reuse are exercised too. Each trial's probes are issued
+// concurrently on the one engine, as CRAM's speculative binary search issues
+// them, so the idle scratch-pack list is shared under -race; every one must
+// give the reference's answer. The pool is duplicated — every subscription
+// appears one to four times under distinct IDs — so that the replay stream
+// is runs of one class and committed merges of duplicates re-enter the class
+// table; the oracle compiles against a table of its own, without classes,
+// and so never takes the memo path.
 func TestFeasEngineMatchesFromScratch(t *testing.T) {
 	seedUnits, pubs := testWorkload(7, 6, 12, 10, 100)
 	rng := rand.New(rand.NewSource(99))
@@ -89,49 +98,64 @@ func TestFeasEngineMatchesFromScratch(t *testing.T) {
 	version := 1
 	eng.reset(base, version)
 
+	// One hypothetical modification of the current base pool and the
+	// from-scratch answer for it.
+	type probeCase struct {
+		parts, added, mod []*Unit
+		want              bool
+	}
+	const perTrial = 3 // what one speculative search step has in flight
 	feasYes, feasNo := 0, 0
 	for trial := 0; trial < 80; trial++ {
-		k := 1 + rng.Intn(40)
-		removed := make(map[*Unit]bool)
-		var parts []*Unit
-		for len(parts) < k && len(parts) < len(base) {
-			u := base[rng.Intn(len(base))]
-			if removed[u] {
-				continue
+		cases := make([]probeCase, perTrial)
+		for ci := range cases {
+			pc := &cases[ci]
+			k := 1 + rng.Intn(40)
+			removed := make(map[*Unit]bool)
+			for len(pc.parts) < k && len(pc.parts) < len(base) {
+				u := base[rng.Intn(len(base))]
+				if removed[u] {
+					continue
+				}
+				removed[u] = true
+				pc.parts = append(pc.parts, u)
 			}
-			removed[u] = true
-			parts = append(parts, u)
-		}
-		var added []*Unit
-		if trial%7 != 0 { // every 7th probe is removal-only
-			added = append(added, MergeUnits(fmt.Sprintf("probe-%d", trial), testCap, parts...))
+			if (trial+ci)%7 != 0 { // every 7th probe is removal-only
+				pc.added = append(pc.added, MergeUnits(fmt.Sprintf("probe-%d-%d", trial, ci), testCap, pc.parts...))
+			}
+			for _, u := range base {
+				if !removed[u] {
+					pc.mod = append(pc.mod, u)
+				}
+			}
+			pc.mod = sortUnitsByBandwidthDesc(append(pc.mod, pc.added...))
+			pc.want = feasibleFirstFit(pc.mod, brokers, pubs, testCap)
+			if pc.want {
+				feasYes++
+			} else {
+				feasNo++
+			}
 		}
 
-		var mod []*Unit
-		for _, u := range base {
-			if !removed[u] {
-				mod = append(mod, u)
-			}
+		got := make([]bool, len(cases))
+		var g parwork.Group
+		for ci := range cases {
+			ci := ci
+			g.Go(func() { got[ci] = eng.probe(cases[ci].parts, cases[ci].added) })
 		}
-		mod = sortUnitsByBandwidthDesc(append(mod, added...))
-		want := feasibleFirstFit(mod, brokers, pubs, testCap)
-		for _, workers := range []int{1, 4, 8} {
-			if got := eng.probe(parts, added, workers); got != want {
-				t.Fatalf("trial %d workers %d: engine=%v, from-scratch=%v (removed=%d, added=%d)",
-					trial, workers, got, want, len(parts), len(added))
+		g.Wait()
+		for ci, pc := range cases {
+			if got[ci] != pc.want {
+				t.Fatalf("trial %d probe %d: engine=%v, from-scratch=%v (removed=%d, added=%d)",
+					trial, ci, got[ci], pc.want, len(pc.parts), len(pc.added))
 			}
-		}
-		if want {
-			feasYes++
-		} else {
-			feasNo++
 		}
 
 		// Occasionally commit a feasible modification so the engine's base
-		// pool and checkpoints go through the reset/revalidation path.
-		if want && trial%9 == 3 {
-			compileUnits(added, table, &classes, 1)
-			base = mod
+		// pool goes through reset.
+		if pc := cases[0]; pc.want && trial%9 == 3 {
+			compileUnits(pc.added, table, &classes, 1)
+			base = pc.mod
 			version++
 			eng.reset(base, version)
 		}

@@ -2,7 +2,6 @@ package allocation
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"github.com/greenps/greenps/internal/bitvector"
@@ -223,30 +222,5 @@ func TestCandRecordRoundTrip(t *testing.T) {
 					a, b, candBefore(a, b), ra, rb, ra < rb)
 			}
 		}
-	}
-}
-
-// TestProbeTeamParkedLiveness exercises the probeTeam slow path: on a
-// single processor the spin budget expires almost immediately, so every
-// round goes through the condition-variable park — the run must still
-// complete and match the serial fingerprint. (The unbounded spin this
-// replaced kept single-core machines live only through Gosched churn,
-// burning the whole core.)
-func TestProbeTeamParkedLiveness(t *testing.T) {
-	old := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(old)
-	in := stdInput(t)
-	serial := &CRAM{Metric: bitvector.MetricIOS, Parallelism: 1}
-	sa, err := serial.Allocate(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par := &CRAM{Metric: bitvector.MetricIOS, Parallelism: 8}
-	pa, err := par.Allocate(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sa.Fingerprint() != pa.Fingerprint() {
-		t.Errorf("parked parallel run fingerprint %s != serial %s", pa.Fingerprint(), sa.Fingerprint())
 	}
 }

@@ -11,8 +11,7 @@
 // The mechanical rule: a function that launches a goroutine must also
 // contain a join — a call to a Wait method (sync.WaitGroup, parwork.Group)
 // — or the launch must carry //greenvet:goroutine-ok <justification>
-// (e.g. probeTeam's spin-synchronized workers, whose hand-off protocol is
-// its own join).
+// (e.g. parwork.Group.Go, whose join is the caller's Group.Wait).
 package waitcheck
 
 import (

@@ -89,17 +89,6 @@ func (v *Vector) Clone() *Vector {
 	return cp
 }
 
-// CopyFrom makes v an exact copy of o, reusing v's word storage when the
-// capacities match. Allocation's feasibility probes restore scratch broker
-// aggregates from a checkpoint with it instead of cloning per probe.
-func (v *Vector) CopyFrom(o *Vector) {
-	if len(v.words) != len(o.words) {
-		v.words = make([]uint64, len(o.words))
-	}
-	copy(v.words, o.words)
-	v.firstID, v.lastID, v.capacity, v.count = o.firstID, o.lastID, o.capacity, o.count
-}
-
 // Reset empties v in place, keeping its capacity and word storage.
 func (v *Vector) Reset() {
 	clear(v.words)

@@ -67,9 +67,11 @@ type Config struct {
 	DisableGIFGrouping bool
 	ExhaustiveSearch   bool
 	DisableOneToMany   bool
-	// Parallelism caps the worker count of the allocation algorithms'
-	// parallel inner loops (0 = all cores). Results are bit-for-bit
-	// identical at any setting; only wall-clock time changes.
+	// Parallelism caps the worker count of the loops the allocation
+	// algorithms fan out — unit compilation, CRAM's partner searches, poset
+	// BFS and speculative probes; a feasibility probe is serial (0 = all
+	// cores). Results are bit-for-bit identical at any setting; only
+	// wall-clock time changes.
 	Parallelism int
 	// Shards sets CRAM's sharded exhaustive partner scan (0 = automatic,
 	// 1 = unsharded). Plans are bit-for-bit identical at any value; only

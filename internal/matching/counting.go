@@ -1,3 +1,7 @@
+// Package matching implements the broker's publication-to-subscription
+// matching engine. It is deliberately independent of routing concerns: it
+// maps a publication to the set of subscriptions it satisfies. Brokers
+// attach their own last-hop bookkeeping on top.
 package matching
 
 import (
@@ -140,6 +144,12 @@ func (e *CountingEngine) Add(sub *message.Subscription) error {
 	}
 	return nil
 }
+
+// autoCompactMinTombstones is the floor below which Remove never
+// triggers an automatic Compact: small tables rebuild so cheaply that
+// compacting on every removal would be pure overhead, while large ones
+// must not let dead postings outnumber live entries.
+const autoCompactMinTombstones = 64
 
 // Remove drops a subscription by ID. Its entry is tombstoned and skipped
 // during matching; once tombstones outnumber live entries (and exceed a

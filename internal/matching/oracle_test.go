@@ -4,11 +4,209 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 
 	"github.com/greenps/greenps/internal/message"
 )
+
+// entry is the engine's record of one subscription.
+type entry struct {
+	sub  *message.Subscription
+	live bool
+}
+
+// Engine is the access-predicate matcher the brokers ran before
+// CountingEngine, kept as the reference its tests compare against: every
+// subscription with at least one equality predicate is registered in a
+// bucket keyed by (attribute, value) — choosing, at insertion time, the
+// equality predicate whose bucket is currently smallest, which adaptively
+// avoids degenerate buckets like class='STOCK' that every subscription
+// shares. A publication probes one bucket per attribute it carries and
+// fully verifies each candidate. Subscriptions without any equality
+// predicate live in a fallback list verified against every publication.
+type Engine struct {
+	entries []entry
+	byID    map[string]int
+	// index buckets subscriptions by their access predicate:
+	// attr -> canonical value -> entry indices.
+	index map[string]map[string][]int
+	// fallback holds entry indices of subscriptions with no equality
+	// predicate; they are candidates for every publication.
+	fallback []int
+	// tombstones counts dead posting entries; Compact clears them.
+	tombstones int
+	// matchCount tallies total publications matched, for broker metrics.
+	matchCount int
+}
+
+// NewEngine returns an empty engine.
+func NewEngine() *Engine {
+	return &Engine{
+		byID:  make(map[string]int),
+		index: make(map[string]map[string][]int),
+	}
+}
+
+// valueKey canonicalizes a value for bucket lookup.
+func valueKey(v message.Value) string {
+	switch v.Kind {
+	case message.KindString:
+		return "s:" + v.Str
+	case message.KindNumber:
+		return "n:" + strconv.FormatFloat(v.Num, 'g', -1, 64)
+	case message.KindBool:
+		return "b:" + strconv.FormatBool(v.B)
+	default:
+		return "?"
+	}
+}
+
+// Len returns the number of live subscriptions.
+func (e *Engine) Len() int { return len(e.byID) }
+
+// Add indexes a subscription. Adding an ID that is already present is an
+// error; brokers treat duplicate subscription IDs as protocol violations.
+func (e *Engine) Add(sub *message.Subscription) error {
+	if _, ok := e.byID[sub.ID]; ok {
+		return fmt.Errorf("matching: subscription %q already indexed", sub.ID)
+	}
+	idx := len(e.entries)
+	e.entries = append(e.entries, entry{sub: sub, live: true})
+	e.byID[sub.ID] = idx
+
+	// Choose the equality predicate with the currently smallest bucket as
+	// the access predicate.
+	bestAttr, bestKey, bestLen := "", "", -1
+	for _, p := range sub.Predicates {
+		if p.Op != message.OpEq {
+			continue
+		}
+		k := valueKey(p.Value)
+		n := 0
+		if buckets, ok := e.index[p.Attr]; ok {
+			n = len(buckets[k])
+		}
+		if bestLen < 0 || n < bestLen {
+			bestAttr, bestKey, bestLen = p.Attr, k, n
+		}
+	}
+	if bestLen < 0 {
+		e.fallback = append(e.fallback, idx)
+		return nil
+	}
+	buckets, ok := e.index[bestAttr]
+	if !ok {
+		buckets = make(map[string][]int)
+		e.index[bestAttr] = buckets
+	}
+	buckets[bestKey] = append(buckets[bestKey], idx)
+	return nil
+}
+
+// Remove drops a subscription by ID. Its posting entry is tombstoned and
+// skipped during matching; once tombstones outnumber live entries (and
+// exceed a floor that keeps small tables from thrashing) the engine
+// compacts itself, so sustained churn cannot degrade MatchFunc
+// unboundedly.
+func (e *Engine) Remove(subID string) error {
+	idx, ok := e.byID[subID]
+	if !ok {
+		return fmt.Errorf("matching: subscription %q not indexed", subID)
+	}
+	delete(e.byID, subID)
+	e.entries[idx].live = false
+	e.entries[idx].sub = nil
+	e.tombstones++
+	if e.tombstones >= autoCompactMinTombstones && e.tombstones > len(e.byID) {
+		e.Compact()
+	}
+	return nil
+}
+
+// Tombstones reports the number of dead posting entries awaiting Compact.
+func (e *Engine) Tombstones() int { return e.tombstones }
+
+// Compact rebuilds the index, dropping tombstones. Brokers call it after
+// bulk unsubscriptions (e.g. during reconfiguration). Live subscriptions
+// are re-added in sorted ID order so the rebuilt access-predicate choice
+// is identical across runs, and the match counter survives the rebuild
+// (it used to be silently zeroed, wiping broker matching metrics after
+// every reconfiguration).
+func (e *Engine) Compact() {
+	subs := make([]*message.Subscription, 0, len(e.byID))
+	for _, idx := range e.byID {
+		subs = append(subs, e.entries[idx].sub)
+	}
+	sort.Slice(subs, func(i, j int) bool { return subs[i].ID < subs[j].ID })
+	matchCount := e.matchCount
+	*e = *NewEngine()
+	e.matchCount = matchCount
+	for _, s := range subs {
+		// Re-adding into a fresh engine cannot collide.
+		if err := e.Add(s); err != nil {
+			panic("matching: compact re-add: " + err.Error())
+		}
+	}
+}
+
+// Match returns the IDs of all live subscriptions the publication
+// satisfies. The returned slice is freshly allocated and owned by the
+// caller.
+func (e *Engine) Match(pub *message.Publication) []string {
+	var out []string
+	e.MatchFunc(pub, func(s *message.Subscription) {
+		out = append(out, s.ID)
+	})
+	return out
+}
+
+// MatchFunc invokes fn for every live subscription the publication
+// satisfies. fn must not mutate the engine.
+func (e *Engine) MatchFunc(pub *message.Publication, fn func(*message.Subscription)) {
+	e.matchCount++
+	verify := func(idx int) {
+		ent := &e.entries[idx]
+		if ent.live && ent.sub.Matches(pub) {
+			fn(ent.sub)
+		}
+	}
+	for attr, v := range pub.Attrs {
+		buckets, ok := e.index[attr]
+		if !ok {
+			continue
+		}
+		for _, idx := range buckets[valueKey(v)] {
+			verify(idx)
+		}
+	}
+	for _, idx := range e.fallback {
+		verify(idx)
+	}
+}
+
+// MatchCount returns the number of Match/MatchFunc calls served, a proxy
+// for the broker's matching work.
+func (e *Engine) MatchCount() int { return e.matchCount }
+
+// Subscriptions returns the live subscriptions in unspecified order.
+func (e *Engine) Subscriptions() []*message.Subscription {
+	out := make([]*message.Subscription, 0, len(e.byID))
+	for _, idx := range e.byID {
+		out = append(out, e.entries[idx].sub)
+	}
+	return out
+}
+
+// Get returns the live subscription with the given ID, or nil.
+func (e *Engine) Get(subID string) *message.Subscription {
+	idx, ok := e.byID[subID]
+	if !ok {
+		return nil
+	}
+	return e.entries[idx].sub
+}
 
 func pub(symbol string, low, volume float64) *message.Publication {
 	return message.NewPublication("ADV-"+symbol, 1, map[string]message.Value{
