@@ -226,11 +226,10 @@ type ReconfigureOptions struct {
 	// Timeout bounds the information-gathering phase (0 = 30s).
 	Timeout time.Duration
 	// Parallelism caps the worker count of the loops the allocation
-	// algorithms fan out (unit compilation, CRAM's partner searches, poset
-	// BFS and speculative probes; a feasibility probe is serial); 0 or
-	// negative means runtime.GOMAXPROCS(0). The computed plan is
-	// bit-for-bit identical at any setting — only wall-clock planning time
-	// changes.
+	// algorithms fan out (unit compilation, CRAM's partner searches and
+	// poset BFS; feasibility probes are serial); 0 or negative means
+	// runtime.GOMAXPROCS(0). The computed plan is bit-for-bit identical at
+	// any setting — only wall-clock planning time changes.
 	Parallelism int
 }
 

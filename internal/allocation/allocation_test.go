@@ -2,6 +2,7 @@ package allocation
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -390,6 +391,25 @@ func TestInputValidate(t *testing.T) {
 	for i, in := range cases {
 		if err := in.Validate(); err == nil {
 			t.Errorf("case %d: invalid input accepted", i)
+		}
+	}
+}
+
+// TestNaNLoadRejected: a NaN unit load voids the >= bandwidth test of the
+// broker that takes it and the order the pool is kept in, so every algorithm
+// must refuse the input instead of returning a plan CheckCapacity cannot
+// fault.
+func TestNaNLoadRejected(t *testing.T) {
+	algs := []Algorithm{&FBF{Seed: 1}, &BinPacking{}, &CRAM{Metric: bitvector.MetricIOS}}
+	for _, load := range []bitvector.Load{{Rate: 1, Bandwidth: math.NaN()}, {Rate: math.NaN(), Bandwidth: 1}} {
+		in := *stdInput(t)
+		bad := *in.Units[0]
+		bad.Load = load
+		in.Units = append([]*Unit{&bad}, in.Units[1:]...)
+		for _, alg := range algs {
+			if a, err := alg.Allocate(&in); err == nil {
+				t.Errorf("%s planned a pool with load %+v: B00 output %+v", alg.Name(), load, a.Loads["B00"].Output)
+			}
 		}
 	}
 }

@@ -260,21 +260,17 @@ func BenchmarkCRAMParallelism(b *testing.B) {
 	}
 }
 
-// BenchmarkFeasProbe isolates one feasibility probe of the 2k pool: scratch
-// pack hand-off, clear and replay.
+// BenchmarkFeasProbe isolates one feasibility probe of the 2k pool: clear
+// and replay.
 func BenchmarkFeasProbe(b *testing.B) {
 	in := benchInput(b)
-	base := sortUnitsByBandwidthDesc(in.Units)
-	table := newPublisherTable(in.Publishers, base)
-	compileUnits(base, table, new(classTable), 1)
-	eng := newFeasEngine(in.Brokers, table, in.ProfileCapacity)
-	eng.reset(base, 1)
-	if !eng.probe(nil, nil) {
+	p := newPool(in.Units, in.Brokers, newPublisherTable(in.Publishers, in.Units), in.ProfileCapacity, 1)
+	if !p.probe(nil, nil) {
 		b.Fatal("pool must be feasible")
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !eng.probe(nil, nil) {
+		if !p.probe(nil, nil) {
 			b.Fatal("pool must be feasible")
 		}
 	}
@@ -308,19 +304,14 @@ func BenchmarkProbeReplay(b *testing.B) {
 	// Bandwidth-bound brokers at 2.2x the even share, as in the E13 scale
 	// workload.
 	brokers := testBrokers(20, 2.2*totalBW/20, message.MatchingDelayFn{PerSub: 1e-9, Base: 1e-6})
-	base := sortUnitsByBandwidthDesc(units)
-	table := newPublisherTable(pubs, base)
-	compileUnits(base, table, new(classTable), 1)
-	eng := newFeasEngine(brokers, table, testCap)
-	eng.reset(base, 1)
-	pk := newPack(brokers, table, testCap)
+	p := newPool(units, brokers, newPublisherTable(pubs, units), testCap, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pk.clear()
-		if !eng.replay(pk, nil, nil) {
+		p.pk.clear()
+		if !p.replay(nil, nil) {
 			b.Fatal("pool must be feasible")
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(base)), "ns/placement")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(units)), "ns/placement")
 }

@@ -53,13 +53,12 @@ type CRAM struct {
 	// 64×(initial group count), far beyond any convergent run.
 	MaxIterations int
 	// Parallelism caps the worker count of the loops that fan out: unit
-	// compilation at ingestion, the seed-phase partner searches, the poset
-	// BFS and the exhaustive scan of one partner search, and (from 6 up) the
-	// speculative binary-search probes. A feasibility probe itself is
-	// serial. 0 or negative means runtime.GOMAXPROCS(0). Every parallel loop
-	// reduces in a canonical order, so the Assignment and every CRAMStats
-	// counter are bit-for-bit identical at any setting — Parallelism is
-	// purely a wall-clock knob.
+	// compilation at ingestion, the seed-phase partner searches, and the
+	// poset BFS and the exhaustive scan of one partner search. Feasibility
+	// probes are serial, one after another. 0 or negative means
+	// runtime.GOMAXPROCS(0). Every parallel loop reduces in a canonical
+	// order, so the Assignment and every CRAMStats counter are bit-for-bit
+	// identical at any setting — Parallelism is purely a wall-clock knob.
 	Parallelism int
 	// Shards sets the shard count of the sharded exhaustive partner scan
 	// (DESIGN.md §14): GIFs are routed to shards by summary signature and
@@ -116,11 +115,8 @@ type CRAMStats struct {
 	// folded into ClosenessComputations, which inflated the E8 closeness
 	// counts with non-closeness work.
 	CoverComputations int
-	// PackAttempts counts allocation feasibility tests on the canonical
-	// search path. Speculative probe evaluations (Parallelism > 1) that
-	// the binary search also reaches are counted exactly once, when
-	// reached; mispredicted ones are never counted — so the tally is
-	// identical at every parallelism level.
+	// PackAttempts counts allocation feasibility tests: every probe of the
+	// pool, the initial one included.
 	PackAttempts int
 	// ClustersAccepted and ClustersRejected count clustering attempts.
 	ClustersAccepted int
@@ -238,17 +234,13 @@ func (h *candHeap) Pop() any {
 type cramRun struct {
 	c        *CRAM
 	capacity int
-	brokers  []*BrokerSpec
-	// table indexes the run's publishers for the dense packing state; it
-	// lives exactly as long as this Allocate call.
-	table *bitvector.PublisherTable
-	// classes interns the committed units' compiled content against table
-	// (pool ingestion and every merge commit, coordinator only).
-	classes classTable
+	// pool is the committed unit pool and its feasibility test; commit is
+	// the only way it changes, and err the failure of one.
+	pool *pool
+	err  error
 
 	gifs      map[string]*gif
 	byKey     map[string]*gif // fingerprint -> gif
-	zeroUnits []*Unit         // empty-profile units, packed but never clustered
 	ps        *poset.Poset
 	blacklist map[gifPair]struct{}
 	// blPartners indexes the blacklist per GIF (self-pairs excluded) for
@@ -267,16 +259,6 @@ type cramRun struct {
 	nextUnit int
 	// par is the normalized Parallelism (always >= 1).
 	par int
-	// eng is the feasibility engine; synced lazily to the current pool via
-	// engine().
-	eng *feasEngine
-	// sorted caches the pool in BIN PACKING order; poolUnits rebuilds it
-	// after each committed change so feasibility tests are O(n) merges
-	// instead of O(n log n) sorts. poolVersion counts rebuilds so the
-	// feasibility engine knows when to recompile its stream.
-	sorted      []*Unit
-	sortedDirty bool
-	poolVersion int
 	// gifIDs caches the sorted live GIF IDs for exhaustive scans.
 	gifIDs      []string
 	gifIDsDirty bool
@@ -315,22 +297,6 @@ func (r *cramRun) noteBlacklist(a, b string) {
 	}
 }
 
-// poolUnits returns the current unit pool in BIN PACKING order, cached
-// between committed changes.
-func (r *cramRun) poolUnits() []*Unit {
-	if r.sorted == nil || r.sortedDirty {
-		var units []*Unit
-		for _, id := range r.sortedGIFIDs() {
-			units = append(units, r.gifs[id].units...)
-		}
-		units = append(units, r.zeroUnits...)
-		r.sorted = sortUnitsByBandwidthDesc(units)
-		r.sortedDirty = false
-		r.poolVersion++
-	}
-	return r.sorted
-}
-
 // sortedGIFIDs returns the live GIF IDs in sorted order, cached between
 // GIF-set changes (exhaustive partner scans hit this on every search).
 func (r *cramRun) sortedGIFIDs() []string {
@@ -346,64 +312,15 @@ func (r *cramRun) sortedGIFIDs() []string {
 	return r.gifIDs
 }
 
-// markDirty invalidates the sorted pool cache after a committed change. It
-// forces a full O(n log n) rebuild at the next poolUnits call; commit sites
-// that know their exact unit delta use applyPool instead and only fall back
-// here when no valid base exists.
-func (r *cramRun) markDirty() {
-	r.sortedDirty = true
-}
-
-// applyPool commits a pool change incrementally: the removed units are
-// cut out of the sorted cache (located by binary search on the pool order,
-// confirmed by identity) and the added units spliced in at their BIN
-// PACKING positions — O(n + (r+a)·log n) against the O(n log n) resort of
-// a full rebuild, which at million-unit scale is the difference between a
-// linear pass and a dominant sort per accepted clustering. The order is a
-// strict total order, so the repaired slice is byte-identical to what
-// poolUnits would rebuild. A fresh slice is built because the feasibility
-// engine aliases the previous one: its reset diffs old base against new by
-// position to decide how much of its compiled stream survives, which an
-// in-place splice would corrupt.
-func (r *cramRun) applyPool(removed, added []*Unit) {
-	// Memoize the committed units' compiled form here, on the coordinator,
-	// before any later probe can read it (Unit.packed's memo contract).
-	// Unconditional across both branches, including the markDirty fallback
-	// below.
-	compileUnits(added, r.table, &r.classes, 1)
-	cut := poolPositions(r.sorted, removed)
-	if r.sorted == nil || r.sortedDirty || len(cut) != len(removed) {
-		// No valid base — or a removed unit the search cannot locate, which
-		// takes a bandwidth that does not order (NaN from broken publisher
-		// statistics): rebuild from the GIFs, which needs no order.
-		r.markDirty()
-		return
+// commit replaces the removed units by their merged unit in the pool and
+// reports whether it took. The pool's refusal — a removed unit it does not
+// hold, which no validated input leads to — is kept in err for run to return,
+// and nothing commits after it.
+func (r *cramRun) commit(removed []*Unit, merged *Unit) bool {
+	if r.err == nil {
+		r.err = r.pool.commit(removed, []*Unit{merged})
 	}
-	out := make([]*Unit, 0, len(r.sorted)+len(added))
-	next := 0
-	for _, i := range cut {
-		out = append(out, r.sorted[next:i]...)
-		next = i + 1
-	}
-	out = append(out, r.sorted[next:]...)
-	for _, u := range added {
-		i := sort.Search(len(out), func(i int) bool { return unitBefore(u, out[i]) })
-		out = append(out, nil)
-		copy(out[i+1:], out[i:])
-		out[i] = u
-	}
-	r.sorted = out
-	r.poolVersion++
-}
-
-// engine returns the feasibility engine synced to the current pool.
-func (r *cramRun) engine() *feasEngine {
-	base := r.poolUnits()
-	if r.eng == nil {
-		r.eng = newFeasEngine(r.brokers, r.table, r.capacity)
-	}
-	r.eng.reset(base, r.poolVersion)
-	return r.eng
+	return r.err == nil
 }
 
 // feasible runs the allocation test on the current pool with the given
@@ -411,76 +328,18 @@ func (r *cramRun) engine() *feasEngine {
 // merged into the sorted order.
 func (r *cramRun) feasible(removed, added []*Unit) bool {
 	r.c.stats.PackAttempts++
-	return r.engine().probe(removed, added)
+	return r.pool.probe(removed, added)
 }
 
 // searchMaxFeasible runs the binary search shared by clusterSelf and
 // clusterCovering: the largest k in [lo, hi] whose hypothetical
 // modification mk(k) keeps the pool allocatable, or 0 when none does.
-// The search path — and therefore PackAttempts — is exactly the serial
-// one. From 6 workers up, the probes the *next* binary-search steps could
-// need (both branch outcomes) are evaluated concurrently with the current
-// one, each serial inside; memoized speculative results are consumed when
-// the canonical path reaches them and discarded otherwise. Parallelism
-// changes wall-clock time only, never the probe sequence, the stats, or the
-// result. mk must be pure: it is called from worker goroutines and must not
-// touch run state.
 func (r *cramRun) searchMaxFeasible(lo, hi int, mk func(k int) (removed []*Unit, merged *Unit)) int {
-	eng := r.engine() // sync once; probes may then run concurrently
-	eval := func(k int) bool {
-		rem, add := mk(k)
-		return eng.probe(rem, []*Unit{add})
-	}
-	memo := make(map[int]bool)
 	best := 0
 	for lo <= hi {
 		k := (lo + hi) / 2
-		res, known := memo[k]
-		if !known {
-			if r.par >= 6 {
-				// Speculate the binary-search subtree below k: its two
-				// possible successors (and their successors when enough
-				// workers are available). Intervals at one level are
-				// disjoint and never contain an ancestor's midpoint, so
-				// the targets are distinct.
-				type iv struct{ lo, hi int }
-				depth := 1
-				if r.par >= 12 {
-					depth = 2
-				}
-				targets := make([]int, 0, 7)
-				level := []iv{{lo, hi}}
-				for d := 0; d <= depth; d++ {
-					next := make([]iv, 0, 2*len(level))
-					for _, v := range level {
-						if v.lo > v.hi {
-							continue
-						}
-						m := (v.lo + v.hi) / 2
-						if _, ok := memo[m]; !ok {
-							targets = append(targets, m)
-						}
-						next = append(next, iv{m + 1, v.hi}, iv{v.lo, m - 1})
-					}
-					level = next
-				}
-				results := make([]bool, len(targets))
-				var g parwork.Group
-				for i, t := range targets {
-					i, t := i, t
-					g.Go(func() { results[i] = eval(t) })
-				}
-				g.Wait()
-				for i, t := range targets {
-					memo[t] = results[i]
-				}
-			} else {
-				memo[k] = eval(k)
-			}
-			res = memo[k]
-		}
-		r.c.stats.PackAttempts++
-		if res {
+		removed, merged := mk(k)
+		if r.feasible(removed, []*Unit{merged}) {
 			best = k
 			lo = k + 1
 		} else {
@@ -521,8 +380,6 @@ func (c *CRAM) run(in *Input) (*cramRun, *Assignment, error) {
 	r := &cramRun{
 		c:          c,
 		capacity:   in.ProfileCapacity,
-		brokers:    sortBrokersByCapacity(in.Brokers),
-		table:      newPublisherTable(in.Publishers, in.Units),
 		gifs:       make(map[string]*gif),
 		byKey:      make(map[string]*gif),
 		ps:         poset.New(),
@@ -534,8 +391,7 @@ func (c *CRAM) run(in *Input) (*cramRun, *Assignment, error) {
 	// Group units into GIFs by profile fingerprint (Optimization 1).
 	for _, u := range in.Units {
 		if u.Profile.Empty() {
-			r.zeroUnits = append(r.zeroUnits, u)
-			continue
+			continue // packed with the pool but never clustered
 		}
 		var key string
 		if c.DisableGIFGrouping {
@@ -558,10 +414,11 @@ func (c *CRAM) run(in *Input) (*cramRun, *Assignment, error) {
 	}
 	c.stats.InitialGIFs = len(r.gifs)
 
-	// Compile every input unit against the run's publisher table up front,
-	// fanned out across the workers; every later feasibility probe then
-	// reads the memo off the unit.
-	compileUnits(in.Units, r.table, &r.classes, r.par)
+	// Ingest the pool: every input unit compiled against the run's publisher
+	// table up front, fanned out across the workers. The table lives exactly
+	// as long as this call.
+	brokers := sortBrokersByCapacity(in.Brokers)
+	r.pool = newPool(in.Units, brokers, newPublisherTable(in.Publishers, in.Units), r.capacity, r.par)
 
 	// Initial allocation test without clustering (the algorithm terminates
 	// immediately if the raw pool does not fit).
@@ -672,7 +529,11 @@ func (c *CRAM) run(in *Input) (*cramRun, *Assignment, error) {
 		if cand.closeness <= 0 {
 			continue
 		}
-		if r.clusterPair(g, p, useExhaustive) {
+		accepted := r.clusterPair(g, p, useExhaustive)
+		if r.err != nil {
+			return nil, nil, fmt.Errorf("CRAM: %w", r.err)
+		}
+		if accepted {
 			c.stats.ClustersAccepted++
 		} else {
 			c.stats.ClustersRejected++
@@ -685,13 +546,12 @@ func (c *CRAM) run(in *Input) (*cramRun, *Assignment, error) {
 	}
 
 	// Materialize the final (feasible by construction) allocation.
-	units := r.poolUnits()
-	a, err := packFirstFit(units, r.brokers, r.table, r.capacity)
+	a, err := packFirstFit(r.pool.units, r.pool.stream, brokers, r.pool.table, r.capacity)
 	if err != nil {
 		// Cannot happen: every committed pool passed the feasibility test.
 		return nil, nil, fmt.Errorf("CRAM: final pack of feasible pool failed: %w", err)
 	}
-	c.stats.FinalUnits = len(units)
+	c.stats.FinalUnits = len(r.pool.units)
 	return r, a, nil
 }
 
@@ -822,9 +682,9 @@ func (r *cramRun) bestPartner(g *gif, exhaustive bool, par int) (best *candidate
 			}
 		}
 	} else {
-		res := r.ps.SearchClosestParallelOpts(g.profile, r.c.Metric, func(n *poset.Node) bool {
+		res := r.ps.SearchClosestOpts(g.profile, r.c.Metric, func(n *poset.Node) bool {
 			return n.ID == g.id || r.blacklisted(g.id, n.ID)
-		}, par, !r.c.DisableBoundPruning)
+		}, true, par, !r.c.DisableBoundPruning)
 		comps += res.Computations
 		pruned += res.BoundPruned
 		if res.Best != nil && res.Closeness > 0 && (best == nil || res.Closeness > best.closeness) {
@@ -930,9 +790,11 @@ func (r *cramRun) clusterSelf(g *gif, exhaustive bool) bool {
 	}
 	removed := g.units[:bestK]
 	merged := MergeUnits(r.newUnitID(), r.capacity, removed...)
+	if !r.commit(removed, merged) {
+		return false
+	}
 	g.units = append([]*Unit{}, g.units[bestK:]...)
 	g.insertUnit(merged)
-	r.applyPool(removed, []*Unit{merged})
 	r.pushBest(g, exhaustive)
 	return true
 }
@@ -947,7 +809,9 @@ func (r *cramRun) clusterLightest(a, b *gif, exhaustive bool) bool {
 		return false
 	}
 	merged.ID = r.newUnitID() // mint only at commit
-	r.applyPool([]*Unit{ua, ub}, []*Unit{merged})
+	if !r.commit([]*Unit{ua, ub}, merged) {
+		return false
+	}
 	r.detachUnit(a, ua, exhaustive)
 	r.detachUnit(b, ub, exhaustive)
 	r.attachUnit(merged, exhaustive)
@@ -971,12 +835,14 @@ func (r *cramRun) clusterCovering(covering, covered *gif, exhaustive bool) bool 
 	}
 	parts := append([]*Unit{uc}, covered.units[:bestM]...)
 	merged := MergeUnits(r.newUnitID(), r.capacity, parts...)
+	if !r.commit(parts, merged) {
+		return false
+	}
 	covering.removeUnit(uc)
 	for _, u := range parts[1:] {
 		covered.removeUnit(u)
 	}
 	covering.insertUnit(merged)
-	r.applyPool(parts, []*Unit{merged})
 	if len(covered.units) == 0 {
 		r.dropGIF(covered)
 	} else {
@@ -1070,7 +936,9 @@ func (r *cramRun) tryCoveredSet(parent, other *gif, exhaustive bool) bool {
 	merged.ID = r.newUnitID() // mint only at commit
 	// Commit: merged profile equals the parent's (CGS members are covered),
 	// so the merged unit joins the parent GIF.
-	r.applyPool(parts, []*Unit{merged})
+	if !r.commit(parts, merged) {
+		return false
+	}
 	parent.removeUnit(puc)
 	for _, g := range cgs {
 		g.removeUnit(g.units[0])
@@ -1086,8 +954,7 @@ func (r *cramRun) tryCoveredSet(parent, other *gif, exhaustive bool) bool {
 }
 
 // detachUnit removes a unit from its GIF, dropping the GIF when emptied.
-// The pool cache is the caller's to repair (applyPool with the full
-// commit delta).
+// The pool is the caller's to change (pool.commit with the full delta).
 func (r *cramRun) detachUnit(g *gif, u *Unit, exhaustive bool) {
 	g.removeUnit(u)
 	if len(g.units) == 0 {

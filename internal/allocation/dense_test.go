@@ -12,11 +12,17 @@ import (
 )
 
 // feasibleFirstFit reports whether the units, in the given order, first-fit
-// pack onto the brokers: the from-scratch oracle the feasibility engine is
-// held to. It is a plain packFirstFit — the same
-// dense state as every other packing, with no stream or scratch reuse.
+// pack onto the brokers: the from-scratch oracle the pool's probes are held
+// to. It is a plain packFirstFit — the same dense state as every other
+// packing, with no stream or scratch reuse — over units compiled against a
+// table of its own and never interned, so it never takes the run memo.
 func feasibleFirstFit(units []*Unit, brokers []*BrokerSpec, pubs map[string]*bitvector.PublisherStats, capacity int) bool {
-	_, err := packFirstFit(units, brokers, newPublisherTable(pubs, units), capacity)
+	table := newPublisherTable(pubs, units)
+	compiled := make([]packUnit, len(units))
+	for i, u := range units {
+		compiled[i] = compileUnit(u, table)
+	}
+	_, err := packFirstFit(units, compiled, brokers, table, capacity)
 	return err == nil
 }
 
@@ -89,7 +95,7 @@ func checkDenseAgainstReference(t *testing.T, units []*Unit, brokers []*BrokerSp
 	pubs map[string]*bitvector.PublisherStats, capacity int) denseCoverage {
 	t.Helper()
 	table := newPublisherTable(pubs, units)
-	compileUnits(units, table, new(classTable), 2)
+	compiled := compileUnits(units, table, new(classTable), 2)
 	pk := newPack(brokers, table, capacity)
 	ref := make([]*refBroker, len(brokers))
 	for i, b := range brokers {
@@ -99,12 +105,11 @@ func checkDenseAgainstReference(t *testing.T, units []*Unit, brokers []*BrokerSp
 	for ui, u := range units {
 		if ui%5 == 3 {
 			pk.clear()
-			for _, prev := range units[:ui] {
-				pu := prev.packedFor(table)
-				pk.place(&pu)
+			for i := range compiled[:ui] {
+				pk.place(&compiled[i])
 			}
 		}
-		pu := u.packedFor(table)
+		pu := compiled[ui]
 		uIn := bitvector.EstimateLoad(u.Profile, pubs)
 		if !sameLoad(pu.in, uIn) {
 			t.Fatalf("unit %d: dense input load %+v, EstimateLoad %+v", ui, pu.in, uIn)
@@ -414,14 +419,15 @@ func TestInternIsExactContent(t *testing.T) {
 		t.Fatal("the example needs equal fingerprints")
 	}
 	units := []*Unit{a, b, c}
-	compileUnits(units, newPublisherTable(pubs, units), new(classTable), 1)
-	if a.packed.class == 0 || a.packed.class != b.packed.class {
-		t.Fatalf("equal contents got classes %d and %d", a.packed.class, b.packed.class)
+	compiled := compileUnits(units, newPublisherTable(pubs, units), new(classTable), 1)
+	pa, pb, pc := compiled[0], compiled[1], compiled[2]
+	if pa.class == 0 || pa.class != pb.class {
+		t.Fatalf("equal contents got classes %d and %d", pa.class, pb.class)
 	}
-	if &a.packed.entries[0] != &b.packed.entries[0] {
+	if &pa.entries[0] != &pb.entries[0] {
 		t.Fatal("units of one class must share the canonical entries")
 	}
-	if c.packed.class == a.packed.class {
+	if pc.class == pa.class {
 		t.Fatal("a longer window with the same bits was interned into the same class")
 	}
 }
@@ -476,10 +482,8 @@ func TestProbeBandwidthTieOrder(t *testing.T) {
 	m := unit("cram-u1", "P1", "P2") // sorts ahead of u1..u3 by ID, as committed merges do
 	brokers := testBrokers(2, 2500, message.MatchingDelayFn{Base: 1.0 / 25})
 
-	base := sortUnitsByBandwidthDesc([]*Unit{u1, u2, u3})
-	eng := newFeasEngine(brokers, newPublisherTable(pubs, base), testCap)
-	eng.reset(base, 1)
-	got := eng.probe(nil, []*Unit{m})
+	base := []*Unit{u1, u2, u3}
+	got := newPool(base, brokers, newPublisherTable(pubs, base), testCap, 1).probe(nil, []*Unit{m})
 	own := feasibleFirstFit([]*Unit{u1, u2, u3, m}, brokers, pubs, testCap)
 	if got != own {
 		t.Fatalf("probe = %v, from-scratch pack of the probe's own stream = %v", got, own)
@@ -506,29 +510,23 @@ func TestProbeBandwidthTieOrder(t *testing.T) {
 func TestPlacementAllocationFree(t *testing.T) {
 	units, pubs := testWorkload(3, 6, 40, 10, 100)
 	brokers := sortBrokersByCapacity(testBrokers(12, 30_000, stdDelay()))
-	base := sortUnitsByBandwidthDesc(units)
-	table := newPublisherTable(pubs, base)
-	var classes classTable
-	compileUnits(base, table, &classes, 1)
-	eng := newFeasEngine(brokers, table, testCap)
-	eng.reset(base, 1)
-	pk := newPack(brokers, table, testCap)
+	p := newPool(units, brokers, newPublisherTable(pubs, units), testCap, 1)
 	replay := func() {
-		pk.clear()
-		if !eng.replay(pk, nil, nil) {
+		p.pk.clear()
+		if !p.replay(nil, nil) {
 			t.Fatal("pool must be feasible")
 		}
 	}
 	memo := false
-	for i := range eng.stream {
-		if b := pk.place(&eng.stream[i]); b >= 0 && pk.states[b].lastKnown {
+	for i := range p.stream {
+		if b := p.pk.place(&p.stream[i]); b >= 0 && p.pk.states[b].lastKnown {
 			memo = true
 		}
 	}
 	replay()
-	if !memo || len(classes.entries) >= len(base) {
+	if !memo || len(p.classes.entries) >= len(units) {
 		t.Fatalf("%d classes over %d units, memo reached: %v — the replay does not cover the run memo",
-			len(classes.entries), len(base), memo)
+			len(p.classes.entries), len(units), memo)
 	}
 	if n := testing.AllocsPerRun(20, replay); n != 0 {
 		t.Errorf("steady-state replay allocates %v times per pool, want 0", n)

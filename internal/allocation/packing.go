@@ -10,8 +10,8 @@ import (
 
 // packUnit is a unit compiled for first-fit packing against one run's
 // publisher table: everything fits and accept read, flat, so a placement
-// never touches the Unit, its Profile or a string-keyed map. The
-// feasibility engine keeps the committed pool as a contiguous []packUnit.
+// never touches the Unit, its Profile or a string-keyed map. CRAM's pool
+// keeps its committed units as a contiguous []packUnit.
 type packUnit struct {
 	// load is the unit's delivery (output) requirement, Unit.Load.
 	load bitvector.Load
@@ -25,7 +25,7 @@ type packUnit struct {
 	entries []bitvector.PubVector
 	// class names the exact content of entries within the run (see
 	// classTable); 0 means not interned — a hypothetical merged unit
-	// compiled for one probe, or a unit compiled outside compileUnits.
+	// compiled for one probe.
 	class int32
 }
 
@@ -95,13 +95,11 @@ func (ct *classTable) intern(pu *packUnit, h uint64) {
 	ct.byHash[h] = append(ct.byHash[h], pu.class)
 }
 
-// compileUnits memoizes every unit's compiled form up front, the
-// compilations and content hashes fanned out across workers. Interning and
-// the memos themselves are written serially from the caller's goroutine, in
-// unit order; compileUnit is pure, so worker count cannot change the
-// memoized values or the class numbering. Existing memos are overwritten: a
-// unit recycled from an earlier run belongs to another table.
-func compileUnits(units []*Unit, t *bitvector.PublisherTable, classes *classTable, workers int) {
+// compileUnits returns the units' compiled forms, position for position, the
+// compilations and content hashes fanned out across workers. Interning is
+// serial, from the caller's goroutine and in unit order; compileUnit is pure,
+// so worker count cannot change the compiled values or the class numbering.
+func compileUnits(units []*Unit, t *bitvector.PublisherTable, classes *classTable, workers int) []packUnit {
 	packed := make([]packUnit, len(units))
 	hashes := make([]uint64, len(units))
 	parwork.Run(len(units), workers, func(lo, hi int) {
@@ -110,10 +108,10 @@ func compileUnits(units []*Unit, t *bitvector.PublisherTable, classes *classTabl
 			hashes[i] = bitvector.HashCompiled(packed[i].entries)
 		}
 	})
-	for i, u := range units {
+	for i := range packed {
 		classes.intern(&packed[i], hashes[i])
-		u.packed, u.packedBy = packed[i], t
 	}
+	return packed
 }
 
 // brokerState tracks one broker's tentative contents during packing.
@@ -373,15 +371,14 @@ func (e *errUnitUnplaceable) Error() string {
 // packFirstFit places units (in the given order) onto brokers (tried in the
 // given order), implementing the shared core of FBF and BIN PACKING: each
 // unit goes to the first broker with capacity for it. It fails on the first
-// unplaceable unit, exactly as the paper's algorithms terminate. t must
-// cover every unit's publishers.
-func packFirstFit(units []*Unit, brokers []*BrokerSpec, t *bitvector.PublisherTable,
+// unplaceable unit, exactly as the paper's algorithms terminate.
+// compiled[i] must be units[i] compiled against t.
+func packFirstFit(units []*Unit, compiled []packUnit, brokers []*BrokerSpec, t *bitvector.PublisherTable,
 	capacity int) (*Assignment, error) {
 	p := newPack(brokers, t, capacity)
 	hosted := make([][]*Unit, len(brokers))
-	for _, u := range units {
-		pu := u.packedFor(t)
-		b := p.place(&pu)
+	for i, u := range units {
+		b := p.place(&compiled[i])
 		if b < 0 {
 			return nil, &errUnitUnplaceable{unitID: u.ID}
 		}
@@ -413,10 +410,10 @@ func packFirstFit(units []*Unit, brokers []*BrokerSpec, t *bitvector.PublisherTa
 // optimizations use it to test hypothetical broker contents.
 func FitsBroker(spec *BrokerSpec, units []*Unit, pubs map[string]*bitvector.PublisherStats, capacity int) bool {
 	t := newPublisherTable(pubs, units)
+	compiled := compileUnits(units, t, new(classTable), 1)
 	p := newPack([]*BrokerSpec{spec}, t, capacity)
-	for _, u := range units {
-		pu := compileUnit(u, t)
-		if p.place(&pu) < 0 {
+	for i := range compiled {
+		if p.place(&compiled[i]) < 0 {
 			return false
 		}
 	}

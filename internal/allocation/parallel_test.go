@@ -5,19 +5,18 @@ import (
 	"math/rand"
 	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 
 	"github.com/greenps/greenps/internal/bitvector"
-	"github.com/greenps/greenps/internal/parwork"
 )
 
 // TestCRAMDeterministicAcrossParallelism is the contract the tentpole rides
 // on: Parallelism is purely a wall-clock knob. For each metric and search
 // mode, the Assignment fingerprint and the complete CRAMStats must be
 // identical at every parallelism level — also when the worker goroutines
-// outnumber the processors (procs 1: eight workers' speculative probes
-// share one).
+// outnumber the processors (procs 1: twelve workers share one).
 func TestCRAMDeterministicAcrossParallelism(t *testing.T) {
 	in := stdInput(t)
 	cases := []struct {
@@ -38,7 +37,7 @@ func TestCRAMDeterministicAcrossParallelism(t *testing.T) {
 			}
 			var wantFP string
 			var wantStats CRAMStats
-			for _, par := range []int{1, 2, 8} {
+			for _, par := range []int{1, 2, 8, 12} {
 				cram := &CRAM{Metric: tc.metric, ExhaustiveSearch: tc.exhaustive, Parallelism: par}
 				a, err := cram.Allocate(in)
 				if err != nil {
@@ -61,17 +60,16 @@ func TestCRAMDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestFeasEngineMatchesFromScratch fuzzes the feasibility engine against
-// the from-scratch reference: random removed sets and merged additions, with
-// occasional committed modifications in between so stream-prefix reuse and
-// scratch-pack reuse are exercised too. Each trial's probes are issued
-// concurrently on the one engine, as CRAM's speculative binary search issues
-// them, so the idle scratch-pack list is shared under -race; every one must
-// give the reference's answer. The pool is duplicated — every subscription
-// appears one to four times under distinct IDs — so that the replay stream
-// is runs of one class and committed merges of duplicates re-enter the class
-// table; the oracle compiles against a table of its own, without classes,
-// and so never takes the memo path.
+// TestFeasEngineMatchesFromScratch fuzzes the pool's probes against the
+// from-scratch reference: random removed sets and merged additions, with
+// occasional commits in between so the in-place splice and the reuse of the
+// one scratch pack are exercised too; every probe must give the reference's
+// answer, and every commit must leave the units a sort of the modified pool
+// would. The pool is duplicated — every subscription appears one to four
+// times under distinct IDs — so that the replay stream is runs of one class
+// and committed merges of duplicates re-enter the class table; the oracle
+// compiles against a table of its own, without classes, and so never takes
+// the memo path.
 func TestFeasEngineMatchesFromScratch(t *testing.T) {
 	seedUnits, pubs := testWorkload(7, 6, 12, 10, 100)
 	rng := rand.New(rand.NewSource(99))
@@ -87,81 +85,63 @@ func TestFeasEngineMatchesFromScratch(t *testing.T) {
 		}
 	}
 	brokers := sortBrokersByCapacity(testBrokers(8, 18_000, stdDelay()))
-	base := sortUnitsByBandwidthDesc(units)
-	table := newPublisherTable(pubs, units)
-	var classes classTable
-	compileUnits(units, table, &classes, 1)
-	if len(classes.entries) >= len(units) {
-		t.Fatalf("%d classes for %d units: the pool has no duplicates", len(classes.entries), len(units))
+	p := newPool(units, brokers, newPublisherTable(pubs, units), testCap, 1)
+	if len(p.classes.entries) >= len(units) {
+		t.Fatalf("%d classes for %d units: the pool has no duplicates", len(p.classes.entries), len(units))
 	}
-	eng := newFeasEngine(brokers, table, testCap)
-	version := 1
-	eng.reset(base, version)
 
-	// One hypothetical modification of the current base pool and the
-	// from-scratch answer for it.
-	type probeCase struct {
-		parts, added, mod []*Unit
-		want              bool
-	}
-	const perTrial = 3 // what one speculative search step has in flight
-	feasYes, feasNo := 0, 0
-	for trial := 0; trial < 80; trial++ {
-		cases := make([]probeCase, perTrial)
-		for ci := range cases {
-			pc := &cases[ci]
-			k := 1 + rng.Intn(40)
-			removed := make(map[*Unit]bool)
-			for len(pc.parts) < k && len(pc.parts) < len(base) {
-				u := base[rng.Intn(len(base))]
-				if removed[u] {
-					continue
-				}
-				removed[u] = true
-				pc.parts = append(pc.parts, u)
+	feasYes, feasNo, commits := 0, 0, 0
+	for trial := 0; trial < 240; trial++ {
+		// One hypothetical modification of the current pool and the
+		// from-scratch answer for it.
+		var parts, added, mod []*Unit
+		k := 1 + rng.Intn(40)
+		removed := make(map[*Unit]bool)
+		for len(parts) < k && len(parts) < len(p.units) {
+			u := p.units[rng.Intn(len(p.units))]
+			if removed[u] {
+				continue
 			}
-			if (trial+ci)%7 != 0 { // every 7th probe is removal-only
-				pc.added = append(pc.added, MergeUnits(fmt.Sprintf("probe-%d-%d", trial, ci), testCap, pc.parts...))
+			removed[u] = true
+			parts = append(parts, u)
+		}
+		if trial%7 != 0 { // every 7th probe is removal-only
+			added = append(added, MergeUnits(fmt.Sprintf("probe-%d", trial), testCap, parts...))
+		}
+		for _, u := range p.units {
+			if !removed[u] {
+				mod = append(mod, u)
 			}
-			for _, u := range base {
-				if !removed[u] {
-					pc.mod = append(pc.mod, u)
-				}
-			}
-			pc.mod = sortUnitsByBandwidthDesc(append(pc.mod, pc.added...))
-			pc.want = feasibleFirstFit(pc.mod, brokers, pubs, testCap)
-			if pc.want {
-				feasYes++
-			} else {
-				feasNo++
-			}
+		}
+		mod = sortUnitsByBandwidthDesc(append(mod, added...))
+		want := feasibleFirstFit(mod, brokers, pubs, testCap)
+		if want {
+			feasYes++
+		} else {
+			feasNo++
+		}
+		if got := p.probe(parts, added); got != want {
+			t.Fatalf("trial %d: pool probe=%v, from-scratch=%v (removed=%d, added=%d)",
+				trial, got, want, len(parts), len(added))
 		}
 
-		got := make([]bool, len(cases))
-		var g parwork.Group
-		for ci := range cases {
-			ci := ci
-			g.Go(func() { got[ci] = eng.probe(cases[ci].parts, cases[ci].added) })
-		}
-		g.Wait()
-		for ci, pc := range cases {
-			if got[ci] != pc.want {
-				t.Fatalf("trial %d probe %d: engine=%v, from-scratch=%v (removed=%d, added=%d)",
-					trial, ci, got[ci], pc.want, len(pc.parts), len(pc.added))
+		// Occasionally commit a feasible modification.
+		if want && trial%9 == 3 {
+			if err := p.commit(parts, added); err != nil {
+				t.Fatalf("trial %d: commit: %v", trial, err)
 			}
-		}
-
-		// Occasionally commit a feasible modification so the engine's base
-		// pool goes through reset.
-		if pc := cases[0]; pc.want && trial%9 == 3 {
-			compileUnits(pc.added, table, &classes, 1)
-			base = pc.mod
-			version++
-			eng.reset(base, version)
+			if !slices.Equal(p.units, mod) {
+				t.Fatalf("trial %d: committed pool is not the sorted modified pool", trial)
+			}
+			commits++
 		}
 	}
-	if feasYes == 0 || feasNo == 0 {
-		t.Fatalf("one-sided fuzz coverage: %d feasible, %d infeasible", feasYes, feasNo)
+	if feasYes == 0 || feasNo == 0 || commits == 0 {
+		t.Fatalf("one-sided fuzz coverage: %d feasible, %d infeasible, %d commits", feasYes, feasNo, commits)
+	}
+	before := slices.Clone(p.units)
+	if err := p.commit([]*Unit{p.units[0], {ID: "stranger"}}, nil); err == nil || !slices.Equal(p.units, before) {
+		t.Fatalf("commit of a unit the pool does not hold: err=%v, pool changed=%v", err, !slices.Equal(p.units, before))
 	}
 }
 

@@ -8,9 +8,9 @@ import (
 )
 
 // unitBefore is the BIN PACKING pool order — bandwidth descending, ties
-// by ID ascending. The full sort (sortUnitsByBandwidthDesc) and CRAM's
-// incremental pool repair (cramRun.applyPool) share it: both must agree
-// exactly for a repaired pool to be byte-identical to a rebuilt one.
+// by ID ascending. The full sort (sortUnitsByBandwidthDesc) and the splice
+// of CRAM's pool (pool.commit) share it: both must agree exactly for a
+// spliced pool to be byte-identical to a sorted one.
 func unitBefore(a, b *Unit) bool {
 	if a.Load.Bandwidth != b.Load.Bandwidth {
 		return a.Load.Bandwidth > b.Load.Bandwidth
@@ -55,8 +55,8 @@ func (f *FBF) Allocate(in *Input) (*Assignment, error) {
 	rng.Shuffle(len(units), func(i, j int) { units[i], units[j] = units[j], units[i] })
 	brokers := sortBrokersByCapacity(in.Brokers)
 	table := newPublisherTable(in.Publishers, units)
-	compileUnits(units, table, new(classTable), parwork.Workers(f.Parallelism))
-	a, err := packFirstFit(units, brokers, table, in.ProfileCapacity)
+	compiled := compileUnits(units, table, new(classTable), parwork.Workers(f.Parallelism))
+	a, err := packFirstFit(units, compiled, brokers, table, in.ProfileCapacity)
 	if err != nil {
 		return nil, fmt.Errorf("FBF: %w", err)
 	}
@@ -88,8 +88,8 @@ func (bp *BinPacking) Allocate(in *Input) (*Assignment, error) {
 	units := sortUnitsByBandwidthDesc(in.Units)
 	brokers := sortBrokersByCapacity(in.Brokers)
 	table := newPublisherTable(in.Publishers, units)
-	compileUnits(units, table, new(classTable), parwork.Workers(bp.Parallelism))
-	a, err := packFirstFit(units, brokers, table, in.ProfileCapacity)
+	compiled := compileUnits(units, table, new(classTable), parwork.Workers(bp.Parallelism))
+	a, err := packFirstFit(units, compiled, brokers, table, in.ProfileCapacity)
 	if err != nil {
 		return nil, fmt.Errorf("BINPACKING: %w", err)
 	}

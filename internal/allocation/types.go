@@ -13,6 +13,7 @@ package allocation
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -65,27 +66,6 @@ type Unit struct {
 	// the matching-delay model: one per real subscription, one per child
 	// broker (whose aggregate filter the parent stores once).
 	Filters int
-
-	// packed memoizes the unit compiled against the publisher table of the
-	// run that is packing it (packedBy; a memo left by an earlier run
-	// belongs to another table and is ignored), so the feasibility engine's
-	// replay stream and the final pack read it instead of recompiling per
-	// probe. The algorithms write it from their coordinating goroutine only
-	// — at pool ingestion (compileUnits) and at merge commit (applyPool) —
-	// so concurrent probes see a settled value; probes never write it
-	// themselves (a hypothetical merged unit is compiled per probe without
-	// memoizing).
-	packed   packUnit
-	packedBy *bitvector.PublisherTable
-}
-
-// packedFor returns the unit compiled against the table: the memo when it
-// was made for this table, a fresh compilation otherwise.
-func (u *Unit) packedFor(t *bitvector.PublisherTable) packUnit {
-	if u.packedBy == t {
-		return u.packed
-	}
-	return compileUnit(u, t)
 }
 
 // NewSubscriptionUnit wraps a single subscription into a unit.
@@ -164,6 +144,11 @@ func (in *Input) Validate() error {
 		}
 		if len(u.Members) == 0 {
 			return fmt.Errorf("allocation: unit %q has no members", u.ID)
+		}
+		// A NaN load orders against nothing: it would void the pool order
+		// and every capacity test of the broker that took the unit.
+		if math.IsNaN(u.Load.Rate) || math.IsNaN(u.Load.Bandwidth) {
+			return fmt.Errorf("allocation: unit %q has a NaN load", u.ID)
 		}
 	}
 	return nil

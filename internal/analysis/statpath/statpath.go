@@ -1,7 +1,7 @@
 // Package statpath guards the E7/E8 stat counters. PR 1 established that
 // ClosenessComputations, CoverComputations, and PackAttempts are tallied
 // only on the canonical serial search path — never inside worker
-// goroutines or speculative callbacks — which is what makes the E8 table
+// goroutines or callbacks — which is what makes the E8 table
 // identical at every Parallelism setting. statpath enforces the two
 // mechanical consequences:
 //
@@ -9,10 +9,10 @@
 //     (croc, experiments, benchmarks) reads them.
 //  2. Inside allocation, a counter mutation must sit in a plain function
 //     body: never inside a function literal (parwork callbacks, the
-//     binary search's eval/mk closures, sort comparators) and never
-//     inside a go statement. Closures are exactly the code that may run
-//     concurrently or speculatively, where a tally would either race or
-//     count mispredicted work.
+//     binary search's mk closure, sort comparators) and never inside a go
+//     statement. Closures are exactly the code that may run concurrently,
+//     where a tally would race, or as often as their caller pleases, where
+//     it would count work the canonical path never decided on.
 //
 // Sites that are provably serial may carry //greenvet:statpath-ok with a
 // justification.

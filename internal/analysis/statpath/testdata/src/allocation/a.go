@@ -19,8 +19,8 @@ func (r *run) serial() {
 	r.stats.PackAttempts += 2
 }
 
-// closure returns a callback; a tally inside it would run speculatively
-// or concurrently, so it is rejected.
+// closure returns a callback; a tally inside it would run whenever and as
+// often as the caller pleases, possibly concurrently, so it is rejected.
 func (r *run) closure() func() {
 	return func() {
 		r.stats.CoverComputations++ // want "inside a function literal/goroutine"

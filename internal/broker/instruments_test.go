@@ -205,7 +205,11 @@ func handlePublications(tb testing.TB, c *broker.Core, count int) {
 // TestInstrumentedOverhead gates the cost of full instrumentation on
 // the broker's publication hot path: the budget is ~2%, asserted at 5%
 // to absorb scheduler noise. Runs are interleaved and the minimum per
-// variant is kept, which filters one-sided interference.
+// variant is kept, which filters one-sided interference; when five rounds
+// still read over the bound — `go test ./...` runs this beside the live-TCP
+// packages, and a busy neighbour can sit on one variant for all five — five
+// more rounds extend the same minima, and only a ratio that survives them
+// fails.
 func TestInstrumentedOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive; skipped with -short")
@@ -224,16 +228,22 @@ func TestInstrumentedOverhead(t *testing.T) {
 	reg := telemetry.New(nil)
 	inst := broker.NewInstruments(reg)
 	base, instrumented := time.Duration(1<<62), time.Duration(1<<62)
-	for round := 0; round < 5; round++ {
-		if d := measure(nil); d < base {
-			base = d
+	var ratio float64
+	for attempt := 0; attempt < 2; attempt++ {
+		for round := 0; round < 5; round++ {
+			if d := measure(nil); d < base {
+				base = d
+			}
+			if d := measure(inst); d < instrumented {
+				instrumented = d
+			}
 		}
-		if d := measure(inst); d < instrumented {
-			instrumented = d
+		ratio = float64(instrumented) / float64(base)
+		t.Logf("after %d rounds: base=%v instrumented=%v ratio=%.4f", 5*(attempt+1), base, instrumented, ratio)
+		if ratio <= 1.05 {
+			break
 		}
 	}
-	ratio := float64(instrumented) / float64(base)
-	t.Logf("base=%v instrumented=%v ratio=%.4f", base, instrumented, ratio)
 	if ratio > 1.05 {
 		t.Errorf("instrumentation overhead %.1f%% exceeds the budget (base %v, instrumented %v)",
 			(ratio-1)*100, base, instrumented)

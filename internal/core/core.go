@@ -68,9 +68,8 @@ type Config struct {
 	ExhaustiveSearch   bool
 	DisableOneToMany   bool
 	// Parallelism caps the worker count of the loops the allocation
-	// algorithms fan out — unit compilation, CRAM's partner searches, poset
-	// BFS and speculative probes; a feasibility probe is serial (0 = all
-	// cores). Results are bit-for-bit identical at any setting; only
+	// algorithms fan out — unit compilation, CRAM's partner searches and
+	// poset BFS; feasibility probes are serial (0 = all cores). Results are bit-for-bit identical at any setting; only
 	// wall-clock time changes.
 	Parallelism int
 	// Shards sets CRAM's sharded exhaustive partner scan (0 = automatic,

@@ -48,7 +48,7 @@ func TestSearchClosestParallelMatchesSerial(t *testing.T) {
 			skip := func(n *Node) bool { return n.ID == fmt.Sprintf("n%03d", qi) }
 			want := p.SearchClosest(q, m, skip)
 			for _, w := range []int{1, 2, 8} {
-				got := p.SearchClosestParallel(q, m, skip, w)
+				got := p.SearchClosestOpts(q, m, skip, true, w, true)
 				if got.Best != want.Best || got.Closeness != want.Closeness ||
 					got.Computations != want.Computations {
 					wantID, gotID := "<nil>", "<nil>"
@@ -80,13 +80,13 @@ func TestSearchClosestBoundedMatchesUnbounded(t *testing.T) {
 	for _, m := range metrics {
 		for qi, q := range profiles {
 			skip := func(n *Node) bool { return n.ID == fmt.Sprintf("n%03d", qi) }
-			exact := p.SearchClosestParallelOpts(q, m, skip, 1, false)
+			exact := p.SearchClosestOpts(q, m, skip, true, 1, false)
 			if exact.BoundPruned != 0 {
 				t.Fatalf("metric=%v query=%d: BoundPruned=%d with bounds disabled", m, qi, exact.BoundPruned)
 			}
 			var prunedAtOne int
 			for _, w := range []int{1, 2, 8} {
-				got := p.SearchClosestParallelOpts(q, m, skip, w, true)
+				got := p.SearchClosestOpts(q, m, skip, true, w, true)
 				if got.Best != exact.Best || got.Closeness != exact.Closeness ||
 					got.Computations != exact.Computations {
 					t.Fatalf("metric=%v query=%d workers=%d: bounded (%v, %v, %d) != exact (%v, %v, %d)",
@@ -115,8 +115,8 @@ func TestSearchClosestBoundPrunesDisjoint(t *testing.T) {
 	mustInsert(t, p, "far", far)
 	q := rangeProf(0, 10)
 	skip := func(*Node) bool { return false }
-	got := p.SearchClosestParallelOpts(q, bitvector.MetricIntersect, skip, 1, true)
-	want := p.SearchClosestParallelOpts(q, bitvector.MetricIntersect, skip, 1, false)
+	got := p.SearchClosestOpts(q, bitvector.MetricIntersect, skip, true, 1, true)
+	want := p.SearchClosestOpts(q, bitvector.MetricIntersect, skip, true, 1, false)
 	if got.Best != want.Best || got.Closeness != want.Closeness || got.Computations != want.Computations {
 		t.Fatalf("bounded result diverged: got (%v,%v,%d) want (%v,%v,%d)",
 			got.Best, got.Closeness, got.Computations, want.Best, want.Closeness, want.Computations)
@@ -140,9 +140,9 @@ func TestSearchClosestParallelConcurrentQueries(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i, q := range profiles {
-				_ = p.SearchClosestParallel(q, bitvector.MetricIOS, func(n *Node) bool {
+				_ = p.SearchClosestOpts(q, bitvector.MetricIOS, func(n *Node) bool {
 					return n.ID == fmt.Sprintf("n%03d", i)
-				}, 1+w%4)
+				}, true, 1+w%4, true)
 			}
 		}(w)
 	}

@@ -374,39 +374,17 @@ type SearchResult struct {
 	BoundPruned int
 }
 
-// SearchClosest finds the admissible node with the highest closeness to the
-// query profile using the paper's pruned BFS (both prunings enabled; see
-// SearchClosestOpts).
+// SearchClosest is SearchClosestOpts as the paper runs it: both prunings and
+// the summary bounds on, one worker.
 func (p *Poset) SearchClosest(query *bitvector.Profile, metric bitvector.Metric, skip func(*Node) bool) SearchResult {
-	return p.searchClosest(query, metric, skip, true, 1, true)
-}
-
-// SearchClosestParallel is SearchClosest with the closeness evaluations of
-// each BFS level fanned out across the given number of workers. The result
-// — Best, Closeness, and the exact Computations count — is bit-for-bit
-// identical to the serial search at any worker count: discovery claiming
-// and pruning decisions run serially in the canonical (frontier order ×
-// sorted children) order, and only the independent closeness evaluations
-// of already-claimed nodes run concurrently. The poset must not be mutated
-// during the search; concurrent SearchClosestParallel calls over a frozen
-// poset are safe.
-func (p *Poset) SearchClosestParallel(query *bitvector.Profile, metric bitvector.Metric, skip func(*Node) bool, workers int) SearchResult {
-	return p.searchClosest(query, metric, skip, true, workers, true)
-}
-
-// SearchClosestParallelOpts is SearchClosestParallel with bound pruning
-// switchable: useBounds=false forces every considered evaluation to run the
-// exact metric. Best, Closeness, and Computations are identical either way
-// (bound skips are admissible; see searchClosest); only BoundPruned and
-// wall-clock differ. CRAM's DisableBoundPruning knob — and the equivalence
-// tests behind it — route here.
-func (p *Poset) SearchClosestParallelOpts(query *bitvector.Profile, metric bitvector.Metric, skip func(*Node) bool, workers int, useBounds bool) SearchResult {
-	return p.searchClosest(query, metric, skip, true, workers, useBounds)
+	return p.SearchClosestOpts(query, metric, skip, true, 1, true)
 }
 
 // SearchClosestOpts finds the admissible node with the highest closeness to
 // the query profile. skip marks nodes that must not be returned (the
-// query's own node, blacklisted pairs) — they are still traversed.
+// query's own node, blacklisted pairs) — they are still traversed. The
+// poset must not be mutated during the search; concurrent searches over a
+// frozen poset are safe.
 //
 // Two prunings apply to the INTERSECT, IOS, and IOU metrics (never to XOR,
 // whose closeness is positive even for empty relations — the paper's
@@ -424,15 +402,11 @@ func (p *Poset) SearchClosestParallelOpts(query *bitvector.Profile, metric bitve
 //     miss the true maximum, trading exactness for the large search-space
 //     reduction the paper reports. The pruned child itself is still
 //     considered as a candidate.
-func (p *Poset) SearchClosestOpts(query *bitvector.Profile, metric bitvector.Metric, skip func(*Node) bool, pruneDecreasing bool) SearchResult {
-	return p.searchClosest(query, metric, skip, pruneDecreasing, 1, true)
-}
-
-// searchClosest is the shared level-synchronous implementation. A serial
-// FIFO BFS visits nodes in discovery order, which is level order, so the
-// level-at-a-time restructuring below visits and claims exactly the nodes
-// the serial search would, in the same order. Each level proceeds in three
-// steps:
+//
+// The search is level-synchronous. A serial FIFO BFS visits nodes in
+// discovery order, which is level order, so the level-at-a-time
+// restructuring below visits and claims exactly the nodes the serial search
+// would, in the same order. Each level proceeds in three steps:
 //
 //  1. Claim: walk the frontier in order and mark unseen children seen, in
 //     the canonical (frontier order × sorted Children()) order. Claiming
@@ -461,8 +435,11 @@ func (p *Poset) SearchClosestOpts(query *bitvector.Profile, metric bitvector.Met
 //
 // Both tests read only level-start state (captured before the parallel
 // step), never the running best mutated in step 3, so the skip set — and
-// with it BoundPruned — is identical at every worker count.
-func (p *Poset) searchClosest(query *bitvector.Profile, metric bitvector.Metric, skip func(*Node) bool, pruneDecreasing bool, workers int, useBounds bool) SearchResult {
+// with it BoundPruned — is identical at every worker count. Best, Closeness
+// and Computations are the same with and without useBounds (CRAM's
+// DisableBoundPruning knob and the equivalence tests behind it); only
+// BoundPruned and wall-clock differ.
+func (p *Poset) SearchClosestOpts(query *bitvector.Profile, metric bitvector.Metric, skip func(*Node) bool, pruneDecreasing bool, workers int, useBounds bool) SearchResult {
 	var res SearchResult
 	prunable := metric != bitvector.MetricXor
 
