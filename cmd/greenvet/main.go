@@ -11,11 +11,6 @@
 // silently licenses the next real violation at its site, so -audit
 // failing is a CI error just like a live finding.
 //
-// The per-package analyzer sweeps fan out over -par workers (default:
-// one per core; -par 1 recovers the serial driver). Output order is
-// byte-identical at any worker count: diagnostics are sorted on a total
-// order before printing.
-//
 // -json renders the diagnostics as a JSON document whose schema is
 // stable by construction — it is rendered by hand (renderJSON), not by
 // struct marshaling, so the field order is fixed by this code and
@@ -32,8 +27,7 @@
 //
 // Diagnostics are sorted on the framework's total order (file, line,
 // col, analyzer, message) before rendering, so two runs over the same
-// tree produce byte-identical documents at any -par worker count and
-// runs diff cleanly; -json-file additionally writes the same document
+// tree produce byte-identical documents and runs diff cleanly; -json-file additionally writes the same document
 // to a file, which CI uploads as an artifact even when the run fails.
 //
 // Usage:
@@ -59,11 +53,10 @@ func main() {
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	audit := flag.Bool("audit", false, "report stale //greenvet: suppression directives instead of findings")
-	par := flag.Int("par", 0, "number of parallel package workers (0 = one per core, 1 = serial)")
 	jsonOut := flag.Bool("json", false, "print diagnostics as a JSON array instead of file:line:col lines")
 	jsonFile := flag.String("json-file", "", "also write the JSON diagnostics document to this file")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: greenvet [-only a,b] [-audit] [-par n] [-json] [-json-file f] [packages]\n\n")
+		fmt.Fprintf(os.Stderr, "usage: greenvet [-only a,b] [-audit] [-json] [-json-file f] [packages]\n\n")
 		fmt.Fprintf(os.Stderr, "Runs the greenvet determinism & concurrency analyzers over the\ngiven go-list package patterns (default ./...).\n\nflags:\n")
 		flag.PrintDefaults()
 	}
@@ -110,9 +103,9 @@ func main() {
 	}
 	var diags []framework.Diagnostic
 	if *audit {
-		diags, err = framework.AuditParallel(pkgs, suite, *par)
+		diags, err = framework.Audit(pkgs, suite)
 	} else {
-		diags, err = framework.RunParallel(pkgs, suite, *par)
+		diags, err = framework.Run(pkgs, suite)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "greenvet: %v\n", err)
@@ -147,7 +140,7 @@ func main() {
 // object carrying the mode and count, then one entry per diagnostic with
 // analyzer, file, line, col, message. Diagnostics arrive already sorted
 // on the framework's total order, so two runs over the same tree produce
-// byte-identical documents regardless of worker count.
+// byte-identical documents.
 func renderJSON(diags []framework.Diagnostic, audit bool) []byte {
 	mode := "findings"
 	if audit {

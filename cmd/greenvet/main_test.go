@@ -31,8 +31,8 @@ func TestRenderJSONGolden(t *testing.T) {
 		},
 		{
 			Pos:      token.Position{Filename: "internal/demo/b.go", Line: 40, Column: 17},
-			Analyzer: "ownercheck",
-			Message:  `pooled buffer buf is not released on every path to return; release it, defer the release, or suppress with //greenvet:owner-ok "why"`,
+			Analyzer: "errflow",
+			Message:  `error assigned to err is dropped on some path to return; handle it on every path or justify with //greenvet:errdrop-ok "why"`,
 		},
 	}
 	cases := []struct {
@@ -68,7 +68,7 @@ func TestRenderJSONGolden(t *testing.T) {
 
 // TestReadmeAnalyzerCount fails when the README's Linting section
 // disagrees with the compiled suite: every analyzer must have a table
-// row, no row may name a dropped analyzer, and the prose count ("eleven
+// row, no row may name a dropped analyzer, and the prose count ("ten
 // custom analyzers") must match len(Suite()). This is the doc-drift
 // gate CI runs alongside the suite itself.
 func TestReadmeAnalyzerCount(t *testing.T) {

@@ -83,8 +83,6 @@ type Node struct {
 	Edges []*Edge
 	// Summary holds the node's interprocedural facts after Summarize.
 	Summary *Summary
-	// Owner holds the node's ownership facts after Summarize (owner.go).
-	Owner *OwnerSummary
 
 	params []*types.Var // channel-relevant positional params, for SendsOnParam
 	sig    *types.Signature

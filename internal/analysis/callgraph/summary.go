@@ -124,7 +124,6 @@ func (g *Graph) Summarize() {
 		}
 	}
 	g.composeOrder()
-	g.ownerSummarize()
 }
 
 // update recomputes n's summary from its local facts and current callee

@@ -45,17 +45,6 @@ type Block struct {
 	// infinite loop with no escape).
 	Succs []*Block
 	Preds []*Block
-	// Cond, TrueSucc, and FalseSucc are set when the block ends in a
-	// two-way conditional (an if condition, or a for-loop head with a
-	// condition). Cond is the condition expression (also the block's
-	// last node), TrueSucc the successor taken when it evaluates true,
-	// FalseSucc when false. Succs order is NOT a substitute: ifStmt
-	// wires then-before-else but forStmt wires after-before-body, so
-	// path-sensitive analyzers must use these fields. Nil/nil/nil for
-	// every other block shape (switch dispatch, range head, select).
-	Cond      ast.Expr
-	TrueSucc  *Block
-	FalseSucc *Block
 	// comment labels the block's role for String dumps and tests.
 	comment string
 }
@@ -294,12 +283,9 @@ func (b *builder) ifStmt(st *ast.IfStmt) {
 		addEdge(b.cur, after)
 	}
 
-	condBlock.Cond = st.Cond
-	condBlock.TrueSucc = then
 	if st.Else != nil {
 		els := b.newBlock("if.else")
 		addEdge(condBlock, els)
-		condBlock.FalseSucc = els
 		b.cur = els
 		b.stmt(st.Else)
 		if b.cur != nil {
@@ -307,7 +293,6 @@ func (b *builder) ifStmt(st *ast.IfStmt) {
 		}
 	} else {
 		addEdge(condBlock, after)
-		condBlock.FalseSucc = after
 	}
 
 	b.cur = after
@@ -334,9 +319,6 @@ func (b *builder) forStmt(st *ast.ForStmt, lb *labelBlocks) {
 	if st.Cond != nil {
 		b.add(st.Cond)
 		addEdge(head, after)
-		head.Cond = st.Cond
-		head.TrueSucc = body
-		head.FalseSucc = after
 	}
 	addEdge(head, body)
 

@@ -433,74 +433,3 @@ func TestStringDump(t *testing.T) {
 		t.Fatalf("dump should name entry and exit blocks: %q", s)
 	}
 }
-
-func TestBranchMetadata(t *testing.T) {
-	// if: TrueSucc is the then block even though Succs wires then first.
-	g := build(t, "x := 1\nif x > 0 {\nx = 2\n} else {\nx = 3\n}\n_ = x")
-	cond := g.Entry()
-	if cond.Cond == nil || cond.TrueSucc == nil || cond.FalseSucc == nil {
-		t.Fatalf("if condition block should carry branch metadata:\n%s", g)
-	}
-	if cond.TrueSucc.comment != "if.then" || cond.FalseSucc.comment != "if.else" {
-		t.Fatalf("if branch targets wrong: true=%s false=%s", cond.TrueSucc.comment, cond.FalseSucc.comment)
-	}
-
-	// if without else: FalseSucc is the after block.
-	g = build(t, "x := 1\nif x > 0 {\nx = 2\n}\n_ = x")
-	cond = g.Entry()
-	if cond.FalseSucc == nil || cond.FalseSucc.comment != "if.after" {
-		t.Fatalf("else-less if should fall through to if.after:\n%s", g)
-	}
-
-	// for head: Succs wires after BEFORE body, but TrueSucc must be the
-	// body — the exact trap the metadata exists to avoid.
-	g = build(t, "for i := 0; i < 3; i++ {\n_ = i\n}")
-	var head *Block
-	for _, blk := range g.Blocks {
-		if blk.comment == "for.head" {
-			head = blk
-		}
-	}
-	if head == nil || head.Cond == nil {
-		t.Fatalf("for head should carry its condition:\n%s", g)
-	}
-	if head.TrueSucc.comment != "for.body" || head.FalseSucc.comment != "for.after" {
-		t.Fatalf("for branch targets wrong: true=%s false=%s", head.TrueSucc.comment, head.FalseSucc.comment)
-	}
-	if head.Succs[0] != head.FalseSucc {
-		t.Fatalf("test premise broken: for head no longer wires after first:\n%s", g)
-	}
-
-	// Condition-less loop heads and switch dispatches carry none.
-	g = build(t, "for {\nbreak\n}")
-	for _, blk := range g.Blocks {
-		if blk.Cond != nil {
-			t.Fatalf("condition-less for should have no branch metadata:\n%s", g)
-		}
-	}
-}
-
-func TestForwardEdgeTransfer(t *testing.T) {
-	// A may-analysis: the fact is "x may be tainted". EdgeTransfer kills
-	// the taint on the true branch of the condition, modeling a guard.
-	g := build(t, "x := 1\nif x > 0 {\nx = 2\n}\n_ = x")
-	cond := g.Entry()
-	in := Forward(g, Analysis[bool]{
-		Boundary: true,
-		Join:     func(a, b bool) bool { return a || b },
-		Transfer: func(blk *Block, f bool) bool { return f },
-		EdgeTransfer: func(from, to *Block, f bool) bool {
-			if from == cond && to == cond.TrueSucc {
-				return false
-			}
-			return f
-		},
-		Equal: func(a, b bool) bool { return a == b },
-	})
-	if in[cond.TrueSucc] {
-		t.Fatalf("edge transfer should have killed the fact on the true edge:\n%s", g)
-	}
-	if !in[g.Exit] {
-		t.Fatalf("false edge keeps the fact, so the join at exit must too:\n%s", g)
-	}
-}

@@ -55,14 +55,6 @@ type Analysis[T any] struct {
 	// Transfer pushes a fact through one block: in-fact to out-fact for
 	// forward analyses, out-fact to in-fact for backward ones.
 	Transfer func(*Block, T) T
-	// EdgeTransfer, when non-nil, refines a fact as it flows along one
-	// edge — the hook for path sensitivity. In a forward analysis it is
-	// applied to each predecessor's out-fact before the join, with
-	// from/to identifying the edge; combined with Block.Cond/TrueSucc/
-	// FalseSucc an analyzer can, e.g., kill an obligation on the branch
-	// where `err != nil` is known true. It must be monotone like
-	// Transfer. Ignored by Backward.
-	EdgeTransfer func(from, to *Block, fact T) T
 	// Equal detects the fixed point.
 	Equal func(T, T) bool
 }
@@ -90,15 +82,11 @@ func Forward[T any](g *Graph, a Analysis[T]) map[*Block]T {
 					if !haveOut[p] {
 						continue
 					}
-					pf := out[p]
-					if a.EdgeTransfer != nil {
-						pf = a.EdgeTransfer(p, blk, pf)
-					}
 					if first {
-						fact = pf
+						fact = out[p]
 						first = false
 					} else {
-						fact = a.Join(fact, pf)
+						fact = a.Join(fact, out[p])
 					}
 				}
 				if first {

@@ -25,9 +25,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"sync"
-
-	"github.com/greenps/greenps/internal/parwork"
 )
 
 // Analyzer describes one static check. Run is invoked once per loaded
@@ -51,14 +48,12 @@ type Diagnostic struct {
 // Program is the whole-program context shared by every Pass of one Run:
 // the full set of loaded packages plus a cache of expensive cross-package
 // facts (the call graph and its summaries live here). Facts are built
-// lazily by the first analyzer that asks and are then shared — the cache
-// is mutex-guarded, so passes running on parallel per-package workers can
-// all demand the same fact and block on a single construction.
+// lazily by the first analyzer that asks and are then shared. Passes run
+// one at a time, so the cache needs no lock.
 type Program struct {
 	// Packages is every package of the run, in load order.
 	Packages []*Package
 
-	mu    sync.Mutex
 	facts map[string]any
 }
 
@@ -68,11 +63,8 @@ func NewProgram(pkgs []*Package) *Program {
 }
 
 // Fact returns the cached value under key, building it with build on the
-// first request. Build runs under the Program lock: concurrent passes
-// requesting the same fact wait for one construction instead of racing.
+// first request.
 func (p *Program) Fact(key string, build func() any) any {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if v, ok := p.facts[key]; ok {
 		return v
 	}
@@ -231,16 +223,7 @@ func parseDirectives(fset *token.FileSet, files []*ast.File) map[string]map[int]
 // findings sorted by position then analyzer name, so output order is
 // deterministic regardless of package or analyzer order.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return execute(pkgs, analyzers, false, 1)
-}
-
-// RunParallel is Run with the per-package analyzer sweeps fanned out over
-// at most workers goroutines (values <= 0 mean all cores). Every package
-// collects into its own slot and the merged findings pass through the
-// same total sort as Run, so output is byte-identical at any worker
-// count — the same discipline parwork imposes on the allocation paths.
-func RunParallel(pkgs []*Package, analyzers []*Analyzer, workers int) ([]Diagnostic, error) {
-	return execute(pkgs, analyzers, false, parwork.Workers(workers))
+	return execute(pkgs, analyzers, false)
 }
 
 // Audit re-runs every analyzer with suppression disabled and reports the
@@ -251,49 +234,21 @@ func RunParallel(pkgs []*Package, analyzers []*Analyzer, workers int) ([]Diagnos
 // nothing left to suppress is the rot this mode exists to catch, since a
 // stale directive silently licenses the next real violation at its site.
 func Audit(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return execute(pkgs, analyzers, true, 1)
+	return execute(pkgs, analyzers, true)
 }
 
-// AuditParallel is Audit with per-package fan-out, mirroring RunParallel.
-func AuditParallel(pkgs []*Package, analyzers []*Analyzer, workers int) ([]Diagnostic, error) {
-	return execute(pkgs, analyzers, true, parwork.Workers(workers))
-}
-
-// execute runs the suite over every package — serially or on a bounded
-// worker pool — and merges the per-package results deterministically.
-// Directive liveness (audit mode) is tracked per package, so packages are
-// independent units of work; the only cross-package state is the Program
-// fact cache, which is mutex-guarded.
-func execute(pkgs []*Package, analyzers []*Analyzer, audit bool, workers int) ([]Diagnostic, error) {
+// execute runs the suite over every package in turn and sorts the
+// combined results. Directive liveness (audit mode) is tracked per
+// package; the only cross-package state is the Program fact cache.
+func execute(pkgs []*Package, analyzers []*Analyzer, audit bool) ([]Diagnostic, error) {
 	prog := NewProgram(pkgs)
-	perPkg := make([][]Diagnostic, len(pkgs))
-	errs := make([]error, len(pkgs))
-	runPkg := func(i int) {
-		perPkg[i], errs[i] = executePackage(prog, pkgs[i], analyzers, audit)
-	}
-	if workers <= 1 || len(pkgs) <= 1 {
-		for i := range pkgs {
-			runPkg(i)
-		}
-	} else {
-		var g parwork.Group
-		sem := make(chan struct{}, workers)
-		for i := range pkgs {
-			i := i
-			g.Go(func() {
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				runPkg(i)
-			})
-		}
-		g.Wait()
-	}
 	var diags []Diagnostic
-	for i := range pkgs {
-		if errs[i] != nil {
-			return nil, errs[i]
+	for _, pkg := range pkgs {
+		d, err := executePackage(prog, pkg, analyzers, audit)
+		if err != nil {
+			return nil, err
 		}
-		diags = append(diags, perPkg[i]...)
+		diags = append(diags, d...)
 	}
 	sortDiagnostics(diags)
 	return diags, nil
@@ -348,8 +303,8 @@ func executePackage(prog *Program, pkg *Package, analyzers []*Analyzer, audit bo
 }
 
 // sortDiagnostics orders findings by position, analyzer name, then
-// message — a total order, so merged parallel output cannot depend on
-// which worker finished first even when two findings share a site.
+// message — a total order, so output cannot depend on package or
+// analyzer order even when two findings share a site.
 func sortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]

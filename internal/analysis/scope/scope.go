@@ -35,10 +35,6 @@ const (
 	ClientPath    = Module + "/internal/client"
 )
 
-// ExtsortPath is the external-sort package whose pooled scratch buffers
-// (getScratch/putScratch) ownercheck tracks alongside transport.BufPool.
-const ExtsortPath = Module + "/internal/extsort"
-
 // CorePath is the package owning core.Plan, the canonical reconfiguration
 // artifact that CROC compares byte-for-byte. detflow treats any value
 // stored into a Plan as a determinism sink.

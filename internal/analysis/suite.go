@@ -12,7 +12,6 @@ import (
 	"github.com/greenps/greenps/internal/analysis/lockcheck"
 	"github.com/greenps/greenps/internal/analysis/maporder"
 	"github.com/greenps/greenps/internal/analysis/nondet"
-	"github.com/greenps/greenps/internal/analysis/ownercheck"
 	"github.com/greenps/greenps/internal/analysis/shadow"
 	"github.com/greenps/greenps/internal/analysis/statpath"
 	"github.com/greenps/greenps/internal/analysis/waitcheck"
@@ -34,6 +33,5 @@ func Suite() []*framework.Analyzer {
 		hotalloc.Analyzer,
 		detflow.Analyzer,
 		leakcheck.Analyzer,
-		ownercheck.Analyzer,
 	}
 }

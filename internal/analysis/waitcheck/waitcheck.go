@@ -9,9 +9,8 @@
 // intervene.
 //
 // The mechanical rule: a function that launches a goroutine must also
-// contain a join — a call to a Wait method (sync.WaitGroup, parwork.Group)
-// — or the launch must carry //greenvet:goroutine-ok <justification>
-// (e.g. parwork.Group.Go, whose join is the caller's Group.Wait).
+// contain a join — a call to a Wait method (sync.WaitGroup) — or the
+// launch must carry //greenvet:goroutine-ok <justification>.
 package waitcheck
 
 import (
@@ -54,7 +53,7 @@ func run(pass *framework.Pass) error {
 			if pass.Suppressed(gs.Pos(), "goroutine-ok") {
 				return true
 			}
-			pass.Reportf(gs.Pos(), "goroutine launched without a join in the same function; use parwork.Run/parwork.Group or join with Wait before returning")
+			pass.Reportf(gs.Pos(), "goroutine launched without a join in the same function; use parwork.Run or join with Wait before returning")
 			return true
 		})
 	}
@@ -62,8 +61,8 @@ func run(pass *framework.Pass) error {
 }
 
 // hasJoin reports whether the function body contains a call to a method
-// named Wait (sync.WaitGroup.Wait, parwork's Group.Wait, errgroup-style
-// APIs all share the name).
+// named Wait (sync.WaitGroup.Wait and errgroup-style APIs share the
+// name).
 func hasJoin(body *ast.BlockStmt) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {

@@ -17,15 +17,15 @@
 // output either way, and producers with a partial order still get a
 // reproducible one.
 //
-// Buffer lifetimes are explicit throughout (transport.BufPool's
-// discipline): run readers borrow their I/O and record scratch from a
-// size-classed freelist at open and return it at Close, the arena is
-// recycled across spills, and the record returned by Iterator.Next is
-// owned by the iterator — it is valid until the next Next or Close call
-// and must be copied to outlive it.
+// Buffers: each run is written and read back through one ioBufSize bufio
+// window, each run reader decodes into a record slice it owns and reuses,
+// the arena is recycled across spills, and the record returned by
+// Iterator.Next is owned by the iterator — it is valid until the next
+// Next or Close call and must be copied to outlive it.
 package extsort
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -53,9 +53,11 @@ const (
 	DefaultMemBudget = 64 << 20
 	// MinMemBudget is the smallest honored arena cap.
 	MinMemBudget = 4 << 10
-	// maxRecordLen bounds one record (and sizes the largest scratch
-	// class); Add rejects anything bigger.
+	// maxRecordLen bounds one record; Add rejects anything bigger, and a
+	// run header claiming more is a corrupt run.
 	maxRecordLen = 1 << 20
+	// ioBufSize is the buffered-I/O window of a run writer or reader.
+	ioBufSize = 64 << 10
 )
 
 // Sorter accumulates records and hands out a merged iterator. Not safe
@@ -67,7 +69,6 @@ type Sorter struct {
 	runs   []*os.File // spilled runs, in spill order
 	n      int        // total records added
 	sorted bool       // Sort was called; Add is no longer legal
-	closed bool
 }
 
 // recRef locates one record in the arena.
@@ -139,22 +140,28 @@ func (s *Sorter) sortArena() {
 // spill sorts the arena and writes it out as one run file, then recycles
 // the arena for the next batch.
 func (s *Sorter) spill() error {
-	s.sortArena()
 	f, err := os.CreateTemp(s.cfg.Dir, "extsort-*.run")
 	if err != nil {
 		return fmt.Errorf("extsort: create run: %w", err)
 	}
-	w := newRunWriter(f)
+	return s.spillTo(f)
+}
+
+// spillTo is spill onto an already created run file. On a write error the
+// file is closed and removed; on success it stays open — the merge reads
+// it back through a runReader.
+func (s *Sorter) spillTo(f *os.File) error {
+	s.sortArena()
+	w := bufio.NewWriterSize(f, ioBufSize)
+	var hdr [binary.MaxVarintLen64]byte
 	for _, r := range s.offs {
-		if err := w.write(s.arena[r.off : r.off+r.len]); err != nil {
-			w.discard()
-			cleanupRun(f)
-			return err
-		}
+		// A bufio.Writer's first error sticks and Flush returns it.
+		w.Write(hdr[:binary.PutUvarint(hdr[:], uint64(r.len))])
+		w.Write(s.arena[r.off : r.off+r.len])
 	}
-	if err := w.flush(); err != nil {
+	if err := w.Flush(); err != nil {
 		cleanupRun(f)
-		return err
+		return fmt.Errorf("extsort: write run: %w", err)
 	}
 	s.runs = append(s.runs, f)
 	s.arena = s.arena[:0]
@@ -162,7 +169,7 @@ func (s *Sorter) spill() error {
 	return nil
 }
 
-// cleanupRun closes and removes a run file after a write error.
+// cleanupRun closes and removes a run file.
 func cleanupRun(f *os.File) {
 	name := f.Name()
 	f.Close()
@@ -173,8 +180,6 @@ func cleanupRun(f *os.File) {
 // final in-memory batch is sorted in place and merged as the last source,
 // so a Sorter that never exceeded its budget touches no disk at all. The
 // iterator owns the Sorter's runs and buffers; Close it to release them.
-//
-//greenvet:owner transfers(src) each opened run source (and its pooled reader buffers) is handed to the Iterator, whose Close releases them
 func (s *Sorter) Sort() (*Iterator, error) {
 	if s.sorted {
 		return nil, fmt.Errorf("extsort: Sort called twice")
@@ -182,26 +187,28 @@ func (s *Sorter) Sort() (*Iterator, error) {
 	s.sorted = true
 	s.sortArena()
 	it := &Iterator{sorter: s}
+	srcs := make([]*mergeSrc, 0, len(s.runs)+1)
 	for i, f := range s.runs {
-		src, err := openRunSrc(f, i)
+		r, err := openRunReader(f)
 		if err != nil {
 			it.Close()
 			return nil, err
 		}
-		if src != nil {
-			it.srcs = append(it.srcs, src)
-		}
+		srcs = append(srcs, &mergeSrc{seq: i, r: r})
 	}
 	if len(s.offs) > 0 {
 		// The in-memory tail holds the records added last, so it merges
 		// as the highest sequence number: ties under Less resolve to the
 		// earlier batch, matching a stable sort of the full input.
-		it.srcs = append(it.srcs, &mergeSrc{seq: len(s.runs), mem: s, memIdx: -1})
+		srcs = append(srcs, &mergeSrc{seq: len(s.runs), mem: s, memIdx: -1})
 	}
-	for _, src := range it.srcs {
+	for _, src := range srcs {
 		if err := it.advance(src); err != nil {
 			it.Close()
 			return nil, err
+		}
+		if !src.done {
+			it.heap = append(it.heap, src)
 		}
 	}
 	it.heapInit()

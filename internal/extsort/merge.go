@@ -1,6 +1,7 @@
 package extsort
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -12,165 +13,46 @@ import (
 // is complete by construction (it is written and flushed in one spill)
 // and read exactly once, front to back.
 
-// runWriter buffers record writes into one pooled ioBufSize window.
-type runWriter struct {
-	f   *os.File
-	buf []byte // pooled; len is the fill level
-}
-
-func newRunWriter(f *os.File) *runWriter {
-	return &runWriter{f: f, buf: getScratch(ioBufSize)}
-}
-
-// write appends one record (header + payload) to the buffer, draining it
-// to the file whenever it crosses the window size.
-func (w *runWriter) write(rec []byte) error {
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(rec)))
-	w.buf = append(w.buf, hdr[:n]...)
-	w.buf = append(w.buf, rec...)
-	if len(w.buf) >= ioBufSize {
-		return w.drain()
-	}
-	return nil
-}
-
-func (w *runWriter) drain() error {
-	if len(w.buf) == 0 {
-		return nil
-	}
-	if _, err := w.f.Write(w.buf); err != nil {
-		return fmt.Errorf("extsort: write run: %w", err)
-	}
-	w.buf = w.buf[:0]
-	return nil
-}
-
-// flush drains the remaining bytes and returns the pooled buffer. The
-// file stays open — the merge reads it back through a runReader.
-//
-//greenvet:owner consumes(w) flush hands w.buf back to the scratch pool on every path, success or drain error; the writer must not be reused
-func (w *runWriter) flush() error {
-	err := w.drain()
-	putScratch(w.buf)
-	w.buf = nil
-	return err
-}
-
-// discard abandons the run without draining, returning the pooled buffer
-// unwritten — the error-path counterpart of flush, for a spill that
-// failed partway and is about to delete its run file.
-//
-//greenvet:owner consumes(w) discard hands w.buf back to the scratch pool; the writer must not be reused
-func (w *runWriter) discard() {
-	putScratch(w.buf)
-	w.buf = nil
-}
-
-// runReader streams records back out of a run file through a pooled
-// ioBufSize window, decoding each into a pooled record scratch buffer
-// that it owns and reuses (grown by class when a larger record arrives).
+// runReader streams records back out of a run file, decoding each into a
+// record buffer that it owns and reuses (grown when a larger record
+// arrives).
 type runReader struct {
-	f   *os.File
-	buf []byte // pooled I/O window; buf[pos:] is unread
-	pos int
-	rec []byte // pooled record scratch, reused across next calls
-	eof bool   // underlying file is exhausted (buffered bytes may remain)
+	r   *bufio.Reader
+	rec []byte
 }
 
 func openRunReader(f *os.File) (*runReader, error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, fmt.Errorf("extsort: rewind run: %w", err)
 	}
-	return &runReader{
-		f:   f,
-		buf: getScratch(ioBufSize),
-		rec: getScratch(1 << scratchMinShift),
-	}, nil
+	return &runReader{r: bufio.NewReaderSize(f, ioBufSize)}, nil
 }
 
-// fill tops up the window, keeping any unread tail.
-func (r *runReader) fill() error {
-	if r.eof {
-		return io.EOF
-	}
-	tail := copy(r.buf[:cap(r.buf)], r.buf[r.pos:])
-	r.pos = 0
-	n, err := r.f.Read(r.buf[tail:cap(r.buf)])
-	r.buf = r.buf[:tail+n]
-	if err == io.EOF {
-		r.eof = true
-		if n == 0 && tail == 0 {
-			return io.EOF
-		}
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("extsort: read run: %w", err)
-	}
-	return nil
-}
-
-func (r *runReader) readByte() (byte, error) {
-	for r.pos >= len(r.buf) {
-		if err := r.fill(); err != nil {
-			return 0, err
-		}
-	}
-	b := r.buf[r.pos]
-	r.pos++
-	return b, nil
-}
-
-// next decodes the next record into the reader-owned scratch. It returns
+// next decodes the next record into the reader-owned buffer. It returns
 // (nil, io.EOF) at the clean end of the run; a truncated record is an
 // error, since runs are written whole.
 func (r *runReader) next() ([]byte, error) {
-	size, err := binary.ReadUvarint(byteReaderFunc(r.readByte))
+	size, err := binary.ReadUvarint(r.r)
 	if err == io.EOF {
 		return nil, io.EOF
 	}
 	if err != nil {
 		return nil, fmt.Errorf("extsort: run header: %w", err)
 	}
+	if size > maxRecordLen {
+		return nil, fmt.Errorf("extsort: corrupt run: %d-byte record", size)
+	}
 	n := int(size)
-	if n > maxRecordLen {
-		return nil, fmt.Errorf("extsort: corrupt run: %d-byte record", n)
-	}
 	if cap(r.rec) < n {
-		putScratch(r.rec)
-		r.rec = getScratch(n)
+		// Doubling keeps a run of slowly growing records amortized.
+		r.rec = make([]byte, n, max(n, 2*cap(r.rec)))
 	}
-	r.rec = r.rec[:0]
-	for len(r.rec) < n {
-		if r.pos >= len(r.buf) {
-			if err := r.fill(); err != nil {
-				return nil, fmt.Errorf("extsort: truncated run: %w", err)
-			}
-		}
-		take := len(r.buf) - r.pos
-		if rem := n - len(r.rec); take > rem {
-			take = rem
-		}
-		r.rec = append(r.rec, r.buf[r.pos:r.pos+take]...)
-		r.pos += take
+	r.rec = r.rec[:n]
+	if _, err := io.ReadFull(r.r, r.rec); err != nil {
+		return nil, fmt.Errorf("extsort: truncated run: %w", err)
 	}
 	return r.rec, nil
 }
-
-// close returns the pooled buffers; the file is owned by the Sorter's
-// run list and closed by Iterator.Close.
-func (r *runReader) close() {
-	putScratch(r.buf)
-	putScratch(r.rec)
-	r.buf, r.rec = nil, nil
-}
-
-// byteReaderFunc adapts a readByte method to io.ByteReader without
-// allocating an adapter struct per call site.
-type byteReaderFunc func() (byte, error)
-
-func (f byteReaderFunc) ReadByte() (byte, error) { return f() }
 
 // mergeSrc is one source in the k-way merge: either a spilled run
 // (r != nil) or the Sorter's in-memory tail (mem != nil, memIdx walking
@@ -186,27 +68,17 @@ type mergeSrc struct {
 }
 
 // Iterator yields the globally merged record sequence. It owns the
-// spilled run files and all pooled scratch; Close releases everything
-// (and is called implicitly when Next returns ok=false).
+// spilled run files; Close closes and removes them (and is called
+// implicitly when Next returns ok=false).
 type Iterator struct {
 	sorter *Sorter
-	srcs   []*mergeSrc // all sources, for Close
 	heap   []*mergeSrc // live sources, min-heap by (Less, seq)
 	out    []byte      // iterator-owned copy handed to the caller
 	err    error
 }
 
-// openRunSrc wraps one spilled run file as a merge source.
-func openRunSrc(f *os.File, seq int) (*mergeSrc, error) {
-	r, err := openRunReader(f)
-	if err != nil {
-		return nil, err
-	}
-	return &mergeSrc{seq: seq, r: r, memIdx: -1}, nil
-}
-
 // advance loads the source's next record into cur, marking it done at
-// end of input. Live sources are pushed onto the heap.
+// end of input.
 func (it *Iterator) advance(src *mergeSrc) error {
 	if src.mem != nil {
 		src.memIdx++
@@ -245,13 +117,8 @@ func (it *Iterator) srcLess(a, b *mergeSrc) bool {
 	return a.seq < b.seq
 }
 
-// heapInit builds the merge heap from the sources advance() left live.
+// heapInit orders the live sources collected by Sort into the merge heap.
 func (it *Iterator) heapInit() {
-	for _, src := range it.srcs {
-		if !src.done {
-			it.heap = append(it.heap, src)
-		}
-	}
 	for i := len(it.heap)/2 - 1; i >= 0; i-- {
 		it.siftDown(i)
 	}
@@ -310,17 +177,11 @@ func (it *Iterator) Next() ([]byte, bool, error) {
 	return it.out, true, nil
 }
 
-// Close releases all pooled buffers and closes and removes the spilled
-// run files. Idempotent; safe after a failed Sort.
+// Close closes and removes the spilled run files and drops the buffers.
+// Idempotent; safe after a failed Sort.
 func (it *Iterator) Close() {
 	if it.sorter == nil {
 		return
-	}
-	for _, src := range it.srcs {
-		if src.r != nil {
-			src.r.close()
-			src.r = nil
-		}
 	}
 	for _, f := range it.sorter.runs {
 		cleanupRun(f)
@@ -328,7 +189,6 @@ func (it *Iterator) Close() {
 	it.sorter.runs = nil
 	it.sorter.arena = nil
 	it.sorter.offs = nil
-	it.sorter.closed = true
-	it.srcs, it.heap = nil, nil
+	it.heap = nil
 	it.sorter = nil
 }

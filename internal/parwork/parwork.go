@@ -28,10 +28,10 @@ func Workers(n int) int {
 const minChunk = 16
 
 // PanicError carries a panic recovered on a parallel worker back to the
-// coordinator, preserving the worker's stack. Run and Group re-panic with
-// a *PanicError in canonical order (chunk order for Run, spawn order for
-// Group) so that a crash is reproducible at any worker count instead of
-// killing the process from whichever goroutine lost the race.
+// coordinator, preserving the worker's stack. Run re-panics with a
+// *PanicError in chunk order so that a crash is reproducible at any
+// worker count instead of killing the process from whichever goroutine
+// lost the race.
 type PanicError struct {
 	// Value is the value originally passed to panic.
 	Value any
@@ -101,60 +101,6 @@ func Run(n, workers int, fn func(lo, hi int)) {
 	}
 	wg.Wait()
 	for _, pe := range panics {
-		if pe != nil {
-			panic(pe)
-		}
-	}
-}
-
-// Group joins goroutines spawned by a single coordinator, replacing the
-// bare `go` + WaitGroup pattern in code that must stay deterministic: Wait
-// blocks until every spawned function returns and then re-panics with a
-// *PanicError for the first panicking goroutine in spawn order, so a
-// worker crash can never be silently swallowed or race another worker's
-// crash for which one kills the process.
-//
-// Go must be called from one goroutine (the coordinator); the spawned
-// functions may run concurrently with each other but not with further Go
-// calls' bookkeeping — the zero Group is ready to use.
-type Group struct {
-	wg sync.WaitGroup
-	// mu guards panics: the coordinator grows it in Go while earlier
-	// workers may still be writing their slots.
-	mu     sync.Mutex
-	panics []*PanicError
-}
-
-// Go runs fn on a new goroutine tracked by the group.
-func (g *Group) Go(fn func()) {
-	g.mu.Lock()
-	slot := len(g.panics)
-	g.panics = append(g.panics, nil)
-	g.mu.Unlock()
-	g.wg.Add(1)
-	//greenvet:goroutine-ok joined by the matching Group.Wait, which re-panics captured worker panics in spawn order
-	go func() {
-		defer g.wg.Done()
-		defer func() {
-			if v := recover(); v != nil {
-				pe, ok := v.(*PanicError)
-				if !ok {
-					pe = &PanicError{Value: v, Stack: debug.Stack()}
-				}
-				g.mu.Lock()
-				g.panics[slot] = pe
-				g.mu.Unlock()
-			}
-		}()
-		fn()
-	}()
-}
-
-// Wait blocks until every spawned function has returned, then re-panics
-// the first captured panic in spawn order, if any.
-func (g *Group) Wait() {
-	g.wg.Wait()
-	for _, pe := range g.panics {
 		if pe != nil {
 			panic(pe)
 		}

@@ -131,39 +131,8 @@ func TestRunPanicWaitsForAllChunks(t *testing.T) {
 	}
 }
 
-// TestGroupJoinsAndPropagates: Group.Wait must join every goroutine and
-// re-panic the first captured panic in spawn order.
-func TestGroupJoinsAndPropagates(t *testing.T) {
-	var g Group
-	var done int32
-	for i := 0; i < 8; i++ {
-		i := i
-		g.Go(func() {
-			atomic.AddInt32(&done, 1)
-			if i == 3 || i == 5 {
-				panic(i)
-			}
-		})
-	}
-	defer func() {
-		v := recover()
-		pe, ok := v.(*PanicError)
-		if !ok {
-			t.Fatalf("recovered %T (%v), want *PanicError", v, v)
-		}
-		if pe.Value != 3 {
-			t.Errorf("panic value %v, want 3 (first in spawn order)", pe.Value)
-		}
-		if got := atomic.LoadInt32(&done); got != 8 {
-			t.Errorf("%d of 8 goroutines ran before Wait re-panicked", got)
-		}
-	}()
-	g.Wait()
-	t.Fatal("Wait returned normally")
-}
-
-// TestNoGoroutineLeak: Run and Group must leave no goroutines behind,
-// including on the panic paths.
+// TestNoGoroutineLeak: Run must leave no goroutines behind, including on
+// the panic path.
 func TestNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 10; i++ {
@@ -172,11 +141,6 @@ func TestNoGoroutineLeak(t *testing.T) {
 			defer func() { recover() }()
 			Run(1000, 8, func(lo, hi int) { panic("x") })
 		}()
-		var g Group
-		for j := 0; j < 4; j++ {
-			g.Go(func() {})
-		}
-		g.Wait()
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {

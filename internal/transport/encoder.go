@@ -53,7 +53,8 @@ func (fe *FrameEncoder) Encode(env *message.Envelope, hops int) ([]byte, error) 
 	return fe.encode(env)
 }
 
-//greenvet:owner transfers(payload) the pooled payload joins fe.out, the encoder's batch of outstanding frames, and the next Release returns it to the pool
+// encode hands out a pooled payload that joins fe.out, the encoder's
+// batch of outstanding frames; the next Release returns it to the pool.
 func (fe *FrameEncoder) encode(env *message.Envelope) ([]byte, error) {
 	if err := message.PreEncode(env); err != nil {
 		return nil, err

@@ -80,12 +80,13 @@ func (p *BufPool) Get(n int) []byte {
 	return make([]byte, n, 1<<(poolMinShift+c))
 }
 
-// poolDebug enables release poisoning: every Put overwrites the buffer
+// poolDebug enables the release checks: every Put overwrites the buffer
 // with poolPoison before it can be re-issued, so a reader holding a
 // stale reference sees garbage immediately instead of whichever frame
-// happens to recycle the block later. Set GREENPS_POOLDEBUG=1 in tests
-// (the race CI leg does) to turn silent use-after-Put corruption into a
-// loud failure.
+// happens to recycle the block later, and a Put of a block that is
+// already on its freelist (a double release) panics. Set
+// GREENPS_POOLDEBUG=1 in tests (the race CI leg does) to turn silent
+// use-after-Put and double-Put corruption into a loud failure.
 var poolDebug = os.Getenv("GREENPS_POOLDEBUG") == "1"
 
 // poolPoison is the debug fill byte (0xDB, "debug").
@@ -99,9 +100,10 @@ const poolPoison = 0xDB
 // view whose capacity is no longer an exact class size) is dropped for
 // the allocator rather than cached, and the stats count the drop.
 // Oversized buffers (beyond the largest class) and buffers arriving at
-// a full class are likewise dropped. nil is a no-op. The ownercheck
-// analyzer enforces this contract statically; GREENPS_POOLDEBUG=1
-// enforces it dynamically by poisoning released buffers.
+// a full class are likewise dropped. nil is a no-op. Nothing checks the
+// contract statically: the Gets == Puts balance tests cover leaks, and
+// GREENPS_POOLDEBUG=1 poisons released buffers and panics on a double
+// release.
 func (p *BufPool) Put(b []byte) {
 	if b == nil {
 		return
@@ -119,6 +121,13 @@ func (p *BufPool) Put(b []byte) {
 	if c < 0 || cap(b) != 1<<(poolMinShift+c) || len(p.classes[c]) >= poolMaxPerClass {
 		p.drop++
 		return
+	}
+	if poolDebug {
+		for _, held := range p.classes[c] {
+			if &held[:1][0] == &b[0] {
+				panic("transport: BufPool.Put of a buffer that was already released")
+			}
+		}
 	}
 	p.classes[c] = append(p.classes[c], b)
 }

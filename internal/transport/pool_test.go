@@ -1,6 +1,9 @@
 package transport
 
 import (
+	"encoding/binary"
+	"encoding/json"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -57,6 +60,23 @@ func TestBufPoolOversizedRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBufPoolDropsReslicedView pins Put's guard against a release of
+// something other than a whole block: a view re-sliced off the front no
+// longer has a class-sized capacity, so it is counted as a drop and can
+// never be handed out again overlapping its parent.
+func TestBufPoolDropsReslicedView(t *testing.T) {
+	p := NewBufPool()
+	b := p.Get(100)
+	p.Put(b[1:])
+	if st := p.Stats(); st.Puts != 1 || st.Drops != 1 {
+		t.Fatalf("stats %+v, want the re-sliced Put dropped", st)
+	}
+	_ = p.Get(100)
+	if st := p.Stats(); st.Hits != 0 {
+		t.Fatalf("re-sliced view entered a freelist: %+v", st)
+	}
+}
+
 // TestBufPoolStatsConcurrent hammers one pool from many goroutines and
 // checks the counter arithmetic holds exactly: every Get and Put is
 // counted once, and hits/drops never exceed their totals. Run under
@@ -106,6 +126,133 @@ func TestBufPoolDebugPoison(t *testing.T) {
 		if v != poolPoison {
 			t.Fatalf("byte %d after Put = %#x, want poison %#x", i, v, poolPoison)
 		}
+	}
+}
+
+// TestBufPoolDebugDoublePut verifies the other half of the
+// GREENPS_POOLDEBUG contract: releasing a block that is already on its
+// freelist panics instead of letting two later Gets share it. Without
+// the debug flag the second Put is accepted silently, which is the bug
+// the flag exists to expose.
+func TestBufPoolDebugDoublePut(t *testing.T) {
+	old := poolDebug
+	poolDebug = true
+	defer func() { poolDebug = old }()
+
+	p := NewBufPool()
+	b := p.Get(64)
+	other := p.Get(64)
+	p.Put(b)
+	p.Put(other) // a distinct block of the same class is fine
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second Put of the same block did not panic")
+		}
+	}()
+	p.Put(b[:10]) // same block through a shorter view
+}
+
+// TestConnPoolBalance is the leak check for the three places the wire
+// path holds a pooled buffer: every Get in readFrame is matched by a Put
+// in readFrame (payload cut short), Recv or RecvHello on the success and
+// on every error path, and a FrameEncoder batch that hit an Encode error
+// still returns everything at Release. All traffic runs on a private
+// pool so the books are exact.
+func TestConnPoolBalance(t *testing.T) {
+	pool := NewBufPool()
+	frame := func(payload []byte) []byte {
+		out := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
+		return append(out, payload...)
+	}
+	// recvFrom feeds raw bytes to a fresh connection on the private pool,
+	// closes the writing side, and hands the receiving Conn to recv.
+	recvFrom := func(raw []byte, recv func(c *Conn)) {
+		t.Helper()
+		a, b := net.Pipe()
+		c := NewConn(b)
+		c.SetBufferPool(pool)
+		defer c.Close()
+		go func() {
+			a.Write(raw)
+			a.Close()
+		}()
+		recv(c)
+	}
+	wantErr := func(what string, err error) {
+		t.Helper()
+		if err == nil || err == io.EOF {
+			t.Fatalf("%s: err = %v, want a failure", what, err)
+		}
+	}
+
+	good, err := message.Encode(&message.Envelope{Kind: message.KindPublication,
+		Pub: message.NewPublication("A", 1, map[string]message.Value{"x": message.Number(1)})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hello, err := json.Marshal(Hello{Kind: PeerClient, ID: "c1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Good traffic: a hello, then envelopes up to a clean EOF.
+	recvFrom(append(frame(hello), append(frame(good), frame(good)...)...), func(c *Conn) {
+		if _, err := c.RecvHello(); err != nil {
+			t.Fatalf("good hello: %v", err)
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := c.Recv(); err != nil {
+				t.Fatalf("good frame %d: %v", i, err)
+			}
+		}
+		if _, err := c.Recv(); err != io.EOF {
+			t.Fatalf("after the last frame: %v, want io.EOF", err)
+		}
+	})
+	if st := pool.Stats(); st.Gets != 3 {
+		t.Fatalf("good traffic made %d Gets, want 3 — the connection is not on the private pool", st.Gets)
+	}
+	// A header over MaxFrameSize is refused before any buffer is taken.
+	recvFrom(binary.BigEndian.AppendUint32(nil, MaxFrameSize+1), func(c *Conn) {
+		_, err := c.Recv()
+		wantErr("oversized frame", err)
+	})
+	// The peer closes mid-payload: readFrame itself must release.
+	recvFrom(frame(good)[:4+len(good)/2], func(c *Conn) {
+		_, err := c.Recv()
+		wantErr("truncated payload", err)
+	})
+	// Hellos that do not parse, and that parse but are invalid.
+	for _, h := range []string{"{not json", `{"kind":"client","id":""}`} {
+		recvFrom(frame([]byte(h)), func(c *Conn) {
+			_, err := c.RecvHello()
+			wantErr("hello "+h, err)
+		})
+	}
+	// A well-framed payload that is not an envelope.
+	recvFrom(frame([]byte("{not json")), func(c *Conn) {
+		_, err := c.Recv()
+		wantErr("undecodable envelope", err)
+	})
+	// An encoder batch: two payloads out, one Encode error, then Release.
+	fe := NewFrameEncoder(pool)
+	env := &message.Envelope{Kind: message.KindPublication,
+		Pub: message.NewPublication("A", 2, map[string]message.Value{"x": message.Number(2)})}
+	for hops := 0; hops < 2; hops++ {
+		if _, err := fe.Encode(env, hops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err = fe.Encode(&message.Envelope{Kind: message.KindPublication}, 0)
+	wantErr("Encode of a publication envelope without a publication", err)
+	fe.Release()
+
+	st := pool.Stats()
+	if st.Gets != st.Puts {
+		t.Fatalf("pool books do not balance: %d Gets vs %d Puts", st.Gets, st.Puts)
+	}
+	if want := int64(3 + 1 + 2 + 1 + 2); st.Gets != want {
+		t.Fatalf("%d Gets, want %d: a scenario did not reach its buffer", st.Gets, want)
 	}
 }
 
