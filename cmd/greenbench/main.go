@@ -52,7 +52,7 @@ func run() error {
 		quick    = flag.Bool("quick", false, "reduced scale (~20x faster, same shapes)")
 		full     = flag.Bool("full", false, "include the long runs: 1,000-broker E9, 1M-subscription E13")
 		seed     = flag.Int64("seed", 1, "random seed")
-		par      = flag.Int("parallelism", 0, "allocation worker count (0 = all cores); results are identical at any value")
+		par      = flag.Int("parallelism", 0, "worker count of CRAM's seed phase (0 = all cores); results are identical at any value")
 		verbose  = flag.Bool("v", true, "print progress to stderr")
 		listOnly = flag.Bool("list", false, "list experiment IDs and exit")
 		jsonOut  = flag.String("json", "", "also write the emitted tables as JSON to this file (baseline recording)")

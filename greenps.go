@@ -225,9 +225,8 @@ type ReconfigureOptions struct {
 	Algorithm string
 	// Timeout bounds the information-gathering phase (0 = 30s).
 	Timeout time.Duration
-	// Parallelism caps the worker count of the loops the allocation
-	// algorithms fan out (unit compilation, CRAM's partner searches and
-	// poset BFS; feasibility probes are serial); 0 or negative means
+	// Parallelism caps the worker count of CRAM's seed phase, the one loop
+	// the allocation algorithms fan out; 0 or negative means
 	// runtime.GOMAXPROCS(0). The computed plan is bit-for-bit identical at
 	// any setting — only wall-clock planning time changes.
 	Parallelism int

@@ -102,16 +102,18 @@ func benchInput8k(b *testing.B) *Input {
 	return in
 }
 
-// runCRAMParallelSpeedup measures one CRAM configuration at Parallelism 1,
-// 2, and 4 over the 8k workload, asserts the results are bit-for-bit
-// identical across levels, reports the speedup_4x metric, and fails if any
-// worker count is more than 15% slower than the serial run: feasibility
-// probes, 80% of the run, are serial at every setting, so extra workers can
-// buy little, but they must not cost. The gate compares each level's fastest
-// run, and a level that reads slow is measured once more back to back with
-// the serial one first — a slow episode of a shared host is one-sided and
-// does not repeat, a real cost does.
-func runCRAMParallelSpeedup(b *testing.B, mk func(par int) *CRAM) {
+// BenchmarkE7ComputationTime is the E7 reconfiguration-computation-time
+// point at 8,000 subscriptions: CRAM-IOS with every optimization on,
+// measured at Parallelism 1, 2, and 4. It asserts the results are
+// bit-for-bit identical across levels, reports the speedup_4x metric, and
+// fails if any worker count is more than 15% slower than the serial run:
+// only the seed phase fans out, a few percent of the run, so extra workers
+// can buy little, but they must not cost. The gate compares each level's
+// fastest run, and a level that reads slow is measured once more back to
+// back with the serial one first — a slow episode of a shared host is
+// one-sided and does not repeat, a real cost does.
+func BenchmarkE7ComputationTime(b *testing.B) {
+	mk := func(par int) *CRAM { return &CRAM{Metric: bitvector.MetricIOS, Parallelism: par} }
 	in := benchInput8k(b)
 	var wallclock, fastest [3]time.Duration
 	var fp [3]string
@@ -163,34 +165,34 @@ func runCRAMParallelSpeedup(b *testing.B, mk func(par int) *CRAM) {
 	}
 }
 
-// BenchmarkE7ComputationTime is the E7 reconfiguration-computation-time
-// point at 8,000 subscriptions: CRAM-IOS with every optimization on.
-func BenchmarkE7ComputationTime(b *testing.B) {
-	runCRAMParallelSpeedup(b, func(par int) *CRAM {
-		return &CRAM{Metric: bitvector.MetricIOS, Parallelism: par}
-	})
-}
-
 // BenchmarkE8CRAMAblation is the E8 ablation grid on the 8k workload: each
-// optimization switched off in turn, each variant swept across parallelism
-// levels with the same identical-results assertion.
+// optimization switched off in turn, on one worker (the seed-phase fan-out
+// is the same loop in every variant; E7 sweeps and gates it).
 func BenchmarkE8CRAMAblation(b *testing.B) {
 	variants := []struct {
 		name string
-		mk   func(par int) *CRAM
+		cram CRAM
 	}{
-		{"all-on", func(par int) *CRAM {
-			return &CRAM{Metric: bitvector.MetricIOS, Parallelism: par}
-		}},
-		{"no-one-to-many", func(par int) *CRAM {
-			return &CRAM{Metric: bitvector.MetricIOS, DisableOneToMany: true, Parallelism: par}
-		}},
-		{"exhaustive-search", func(par int) *CRAM {
-			return &CRAM{Metric: bitvector.MetricIOS, ExhaustiveSearch: true, Parallelism: par}
-		}},
+		{"all-on", CRAM{Metric: bitvector.MetricIOS, Parallelism: 1}},
+		{"no-one-to-many", CRAM{Metric: bitvector.MetricIOS, DisableOneToMany: true, Parallelism: 1}},
+		{"exhaustive-search", CRAM{Metric: bitvector.MetricIOS, ExhaustiveSearch: true, Parallelism: 1}},
 	}
 	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) { runCRAMParallelSpeedup(b, v.mk) })
+		b.Run(v.name, func(b *testing.B) {
+			in := benchInput8k(b)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cram := v.cram
+				a, err := cram.Allocate(in)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == b.N-1 {
+					b.ReportMetric(float64(a.NumAllocated()), "brokers")
+					b.ReportMetric(float64(cram.Stats().ClosenessComputations), "closeness_comps")
+				}
+			}
+		})
 	}
 }
 
@@ -243,16 +245,17 @@ func BenchmarkPartnerSearchPruned(b *testing.B) {
 	}
 }
 
-// BenchmarkCRAMParallelism sweeps worker counts on the 2k workload for
-// profiling the parallel paths in isolation.
+// BenchmarkCRAMParallelism times the part of a run Parallelism reaches —
+// ingestion and the seed phase, on the 2k workload — serial and fanned out,
+// for profiling the fan-out in isolation.
 func BenchmarkCRAMParallelism(b *testing.B) {
-	for _, par := range []int{1, 2, 4, 8} {
+	for _, par := range []int{1, 4} {
 		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
 			in := benchInput(b)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				cram := &CRAM{Metric: bitvector.MetricIOS, Parallelism: par}
-				if _, err := cram.Allocate(in); err != nil {
+				if _, err := cram.start(in); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -264,7 +267,7 @@ func BenchmarkCRAMParallelism(b *testing.B) {
 // and replay.
 func BenchmarkFeasProbe(b *testing.B) {
 	in := benchInput(b)
-	p := newPool(in.Units, in.Brokers, newPublisherTable(in.Publishers, in.Units), in.ProfileCapacity, 1)
+	p := newPool(in.Units, in.Brokers, newPublisherTable(in.Publishers, in.Units), in.ProfileCapacity)
 	if !p.probe(nil, nil) {
 		b.Fatal("pool must be feasible")
 	}
@@ -304,7 +307,7 @@ func BenchmarkProbeReplay(b *testing.B) {
 	// Bandwidth-bound brokers at 2.2x the even share, as in the E13 scale
 	// workload.
 	brokers := testBrokers(20, 2.2*totalBW/20, message.MatchingDelayFn{PerSub: 1e-9, Base: 1e-6})
-	p := newPool(units, brokers, newPublisherTable(pubs, units), testCap, 1)
+	p := newPool(units, brokers, newPublisherTable(pubs, units), testCap)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

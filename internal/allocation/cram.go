@@ -52,13 +52,14 @@ type CRAM struct {
 	// MaxIterations caps the clustering loop as a safety net; 0 means
 	// 64×(initial group count), far beyond any convergent run.
 	MaxIterations int
-	// Parallelism caps the worker count of the loops that fan out: unit
-	// compilation at ingestion, the seed-phase partner searches, and the
-	// poset BFS and the exhaustive scan of one partner search. Feasibility
-	// probes are serial, one after another. 0 or negative means
-	// runtime.GOMAXPROCS(0). Every parallel loop reduces in a canonical
-	// order, so the Assignment and every CRAMStats counter are bit-for-bit
-	// identical at any setting — Parallelism is purely a wall-clock knob.
+	// Parallelism caps the worker count of the one loop that fans out: the
+	// seed phase, which runs every GIF's first partner search, one whole
+	// search per work item, before anything has been clustered. Everything
+	// else — unit compilation, each later search, every feasibility probe —
+	// is serial. 0 or negative means runtime.GOMAXPROCS(0). The seed
+	// results are collected in GIF-ID order, so the Assignment and every
+	// CRAMStats counter are bit-for-bit identical at any setting —
+	// Parallelism is purely a wall-clock knob.
 	Parallelism int
 	// Shards sets the shard count of the sharded exhaustive partner scan
 	// (DESIGN.md §14): GIFs are routed to shards by summary signature and
@@ -146,7 +147,10 @@ func (c *CRAM) Stats() CRAMStats { return c.stats }
 // gif is a Group of Identical Filters: every unit in the group has exactly
 // the same bit-vector profile.
 type gif struct {
-	id      string
+	id string
+	// key is the GIF's entry in cramRun.byKey: the profile's fingerprint,
+	// or a per-unit key with GIF grouping disabled.
+	key     string
 	profile *bitvector.Profile
 	// summary condenses profile for the bound-based search pruning. A GIF's
 	// profile never changes after creation (merged units land in the GIF
@@ -234,13 +238,17 @@ func (h *candHeap) Pop() any {
 type cramRun struct {
 	c        *CRAM
 	capacity int
+	brokers  []*BrokerSpec // in trial order
 	// pool is the committed unit pool and its feasibility test; commit is
 	// the only way it changes, and err the failure of one.
 	pool *pool
 	err  error
+	// exhaustive is fixed for the run: partner searches scan every GIF and
+	// no poset is kept (ExhaustiveSearch, or grouping disabled).
+	exhaustive bool
 
 	gifs      map[string]*gif
-	byKey     map[string]*gif // fingerprint -> gif
+	byKey     map[string]*gif // gif.key -> gif
 	ps        *poset.Poset
 	blacklist map[gifPair]struct{}
 	// blPartners indexes the blacklist per GIF (self-pairs excluded) for
@@ -257,8 +265,6 @@ type cramRun struct {
 	spill    *candSpill
 	nextGIF  int
 	nextUnit int
-	// par is the normalized Parallelism (always >= 1).
-	par int
 	// gifIDs caches the sorted live GIF IDs for exhaustive scans.
 	gifIDs      []string
 	gifIDsDirty bool
@@ -315,7 +321,8 @@ func (r *cramRun) sortedGIFIDs() []string {
 // commit replaces the removed units by their merged unit in the pool and
 // reports whether it took. The pool's refusal — a removed unit it does not
 // hold, which no validated input leads to — is kept in err for run to return,
-// and nothing commits after it.
+// and nothing commits after it. The poset's refusals (attachUnit, dropGIF)
+// take the same path.
 func (r *cramRun) commit(removed []*Unit, merged *Unit) bool {
 	if r.err == nil {
 		r.err = r.pool.commit(removed, []*Unit{merged})
@@ -369,44 +376,67 @@ func (c *CRAM) Allocate(in *Input) (*Assignment, error) {
 // in-package tests can verify convergence properties (e.g. that every live
 // GIF pair with positive closeness was offered and resolved).
 func (c *CRAM) run(in *Input) (*cramRun, *Assignment, error) {
-	if err := in.Validate(); err != nil {
+	r, err := c.start(in)
+	if err != nil {
 		return nil, nil, err
 	}
+	defer r.spill.close()
+	a, err := r.cluster()
+	if err != nil {
+		return nil, nil, err
+	}
+	return r, a, nil
+}
+
+// gifFor returns the GIF the unit belongs to (Optimization 1: one per
+// profile fingerprint; one per unit with grouping disabled), registering a
+// new, empty one when there is none yet.
+func (r *cramRun) gifFor(u *Unit) (g *gif, created bool) {
+	key := "unit:" + u.ID
+	if !r.c.DisableGIFGrouping {
+		key = u.Profile.FingerprintKey()
+	}
+	if g = r.byKey[key]; g != nil {
+		return g, false
+	}
+	r.nextGIF++
+	prof := u.Profile.Clone()
+	g = &gif{id: fmt.Sprintf("g%d", r.nextGIF), key: key, profile: prof, summary: bitvector.Summarize(prof)}
+	r.byKey[key] = g
+	r.gifs[g.id] = g
+	r.gifIDsDirty = true
+	return g, true
+}
+
+// start is the first half of run: it ingests the input, tests the
+// unclustered pool, builds the search structures, and seeds the candidate
+// heap (or spill) with every GIF's best partner. The caller closes r.spill.
+func (c *CRAM) start(in *Input) (*cramRun, error) {
+	if err := in.Validate(); err != nil {
+		return nil, err
+	}
 	if c.Metric == 0 {
-		return nil, nil, fmt.Errorf("CRAM: no closeness metric configured")
+		return nil, fmt.Errorf("CRAM: no closeness metric configured")
 	}
 	c.stats = CRAMStats{InitialUnits: len(in.Units)}
 
 	r := &cramRun{
 		c:          c,
 		capacity:   in.ProfileCapacity,
+		exhaustive: c.ExhaustiveSearch || c.DisableGIFGrouping,
 		gifs:       make(map[string]*gif),
 		byKey:      make(map[string]*gif),
 		ps:         poset.New(),
 		blacklist:  make(map[gifPair]struct{}),
 		blPartners: make(map[string][]string),
-		par:        parwork.Workers(c.Parallelism),
 	}
 
-	// Group units into GIFs by profile fingerprint (Optimization 1).
+	// Group units into GIFs (Optimization 1).
 	for _, u := range in.Units {
 		if u.Profile.Empty() {
 			continue // packed with the pool but never clustered
 		}
-		var key string
-		if c.DisableGIFGrouping {
-			key = "unit:" + u.ID // every unit its own group
-		} else {
-			key = u.Profile.FingerprintKey()
-		}
-		g, ok := r.byKey[key]
-		if !ok {
-			r.nextGIF++
-			prof := u.Profile.Clone()
-			g = &gif{id: fmt.Sprintf("g%d", r.nextGIF), profile: prof, summary: bitvector.Summarize(prof)}
-			r.byKey[key] = g
-			r.gifs[g.id] = g
-		}
+		g, _ := r.gifFor(u)
 		g.units = append(g.units, u)
 	}
 	for _, id := range r.sortedGIFIDs() {
@@ -415,25 +445,23 @@ func (c *CRAM) run(in *Input) (*cramRun, *Assignment, error) {
 	c.stats.InitialGIFs = len(r.gifs)
 
 	// Ingest the pool: every input unit compiled against the run's publisher
-	// table up front, fanned out across the workers. The table lives exactly
-	// as long as this call.
-	brokers := sortBrokersByCapacity(in.Brokers)
-	r.pool = newPool(in.Units, brokers, newPublisherTable(in.Publishers, in.Units), r.capacity, r.par)
+	// table up front. The table lives exactly as long as this call.
+	r.brokers = sortBrokersByCapacity(in.Brokers)
+	r.pool = newPool(in.Units, r.brokers, newPublisherTable(in.Publishers, in.Units), r.capacity)
 
 	// Initial allocation test without clustering (the algorithm terminates
 	// immediately if the raw pool does not fit).
 	if !r.feasible(nil, nil) {
-		return nil, nil, fmt.Errorf("CRAM: initial BIN PACKING of %d units failed: insufficient broker resources", len(in.Units))
+		return nil, fmt.Errorf("CRAM: initial BIN PACKING of %d units failed: insufficient broker resources", len(in.Units))
 	}
 
 	// Build the poset (unless running exhaustively).
-	useExhaustive := c.ExhaustiveSearch || c.DisableGIFGrouping
-	if !useExhaustive {
+	if !r.exhaustive {
 		for _, id := range r.sortedGIFIDs() {
 			g := r.gifs[id]
 			node, err := r.ps.Insert(g.id, g.profile, g)
 			if err != nil {
-				return nil, nil, fmt.Errorf("CRAM: poset insert: %w", err)
+				return nil, fmt.Errorf("CRAM: poset insert: %w", err)
 			}
 			g.node = node
 		}
@@ -441,7 +469,7 @@ func (c *CRAM) run(in *Input) (*cramRun, *Assignment, error) {
 
 	// Shard the pool for wholesale envelope pruning of the exhaustive
 	// scan (DESIGN.md §14). The shard count is fixed for the run.
-	if useExhaustive && !c.DisableBoundPruning {
+	if r.exhaustive && !c.DisableBoundPruning {
 		r.shards = newShardSet(shardCount(c.Shards, len(r.gifs)))
 		if r.shards != nil {
 			for _, id := range r.sortedGIFIDs() {
@@ -452,25 +480,24 @@ func (c *CRAM) run(in *Input) (*cramRun, *Assignment, error) {
 	}
 
 	// Seed the candidate heap with every GIF's best partner, the searches
-	// fanned out across the workers. No run state mutates during the
-	// fan-out, and the heap comparator is a strict total order over
-	// (closeness, gifID, partnerID), so pushing the collected candidates
-	// in GIF-ID order yields the same pop sequence as the serial seed at
-	// any worker count.
+	// fanned out across the workers — the run's only parallel loop. No run
+	// state mutates during the fan-out, and the heap comparator is a strict
+	// total order over (closeness, gifID, partnerID), so pushing the
+	// collected candidates in GIF-ID order yields the same pop sequence as
+	// the serial seed at any worker count.
 	heap.Init(&r.heap)
 	seedIDs := r.sortedGIFIDs()
 	seedCands := make([]*candidate, len(seedIDs))
 	seedComps := make([]int, len(seedIDs))
 	seedPruned := make([]int, len(seedIDs))
 	seedShards := make([]int, len(seedIDs))
-	parwork.Run(len(seedIDs), r.par, func(lo, hi int) {
+	parwork.Run(len(seedIDs), parwork.Workers(c.Parallelism), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			seedCands[i], seedComps[i], seedPruned[i], seedShards[i] = r.bestPartner(r.gifs[seedIDs[i]], useExhaustive, 1)
+			seedCands[i], seedComps[i], seedPruned[i], seedShards[i] = r.bestPartner(r.gifs[seedIDs[i]])
 		}
 	})
 	if c.SpillBudgetBytes > 0 {
 		r.spill = newCandSpill(c.SpillBudgetBytes, c.SpillDir)
-		defer r.spill.close()
 	}
 	for i, cd := range seedCands {
 		c.stats.ClosenessComputations += seedComps[i]
@@ -481,7 +508,8 @@ func (c *CRAM) run(in *Input) (*cramRun, *Assignment, error) {
 		}
 		if r.spill != nil {
 			if err := r.spill.add(*cd); err != nil {
-				return nil, nil, fmt.Errorf("CRAM: candidate spill: %w", err)
+				r.spill.close()
+				return nil, fmt.Errorf("CRAM: candidate spill: %w", err)
 			}
 		} else {
 			heap.Push(&r.heap, *cd)
@@ -489,11 +517,18 @@ func (c *CRAM) run(in *Input) (*cramRun, *Assignment, error) {
 	}
 	if r.spill != nil {
 		if err := r.spill.finish(); err != nil {
-			return nil, nil, fmt.Errorf("CRAM: candidate spill: %w", err)
+			r.spill.close()
+			return nil, fmt.Errorf("CRAM: candidate spill: %w", err)
 		}
 		c.stats.SpilledRuns = r.spill.runs
 	}
+	return r, nil
+}
 
+// cluster is the second half of run: the clustering loop over the
+// candidates, then the final pack of the pool it leaves.
+func (r *cramRun) cluster() (*Assignment, error) {
+	c := r.c
 	maxIter := c.MaxIterations
 	if maxIter <= 0 {
 		maxIter = 64 * (len(r.gifs) + 1)
@@ -502,7 +537,7 @@ func (c *CRAM) run(in *Input) (*cramRun, *Assignment, error) {
 	for iter := 0; iter < maxIter; iter++ {
 		cand, ok, err := r.nextCand()
 		if err != nil {
-			return nil, nil, fmt.Errorf("CRAM: candidate spill: %w", err)
+			return nil, fmt.Errorf("CRAM: candidate spill: %w", err)
 		}
 		if !ok {
 			break
@@ -516,43 +551,43 @@ func (c *CRAM) run(in *Input) (*cramRun, *Assignment, error) {
 			// still represented the pair). Re-offer it so no live GIF
 			// with a positive-closeness partner is starved.
 			if okP && cand.partnerID != cand.gifID {
-				r.pushBest(p, useExhaustive)
+				r.pushBest(p)
 			}
 			continue
 		}
 		if !okP || r.blacklisted(cand.gifID, cand.partnerID) ||
 			(cand.gifID == cand.partnerID && len(g.units) < 2) {
 			// Stale candidate: recompute this GIF's best partner.
-			r.pushBest(g, useExhaustive)
+			r.pushBest(g)
 			continue
 		}
 		if cand.closeness <= 0 {
 			continue
 		}
-		accepted := r.clusterPair(g, p, useExhaustive)
+		accepted := r.clusterPair(g, p)
 		if r.err != nil {
-			return nil, nil, fmt.Errorf("CRAM: %w", r.err)
+			return nil, fmt.Errorf("CRAM: %w", r.err)
 		}
 		if accepted {
 			c.stats.ClustersAccepted++
 		} else {
 			c.stats.ClustersRejected++
 			r.noteBlacklist(g.id, p.id)
-			r.pushBest(g, useExhaustive)
+			r.pushBest(g)
 			if p != g {
-				r.pushBest(p, useExhaustive)
+				r.pushBest(p)
 			}
 		}
 	}
 
 	// Materialize the final (feasible by construction) allocation.
-	a, err := packFirstFit(r.pool.units, r.pool.stream, brokers, r.pool.table, r.capacity)
+	a, err := packFirstFit(r.pool.units, r.pool.stream, r.brokers, r.pool.table, r.capacity)
 	if err != nil {
 		// Cannot happen: every committed pool passed the feasibility test.
-		return nil, nil, fmt.Errorf("CRAM: final pack of feasible pool failed: %w", err)
+		return nil, fmt.Errorf("CRAM: final pack of feasible pool failed: %w", err)
 	}
 	c.stats.FinalUnits = len(r.pool.units)
-	return r, a, nil
+	return a, nil
 }
 
 // nextCand pops the highest-priority candidate across the two sources:
@@ -579,14 +614,13 @@ func (r *cramRun) nextCand() (candidate, bool, error) {
 
 // pushBest computes the GIF's best admissible partner and pushes it onto
 // the heap. GIFs with no positive-closeness partner push nothing.
-// pushBest runs only on the coordinator, so it is the safe point to
-// rebuild any shard envelopes dirtied by the preceding commit before the
-// search reads them.
-func (r *cramRun) pushBest(g *gif, exhaustive bool) {
+// pushBest runs between commits, so it is the safe point to rebuild any
+// shard envelopes dirtied by the preceding one before the search reads them.
+func (r *cramRun) pushBest(g *gif) {
 	if r.shards != nil {
 		r.shards.freshen(r.gifs)
 	}
-	best, comps, pruned, shardsPruned := r.bestPartner(g, exhaustive, r.par)
+	best, comps, pruned, shardsPruned := r.bestPartner(g)
 	r.c.stats.ClosenessComputations += comps
 	r.c.stats.BoundPruned += pruned
 	r.c.stats.ShardsPruned += shardsPruned
@@ -599,13 +633,12 @@ func (r *cramRun) pushBest(g *gif, exhaustive bool) {
 // closeness evaluations the search considered, how many of those were
 // answered by a summary bound instead of an exact metric call, and how
 // many shards the sharded scan discarded wholesale — all without
-// touching run state, so the seed phase can fan searches for distinct
-// GIFs across workers. par additionally parallelizes the search for this
-// one GIF (the exhaustive scan or the poset BFS); every reduction runs
-// in the canonical GIF-ID order, so the returned candidate and the
-// comps/pruned counts are identical at any par and any shard count
-// (shardsPruned alone depends on the shard layout).
-func (r *cramRun) bestPartner(g *gif, exhaustive bool, par int) (best *candidate, comps, pruned, shardsPruned int) {
+// touching run state, so the seed phase can run the searches of distinct
+// GIFs on different workers. The exhaustive scan reduces in GIF-ID order,
+// first strict maximum winning, so the returned candidate and the
+// comps/pruned counts are identical at any shard count (shardsPruned alone
+// depends on the shard layout).
+func (r *cramRun) bestPartner(g *gif) (best *candidate, comps, pruned, shardsPruned int) {
 	// Self-pair: the equal relationship pairs a GIF with itself whenever it
 	// holds more than one unit (Optimization 1's equal case).
 	if len(g.units) >= 2 && !r.blacklisted(g.id, g.id) {
@@ -615,91 +648,71 @@ func (r *cramRun) bestPartner(g *gif, exhaustive bool, par int) (best *candidate
 			best = &candidate{gifID: g.id, partnerID: g.id, closeness: c}
 		}
 	}
-	if exhaustive {
-		ids := r.sortedGIFIDs()
-		if r.shards != nil {
-			// Wholesale shard pruning against the incumbent threshold —
-			// the same t0 the per-pair rule uses below, so a pruned
-			// shard's members are exactly pairings that rule would have
-			// pruned individually (and none could have anchored). The
-			// surviving members arrive merged back into global ID order,
-			// keeping the reduction's tie-break canonical.
-			t0 := 0.0
-			if best != nil {
-				t0 = best.closeness
-			}
-			var bulk int
-			ids, bulk, shardsPruned = r.shardSurvivors(g, t0)
-			comps += bulk
-			pruned += bulk
-		}
-		// Evaluate every admissible pairing across the workers, then
-		// reduce serially in ID order: first strict maximum wins, exactly
-		// the serial scan's tie-break.
-		cs := make([]float64, len(ids))
-		skip := make([]bool, len(ids))
-		for i, id := range ids {
-			skip[i] = id == g.id || r.blacklisted(g.id, id)
-		}
-		// Anchored bound pruning (DESIGN.md §9): mark pairings whose
-		// summary bound proves they cannot become the returned candidate,
-		// so the parallel stage below skips their exact evaluations. The
-		// pruned set depends only on the bounds, the incumbent threshold,
-		// and one anchor evaluation chosen by ID order — never on a
-		// running best — so it is identical at every worker count.
-		var prunedOut []bool
-		anchor := -1
-		if !r.c.DisableBoundPruning {
-			t0 := 0.0
-			if best != nil {
-				t0 = best.closeness
-			}
-			var anchorC float64
-			prunedOut, anchor, anchorC = r.boundPruneScan(g, ids, skip, t0, par)
-			if anchor >= 0 {
-				cs[anchor] = anchorC
-			}
-		}
-		parwork.Run(len(ids), par, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if skip[i] || i == anchor || (prunedOut != nil && prunedOut[i]) {
-					continue
-				}
-				cs[i] = bitvector.Closeness(r.c.Metric, g.profile, r.gifs[ids[i]].profile)
-			}
-		})
-		for i, id := range ids {
-			if skip[i] {
-				continue
-			}
-			comps++
-			if prunedOut != nil && prunedOut[i] {
-				pruned++
-				continue
-			}
-			if c := cs[i]; c > 0 && (best == nil || c > best.closeness) {
-				best = &candidate{gifID: g.id, partnerID: id, closeness: c}
-			}
-		}
-	} else {
+	if !r.exhaustive {
 		res := r.ps.SearchClosestOpts(g.profile, r.c.Metric, func(n *poset.Node) bool {
 			return n.ID == g.id || r.blacklisted(g.id, n.ID)
-		}, true, par, !r.c.DisableBoundPruning)
+		}, true, !r.c.DisableBoundPruning)
 		comps += res.Computations
 		pruned += res.BoundPruned
 		if res.Best != nil && res.Closeness > 0 && (best == nil || res.Closeness > best.closeness) {
 			best = &candidate{gifID: g.id, partnerID: res.Best.ID, closeness: res.Closeness}
 		}
+		return best, comps, pruned, shardsPruned
+	}
+
+	// t0 is the incumbent threshold of both pruning rules: only a strictly
+	// greater closeness replaces the self-pair.
+	t0 := 0.0
+	if best != nil {
+		t0 = best.closeness
+	}
+	ids := r.sortedGIFIDs()
+	if r.shards != nil {
+		// Wholesale shard pruning against t0, so a pruned shard's members
+		// are exactly pairings the per-pair rule would have pruned
+		// individually (and none could have anchored). The surviving
+		// members arrive merged back into global ID order, keeping the
+		// reduction's tie-break canonical.
+		var bulk int
+		ids, bulk, shardsPruned = r.shardSurvivors(g, t0)
+		comps += bulk
+		pruned += bulk
+	}
+	skip := make([]bool, len(ids))
+	for i, id := range ids {
+		skip[i] = id == g.id || r.blacklisted(g.id, id)
+	}
+	var ubs []float64
+	anchor, anchorC := -1, 0.0
+	if !r.c.DisableBoundPruning {
+		ubs, anchor, anchorC = r.boundPruneScan(g, ids, skip, t0)
+	}
+	for i, id := range ids {
+		if skip[i] {
+			continue
+		}
+		comps++
+		c := anchorC
+		if i != anchor {
+			if ubs != nil && (ubs[i] <= t0 || ubs[i] < anchorC) {
+				pruned++
+				continue
+			}
+			c = bitvector.Closeness(r.c.Metric, g.profile, r.gifs[id].profile)
+		}
+		if c > 0 && (best == nil || c > best.closeness) {
+			best = &candidate{gifID: g.id, partnerID: id, closeness: c}
+		}
 	}
 	return best, comps, pruned, shardsPruned
 }
 
-// boundPruneScan is the bound stage of the exhaustive partner scan. It
-// computes the summary-based closeness upper bound of every admissible
-// pairing, picks the anchor — the first ID with the highest bound above
-// the incumbent threshold t0 — evaluates the anchor's exact closeness, and
-// marks as pruned every other pairing whose bound proves it cannot change
-// the scan's outcome:
+// boundPruneScan is the bound stage of the exhaustive partner scan
+// (anchored bound pruning, DESIGN.md §9). It takes the summary-based
+// closeness upper bound of every admissible pairing, picks the anchor — the
+// first ID with the highest bound above the incumbent threshold t0 — and
+// evaluates the anchor's exact closeness. The caller then prunes every other
+// pairing whose bound proves it cannot change the scan's outcome:
 //
 //   - ub <= t0: the reduction only replaces the incumbent on a strictly
 //     greater closeness, and the true value is at most ub.
@@ -709,44 +722,33 @@ func (r *cramRun) bestPartner(g *gif, exhaustive bool, par int) (best *candidate
 //
 // Every achiever of the true maximum survives, so reducing the survivors
 // in ID order returns exactly the candidate the unpruned scan would
-// (derivation in DESIGN.md §9).
-func (r *cramRun) boundPruneScan(g *gif, ids []string, skip []bool, t0 float64, par int) (pruned []bool, anchor int, anchorC float64) {
-	ubs := make([]float64, len(ids))
-	parwork.Run(len(ids), par, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if !skip[i] {
-				ubs[i] = bitvector.ClosenessUpperBound(r.c.Metric, g.summary, r.gifs[ids[i]].summary)
-			}
-		}
-	})
+// (derivation in DESIGN.md §9). The pruned set depends only on the bounds,
+// t0 and the one anchor evaluation — never on a running best — and it is
+// what BoundPruned, the shard accounting and BENCH_scale.json record.
+func (r *cramRun) boundPruneScan(g *gif, ids []string, skip []bool, t0 float64) (ubs []float64, anchor int, anchorC float64) {
+	ubs = make([]float64, len(ids))
 	anchor = -1
-	for i := range ids {
-		if skip[i] || ubs[i] <= t0 {
+	for i, id := range ids {
+		if skip[i] {
 			continue
 		}
-		if anchor < 0 || ubs[i] > ubs[anchor] {
+		ubs[i] = bitvector.ClosenessUpperBound(r.c.Metric, g.summary, r.gifs[id].summary)
+		if ubs[i] > t0 && (anchor < 0 || ubs[i] > ubs[anchor]) {
 			anchor = i
 		}
 	}
 	if anchor >= 0 {
 		anchorC = bitvector.Closeness(r.c.Metric, g.profile, r.gifs[ids[anchor]].profile)
 	}
-	pruned = make([]bool, len(ids))
-	for i := range ids {
-		if skip[i] || i == anchor {
-			continue
-		}
-		pruned[i] = ubs[i] <= t0 || ubs[i] < anchorC
-	}
-	return pruned, anchor, anchorC
+	return ubs, anchor, anchorC
 }
 
 // clusterPair attempts the clustering dictated by the relationship between
 // the two GIFs (Optimization 1's case analysis), running the allocation
 // test before committing. It reports whether a clustering was committed.
-func (r *cramRun) clusterPair(a, b *gif, exhaustive bool) bool {
+func (r *cramRun) clusterPair(a, b *gif) bool {
 	if a == b {
-		return r.clusterSelf(a, exhaustive)
+		return r.clusterSelf(a)
 	}
 	rel := bitvector.Relate(a.profile, b.profile)
 	switch rel {
@@ -755,21 +757,21 @@ func (r *cramRun) clusterPair(a, b *gif, exhaustive bool) bool {
 		// positive closeness to empty relations; the paper observes such
 		// pairs do get clustered. Optimization 3 applies to intersecting
 		// pairs first.
-		if rel == bitvector.RelIntersect && !r.c.DisableOneToMany && !exhaustive {
-			if r.tryCoveredSet(a, b, exhaustive) || r.tryCoveredSet(b, a, exhaustive) {
+		if rel == bitvector.RelIntersect && !r.c.DisableOneToMany && !r.exhaustive {
+			if r.tryCoveredSet(a, b) || r.tryCoveredSet(b, a) {
 				r.c.stats.OneToManyApplied++
 				return true
 			}
 		}
-		return r.clusterLightest(a, b, exhaustive)
+		return r.clusterLightest(a, b)
 	case bitvector.RelSuperset:
-		return r.clusterCovering(a, b, exhaustive)
+		return r.clusterCovering(a, b)
 	case bitvector.RelSubset:
-		return r.clusterCovering(b, a, exhaustive)
+		return r.clusterCovering(b, a)
 	default:
 		// Equal across distinct GIFs is impossible with grouping on; with
 		// grouping off, treat as a plain merge.
-		return r.clusterLightest(a, b, exhaustive)
+		return r.clusterLightest(a, b)
 	}
 }
 
@@ -777,7 +779,7 @@ func (r *cramRun) clusterPair(a, b *gif, exhaustive bool) bool {
 // cluster of its lightest units that still allocates. The committed merged
 // unit mints its cram-u ID only after the search settles, so minted IDs
 // never depend on how many infeasible probes ran.
-func (r *cramRun) clusterSelf(g *gif, exhaustive bool) bool {
+func (r *cramRun) clusterSelf(g *gif) bool {
 	n := len(g.units)
 	if n < 2 {
 		return false
@@ -795,14 +797,14 @@ func (r *cramRun) clusterSelf(g *gif, exhaustive bool) bool {
 	}
 	g.units = append([]*Unit{}, g.units[bestK:]...)
 	g.insertUnit(merged)
-	r.pushBest(g, exhaustive)
+	r.pushBest(g)
 	return true
 }
 
 // clusterLightest merges the lightest unit of each GIF into a new unit
 // whose profile is the OR of the two (the intersect case of Optimization 1
 // and the generic pairwise case).
-func (r *cramRun) clusterLightest(a, b *gif, exhaustive bool) bool {
+func (r *cramRun) clusterLightest(a, b *gif) bool {
 	ua, ub := a.units[0], b.units[0]
 	merged := MergeUnits(probeUnitID, r.capacity, ua, ub)
 	if !r.feasible([]*Unit{ua, ub}, []*Unit{merged}) {
@@ -812,9 +814,9 @@ func (r *cramRun) clusterLightest(a, b *gif, exhaustive bool) bool {
 	if !r.commit([]*Unit{ua, ub}, merged) {
 		return false
 	}
-	r.detachUnit(a, ua, exhaustive)
-	r.detachUnit(b, ub, exhaustive)
-	r.attachUnit(merged, exhaustive)
+	r.detachUnit(a, ua)
+	r.detachUnit(b, ub)
+	r.attachUnit(merged)
 	return true
 }
 
@@ -823,7 +825,7 @@ func (r *cramRun) clusterLightest(a, b *gif, exhaustive bool) bool {
 // still allocate (binary search over the covered units sorted ascending by
 // bandwidth). The merged profile equals the covering GIF's profile, so the
 // merged unit joins the covering GIF.
-func (r *cramRun) clusterCovering(covering, covered *gif, exhaustive bool) bool {
+func (r *cramRun) clusterCovering(covering, covered *gif) bool {
 	uc := covering.units[0]
 	n := len(covered.units)
 	bestM := r.searchMaxFeasible(1, n, func(m int) ([]*Unit, *Unit) {
@@ -846,9 +848,9 @@ func (r *cramRun) clusterCovering(covering, covered *gif, exhaustive bool) bool 
 	if len(covered.units) == 0 {
 		r.dropGIF(covered)
 	} else {
-		r.pushBest(covered, exhaustive)
+		r.pushBest(covered)
 	}
-	r.pushBest(covering, exhaustive)
+	r.pushBest(covering)
 	return true
 }
 
@@ -856,7 +858,7 @@ func (r *cramRun) clusterCovering(covering, covered *gif, exhaustive bool) bool 
 // parent by greedy set cover over its poset descendants, and commit the
 // parent-CGS cluster when it is allocatable and closer than the original
 // pair.
-func (r *cramRun) tryCoveredSet(parent, other *gif, exhaustive bool) bool {
+func (r *cramRun) tryCoveredSet(parent, other *gif) bool {
 	if parent.node == nil {
 		return false
 	}
@@ -945,86 +947,70 @@ func (r *cramRun) tryCoveredSet(parent, other *gif, exhaustive bool) bool {
 		if len(g.units) == 0 {
 			r.dropGIF(g)
 		} else {
-			r.pushBest(g, exhaustive)
+			r.pushBest(g)
 		}
 	}
 	parent.insertUnit(merged)
-	r.pushBest(parent, exhaustive)
+	r.pushBest(parent)
 	return true
 }
 
 // detachUnit removes a unit from its GIF, dropping the GIF when emptied.
 // The pool is the caller's to change (pool.commit with the full delta).
-func (r *cramRun) detachUnit(g *gif, u *Unit, exhaustive bool) {
+func (r *cramRun) detachUnit(g *gif, u *Unit) {
 	g.removeUnit(u)
 	if len(g.units) == 0 {
 		r.dropGIF(g)
 	} else {
-		r.pushBest(g, exhaustive)
+		r.pushBest(g)
 	}
 }
 
 // attachUnit files a (possibly merged) unit under the GIF matching its
-// profile, creating the GIF — and its poset node — when new.
-func (r *cramRun) attachUnit(u *Unit, exhaustive bool) {
-	var key string
-	if r.c.DisableGIFGrouping {
-		key = "unit:" + u.ID
-	} else {
-		key = u.Profile.FingerprintKey()
-	}
-	g, ok := r.byKey[key]
-	if !ok {
-		r.nextGIF++
-		prof := u.Profile.Clone()
-		g = &gif{id: fmt.Sprintf("g%d", r.nextGIF), profile: prof, summary: bitvector.Summarize(prof)}
-		r.byKey[key] = g
-		r.gifs[g.id] = g
-		r.gifIDsDirty = true
+// profile, creating the GIF — and its poset node — when new. A poset that
+// refuses the node (its ID is taken, which no run of this code leads to)
+// fails the run through err.
+func (r *cramRun) attachUnit(u *Unit) {
+	g, created := r.gifFor(u)
+	if created {
 		if r.shards != nil {
 			// The new member makes its shard's envelope stale on the
 			// unsound side; the dirty flag defers the rebuild to the next
 			// pushBest, which runs before any search can read it.
 			r.shards.add(g)
 		}
-		if !exhaustive {
+		if !r.exhaustive {
 			// Equal profiles always share a fingerprint, so the byKey miss
 			// guarantees this profile is new to the poset.
 			node, err := r.ps.Insert(g.id, g.profile, g)
 			if err != nil {
-				panic(fmt.Sprintf("allocation: poset insert for new GIF: %v", err))
+				if r.err == nil {
+					r.err = fmt.Errorf("poset insert for new GIF %s: %w", g.id, err)
+				}
+				return
 			}
 			g.node = node
 		}
 	}
 	g.insertUnit(u)
-	r.pushBest(g, exhaustive)
+	r.pushBest(g)
 }
 
-// dropGIF removes an emptied GIF from all indices.
+// dropGIF removes an emptied GIF from all indices. A poset that does not
+// hold the GIF's node fails the run through err.
 func (r *cramRun) dropGIF(g *gif) {
 	delete(r.gifs, g.id)
+	delete(r.byKey, g.key)
 	r.gifIDsDirty = true
 	if r.shards != nil {
 		// Removal leaves the shard envelope stale on the admissible side
 		// (it can only prune less), so only the live count updates.
 		r.shards.drop(g.id)
 	}
-	if !r.c.DisableGIFGrouping {
-		delete(r.byKey, g.profile.FingerprintKey())
-	} else {
-		//greenvet:ordered at most one entry maps to g, so which order the scan visits the rest in is unobservable
-		for k, v := range r.byKey {
-			if v == g {
-				delete(r.byKey, k)
-				break
-			}
-		}
-	}
 	if g.node != nil {
-		if err := r.ps.Remove(g.id); err != nil {
-			panic(fmt.Sprintf("allocation: poset remove %s: %v", g.id, err))
-		}
 		g.node = nil
+		if err := r.ps.Remove(g.id); err != nil && r.err == nil {
+			r.err = fmt.Errorf("poset remove of GIF %s: %w", g.id, err)
+		}
 	}
 }

@@ -95,7 +95,7 @@ func checkDenseAgainstReference(t *testing.T, units []*Unit, brokers []*BrokerSp
 	pubs map[string]*bitvector.PublisherStats, capacity int) denseCoverage {
 	t.Helper()
 	table := newPublisherTable(pubs, units)
-	compiled := compileUnits(units, table, new(classTable), 2)
+	compiled := compileUnits(units, table, new(classTable))
 	pk := newPack(brokers, table, capacity)
 	ref := make([]*refBroker, len(brokers))
 	for i, b := range brokers {
@@ -419,7 +419,7 @@ func TestInternIsExactContent(t *testing.T) {
 		t.Fatal("the example needs equal fingerprints")
 	}
 	units := []*Unit{a, b, c}
-	compiled := compileUnits(units, newPublisherTable(pubs, units), new(classTable), 1)
+	compiled := compileUnits(units, newPublisherTable(pubs, units), new(classTable))
 	pa, pb, pc := compiled[0], compiled[1], compiled[2]
 	if pa.class == 0 || pa.class != pb.class {
 		t.Fatalf("equal contents got classes %d and %d", pa.class, pb.class)
@@ -483,7 +483,7 @@ func TestProbeBandwidthTieOrder(t *testing.T) {
 	brokers := testBrokers(2, 2500, message.MatchingDelayFn{Base: 1.0 / 25})
 
 	base := []*Unit{u1, u2, u3}
-	got := newPool(base, brokers, newPublisherTable(pubs, base), testCap, 1).probe(nil, []*Unit{m})
+	got := newPool(base, brokers, newPublisherTable(pubs, base), testCap).probe(nil, []*Unit{m})
 	own := feasibleFirstFit([]*Unit{u1, u2, u3, m}, brokers, pubs, testCap)
 	if got != own {
 		t.Fatalf("probe = %v, from-scratch pack of the probe's own stream = %v", got, own)
@@ -510,7 +510,7 @@ func TestProbeBandwidthTieOrder(t *testing.T) {
 func TestPlacementAllocationFree(t *testing.T) {
 	units, pubs := testWorkload(3, 6, 40, 10, 100)
 	brokers := sortBrokersByCapacity(testBrokers(12, 30_000, stdDelay()))
-	p := newPool(units, brokers, newPublisherTable(pubs, units), testCap, 1)
+	p := newPool(units, brokers, newPublisherTable(pubs, units), testCap)
 	replay := func() {
 		p.pk.clear()
 		if !p.replay(nil, nil) {

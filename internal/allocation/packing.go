@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"github.com/greenps/greenps/internal/bitvector"
-	"github.com/greenps/greenps/internal/parwork"
 )
 
 // packUnit is a unit compiled for first-fit packing against one run's
@@ -30,7 +29,7 @@ type packUnit struct {
 }
 
 // compileUnit compiles the unit against the table. A pure function of
-// (unit, table), so callers may fan it out across workers.
+// (unit, table).
 func compileUnit(u *Unit, t *bitvector.PublisherTable) packUnit {
 	entries := t.Compile(u.Profile)
 	return packUnit{load: u.Load, in: inputLoad(entries, t.Stats()), filters: u.Filters, entries: entries}
@@ -78,12 +77,12 @@ type classTable struct {
 }
 
 // intern gives pu its class, minting one when its content is new, and
-// points it at the class's canonical entries. h must be
-// bitvector.HashCompiled(pu.entries).
-func (ct *classTable) intern(pu *packUnit, h uint64) {
+// points it at the class's canonical entries.
+func (ct *classTable) intern(pu *packUnit) {
 	if ct.byHash == nil {
 		ct.byHash = make(map[uint64][]int32)
 	}
+	h := bitvector.HashCompiled(pu.entries)
 	for _, c := range ct.byHash[h] {
 		if bitvector.CompiledEqual(ct.entries[c-1], pu.entries) {
 			pu.entries, pu.class = ct.entries[c-1], c
@@ -95,21 +94,13 @@ func (ct *classTable) intern(pu *packUnit, h uint64) {
 	ct.byHash[h] = append(ct.byHash[h], pu.class)
 }
 
-// compileUnits returns the units' compiled forms, position for position, the
-// compilations and content hashes fanned out across workers. Interning is
-// serial, from the caller's goroutine and in unit order; compileUnit is pure,
-// so worker count cannot change the compiled values or the class numbering.
-func compileUnits(units []*Unit, t *bitvector.PublisherTable, classes *classTable, workers int) []packUnit {
+// compileUnits returns the units' compiled forms, position for position,
+// each interned in unit order.
+func compileUnits(units []*Unit, t *bitvector.PublisherTable, classes *classTable) []packUnit {
 	packed := make([]packUnit, len(units))
-	hashes := make([]uint64, len(units))
-	parwork.Run(len(units), workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			packed[i] = compileUnit(units[i], t)
-			hashes[i] = bitvector.HashCompiled(packed[i].entries)
-		}
-	})
-	for i := range packed {
-		classes.intern(&packed[i], hashes[i])
+	for i, u := range units {
+		packed[i] = compileUnit(u, t)
+		classes.intern(&packed[i])
 	}
 	return packed
 }
@@ -410,7 +401,7 @@ func packFirstFit(units []*Unit, compiled []packUnit, brokers []*BrokerSpec, t *
 // optimizations use it to test hypothetical broker contents.
 func FitsBroker(spec *BrokerSpec, units []*Unit, pubs map[string]*bitvector.PublisherStats, capacity int) bool {
 	t := newPublisherTable(pubs, units)
-	compiled := compileUnits(units, t, new(classTable), 1)
+	compiled := compileUnits(units, t, new(classTable))
 	p := newPack([]*BrokerSpec{spec}, t, capacity)
 	for i := range compiled {
 		if p.place(&compiled[i]) < 0 {

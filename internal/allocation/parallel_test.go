@@ -12,11 +12,11 @@ import (
 	"github.com/greenps/greenps/internal/bitvector"
 )
 
-// TestCRAMDeterministicAcrossParallelism is the contract the tentpole rides
-// on: Parallelism is purely a wall-clock knob. For each metric and search
-// mode, the Assignment fingerprint and the complete CRAMStats must be
-// identical at every parallelism level — also when the worker goroutines
-// outnumber the processors (procs 1: twelve workers share one).
+// TestCRAMDeterministicAcrossParallelism is the contract the seed-phase
+// fan-out rides on: Parallelism is purely a wall-clock knob. For each metric
+// and search mode, the Assignment fingerprint and the complete CRAMStats
+// must be identical at every parallelism level — also when the worker
+// goroutines outnumber the processors (procs 1: twelve workers share one).
 func TestCRAMDeterministicAcrossParallelism(t *testing.T) {
 	in := stdInput(t)
 	cases := []struct {
@@ -85,7 +85,7 @@ func TestFeasEngineMatchesFromScratch(t *testing.T) {
 		}
 	}
 	brokers := sortBrokersByCapacity(testBrokers(8, 18_000, stdDelay()))
-	p := newPool(units, brokers, newPublisherTable(pubs, units), testCap, 1)
+	p := newPool(units, brokers, newPublisherTable(pubs, units), testCap)
 	if len(p.classes.entries) >= len(units) {
 		t.Fatalf("%d classes for %d units: the pool has no duplicates", len(p.classes.entries), len(units))
 	}

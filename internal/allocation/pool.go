@@ -54,12 +54,11 @@ type pool struct {
 	pk     *pack      // the scratch pack every probe replays onto
 }
 
-// newPool ingests the units: sorted into BIN PACKING order, compiled across
-// the workers and interned serially in that order. brokers are in trial
-// order.
-func newPool(units []*Unit, brokers []*BrokerSpec, t *bitvector.PublisherTable, capacity, workers int) *pool {
+// newPool ingests the units: sorted into BIN PACKING order, then compiled
+// and interned in that order. brokers are in trial order.
+func newPool(units []*Unit, brokers []*BrokerSpec, t *bitvector.PublisherTable, capacity int) *pool {
 	p := &pool{table: t, units: sortUnitsByBandwidthDesc(units), pk: newPack(brokers, t, capacity)}
-	p.stream = compileUnits(p.units, t, &p.classes, workers)
+	p.stream = compileUnits(p.units, t, &p.classes)
 	return p
 }
 
@@ -76,7 +75,7 @@ func (p *pool) commit(removed, added []*Unit) error {
 		return fmt.Errorf("allocation: pool commit: %d of %d removed units are not in the pool or listed twice",
 			len(removed)-len(cut), len(removed))
 	}
-	compiled := compileUnits(added, p.table, &p.classes, 1)
+	compiled := compileUnits(added, p.table, &p.classes)
 	p.units, p.stream = cutAt(p.units, cut), cutAt(p.stream, cut)
 	for j, u := range added {
 		i := sort.Search(len(p.units), func(i int) bool { return unitBefore(u, p.units[i]) })

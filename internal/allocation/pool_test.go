@@ -1,6 +1,8 @@
 package allocation
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/greenps/greenps/internal/bitvector"
@@ -15,7 +17,7 @@ func checkPoolInvariants(t *testing.T, p *pool) {
 	if len(p.stream) != len(p.units) {
 		t.Fatalf("%d compiled units for %d units", len(p.stream), len(p.units))
 	}
-	fresh := compileUnits(p.units, p.table, new(classTable), 1)
+	fresh := compileUnits(p.units, p.table, new(classTable))
 	toFresh := make(map[int32]int32)
 	fromFresh := make(map[int32]int32)
 	canonical := make(map[int32]*bitvector.PubVector)
@@ -144,4 +146,46 @@ func TestUnitsReusedAcrossPublisherTables(t *testing.T) {
 			t.Errorf("%s: the two publisher tables give one plan; the example does not separate them", mk().Name())
 		}
 	}
+}
+
+// TestCRAMPosetRefusalIsAnError makes the poset refuse what the clustering
+// loop asks of it — an insert under an ID already present, a remove of a node
+// already gone, neither of which a run of its own leads to — and checks that
+// the run stops with an error naming the step, not a panic, so a caller
+// (croc, Reconfigure) survives it.
+func TestCRAMPosetRefusalIsAnError(t *testing.T) {
+	start := func(t *testing.T) *cramRun {
+		r, err := (&CRAM{Metric: bitvector.MetricIOS}).start(stdInput(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	t.Run("insert", func(t *testing.T) {
+		r := start(t)
+		// Take the ID the run's next new GIF will be given, under a profile
+		// no search can prefer: a publisher the workload does not have.
+		foreign := bitvector.NewProfile(testCap)
+		foreign.Record("elsewhere", 0)
+		taken := fmt.Sprintf("g%d", r.nextGIF+1)
+		if _, err := r.ps.Insert(taken, foreign, nil); err != nil {
+			t.Fatal(err)
+		}
+		_, err := r.cluster()
+		if err == nil || !strings.Contains(err.Error(), "CRAM: poset insert for new GIF "+taken) {
+			t.Fatalf("cluster() = %v, want a poset insert error for %s", err, taken)
+		}
+	})
+	t.Run("remove", func(t *testing.T) {
+		r := start(t)
+		for _, id := range r.sortedGIFIDs() {
+			if err := r.ps.Remove(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, err := r.cluster()
+		if err == nil || !strings.Contains(err.Error(), "CRAM: poset remove of GIF ") {
+			t.Fatalf("cluster() = %v, want a poset remove error", err)
+		}
+	})
 }

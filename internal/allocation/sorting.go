@@ -3,8 +3,6 @@ package allocation
 import (
 	"fmt"
 	"math/rand"
-
-	"github.com/greenps/greenps/internal/parwork"
 )
 
 // unitBefore is the BIN PACKING pool order — bandwidth descending, ties
@@ -30,10 +28,6 @@ type FBF struct {
 	// package never falls back to the process-global math/rand state
 	// (greenvet's nondet analyzer rejects it).
 	Rand *rand.Rand
-	// Parallelism caps the workers of the load-estimation warm-up
-	// (0 = all cores); the packing itself is serial and the result is
-	// identical at any setting.
-	Parallelism int
 }
 
 var _ Algorithm = (*FBF)(nil)
@@ -55,7 +49,7 @@ func (f *FBF) Allocate(in *Input) (*Assignment, error) {
 	rng.Shuffle(len(units), func(i, j int) { units[i], units[j] = units[j], units[i] })
 	brokers := sortBrokersByCapacity(in.Brokers)
 	table := newPublisherTable(in.Publishers, units)
-	compiled := compileUnits(units, table, new(classTable), parwork.Workers(f.Parallelism))
+	compiled := compileUnits(units, table, new(classTable))
 	a, err := packFirstFit(units, compiled, brokers, table, in.ProfileCapacity)
 	if err != nil {
 		return nil, fmt.Errorf("FBF: %w", err)
@@ -68,12 +62,7 @@ func (f *FBF) Allocate(in *Input) (*Assignment, error) {
 // requirement (first-fit decreasing). Complexity O(S log S). The paper
 // observes it consistently allocates one less broker than FBF, in line
 // with bin-packing theory.
-type BinPacking struct {
-	// Parallelism caps the workers of the load-estimation warm-up
-	// (0 = all cores); the packing itself is serial and the result is
-	// identical at any setting.
-	Parallelism int
-}
+type BinPacking struct{}
 
 var _ Algorithm = (*BinPacking)(nil)
 
@@ -81,14 +70,14 @@ var _ Algorithm = (*BinPacking)(nil)
 func (*BinPacking) Name() string { return "BINPACKING" }
 
 // Allocate implements Algorithm.
-func (bp *BinPacking) Allocate(in *Input) (*Assignment, error) {
+func (*BinPacking) Allocate(in *Input) (*Assignment, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
 	units := sortUnitsByBandwidthDesc(in.Units)
 	brokers := sortBrokersByCapacity(in.Brokers)
 	table := newPublisherTable(in.Publishers, units)
-	compiled := compileUnits(units, table, new(classTable), parwork.Workers(bp.Parallelism))
+	compiled := compileUnits(units, table, new(classTable))
 	a, err := packFirstFit(units, compiled, brokers, table, in.ProfileCapacity)
 	if err != nil {
 		return nil, fmt.Errorf("BINPACKING: %w", err)

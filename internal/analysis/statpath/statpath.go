@@ -1,16 +1,15 @@
-// Package statpath guards the E7/E8 stat counters. PR 1 established that
-// ClosenessComputations, CoverComputations, and PackAttempts are tallied
-// only on the canonical serial search path — never inside worker
-// goroutines or callbacks — which is what makes the E8 table
-// identical at every Parallelism setting. statpath enforces the two
-// mechanical consequences:
+// Package statpath guards the E7/E8 stat counters. ClosenessComputations,
+// CoverComputations, and PackAttempts are tallied only on the canonical
+// serial path — never inside worker goroutines or callbacks — which is
+// what makes the E8 table identical at every Parallelism setting.
+// statpath enforces the two mechanical consequences:
 //
 //  1. Only the allocation package mutates the counters. Everyone else
 //     (croc, experiments, benchmarks) reads them.
 //  2. Inside allocation, a counter mutation must sit in a plain function
-//     body: never inside a function literal (parwork callbacks, the
-//     binary search's mk closure, sort comparators) and never inside a go
-//     statement. Closures are exactly the code that may run concurrently,
+//     body: never inside a function literal (the seed phase's parwork
+//     callback, the binary search's mk closure, sort comparators) and
+//     never inside a go statement. Closures are exactly the code that may run concurrently,
 //     where a tally would race, or as often as their caller pleases, where
 //     it would count work the canonical path never decided on.
 //

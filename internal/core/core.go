@@ -67,10 +67,10 @@ type Config struct {
 	DisableGIFGrouping bool
 	ExhaustiveSearch   bool
 	DisableOneToMany   bool
-	// Parallelism caps the worker count of the loops the allocation
-	// algorithms fan out — unit compilation, CRAM's partner searches and
-	// poset BFS; feasibility probes are serial (0 = all cores). Results are bit-for-bit identical at any setting; only
-	// wall-clock time changes.
+	// Parallelism caps the worker count of CRAM's seed phase, the one loop
+	// the allocation algorithms fan out (0 = all cores); FBF and BIN
+	// PACKING ignore it. Results are bit-for-bit identical at any setting;
+	// only wall-clock time changes.
 	Parallelism int
 	// Shards sets CRAM's sharded exhaustive partner scan (0 = automatic,
 	// 1 = unsharded). Plans are bit-for-bit identical at any value; only
@@ -258,9 +258,9 @@ func newAlgorithm(cfg Config) (allocation.Algorithm, error) {
 	}
 	switch cfg.Algorithm {
 	case AlgFBF:
-		return &allocation.FBF{Seed: cfg.Seed, Parallelism: cfg.Parallelism}, nil
+		return &allocation.FBF{Seed: cfg.Seed}, nil
 	case AlgBinPacking:
-		return &allocation.BinPacking{Parallelism: cfg.Parallelism}, nil
+		return &allocation.BinPacking{}, nil
 	case AlgCRAMIntersect:
 		return mkCRAM(bitvector.MetricIntersect), nil
 	case AlgCRAMXor:

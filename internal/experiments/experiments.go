@@ -33,7 +33,7 @@ type Config struct {
 	MeasureRounds int
 	// Seed drives all randomness.
 	Seed int64
-	// Parallelism caps the allocation algorithms' worker count
+	// Parallelism caps the worker count of CRAM's seed phase
 	// (0 = all cores). Results are identical at any setting; only the
 	// compute-time columns change.
 	Parallelism int

@@ -1,10 +1,10 @@
-// Package parwork provides the deterministic fork/join helper shared by the
-// allocation and poset hot paths. It deliberately exposes only a chunked
-// parallel-for: callers split index ranges across workers, write results
-// into pre-sized slices (or reduce per-chunk partials in canonical chunk
-// order), and therefore produce bit-for-bit identical output at any worker
-// count. No work item may depend on another item scheduled in the same
-// call.
+// Package parwork provides the deterministic fork/join helper behind CRAM's
+// seed phase, the one loop the allocation core fans out. It deliberately
+// exposes only a chunked parallel-for: callers split index ranges across
+// workers, write results into pre-sized slices (or reduce per-chunk
+// partials in canonical chunk order), and therefore produce bit-for-bit
+// identical output at any worker count. No work item may depend on another
+// item scheduled in the same call.
 package parwork
 
 import (

@@ -33,44 +33,9 @@ func randomPoset(t *testing.T, seed int64, n int) (*Poset, []*bitvector.Profile)
 	return p, profiles
 }
 
-// TestSearchClosestParallelMatchesSerial: for every metric, every query, and
-// workers in {1, 2, 8}, the parallel search must return the same best node,
-// the same closeness, and the exact same computation count as the serial
-// search.
-func TestSearchClosestParallelMatchesSerial(t *testing.T) {
-	p, profiles := randomPoset(t, 11, 60)
-	metrics := []bitvector.Metric{
-		bitvector.MetricIntersect, bitvector.MetricXor,
-		bitvector.MetricIOS, bitvector.MetricIOU,
-	}
-	for _, m := range metrics {
-		for qi, q := range profiles {
-			skip := func(n *Node) bool { return n.ID == fmt.Sprintf("n%03d", qi) }
-			want := p.SearchClosest(q, m, skip)
-			for _, w := range []int{1, 2, 8} {
-				got := p.SearchClosestOpts(q, m, skip, true, w, true)
-				if got.Best != want.Best || got.Closeness != want.Closeness ||
-					got.Computations != want.Computations {
-					wantID, gotID := "<nil>", "<nil>"
-					if want.Best != nil {
-						wantID = want.Best.ID
-					}
-					if got.Best != nil {
-						gotID = got.Best.ID
-					}
-					t.Fatalf("metric=%v query=%d workers=%d: got (%s, %v, %d), serial (%s, %v, %d)",
-						m, qi, w, gotID, got.Closeness, got.Computations,
-						wantID, want.Closeness, want.Computations)
-				}
-			}
-		}
-	}
-}
-
 // TestSearchClosestBoundedMatchesUnbounded: with bound pruning on, the
 // search must return the same best node, closeness, and computation count
-// as with every evaluation exact — for every metric, query, and worker
-// count — and BoundPruned itself must be identical at every worker count.
+// as with every evaluation exact, for every metric and query.
 func TestSearchClosestBoundedMatchesUnbounded(t *testing.T) {
 	p, profiles := randomPoset(t, 17, 60)
 	metrics := []bitvector.Metric{
@@ -80,25 +45,16 @@ func TestSearchClosestBoundedMatchesUnbounded(t *testing.T) {
 	for _, m := range metrics {
 		for qi, q := range profiles {
 			skip := func(n *Node) bool { return n.ID == fmt.Sprintf("n%03d", qi) }
-			exact := p.SearchClosestOpts(q, m, skip, true, 1, false)
+			exact := p.SearchClosestOpts(q, m, skip, true, false)
 			if exact.BoundPruned != 0 {
 				t.Fatalf("metric=%v query=%d: BoundPruned=%d with bounds disabled", m, qi, exact.BoundPruned)
 			}
-			var prunedAtOne int
-			for _, w := range []int{1, 2, 8} {
-				got := p.SearchClosestOpts(q, m, skip, true, w, true)
-				if got.Best != exact.Best || got.Closeness != exact.Closeness ||
-					got.Computations != exact.Computations {
-					t.Fatalf("metric=%v query=%d workers=%d: bounded (%v, %v, %d) != exact (%v, %v, %d)",
-						m, qi, w, got.Best, got.Closeness, got.Computations,
-						exact.Best, exact.Closeness, exact.Computations)
-				}
-				if w == 1 {
-					prunedAtOne = got.BoundPruned
-				} else if got.BoundPruned != prunedAtOne {
-					t.Fatalf("metric=%v query=%d workers=%d: BoundPruned=%d, want %d (workers=1)",
-						m, qi, w, got.BoundPruned, prunedAtOne)
-				}
+			got := p.SearchClosestOpts(q, m, skip, true, true)
+			if got.Best != exact.Best || got.Closeness != exact.Closeness ||
+				got.Computations != exact.Computations {
+				t.Fatalf("metric=%v query=%d: bounded (%v, %v, %d) != exact (%v, %v, %d)",
+					m, qi, got.Best, got.Closeness, got.Computations,
+					exact.Best, exact.Closeness, exact.Computations)
 			}
 		}
 	}
@@ -115,8 +71,8 @@ func TestSearchClosestBoundPrunesDisjoint(t *testing.T) {
 	mustInsert(t, p, "far", far)
 	q := rangeProf(0, 10)
 	skip := func(*Node) bool { return false }
-	got := p.SearchClosestOpts(q, bitvector.MetricIntersect, skip, true, 1, true)
-	want := p.SearchClosestOpts(q, bitvector.MetricIntersect, skip, true, 1, false)
+	got := p.SearchClosestOpts(q, bitvector.MetricIntersect, skip, true, true)
+	want := p.SearchClosestOpts(q, bitvector.MetricIntersect, skip, true, false)
 	if got.Best != want.Best || got.Closeness != want.Closeness || got.Computations != want.Computations {
 		t.Fatalf("bounded result diverged: got (%v,%v,%d) want (%v,%v,%d)",
 			got.Best, got.Closeness, got.Computations, want.Best, want.Closeness, want.Computations)
@@ -130,21 +86,30 @@ func TestSearchClosestBoundPrunesDisjoint(t *testing.T) {
 }
 
 // TestSearchClosestParallelConcurrentQueries: many goroutines may search a
-// frozen poset at once (the CRAM seed phase does exactly this). Run with
-// -race to validate.
+// frozen poset at once (the CRAM seed phase does exactly this), and each gets
+// what a lone search returns. Run with -race to validate.
 func TestSearchClosestParallelConcurrentQueries(t *testing.T) {
 	p, profiles := randomPoset(t, 23, 40)
+	search := func(i int) SearchResult {
+		return p.SearchClosest(profiles[i], bitvector.MetricIOS, func(n *Node) bool {
+			return n.ID == fmt.Sprintf("n%03d", i)
+		})
+	}
+	want := make([]SearchResult, len(profiles))
+	for i := range profiles {
+		want[i] = search(i)
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			for i, q := range profiles {
-				_ = p.SearchClosestOpts(q, bitvector.MetricIOS, func(n *Node) bool {
-					return n.ID == fmt.Sprintf("n%03d", i)
-				}, true, 1+w%4, true)
+			for i := range profiles {
+				if got := search(i); got != want[i] {
+					t.Errorf("query %d: concurrent search %+v, lone search %+v", i, got, want[i])
+				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 }

@@ -20,10 +20,8 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync/atomic"
 
 	"github.com/greenps/greenps/internal/bitvector"
-	"github.com/greenps/greenps/internal/parwork"
 )
 
 // Node is a poset element. The zero Node is invalid; nodes are created by
@@ -375,17 +373,20 @@ type SearchResult struct {
 }
 
 // SearchClosest is SearchClosestOpts as the paper runs it: both prunings and
-// the summary bounds on, one worker.
+// the summary bounds on.
 func (p *Poset) SearchClosest(query *bitvector.Profile, metric bitvector.Metric, skip func(*Node) bool) SearchResult {
-	return p.SearchClosestOpts(query, metric, skip, true, 1, true)
+	return p.SearchClosestOpts(query, metric, skip, true, true)
 }
 
 // SearchClosestOpts finds the admissible node with the highest closeness to
-// the query profile. skip marks nodes that must not be returned (the
-// query's own node, blacklisted pairs) — they are still traversed. The
-// poset must not be mutated during the search; concurrent searches over a
-// frozen poset are safe.
+// the query profile, ties going to the lower ID. skip marks nodes that must
+// not be returned (the query's own node, blacklisted pairs) — they are still
+// traversed. The poset must not be mutated during the search; concurrent
+// searches over a frozen poset are safe.
 //
+// The search is a breadth-first walk from the root, one level at a time:
+// each node of the level has its not-yet-seen children evaluated in
+// Children() order, and a child that is descended into joins the next level.
 // Two prunings apply to the INTERSECT, IOS, and IOU metrics (never to XOR,
 // whose closeness is positive even for empty relations — the paper's
 // explanation for XOR's ≥75% longer computation time):
@@ -403,59 +404,26 @@ func (p *Poset) SearchClosest(query *bitvector.Profile, metric bitvector.Metric,
 //     reduction the paper reports. The pruned child itself is still
 //     considered as a candidate.
 //
-// The search is level-synchronous. A serial FIFO BFS visits nodes in
-// discovery order, which is level order, so the level-at-a-time
-// restructuring below visits and claims exactly the nodes the serial search
-// would, in the same order. Each level proceeds in three steps:
-//
-//  1. Claim: walk the frontier in order and mark unseen children seen, in
-//     the canonical (frontier order × sorted Children()) order. Claiming
-//     precedes every closeness evaluation, exactly as in the serial code,
-//     so which parent "owns" a shared child never depends on closeness
-//     values or scheduling.
-//  2. Evaluate: compute the claimed nodes' closeness values — mutually
-//     independent — across the workers, tallying Computations atomically
-//     (an exact sum, not an estimate).
-//  3. Apply: in claimed order, run the pruning rules and candidate update
-//     serially, building the next frontier.
-//
-// Chunk boundaries in step 2 carry no information, so Best, Closeness, and
-// Computations are identical at every worker count.
-//
-// With useBounds, step 2 first computes the summary-based
-// ClosenessUpperBound and answers the evaluation from it when the exact
-// value provably cannot matter — two cases, both no-ops on the result:
+// With useBounds, a child's summary-based ClosenessUpperBound is taken first
+// and stands in for the exact metric when the exact value provably cannot
+// matter — two cases, both no-ops on the result:
 //
 //   - ub == 0: the bound is admissible, so the closeness is exactly 0 and
-//     the zero-pruning path fires just as it would after an exact call.
-//   - ub strictly below BOTH the claim's parent closeness and the best
-//     closeness at level start: decrease pruning stops the descent, and the
+//     zero pruning fires just as it would after an exact call.
+//   - ub strictly below BOTH the parent's closeness and the best closeness
+//     found on earlier levels: decrease pruning stops the descent, and the
 //     node cannot displace the incumbent (its closeness is strictly lower),
-//     so neither the frontier nor the candidate changes.
+//     so neither the next level nor the candidate changes.
 //
-// Both tests read only level-start state (captured before the parallel
-// step), never the running best mutated in step 3, so the skip set — and
-// with it BoundPruned — is identical at every worker count. Best, Closeness
-// and Computations are the same with and without useBounds (CRAM's
-// DisableBoundPruning knob and the equivalence tests behind it); only
-// BoundPruned and wall-clock differ.
-func (p *Poset) SearchClosestOpts(query *bitvector.Profile, metric bitvector.Metric, skip func(*Node) bool, pruneDecreasing bool, workers int, useBounds bool) SearchResult {
+// The second test reads the best as it stood when the level began, not the
+// running one, so BoundPruned — which CRAMStats and BENCH_scale.json record
+// — depends on the poset's shape and not on the order within a level. Best,
+// Closeness and Computations are the same with and without useBounds
+// (CRAM's DisableBoundPruning knob and the equivalence tests behind it);
+// only BoundPruned and wall-clock differ.
+func (p *Poset) SearchClosestOpts(query *bitvector.Profile, metric bitvector.Metric, skip func(*Node) bool, pruneDecreasing, useBounds bool) SearchResult {
 	var res SearchResult
 	prunable := metric != bitvector.MetricXor
-
-	type item struct {
-		node      *Node
-		closeness float64
-	}
-	type claim struct {
-		node            *Node
-		parentCloseness float64
-		parentIsRoot    bool
-		closeness       float64
-		pruned          bool
-	}
-	seen := make(map[*Node]struct{})
-	var comps, prunedEvals atomic.Int64
 
 	// Bound pruning needs the query's summary; XOR is excluded because its
 	// search never prunes (an XOR bound can't rule out descent, and every
@@ -465,87 +433,48 @@ func (p *Poset) SearchClosestOpts(query *bitvector.Profile, metric bitvector.Met
 		qsum = bitvector.Summarize(query)
 	}
 
-	// better applies the candidate with deterministic tie-breaking (lower
-	// ID wins on equal closeness), so results do not depend on map
-	// iteration order — important under XOR, where the capped maximum
-	// value produces frequent exact ties.
-	better := func(ch *Node, c float64) {
-		if skip(ch) {
-			return
-		}
-		if res.Best == nil || c > res.Closeness ||
-			(c == res.Closeness && ch.ID < res.Best.ID) {
-			res.Best, res.Closeness = ch, c
-		}
+	type item struct {
+		node      *Node
+		closeness float64
 	}
-
-	frontier := []item{{node: p.root}}
-	rootLevel := true
-	var claims []claim
-	for len(frontier) > 0 {
-		claims = claims[:0]
-		for _, it := range frontier {
+	seen := make(map[*Node]struct{})
+	level, next := []item{{node: p.root}}, []item(nil)
+	for rootLevel := true; len(level) > 0; rootLevel = false {
+		levelBest, haveBest := res.Closeness, res.Best != nil
+		for _, it := range level {
 			for _, ch := range it.node.Children() {
 				if _, ok := seen[ch]; ok {
 					continue
 				}
 				seen[ch] = struct{}{}
-				claims = append(claims, claim{
-					node:            ch,
-					parentCloseness: it.closeness,
-					parentIsRoot:    rootLevel,
-				})
-			}
-		}
-		levelBest, haveBest := res.Closeness, res.Best != nil
-		parwork.Run(len(claims), workers, func(lo, hi int) {
-			skipped := 0
-			for i := lo; i < hi; i++ {
-				cl := &claims[i]
+				res.Computations++
 				if qsum != nil {
-					ub := bitvector.ClosenessUpperBound(metric, qsum, cl.node.summary)
+					ub := bitvector.ClosenessUpperBound(metric, qsum, ch.summary)
 					if ub == 0 ||
-						(pruneDecreasing && !cl.parentIsRoot && haveBest &&
-							ub < cl.parentCloseness && ub < levelBest) {
-						cl.pruned = true
-						skipped++
+						(pruneDecreasing && !rootLevel && haveBest &&
+							ub < it.closeness && ub < levelBest) {
+						res.BoundPruned++
 						continue
 					}
 				}
-				cl.closeness = bitvector.Closeness(metric, query, cl.node.Profile)
-			}
-			comps.Add(int64(hi - lo))
-			prunedEvals.Add(int64(skipped))
-		})
-		frontier = frontier[:0]
-		for _, cl := range claims {
-			if cl.pruned {
-				// The bound proved this evaluation affects nothing: either
-				// closeness is exactly 0 (zero pruning) or it is strictly
-				// below both the parent's value (decrease pruning: no
-				// descent) and the incumbent best (no candidate update).
-				continue
-			}
-			c := cl.closeness
-			if prunable {
-				if c == 0 {
+				c := bitvector.Closeness(metric, query, ch.Profile)
+				if prunable && c == 0 {
 					continue // empty relation: all descendants empty too
 				}
-				if pruneDecreasing && !cl.parentIsRoot && c < cl.parentCloseness {
-					// Closeness decreasing: candidate only, no descent.
-					better(cl.node, c)
-					continue
+				// The candidate update breaks ties by ID (lower wins) —
+				// important under XOR, where the capped maximum value
+				// produces frequent exact ties.
+				if !skip(ch) && (res.Best == nil || c > res.Closeness ||
+					(c == res.Closeness && ch.ID < res.Best.ID)) {
+					res.Best, res.Closeness = ch, c
 				}
+				if prunable && pruneDecreasing && !rootLevel && c < it.closeness {
+					continue // closeness decreasing: candidate only, no descent
+				}
+				next = append(next, item{node: ch, closeness: c})
 			}
-			better(cl.node, c)
-			frontier = append(frontier, item{node: cl.node, closeness: c})
 		}
-		rootLevel = false
-	}
-	res.Computations = int(comps.Load())
-	res.BoundPruned = int(prunedEvals.Load())
-	if res.Best == nil {
-		res.Closeness = 0
+		level, next = next, level[:0]
 	}
 	// XOR assigns positive closeness to empty relations, so Best can be a
 	// node with which the query shares nothing — the paper observes exactly

@@ -346,7 +346,7 @@ func TestQuickSearchClosestMatchesExhaustive(t *testing.T) {
 			})
 			// With only the exact zero-pruning, the search must find the
 			// true maximum.
-			exact := p.SearchClosestOpts(query, m, func(*Node) bool { return false }, false, 1, true)
+			exact := p.SearchClosestOpts(query, m, func(*Node) bool { return false }, false, true)
 			if bestVal == 0 {
 				if exact.Best != nil {
 					t.Logf("%v: exact search found %s where exhaustive found nothing", m, exact.Best.ID)
