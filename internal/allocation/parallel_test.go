@@ -23,12 +23,14 @@ func TestCRAMDeterministicAcrossParallelism(t *testing.T) {
 		name       string
 		metric     bitvector.Metric
 		exhaustive bool
+		shards     int // CRAM.Shards; above 1 the seed phase also tallies ShardsPruned
 		procs      int // GOMAXPROCS for the case; 0 leaves it alone
 	}{
-		{"xor-poset", bitvector.MetricXor, false, 0},
-		{"ios-poset", bitvector.MetricIOS, false, 0},
-		{"intersect-exhaustive", bitvector.MetricIntersect, true, 0},
-		{"ios-poset-one-proc", bitvector.MetricIOS, false, 1},
+		{"xor-poset", bitvector.MetricXor, false, 0, 0},
+		{"ios-poset", bitvector.MetricIOS, false, 0, 0},
+		{"intersect-exhaustive", bitvector.MetricIntersect, true, 0, 0},
+		{"ios-exhaustive-sharded", bitvector.MetricIOS, true, 4, 0},
+		{"ios-poset-one-proc", bitvector.MetricIOS, false, 0, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -38,7 +40,7 @@ func TestCRAMDeterministicAcrossParallelism(t *testing.T) {
 			var wantFP string
 			var wantStats CRAMStats
 			for _, par := range []int{1, 2, 8, 12} {
-				cram := &CRAM{Metric: tc.metric, ExhaustiveSearch: tc.exhaustive, Parallelism: par}
+				cram := &CRAM{Metric: tc.metric, ExhaustiveSearch: tc.exhaustive, Shards: tc.shards, Parallelism: par}
 				a, err := cram.Allocate(in)
 				if err != nil {
 					t.Fatalf("par=%d: %v", par, err)
@@ -47,6 +49,9 @@ func TestCRAMDeterministicAcrossParallelism(t *testing.T) {
 				fp := a.Fingerprint()
 				if par == 1 {
 					wantFP, wantStats = fp, cram.Stats()
+					if tc.shards > 1 && wantStats.ShardsPruned == 0 {
+						t.Fatal("sharded case pruned no shard: ShardsPruned is compared vacuously")
+					}
 					continue
 				}
 				if fp != wantFP {

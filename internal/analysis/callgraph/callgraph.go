@@ -1,9 +1,9 @@
 // Package callgraph builds a whole-program call graph over the loaded
 // packages and computes bottom-up per-function summaries (may-block,
-// acquired locks, goroutine spawns, nondeterminism taint, may-panic) with
-// fixpoint iteration over strongly connected components, so recursion and
-// mutual recursion converge. It is the interprocedural substrate under
-// lockcheck-ip, detflow, and leakcheck.
+// acquired locks, nondeterminism taint) with fixpoint iteration over
+// strongly connected components, so recursion and mutual recursion
+// converge. It is the interprocedural substrate under lockcheck's
+// whole-program half and detflow.
 //
 // Resolution policy (see DESIGN.md §13 for the full soundness argument):
 //
@@ -17,11 +17,10 @@
 //   - Function values resolve through a flow-insensitive, program-wide
 //     scan of assignments: a call through a variable targets every
 //     function ever assigned to it. Method values and closures assigned
-//     to variables become call edges this way. A variable that is ever
-//     assigned something unresolvable — and any call through a struct
-//     field, parameter, slice element, or call result — is widened: the
-//     site contributes no edges and the caller's summary is marked
-//     Widened, recording that its facts are lower bounds there.
+//     to variables become call edges this way. An unresolvable
+//     assignment adds no target, and a call through a struct field,
+//     parameter, slice element, or call result is widened: the site
+//     contributes no edges, so the caller's facts are lower bounds there.
 //   - A function literal or statically resolvable function passed as a
 //     call argument gets a dynamic edge from the caller, modeling the
 //     common synchronous higher-order shapes (sort.Slice comparators,
@@ -54,8 +53,6 @@ type Graph struct {
 	Nodes []*Node
 	// CallEdges maps each resolved call site to its outgoing edges.
 	CallEdges map[*ast.CallExpr][]*Edge
-	// Unresolved marks call sites widened away (opaque function values).
-	Unresolved map[*ast.CallExpr]bool
 
 	byObj map[*types.Func]*Node
 	byLit map[*ast.FuncLit]*Node
@@ -84,9 +81,8 @@ type Node struct {
 	// Summary holds the node's interprocedural facts after Summarize.
 	Summary *Summary
 
-	params []*types.Var // channel-relevant positional params, for SendsOnParam
-	sig    *types.Signature
-	facts  *localFacts // cached per-body local scan (summary.go)
+	sig   *types.Signature
+	facts *localFacts // cached per-body local scan (summary.go)
 }
 
 // External reports whether the node stands in for a function outside the
@@ -118,16 +114,15 @@ type Edge struct {
 // FileSet (framework.Load guarantees this; fixtures load one package).
 func Build(pkgs []*framework.Package) *Graph {
 	g := &Graph{
-		Packages:   pkgs,
-		CallEdges:  make(map[*ast.CallExpr][]*Edge),
-		Unresolved: make(map[*ast.CallExpr]bool),
-		byObj:      make(map[*types.Func]*Node),
-		byLit:      make(map[*ast.FuncLit]*Node),
+		Packages:  pkgs,
+		CallEdges: make(map[*ast.CallExpr][]*Edge),
+		byObj:     make(map[*types.Func]*Node),
+		byLit:     make(map[*ast.FuncLit]*Node),
 	}
 	if len(pkgs) > 0 {
 		g.Fset = pkgs[0].Fset
 	}
-	b := &builder{g: g, methods: make(map[string][]*Node), assigns: make(map[*types.Var]*assignSet)}
+	b := &builder{g: g, methods: make(map[string][]*Node), assigns: make(map[*types.Var][]*Node)}
 	for _, pkg := range pkgs {
 		b.collectNodes(pkg)
 	}
@@ -143,12 +138,6 @@ func Build(pkgs []*framework.Package) *Graph {
 	}
 	return g
 }
-
-// NodeOf returns the node for a declared function or method, or nil.
-func (g *Graph) NodeOf(fn *types.Func) *Node { return g.byObj[fn] }
-
-// LitNode returns the node for a function literal, or nil.
-func (g *Graph) LitNode(lit *ast.FuncLit) *Node { return g.byLit[lit] }
 
 // Of returns the (summarized) call graph for the pass's whole program,
 // building it on first demand and sharing it across analyzers and
@@ -167,15 +156,10 @@ type builder struct {
 	// methods indexes every in-program method node by name, for CHA
 	// expansion of interface calls.
 	methods map[string][]*Node
-	// assigns records, per function-typed variable, every value ever
-	// assigned to it program-wide.
-	assigns map[*types.Var]*assignSet
-}
-
-// assignSet is the flow-insensitive assignment history of one variable.
-type assignSet struct {
-	targets []*Node // resolvable assigned functions, in source order
-	opaque  bool    // some assignment was unresolvable
+	// assigns records, per function-typed variable, every resolvable
+	// function ever assigned to it program-wide, in source order — the
+	// flow-insensitive assignment history calls through it resolve to.
+	assigns map[*types.Var][]*Node
 }
 
 // newNode appends a node and registers its identity maps.
@@ -235,11 +219,6 @@ func (b *builder) collectNodes(pkg *framework.Package) {
 // register adds a bodied node and indexes methods for CHA.
 func (b *builder) register(n *Node) {
 	b.newNode(n)
-	if n.sig != nil {
-		for i := 0; i < n.sig.Params().Len(); i++ {
-			n.params = append(n.params, n.sig.Params().At(i))
-		}
-	}
 	if n.Obj != nil && n.sig != nil && n.sig.Recv() != nil {
 		b.methods[n.Obj.Name()] = append(b.methods[n.Obj.Name()], n)
 	}
@@ -310,19 +289,15 @@ func funcName(pkgName string, fn *types.Func) string {
 // collectAssigns scans the package for assignments to function-typed
 // variables, feeding the program-wide function-value resolution.
 func (b *builder) collectAssigns(pkg *framework.Package) {
-	info := pkg.Info
 	for _, f := range pkg.Files {
 		ast.Inspect(f, func(node ast.Node) bool {
+			// Tuple assignments from a call and range variables carry
+			// opaque values: they add no targets.
 			switch st := node.(type) {
 			case *ast.AssignStmt:
 				if len(st.Lhs) == len(st.Rhs) {
 					for i, lhs := range st.Lhs {
 						b.recordAssign(pkg, lhs, st.Rhs[i])
-					}
-				} else {
-					// Tuple assignment from a call: opaque values.
-					for _, lhs := range st.Lhs {
-						b.recordOpaque(info, lhs)
 					}
 				}
 			case *ast.ValueSpec:
@@ -330,15 +305,7 @@ func (b *builder) collectAssigns(pkg *framework.Package) {
 					for i, name := range st.Names {
 						b.recordAssign(pkg, name, st.Values[i])
 					}
-				} else if len(st.Values) > 0 {
-					for _, name := range st.Names {
-						b.recordOpaque(info, name)
-					}
 				}
-			case *ast.RangeStmt:
-				// Ranging over a collection of functions: opaque.
-				b.recordOpaque(info, st.Key)
-				b.recordOpaque(info, st.Value)
 			}
 			return true
 		})
@@ -372,40 +339,10 @@ func (b *builder) recordAssign(pkg *framework.Package, lhs, rhs ast.Expr) {
 	if v == nil {
 		return
 	}
-	set := b.assigns[v]
-	if set == nil {
-		set = &assignSet{}
-		b.assigns[v] = set
-	}
-	if isNil(pkg.Info, rhs) {
-		return // calling a nil func panics; not a call edge
-	}
+	// nil and anything unresolvable add no target.
 	if t := b.resolveFuncExpr(pkg, rhs); t != nil {
-		set.targets = append(set.targets, t)
-	} else {
-		set.opaque = true
+		b.assigns[v] = append(b.assigns[v], t)
 	}
-}
-
-func (b *builder) recordOpaque(info *types.Info, lhs ast.Expr) {
-	if lhs == nil {
-		return
-	}
-	v := funcVarOf(info, lhs)
-	if v == nil {
-		return
-	}
-	set := b.assigns[v]
-	if set == nil {
-		set = &assignSet{}
-		b.assigns[v] = set
-	}
-	set.opaque = true
-}
-
-func isNil(info *types.Info, e ast.Expr) bool {
-	tv, ok := info.Types[e]
-	return ok && tv.IsNil()
 }
 
 // resolveFuncExpr resolves a non-call function-valued expression — a
@@ -474,7 +411,10 @@ func (b *builder) addEdge(e *Edge) {
 	b.g.CallEdges[e.Site] = append(b.g.CallEdges[e.Site], e)
 }
 
-// call resolves one call site.
+// call resolves one call site. A site that resolves to nothing — an
+// index expression, a call result, a struct field (injected dependencies
+// like core.Config.Clock), a parameter, a type-parameter method — is
+// widened: it contributes no edges.
 func (b *builder) call(caller *Node, call *ast.CallExpr, isGo, isDefer bool) {
 	info := caller.Pkg.Info
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
@@ -483,7 +423,6 @@ func (b *builder) call(caller *Node, call *ast.CallExpr, isGo, isDefer bool) {
 	emit := func(callee *Node, dynamic bool) {
 		b.addEdge(&Edge{Caller: caller, Callee: callee, Site: call, Go: isGo, Defer: isDefer, Dynamic: dynamic, ArgIndex: -1})
 	}
-	resolved := true
 	switch fun := unparen(call.Fun).(type) {
 	case *ast.FuncLit:
 		if lit := b.g.byLit[fun]; lit != nil {
@@ -491,64 +430,42 @@ func (b *builder) call(caller *Node, call *ast.CallExpr, isGo, isDefer bool) {
 		}
 	case *ast.Ident:
 		switch obj := info.Uses[fun].(type) {
-		case *types.Builtin:
-			// panic/recover/len/...: summarized locally, no edge.
 		case *types.Func:
 			emit(b.nodeFor(obj), false)
 		case *types.Var:
-			resolved = b.throughVar(caller, call, obj, isGo, isDefer)
-		default:
-			resolved = false
+			b.throughVar(emit, obj)
 		}
 	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[fun]; ok {
-			switch sel.Kind() {
-			case types.MethodVal:
-				recv := sel.Recv()
-				fn, _ := sel.Obj().(*types.Func)
-				if fn == nil {
-					resolved = false
-					break
-				}
-				if iface := interfaceUnder(recv); iface != nil {
-					// CHA: every in-program implementation, plus the
-					// interface method itself for curated external facts.
-					for _, impl := range b.implementations(fn.Name(), iface) {
-						emit(impl, true)
-					}
-					emit(b.nodeFor(fn), true)
-				} else if _, isTypeParam := recv.(*types.TypeParam); isTypeParam {
-					resolved = false // constraint dispatch: widen
-				} else {
-					emit(b.nodeFor(fn), false)
-				}
-			case types.MethodExpr:
-				if fn, ok := sel.Obj().(*types.Func); ok {
-					emit(b.nodeFor(fn), false)
-				} else {
-					resolved = false
-				}
-			case types.FieldVal:
-				// Call through a struct field (injected dependencies
-				// like core.Config.Clock): widened by design.
-				resolved = false
-			}
-		} else {
+		sel, ok := info.Selections[fun]
+		if !ok {
+			// Package-qualified function or variable.
 			switch obj := info.Uses[fun.Sel].(type) {
 			case *types.Func:
 				emit(b.nodeFor(obj), false)
 			case *types.Var:
-				resolved = b.throughVar(caller, call, obj, isGo, isDefer)
-			default:
-				resolved = false
+				b.throughVar(emit, obj)
 			}
+			break
 		}
-	default:
-		// Index expressions, call results, type assertions: opaque.
-		resolved = false
-	}
-	if !resolved {
-		b.g.Unresolved[call] = true
+		fn, _ := sel.Obj().(*types.Func)
+		if fn == nil {
+			break // call through a struct field
+		}
+		if sel.Kind() == types.MethodExpr {
+			emit(b.nodeFor(fn), false)
+			break
+		}
+		recv := sel.Recv()
+		if iface := interfaceUnder(recv); iface != nil {
+			// CHA: every in-program implementation, plus the
+			// interface method itself for curated external facts.
+			for _, impl := range b.implementations(fn.Name(), iface) {
+				emit(impl, true)
+			}
+			emit(b.nodeFor(fn), true)
+		} else if _, isTypeParam := recv.(*types.TypeParam); !isTypeParam {
+			emit(b.nodeFor(fn), false)
+		}
 	}
 	// Function-valued arguments: assume the callee may invoke them
 	// synchronously (dynamic over-approximation for higher-order calls).
@@ -559,23 +476,17 @@ func (b *builder) call(caller *Node, call *ast.CallExpr, isGo, isDefer bool) {
 	}
 }
 
-// throughVar resolves a call through a function-typed variable using the
-// program-wide assignment history; reports whether the site stayed fully
-// resolved.
-func (b *builder) throughVar(caller *Node, call *ast.CallExpr, v *types.Var, isGo, isDefer bool) bool {
-	set := b.assigns[v]
-	if set == nil {
-		return false // parameter or untracked: widen
-	}
+// throughVar resolves a call through a function-typed variable to every
+// function the program-wide assignment history ever stored in it (none
+// for a parameter or an untracked variable).
+func (b *builder) throughVar(emit func(callee *Node, dynamic bool), v *types.Var) {
 	seen := make(map[*Node]bool)
-	for _, t := range set.targets {
-		if seen[t] {
-			continue
+	for _, t := range b.assigns[v] {
+		if !seen[t] {
+			seen[t] = true
+			emit(t, true)
 		}
-		seen[t] = true
-		b.addEdge(&Edge{Caller: caller, Callee: t, Site: call, Go: isGo, Defer: isDefer, Dynamic: true, ArgIndex: -1})
 	}
-	return !set.opaque
 }
 
 // implementations returns the in-program methods named name whose

@@ -123,9 +123,6 @@ func TestGoEdgeDoesNotPropagateBlocking(t *testing.T) {
 	if s.MayBlock {
 		t.Error("SpawnOnly: MayBlock = true, want false (blocking happens on the spawned goroutine)")
 	}
-	if !s.Spawns {
-		t.Error("SpawnOnly: Spawns = false, want true")
-	}
 }
 
 func TestInterfaceCHA(t *testing.T) {
@@ -145,18 +142,15 @@ func TestFuncVarReassignment(t *testing.T) {
 	if !hasCallee(n, "cg.R.Block") {
 		t.Fatalf("FuncVar: reassigned function value not resolved; edges: %v", calleeNames(n))
 	}
-	if n.Summary.Widened {
-		t.Error("FuncVar: Widened = true, want false (all assignments resolvable)")
-	}
 }
 
 func TestParamCallWidens(t *testing.T) {
 	g := testGraph(t)
-	s := node(t, g, "cg.CallsParam").Summary
-	if !s.Widened {
-		t.Error("CallsParam: Widened = false, want true (call through parameter)")
+	n := node(t, g, "cg.CallsParam")
+	if len(n.Edges) != 0 {
+		t.Errorf("CallsParam: edges = %v, want none (a parameter resolves to nothing)", calleeNames(n))
 	}
-	if s.MayBlock {
+	if n.Summary.MayBlock {
 		t.Error("CallsParam: MayBlock = true, want false (widening must not invent facts)")
 	}
 }
@@ -192,32 +186,6 @@ func TestTaintThroughHelper(t *testing.T) {
 	}
 	if s := node(t, g, "cg.Clean").Summary; s.Taints {
 		t.Errorf("Clean: Taints = true (desc %q), want false", s.TaintDesc)
-	}
-}
-
-func TestPanicAndRecover(t *testing.T) {
-	g := testGraph(t)
-	if s := node(t, g, "cg.Panics").Summary; !s.MayPanic {
-		t.Error("Panics: MayPanic = false, want true")
-	}
-	if s := node(t, g, "cg.CallsPanics").Summary; !s.MayPanic {
-		t.Error("CallsPanics: MayPanic = false, want true (propagates)")
-	}
-	if s := node(t, g, "cg.Recovers").Summary; s.MayPanic {
-		t.Error("Recovers: MayPanic = true, want false (recovering defer absorbs)")
-	}
-}
-
-func TestSendsOnParam(t *testing.T) {
-	g := testGraph(t)
-	if s := node(t, g, "cg.SendDirect").Summary; len(s.SendsOnParam) != 1 || !s.SendsOnParam[0] {
-		t.Errorf("SendDirect: SendsOnParam = %v, want [true]", s.SendsOnParam)
-	}
-	if s := node(t, g, "cg.SendWrapped").Summary; len(s.SendsOnParam) != 1 || !s.SendsOnParam[0] {
-		t.Errorf("SendWrapped: SendsOnParam = %v, want [true] (through wrapper)", s.SendsOnParam)
-	}
-	if s := node(t, g, "cg.SendGuarded").Summary; len(s.SendsOnParam) != 2 || s.SendsOnParam[0] {
-		t.Errorf("SendGuarded: SendsOnParam = %v, want [false false] (select-guarded)", s.SendsOnParam)
 	}
 }
 

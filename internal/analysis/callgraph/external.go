@@ -51,7 +51,7 @@ var BlockingMethodPkgs = map[string]map[string]bool{
 		"ReadLine": true, "Peek": true,
 	},
 	scope.TransportPath: {
-		"Send": true, "SendWithHops": true, "SendFrames": true,
+		"Send": true, "SendFrames": true,
 		"Recv": true, "SendHello": true, "RecvHello": true,
 		"writeFrame": true, "readFrame": true, "Accept": true,
 	},
@@ -62,52 +62,83 @@ var BlockingMethodPkgs = map[string]map[string]bool{
 	},
 }
 
-// TaintFuncs are external functions whose results are nondeterministic,
-// keyed by framework.FuncKey. The global math/rand functions are handled
-// separately (the whole package taints except the explicitly seeded
-// constructors), as are telemetry reads (a package-wide policy).
-var TaintFuncs = map[string]string{
-	"time.Now":           "wall-clock read",
-	"time.Since":         "wall-clock read",
-	"time.Until":         "wall-clock read",
-	"runtime.NumCPU":     "core-count query",
-	"runtime.GOMAXPROCS": "core-count query",
-	"crypto/rand.Read":   "crypto/rand read",
-	"crypto/rand.Int":    "crypto/rand read",
-	"crypto/rand.Prime":  "crypto/rand read",
-	"os.Getpid":          "process-identity read",
-	"os.Hostname":        "host-identity read",
+// NondetSource is one function outside the program whose result is hidden
+// nondeterminism. NondetSourceOf is the only list of them: nondet bans a
+// reference to any from a deterministic package, detflow follows the
+// values they return.
+type NondetSource struct {
+	// Desc names what a value read from the source is; detflow reports it
+	// as a taint's origin.
+	Desc string
+	// Ban is nondet's reason for forbidding the reference: Desc plus,
+	// where there is one, what to do instead.
+	Ban string
+	// Clock marks the wall-clock reads, the one kind the telemetry package
+	// is banned from as well (its clocks are injected).
+	Clock bool
 }
 
-// randAllowed are the math/rand package-level functions that construct
-// explicitly seeded sources rather than touching process-global state
-// (mirrors nondet's allow list).
-var randAllowed = map[string]bool{
+var (
+	wallClock  = NondetSource{Desc: "wall-clock read", Clock: true}
+	coreCount  = NondetSource{Desc: "core-count query", Ban: "core-count query; results must depend only on the explicit Parallelism option"}
+	cryptoRand = NondetSource{Desc: "crypto/rand read"}
+	globalRand = NondetSource{Desc: "global math/rand", Ban: "global math/rand state; plumb an explicitly seeded *rand.Rand through the options struct"}
+)
+
+// nondetSources is keyed by framework.FuncKey. math/rand is not listed:
+// the whole package is a source except seededRand.
+var nondetSources = map[string]NondetSource{
+	"time.Now":           wallClock,
+	"time.Since":         wallClock,
+	"time.Until":         wallClock,
+	"runtime.NumCPU":     coreCount,
+	"runtime.GOMAXPROCS": coreCount,
+	"crypto/rand.Read":   cryptoRand,
+	"crypto/rand.Int":    cryptoRand,
+	"crypto/rand.Prime":  cryptoRand,
+	"os.Getpid":          {Desc: "process-identity read"},
+	"os.Hostname":        {Desc: "host-identity read"},
+}
+
+// seededRand are the math/rand package-level functions that construct
+// explicitly seeded sources rather than touching process-global state —
+// how the FBF and PAIRWISE options plumb their Seed.
+var seededRand = map[string]bool{
 	"New":       true,
 	"NewSource": true,
-	"NewZipf":   true,
+	"NewZipf":   true, // operates on an explicit *rand.Rand
 }
 
-// TaintSourceFunc classifies an external function as a nondeterminism
-// source, returning a description.
-func TaintSourceFunc(fn *types.Func) (string, bool) {
+// NondetSourceOf classifies a package-level function as a source of
+// hidden nondeterminism. Methods never are: those on *rand.Rand draw from
+// an explicit seeded source.
+func NondetSourceOf(fn *types.Func) (NondetSource, bool) {
 	if fn == nil || fn.Pkg() == nil {
-		return "", false
+		return NondetSource{}, false
 	}
-	path := fn.Pkg().Path()
-	if (path == "math/rand" || path == "math/rand/v2") && !randAllowed[fn.Name()] {
-		// Methods on *rand.Rand operate on an explicit seeded source;
-		// only the package-level globals taint.
-		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() == nil {
-			return "global math/rand", true
-		}
-		return "", false
+	if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
+		return NondetSource{}, false
 	}
-	if scope.IsTelemetry(path) && returnsValues(fn) {
+	src, ok := nondetSources[framework.FuncKey(fn)]
+	if path := fn.Pkg().Path(); path == "math/rand" || path == "math/rand/v2" {
+		src, ok = globalRand, !seededRand[fn.Name()]
+	}
+	if src.Ban == "" {
+		src.Ban = src.Desc
+	}
+	return src, ok
+}
+
+// taintSource describes why an external function's results are
+// nondeterministic: a NondetSource, or detflow's package-wide telemetry
+// policy (every value a telemetry function returns is a runtime
+// observation).
+func taintSource(fn *types.Func) (string, bool) {
+	if src, ok := NondetSourceOf(fn); ok {
+		return src.Desc, true
+	}
+	if fn != nil && fn.Pkg() != nil && scope.IsTelemetry(fn.Pkg().Path()) && returnsValues(fn) {
 		return "telemetry read", true
-	}
-	if desc, ok := TaintFuncs[framework.FuncKey(fn)]; ok {
-		return desc, true
 	}
 	return "", false
 }
@@ -125,11 +156,11 @@ func externalBlocking(fn *types.Func) (string, bool) {
 	sig, _ := fn.Type().(*types.Signature)
 	if sig != nil && sig.Recv() != nil {
 		if fn.Name() == "Wait" {
-			return methodDesc(fn) + " (join)", true
+			return MethodDesc(fn) + " (join)", true
 		}
 		if fn.Pkg() != nil {
 			if methods, ok := BlockingMethodPkgs[fn.Pkg().Path()]; ok && methods[fn.Name()] {
-				return methodDesc(fn) + " (blocking I/O)", true
+				return MethodDesc(fn) + " (blocking I/O)", true
 			}
 		}
 		return "", false
@@ -140,8 +171,9 @@ func externalBlocking(fn *types.Func) (string, bool) {
 	return "", false
 }
 
-// methodDesc renders "Type.Method" for an external method.
-func methodDesc(fn *types.Func) string {
+// MethodDesc renders "Type.Method" for a method and the bare name for a
+// package-level function.
+func MethodDesc(fn *types.Func) string {
 	sig, _ := fn.Type().(*types.Signature)
 	if sig != nil && sig.Recv() != nil {
 		t := sig.Recv().Type()
@@ -162,7 +194,7 @@ func externalSummary(fn *types.Func) *Summary {
 		s.MayBlock = true
 		s.BlockDesc = desc
 	}
-	if desc, ok := TaintSourceFunc(fn); ok {
+	if desc, ok := taintSource(fn); ok {
 		s.Taints = true
 		s.TaintDesc = desc
 	}

@@ -32,24 +32,11 @@ type Summary struct {
 	// Acquires are the canonical lock roots (callgraph.LockRoot) the
 	// function may acquire, transitively.
 	Acquires map[string]bool
-	// Spawns: the function (transitively) starts a goroutine.
-	Spawns bool
 	// Taints: the function's return values may carry nondeterminism
 	// (wall clock, global rand, partial map-iteration order, telemetry).
 	Taints bool
 	// TaintDesc names the nondeterminism source behind Taints.
 	TaintDesc string
-	// MayPanic: an explicit panic can escape the function (no recovering
-	// defer), directly or through a callee.
-	MayPanic bool
-	// Widened: some call site in the body resolved to no edges (opaque
-	// function value), so the facts above are lower bounds there.
-	Widened bool
-	// SendsOnParam marks, per parameter position, whether the function
-	// performs an unguarded send on a channel passed at that position
-	// (directly or through a callee). Used by leakcheck to treat
-	// `go f(ch)` as a send on ch.
-	SendsOnParam []bool
 }
 
 // BlockChain renders the blocking call chain for diagnostics.
@@ -82,14 +69,9 @@ func (g *Graph) OrderEdges() []OrderEdge { return g.orderEdges }
 
 // localFacts caches one body's intraprocedural scan.
 type localFacts struct {
-	blockDesc    string // first local blocking operation, "" if none
-	spawns       bool
-	panics       bool
-	recovers     bool
-	widened      bool
-	taintPolicy  string // non-empty: policy taint (telemetry read)
-	sendsOnParam []bool
-	acquires     map[string]bool // filled by the lockset pre-analysis
+	blockDesc   string          // first local blocking operation, "" if none
+	taintPolicy string          // non-empty: policy taint (telemetry read)
+	acquires    map[string]bool // filled by the lockset pre-analysis
 }
 
 // Summarize computes every node's summary bottom-up over SCCs and then
@@ -102,11 +84,8 @@ func (g *Graph) Summarize() {
 			}
 			continue
 		}
-		n.facts = g.localScan(n)
-		n.Summary = &Summary{
-			Acquires:     make(map[string]bool),
-			SendsOnParam: make([]bool, len(n.params)),
-		}
+		n.facts = localScan(n)
+		n.Summary = &Summary{Acquires: make(map[string]bool)}
 	}
 	for _, n := range g.Nodes {
 		if !n.External() {
@@ -143,76 +122,28 @@ func (g *Graph) update(n *Node) bool {
 	if f.blockDesc != "" {
 		setBlock(f.blockDesc, []string{f.blockDesc})
 	}
-	if f.spawns && !s.Spawns {
-		s.Spawns = true
-		changed = true
-	}
-	if f.panics && !f.recovers && !s.MayPanic {
-		s.MayPanic = true
-		changed = true
-	}
-	if f.widened && !s.Widened {
-		s.Widened = true
-		changed = true
-	}
 	for root := range f.acquires {
 		if !s.Acquires[root] {
 			s.Acquires[root] = true
 			changed = true
 		}
 	}
-	for i, send := range f.sendsOnParam {
-		if send && !s.SendsOnParam[i] {
-			s.SendsOnParam[i] = true
-			changed = true
-		}
-	}
-	paramIdx := n.paramIndex()
 	for _, e := range n.Edges {
 		cs := e.Callee.Summary
-		if cs == nil {
+		if cs == nil || e.Go {
 			continue
 		}
-		if !e.Go {
-			if cs.MayBlock {
-				path := append([]string{e.Callee.Name}, cs.BlockPath...)
-				if len(path) > blockPathCap {
-					path = path[:blockPathCap]
-				}
-				setBlock("call to "+e.Callee.Name, path)
+		if cs.MayBlock {
+			path := append([]string{e.Callee.Name}, cs.BlockPath...)
+			if len(path) > blockPathCap {
+				path = path[:blockPathCap]
 			}
-			for root := range cs.Acquires {
-				if !s.Acquires[root] {
-					s.Acquires[root] = true
-					changed = true
-				}
-			}
-			if cs.MayPanic && !f.recovers && !s.MayPanic {
-				s.MayPanic = true
-				changed = true
-			}
-			if cs.Spawns && !s.Spawns {
-				s.Spawns = true
-				changed = true
-			}
+			setBlock("call to "+e.Callee.Name, path)
 		}
-		// A channel parameter forwarded to a sender is a send here too —
-		// the spawned-sender shape leakcheck cares about survives any
-		// number of wrapper layers this way.
-		if e.ArgIndex == -1 {
-			for j, arg := range e.Site.Args {
-				if j >= len(cs.SendsOnParam) {
-					break
-				}
-				if !cs.SendsOnParam[j] {
-					continue
-				}
-				if id, ok := unparen(arg).(*ast.Ident); ok {
-					if i, ok := paramIdx[n.Pkg.Info.ObjectOf(id)]; ok && !s.SendsOnParam[i] {
-						s.SendsOnParam[i] = true
-						changed = true
-					}
-				}
+		for root := range cs.Acquires {
+			if !s.Acquires[root] {
+				s.Acquires[root] = true
+				changed = true
 			}
 		}
 	}
@@ -231,30 +162,16 @@ func (g *Graph) update(n *Node) bool {
 	return changed
 }
 
-// paramIndex maps n's parameter objects to their positions.
-func (n *Node) paramIndex() map[types.Object]int {
-	out := make(map[types.Object]int, len(n.params))
-	for i, p := range n.params {
-		out[p] = i
-	}
-	return out
-}
-
 // localScan computes the body-local facts: blocking operations outside
-// select guards, goroutine spawns, escaping panics, unguarded sends on
-// channel parameters, widened call sites, and the telemetry taint
-// policy (every value a telemetry function returns is timing-dependent
-// by definition, whatever its body looks like).
-func (g *Graph) localScan(n *Node) *localFacts {
-	f := &localFacts{
-		sendsOnParam: make([]bool, len(n.params)),
-		acquires:     make(map[string]bool),
-	}
+// select guards and the telemetry taint policy (every value a telemetry
+// function returns is timing-dependent by definition, whatever its body
+// looks like).
+func localScan(n *Node) *localFacts {
+	f := &localFacts{acquires: make(map[string]bool)}
 	if scope.IsTelemetry(n.Pkg.Path) && n.sig != nil && n.sig.Results().Len() > 0 {
 		f.taintPolicy = "telemetry read"
 	}
 	commOf := selectComms(n.Body)
-	paramIdx := n.paramIndex()
 	block := func(desc string) {
 		if f.blockDesc == "" {
 			f.blockDesc = desc
@@ -264,33 +181,9 @@ func (g *Graph) localScan(n *Node) *localFacts {
 		switch x := m.(type) {
 		case *ast.FuncLit:
 			return false
-		case *ast.GoStmt:
-			f.spawns = true
-		case *ast.DeferStmt:
-			if recoverCall(n.Pkg.Info, x.Call) {
-				f.recovers = true
-			}
-		case *ast.CallExpr:
-			if id, ok := unparen(x.Fun).(*ast.Ident); ok {
-				if b, ok := n.Pkg.Info.Uses[id].(*types.Builtin); ok && b.Name() == "panic" {
-					f.panics = true
-				}
-			}
-			if g.Unresolved[x] {
-				f.widened = true
-			}
 		case *ast.SendStmt:
-			sel := commOf[ast.Node(x)]
-			guarded := sel != nil && (cfg.HasDefault(sel) || commCount(sel) >= 2)
-			if sel == nil {
+			if commOf[ast.Node(x)] == nil {
 				block("channel send")
-			}
-			if !guarded {
-				if id, ok := unparen(x.Chan).(*ast.Ident); ok {
-					if i, ok := paramIdx[n.Pkg.Info.ObjectOf(id)]; ok {
-						f.sendsOnParam[i] = true
-					}
-				}
 			}
 		case *ast.UnaryExpr:
 			if x.Op == token.ARROW && commOf[ast.Node(x)] == nil {
@@ -349,47 +242,6 @@ func selectComms(body *ast.BlockStmt) map[ast.Node]*ast.SelectStmt {
 		return true
 	})
 	return out
-}
-
-func commCount(sel *ast.SelectStmt) int {
-	n := 0
-	for _, cl := range sel.Body.List {
-		if cc, ok := cl.(*ast.CommClause); ok && cc.Comm != nil {
-			n++
-		}
-	}
-	return n
-}
-
-// recoverCall reports whether a deferred call recovers: `defer recover()`
-// or a deferred literal whose own body calls recover (nested literals
-// excluded — recover only works when called directly by the deferred
-// function).
-func recoverCall(info *types.Info, call *ast.CallExpr) bool {
-	if id, ok := unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "recover" {
-			return true
-		}
-	}
-	lit, ok := unparen(call.Fun).(*ast.FuncLit)
-	if !ok {
-		return false
-	}
-	found := false
-	ast.Inspect(lit.Body, func(m ast.Node) bool {
-		switch x := m.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.CallExpr:
-			if id, ok := unparen(x.Fun).(*ast.Ident); ok {
-				if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "recover" {
-					found = true
-				}
-			}
-		}
-		return !found
-	})
-	return found
 }
 
 // lockset maps a lock's canonical root to its latest acquisition position

@@ -64,8 +64,7 @@ func DeferBlock(r *R) {
 	defer r.Block()
 }
 
-// --- go statements: a spawned body's blocking must NOT propagate, but
-// the spawn itself must ---
+// --- go statements: a spawned body's blocking must NOT propagate ---
 
 func SpawnOnly(r *R) {
 	go r.Block()
@@ -93,7 +92,8 @@ func FuncVar(r *R) {
 	f()
 }
 
-// --- widening: a call through a parameter must mark the caller Widened ---
+// --- widening: a call through a parameter resolves to nothing and must
+// not invent facts ---
 
 func CallsParam(f func()) { f() }
 
@@ -123,28 +123,4 @@ func Stamp() int64 { return now().UnixNano() }
 func Clean(xs []int) int {
 	sort.Ints(xs)
 	return xs[0]
-}
-
-// --- panic and recover absorption ---
-
-func Panics() { panic("boom") }
-
-func CallsPanics() { Panics() }
-
-func Recovers() {
-	defer func() { _ = recover() }()
-	Panics()
-}
-
-// --- SendsOnParam: direct and through a wrapper ---
-
-func SendDirect(ch chan int) { ch <- 1 }
-
-func SendWrapped(ch chan int) { SendDirect(ch) }
-
-func SendGuarded(ch chan int, done chan struct{}) {
-	select {
-	case ch <- 1:
-	case <-done:
-	}
 }

@@ -1,8 +1,9 @@
 // Package errflow flags error values that die unobserved on some path
-// out of a function. The audited packages are the live reconfiguration
-// stack (broker, croc, deploy, transport): a dropped error there turns a
-// failed apply step into one that merely *looks* applied, which is the
-// worst failure mode a reconfiguration protocol can have.
+// out of a function, in every package. It matters most in the live
+// reconfiguration stack (broker, croc, deploy, transport): a dropped
+// error there turns a failed apply step into one that merely *looks*
+// applied, which is the worst failure mode a reconfiguration protocol can
+// have.
 //
 // The check is a backward must-analysis over the function's CFG. For
 // every local error-typed variable assigned from a call, the value must
@@ -21,22 +22,18 @@ import (
 
 	"github.com/greenps/greenps/internal/analysis/cfg"
 	"github.com/greenps/greenps/internal/analysis/framework"
-	"github.com/greenps/greenps/internal/analysis/scope"
 )
 
 // Analyzer is the errflow check.
 var Analyzer = &framework.Analyzer{
 	Name: "errflow",
-	Doc:  "flags error values dead on some path out of live-stack functions",
+	Doc:  "flags error values dead on some path out of a function",
 	Run:  run,
 }
 
 var errorType = types.Universe.Lookup("error").Type()
 
 func run(pass *framework.Pass) error {
-	if !scope.IsErrflowTarget(pass.Pkg.Path()) {
-		return nil
-	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			var body *ast.BlockStmt

@@ -94,9 +94,6 @@ type Pass struct {
 	// Pkg and Info are the type-checker outputs for Files.
 	Pkg  *types.Package
 	Info *types.Info
-	// Imports is the set of import paths the package's files import
-	// directly.
-	Imports map[string]bool
 	// Program is the whole-program context of the run (never nil under
 	// Run/Audit); interprocedural analyzers fetch the call graph and
 	// function summaries through it.
@@ -271,7 +268,6 @@ func executePackage(prog *Program, pkg *Package, analyzers []*Analyzer, audit bo
 			Files:      pkg.Files,
 			Pkg:        pkg.Types,
 			Info:       pkg.Info,
-			Imports:    pkg.Imports,
 			Program:    prog,
 			diags:      &diags,
 			directives: dirs,

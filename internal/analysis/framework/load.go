@@ -27,8 +27,6 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-	// Imports is the set of paths the files import directly.
-	Imports map[string]bool
 }
 
 // listPkg is the subset of `go list -json` output the loader consumes.
@@ -100,11 +98,10 @@ func newInfo() *types.Info {
 // check parses and type-checks one package's files against the importer.
 func check(fset *token.FileSet, imp types.Importer, path, dir string, fileNames []string) (*Package, error) {
 	pkg := &Package{
-		Path:    path,
-		Dir:     dir,
-		Fset:    fset,
-		Info:    newInfo(),
-		Imports: make(map[string]bool),
+		Path: path,
+		Dir:  dir,
+		Fset: fset,
+		Info: newInfo(),
 	}
 	for _, name := range fileNames {
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil,
@@ -113,11 +110,6 @@ func check(fset *token.FileSet, imp types.Importer, path, dir string, fileNames 
 			return nil, err
 		}
 		pkg.Files = append(pkg.Files, f)
-		for _, im := range f.Imports {
-			if p, err := importPathOf(im); err == nil {
-				pkg.Imports[p] = true
-			}
-		}
 	}
 	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(path, fset, pkg.Files, pkg.Info)

@@ -1,10 +1,11 @@
 // Package nondet forbids sources of hidden nondeterminism in the
-// plan-producing packages: wall-clock reads (time.Now/Since/Until), the
-// global math/rand functions (unseeded, process-global state), core-count
-// queries (runtime.NumCPU/GOMAXPROCS — results must depend only on the
-// explicit Parallelism option, never on the machine), and select
-// statements with multiple communication cases (the runtime picks a ready
-// case uniformly at random).
+// plan-producing packages: every function callgraph.NondetSourceOf lists
+// — wall-clock reads (time.Now/Since/Until), the global math/rand
+// functions (unseeded, process-global state), core-count queries
+// (runtime.NumCPU/GOMAXPROCS — results must depend only on the explicit
+// Parallelism option, never on the machine), crypto/rand, os.Getpid and
+// os.Hostname — and select statements with multiple communication cases
+// (the runtime picks a ready case uniformly at random).
 //
 // Explicitly seeded sources stay allowed: rand.New and rand.NewSource
 // construct reproducible generators, which is exactly how the FBF and
@@ -13,13 +14,16 @@
 // harmless — log output that never influences the plan — may carry a
 // //greenvet:nondet-ok <justification> directive.
 //
-// Two telemetry rules guard the determinism boundary around
+// Three telemetry rules guard the determinism boundary around
 // internal/telemetry (see scope.TelemetryPath):
 //
 //  1. Deterministic packages must not import the telemetry package at
 //     all. Instrumentation lives on the live path; the moment a plan
 //     computation can see a counter it can branch on one.
-//  2. The telemetry package itself must not read the wall clock
+//  2. Every call into it from a deterministic package — instrument
+//     mutators and reads alike — is reported too, so a violation points
+//     at the code to move rather than at an import line.
+//  3. The telemetry package itself must not read the wall clock
 //     (time.Now/Since/Until): clocks are injected by callers, so the
 //     whole subsystem runs on a virtual clock under test and the
 //     equivalence suite can hold plans byte-identical with telemetry
@@ -30,8 +34,10 @@ package nondet
 
 import (
 	"go/ast"
+	"go/types"
 	"strconv"
 
+	"github.com/greenps/greenps/internal/analysis/callgraph"
 	"github.com/greenps/greenps/internal/analysis/framework"
 	"github.com/greenps/greenps/internal/analysis/scope"
 )
@@ -39,34 +45,8 @@ import (
 // Analyzer is the nondet check.
 var Analyzer = &framework.Analyzer{
 	Name: "nondet",
-	Doc:  "forbids wall-clock, global math/rand, core-count queries, and racy selects in plan-producing packages",
+	Doc:  "forbids hidden nondeterminism sources (clock, global rand, core/process/host queries), racy selects, and telemetry in plan-producing packages",
 	Run:  run,
-}
-
-// forbidden maps fully qualified package-level functions to the reason
-// they are banned.
-var forbidden = map[string]string{
-	"time.Now":           "wall-clock read",
-	"time.Since":         "wall-clock read",
-	"time.Until":         "wall-clock read",
-	"runtime.NumCPU":     "core-count query; results must depend only on the explicit Parallelism option",
-	"runtime.GOMAXPROCS": "core-count query; results must depend only on the explicit Parallelism option",
-}
-
-// randAllowed are the math/rand package-level functions that construct
-// explicitly seeded sources instead of consuming the global one.
-var randAllowed = map[string]bool{
-	"New":       true,
-	"NewSource": true,
-	"NewZipf":   true, // operates on an explicit *rand.Rand
-}
-
-// clockFuncs are the wall-clock reads banned both in deterministic
-// packages and in the telemetry package (which takes injected clocks).
-var clockFuncs = map[string]bool{
-	"time.Now":   true,
-	"time.Since": true,
-	"time.Until": true,
 }
 
 func run(pass *framework.Pass) error {
@@ -91,6 +71,10 @@ func run(pass *framework.Pass) error {
 			case *ast.SelectStmt:
 				if det {
 					checkSelect(pass, x)
+				}
+			case *ast.CallExpr:
+				if det {
+					checkTelemetryCall(pass, x)
 				}
 			}
 			return true
@@ -117,12 +101,32 @@ func checkTelemetryImports(pass *framework.Pass) {
 	}
 }
 
+// checkTelemetryCall flags any call that resolves into the telemetry
+// package — instrument mutators and reads alike — when made from a
+// deterministic-core package.
+func checkTelemetryCall(pass *framework.Pass, call *ast.CallExpr) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return
+	}
+	// Uses resolves the selected name to a method and to a
+	// package-qualified function alike.
+	fn, _ := pass.Info.Uses[sel.Sel].(*types.Func)
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != scope.TelemetryPath {
+		return
+	}
+	if pass.Suppressed(sel.Pos(), "nondet-ok") {
+		return
+	}
+	pass.Reportf(sel.Pos(), "call to telemetry %s inside the deterministic core; telemetry observes the live path and must never touch plan computation", callgraph.MethodDesc(fn))
+}
+
 // checkClockRef flags wall-clock references in the telemetry package,
 // whose rule is narrower than the deterministic core's: only injected
 // clocks are allowed, everything else (atomics, selects) is fine.
 func checkClockRef(pass *framework.Pass, sel *ast.SelectorExpr) {
 	fn := framework.FuncOf(pass.Info, sel)
-	if fn == nil || !clockFuncs[framework.FuncKey(fn)] {
+	if src, ok := callgraph.NondetSourceOf(fn); !ok || !src.Clock {
 		return
 	}
 	if pass.Suppressed(sel.Pos(), "nondet-ok") {
@@ -131,31 +135,20 @@ func checkClockRef(pass *framework.Pass, sel *ast.SelectorExpr) {
 	pass.Reportf(sel.Pos(), "reference to %s in the telemetry package: clocks are injected by callers so telemetry stays testable on a virtual clock", framework.FuncKey(fn))
 }
 
-// checkRef flags any reference (call or function value) to a forbidden
-// package-level function. Catching bare references matters: assigning
+// checkRef flags any reference (call or function value) to a
+// nondeterminism source. Catching bare references matters: assigning
 // time.Now to a clock field smuggles the wall clock in just as surely as
 // calling it.
 func checkRef(pass *framework.Pass, sel *ast.SelectorExpr) {
 	fn := framework.FuncOf(pass.Info, sel)
-	if fn == nil {
-		return
-	}
-	key := framework.FuncKey(fn)
-	reason, bad := forbidden[key]
-	if !bad {
-		pkgPath := fn.Pkg().Path()
-		if (pkgPath == "math/rand" || pkgPath == "math/rand/v2") && !randAllowed[fn.Name()] {
-			reason = "global math/rand state; plumb an explicitly seeded *rand.Rand through the options struct"
-			bad = true
-		}
-	}
+	src, bad := callgraph.NondetSourceOf(fn)
 	if !bad {
 		return
 	}
 	if pass.Suppressed(sel.Pos(), "nondet-ok") {
 		return
 	}
-	pass.Reportf(sel.Pos(), "reference to %s in deterministic package: %s", key, reason)
+	pass.Reportf(sel.Pos(), "reference to %s in deterministic package: %s", framework.FuncKey(fn), src.Ban)
 }
 
 // checkSelect flags selects that can choose among multiple ready channels.

@@ -19,7 +19,8 @@ func TestTelemetryClockRule(t *testing.T) {
 }
 
 // TestTelemetryImportBan checks that a deterministic package importing
-// the telemetry package is flagged at the import site.
+// the telemetry package is flagged at the import site and at every call
+// into it.
 func TestTelemetryImportBan(t *testing.T) {
 	analysistest.Run(t, "testdata/src/detimport", "fixture/detimport", nondet.Analyzer)
 }

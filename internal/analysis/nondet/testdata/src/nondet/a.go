@@ -1,10 +1,12 @@
 // Fixture for the nondet analyzer: wall-clock reads, global math/rand,
-// core-count queries, and racy selects are flagged; seeded generators and
-// justified suppressions pass.
+// core-count queries, crypto/rand, process and host identity, and racy
+// selects are flagged; seeded generators and justified suppressions pass.
 package nondet
 
 import (
+	crand "crypto/rand"
 	"math/rand"
+	"os"
 	"runtime"
 	"time"
 )
@@ -31,6 +33,17 @@ func draw() int {
 // width branches on the machine's core count.
 func width() int {
 	return runtime.NumCPU() // want "reference to runtime.NumCPU"
+}
+
+// nonce draws from the operating system's entropy pool.
+func nonce(b []byte) {
+	_, _ = crand.Read(b) // want "reference to crypto/rand.Read in deterministic package: crypto/rand read"
+}
+
+// identity keys on which process and which machine computed the plan.
+func identity() (int, string) {
+	host, _ := os.Hostname() // want "reference to os.Hostname in deterministic package: host-identity read"
+	return os.Getpid(), host // want "reference to os.Getpid in deterministic package: process-identity read"
 }
 
 // seeded constructs an explicitly seeded generator — the supported way to

@@ -14,8 +14,8 @@ import "strings"
 // Module is the repo's module path.
 const Module = "github.com/greenps/greenps"
 
-// ParworkPath is the fork/join helper package whose callers waitcheck
-// audits.
+// ParworkPath is the fork/join helper package; callgraph's blocking table
+// counts parwork.Run as a join.
 const ParworkPath = Module + "/internal/parwork"
 
 // AllocationPath is the package owning the E7/E8 stat counters.
@@ -39,30 +39,6 @@ const (
 // artifact that CROC compares byte-for-byte. detflow treats any value
 // stored into a Plan as a determinism sink.
 const CorePath = Module + "/internal/core"
-
-// ErrflowPackages are the live-stack packages errflow audits: the layers
-// where a silently dropped error corrupts a reconfiguration (a failed
-// apply step that looks applied) or wedges a broker (a connection error
-// nobody notices). The deterministic core is excluded — its functions
-// return errors up a single synchronous spine that the equivalence tests
-// exercise directly.
-var ErrflowPackages = []string{
-	Module + "/internal/broker",
-	Module + "/internal/croc",
-	Module + "/internal/deploy",
-	TransportPath,
-}
-
-// IsErrflowTarget reports whether errflow audits the package (or its
-// fixture stand-in).
-func IsErrflowTarget(path string) bool {
-	for _, p := range ErrflowPackages {
-		if path == p {
-			return true
-		}
-	}
-	return path == "fixture/errflow"
-}
 
 // DeterministicPackages are the plan-producing packages: given one broker
 // snapshot they must produce one canonical answer. maporder and nondet
@@ -94,11 +70,4 @@ func IsDeterministic(path string) bool {
 		}
 	}
 	return IsFixture(path) && !IsTelemetry(path)
-}
-
-// IsStatOwner reports whether the package is allowed to mutate the CRAM
-// stat counters: the allocation package itself, or a fixture directory
-// named "allocation" standing in for it.
-func IsStatOwner(path string) bool {
-	return path == AllocationPath || path == "fixture/allocation"
 }

@@ -8,13 +8,10 @@ import (
 	"github.com/greenps/greenps/internal/analysis/errflow"
 	"github.com/greenps/greenps/internal/analysis/framework"
 	"github.com/greenps/greenps/internal/analysis/hotalloc"
-	"github.com/greenps/greenps/internal/analysis/leakcheck"
 	"github.com/greenps/greenps/internal/analysis/lockcheck"
 	"github.com/greenps/greenps/internal/analysis/maporder"
 	"github.com/greenps/greenps/internal/analysis/nondet"
 	"github.com/greenps/greenps/internal/analysis/shadow"
-	"github.com/greenps/greenps/internal/analysis/statpath"
-	"github.com/greenps/greenps/internal/analysis/waitcheck"
 )
 
 // Suite returns every greenvet analyzer in presentation order: the
@@ -25,13 +22,10 @@ func Suite() []*framework.Analyzer {
 	return []*framework.Analyzer{
 		maporder.Analyzer,
 		nondet.Analyzer,
-		statpath.Analyzer,
-		waitcheck.Analyzer,
 		shadow.Analyzer,
 		lockcheck.Analyzer,
 		errflow.Analyzer,
 		hotalloc.Analyzer,
 		detflow.Analyzer,
-		leakcheck.Analyzer,
 	}
 }

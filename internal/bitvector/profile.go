@@ -87,22 +87,6 @@ func (m Metric) String() string {
 	}
 }
 
-// ParseMetric parses a metric name (case-insensitive).
-func ParseMetric(s string) (Metric, error) {
-	switch strings.ToUpper(s) {
-	case "INTERSECT":
-		return MetricIntersect, nil
-	case "XOR":
-		return MetricXor, nil
-	case "IOS":
-		return MetricIOS, nil
-	case "IOU":
-		return MetricIOU, nil
-	default:
-		return 0, fmt.Errorf("bitvector: unknown closeness metric %q", s)
-	}
-}
-
 // Profile is a subscription profile: one windowed bit vector per publisher
 // the subscription received publications from, keyed by advertisement ID.
 //

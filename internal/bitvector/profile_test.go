@@ -379,23 +379,3 @@ func TestSnapshotRejectsCorrupt(t *testing.T) {
 		t.Error("truncated words must be rejected")
 	}
 }
-
-func TestParseMetric(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Metric
-	}{
-		{"intersect", MetricIntersect},
-		{"XOR", MetricXor},
-		{"Ios", MetricIOS},
-		{"IOU", MetricIOU},
-	} {
-		got, err := ParseMetric(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseMetric(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-	}
-	if _, err := ParseMetric("bogus"); err == nil {
-		t.Error("ParseMetric must reject unknown names")
-	}
-}

@@ -491,28 +491,6 @@ func (n *Node) flushOutgoing(outs []Outgoing) {
 	n.groups = n.groups[:0]
 }
 
-// send throttles and transmits one outgoing message, applying the
-// carried hop count at encode time. It is the single-message form of
-// flushOutgoing, kept for the few non-batched call sites and tests.
-func (n *Node) send(o Outgoing) {
-	n.mu.Lock()
-	p, ok := n.peers[o.To.String()]
-	n.mu.Unlock()
-	if !ok {
-		n.logger.Printf("broker %s: no connection to %s", n.ID(), o.To)
-		return
-	}
-	n.inst.LimiterWaitSeconds.ObserveDuration(n.limiter.Wait(o.Env.EncodedSize()))
-	if err := p.conn.SendWithHops(o.Env, o.Hops); err != nil {
-		n.logger.Printf("broker %s: send to %s: %v", n.ID(), o.To, err)
-		// send runs on the event-loop goroutine, so the async dropPeer
-		// would enqueue against the very inbox this goroutine drains —
-		// a self-deadlock once the inbox is full. Run the membership
-		// update inline instead.
-		n.dropPeerOnLoop(p)
-	}
-}
-
 // Counters snapshots the broker's traffic counters (taken on the event
 // loop to avoid racing Handle).
 func (n *Node) Counters() Counters {

@@ -12,11 +12,12 @@ import (
 )
 
 // TestSendFailureOnLoopDoesNotDeadlock pins the event-loop re-entrancy
-// fix: send runs on the event-loop goroutine, and a send failure used to
-// route through dropPeer, whose membership update is a blocking enqueue
-// onto the inbox — the very channel the event loop drains. With the
-// inbox full (modeled here as unbuffered) the loop deadlocked against
-// itself. send must instead drop the peer inline and return promptly.
+// fix: flushOutgoing runs on the event-loop goroutine, and a send failure
+// used to route through dropPeer, whose membership update is a blocking
+// enqueue onto the inbox — the very channel the event loop drains. With
+// the inbox full (modeled here as unbuffered) the loop deadlocked against
+// itself. flushOutgoing must instead drop the peer inline and return
+// promptly.
 func TestSendFailureOnLoopDoesNotDeadlock(t *testing.T) {
 	core, err := New(Config{
 		ID:    "B",
@@ -36,24 +37,28 @@ func TestSendFailureOnLoopDoesNotDeadlock(t *testing.T) {
 		inbox:   make(chan inboundMsg), // unbuffered: any enqueue from the loop goroutine blocks
 		peers:   make(map[string]*peer),
 		closing: make(chan struct{}),
+
+		fenc:      transport.NewFrameEncoder(nil),
+		frameMemo: make(map[frameKey][]byte),
+		groupIdx:  make(map[string]int),
 	}
 	ep := Endpoint{Kind: KindClient, ID: "c1"}
 	a, b := net.Pipe()
 	_ = b.Close()
 	conn := transport.NewConn(a)
-	_ = conn.Close() // guarantee the Send below fails immediately
+	_ = conn.Close() // guarantee the SendFrames below fails immediately
 	n.peers[ep.String()] = &peer{ep: ep, conn: conn}
 	core.AddClient(ep.ID)
 
 	done := make(chan struct{})
 	go func() {
-		n.send(Outgoing{To: ep, Env: &message.Envelope{Kind: message.KindUnsubscription, UnsubID: "s1"}})
+		n.flushOutgoing([]Outgoing{{To: ep, Env: &message.Envelope{Kind: message.KindUnsubscription, UnsubID: "s1"}}})
 		close(done)
 	}()
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):
-		t.Fatal("send to a dead peer blocked: the event loop is enqueueing against its own inbox")
+		t.Fatal("flush to a dead peer blocked: the event loop is enqueueing against its own inbox")
 	}
 
 	n.mu.Lock()

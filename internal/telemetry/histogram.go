@@ -112,9 +112,3 @@ func DurationBuckets() []float64 {
 		1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1, 3, 10,
 	}
 }
-
-// SizeBuckets is a general-purpose message/frame size bucket layout in
-// bytes, 64B to 16MB in 4x steps.
-func SizeBuckets() []float64 {
-	return []float64{64, 256, 1024, 4096, 16384, 65536, 262144, 1048576, 4194304, 16777216}
-}

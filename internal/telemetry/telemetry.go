@@ -15,9 +15,9 @@
 //  3. Outside the deterministic core. The allocation core
 //     (internal/{allocation,poset,bitvector,core}) must stay a pure
 //     function of its inputs, so it never imports this package —
-//     greenvet's nondet and statpath analyzers enforce the boundary
-//     mechanically. Telemetry observes the live path; it never feeds
-//     back into plan computation.
+//     greenvet's nondet analyzer enforces the boundary mechanically,
+//     import and call sites both. Telemetry observes the live path; it
+//     never feeds back into plan computation.
 //  4. No hidden clock. This package never reads the wall clock; spans
 //     and rates take time.Time values or injected clock functions from
 //     the caller (the core.Config.Clock pattern), which keeps telemetry

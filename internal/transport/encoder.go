@@ -38,9 +38,12 @@ func NewFrameEncoder(pool *BufPool) *FrameEncoder {
 }
 
 // Encode returns a pooled frame payload holding env's encoding with the
-// publication hop count overridden to hops (see Conn.SendWithHops for
-// the contract). The payload stays valid until the next Release, which
-// reclaims every payload Encode handed out.
+// publication hop count overridden to hops: the broker core emits shared
+// fan-out envelopes with the per-destination hop count carried beside
+// them (broker.Outgoing.Hops), applied here at encode time via a shallow
+// copy — the publication's attribute map is never cloned. The payload
+// stays valid until the next Release, which reclaims every payload
+// Encode handed out.
 //
 //greenvet:hotpath one call per unique (envelope, hops) pair per drained batch
 func (fe *FrameEncoder) Encode(env *message.Envelope, hops int) ([]byte, error) {

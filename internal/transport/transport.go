@@ -348,21 +348,6 @@ func (c *Conn) Send(env *message.Envelope) error {
 	return c.writeFrame(data)
 }
 
-// SendWithHops encodes and sends one envelope, overriding the hop count
-// recorded on publication envelopes: the broker core emits shared
-// fan-out envelopes with the per-destination hop count carried beside
-// them (broker.Outgoing.Hops), applied here at encode time via a
-// shallow copy — the publication's attribute map is never cloned.
-func (c *Conn) SendWithHops(env *message.Envelope, hops int) error {
-	if env.Kind == message.KindPublication && env.Pub != nil && env.Pub.Hops != hops {
-		pub := *env.Pub
-		pub.Hops = hops
-		hopped := message.Envelope{Kind: message.KindPublication, Pub: &pub}
-		return c.Send(&hopped)
-	}
-	return c.Send(env)
-}
-
 // Recv receives and decodes one envelope. It returns io.EOF when the peer
 // closed cleanly.
 func (c *Conn) Recv() (*message.Envelope, error) {
