@@ -268,6 +268,29 @@ type cramRun struct {
 	// gifIDs caches the sorted live GIF IDs for exhaustive scans.
 	gifIDs      []string
 	gifIDsDirty bool
+	// scan is the exhaustive scan's scratch for every search after the seed
+	// phase, all of them serial; the seed phase gives each chunk its own.
+	scan scanScratch
+}
+
+// scanScratch is the per-search storage of one exhaustive partner scan, one
+// entry per scanned GIF, so that a search reuses the last one's instead of
+// allocating a pool's worth per search. One goroutine at a time: a scratch is
+// never shared between concurrent searches.
+type scanScratch struct {
+	skip []bool
+	ubs  []float64
+	ids  []string // the sharded scan's surviving IDs (shardSurvivors)
+}
+
+// sized returns skip and ubs at length n, grown when the scratch is too
+// small; skip is wholly overwritten by the caller, ubs only where skip is
+// false, which is all the scan reads.
+func (sc *scanScratch) sized(n int) (skip []bool, ubs []float64) {
+	if cap(sc.skip) < n {
+		sc.skip, sc.ubs = make([]bool, n), make([]float64, n)
+	}
+	return sc.skip[:n], sc.ubs[:n]
 }
 
 // gifPair is the blacklist key: two GIF IDs normalized so a <= b. A
@@ -492,8 +515,9 @@ func (c *CRAM) start(in *Input) (*cramRun, error) {
 	seedPruned := make([]int, len(seedIDs))
 	seedShards := make([]int, len(seedIDs))
 	parwork.Run(len(seedIDs), parwork.Workers(c.Parallelism), func(lo, hi int) {
+		var scan scanScratch // this chunk's own
 		for i := lo; i < hi; i++ {
-			seedCands[i], seedComps[i], seedPruned[i], seedShards[i] = r.bestPartner(r.gifs[seedIDs[i]])
+			seedCands[i], seedComps[i], seedPruned[i], seedShards[i] = r.bestPartner(r.gifs[seedIDs[i]], &scan)
 		}
 	})
 	if c.SpillBudgetBytes > 0 {
@@ -620,7 +644,7 @@ func (r *cramRun) pushBest(g *gif) {
 	if r.shards != nil {
 		r.shards.freshen(r.gifs)
 	}
-	best, comps, pruned, shardsPruned := r.bestPartner(g)
+	best, comps, pruned, shardsPruned := r.bestPartner(g, &r.scan)
 	r.c.stats.ClosenessComputations += comps
 	r.c.stats.BoundPruned += pruned
 	r.c.stats.ShardsPruned += shardsPruned
@@ -633,12 +657,12 @@ func (r *cramRun) pushBest(g *gif) {
 // closeness evaluations the search considered, how many of those were
 // answered by a summary bound instead of an exact metric call, and how
 // many shards the sharded scan discarded wholesale — all without
-// touching run state, so the seed phase can run the searches of distinct
-// GIFs on different workers. The exhaustive scan reduces in GIF-ID order,
-// first strict maximum winning, so the returned candidate and the
-// comps/pruned counts are identical at any shard count (shardsPruned alone
-// depends on the shard layout).
-func (r *cramRun) bestPartner(g *gif) (best *candidate, comps, pruned, shardsPruned int) {
+// touching run state beyond the caller's scan scratch, so the seed phase can
+// run the searches of distinct GIFs on different workers. The exhaustive
+// scan reduces in GIF-ID order, first strict maximum winning, so the
+// returned candidate and the comps/pruned counts are identical at any shard
+// count (shardsPruned alone depends on the shard layout).
+func (r *cramRun) bestPartner(g *gif, scan *scanScratch) (best *candidate, comps, pruned, shardsPruned int) {
 	// Self-pair: the equal relationship pairs a GIF with itself whenever it
 	// holds more than one unit (Optimization 1's equal case).
 	if len(g.units) >= 2 && !r.blacklisted(g.id, g.id) {
@@ -674,18 +698,19 @@ func (r *cramRun) bestPartner(g *gif) (best *candidate, comps, pruned, shardsPru
 		// members arrive merged back into global ID order, keeping the
 		// reduction's tie-break canonical.
 		var bulk int
-		ids, bulk, shardsPruned = r.shardSurvivors(g, t0)
+		ids, bulk, shardsPruned = r.shardSurvivors(g, t0, scan)
 		comps += bulk
 		pruned += bulk
 	}
-	skip := make([]bool, len(ids))
+	skip, ubs := scan.sized(len(ids))
 	for i, id := range ids {
 		skip[i] = id == g.id || r.blacklisted(g.id, id)
 	}
-	var ubs []float64
 	anchor, anchorC := -1, 0.0
-	if !r.c.DisableBoundPruning {
-		ubs, anchor, anchorC = r.boundPruneScan(g, ids, skip, t0)
+	if r.c.DisableBoundPruning {
+		ubs = nil
+	} else {
+		anchor, anchorC = r.boundPruneScan(g, ids, skip, ubs, t0)
 	}
 	for i, id := range ids {
 		if skip[i] {
@@ -709,10 +734,12 @@ func (r *cramRun) bestPartner(g *gif) (best *candidate, comps, pruned, shardsPru
 
 // boundPruneScan is the bound stage of the exhaustive partner scan
 // (anchored bound pruning, DESIGN.md §9). It takes the summary-based
-// closeness upper bound of every admissible pairing, picks the anchor — the
-// first ID with the highest bound above the incumbent threshold t0 — and
-// evaluates the anchor's exact closeness. The caller then prunes every other
-// pairing whose bound proves it cannot change the scan's outcome:
+// closeness upper bound of every admissible pairing into ubs (the caller's,
+// len(ids) long; entries of skipped pairings are left as they were), picks
+// the anchor — the first ID with the highest bound above the incumbent
+// threshold t0 — and evaluates the anchor's exact closeness. The caller then
+// prunes every other pairing whose bound proves it cannot change the scan's
+// outcome:
 //
 //   - ub <= t0: the reduction only replaces the incumbent on a strictly
 //     greater closeness, and the true value is at most ub.
@@ -725,8 +752,7 @@ func (r *cramRun) bestPartner(g *gif) (best *candidate, comps, pruned, shardsPru
 // (derivation in DESIGN.md §9). The pruned set depends only on the bounds,
 // t0 and the one anchor evaluation — never on a running best — and it is
 // what BoundPruned, the shard accounting and BENCH_scale.json record.
-func (r *cramRun) boundPruneScan(g *gif, ids []string, skip []bool, t0 float64) (ubs []float64, anchor int, anchorC float64) {
-	ubs = make([]float64, len(ids))
+func (r *cramRun) boundPruneScan(g *gif, ids []string, skip []bool, ubs []float64, t0 float64) (anchor int, anchorC float64) {
 	anchor = -1
 	for i, id := range ids {
 		if skip[i] {
@@ -740,7 +766,7 @@ func (r *cramRun) boundPruneScan(g *gif, ids []string, skip []bool, t0 float64) 
 	if anchor >= 0 {
 		anchorC = bitvector.Closeness(r.c.Metric, g.profile, r.gifs[ids[anchor]].profile)
 	}
-	return ubs, anchor, anchorC
+	return anchor, anchorC
 }
 
 // clusterPair attempts the clustering dictated by the relationship between

@@ -60,6 +60,39 @@ func sameLoad(a, b bitvector.Load) bool {
 		math.Float64bits(a.Bandwidth) == math.Float64bits(b.Bandwidth)
 }
 
+// placeLinear is pack.place as it was before the admission columns: fits on
+// every broker in trial order, the first that admits the unit accepting it.
+// Test-only, the reference place's column scan is held to; it writes no
+// column, so a pack it has driven must not be handed to place before a clear.
+func placeLinear(p *pack, pu *packUnit) int {
+	for b := range p.states {
+		bs := &p.states[b]
+		if ok, inter := bs.fits(pu, p.stats, p.ratesOrdered); ok {
+			bs.accept(pu, inter, p.capacity, p.ratesOrdered)
+			return b
+		}
+	}
+	return -1
+}
+
+// checkColumns requires the pack's three admission columns to equal, bit for
+// bit, the broker-state fields they copy.
+func checkColumns(t *testing.T, p *pack, when string) {
+	t.Helper()
+	if len(p.out) != len(p.states) || len(p.limit) != len(p.states) || len(p.mark) != len(p.states) {
+		t.Fatalf("%s: columns of %d, %d and %d entries for %d brokers", when, len(p.out), len(p.limit), len(p.mark), len(p.states))
+	}
+	for b := range p.states {
+		bs := &p.states[b]
+		if math.Float64bits(p.out[b]) != math.Float64bits(bs.outLoad.Bandwidth) ||
+			math.Float64bits(p.limit[b]) != math.Float64bits(bs.spec.OutputBandwidth) ||
+			math.Float64bits(p.mark[b]) != math.Float64bits(bs.fullBelow) {
+			t.Fatalf("%s: broker %d columns out=%v limit=%v mark=%v, state out=%v limit=%v mark=%v", when, b,
+				p.out[b], p.limit[b], p.mark[b], bs.outLoad.Bandwidth, bs.spec.OutputBandwidth, bs.fullBelow)
+		}
+	}
+}
+
 // denseCoverage tallies which paths of the kernel a differential run took.
 type denseCoverage struct {
 	placed int
@@ -69,6 +102,13 @@ type denseCoverage struct {
 	// memoFits are fits calls answered from the run memo, orSkips accepts
 	// that left the aggregate alone.
 	fullRejects, boundRejects, walkRejects, memoFits, orSkips int
+	// The admission scan's corners. bwThenMark are units turned away by one
+	// broker's bandwidth and then by a later broker's mark; markSpared are
+	// tests of a unit without filters against a mark above its rate, which
+	// must not fire; unordered are units placed under a table whose rates are
+	// not ordered, where no mark may; unplaced are units no broker admits;
+	// soloFits and soloRejects are FitsBroker's two answers.
+	bwThenMark, markSpared, unordered, unplaced, soloFits, soloRejects int
 }
 
 func (c *denseCoverage) add(o denseCoverage) {
@@ -78,6 +118,12 @@ func (c *denseCoverage) add(o denseCoverage) {
 	c.walkRejects += o.walkRejects
 	c.memoFits += o.memoFits
 	c.orSkips += o.orSkips
+	c.bwThenMark += o.bwThenMark
+	c.markSpared += o.markSpared
+	c.unordered += o.unordered
+	c.unplaced += o.unplaced
+	c.soloFits += o.soloFits
+	c.soloRejects += o.soloRejects
 }
 
 // checkDenseAgainstReference first-fits the unit stream through the dense
@@ -91,12 +137,22 @@ func (c *denseCoverage) add(o denseCoverage) {
 // every few units the stream so far is replayed onto the pack after a clear,
 // as a probe reuses a scratch pack, so the comparison also runs against
 // states built on parked vectors.
+//
+// A second pack takes the same stream through place alone and must land
+// every unit on the broker the linear loop over the reference chose (-1 where
+// none admits it), its admission columns equal to the states they copy after
+// every placement and every clear, and a replay onto its parked vectors must
+// repeat the placements. Last, FitsBroker's answer for each broker on its own
+// is held to the reference's.
 func checkDenseAgainstReference(t *testing.T, units []*Unit, brokers []*BrokerSpec,
 	pubs map[string]*bitvector.PublisherStats, capacity int) denseCoverage {
 	t.Helper()
 	table := newPublisherTable(pubs, units)
 	compiled := compileUnits(units, table, new(classTable))
 	pk := newPack(brokers, table, capacity)
+	scan := newPack(brokers, table, capacity) // driven through place only
+	checkColumns(t, scan, "new pack")
+	landed := make([]int, 0, len(units)) // where scan put each unit so far
 	ref := make([]*refBroker, len(brokers))
 	for i, b := range brokers {
 		ref[i] = &refBroker{spec: b, agg: bitvector.NewProfile(capacity)}
@@ -108,12 +164,21 @@ func checkDenseAgainstReference(t *testing.T, units []*Unit, brokers []*BrokerSp
 			for i := range compiled[:ui] {
 				pk.place(&compiled[i])
 			}
+			scan.clear()
+			checkColumns(t, scan, "after clear")
+			for i := range compiled[:ui] {
+				if b := scan.place(&compiled[i]); b != landed[i] {
+					t.Fatalf("unit %d: a replay after clear places it on broker %d, the first pass on %d", i, b, landed[i])
+				}
+				checkColumns(t, scan, fmt.Sprintf("replayed unit %d", i))
+			}
 		}
 		pu := compiled[ui]
 		uIn := bitvector.EstimateLoad(u.Profile, pubs)
 		if !sameLoad(pu.in, uIn) {
 			t.Fatalf("unit %d: dense input load %+v, EstimateLoad %+v", ui, pu.in, uIn)
 		}
+		want, bwRejected := -1, false
 		for b := range pk.states {
 			bs := &pk.states[b]
 			memo := bs.lastKnown && pu.class == bs.last
@@ -123,11 +188,21 @@ func checkDenseAgainstReference(t *testing.T, units []*Unit, brokers []*BrokerSp
 				t.Fatalf("unit %d broker %d: dense fits = %v %+v, reference = %v %+v",
 					ui, b, ok, inter, wantOK, wantInter)
 			}
+			if !pk.ratesOrdered && bs.fullBelow != 0 {
+				t.Fatalf("unit %d broker %d: mark %v under unordered rates", ui, b, bs.fullBelow)
+			}
 			if bs.outLoad.Bandwidth+pu.load.Bandwidth < bs.spec.OutputBandwidth {
 				lim := bs.spec.Delay.MaxRate(bs.filters + pu.filters)
+				if pk.ratesOrdered && pu.in.Rate < bs.fullBelow && pu.filters < 1 {
+					cov.markSpared++
+				}
 				switch {
 				case pk.ratesOrdered && pu.in.Rate < bs.fullBelow && pu.filters >= 1:
 					cov.fullRejects++
+					if bwRejected {
+						cov.bwThenMark++
+						bwRejected = false // once per unit
+					}
 				case memo:
 					cov.memoFits++
 				case pk.ratesOrdered && bs.inLoad.Rate+pu.in.Rate-pu.in.Rate > lim:
@@ -135,6 +210,8 @@ func checkDenseAgainstReference(t *testing.T, units []*Unit, brokers []*BrokerSp
 				case !ok:
 					cov.walkRejects++
 				}
+			} else {
+				bwRejected = true
 			}
 			if !ok {
 				continue
@@ -166,14 +243,49 @@ func checkDenseAgainstReference(t *testing.T, units []*Unit, brokers []*BrokerSp
 				}
 			}
 			cov.placed++
+			want = b
 			break
+		}
+		if want < 0 {
+			cov.unplaced++
+		} else if !pk.ratesOrdered {
+			cov.unordered++
+		}
+		got := scan.place(&compiled[ui])
+		if got != want {
+			t.Fatalf("unit %d: place chose broker %d, the linear scan over the reference broker %d", ui, got, want)
+		}
+		checkColumns(t, scan, fmt.Sprintf("unit %d placed on %d", ui, got))
+		landed = append(landed, got)
+	}
+
+	for _, b := range brokers {
+		solo := &refBroker{spec: b, agg: bitvector.NewProfile(capacity)}
+		want := true
+		for _, u := range units {
+			uIn := bitvector.EstimateLoad(u.Profile, pubs)
+			ok, inter := solo.fits(u, uIn, pubs)
+			if !ok {
+				want = false
+				break
+			}
+			solo.accept(u, uIn, inter)
+		}
+		if got := FitsBroker(b, units, pubs, capacity); got != want {
+			t.Fatalf("FitsBroker(%s) = %v, the reference broker hosting the units in order = %v", b.ID, got, want)
+		}
+		if want {
+			cov.soloFits++
+		} else {
+			cov.soloRejects++
 		}
 	}
 	return cov
 }
 
-// Mode bits of denseCase beyond the capacity choice in the low bits.
+// Mode bits of denseCase beyond the capacity choice in the low three bits.
 const (
+	denseEdges      = 0x08 // the admission scan's corners, see denseCase
 	denseMixedCaps  = 0x10 // units of differing vector capacities: Or clamps
 	denseMisaligned = 0x20 // window starts off the word grid
 	denseRepeats    = 0x40 // runs of equal contents
@@ -196,10 +308,16 @@ const (
 // criterion rejects both by the bound and — where the overlap with the
 // aggregate decides — only after the walk; one case in four of it carries a
 // negative publisher rate, which must switch the bound off.
+//
+// denseEdges aims at what place's column scan must get right: one unit in
+// four occupies no filter, so a saturated broker's mark may not turn it away;
+// the first broker keeps a narrow pipe when denseSaturated widens the others,
+// so a unit is turned away by bandwidth and then by a mark; and one case in
+// four carries a NaN publisher rate, under which no mark may fire.
 func denseCase(seed int64, nUnits, nPubs int, mode uint8) ([]*Unit, []*BrokerSpec, map[string]*bitvector.PublisherStats, int) {
 	rng := rand.New(rand.NewSource(seed))
 	caps := []int{64, 100, 128, 256, bitvector.DefaultCapacity}
-	capacity := caps[int(mode&0x0f)%len(caps)]
+	capacity := caps[int(mode&0x07)%len(caps)]
 	pubs := make(map[string]*bitvector.PublisherStats)
 	advs := make([]string, nPubs)
 	for p := range advs {
@@ -212,9 +330,12 @@ func denseCase(seed int64, nUnits, nPubs int, mode uint8) ([]*Unit, []*BrokerSpe
 			}
 		}
 	}
-	if mode&denseSaturated != 0 && seed%4 == 0 {
-		if st := pubs[advs[0]]; st != nil {
+	if st := pubs[advs[0]]; st != nil {
+		switch {
+		case mode&denseSaturated != 0 && seed%4 == 0:
 			st.Rate = -st.Rate
+		case mode&denseEdges != 0 && seed%4 == 1:
+			st.Rate = math.NaN()
 		}
 	}
 	newVector := func(unitCap int) *bitvector.Vector {
@@ -279,7 +400,11 @@ func denseCase(seed int64, nUnits, nPubs int, mode uint8) ([]*Unit, []*BrokerSpe
 		return out
 	}
 	newLoad := func() (bitvector.Load, int) {
-		return bitvector.Load{Rate: 50 * rng.Float64(), Bandwidth: 1000 * rng.Float64()}, 1 + rng.Intn(3)
+		load, filters := bitvector.Load{Rate: 50 * rng.Float64(), Bandwidth: 1000 * rng.Float64()}, 1+rng.Intn(3)
+		if mode&denseEdges != 0 && rng.Intn(4) == 0 {
+			filters = 0
+		}
+		return load, filters
 	}
 
 	units := make([]*Unit, nUnits)
@@ -330,11 +455,31 @@ func denseCase(seed int64, nUnits, nPubs int, mode uint8) ([]*Unit, []*BrokerSpe
 			Delay:           message.MatchingDelayFn{PerSub: 0.0005 * rng.Float64(), Base: 0.002 * rng.Float64()},
 		}
 		if mode&denseSaturated != 0 {
-			brokers[i].OutputBandwidth *= 20
+			if mode&denseEdges == 0 || i > 0 {
+				brokers[i].OutputBandwidth *= 20
+			}
 			brokers[i].Delay.PerSub = 0.0005 + 0.004*rng.Float64()
 		}
 	}
 	return units, brokers, pubs, capacity
+}
+
+// admissionSeeds are the fuzz seeds aimed at place's column scan, each with
+// the corner of it the generated case must reach.
+var admissionSeeds = []struct {
+	name                string
+	seed                int64
+	nUnits, nPubs, mode uint8
+	reached             func(denseCoverage) int
+}{
+	{"a broker out of bandwidth, then a saturated one", 33, 63, 5, denseEdges | denseSaturated,
+		func(c denseCoverage) int { return c.bwThenMark }},
+	{"units without filters against saturated brokers", 35, 63, 0, denseEdges | denseSaturated | denseRepeats | 2,
+		func(c denseCoverage) int { return c.markSpared }},
+	{"a NaN publisher rate: no mark may fire", 37, 63, 2, denseEdges | denseSaturated,
+		func(c denseCoverage) int { return c.unordered }},
+	{"one broker, which FitsBroker fills", 33, 2, 5, denseEdges | denseSaturated,
+		func(c denseCoverage) int { return c.soloFits }},
 }
 
 // TestDenseFitsMatchesReference is the property test behind the dense
@@ -357,10 +502,20 @@ func TestDenseFitsMatchesReference(t *testing.T) {
 		cov.add(checkDenseAgainstReference(t, units, brokers, pubs, capacity))
 		total += len(units)
 	}
+	for _, as := range admissionSeeds {
+		units, brokers, pubs, capacity := denseCase(as.seed, 1+int(as.nUnits)%64, 1+int(as.nPubs)%40, as.mode)
+		c := checkDenseAgainstReference(t, units, brokers, pubs, capacity)
+		if as.reached(c) == 0 {
+			t.Errorf("fuzz seed %q no longer reaches its corner: %+v", as.name, c)
+		}
+		cov.add(c)
+		total += len(units)
+	}
 	if cov.placed == 0 || cov.placed == total {
 		t.Fatalf("one-sided coverage: %d of %d units placed; the inputs must both admit and reject", cov.placed, total)
 	}
-	if cov.fullRejects == 0 || cov.boundRejects == 0 || cov.walkRejects == 0 || cov.memoFits == 0 || cov.orSkips == 0 {
+	if cov.fullRejects == 0 || cov.boundRejects == 0 || cov.walkRejects == 0 || cov.memoFits == 0 || cov.orSkips == 0 ||
+		cov.unplaced == 0 || cov.soloRejects == 0 {
 		t.Fatalf("a kernel path went unexercised: %+v", cov)
 	}
 	t.Logf("coverage over %d units: %+v", total, cov)
@@ -435,8 +590,11 @@ func TestInternIsExactContent(t *testing.T) {
 // FuzzDenseFitsEquivalence drives random unit streams — publishers missing
 // from the statistics, empty vectors, misaligned and disjoint windows,
 // capacity-clamped Or, profiles of 1 and of 40 publishers, runs of repeated
-// contents, rate-saturated brokers — through the dense first-fit state and
-// through the retained bitvector.IntersectLoad + Profile.Or reference.
+// contents, rate-saturated brokers, units without filters, unordered rates —
+// through the dense first-fit state and through the retained
+// bitvector.IntersectLoad + Profile.Or reference, with place's column scan
+// held to the linear loop over that reference and its columns to the states
+// they copy (checkDenseAgainstReference).
 func FuzzDenseFitsEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(20), uint8(1), uint8(0))
 	f.Add(int64(2), uint8(30), uint8(40), uint8(0x20))
@@ -446,6 +604,9 @@ func FuzzDenseFitsEquivalence(f *testing.F) {
 	f.Add(int64(6), uint8(63), uint8(11), uint8(denseRepeats|denseMisaligned|denseMixedCaps|3))
 	f.Add(int64(7), uint8(63), uint8(5), uint8(denseSaturated))
 	f.Add(int64(8), uint8(63), uint8(2), uint8(denseSaturated|denseRepeats|4))
+	for _, as := range admissionSeeds {
+		f.Add(as.seed, as.nUnits, as.nPubs, as.mode)
+	}
 	f.Fuzz(func(t *testing.T, seed int64, nUnits, nPubs, mode uint8) {
 		units, brokers, pubs, capacity := denseCase(seed, 1+int(nUnits)%64, 1+int(nPubs)%40, mode)
 		checkDenseAgainstReference(t, units, brokers, pubs, capacity)

@@ -28,22 +28,28 @@ import (
 //     it, and the broker states are one scratch pack cleared in place — no
 //     map lookup, no Unit or Profile dereference and, in the steady state,
 //     no allocation.
-//  2. Most broker tests are decided without vector arithmetic (packing.go).
-//     A placement tries ~17 brokers on the 8k plan and ~8 on the 20k pool
-//     before one admits the unit; the 8k plan's leading brokers are
-//     rate-saturated and cost one comparison each (152M of 177M fits calls),
-//     the 20k pool's are out of bandwidth (372M of 424M). Of the calls that
-//     get as far as the intersect load, the run memo answers 2.6M and 29.6M
-//     — the pool is runs of identical compiled content, 1,634 distinct
+//  2. Most broker tests are decided without vector arithmetic, and most of
+//     those without a call (packing.go). A placement passes ~17 brokers on
+//     the 8k plan and ~8 on the 20k pool before one admits the unit; the 8k
+//     plan's leading brokers are rate-saturated (152M of 177M tests), the
+//     20k pool's out of bandwidth (372M of 424M), and place turns both away
+//     on its admission columns, two comparisons over three contiguous
+//     float64 arrays. What reaches fits is 2.3 calls per placement on the 8k
+//     plan and 1.0 on the 20k pool. Of those, the run memo answers 2.6M and
+//     29.6M — the pool is runs of identical compiled content, 1,634 distinct
 //     contents among the 20k pool's units — and 21.7M and 22.9M walk
 //     AndCount over the unit's publishers: two walks per placement on the 8k
-//     plan, less than one in two on the 20k pool. accept skips its OR walk
-//     for 3.1M of 10.6M and 37.2M of 52.5M placements.
+//     plan, less than one in two on the 20k pool, nearly all of the latter
+//     through the offset word walker. accept skips its OR walk for 3.1M of
+//     10.6M and 37.2M of 52.5M placements.
 //
-// At ~85 ns a placement, neither splitting one across goroutines, nor
-// resuming a replay from saved broker states, nor running a binary search's
-// next probes ahead of time pays for its bookkeeping (EXPERIMENTS.md,
-// "Mechanism census"). A pool is for one goroutine.
+// At ~60 ns a placement (3.1 s for the 20k row's 53M; BenchmarkProbeReplay
+// reads the same on its synthetic pool), neither splitting one across
+// goroutines, nor resuming a replay from saved broker states, nor
+// running a binary search's next probes ahead of time pays for its
+// bookkeeping, and a tournament tree over remaining bandwidth costs per
+// placement what the column scan does (EXPERIMENTS.md, "Mechanism census").
+// A pool is for one goroutine.
 type pool struct {
 	table *bitvector.PublisherTable
 	// classes interns the committed units' compiled content against table.

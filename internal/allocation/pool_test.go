@@ -11,7 +11,11 @@ import (
 // checkPoolInvariants asserts what pool.commit must preserve: units strictly
 // in BIN PACKING order, stream[i] the compiled form of units[i], and classes
 // partitioning the stream exactly as a fresh classTable partitions it — equal
-// compiled content, equal class, the canonical entries shared.
+// compiled content, equal class, the canonical entries shared. It ends by
+// replaying the pool onto its scratch pack: the admission columns must mirror
+// the broker states where the run's last probe left them, after the clear and
+// after every placement, and place must land each unit where the linear scan
+// over fits lands it on a pack of its own.
 func checkPoolInvariants(t *testing.T, p *pool) {
 	t.Helper()
 	if len(p.stream) != len(p.units) {
@@ -47,6 +51,22 @@ func checkPoolInvariants(t *testing.T, p *pool) {
 			}
 			canonical[got.class] = &got.entries[0]
 		}
+	}
+
+	checkColumns(t, p.pk, "as the last probe left the scratch pack")
+	p.pk.clear()
+	checkColumns(t, p.pk, "after clear")
+	brokers := make([]*BrokerSpec, len(p.pk.states))
+	for b := range brokers {
+		brokers[b] = p.pk.states[b].spec
+	}
+	linear := newPack(brokers, p.table, p.pk.capacity)
+	for i := range p.stream {
+		got, want := p.pk.place(&p.stream[i]), placeLinear(linear, &p.stream[i])
+		if got != want {
+			t.Fatalf("stream[%d] (unit %s): place chose broker %d, the linear scan over fits %d", i, p.units[i].ID, got, want)
+		}
+		checkColumns(t, p.pk, fmt.Sprintf("stream[%d] placed on %d", i, got))
 	}
 }
 

@@ -164,14 +164,15 @@ func (s *shardSet) freshen(gifs map[string]*gif) {
 // shardSurvivors is the wholesale-pruning stage of the sharded scan for
 // probe g with incumbent threshold t0. It returns the IDs of the
 // surviving shards' members in global sorted order (the cross-shard
-// merge of the scan input), the number of admissible pairings the
-// pruned shards contained — tallied into both ClosenessComputations and
-// BoundPruned by the caller, exactly as the per-pair rule would have —
-// and the count of shards pruned wholesale. Read-only: the seed phase
-// calls it from worker goroutines.
+// merge of the scan input; the slice is scan's, good until its next
+// search), the number of admissible pairings the pruned shards contained
+// — tallied into both ClosenessComputations and BoundPruned by the
+// caller, exactly as the per-pair rule would have — and the count of
+// shards pruned wholesale. It only reads run state: the seed phase calls
+// it from worker goroutines, each with a scratch of its own.
 //
 //greenvet:hotpath shard scan: runs once per partner search, envelope bound per shard (E13: millions of calls)
-func (r *cramRun) shardSurvivors(g *gif, t0 float64) (ids []string, bulk, shardsPruned int) {
+func (r *cramRun) shardSurvivors(g *gif, t0 float64, scan *scanScratch) (ids []string, bulk, shardsPruned int) {
 	s := r.shards
 	survived := make([]bool, s.n)
 	gShard := s.of[g.id]
@@ -202,11 +203,15 @@ func (r *cramRun) shardSurvivors(g *gif, t0 float64) (ids []string, bulk, shards
 		bulk += n
 	}
 	all := r.sortedGIFIDs()
-	ids = make([]string, 0, len(all))
+	if cap(scan.ids) < len(all) {
+		scan.ids = make([]string, len(all))
+	}
+	ids, n := scan.ids[:len(all)], 0
 	for _, id := range all {
 		if survived[s.of[id]] {
-			ids = append(ids, id)
+			ids[n] = id
+			n++
 		}
 	}
-	return ids, bulk, shardsPruned
+	return ids[:n], bulk, shardsPruned
 }

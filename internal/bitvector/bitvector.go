@@ -334,7 +334,7 @@ func AndCount(a, b *Vector) int {
 	if (ai-bi)%wordBits == 0 {
 		return andCountWords(a.words, b.words, ai, bi, hi-lo+1)
 	}
-	return genericOpCount(a, b, lo, hi, func(x, y uint64) uint64 { return x & y })
+	return offsetOpCount(opAnd, a.words, b.words, ai, bi, hi-lo+1)
 }
 
 // XorCount returns |a XOR b| counting, per the Gryphon-derived metric,
@@ -349,7 +349,7 @@ func XorCount(a, b *Vector) int {
 		if (ai-bi)%wordBits == 0 {
 			n = xorCountWords(a.words, b.words, ai, bi, hi-lo+1)
 		} else {
-			n = genericOpCount(a, b, lo, hi, func(x, y uint64) uint64 { return x ^ y })
+			n = offsetOpCount(opXor, a.words, b.words, ai, bi, hi-lo+1)
 		}
 	}
 	n += countOutside(a, b)
@@ -368,7 +368,7 @@ func AndNotCount(a, b *Vector) int {
 		if (ai-bi)%wordBits == 0 {
 			n = andNotCountWords(a.words, b.words, ai, bi, hi-lo+1)
 		} else {
-			n = genericOpCount(a, b, lo, hi, func(x, y uint64) uint64 { return x &^ y })
+			n = offsetOpCount(opAndNot, a.words, b.words, ai, bi, hi-lo+1)
 		}
 	}
 	n += countOutside(a, b)
@@ -386,7 +386,7 @@ func OrCount(a, b *Vector) int {
 		if (ai-bi)%wordBits == 0 {
 			n = orCountWords(a.words, b.words, ai, bi, hi-lo+1)
 		} else {
-			n = genericOpCount(a, b, lo, hi, func(x, y uint64) uint64 { return x | y })
+			n = offsetOpCount(opOr, a.words, b.words, ai, bi, hi-lo+1)
 		}
 	}
 	n += countOutside(a, b)
@@ -574,33 +574,69 @@ func andNotCountWords(aw, bw []uint64, ai, bi, n int) int {
 	return cnt
 }
 
-// genericOpCount applies a boolean op over the [lo,hi] overlap of the two
-// windows and counts the resulting set bits, realigning b to a's word grid
-// with extractBits at every step. It is the fallback for overlaps whose
-// sides differ in in-word offset — and the pre-kernel baseline the
-// micro-benchmarks compare the aligned walkers against.
-//
-//greenvet:hotpath misaligned-overlap fallback of the count kernels
-func genericOpCount(a, b *Vector, lo, hi int, op func(x, y uint64) uint64) int {
-	n := 0
-	// Walk the overlap word-by-word in a's coordinates, realigning b.
-	for id := lo; id <= hi; {
-		ai := id - a.firstID
-		bi := id - b.firstID
-		// Bits available in this step: up to the end of a's or b's word.
-		step := wordBits - ai%wordBits
-		if s := wordBits - bi%wordBits; s < step {
-			step = s
-		}
-		if rem := hi - id + 1; rem < step {
-			step = rem
-		}
-		aw := extractBits(a.words, ai, step)
-		bw := extractBits(b.words, bi, step)
-		n += bits.OnesCount64(op(aw, bw) & maskLow(step))
-		id += step
+// countOp names the boolean op of an offset count.
+type countOp uint8
+
+const (
+	opAnd countOp = iota
+	opOr
+	opXor
+	opAndNot
+)
+
+// apply returns x op y.
+func (op countOp) apply(x, y uint64) uint64 {
+	switch op {
+	case opAnd:
+		return x & y
+	case opOr:
+		return x | y
+	case opXor:
+		return x ^ y
+	default:
+		return x &^ y
 	}
-	return n
+}
+
+// offsetOpCount counts bits of aw op bw over the n-bit overlap starting at
+// bit offsets ai and bi whose in-word offsets differ (ai ≢ bi mod 64). It
+// walks a's word grid like the aligned kernels — head, whole words, masked
+// tail — and reads b through a funnel shift: once a is on a word boundary b
+// is s = bi mod 64 bits past one, s ≠ 0 for the rest of the walk, so each
+// word of a meets the top 64−s bits of one word of b and the low s bits of
+// the next, one load of b per word of a. A whole word of overlap lies inside
+// b's window, so that next word exists; the head and the tail may end inside
+// b's last word and go through extractBits, which guards the read.
+//
+//greenvet:hotpath offset inner word loop of the count kernels: every unit-vs-aggregate overlap whose windows start off each other's word grid
+func offsetOpCount(op countOp, aw, bw []uint64, ai, bi, n int) int {
+	i := ai / wordBits
+	cnt := 0
+	if off := ai % wordBits; off != 0 {
+		take := wordBits - off
+		if take > n {
+			take = n
+		}
+		cnt += bits.OnesCount64(op.apply(aw[i]>>uint(off), extractBits(bw, bi, take)) & maskLow(take))
+		n -= take
+		bi += take
+		i++
+	}
+	full := n / wordBits
+	if full > 0 {
+		j, s := bi/wordBits, uint(bi%wordBits)
+		as, bs := aw[i:i+full], bw[j:j+full+1]
+		lo := bs[0] >> s
+		for k, x := range as {
+			hi := bs[k+1]
+			cnt += bits.OnesCount64(op.apply(x, lo|hi<<(wordBits-s)))
+			lo = hi >> s
+		}
+	}
+	if n %= wordBits; n > 0 {
+		cnt += bits.OnesCount64(op.apply(aw[i+full], extractBits(bw, bi+full*wordBits, n)) & maskLow(n))
+	}
+	return cnt
 }
 
 // extractBits reads `count` (<=64) bits starting at bit offset off.

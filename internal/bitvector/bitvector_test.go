@@ -235,6 +235,66 @@ func TestCountsWithMisalignedWindows(t *testing.T) {
 	if got := AndCount(a, b); got != want {
 		t.Errorf("AndCount misaligned = %d, want %d", got, want)
 	}
+
+	// The word kernels at every pair of in-word offsets and every overlap
+	// length that fits a head, two whole words and a tail. checkWordKernels
+	// cuts both slices at the last word the overlap touches, so every
+	// (offset, length) whose sum is a multiple of 64 ends on the last bit of
+	// the last word, where reading the next word of b would be out of range.
+	rng := rand.New(rand.NewSource(21))
+	aw, bw := make([]uint64, 4), make([]uint64, 4)
+	for i := range aw {
+		aw[i], bw[i] = rng.Uint64(), rng.Uint64()
+	}
+	for ai := 0; ai < wordBits; ai++ {
+		for bi := 0; bi < wordBits; bi++ {
+			for n := 1; n <= 130; n++ {
+				checkWordKernels(t, aw, bw, ai, bi, n)
+			}
+		}
+	}
+
+	// The same grid through the public functions and Or: b starts d IDs
+	// after (or before) a, the overlap is n IDs long, and each side in turn
+	// fills its capacity so that the overlap ends on its last word's last bit.
+	grid := func(capacity, first, last int) *Vector {
+		v := New(capacity)
+		v.Observe(first) // the window starts here whether or not the bit is set
+		for id := first; id <= last; id++ {
+			if rng.Intn(2) == 0 {
+				v.Set(id)
+			}
+		}
+		v.Observe(last)
+		return v
+	}
+	for d := -(wordBits - 1); d < wordBits; d++ {
+		for n := 1; n <= 130; n++ {
+			for _, fill := range []struct{ a, b bool }{{false, false}, {true, false}, {false, true}} {
+				firstA, firstB := max(0, -d), max(0, d)
+				last := max(firstA, firstB) + n - 1 // where the overlap ends
+				lastA, lastB := last+rng.Intn(40), last+rng.Intn(40)
+				if rng.Intn(2) == 0 {
+					lastA = last
+				} else {
+					lastB = last
+				}
+				capA, capB := 320, 320
+				if fill.a {
+					lastA = last
+					capA = lastA - firstA + 1
+				}
+				if fill.b {
+					lastB = last
+					capB = lastB - firstB + 1
+				}
+				x, y := grid(capA, firstA, lastA), grid(capB, firstB, lastB)
+				checkCountKernels(t, x, y)
+				checkOrMerge(t, x, y)
+				checkOrMerge(t, y, x)
+			}
+		}
+	}
 }
 
 // model is a brute-force reference implementation of the windowed vector

@@ -4,8 +4,9 @@ import "testing"
 
 // TestKernelsAllocationFree pins the //greenvet:hotpath declaration on the
 // count kernels with a measurement: a steady-state evaluation of all four
-// kernels, on both the aligned word walkers and the misaligned realigning
-// fallback, allocates nothing. hotalloc proves the absence of
+// kernels, on both the aligned word walkers and the offset walker
+// (offsetOpCount, which the misaligned pair reaches for every op), allocates
+// nothing. hotalloc proves the absence of
 // allocation-inducing constructs statically; this keeps the claim honest
 // against compiler escape-analysis regressions.
 func TestKernelsAllocationFree(t *testing.T) {

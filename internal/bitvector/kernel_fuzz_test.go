@@ -1,6 +1,7 @@
 package bitvector
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -59,12 +60,153 @@ func refCounts(a, b *Vector) (and, or, xor, andnot int) {
 	return and, or, xor, andnot
 }
 
+// genericOpCount is the offset path the count kernels took before
+// offsetOpCount, body unchanged: it steps to the nearer of both sides' word
+// boundaries, realigns both with extractBits and calls op per step. Kept
+// here as BenchmarkKernelVsGeneric's baseline and as a second oracle beside
+// the per-bit reference — it shares extractBits and maskLow with the
+// walker, nothing else.
+func genericOpCount(a, b *Vector, lo, hi int, op func(x, y uint64) uint64) int {
+	n := 0
+	// Walk the overlap word-by-word in a's coordinates, realigning b.
+	for id := lo; id <= hi; {
+		ai := id - a.firstID
+		bi := id - b.firstID
+		// Bits available in this step: up to the end of a's or b's word.
+		step := wordBits - ai%wordBits
+		if s := wordBits - bi%wordBits; s < step {
+			step = s
+		}
+		if rem := hi - id + 1; rem < step {
+			step = rem
+		}
+		aw := extractBits(a.words, ai, step)
+		bw := extractBits(b.words, bi, step)
+		n += bits.OnesCount64(op(aw, bw) & maskLow(step))
+		id += step
+	}
+	return n
+}
+
+// genericCounts computes the four pair counts the way the public kernels
+// did when every overlap went through genericOpCount.
+func genericCounts(a, b *Vector) (and, or, xor, andnot int) {
+	if lo, hi, ok := overlap(a, b); ok {
+		and = genericOpCount(a, b, lo, hi, func(x, y uint64) uint64 { return x & y })
+		or = genericOpCount(a, b, lo, hi, func(x, y uint64) uint64 { return x | y })
+		xor = genericOpCount(a, b, lo, hi, func(x, y uint64) uint64 { return x ^ y })
+		andnot = genericOpCount(a, b, lo, hi, func(x, y uint64) uint64 { return x &^ y })
+	}
+	outA, outB := countOutside(a, b), countOutside(b, a)
+	return and, or + outA + outB, xor + outA + outB, andnot + outA
+}
+
+// refWordCounts counts the four ops bit by bit over the n-bit ranges of two
+// raw word slices starting at bit offsets ai and bi.
+func refWordCounts(aw, bw []uint64, ai, bi, n int) (c [4]int) {
+	for k := 0; k < n; k++ {
+		x := aw[(ai+k)/wordBits]>>(uint(ai+k)%wordBits)&1 != 0
+		y := bw[(bi+k)/wordBits]>>(uint(bi+k)%wordBits)&1 != 0
+		if x && y {
+			c[opAnd]++
+		}
+		if x || y {
+			c[opOr]++
+		}
+		if x != y {
+			c[opXor]++
+		}
+		if x && !y {
+			c[opAndNot]++
+		}
+	}
+	return c
+}
+
+// wordCounts runs the four word kernels the public functions would pick for
+// the offsets: the aligned family when ai ≡ bi mod 64, the offset walker
+// otherwise.
+func wordCounts(aw, bw []uint64, ai, bi, n int) [4]int {
+	if (ai-bi)%wordBits == 0 {
+		return [4]int{
+			opAnd:    andCountWords(aw, bw, ai, bi, n),
+			opOr:     orCountWords(aw, bw, ai, bi, n),
+			opXor:    xorCountWords(aw, bw, ai, bi, n),
+			opAndNot: andNotCountWords(aw, bw, ai, bi, n),
+		}
+	}
+	var c [4]int
+	for op := opAnd; op <= opAndNot; op++ {
+		c[op] = offsetOpCount(op, aw, bw, ai, bi, n)
+	}
+	return c
+}
+
+// checkWordKernels holds the word kernels to the per-bit reference over one
+// raw range. Both slices are cut to the last word the range touches, so a
+// kernel that reads one word too far panics instead of passing.
+func checkWordKernels(t *testing.T, aw, bw []uint64, ai, bi, n int) {
+	t.Helper()
+	aw, bw = aw[:(ai+n+wordBits-1)/wordBits], bw[:(bi+n+wordBits-1)/wordBits]
+	if got, want := wordCounts(aw, bw, ai, bi, n), refWordCounts(aw, bw, ai, bi, n); got != want {
+		t.Fatalf("offsets (%d,%d) length %d: kernels [and or xor andnot] = %v, per-bit reference = %v", ai, bi, n, got, want)
+	}
+}
+
+// checkCountKernels holds the four public count kernels to the per-bit
+// reference and to the retained generic path, in both argument orders.
+func checkCountKernels(t *testing.T, a, b *Vector) {
+	t.Helper()
+	for _, p := range [2][2]*Vector{{a, b}, {b, a}} {
+		x, y := p[0], p[1]
+		got := [4]int{AndCount(x, y), OrCount(x, y), XorCount(x, y), AndNotCount(x, y)}
+		and, or, xor, andnot := refCounts(x, y)
+		if want := [4]int{and, or, xor, andnot}; got != want {
+			t.Errorf("%v vs %v: kernels [and or xor andnot] = %v, per-bit reference = %v", x, y, got, want)
+		}
+		and, or, xor, andnot = genericCounts(x, y)
+		if want := [4]int{and, or, xor, andnot}; got != want {
+			t.Errorf("%v vs %v: kernels [and or xor andnot] = %v, generic path = %v", x, y, got, want)
+		}
+	}
+}
+
+// checkOrMerge holds a.Or(b) to the per-bit union restricted to the merged
+// window, with the cached popcount, and checks that a second Or changes
+// nothing. It returns the merge.
+func checkOrMerge(t *testing.T, a, b *Vector) *Vector {
+	t.Helper()
+	m := a.Clone()
+	m.Or(b)
+	want := 0
+	for id := m.FirstID(); id <= m.LastID(); id++ {
+		union := a.Get(id) || b.Get(id)
+		if m.Get(id) != union {
+			t.Errorf("Or merge of %v into %v: bit %d = %v, reference = %v", b, a, id, m.Get(id), union)
+		}
+		if union {
+			want++
+		}
+	}
+	if m.Count() != want {
+		t.Errorf("Or merge cached count = %d, per-bit recount = %d", m.Count(), want)
+	}
+	again := m.Clone()
+	again.Or(b)
+	if again.String() != m.String() || again.Count() != m.Count() {
+		t.Errorf("second Or changed the merge: %v (count %d) to %v (count %d)", m, m.Count(), again, again.Count())
+	}
+	return m
+}
+
 // FuzzKernelEquivalence drives random window offsets, capacities, and
-// densities through the four specialized count kernels and the Or merge
-// (into a filled and into an empty vector, once and twice), asserting
-// bit-for-bit agreement with the naive per-bit reference. Both
-// dispatch paths are exercised: word-aligned offsets (forced for half the
-// inputs) take the fast walkers, odd offsets the realigning fallback.
+// densities through the four count kernels and the Or merge (into a filled
+// and into an empty vector, once and twice), asserting bit-for-bit agreement
+// with the naive per-bit reference and, for the counts, with the retained
+// generic path. Both dispatch paths are exercised — word-aligned offsets
+// (forced for half the inputs) take the aligned walkers, odd offsets the
+// offset walker — through the public functions and again on a raw word
+// range at arbitrary offsets on both sides.
 func FuzzKernelEquivalence(f *testing.F) {
 	f.Add(int64(1), int64(2), uint16(0), uint16(0), uint16(100), uint16(100), uint8(128), uint8(128), uint8(0))
 	f.Add(int64(3), int64(4), uint16(10), uint16(74), uint16(200), uint16(150), uint8(200), uint8(30), uint8(1))
@@ -84,77 +226,24 @@ func FuzzKernelEquivalence(f *testing.F) {
 		a := buildFuzzVector(capA, sa, wa, densA, seedA)
 		b := buildFuzzVector(capB, sb, wb, densB, seedB)
 
-		and, or, xor, andnot := refCounts(a, b)
-		if got := AndCount(a, b); got != and {
-			t.Errorf("AndCount = %d, reference = %d", got, and)
-		}
-		if got := OrCount(a, b); got != or {
-			t.Errorf("OrCount = %d, reference = %d", got, or)
-		}
-		if got := XorCount(a, b); got != xor {
-			t.Errorf("XorCount = %d, reference = %d", got, xor)
-		}
-		if got := AndNotCount(a, b); got != andnot {
-			t.Errorf("AndNotCount = %d, reference = %d", got, andnot)
-		}
-		// Symmetric ops must be symmetric; AndNot reversed must also match
-		// its reference.
-		if AndCount(a, b) != AndCount(b, a) {
-			t.Error("AndCount not symmetric")
-		}
-		if OrCount(a, b) != OrCount(b, a) {
-			t.Error("OrCount not symmetric")
-		}
-		if XorCount(a, b) != XorCount(b, a) {
-			t.Error("XorCount not symmetric")
-		}
-		_, _, _, andnotBA := refCounts(b, a)
-		if got := AndNotCount(b, a); got != andnotBA {
-			t.Errorf("AndNotCount(b,a) = %d, reference = %d", got, andnotBA)
-		}
+		checkCountKernels(t, a, b)
 
-		// Or merge: the union restricted to the merged window, checked
-		// per-bit, plus the cached-popcount invariant.
-		union := make(map[int]bool)
-		for id := a.FirstID(); id <= a.LastID(); id++ {
-			if a.Get(id) {
-				union[id] = true
-			}
-		}
-		for id := b.FirstID(); id <= b.LastID(); id++ {
-			if b.Get(id) {
-				union[id] = true
-			}
-		}
-		m := a.Clone()
-		m.Or(b)
-		want := 0
-		for id := m.FirstID(); id <= m.LastID(); id++ {
-			if m.Get(id) != union[id] {
-				t.Errorf("Or merge bit %d = %v, reference = %v", id, m.Get(id), union[id])
-			}
-			if union[id] {
-				want++
-			}
-		}
-		if m.Count() != want {
-			t.Errorf("Or merge cached count = %d, per-bit recount = %d", m.Count(), want)
-		}
+		// The word kernels over a raw range of the same words, at in-word
+		// offsets the public functions never produce (an overlap starts on
+		// the first bit of one side).
+		ai, bi := int(startA)%a.Window(), int(startB)%b.Window()
+		checkWordKernels(t, a.words, b.words, ai, bi, 1+int(widthB)%min(a.Window()-ai, b.Window()-bi))
 
-		// Or is idempotent, and into an empty vector it keeps the newest
-		// bits its capacity holds — the source may hold a wider window.
-		again := m.Clone()
-		again.Or(b)
-		if again.String() != m.String() || again.Count() != m.Count() {
-			t.Errorf("second Or changed the merge: %v (count %d) to %v (count %d)", m, m.Count(), again, again.Count())
-		}
+		checkOrMerge(t, a, b)
+		// Into an empty vector Or keeps the newest bits its capacity holds —
+		// the source may hold a wider window.
 		e := New(capA)
 		e.Or(b)
 		if e.LastID() != b.LastID() || e.Window() != min(b.Window(), capA) {
 			t.Errorf("Or into empty: window [%d,%d] from source [%d,%d] at capacity %d",
 				e.FirstID(), e.LastID(), b.FirstID(), b.LastID(), capA)
 		}
-		want = 0
+		want := 0
 		for id := e.FirstID(); id <= e.LastID(); id++ {
 			if e.Get(id) != b.Get(id) {
 				t.Errorf("Or into empty: bit %d = %v, source has %v", id, e.Get(id), b.Get(id))

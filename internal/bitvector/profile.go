@@ -2,8 +2,9 @@ package bitvector
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // PublisherStats is the publisher profile of Section III-B: the
@@ -439,22 +440,28 @@ func IntersectLoad(a, b *Profile, stats map[string]*PublisherStats) Load {
 // they sank exactly the same publications; the GIF optimization
 // (Section IV-C.1) groups subscriptions by this key.
 func (p *Profile) FingerprintKey() string {
-	pubs := p.Publishers()
-	var b strings.Builder
-	for _, advID := range pubs {
+	var key []byte
+	for _, advID := range p.keys {
 		v := p.vectors[advID]
-		if v.Count() == 0 {
+		if v.count == 0 {
 			continue
 		}
-		b.WriteString(advID)
-		b.WriteByte(':')
-		for i := 0; i < v.Window(); i++ {
-			id := v.FirstID() + i
-			if v.Get(id) {
-				fmt.Fprintf(&b, "%d,", id)
+		key = append(key, advID...)
+		key = append(key, ':')
+		// The window's set bits in ascending ID order, a word at a time.
+		win := v.Window()
+		for i, w := range v.words {
+			if rem := win - i*wordBits; rem <= 0 {
+				break
+			} else if rem < wordBits {
+				w &= maskLow(rem)
+			}
+			for ; w != 0; w &= w - 1 {
+				key = strconv.AppendInt(key, int64(v.firstID+i*wordBits+bits.TrailingZeros64(w)), 10)
+				key = append(key, ',')
 			}
 		}
-		b.WriteByte(';')
+		key = append(key, ';')
 	}
-	return b.String()
+	return string(key)
 }

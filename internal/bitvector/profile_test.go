@@ -1,8 +1,10 @@
 package bitvector
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -342,6 +344,78 @@ func TestFingerprintKeyGroupsEqualProfiles(t *testing.T) {
 	b.Record("A", 4)
 	if a.FingerprintKey() == b.FingerprintKey() {
 		t.Fatal("different profiles must not share a fingerprint key")
+	}
+}
+
+// fmtFingerprintKey is FingerprintKey as it was written with fmt: one
+// Fprintf per set bit of the window. Test-only, the golden the strconv form
+// is held to.
+func fmtFingerprintKey(p *Profile) string {
+	var b strings.Builder
+	for _, advID := range p.Publishers() {
+		v := p.Vector(advID)
+		if v.Count() == 0 {
+			continue
+		}
+		b.WriteString(advID)
+		b.WriteByte(':')
+		for i := 0; i < v.Window(); i++ {
+			if id := v.FirstID() + i; v.Get(id) {
+				fmt.Fprintf(&b, "%d,", id)
+			}
+		}
+		b.WriteByte(';')
+	}
+	return b.String()
+}
+
+// TestFingerprintKeyGolden compares FingerprintKey with the fmt formatting
+// it replaced on random profiles: several publishers, vectors that are empty
+// or slid clean of bits (skipped), windows slid past capacity, negative IDs,
+// capacities off the word grid, and a snapshot with bits beyond its window —
+// which the per-bit loop never printed.
+func TestFingerprintKeyGolden(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 500; trial++ {
+		capacity := []int{1, 63, 64, 100, 128, DefaultCapacity}[rng.Intn(6)]
+		p := NewProfile(capacity)
+		for pub := rng.Intn(6); pub >= 0; pub-- {
+			adv := fmt.Sprintf("adv%d", rng.Intn(12))
+			start := rng.Intn(5000) - 1000
+			switch rng.Intn(5) {
+			case 0: // recorded, then slid out: present, no set bit
+				p.Record(adv, start)
+				p.Vector(adv).Observe(start + 2*capacity)
+			case 1: // never recorded: an empty window, as Profile.Or can leave
+				if p.Vector(adv) == nil {
+					p.vectors[adv] = New(capacity)
+					p.insertKey(adv)
+				}
+			default:
+				for id := start; id < start+rng.Intn(3*capacity)+1; id++ {
+					if rng.Intn(3) == 0 {
+						p.Record(adv, id)
+					}
+				}
+			}
+		}
+		if got, want := p.FingerprintKey(), fmtFingerprintKey(p); got != want {
+			t.Fatalf("trial %d: FingerprintKey = %q, fmt formatting = %q", trial, got, want)
+		}
+	}
+
+	snap := New(128).Snapshot()
+	snap.First, snap.Last = 10, 19
+	v, err := FromSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.words[0], v.words[1] = 1<<3|1<<9|1<<10|1<<40, 1<<5
+	v.recount()
+	p := NewProfile(128)
+	p.vectors["P"], p.keys = v, []string{"P"}
+	if got, want := p.FingerprintKey(), "P:13,19,;"; got != want || got != fmtFingerprintKey(p) {
+		t.Fatalf("bits past the window: FingerprintKey = %q, want %q (fmt formatting %q)", got, want, fmtFingerprintKey(p))
 	}
 }
 

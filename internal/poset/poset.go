@@ -48,6 +48,11 @@ type Node struct {
 	// neither a copy nor a sort per visited node.
 	parents  []*Node
 	children []*Node
+
+	// slot is the node's dense index among the poset's live nodes (the root
+	// holds 0): assigned at Insert, handed to a later Insert after Remove.
+	// Walks mark visited nodes by it in a bitmap of their own (visited).
+	slot int
 }
 
 // IsRoot reports whether the node is the virtual universal root.
@@ -100,10 +105,35 @@ func unlink(par, ch *Node) {
 	ch.parents = without(ch.parents, par)
 }
 
+// visited is the set of nodes one walk has reached, one bit per slot. A walk
+// makes its own — searches over a frozen poset run concurrently — and the
+// poset must not be mutated while it is in use.
+type visited []uint64
+
+// mark adds n to the set and reports whether it was absent.
+func (v visited) mark(n *Node) bool {
+	w, bit := &v[n.slot/64], uint64(1)<<(uint(n.slot)%64)
+	if *w&bit != 0 {
+		return false
+	}
+	*w |= bit
+	return true
+}
+
+// has reports whether n is in the set.
+func (v visited) has(n *Node) bool {
+	return v[n.slot/64]&(uint64(1)<<(uint(n.slot)%64)) != 0
+}
+
 // Poset is the DAG. It is not safe for concurrent use.
 type Poset struct {
 	root  *Node
 	nodes map[string]*Node
+	// slots is the high-water count of node slots handed out, the root's
+	// included; free lists the slots of removed nodes, reused last-in
+	// first-out so the count stays the peak number of live nodes.
+	slots int
+	free  []int
 	// relateCount tallies Relate calls, the unit of work the paper's
 	// Optimization 2 reduces; exposed for the E8 ablation experiment.
 	relateCount int
@@ -114,8 +144,12 @@ func New() *Poset {
 	return &Poset{
 		root:  &Node{ID: "<root>"},
 		nodes: make(map[string]*Node),
+		slots: 1,
 	}
 }
+
+// newVisited returns an empty visited set over the poset's slots.
+func (p *Poset) newVisited() visited { return make(visited, (p.slots+63)/64) }
 
 // Len returns the number of real (non-root) nodes.
 func (p *Poset) Len() int { return len(p.nodes) }
@@ -168,6 +202,12 @@ func (p *Poset) Insert(id string, prof *bitvector.Profile, payload any) (*Node, 
 	for _, ch := range children {
 		link(n, ch)
 	}
+	if k := len(p.free); k > 0 {
+		n.slot, p.free = p.free[k-1], p.free[:k-1]
+	} else {
+		n.slot = p.slots
+		p.slots++
+	}
 	p.nodes[id] = n
 	return n, nil
 }
@@ -177,14 +217,14 @@ func (p *Poset) Insert(id string, prof *bitvector.Profile, payload any) (*Node, 
 // of whose children cover prof is a parent. If a node with an equal profile
 // exists it is returned separately so Insert can reject the duplicate.
 func (p *Poset) findParents(prof *bitvector.Profile) (parents []*Node, equal *Node) {
-	seen := map[*Node]struct{}{p.root: {}}
+	seen := p.newVisited() // the root is nobody's child: it needs no mark
 	queue := []*Node{p.root}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
 		descended := false
 		for _, ch := range cur.Children() {
-			if _, ok := seen[ch]; ok {
+			if seen.has(ch) {
 				descended = true // covering child already being explored
 				continue
 			}
@@ -192,7 +232,7 @@ func (p *Poset) findParents(prof *bitvector.Profile) (parents []*Node, equal *No
 			case bitvector.RelEqual:
 				return nil, ch
 			case bitvector.RelSuperset:
-				seen[ch] = struct{}{}
+				seen.mark(ch)
 				queue = append(queue, ch)
 				descended = true
 			}
@@ -204,16 +244,15 @@ func (p *Poset) findParents(prof *bitvector.Profile) (parents []*Node, equal *No
 	if len(parents) == 0 {
 		parents = []*Node{p.root}
 	}
-	return dedupeMinimal(parents), nil
+	return p.dedupeMinimal(parents), nil
 }
 
 // dedupeMinimal removes duplicates while preserving order.
-func dedupeMinimal(in []*Node) []*Node {
-	seen := make(map[*Node]struct{}, len(in))
+func (p *Poset) dedupeMinimal(in []*Node) []*Node {
+	seen := p.newVisited()
 	out := in[:0]
 	for _, n := range in {
-		if _, ok := seen[n]; !ok {
-			seen[n] = struct{}{}
+		if seen.mark(n) {
 			out = append(out, n)
 		}
 	}
@@ -227,11 +266,10 @@ func dedupeMinimal(in []*Node) []*Node {
 // with an empty relationship cannot (its descendants are subsets of it).
 func (p *Poset) findChildren(parents []*Node, prof *bitvector.Profile) []*Node {
 	var children []*Node
-	seen := make(map[*Node]struct{})
+	seen := p.newVisited()
 	var queue []*Node
 	enqueue := func(n *Node) {
-		if _, ok := seen[n]; !ok {
-			seen[n] = struct{}{}
+		if seen.mark(n) {
 			queue = append(queue, n)
 		}
 	}
@@ -258,37 +296,38 @@ func (p *Poset) findChildren(parents []*Node, prof *bitvector.Profile) []*Node {
 	}
 	// Keep only maximal nodes: drop any candidate that is a descendant of
 	// another candidate.
-	return maximalOnly(children)
+	return p.maximalOnly(children)
 }
 
 // maximalOnly filters a candidate set down to nodes not reachable from any
 // other candidate.
-func maximalOnly(cands []*Node) []*Node {
+func (p *Poset) maximalOnly(cands []*Node) []*Node {
 	if len(cands) <= 1 {
 		return cands
 	}
-	candSet := make(map[*Node]struct{}, len(cands))
+	candSet, seen := p.newVisited(), p.newVisited()
 	for _, c := range cands {
-		candSet[c] = struct{}{}
+		candSet.mark(c)
 	}
 	var out []*Node
 	for _, c := range cands {
 		reachable := false
 		// BFS upward from c looking for another candidate.
-		seen := map[*Node]struct{}{c: {}}
+		clear(seen)
+		seen.mark(c)
 		queue := []*Node{c}
 		for len(queue) > 0 && !reachable {
 			cur := queue[0]
 			queue = queue[1:]
 			for _, par := range cur.parents {
-				if _, ok := seen[par]; ok {
+				if seen.has(par) {
 					continue
 				}
-				if _, ok := candSet[par]; ok {
+				if candSet.has(par) {
 					reachable = true
 					break
 				}
-				seen[par] = struct{}{}
+				seen.mark(par)
 				queue = append(queue, par)
 			}
 		}
@@ -326,6 +365,7 @@ func (p *Poset) Remove(id string) error {
 		}
 	}
 	delete(p.nodes, id)
+	p.free = append(p.free, n.slot)
 	return nil
 }
 
@@ -334,19 +374,18 @@ func (p *Poset) Remove(id string) error {
 // lookup of covered GIFs is O(1)-per-node via the child links.
 func (p *Poset) CoveredBy(n *Node) []*Node {
 	var out []*Node
-	seen := make(map[*Node]struct{})
+	seen := p.newVisited()
 	queue := make([]*Node, 0, len(n.children))
 	for _, ch := range n.children {
 		queue = append(queue, ch)
-		seen[ch] = struct{}{}
+		seen.mark(ch)
 	}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
 		out = append(out, cur)
 		for _, ch := range cur.children {
-			if _, ok := seen[ch]; !ok {
-				seen[ch] = struct{}{}
+			if seen.mark(ch) {
 				queue = append(queue, ch)
 			}
 		}
@@ -437,16 +476,15 @@ func (p *Poset) SearchClosestOpts(query *bitvector.Profile, metric bitvector.Met
 		node      *Node
 		closeness float64
 	}
-	seen := make(map[*Node]struct{})
+	seen := p.newVisited()
 	level, next := []item{{node: p.root}}, []item(nil)
 	for rootLevel := true; len(level) > 0; rootLevel = false {
 		levelBest, haveBest := res.Closeness, res.Best != nil
 		for _, it := range level {
 			for _, ch := range it.node.Children() {
-				if _, ok := seen[ch]; ok {
+				if !seen.mark(ch) {
 					continue
 				}
-				seen[ch] = struct{}{}
 				res.Computations++
 				if qsum != nil {
 					ub := bitvector.ClosenessUpperBound(metric, qsum, ch.summary)
@@ -484,9 +522,8 @@ func (p *Poset) SearchClosestOpts(query *bitvector.Profile, metric bitvector.Met
 
 // Walk visits every node (excluding the root) in BFS order.
 func (p *Poset) Walk(fn func(*Node)) {
-	seen := make(map[*Node]struct{})
+	seen := p.newVisited()
 	queue := []*Node{p.root}
-	seen[p.root] = struct{}{}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
@@ -496,29 +533,48 @@ func (p *Poset) Walk(fn func(*Node)) {
 		// Enqueue in sorted order: the callback observes the visit order,
 		// so it must not depend on map iteration.
 		for _, ch := range cur.Children() {
-			if _, ok := seen[ch]; !ok {
-				seen[ch] = struct{}{}
+			if seen.mark(ch) {
 				queue = append(queue, ch)
 			}
 		}
 	}
 }
 
-// CheckInvariants verifies structural soundness: every node is reachable
-// from the root, every edge respects the superset order, and the graph is
-// acyclic. Intended for tests; returns the first violation in node-ID
-// order, so a broken graph produces the same witness on every run.
+// CheckInvariants verifies structural soundness: every live node holds a
+// slot of its own, every node is reachable from the root, every edge respects
+// the superset order, and the graph is acyclic. Intended for tests; returns
+// the first violation in node-ID order, so a broken graph produces the same
+// witness on every run.
 func (p *Poset) CheckInvariants() error {
-	reach := make(map[*Node]struct{})
-	p.Walk(func(n *Node) { reach[n] = struct{}{} })
-	if len(reach) != len(p.nodes) {
-		return fmt.Errorf("poset: %d nodes reachable, %d registered", len(reach), len(p.nodes))
-	}
 	ids := make([]string, 0, len(p.nodes))
 	for id := range p.nodes {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
+	// Slots first: the walks below mark nodes by them.
+	taken := make([]bool, p.slots)
+	taken[p.root.slot] = true
+	for _, id := range ids {
+		n := p.nodes[id]
+		if n.slot < 0 || n.slot >= p.slots || taken[n.slot] {
+			return fmt.Errorf("poset: node %s holds slot %d of %d, out of range or held by another node", n.ID, n.slot, p.slots)
+		}
+		taken[n.slot] = true
+	}
+	for _, s := range p.free {
+		if s < 0 || s >= p.slots || taken[s] {
+			return fmt.Errorf("poset: free slot %d of %d is out of range, held by a node or listed twice", s, p.slots)
+		}
+		taken[s] = true
+	}
+	if 1+len(p.nodes)+len(p.free) != p.slots {
+		return fmt.Errorf("poset: %d slots handed out, but %d nodes, %d free and the root", p.slots, len(p.nodes), len(p.free))
+	}
+	reached := 0
+	p.Walk(func(*Node) { reached++ })
+	if reached != len(p.nodes) {
+		return fmt.Errorf("poset: %d nodes reachable, %d registered", reached, len(p.nodes))
+	}
 	for _, id := range ids {
 		n := p.nodes[id]
 		for _, ch := range n.Children() {

@@ -3,6 +3,7 @@ package poset
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -320,19 +321,49 @@ func TestQuickSearchClosestMatchesExhaustive(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := New()
-		seenKey := make(map[string]bool)
-		for i := 0; i < 30; i++ {
+		// Inserts interleaved with removes, so the searches below walk nodes
+		// holding recycled slots: the slots handed out never exceed the peak
+		// number of live nodes (plus the root's).
+		seenKey := make(map[string]string) // fingerprint -> live node ID
+		var live []string
+		peak := 0
+		for i := 0; i < 45; i++ {
+			if len(live) > 0 && rng.Intn(4) == 0 {
+				k := rng.Intn(len(live))
+				if err := p.Remove(live[k]); err != nil {
+					t.Logf("remove: %v", err)
+					return false
+				}
+				for key, id := range seenKey {
+					if id == live[k] {
+						delete(seenKey, key)
+					}
+				}
+				live = append(live[:k], live[k+1:]...)
+				continue
+			}
 			lo := rng.Intn(48)
 			hi := lo + rng.Intn(63-lo)
 			pr := rangeProf(lo, hi)
-			if seenKey[pr.FingerprintKey()] {
+			if _, ok := seenKey[pr.FingerprintKey()]; ok {
 				continue
 			}
-			seenKey[pr.FingerprintKey()] = true
-			if _, err := p.Insert(fmt.Sprintf("n%d", i), pr, nil); err != nil {
+			id := fmt.Sprintf("n%d", i)
+			if _, err := p.Insert(id, pr, nil); err != nil {
 				t.Logf("insert: %v", err)
 				return false
 			}
+			seenKey[pr.FingerprintKey()] = id
+			live = append(live, id)
+			peak = max(peak, len(live))
+		}
+		if err := p.CheckInvariants(); err != nil {
+			t.Logf("invariants: %v", err)
+			return false
+		}
+		if p.slots != 1+peak {
+			t.Logf("%d slots handed out for a peak of %d live nodes: removed slots are not reused", p.slots, peak)
+			return false
 		}
 		qlo := rng.Intn(48)
 		query := rangeProf(qlo, qlo+rng.Intn(63-qlo))
@@ -442,5 +473,39 @@ func TestCheckInvariantsDeterministicWitness(t *testing.T) {
 		if err.Error() != want {
 			t.Fatalf("iteration %d: witness %q, want %q", i, err, want)
 		}
+	}
+}
+
+// TestCheckInvariantsSlots corrupts the slot bookkeeping the visited bitmaps
+// rest on — two live nodes on one slot, a live node's slot on the free list,
+// a slot that leaked — and demands each is reported.
+func TestCheckInvariantsSlots(t *testing.T) {
+	build := func() (*Poset, *Node, *Node) {
+		p := New()
+		a := mustInsert(t, p, "A", rangeProf(0, 3))
+		b := mustInsert(t, p, "B", prof(0))
+		mustInsert(t, p, "C", prof(1))
+		if err := p.Remove("C"); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		return p, a, b
+	}
+	p, a, b := build()
+	b.slot = a.slot
+	if err := p.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "node B holds slot") {
+		t.Errorf("two nodes on one slot: %v", err)
+	}
+	p, a, _ = build()
+	p.free[0] = a.slot
+	if err := p.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "free slot") {
+		t.Errorf("a live node's slot on the free list: %v", err)
+	}
+	p, _, _ = build()
+	p.free = nil
+	if err := p.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "slots handed out") {
+		t.Errorf("a leaked slot: %v", err)
 	}
 }
