@@ -28,10 +28,9 @@ const wordBits = 64
 // space. The zero Vector is not usable; construct with New.
 //
 // Concurrency: a Vector is not synchronized. The read-only operations
-// (Get, Count, Fraction, Window, the *Count pair functions, Clone, String,
-// Snapshot) are safe to call concurrently from multiple goroutines as long
-// as no goroutine is mutating the vector; Set, Observe, and Or require
-// exclusive access.
+// (Get, Count, Fraction, Window, AndCount, Clone, String, Snapshot) are safe
+// to call concurrently from multiple goroutines as long as no goroutine is
+// mutating the vector; Set, Observe, and Or require exclusive access.
 type Vector struct {
 	// firstID is the message ID corresponding to bit 0.
 	firstID int
@@ -45,6 +44,11 @@ type Vector struct {
 	// never lazily on read — so the concurrent read-only contract above
 	// holds: Count and Fraction are O(1) loads with no hidden writes.
 	count int
+	// words holds the window's bits, bit 0 of words[0] being firstID. No
+	// bit outside [firstID, lastID] is ever set: Set and Or write only
+	// inside the window, shiftDown moves bits toward firstID, and
+	// FromSnapshot rejects an image that breaks it. count is therefore the
+	// number of IDs the vector holds, which AndCount's identities rest on.
 	words []uint64
 }
 
@@ -322,7 +326,15 @@ func overlap(a, b *Vector) (lo, hi int, ok bool) {
 	return lo, hi, lo <= hi
 }
 
-// AndCount returns |a AND b| over the aligned overlap of the two windows.
+// AndCount returns |a ∩ b|: the IDs set in both vectors, counted over the
+// overlap of the two windows. It is the only pairwise count kernel. A vector
+// holds no set bit outside its window (the invariant every mutator and
+// FromSnapshot keep), so it is a set of IDs whose cardinality is Count(),
+// and every other pair quantity is arithmetic on this one:
+//
+//	|a ∪ b| = |a| + |b| − |a ∩ b|
+//	|a ⊕ b| = |a| + |b| − 2·|a ∩ b|
+//	|a \ b| = |a| − |a ∩ b|
 //
 //greenvet:hotpath closeness kernel: evaluated per candidate pair in CRAM's partner scans (E7/E8: millions of calls per run)
 func AndCount(a, b *Vector) int {
@@ -334,138 +346,15 @@ func AndCount(a, b *Vector) int {
 	if (ai-bi)%wordBits == 0 {
 		return andCountWords(a.words, b.words, ai, bi, hi-lo+1)
 	}
-	return offsetOpCount(opAnd, a.words, b.words, ai, bi, hi-lo+1)
+	return andCountOffset(a.words, b.words, ai, bi, hi-lo+1)
 }
 
-// XorCount returns |a XOR b| counting, per the Gryphon-derived metric,
-// every set bit outside the common window as a difference as well.
+// andCountWords counts bits of aw&bw over the n-bit overlap starting at bit
+// offsets ai and bi that share the same in-word offset (ai ≡ bi mod 64): a
+// head step up to the first word boundary, a straight range over whole
+// words, and a masked tail.
 //
-//greenvet:hotpath closeness kernel: evaluated per candidate pair in CRAM's partner scans
-func XorCount(a, b *Vector) int {
-	lo, hi, ok := overlap(a, b)
-	var n int
-	if ok {
-		ai, bi := lo-a.firstID, lo-b.firstID
-		if (ai-bi)%wordBits == 0 {
-			n = xorCountWords(a.words, b.words, ai, bi, hi-lo+1)
-		} else {
-			n = offsetOpCount(opXor, a.words, b.words, ai, bi, hi-lo+1)
-		}
-	}
-	n += countOutside(a, b)
-	n += countOutside(b, a)
-	return n
-}
-
-// AndNotCount returns |a AND NOT b| over a's window (bits of a not in b).
-//
-//greenvet:hotpath closeness kernel: evaluated per candidate pair in CRAM's partner scans
-func AndNotCount(a, b *Vector) int {
-	lo, hi, ok := overlap(a, b)
-	var n int
-	if ok {
-		ai, bi := lo-a.firstID, lo-b.firstID
-		if (ai-bi)%wordBits == 0 {
-			n = andNotCountWords(a.words, b.words, ai, bi, hi-lo+1)
-		} else {
-			n = offsetOpCount(opAndNot, a.words, b.words, ai, bi, hi-lo+1)
-		}
-	}
-	n += countOutside(a, b)
-	return n
-}
-
-// OrCount returns |a OR b| over the union of the windows.
-//
-//greenvet:hotpath closeness kernel: evaluated per candidate pair in CRAM's partner scans
-func OrCount(a, b *Vector) int {
-	lo, hi, ok := overlap(a, b)
-	var n int
-	if ok {
-		ai, bi := lo-a.firstID, lo-b.firstID
-		if (ai-bi)%wordBits == 0 {
-			n = orCountWords(a.words, b.words, ai, bi, hi-lo+1)
-		} else {
-			n = offsetOpCount(opOr, a.words, b.words, ai, bi, hi-lo+1)
-		}
-	}
-	n += countOutside(a, b)
-	n += countOutside(b, a)
-	return n
-}
-
-// countOutside counts a's set bits at IDs outside b's window.
-//
-//greenvet:hotpath runs inside every Xor/AndNot/OrCount kernel call
-func countOutside(a, b *Vector) int {
-	lo, hi, ok := overlap(a, b)
-	if !ok {
-		return a.Count()
-	}
-	n := 0
-	if lo > a.firstID {
-		n += a.countRange(a.firstID, lo-1)
-	}
-	if hi < a.lastID {
-		n += a.countRange(hi+1, a.lastID)
-	}
-	return n
-}
-
-// countRange counts set bits with IDs in [from, to], clamped to the
-// window, using word-wise popcounts.
-//
-//greenvet:hotpath runs inside every Xor/AndNot/OrCount kernel call
-func (v *Vector) countRange(from, to int) int {
-	if from < v.firstID {
-		from = v.firstID
-	}
-	if to > v.lastID {
-		to = v.lastID
-	}
-	if from > to {
-		return 0
-	}
-	return countBitRange(v.words, from-v.firstID, to-from+1)
-}
-
-// countBitRange counts the set bits in the n-bit range starting at bit
-// offset off, via a head/body/tail split over whole words.
-//
-//greenvet:hotpath word-wise popcount walker behind countRange and the summary bounds
-func countBitRange(words []uint64, off, n int) int {
-	i := off / wordBits
-	cnt := 0
-	if rem := off % wordBits; rem != 0 {
-		take := wordBits - rem
-		if take > n {
-			take = n
-		}
-		cnt += bits.OnesCount64(words[i] >> uint(rem) & maskLow(take))
-		n -= take
-		i++
-	}
-	full := n / wordBits
-	for _, w := range words[i : i+full] {
-		cnt += bits.OnesCount64(w)
-	}
-	if n %= wordBits; n > 0 {
-		cnt += bits.OnesCount64(words[i+full] & maskLow(n))
-	}
-	return cnt
-}
-
-// The four count kernels below walk an n-bit overlap whose two sides share
-// the same in-word offset (ai ≡ bi mod 64): a head step up to the first
-// word boundary, a straight range over whole words, and a masked tail.
-// They are structurally identical and differ only in the boolean op — kept
-// as four monomorphic functions precisely so the op is inlined rather than
-// an indirect call per word (the cost the closure-based generic path pays).
-
-// andCountWords counts bits of aw&bw over the aligned n-bit overlap
-// starting at bit offsets ai and bi.
-//
-//greenvet:hotpath aligned inner word loop of the count kernels
+//greenvet:hotpath aligned inner word loop of AndCount
 func andCountWords(aw, bw []uint64, ai, bi, n int) int {
 	i, j := ai/wordBits, bi/wordBits
 	cnt := 0
@@ -490,126 +379,19 @@ func andCountWords(aw, bw []uint64, ai, bi, n int) int {
 	return cnt
 }
 
-// orCountWords counts bits of aw|bw over the aligned overlap; see
-// andCountWords.
-//
-//greenvet:hotpath aligned inner word loop of the count kernels
-func orCountWords(aw, bw []uint64, ai, bi, n int) int {
-	i, j := ai/wordBits, bi/wordBits
-	cnt := 0
-	if off := ai % wordBits; off != 0 {
-		take := wordBits - off
-		if take > n {
-			take = n
-		}
-		cnt += bits.OnesCount64((aw[i] | bw[j]) >> uint(off) & maskLow(take))
-		n -= take
-		i++
-		j++
-	}
-	full := n / wordBits
-	as, bs := aw[i:i+full], bw[j:j+full]
-	for k, x := range as {
-		cnt += bits.OnesCount64(x | bs[k])
-	}
-	if n %= wordBits; n > 0 {
-		cnt += bits.OnesCount64((aw[i+full] | bw[j+full]) & maskLow(n))
-	}
-	return cnt
-}
-
-// xorCountWords counts bits of aw^bw over the aligned overlap; see
-// andCountWords.
-//
-//greenvet:hotpath aligned inner word loop of the count kernels
-func xorCountWords(aw, bw []uint64, ai, bi, n int) int {
-	i, j := ai/wordBits, bi/wordBits
-	cnt := 0
-	if off := ai % wordBits; off != 0 {
-		take := wordBits - off
-		if take > n {
-			take = n
-		}
-		cnt += bits.OnesCount64((aw[i] ^ bw[j]) >> uint(off) & maskLow(take))
-		n -= take
-		i++
-		j++
-	}
-	full := n / wordBits
-	as, bs := aw[i:i+full], bw[j:j+full]
-	for k, x := range as {
-		cnt += bits.OnesCount64(x ^ bs[k])
-	}
-	if n %= wordBits; n > 0 {
-		cnt += bits.OnesCount64((aw[i+full] ^ bw[j+full]) & maskLow(n))
-	}
-	return cnt
-}
-
-// andNotCountWords counts bits of aw&^bw over the aligned overlap; see
-// andCountWords.
-//
-//greenvet:hotpath aligned inner word loop of the count kernels
-func andNotCountWords(aw, bw []uint64, ai, bi, n int) int {
-	i, j := ai/wordBits, bi/wordBits
-	cnt := 0
-	if off := ai % wordBits; off != 0 {
-		take := wordBits - off
-		if take > n {
-			take = n
-		}
-		cnt += bits.OnesCount64((aw[i] &^ bw[j]) >> uint(off) & maskLow(take))
-		n -= take
-		i++
-		j++
-	}
-	full := n / wordBits
-	as, bs := aw[i:i+full], bw[j:j+full]
-	for k, x := range as {
-		cnt += bits.OnesCount64(x &^ bs[k])
-	}
-	if n %= wordBits; n > 0 {
-		cnt += bits.OnesCount64(aw[i+full] &^ bw[j+full] & maskLow(n))
-	}
-	return cnt
-}
-
-// countOp names the boolean op of an offset count.
-type countOp uint8
-
-const (
-	opAnd countOp = iota
-	opOr
-	opXor
-	opAndNot
-)
-
-// apply returns x op y.
-func (op countOp) apply(x, y uint64) uint64 {
-	switch op {
-	case opAnd:
-		return x & y
-	case opOr:
-		return x | y
-	case opXor:
-		return x ^ y
-	default:
-		return x &^ y
-	}
-}
-
-// offsetOpCount counts bits of aw op bw over the n-bit overlap starting at
+// andCountOffset counts bits of aw&bw over the n-bit overlap starting at
 // bit offsets ai and bi whose in-word offsets differ (ai ≢ bi mod 64). It
-// walks a's word grid like the aligned kernels — head, whole words, masked
-// tail — and reads b through a funnel shift: once a is on a word boundary b
-// is s = bi mod 64 bits past one, s ≠ 0 for the rest of the walk, so each
-// word of a meets the top 64−s bits of one word of b and the low s bits of
-// the next, one load of b per word of a. A whole word of overlap lies inside
+// walks a's word grid like the aligned loop — head, whole words, tail — and
+// reads b through a funnel shift: once a is on a word boundary b is
+// s = bi mod 64 bits past one, s ≠ 0 for the rest of the walk, so each word
+// of a meets the top 64−s bits of one word of b and the low s bits of the
+// next, one load of b per word of a. A whole word of overlap lies inside
 // b's window, so that next word exists; the head and the tail may end inside
-// b's last word and go through extractBits, which guards the read.
+// b's last word and go through extractBits, which guards the read and masks
+// the step to its width.
 //
-//greenvet:hotpath offset inner word loop of the count kernels: every unit-vs-aggregate overlap whose windows start off each other's word grid
-func offsetOpCount(op countOp, aw, bw []uint64, ai, bi, n int) int {
+//greenvet:hotpath offset inner word loop of AndCount: every unit-vs-aggregate overlap whose windows start off each other's word grid
+func andCountOffset(aw, bw []uint64, ai, bi, n int) int {
 	i := ai / wordBits
 	cnt := 0
 	if off := ai % wordBits; off != 0 {
@@ -617,7 +399,7 @@ func offsetOpCount(op countOp, aw, bw []uint64, ai, bi, n int) int {
 		if take > n {
 			take = n
 		}
-		cnt += bits.OnesCount64(op.apply(aw[i]>>uint(off), extractBits(bw, bi, take)) & maskLow(take))
+		cnt += bits.OnesCount64(aw[i] >> uint(off) & extractBits(bw, bi, take))
 		n -= take
 		bi += take
 		i++
@@ -629,12 +411,12 @@ func offsetOpCount(op countOp, aw, bw []uint64, ai, bi, n int) int {
 		lo := bs[0] >> s
 		for k, x := range as {
 			hi := bs[k+1]
-			cnt += bits.OnesCount64(op.apply(x, lo|hi<<(wordBits-s)))
+			cnt += bits.OnesCount64(x & (lo | hi<<(wordBits-s)))
 			lo = hi >> s
 		}
 	}
 	if n %= wordBits; n > 0 {
-		cnt += bits.OnesCount64(op.apply(aw[i+full], extractBits(bw, bi+full*wordBits, n)) & maskLow(n))
+		cnt += bits.OnesCount64(aw[i+full] & extractBits(bw, bi+full*wordBits, n))
 	}
 	return cnt
 }

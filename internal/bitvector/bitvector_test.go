@@ -179,17 +179,17 @@ func TestAlignedCounts(t *testing.T) {
 	if got := AndCount(a, b); got != 2 {
 		t.Errorf("AndCount = %d, want 2", got)
 	}
-	if got := OrCount(a, b); got != 6 {
-		t.Errorf("OrCount = %d, want 6", got)
+	if got := orCount(a, b); got != 6 {
+		t.Errorf("orCount = %d, want 6", got)
 	}
-	if got := XorCount(a, b); got != 4 {
-		t.Errorf("XorCount = %d, want 4", got)
+	if got := xorCount(a, b); got != 4 {
+		t.Errorf("xorCount = %d, want 4", got)
 	}
-	if got := AndNotCount(a, b); got != 2 {
-		t.Errorf("AndNotCount(a,b) = %d, want 2", got)
+	if got := andNotCount(a, b); got != 2 {
+		t.Errorf("andNotCount(a,b) = %d, want 2", got)
 	}
-	if got := AndNotCount(b, a); got != 2 {
-		t.Errorf("AndNotCount(b,a) = %d, want 2", got)
+	if got := andNotCount(b, a); got != 2 {
+		t.Errorf("andNotCount(b,a) = %d, want 2", got)
 	}
 }
 
@@ -203,11 +203,11 @@ func TestCountsWithDisjointWindows(t *testing.T) {
 	if got := AndCount(a, b); got != 0 {
 		t.Errorf("AndCount disjoint = %d, want 0", got)
 	}
-	if got := OrCount(a, b); got != 4 {
-		t.Errorf("OrCount disjoint = %d, want 4", got)
+	if got := orCount(a, b); got != 4 {
+		t.Errorf("orCount disjoint = %d, want 4", got)
 	}
-	if got := XorCount(a, b); got != 4 {
-		t.Errorf("XorCount disjoint = %d, want 4", got)
+	if got := xorCount(a, b); got != 4 {
+		t.Errorf("xorCount disjoint = %d, want 4", got)
 	}
 }
 
@@ -438,7 +438,7 @@ func TestQuickAlignedOpsMatchModel(t *testing.T) {
 			if x || y {
 				or++
 			}
-			// XorCount counts differences in the overlap plus all set bits
+			// xorCount counts differences in the overlap plus all set bits
 			// outside the common window.
 			if both {
 				if x != y {
@@ -459,20 +459,20 @@ func TestQuickAlignedOpsMatchModel(t *testing.T) {
 			t.Logf("AndCount=%d want %d", got, and)
 			ok = false
 		}
-		if got := OrCount(a, b); got != or {
-			t.Logf("OrCount=%d want %d", got, or)
+		if got := orCount(a, b); got != or {
+			t.Logf("orCount=%d want %d", got, or)
 			ok = false
 		}
-		if got := XorCount(a, b); got != xor {
-			t.Logf("XorCount=%d want %d", got, xor)
+		if got := xorCount(a, b); got != xor {
+			t.Logf("xorCount=%d want %d", got, xor)
 			ok = false
 		}
-		if got := AndNotCount(a, b); got != andnotAB {
-			t.Logf("AndNotCount(a,b)=%d want %d", got, andnotAB)
+		if got := andNotCount(a, b); got != andnotAB {
+			t.Logf("andNotCount(a,b)=%d want %d", got, andnotAB)
 			ok = false
 		}
-		if got := AndNotCount(b, a); got != andnotBA {
-			t.Logf("AndNotCount(b,a)=%d want %d", got, andnotBA)
+		if got := andNotCount(b, a); got != andnotBA {
+			t.Logf("andNotCount(b,a)=%d want %d", got, andnotBA)
 			ok = false
 		}
 		return ok

@@ -21,8 +21,10 @@ func buildFuzzVector(capacity, start, width int, density byte, seed int64) *Vect
 }
 
 // refCounts computes the four pair counts bit-by-bit through Get — the
-// naive reference the specialized kernels must match exactly. Get reads
-// one bit at a time and shares no code with the word-wise walkers.
+// naive reference AndCount and the identities built on it must match
+// exactly. Get reads one bit at a time and shares no code with the
+// word-wise walkers, and or / xor / and-not are counted from the bits, not
+// derived from and.
 func refCounts(a, b *Vector) (and, or, xor, andnot int) {
 	lo, hi := a.FirstID(), a.LastID()
 	if b.FirstID() < lo {
@@ -42,8 +44,8 @@ func refCounts(a, b *Vector) (and, or, xor, andnot int) {
 		if x || y {
 			or++
 		}
-		// XorCount: differences in the overlap plus every set bit outside
-		// the common window.
+		// xor: differences in the overlap plus every set bit outside the
+		// common window.
 		if both {
 			if x != y {
 				xor++
@@ -51,8 +53,7 @@ func refCounts(a, b *Vector) (and, or, xor, andnot int) {
 		} else if x || y {
 			xor++
 		}
-		// AndNotCount(a,b): bits of a not covered by a set bit of b's
-		// overlap.
+		// and-not: bits of a not covered by a set bit of b's overlap.
 		if x && !(both && y) {
 			andnot++
 		}
@@ -60,13 +61,24 @@ func refCounts(a, b *Vector) (and, or, xor, andnot int) {
 	return and, or, xor, andnot
 }
 
-// genericOpCount is the offset path the count kernels took before
-// offsetOpCount, body unchanged: it steps to the nearer of both sides' word
-// boundaries, realigns both with extractBits and calls op per step. Kept
-// here as BenchmarkKernelVsGeneric's baseline and as a second oracle beside
-// the per-bit reference — it shares extractBits and maskLow with the
-// walker, nothing else.
-func genericOpCount(a, b *Vector, lo, hi int, op func(x, y uint64) uint64) int {
+// orCount, xorCount and andNotCount are the three identities every derived
+// pair quantity in profile.go rests on, stated per vector so the tests can
+// hold each to a per-bit oracle: a vector is the set of IDs set inside its
+// window, Count() its cardinality and AndCount the intersection's.
+func orCount(a, b *Vector) int     { return a.Count() + b.Count() - AndCount(a, b) }
+func xorCount(a, b *Vector) int    { return a.Count() + b.Count() - 2*AndCount(a, b) }
+func andNotCount(a, b *Vector) int { return a.Count() - AndCount(a, b) }
+
+// genericAndCount is the offset path AndCount took before andCountOffset,
+// stepping unchanged: it goes to the nearer of both sides' word boundaries
+// and realigns both with extractBits. Kept here as BenchmarkKernelVsGeneric's
+// baseline and as a second oracle beside the per-bit reference — it shares
+// extractBits with the walker, nothing else.
+func genericAndCount(a, b *Vector) int {
+	lo, hi, ok := overlap(a, b)
+	if !ok {
+		return 0
+	}
 	n := 0
 	// Walk the overlap word-by-word in a's coordinates, realigning b.
 	for id := lo; id <= hi; {
@@ -82,91 +94,56 @@ func genericOpCount(a, b *Vector, lo, hi int, op func(x, y uint64) uint64) int {
 		}
 		aw := extractBits(a.words, ai, step)
 		bw := extractBits(b.words, bi, step)
-		n += bits.OnesCount64(op(aw, bw) & maskLow(step))
+		n += bits.OnesCount64(aw & bw)
 		id += step
 	}
 	return n
 }
 
-// genericCounts computes the four pair counts the way the public kernels
-// did when every overlap went through genericOpCount.
-func genericCounts(a, b *Vector) (and, or, xor, andnot int) {
-	if lo, hi, ok := overlap(a, b); ok {
-		and = genericOpCount(a, b, lo, hi, func(x, y uint64) uint64 { return x & y })
-		or = genericOpCount(a, b, lo, hi, func(x, y uint64) uint64 { return x | y })
-		xor = genericOpCount(a, b, lo, hi, func(x, y uint64) uint64 { return x ^ y })
-		andnot = genericOpCount(a, b, lo, hi, func(x, y uint64) uint64 { return x &^ y })
-	}
-	outA, outB := countOutside(a, b), countOutside(b, a)
-	return and, or + outA + outB, xor + outA + outB, andnot + outA
-}
-
-// refWordCounts counts the four ops bit by bit over the n-bit ranges of two
-// raw word slices starting at bit offsets ai and bi.
-func refWordCounts(aw, bw []uint64, ai, bi, n int) (c [4]int) {
+// refWordAndCount counts aw&bw bit by bit over the n-bit ranges of two raw
+// word slices starting at bit offsets ai and bi.
+func refWordAndCount(aw, bw []uint64, ai, bi, n int) (c int) {
 	for k := 0; k < n; k++ {
 		x := aw[(ai+k)/wordBits]>>(uint(ai+k)%wordBits)&1 != 0
 		y := bw[(bi+k)/wordBits]>>(uint(bi+k)%wordBits)&1 != 0
 		if x && y {
-			c[opAnd]++
-		}
-		if x || y {
-			c[opOr]++
-		}
-		if x != y {
-			c[opXor]++
-		}
-		if x && !y {
-			c[opAndNot]++
+			c++
 		}
 	}
 	return c
 }
 
-// wordCounts runs the four word kernels the public functions would pick for
-// the offsets: the aligned family when ai ≡ bi mod 64, the offset walker
-// otherwise.
-func wordCounts(aw, bw []uint64, ai, bi, n int) [4]int {
-	if (ai-bi)%wordBits == 0 {
-		return [4]int{
-			opAnd:    andCountWords(aw, bw, ai, bi, n),
-			opOr:     orCountWords(aw, bw, ai, bi, n),
-			opXor:    xorCountWords(aw, bw, ai, bi, n),
-			opAndNot: andNotCountWords(aw, bw, ai, bi, n),
-		}
-	}
-	var c [4]int
-	for op := opAnd; op <= opAndNot; op++ {
-		c[op] = offsetOpCount(op, aw, bw, ai, bi, n)
-	}
-	return c
-}
-
-// checkWordKernels holds the word kernels to the per-bit reference over one
-// raw range. Both slices are cut to the last word the range touches, so a
-// kernel that reads one word too far panics instead of passing.
+// checkWordKernels holds the word kernel AndCount would pick for the
+// offsets — the aligned loop when ai ≡ bi mod 64, the offset walker
+// otherwise — to the per-bit reference over one raw range. Both slices are
+// cut to the last word the range touches, so a kernel that reads one word
+// too far panics instead of passing.
 func checkWordKernels(t *testing.T, aw, bw []uint64, ai, bi, n int) {
 	t.Helper()
 	aw, bw = aw[:(ai+n+wordBits-1)/wordBits], bw[:(bi+n+wordBits-1)/wordBits]
-	if got, want := wordCounts(aw, bw, ai, bi, n), refWordCounts(aw, bw, ai, bi, n); got != want {
-		t.Fatalf("offsets (%d,%d) length %d: kernels [and or xor andnot] = %v, per-bit reference = %v", ai, bi, n, got, want)
+	kernel := andCountOffset
+	if (ai-bi)%wordBits == 0 {
+		kernel = andCountWords
+	}
+	if got, want := kernel(aw, bw, ai, bi, n), refWordAndCount(aw, bw, ai, bi, n); got != want {
+		t.Fatalf("offsets (%d,%d) length %d: word kernel = %d, per-bit reference = %d", ai, bi, n, got, want)
 	}
 }
 
-// checkCountKernels holds the four public count kernels to the per-bit
-// reference and to the retained generic path, in both argument orders.
+// checkCountKernels holds AndCount to the per-bit reference and to the
+// retained generic path, and the three identities built on it to the per-bit
+// reference's or / xor / and-not, in both argument orders.
 func checkCountKernels(t *testing.T, a, b *Vector) {
 	t.Helper()
 	for _, p := range [2][2]*Vector{{a, b}, {b, a}} {
 		x, y := p[0], p[1]
-		got := [4]int{AndCount(x, y), OrCount(x, y), XorCount(x, y), AndNotCount(x, y)}
+		got := [4]int{AndCount(x, y), orCount(x, y), xorCount(x, y), andNotCount(x, y)}
 		and, or, xor, andnot := refCounts(x, y)
 		if want := [4]int{and, or, xor, andnot}; got != want {
-			t.Errorf("%v vs %v: kernels [and or xor andnot] = %v, per-bit reference = %v", x, y, got, want)
+			t.Errorf("%v vs %v: [and or xor andnot] = %v, per-bit reference = %v", x, y, got, want)
 		}
-		and, or, xor, andnot = genericCounts(x, y)
-		if want := [4]int{and, or, xor, andnot}; got != want {
-			t.Errorf("%v vs %v: kernels [and or xor andnot] = %v, generic path = %v", x, y, got, want)
+		if want := genericAndCount(x, y); got[0] != want {
+			t.Errorf("%v vs %v: AndCount = %d, generic path = %d", x, y, got[0], want)
 		}
 	}
 }
@@ -200,13 +177,13 @@ func checkOrMerge(t *testing.T, a, b *Vector) *Vector {
 }
 
 // FuzzKernelEquivalence drives random window offsets, capacities, and
-// densities through the four count kernels and the Or merge (into a filled
-// and into an empty vector, once and twice), asserting bit-for-bit agreement
-// with the naive per-bit reference and, for the counts, with the retained
-// generic path. Both dispatch paths are exercised — word-aligned offsets
-// (forced for half the inputs) take the aligned walkers, odd offsets the
-// offset walker — through the public functions and again on a raw word
-// range at arbitrary offsets on both sides.
+// densities through AndCount, the or / xor / and-not identities on it and
+// the Or merge (into a filled and into an empty vector, once and twice),
+// asserting bit-for-bit agreement with the naive per-bit reference and, for
+// AndCount, with the retained generic path. Both dispatch paths are
+// exercised — word-aligned offsets (forced for half the inputs) take the
+// aligned loop, odd offsets the offset walker — through the public function
+// and again on a raw word range at arbitrary offsets on both sides.
 func FuzzKernelEquivalence(f *testing.F) {
 	f.Add(int64(1), int64(2), uint16(0), uint16(0), uint16(100), uint16(100), uint8(128), uint8(128), uint8(0))
 	f.Add(int64(3), int64(4), uint16(10), uint16(74), uint16(200), uint16(150), uint8(200), uint8(30), uint8(1))

@@ -3,8 +3,9 @@ package bitvector
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 )
 
 // PublisherStats is the publisher profile of Section III-B: the
@@ -101,14 +102,17 @@ func (m Metric) String() string {
 // allocation algorithms run.
 type Profile struct {
 	capacity int
-	vectors  map[string]*Vector
-	// keys mirrors the map keys in sorted order and is maintained eagerly
-	// by the mutators (no lazy rebuild — that would race with the
-	// concurrent read-only callers documented above). Every aggregation
-	// loop walks keys instead of the map: float accumulation in
-	// EstimateLoad/IntersectLoad is order-sensitive, so map iteration
-	// would make load estimates differ bit-for-bit between runs.
-	keys []string
+	// entries holds one vector per publisher in ascending advertisement ID,
+	// the one order every walk visits them in: float accumulation in
+	// EstimateLoad/IntersectLoad is order-sensitive, so load estimates are
+	// bit-for-bit reproducible between runs only because the order is fixed.
+	entries []entry
+}
+
+// entry is one publisher's vector in a Profile.
+type entry struct {
+	advID string
+	vec   *Vector
 }
 
 // NewProfile returns an empty profile whose vectors will have the given
@@ -117,53 +121,59 @@ func NewProfile(capacity int) *Profile {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Profile{capacity: capacity, vectors: make(map[string]*Vector)}
+	return &Profile{capacity: capacity}
+}
+
+// search returns the position of advID in p.entries, or where it would be
+// inserted, and whether it is present.
+func (p *Profile) search(advID string) (int, bool) {
+	return slices.BinarySearchFunc(p.entries, advID, func(e entry, id string) int {
+		return strings.Compare(e.advID, id)
+	})
 }
 
 // Record marks that the publication (advID, seq) was sunk by this
 // subscription, creating the per-publisher vector on first use.
 func (p *Profile) Record(advID string, seq int) {
-	v, ok := p.vectors[advID]
+	i, ok := p.search(advID)
 	if !ok {
-		v = New(p.capacity)
-		p.vectors[advID] = v
-		p.insertKey(advID)
+		p.entries = slices.Insert(p.entries, i, entry{advID, New(p.capacity)})
 	}
-	v.Set(seq)
-}
-
-// insertKey adds a newly created advertisement ID to the sorted key slice.
-func (p *Profile) insertKey(advID string) {
-	i := sort.SearchStrings(p.keys, advID)
-	p.keys = append(p.keys, "")
-	copy(p.keys[i+1:], p.keys[i:])
-	p.keys[i] = advID
+	p.entries[i].vec.Set(seq)
 }
 
 // Sync advances every per-publisher window to the publisher's last sent
 // message ID so that unmatched publications count against the window.
 func (p *Profile) Sync(stats map[string]*PublisherStats) {
-	for _, advID := range p.keys {
-		if st, ok := stats[advID]; ok {
-			p.vectors[advID].Observe(st.LastSeq)
+	for _, e := range p.entries {
+		if st, ok := stats[e.advID]; ok {
+			e.vec.Observe(st.LastSeq)
 		}
 	}
 }
 
 // Vector returns the vector for a publisher, or nil.
-func (p *Profile) Vector(advID string) *Vector { return p.vectors[advID] }
+func (p *Profile) Vector(advID string) *Vector {
+	if i, ok := p.search(advID); ok {
+		return p.entries[i].vec
+	}
+	return nil
+}
 
 // Publishers returns the advertisement IDs present, sorted for determinism.
 func (p *Profile) Publishers() []string {
-	return append([]string(nil), p.keys...)
+	out := make([]string, len(p.entries))
+	for i, e := range p.entries {
+		out[i] = e.advID
+	}
+	return out
 }
 
 // Clone returns a deep copy.
 func (p *Profile) Clone() *Profile {
-	cp := NewProfile(p.capacity)
-	cp.keys = append(cp.keys, p.keys...)
-	for _, k := range p.keys {
-		cp.vectors[k] = p.vectors[k].Clone()
+	cp := &Profile{capacity: p.capacity, entries: make([]entry, len(p.entries))}
+	for i, e := range p.entries {
+		cp.entries[i] = entry{e.advID, e.vec.Clone()}
 	}
 	return cp
 }
@@ -172,14 +182,16 @@ func (p *Profile) Clone() *Profile {
 // used when clustering subscriptions and when aggregating a broker's hosted
 // subscriptions into a pseudo-subscription in Phase 3).
 func (p *Profile) Or(o *Profile) {
-	for _, advID := range o.keys {
-		v, ok := p.vectors[advID]
-		if !ok {
-			v = New(p.capacity)
-			p.vectors[advID] = v
-			p.insertKey(advID)
+	i := 0
+	for _, oe := range o.entries {
+		for i < len(p.entries) && p.entries[i].advID < oe.advID {
+			i++
 		}
-		v.Or(o.vectors[advID])
+		if i == len(p.entries) || p.entries[i].advID != oe.advID {
+			p.entries = slices.Insert(p.entries, i, entry{oe.advID, New(p.capacity)})
+		}
+		p.entries[i].vec.Or(oe.vec)
+		i++
 	}
 }
 
@@ -201,8 +213,8 @@ func Merged(capacity int, profiles ...*Profile) *Profile {
 // vectors in place via p.Vector(adv).Observe(...)/Set(...).
 func (p *Profile) Count() int {
 	n := 0
-	for _, k := range p.keys {
-		n += p.vectors[k].count
+	for _, e := range p.entries {
+		n += e.vec.count
 	}
 	return n
 }
@@ -210,20 +222,33 @@ func (p *Profile) Count() int {
 // Empty reports whether the profile sank no publications at all,
 // early-exiting on the first publisher with any set bit.
 func (p *Profile) Empty() bool {
-	for _, k := range p.keys {
-		if p.vectors[k].count != 0 {
+	for _, e := range p.entries {
+		if e.vec.count != 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// IntersectCount returns |a ∩ b| summed across publishers.
+// IntersectCount returns |a ∩ b| summed across publishers: one AndCount per
+// common publisher, met in a merge walk over the two sorted lists. It is the
+// only pairwise profile walk that counts bits; a profile is a set of
+// (publisher, message ID) pairs of cardinality Count(), so the union,
+// difference and symmetric-difference cardinalities below, Closeness and
+// Relate are all arithmetic on it.
 func IntersectCount(a, b *Profile) int {
 	n := 0
-	for _, advID := range a.keys {
-		if bv, ok := b.vectors[advID]; ok {
-			n += AndCount(a.vectors[advID], bv)
+	i, j := 0, 0
+	for i < len(a.entries) && j < len(b.entries) {
+		switch ea, eb := &a.entries[i], &b.entries[j]; {
+		case ea.advID == eb.advID:
+			n += AndCount(ea.vec, eb.vec)
+			i++
+			j++
+		case ea.advID < eb.advID:
+			i++
+		default:
+			j++
 		}
 	}
 	return n
@@ -231,56 +256,19 @@ func IntersectCount(a, b *Profile) int {
 
 // UnionCount returns |a ∪ b| summed across publishers.
 func UnionCount(a, b *Profile) int {
-	n := 0
-	for _, advID := range a.keys {
-		av := a.vectors[advID]
-		if bv, ok := b.vectors[advID]; ok {
-			n += OrCount(av, bv)
-		} else {
-			n += av.Count()
-		}
-	}
-	for _, advID := range b.keys {
-		if _, ok := a.vectors[advID]; !ok {
-			n += b.vectors[advID].Count()
-		}
-	}
-	return n
+	return a.Count() + b.Count() - IntersectCount(a, b)
 }
 
 // DiffCount returns |a \ b| summed across publishers: the bits of a not
 // covered by b. The greedy set-cover step of one-to-many clustering uses it
 // to rank covered GIFs by uncovered contribution.
 func DiffCount(a, b *Profile) int {
-	n := 0
-	for _, advID := range a.keys {
-		av := a.vectors[advID]
-		if bv, ok := b.vectors[advID]; ok {
-			n += AndNotCount(av, bv)
-		} else {
-			n += av.Count()
-		}
-	}
-	return n
+	return a.Count() - IntersectCount(a, b)
 }
 
 // XorProfileCount returns |a ⊕ b| summed across publishers.
 func XorProfileCount(a, b *Profile) int {
-	n := 0
-	for _, advID := range a.keys {
-		av := a.vectors[advID]
-		if bv, ok := b.vectors[advID]; ok {
-			n += XorCount(av, bv)
-		} else {
-			n += av.Count()
-		}
-	}
-	for _, advID := range b.keys {
-		if _, ok := a.vectors[advID]; !ok {
-			n += b.vectors[advID].Count()
-		}
-	}
-	return n
+	return a.Count() + b.Count() - 2*IntersectCount(a, b)
 }
 
 // Closeness evaluates the chosen metric between two profiles. Higher is
@@ -309,12 +297,12 @@ func Closeness(m Metric, a, b *Profile) float64 {
 		}
 		return i * i / den
 	case MetricIOU:
-		i := float64(IntersectCount(a, b))
-		den := float64(UnionCount(a, b))
+		i := IntersectCount(a, b)
+		den := float64(a.Count() + b.Count() - i)
 		if den == 0 {
 			return 0
 		}
-		return i * i / den
+		return float64(i) * float64(i) / den
 	default:
 		return 0
 	}
@@ -326,35 +314,16 @@ func Closeness(m Metric, a, b *Profile) float64 {
 // Profiles that sank nothing are the empty set: equal to each other and a
 // subset of any non-empty profile.
 func Relate(a, b *Profile) Relationship {
-	onlyA := 0 // |a \ b|
-	onlyB := 0 // |b \ a|
-	both := 0  // |a ∩ b|
-	for _, advID := range a.keys {
-		av := a.vectors[advID]
-		if bv, ok := b.vectors[advID]; ok {
-			both += AndCount(av, bv)
-			onlyA += AndNotCount(av, bv)
-			onlyB += AndNotCount(bv, av)
-		} else {
-			onlyA += av.Count()
-		}
-	}
-	for _, advID := range b.keys {
-		if _, ok := a.vectors[advID]; !ok {
-			onlyB += b.vectors[advID].Count()
-		}
-	}
+	both := IntersectCount(a, b) // |a ∩ b|
+	onlyA := a.Count() - both    // |a \ b|
+	onlyB := b.Count() - both    // |b \ a|
 	switch {
 	case onlyA == 0 && onlyB == 0:
 		return RelEqual
-	case onlyB == 0 && both > 0:
+	case onlyB == 0: // b ⊂ a, the empty b included
 		return RelSuperset
-	case onlyA == 0 && both > 0:
+	case onlyA == 0: // a ⊂ b, the empty a included
 		return RelSubset
-	case onlyA == 0: // a empty, b non-empty
-		return RelSubset
-	case onlyB == 0: // b empty, a non-empty
-		return RelSuperset
 	case both > 0:
 		return RelIntersect
 	default:
@@ -379,16 +348,16 @@ func (l Load) Add(o Load) Load {
 // times the publisher's rate and bandwidth (e.g. 10 of 100 bits set against
 // a 50 msg/s, 50 kB/s publisher induces 5 msg/s and 5 kB/s).
 func EstimateLoad(p *Profile, stats map[string]*PublisherStats) Load {
-	// Accumulate in sorted-key order: float addition is not associative,
-	// so summing in map order would change the result bit-for-bit between
-	// runs and break exact plan comparison.
+	// Accumulate in ascending publisher order: float addition is not
+	// associative, so any other order would change the result bit-for-bit
+	// and break exact plan comparison.
 	var out Load
-	for _, advID := range p.keys {
-		st, ok := stats[advID]
+	for _, e := range p.entries {
+		st, ok := stats[e.advID]
 		if !ok {
 			continue
 		}
-		f := p.vectors[advID].Fraction()
+		f := e.vec.Fraction()
 		out.Rate += st.Rate * f
 		out.Bandwidth += st.Bandwidth * f
 	}
@@ -403,34 +372,28 @@ func EstimateLoad(p *Profile, stats map[string]*PublisherStats) Load {
 // coincide, which holds when all profiles were collected over the same
 // publication run.
 func IntersectLoad(a, b *Profile, stats map[string]*PublisherStats) Load {
-	// Iterate the smaller vector map; intersection is symmetric and broker
-	// aggregates routinely hold 40× more publishers than a single unit.
-	if len(b.vectors) < len(a.vectors) {
-		a, b = b, a
-	}
-	// Sorted-key order for the same reason as EstimateLoad: the float sum
-	// must not depend on map iteration order.
+	// The merge walk meets the common publishers in ascending order, the
+	// order EstimateLoad sums in, whichever profile is passed first.
 	var out Load
-	for _, advID := range a.keys {
-		av := a.vectors[advID]
-		bv, ok := b.vectors[advID]
-		if !ok {
-			continue
+	i, j := 0, 0
+	for i < len(a.entries) && j < len(b.entries) {
+		switch ea, eb := &a.entries[i], &b.entries[j]; {
+		case ea.advID == eb.advID:
+			i++
+			j++
+			st, ok := stats[ea.advID]
+			w := max(ea.vec.Window(), eb.vec.Window())
+			if !ok || w == 0 {
+				continue
+			}
+			f := float64(AndCount(ea.vec, eb.vec)) / float64(w)
+			out.Rate += st.Rate * f
+			out.Bandwidth += st.Bandwidth * f
+		case ea.advID < eb.advID:
+			i++
+		default:
+			j++
 		}
-		st, ok := stats[advID]
-		if !ok {
-			continue
-		}
-		w := av.Window()
-		if bw := bv.Window(); bw > w {
-			w = bw
-		}
-		if w == 0 {
-			continue
-		}
-		f := float64(AndCount(av, bv)) / float64(w)
-		out.Rate += st.Rate * f
-		out.Bandwidth += st.Bandwidth * f
 	}
 	return out
 }
@@ -441,12 +404,12 @@ func IntersectLoad(a, b *Profile, stats map[string]*PublisherStats) Load {
 // (Section IV-C.1) groups subscriptions by this key.
 func (p *Profile) FingerprintKey() string {
 	var key []byte
-	for _, advID := range p.keys {
-		v := p.vectors[advID]
+	for _, e := range p.entries {
+		v := e.vec
 		if v.count == 0 {
 			continue
 		}
-		key = append(key, advID...)
+		key = append(key, e.advID...)
 		key = append(key, ':')
 		// The window's set bits in ascending ID order, a word at a time.
 		win := v.Window()

@@ -159,8 +159,11 @@ func TestRelateBasics(t *testing.T) {
 	}
 }
 
-// TestQuickRelateMatchesSetModel compares Relate against brute-force set
-// relations on random profiles.
+// TestQuickRelateMatchesSetModel compares Relate and the union, difference
+// and symmetric-difference counts against brute-force set relations on
+// random profiles: each publisher is absent, present with an empty window
+// (as Profile.Or can leave it) or recorded, independently on each side, so
+// one-sided publishers and empty windows are in the draw.
 func TestQuickRelateMatchesSetModel(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -169,17 +172,22 @@ func TestQuickRelateMatchesSetModel(t *testing.T) {
 			p := NewProfile(64)
 			set := make(map[[2]interface{}]bool)
 			for _, pub := range pubs {
-				if rng.Intn(3) == 0 {
+				switch rng.Intn(4) {
+				case 0:
+					continue
+				case 1:
+					p.Or(&Profile{capacity: 64, entries: []entry{{pub, New(64)}}})
 					continue
 				}
-				for i := 0; i < 20; i++ {
+				start := rng.Intn(30)
+				for i := start; i < start+20; i++ {
 					if rng.Intn(2) == 0 {
 						p.Record(pub, i)
 						set[[2]interface{}{pub, i}] = true
 					}
 				}
 				if v := p.Vector(pub); v != nil {
-					v.Observe(19)
+					v.Observe(start + 19)
 				}
 			}
 			return p, set
@@ -212,11 +220,17 @@ func TestQuickRelateMatchesSetModel(t *testing.T) {
 		default:
 			want = RelEmpty
 		}
+		ok := true
 		if got := Relate(a, b); got != want {
 			t.Logf("Relate = %v, want %v (onlyA=%d onlyB=%d both=%d)", got, want, onlyA, onlyB, both)
-			return false
+			ok = false
 		}
-		return true
+		got := [5]int{IntersectCount(a, b), UnionCount(a, b), DiffCount(a, b), DiffCount(b, a), XorProfileCount(a, b)}
+		if model := [5]int{both, onlyA + both + onlyB, onlyA, onlyB, onlyA + onlyB}; got != model {
+			t.Logf("[intersect union a\\b b\\a xor] = %v, set model = %v", got, model)
+			ok = false
+		}
+		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
@@ -372,8 +386,9 @@ func fmtFingerprintKey(p *Profile) string {
 // TestFingerprintKeyGolden compares FingerprintKey with the fmt formatting
 // it replaced on random profiles: several publishers, vectors that are empty
 // or slid clean of bits (skipped), windows slid past capacity, negative IDs,
-// capacities off the word grid, and a snapshot with bits beyond its window —
-// which the per-bit loop never printed.
+// capacities off the word grid, and a vector whose words were written past
+// its window — a state no mutator or decode produces, which the per-bit loop
+// never printed and FingerprintKey masks.
 func TestFingerprintKeyGolden(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 500; trial++ {
@@ -387,10 +402,7 @@ func TestFingerprintKeyGolden(t *testing.T) {
 				p.Record(adv, start)
 				p.Vector(adv).Observe(start + 2*capacity)
 			case 1: // never recorded: an empty window, as Profile.Or can leave
-				if p.Vector(adv) == nil {
-					p.vectors[adv] = New(capacity)
-					p.insertKey(adv)
-				}
+				p.Or(&Profile{capacity: capacity, entries: []entry{{adv, New(capacity)}}})
 			default:
 				for id := start; id < start+rng.Intn(3*capacity)+1; id++ {
 					if rng.Intn(3) == 0 {
@@ -413,7 +425,7 @@ func TestFingerprintKeyGolden(t *testing.T) {
 	v.words[0], v.words[1] = 1<<3|1<<9|1<<10|1<<40, 1<<5
 	v.recount()
 	p := NewProfile(128)
-	p.vectors["P"], p.keys = v, []string{"P"}
+	p.entries = []entry{{"P", v}}
 	if got, want := p.FingerprintKey(), "P:13,19,;"; got != want || got != fmtFingerprintKey(p) {
 		t.Fatalf("bits past the window: FingerprintKey = %q, want %q (fmt formatting %q)", got, want, fmtFingerprintKey(p))
 	}
@@ -442,14 +454,87 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// snapshotFixtures returns a valid image of 100 set bits in a 128-bit
+// vector, the same words under a 10-bit window (on the parent of the check:
+// Count() 100, Fraction() 10), and the words of an empty 64-bit vector.
+func snapshotFixtures() (full, overfull VectorSnapshot, zeros64 string) {
+	v := New(128)
+	for id := 0; id < 100; id++ {
+		v.Set(id)
+	}
+	full = v.Snapshot()
+	overfull = full
+	overfull.First, overfull.Last = 7, 16
+	return full, overfull, New(64).Snapshot().Words
+}
+
 func TestSnapshotRejectsCorrupt(t *testing.T) {
-	if _, err := FromSnapshot(VectorSnapshot{Cap: 0}); err == nil {
-		t.Error("zero capacity must be rejected")
+	full, overfull, zeros64 := snapshotFixtures()
+	for _, c := range []struct {
+		name string
+		snap VectorSnapshot
+	}{
+		{"zero capacity", VectorSnapshot{Cap: 0}},
+		{"invalid base64", VectorSnapshot{Last: -1, Cap: 64, Words: "!!!"}},
+		{"truncated words", VectorSnapshot{Last: -1, Cap: 64, Words: "AAAA"}},
+		{"fewer words than the capacity needs", VectorSnapshot{Last: -1, Cap: 1 << 40, Words: zeros64}},
+		{"window wider than capacity", VectorSnapshot{First: 0, Last: 5000, Cap: 64, Words: zeros64}},
+		{"window wider than an int", VectorSnapshot{First: math.MinInt, Last: math.MaxInt, Cap: 64, Words: zeros64}},
+		{"negative window", VectorSnapshot{First: 10, Last: 5, Cap: 64, Words: zeros64}},
+		{"bits past the window", overfull},
+		{"bits in an empty window", VectorSnapshot{First: 0, Last: -1, Cap: 128, Words: full.Words}},
+	} {
+		if v, err := FromSnapshot(c.snap); err == nil {
+			t.Errorf("%s: decoded to %v (count %d), want an error", c.name, v, v.Count())
+		}
+		if _, err := ProfileFromSnapshot(ProfileSnapshot{Cap: 64, Vectors: map[string]VectorSnapshot{"P": c.snap}}); err == nil {
+			t.Errorf("%s: ProfileFromSnapshot accepted it", c.name)
+		}
 	}
-	if _, err := FromSnapshot(VectorSnapshot{Cap: 64, Words: "!!!"}); err == nil {
-		t.Error("invalid base64 must be rejected")
+	// The boundaries of each check are valid images.
+	for _, snap := range []VectorSnapshot{
+		New(64).Snapshot(),
+		{First: 10, Last: 9, Cap: 64, Words: zeros64},
+		{First: 10, Last: 73, Cap: 64, Words: zeros64},
+		full,
+	} {
+		if _, err := FromSnapshot(snap); err != nil {
+			t.Errorf("valid snapshot %+v rejected: %v", snap, err)
+		}
 	}
-	if _, err := FromSnapshot(VectorSnapshot{Cap: 64, Words: "AAAA"}); err == nil {
-		t.Error("truncated words must be rejected")
-	}
+}
+
+// FuzzSnapshotDecode feeds FromSnapshot arbitrary images, as a BIA from
+// another broker can carry: either it returns an error, or the vector it
+// returns keeps the invariants the kernels assume — the window fits the
+// capacity and the words, Count() equals the per-bit Get count over the
+// window, and AndCount runs on it without reading out of range.
+func FuzzSnapshotDecode(f *testing.F) {
+	full, overfull, zeros64 := snapshotFixtures()
+	f.Add(full.First, full.Last, full.Cap, full.Words)
+	f.Add(0, 5000, 64, zeros64) // window > capacity: the first AndCount on it panicked
+	f.Add(overfull.First, overfull.Last, overfull.Cap, overfull.Words)
+	f.Add(10, 5, 64, zeros64)
+	f.Add(math.MinInt, math.MaxInt, 64, zeros64)
+	f.Fuzz(func(t *testing.T, first, last, capacity int, words string) {
+		v, err := FromSnapshot(VectorSnapshot{First: first, Last: last, Cap: capacity, Words: words})
+		if err != nil {
+			return
+		}
+		if v.Window() > v.Capacity() || len(v.words)*wordBits < v.Capacity() {
+			t.Fatalf("decoded %v: window %d, capacity %d, %d words", v, v.Window(), v.Capacity(), len(v.words))
+		}
+		n := 0
+		for i := 0; i < v.Window(); i++ {
+			if v.Get(v.FirstID() + i) {
+				n++
+			}
+		}
+		if v.Count() != n || v.Fraction() > 1 {
+			t.Fatalf("decoded %v: Count() = %d, per-bit count = %d, Fraction() = %v", v, v.Count(), n, v.Fraction())
+		}
+		if got := AndCount(v, v); got != n {
+			t.Fatalf("decoded %v: AndCount(v, v) = %d, Count() = %d", v, got, n)
+		}
+	})
 }

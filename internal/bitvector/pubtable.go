@@ -10,12 +10,12 @@ import (
 // PublisherTable interns advertisement IDs as dense indices for the
 // duration of one allocation run: index i names the i-th advertisement ID
 // in sorted order, so walking indices in ascending order visits publishers
-// exactly as Profile's sorted key slice does. Allocation's first-fit kernel
+// exactly as Profile's sorted entries do. Allocation's first-fit kernel
 // relies on that to reproduce EstimateLoad's and IntersectLoad's float
 // accumulation order — and therefore their results bit for bit — with
-// slice indexing where those functions pay three string-keyed map lookups
-// per publisher. A table is immutable once built and safe for concurrent
-// use.
+// slice indexing where those functions pay string compares and a statistics
+// map lookup per publisher. A table is immutable once built and safe for
+// concurrent use.
 type PublisherTable struct {
 	ids   []string
 	stats []*PublisherStats // nil where the publisher has no statistics entry
@@ -48,12 +48,12 @@ func NewPublisherTable(stats map[string]*PublisherStats, profiles []*Profile) *P
 	// sorted statistics keys and the extras are merged in once at the end.
 	known := len(ids)
 	for _, p := range profiles {
-		for _, k := range p.keys {
-			if i := sort.SearchStrings(ids[:known], k); i < known && ids[i] == k {
+		for _, e := range p.entries {
+			if i := sort.SearchStrings(ids[:known], e.advID); i < known && ids[i] == e.advID {
 				continue
 			}
-			if !slices.Contains(ids[known:], k) {
-				ids = append(ids, k)
+			if !slices.Contains(ids[known:], e.advID) {
+				ids = append(ids, e.advID)
 			}
 		}
 	}
@@ -89,16 +89,16 @@ func (t *PublisherTable) RatesOrdered() bool { return t.ratesOrdered }
 // that share the profile's bit storage. It panics on a publisher the table
 // was not built over, which only a caller bug can produce.
 func (t *PublisherTable) Compile(p *Profile) []PubVector {
-	out := make([]PubVector, len(p.keys))
+	out := make([]PubVector, len(p.entries))
 	at := 0
-	for i, k := range p.keys {
-		// Both key lists are sorted, so the search resumes where the
-		// previous key was found.
-		at += sort.SearchStrings(t.ids[at:], k)
-		if at == len(t.ids) || t.ids[at] != k {
-			panic(fmt.Sprintf("bitvector: publisher %q is not in the table", k))
+	for i, e := range p.entries {
+		// Both ID lists are sorted, so the search resumes where the
+		// previous ID was found.
+		at += sort.SearchStrings(t.ids[at:], e.advID)
+		if at == len(t.ids) || t.ids[at] != e.advID {
+			panic(fmt.Sprintf("bitvector: publisher %q is not in the table", e.advID))
 		}
-		out[i] = PubVector{Pub: int32(at), V: *p.vectors[k]}
+		out[i] = PubVector{Pub: int32(at), V: *e.vec}
 	}
 	return out
 }
@@ -110,8 +110,7 @@ func (t *PublisherTable) Profile(byPub []*Vector, capacity int) *Profile {
 	p := NewProfile(capacity)
 	for i, v := range byPub {
 		if v != nil {
-			p.keys = append(p.keys, t.ids[i])
-			p.vectors[t.ids[i]] = v
+			p.entries = append(p.entries, entry{t.ids[i], v})
 		}
 	}
 	return p

@@ -30,10 +30,24 @@ func (v *Vector) Snapshot() VectorSnapshot {
 	}
 }
 
-// FromSnapshot reconstructs a vector from its snapshot.
+// FromSnapshot reconstructs a vector from its snapshot. A snapshot arrives
+// from another broker, so this is where the Vector invariants are enforced
+// on outside input: the window fits the capacity, the word count matches it,
+// and no bit is set at or past the end of the window. An image that breaks
+// any of them is rejected, not repaired — a sender whose windows and bits
+// disagree has no load estimate worth keeping.
 func FromSnapshot(s VectorSnapshot) (*Vector, error) {
 	if s.Cap <= 0 {
 		return nil, fmt.Errorf("bitvector: snapshot capacity %d must be positive", s.Cap)
+	}
+	// Last = First−1 is the empty window; anything lower is no window.
+	if s.Last < s.First && s.Last != s.First-1 {
+		return nil, fmt.Errorf("bitvector: snapshot window [%d,%d] is negative", s.First, s.Last)
+	}
+	// The unsigned difference is the exact width less one even where First
+	// and Last are too far apart for Last−First to fit an int.
+	if s.Last >= s.First && uint64(s.Last)-uint64(s.First) >= uint64(s.Cap) {
+		return nil, fmt.Errorf("bitvector: snapshot window [%d,%d] exceeds capacity %d", s.First, s.Last, s.Cap)
 	}
 	raw, err := base64.StdEncoding.DecodeString(s.Words)
 	if err != nil {
@@ -42,17 +56,18 @@ func FromSnapshot(s VectorSnapshot) (*Vector, error) {
 	if len(raw)%8 != 0 {
 		return nil, fmt.Errorf("bitvector: snapshot words length %d not a multiple of 8", len(raw))
 	}
-	v := New(s.Cap)
-	if len(raw)/8 != len(v.words) {
-		return nil, fmt.Errorf("bitvector: snapshot has %d words, capacity %d needs %d",
-			len(raw)/8, s.Cap, len(v.words))
+	if need := s.Cap/wordBits + min(s.Cap%wordBits, 1); len(raw)/8 != need {
+		return nil, fmt.Errorf("bitvector: snapshot has %d words, capacity %d needs %d", len(raw)/8, s.Cap, need)
 	}
-	v.firstID = s.First
-	v.lastID = s.Last
+	v := &Vector{firstID: s.First, lastID: s.Last, capacity: s.Cap, words: make([]uint64, len(raw)/8)}
+	win := v.Window()
 	for i := range v.words {
-		v.words[i] = binary.LittleEndian.Uint64(raw[8*i:])
+		w := binary.LittleEndian.Uint64(raw[8*i:])
+		if rem := max(win-i*wordBits, 0); rem < wordBits && w&^maskLow(rem) != 0 {
+			return nil, fmt.Errorf("bitvector: snapshot has a set bit past its %d-bit window", win)
+		}
+		v.words[i] = w
 	}
-	v.maskTail()
 	v.recount() // restore the cached popcount invariant
 	return v, nil
 }
@@ -65,9 +80,9 @@ type ProfileSnapshot struct {
 
 // Snapshot captures the profile's full state.
 func (p *Profile) Snapshot() ProfileSnapshot {
-	out := ProfileSnapshot{Cap: p.capacity, Vectors: make(map[string]VectorSnapshot, len(p.vectors))}
-	for _, advID := range p.keys {
-		out.Vectors[advID] = p.vectors[advID].Snapshot()
+	out := ProfileSnapshot{Cap: p.capacity, Vectors: make(map[string]VectorSnapshot, len(p.entries))}
+	for _, e := range p.entries {
+		out.Vectors[e.advID] = e.vec.Snapshot()
 	}
 	return out
 }
@@ -85,8 +100,7 @@ func ProfileFromSnapshot(s ProfileSnapshot) (*Profile, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bitvector: profile vector %q: %w", advID, err)
 		}
-		p.vectors[advID] = v
-		p.keys = append(p.keys, advID) // keys already sorted above
+		p.entries = append(p.entries, entry{advID, v}) // ascending: keys sorted above
 	}
 	return p, nil
 }

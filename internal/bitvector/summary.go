@@ -23,7 +23,7 @@ type pubSummary struct {
 // Concurrency: a Summary is never mutated after Summarize returns, so any
 // number of goroutines may use it concurrently.
 type Summary struct {
-	// pubs is sorted by advID (inherited from Profile's sorted key slice)
+	// pubs is sorted by advID (inherited from Profile's sorted entries)
 	// and holds only publishers with at least one set bit.
 	pubs []pubSummary
 	// total is the profile's total set-bit count (Profile.Count).
@@ -33,13 +33,13 @@ type Summary struct {
 // Summarize captures a profile's summary. O(publishers): every count is a
 // cached popcount load.
 func Summarize(p *Profile) *Summary {
-	s := &Summary{pubs: make([]pubSummary, 0, len(p.keys))}
-	for _, advID := range p.keys {
-		v := p.vectors[advID]
+	s := &Summary{pubs: make([]pubSummary, 0, len(p.entries))}
+	for _, e := range p.entries {
+		v := e.vec
 		if v.count == 0 {
 			continue
 		}
-		s.pubs = append(s.pubs, pubSummary{advID: advID, count: v.count, first: v.firstID, last: v.lastID})
+		s.pubs = append(s.pubs, pubSummary{advID: e.advID, count: v.count, first: v.firstID, last: v.lastID})
 		s.total += v.count
 	}
 	return s

@@ -2,7 +2,10 @@ package message
 
 import (
 	"math"
+	"strings"
 	"testing"
+
+	"github.com/greenps/greenps/internal/bitvector"
 )
 
 func stockPub(seq int, symbol string, low float64) *Publication {
@@ -253,6 +256,43 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Decode([]byte(`{"kind":1}`)); err == nil {
 		t.Error("kind/payload mismatch accepted")
+	}
+}
+
+// TestDecodeRejectsHostileBIA sends the planner a BIA whose profile images
+// break the vector invariants — a window wider than the capacity, which used
+// to panic the first AndCount on it, and set bits past the window, which
+// inflated the load estimate — and requires an error from Decode and from
+// UnpackProfiles, never a panic or a profile.
+func TestDecodeRejectsHostileBIA(t *testing.T) {
+	full := bitvector.New(128)
+	for id := 0; id < 100; id++ {
+		full.Set(id)
+	}
+	overfull := full.Snapshot()
+	overfull.First, overfull.Last = 7, 16
+	for name, snap := range map[string]bitvector.VectorSnapshot{
+		"window wider than capacity": {First: 0, Last: 5000, Cap: 64, Words: bitvector.New(64).Snapshot().Words},
+		"bits past the window":       overfull,
+	} {
+		info := BrokerInfo{ID: "B1", Subscriptions: []SubscriptionInfo{{
+			Sub: NewSubscription("s1", "c1", []Predicate{Pred("class", OpEq, String("STOCK"))}),
+			ProfileData: &ProfileWire{Snapshot: bitvector.ProfileSnapshot{
+				Cap: snap.Cap, Vectors: map[string]bitvector.VectorSnapshot{"ADV-1": snap},
+			}},
+		}}}
+		data, err := Encode(&Envelope{Kind: KindBIA, BIA: &BIA{RequestID: "r1", Infos: []BrokerInfo{info}}})
+		if err != nil {
+			t.Fatalf("%s: encode: %v", name, err)
+		}
+		if env, err := Decode(data); err == nil {
+			t.Errorf("%s: Decode accepted the BIA: %+v", name, env.BIA.Infos[0].Subscriptions[0].Profile)
+		} else if !strings.Contains(err.Error(), "s1") || !strings.Contains(err.Error(), "ADV-1") {
+			t.Errorf("%s: error %q does not name the subscription and publisher", name, err)
+		}
+		if err := info.UnpackProfiles(); err == nil || info.Subscriptions[0].Profile != nil {
+			t.Errorf("%s: UnpackProfiles = %v, profile %v; want an error and no profile", name, err, info.Subscriptions[0].Profile)
+		}
 	}
 }
 
