@@ -39,12 +39,14 @@ import (
 //     29.6M — the pool is runs of identical compiled content, 1,634 distinct
 //     contents among the 20k pool's units — and 21.7M and 22.9M walk
 //     AndCount over the unit's publishers: two walks per placement on the 8k
-//     plan, less than one in two on the 20k pool, nearly all of the latter
-//     through the offset word walker. accept skips its OR walk for 3.1M of
-//     10.6M and 37.2M of 52.5M placements.
+//     plan, less than one in two on the 20k pool. Unit windows are anchored
+//     at their first set bit and start anywhere in a word; vectors sit on an
+//     absolute word grid (bitvector, DESIGN.md §9.1), so a walk is one AND
+//     and one popcount per grid word the unit and the aggregate share. accept
+//     skips its OR walk for 3.1M of 10.6M and 37.2M of 52.5M placements.
 //
-// At ~60 ns a placement (3.1 s for the 20k row's 53M; BenchmarkProbeReplay
-// reads the same on its synthetic pool), neither splitting one across
+// At ~55 ns a placement (2.9 s for the 20k row's 53M; BenchmarkProbeReplay
+// reads 43–47 ns on its synthetic pool), neither splitting one across
 // goroutines, nor resuming a replay from saved broker states, nor
 // running a binary search's next probes ahead of time pays for its
 // bookkeeping, and a tournament tree over remaining bandwidth costs per

@@ -1,6 +1,8 @@
 package bitvector
 
 import (
+	"maps"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -211,9 +213,14 @@ func TestCountsWithDisjointWindows(t *testing.T) {
 	}
 }
 
-func TestCountsWithMisalignedWindows(t *testing.T) {
-	// Windows overlap but start at different IDs, exercising the bit
-	// realignment path across word boundaries.
+// TestCountsAcrossGridOffsets sweeps where two windows sit on the word grid:
+// first IDs at every in-word offset on both sides, last IDs at every in-word
+// offset on both sides, and full windows of capacities around the word size —
+// each filled to its last bit, so that it reaches as far into its storage as
+// it can — at every offset, with windows above zero, across it and wholly
+// below it. Every pair goes through the count kernel and both Or merges.
+func TestCountsAcrossGridOffsets(t *testing.T) {
+	// Windows overlap but start at different IDs and offsets in their words.
 	a := New(256)
 	b := New(256)
 	for id := 0; id < 200; id += 3 {
@@ -233,65 +240,101 @@ func TestCountsWithMisalignedWindows(t *testing.T) {
 		}
 	}
 	if got := AndCount(a, b); got != want {
-		t.Errorf("AndCount misaligned = %d, want %d", got, want)
+		t.Errorf("AndCount = %d, want %d", got, want)
 	}
 
-	// The word kernels at every pair of in-word offsets and every overlap
-	// length that fits a head, two whole words and a tail. checkWordKernels
-	// cuts both slices at the last word the overlap touches, so every
-	// (offset, length) whose sum is a multiple of 64 ends on the last bit of
-	// the last word, where reading the next word of b would be out of range.
 	rng := rand.New(rand.NewSource(21))
-	aw, bw := make([]uint64, 4), make([]uint64, 4)
-	for i := range aw {
-		aw[i], bw[i] = rng.Uint64(), rng.Uint64()
-	}
-	for ai := 0; ai < wordBits; ai++ {
-		for bi := 0; bi < wordBits; bi++ {
-			for n := 1; n <= 130; n++ {
-				checkWordKernels(t, aw, bw, ai, bi, n)
-			}
-		}
-	}
-
-	// The same grid through the public functions and Or: b starts d IDs
-	// after (or before) a, the overlap is n IDs long, and each side in turn
-	// fills its capacity so that the overlap ends on its last word's last bit.
-	grid := func(capacity, first, last int) *Vector {
-		v := New(capacity)
+	straddling, negative := 0, 0
+	grid := func(capacity, first, last int) (*Vector, *model) {
+		v, m := New(capacity), newModel(capacity)
 		v.Observe(first) // the window starts here whether or not the bit is set
+		m.Observe(first)
 		for id := first; id <= last; id++ {
 			if rng.Intn(2) == 0 {
 				v.Set(id)
+				m.Set(id)
 			}
 		}
 		v.Observe(last)
-		return v
+		m.Observe(last)
+		if v.FirstID() != first || v.LastID() != last {
+			t.Fatalf("grid vector %v, want window [%d,%d]", v, first, last)
+		}
+		switch {
+		case last < 0:
+			negative++
+		case first < 0:
+			straddling++
+		}
+		return v, m
 	}
-	for d := -(wordBits - 1); d < wordBits; d++ {
-		for n := 1; n <= 130; n++ {
-			for _, fill := range []struct{ a, b bool }{{false, false}, {true, false}, {false, true}} {
-				firstA, firstB := max(0, -d), max(0, d)
-				last := max(firstA, firstB) + n - 1 // where the overlap ends
-				lastA, lastB := last+rng.Intn(40), last+rng.Intn(40)
-				if rng.Intn(2) == 0 {
-					lastA = last
-				} else {
-					lastB = last
+	check := func(capA, firstA, lastA, capB, firstB, lastB int) {
+		t.Helper()
+		x, mx := grid(capA, firstA, lastA)
+		y, my := grid(capB, firstB, lastB)
+		checkCountKernels(t, x, y, mx, my)
+		checkOrMerge(t, x, y, mx, my)
+		checkOrMerge(t, y, x, my, mx)
+	}
+	for _, origin := range []int{0, -40, -100000} {
+		for oa := 0; oa < wordBits; oa++ {
+			for ob := 0; ob < wordBits; ob++ {
+				// First IDs at offsets (oa, ob), up to two words apart.
+				firstA, firstB := origin+oa, origin+64*rng.Intn(3)+ob
+				check(320, firstA, firstA+rng.Intn(200), 320, firstB, firstB+rng.Intn(200))
+				// Last IDs at offsets (oa, ob), likewise.
+				lastA, lastB := origin+256+oa, origin+256+64*rng.Intn(3)+ob
+				check(320, lastA-rng.Intn(200), lastA, 320, lastB-rng.Intn(200), lastB)
+			}
+		}
+		// A full window at every offset against a partner that covers it,
+		// one that starts inside it and one that ends inside it.
+		for _, capacity := range []int{1, 63, 64, 65, 127, 128, DefaultCapacity} {
+			for off := 0; off < wordBits; off++ {
+				first := origin + off
+				last := first + capacity - 1
+				mid := first + capacity/2
+				check(capacity, first, last, capacity+128, first-rng.Intn(64), last+rng.Intn(64))
+				check(capacity, first, last, capacity, mid, mid+rng.Intn(capacity))
+				check(capacity, first, last, capacity, mid-rng.Intn(capacity), mid)
+			}
+		}
+	}
+	if straddling == 0 || negative == 0 {
+		t.Fatalf("%d windows across zero, %d below it: the sweep covers neither", straddling, negative)
+	}
+}
+
+// TestHostileIDs: message IDs reach Set straight off the wire
+// (Publication.Seq), so two IDs may be further apart than an int can say.
+// The window must stay inside the capacity and the storage, the count exact,
+// and the newer ID recorded.
+func TestHostileIDs(t *testing.T) {
+	for _, first := range []int{math.MinInt, math.MinInt + 3, -5, 0} {
+		for _, second := range []int{math.MaxInt, math.MinInt + 100, math.MinInt + 200, 70} {
+			for _, observe := range []bool{false, true} {
+				v := New(128)
+				v.Set(first)
+				if observe {
+					v.Observe(second)
 				}
-				capA, capB := 320, 320
-				if fill.a {
-					lastA = last
-					capA = lastA - firstA + 1
+				v.Set(second)
+				if w := v.Window(); w < 1 || w > v.Capacity() {
+					t.Fatalf("Set(%d), Set(%d): window %d, capacity %d", first, second, w, v.Capacity())
 				}
-				if fill.b {
-					lastB = last
-					capB = lastB - firstB + 1
+				checkStored(t, v)
+				n := 0
+				for i := 0; i < v.Window(); i++ {
+					if v.Get(v.FirstID() + i) {
+						n++
+					}
 				}
-				x, y := grid(capA, firstA, lastA), grid(capB, firstB, lastB)
-				checkCountKernels(t, x, y)
-				checkOrMerge(t, x, y)
-				checkOrMerge(t, y, x)
+				if v.Count() != n {
+					t.Fatalf("Set(%d), Set(%d): Count() = %d, per-bit count = %d", first, second, v.Count(), n)
+				}
+				if newer := max(first, second); !v.Get(newer) || v.LastID() != newer {
+					t.Fatalf("Set(%d), Set(%d): %v does not end on the newer ID set", first, second, v)
+				}
 			}
 		}
 	}
@@ -354,16 +397,36 @@ func (m *model) Observe(id int) {
 
 func (m *model) Count() int { return len(m.set) }
 
+func (m *model) Clone() *model {
+	return &model{first: m.first, last: m.last, capacity: m.capacity, set: maps.Clone(m.set)}
+}
+
+// Or is Vector.Or on ID sets: the window grows to o's newest ID — an empty
+// one is anchored on o's window first — and takes every ID of o it still
+// covers.
+func (m *model) Or(o *model) {
+	if o.last < o.first {
+		return
+	}
+	m.Observe(o.first)
+	m.Observe(o.last)
+	for id := range o.set {
+		if id >= m.first {
+			m.set[id] = true
+		}
+	}
+}
+
 // TestQuickVectorMatchesModel drives random Set/Observe sequences through
-// both the real vector and the set model and checks count, window, and
-// per-bit agreement.
+// both the real vector and the set model and checks the stored words after
+// every step and count, window, and per-bit agreement at the end.
 func TestQuickVectorMatchesModel(t *testing.T) {
 	f := func(seed int64, ops []uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
 		capacity := 1 + rng.Intn(200)
 		v := New(capacity)
 		m := newModel(capacity)
-		cursor := 0
+		cursor := rng.Intn(400) - 300 // some runs start below zero and cross it
 		for _, op := range ops {
 			step := int(op % 37)
 			cursor += step
@@ -374,21 +437,9 @@ func TestQuickVectorMatchesModel(t *testing.T) {
 				v.Set(cursor)
 				m.Set(cursor)
 			}
+			checkStored(t, v)
 		}
-		if v.Count() != m.Count() {
-			t.Logf("count mismatch: vector=%d model=%d (cap=%d)", v.Count(), m.Count(), capacity)
-			return false
-		}
-		if v.Window() != m.last-m.first+1 && !(m.last < m.first && v.Window() == 0) {
-			t.Logf("window mismatch: vector=%d model=[%d,%d]", v.Window(), m.first, m.last)
-			return false
-		}
-		for id := m.first; id <= m.last; id++ {
-			if v.Get(id) != m.set[id] {
-				t.Logf("bit %d mismatch: vector=%v model=%v", id, v.Get(id), m.set[id])
-				return false
-			}
-		}
+		checkModel(t, v, m)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -538,9 +589,9 @@ func TestQuickOrMatchesModel(t *testing.T) {
 // skipped OR on: after v.Or(o), a second v.Or(o) changes nothing — firstID,
 // lastID, cached count and every word stay bit-equal — and the merge is the
 // per-bit union over the merged window. Destinations are empty or filled;
-// sources aligned with them, misaligned, disjoint, empty, slid clean of
-// bits, and of a larger capacity holding a wider window than the
-// destination can, so that Or has to clamp.
+// sources start a whole number of words from them, anywhere else, or past
+// them (disjoint), are empty, slid clean of bits, and of a larger capacity
+// holding a wider window than the destination can, so that Or has to clamp.
 func TestOrIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	caps := []int{64, 100, 128, 256, DefaultCapacity}
@@ -565,10 +616,10 @@ func TestOrIdempotent(t *testing.T) {
 	}
 	clamped := 0
 	for trial := 0; trial < 4000; trial++ {
-		vStart, oStart := 64*rng.Intn(4), 64*rng.Intn(4) // aligned
+		vStart, oStart := 64*rng.Intn(4), 64*rng.Intn(4) // whole words apart
 		switch rng.Intn(3) {
 		case 0:
-			oStart = rng.Intn(300) // misaligned
+			oStart = rng.Intn(300) // anywhere
 		case 1:
 			oStart += 5000 // disjoint
 		}
@@ -654,22 +705,10 @@ func BenchmarkVectorSet(b *testing.B) {
 	}
 }
 
-func BenchmarkAndCountAligned(b *testing.B) {
-	x := New(DefaultCapacity)
-	y := New(DefaultCapacity)
-	y.Observe(0) // anchor y's window at 0 so the windows are word-aligned
-	for i := 0; i < DefaultCapacity; i += 2 {
-		x.Set(i)
-		y.Set(i + 1)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		AndCount(x, y)
-	}
-}
-
-func BenchmarkAndCountMisaligned(b *testing.B) {
+// BenchmarkAndCount is one full-capacity pair evaluation. The windows start
+// 13 IDs apart — where they start is immaterial to the kernel, which walks
+// the grid words they share.
+func BenchmarkAndCount(b *testing.B) {
 	x := New(DefaultCapacity)
 	y := New(DefaultCapacity)
 	for i := 0; i < DefaultCapacity; i += 2 {

@@ -16,59 +16,22 @@ func benchVector(capacity, first, stride int) *Vector {
 	return v
 }
 
-// BenchmarkKernelCounts sweeps AndCount over the alignment × density grid.
-// "aligned" windows differ by a multiple of 64 bits and take the aligned
-// word loop; "misaligned" windows take the offset walker.
+// BenchmarkKernelCounts runs AndCount over full windows 13 IDs apart at two
+// densities; the loop is branch-free, so the two should read the same.
 func BenchmarkKernelCounts(b *testing.B) {
-	aligns := []struct {
-		name   string
-		offset int
-	}{
-		{"aligned", 128},
-		{"misaligned", 13},
-	}
-	densities := []struct {
+	for _, de := range []struct {
 		name   string
 		stride int
 	}{
 		{"dense", 2},
 		{"sparse", 37},
-	}
-	for _, al := range aligns {
-		for _, de := range densities {
-			x := benchVector(DefaultCapacity, 0, de.stride)
-			y := benchVector(DefaultCapacity, al.offset, de.stride)
-			b.Run(fmt.Sprintf("And/%s/%s", al.name, de.name), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					AndCount(x, y)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkKernelVsGeneric sets the two word kernels against the
-// realign-per-step path they replaced (genericAndCount, kept in
-// kernel_fuzz_test.go) on identical dense input: the aligned loop on
-// windows 128 IDs apart, the offset walker on windows 13 IDs apart.
-func BenchmarkKernelVsGeneric(b *testing.B) {
-	x := benchVector(DefaultCapacity, 0, 2)
-	for _, al := range []struct {
-		name   string
-		offset int
-	}{{"aligned", 128}, {"offset", 13}} {
-		y := benchVector(DefaultCapacity, al.offset, 2)
-		b.Run(al.name+"/kernel", func(b *testing.B) {
+	} {
+		x := benchVector(DefaultCapacity, 0, de.stride)
+		y := benchVector(DefaultCapacity, 13, de.stride)
+		b.Run("And/"+de.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				AndCount(x, y)
-			}
-		})
-		b.Run(al.name+"/generic", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				genericAndCount(x, y)
 			}
 		})
 	}
@@ -76,7 +39,7 @@ func BenchmarkKernelVsGeneric(b *testing.B) {
 
 // BenchmarkCloseness measures full profile-level pair evaluations — the
 // unit of work CRAM's partner searches and the poset spend — across
-// publisher counts, with word-aligned windows (the common case after Sync).
+// publisher counts, with coinciding windows (the common case after Sync).
 // Every arm is one IntersectCount walk plus arithmetic on cached popcounts,
 // so XOR, IOU and Relate should read within a few ns of INTERSECT.
 func BenchmarkCloseness(b *testing.B) {

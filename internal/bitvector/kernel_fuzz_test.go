@@ -8,23 +8,76 @@ import (
 
 // buildFuzzVector fills a vector with pseudo-random bits: a window of the
 // given width starting at start, each bit set with probability density/256.
-func buildFuzzVector(capacity, start, width int, density byte, seed int64) *Vector {
-	v := New(capacity)
+// The model (bitvector_test.go) is driven through the same calls and is the
+// oracle that shares no index arithmetic with the vector.
+func buildFuzzVector(capacity, start, width int, density byte, seed int64) (*Vector, *model) {
+	v, m := New(capacity), newModel(capacity)
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < width; i++ {
 		if byte(rng.Intn(256)) < density {
 			v.Set(start + i)
+			m.Set(start + i)
 		}
 	}
 	v.Observe(start + width - 1)
-	return v
+	m.Observe(start + width - 1)
+	return v, m
+}
+
+// checkStored reads the stored words directly and fails on any bit the
+// window invariant forbids — below firstID, above lastID, or in a word past
+// the window — on a word count other than the capacity's grid size, and on a
+// cached count that is not the words' popcount. The ID of a stored bit is
+// rebuilt here from the floor of firstID by modulo arithmetic, not by the
+// shifts Get and the kernels use.
+func checkStored(t *testing.T, v *Vector) {
+	t.Helper()
+	if want := (v.capacity + 126) / 64; len(v.words) != want {
+		t.Fatalf("%v: %d words, capacity %d takes %d", v, len(v.words), v.capacity, want)
+	}
+	if w := v.Window(); w < 0 || w > v.capacity {
+		t.Fatalf("%v: window %d outside [0, capacity]", v, w)
+	}
+	base := v.firstID - ((v.firstID%64)+64)%64
+	n := 0
+	for k, w := range v.words {
+		n += bits.OnesCount64(w)
+		for b := 0; b < 64; b++ {
+			if id := base + 64*k + b; w>>uint(b)&1 != 0 && (id < v.firstID || id > v.lastID) {
+				t.Fatalf("%v: word %d bit %d stores ID %d, outside the window", v, k, b, id)
+			}
+		}
+	}
+	if v.count != n {
+		t.Fatalf("%v: cached count %d, stored words hold %d bits", v, v.count, n)
+	}
+}
+
+// checkModel holds a vector to its model: the same window, the same count,
+// the same IDs, and nothing stored outside the window.
+func checkModel(t *testing.T, v *Vector, m *model) {
+	t.Helper()
+	checkStored(t, v)
+	if m.last < m.first {
+		if v.Window() != 0 || v.Count() != 0 {
+			t.Fatalf("%v: model is empty", v)
+		}
+		return
+	}
+	if v.FirstID() != m.first || v.LastID() != m.last || v.Count() != m.Count() {
+		t.Fatalf("%v (count %d): model window [%d,%d], count %d", v, v.Count(), m.first, m.last, m.Count())
+	}
+	for id := m.first; id <= m.last; id++ {
+		if v.Get(id) != m.set[id] {
+			t.Fatalf("%v: bit %d = %v, model has %v", v, id, v.Get(id), m.set[id])
+		}
+	}
 }
 
 // refCounts computes the four pair counts bit-by-bit through Get — the
 // naive reference AndCount and the identities built on it must match
-// exactly. Get reads one bit at a time and shares no code with the
-// word-wise walkers, and or / xor / and-not are counted from the bits, not
-// derived from and.
+// exactly. Get reads one bit at a time and or / xor / and-not are counted
+// from the bits, not derived from and.
 func refCounts(a, b *Vector) (and, or, xor, andnot int) {
 	lo, hi := a.FirstID(), a.LastID()
 	if b.FirstID() < lo {
@@ -69,92 +122,45 @@ func orCount(a, b *Vector) int     { return a.Count() + b.Count() - AndCount(a, 
 func xorCount(a, b *Vector) int    { return a.Count() + b.Count() - 2*AndCount(a, b) }
 func andNotCount(a, b *Vector) int { return a.Count() - AndCount(a, b) }
 
-// genericAndCount is the offset path AndCount took before andCountOffset,
-// stepping unchanged: it goes to the nearer of both sides' word boundaries
-// and realigns both with extractBits. Kept here as BenchmarkKernelVsGeneric's
-// baseline and as a second oracle beside the per-bit reference — it shares
-// extractBits with the walker, nothing else.
-func genericAndCount(a, b *Vector) int {
-	lo, hi, ok := overlap(a, b)
-	if !ok {
-		return 0
-	}
-	n := 0
-	// Walk the overlap word-by-word in a's coordinates, realigning b.
-	for id := lo; id <= hi; {
-		ai := id - a.firstID
-		bi := id - b.firstID
-		// Bits available in this step: up to the end of a's or b's word.
-		step := wordBits - ai%wordBits
-		if s := wordBits - bi%wordBits; s < step {
-			step = s
-		}
-		if rem := hi - id + 1; rem < step {
-			step = rem
-		}
-		aw := extractBits(a.words, ai, step)
-		bw := extractBits(b.words, bi, step)
-		n += bits.OnesCount64(aw & bw)
-		id += step
-	}
-	return n
-}
-
-// refWordAndCount counts aw&bw bit by bit over the n-bit ranges of two raw
-// word slices starting at bit offsets ai and bi.
-func refWordAndCount(aw, bw []uint64, ai, bi, n int) (c int) {
-	for k := 0; k < n; k++ {
-		x := aw[(ai+k)/wordBits]>>(uint(ai+k)%wordBits)&1 != 0
-		y := bw[(bi+k)/wordBits]>>(uint(bi+k)%wordBits)&1 != 0
-		if x && y {
-			c++
-		}
-	}
-	return c
-}
-
-// checkWordKernels holds the word kernel AndCount would pick for the
-// offsets — the aligned loop when ai ≡ bi mod 64, the offset walker
-// otherwise — to the per-bit reference over one raw range. Both slices are
-// cut to the last word the range touches, so a kernel that reads one word
-// too far panics instead of passing.
-func checkWordKernels(t *testing.T, aw, bw []uint64, ai, bi, n int) {
+// checkCountKernels holds AndCount and the three identities built on it, in
+// both argument orders, to two oracles: the per-bit reference through Get,
+// and the models' ID sets, which know nothing of words.
+func checkCountKernels(t *testing.T, a, b *Vector, ma, mb *model) {
 	t.Helper()
-	aw, bw = aw[:(ai+n+wordBits-1)/wordBits], bw[:(bi+n+wordBits-1)/wordBits]
-	kernel := andCountOffset
-	if (ai-bi)%wordBits == 0 {
-		kernel = andCountWords
-	}
-	if got, want := kernel(aw, bw, ai, bi, n), refWordAndCount(aw, bw, ai, bi, n); got != want {
-		t.Fatalf("offsets (%d,%d) length %d: word kernel = %d, per-bit reference = %d", ai, bi, n, got, want)
-	}
-}
-
-// checkCountKernels holds AndCount to the per-bit reference and to the
-// retained generic path, and the three identities built on it to the per-bit
-// reference's or / xor / and-not, in both argument orders.
-func checkCountKernels(t *testing.T, a, b *Vector) {
-	t.Helper()
-	for _, p := range [2][2]*Vector{{a, b}, {b, a}} {
-		x, y := p[0], p[1]
-		got := [4]int{AndCount(x, y), orCount(x, y), xorCount(x, y), andNotCount(x, y)}
-		and, or, xor, andnot := refCounts(x, y)
+	checkModel(t, a, ma)
+	checkModel(t, b, mb)
+	for _, p := range [2]struct {
+		x, y   *Vector
+		mx, my *model
+	}{{a, b, ma, mb}, {b, a, mb, ma}} {
+		got := [4]int{AndCount(p.x, p.y), orCount(p.x, p.y), xorCount(p.x, p.y), andNotCount(p.x, p.y)}
+		and, or, xor, andnot := refCounts(p.x, p.y)
 		if want := [4]int{and, or, xor, andnot}; got != want {
-			t.Errorf("%v vs %v: [and or xor andnot] = %v, per-bit reference = %v", x, y, got, want)
+			t.Errorf("%v vs %v: [and or xor andnot] = %v, per-bit reference = %v", p.x, p.y, got, want)
 		}
-		if want := genericAndCount(x, y); got[0] != want {
-			t.Errorf("%v vs %v: AndCount = %d, generic path = %d", x, y, got[0], want)
+		both := 0
+		for id := range p.mx.set {
+			if p.my.set[id] {
+				both++
+			}
+		}
+		nx, ny := len(p.mx.set), len(p.my.set)
+		if want := [4]int{both, nx + ny - both, nx + ny - 2*both, nx - both}; got != want {
+			t.Errorf("%v vs %v: [and or xor andnot] = %v, ID-set model = %v", p.x, p.y, got, want)
 		}
 	}
 }
 
 // checkOrMerge holds a.Or(b) to the per-bit union restricted to the merged
-// window, with the cached popcount, and checks that a second Or changes
-// nothing. It returns the merge.
-func checkOrMerge(t *testing.T, a, b *Vector) *Vector {
+// window and to the model's merge, with the cached popcount and the stored
+// words checked, and checks that a second Or changes nothing. It returns the
+// merge.
+func checkOrMerge(t *testing.T, a, b *Vector, ma, mb *model) *Vector {
 	t.Helper()
-	m := a.Clone()
+	m, mm := a.Clone(), ma.Clone()
 	m.Or(b)
+	mm.Or(mb)
+	checkModel(t, m, mm)
 	want := 0
 	for id := m.FirstID(); id <= m.LastID(); id++ {
 		union := a.Get(id) || b.Get(id)
@@ -166,24 +172,24 @@ func checkOrMerge(t *testing.T, a, b *Vector) *Vector {
 		}
 	}
 	if m.Count() != want {
-		t.Errorf("Or merge cached count = %d, per-bit recount = %d", m.Count(), want)
+		t.Errorf("Or merge cached count = %d, per-bit count = %d", m.Count(), want)
 	}
 	again := m.Clone()
 	again.Or(b)
+	checkModel(t, again, mm)
 	if again.String() != m.String() || again.Count() != m.Count() {
 		t.Errorf("second Or changed the merge: %v (count %d) to %v (count %d)", m, m.Count(), again, again.Count())
 	}
 	return m
 }
 
-// FuzzKernelEquivalence drives random window offsets, capacities, and
+// FuzzKernelEquivalence drives random window starts, capacities, and
 // densities through AndCount, the or / xor / and-not identities on it and
-// the Or merge (into a filled and into an empty vector, once and twice),
-// asserting bit-for-bit agreement with the naive per-bit reference and, for
-// AndCount, with the retained generic path. Both dispatch paths are
-// exercised — word-aligned offsets (forced for half the inputs) take the
-// aligned loop, odd offsets the offset walker — through the public function
-// and again on a raw word range at arbitrary offsets on both sides.
+// the Or merge (into a filled and into an empty vector, once and twice, the
+// destination narrower than the source or not), asserting bit-for-bit
+// agreement with the naive per-bit reference and with the ID-set model, and
+// that no step leaves a bit stored outside a window. Half the inputs are
+// moved down by 2^15 IDs, so that windows lie below zero or across it.
 func FuzzKernelEquivalence(f *testing.F) {
 	f.Add(int64(1), int64(2), uint16(0), uint16(0), uint16(100), uint16(100), uint8(128), uint8(128), uint8(0))
 	f.Add(int64(3), int64(4), uint16(10), uint16(74), uint16(200), uint16(150), uint8(200), uint8(30), uint8(1))
@@ -195,42 +201,21 @@ func FuzzKernelEquivalence(f *testing.F) {
 		capB := caps[int(mode>>2)%len(caps)]
 		sa, sb := int(startA), int(startB)
 		if mode&1 == 0 {
-			// Force a word-aligned offset so the fast path is hit.
-			sb = sa + 64*(int(startB)%5)
+			sa, sb = sa-1<<15, sb-1<<15
 		}
 		wa := 1 + int(widthA)%capA
 		wb := 1 + int(widthB)%capB
-		a := buildFuzzVector(capA, sa, wa, densA, seedA)
-		b := buildFuzzVector(capB, sb, wb, densB, seedB)
+		a, ma := buildFuzzVector(capA, sa, wa, densA, seedA)
+		b, mb := buildFuzzVector(capB, sb, wb, densB, seedB)
 
-		checkCountKernels(t, a, b)
-
-		// The word kernels over a raw range of the same words, at in-word
-		// offsets the public functions never produce (an overlap starts on
-		// the first bit of one side).
-		ai, bi := int(startA)%a.Window(), int(startB)%b.Window()
-		checkWordKernels(t, a.words, b.words, ai, bi, 1+int(widthB)%min(a.Window()-ai, b.Window()-bi))
-
-		checkOrMerge(t, a, b)
+		checkCountKernels(t, a, b, ma, mb)
+		checkOrMerge(t, a, b, ma, mb)
 		// Into an empty vector Or keeps the newest bits its capacity holds —
 		// the source may hold a wider window.
-		e := New(capA)
-		e.Or(b)
+		e := checkOrMerge(t, New(capA), b, newModel(capA), mb)
 		if e.LastID() != b.LastID() || e.Window() != min(b.Window(), capA) {
 			t.Errorf("Or into empty: window [%d,%d] from source [%d,%d] at capacity %d",
 				e.FirstID(), e.LastID(), b.FirstID(), b.LastID(), capA)
-		}
-		want := 0
-		for id := e.FirstID(); id <= e.LastID(); id++ {
-			if e.Get(id) != b.Get(id) {
-				t.Errorf("Or into empty: bit %d = %v, source has %v", id, e.Get(id), b.Get(id))
-			}
-			if b.Get(id) {
-				want++
-			}
-		}
-		if e.Count() != want {
-			t.Errorf("Or into empty: cached count = %d, per-bit recount = %d", e.Count(), want)
 		}
 	})
 }

@@ -411,16 +411,12 @@ func (p *Profile) FingerprintKey() string {
 		}
 		key = append(key, e.advID...)
 		key = append(key, ':')
-		// The window's set bits in ascending ID order, a word at a time.
-		win := v.Window()
+		// The window's set bits in ascending ID order, a word at a time; no
+		// word holds a bit outside the window.
+		base := v.firstID &^ (wordBits - 1)
 		for i, w := range v.words {
-			if rem := win - i*wordBits; rem <= 0 {
-				break
-			} else if rem < wordBits {
-				w &= maskLow(rem)
-			}
 			for ; w != 0; w &= w - 1 {
-				key = strconv.AppendInt(key, int64(v.firstID+i*wordBits+bits.TrailingZeros64(w)), 10)
+				key = strconv.AppendInt(key, int64(base+i*wordBits+bits.TrailingZeros64(w)), 10)
 				key = append(key, ',')
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -385,10 +386,8 @@ func fmtFingerprintKey(p *Profile) string {
 
 // TestFingerprintKeyGolden compares FingerprintKey with the fmt formatting
 // it replaced on random profiles: several publishers, vectors that are empty
-// or slid clean of bits (skipped), windows slid past capacity, negative IDs,
-// capacities off the word grid, and a vector whose words were written past
-// its window — a state no mutator or decode produces, which the per-bit loop
-// never printed and FingerprintKey masks.
+// or slid clean of bits (skipped), windows slid past capacity, negative IDs
+// and capacities off the word grid.
 func TestFingerprintKeyGolden(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 500; trial++ {
@@ -415,20 +414,6 @@ func TestFingerprintKeyGolden(t *testing.T) {
 			t.Fatalf("trial %d: FingerprintKey = %q, fmt formatting = %q", trial, got, want)
 		}
 	}
-
-	snap := New(128).Snapshot()
-	snap.First, snap.Last = 10, 19
-	v, err := FromSnapshot(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v.words[0], v.words[1] = 1<<3|1<<9|1<<10|1<<40, 1<<5
-	v.recount()
-	p := NewProfile(128)
-	p.entries = []entry{{"P", v}}
-	if got, want := p.FingerprintKey(), "P:13,19,;"; got != want || got != fmtFingerprintKey(p) {
-		t.Fatalf("bits past the window: FingerprintKey = %q, want %q (fmt formatting %q)", got, want, fmtFingerprintKey(p))
-	}
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -436,8 +421,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	for i := 0; i < 50; i += 3 {
 		p.Record("X", i)
 		p.Record("Y", i*2)
+		p.Record("Z", 1000+37+i) // a window that starts mid-word
 	}
 	p.Vector("X").Observe(60)
+	p.Or(&Profile{capacity: 96, entries: []entry{{"E", New(96)}}}) // an empty vector
 	snap := p.Snapshot()
 	q, err := ProfileFromSnapshot(snap)
 	if err != nil {
@@ -446,30 +433,41 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if Relate(p, q) != RelEqual {
 		t.Fatal("round-tripped profile not equal to original")
 	}
-	for _, adv := range []string{"X", "Y"} {
+	if p.FingerprintKey() != q.FingerprintKey() {
+		t.Fatalf("round trip changed the fingerprint: %q to %q", p.FingerprintKey(), q.FingerprintKey())
+	}
+	for _, adv := range []string{"E", "X", "Y", "Z"} {
 		pv, qv := p.Vector(adv), q.Vector(adv)
-		if pv.FirstID() != qv.FirstID() || pv.LastID() != qv.LastID() || pv.Count() != qv.Count() {
-			t.Fatalf("%s: window/count mismatch after round trip", adv)
+		if pv.FirstID() != qv.FirstID() || pv.LastID() != qv.LastID() || pv.Count() != qv.Count() || !slices.Equal(pv.words, qv.words) {
+			t.Fatalf("%s: %v (count %d) came back as %v (count %d)", adv, pv, pv.Count(), qv, qv.Count())
 		}
+		checkStored(t, qv)
 	}
 }
 
-// snapshotFixtures returns a valid image of 100 set bits in a 128-bit
-// vector, the same words under a 10-bit window (on the parent of the check:
-// Count() 100, Fraction() 10), and the words of an empty 64-bit vector.
-func snapshotFixtures() (full, overfull VectorSnapshot, zeros64 string) {
+// snapshotFixtures returns a valid image of 80 set bits — IDs 37 to 116,
+// the first two of a 128-bit vector's three grid words — the same words
+// under a 10-bit window, the words of an empty 64-bit vector, and three
+// copies of the valid image with one stray bit each: below First in word 0,
+// above Last in the last word the window touches, and in the word past it.
+func snapshotFixtures() (full, overfull VectorSnapshot, zeros64 string, stray [3]VectorSnapshot) {
 	v := New(128)
-	for id := 0; id < 100; id++ {
+	for id := 37; id <= 116; id++ {
 		v.Set(id)
 	}
 	full = v.Snapshot()
 	overfull = full
-	overfull.First, overfull.Last = 7, 16
-	return full, overfull, New(64).Snapshot().Words
+	overfull.First, overfull.Last = 44, 53
+	for i, at := range []struct{ word, bit int }{{0, 36}, {1, 117 - 64}, {2, 0}} {
+		c := v.Clone()
+		c.words[at.word] |= 1 << at.bit
+		stray[i] = c.Snapshot()
+	}
+	return full, overfull, New(64).Snapshot().Words, stray
 }
 
 func TestSnapshotRejectsCorrupt(t *testing.T) {
-	full, overfull, zeros64 := snapshotFixtures()
+	full, overfull, zeros64, stray := snapshotFixtures()
 	for _, c := range []struct {
 		name string
 		snap VectorSnapshot
@@ -478,11 +476,16 @@ func TestSnapshotRejectsCorrupt(t *testing.T) {
 		{"invalid base64", VectorSnapshot{Last: -1, Cap: 64, Words: "!!!"}},
 		{"truncated words", VectorSnapshot{Last: -1, Cap: 64, Words: "AAAA"}},
 		{"fewer words than the capacity needs", VectorSnapshot{Last: -1, Cap: 1 << 40, Words: zeros64}},
+		{"the words of the capacity alone, without the grid's spare word", VectorSnapshot{Last: -1, Cap: 128, Words: zeros64}},
 		{"window wider than capacity", VectorSnapshot{First: 0, Last: 5000, Cap: 64, Words: zeros64}},
 		{"window wider than an int", VectorSnapshot{First: math.MinInt, Last: math.MaxInt, Cap: 64, Words: zeros64}},
 		{"negative window", VectorSnapshot{First: 10, Last: 5, Cap: 64, Words: zeros64}},
-		{"bits past the window", overfull},
+		{"bits on both sides of the window", overfull},
 		{"bits in an empty window", VectorSnapshot{First: 0, Last: -1, Cap: 128, Words: full.Words}},
+		{"bits in an empty window that opens mid-word", VectorSnapshot{First: 40, Last: 39, Cap: 128, Words: full.Words}},
+		{"a bit below First in word 0", stray[0]},
+		{"a bit above Last in the last word touched", stray[1]},
+		{"a bit in a word past the window", stray[2]},
 	} {
 		if v, err := FromSnapshot(c.snap); err == nil {
 			t.Errorf("%s: decoded to %v (count %d), want an error", c.name, v, v.Count())
@@ -496,34 +499,41 @@ func TestSnapshotRejectsCorrupt(t *testing.T) {
 		New(64).Snapshot(),
 		{First: 10, Last: 9, Cap: 64, Words: zeros64},
 		{First: 10, Last: 73, Cap: 64, Words: zeros64},
+		{First: 63, Last: 126, Cap: 64, Words: zeros64},
+		{First: -64, Last: -1, Cap: 64, Words: zeros64},
 		full,
 	} {
-		if _, err := FromSnapshot(snap); err != nil {
+		v, err := FromSnapshot(snap)
+		if err != nil {
 			t.Errorf("valid snapshot %+v rejected: %v", snap, err)
+			continue
 		}
+		checkStored(t, v)
 	}
 }
 
 // FuzzSnapshotDecode feeds FromSnapshot arbitrary images, as a BIA from
 // another broker can carry: either it returns an error, or the vector it
 // returns keeps the invariants the kernels assume — the window fits the
-// capacity and the words, Count() equals the per-bit Get count over the
-// window, and AndCount runs on it without reading out of range.
+// capacity and the words, no stored bit lies outside it, Count() equals the
+// per-bit Get count over the window, and AndCount runs on it without reading
+// out of range.
 func FuzzSnapshotDecode(f *testing.F) {
-	full, overfull, zeros64 := snapshotFixtures()
+	full, overfull, zeros64, stray := snapshotFixtures()
 	f.Add(full.First, full.Last, full.Cap, full.Words)
 	f.Add(0, 5000, 64, zeros64) // window > capacity: the first AndCount on it panicked
 	f.Add(overfull.First, overfull.Last, overfull.Cap, overfull.Words)
 	f.Add(10, 5, 64, zeros64)
 	f.Add(math.MinInt, math.MaxInt, 64, zeros64)
+	for _, s := range stray {
+		f.Add(s.First, s.Last, s.Cap, s.Words)
+	}
 	f.Fuzz(func(t *testing.T, first, last, capacity int, words string) {
 		v, err := FromSnapshot(VectorSnapshot{First: first, Last: last, Cap: capacity, Words: words})
 		if err != nil {
 			return
 		}
-		if v.Window() > v.Capacity() || len(v.words)*wordBits < v.Capacity() {
-			t.Fatalf("decoded %v: window %d, capacity %d, %d words", v, v.Window(), v.Capacity(), len(v.words))
-		}
+		checkStored(t, v)
 		n := 0
 		for i := 0; i < v.Window(); i++ {
 			if v.Get(v.FirstID() + i) {

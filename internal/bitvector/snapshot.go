@@ -4,10 +4,12 @@ import (
 	"encoding/base64"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
-// VectorSnapshot is a serializable image of a Vector. Words are encoded as
+// VectorSnapshot is a serializable image of a Vector. Words are the grid
+// words as stored — the first holds First, ID i at bit i mod 64 — encoded as
 // base64 of little-endian uint64s to keep BIA messages compact.
 type VectorSnapshot struct {
 	First int    `json:"first"`
@@ -32,10 +34,11 @@ func (v *Vector) Snapshot() VectorSnapshot {
 
 // FromSnapshot reconstructs a vector from its snapshot. A snapshot arrives
 // from another broker, so this is where the Vector invariants are enforced
-// on outside input: the window fits the capacity, the word count matches it,
-// and no bit is set at or past the end of the window. An image that breaks
-// any of them is rejected, not repaired — a sender whose windows and bits
-// disagree has no load estimate worth keeping.
+// on outside input: the window fits the capacity, the word count is the
+// capacity's grid size, and no bit is set outside the window — below First in
+// the first word, above Last in the word that holds it, or anywhere in a
+// later word. An image that breaks any of them is rejected, not repaired — a
+// sender whose windows and bits disagree has no load estimate worth keeping.
 func FromSnapshot(s VectorSnapshot) (*Vector, error) {
 	if s.Cap <= 0 {
 		return nil, fmt.Errorf("bitvector: snapshot capacity %d must be positive", s.Cap)
@@ -56,19 +59,34 @@ func FromSnapshot(s VectorSnapshot) (*Vector, error) {
 	if len(raw)%8 != 0 {
 		return nil, fmt.Errorf("bitvector: snapshot words length %d not a multiple of 8", len(raw))
 	}
-	if need := s.Cap/wordBits + min(s.Cap%wordBits, 1); len(raw)/8 != need {
+	if need := gridWords(s.Cap); len(raw)/8 != need {
 		return nil, fmt.Errorf("bitvector: snapshot has %d words, capacity %d needs %d", len(raw)/8, s.Cap, need)
 	}
 	v := &Vector{firstID: s.First, lastID: s.Last, capacity: s.Cap, words: make([]uint64, len(raw)/8)}
-	win := v.Window()
+	// The window's bits of its first and of its last grid word. An empty
+	// window needs no case of its own: either the two masks share no bit of
+	// word 0, or First opens a grid word and lastWord is −1.
+	head := ^uint64(0) << uint(s.First&63)
+	tail := ^uint64(0) >> uint(63-s.Last&63)
+	lastWord := s.Last>>6 - s.First>>6
 	for i := range v.words {
 		w := binary.LittleEndian.Uint64(raw[8*i:])
-		if rem := max(win-i*wordBits, 0); rem < wordBits && w&^maskLow(rem) != 0 {
-			return nil, fmt.Errorf("bitvector: snapshot has a set bit past its %d-bit window", win)
+		in := ^uint64(0)
+		if i == 0 {
+			in &= head
+		}
+		if i == lastWord {
+			in &= tail
+		}
+		if i > lastWord {
+			in = 0
+		}
+		if w&^in != 0 {
+			return nil, fmt.Errorf("bitvector: snapshot has a set bit outside its window [%d,%d]", s.First, s.Last)
 		}
 		v.words[i] = w
+		v.count += bits.OnesCount64(w)
 	}
-	v.recount() // restore the cached popcount invariant
 	return v, nil
 }
 

@@ -2,6 +2,7 @@ package broker_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/greenps/greenps/internal/broker"
@@ -338,5 +339,63 @@ func TestFanoutDeliversOneCopyPerNeighbor(t *testing.T) {
 	}
 	if net.TotalDeliveries() != 6 {
 		t.Fatalf("total deliveries = %d, want 6", net.TotalDeliveries())
+	}
+}
+
+// TestHostileSequenceNumbers: Publication.Seq comes off the wire unvalidated
+// and lands in the profile of every local subscription it matches, so two
+// publications whose IDs are further apart than an int can say must neither
+// crash the broker on delivery nor leave a profile that Info() cannot build
+// or the planner cannot decode.
+func TestHostileSequenceNumbers(t *testing.T) {
+	for _, first := range []int{math.MinInt, math.MinInt + 3, -5, 0} {
+		for _, second := range []int{math.MaxInt, math.MinInt + 100, math.MinInt + 200, 70} {
+			c, err := broker.New(broker.Config{ID: "B0", URL: "x", Clock: func() float64 { return 0 }})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.AddClient("pub")
+			c.AddClient("sub")
+			pubEP := broker.Endpoint{Kind: broker.KindClient, ID: "pub"}
+			subEP := broker.Endpoint{Kind: broker.KindClient, ID: "sub"}
+			sym := message.Pred("symbol", message.OpEq, message.String("YHOO"))
+			msgs := []broker.Inbound{
+				{From: pubEP, Env: &message.Envelope{Kind: message.KindAdvertisement,
+					Adv: message.NewAdvertisement("ADV-1", "pub", []message.Predicate{sym})}},
+				{From: subEP, Env: &message.Envelope{Kind: message.KindSubscription,
+					Sub: message.NewSubscription("s1", "sub", []message.Predicate{sym})}},
+			}
+			for _, seq := range []int{first, second} {
+				msgs = append(msgs, broker.Inbound{From: pubEP, Env: &message.Envelope{Kind: message.KindPublication,
+					Pub: message.NewPublication("ADV-1", seq, map[string]message.Value{"symbol": message.String("YHOO")})}})
+			}
+			out, err := c.HandleBatch(msgs, nil)
+			if err != nil {
+				t.Fatalf("seq %d then %d: %v", first, second, err)
+			}
+			delivered := 0
+			for _, o := range out {
+				if o.Env.Kind == message.KindPublication && o.To == subEP {
+					delivered++
+				}
+			}
+			if delivered != 2 {
+				t.Fatalf("seq %d then %d: %d deliveries to the local subscription, want 2", first, second, delivered)
+			}
+			info := c.Info()
+			v := info.Subscriptions[0].Profile.Vector("ADV-1")
+			if w := v.Window(); w < 1 || w > v.Capacity() || !v.Get(max(first, second)) {
+				t.Fatalf("seq %d then %d: profile vector %v", first, second, v)
+			}
+			// The BIA that carries the profile must decode at the planner.
+			info.PackProfiles()
+			data, err := message.Encode(&message.Envelope{Kind: message.KindBIA, BIA: &message.BIA{RequestID: "r", Infos: []message.BrokerInfo{info}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := message.Decode(data); err != nil {
+				t.Fatalf("seq %d then %d: the planner rejects the broker's own BIA: %v", first, second, err)
+			}
+		}
 	}
 }

@@ -261,9 +261,10 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 
 // TestDecodeRejectsHostileBIA sends the planner a BIA whose profile images
 // break the vector invariants — a window wider than the capacity, which used
-// to panic the first AndCount on it, and set bits past the window, which
-// inflated the load estimate — and requires an error from Decode and from
-// UnpackProfiles, never a panic or a profile.
+// to panic the first AndCount on it, set bits past or below the window, which
+// inflate the load estimate, and a word count other than the capacity's grid
+// size — and requires an error from Decode and from UnpackProfiles, never a
+// panic or a profile.
 func TestDecodeRejectsHostileBIA(t *testing.T) {
 	full := bitvector.New(128)
 	for id := 0; id < 100; id++ {
@@ -271,9 +272,14 @@ func TestDecodeRejectsHostileBIA(t *testing.T) {
 	}
 	overfull := full.Snapshot()
 	overfull.First, overfull.Last = 7, 16
+	stale := full.Snapshot()
+	stale.First = 50
 	for name, snap := range map[string]bitvector.VectorSnapshot{
 		"window wider than capacity": {First: 0, Last: 5000, Cap: 64, Words: bitvector.New(64).Snapshot().Words},
 		"bits past the window":       overfull,
+		"bits below the window":      stale,
+		// One 64-bit word for capacity 64; the grid layout carries two.
+		"words of the capacity alone": {First: 0, Last: -1, Cap: 64, Words: "AAAAAAAAAAA="},
 	} {
 		info := BrokerInfo{ID: "B1", Subscriptions: []SubscriptionInfo{{
 			Sub: NewSubscription("s1", "c1", []Predicate{Pred("class", OpEq, String("STOCK"))}),
