@@ -249,10 +249,7 @@ func (c *Core) Handle(from Endpoint, env *message.Envelope, out []Outgoing) ([]O
 	if err := env.Validate(); err != nil {
 		return out, fmt.Errorf("broker %s: %w", c.cfg.ID, err)
 	}
-	c.counters.MsgsIn++
-	c.counters.BytesIn += env.EncodedSize()
-	c.inst.MsgsIn.Inc()
-	c.inst.BytesIn.Add(int64(env.EncodedSize()))
+	c.accountIn(env)
 	before := len(out)
 	var err error
 	switch env.Kind {
@@ -272,13 +269,40 @@ func (c *Core) Handle(from Endpoint, env *message.Envelope, out []Outgoing) ([]O
 	case message.KindBIA:
 		out = c.handleBIA(from, env.BIA, out)
 	}
-	for _, o := range out[before:] {
-		c.counters.MsgsOut++
-		c.counters.BytesOut += o.Env.EncodedSize()
-		c.inst.MsgsOut.Inc()
-		c.inst.BytesOut.Add(int64(o.Env.EncodedSize()))
-	}
+	c.accountOut(out[before:])
 	return out, err
+}
+
+// accountIn advances the inbound counters and instruments by one message.
+//
+//greenvet:hotpath once per inbound envelope
+func (c *Core) accountIn(env *message.Envelope) {
+	sz := env.EncodedSize()
+	c.counters.MsgsIn++
+	c.counters.BytesIn += sz
+	c.inst.MsgsIn.Inc()
+	c.inst.BytesIn.Add(int64(sz))
+}
+
+// accountOut advances the outbound counters and instruments by the
+// emitted messages. The copies of one fan-out share their *Envelope, so a
+// size — a walk of the publication's attributes — is computed once per
+// run of outputs carrying the same pointer.
+//
+//greenvet:hotpath once per emitted message
+func (c *Core) accountOut(outs []Outgoing) {
+	var env *message.Envelope
+	sz := 0
+	for i := range outs {
+		if outs[i].Env != env {
+			env = outs[i].Env
+			sz = env.EncodedSize()
+		}
+		c.counters.MsgsOut++
+		c.counters.BytesOut += sz
+		c.inst.MsgsOut.Inc()
+		c.inst.BytesOut.Add(int64(sz))
+	}
 }
 
 // handleAdvertisement stores and floods the advertisement, re-forwards any
@@ -444,20 +468,10 @@ func (c *Core) HandleBatch(msgs []Inbound, out []Outgoing) ([]Outgoing, error) {
 		if j > i {
 			before := len(out)
 			for k := i; k < j; k++ {
-				sz := msgs[k].Env.EncodedSize()
-				c.counters.MsgsIn++
-				c.counters.BytesIn += sz
-				c.inst.MsgsIn.Inc()
-				c.inst.BytesIn.Add(int64(sz))
+				c.accountIn(msgs[k].Env)
 			}
 			out = c.handlePublicationRun(msgs[i:j], out)
-			for _, o := range out[before:] {
-				sz := o.Env.EncodedSize()
-				c.counters.MsgsOut++
-				c.counters.BytesOut += sz
-				c.inst.MsgsOut.Inc()
-				c.inst.BytesOut.Add(int64(sz))
-			}
+			c.accountOut(out[before:])
 			i = j
 			continue
 		}

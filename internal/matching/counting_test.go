@@ -9,102 +9,38 @@ import (
 	"github.com/greenps/greenps/internal/message"
 )
 
-// randomPredicate draws one predicate over a small attribute/value
-// alphabet so collisions between subscriptions and publications are
-// frequent.
-func randomPredicate(rng *rand.Rand) message.Predicate {
-	attrs := []string{"a", "b", "c", "d", "e"}
-	ops := []message.Op{
-		message.OpEq, message.OpNeq, message.OpLt, message.OpLe,
-		message.OpGt, message.OpGe, message.OpPrefix, message.OpPresent,
+// randomOps draws n script operations of one kind. Operands are reduced
+// modulo their alphabets, so random bytes of the right length spell them.
+func randomOps(rng *rand.Rand, code byte, n int) []byte {
+	width := map[byte]int{opAdd: 3, opPublish: 2}[code]
+	var script []byte
+	for ; n > 0; n-- {
+		operands := make([]byte, 1+4*width)
+		rng.Read(operands)
+		script = append(append(script, code), operands[:1+int(operands[0]%5)*width]...)
 	}
-	var v message.Value
-	switch rng.Intn(3) {
-	case 0:
-		v = message.Number(float64(rng.Intn(5)))
-	case 1:
-		v = message.String(string(rune('p' + rng.Intn(4))))
-	default:
-		v = message.Bool(rng.Intn(2) == 0)
-	}
-	return message.Pred(attrs[rng.Intn(len(attrs))], ops[rng.Intn(len(ops))], v)
+	return script
 }
 
-// randomSubscription draws a subscription with 0..4 predicates.
-func randomSubscription(rng *rand.Rand, id string) *message.Subscription {
-	preds := make([]message.Predicate, rng.Intn(5))
-	for i := range preds {
-		preds[i] = randomPredicate(rng)
-	}
-	return message.NewSubscription(id, "cl", preds)
-}
-
-// randomPublication draws a publication with 0..5 attributes.
-func randomPublication(rng *rand.Rand) *message.Publication {
-	attrs := make(map[string]message.Value)
-	for i, n := 0, rng.Intn(6); i < n; i++ {
-		name := string(rune('a' + rng.Intn(5)))
-		switch rng.Intn(3) {
-		case 0:
-			attrs[name] = message.Number(float64(rng.Intn(5)))
-		case 1:
-			attrs[name] = message.String(string(rune('p' + rng.Intn(4))))
-		default:
-			attrs[name] = message.Bool(rng.Intn(2) == 0)
-		}
-	}
-	return message.NewPublication("adv", 0, attrs)
-}
-
-// TestCountingEngineMatchesAccessPredicateEngine is the equivalence
-// property test: on randomized (seeded) workloads with churn, the
-// counting matcher and the access-predicate matcher must return
-// identical match sets for every publication.
-func TestCountingEngineMatchesAccessPredicateEngine(t *testing.T) {
+// TestCountingEngineMatchesBruteForceUnderChurn is the equivalence
+// property test: on randomized (seeded) workloads the engine must return
+// the oracle's match set after every add, every remove — through the
+// auto-compaction the removals trigger — and on both sides of an explicit
+// Compact.
+func TestCountingEngineMatchesBruteForceUnderChurn(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		ref := NewEngine()
-		cnt := NewCountingEngine()
-		ids := make([]string, 0, 200)
-		for i := 0; i < 200; i++ {
-			id := fmt.Sprintf("s%03d", i)
-			sub := randomSubscription(rng, id)
-			if err := ref.Add(sub); err != nil {
-				t.Fatal(err)
-			}
-			if err := cnt.Add(sub); err != nil {
-				t.Fatal(err)
-			}
-			ids = append(ids, id)
+		h := newHarness(t)
+		h.run(slices.Concat(randomOps(rng, opPublish, maxScriptPubs), randomOps(rng, opAdd, 200),
+			randomOps(rng, opPublish, maxScriptPubs), randomOps(rng, opRemove, 120)))
+		// Some 115 removals of 200 (a few name a ghost): tombstones outnumbered the living on the way.
+		if tomb := h.e.Tombstones(); tomb == h.adds-len(h.live) {
+			t.Fatalf("seed %d: %d tombstones beside %d live subscriptions, auto-compact never fired", seed, tomb, len(h.live))
 		}
-		check := func(round string, pubs int) {
-			for p := 0; p < pubs; p++ {
-				pub := randomPublication(rng)
-				want := ref.Match(pub)
-				got := cnt.Match(pub)
-				slices.Sort(want)
-				slices.Sort(got)
-				if !slices.Equal(want, got) {
-					t.Fatalf("seed %d %s: pub %v\naccess-predicate engine: %v\ncounting engine: %v",
-						seed, round, pub.Attrs, want, got)
-				}
-			}
-		}
-		check("initial", 300)
-		// Churn half the table and re-check: tombstones and auto-compact
-		// must not change match sets.
-		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-		for _, id := range ids[:100] {
-			if err := ref.Remove(id); err != nil {
-				t.Fatal(err)
-			}
-			if err := cnt.Remove(id); err != nil {
-				t.Fatal(err)
-			}
-		}
-		check("after churn", 300)
-		if ref.Len() != cnt.Len() {
-			t.Fatalf("seed %d: Len mismatch: %d vs %d", seed, ref.Len(), cnt.Len())
+		h.run(slices.Concat(randomOps(rng, opAdd, 50), randomOps(rng, opPublish, maxScriptPubs),
+			randomOps(rng, opRemove, 20), []byte{opCompact}, randomOps(rng, opAdd, 20)))
+		if h.e.Tombstones() != 0 || h.adds != 270 {
+			t.Fatalf("seed %d: %d tombstones after Compact, %d adds", seed, h.e.Tombstones(), h.adds)
 		}
 	}
 }
@@ -114,30 +50,20 @@ func TestCountingEngineMatchesAccessPredicateEngine(t *testing.T) {
 // matches.
 func TestCountingEngineMatchBatchOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	e := NewCountingEngine()
-	for i := 0; i < 100; i++ {
-		if err := e.Add(randomSubscription(rng, fmt.Sprintf("s%03d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pubs := make([]*message.Publication, 50)
-	for i := range pubs {
-		pubs[i] = randomPublication(rng)
-	}
-	got := make([][]string, len(pubs))
+	h := newHarness(t)
+	h.run(slices.Concat(randomOps(rng, opAdd, 100), randomOps(rng, opPublish, 50)))
+	got := make([][]string, len(h.pubs))
 	last := 0
-	e.MatchBatch(pubs, func(i int, s *message.Subscription) {
+	h.e.MatchBatch(h.pubs, func(i int, s *message.Subscription) {
 		if i < last {
 			t.Fatalf("MatchBatch went backwards: %d after %d", i, last)
 		}
 		last = i
 		got[i] = append(got[i], s.ID)
 	})
-	for i, pub := range pubs {
-		want := e.Match(pub)
-		slices.Sort(want)
+	for i, pub := range h.pubs {
 		slices.Sort(got[i])
-		if !slices.Equal(want, got[i]) {
+		if want := h.check(pub, "single"); !slices.Equal(want, got[i]) {
 			t.Fatalf("pub %d: batch %v != single %v", i, got[i], want)
 		}
 	}
@@ -145,91 +71,53 @@ func TestCountingEngineMatchBatchOrder(t *testing.T) {
 
 // TestCompactPreservesMatchCount is the regression test for Compact
 // zeroing matchCount (broker matching metrics silently reset after
-// every reconfiguration): the counter must survive explicit Compact on
-// both engines.
+// every reconfiguration): the counter must survive explicit Compact.
 func TestCompactPreservesMatchCount(t *testing.T) {
 	pub := message.NewPublication("adv", 0, map[string]message.Value{"a": message.Number(1)})
-	sub := message.NewSubscription("s1", "cl", []message.Predicate{
-		message.Pred("a", message.OpEq, message.Number(1)),
-	})
-
-	ref := NewEngine()
-	if err := ref.Add(sub); err != nil {
-		t.Fatal(err)
-	}
+	e := NewCountingEngine()
+	mustAdd(t, e, "s1", message.Pred("a", message.OpEq, message.Number(1)))
 	for i := 0; i < 7; i++ {
-		ref.Match(pub)
+		e.Match(pub)
 	}
-	ref.Compact()
-	if got := ref.MatchCount(); got != 7 {
-		t.Fatalf("access-predicate engine: MatchCount after Compact = %d, want 7", got)
+	e.Compact()
+	if got := e.MatchCount(); got != 7 {
+		t.Fatalf("MatchCount after Compact = %d, want 7", got)
 	}
-	if got := ref.Match(pub); len(got) != 1 || got[0] != "s1" {
-		t.Fatalf("access-predicate engine: match after Compact = %v", got)
-	}
-
-	cnt := NewCountingEngine()
-	if err := cnt.Add(sub); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 7; i++ {
-		cnt.Match(pub)
-	}
-	cnt.Compact()
-	if got := cnt.MatchCount(); got != 7 {
-		t.Fatalf("counting engine: MatchCount after Compact = %d, want 7", got)
-	}
-	if got := cnt.Match(pub); len(got) != 1 || got[0] != "s1" {
-		t.Fatalf("counting engine: match after Compact = %v", got)
+	if got := e.Match(pub); len(got) != 1 || got[0] != "s1" {
+		t.Fatalf("match after Compact = %v", got)
 	}
 }
 
 // TestAutoCompactOnChurn verifies Remove triggers compaction once
 // tombstones outnumber live entries (beyond the floor), so sustained
-// churn cannot degrade matching unboundedly, on both engines.
+// churn cannot degrade matching unboundedly.
 func TestAutoCompactOnChurn(t *testing.T) {
-	type engine interface {
-		Add(*message.Subscription) error
-		Remove(string) error
-		Tombstones() int
-		Len() int
-		Match(*message.Publication) []string
+	e := NewCountingEngine()
+	for i := 0; i < 200; i++ {
+		mustAdd(t, e, fmt.Sprintf("s%03d", i), message.Pred("a", message.OpEq, message.Number(float64(i%10))))
 	}
-	for name, e := range map[string]engine{
-		"access-predicate": NewEngine(),
-		"counting":         NewCountingEngine(),
-	} {
-		for i := 0; i < 200; i++ {
-			sub := message.NewSubscription(fmt.Sprintf("s%03d", i), "cl", []message.Predicate{
-				message.Pred("a", message.OpEq, message.Number(float64(i%10))),
-			})
-			if err := e.Add(sub); err != nil {
-				t.Fatal(err)
-			}
+	for i := 0; i < 150; i++ {
+		if err := e.Remove(fmt.Sprintf("s%03d", i)); err != nil {
+			t.Fatal(err)
 		}
-		for i := 0; i < 150; i++ {
-			if err := e.Remove(fmt.Sprintf("s%03d", i)); err != nil {
-				t.Fatal(err)
-			}
+	}
+	// Without auto-compaction 150 tombstones would remain.
+	if tomb := e.Tombstones(); tomb > autoCompactMinTombstones {
+		t.Fatalf("%d tombstones survived churn, auto-compact never fired", tomb)
+	}
+	if e.Len() != 50 {
+		t.Fatalf("Len = %d, want 50", e.Len())
+	}
+	pub := message.NewPublication("adv", 0, map[string]message.Value{"a": message.Number(3)})
+	got := e.Match(pub)
+	slices.Sort(got)
+	var want []string
+	for i := 150; i < 200; i++ {
+		if i%10 == 3 {
+			want = append(want, fmt.Sprintf("s%03d", i))
 		}
-		// Without auto-compaction 150 tombstones would remain.
-		if tomb := e.Tombstones(); tomb > autoCompactMinTombstones {
-			t.Fatalf("%s: %d tombstones survived churn, auto-compact never fired", name, tomb)
-		}
-		if e.Len() != 50 {
-			t.Fatalf("%s: Len = %d, want 50", name, e.Len())
-		}
-		pub := message.NewPublication("adv", 0, map[string]message.Value{"a": message.Number(3)})
-		got := e.Match(pub)
-		slices.Sort(got)
-		var want []string
-		for i := 150; i < 200; i++ {
-			if i%10 == 3 {
-				want = append(want, fmt.Sprintf("s%03d", i))
-			}
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("%s: match after churn = %v, want %v", name, got, want)
-		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("match after churn = %v, want %v", got, want)
 	}
 }

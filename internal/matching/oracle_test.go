@@ -2,210 +2,176 @@ package matching
 
 import (
 	"fmt"
-	"math/rand"
+	"math"
+	"slices"
 	"sort"
-	"strconv"
 	"testing"
 	"testing/quick"
 
 	"github.com/greenps/greenps/internal/message"
 )
 
-// entry is the engine's record of one subscription.
-type entry struct {
-	sub  *message.Subscription
-	live bool
+// harness holds an engine beside the oracle every equivalence test in this
+// package compares it with: Subscription.Matches over every live
+// subscription, sharing nothing with the engine but that definition of
+// satisfaction.
+type harness struct {
+	tb   testing.TB
+	e    *CountingEngine
+	live map[string]*message.Subscription
+	// pubs are the publications the scripts run so far have published.
+	pubs []*message.Publication
+	adds int
 }
 
-// Engine is the access-predicate matcher the brokers ran before
-// CountingEngine, kept as the reference its tests compare against: every
-// subscription with at least one equality predicate is registered in a
-// bucket keyed by (attribute, value) — choosing, at insertion time, the
-// equality predicate whose bucket is currently smallest, which adaptively
-// avoids degenerate buckets like class='STOCK' that every subscription
-// shares. A publication probes one bucket per attribute it carries and
-// fully verifies each candidate. Subscriptions without any equality
-// predicate live in a fallback list verified against every publication.
-type Engine struct {
-	entries []entry
-	byID    map[string]int
-	// index buckets subscriptions by their access predicate:
-	// attr -> canonical value -> entry indices.
-	index map[string]map[string][]int
-	// fallback holds entry indices of subscriptions with no equality
-	// predicate; they are candidates for every publication.
-	fallback []int
-	// tombstones counts dead posting entries; Compact clears them.
-	tombstones int
-	// matchCount tallies total publications matched, for broker metrics.
-	matchCount int
+func newHarness(tb testing.TB) *harness {
+	return &harness{tb: tb, e: NewCountingEngine(), live: make(map[string]*message.Subscription)}
 }
 
-// NewEngine returns an empty engine.
-func NewEngine() *Engine {
-	return &Engine{
-		byID:  make(map[string]int),
-		index: make(map[string]map[string][]int),
-	}
-}
-
-// valueKey canonicalizes a value for bucket lookup.
-func valueKey(v message.Value) string {
-	switch v.Kind {
-	case message.KindString:
-		return "s:" + v.Str
-	case message.KindNumber:
-		return "n:" + strconv.FormatFloat(v.Num, 'g', -1, 64)
-	case message.KindBool:
-		return "b:" + strconv.FormatBool(v.B)
-	default:
-		return "?"
-	}
-}
-
-// Len returns the number of live subscriptions.
-func (e *Engine) Len() int { return len(e.byID) }
-
-// Add indexes a subscription. Adding an ID that is already present is an
-// error; brokers treat duplicate subscription IDs as protocol violations.
-func (e *Engine) Add(sub *message.Subscription) error {
-	if _, ok := e.byID[sub.ID]; ok {
-		return fmt.Errorf("matching: subscription %q already indexed", sub.ID)
-	}
-	idx := len(e.entries)
-	e.entries = append(e.entries, entry{sub: sub, live: true})
-	e.byID[sub.ID] = idx
-
-	// Choose the equality predicate with the currently smallest bucket as
-	// the access predicate.
-	bestAttr, bestKey, bestLen := "", "", -1
-	for _, p := range sub.Predicates {
-		if p.Op != message.OpEq {
-			continue
-		}
-		k := valueKey(p.Value)
-		n := 0
-		if buckets, ok := e.index[p.Attr]; ok {
-			n = len(buckets[k])
-		}
-		if bestLen < 0 || n < bestLen {
-			bestAttr, bestKey, bestLen = p.Attr, k, n
+// check fails unless the engine's match set for p is the oracle's; it
+// returns the set, sorted.
+func (h *harness) check(p *message.Publication, when string) []string {
+	h.tb.Helper()
+	got := h.e.Match(p)
+	slices.Sort(got)
+	var want []string
+	for id, s := range h.live {
+		if s.Matches(p) {
+			want = append(want, id)
 		}
 	}
-	if bestLen < 0 {
-		e.fallback = append(e.fallback, idx)
-		return nil
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		h.tb.Fatalf("%s: pub %v\nengine:      %v\nbrute force: %v", when, p, got, want)
 	}
-	buckets, ok := e.index[bestAttr]
-	if !ok {
-		buckets = make(map[string][]int)
-		e.index[bestAttr] = buckets
-	}
-	buckets[bestKey] = append(buckets[bestKey], idx)
-	return nil
+	return got
 }
 
-// Remove drops a subscription by ID. Its posting entry is tombstoned and
-// skipped during matching; once tombstones outnumber live entries (and
-// exceed a floor that keeps small tables from thrashing) the engine
-// compacts itself, so sustained churn cannot degrade MatchFunc
-// unboundedly.
-func (e *Engine) Remove(subID string) error {
-	idx, ok := e.byID[subID]
-	if !ok {
-		return fmt.Errorf("matching: subscription %q not indexed", subID)
+// Script opcodes. A script is a byte string: an opcode (mod 4) followed by
+// its operands, every operand one byte reduced modulo its alphabet, so any
+// byte string is a script and the interesting ones can be written by hand.
+const (
+	opAdd     byte = iota // n, then n x (attr, op, value): subscribe s<k>, k counting adds
+	opRemove              // i: unsubscribe the i-th live subscription in ID order, or a ghost
+	opCompact             //
+	opPublish             // n, then n x (attr, value): one more publication to check
+)
+
+// Operand alphabets of the script language, and names for their indices.
+var (
+	scriptAttrs = []string{aClass: "class", aSymbol: "symbol", aLow: "low", aDate: "date"}
+	// Equality, the operator access choice is about, is drawn as often as the other seven together.
+	scriptOps = []message.Op{message.OpEq, message.OpNeq, message.OpLt, message.OpLe, message.OpGt, message.OpGe,
+		message.OpPrefix, message.OpPresent, message.OpEq, message.OpEq, message.OpEq, message.OpEq, message.OpEq, message.OpEq}
+	scriptValues = []message.Value{
+		vZero: message.Number(0), vNegZero: message.Number(math.Copysign(0, -1)),
+		vOne: message.Number(1), vTwo: message.Number(2), vNaN: message.Number(math.NaN()),
+		vEmpty: message.String(""), vA: message.String("A"), vAB: message.String("AB"), vB: message.String("B"),
+		vTrue: message.Bool(true), vFalse: message.Bool(false),
+		vZeroVal: {}, vBadKind: {Kind: 99, Str: "A", Num: 1},
 	}
-	delete(e.byID, subID)
-	e.entries[idx].live = false
-	e.entries[idx].sub = nil
-	e.tombstones++
-	if e.tombstones >= autoCompactMinTombstones && e.tombstones > len(e.byID) {
-		e.Compact()
-	}
-	return nil
+)
+
+const (
+	aClass, aSymbol, aLow, aDate byte = 0, 1, 2, 3
+
+	vZero, vNegZero, vOne, vTwo, vNaN, vEmpty, vA, vAB, vB, vTrue, vFalse, vZeroVal, vBadKind byte = 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12
+)
+
+// sPred and sAttr spell one predicate and one publication attribute of a
+// hand-written script; sAdd, sPublish and sRemove assemble its operations.
+func sPred(attr byte, op message.Op, value byte) []byte {
+	return []byte{attr, byte(slices.Index(scriptOps, op)), value}
+}
+func sAttr(attr, value byte) []byte   { return []byte{attr, value} }
+func sAdd(preds ...[]byte) []byte     { return operation(opAdd, preds) }
+func sPublish(attrs ...[]byte) []byte { return operation(opPublish, attrs) }
+func sRemove(i byte) []byte           { return []byte{opRemove, i} }
+func operation(code byte, operands [][]byte) []byte {
+	return append([]byte{code, byte(len(operands))}, slices.Concat(operands...)...)
 }
 
-// Tombstones reports the number of dead posting entries awaiting Compact.
-func (e *Engine) Tombstones() int { return e.tombstones }
+// maxScriptPubs bounds the publications re-checked after every step.
+const maxScriptPubs = 8
 
-// Compact rebuilds the index, dropping tombstones. Brokers call it after
-// bulk unsubscriptions (e.g. during reconfiguration). Live subscriptions
-// are re-added in sorted ID order so the rebuilt access-predicate choice
-// is identical across runs, and the match counter survives the rebuild
-// (it used to be silently zeroed, wiping broker matching metrics after
-// every reconfiguration).
-func (e *Engine) Compact() {
-	subs := make([]*message.Subscription, 0, len(e.byID))
-	for _, idx := range e.byID {
-		subs = append(subs, e.entries[idx].sub)
+// run executes a script. After every operation it compares the engine
+// with the oracle on each of the last maxScriptPubs publications, so an
+// add, a remove or a Compact that changes what an earlier publication
+// matches is caught on the step that did it. It returns the final match
+// set of the last publication.
+func (h *harness) run(script []byte) (last []string) {
+	h.tb.Helper()
+	next := func(mod int) int {
+		if len(script) == 0 {
+			return 0
+		}
+		b := script[0]
+		script = script[1:]
+		return int(b) % mod
 	}
-	sort.Slice(subs, func(i, j int) bool { return subs[i].ID < subs[j].ID })
-	matchCount := e.matchCount
-	*e = *NewEngine()
-	e.matchCount = matchCount
-	for _, s := range subs {
-		// Re-adding into a fresh engine cannot collide.
-		if err := e.Add(s); err != nil {
-			panic("matching: compact re-add: " + err.Error())
+	for step := 0; len(script) > 0; step++ {
+		var what string
+		switch byte(next(4)) {
+		case opAdd:
+			preds := make([]message.Predicate, next(5))
+			for i := range preds {
+				preds[i] = message.Pred(scriptAttrs[next(len(scriptAttrs))],
+					scriptOps[next(len(scriptOps))], scriptValues[next(len(scriptValues))])
+			}
+			sub := message.NewSubscription(fmt.Sprintf("s%03d", h.adds), "cl", preds)
+			h.adds++
+			if err := h.e.Add(sub); err != nil {
+				h.tb.Fatal(err)
+			}
+			if err := h.e.Add(sub); err == nil {
+				h.tb.Fatalf("step %d: duplicate %s accepted", step, sub.ID)
+			}
+			h.live[sub.ID] = sub
+			what = "add " + sub.String()
+		case opRemove:
+			ids := make([]string, 0, len(h.live))
+			for id := range h.live {
+				ids = append(ids, id)
+			}
+			slices.Sort(ids)
+			id := "ghost"
+			if i := next(len(ids) + 1); i < len(ids) {
+				id = ids[i]
+			}
+			if err := h.e.Remove(id); (err == nil) != (h.live[id] != nil) {
+				h.tb.Fatalf("step %d: Remove(%s) = %v", step, id, err)
+			}
+			delete(h.live, id)
+			what = "remove " + id
+		case opCompact:
+			h.e.Compact()
+			what = "compact"
+		case opPublish:
+			attrs := make(map[string]message.Value)
+			for i, n := 0, next(5); i < n; i++ {
+				attrs[scriptAttrs[next(len(scriptAttrs))]] = scriptValues[next(len(scriptValues))]
+			}
+			h.pubs = append(h.pubs, message.NewPublication("adv", len(h.pubs), attrs))
+			what = "publish"
+		}
+		if h.e.Len() != len(h.live) {
+			h.tb.Fatalf("step %d (%s): Len = %d, want %d", step, what, h.e.Len(), len(h.live))
+		}
+		for _, p := range h.pubs[max(0, len(h.pubs)-maxScriptPubs):] {
+			last = h.check(p, fmt.Sprintf("step %d (%s)", step, what))
 		}
 	}
+	return last
 }
 
-// Match returns the IDs of all live subscriptions the publication
-// satisfies. The returned slice is freshly allocated and owned by the
-// caller.
-func (e *Engine) Match(pub *message.Publication) []string {
-	var out []string
-	e.MatchFunc(pub, func(s *message.Subscription) {
-		out = append(out, s.ID)
-	})
-	return out
-}
-
-// MatchFunc invokes fn for every live subscription the publication
-// satisfies. fn must not mutate the engine.
-func (e *Engine) MatchFunc(pub *message.Publication, fn func(*message.Subscription)) {
-	e.matchCount++
-	verify := func(idx int) {
-		ent := &e.entries[idx]
-		if ent.live && ent.sub.Matches(pub) {
-			fn(ent.sub)
-		}
+// mustAdd subscribes id with the given predicates.
+func mustAdd(tb testing.TB, e *CountingEngine, id string, preds ...message.Predicate) *message.Subscription {
+	tb.Helper()
+	sub := message.NewSubscription(id, "c", preds)
+	if err := e.Add(sub); err != nil {
+		tb.Fatalf("add: %v", err)
 	}
-	for attr, v := range pub.Attrs {
-		buckets, ok := e.index[attr]
-		if !ok {
-			continue
-		}
-		for _, idx := range buckets[valueKey(v)] {
-			verify(idx)
-		}
-	}
-	for _, idx := range e.fallback {
-		verify(idx)
-	}
-}
-
-// MatchCount returns the number of Match/MatchFunc calls served, a proxy
-// for the broker's matching work.
-func (e *Engine) MatchCount() int { return e.matchCount }
-
-// Subscriptions returns the live subscriptions in unspecified order.
-func (e *Engine) Subscriptions() []*message.Subscription {
-	out := make([]*message.Subscription, 0, len(e.byID))
-	for _, idx := range e.byID {
-		out = append(out, e.entries[idx].sub)
-	}
-	return out
-}
-
-// Get returns the live subscription with the given ID, or nil.
-func (e *Engine) Get(subID string) *message.Subscription {
-	idx, ok := e.byID[subID]
-	if !ok {
-		return nil
-	}
-	return e.entries[idx].sub
+	return sub
 }
 
 func pub(symbol string, low, volume float64) *message.Publication {
@@ -218,24 +184,12 @@ func pub(symbol string, low, volume float64) *message.Publication {
 }
 
 func TestAddMatchRemove(t *testing.T) {
-	e := NewEngine()
-	s1 := message.NewSubscription("s1", "c1", []message.Predicate{
-		message.Pred("class", message.OpEq, message.String("STOCK")),
-		message.Pred("symbol", message.OpEq, message.String("YHOO")),
-	})
-	s2 := message.NewSubscription("s2", "c1", []message.Predicate{
-		message.Pred("class", message.OpEq, message.String("STOCK")),
-		message.Pred("symbol", message.OpEq, message.String("YHOO")),
-		message.Pred("low", message.OpLt, message.Number(19)),
-	})
-	s3 := message.NewSubscription("s3", "c2", []message.Predicate{
-		message.Pred("symbol", message.OpEq, message.String("GOOG")),
-	})
-	for _, s := range []*message.Subscription{s1, s2, s3} {
-		if err := e.Add(s); err != nil {
-			t.Fatalf("add: %v", err)
-		}
-	}
+	e := NewCountingEngine()
+	class := message.Pred("class", message.OpEq, message.String("STOCK"))
+	yhoo := message.Pred("symbol", message.OpEq, message.String("YHOO"))
+	mustAdd(t, e, "s1", class, yhoo)
+	mustAdd(t, e, "s2", class, yhoo, message.Pred("low", message.OpLt, message.Number(19)))
+	mustAdd(t, e, "s3", message.Pred("symbol", message.OpEq, message.String("GOOG")))
 	if e.Len() != 3 {
 		t.Fatalf("len = %d, want 3", e.Len())
 	}
@@ -261,42 +215,30 @@ func TestAddMatchRemove(t *testing.T) {
 }
 
 func TestDuplicateAddRejected(t *testing.T) {
-	e := NewEngine()
-	s := message.NewSubscription("dup", "c", nil)
-	if err := e.Add(s); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Add(s); err == nil {
+	e := NewCountingEngine()
+	if err := e.Add(mustAdd(t, e, "dup")); err == nil {
 		t.Fatal("duplicate ID accepted")
 	}
 }
 
 func TestRemoveUnknownRejected(t *testing.T) {
-	e := NewEngine()
+	e := NewCountingEngine()
 	if err := e.Remove("ghost"); err == nil {
 		t.Fatal("removing unknown subscription must fail")
 	}
 }
 
 func TestZeroPredicateMatchesEverything(t *testing.T) {
-	e := NewEngine()
-	if err := e.Add(message.NewSubscription("all", "c", nil)); err != nil {
-		t.Fatal(err)
-	}
+	e := NewCountingEngine()
+	mustAdd(t, e, "all")
 	if got := e.Match(pub("YHOO", 1, 1)); len(got) != 1 || got[0] != "all" {
 		t.Fatalf("zero-predicate sub missed: %v", got)
 	}
 }
 
 func TestMultiplePredicatesSameAttribute(t *testing.T) {
-	e := NewEngine()
-	s := message.NewSubscription("range", "c", []message.Predicate{
-		message.Pred("low", message.OpGt, message.Number(10)),
-		message.Pred("low", message.OpLt, message.Number(20)),
-	})
-	if err := e.Add(s); err != nil {
-		t.Fatal(err)
-	}
+	e := NewCountingEngine()
+	mustAdd(t, e, "range", message.Pred("low", message.OpGt, message.Number(10)), message.Pred("low", message.OpLt, message.Number(20)))
 	if got := e.Match(pub("X", 15, 1)); len(got) != 1 {
 		t.Fatalf("in-range value missed: %v", got)
 	}
@@ -306,14 +248,9 @@ func TestMultiplePredicatesSameAttribute(t *testing.T) {
 }
 
 func TestCompactPreservesLiveSubscriptions(t *testing.T) {
-	e := NewEngine()
+	e := NewCountingEngine()
 	for i := 0; i < 10; i++ {
-		s := message.NewSubscription(fmt.Sprintf("s%d", i), "c", []message.Predicate{
-			message.Pred("symbol", message.OpEq, message.String("YHOO")),
-		})
-		if err := e.Add(s); err != nil {
-			t.Fatal(err)
-		}
+		mustAdd(t, e, fmt.Sprintf("s%d", i), message.Pred("symbol", message.OpEq, message.String("YHOO")))
 	}
 	for i := 0; i < 10; i += 2 {
 		if err := e.Remove(fmt.Sprintf("s%d", i)); err != nil {
@@ -331,12 +268,8 @@ func TestCompactPreservesLiveSubscriptions(t *testing.T) {
 }
 
 func TestGetAndSubscriptions(t *testing.T) {
-	e := NewEngine()
-	s := message.NewSubscription("s1", "c", nil)
-	if err := e.Add(s); err != nil {
-		t.Fatal(err)
-	}
-	if e.Get("s1") != s {
+	e := NewCountingEngine()
+	if s := mustAdd(t, e, "s1"); e.Get("s1") != s {
 		t.Fatal("Get returned wrong subscription")
 	}
 	if e.Get("nope") != nil {
@@ -347,95 +280,14 @@ func TestGetAndSubscriptions(t *testing.T) {
 	}
 }
 
-// TestQuickMatchesBruteForce compares the engine against per-subscription
-// Matches() on randomized workloads.
+// TestQuickMatchesBruteForce holds the engine to the oracle on random
+// scripts.
 func TestQuickMatchesBruteForce(t *testing.T) {
-	symbols := []string{"YHOO", "GOOG", "IBM", "MSFT"}
-	attrs := []string{"low", "high", "volume"}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		e := NewEngine()
-		var subs []*message.Subscription
-		for i := 0; i < 60; i++ {
-			var preds []message.Predicate
-			preds = append(preds, message.Pred("symbol", message.OpEq,
-				message.String(symbols[rng.Intn(len(symbols))])))
-			np := rng.Intn(3)
-			for j := 0; j < np; j++ {
-				attr := attrs[rng.Intn(len(attrs))]
-				ops := []message.Op{message.OpLt, message.OpLe, message.OpGt,
-					message.OpGe, message.OpEq, message.OpNeq}
-				preds = append(preds, message.Pred(attr, ops[rng.Intn(len(ops))],
-					message.Number(float64(rng.Intn(50)))))
-			}
-			s := message.NewSubscription(fmt.Sprintf("s%d", i), "c", preds)
-			subs = append(subs, s)
-			if err := e.Add(s); err != nil {
-				t.Logf("add: %v", err)
-				return false
-			}
-		}
-		// Random removals.
-		removed := make(map[string]bool)
-		for i := 0; i < 15; i++ {
-			id := fmt.Sprintf("s%d", rng.Intn(60))
-			if !removed[id] {
-				if err := e.Remove(id); err != nil {
-					t.Logf("remove: %v", err)
-					return false
-				}
-				removed[id] = true
-			}
-		}
-		for i := 0; i < 30; i++ {
-			p := message.NewPublication("A", i, map[string]message.Value{
-				"symbol": message.String(symbols[rng.Intn(len(symbols))]),
-				"low":    message.Number(float64(rng.Intn(50))),
-				"high":   message.Number(float64(rng.Intn(50))),
-				"volume": message.Number(float64(rng.Intn(50))),
-			})
-			got := e.Match(p)
-			sort.Strings(got)
-			var want []string
-			for _, s := range subs {
-				if !removed[s.ID] && s.Matches(p) {
-					want = append(want, s.ID)
-				}
-			}
-			sort.Strings(want)
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Logf("pub %v: got %v want %v", p, got, want)
-				return false
-			}
-		}
+	f := func(script []byte) bool {
+		newHarness(t).run(script)
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkMatch8000Subs(b *testing.B) {
-	e := NewEngine()
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 8000; i++ {
-		sym := fmt.Sprintf("SYM%02d", i%40)
-		preds := []message.Predicate{
-			message.Pred("class", message.OpEq, message.String("STOCK")),
-			message.Pred("symbol", message.OpEq, message.String(sym)),
-		}
-		if i%5 >= 2 { // 60% carry an inequality
-			preds = append(preds, message.Pred("low", message.OpLt,
-				message.Number(rng.Float64()*100)))
-		}
-		if err := e.Add(message.NewSubscription(fmt.Sprintf("s%d", i), "c", preds)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	p := pub("SYM07", 50, 1000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.MatchFunc(p, func(*message.Subscription) {})
 	}
 }

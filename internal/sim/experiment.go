@@ -156,7 +156,7 @@ func runReconfigured(sc *workload.Scenario, c ExperimentConfig) (*Result, error)
 		return nil, err
 	}
 	// Phase 1a: profiling traffic fills the bit vectors.
-	if err = publishRounds(net, sc, 0, c.ProfileRounds, nil); err != nil {
+	if err = profileTraffic(net, sc, c.ProfileRounds); err != nil {
 		return nil, err
 	}
 	// Phase 1b: CROC connects to any broker and floods a BIR.
@@ -210,7 +210,7 @@ func Prepare(sc *workload.Scenario, profileRounds, capacity int) (*Network, []me
 	if err != nil {
 		return nil, nil, err
 	}
-	if err = publishRounds(net, sc, 0, profileRounds, nil); err != nil {
+	if err = profileTraffic(net, sc, profileRounds); err != nil {
 		return nil, nil, err
 	}
 	infos, err := GatherInfos(net, sc.Brokers[0].ID)
@@ -408,6 +408,18 @@ func publishRounds(net *Network, sc *workload.Scenario, firstRound, rounds int,
 		}
 	}
 	return nil
+}
+
+// profileTraffic replays the Phase-1 profiling traffic, which exists to
+// fill the brokers' bit vectors. Its deliveries are counted
+// (TotalDeliveries) but not logged on the clients: nothing reads that log,
+// and at the paper's scale it is a million entries that keep every
+// hop-count copy of a publication alive.
+func profileTraffic(net *Network, sc *workload.Scenario, rounds int) error {
+	prev := net.OnDelivery
+	net.OnDelivery = func(Delivery) {}
+	defer func() { net.OnDelivery = prev }()
+	return publishRounds(net, sc, 0, rounds, nil)
 }
 
 // measure runs the measured phase on a deployed network and assembles the

@@ -206,6 +206,30 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestPrepareCountsProfilingDeliveries pins what the profiling rounds
+// leave behind: the delivery count, no per-client log and no observer.
+func TestPrepareCountsProfilingDeliveries(t *testing.T) {
+	sc, err := workload.Build("profiling", smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, _, err := Prepare(sc, 20, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if net.TotalDeliveries() == 0 {
+		t.Fatal("profiling delivered nothing")
+	}
+	if net.OnDelivery != nil {
+		t.Error("Prepare left its delivery observer installed")
+	}
+	for _, s := range sc.Subscribers {
+		if n := len(net.Client(s.Sub.SubscriberID).Delivered); n != 0 {
+			t.Fatalf("client %s logged %d profiling deliveries, want 0", s.Sub.SubscriberID, n)
+		}
+	}
+}
+
 func TestNetworkHelpers(t *testing.T) {
 	sc, err := workload.Build("helpers", smallOpts())
 	if err != nil {

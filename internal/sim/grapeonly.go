@@ -21,7 +21,7 @@ func runGrapeOnly(sc *workload.Scenario, c ExperimentConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err = publishRounds(net, sc, 0, c.ProfileRounds, nil); err != nil {
+	if err = profileTraffic(net, sc, c.ProfileRounds); err != nil {
 		return nil, err
 	}
 	infos, err := GatherInfos(net, sc.Brokers[0].ID)
