@@ -281,6 +281,8 @@ type scanScratch struct {
 	skip []bool
 	ubs  []float64
 	ids  []string // the sharded scan's surviving IDs (shardSurvivors)
+	// survived flags, per shard, whether shardSurvivors kept it.
+	survived []bool
 }
 
 // sized returns skip and ubs at length n, grown when the scratch is too

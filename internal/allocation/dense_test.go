@@ -661,10 +661,11 @@ func TestProbeBandwidthTieOrder(t *testing.T) {
 	}
 }
 
-// TestPlacementAllocationFree pins the //greenvet:hotpath declarations on
-// fits, accept, place and replay with a measurement: once a scratch pack
-// has seen every publisher on every broker it uses, clearing it and
-// replaying the whole pool allocates nothing.
+// TestPlacementAllocationFree pins fits, accept, place and replay — the
+// first-fit admission test, its commit, the column scan and the
+// feasibility replay loop — at zero allocations: once a scratch pack has
+// seen every publisher on every broker it uses, clearing it and replaying
+// the whole pool allocates nothing.
 // Two in five of the pool's subscriptions sink everything their publisher
 // sends, so the stream has runs of one class and the replay goes through
 // the run memo and the skipped OR as well as the walk.

@@ -168,8 +168,6 @@ type brokerState struct {
 //   - Saturation: fullBelow caches, per accept, for which units that bound
 //     is certain to fire, so a full broker costs one comparison beyond the
 //     bandwidth test.
-//
-//greenvet:hotpath first-fit admission test: 2.3 calls per replayed unit behind place's column scan, 10.6M replayed units in one 8k-subscription plan
 func (bs *brokerState) fits(pu *packUnit, stats []*bitvector.PublisherStats, ratesOrdered bool) (bool, bitvector.Load) {
 	if bs.outLoad.Bandwidth+pu.load.Bandwidth >= bs.spec.OutputBandwidth {
 		return false, bitvector.Load{}
@@ -218,8 +216,6 @@ func (bs *brokerState) fits(pu *packUnit, stats []*bitvector.PublisherStats, rat
 // class accepted last finds its content already in the aggregate — Vector.Or
 // is idempotent — so the walk is skipped and inter, which fits computed
 // against this very aggregate, is what the next unit of the class will get.
-//
-//greenvet:hotpath one call per replayed unit, beside fits
 func (bs *brokerState) accept(pu *packUnit, inter bitvector.Load, capacity int, ratesOrdered bool) {
 	bs.inLoad.Rate += pu.in.Rate - inter.Rate
 	bs.inLoad.Bandwidth += pu.in.Bandwidth - inter.Bandwidth
@@ -340,8 +336,6 @@ func (p *pack) clear() {
 // the columns alone — the same two expressions over copies of the same
 // values, so fits is called exactly where it would have gone on to its third
 // test, and it stays the one definition of admission.
-//
-//greenvet:hotpath the serial first-fit scan of every packing and every feasibility probe: ~17 brokers passed per replayed unit on the 8k plan, 2.3 of them reaching fits
 func (p *pack) place(pu *packUnit) int {
 	bw, rate := pu.load.Bandwidth, pu.in.Rate
 	marked := p.ratesOrdered && pu.filters >= 1

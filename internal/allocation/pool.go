@@ -151,8 +151,6 @@ func (p *pool) probe(removed, added []*Unit) bool {
 // replay first-fit packs the stream onto the scratch pack, which must be
 // empty, with the probe's modifications merged in: rem lists the positions
 // to skip, ascending; add the compiled units to insert, in stream order.
-//
-//greenvet:hotpath the feasibility replay loop: one iteration per replayed unit, ~7,000 per probe on the 20k pool
 func (p *pool) replay(rem []int, add []packUnit) bool {
 	pk, ai := p.pk, 0
 	for i := range p.stream {

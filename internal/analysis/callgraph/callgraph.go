@@ -35,7 +35,6 @@ package callgraph
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"github.com/greenps/greenps/internal/analysis/framework"
@@ -44,9 +43,6 @@ import (
 // Graph is the program-wide call graph plus, after Summarize, the
 // per-function summaries and composed lock-order edges.
 type Graph struct {
-	Fset *token.FileSet
-	// Packages are the analyzed packages, in load order.
-	Packages []*framework.Package
 	// Nodes lists every function in deterministic construction order:
 	// bodied functions package-by-package in source order, then external
 	// (bodiless) nodes in first-reference order.
@@ -98,9 +94,6 @@ type Edge struct {
 	// function-literal arguments of such calls).
 	Go    bool
 	Defer bool
-	// Dynamic marks edges resolved through an interface, a function
-	// value, or an argument position rather than a static reference.
-	Dynamic bool
 	// ArgIndex is the argument position carrying the callee when the
 	// edge models a function passed as an argument; -1 otherwise.
 	ArgIndex int
@@ -114,13 +107,9 @@ type Edge struct {
 // FileSet (framework.Load guarantees this; fixtures load one package).
 func Build(pkgs []*framework.Package) *Graph {
 	g := &Graph{
-		Packages:  pkgs,
 		CallEdges: make(map[*ast.CallExpr][]*Edge),
 		byObj:     make(map[*types.Func]*Node),
 		byLit:     make(map[*ast.FuncLit]*Node),
-	}
-	if len(pkgs) > 0 {
-		g.Fset = pkgs[0].Fset
 	}
 	b := &builder{g: g, methods: make(map[string][]*Node), assigns: make(map[*types.Var][]*Node)}
 	for _, pkg := range pkgs {
@@ -420,18 +409,18 @@ func (b *builder) call(caller *Node, call *ast.CallExpr, isGo, isDefer bool) {
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
 		return // conversion, not a call
 	}
-	emit := func(callee *Node, dynamic bool) {
-		b.addEdge(&Edge{Caller: caller, Callee: callee, Site: call, Go: isGo, Defer: isDefer, Dynamic: dynamic, ArgIndex: -1})
+	emit := func(callee *Node) {
+		b.addEdge(&Edge{Caller: caller, Callee: callee, Site: call, Go: isGo, Defer: isDefer, ArgIndex: -1})
 	}
 	switch fun := unparen(call.Fun).(type) {
 	case *ast.FuncLit:
 		if lit := b.g.byLit[fun]; lit != nil {
-			emit(lit, false)
+			emit(lit)
 		}
 	case *ast.Ident:
 		switch obj := info.Uses[fun].(type) {
 		case *types.Func:
-			emit(b.nodeFor(obj), false)
+			emit(b.nodeFor(obj))
 		case *types.Var:
 			b.throughVar(emit, obj)
 		}
@@ -441,7 +430,7 @@ func (b *builder) call(caller *Node, call *ast.CallExpr, isGo, isDefer bool) {
 			// Package-qualified function or variable.
 			switch obj := info.Uses[fun.Sel].(type) {
 			case *types.Func:
-				emit(b.nodeFor(obj), false)
+				emit(b.nodeFor(obj))
 			case *types.Var:
 				b.throughVar(emit, obj)
 			}
@@ -452,7 +441,7 @@ func (b *builder) call(caller *Node, call *ast.CallExpr, isGo, isDefer bool) {
 			break // call through a struct field
 		}
 		if sel.Kind() == types.MethodExpr {
-			emit(b.nodeFor(fn), false)
+			emit(b.nodeFor(fn))
 			break
 		}
 		recv := sel.Recv()
@@ -460,18 +449,18 @@ func (b *builder) call(caller *Node, call *ast.CallExpr, isGo, isDefer bool) {
 			// CHA: every in-program implementation, plus the
 			// interface method itself for curated external facts.
 			for _, impl := range b.implementations(fn.Name(), iface) {
-				emit(impl, true)
+				emit(impl)
 			}
-			emit(b.nodeFor(fn), true)
+			emit(b.nodeFor(fn))
 		} else if _, isTypeParam := recv.(*types.TypeParam); !isTypeParam {
-			emit(b.nodeFor(fn), false)
+			emit(b.nodeFor(fn))
 		}
 	}
 	// Function-valued arguments: assume the callee may invoke them
 	// synchronously (dynamic over-approximation for higher-order calls).
 	for i, arg := range call.Args {
 		if t := b.resolveFuncExpr(caller.Pkg, arg); t != nil {
-			b.addEdge(&Edge{Caller: caller, Callee: t, Site: call, Go: isGo, Defer: isDefer, Dynamic: true, ArgIndex: i})
+			b.addEdge(&Edge{Caller: caller, Callee: t, Site: call, Go: isGo, Defer: isDefer, ArgIndex: i})
 		}
 	}
 }
@@ -479,12 +468,12 @@ func (b *builder) call(caller *Node, call *ast.CallExpr, isGo, isDefer bool) {
 // throughVar resolves a call through a function-typed variable to every
 // function the program-wide assignment history ever stored in it (none
 // for a parameter or an untracked variable).
-func (b *builder) throughVar(emit func(callee *Node, dynamic bool), v *types.Var) {
+func (b *builder) throughVar(emit func(callee *Node), v *types.Var) {
 	seen := make(map[*Node]bool)
 	for _, t := range b.assigns[v] {
 		if !seen[t] {
 			seen[t] = true
-			emit(t, true)
+			emit(t)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package cfg builds intraprocedural control-flow graphs from go/ast
 // function bodies and provides a small fixpoint solver over them, the
 // dataflow layer under greenvet's path-sensitive analyzers (lockcheck,
-// errflow, hotalloc — DESIGN.md §11).
+// errflow — DESIGN.md §11).
 //
 // The design mirrors golang.org/x/tools/go/cfg (reimplemented here
 // because the module tree is offline): a Graph is a set of basic Blocks;

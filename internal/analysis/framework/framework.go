@@ -115,14 +115,6 @@ func dirKey(file string, line int) string {
 	return fmt.Sprintf("%s:%d", file, line)
 }
 
-// markLive records that a matching directive was consulted at a definite
-// finding or declaration site.
-func (p *Pass) markLive(file string, line int) {
-	if p.live != nil {
-		p.live[dirKey(file, line)] = true
-	}
-}
-
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
@@ -155,35 +147,11 @@ func (p *Pass) Suppressed(pos token.Pos, name string) bool {
 			continue
 		}
 		if p.audit {
-			p.markLive(position.Filename, line)
+			p.live[dirKey(position.Filename, line)] = true
 			return false
 		}
 		if strings.TrimSpace(d.why) == "" {
 			p.Reportf(pos, "//greenvet:%s suppression requires a justification", name)
-		}
-		return true
-	}
-	return false
-}
-
-// Directive reports whether a declaration-style //greenvet:<name>
-// directive covers pos (same line or the line above). Unlike Suppressed
-// it behaves identically in audit mode — declarations such as
-// //greenvet:hotpath opt code *into* an analyzer rather than silencing a
-// finding, so the audit must honor them — but consulting one still marks
-// it live, which is what exempts declarations from staleness reports. A
-// missing justification is demanded just like for suppressions.
-func (p *Pass) Directive(pos token.Pos, name string) bool {
-	position := p.Fset.Position(pos)
-	byLine := p.directives[position.Filename]
-	for _, line := range [2]int{position.Line, position.Line - 1} {
-		d, ok := byLine[line]
-		if !ok || d.name != name {
-			continue
-		}
-		p.markLive(position.Filename, line)
-		if !p.audit && strings.TrimSpace(d.why) == "" {
-			p.Reportf(pos, "//greenvet:%s directive requires a justification", name)
 		}
 		return true
 	}
@@ -225,8 +193,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // Audit re-runs every analyzer with suppression disabled and reports the
 // stale //greenvet: directives: directives that no analyzer would have
-// consulted at a definite finding (for suppressions) or declaration site
-// (for Directive-style markers). The analyzers' raw findings are
+// consulted at a definite finding. The analyzers' raw findings are
 // discarded — a suppressed finding is legitimate; a suppression with
 // nothing left to suppress is the rot this mode exists to catch, since a
 // stale directive silently licenses the next real violation at its site.

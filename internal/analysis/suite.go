@@ -7,7 +7,6 @@ import (
 	"github.com/greenps/greenps/internal/analysis/detflow"
 	"github.com/greenps/greenps/internal/analysis/errflow"
 	"github.com/greenps/greenps/internal/analysis/framework"
-	"github.com/greenps/greenps/internal/analysis/hotalloc"
 	"github.com/greenps/greenps/internal/analysis/lockcheck"
 	"github.com/greenps/greenps/internal/analysis/maporder"
 	"github.com/greenps/greenps/internal/analysis/nondet"
@@ -25,7 +24,6 @@ func Suite() []*framework.Analyzer {
 		shadow.Analyzer,
 		lockcheck.Analyzer,
 		errflow.Analyzer,
-		hotalloc.Analyzer,
 		detflow.Analyzer,
 	}
 }

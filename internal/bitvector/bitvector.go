@@ -248,8 +248,6 @@ func (v *Vector) Or(o *Vector) {
 //	|a ∪ b| = |a| + |b| − |a ∩ b|
 //	|a ⊕ b| = |a| + |b| − 2·|a ∩ b|
 //	|a \ b| = |a| − |a ∩ b|
-//
-//greenvet:hotpath closeness kernel: evaluated per candidate pair in CRAM's partner scans and per first-fit walk (E7/E8, E13: millions of calls per run)
 func AndCount(a, b *Vector) int {
 	aw, bw := shared(a, b)
 	bw = bw[:len(aw)]

@@ -2,10 +2,10 @@ package bitvector
 
 import "testing"
 
-// TestKernelsAllocationFree pins the //greenvet:hotpath declaration on
-// AndCount with a measurement: a steady-state evaluation allocates nothing.
-// hotalloc proves the absence of allocation-inducing constructs statically;
-// this keeps the claim honest against compiler escape-analysis regressions.
+// TestKernelsAllocationFree pins AndCount, the one pairwise word kernel
+// under every closeness metric and first-fit walk, at zero allocations per
+// evaluation. The measurement is the contract: it also catches what no
+// reading of the source can, a compiler escape-analysis regression.
 func TestKernelsAllocationFree(t *testing.T) {
 	a := benchVector(DefaultCapacity, 0, 2)
 	b := benchVector(DefaultCapacity, 13, 2)

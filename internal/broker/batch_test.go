@@ -198,7 +198,9 @@ func TestAdvertisementReforwardDeterministic(t *testing.T) {
 // TestBrokerSteadyStateAllocationFree pins the steady-state publication
 // path — batched and per-call, instrumented and not — at zero
 // allocations per run: publications flow through matching, CBC
-// profiling, and fan-out emission without touching the allocator.
+// profiling, and fan-out emission without touching the allocator. It
+// names HandleBatch, Handle, accountIn, accountOut, handlePublicationRun,
+// collectMatch, flushThrough and flushPublication.
 func TestBrokerSteadyStateAllocationFree(t *testing.T) {
 	for _, variant := range []struct {
 		name string

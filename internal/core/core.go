@@ -394,9 +394,8 @@ func RandomTree(assign *allocation.Assignment, seed int64) (*overlaybuild.Tree, 
 		t.Parent[id] = parent
 		t.Children[parent] = append(t.Children[parent], id)
 	}
-	//greenvet:ordered each child list is sorted independently; no cross-iteration state
-	for _, kids := range t.Children {
-		sort.Strings(kids)
+	for _, id := range ids {
+		sort.Strings(t.Children[id])
 	}
 	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("core: random tree: %w", err)

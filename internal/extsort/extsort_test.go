@@ -235,9 +235,10 @@ func TestMisuse(t *testing.T) {
 	}
 }
 
-// TestIteratorSteadyStateAllocs pins the merge loop's per-record cost:
-// once the heap is built and the out buffer warmed, Next on the spill
-// path must stay allocation-free (pooled scratch, reused out buffer).
+// TestIteratorSteadyStateAllocs pins the merge loop's per-record cost —
+// Next, siftDown and srcLess: once the heap is built and the out buffer
+// warmed, Next on the spill path must stay allocation-free (pooled
+// scratch, reused out buffer).
 func TestIteratorSteadyStateAllocs(t *testing.T) {
 	s := NewSorter(Config{MemBudget: MinMemBudget, Dir: t.TempDir()})
 	rng := rand.New(rand.NewSource(11))
@@ -265,10 +266,10 @@ func TestIteratorSteadyStateAllocs(t *testing.T) {
 			t.Fatalf("Next: ok=%v err=%v", ok, err)
 		}
 	})
-	// The only allowed allocations are the rare buffered-file refills
-	// inside the OS read path; the Go-level loop itself must not allocate.
-	if avg > 0.01 {
-		t.Fatalf("steady-state Next allocates %.3f allocs/op", avg)
+	// AllocsPerRun rounds down, so a rare buffered-file refill inside the
+	// OS read path cannot fail the pin; an allocation per record does.
+	if avg != 0 {
+		t.Fatalf("steady-state Next allocates %v allocs/op, want 0", avg)
 	}
 }
 

@@ -104,8 +104,6 @@ func (it *Iterator) advance(src *mergeSrc) error {
 
 // srcLess orders heap entries: Less on the current records, then source
 // sequence (earlier batch first) so ties replay addition order.
-//
-//greenvet:hotpath merge-heap comparator: two Less calls per sift step
 func (it *Iterator) srcLess(a, b *mergeSrc) bool {
 	less := it.sorter.cfg.Less
 	if less(a.cur, b.cur) {
@@ -124,7 +122,8 @@ func (it *Iterator) heapInit() {
 	}
 }
 
-//greenvet:hotpath merge-heap restore: runs once per record drained from the k-way merge
+// siftDown restores the heap order below i, once per record drained from
+// the k-way merge.
 func (it *Iterator) siftDown(i int) {
 	h := it.heap
 	for {
@@ -148,8 +147,6 @@ func (it *Iterator) siftDown(i int) {
 // the iterator and valid only until the following Next or Close call.
 // ok=false marks the clean end of the sequence (resources are released);
 // err is non-nil only on I/O failure, after which the iterator is dead.
-//
-//greenvet:hotpath merge drain: every spilled candidate passes through here exactly once
 func (it *Iterator) Next() ([]byte, bool, error) {
 	if it.err != nil {
 		return nil, false, it.err

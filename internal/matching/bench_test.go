@@ -102,10 +102,11 @@ func mallocs(f func()) uint64 {
 	return after.Mallocs - before.Mallocs
 }
 
-// TestMatchBatchAllocationFree pins the match path at zero allocations on
-// every bench table, the first match after an Add that interned a new
-// attribute included, and Add at one compiled-predicate slice per
-// subscription beside the amortized growth of the index.
+// TestMatchBatchAllocationFree pins the match path — MatchBatch, matchOne,
+// probe and holds — at zero allocations on every bench table, the first
+// match after an Add that interned a new attribute included, and Add at
+// one compiled-predicate slice per subscription beside the amortized
+// growth of the index.
 func TestMatchBatchAllocationFree(t *testing.T) {
 	for i, table := range benchTables {
 		e, subs, pubs := buildTable(t, i)

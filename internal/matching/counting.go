@@ -252,8 +252,6 @@ func (e *CountingEngine) MatchFunc(pub *message.Publication, fn func(*message.Su
 // engine, invoking fn(i, sub) for each satisfied subscription of pubs[i].
 // Calls arrive in nondecreasing i order, which lets callers process
 // per-publication results streamingly. fn must not mutate the engine.
-//
-//greenvet:hotpath batch matching entry point of Core.HandleBatch; pinned zero-alloc by TestMatchBatchAllocationFree and TestBrokerSteadyStateAllocationFree
 func (e *CountingEngine) MatchBatch(pubs []*message.Publication, fn func(int, *message.Subscription)) {
 	for i, pub := range pubs {
 		e.matchOne(pub, i, fn)
@@ -263,8 +261,6 @@ func (e *CountingEngine) MatchBatch(pubs []*message.Publication, fn func(int, *m
 // matchOne spreads one publication under a fresh epoch, probes the
 // postings of the attributes it carries and emits the candidates whose
 // predicates all hold.
-//
-//greenvet:hotpath spread and probe loop of both match entry points
 func (e *CountingEngine) matchOne(pub *message.Publication, pubIdx int, fn func(int, *message.Subscription)) {
 	e.matchCount++
 	e.epoch++
@@ -289,8 +285,6 @@ func (e *CountingEngine) matchOne(pub *message.Publication, pubIdx int, fn func(
 
 // probe emits the live candidates among ids whose predicates all hold; a
 // lone access equality (nil preds) was decided by the bucket hit.
-//
-//greenvet:hotpath candidate loop of matchOne
 func (e *CountingEngine) probe(ids []int32, pubIdx int, fn func(int, *message.Subscription)) {
 	for _, idx := range ids {
 		if ent := &e.entries[idx]; ent.sub != nil && (ent.preds == nil || e.holds(ent.preds)) {
@@ -300,8 +294,6 @@ func (e *CountingEngine) probe(ids []int32, pubIdx int, fn func(int, *message.Su
 }
 
 // holds evaluates a candidate's compiled predicates on the spread publication.
-//
-//greenvet:hotpath executed once per candidate per publication
 func (e *CountingEngine) holds(preds []cpred) bool {
 	for i := range preds {
 		post := &e.postings[preds[i].attr]

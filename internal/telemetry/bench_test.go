@@ -3,12 +3,14 @@ package telemetry_test
 import (
 	"io"
 	"testing"
+	"time"
 
 	"github.com/greenps/greenps/internal/telemetry"
 )
 
 // TestHotPathAllocationFree pins the subsystem's core contract: the
-// instrument mutators allocate nothing.
+// instrument mutators — Counter.Inc and Add, Gauge.Set and Add,
+// Histogram.Observe and ObserveDuration — allocate nothing.
 func TestHotPathAllocationFree(t *testing.T) {
 	r := telemetry.New(nil)
 	c := r.Counter("c_total", "")
@@ -16,8 +18,11 @@ func TestHotPathAllocationFree(t *testing.T) {
 	h := r.Histogram("h_seconds", "", telemetry.DurationBuckets())
 	if n := testing.AllocsPerRun(1000, func() {
 		c.Inc()
+		c.Add(2)
 		g.Set(3)
+		g.Add(-1)
 		h.Observe(1e-4)
+		h.ObserveDuration(250 * time.Microsecond)
 	}); n != 0 {
 		t.Fatalf("hot path allocates %v times per op, want 0", n)
 	}

@@ -41,14 +41,10 @@ type Counter struct {
 }
 
 // Inc adds one.
-//
-//greenvet:hotpath instrument mutator called per message; pinned zero-alloc by TestHotPathAllocationFree
 func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds n (n must be non-negative for Prometheus semantics; this is
 // not checked on the hot path).
-//
-//greenvet:hotpath instrument mutator called per message; pinned zero-alloc by TestHotPathAllocationFree
 func (c *Counter) Add(n int64) {
 	if c == nil {
 		return
@@ -73,8 +69,6 @@ type Gauge struct {
 }
 
 // Set stores the current value.
-//
-//greenvet:hotpath instrument mutator called per message; pinned zero-alloc by TestHotPathAllocationFree
 func (g *Gauge) Set(n int64) {
 	if g == nil {
 		return
@@ -83,8 +77,6 @@ func (g *Gauge) Set(n int64) {
 }
 
 // Add adjusts the value by delta (may be negative).
-//
-//greenvet:hotpath instrument mutator called per message; pinned zero-alloc by TestHotPathAllocationFree
 func (g *Gauge) Add(delta int64) {
 	if g == nil {
 		return

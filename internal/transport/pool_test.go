@@ -7,6 +7,7 @@ import (
 	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/greenps/greenps/internal/message"
 )
@@ -344,6 +345,43 @@ func TestSendFramesRoundTrip(t *testing.T) {
 	}
 	if err := ca.SendFrames(nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
+	}
+}
+
+// TestWritePathAllocationFree pins SendFrames, over loopback TCP with a
+// write timeout armed, and FrameEncoder.Release at zero allocations: once
+// the connection's scratch fits the batch a gathered write allocates
+// nothing, and a released batch goes back to a pool that re-issues it.
+func TestWritePathAllocationFree(t *testing.T) {
+	c, s := pair(t)
+	c.SetWriteTimeout(time.Minute)
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		buf := make([]byte, 64<<10)
+		for {
+			if _, err := s.nc.Read(buf); err != nil {
+				return
+			}
+		}
+	}()
+	defer func() { _ = s.Close(); <-drained }()
+	frames := [][]byte{make([]byte, 100), make([]byte, 3000), make([]byte, 17)}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := c.SendFrames(frames); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("SendFrames allocates %v times per batch, want 0", n)
+	}
+
+	pool := NewBufPool()
+	fe := NewFrameEncoder(pool)
+	if n := testing.AllocsPerRun(100, func() {
+		fe.out = append(fe.out, pool.Get(100), pool.Get(3000))
+		fe.Release()
+	}); n != 0 {
+		t.Errorf("Release allocates %v times per batch, want 0", n)
 	}
 }
 

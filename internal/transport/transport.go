@@ -52,7 +52,7 @@ type Hello struct {
 // unwraps to the underlying net error and reports Timeout() true, so
 // both errors.As(*TimeoutError) and the net.Error timeout idiom work.
 type TimeoutError struct {
-	// Op is the operation that timed out ("write frame").
+	// Op is the operation that timed out ("write frames").
 	Op string
 	// After is the configured timeout that elapsed.
 	After time.Duration
@@ -112,13 +112,13 @@ type Conn struct {
 	r  *bufio.Reader
 
 	wmu sync.Mutex
-	// hdr/hdrs/iov are writev scratch, guarded by wmu: hdr frames single
-	// sends, hdrs is the header arena for gathered sends, iov the vector
-	// handed to the kernel. They persist so steady-state writes allocate
-	// nothing.
-	hdr  [4]byte
+	// hdrs/iov/wv are writev scratch, guarded by wmu: hdrs is the header
+	// arena, iov the vector of headers and payloads, wv the copy of iov
+	// that WriteTo consumes. They persist so steady-state writes allocate
+	// nothing; a local wv would escape into WriteTo.
 	hdrs []byte
 	iov  net.Buffers
+	wv   net.Buffers
 
 	// writeTimeout bounds each frame write (0 = no deadline).
 	writeTimeout time.Duration
@@ -194,31 +194,9 @@ func (c *Conn) Close() error {
 // RemoteAddr returns the peer address.
 func (c *Conn) RemoteAddr() string { return c.nc.RemoteAddr().String() }
 
-// writeFrame sends one length-prefixed payload as a single gathered
-// (header, payload) vector — writev on TCP — bounded by the write
-// timeout when one is configured. The payload is handed to the kernel
-// directly: no intermediate buffer copy.
+// writeFrame sends one length-prefixed payload: SendFrames of one.
 func (c *Conn) writeFrame(payload []byte) error {
-	if len(payload) > MaxFrameSize {
-		return fmt.Errorf("transport: frame of %d bytes exceeds limit", len(payload))
-	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if c.writeTimeout > 0 {
-		if err := c.nc.SetWriteDeadline(time.Now().Add(c.writeTimeout)); err != nil {
-			return fmt.Errorf("transport: set write deadline: %w", err)
-		}
-	}
-	binary.BigEndian.PutUint32(c.hdr[:], uint32(len(payload)))
-	c.iov = append(c.iov[:0], c.hdr[:], payload)
-	iov := c.iov
-	//greenvet:lock-ok wmu IS the write-serialization lock: it must span the writev so concurrent frames cannot interleave, and the write deadline bounds the hold
-	if _, err := iov.WriteTo(c.nc); err != nil {
-		return c.writeErr("write frame", err)
-	}
-	c.inst.FramesSent.Inc()
-	c.inst.BytesSent.Add(int64(len(payload)) + 4)
-	return nil
+	return c.SendFrames([][]byte{payload})
 }
 
 // SendFrames writes many already-encoded frame payloads as one gathered
@@ -227,8 +205,6 @@ func (c *Conn) writeFrame(payload []byte) error {
 // syscall instead of one per frame. Payloads must each fit MaxFrameSize;
 // the caller keeps ownership and may recycle them once SendFrames
 // returns. An empty batch is a no-op.
-//
-//greenvet:hotpath every batched fan-out leaves the broker through here
 func (c *Conn) SendFrames(payloads [][]byte) error {
 	if len(payloads) == 0 {
 		return nil
@@ -259,9 +235,9 @@ func (c *Conn) SendFrames(payloads [][]byte) error {
 		binary.BigEndian.PutUint32(h, uint32(len(p)))
 		c.iov = append(c.iov, h, p)
 	}
-	iov := c.iov
+	c.wv = c.iov
 	//greenvet:lock-ok wmu IS the write-serialization lock: it must span the writev so concurrent batches cannot interleave, and the write deadline bounds the hold
-	if _, err := iov.WriteTo(c.nc); err != nil {
+	if _, err := c.wv.WriteTo(c.nc); err != nil {
 		return c.writeErr("write frames", err)
 	}
 	c.inst.FramesSent.Add(int64(len(payloads)))
@@ -277,7 +253,7 @@ func (c *Conn) writeErr(op string, err error) error {
 	var ne net.Error
 	if c.writeTimeout > 0 && errors.As(err, &ne) && ne.Timeout() {
 		c.inst.WriteTimeouts.Inc()
-		return &TimeoutError{Op: "write frame", After: c.writeTimeout, Err: err}
+		return &TimeoutError{Op: op, After: c.writeTimeout, Err: err}
 	}
 	return fmt.Errorf("transport: %s: %w", op, err)
 }
