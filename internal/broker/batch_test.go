@@ -2,6 +2,7 @@ package broker_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/greenps/greenps/internal/broker"
@@ -195,12 +196,50 @@ func TestAdvertisementReforwardDeterministic(t *testing.T) {
 	}
 }
 
+// TestUnsubscriptionForwardOrderDeterministic is the regression test for
+// unsubscriptions emitted in map order: a subscription forwarded to three
+// neighbors must be withdrawn from them in neighbor-ID order on every run.
+func TestUnsubscriptionForwardOrderDeterministic(t *testing.T) {
+	for run := 0; run < 50; run++ {
+		c, err := broker.New(broker.Config{ID: "B0", Delay: message.MatchingDelayFn{Base: 0.001}, Clock: func() float64 { return 0 }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []string{"B3", "B1", "B2"} {
+			c.AddNeighbor(n)
+			adv := message.NewAdvertisement("ADV-"+n, "p", nil)
+			if _, err := c.Handle(broker.Endpoint{Kind: broker.KindBroker, ID: n}, &message.Envelope{Kind: message.KindAdvertisement, Adv: adv}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cl := broker.Endpoint{Kind: broker.KindClient, ID: "cl"}
+		c.AddClient(cl.ID)
+		sub := message.NewSubscription("s", cl.ID, nil)
+		if _, err := c.Handle(cl, &message.Envelope{Kind: message.KindSubscription, Sub: sub}, nil); err != nil {
+			t.Fatal(err)
+		}
+		out, err := c.Handle(cl, &message.Envelope{Kind: message.KindUnsubscription, UnsubID: "s"}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, o := range out {
+			got = append(got, describeOutgoing(o))
+		}
+		if want := []string{"broker:B1 <- unsub s", "broker:B2 <- unsub s", "broker:B3 <- unsub s"}; !slices.Equal(got, want) {
+			t.Fatalf("run %d: emitted %v, want %v", run, got, want)
+		}
+	}
+}
+
 // TestBrokerSteadyStateAllocationFree pins the steady-state publication
 // path — batched and per-call, instrumented and not — at zero
 // allocations per run: publications flow through matching, CBC
 // profiling, and fan-out emission without touching the allocator. It
 // names HandleBatch, Handle, accountIn, accountOut, handlePublicationRun,
-// collectMatch, flushThrough and flushPublication.
+// routeGroup, collectMatch, flushThrough and flushPublication. The
+// publications arrive from n2, which no subscription came from, and from
+// n1, whose route group every run therefore starts closed.
 func TestBrokerSteadyStateAllocationFree(t *testing.T) {
 	for _, variant := range []struct {
 		name string
@@ -209,51 +248,52 @@ func TestBrokerSteadyStateAllocationFree(t *testing.T) {
 		{"noop", nil},
 		{"instrumented", broker.NewInstruments(telemetry.New(nil))},
 	} {
-		t.Run(variant.name+"/batch", func(t *testing.T) {
-			c := throughputCore(t, variant.inst)
-			envs := throughputEnvelopes()
-			from := broker.Endpoint{Kind: broker.KindBroker, ID: "n2"}
-			batch := make([]broker.Inbound, len(envs))
-			for i := range envs {
-				batch[i] = broker.Inbound{From: from, Env: envs[i]}
-			}
-			out := make([]broker.Outgoing, 0, 8*len(envs))
-			if avg := testing.AllocsPerRun(50, func() {
-				var err error
-				out, err = c.HandleBatch(batch, out[:0])
-				if err != nil {
-					t.Fatal(err)
+		for _, arrival := range []struct{ id, suffix string }{{"n2", ""}, {"n1", "-closed-arrival"}} {
+			from := broker.Endpoint{Kind: broker.KindBroker, ID: arrival.id}
+			t.Run(variant.name+"/batch"+arrival.suffix, func(t *testing.T) {
+				c := throughputCore(t, variant.inst)
+				envs := throughputEnvelopes()
+				batch := make([]broker.Inbound, len(envs))
+				for i := range envs {
+					batch[i] = broker.Inbound{From: from, Env: envs[i]}
 				}
-			}); avg != 0 {
-				t.Errorf("HandleBatch allocates %.2f times per batch, want 0", avg)
-			}
-		})
-		t.Run(variant.name+"/percall", func(t *testing.T) {
-			c := throughputCore(t, variant.inst)
-			envs := throughputEnvelopes()
-			from := broker.Endpoint{Kind: broker.KindBroker, ID: "n2"}
-			out := make([]broker.Outgoing, 0, 16)
-			// Warm the path once per distinct publication: first-touch
-			// work (CBC profile bits, scratch growth) is setup cost, not
-			// steady state.
-			for _, env := range envs {
-				var err error
-				out, err = c.Handle(from, env, out[:0])
-				if err != nil {
-					t.Fatal(err)
+				out := make([]broker.Outgoing, 0, 8*len(envs))
+				if avg := testing.AllocsPerRun(50, func() {
+					var err error
+					out, err = c.HandleBatch(batch, out[:0])
+					if err != nil {
+						t.Fatal(err)
+					}
+				}); avg != 0 {
+					t.Errorf("HandleBatch allocates %.2f times per batch, want 0", avg)
 				}
-			}
-			i := 0
-			if avg := testing.AllocsPerRun(500, func() {
-				var err error
-				out, err = c.Handle(from, envs[i%len(envs)], out[:0])
-				if err != nil {
-					t.Fatal(err)
+			})
+			t.Run(variant.name+"/percall"+arrival.suffix, func(t *testing.T) {
+				c := throughputCore(t, variant.inst)
+				envs := throughputEnvelopes()
+				out := make([]broker.Outgoing, 0, 16)
+				// Warm the path once per distinct publication: first-touch
+				// work (CBC profile bits, scratch growth) is setup cost, not
+				// steady state.
+				for _, env := range envs {
+					var err error
+					out, err = c.Handle(from, env, out[:0])
+					if err != nil {
+						t.Fatal(err)
+					}
 				}
-				i++
-			}); avg != 0 {
-				t.Errorf("Handle allocates %.2f times per publication, want 0", avg)
-			}
-		})
+				i := 0
+				if avg := testing.AllocsPerRun(500, func() {
+					var err error
+					out, err = c.Handle(from, envs[i%len(envs)], out[:0])
+					if err != nil {
+						t.Fatal(err)
+					}
+					i++
+				}); avg != 0 {
+					t.Errorf("Handle allocates %.2f times per publication, want 0", avg)
+				}
+			})
+		}
 	}
 }

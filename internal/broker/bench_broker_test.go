@@ -3,6 +3,7 @@ package broker_test
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
 	"testing"
 
@@ -149,6 +150,75 @@ func BenchmarkBrokerThroughput(b *testing.B) {
 		b.Run(variant.name+"/percall", func(b *testing.B) { benchPercall(b, variant.inst) })
 		b.Run(variant.name+"/batch", func(b *testing.B) { benchBatch(b, variant.inst) })
 	}
+}
+
+// forwardCore builds an intermediate broker of the paper's overlay: three
+// neighbor links and 8,000 subscriptions of the paper's shape — the class,
+// one of 40 symbols and, three in five, a bound on low — arriving round
+// robin from the neighbors. forwardEnvelopes' publications arrive from n1,
+// so every match behind n1 is the link they came in on, and n2 and n3
+// each get one copy of a publication however many of their subscriptions
+// it matches.
+func forwardCore(tb testing.TB) *broker.Core {
+	tb.Helper()
+	c, err := broker.New(broker.Config{ID: "B0", Delay: message.MatchingDelayFn{Base: 0.001}, Clock: func() float64 { return 0 }})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	links := []broker.Endpoint{{Kind: broker.KindBroker, ID: "n1"}, {Kind: broker.KindBroker, ID: "n2"}, {Kind: broker.KindBroker, ID: "n3"}}
+	for _, l := range links {
+		c.AddNeighbor(l.ID)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 8000; i++ {
+		preds := []message.Predicate{message.Pred("class", message.OpEq, message.String("STOCK")),
+			message.Pred("symbol", message.OpEq, message.String(fmt.Sprintf("SYM%02d", i%40)))}
+		if i%5 >= 2 {
+			preds = append(preds, message.Pred("low", message.OpLt, message.Number(rng.Float64()*100)))
+		}
+		from := links[i%len(links)]
+		sub := message.NewSubscription(fmt.Sprintf("s%04d", i), from.ID, preds)
+		if _, err := c.Handle(from, &message.Envelope{Kind: message.KindSubscription, Sub: sub}, nil); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return c
+}
+
+// forwardEnvelopes builds 100 publications from n1 over the 40 symbols.
+func forwardEnvelopes() []broker.Inbound {
+	from := broker.Endpoint{Kind: broker.KindBroker, ID: "n1"}
+	rng := rand.New(rand.NewSource(2))
+	batch := make([]broker.Inbound, 100)
+	for i := range batch {
+		batch[i] = broker.Inbound{From: from, Env: &message.Envelope{Kind: message.KindPublication, Pub: message.NewPublication("ADV-T", i, map[string]message.Value{
+			"class":  message.String("STOCK"),
+			"symbol": message.String(fmt.Sprintf("SYM%02d", i%40)),
+			"low":    message.Number(rng.Float64() * 100),
+		})}}
+	}
+	return batch
+}
+
+// BenchmarkHandleBatchForward times HandleBatch on forwardCore, one batch
+// of 100 publications per call; b.N counts publications.
+func BenchmarkHandleBatchForward(b *testing.B) {
+	c := forwardCore(b)
+	batch := forwardEnvelopes()
+	out := make([]broker.Outgoing, 0, 2*len(batch))
+	emitted, pubs := 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for ; pubs < b.N; pubs += len(batch) {
+		var err error
+		out, err = c.HandleBatch(batch, out[:0])
+		if err != nil {
+			b.Fatal(err)
+		}
+		emitted += len(out)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(emitted)/float64(pubs), "out/pub")
 }
 
 // reportMsgsPerSec attaches a msgs/sec custom metric to the benchmark.

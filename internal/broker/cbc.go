@@ -1,7 +1,9 @@
 package broker
 
 import (
+	"slices"
 	"sort"
+	"strings"
 
 	"github.com/greenps/greenps/internal/bitvector"
 	"github.com/greenps/greenps/internal/message"
@@ -9,13 +11,12 @@ import (
 
 // cbc is the CROC Back-end Component (Section III): it profiles the
 // broker's local subscriptions with windowed bit vectors, measures local
-// publishers, and answers Broker Information Requests.
+// publishers, and answers Broker Information Requests. The profiles live
+// in the Core's slot-keyed routes, where the publication path records
+// deliveries into them.
 type cbc struct {
 	capacity int
 	clock    Clock
-	// profiles holds one bit-vector profile per local subscription.
-	profiles map[string]*bitvector.Profile
-	subs     map[string]*message.Subscription
 	// publishers tracks each local publisher's advertisement and traffic.
 	publishers map[string]*pubMeter
 	// pending tracks one in-flight BIR aggregation per request ID.
@@ -42,22 +43,13 @@ func newCBC(capacity int, clock Clock) *cbc {
 	return &cbc{
 		capacity:   capacity,
 		clock:      clock,
-		profiles:   make(map[string]*bitvector.Profile),
-		subs:       make(map[string]*message.Subscription),
 		publishers: make(map[string]*pubMeter),
 		pending:    make(map[string]*birState),
 	}
 }
 
-func (b *cbc) registerSubscription(sub *message.Subscription) {
-	b.subs[sub.ID] = sub
-	b.profiles[sub.ID] = bitvector.NewProfile(b.capacity)
-}
-
-func (b *cbc) unregisterSubscription(subID string) {
-	delete(b.subs, subID)
-	delete(b.profiles, subID)
-}
+// newProfile returns an empty profile for a local subscription.
+func (b *cbc) newProfile() *bitvector.Profile { return bitvector.NewProfile(b.capacity) }
 
 func (b *cbc) registerPublisher(adv *message.Advertisement) {
 	b.publishers[adv.ID] = &pubMeter{adv: adv, started: b.clock(), lastSeq: -1}
@@ -77,14 +69,6 @@ func (b *cbc) recordPublication(pub *message.Publication) {
 	m.bytes += pub.EncodedSize()
 	if pub.Seq > m.lastSeq {
 		m.lastSeq = pub.Seq
-	}
-}
-
-// recordDelivery sets the profile bit for a publication delivered to a
-// local subscription.
-func (b *cbc) recordDelivery(subID string, pub *message.Publication) {
-	if p, ok := b.profiles[subID]; ok {
-		p.Record(pub.AdvID, pub.Seq)
 	}
 }
 
@@ -115,16 +99,13 @@ func (c *Core) info() message.BrokerInfo {
 		Delay:           c.cfg.Delay,
 		OutputBandwidth: c.cfg.OutputBandwidth,
 	}
-	subIDs := make([]string, 0, len(c.cbc.subs))
-	for id := range c.cbc.subs {
-		subIDs = append(subIDs, id)
-	}
-	sort.Strings(subIDs)
-	for _, id := range subIDs {
-		bi.Subscriptions = append(bi.Subscriptions, message.SubscriptionInfo{
-			Sub:     c.cbc.subs[id],
-			Profile: c.cbc.profiles[id].Clone(),
-		})
+	subs := c.engine.Subscriptions()
+	slices.SortFunc(subs, func(a, b *message.Subscription) int { return strings.Compare(a.ID, b.ID) })
+	for _, sub := range subs {
+		slot, _ := c.engine.Slot(sub.ID)
+		if p := c.routes[slot].prof; p != nil {
+			bi.Subscriptions = append(bi.Subscriptions, message.SubscriptionInfo{Sub: sub, Profile: p.Clone()})
+		}
 	}
 	advIDs := make([]string, 0, len(c.cbc.publishers))
 	for id := range c.cbc.publishers {

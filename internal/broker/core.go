@@ -20,6 +20,7 @@ import (
 	"sort"
 	"strings"
 
+	"github.com/greenps/greenps/internal/bitvector"
 	"github.com/greenps/greenps/internal/matching"
 	"github.com/greenps/greenps/internal/message"
 )
@@ -123,15 +124,24 @@ func (c Counters) Total() int { return c.MsgsIn + c.MsgsOut }
 type pubScratch struct {
 	// one backs the single-message Handle path as a 1-element run.
 	one [1]Inbound
-	// pubs/froms/envs are the current run, indexed alike.
-	pubs  []*message.Publication
-	froms []Endpoint
-	envs  []*message.Envelope
+	// pubs/arrivals/envs are the current run, indexed alike; arrivals
+	// holds the route group of the link each publication came in on.
+	pubs     []*message.Publication
+	arrivals []int32
+	envs     []*message.Envelope
 	// fwdIDs/deliv accumulate the fan-out of the publication currently
-	// being matched: neighbor-broker IDs (deduplicated at flush) and
-	// client endpoints (one entry per matching subscription).
+	// being matched: neighbor-broker IDs (one per route group, so at most
+	// one per neighbor) and client endpoints (one entry per matching
+	// subscription).
 	fwdIDs []string
 	deliv  []Endpoint
+}
+
+// route is the slot-keyed state of one indexed subscription: the endpoint
+// it arrived from and, for a local subscription, its CBC profile.
+type route struct {
+	hop  Endpoint
+	prof *bitvector.Profile
 }
 
 // Core is the synchronous broker state machine. It is not safe for
@@ -139,8 +149,12 @@ type pubScratch struct {
 type Core struct {
 	cfg    Config
 	engine *matching.CountingEngine
-	// subHops maps subscription ID to the endpoint it arrived from.
-	subHops map[string]Endpoint
+	// routes is indexed by engine slot.
+	routes []route
+	// links interns the IDs of the brokers subscriptions arrived from as
+	// route groups 1, 2, ...: every subscription behind one neighbor
+	// shares its group, so a publication is forwarded there at most once.
+	links map[string]int32
 	// subForwarded tracks which broker neighbors each subscription was
 	// already forwarded to.
 	subForwarded map[string]map[string]bool
@@ -158,9 +172,9 @@ type Core struct {
 	scratch pubScratch
 	runOut  []Outgoing
 	runPos  int
-	// batchCb is the MatchBatch callback, bound once so matching a run
+	// batchCb is the MatchRouted callback, bound once so matching a run
 	// allocates no closures.
-	batchCb func(int, *message.Subscription)
+	batchCb func(int, int32)
 }
 
 // New constructs a Core.
@@ -178,7 +192,7 @@ func New(cfg Config) (*Core, error) {
 	c := &Core{
 		cfg:          cfg,
 		engine:       matching.NewCountingEngine(),
-		subHops:      make(map[string]Endpoint),
+		links:        make(map[string]int32),
 		subForwarded: make(map[string]map[string]bool),
 		advs:         make(map[string]advEntry),
 		neighbors:    make(map[string]bool),
@@ -186,12 +200,12 @@ func New(cfg Config) (*Core, error) {
 		cbc:          newCBC(cfg.ProfileCapacity, cfg.Clock),
 		inst:         inst,
 	}
-	c.batchCb = func(i int, sub *message.Subscription) {
-		// MatchBatch reports matches in nondecreasing publication order,
+	c.batchCb = func(i int, slot int32) {
+		// MatchRouted reports matches in nondecreasing publication order,
 		// so reaching publication i means everything before it is fully
 		// matched and can be flushed.
 		c.flushThrough(i)
-		c.collectMatch(c.scratch.froms[i], sub)
+		c.collectMatch(slot)
 	}
 	return c, nil
 }
@@ -329,7 +343,8 @@ func (c *Core) handleAdvertisement(from Endpoint, adv *message.Advertisement, ou
 			if !adv.IntersectsSubscription(sub) {
 				continue
 			}
-			if c.subHops[sub.ID].Kind == KindBroker && c.subHops[sub.ID].ID == from.ID {
+			slot, _ := c.engine.Slot(sub.ID)
+			if hop := c.routes[slot].hop; hop.Kind == KindBroker && hop.ID == from.ID {
 				continue
 			}
 			if c.subForwarded[sub.ID][from.ID] {
@@ -377,16 +392,21 @@ func (c *Core) handleUnadvertisement(from Endpoint, advID string, out []Outgoing
 // handleSubscription indexes the subscription and forwards it toward every
 // neighbor that is the last hop of an intersecting advertisement.
 func (c *Core) handleSubscription(from Endpoint, sub *message.Subscription, out []Outgoing) ([]Outgoing, error) {
-	if _, dup := c.subHops[sub.ID]; dup {
+	if c.engine.Get(sub.ID) != nil {
 		return out, nil
 	}
-	if err := c.engine.Add(sub); err != nil {
+	slot, err := c.engine.AddInGroup(sub, c.routeGroup(from, true))
+	if err != nil {
 		return out, fmt.Errorf("broker %s: %w", c.cfg.ID, err)
 	}
-	c.subHops[sub.ID] = from
+	r := route{hop: from}
 	if from.Kind == KindClient {
-		c.cbc.registerSubscription(sub)
+		r.prof = c.cbc.newProfile()
 	}
+	if grow := int(slot) + 1 - len(c.routes); grow > 0 {
+		c.routes = append(c.routes, make([]route, grow)...)
+	}
+	c.routes[slot] = r
 	env := &message.Envelope{Kind: message.KindSubscription, Sub: sub}
 	targets := make(map[string]bool)
 	for _, entry := range c.advs {
@@ -418,19 +438,23 @@ func (c *Core) handleSubscription(from Endpoint, sub *message.Subscription, out 
 // handleUnsubscription removes the subscription and propagates the removal
 // along the paths the subscription was forwarded to.
 func (c *Core) handleUnsubscription(from Endpoint, subID string, out []Outgoing) ([]Outgoing, error) {
-	if _, ok := c.subHops[subID]; !ok {
+	slot, ok := c.engine.Slot(subID)
+	if !ok {
 		return out, nil
 	}
-	hop := c.subHops[subID]
 	if err := c.engine.Remove(subID); err != nil {
 		return out, fmt.Errorf("broker %s: %w", c.cfg.ID, err)
 	}
-	delete(c.subHops, subID)
-	if hop.Kind == KindClient {
-		c.cbc.unregisterSubscription(subID)
-	}
-	env := &message.Envelope{Kind: message.KindUnsubscription, UnsubID: subID}
+	c.routes[slot] = route{}
+	// Emit in sorted neighbor order: subForwarded is a map, and map order
+	// would break the simulator's byte-identical emission order.
+	ids := make([]string, 0, len(c.subForwarded[subID]))
 	for id := range c.subForwarded[subID] {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	env := &message.Envelope{Kind: message.KindUnsubscription, UnsubID: subID}
+	for _, id := range ids {
 		out = append(out, Outgoing{To: Endpoint{Kind: KindBroker, ID: id}, Env: env})
 	}
 	delete(c.subForwarded, subID)
@@ -483,11 +507,11 @@ func (c *Core) HandleBatch(msgs []Inbound, out []Outgoing) ([]Outgoing, error) {
 func (c *Core) handlePublicationRun(msgs []Inbound, out []Outgoing) []Outgoing {
 	s := &c.scratch
 	s.pubs = s.pubs[:0]
-	s.froms = s.froms[:0]
+	s.arrivals = s.arrivals[:0]
 	s.envs = s.envs[:0]
 	for k := range msgs {
 		s.pubs = append(s.pubs, msgs[k].Env.Pub)
-		s.froms = append(s.froms, msgs[k].From)
+		s.arrivals = append(s.arrivals, c.routeGroup(msgs[k].From, false))
 		s.envs = append(s.envs, msgs[k].Env)
 		if msgs[k].From.Kind == KindClient {
 			c.cbc.recordPublication(msgs[k].Env.Pub)
@@ -497,31 +521,42 @@ func (c *Core) handlePublicationRun(msgs []Inbound, out []Outgoing) []Outgoing {
 	s.deliv = s.deliv[:0]
 	c.runOut = out
 	c.runPos = 0
-	c.engine.MatchBatch(s.pubs, c.batchCb)
+	c.engine.MatchRouted(s.pubs, s.arrivals, c.batchCb)
 	c.flushThrough(len(s.pubs))
 	out = c.runOut
 	c.runOut = nil
 	return out
 }
 
-// collectMatch records one matching subscription of the publication at
-// the run cursor: neighbor-broker last hops accumulate as forward
-// targets (skipping the link the publication arrived on), client last
-// hops as deliveries.
-func (c *Core) collectMatch(from Endpoint, sub *message.Subscription) {
-	hop, ok := c.subHops[sub.ID]
-	if !ok {
-		return
+// routeGroup returns the route group of the subscriptions that arrived
+// from ep: the interned index of a broker link, interning it when asked,
+// and 0 — report every match — for clients and links never interned.
+func (c *Core) routeGroup(ep Endpoint, intern bool) int32 {
+	if ep.Kind != KindBroker {
+		return 0
 	}
-	switch hop.Kind {
+	g, ok := c.links[ep.ID]
+	if !ok && intern {
+		g = int32(len(c.links) + 1)
+		c.links[ep.ID] = g
+	}
+	return g
+}
+
+// collectMatch records one matching subscription of the publication at
+// the run cursor: a neighbor-broker last hop — the engine emits at most
+// one per neighbor, and none on the link the publication arrived on —
+// accumulates as a forward target, a client last hop as a delivery that
+// the subscription's profile records.
+func (c *Core) collectMatch(slot int32) {
+	r := &c.routes[slot]
+	switch r.hop.Kind {
 	case KindBroker:
-		if from.Kind == KindBroker && hop.ID == from.ID {
-			return
-		}
-		c.scratch.fwdIDs = append(c.scratch.fwdIDs, hop.ID)
+		c.scratch.fwdIDs = append(c.scratch.fwdIDs, r.hop.ID)
 	case KindClient:
-		c.scratch.deliv = append(c.scratch.deliv, hop)
-		c.cbc.recordDelivery(sub.ID, c.scratch.pubs[c.runPos])
+		c.scratch.deliv = append(c.scratch.deliv, r.hop)
+		pub := c.scratch.pubs[c.runPos]
+		r.prof.Record(pub.AdvID, pub.Seq)
 	}
 }
 
@@ -538,16 +573,15 @@ func (c *Core) flushThrough(i int) {
 }
 
 // flushPublication turns the scratch accumulators into Outgoings for the
-// publication at the run cursor: broker targets deduplicated and sorted,
-// client targets sorted (one delivery per matching subscription, as
-// before), all sharing the incoming envelope with the hop count carried
-// in Outgoing.Hops per the aliasing contract.
+// publication at the run cursor: broker targets (distinct, one per route
+// group) sorted, client targets sorted (one delivery per matching
+// subscription), all sharing the incoming envelope with the hop count
+// carried in Outgoing.Hops per the aliasing contract.
 func (c *Core) flushPublication() {
 	s := &c.scratch
 	env := s.envs[c.runPos]
 	pub := s.pubs[c.runPos]
 	slices.Sort(s.fwdIDs)
-	s.fwdIDs = slices.Compact(s.fwdIDs)
 	slices.SortFunc(s.deliv, func(a, b Endpoint) int { return strings.Compare(a.ID, b.ID) })
 	if len(s.fwdIDs) > 0 || len(s.deliv) > 0 {
 		c.inst.PubsMatched.Inc()

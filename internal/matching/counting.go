@@ -1,12 +1,14 @@
 // Package matching implements the broker's publication-to-subscription
 // matching engine. It is deliberately independent of routing concerns: it
 // maps a publication to the set of subscriptions it satisfies. Brokers
-// attach their own last-hop bookkeeping on top.
+// attach their own last-hop bookkeeping on top, keyed by the dense slot the
+// engine gives each subscription.
 package matching
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"github.com/greenps/greenps/internal/message"
 )
@@ -29,8 +31,17 @@ import (
 // subscriptions sharing the publication's rarest constrained value — not
 // with the routing table, and a table ranging over an attribute the
 // publication lacks costs nothing. A bucket is keyed by canonical value,
-// on which key equality is Value.Equal, so a subscription whose only
-// predicate is its access equality is emitted on the bucket hit.
+// on which key equality is Value.Equal, so a bucket hit decides the access
+// equality and only the other predicates are compiled for verification.
+//
+// Each subscription occupies a slot, a dense index that stays its own
+// until it is removed; a slot is reused only after Compact has purged
+// every posting that named it, so state callers key by slot stays valid
+// across Remove and Compact. Each subscription also carries a route group
+// (AddInGroup): a publication emits at most one subscription per nonzero
+// group, and MatchRouted closes one group per publication up front. Group
+// 0 is never closed, so with every entry in group 0, as Add makes them,
+// every match is reported.
 //
 // The engine allocates only on Add/Compact, which also grow the scratch;
 // the match path is allocation-free (TestMatchBatchAllocationFree, the
@@ -38,16 +49,23 @@ import (
 // use; brokers own one engine each and serialize access through their
 // event loop.
 type CountingEngine struct {
+	// entries is indexed by slot; a removed subscription leaves a tombstone.
 	entries []centry
 	byID    map[string]int32
+	// free holds the tombstoned slots Compact purged from the postings,
+	// highest first, so Add reuses the lowest.
+	free []int32
 	// attrs interns attribute names to dense indices into postings.
 	attrs    map[string]int32
 	postings []posting
-	// universal holds entry indices of zero-predicate subscriptions.
+	// universal holds the slots of zero-predicate subscriptions.
 	universal []int32
 	// carried is scratch as long as postings: the attributes of the current publication.
 	carried []int32
-	// epoch stamps the spread values; bumped once per publication.
+	// closed is indexed by route group: the epoch of the publication that
+	// last closed it.
+	closed []uint64
+	// epoch stamps the spread values and closed groups; bumped once per publication.
 	epoch uint64
 	// tombstones counts dead entries awaiting Compact.
 	tombstones int
@@ -55,12 +73,13 @@ type CountingEngine struct {
 	matchCount int
 }
 
-// centry is the engine's record of one subscription; a tombstone is zero.
+// centry is the engine's record of one subscription; a tombstone has a nil sub.
 type centry struct {
 	sub *message.Subscription
-	// preds is sub.Predicates compiled for verification; nil when the
-	// only predicate is the access equality, which the bucket hit decides.
+	// preds is sub.Predicates less the access equality, compiled for
+	// verification; nil when the bucket hit decides them all.
 	preds []cpred
+	group int32
 }
 
 // cpred is one predicate with its attribute interned.
@@ -91,7 +110,7 @@ type bucket struct {
 
 // NewCountingEngine returns an empty engine.
 func NewCountingEngine() *CountingEngine {
-	return &CountingEngine{byID: make(map[string]int32), attrs: make(map[string]int32)}
+	return &CountingEngine{byID: make(map[string]int32), attrs: make(map[string]int32), closed: make([]uint64, 1)}
 }
 
 // canonicalValue normalizes a value so that struct equality on the
@@ -115,8 +134,8 @@ func (e *CountingEngine) Len() int { return len(e.byID) }
 // Tombstones reports the number of dead entries awaiting Compact.
 func (e *CountingEngine) Tombstones() int { return e.tombstones }
 
-// MatchCount returns the number of Match/MatchFunc/MatchBatch
-// publications served, a proxy for the broker's matching work.
+// MatchCount returns the number of publications matched, a proxy for the
+// broker's matching work.
 func (e *CountingEngine) MatchCount() int { return e.matchCount }
 
 // keyed reports whether p has an equality class: it is an equality on a
@@ -138,23 +157,50 @@ func (e *CountingEngine) bucket(a int32, p message.Predicate, create bool) *buck
 	return b
 }
 
-// Add indexes a subscription. Adding an ID that is already present is an
-// error; brokers treat duplicate subscription IDs as protocol violations.
+// Add indexes a subscription in route group 0. Adding an ID that is
+// already present is an error; brokers treat duplicate subscription IDs
+// as protocol violations.
 func (e *CountingEngine) Add(sub *message.Subscription) error {
+	_, err := e.AddInGroup(sub, 0)
+	return err
+}
+
+// AddInGroup indexes a subscription in a route group and returns its
+// slot. Groups are small dense indices (≥ 0): the engine keeps one word
+// per group up to the largest.
+func (e *CountingEngine) AddInGroup(sub *message.Subscription, group int32) (int32, error) {
 	if _, ok := e.byID[sub.ID]; ok {
-		return fmt.Errorf("matching: subscription %q already indexed", sub.ID)
+		return 0, fmt.Errorf("matching: subscription %q already indexed", sub.ID)
 	}
-	idx := int32(len(e.entries))
-	e.byID[sub.ID] = idx
-	var preds []cpred // stays nil for a lone access equality
-	if len(sub.Predicates) != 1 || !keyed(sub.Predicates[0]) {
-		preds = make([]cpred, len(sub.Predicates))
+	if group < 0 {
+		return 0, fmt.Errorf("matching: subscription %q in negative route group %d", sub.ID, group)
 	}
+	var slot int32
+	if n := len(e.free); n > 0 {
+		slot, e.free = e.free[n-1], e.free[:n-1]
+	} else {
+		slot = int32(len(e.entries))
+		e.entries = append(e.entries, centry{})
+	}
+	if grow := int(group) + 1 - len(e.closed); grow > 0 {
+		e.closed = append(e.closed, make([]uint64, grow)...)
+	}
+	e.byID[sub.ID] = slot
+	e.entries[slot] = centry{sub: sub, group: group}
+	e.index(slot)
+	return slot, nil
+}
+
+// index chooses the access predicate of the subscription in slot, counts
+// its popularity, compiles the rest of its predicates and posts it.
+func (e *CountingEngine) index(slot int32) {
+	ent := &e.entries[slot]
 	// access is the least popular equality class so far and least its
 	// popularity without this subscription; ties keep the first predicate.
 	var access *bucket
 	var least int32
-	for i, p := range sub.Predicates {
+	at := -1
+	for i, p := range ent.sub.Predicates {
 		a, ok := e.attrs[p.Attr]
 		if !ok { // first sight: grow the postings and the match scratch
 			a = int32(len(e.postings))
@@ -162,27 +208,34 @@ func (e *CountingEngine) Add(sub *message.Subscription) error {
 			e.postings = append(e.postings, posting{eq: make(map[message.Value]*bucket)})
 			e.carried = append(e.carried, 0)
 		}
-		if preds != nil {
-			preds[i] = cpred{attr: a, pred: p}
-		}
 		if b := e.bucket(a, p, true); b != nil {
 			if access == nil || b.pop < least {
-				access, least = b, b.pop
+				access, least, at = b, b.pop, i
 			}
 			b.pop++
 		}
 	}
-	switch {
-	case len(sub.Predicates) == 0:
-		e.universal = append(e.universal, idx)
-	case access == nil:
-		post := &e.postings[preds[0].attr]
-		post.others = append(post.others, idx)
-	default:
-		access.ids = append(access.ids, idx)
+	verify := len(ent.sub.Predicates)
+	if access != nil {
+		verify--
 	}
-	e.entries = append(e.entries, centry{sub: sub, preds: preds})
-	return nil
+	if verify > 0 {
+		ent.preds = make([]cpred, 0, verify)
+		for i, p := range ent.sub.Predicates {
+			if i != at {
+				ent.preds = append(ent.preds, cpred{attr: e.attrs[p.Attr], pred: p})
+			}
+		}
+	}
+	switch {
+	case len(ent.sub.Predicates) == 0:
+		e.universal = append(e.universal, slot)
+	case access == nil:
+		post := &e.postings[ent.preds[0].attr]
+		post.others = append(post.others, slot)
+	default:
+		access.ids = append(access.ids, slot)
+	}
 }
 
 // autoCompactMinTombstones is the floor below which Remove never
@@ -196,17 +249,17 @@ const autoCompactMinTombstones = 64
 // outnumber live entries (and exceed the floor above) the engine compacts
 // itself, so sustained churn cannot degrade the match path unboundedly.
 func (e *CountingEngine) Remove(subID string) error {
-	idx, ok := e.byID[subID]
+	slot, ok := e.byID[subID]
 	if !ok {
 		return fmt.Errorf("matching: subscription %q not indexed", subID)
 	}
 	delete(e.byID, subID)
-	for _, p := range e.entries[idx].sub.Predicates {
+	for _, p := range e.entries[slot].sub.Predicates {
 		if b := e.bucket(e.attrs[p.Attr], p, false); b != nil {
 			b.pop--
 		}
 	}
-	e.entries[idx] = centry{}
+	e.entries[slot] = centry{}
 	e.tombstones++
 	if e.tombstones >= autoCompactMinTombstones && e.tombstones > len(e.byID) {
 		e.Compact()
@@ -215,21 +268,28 @@ func (e *CountingEngine) Remove(subID string) error {
 }
 
 // Compact rebuilds the index, dropping tombstones. Live subscriptions
-// are re-added in sorted ID order so the rebuilt index — access choices
-// and popularity included — is identical across runs, and the match
+// keep their slots and groups and are re-indexed in sorted ID order, so
+// the rebuilt index — access choices and popularity included — is
+// identical across runs; the freed slots become reusable and the match
 // counter survives the rebuild.
 func (e *CountingEngine) Compact() {
-	subs := e.Subscriptions()
-	sort.Slice(subs, func(i, j int) bool { return subs[i].ID < subs[j].ID })
-	matchCount := e.matchCount
-	*e = *NewCountingEngine()
-	e.matchCount = matchCount
-	for _, s := range subs {
-		// Re-adding into a fresh engine cannot collide.
-		if err := e.Add(s); err != nil {
-			panic("matching: compact re-add: " + err.Error())
+	live := make([]int32, 0, len(e.byID))
+	for _, slot := range e.byID {
+		live = append(live, slot)
+	}
+	slices.SortFunc(live, func(a, b int32) int { return strings.Compare(e.entries[a].sub.ID, e.entries[b].sub.ID) })
+	e.attrs = make(map[string]int32)
+	e.postings, e.universal, e.carried = nil, nil, nil
+	for _, slot := range live {
+		e.index(slot)
+	}
+	e.free = e.free[:0]
+	for slot := int32(len(e.entries)) - 1; slot >= 0; slot-- {
+		if e.entries[slot].sub == nil {
+			e.free = append(e.free, slot)
 		}
 	}
+	e.tombstones = 0
 }
 
 // Match returns the IDs of all live subscriptions the publication
@@ -243,9 +303,9 @@ func (e *CountingEngine) Match(pub *message.Publication) []string {
 
 // MatchFunc invokes fn for every live subscription the publication
 // satisfies, in unspecified order. fn must not mutate the engine. The
-// broker's hot path uses MatchBatch, which avoids this adapter closure.
+// broker's hot path uses MatchRouted, which avoids this adapter closure.
 func (e *CountingEngine) MatchFunc(pub *message.Publication, fn func(*message.Subscription)) {
-	e.matchOne(pub, 0, func(_ int, s *message.Subscription) { fn(s) })
+	e.matchOne(pub, 0, 0, func(_ int, slot int32) { fn(e.entries[slot].sub) })
 }
 
 // MatchBatch matches every publication of a batch in one pass over the
@@ -254,16 +314,29 @@ func (e *CountingEngine) MatchFunc(pub *message.Publication, fn func(*message.Su
 // per-publication results streamingly. fn must not mutate the engine.
 func (e *CountingEngine) MatchBatch(pubs []*message.Publication, fn func(int, *message.Subscription)) {
 	for i, pub := range pubs {
-		e.matchOne(pub, i, fn)
+		e.matchOne(pub, i, 0, func(i int, slot int32) { fn(i, e.entries[slot].sub) })
 	}
 }
 
-// matchOne spreads one publication under a fresh epoch, probes the
-// postings of the attributes it carries and emits the candidates whose
-// predicates all hold.
-func (e *CountingEngine) matchOne(pub *message.Publication, pubIdx int, fn func(int, *message.Subscription)) {
+// MatchRouted is MatchBatch for routers: fn(i, slot) receives the slot of
+// each emitted subscription, route group arrivals[i] is closed before
+// pubs[i] is matched, and each other nonzero group closes at its first
+// emitted match, so the rest of its candidates are skipped unverified.
+func (e *CountingEngine) MatchRouted(pubs []*message.Publication, arrivals []int32, fn func(int, int32)) {
+	for i, pub := range pubs {
+		e.matchOne(pub, i, arrivals[i], fn)
+	}
+}
+
+// matchOne spreads one publication under a fresh epoch, closes the
+// arrival group, probes the postings of the attributes the publication
+// carries and emits the candidates whose predicates all hold.
+func (e *CountingEngine) matchOne(pub *message.Publication, pubIdx int, arrival int32, fn func(int, int32)) {
 	e.matchCount++
 	e.epoch++
+	if arrival > 0 && int(arrival) < len(e.closed) {
+		e.closed[arrival] = e.epoch
+	}
 	n := 0
 	for attr, v := range pub.Attrs {
 		if a, ok := e.attrs[attr]; ok {
@@ -283,13 +356,19 @@ func (e *CountingEngine) matchOne(pub *message.Publication, pubIdx int, fn func(
 	e.probe(e.universal, pubIdx, fn)
 }
 
-// probe emits the live candidates among ids whose predicates all hold; a
-// lone access equality (nil preds) was decided by the bucket hit.
-func (e *CountingEngine) probe(ids []int32, pubIdx int, fn func(int, *message.Subscription)) {
-	for _, idx := range ids {
-		if ent := &e.entries[idx]; ent.sub != nil && (ent.preds == nil || e.holds(ent.preds)) {
-			fn(pubIdx, ent.sub)
+// probe emits the live candidates among slots whose group is open and
+// whose remaining predicates all hold, closing the group of each. Group 0
+// is never stamped, so it never reads as closed.
+func (e *CountingEngine) probe(slots []int32, pubIdx int, fn func(int, int32)) {
+	for _, slot := range slots {
+		ent := &e.entries[slot]
+		if ent.sub == nil || e.closed[ent.group] == e.epoch || ent.preds != nil && !e.holds(ent.preds) {
+			continue
 		}
+		if ent.group != 0 {
+			e.closed[ent.group] = e.epoch
+		}
+		fn(pubIdx, slot)
 	}
 }
 
@@ -307,16 +386,22 @@ func (e *CountingEngine) holds(preds []cpred) bool {
 // Subscriptions returns the live subscriptions in unspecified order.
 func (e *CountingEngine) Subscriptions() []*message.Subscription {
 	out := make([]*message.Subscription, 0, len(e.byID))
-	for _, idx := range e.byID {
-		out = append(out, e.entries[idx].sub)
+	for _, slot := range e.byID {
+		out = append(out, e.entries[slot].sub)
 	}
 	return out
 }
 
 // Get returns the live subscription with the given ID, or nil.
 func (e *CountingEngine) Get(subID string) *message.Subscription {
-	if idx, ok := e.byID[subID]; ok {
-		return e.entries[idx].sub
+	if slot, ok := e.byID[subID]; ok {
+		return e.entries[slot].sub
 	}
 	return nil
+}
+
+// Slot returns the slot of the live subscription with the given ID.
+func (e *CountingEngine) Slot(subID string) (int32, bool) {
+	slot, ok := e.byID[subID]
+	return slot, ok
 }

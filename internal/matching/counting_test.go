@@ -26,21 +26,34 @@ func randomOps(rng *rand.Rand, code byte, n int) []byte {
 // property test: on randomized (seeded) workloads the engine must return
 // the oracle's match set after every add, every remove — through the
 // auto-compaction the removals trigger — and on both sides of an explicit
-// Compact.
+// Compact. The grouped runs hold MatchRouted's one-match-per-group rule to
+// the same oracle; both hold every live subscription to the slot it was
+// added in, and the adds after Compact to the slots it freed.
 func TestCountingEngineMatchesBruteForceUnderChurn(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		h := newHarness(t)
-		h.run(slices.Concat(randomOps(rng, opPublish, maxScriptPubs), randomOps(rng, opAdd, 200),
-			randomOps(rng, opPublish, maxScriptPubs), randomOps(rng, opRemove, 120)))
-		// Some 115 removals of 200 (a few name a ghost): tombstones outnumbered the living on the way.
-		if tomb := h.e.Tombstones(); tomb == h.adds-len(h.live) {
-			t.Fatalf("seed %d: %d tombstones beside %d live subscriptions, auto-compact never fired", seed, tomb, len(h.live))
-		}
-		h.run(slices.Concat(randomOps(rng, opAdd, 50), randomOps(rng, opPublish, maxScriptPubs),
-			randomOps(rng, opRemove, 20), []byte{opCompact}, randomOps(rng, opAdd, 20)))
-		if h.e.Tombstones() != 0 || h.adds != 270 {
-			t.Fatalf("seed %d: %d tombstones after Compact, %d adds", seed, h.e.Tombstones(), h.adds)
+	for _, grouped := range []bool{false, true} {
+		for seed := int64(1); seed <= 5; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			h := newHarness(t)
+			h.grouped = grouped
+			h.run(slices.Concat(randomOps(rng, opPublish, maxScriptPubs), randomOps(rng, opAdd, 200),
+				randomOps(rng, opPublish, maxScriptPubs), randomOps(rng, opRemove, 120)))
+			// Some 115 removals of 200 (a few name a ghost): tombstones outnumbered the living on the way.
+			if tomb := h.e.Tombstones(); tomb == h.adds-len(h.live) {
+				t.Fatalf("seed %d: %d tombstones beside %d live subscriptions, auto-compact never fired", seed, tomb, len(h.live))
+			}
+			h.run(slices.Concat(randomOps(rng, opAdd, 50), randomOps(rng, opPublish, maxScriptPubs),
+				randomOps(rng, opRemove, 20), []byte{opCompact}))
+			slots, freed := len(h.e.entries), len(h.e.free)
+			if freed != slots-len(h.live) {
+				t.Fatalf("seed %d: Compact freed %d of %d slots beside %d live subscriptions", seed, freed, slots, len(h.live))
+			}
+			h.run(randomOps(rng, opAdd, 20))
+			if h.e.Tombstones() != 0 || h.adds != 270 {
+				t.Fatalf("seed %d: %d tombstones after Compact, %d adds", seed, h.e.Tombstones(), h.adds)
+			}
+			if want := slots + max(0, 20-freed); len(h.e.entries) != want {
+				t.Fatalf("seed %d: %d slots after 20 adds into %d with %d free, want %d", seed, len(h.e.entries), slots, freed, want)
+			}
 		}
 	}
 }

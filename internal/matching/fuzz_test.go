@@ -107,10 +107,17 @@ func TestPopularityFollowsRemove(t *testing.T) {
 
 // FuzzMatchEquivalence decodes its input as a script — a table, the churn
 // on it and the publications matched against it — and holds the engine to
-// brute force after every step.
+// brute force after every step, through Match and, with the subscriptions
+// spread over route groups, through MatchRouted.
 func FuzzMatchEquivalence(f *testing.F) {
 	for _, c := range accessCases {
 		f.Add(slices.Concat(c.script...))
 	}
-	f.Fuzz(func(t *testing.T, script []byte) { newHarness(t).run(script) })
+	f.Fuzz(func(t *testing.T, script []byte) {
+		for _, grouped := range []bool{false, true} {
+			h := newHarness(t)
+			h.grouped = grouped
+			h.run(script)
+		}
+	})
 }

@@ -2,6 +2,7 @@ package matching
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -19,21 +20,29 @@ type harness struct {
 	tb   testing.TB
 	e    *CountingEngine
 	live map[string]*message.Subscription
+	// slots and groups hold what each live subscription was added with.
+	slots  map[string]int32
+	groups map[string]int32
+	// grouped puts the k-th added subscription in route group k mod
+	// harnessGroups, and check verifies MatchRouted instead of Match.
+	grouped bool
 	// pubs are the publications the scripts run so far have published.
 	pubs []*message.Publication
 	adds int
 }
 
+// harnessGroups is the number of route groups a grouped harness uses, 0 included.
+const harnessGroups = 4
+
 func newHarness(tb testing.TB) *harness {
-	return &harness{tb: tb, e: NewCountingEngine(), live: make(map[string]*message.Subscription)}
+	return &harness{tb: tb, e: NewCountingEngine(), live: make(map[string]*message.Subscription),
+		slots: make(map[string]int32), groups: make(map[string]int32)}
 }
 
 // check fails unless the engine's match set for p is the oracle's; it
 // returns the set, sorted.
 func (h *harness) check(p *message.Publication, when string) []string {
 	h.tb.Helper()
-	got := h.e.Match(p)
-	slices.Sort(got)
 	var want []string
 	for id, s := range h.live {
 		if s.Matches(p) {
@@ -41,10 +50,62 @@ func (h *harness) check(p *message.Publication, when string) []string {
 		}
 	}
 	slices.Sort(want)
+	if h.grouped {
+		h.checkRouted(p, want, when)
+		return want
+	}
+	got := h.e.Match(p)
+	slices.Sort(got)
 	if !slices.Equal(got, want) {
 		h.tb.Fatalf("%s: pub %v\nengine:      %v\nbrute force: %v", when, p, got, want)
 	}
 	return got
+}
+
+// checkRouted holds MatchRouted to the oracle's match set want under every
+// arrival group, one past the last included: every group-0 match is
+// emitted, exactly one match of every other group with one, and none of
+// the arrival group.
+func (h *harness) checkRouted(p *message.Publication, want []string, when string) {
+	h.tb.Helper()
+	for arrival := int32(0); arrival <= harnessGroups; arrival++ {
+		var got, expect []string
+		perGroup, expectPerGroup := make(map[int32]int), make(map[int32]int)
+		h.e.MatchRouted([]*message.Publication{p}, []int32{arrival}, func(_ int, slot int32) {
+			s := h.e.entries[slot].sub
+			if !s.Matches(p) {
+				h.tb.Fatalf("%s, arrival %d: pub %v emitted non-matching %s", when, arrival, p, s)
+			}
+			if g := h.groups[s.ID]; g == 0 {
+				got = append(got, s.ID)
+			} else {
+				perGroup[g]++
+			}
+		})
+		for _, id := range want {
+			if g := h.groups[id]; g == 0 {
+				expect = append(expect, id)
+			} else if g != arrival {
+				expectPerGroup[g] = 1
+			}
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, expect) || !maps.Equal(perGroup, expectPerGroup) {
+			h.tb.Fatalf("%s, arrival %d: pub %v\nengine:      %v, per group %v\nbrute force: %v, per group %v",
+				when, arrival, p, got, perGroup, expect, expectPerGroup)
+		}
+	}
+}
+
+// checkSlots fails unless every live subscription still sits in the slot
+// it was added in.
+func (h *harness) checkSlots(when string) {
+	h.tb.Helper()
+	for id, s := range h.live {
+		if slot, ok := h.e.Slot(id); !ok || slot != h.slots[id] || h.e.entries[slot].sub != s {
+			h.tb.Fatalf("%s: %s in slot %d (found %v), added in %d", when, id, slot, ok, h.slots[id])
+		}
+	}
 }
 
 // Script opcodes. A script is a byte string: an opcode (mod 4) followed by
@@ -119,14 +180,19 @@ func (h *harness) run(script []byte) (last []string) {
 					scriptOps[next(len(scriptOps))], scriptValues[next(len(scriptValues))])
 			}
 			sub := message.NewSubscription(fmt.Sprintf("s%03d", h.adds), "cl", preds)
+			var group int32
+			if h.grouped {
+				group = int32(h.adds % harnessGroups)
+			}
 			h.adds++
-			if err := h.e.Add(sub); err != nil {
+			slot, err := h.e.AddInGroup(sub, group)
+			if err != nil {
 				h.tb.Fatal(err)
 			}
 			if err := h.e.Add(sub); err == nil {
 				h.tb.Fatalf("step %d: duplicate %s accepted", step, sub.ID)
 			}
-			h.live[sub.ID] = sub
+			h.live[sub.ID], h.slots[sub.ID], h.groups[sub.ID] = sub, slot, group
 			what = "add " + sub.String()
 		case opRemove:
 			ids := make([]string, 0, len(h.live))
@@ -142,6 +208,8 @@ func (h *harness) run(script []byte) (last []string) {
 				h.tb.Fatalf("step %d: Remove(%s) = %v", step, id, err)
 			}
 			delete(h.live, id)
+			delete(h.slots, id)
+			delete(h.groups, id)
 			what = "remove " + id
 		case opCompact:
 			h.e.Compact()
@@ -157,6 +225,7 @@ func (h *harness) run(script []byte) (last []string) {
 		if h.e.Len() != len(h.live) {
 			h.tb.Fatalf("step %d (%s): Len = %d, want %d", step, what, h.e.Len(), len(h.live))
 		}
+		h.checkSlots(fmt.Sprintf("step %d (%s)", step, what))
 		for _, p := range h.pubs[max(0, len(h.pubs)-maxScriptPubs):] {
 			last = h.check(p, fmt.Sprintf("step %d (%s)", step, what))
 		}

@@ -74,9 +74,13 @@ type Network struct {
 	// instead of appending it to the client's log.
 	OnDelivery func(Delivery)
 
-	brokers   map[string]*broker.Core
-	clients   map[string]*Client
-	queue     []queued
+	brokers map[string]*broker.Core
+	clients map[string]*Client
+	// queue[head:] is in flight; Drain empties it and reuses its array.
+	queue []queued
+	head  int
+	// outs is the buffer every Core.Handle call of Drain appends to.
+	outs      []broker.Outgoing
 	now       float64
 	delivered int
 }
@@ -176,10 +180,11 @@ func (n *Network) SendFromClient(clientID string, env *message.Envelope) error {
 
 // Drain processes the queue until quiescence, routing every emitted
 // message and accumulating the modeled delivery delay of publications.
+// On an error the failed message is dropped and the rest stay queued.
 func (n *Network) Drain() error {
-	for len(n.queue) > 0 {
-		q := n.queue[0]
-		n.queue = n.queue[1:]
+	for n.head < len(n.queue) {
+		q := n.queue[n.head]
+		n.head++
 		if q.toClient != "" {
 			if err := n.deliverToClient(q); err != nil {
 				return err
@@ -196,7 +201,8 @@ func (n *Network) Drain() error {
 		if q.env.Kind == message.KindPublication {
 			arrivalDelay += core.MatchingDelaySeconds()
 		}
-		outs, err := core.Handle(q.from, q.env, nil)
+		var err error
+		n.outs, err = core.Handle(q.from, q.env, n.outs[:0])
 		if err != nil {
 			return err
 		}
@@ -206,9 +212,16 @@ func (n *Network) Drain() error {
 		}
 		self := broker.Endpoint{Kind: broker.KindBroker, ID: q.toBroker}
 		bw := core.OutputBandwidth()
-		for _, o := range outs {
+		// The copies of one fan-out share their envelope, so its size is
+		// computed once per run of outputs carrying it, as Core does.
+		var sized *message.Envelope
+		size := 0
+		for _, o := range n.outs {
 			nq := queued{from: self, env: o.Env, path: path}
 			if o.Env.Kind == message.KindPublication {
+				if o.Env != sized {
+					sized, size = o.Env, o.Env.EncodedSize()
+				}
 				// The core emits shared publication envelopes with the
 				// hop count carried in Outgoing.Hops (see broker.Outgoing);
 				// materialize it here, at enqueue time, copying only when
@@ -218,7 +231,7 @@ func (n *Network) Drain() error {
 					pubCopy.Hops = o.Hops
 					nq.env = &message.Envelope{Kind: message.KindPublication, Pub: &pubCopy}
 				}
-				nq.delay = arrivalDelay + float64(o.Env.EncodedSize())/bw
+				nq.delay = arrivalDelay + float64(size)/bw
 				if o.To.Kind == broker.KindBroker {
 					nq.delay += n.LinkLatency
 				}
@@ -231,6 +244,8 @@ func (n *Network) Drain() error {
 			n.queue = append(n.queue, nq)
 		}
 	}
+	clear(n.queue)
+	n.queue, n.head = n.queue[:0], 0
 	return nil
 }
 
