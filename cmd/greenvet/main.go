@@ -33,7 +33,7 @@
 // Usage:
 //
 //	go run ./cmd/greenvet ./...
-//	go run ./cmd/greenvet -only maporder,nondet ./internal/allocation
+//	go run ./cmd/greenvet -only detflow ./internal/allocation
 //	go run ./cmd/greenvet -audit ./...
 //	go run ./cmd/greenvet -json -json-file greenvet.json ./...
 package main

@@ -96,12 +96,11 @@ func checkColumns(t *testing.T, p *pack, when string) {
 // denseCoverage tallies which paths of the kernel a differential run took.
 type denseCoverage struct {
 	placed int
-	// fullRejects are fits calls the saturation mark decided and
-	// boundRejects those left to the rate bound itself; walkRejects are rate
-	// rejections the bound let through to the walk (it just did not fire);
-	// memoFits are fits calls answered from the run memo, orSkips accepts
-	// that left the aggregate alone.
-	fullRejects, boundRejects, walkRejects, memoFits, orSkips int
+	// fullRejects are fits calls the saturation mark decided — the
+	// reference's walk must reject each of them too — and walkRejects rate
+	// rejections left to the walk; memoFits are fits calls answered from the
+	// run memo, orSkips accepts that left the aggregate alone.
+	fullRejects, walkRejects, memoFits, orSkips int
 	// The admission scan's corners. bwThenMark are units turned away by one
 	// broker's bandwidth and then by a later broker's mark; markSpared are
 	// tests of a unit without filters against a mark above its rate, which
@@ -114,7 +113,6 @@ type denseCoverage struct {
 func (c *denseCoverage) add(o denseCoverage) {
 	c.placed += o.placed
 	c.fullRejects += o.fullRejects
-	c.boundRejects += o.boundRejects
 	c.walkRejects += o.walkRejects
 	c.memoFits += o.memoFits
 	c.orSkips += o.orSkips
@@ -192,7 +190,6 @@ func checkDenseAgainstReference(t *testing.T, units []*Unit, brokers []*BrokerSp
 				t.Fatalf("unit %d broker %d: mark %v under unordered rates", ui, b, bs.fullBelow)
 			}
 			if bs.outLoad.Bandwidth+pu.load.Bandwidth < bs.spec.OutputBandwidth {
-				lim := bs.spec.Delay.MaxRate(bs.filters + pu.filters)
 				if pk.ratesOrdered && pu.in.Rate < bs.fullBelow && pu.filters < 1 {
 					cov.markSpared++
 				}
@@ -205,8 +202,6 @@ func checkDenseAgainstReference(t *testing.T, units []*Unit, brokers []*BrokerSp
 					}
 				case memo:
 					cov.memoFits++
-				case pk.ratesOrdered && bs.inLoad.Rate+pu.in.Rate-pu.in.Rate > lim:
-					cov.boundRejects++
 				case !ok:
 					cov.walkRejects++
 				}
@@ -305,9 +300,9 @@ const (
 // an equal fingerprint, another class: interning by fingerprint or by hash
 // alone would hand them the wrong intersect load. denseSaturated gives the
 // brokers ample bandwidth and a steep matching-delay slope, so that the rate
-// criterion rejects both by the bound and — where the overlap with the
-// aggregate decides — only after the walk; one case in four of it carries a
-// negative publisher rate, which must switch the bound off.
+// criterion rejects both by the saturation mark and — where the overlap with
+// the aggregate decides — only after the walk; one case in four of it carries
+// a negative publisher rate, which must switch the mark off.
 //
 // denseEdges aims at what place's column scan must get right: one unit in
 // four occupies no filter, so a saturated broker's mark may not turn it away;
@@ -485,8 +480,8 @@ var admissionSeeds = []struct {
 // TestDenseFitsMatchesReference is the property test behind the dense
 // kernel: across a few hundred generated inputs the dense state and the
 // map-based reference agree bit for bit after every placement, and the
-// inputs reach every path of the kernel — the walk, the saturation mark, the
-// rate bound firing and just not firing, the run memo and the skipped OR.
+// inputs reach every path of the kernel — the walk, the saturation mark, a
+// rate rejection by the walk, the run memo and the skipped OR.
 func TestDenseFitsMatchesReference(t *testing.T) {
 	var cov denseCoverage
 	total := 0
@@ -514,7 +509,7 @@ func TestDenseFitsMatchesReference(t *testing.T) {
 	if cov.placed == 0 || cov.placed == total {
 		t.Fatalf("one-sided coverage: %d of %d units placed; the inputs must both admit and reject", cov.placed, total)
 	}
-	if cov.fullRejects == 0 || cov.boundRejects == 0 || cov.walkRejects == 0 || cov.memoFits == 0 || cov.orSkips == 0 ||
+	if cov.fullRejects == 0 || cov.walkRejects == 0 || cov.memoFits == 0 || cov.orSkips == 0 ||
 		cov.unplaced == 0 || cov.soloRejects == 0 {
 		t.Fatalf("a kernel path went unexercised: %+v", cov)
 	}
@@ -522,8 +517,9 @@ func TestDenseFitsMatchesReference(t *testing.T) {
 }
 
 // TestSaturationImpliesBound checks saturation's claim numerically: whenever
-// a unit's input rate q is below saturation(rate, lim), the rate bound
-// fl(fl(rate+q) − q) is above lim — across magnitudes from 1e-3 to 1e12,
+// a unit's input rate q is below saturation(rate, lim), the lower bound
+// fl(fl(rate+q) − q) on the rate fits' walk tests is above lim, so the mark
+// implies the walk rejects — across magnitudes from 1e-3 to 1e12,
 // limits a few ulps to a few percent under the rate, and q both tiny and
 // right under the threshold, where the two roundings cost the most.
 func TestSaturationImpliesBound(t *testing.T) {

@@ -133,7 +133,7 @@ type brokerState struct {
 	last      int32
 	lastKnown bool
 	lastInter bitvector.Load
-	// fullBelow marks a rate-saturated broker: fits' rate bound rejects every
+	// fullBelow marks a rate-saturated broker: fits' walk would reject every
 	// unit of at least one filter whose input rate is below it, whatever
 	// else the unit holds (see saturation). accept recomputes it from the
 	// state it leaves; it is positive only once the broker is saturated.
@@ -155,19 +155,17 @@ type brokerState struct {
 // the same bits. Exact shortcuts keep most calls off that walk (DESIGN.md
 // §7.1):
 //
+//   - Saturation (ratesOrdered: every publisher rate finite and
+//     non-negative): fullBelow caches, per accept, for which units the walk
+//     is certain to reject, so a full broker costs one comparison beyond the
+//     bandwidth test. The walk's inter.Rate cannot exceed pu.in.Rate — each
+//     of its terms is at most the matching term of pu.in.Rate, accumulated
+//     in the same order over a subset, and IEEE operations are monotone — so
+//     the rate it tests is at least (inLoad.Rate + pu.in.Rate) − pu.in.Rate,
+//     which the mark keeps above the limit.
 //   - Run memo: when the broker's last two accepts were of the unit's class,
 //     the aggregate is what the previous fits of that class walked, and the
 //     walk would return lastInter again.
-//   - Rate bound (ratesOrdered: every publisher rate finite and
-//     non-negative): the walk's inter.Rate cannot exceed pu.in.Rate — each of
-//     its terms is at most the matching term of pu.in.Rate, accumulated in
-//     the same order over a subset, and IEEE operations are monotone — so
-//     (inLoad.Rate + pu.in.Rate) − pu.in.Rate is a floating-point lower bound
-//     on the rate the walk would arrive at. Above the limit, the unit is
-//     rejected without it.
-//   - Saturation: fullBelow caches, per accept, for which units that bound
-//     is certain to fire, so a full broker costs one comparison beyond the
-//     bandwidth test.
 func (bs *brokerState) fits(pu *packUnit, stats []*bitvector.PublisherStats, ratesOrdered bool) (bool, bitvector.Load) {
 	if bs.outLoad.Bandwidth+pu.load.Bandwidth >= bs.spec.OutputBandwidth {
 		return false, bitvector.Load{}
@@ -179,9 +177,6 @@ func (bs *brokerState) fits(pu *packUnit, stats []*bitvector.PublisherStats, rat
 	sum := bs.inLoad.Rate + pu.in.Rate
 	if bs.lastKnown && pu.class == bs.last {
 		return sum-bs.lastInter.Rate <= lim, bs.lastInter
-	}
-	if ratesOrdered && sum-pu.in.Rate > lim {
-		return false, bitvector.Load{}
 	}
 	var inter bitvector.Load
 	for i := range pu.entries {
@@ -249,15 +244,16 @@ func (bs *brokerState) accept(pu *packUnit, inter bitvector.Load, capacity int, 
 	bs.last, bs.lastKnown = pu.class, false
 }
 
-// saturation returns the input rate below which fits' rate bound rejects
-// every unit of at least one filter, for a broker whose aggregate sinks rate
+// saturation returns the input rate below which fits' walk rejects every
+// unit of at least one filter, for a broker whose aggregate sinks rate
 // msgs/s and whose limit with one more filter is lim; 0 or less (or NaN)
 // when there is no such rate. With a matching delay that does not fall as
-// filters are added, no such unit faces a higher limit than lim, and the
-// bound fl(fl(rate+q) − q) loses at most (2·rate+q)·2⁻⁵³·(1+2⁻⁵³) to its two
-// roundings; for q below (rate−lim)·2⁵⁰ − 2·rate that is under
-// (rate−lim)/4 — a factor of two to spare for the roundings of this very
-// expression — so the bound stays above lim (DESIGN.md §7.1).
+// filters are added, no such unit faces a higher limit than lim. The walk
+// tests a rate of at least fl(fl(rate+q) − q), which loses at most
+// (2·rate+q)·2⁻⁵³·(1+2⁻⁵³) to its two roundings; for q below
+// (rate−lim)·2⁵⁰ − 2·rate that is under (rate−lim)/4 — a factor of two to
+// spare for the roundings of this very expression — so the tested rate
+// stays above lim (DESIGN.md §7.1).
 func saturation(rate, lim float64) float64 {
 	return (rate-lim)*(1<<50) - 2*rate
 }
@@ -297,8 +293,8 @@ type pack struct {
 	// where the brokerState changes (DESIGN.md §7.1).
 	out, limit, mark []float64
 	stats            []*bitvector.PublisherStats
-	// ratesOrdered is the table's RatesOrdered: whether fits may use the
-	// rate bound.
+	// ratesOrdered is the table's RatesOrdered: whether the saturation
+	// mark may be used.
 	ratesOrdered bool
 	capacity     int
 }

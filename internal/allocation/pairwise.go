@@ -29,7 +29,7 @@ type Pairwise struct {
 	// Rand, when non-nil, supplies the cluster-to-broker draws instead of
 	// a generator seeded from Seed. It must be explicitly seeded; the
 	// allocation package never falls back to the process-global
-	// math/rand state (greenvet's nondet analyzer rejects it).
+	// math/rand state (greenvet's detflow rejects it).
 	Rand *rand.Rand
 	// Strict makes Allocate fail when a cluster exceeds its randomly
 	// chosen broker's capacity. The paper's derivatives place clusters

@@ -26,7 +26,7 @@ type FBF struct {
 	// Rand, when non-nil, supplies the draw order instead of a generator
 	// seeded from Seed. It must be explicitly seeded; the allocation
 	// package never falls back to the process-global math/rand state
-	// (greenvet's nondet analyzer rejects it).
+	// (greenvet's detflow rejects it).
 	Rand *rand.Rand
 }
 

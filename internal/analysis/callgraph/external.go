@@ -63,14 +63,14 @@ var BlockingMethodPkgs = map[string]map[string]bool{
 }
 
 // NondetSource is one function outside the program whose result is hidden
-// nondeterminism. NondetSourceOf is the only list of them: nondet bans a
-// reference to any from a deterministic package, detflow follows the
-// values they return.
+// nondeterminism. NondetSourceOf is the only list of them: detflow bans a
+// reference to any from a deterministic package and follows the values
+// they return everywhere.
 type NondetSource struct {
 	// Desc names what a value read from the source is; detflow reports it
 	// as a taint's origin.
 	Desc string
-	// Ban is nondet's reason for forbidding the reference: Desc plus,
+	// Ban is detflow's reason for forbidding the reference: Desc plus,
 	// where there is one, what to do instead.
 	Ban string
 	// Clock marks the wall-clock reads, the one kind the telemetry package
@@ -80,7 +80,7 @@ type NondetSource struct {
 
 var (
 	wallClock  = NondetSource{Desc: "wall-clock read", Clock: true}
-	coreCount  = NondetSource{Desc: "core-count query", Ban: "core-count query; results must depend only on the explicit Parallelism option"}
+	coreCount  = NondetSource{Desc: "core-count query", Ban: "core-count query; a plan must not depend on the machine, so take any worker count from an explicit option"}
 	cryptoRand = NondetSource{Desc: "crypto/rand read"}
 	globalRand = NondetSource{Desc: "global math/rand", Ban: "global math/rand state; plumb an explicitly seeded *rand.Rand through the options struct"}
 )

@@ -12,9 +12,9 @@ import (
 // core-count queries), any call into the telemetry package that returns
 // values, any call to a function whose summary taints, and the key/value
 // variables of a *partial* map range (breaking out early makes the
-// visited subset depend on iteration order; a completed range that feeds
-// an order-insensitive accumulation does not taint — order-dependent
-// complete ranges in det packages are maporder's intraprocedural job).
+// visited subset depend on iteration order; a completed range does not
+// taint — detflow holds a complete range in a det package to its
+// order-independent loop shapes instead).
 //
 // Propagation is a flow-insensitive per-function fixpoint over local
 // assignments: taint only ever spreads, so it converges, and a value is

@@ -7,6 +7,35 @@ import (
 	"github.com/greenps/greenps/internal/analysis/detflow"
 )
 
+// TestDetflow checks the taint rules: nondeterministic values laundered
+// through helpers are caught at det-package returns and core.Plan stores.
 func TestDetflow(t *testing.T) {
 	analysistest.Run(t, "testdata/src/detflow", "fixture/detflow", detflow.Analyzer)
+}
+
+// TestNondetSources checks that every callgraph.NondetSourceOf reference
+// and every racy select in a deterministic package is flagged, while
+// seeded generators and justified sites pass.
+func TestNondetSources(t *testing.T) {
+	analysistest.Run(t, "testdata/src/sources", "fixture/sources", detflow.Analyzer)
+}
+
+// TestMapOrder checks the map-order prover: the four accepted loop shapes
+// pass, every other body is flagged.
+func TestMapOrder(t *testing.T) {
+	analysistest.Run(t, "testdata/src/maporder", "fixture/maporder", detflow.Analyzer)
+}
+
+// TestTelemetryClockRule checks the telemetry package's narrower rule
+// set: wall-clock references are flagged, while rand and racy selects
+// (banned in the deterministic core) pass.
+func TestTelemetryClockRule(t *testing.T) {
+	analysistest.Run(t, "testdata/src/telemetry", "fixture/telemetry", detflow.Analyzer)
+}
+
+// TestTelemetryImportBan checks that a deterministic package importing
+// the telemetry package is flagged at the import site and at every call
+// into it.
+func TestTelemetryImportBan(t *testing.T) {
+	analysistest.Run(t, "testdata/src/detimport", "fixture/detimport", detflow.Analyzer)
 }

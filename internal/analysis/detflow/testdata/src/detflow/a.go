@@ -1,7 +1,8 @@
-// Fixture for detflow: nondeterministic values laundered through
-// helpers must be caught at the determinism boundary — det-package
+// Fixture for detflow's taint rules: nondeterministic values laundered
+// through helpers must be caught at the determinism boundary — det-package
 // returns and core.Plan stores. The fixture package loads as
-// "fixture/detflow", which the scope package treats as deterministic.
+// "fixture/detflow", which the scope package treats as deterministic, so
+// the syntactic bans fire too where a source is read directly.
 package detflow
 
 import (
@@ -9,7 +10,7 @@ import (
 	"sort"
 	"time"
 
-	"github.com/greenps/greenps/internal/telemetry"
+	"github.com/greenps/greenps/internal/telemetry" // want "deterministic package imports"
 )
 
 // Plan stands in for core.Plan (detflow recognizes a named Plan type in
@@ -23,12 +24,12 @@ type Plan struct {
 // stamp reads the wall clock directly; its return from a det package is
 // the base case.
 func stamp() int64 {
-	return time.Now().UnixNano() // want "nondeterministic value \\(wall-clock read\\) returned from deterministic package detflow"
+	return time.Now().UnixNano() // want "reference to time.Now" "nondeterministic value \\(wall-clock read\\) returned from deterministic package detflow"
 }
 
 // laundered never touches the clock syntactically — the taint arrives
-// through the helper's summary. This is the laundering hole the
-// intraprocedural nondet analyzer cannot see.
+// through the helper's summary. This is the laundering hole a syntactic
+// ban cannot see.
 func laundered() int64 {
 	v := stamp()
 	return v // want "nondeterministic value \\(wall-clock read via detflow.stamp\\) returned from deterministic package detflow"
@@ -36,25 +37,25 @@ func laundered() int64 {
 
 // fill stores a clock read into a Plan field.
 func fill(p *Plan) {
-	p.Stamp = time.Now().UnixNano() // want "nondeterministic value \\(wall-clock read\\) stored into core.Plan"
+	p.Stamp = time.Now().UnixNano() // want "reference to time.Now" "nondeterministic value \\(wall-clock read\\) stored into core.Plan"
 }
 
 var cached *Plan
 
 // rebuild seeds a Plan composite literal from the global rand source.
 func rebuild() {
-	cached = &Plan{Version: 1, Stamp: rand.Int63()} // want "nondeterministic value \\(global math/rand\\) stored into core.Plan"
+	cached = &Plan{Version: 1, Stamp: rand.Int63()} // want "reference to math/rand.Int63" "nondeterministic value \\(global math/rand\\) stored into core.Plan"
 }
 
 // fromTelemetry lets an observed counter influence the plan.
 func fromTelemetry(p *Plan, c *telemetry.Counter) {
-	p.Version = int(c.Value()) // want "nondeterministic value \\(telemetry read\\) stored into core.Plan"
+	p.Version = int(c.Value()) // want "call to telemetry Counter.Value" "nondeterministic value \\(telemetry read\\) stored into core.Plan"
 }
 
 // firstKey leaks map-iteration order: the range is partial (it returns
 // out of the loop), so which key comes first is scheduler-dependent.
 func firstKey(m map[string]int) string {
-	for k := range m {
+	for k := range m { // want "range over map m has an order-dependent body"
 		return k // want "nondeterministic value \\(map-iteration order \\(partial range\\)\\) returned from deterministic package detflow"
 	}
 	return ""

@@ -1,4 +1,4 @@
-// Fixture for nondet's determinism-boundary rule, loaded as
+// Fixture for detflow's determinism-boundary rule, loaded as
 // "fixture/detimport" (a stand-in for a deterministic-core package): an
 // import of the telemetry package is flagged no matter how it is used —
 // once a plan computation can see a counter, it can branch on one — and

@@ -1,4 +1,4 @@
-// Part of the "fixture/detimport" nondet fixture: the package stands in
+// Part of the "fixture/detimport" detflow fixture: the package stands in
 // for the deterministic core, so driving a live-path telemetry instrument
 // from it — write or read — is flagged at the call site as well as at the
 // import.
@@ -21,11 +21,11 @@ func (r *run) instrumented(c *telemetry.Counter, h *telemetry.Histogram) {
 // feedback reads a counter into a plan decision — the exact loop the
 // boundary exists to prevent; reads are flagged the same as writes.
 func (r *run) feedback(c *telemetry.Counter) bool {
-	return c.Value() > 100 // want "call to telemetry Counter.Value inside the deterministic core"
+	return c.Value() > 100 // want "call to telemetry Counter.Value inside the deterministic core" "nondeterministic value \\(telemetry read\\) returned"
 }
 
-// justified call sites carry nondet-ok like every other nondet finding.
+// justified call sites carry detflow-ok like every other detflow finding.
 func (r *run) justified(c *telemetry.Counter) {
-	//greenvet:nondet-ok fixture: shows the call-site rule honours the directive
+	//greenvet:detflow-ok fixture: shows the call-site rule honours the directive
 	c.Inc()
 }

@@ -1,7 +1,9 @@
-// Fixture for the nondet analyzer: wall-clock reads, global math/rand,
+// Fixture for detflow's source bans: wall-clock reads, global math/rand,
 // core-count queries, crypto/rand, process and host identity, and racy
 // selects are flagged; seeded generators and justified suppressions pass.
-package nondet
+// A source read that is also returned draws the taint finding beside the
+// reference.
+package sources
 
 import (
 	crand "crypto/rand"
@@ -13,7 +15,7 @@ import (
 
 // stamp reads the wall clock directly.
 func stamp() time.Time {
-	return time.Now() // want "reference to time.Now"
+	return time.Now() // want "reference to time.Now" "nondeterministic value \\(wall-clock read\\) returned"
 }
 
 // clock smuggles the wall clock in as a function value; bare references
@@ -22,17 +24,17 @@ var clock = time.Now // want "reference to time.Now"
 
 // stale computes an age from the wall clock.
 func stale(t time.Time) time.Duration {
-	return time.Since(t) // want "reference to time.Since"
+	return time.Since(t) // want "reference to time.Since" "nondeterministic value \\(wall-clock read\\) returned"
 }
 
 // draw consumes the process-global math/rand state.
 func draw() int {
-	return rand.Intn(10) // want "reference to math/rand.Intn"
+	return rand.Intn(10) // want "reference to math/rand.Intn" "nondeterministic value \\(global math/rand\\) returned"
 }
 
 // width branches on the machine's core count.
 func width() int {
-	return runtime.NumCPU() // want "reference to runtime.NumCPU"
+	return runtime.NumCPU() // want "reference to runtime.NumCPU" "nondeterministic value \\(core-count query\\) returned"
 }
 
 // nonce draws from the operating system's entropy pool.
@@ -43,7 +45,7 @@ func nonce(b []byte) {
 // identity keys on which process and which machine computed the plan.
 func identity() (int, string) {
 	host, _ := os.Hostname() // want "reference to os.Hostname in deterministic package: host-identity read"
-	return os.Getpid(), host // want "reference to os.Getpid in deterministic package: process-identity read"
+	return os.Getpid(), host // want "reference to os.Getpid in deterministic package: process-identity read" "nondeterministic value \\(process-identity read\\) returned"
 }
 
 // seeded constructs an explicitly seeded generator — the supported way to
@@ -52,10 +54,11 @@ func seeded(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
 
-// telemetry is allowed to read the clock because the justification states
-// the value never influences the plan.
-func telemetry() time.Time {
-	//greenvet:nondet-ok log timestamp only; the value never reaches the plan
+// logStamp may read the clock because the justification states the value
+// never influences the plan; the one directive covers the reference and
+// the return.
+func logStamp() time.Time {
+	//greenvet:detflow-ok log timestamp only; the value never reaches the plan
 	return time.Now()
 }
 

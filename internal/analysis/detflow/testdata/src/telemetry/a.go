@@ -1,4 +1,4 @@
-// Fixture for nondet's telemetry rules, loaded as "fixture/telemetry":
+// Fixture for detflow's telemetry rule, loaded as "fixture/telemetry":
 // the telemetry package must take its clocks as injected dependencies,
 // so direct wall-clock references are flagged — while the deterministic
 // core's other bans (global rand, core counts, racy selects) do not
@@ -37,7 +37,7 @@ func injected(name string, clock func() time.Time) Span {
 
 // justified sites may keep a wall-clock read with a reason.
 func justified() time.Time {
-	//greenvet:nondet-ok scrape timestamp only; never read back by any instrument
+	//greenvet:detflow-ok scrape timestamp only; never read back by any instrument
 	return time.Now()
 }
 

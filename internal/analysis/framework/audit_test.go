@@ -4,12 +4,12 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/greenps/greenps/internal/analysis/detflow"
 	"github.com/greenps/greenps/internal/analysis/framework"
-	"github.com/greenps/greenps/internal/analysis/maporder"
 )
 
 // TestAuditReportsOnlyStaleDirectives is the golden test for -audit: the
-// fixture holds one suppression the maporder analyzer still fires under
+// fixture holds one suppression the detflow analyzer still fires under
 // (live) and one left behind after its loop body became commutative
 // (stale). Audit must flag exactly the stale one, as the synthetic
 // "audit" analyzer, and must not emit the suppressed finding itself.
@@ -18,7 +18,7 @@ func TestAuditReportsOnlyStaleDirectives(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
-	diags, err := framework.Audit([]*framework.Package{pkg}, []*framework.Analyzer{maporder.Analyzer})
+	diags, err := framework.Audit([]*framework.Package{pkg}, []*framework.Analyzer{detflow.Analyzer})
 	if err != nil {
 		t.Fatalf("audit: %v", err)
 	}
@@ -32,7 +32,7 @@ func TestAuditReportsOnlyStaleDirectives(t *testing.T) {
 	if !strings.HasSuffix(d.Pos.Filename, "a.go") || d.Pos.Line != 21 {
 		t.Errorf("stale directive located at %s:%d, want a.go:21", d.Pos.Filename, d.Pos.Line)
 	}
-	if !strings.Contains(d.Message, "stale //greenvet:ordered directive") {
+	if !strings.Contains(d.Message, "stale //greenvet:detflow-ok directive") {
 		t.Errorf("message %q does not name the stale directive", d.Message)
 	}
 }
@@ -46,7 +46,7 @@ func TestRunHonorsSuppressions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
-	diags, err := framework.Run([]*framework.Package{pkg}, []*framework.Analyzer{maporder.Analyzer})
+	diags, err := framework.Run([]*framework.Package{pkg}, []*framework.Analyzer{detflow.Analyzer})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -3,11 +3,11 @@
 // there anymore). Audit must flag exactly the stale one.
 package audit
 
-// liveDirective suppresses a finding maporder still reports; in -audit
+// liveDirective suppresses a finding detflow still reports; in -audit
 // mode the directive is consulted, marking it live.
 func liveDirective(m map[string]float64) float64 {
 	total := 0.0
-	//greenvet:ordered fixture justification: treat FP drift as acceptable
+	//greenvet:detflow-ok fixture justification: treat FP drift as acceptable
 	for _, v := range m {
 		total += v
 	}
@@ -18,7 +18,7 @@ func liveDirective(m map[string]float64) float64 {
 // commute), the residue of a body that was once order-dependent.
 func staleDirective(m map[string]int) int {
 	total := 0
-	//greenvet:ordered stale: the body became commutative and nothing fires here
+	//greenvet:detflow-ok stale: the body became commutative and nothing fires here
 	for _, v := range m {
 		total += v
 	}

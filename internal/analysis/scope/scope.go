@@ -41,13 +41,16 @@ const (
 const CorePath = Module + "/internal/core"
 
 // DeterministicPackages are the plan-producing packages: given one broker
-// snapshot they must produce one canonical answer. maporder and nondet
-// enforce their invariants mechanically.
+// snapshot they must produce one canonical answer — Phase-2 allocation,
+// the Phase-3 overlay (core.Plan.Tree) and GRAPE's publisher placement
+// (core.Plan.Publishers). detflow enforces it mechanically.
 var DeterministicPackages = []string{
 	AllocationPath,
 	Module + "/internal/poset",
 	Module + "/internal/bitvector",
 	Module + "/internal/core",
+	Module + "/internal/overlaybuild",
+	Module + "/internal/grape",
 }
 
 // IsFixture reports whether the package is an analysistest fixture.

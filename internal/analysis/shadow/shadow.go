@@ -6,7 +6,7 @@
 // bugs — the code after the block observes a value the block appeared to
 // update.
 //
-// Unlike maporder/nondet this check applies repo-wide: shadowing is a
+// Unlike detflow's bans this check applies repo-wide: shadowing is a
 // correctness hazard everywhere, not only in the deterministic core.
 // Intentional shadows carry //greenvet:shadow-ok <justification>.
 package shadow

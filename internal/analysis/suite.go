@@ -8,19 +8,15 @@ import (
 	"github.com/greenps/greenps/internal/analysis/errflow"
 	"github.com/greenps/greenps/internal/analysis/framework"
 	"github.com/greenps/greenps/internal/analysis/lockcheck"
-	"github.com/greenps/greenps/internal/analysis/maporder"
-	"github.com/greenps/greenps/internal/analysis/nondet"
 	"github.com/greenps/greenps/internal/analysis/shadow"
 )
 
 // Suite returns every greenvet analyzer in presentation order: the
-// AST-pattern checks first, then the CFG/dataflow checks built on
-// internal/analysis/cfg, then the interprocedural checks built on
-// internal/analysis/callgraph function summaries.
+// AST-pattern check first, then the CFG/dataflow checks built on
+// internal/analysis/cfg, then the determinism check, whose taint rules
+// ride on internal/analysis/callgraph function summaries.
 func Suite() []*framework.Analyzer {
 	return []*framework.Analyzer{
-		maporder.Analyzer,
-		nondet.Analyzer,
 		shadow.Analyzer,
 		lockcheck.Analyzer,
 		errflow.Analyzer,

@@ -81,8 +81,8 @@ func (t *PublisherTable) Stats() []*PublisherStats { return t.stats }
 // RatesOrdered reports whether every publisher's Rate was finite and
 // non-negative when the table was built. Only then is a sum of rate ×
 // fraction terms monotone in its fractions under floating-point rounding —
-// what allocation's rate-bound rejection rests on (DESIGN.md §7.1); a NaN,
-// infinite or negative rate turns the bound off for the run.
+// what allocation's saturation mark rests on (DESIGN.md §7.1); a NaN,
+// infinite or negative rate turns the mark off for the run.
 func (t *PublisherTable) RatesOrdered() bool { return t.ratesOrdered }
 
 // Compile lists the profile's vectors by table index, ascending, as views

@@ -90,7 +90,7 @@ func RelocateWithPriority(t *overlaybuild.Tree, pubs map[string]*bitvector.Publi
 	if len(brokers) == 0 {
 		return nil, fmt.Errorf("grape: empty tree")
 	}
-	adj := adjacency(t)
+	adj := adjacency(t, brokers)
 
 	advIDs := make([]string, 0, len(pubs))
 	for advID := range pubs {
@@ -101,7 +101,7 @@ func RelocateWithPriority(t *overlaybuild.Tree, pubs map[string]*bitvector.Publi
 	w := float64(loadPriority) / 100
 	out := make(Placement, len(advIDs))
 	for _, advID := range advIDs {
-		local := localVectors(t, advID)
+		local := localVectors(t, brokers, advID)
 		// Score every candidate under both objectives, then blend after
 		// max-normalization so the two scales are comparable.
 		loadScores := make([]float64, len(brokers))
@@ -147,17 +147,18 @@ func betterTie(candidate, current, root string) bool {
 	return candidate < current
 }
 
-// adjacency builds the undirected neighbor map of the tree.
-func adjacency(t *overlaybuild.Tree) map[string][]string {
-	adj := make(map[string][]string, len(t.Specs))
-	for parent, kids := range t.Children {
-		for _, k := range kids {
+// adjacency builds the undirected neighbor map of the tree over its
+// sorted broker IDs, each neighbor list sorted.
+func adjacency(t *overlaybuild.Tree, brokers []string) map[string][]string {
+	adj := make(map[string][]string, len(brokers))
+	for _, parent := range brokers {
+		for _, k := range t.Children[parent] {
 			adj[parent] = append(adj[parent], k)
 			adj[k] = append(adj[k], parent)
 		}
 	}
-	for _, ns := range adj {
-		sort.Strings(ns)
+	for _, b := range brokers {
+		sort.Strings(adj[b])
 	}
 	return adj
 }
@@ -165,11 +166,11 @@ func adjacency(t *overlaybuild.Tree) map[string][]string {
 // localVectors extracts, per broker, the OR of the hosted units' bit
 // vectors for one publisher: the broker's local interest in that
 // publisher's stream. Brokers with no interest are absent.
-func localVectors(t *overlaybuild.Tree, advID string) map[string]*bitvector.Vector {
+func localVectors(t *overlaybuild.Tree, brokers []string, advID string) map[string]*bitvector.Vector {
 	out := make(map[string]*bitvector.Vector)
-	for b, units := range t.Hosted {
+	for _, b := range brokers {
 		var agg *bitvector.Vector
-		for _, u := range units {
+		for _, u := range t.Hosted[b] {
 			v := u.Profile.Vector(advID)
 			if v == nil || v.Count() == 0 {
 				continue

@@ -12,16 +12,16 @@
 //  2. Free when disabled. Every instrument method no-ops on a nil
 //     receiver, and a nil *Registry hands out nil instruments, so an
 //     uninstrumented broker pays one predictable nil check per site.
-//  3. Outside the deterministic core. The allocation core
-//     (internal/{allocation,poset,bitvector,core}) must stay a pure
-//     function of its inputs, so it never imports this package —
-//     greenvet's nondet analyzer enforces the boundary mechanically,
+//  3. Outside the deterministic core. The plan-producing packages
+//     (internal/{allocation,poset,bitvector,core,overlaybuild,grape})
+//     must stay a pure function of their inputs, so they never import
+//     this package — greenvet's detflow enforces the boundary mechanically,
 //     import and call sites both. Telemetry observes the live path; it
 //     never feeds back into plan computation.
 //  4. No hidden clock. This package never reads the wall clock; spans
 //     and rates take time.Time values or injected clock functions from
 //     the caller (the core.Config.Clock pattern), which keeps telemetry
-//     testable on a virtual clock. greenvet's nondet analyzer flags any
+//     testable on a virtual clock. greenvet's detflow flags any
 //     time.Now reference that sneaks in.
 package telemetry
 
