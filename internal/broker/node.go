@@ -42,11 +42,11 @@ type Node struct {
 	// Event-loop-only batching state (no locking): pool backs frame
 	// buffers on both directions, fenc encodes each unique
 	// (envelope, hops) pair once per flush, frameMemo remembers those
-	// encodings across a fan-out, groups/groupIdx bucket a flush's
-	// outgoings per destination preserving first-touch order.
+	// encodings and their sizes across a fan-out, groups/groupIdx bucket
+	// a flush's outgoings per destination preserving first-touch order.
 	pool      *transport.BufPool
 	fenc      *transport.FrameEncoder
-	frameMemo map[frameKey][]byte
+	frameMemo map[frameKey]frame
 	groups    []sendGroup
 	groupIdx  map[Endpoint]int
 	outBuf    []Outgoing
@@ -61,6 +61,13 @@ type Node struct {
 type frameKey struct {
 	env  *message.Envelope
 	hops int
+}
+
+// frame is one encoded frame of a flush and its envelope's EncodedSize,
+// the bytes the limiter charges per copy sent.
+type frame struct {
+	data []byte
+	size int
 }
 
 // sendGroup is one destination's share of a flush.
@@ -160,7 +167,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		peers:        make(map[Endpoint]*peer),
 		pool:         pool,
 		fenc:         transport.NewFrameEncoder(pool),
-		frameMemo:    make(map[frameKey][]byte),
+		frameMemo:    make(map[frameKey]frame),
 		groupIdx:     make(map[Endpoint]int),
 		closing:      make(chan struct{}),
 	}
@@ -415,9 +422,10 @@ func (n *Node) handleAndFlush(batch []Inbound) []Inbound {
 }
 
 // flushOutgoing groups a batch's outgoing messages per destination
-// (first-touch order), encodes each unique (envelope, hops) pair once —
-// so a publication fanned out to many neighbors is serialized a single
-// time — and writes each destination's frames in one gathered writev.
+// (first-touch order), encodes and sizes each unique (envelope, hops)
+// pair once — so a publication fanned out to many neighbors is serialized
+// and walked for its EncodedSize a single time — and writes each
+// destination's frames in one gathered writev.
 // Pooled encode buffers are released only after every group's write
 // finished, since groups share frames. Unreachable peers are logged and
 // skipped (the link-failure path is the overlay manager's
@@ -448,19 +456,19 @@ func (n *Node) flushOutgoing(outs []Outgoing) {
 			n.groupIdx[o.To] = gi
 		}
 		fk := frameKey{env: o.Env, hops: o.Hops}
-		frame, ok := n.frameMemo[fk]
+		f, ok := n.frameMemo[fk]
 		if !ok {
-			var err error
-			frame, err = n.fenc.Encode(o.Env, o.Hops)
+			data, err := n.fenc.Encode(o.Env, o.Hops)
 			if err != nil {
 				n.logger.Printf("broker %s: encode for %s: %v", n.ID(), o.To, err)
 				continue
 			}
-			n.frameMemo[fk] = frame
+			f = frame{data: data, size: o.Env.EncodedSize()}
+			n.frameMemo[fk] = f
 		}
 		g := &n.groups[gi]
-		g.frames = append(g.frames, frame)
-		g.bytes += o.Env.EncodedSize()
+		g.frames = append(g.frames, f.data)
+		g.bytes += f.size
 	}
 	for i := range n.groups {
 		g := &n.groups[i]

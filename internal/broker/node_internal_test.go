@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"net"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -41,7 +39,7 @@ func loopNode(t *testing.T, reg *telemetry.Registry) *Node {
 		closing: make(chan struct{}),
 
 		fenc:      transport.NewFrameEncoder(nil),
-		frameMemo: make(map[frameKey][]byte),
+		frameMemo: make(map[frameKey]frame),
 		groupIdx:  make(map[Endpoint]int),
 	}
 }
@@ -86,20 +84,16 @@ func TestSendFailureOnLoopDoesNotDeadlock(t *testing.T) {
 	}
 }
 
-// TestFlushAllocationFreeBeyondEncoder pins handleAndFlush's flush,
-// flushOutgoing — grouping per destination, the frame memo, the limiter
-// and one gathered write per peer — at no allocation of its own (the
-// HandleBatch before it is TestBrokerSteadyStateAllocationFree's):
-// flushing one publication to four clients over loopback TCP allocates
-// exactly what a FrameEncoder allocates encoding it once, which is
-// encoding/json's cost (ROADMAP item 1(b)).
-func TestFlushAllocationFreeBeyondEncoder(t *testing.T) {
+// fanoutNode is a loopNode with four loopback-TCP clients whose every
+// byte is drained, and one publication envelope addressed to all four.
+func fanoutNode(t *testing.T) (*Node, []Outgoing) {
+	t.Helper()
 	n := loopNode(t, telemetry.New(nil))
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
+	t.Cleanup(func() { _ = l.Close() })
 	pub := message.NewPublication("ADV1", 7, map[string]message.Value{
 		"symbol": message.String("YHOO"), "low": message.Number(18.5),
 	})
@@ -133,34 +127,61 @@ func TestFlushAllocationFreeBeyondEncoder(t *testing.T) {
 		n.peers[ep] = &peer{ep: ep, conn: conn}
 		outs = append(outs, Outgoing{To: ep, Env: env, Hops: pub.Hops})
 	}
-	flush := meanAllocs(5000, func() { n.flushOutgoing(outs) })
+	return n, outs
+}
+
+// TestFlushAllocationFreeBeyondEncoder pins handleAndFlush's flush,
+// flushOutgoing — grouping per destination, the frame memo, the
+// publication writer, the limiter and one gathered write per peer — at
+// zero allocations (the HandleBatch before it is
+// TestBrokerSteadyStateAllocationFree's): flushing one publication to four
+// clients over loopback TCP allocates nothing once the encoder's scratch
+// and the pool hold a frame.
+func TestFlushAllocationFreeBeyondEncoder(t *testing.T) {
+	n, outs := fanoutNode(t)
+	flush := testing.AllocsPerRun(5000, func() { n.flushOutgoing(outs) })
 	if len(n.peers) != 4 {
 		t.Fatalf("%d peers left after the flushes, want 4: a write failed", len(n.peers))
 	}
-	fe := transport.NewFrameEncoder(nil)
-	encode := meanAllocs(5000, func() {
-		if _, err := fe.Encode(env, pub.Hops); err != nil {
-			t.Fatal(err)
-		}
-		fe.Release()
-	})
-	if math.Abs(flush-encode) >= 0.5 {
-		t.Errorf("flushOutgoing allocates %.2f times per flush, the encoder %.2f: the flush itself allocates", flush, encode)
+	if flush != 0 {
+		t.Errorf("flushOutgoing allocates %v times per flush, want 0", flush)
 	}
 }
 
-// meanAllocs is testing.AllocsPerRun without its rounding down: under -race
-// sync.Pool drops a random quarter of its Puts, so encoding/json re-makes
-// its pooled encode state at random and two rounded averages can straddle
-// an integer.
-func meanAllocs(runs int, f func()) float64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	f()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		f()
+// TestFlushChargesEncodedSize pins what the bandwidth limiter is charged
+// per flush: each destination's group pays the EncodedSize of every
+// envelope sent to it, whether its frame was encoded for that group or
+// taken from the memo another group filled. The limiter runs at 1 B/s
+// with an empty bucket, so each Wait sleeps exactly its charge in seconds.
+func TestFlushChargesEncodedSize(t *testing.T) {
+	n, outs := fanoutNode(t)
+	// A second envelope, sent twice to the first client (two hop counts,
+	// two frames) and once to the last.
+	other := &message.Envelope{Kind: message.KindPublication, Pub: message.NewPublication("ADV2", 1,
+		map[string]message.Value{"class": message.String("STOCK")})}
+	outs = append(outs,
+		Outgoing{To: outs[0].To, Env: other, Hops: 1},
+		Outgoing{To: outs[0].To, Env: other, Hops: 2},
+		Outgoing{To: outs[3].To, Env: other, Hops: 1})
+	want := make([]int, 4)
+	want[0] = outs[0].Env.EncodedSize() + 2*other.EncodedSize()
+	want[1] = outs[1].Env.EncodedSize()
+	want[2] = outs[2].Env.EncodedSize()
+	want[3] = outs[3].Env.EncodedSize() + other.EncodedSize()
+
+	l := NewLimiter(1)
+	var charged []int
+	l.sleep = func(d time.Duration) {
+		charged = append(charged, int(d/time.Second))
+		l.tokens = 0
 	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(runs)
+	l.burst, l.tokens = 0, 0
+	n.limiter = l
+	for round := 0; round < 3; round++ {
+		charged = charged[:0]
+		n.flushOutgoing(outs)
+		if fmt.Sprint(charged) != fmt.Sprint(want) {
+			t.Fatalf("flush %d charged %v bytes per destination, want %v", round, charged, want)
+		}
+	}
 }

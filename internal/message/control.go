@@ -125,7 +125,7 @@ func (k Kind) String() string {
 
 // Envelope is the tagged union carried by links between brokers and between
 // brokers and clients. Exactly one payload field corresponding to Kind is
-// populated.
+// populated; Validate, which Encode and Decode apply, enforces it.
 type Envelope struct {
 	Kind    Kind           `json:"kind"`
 	Pub     *Publication   `json:"pub,omitempty"`
@@ -137,8 +137,32 @@ type Envelope struct {
 	BIA     *BIA           `json:"bia,omitempty"`
 }
 
-// Validate checks that the envelope's payload matches its kind.
+// Validate checks that the envelope carries exactly one payload field, the
+// one its kind names.
 func (e *Envelope) Validate() error {
+	if err := e.validateKind(); err != nil {
+		return err
+	}
+	if n := e.payloads(); n != 1 {
+		return fmt.Errorf("message: %v envelope carries %d payload fields, want 1", e.Kind, n)
+	}
+	return nil
+}
+
+// payloads counts the envelope's populated payload fields.
+func (e *Envelope) payloads() int {
+	n := 0
+	for _, set := range [...]bool{e.Pub != nil, e.Sub != nil, e.UnsubID != "", e.Adv != nil,
+		e.UnadvID != "", e.BIR != nil, e.BIA != nil} {
+		if set {
+			n++
+		}
+	}
+	return n
+}
+
+// validateKind checks that the payload field the kind names is populated.
+func (e *Envelope) validateKind() error {
 	switch e.Kind {
 	case KindPublication:
 		if e.Pub == nil {

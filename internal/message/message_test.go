@@ -1,6 +1,7 @@
 package message
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -207,6 +208,38 @@ func TestEnvelopeValidate(t *testing.T) {
 	for _, e := range bad {
 		if err := e.Validate(); err == nil {
 			t.Errorf("invalid envelope %v accepted", e.Kind)
+		}
+	}
+}
+
+// TestEnvelopeCarriesOnePayload holds Encode and Decode to the envelope's
+// invariant: exactly one payload field, the one its kind names. Extra
+// fields beside the right one are refused in both directions, so the
+// publication writer never has to write a second payload.
+func TestEnvelopeCarriesOnePayload(t *testing.T) {
+	pub := stockPub(1, "YHOO", 1)
+	sub := NewSubscription("s1", "c1", []Predicate{Pred("class", OpEq, String("STOCK"))})
+	adv := NewAdvertisement("a1", "p1", nil)
+	for _, e := range []*Envelope{
+		{Kind: KindPublication, Pub: pub, Sub: sub},
+		{Kind: KindPublication, Pub: pub, BIR: &BIR{RequestID: "r"}},
+		{Kind: KindPublication, Pub: pub, UnsubID: "s1"},
+		{Kind: KindSubscription, Sub: sub, Adv: adv},
+		{Kind: KindUnadvertisement, UnadvID: "a1", Adv: adv},
+		{Kind: KindBIR, BIR: &BIR{RequestID: "r"}, BIA: &BIA{RequestID: "r"}},
+	} {
+		if err := e.Validate(); err == nil {
+			t.Errorf("%v envelope with two payloads validated", e.Kind)
+		}
+		if data, err := Encode(e); err == nil {
+			t.Errorf("Encode accepted a %v envelope with two payloads: %s", e.Kind, data)
+		}
+		data, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := Decode(data); err == nil {
+			t.Errorf("Decode accepted %s as %+v", data, got)
 		}
 	}
 }

@@ -157,24 +157,23 @@ func (v Value) EncodedSize() int {
 var _ json.Marshaler = Value{}
 
 // MarshalJSON implements a compact encoding: strings marshal as JSON strings,
-// numbers as JSON numbers, bools as JSON booleans.
+// numbers as JSON numbers, bools as JSON booleans — the bytes json.Marshal
+// writes for v.Str, v.Num or v.B, through the publication writer's value
+// writer.
 func (v Value) MarshalJSON() ([]byte, error) {
-	switch v.Kind {
-	case KindString:
-		return json.Marshal(v.Str)
-	case KindNumber:
-		return json.Marshal(v.Num)
-	case KindBool:
-		return json.Marshal(v.B)
-	default:
-		return nil, fmt.Errorf("message: marshal invalid value kind %d", int(v.Kind))
-	}
+	return appendValue(nil, v)
 }
 
 var _ json.Unmarshaler = (*Value)(nil)
 
-// UnmarshalJSON implements the inverse of MarshalJSON.
+// UnmarshalJSON implements the inverse of MarshalJSON. The literals the
+// writer emits are read directly; anything else is decoded through an any,
+// with the same result either way.
 func (v *Value) UnmarshalJSON(data []byte) error {
+	if lit, ok := decodeLiteral(data); ok {
+		*v = lit
+		return nil
+	}
 	var raw any
 	if err := json.Unmarshal(data, &raw); err != nil {
 		return fmt.Errorf("message: unmarshal value: %w", err)

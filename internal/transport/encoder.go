@@ -9,17 +9,21 @@ import (
 )
 
 // FrameEncoder turns envelopes into frame payloads without a fresh
-// allocation per frame: it marshals into one persistent scratch buffer
-// through a persistent json.Encoder, then copies the result into a
-// pooled buffer the caller owns. The intended lifetime is Encode →
-// SendFrames → Release: the broker's event loop encodes a batch (one
-// payload per unique envelope/hops pair), hands the payloads to
-// gathered writes, and releases them all once every write completed.
+// allocation per frame: it writes into persistent scratch — a publication
+// through message.AppendPublication, any other kind through a persistent
+// json.Encoder — then copies the result into a pooled buffer the caller
+// owns. The intended lifetime is Encode → SendFrames → Release: the
+// broker's event loop encodes a batch (one payload per unique
+// envelope/hops pair), hands the payloads to gathered writes, and
+// releases them all once every write completed.
 //
 // Not safe for concurrent use; each owner (one event loop) keeps its
 // own encoder.
 type FrameEncoder struct {
 	pool *BufPool
+	// pub is the publication writer's scratch.
+	pub []byte
+	// buf and jenc encode every other kind.
 	buf  bytes.Buffer
 	jenc *json.Encoder
 	// out tracks every pooled payload handed out since the last Release.
@@ -38,40 +42,33 @@ func NewFrameEncoder(pool *BufPool) *FrameEncoder {
 }
 
 // Encode returns a pooled frame payload holding env's encoding with the
-// publication hop count overridden to hops: the broker core emits shared
+// publication hop count written as hops: the broker core emits shared
 // fan-out envelopes with the per-destination hop count carried beside
-// them (broker.Outgoing.Hops), applied here at encode time via a shallow
-// copy — the publication's attribute map is never cloned. The payload
-// stays valid until the next Release, which reclaims every payload
-// Encode handed out.
-//
-// Encode is not allocation-free: encoding/json costs 1 + 4 objects per
-// publication attribute (9 for two attributes) and a hop override 2 more.
-// bench's runtime.mallocs_per_delivery counts that cost; ROADMAP item 1(b)
-// is the fix.
+// them (broker.Outgoing.Hops), and the publication writer takes it as an
+// argument, so the shared publication is neither copied nor mutated. The
+// bytes are message.Encode's for the same envelope and hop count. The
+// payload stays valid until the next Release, which reclaims every
+// payload Encode handed out. Once the scratch and the pool have grown to
+// the traffic, encoding a publication allocates nothing
+// (TestFrameEncoderAllocationFree).
 func (fe *FrameEncoder) Encode(env *message.Envelope, hops int) ([]byte, error) {
-	if env.Kind == message.KindPublication && env.Pub != nil && env.Pub.Hops != hops {
-		pub := *env.Pub
-		pub.Hops = hops
-		hopped := message.Envelope{Kind: message.KindPublication, Pub: &pub}
-		return fe.encode(&hopped)
-	}
-	return fe.encode(env)
-}
-
-// encode hands out a pooled payload that joins fe.out, the encoder's
-// batch of outstanding frames; the next Release returns it to the pool.
-func (fe *FrameEncoder) encode(env *message.Envelope) ([]byte, error) {
 	if err := message.PreEncode(env); err != nil {
 		return nil, err
 	}
-	fe.buf.Reset()
-	if err := fe.jenc.Encode(env); err != nil {
+	var raw []byte
+	var err error
+	if env.Kind == message.KindPublication {
+		fe.pub, err = message.AppendPublication(fe.pub[:0], env.Pub, hops)
+		raw = fe.pub
+	} else {
+		fe.buf.Reset()
+		err = fe.jenc.Encode(env)
+		// json.Encoder appends a newline the frame must not carry.
+		raw = bytes.TrimSuffix(fe.buf.Bytes(), []byte("\n"))
+	}
+	if err != nil {
 		return nil, fmt.Errorf("transport: encode envelope: %w", err)
 	}
-	// json.Encoder appends a newline the frame must not carry.
-	raw := fe.buf.Bytes()
-	raw = raw[:len(raw)-1]
 	payload := fe.pool.Get(len(raw))
 	copy(payload, raw)
 	fe.out = append(fe.out, payload)

@@ -427,8 +427,24 @@ func TestFrameEncoderHopsOverride(t *testing.T) {
 	}
 }
 
+// codecPubs returns a 2-attribute publication one hop in and a
+// 12-attribute one, the shapes of the chain and fan-out benchmarks.
+func codecPubs() []*message.Publication {
+	two := message.NewPublication("ADV-T", 9, map[string]message.Value{
+		"symbol": message.String("SYM042"), "price": message.Number(734.21)})
+	two.Hops = 1
+	twelve := message.NewPublication("ADV-T", 9, map[string]message.Value{
+		"symbol": message.String("SYM042"), "price": message.Number(734.21), "class": message.String("STOCK"),
+		"open": message.Number(735.08), "high": message.Number(737.6), "low": message.Number(733.02),
+		"close": message.Number(734.9), "date": message.String("day-217"), "openClose%Diff": message.Number(0.0412),
+		"highLow%Diff": message.Number(0.0087), "closeEqualsLow": message.Bool(false), "closeEqualsHigh": message.Bool(true)})
+	return []*message.Publication{two, twelve}
+}
+
 // TestFrameEncoderMatchesEncode pins the frame encoder's output to
-// message.Encode byte for byte (no trailing newline, identical JSON).
+// message.Encode byte for byte (no trailing newline, identical JSON), for
+// control kinds and for publications at their own hop count and at an
+// override, which must equal Encode of a copy carrying that count.
 func TestFrameEncoderMatchesEncode(t *testing.T) {
 	fe := NewFrameEncoder(nil)
 	envs := []*message.Envelope{
@@ -449,5 +465,42 @@ func TestFrameEncoderMatchesEncode(t *testing.T) {
 			t.Fatalf("kind %v: frame encoder %q != Encode %q", env.Kind, got, want)
 		}
 	}
+	for _, pub := range codecPubs() {
+		for _, hops := range []int{pub.Hops, 0, 2, -1} {
+			hopped := *pub
+			hopped.Hops = hops
+			want, err := message.Encode(&message.Envelope{Kind: message.KindPublication, Pub: &hopped})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := fe.Encode(&message.Envelope{Kind: message.KindPublication, Pub: pub}, hops)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Fatalf("hops %d: frame encoder %q != Encode %q", hops, got, want)
+			}
+		}
+	}
 	fe.Release()
+}
+
+// TestFrameEncoderAllocationFree pins FrameEncoder.Encode + Release of
+// 2- and 12-attribute publications, at their own hop count and at an
+// override, at zero allocations once the scratch and the pool hold a frame.
+func TestFrameEncoderAllocationFree(t *testing.T) {
+	fe := NewFrameEncoder(NewBufPool())
+	for _, pub := range codecPubs() {
+		env := &message.Envelope{Kind: message.KindPublication, Pub: pub}
+		for _, hops := range []int{pub.Hops, pub.Hops + 1} {
+			if n := testing.AllocsPerRun(100, func() {
+				if _, err := fe.Encode(env, hops); err != nil {
+					t.Fatal(err)
+				}
+				fe.Release()
+			}); n != 0 {
+				t.Errorf("%d attributes at hops %d: Encode allocates %v times per frame, want 0", len(pub.Attrs), hops, n)
+			}
+		}
+	}
 }
