@@ -196,53 +196,43 @@ func BenchmarkE8CRAMAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkPartnerSearchPruned is the E8-shaped view of the summary-bound
-// pruning: CRAM on the 2k workload with bounds on and off, per search
-// mode. It reports how many of the considered closeness evaluations the
+// BenchmarkPartnerSearchPruned is the E8-shaped view of the exhaustive
+// scan's summary-bound pruning: CRAM on the 2k workload with bounds on and
+// off. It reports how many of the considered closeness evaluations the
 // bounds answered (bound_pruned vs exact_evals) and asserts the pruned run
-// produced a byte-identical plan with BoundPruned > 0 — the measurable
-// drop the tentpole promises.
+// produced a byte-identical plan with BoundPruned > 0. The poset search
+// takes no bounds, so it has no subcase here.
 func BenchmarkPartnerSearchPruned(b *testing.B) {
-	for _, mode := range []struct {
-		name       string
-		exhaustive bool
-	}{
-		{"poset", false},
-		{"exhaustive", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			in := benchInput(b)
-			var prunedTime, exactTime time.Duration
-			var st CRAMStats
-			for i := 0; i < b.N; i++ {
-				pruned := &CRAM{Metric: bitvector.MetricIOS, ExhaustiveSearch: mode.exhaustive}
-				started := time.Now()
-				ap, err := pruned.Allocate(in)
-				if err != nil {
-					b.Fatal(err)
-				}
-				prunedTime += time.Since(started)
-				exact := &CRAM{Metric: bitvector.MetricIOS, ExhaustiveSearch: mode.exhaustive, DisableBoundPruning: true}
-				started = time.Now()
-				ae, err := exact.Allocate(in)
-				if err != nil {
-					b.Fatal(err)
-				}
-				exactTime += time.Since(started)
-				if ap.Fingerprint() != ae.Fingerprint() {
-					b.Fatal("pruned plan differs from pruning-disabled plan")
-				}
-				st = pruned.Stats()
-				if st.BoundPruned == 0 {
-					b.Fatal("bound pruning never fired on the benchmark workload")
-				}
-			}
-			b.ReportMetric(float64(st.BoundPruned), "bound_pruned")
-			b.ReportMetric(float64(st.ClosenessComputations-st.BoundPruned), "exact_evals")
-			b.ReportMetric(float64(prunedTime.Milliseconds())/float64(b.N), "pruned_ms")
-			b.ReportMetric(float64(exactTime.Milliseconds())/float64(b.N), "unpruned_ms")
-		})
+	in := benchInput(b)
+	var prunedTime, exactTime time.Duration
+	var st CRAMStats
+	for i := 0; i < b.N; i++ {
+		pruned := &CRAM{Metric: bitvector.MetricIOS, ExhaustiveSearch: true}
+		started := time.Now()
+		ap, err := pruned.Allocate(in)
+		if err != nil {
+			b.Fatal(err)
+		}
+		prunedTime += time.Since(started)
+		exact := &CRAM{Metric: bitvector.MetricIOS, ExhaustiveSearch: true, DisableBoundPruning: true}
+		started = time.Now()
+		ae, err := exact.Allocate(in)
+		if err != nil {
+			b.Fatal(err)
+		}
+		exactTime += time.Since(started)
+		if ap.Fingerprint() != ae.Fingerprint() {
+			b.Fatal("pruned plan differs from pruning-disabled plan")
+		}
+		st = pruned.Stats()
+		if st.BoundPruned == 0 {
+			b.Fatal("bound pruning never fired on the benchmark workload")
+		}
 	}
+	b.ReportMetric(float64(st.BoundPruned), "bound_pruned")
+	b.ReportMetric(float64(st.ClosenessComputations-st.BoundPruned), "exact_evals")
+	b.ReportMetric(float64(prunedTime.Milliseconds())/float64(b.N), "pruned_ms")
+	b.ReportMetric(float64(exactTime.Milliseconds())/float64(b.N), "unpruned_ms")
 }
 
 // BenchmarkCRAMParallelism times the part of a run Parallelism reaches —

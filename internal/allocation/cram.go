@@ -43,15 +43,13 @@ type CRAM struct {
 	// DisableOneToMany turns off optimization 3.
 	DisableOneToMany bool
 	// DisableBoundPruning turns off the summary-based closeness upper
-	// bounds in both partner searches (poset BFS and exhaustive scan),
+	// bounds of the exhaustive partner scan (and with them its shards),
 	// forcing every considered evaluation to run the exact metric. The
 	// bounds are admissible, so the returned plan and every other stat are
 	// bit-for-bit identical either way (the equivalence tests assert this);
 	// the knob exists for those tests and for measuring the pruning win.
+	// The poset search takes no bounds.
 	DisableBoundPruning bool
-	// MaxIterations caps the clustering loop as a safety net; 0 means
-	// 64×(initial group count), far beyond any convergent run.
-	MaxIterations int
 	// Parallelism caps the worker count of the one loop that fans out: the
 	// seed phase, which runs every GIF's first partner search, one whole
 	// search per work item, before anything has been clustered. Everything
@@ -83,6 +81,11 @@ type CRAM struct {
 	// SpillDir receives the spill run files ("" = the OS temp dir).
 	SpillDir string
 
+	// maxIterations, when positive, replaces the clustering loop's safety
+	// cap of 64×(initial group count + 1), far beyond any convergent run;
+	// in-package tests set it to stop a run after k iterations.
+	maxIterations int
+
 	stats CRAMStats
 }
 
@@ -101,15 +104,17 @@ type CRAMStats struct {
 	// ClosenessComputations counts closeness evaluations across all
 	// partner searches. This is the counter behind the paper's E8
 	// closeness-computation column; set-cover bookkeeping is tallied
-	// separately in CoverComputations. Evaluations answered by a summary
-	// upper bound rather than an exact metric computation are included —
-	// the counter tracks how many pairings the searches considered, so the
-	// E8 tables read the same whether bound pruning is on or off; the
-	// exact-evaluation count is ClosenessComputations − BoundPruned.
+	// separately in CoverComputations. Evaluations the exhaustive scan
+	// answered by a summary upper bound rather than an exact metric
+	// computation are included — the counter tracks how many pairings the
+	// searches considered, so the E8 tables read the same whether bound
+	// pruning is on or off; the exact-evaluation count is
+	// ClosenessComputations − BoundPruned.
 	ClosenessComputations int
-	// BoundPruned counts the considered closeness evaluations that were
-	// answered by a ClosenessUpperBound instead of an exact metric call
-	// (always 0 with DisableBoundPruning set).
+	// BoundPruned counts the exhaustive scan's considered closeness
+	// evaluations that were answered by a ClosenessUpperBound instead of an
+	// exact metric call (always 0 in poset mode or with DisableBoundPruning
+	// set).
 	BoundPruned int
 	// CoverComputations counts the DiffCount evaluations of the greedy
 	// set cover in one-to-many clustering (Optimization 3). Previously
@@ -555,7 +560,7 @@ func (c *CRAM) start(in *Input) (*cramRun, error) {
 // candidates, then the final pack of the pool it leaves.
 func (r *cramRun) cluster() (*Assignment, error) {
 	c := r.c
-	maxIter := c.MaxIterations
+	maxIter := c.maxIterations
 	if maxIter <= 0 {
 		maxIter = 64 * (len(r.gifs) + 1)
 	}
@@ -656,9 +661,9 @@ func (r *cramRun) pushBest(g *gif) {
 }
 
 // bestPartner computes the GIF's best admissible partner, the number of
-// closeness evaluations the search considered, how many of those were
-// answered by a summary bound instead of an exact metric call, and how
-// many shards the sharded scan discarded wholesale — all without
+// closeness evaluations the search considered, how many of those the
+// exhaustive scan answered by a summary bound instead of an exact metric
+// call, and how many shards the sharded scan discarded wholesale — all without
 // touching run state beyond the caller's scan scratch, so the seed phase can
 // run the searches of distinct GIFs on different workers. The exhaustive
 // scan reduces in GIF-ID order, first strict maximum winning, so the
@@ -675,11 +680,10 @@ func (r *cramRun) bestPartner(g *gif, scan *scanScratch) (best *candidate, comps
 		}
 	}
 	if !r.exhaustive {
-		res := r.ps.SearchClosestOpts(g.profile, r.c.Metric, func(n *poset.Node) bool {
+		res := r.ps.SearchClosest(g.profile, r.c.Metric, func(n *poset.Node) bool {
 			return n.ID == g.id || r.blacklisted(g.id, n.ID)
-		}, true, !r.c.DisableBoundPruning)
+		})
 		comps += res.Computations
-		pruned += res.BoundPruned
 		if res.Best != nil && res.Closeness > 0 && (best == nil || res.Closeness > best.closeness) {
 			best = &candidate{gifID: g.id, partnerID: res.Best.ID, closeness: res.Closeness}
 		}

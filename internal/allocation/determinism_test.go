@@ -1,7 +1,6 @@
 package allocation
 
 import (
-	"fmt"
 	"testing"
 
 	"github.com/greenps/greenps/internal/bitvector"
@@ -24,10 +23,10 @@ func TestCRAMXorDeterministicAcrossRuns(t *testing.T) {
 }
 
 // TestCRAMBoundPruningEquivalence is the contract behind the summary
-// bounds: pruned runs must produce byte-identical plans — and identical
-// stats apart from BoundPruned itself — to runs with every closeness
-// evaluation exact, across metrics and both search modes. Somewhere in the
-// sweep the bounds must actually fire, or the knob is testing nothing.
+// bounds of the exhaustive scan: pruned runs must produce byte-identical
+// plans — and identical stats apart from BoundPruned itself — to runs with
+// every closeness evaluation exact, across metrics. Somewhere in the sweep
+// the bounds must actually fire, or the knob is testing nothing.
 func TestCRAMBoundPruningEquivalence(t *testing.T) {
 	in := stdInput(t)
 	totalPruned := 0
@@ -35,34 +34,32 @@ func TestCRAMBoundPruningEquivalence(t *testing.T) {
 		bitvector.MetricIntersect, bitvector.MetricXor,
 		bitvector.MetricIOS, bitvector.MetricIOU,
 	} {
-		for _, exhaustive := range []bool{false, true} {
-			name := fmt.Sprintf("%v-exhaustive=%v", metric, exhaustive)
-			pruned := &CRAM{Metric: metric, ExhaustiveSearch: exhaustive}
-			ap, err := pruned.Allocate(in)
-			if err != nil {
-				t.Fatalf("%s pruned: %v", name, err)
-			}
-			exact := &CRAM{Metric: metric, ExhaustiveSearch: exhaustive, DisableBoundPruning: true}
-			ae, err := exact.Allocate(in)
-			if err != nil {
-				t.Fatalf("%s exact: %v", name, err)
-			}
-			if ap.Fingerprint() != ae.Fingerprint() {
-				t.Errorf("%s: pruned plan differs from pruning-disabled plan", name)
-			}
-			ps, es := pruned.Stats(), exact.Stats()
-			if es.BoundPruned != 0 {
-				t.Errorf("%s: BoundPruned=%d with pruning disabled", name, es.BoundPruned)
-			}
-			totalPruned += ps.BoundPruned
-			ps.BoundPruned = 0
-			if ps != es {
-				t.Errorf("%s: stats differ beyond BoundPruned:\n pruned %+v\n  exact %+v", name, ps, es)
-			}
+		name := metric.String()
+		pruned := &CRAM{Metric: metric, ExhaustiveSearch: true}
+		ap, err := pruned.Allocate(in)
+		if err != nil {
+			t.Fatalf("%s pruned: %v", name, err)
+		}
+		exact := &CRAM{Metric: metric, ExhaustiveSearch: true, DisableBoundPruning: true}
+		ae, err := exact.Allocate(in)
+		if err != nil {
+			t.Fatalf("%s exact: %v", name, err)
+		}
+		if ap.Fingerprint() != ae.Fingerprint() {
+			t.Errorf("%s: pruned plan differs from pruning-disabled plan", name)
+		}
+		ps, es := pruned.Stats(), exact.Stats()
+		if es.BoundPruned != 0 {
+			t.Errorf("%s: BoundPruned=%d with pruning disabled", name, es.BoundPruned)
+		}
+		totalPruned += ps.BoundPruned
+		ps.BoundPruned = 0
+		if ps != es {
+			t.Errorf("%s: stats differ beyond BoundPruned:\n pruned %+v\n  exact %+v", name, ps, es)
 		}
 	}
 	if totalPruned == 0 {
-		t.Error("bound pruning never fired across any metric or search mode")
+		t.Error("bound pruning never fired for any metric")
 	}
 }
 

@@ -28,7 +28,7 @@ func TestCRAMGolden(t *testing.T) {
 		{
 			name: "poset", cram: CRAM{Metric: bitvector.MetricIOS},
 			stats: CRAMStats{InitialUnits: 2000, InitialGIFs: 1210, FinalUnits: 61,
-				ClosenessComputations: 181204, BoundPruned: 110003, CoverComputations: 11206, PackAttempts: 1381,
+				ClosenessComputations: 181204, CoverComputations: 11206, PackAttempts: 1381,
 				ClustersAccepted: 1053, ClustersRejected: 147, OneToManyApplied: 103},
 			plan: "175bc7c98af9a0d9",
 		},

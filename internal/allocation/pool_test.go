@@ -90,7 +90,7 @@ func TestPoolInvariantsAfterEveryCommit(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			mk := func(maxIter int) *CRAM {
 				return &CRAM{Metric: bitvector.MetricIOS, ExhaustiveSearch: tc.exhaustive,
-					DisableGIFGrouping: tc.noGrouping, MaxIterations: maxIter}
+					DisableGIFGrouping: tc.noGrouping, maxIterations: maxIter}
 			}
 			full := mk(0)
 			if _, _, err := full.run(in); err != nil {

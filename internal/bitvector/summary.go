@@ -1,9 +1,9 @@
 package bitvector
 
 // This file implements the cheap closeness upper bounds that let CRAM's
-// partner search skip exact Closeness evaluations which provably cannot
-// beat the current best candidate (DESIGN.md §9). A Summary condenses a
-// profile to O(publishers) integers; ClosenessUpperBound combines two
+// exhaustive partner scan skip exact Closeness evaluations which provably
+// cannot beat the current best candidate (DESIGN.md §9). A Summary
+// condenses a profile to O(publishers) integers; ClosenessUpperBound combines two
 // summaries into an admissible bound — never below the true closeness —
 // in a merge walk over the sorted publisher lists, with no per-bit work.
 
@@ -18,7 +18,7 @@ type pubSummary struct {
 // Summary is an immutable condensed view of a Profile taken at a point in
 // time: per-publisher set-bit counts and window bounds, plus the total.
 // It is invalidated by any mutation of the underlying profile — callers
-// (CRAM's gif bookkeeping, poset nodes) re-Summarize after merging.
+// (CRAM's gif bookkeeping) re-Summarize after merging.
 //
 // Concurrency: a Summary is never mutated after Summarize returns, so any
 // number of goroutines may use it concurrently.

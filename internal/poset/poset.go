@@ -35,11 +35,6 @@ type Node struct {
 	// Payload carries the caller's value (CRAM stores the *GIF here).
 	Payload any
 
-	// summary condenses Profile for the bound-based search pruning; taken
-	// once at Insert, so the profile must not be mutated while the node is
-	// in the poset (CRAM replaces nodes on merge rather than mutating).
-	summary *bitvector.Summary
-
 	// parents and children are the covering edges, each sorted by ID (IDs
 	// are unique within a poset). The slices are copy-on-write — link and
 	// unlink install a fresh slice and never write to an installed one — so
@@ -183,7 +178,7 @@ func (p *Poset) Insert(id string, prof *bitvector.Profile, payload any) (*Node, 
 	if prof == nil || prof.Empty() {
 		return nil, fmt.Errorf("poset: node %q has an empty profile", id)
 	}
-	n := &Node{ID: id, Profile: prof, Payload: payload, summary: bitvector.Summarize(prof)}
+	n := &Node{ID: id, Profile: prof, Payload: payload}
 
 	parents, equal := p.findParents(prof)
 	if equal != nil {
@@ -401,20 +396,13 @@ type SearchResult struct {
 	Best *Node
 	// Closeness is Best's metric value.
 	Closeness float64
-	// Computations counts the closeness evaluations the search considered.
-	// Evaluations answered by a summary bound instead of an exact metric
-	// computation are included, so the count is stable whether or not bound
-	// pruning is enabled; subtract BoundPruned for the exact-only count.
+	// Computations counts the closeness evaluations the search made.
 	Computations int
-	// BoundPruned counts the considered evaluations that were answered by
-	// a ClosenessUpperBound instead of an exact Closeness call.
-	BoundPruned int
 }
 
-// SearchClosest is SearchClosestOpts as the paper runs it: both prunings and
-// the summary bounds on.
+// SearchClosest is SearchClosestOpts as the paper runs it: both prunings on.
 func (p *Poset) SearchClosest(query *bitvector.Profile, metric bitvector.Metric, skip func(*Node) bool) SearchResult {
-	return p.SearchClosestOpts(query, metric, skip, true, true)
+	return p.SearchClosestOpts(query, metric, skip, true)
 }
 
 // SearchClosestOpts finds the admissible node with the highest closeness to
@@ -442,35 +430,9 @@ func (p *Poset) SearchClosest(query *bitvector.Profile, metric bitvector.Metric,
 //     miss the true maximum, trading exactness for the large search-space
 //     reduction the paper reports. The pruned child itself is still
 //     considered as a candidate.
-//
-// With useBounds, a child's summary-based ClosenessUpperBound is taken first
-// and stands in for the exact metric when the exact value provably cannot
-// matter — two cases, both no-ops on the result:
-//
-//   - ub == 0: the bound is admissible, so the closeness is exactly 0 and
-//     zero pruning fires just as it would after an exact call.
-//   - ub strictly below BOTH the parent's closeness and the best closeness
-//     found on earlier levels: decrease pruning stops the descent, and the
-//     node cannot displace the incumbent (its closeness is strictly lower),
-//     so neither the next level nor the candidate changes.
-//
-// The second test reads the best as it stood when the level began, not the
-// running one, so BoundPruned — which CRAMStats and BENCH_scale.json record
-// — depends on the poset's shape and not on the order within a level. Best,
-// Closeness and Computations are the same with and without useBounds
-// (CRAM's DisableBoundPruning knob and the equivalence tests behind it);
-// only BoundPruned and wall-clock differ.
-func (p *Poset) SearchClosestOpts(query *bitvector.Profile, metric bitvector.Metric, skip func(*Node) bool, pruneDecreasing, useBounds bool) SearchResult {
+func (p *Poset) SearchClosestOpts(query *bitvector.Profile, metric bitvector.Metric, skip func(*Node) bool, pruneDecreasing bool) SearchResult {
 	var res SearchResult
 	prunable := metric != bitvector.MetricXor
-
-	// Bound pruning needs the query's summary; XOR is excluded because its
-	// search never prunes (an XOR bound can't rule out descent, and every
-	// node stays a candidate).
-	var qsum *bitvector.Summary
-	if useBounds && prunable {
-		qsum = bitvector.Summarize(query)
-	}
 
 	type item struct {
 		node      *Node
@@ -479,22 +441,12 @@ func (p *Poset) SearchClosestOpts(query *bitvector.Profile, metric bitvector.Met
 	seen := p.newVisited()
 	level, next := []item{{node: p.root}}, []item(nil)
 	for rootLevel := true; len(level) > 0; rootLevel = false {
-		levelBest, haveBest := res.Closeness, res.Best != nil
 		for _, it := range level {
 			for _, ch := range it.node.Children() {
 				if !seen.mark(ch) {
 					continue
 				}
 				res.Computations++
-				if qsum != nil {
-					ub := bitvector.ClosenessUpperBound(metric, qsum, ch.summary)
-					if ub == 0 ||
-						(pruneDecreasing && !rootLevel && haveBest &&
-							ub < it.closeness && ub < levelBest) {
-						res.BoundPruned++
-						continue
-					}
-				}
 				c := bitvector.Closeness(metric, query, ch.Profile)
 				if prunable && c == 0 {
 					continue // empty relation: all descendants empty too
