@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 
 	"github.com/greenps/greenps/internal/analysis"
@@ -31,8 +32,8 @@ func TestRenderJSONGolden(t *testing.T) {
 		},
 		{
 			Pos:      token.Position{Filename: "internal/demo/b.go", Line: 40, Column: 17},
-			Analyzer: "errflow",
-			Message:  `error assigned to err is dropped on some path to return; handle it on every path or justify with //greenvet:errdrop-ok "why"`,
+			Analyzer: "lockcheck-ip",
+			Message:  `Conn.wmu may be held (acquired at line 31) across Buffers.WriteTo (blocking I/O); a blocked holder stalls every contender — release the lock first or justify with //greenvet:lock-ok`,
 		},
 	}
 	cases := []struct {
@@ -68,7 +69,7 @@ func TestRenderJSONGolden(t *testing.T) {
 
 // TestReadmeAnalyzerCount fails when the README's Linting section
 // disagrees with the compiled suite: every analyzer must have a table
-// row, no row may name a dropped analyzer, and the prose count ("four
+// row, no row may name a dropped analyzer, and the prose count ("three
 // custom analyzers") must match len(Suite()). This is the doc-drift
 // gate CI runs alongside the suite itself.
 func TestReadmeAnalyzerCount(t *testing.T) {
@@ -107,5 +108,29 @@ func TestReadmeAnalyzerCount(t *testing.T) {
 	}
 	if !bytes.Contains(data, []byte(word+" custom analyzers")) {
 		t.Errorf("README prose does not say %q analyzers; update the Linting intro", word)
+	}
+}
+
+// TestCensusAnalyzerRows fails when an analyzer in the suite has no row
+// in EXPERIMENTS.md's "Surviving mechanisms" table: every repo-added
+// mechanism, each analyzer included, earns a census row or goes.
+func TestCensusAnalyzerRows(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatalf("reading EXPERIMENTS.md: %v", err)
+	}
+	_, rest, ok := strings.Cut(string(data), "**Surviving mechanisms**")
+	if !ok {
+		t.Fatal(`EXPERIMENTS.md has no "Surviving mechanisms" table`)
+	}
+	surviving, _, _ := strings.Cut(rest, "**Deleted mechanisms**")
+	rows := make(map[string]bool)
+	for _, m := range regexp.MustCompile("(?m)^\\| `([a-z-]+)` ").FindAllStringSubmatch(surviving, -1) {
+		rows[m[1]] = true
+	}
+	for _, a := range analysis.Suite() {
+		if !rows[a.Name] {
+			t.Errorf("analyzer %q has no row in EXPERIMENTS.md's Surviving mechanisms table", a.Name)
+		}
 	}
 }

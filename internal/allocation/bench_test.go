@@ -214,7 +214,7 @@ func BenchmarkPartnerSearchPruned(b *testing.B) {
 			b.Fatal(err)
 		}
 		prunedTime += time.Since(started)
-		exact := &CRAM{Metric: bitvector.MetricIOS, ExhaustiveSearch: true, DisableBoundPruning: true}
+		exact := &CRAM{Metric: bitvector.MetricIOS, ExhaustiveSearch: true, disableBoundPruning: true}
 		started = time.Now()
 		ae, err := exact.Allocate(in)
 		if err != nil {

@@ -42,14 +42,6 @@ type CRAM struct {
 	ExhaustiveSearch bool
 	// DisableOneToMany turns off optimization 3.
 	DisableOneToMany bool
-	// DisableBoundPruning turns off the summary-based closeness upper
-	// bounds of the exhaustive partner scan (and with them its shards),
-	// forcing every considered evaluation to run the exact metric. The
-	// bounds are admissible, so the returned plan and every other stat are
-	// bit-for-bit identical either way (the equivalence tests assert this);
-	// the knob exists for those tests and for measuring the pruning win.
-	// The poset search takes no bounds.
-	DisableBoundPruning bool
 	// Parallelism caps the worker count of the one loop that fans out: the
 	// seed phase, which runs every GIF's first partner search, one whole
 	// search per work item, before anything has been clustered. Everything
@@ -85,6 +77,13 @@ type CRAM struct {
 	// cap of 64×(initial group count + 1), far beyond any convergent run;
 	// in-package tests set it to stop a run after k iterations.
 	maxIterations int
+	// disableBoundPruning turns off the summary-based closeness upper
+	// bounds of the exhaustive partner scan (and with them its shards),
+	// forcing every considered evaluation to run the exact metric. The
+	// bounds are admissible, so the returned plan and every other stat are
+	// bit-for-bit identical either way; in-package equivalence tests and
+	// BenchmarkPartnerSearchPruned set it. The poset search takes no bounds.
+	disableBoundPruning bool
 
 	stats CRAMStats
 }
@@ -113,8 +112,8 @@ type CRAMStats struct {
 	ClosenessComputations int
 	// BoundPruned counts the exhaustive scan's considered closeness
 	// evaluations that were answered by a ClosenessUpperBound instead of an
-	// exact metric call (always 0 in poset mode or with DisableBoundPruning
-	// set).
+	// exact metric call (always 0 in poset mode or with the bounds
+	// disabled).
 	BoundPruned int
 	// CoverComputations counts the DiffCount evaluations of the greedy
 	// set cover in one-to-many clustering (Optimization 3). Previously
@@ -499,7 +498,7 @@ func (c *CRAM) start(in *Input) (*cramRun, error) {
 
 	// Shard the pool for wholesale envelope pruning of the exhaustive
 	// scan (DESIGN.md §14). The shard count is fixed for the run.
-	if r.exhaustive && !c.DisableBoundPruning {
+	if r.exhaustive && !c.disableBoundPruning {
 		r.shards = newShardSet(shardCount(c.Shards, len(r.gifs)))
 		if r.shards != nil {
 			for _, id := range r.sortedGIFIDs() {
@@ -713,7 +712,7 @@ func (r *cramRun) bestPartner(g *gif, scan *scanScratch) (best *candidate, comps
 		skip[i] = id == g.id || r.blacklisted(g.id, id)
 	}
 	anchor, anchorC := -1, 0.0
-	if r.c.DisableBoundPruning {
+	if r.c.disableBoundPruning {
 		ubs = nil
 	} else {
 		anchor, anchorC = r.boundPruneScan(g, ids, skip, ubs, t0)

@@ -40,7 +40,7 @@ func TestCRAMBoundPruningEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s pruned: %v", name, err)
 		}
-		exact := &CRAM{Metric: metric, ExhaustiveSearch: true, DisableBoundPruning: true}
+		exact := &CRAM{Metric: metric, ExhaustiveSearch: true, disableBoundPruning: true}
 		ae, err := exact.Allocate(in)
 		if err != nil {
 			t.Fatalf("%s exact: %v", name, err)

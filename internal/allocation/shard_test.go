@@ -133,7 +133,7 @@ func TestCRAMShardedMatchesUnsharded(t *testing.T) {
 // sharding must never engage, whatever Shards says.
 func TestCRAMShardBoundsDisabled(t *testing.T) {
 	in := stdInput(t)
-	c := &CRAM{Metric: bitvector.MetricIOS, ExhaustiveSearch: true, Shards: 16, DisableBoundPruning: true}
+	c := &CRAM{Metric: bitvector.MetricIOS, ExhaustiveSearch: true, Shards: 16, disableBoundPruning: true}
 	ref := &CRAM{Metric: bitvector.MetricIOS, ExhaustiveSearch: true, Shards: 1}
 	ca, err := c.Allocate(in)
 	if err != nil {
@@ -144,10 +144,10 @@ func TestCRAMShardBoundsDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c.Stats().ShardsPruned != 0 {
-		t.Errorf("DisableBoundPruning run pruned %d shards", c.Stats().ShardsPruned)
+		t.Errorf("disableBoundPruning run pruned %d shards", c.Stats().ShardsPruned)
 	}
 	if c.Stats().BoundPruned != 0 {
-		t.Errorf("DisableBoundPruning run bound-pruned %d pairs", c.Stats().BoundPruned)
+		t.Errorf("disableBoundPruning run bound-pruned %d pairs", c.Stats().BoundPruned)
 	}
 	if ca.Fingerprint() != ra.Fingerprint() {
 		t.Errorf("fingerprints differ with pruning disabled: %s != %s", ca.Fingerprint(), ra.Fingerprint())

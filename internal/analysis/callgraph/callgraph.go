@@ -2,8 +2,10 @@
 // packages and computes bottom-up per-function summaries (may-block,
 // acquired locks, nondeterminism taint) with fixpoint iteration over
 // strongly connected components, so recursion and mutual recursion
-// converge. It is the interprocedural substrate under lockcheck's
-// whole-program half and detflow.
+// converge. Its per-body lockset analysis is the tree's only one: besides
+// the summaries it records the locks held at every call and blocking
+// operation, which lockcheck classifies. It is the interprocedural
+// substrate under lockcheck and detflow.
 //
 // Resolution policy (see DESIGN.md §13 for the full soundness argument):
 //
@@ -76,6 +78,9 @@ type Node struct {
 	Edges []*Edge
 	// Summary holds the node's interprocedural facts after Summarize.
 	Summary *Summary
+	// HeldSites lists, in block order, every blocking candidate in the
+	// body reached with locks that may be held (filled by Summarize).
+	HeldSites []HeldSite
 
 	sig   *types.Signature
 	facts *localFacts // cached per-body local scan (summary.go)

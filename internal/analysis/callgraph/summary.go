@@ -171,72 +171,64 @@ func localScan(n *Node) *localFacts {
 	if scope.IsTelemetry(n.Pkg.Path) && n.sig != nil && n.sig.Results().Len() > 0 {
 		f.taintPolicy = "telemetry read"
 	}
-	commOf := selectComms(n.Body)
-	block := func(desc string) {
-		if f.blockDesc == "" {
-			f.blockDesc = desc
-		}
-	}
+	comms := selectComms(n.Body)
 	ast.Inspect(n.Body, func(m ast.Node) bool {
-		switch x := m.(type) {
-		case *ast.FuncLit:
+		if _, ok := m.(*ast.FuncLit); ok {
 			return false
-		case *ast.SendStmt:
-			if commOf[ast.Node(x)] == nil {
-				block("channel send")
-			}
-		case *ast.UnaryExpr:
-			if x.Op == token.ARROW && commOf[ast.Node(x)] == nil {
-				block("channel receive")
-			}
-		case *ast.SelectStmt:
-			if !cfg.HasDefault(x) {
-				block("select without default")
-			}
-		case *ast.RangeStmt:
-			if t := n.Pkg.Info.TypeOf(x.X); t != nil {
-				if _, ok := t.Underlying().(*types.Chan); ok {
-					block("range over channel")
-				}
-			}
+		}
+		if desc, ok := blockingOp(n.Pkg.Info, m); ok && !comms[m] && f.blockDesc == "" {
+			f.blockDesc = desc
 		}
 		return true
 	})
 	return f
 }
 
-// selectComms maps each communication operation appearing in a select's
-// comm position (the SendStmt, or the receive's UnaryExpr) to its
-// select statement, so the body scan can tell guarded attempts from
-// bare blocking operations.
-func selectComms(body *ast.BlockStmt) map[ast.Node]*ast.SelectStmt {
-	out := make(map[ast.Node]*ast.SelectStmt)
+// blockingOp classifies the operations that block the goroutine by
+// themselves: a channel send or receive, a select without default and a
+// range over a channel. Calls are classified by their callees instead.
+func blockingOp(info *types.Info, m ast.Node) (string, bool) {
+	switch x := m.(type) {
+	case *ast.SendStmt:
+		return "channel send", true
+	case *ast.UnaryExpr:
+		if x.Op == token.ARROW {
+			return "channel receive", true
+		}
+	case *ast.SelectStmt:
+		if !cfg.HasDefault(x) {
+			return "select without default", true
+		}
+	case *ast.RangeStmt:
+		if t := info.TypeOf(x.X); t != nil {
+			if _, ok := t.Underlying().(*types.Chan); ok {
+				return "range over channel", true
+			}
+		}
+	}
+	return "", false
+}
+
+// selectComms collects each select clause's comm statement and the
+// send or receive at its top: the select, not the comm, is where the
+// goroutine blocks.
+func selectComms(body *ast.BlockStmt) map[ast.Node]bool {
+	out := make(map[ast.Node]bool)
 	ast.Inspect(body, func(m ast.Node) bool {
 		if _, ok := m.(*ast.FuncLit); ok {
 			return false
 		}
-		sel, ok := m.(*ast.SelectStmt)
-		if !ok {
+		cc, ok := m.(*ast.CommClause)
+		if !ok || cc.Comm == nil {
 			return true
 		}
-		for _, cl := range sel.Body.List {
-			cc, ok := cl.(*ast.CommClause)
-			if !ok || cc.Comm == nil {
-				continue
-			}
-			switch c := cc.Comm.(type) {
-			case *ast.SendStmt:
-				out[c] = sel
-			case *ast.ExprStmt:
-				if u, ok := unparen(c.X).(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-					out[u] = sel
-				}
-			case *ast.AssignStmt:
-				for _, r := range c.Rhs {
-					if u, ok := unparen(r).(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-						out[u] = sel
-					}
-				}
+		out[cc.Comm] = true
+		switch c := cc.Comm.(type) {
+		case *ast.ExprStmt:
+			out[unparen(c.X)] = true
+		case *ast.AssignStmt:
+			for _, r := range c.Rhs {
+				out[unparen(r)] = true
 			}
 		}
 		return true
@@ -244,8 +236,25 @@ func selectComms(body *ast.BlockStmt) map[ast.Node]*ast.SelectStmt {
 	return out
 }
 
+// HeldSite is a call, channel send or receive, select without default or
+// range over a channel reached with locks that may be held. Op describes
+// a channel operation; it is empty for a call, whose blocking depends on
+// its callees' summaries.
+type HeldSite struct {
+	Node ast.Node
+	Op   string
+	Held []HeldLock
+}
+
+// HeldLock is one lock that may be held at a site, with the position
+// where it was last acquired on some path reaching the site.
+type HeldLock struct {
+	Root     string
+	Acquired token.Pos
+}
+
 // lockset maps a lock's canonical root to its latest acquisition position
-// on some path (may-analysis, matching lockcheck's semantics).
+// on some path (may-analysis).
 type lockset map[string]token.Pos
 
 func (ls lockset) clone() lockset {
@@ -256,13 +265,15 @@ func (ls lockset) clone() lockset {
 	return out
 }
 
-// lockPre runs the intraprocedural lockset analysis over one body,
-// recording (a) the lock roots the function acquires, (b) direct nested
-// acquisition order edges, and (c) the may-held lockset at every
-// resolved call site (Edge.Held) — the inputs the fixpoint and the
-// order composition build on. Go and defer statements are skipped just
-// as in lockcheck: a spawned body runs outside the critical section and
-// deferred calls run at exit.
+// lockPre runs the intraprocedural lockset analysis over one body: a
+// forward may-analysis whose join is union, so a lock counts as held at
+// a merge if any incoming path holds it. A sweep over the stable
+// in-facts then records (a) the lock roots the function acquires, (b)
+// direct nested acquisition order edges, (c) the may-held lockset at
+// every resolved call site (Edge.Held) and (d) the body's HeldSites.
+// Go and defer statements are skipped: a spawned body runs outside the
+// critical section, and deferred calls — `defer mu.Unlock()` included —
+// run at exit, so a deferred unlock keeps its lock held to the end.
 func (g *Graph) lockPre(n *Node) {
 	graph := cfg.New(n.Body)
 	analysis := cfg.Analysis[lockset]{
@@ -296,6 +307,8 @@ func (g *Graph) lockPre(n *Node) {
 		},
 	}
 	in := cfg.Forward(graph, analysis)
+	comms := selectComms(n.Body)
+	n.HeldSites = nil
 	for _, b := range graph.Blocks {
 		fact, ok := in[b]
 		if !ok {
@@ -303,13 +316,19 @@ func (g *Graph) lockPre(n *Node) {
 		}
 		cur := fact.clone()
 		for _, node := range b.Nodes {
+			mark := len(n.HeldSites)
 			g.applyLocks(n, node, cur, true)
+			if comms[node] {
+				// The select blocks, not its comm: keep the comm's lock
+				// effects and Edge.Held, drop its sites.
+				n.HeldSites = n.HeldSites[:mark]
+			}
 		}
 	}
 }
 
 // applyLocks applies one CFG node's lock effects; when record is true it
-// also stamps Edge.Held and collects acquires/order edges.
+// also collects acquires, order edges, Edge.Held and held sites.
 func (g *Graph) applyLocks(n *Node, node ast.Node, ls lockset, record bool) {
 	switch node.(type) {
 	case *ast.DeferStmt, *ast.GoStmt:
@@ -318,6 +337,11 @@ func (g *Graph) applyLocks(n *Node, node ast.Node, ls lockset, record bool) {
 	cfg.InspectShallow(node, func(m ast.Node) bool {
 		call, ok := m.(*ast.CallExpr)
 		if !ok {
+			if record && len(ls) > 0 {
+				if desc, ok := blockingOp(n.Pkg.Info, m); ok {
+					n.HeldSites = append(n.HeldSites, HeldSite{Node: m, Op: desc, Held: ls.held()})
+				}
+			}
 			return true
 		}
 		if root, op, ok := LockOp(n.Pkg, call); ok {
@@ -341,19 +365,30 @@ func (g *Graph) applyLocks(n *Node, node ast.Node, ls lockset, record bool) {
 			return false
 		}
 		if record && len(ls) > 0 {
-			held := make([]string, 0, len(ls))
-			for root := range ls {
-				held = append(held, root)
+			site := HeldSite{Node: call, Held: ls.held()}
+			roots := make([]string, len(site.Held))
+			for i, h := range site.Held {
+				roots[i] = h.Root
 			}
-			sort.Strings(held)
 			for _, e := range g.CallEdges[call] {
 				if !e.Go && !e.Defer && e.Held == nil {
-					e.Held = held
+					e.Held = roots
 				}
 			}
+			n.HeldSites = append(n.HeldSites, site)
 		}
 		return true
 	})
+}
+
+// held lists the lockset sorted by root.
+func (ls lockset) held() []HeldLock {
+	out := make([]HeldLock, 0, len(ls))
+	for root, pos := range ls {
+		out = append(out, HeldLock{Root: root, Acquired: pos})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Root < out[j].Root })
+	return out
 }
 
 // composeOrder extends the direct order edges with call-chain

@@ -1,7 +1,7 @@
 // Package cfg builds intraprocedural control-flow graphs from go/ast
-// function bodies and provides a small fixpoint solver over them, the
-// dataflow layer under greenvet's path-sensitive analyzers (lockcheck,
-// errflow — DESIGN.md §11).
+// function bodies and provides a small forward fixpoint solver over them,
+// the dataflow layer under the call graph's lockset analysis, which
+// lockcheck reads (DESIGN.md §11).
 //
 // The design mirrors golang.org/x/tools/go/cfg (reimplemented here
 // because the module tree is offline): a Graph is a set of basic Blocks;
@@ -18,11 +18,9 @@
 //
 // Terminators: a return edges to the synthetic Exit block; a call to the
 // panic builtin ends its block with no successors (panic abandons normal
-// control flow, so path properties like "this error reaches the exit
-// unread" deliberately ignore panicking paths). Falling off the end of
-// the body edges to Exit. Defer statements stay in their blocks and are
-// additionally collected in Graph.Defers, since deferred work observes
-// the function's exit regardless of which path reached it.
+// control flow). Falling off the end of the body edges to Exit. Defer
+// and go statements stay in their blocks as plain nodes; what they mean
+// is the analysis's business.
 package cfg
 
 import (
@@ -56,9 +54,6 @@ type Graph struct {
 	// Exit is the synthetic exit block (no nodes). Every return and
 	// every fall-off-the-end path edges here.
 	Exit *Block
-	// Defers collects the function's defer statements in source order;
-	// their effects apply at every exit.
-	Defers []*ast.DeferStmt
 }
 
 // Entry returns the entry block.
@@ -158,9 +153,6 @@ func (b *builder) stmt(s ast.Stmt) {
 	case nil, *ast.EmptyStmt:
 	case *ast.BlockStmt:
 		b.stmts(st.List)
-	case *ast.DeferStmt:
-		b.g.Defers = append(b.g.Defers, st)
-		b.add(st)
 	case *ast.ReturnStmt:
 		b.add(st)
 		b.edgeToExit()
@@ -186,7 +178,7 @@ func (b *builder) stmt(s ast.Stmt) {
 	case *ast.SelectStmt:
 		b.selectStmt(st, nil)
 	default:
-		// Assign, Decl, IncDec, Send, Go: straight-line nodes.
+		// Assign, Decl, IncDec, Send, Go, Defer: straight-line nodes.
 		b.add(s)
 	}
 }

@@ -1,10 +1,9 @@
-// Package lockcheck tracks sync.Mutex/RWMutex locksets through each
-// function's control-flow graph and reports two classes of hazard:
+// Package lockcheck reports two classes of sync.Mutex/RWMutex hazard:
 //
 //  1. A lock held across a blocking operation — a channel send/receive,
-//     a default-less select, a Wait-style join, a sleep, a call into the
-//     wire layers (net, bufio, io, transport.Conn, client.Client), or,
-//     since the interprocedural upgrade, a call to ANY function whose
+//     a default-less select, a range over a channel, a Wait-style join,
+//     a sleep, a call into the wire layers (net, bufio, io,
+//     transport.Conn, client.Client), or a call to any function whose
 //     summary says it may transitively block, however many calls deep
 //     the actual operation sits. A goroutine that blocks while holding
 //     a mutex stalls every contender for as long as the operation
@@ -20,25 +19,20 @@
 //     individually fine; together they are the classic two-thread
 //     deadlock, and no test run is guaranteed to interleave into it.
 //
-// The per-function lockset analysis is a forward may-analysis: at a
-// merge point a lock counts as held if any incoming path holds it, so a
-// report reads "may be held". Deferred unlocks deliberately do not clear
-// the lockset — `defer mu.Unlock()` keeps the lock until the function
-// returns, which is exactly the window the analysis measures. One report
-// is issued per (lock, function): a //greenvet:lock-ok <justification>
-// at the first reported site covers that lock for the rest of the
-// function.
+// The locksets come from the call graph (callgraph.Node.HeldSites): a
+// forward may-analysis in which a deferred unlock keeps its lock held to
+// the function's exit, so a report reads "may be held". One report is
+// issued per (lock, function): a //greenvet:lock-ok <justification> at
+// the first reported site covers that lock for the rest of the function.
 package lockcheck
 
 import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 
 	"github.com/greenps/greenps/internal/analysis/callgraph"
-	"github.com/greenps/greenps/internal/analysis/cfg"
 	"github.com/greenps/greenps/internal/analysis/framework"
 )
 
@@ -50,176 +44,31 @@ var Analyzer = &framework.Analyzer{
 	Run:  run,
 }
 
-// lockset maps a lock's canonical root (e.g. "Node.mu") to the position
-// where it was (last) acquired on some path reaching the program point.
-type lockset map[string]token.Pos
-
-func (ls lockset) clone() lockset {
-	out := make(lockset, len(ls))
-	for k, v := range ls {
-		out[k] = v
-	}
-	return out
-}
-
+// run classifies each of the package's held sites in block order — a
+// channel operation by its recorded description, a call as a curated
+// blocking operation or through its callees' summaries — and reports
+// each held lock at the first blocking site of its function.
 func run(pass *framework.Pass) error {
 	g := callgraph.Of(pass)
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				body = fn.Body
-			case *ast.FuncLit:
-				body = fn.Body
+	for _, n := range g.Nodes {
+		if n.Pkg == nil || n.Pkg.Types != pass.Pkg {
+			continue
+		}
+		reported := make(map[string]bool)
+		for _, site := range n.HeldSites {
+			desc, ok := site.Op, site.Op != ""
+			if call, isCall := site.Node.(*ast.CallExpr); isCall {
+				if desc, ok = callgraph.DirectBlockingCall(n.Pkg, call); !ok {
+					desc, ok = summaryBlocking(g, call)
+				}
 			}
-			if body != nil {
-				checkFunc(pass, g, body)
+			if ok {
+				reportBlocked(pass, site.Node.Pos(), desc, site.Held, reported)
 			}
-			return true
-		})
+		}
 	}
 	reportInversions(pass, g)
 	return nil
-}
-
-// pkgOf adapts the pass to the callgraph helpers' *framework.Package
-// parameter (only Fset and Info are consulted).
-func pkgOf(pass *framework.Pass) *framework.Package {
-	return &framework.Package{Path: pass.Pkg.Path(), Fset: pass.Fset, Info: pass.Info, Types: pass.Pkg}
-}
-
-// checkFunc runs the lockset fixpoint over one function body and then a
-// single reporting sweep using the stable in-facts. FuncLit bodies
-// nested inside are analyzed by their own checkFunc call (the
-// ast.Inspect in run visits them too) and skipped here by InspectShallow.
-func checkFunc(pass *framework.Pass, g *callgraph.Graph, body *ast.BlockStmt) {
-	pkg := pkgOf(pass)
-	graph := cfg.New(body)
-	analysis := cfg.Analysis[lockset]{
-		Boundary: lockset{},
-		Join: func(a, b lockset) lockset {
-			out := a.clone()
-			for k, v := range b {
-				if _, ok := out[k]; !ok {
-					out[k] = v
-				}
-			}
-			return out
-		},
-		Transfer: func(b *cfg.Block, in lockset) lockset {
-			out := in.clone()
-			for _, n := range b.Nodes {
-				applyNode(pkg, g, n, out, nil)
-			}
-			return out
-		},
-		Equal: func(a, b lockset) bool {
-			if len(a) != len(b) {
-				return false
-			}
-			for k := range a {
-				if _, ok := b[k]; !ok {
-					return false
-				}
-			}
-			return true
-		},
-	}
-	in := cfg.Forward(graph, analysis)
-
-	// Select communication clauses appear as ordinary send/receive nodes
-	// in their clause blocks, but the blocking point is the select itself
-	// (already reported when default-less); never re-report the comm.
-	comms := make(map[ast.Node]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		if cc, ok := n.(*ast.CommClause); ok && cc.Comm != nil {
-			comms[cc.Comm] = true
-		}
-		return true
-	})
-
-	// Reporting sweep: re-apply the transfer over each block, this time
-	// classifying blocking sites against the stable in-facts. reported
-	// tracks locks already diagnosed in this function; suppressing the
-	// first site covers the rest.
-	reported := make(map[string]bool)
-	for _, b := range graph.Blocks {
-		fact, ok := in[b]
-		if !ok {
-			continue // unreachable
-		}
-		cur := fact.clone()
-		for _, n := range b.Nodes {
-			report := func(pos token.Pos, desc string) {
-				reportBlocked(pass, pos, desc, cur, reported)
-			}
-			if comms[n] {
-				report = nil
-			}
-			applyNode(pkg, g, n, cur, report)
-		}
-	}
-}
-
-// applyNode applies one CFG node's lock effects to ls. When report is
-// non-nil it also classifies blocking operations inside the node —
-// curated direct operations first, then any call whose callee's summary
-// may transitively block — and invokes report for each.
-func applyNode(pkg *framework.Package, g *callgraph.Graph, n ast.Node, ls lockset, report func(token.Pos, string)) {
-	switch n.(type) {
-	case *ast.DeferStmt:
-		// Deferred lock-method calls run at function exit; in particular
-		// `defer mu.Unlock()` must not clear the lockset here. Deferred
-		// calls to blocking operations are out of scope.
-		return
-	case *ast.GoStmt:
-		// Launching a goroutine never blocks the holder; the launched
-		// body is analyzed as its own function.
-		return
-	}
-	cfg.InspectShallow(n, func(m ast.Node) bool {
-		switch node := m.(type) {
-		case *ast.CallExpr:
-			if root, op, ok := callgraph.LockOp(pkg, node); ok {
-				switch op {
-				case "Lock", "RLock":
-					ls[root] = node.Pos()
-				case "Unlock", "RUnlock":
-					delete(ls, root)
-				}
-				return false
-			}
-			if report != nil {
-				if desc, ok := callgraph.DirectBlockingCall(pkg, node); ok {
-					report(node.Pos(), desc)
-				} else if desc, ok := summaryBlocking(g, node); ok {
-					report(node.Pos(), desc)
-				}
-			}
-		case *ast.SendStmt:
-			if report != nil {
-				report(node.Pos(), "channel send")
-			}
-		case *ast.UnaryExpr:
-			if report != nil && node.Op == token.ARROW {
-				report(node.Pos(), "channel receive")
-			}
-		case *ast.SelectStmt:
-			if report != nil && !cfg.HasDefault(node) {
-				report(node.Pos(), "select without default")
-			}
-		case *ast.RangeStmt:
-			if report != nil {
-				if t := pkg.Info.TypeOf(node.X); t != nil {
-					if _, ok := t.Underlying().(*types.Chan); ok {
-						report(node.Pos(), "range over channel")
-					}
-				}
-			}
-		}
-		return true
-	})
 }
 
 // summaryBlocking classifies a call as blocking through the call graph:
@@ -243,24 +92,19 @@ func summaryBlocking(g *callgraph.Graph, call *ast.CallExpr) (string, bool) {
 
 // reportBlocked emits one diagnostic per held lock at a blocking site,
 // the first time that lock is diagnosed in the function.
-func reportBlocked(pass *framework.Pass, pos token.Pos, desc string, ls lockset, reported map[string]bool) {
-	roots := make([]string, 0, len(ls))
-	for root := range ls {
-		if !reported[root] {
-			roots = append(roots, root)
+func reportBlocked(pass *framework.Pass, pos token.Pos, desc string, held []callgraph.HeldLock, reported map[string]bool) {
+	for _, h := range held {
+		if reported[h.Root] {
+			continue
 		}
-	}
-	sort.Strings(roots)
-	for _, root := range roots {
-		reported[root] = true
+		reported[h.Root] = true
 		// Consulted only once the finding is definite, so -audit can
 		// equate a matched directive with a live suppression.
 		if pass.Suppressed(pos, "lock-ok") {
 			continue
 		}
-		acq := pass.Fset.Position(ls[root])
 		pass.Reportf(pos, "%s may be held (acquired at line %d) across %s; a blocked holder stalls every contender — release the lock first or justify with //greenvet:lock-ok",
-			root, acq.Line, desc)
+			h.Root, pass.Fset.Position(h.Acquired).Line, desc)
 	}
 }
 

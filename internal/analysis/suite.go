@@ -5,21 +5,20 @@ package analysis
 
 import (
 	"github.com/greenps/greenps/internal/analysis/detflow"
-	"github.com/greenps/greenps/internal/analysis/errflow"
 	"github.com/greenps/greenps/internal/analysis/framework"
 	"github.com/greenps/greenps/internal/analysis/lockcheck"
 	"github.com/greenps/greenps/internal/analysis/shadow"
 )
 
 // Suite returns every greenvet analyzer in presentation order: the
-// AST-pattern check first, then the CFG/dataflow checks built on
-// internal/analysis/cfg, then the determinism check, whose taint rules
-// ride on internal/analysis/callgraph function summaries.
+// AST-pattern check first, then the lock check, which classifies the
+// locksets internal/analysis/callgraph records over each body's CFG, then
+// the determinism check, whose taint rules ride on the same call graph's
+// function summaries.
 func Suite() []*framework.Analyzer {
 	return []*framework.Analyzer{
 		shadow.Analyzer,
 		lockcheck.Analyzer,
-		errflow.Analyzer,
 		detflow.Analyzer,
 	}
 }

@@ -92,6 +92,12 @@ type peer struct {
 	conn *transport.Conn
 }
 
+// inboxDepth bounds a node's event queue: room for a burst of frames from
+// every peer while the loop flushes, and a bound, so a stalled loop blocks
+// the read pumps and pushes back through TCP instead of buffering without
+// limit.
+const inboxDepth = 1024
+
 // NodeConfig configures a live broker node.
 type NodeConfig struct {
 	// ID is the broker identifier (required).
@@ -110,8 +116,6 @@ type NodeConfig struct {
 	ProfileCapacity int
 	// Logger receives runtime diagnostics (nil = discard).
 	Logger *log.Logger
-	// InboxDepth bounds the event queue (default 1024).
-	InboxDepth int
 	// Telemetry receives the broker and transport metric sets (nil
 	// disables instrumentation).
 	Telemetry *telemetry.Registry
@@ -150,10 +154,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	if logger == nil {
 		logger = log.New(io.Discard, "", 0)
 	}
-	depth := cfg.InboxDepth
-	if depth <= 0 {
-		depth = 1024
-	}
 	pool := transport.NewBufPool()
 	n := &Node{
 		core:         core,
@@ -163,7 +163,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		inst:         inst,
 		tinst:        transport.NewInstruments(cfg.Telemetry),
 		writeTimeout: cfg.WriteTimeout,
-		inbox:        make(chan inboundMsg, depth),
+		inbox:        make(chan inboundMsg, inboxDepth),
 		peers:        make(map[Endpoint]*peer),
 		pool:         pool,
 		fenc:         transport.NewFrameEncoder(pool),

@@ -108,8 +108,8 @@ func RelocateWithPriority(t *overlaybuild.Tree, pubs map[string]*bitvector.Publi
 		delayScores := make([]float64, len(brokers))
 		var maxLoad, maxDelay float64
 		for i, b := range brokers {
-			loadScores[i] = scoreCandidate(b, advID, pubs[advID], local, adj, ModeLoad)
-			delayScores[i] = scoreCandidate(b, advID, pubs[advID], local, adj, ModeDelay)
+			loadScores[i] = scoreCandidate(b, pubs[advID], local, adj, ModeLoad)
+			delayScores[i] = scoreCandidate(b, pubs[advID], local, adj, ModeDelay)
 			if loadScores[i] > maxLoad {
 				maxLoad = loadScores[i]
 			}
@@ -198,9 +198,8 @@ func localVectors(t *overlaybuild.Tree, brokers []string, advID string) map[stri
 //
 // Delay mode: the sum over brokers of the delivered rate at that broker
 // times its hop distance from b.
-func scoreCandidate(b, advID string, st *bitvector.PublisherStats,
+func scoreCandidate(b string, st *bitvector.PublisherStats,
 	local map[string]*bitvector.Vector, adj map[string][]string, mode Mode) float64 {
-	_ = advID
 	score := 0.0
 	type frame struct {
 		node, parent string

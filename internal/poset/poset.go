@@ -50,9 +50,6 @@ type Node struct {
 	slot int
 }
 
-// IsRoot reports whether the node is the virtual universal root.
-func (n *Node) IsRoot() bool { return n.Profile == nil }
-
 // Children returns the node's direct children sorted by ID (deterministic).
 // The slice is shared and must not be modified.
 func (n *Node) Children() []*Node { return n.children }
@@ -157,9 +154,6 @@ func (p *Poset) Node(id string) *Node { return p.nodes[id] }
 
 // RelateCount returns the number of relationship computations performed.
 func (p *Poset) RelateCount() int { return p.relateCount }
-
-// ResetRelateCount zeroes the relationship-computation counter.
-func (p *Poset) ResetRelateCount() { p.relateCount = 0 }
 
 // relate computes the relationship of a (non-root) profile pair, counting
 // the work.

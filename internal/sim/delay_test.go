@@ -57,8 +57,8 @@ func TestDelayModelAccumulatesPerHop(t *testing.T) {
 	// Path: B0 (match) -> link -> B1 (match) -> link -> B2 (match) -> client.
 	// Every broker holds exactly 1 subscription, so matching delay is
 	// Base = 10 ms each; three transmissions at size/bw; two broker links
-	// at LinkLatency.
-	want := 3*0.010 + 3*size/bw + 2*net.LinkLatency
+	// at DefaultLinkLatency.
+	want := 3*0.010 + 3*size/bw + 2*DefaultLinkLatency
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("delay = %.6f s, want %.6f s", got, want)
 	}

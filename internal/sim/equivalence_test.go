@@ -29,7 +29,7 @@ func TestSimMatchesLiveDeployment(t *testing.T) {
 	const rounds = 25
 
 	// --- Simulated run ---
-	net, err := deployManual(sc, 256)
+	net, err := deployManual(sc, 256, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

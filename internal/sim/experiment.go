@@ -9,6 +9,7 @@ import (
 	"github.com/greenps/greenps/internal/allocation"
 	"github.com/greenps/greenps/internal/broker"
 	"github.com/greenps/greenps/internal/core"
+	"github.com/greenps/greenps/internal/grape"
 	"github.com/greenps/greenps/internal/message"
 	"github.com/greenps/greenps/internal/overlaybuild"
 	"github.com/greenps/greenps/internal/workload"
@@ -128,7 +129,7 @@ func Run(cfg ExperimentConfig) (*Result, error) {
 	// every approach sees the identical quote stream.
 	switch c.Approach {
 	case ApproachManual:
-		net, err := deployManual(sc, c.ProfileCapacity)
+		net, err := deployManual(sc, c.ProfileCapacity, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -151,7 +152,7 @@ func Run(cfg ExperimentConfig) (*Result, error) {
 // measurement — mirroring the paper's procedure of restarting every broker
 // from a clean state after Phase 3.
 func runReconfigured(sc *workload.Scenario, c ExperimentConfig) (*Result, error) {
-	net, err := deployManual(sc, c.ProfileCapacity)
+	net, err := deployManual(sc, c.ProfileCapacity, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -206,7 +207,7 @@ func Prepare(sc *workload.Scenario, profileRounds, capacity int) (*Network, []me
 	if capacity <= 0 {
 		capacity = 1280
 	}
-	net, err := deployManual(sc, capacity)
+	net, err := deployManual(sc, capacity, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -255,8 +256,11 @@ func newBrokerCfg(b workload.BrokerDef, capacity int) broker.Config {
 	}
 }
 
-// deployManual builds the scenario's fan-out-2 MANUAL deployment.
-func deployManual(sc *workload.Scenario, capacity int) (*Network, error) {
+// deployManual builds the scenario's fan-out-2 MANUAL deployment. Each
+// publisher attaches at its placement broker when placement names one
+// (GRAPE-only's redeploy) and at its home broker otherwise; nil keeps every
+// home broker.
+func deployManual(sc *workload.Scenario, capacity int, placement grape.Placement) (*Network, error) {
 	net := NewNetwork()
 	net.TracePaths = false
 	for _, b := range sc.Brokers {
@@ -269,7 +273,12 @@ func deployManual(sc *workload.Scenario, capacity int) (*Network, error) {
 			return nil, err
 		}
 	}
-	place := func(p workload.PublisherDef) string { return p.HomeBroker }
+	place := func(p workload.PublisherDef) string {
+		if b, ok := placement[p.AdvID]; ok {
+			return b
+		}
+		return p.HomeBroker
+	}
 	placeSub := func(s workload.SubscriberDef) string { return s.HomeBroker }
 	if err := attachClients(net, sc, place, placeSub); err != nil {
 		return nil, err

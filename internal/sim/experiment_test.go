@@ -145,7 +145,7 @@ func TestGatherInfosCompleteness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := deployManual(sc, 256)
+	net, err := deployManual(sc, 256, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 // stay exactly where they are; only the publishers are relocated by GRAPE
 // using the profiles gathered in Phase 1.
 func runGrapeOnly(sc *workload.Scenario, c ExperimentConfig) (*Result, error) {
-	net, err := deployManual(sc, c.ProfileCapacity)
+	net, err := deployManual(sc, c.ProfileCapacity, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -39,7 +39,7 @@ func runGrapeOnly(sc *workload.Scenario, c ExperimentConfig) (*Result, error) {
 
 	// Redeploy: identical brokers, links, and subscribers; publishers at
 	// their GRAPE-chosen brokers.
-	net2, err := deployManualWithPublishers(sc, c.ProfileCapacity, placement)
+	net2, err := deployManual(sc, c.ProfileCapacity, placement)
 	if err != nil {
 		return nil, err
 	}
@@ -109,32 +109,4 @@ func ManualTree(sc *workload.Scenario, infos []message.BrokerInfo, capacity int)
 		return nil, fmt.Errorf("sim: manual tree: %w", err)
 	}
 	return t, nil
-}
-
-// deployManualWithPublishers deploys the MANUAL topology but places each
-// publisher at the given broker.
-func deployManualWithPublishers(sc *workload.Scenario, capacity int, placement grape.Placement) (*Network, error) {
-	net := NewNetwork()
-	net.TracePaths = false
-	for _, b := range sc.Brokers {
-		if _, err := net.AddBroker(newBrokerCfg(b, capacity)); err != nil {
-			return nil, err
-		}
-	}
-	for _, e := range sc.Tree {
-		if err := net.ConnectBrokers(e[0], e[1]); err != nil {
-			return nil, err
-		}
-	}
-	place := func(p workload.PublisherDef) string {
-		if b, ok := placement[p.AdvID]; ok {
-			return b
-		}
-		return p.HomeBroker
-	}
-	placeSub := func(s workload.SubscriberDef) string { return s.HomeBroker }
-	if err := attachClients(net, sc, place, placeSub); err != nil {
-		return nil, err
-	}
-	return net, nil
 }

@@ -23,7 +23,7 @@ import (
 )
 
 // DefaultLinkLatency is the one-way broker-to-broker latency of the
-// modeled datacenter network, in seconds (0.5 ms).
+// modeled datacenter network, in seconds (0.5 ms), added once per hop.
 const DefaultLinkLatency = 0.0005
 
 // Delivery records one publication arriving at a client.
@@ -65,8 +65,6 @@ type queued struct {
 // Network wires broker cores and clients together and delivers messages in
 // deterministic FIFO order under a virtual clock.
 type Network struct {
-	// LinkLatency is the per-hop broker-to-broker latency in seconds.
-	LinkLatency float64
 	// TracePaths records full broker paths on deliveries (costs memory;
 	// tests use it, large experiments leave it off).
 	TracePaths bool
@@ -89,10 +87,9 @@ type Network struct {
 // tracing enabled (the convenient default for tests and small runs).
 func NewNetwork() *Network {
 	return &Network{
-		LinkLatency: DefaultLinkLatency,
-		TracePaths:  true,
-		brokers:     make(map[string]*broker.Core),
-		clients:     make(map[string]*Client),
+		TracePaths: true,
+		brokers:    make(map[string]*broker.Core),
+		clients:    make(map[string]*Client),
 	}
 }
 
@@ -233,7 +230,7 @@ func (n *Network) Drain() error {
 				}
 				nq.delay = arrivalDelay + float64(size)/bw
 				if o.To.Kind == broker.KindBroker {
-					nq.delay += n.LinkLatency
+					nq.delay += DefaultLinkLatency
 				}
 			}
 			if o.To.Kind == broker.KindBroker {

@@ -14,7 +14,7 @@ func BenchmarkCRAMPlan4000(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	net, err := deployManual(sc, 1280)
+	net, err := deployManual(sc, 1280, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
