@@ -67,7 +67,7 @@ func run() error {
 	if !*noTimeline {
 		tl = telemetry.NewTimeline("reconfiguration", time.Now)
 	}
-	plan, err := croc.ReconfigureTimed(*brokerFl, core.Config{
+	plan, err := croc.Reconfigure(*brokerFl, core.Config{
 		Algorithm: *algorithm,
 		GrapeMode: mode,
 		Seed:      *seed,

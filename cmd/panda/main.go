@@ -91,14 +91,14 @@ func run() error {
 			return err
 		}
 		tl := telemetry.NewTimeline("reconfiguration", time.Now)
-		plan, err := croc.ReconfigureTimed(entry, core.Config{Algorithm: *recfg}, time.Minute, tl)
+		plan, err := croc.Reconfigure(entry, core.Config{Algorithm: *recfg}, time.Minute, tl)
 		if err != nil {
 			return fmt.Errorf("reconfigure: %w", err)
 		}
 		if err := croc.Render(os.Stdout, plan); err != nil {
 			return err
 		}
-		if err := d.ApplyTimed(plan, tl); err != nil {
+		if err := d.Apply(plan, tl); err != nil {
 			return fmt.Errorf("apply: %w", err)
 		}
 		fmt.Printf("applied: %d broker(s) now running\n", len(d.RunningBrokers()))

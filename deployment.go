@@ -4,11 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/greenps/greenps/internal/broker"
-	"github.com/greenps/greenps/internal/core"
-	"github.com/greenps/greenps/internal/croc"
 	"github.com/greenps/greenps/internal/deploy"
-	"github.com/greenps/greenps/internal/grape"
 	"github.com/greenps/greenps/internal/message"
 )
 
@@ -28,21 +24,7 @@ func NewDeployment() *Deployment {
 }
 
 // StartBroker launches a broker in this deployment.
-func (dp *Deployment) StartBroker(o BrokerOptions) error {
-	addr := o.ListenAddr
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	return dp.d.StartBroker(broker.NodeConfig{
-		ID:              o.ID,
-		ListenAddr:      addr,
-		OutputBandwidth: o.OutputBandwidth,
-		Delay: message.MatchingDelayFn{
-			PerSub: o.MatchingDelayPerSub,
-			Base:   o.MatchingDelayBase,
-		},
-	})
-}
+func (dp *Deployment) StartBroker(o BrokerOptions) error { return dp.d.StartBroker(o.nodeConfig()) }
 
 // Link connects two running brokers by ID.
 func (dp *Deployment) Link(a, b string) error { return dp.d.Link(a, b) }
@@ -70,20 +52,9 @@ func (dp *Deployment) AddPublisher(clientID, brokerID, filter string) (string, e
 
 // Publish sends one publication under a previously added publisher.
 func (dp *Deployment) Publish(advID string, attrs map[string]any) error {
-	converted := make(map[string]message.Value, len(attrs))
-	for k, v := range attrs {
-		switch x := v.(type) {
-		case string:
-			converted[k] = message.String(x)
-		case float64:
-			converted[k] = message.Number(x)
-		case int:
-			converted[k] = message.Number(float64(x))
-		case bool:
-			converted[k] = message.Bool(x)
-		default:
-			return fmt.Errorf("greenps: unsupported attribute type %T for %q", v, k)
-		}
+	converted, err := attrValues(attrs)
+	if err != nil {
+		return err
 	}
 	seq := dp.nextSeq[advID]
 	dp.nextSeq[advID] = seq + 1
@@ -103,39 +74,13 @@ func (dp *Deployment) AddSubscriber(clientID, brokerID, filter string) (string, 
 	if err != nil {
 		return "", nil, err
 	}
-	out := make(chan Delivery, 64)
-	go func() {
-		defer close(out)
-		for pub := range raw {
-			d := Delivery{
-				PublisherID: pub.AdvID,
-				Seq:         pub.Seq,
-				Hops:        pub.Hops,
-				Attrs:       make(map[string]any, len(pub.Attrs)),
-			}
-			for k, v := range pub.Attrs {
-				switch v.Kind {
-				case message.KindString:
-					d.Attrs[k] = v.Str
-				case message.KindNumber:
-					d.Attrs[k] = v.Num
-				case message.KindBool:
-					d.Attrs[k] = v.B
-				}
-			}
-			out <- d
-		}
-	}()
-	return subID, out, nil
+	return subID, deliveries(raw), nil
 }
 
 // ReconfigureAndApply runs the three phases against the running overlay
 // and applies the resulting plan: the paper's complete loop. It returns
 // the applied plan's summary.
 func (dp *Deployment) ReconfigureAndApply(algorithm string, timeout time.Duration) (*PlanSummary, error) {
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
 	ids := dp.d.RunningBrokers()
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("greenps: deployment has no running brokers")
@@ -144,27 +89,14 @@ func (dp *Deployment) ReconfigureAndApply(algorithm string, timeout time.Duratio
 	if err != nil {
 		return nil, err
 	}
-	plan, err := croc.Reconfigure(entry, core.Config{
-		Algorithm: algorithm,
-		GrapeMode: grape.ModeLoad,
-	}, timeout)
+	p, err := plan(entry, algorithm, timeout)
 	if err != nil {
 		return nil, err
 	}
-	if err := dp.d.Apply(plan); err != nil {
+	if err := dp.d.Apply(p, nil); err != nil {
 		return nil, err
 	}
-	doc := croc.ToDoc(plan)
-	return &PlanSummary{
-		Algorithm:   plan.Algorithm,
-		Brokers:     plan.NumBrokers(),
-		Root:        doc.Root,
-		BrokerURLs:  doc.Brokers,
-		Children:    doc.Edges,
-		Subscribers: doc.Subscribers,
-		Publishers:  doc.Publishers,
-		ComputeTime: plan.ComputeTime,
-	}, nil
+	return summarize(p), nil
 }
 
 // Close tears the deployment down.

@@ -54,13 +54,13 @@ type Broker struct {
 	node *broker.Node
 }
 
-// StartBroker launches a broker serving on TCP.
-func StartBroker(o BrokerOptions) (*Broker, error) {
+// nodeConfig is the live broker configuration the options describe.
+func (o BrokerOptions) nodeConfig() broker.NodeConfig {
 	addr := o.ListenAddr
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}
-	n, err := broker.StartNode(broker.NodeConfig{
+	return broker.NodeConfig{
 		ID:              o.ID,
 		ListenAddr:      addr,
 		OutputBandwidth: o.OutputBandwidth,
@@ -68,7 +68,12 @@ func StartBroker(o BrokerOptions) (*Broker, error) {
 			PerSub: o.MatchingDelayPerSub,
 			Base:   o.MatchingDelayBase,
 		},
-	})
+	}
+}
+
+// StartBroker launches a broker serving on TCP.
+func StartBroker(o BrokerOptions) (*Broker, error) {
+	n, err := broker.StartNode(o.nodeConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -97,6 +102,56 @@ type Delivery struct {
 	Hops int
 	// Attrs holds the content: string, float64, or bool values.
 	Attrs map[string]any
+}
+
+// deliveries converts a stream of received publications into Deliveries;
+// the returned channel closes when pubs does.
+func deliveries(pubs <-chan *message.Publication) <-chan Delivery {
+	out := make(chan Delivery, 64)
+	go func() {
+		defer close(out)
+		for pub := range pubs {
+			d := Delivery{
+				PublisherID: pub.AdvID,
+				Seq:         pub.Seq,
+				Hops:        pub.Hops,
+				Attrs:       make(map[string]any, len(pub.Attrs)),
+			}
+			for k, v := range pub.Attrs {
+				switch v.Kind {
+				case message.KindString:
+					d.Attrs[k] = v.Str
+				case message.KindNumber:
+					d.Attrs[k] = v.Num
+				case message.KindBool:
+					d.Attrs[k] = v.B
+				}
+			}
+			out <- d
+		}
+	}()
+	return out
+}
+
+// attrValues converts publication content given as Go values — string,
+// float64, int or bool — into message values.
+func attrValues(attrs map[string]any) (map[string]message.Value, error) {
+	converted := make(map[string]message.Value, len(attrs))
+	for k, v := range attrs {
+		switch x := v.(type) {
+		case string:
+			converted[k] = message.String(x)
+		case float64:
+			converted[k] = message.Number(x)
+		case int:
+			converted[k] = message.Number(float64(x))
+		case bool:
+			converted[k] = message.Bool(x)
+		default:
+			return nil, fmt.Errorf("greenps: unsupported attribute type %T for %q", v, k)
+		}
+	}
+	return converted, nil
 }
 
 // Client is a live publish/subscribe client.
@@ -132,20 +187,9 @@ func (c *Client) Advertise(filter string) (string, error) {
 // Publish sends one publication under a previously advertised ID. Values
 // may be string, float64, int, or bool.
 func (c *Client) Publish(advID string, attrs map[string]any) error {
-	converted := make(map[string]message.Value, len(attrs))
-	for k, v := range attrs {
-		switch x := v.(type) {
-		case string:
-			converted[k] = message.String(x)
-		case float64:
-			converted[k] = message.Number(x)
-		case int:
-			converted[k] = message.Number(float64(x))
-		case bool:
-			converted[k] = message.Bool(x)
-		default:
-			return fmt.Errorf("greenps: unsupported attribute type %T for %q", v, k)
-		}
+	converted, err := attrValues(attrs)
+	if err != nil {
+		return err
 	}
 	return c.c.Publish(advID, converted)
 }
@@ -169,32 +213,7 @@ func (c *Client) Unsubscribe(subID string) error { return c.c.Unsubscribe(subID)
 
 // Deliveries returns the channel of received publications. It closes when
 // the connection ends.
-func (c *Client) Deliveries() <-chan Delivery {
-	out := make(chan Delivery, 64)
-	go func() {
-		defer close(out)
-		for pub := range c.c.Publications() {
-			d := Delivery{
-				PublisherID: pub.AdvID,
-				Seq:         pub.Seq,
-				Hops:        pub.Hops,
-				Attrs:       make(map[string]any, len(pub.Attrs)),
-			}
-			for k, v := range pub.Attrs {
-				switch v.Kind {
-				case message.KindString:
-					d.Attrs[k] = v.Str
-				case message.KindNumber:
-					d.Attrs[k] = v.Num
-				case message.KindBool:
-					d.Attrs[k] = v.B
-				}
-			}
-			out <- d
-		}
-	}()
-	return out
-}
+func (c *Client) Deliveries() <-chan Delivery { return deliveries(c.c.Publications()) }
 
 // Close disconnects the client.
 func (c *Client) Close() error { return c.c.Close() }
@@ -219,46 +238,8 @@ type PlanSummary struct {
 	ComputeTime time.Duration
 }
 
-// ReconfigureOptions tunes a reconfiguration run beyond the algorithm name.
-type ReconfigureOptions struct {
-	// Algorithm is one of Algorithms() (required).
-	Algorithm string
-	// Timeout bounds the information-gathering phase (0 = 30s).
-	Timeout time.Duration
-	// Parallelism caps the worker count of CRAM's seed phase, the one loop
-	// the allocation algorithms fan out; 0 or negative means
-	// runtime.GOMAXPROCS(0). The computed plan is bit-for-bit identical at
-	// any setting — only wall-clock planning time changes.
-	Parallelism int
-}
-
-// Reconfigure runs the paper's three phases against a live overlay: gather
-// information via BIR/BIA through any broker, allocate subscriptions with
-// the named algorithm, construct the overlay recursively, and place
-// publishers with GRAPE. The returned plan is a description; applying it
-// (re-instantiating brokers and reconnecting clients, as the paper does)
-// is the deployer's job.
-func Reconfigure(brokerAddr, algorithm string, timeout time.Duration) (*PlanSummary, error) {
-	return ReconfigureWithOptions(brokerAddr, ReconfigureOptions{
-		Algorithm: algorithm,
-		Timeout:   timeout,
-	})
-}
-
-// ReconfigureWithOptions is Reconfigure with the full option set.
-func ReconfigureWithOptions(brokerAddr string, o ReconfigureOptions) (*PlanSummary, error) {
-	timeout := o.Timeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	plan, err := croc.Reconfigure(brokerAddr, core.Config{
-		Algorithm:   o.Algorithm,
-		GrapeMode:   grape.ModeLoad,
-		Parallelism: o.Parallelism,
-	}, timeout)
-	if err != nil {
-		return nil, err
-	}
+// summarize describes a computed plan.
+func summarize(plan *core.Plan) *PlanSummary {
 	doc := croc.ToDoc(plan)
 	return &PlanSummary{
 		Algorithm:   plan.Algorithm,
@@ -269,5 +250,29 @@ func ReconfigureWithOptions(brokerAddr string, o ReconfigureOptions) (*PlanSumma
 		Subscribers: doc.Subscribers,
 		Publishers:  doc.Publishers,
 		ComputeTime: plan.ComputeTime,
-	}, nil
+	}
+}
+
+// plan gathers information through the broker at brokerAddr and runs the
+// named algorithm; a timeout of zero or less means 30s.
+func plan(brokerAddr, algorithm string, timeout time.Duration) (*core.Plan, error) {
+	if timeout <= 0 {
+		timeout = 30 * time.Second
+	}
+	return croc.Reconfigure(brokerAddr, core.Config{Algorithm: algorithm, GrapeMode: grape.ModeLoad}, timeout, nil)
+}
+
+// Reconfigure runs the paper's three phases against a live overlay: gather
+// information via BIR/BIA through any broker, allocate subscriptions with
+// the named algorithm, construct the overlay recursively, and place
+// publishers with GRAPE. The timeout bounds the information-gathering
+// phase (0 = 30s). The returned plan is a description; applying it
+// (re-instantiating brokers and reconnecting clients, as the paper does)
+// is the deployer's job.
+func Reconfigure(brokerAddr, algorithm string, timeout time.Duration) (*PlanSummary, error) {
+	p, err := plan(brokerAddr, algorithm, timeout)
+	if err != nil {
+		return nil, err
+	}
+	return summarize(p), nil
 }

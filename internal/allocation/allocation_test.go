@@ -360,7 +360,7 @@ func TestPairwiseRejectsBadK(t *testing.T) {
 	// Two distinct-profile groups cannot land on a single broker when the
 	// requested cluster count exceeds the pool.
 	units, pubs := testWorkload(9, 2, 5, 10, 100)
-	if _, err := (&Pairwise{Clusters: 4, Strict: true}).Allocate(&Input{
+	if _, err := (&Pairwise{Clusters: 4}).Allocate(&Input{
 		Units:           units,
 		Brokers:         testBrokers(1, 25_000, stdDelay()),
 		Publishers:      pubs,

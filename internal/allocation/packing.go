@@ -46,8 +46,8 @@ func inputLoad(entries []bitvector.PubVector, stats []*bitvector.PublisherStats)
 			continue
 		}
 		f := e.V.Fraction()
-		out.Rate += st.Rate * f
-		out.Bandwidth += st.Bandwidth * f
+		out.Rate += float64(st.Rate * f)
+		out.Bandwidth += float64(st.Bandwidth * f)
 	}
 	return out
 }
@@ -197,8 +197,8 @@ func (bs *brokerState) fits(pu *packUnit, stats []*bitvector.PublisherStats, rat
 			continue
 		}
 		f := float64(bitvector.AndCount(av, &e.V)) / float64(w)
-		inter.Rate += st.Rate * f
-		inter.Bandwidth += st.Bandwidth * f
+		inter.Rate += float64(st.Rate * f)
+		inter.Bandwidth += float64(st.Bandwidth * f)
 	}
 	return sum-inter.Rate <= lim, inter
 }
@@ -255,7 +255,7 @@ func (bs *brokerState) accept(pu *packUnit, inter bitvector.Load, capacity int, 
 // spare for the roundings of this very expression — so the tested rate
 // stays above lim (DESIGN.md §7.1).
 func saturation(rate, lim float64) float64 {
-	return (rate-lim)*(1<<50) - 2*rate
+	return float64((rate-lim)*(1<<50)) - float64(2*rate)
 }
 
 // clear empties bs in place, parking its aggregate vectors in spare for the

@@ -26,24 +26,6 @@ type Pairwise struct {
 	Variant string
 	// Seed drives the random cluster-to-broker assignment.
 	Seed int64
-	// Rand, when non-nil, supplies the cluster-to-broker draws instead of
-	// a generator seeded from Seed. It must be explicitly seeded; the
-	// allocation package never falls back to the process-global
-	// math/rand state (greenvet's detflow rejects it).
-	Rand *rand.Rand
-	// Strict makes Allocate fail when a cluster exceeds its randomly
-	// chosen broker's capacity. The paper's derivatives place clusters
-	// regardless (the resulting overload is exactly what the evaluation
-	// exposes), so Strict defaults to false.
-	Strict bool
-}
-
-// rng returns the configured generator, or one seeded from Seed.
-func (p *Pairwise) rng() *rand.Rand {
-	if p.Rand != nil {
-		return p.Rand
-	}
-	return rand.New(rand.NewSource(p.Seed))
 }
 
 var _ Algorithm = (*Pairwise)(nil)
@@ -192,8 +174,10 @@ func (p *Pairwise) Allocate(in *Input) (*Assignment, error) {
 		}
 	}
 
-	// Random assignment of clusters to brokers (no capacity awareness).
-	rng := p.rng()
+	// Random assignment of clusters to brokers. Like the paper's
+	// derivatives, no capacity is checked: the resulting overload is
+	// exactly what the evaluation exposes.
+	rng := rand.New(rand.NewSource(p.Seed))
 	brokers := sortBrokersByCapacity(in.Brokers)
 	out := &Assignment{
 		ByBroker: make(map[string][]*Unit),
@@ -222,12 +206,6 @@ func (p *Pairwise) Allocate(in *Input) (*Assignment, error) {
 		mergedID++
 		unit := MergeUnits(fmt.Sprintf("pw-c%d", mergedID), in.ProfileCapacity, c.units...)
 		inLoad := bitvector.EstimateLoad(unit.Profile, in.Publishers)
-		if p.Strict {
-			if unit.Load.Bandwidth >= spec.OutputBandwidth ||
-				inLoad.Rate > spec.Delay.MaxRate(unit.Filters) {
-				return nil, fmt.Errorf("%s: cluster %d overloads broker %s", p.Name(), ci, spec.ID)
-			}
-		}
 		out.ByBroker[spec.ID] = append(out.ByBroker[spec.ID], unit)
 		out.Loads[spec.ID] = BrokerLoad{
 			Input:   inLoad,

@@ -23,11 +23,6 @@ func unitBefore(a, b *Unit) bool {
 type FBF struct {
 	// Seed drives the random draw order, making runs reproducible.
 	Seed int64
-	// Rand, when non-nil, supplies the draw order instead of a generator
-	// seeded from Seed. It must be explicitly seeded; the allocation
-	// package never falls back to the process-global math/rand state
-	// (greenvet's detflow rejects it).
-	Rand *rand.Rand
 }
 
 var _ Algorithm = (*FBF)(nil)
@@ -42,10 +37,7 @@ func (f *FBF) Allocate(in *Input) (*Assignment, error) {
 	}
 	units := make([]*Unit, len(in.Units))
 	copy(units, in.Units)
-	rng := f.Rand
-	if rng == nil {
-		rng = rand.New(rand.NewSource(f.Seed))
-	}
+	rng := rand.New(rand.NewSource(f.Seed))
 	rng.Shuffle(len(units), func(i, j int) { units[i], units[j] = units[j], units[i] })
 	brokers := sortBrokersByCapacity(in.Brokers)
 	table := newPublisherTable(in.Publishers, units)

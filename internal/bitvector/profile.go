@@ -358,8 +358,8 @@ func EstimateLoad(p *Profile, stats map[string]*PublisherStats) Load {
 			continue
 		}
 		f := e.vec.Fraction()
-		out.Rate += st.Rate * f
-		out.Bandwidth += st.Bandwidth * f
+		out.Rate += float64(st.Rate * f)
+		out.Bandwidth += float64(st.Bandwidth * f)
 	}
 	return out
 }
@@ -387,8 +387,8 @@ func IntersectLoad(a, b *Profile, stats map[string]*PublisherStats) Load {
 				continue
 			}
 			f := float64(AndCount(ea.vec, eb.vec)) / float64(w)
-			out.Rate += st.Rate * f
-			out.Bandwidth += st.Bandwidth * f
+			out.Rate += float64(st.Rate * f)
+			out.Bandwidth += float64(st.Bandwidth * f)
 		case ea.advID < eb.advID:
 			i++
 		default:

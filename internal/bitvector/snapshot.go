@@ -3,6 +3,7 @@ package bitvector
 import (
 	"encoding/base64"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"math/bits"
 	"sort"
@@ -121,4 +122,23 @@ func ProfileFromSnapshot(s ProfileSnapshot) (*Profile, error) {
 		p.entries = append(p.entries, entry{advID, v}) // ascending: keys sorted above
 	}
 	return p, nil
+}
+
+// MarshalJSON writes the profile as its Snapshot, the form a BIA carries.
+func (p *Profile) MarshalJSON() ([]byte, error) { return json.Marshal(p.Snapshot()) }
+
+// UnmarshalJSON reads a Snapshot back through ProfileFromSnapshot, so a
+// profile arriving from another broker passes every check FromSnapshot
+// makes on outside input.
+func (p *Profile) UnmarshalJSON(data []byte) error {
+	var s ProfileSnapshot
+	if err := json.Unmarshal(data, &s); err != nil {
+		return fmt.Errorf("bitvector: decode profile: %w", err)
+	}
+	q, err := ProfileFromSnapshot(s)
+	if err != nil {
+		return err
+	}
+	*p = *q
+	return nil
 }

@@ -32,6 +32,14 @@ func chain(t *testing.T, n int) *sim.Network {
 	return net
 }
 
+// collect installs an observer on net that keeps each client's deliveries
+// in arrival order.
+func collect(net *sim.Network) map[string][]sim.Delivery {
+	got := make(map[string][]sim.Delivery)
+	net.OnDelivery = func(d sim.Delivery) { got[d.ClientID] = append(got[d.ClientID], d) }
+	return got
+}
+
 func advertise(t *testing.T, net *sim.Network, clientID, advID, symbol string) {
 	t.Helper()
 	adv := message.NewAdvertisement(advID, clientID, []message.Predicate{
@@ -69,6 +77,8 @@ func publish(t *testing.T, net *sim.Network, clientID, advID string, seq int, sy
 
 func TestEndToEndRouting(t *testing.T) {
 	net := chain(t, 3)
+	net.TracePaths = true
+	deliveries := collect(net)
 	if _, err := net.AttachClient("pub", "B0"); err != nil {
 		t.Fatal(err)
 	}
@@ -89,28 +99,26 @@ func TestEndToEndRouting(t *testing.T) {
 	publish(t, net, "pub", "ADV-YHOO", 1, "YHOO", 18.0) // matches s1, s2
 	publish(t, net, "pub", "ADV-YHOO", 2, "YHOO", 25.0) // matches s1 only
 
-	near := net.Client("subNear")
-	far := net.Client("subFar")
-	other := net.Client("subOther")
-	if len(near.Delivered) != 2 {
-		t.Fatalf("subNear got %d deliveries, want 2", len(near.Delivered))
+	near, far, other := deliveries["subNear"], deliveries["subFar"], deliveries["subOther"]
+	if len(near) != 2 {
+		t.Fatalf("subNear got %d deliveries, want 2", len(near))
 	}
-	if len(far.Delivered) != 1 {
-		t.Fatalf("subFar got %d deliveries, want 1", len(far.Delivered))
+	if len(far) != 1 {
+		t.Fatalf("subFar got %d deliveries, want 1", len(far))
 	}
-	if len(other.Delivered) != 0 {
-		t.Fatalf("subOther got %d deliveries, want 0 (no false positives)", len(other.Delivered))
+	if len(other) != 0 {
+		t.Fatalf("subOther got %d deliveries, want 0 (no false positives)", len(other))
 	}
 	// Hop counts: near is on the publisher's broker (0 broker hops), far is
 	// two brokers away.
-	if near.Delivered[0].Hops != 0 {
-		t.Errorf("near delivery hops = %d, want 0", near.Delivered[0].Hops)
+	if near[0].Hops != 0 {
+		t.Errorf("near delivery hops = %d, want 0", near[0].Hops)
 	}
-	if far.Delivered[0].Hops != 2 {
-		t.Errorf("far delivery hops = %d, want 2", far.Delivered[0].Hops)
+	if far[0].Hops != 2 {
+		t.Errorf("far delivery hops = %d, want 2", far[0].Hops)
 	}
 	// Path tracing: far delivery crossed B0 -> B1 -> B2.
-	if got := fmt.Sprint(far.Delivered[0].Path); got != "[B0 B1 B2]" {
+	if got := fmt.Sprint(far[0].Path); got != "[B0 B1 B2]" {
 		t.Errorf("far delivery path = %v", got)
 	}
 }
@@ -127,8 +135,9 @@ func TestSubscriptionBeforeAdvertisement(t *testing.T) {
 	}
 	subscribe(t, net, "sub", "s1", "YHOO")
 	advertise(t, net, "pub", "ADV-YHOO", "YHOO")
+	deliveries := collect(net)
 	publish(t, net, "pub", "ADV-YHOO", 1, "YHOO", 10)
-	if got := len(net.Client("sub").Delivered); got != 1 {
+	if got := len(deliveries["sub"]); got != 1 {
 		t.Fatalf("deliveries = %d, want 1 (subscription must chase new advertisement)", got)
 	}
 }
@@ -143,12 +152,13 @@ func TestUnsubscribeStopsDeliveries(t *testing.T) {
 	}
 	advertise(t, net, "pub", "ADV-YHOO", "YHOO")
 	subscribe(t, net, "sub", "s1", "YHOO")
+	deliveries := collect(net)
 	publish(t, net, "pub", "ADV-YHOO", 1, "YHOO", 10)
 	if err := net.SendFromClient("sub", &message.Envelope{Kind: message.KindUnsubscription, UnsubID: "s1"}); err != nil {
 		t.Fatal(err)
 	}
 	publish(t, net, "pub", "ADV-YHOO", 2, "YHOO", 10)
-	if got := len(net.Client("sub").Delivered); got != 1 {
+	if got := len(deliveries["sub"]); got != 1 {
 		t.Fatalf("deliveries = %d, want 1 (second publication after unsubscribe)", got)
 	}
 	// Routing state fully cleaned on both brokers.
@@ -388,7 +398,6 @@ func TestHostileSequenceNumbers(t *testing.T) {
 				t.Fatalf("seq %d then %d: profile vector %v", first, second, v)
 			}
 			// The BIA that carries the profile must decode at the planner.
-			info.PackProfiles()
 			data, err := message.Encode(&message.Envelope{Kind: message.KindBIA, BIA: &message.BIA{RequestID: "r", Infos: []message.BrokerInfo{info}}})
 			if err != nil {
 				t.Fatal(err)

@@ -72,15 +72,6 @@ type Config struct {
 	// PACKING ignore it. Results are bit-for-bit identical at any setting;
 	// only wall-clock time changes.
 	Parallelism int
-	// Shards sets CRAM's sharded exhaustive partner scan (0 = automatic,
-	// 1 = unsharded). Plans are bit-for-bit identical at any value; only
-	// the ShardsPruned stat depends on the layout.
-	Shards int
-	// SpillBudgetBytes caps CRAM's in-memory seed-candidate working set;
-	// past it, sorted candidate runs spill to temp files and merge back
-	// (0 = never spill). Plans and all stats except SpilledRuns are
-	// identical at any budget.
-	SpillBudgetBytes int
 	// Overlay ablation switches (experiment E10).
 	DisableEliminateForwarders bool
 	DisableTakeover            bool
@@ -252,8 +243,6 @@ func newAlgorithm(cfg Config) (allocation.Algorithm, error) {
 			ExhaustiveSearch:   cfg.ExhaustiveSearch,
 			DisableOneToMany:   cfg.DisableOneToMany,
 			Parallelism:        cfg.Parallelism,
-			Shards:             cfg.Shards,
-			SpillBudgetBytes:   cfg.SpillBudgetBytes,
 		}
 	}
 	switch cfg.Algorithm {

@@ -65,16 +65,10 @@ func Gather(brokerAddr string, timeout time.Duration) ([]message.BrokerInfo, err
 }
 
 // Reconfigure gathers information from a live overlay and computes the
-// reconfiguration plan.
-func Reconfigure(brokerAddr string, cfg core.Config, timeout time.Duration) (*core.Plan, error) {
-	return ReconfigureTimed(brokerAddr, cfg, timeout, nil)
-}
-
-// ReconfigureTimed is Reconfigure with a reconfiguration timeline: the
-// BIR/BIA gather becomes one span and the planning stages (from
-// Plan.PhaseTimes) become one span each. A nil timeline records
-// nothing.
-func ReconfigureTimed(brokerAddr string, cfg core.Config, timeout time.Duration, tl *telemetry.Timeline) (*core.Plan, error) {
+// reconfiguration plan. On the timeline, the BIR/BIA gather becomes one
+// span and the planning stages (from Plan.PhaseTimes) become one span
+// each; a nil timeline records nothing.
+func Reconfigure(brokerAddr string, cfg core.Config, timeout time.Duration, tl *telemetry.Timeline) (*core.Plan, error) {
 	done := tl.StartSpan("phase 1: gather broker info (BIR/BIA)")
 	infos, err := Gather(brokerAddr, timeout)
 	done()

@@ -113,7 +113,7 @@ func TestGatherLive(t *testing.T) {
 
 func TestReconfigureLive(t *testing.T) {
 	addr := liveOverlay(t)
-	plan, err := croc.Reconfigure(addr, core.Config{Algorithm: core.AlgCRAMIOS}, 10*time.Second)
+	plan, err := croc.Reconfigure(addr, core.Config{Algorithm: core.AlgCRAMIOS}, 10*time.Second, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,21 +60,18 @@ func TestPlanEquivalence(t *testing.T) {
 	}
 }
 
-// TestPlanEquivalenceAcrossShards extends the byte-identity check to
-// CRAM's sharded exhaustive search: the serialized plan must not change
-// with the shard count, the spill budget, or the worker count. The pool
-// gathered here is far below the auto-sharding floor, so every shard
-// count is forced explicitly; plans come out byte-identical because the
-// shard prune is strictly a subset of the per-pair bound prune and the
-// spill stream replays the exact heap pop order.
-func TestPlanEquivalenceAcrossShards(t *testing.T) {
+// TestPlanEquivalenceAcrossWorkers extends the byte-identity check to
+// CRAM's seed-phase fan-out: the serialized plan of an exhaustive CRAM run
+// must not change with the worker count. Shard counts and spill budgets are
+// CRAM-level settings; allocation's TestCRAMShardSpillEquivalence covers them.
+func TestPlanEquivalenceAcrossWorkers(t *testing.T) {
 	addr := liveOverlay(t)
 	infos, err := croc.Gather(addr, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := core.Config{
-		Algorithm: core.AlgCRAMIOS, ExhaustiveSearch: true, Shards: 1,
+		Algorithm: core.AlgCRAMIOS, ExhaustiveSearch: true, Parallelism: 1,
 		Seed: 42, Clock: stepClock(),
 	}
 	ref, err := core.ComputePlan(infos, base)
@@ -85,27 +82,21 @@ func TestPlanEquivalenceAcrossShards(t *testing.T) {
 	if err := croc.WriteJSON(&want, ref); err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 4, 16} {
-		for _, workers := range []int{1, 4} {
-			for _, budget := range []int{0, 4096} {
-				cfg := base
-				cfg.Shards = shards
-				cfg.Parallelism = workers
-				cfg.SpillBudgetBytes = budget
-				cfg.Clock = stepClock()
-				plan, err := core.ComputePlan(infos, cfg)
-				if err != nil {
-					t.Fatalf("shards=%d workers=%d budget=%d: %v", shards, workers, budget, err)
-				}
-				var got bytes.Buffer
-				if err := croc.WriteJSON(&got, plan); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(want.Bytes(), got.Bytes()) {
-					t.Errorf("shards=%d workers=%d budget=%d: plan differs from unsharded serial plan:\n--- want ---\n%s\n--- got ---\n%s",
-						shards, workers, budget, want.String(), got.String())
-				}
-			}
+	for _, workers := range []int{2, 4} {
+		cfg := base
+		cfg.Parallelism = workers
+		cfg.Clock = stepClock()
+		plan, err := core.ComputePlan(infos, cfg)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		var got bytes.Buffer
+		if err := croc.WriteJSON(&got, plan); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want.Bytes(), got.Bytes()) {
+			t.Errorf("workers=%d: plan differs from the serial plan:\n--- want ---\n%s\n--- got ---\n%s",
+				workers, want.String(), got.String())
 		}
 	}
 }
@@ -116,7 +107,7 @@ func TestPlanEquivalenceAcrossShards(t *testing.T) {
 func TestReconfigureTimedTimeline(t *testing.T) {
 	addr := liveOverlay(t)
 	tl := telemetry.NewTimeline("reconfiguration", time.Now)
-	plan, err := croc.ReconfigureTimed(addr, core.Config{Algorithm: core.AlgCRAMIOS}, 10*time.Second, tl)
+	plan, err := croc.Reconfigure(addr, core.Config{Algorithm: core.AlgCRAMIOS}, 10*time.Second, tl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func consolidationPlan(root, advID, subID string) *core.Plan {
 	}
 }
 
-// TestReadAccessorsDuringApply pins the ApplyTimed locking fix: the apply
+// TestReadAccessorsDuringApply pins the Apply locking fix: the apply
 // path used to write ps.broker/ss.conn with no lock held while
 // PublisherBroker/SubscriberBroker read them under d.mu, a data race and a
 // torn-read window. Readers now hammer the accessors throughout two
@@ -99,10 +99,10 @@ func TestReadAccessorsDuringApply(t *testing.T) {
 
 	// Two applies back to back: B0+B1 -> B0, then B0 -> B1 — the readers
 	// overlap the whole start/link/reconnect/teardown sequence twice.
-	if err := d.Apply(consolidationPlan("B0", "A", "s")); err != nil {
+	if err := d.Apply(consolidationPlan("B0", "A", "s"), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Apply(consolidationPlan("B1", "A", "s")); err != nil {
+	if err := d.Apply(consolidationPlan("B1", "A", "s"), nil); err != nil {
 		t.Fatal(err)
 	}
 	close(stop)

@@ -254,15 +254,11 @@ func (d *Deployment) FromTopology(f *topology.File) error {
 // state), connect the new tree, reconnect every client to its assigned
 // broker, then tear down the old brokers and connections. Subscriber
 // delivery channels remain valid throughout.
-func (d *Deployment) Apply(plan *core.Plan) error {
-	return d.ApplyTimed(plan, nil)
-}
-
-// ApplyTimed is Apply with a reconfiguration timeline: each of the five
-// deployment steps becomes one span. A span is recorded only when its
-// step completes, so a failed apply shows exactly the steps that
-// finished. A nil timeline records nothing.
-func (d *Deployment) ApplyTimed(plan *core.Plan, tl *telemetry.Timeline) error {
+//
+// On the timeline, each of the five deployment steps becomes one span. A
+// span is recorded only when its step completes, so a failed apply shows
+// exactly the steps that finished. A nil timeline records nothing.
+func (d *Deployment) Apply(plan *core.Plan, tl *telemetry.Timeline) error {
 	// Snapshot everything the apply reads under the lock once; the
 	// network steps below run unlocked (dialing and handshaking under
 	// d.mu would stall every concurrent read accessor), and individual

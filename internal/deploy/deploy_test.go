@@ -94,7 +94,7 @@ func TestLiveReconfigurationEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := croc.Reconfigure(addr, core.Config{Algorithm: core.AlgCRAMIOS}, 15*time.Second)
+	plan, err := croc.Reconfigure(addr, core.Config{Algorithm: core.AlgCRAMIOS}, 15*time.Second, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestLiveReconfigurationEndToEnd(t *testing.T) {
 		t.Fatalf("plan allocates %d brokers; tiny workload should consolidate", plan.NumBrokers())
 	}
 	// Apply: brokers re-instantiate, clients reconnect.
-	if err := d.Apply(plan); err != nil {
+	if err := d.Apply(plan, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(d.RunningBrokers()); got != plan.NumBrokers() {
@@ -135,7 +135,7 @@ func TestLiveReconfigurationEndToEnd(t *testing.T) {
 func TestApplyOnClosedDeploymentFails(t *testing.T) {
 	d := deploy.New()
 	d.Close()
-	if err := d.Apply(&core.Plan{}); err == nil {
+	if err := d.Apply(&core.Plan{}, nil); err == nil {
 		t.Fatal("apply on closed deployment accepted")
 	}
 	d.Close() // idempotent

@@ -141,26 +141,15 @@ type ScalePoint struct {
 
 // ScaleOpts parameterizes one scale point.
 type ScaleOpts struct {
-	Seed int64
-	Subs int
-	// Shards is CRAM's shard override (0 = automatic sizing).
-	Shards int
-	// SpillBudgetBytes caps the candidate working set (0 = default
-	// scaleSpillBudget; negative = never spill).
-	SpillBudgetBytes int
-	Parallelism      int
+	Seed        int64
+	Subs        int
+	Parallelism int
 }
 
 // RunScalePoint builds the workload and allocates it through sharded
-// exhaustive CRAM-IOS, returning the measured point.
+// exhaustive CRAM-IOS under the scaleSpillBudget, returning the measured
+// point.
 func RunScalePoint(o ScaleOpts) (*ScalePoint, error) {
-	budget := o.SpillBudgetBytes
-	switch {
-	case budget == 0:
-		budget = scaleSpillBudget
-	case budget < 0:
-		budget = 0
-	}
 	genStart := time.Now()
 	in, err := ScaleWorkload(o.Seed, o.Subs)
 	if err != nil {
@@ -170,8 +159,7 @@ func RunScalePoint(o ScaleOpts) (*ScalePoint, error) {
 	cram := &allocation.CRAM{
 		Metric:           bitvector.MetricIOS,
 		ExhaustiveSearch: true,
-		Shards:           o.Shards,
-		SpillBudgetBytes: budget,
+		SpillBudgetBytes: scaleSpillBudget,
 		Parallelism:      o.Parallelism,
 	}
 	allocStart := time.Now()

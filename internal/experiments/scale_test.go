@@ -36,21 +36,18 @@ func TestScaleWorkloadDeterministic(t *testing.T) {
 	}
 }
 
-// TestScalePointSmall runs a reduced point end to end with the shard
-// count and budget forced low, and checks the full contract: the
-// machinery engages (shards pruned, runs spilled) and the assignment is
-// identical to an unsharded in-memory run.
+// TestScalePointSmall runs a reduced point end to end and checks it
+// against direct runs of the same pool: an unsharded in-memory one, and one
+// with the shard count and budget forced low, whose machinery must engage
+// (shards pruned, runs spilled) without changing the assignment.
 func TestScalePointSmall(t *testing.T) {
 	const subs = 4_000
-	pt, err := RunScalePoint(ScaleOpts{Seed: 3, Subs: subs, Shards: 16, SpillBudgetBytes: 4096})
+	pt, err := RunScalePoint(ScaleOpts{Seed: 3, Subs: subs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pt.ShardsPruned == 0 {
-		t.Error("forced 16-shard run pruned no shards")
-	}
-	if pt.SpilledRuns == 0 {
-		t.Error("4KiB-budget run spilled no runs")
+	if pt.SpilledRuns != 0 {
+		t.Errorf("RunScalePoint spilled %d runs at %d subs; the shared temp dir must stay untouched", pt.SpilledRuns, subs)
 	}
 	if pt.GIFs >= subs {
 		t.Errorf("GIF grouping had no effect: %d groups from %d subs", pt.GIFs, subs)
@@ -67,11 +64,15 @@ func TestScalePointSmall(t *testing.T) {
 	}
 	sharded := &allocation.CRAM{
 		Metric: bitvector.MetricIOS, ExhaustiveSearch: true,
-		Shards: 16, SpillBudgetBytes: 4096,
+		Shards: 16, SpillBudgetBytes: 4096, SpillDir: t.TempDir(),
 	}
 	sa, err := sharded.Allocate(in)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if st := sharded.Stats(); st.ShardsPruned == 0 || st.SpilledRuns == 0 {
+		t.Errorf("forced 16-shard, 4KiB-budget run pruned %d shards and spilled %d runs; want both > 0",
+			st.ShardsPruned, st.SpilledRuns)
 	}
 	if ra.Fingerprint() != sa.Fingerprint() {
 		t.Error("sharded+spilled scale assignment differs from unsharded in-memory baseline")

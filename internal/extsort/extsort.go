@@ -8,14 +8,11 @@
 // configured budget; any other producer of too-many-sorted-things can use
 // it the same way.
 //
-// Determinism contract: the merged order is exactly the order a stable
-// in-memory sort of all added records under Config.Less would produce,
-// regardless of how many runs spilled or where the budget boundaries
-// fell. Ties under Less are broken by addition order (runs are created in
-// addition order and the merge prefers the earlier source on equal
-// records), so producers whose Less is a strict total order get identical
-// output either way, and producers with a partial order still get a
-// reproducible one.
+// Determinism contract: records come out in ascending bytes.Compare
+// order, exactly as an in-memory sort of all added records would produce
+// them, regardless of how many runs spilled or where the budget boundaries
+// fell. Records that compare equal are byte-identical, so no tie needs
+// breaking.
 //
 // Buffers: each run is written and read back through one ioBufSize bufio
 // window, each run reader decodes into a record slice it owns and reuses,
@@ -35,10 +32,6 @@ import (
 
 // Config parameterizes a Sorter.
 type Config struct {
-	// Less reports whether record a must sort before record b. Nil means
-	// ascending bytes.Compare. It must be a strict weak order and is
-	// called from Add's spill path and the merge, never concurrently.
-	Less func(a, b []byte) bool
 	// MemBudget caps the bytes of buffered record payload (headers
 	// included) before the arena is sorted and spilled to a run file.
 	// 0 means DefaultMemBudget; values below MinMemBudget are raised to
@@ -78,9 +71,6 @@ type recRef struct {
 
 // NewSorter returns a Sorter with the given configuration.
 func NewSorter(cfg Config) *Sorter {
-	if cfg.Less == nil {
-		cfg.Less = func(a, b []byte) bool { return bytes.Compare(a, b) < 0 }
-	}
 	if cfg.MemBudget == 0 {
 		cfg.MemBudget = DefaultMemBudget
 	}
@@ -127,13 +117,13 @@ func recHeaderLen(n int) int {
 	return binary.PutUvarint(tmp[:], uint64(n))
 }
 
-// sortArena stable-sorts the current batch in place (by reference — the
-// payload bytes never move).
+// sortArena sorts the current batch in place (by reference — the payload
+// bytes never move).
 func (s *Sorter) sortArena() {
-	arena, less := s.arena, s.cfg.Less
-	sort.SliceStable(s.offs, func(i, j int) bool {
+	arena := s.arena
+	sort.Slice(s.offs, func(i, j int) bool {
 		a, b := s.offs[i], s.offs[j]
-		return less(arena[a.off:a.off+a.len], arena[b.off:b.off+b.len])
+		return bytes.Compare(arena[a.off:a.off+a.len], arena[b.off:b.off+b.len]) < 0
 	})
 }
 
@@ -188,19 +178,16 @@ func (s *Sorter) Sort() (*Iterator, error) {
 	s.sortArena()
 	it := &Iterator{sorter: s}
 	srcs := make([]*mergeSrc, 0, len(s.runs)+1)
-	for i, f := range s.runs {
+	for _, f := range s.runs {
 		r, err := openRunReader(f)
 		if err != nil {
 			it.Close()
 			return nil, err
 		}
-		srcs = append(srcs, &mergeSrc{seq: i, r: r})
+		srcs = append(srcs, &mergeSrc{r: r})
 	}
 	if len(s.offs) > 0 {
-		// The in-memory tail holds the records added last, so it merges
-		// as the highest sequence number: ties under Less resolve to the
-		// earlier batch, matching a stable sort of the full input.
-		srcs = append(srcs, &mergeSrc{seq: len(s.runs), mem: s, memIdx: -1})
+		srcs = append(srcs, &mergeSrc{mem: s, memIdx: -1})
 	}
 	for _, src := range srcs {
 		if err := it.advance(src); err != nil {

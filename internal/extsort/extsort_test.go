@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"sort"
 	"testing"
@@ -26,11 +25,11 @@ func collect(t *testing.T, it *Iterator) [][]byte {
 	}
 }
 
-// refSort is the model: a stable in-memory sort of the full input.
-func refSort(recs [][]byte, less func(a, b []byte) bool) [][]byte {
+// refSort is the model: an in-memory sort of the full input.
+func refSort(recs [][]byte) [][]byte {
 	out := make([][]byte, len(recs))
 	copy(out, recs)
-	sort.SliceStable(out, func(i, j int) bool { return less(out[i], out[j]) })
+	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i], out[j]) < 0 })
 	return out
 }
 
@@ -39,8 +38,8 @@ func randRecords(rng *rand.Rand, n, maxLen int) [][]byte {
 	for i := range recs {
 		rec := make([]byte, 1+rng.Intn(maxLen))
 		for j := range rec {
-			// Small alphabet forces plenty of duplicate records, which is
-			// exactly where stability and tie-breaking matter.
+			// Small alphabet forces plenty of duplicate records, many of
+			// them split across runs.
 			rec[j] = byte('a' + rng.Intn(4))
 		}
 		recs[i] = rec
@@ -50,13 +49,12 @@ func randRecords(rng *rand.Rand, n, maxLen int) [][]byte {
 
 // TestDifferentialSpillVsMemory is the core contract: with a budget tiny
 // enough to force many spilled runs, the merged order is byte-identical
-// to the pure in-memory stable sort of the same input.
+// to the pure in-memory sort of the same input.
 func TestDifferentialSpillVsMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	less := func(a, b []byte) bool { return bytes.Compare(a, b) < 0 }
 	for trial := 0; trial < 20; trial++ {
 		recs := randRecords(rng, 500+rng.Intn(1500), 40)
-		want := refSort(recs, less)
+		want := refSort(recs)
 
 		s := NewSorter(Config{MemBudget: MinMemBudget, Dir: t.TempDir()})
 		for _, r := range recs {
@@ -88,7 +86,6 @@ func TestDifferentialSpillVsMemory(t *testing.T) {
 func TestInMemoryPathNoDisk(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	recs := randRecords(rng, 1000, 24)
-	less := func(a, b []byte) bool { return bytes.Compare(a, b) < 0 }
 
 	s := NewSorter(Config{Dir: t.TempDir()})
 	for _, r := range recs {
@@ -104,61 +101,11 @@ func TestInMemoryPathNoDisk(t *testing.T) {
 		t.Fatalf("Sort: %v", err)
 	}
 	got := collect(t, it)
-	want := refSort(recs, less)
+	want := refSort(recs)
 	for i := range got {
 		if !bytes.Equal(got[i], want[i]) {
 			t.Fatalf("record %d: got %q want %q", i, got[i], want[i])
 		}
-	}
-}
-
-// TestStabilityAcrossSpill checks the addition-order tie-break: records
-// comparing equal under Less must come back in the order they went in,
-// even when the equal group straddles several spilled runs.
-func TestStabilityAcrossSpill(t *testing.T) {
-	// Key is the first byte only; the payload records insertion order.
-	less := func(a, b []byte) bool { return a[0] < b[0] }
-	s := NewSorter(Config{Less: less, MemBudget: MinMemBudget, Dir: t.TempDir()})
-	const n = 4000
-	for i := 0; i < n; i++ {
-		rec := []byte(fmt.Sprintf("%c:%06d", 'a'+byte(i%3), i))
-		if err := s.Add(rec); err != nil {
-			t.Fatalf("Add: %v", err)
-		}
-	}
-	if s.Runs() < 2 {
-		t.Fatalf("need >=2 runs to exercise cross-run ties, got %d", s.Runs())
-	}
-	it, err := s.Sort()
-	if err != nil {
-		t.Fatalf("Sort: %v", err)
-	}
-	prevKey, prevSeq := byte(0), -1
-	count := 0
-	for {
-		rec, ok, err := it.Next()
-		if err != nil {
-			t.Fatalf("Next: %v", err)
-		}
-		if !ok {
-			break
-		}
-		count++
-		var seq int
-		fmt.Sscanf(string(rec[2:]), "%d", &seq)
-		if rec[0] < prevKey {
-			t.Fatalf("keys out of order: %q after key %c", rec, prevKey)
-		}
-		if rec[0] == prevKey && seq <= prevSeq {
-			t.Fatalf("tie broken out of addition order: seq %d after %d", seq, prevSeq)
-		}
-		if rec[0] != prevKey {
-			prevSeq = -1
-		}
-		prevKey, prevSeq = rec[0], seq
-	}
-	if count != n {
-		t.Fatalf("got %d records, want %d", count, n)
 	}
 }
 
@@ -274,22 +221,23 @@ func TestIteratorSteadyStateAllocs(t *testing.T) {
 }
 
 // TestDirFallback exercises Dir="" (os.TempDir) so the default config is
-// known-good too.
+// known-good too. TMPDIR points at a directory of this test's own, so run
+// files of other test binaries spilling concurrently cannot look like a
+// leak.
 func TestDirFallback(t *testing.T) {
-	// Snapshot pre-existing run files: a process killed mid-sort (e.g. a
-	// test binary hitting its timeout) cannot run Iterator.Close, so the
-	// shared TempDir may hold orphans this test didn't create. Only files
-	// that appear during this test count as leaks.
-	pre, _ := filepath.Glob(filepath.Join(os.TempDir(), "extsort-*.run"))
-	preexisting := make(map[string]bool, len(pre))
-	for _, f := range pre {
-		preexisting[f] = true
-	}
+	dir := t.TempDir()
+	t.Setenv("TMPDIR", dir)
 	s := NewSorter(Config{MemBudget: MinMemBudget})
 	for i := 0; i < 3000; i++ {
 		if err := s.Add([]byte(fmt.Sprintf("rec-%06d", 2999-i))); err != nil {
 			t.Fatalf("Add: %v", err)
 		}
+	}
+	if s.Runs() == 0 {
+		t.Fatal("expected spills")
+	}
+	if runs, _ := filepath.Glob(filepath.Join(dir, "extsort-*.run")); len(runs) != s.Runs() {
+		t.Fatalf("%d run files in TMPDIR, want %d", len(runs), s.Runs())
 	}
 	it, err := s.Sort()
 	if err != nil {
@@ -302,10 +250,7 @@ func TestDirFallback(t *testing.T) {
 	if !bytes.Equal(got[0], []byte("rec-000000")) || !bytes.Equal(got[2999], []byte("rec-002999")) {
 		t.Fatalf("order wrong: first %q last %q", got[0], got[2999])
 	}
-	left, _ := filepath.Glob(filepath.Join(os.TempDir(), "extsort-*.run"))
-	for _, f := range left {
-		if !preexisting[f] {
-			t.Fatalf("run file left in TempDir: %s", f)
-		}
+	if left, _ := filepath.Glob(filepath.Join(dir, "extsort-*.run")); len(left) != 0 {
+		t.Fatalf("run files left in TMPDIR: %v", left)
 	}
 }

@@ -2,6 +2,7 @@ package extsort
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -56,10 +57,8 @@ func (r *runReader) next() ([]byte, error) {
 
 // mergeSrc is one source in the k-way merge: either a spilled run
 // (r != nil) or the Sorter's in-memory tail (mem != nil, memIdx walking
-// the sorted offs). seq is the source's position in addition order and
-// breaks comparison ties, which is what makes the merge a stable sort.
+// the sorted offs).
 type mergeSrc struct {
-	seq    int
 	r      *runReader
 	mem    *Sorter
 	memIdx int
@@ -72,7 +71,7 @@ type mergeSrc struct {
 // implicitly when Next returns ok=false).
 type Iterator struct {
 	sorter *Sorter
-	heap   []*mergeSrc // live sources, min-heap by (Less, seq)
+	heap   []*mergeSrc // live sources, min-heap by current record
 	out    []byte      // iterator-owned copy handed to the caller
 	err    error
 }
@@ -102,18 +101,8 @@ func (it *Iterator) advance(src *mergeSrc) error {
 	return nil
 }
 
-// srcLess orders heap entries: Less on the current records, then source
-// sequence (earlier batch first) so ties replay addition order.
-func (it *Iterator) srcLess(a, b *mergeSrc) bool {
-	less := it.sorter.cfg.Less
-	if less(a.cur, b.cur) {
-		return true
-	}
-	if less(b.cur, a.cur) {
-		return false
-	}
-	return a.seq < b.seq
-}
+// srcLess orders heap entries by their current records.
+func srcLess(a, b *mergeSrc) bool { return bytes.Compare(a.cur, b.cur) < 0 }
 
 // heapInit orders the live sources collected by Sort into the merge heap.
 func (it *Iterator) heapInit() {
@@ -129,10 +118,10 @@ func (it *Iterator) siftDown(i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		small := i
-		if l < len(h) && it.srcLess(h[l], h[small]) {
+		if l < len(h) && srcLess(h[l], h[small]) {
 			small = l
 		}
-		if r < len(h) && it.srcLess(h[r], h[small]) {
+		if r < len(h) && srcLess(h[r], h[small]) {
 			small = r
 		}
 		if small == i {

@@ -246,13 +246,13 @@ func scoreCandidate(b string, st *bitvector.PublisherStats,
 				continue // no edge above the attachment broker
 			}
 			if dv := down[f.node]; dv != nil {
-				score += st.Rate * dv.Fraction()
+				score += float64(st.Rate * dv.Fraction())
 			}
 		}
 	case ModeDelay:
 		for _, f := range order {
 			if lv, ok := local[f.node]; ok {
-				score += st.Rate * lv.Fraction() * float64(f.depth)
+				score += float64(st.Rate * lv.Fraction() * float64(f.depth))
 			}
 		}
 	}

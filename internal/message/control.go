@@ -25,7 +25,7 @@ func (m MatchingDelayFn) Delay(n int) float64 {
 	if n < 0 {
 		n = 0
 	}
-	return m.PerSub*float64(n) + m.Base
+	return float64(m.PerSub*float64(n)) + m.Base
 }
 
 // MaxRate returns the maximum sustainable input publication rate (msgs/s)
@@ -41,12 +41,11 @@ func (m MatchingDelayFn) MaxRate(n int) float64 {
 }
 
 // SubscriptionInfo pairs a subscription with the bit-vector profile its
-// broker's CBC accumulated for it.
+// broker's CBC accumulated for it. The profile travels as its snapshot
+// (bitvector.Profile marshals itself); a nil profile is left out.
 type SubscriptionInfo struct {
 	Sub     *Subscription      `json:"sub"`
-	Profile *bitvector.Profile `json:"-"`
-	// ProfileData carries the profile on the wire; see codec.go.
-	ProfileData *ProfileWire `json:"profile,omitempty"`
+	Profile *bitvector.Profile `json:"profile,omitempty"`
 }
 
 // PublisherInfo pairs a publisher's advertisement with its measured stats.

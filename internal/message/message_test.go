@@ -3,6 +3,7 @@ package message
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -292,12 +293,68 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestBIARoundTrip sends a nil, an empty and a populated profile through
+// Encode and Decode: each comes back as it went in, and the populated one
+// travels exactly once, as its snapshot.
+func TestBIARoundTrip(t *testing.T) {
+	populated := bitvector.NewProfile(96)
+	for i := 0; i < 50; i += 3 {
+		populated.Record("ADV-1", i)
+	}
+	populated.Record("ADV-2", 7)
+	sub := func(id string) *Subscription {
+		return NewSubscription(id, "c1", []Predicate{Pred("class", OpEq, String("STOCK"))})
+	}
+	info := BrokerInfo{ID: "B1", URL: "127.0.0.1:1", Subscriptions: []SubscriptionInfo{
+		{Sub: sub("nil")},
+		{Sub: sub("empty"), Profile: bitvector.NewProfile(64)},
+		{Sub: sub("populated"), Profile: populated},
+	}}
+	data, err := Encode(&Envelope{Kind: KindBIA, BIA: &BIA{RequestID: "r1", Infos: []BrokerInfo{info}}})
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	if n := strings.Count(string(data), `"vectors"`); n != 2 {
+		t.Errorf("BIA carries %d profile images, want 2 (one per non-nil profile): %s", n, data)
+	}
+	env, err := Decode(data)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	got := env.BIA.Infos[0].Subscriptions
+	if len(got) != 3 {
+		t.Fatalf("decoded %d subscriptions, want 3", len(got))
+	}
+	if got[0].Profile != nil {
+		t.Errorf("nil profile decoded as %+v", got[0].Profile.Snapshot())
+	}
+	for i, want := range []*bitvector.Profile{info.Subscriptions[1].Profile, populated} {
+		g := got[i+1]
+		if g.Sub.Key() != info.Subscriptions[i+1].Sub.Key() {
+			t.Errorf("%s: subscription lost in round trip", g.Sub.ID)
+		}
+		if g.Profile == nil {
+			t.Fatalf("%s: profile decoded as nil", g.Sub.ID)
+		}
+		if !reflect.DeepEqual(g.Profile.Snapshot(), want.Snapshot()) {
+			t.Errorf("%s: profile %+v, want %+v", g.Sub.ID, g.Profile.Snapshot(), want.Snapshot())
+		}
+	}
+	// A profile image that is no snapshot at all fails Decode as well.
+	bad := strings.Replace(string(data), `"profile":{"cap":64,`, `"profile":{"cap":"64",`, 1)
+	if bad == string(data) {
+		t.Fatalf("no empty-profile image in %s", data)
+	}
+	if _, err := Decode([]byte(bad)); err == nil {
+		t.Error("Decode accepted a profile whose capacity is a string")
+	}
+}
+
 // TestDecodeRejectsHostileBIA sends the planner a BIA whose profile images
 // break the vector invariants — a window wider than the capacity, which used
 // to panic the first AndCount on it, set bits past or below the window, which
 // inflate the load estimate, and a word count other than the capacity's grid
-// size — and requires an error from Decode and from UnpackProfiles, never a
-// panic or a profile.
+// size — and requires an error from Decode, never a panic or a profile.
 func TestDecodeRejectsHostileBIA(t *testing.T) {
 	full := bitvector.New(128)
 	for id := 0; id < 100; id++ {
@@ -307,6 +364,20 @@ func TestDecodeRejectsHostileBIA(t *testing.T) {
 	overfull.First, overfull.Last = 7, 16
 	stale := full.Snapshot()
 	stale.First = 50
+	// A well-formed BIA whose one profile image each case replaces.
+	valid, err := Encode(&Envelope{Kind: KindBIA, BIA: &BIA{RequestID: "r1", Infos: []BrokerInfo{{
+		ID: "B1", Subscriptions: []SubscriptionInfo{{
+			Sub:     NewSubscription("s1", "c1", []Predicate{Pred("class", OpEq, String("STOCK"))}),
+			Profile: bitvector.NewProfile(64),
+		}},
+	}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const validImage = `{"cap":64,"vectors":{}}`
+	if !strings.Contains(string(valid), validImage) {
+		t.Fatalf("BIA %s does not carry the profile image %s", valid, validImage)
+	}
 	for name, snap := range map[string]bitvector.VectorSnapshot{
 		"window wider than capacity": {First: 0, Last: 5000, Cap: 64, Words: bitvector.New(64).Snapshot().Words},
 		"bits past the window":       overfull,
@@ -314,23 +385,17 @@ func TestDecodeRejectsHostileBIA(t *testing.T) {
 		// One 64-bit word for capacity 64; the grid layout carries two.
 		"words of the capacity alone": {First: 0, Last: -1, Cap: 64, Words: "AAAAAAAAAAA="},
 	} {
-		info := BrokerInfo{ID: "B1", Subscriptions: []SubscriptionInfo{{
-			Sub: NewSubscription("s1", "c1", []Predicate{Pred("class", OpEq, String("STOCK"))}),
-			ProfileData: &ProfileWire{Snapshot: bitvector.ProfileSnapshot{
-				Cap: snap.Cap, Vectors: map[string]bitvector.VectorSnapshot{"ADV-1": snap},
-			}},
-		}}}
-		data, err := Encode(&Envelope{Kind: KindBIA, BIA: &BIA{RequestID: "r1", Infos: []BrokerInfo{info}}})
+		image, err := json.Marshal(bitvector.ProfileSnapshot{
+			Cap: snap.Cap, Vectors: map[string]bitvector.VectorSnapshot{"ADV-1": snap},
+		})
 		if err != nil {
-			t.Fatalf("%s: encode: %v", name, err)
+			t.Fatal(err)
 		}
+		data := []byte(strings.Replace(string(valid), validImage, string(image), 1))
 		if env, err := Decode(data); err == nil {
 			t.Errorf("%s: Decode accepted the BIA: %+v", name, env.BIA.Infos[0].Subscriptions[0].Profile)
-		} else if !strings.Contains(err.Error(), "s1") || !strings.Contains(err.Error(), "ADV-1") {
-			t.Errorf("%s: error %q does not name the subscription and publisher", name, err)
-		}
-		if err := info.UnpackProfiles(); err == nil || info.Subscriptions[0].Profile != nil {
-			t.Errorf("%s: UnpackProfiles = %v, profile %v; want an error and no profile", name, err, info.Subscriptions[0].Profile)
+		} else if !strings.Contains(err.Error(), "ADV-1") {
+			t.Errorf("%s: error %q does not name the publisher", name, err)
 		}
 	}
 }

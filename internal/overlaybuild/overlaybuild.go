@@ -134,6 +134,9 @@ type Stats struct {
 	BestFitSwaps int
 }
 
+// maxLayers bounds the recursion.
+const maxLayers = 64
+
 // Builder constructs trees. The zero value is not usable: Algorithm is
 // required.
 type Builder struct {
@@ -147,8 +150,6 @@ type Builder struct {
 	DisableTakeover bool
 	// DisableBestFit turns off optimization 3.
 	DisableBestFit bool
-	// MaxLayers bounds the recursion (0 = 64).
-	MaxLayers int
 
 	stats Stats
 }
@@ -226,11 +227,6 @@ func (b *Builder) Build(a *allocation.Assignment, pubs map[string]*bitvector.Pub
 		}
 		return pool[i].ID < pool[j].ID
 	})
-
-	maxLayers := b.MaxLayers
-	if maxLayers <= 0 {
-		maxLayers = 64
-	}
 
 	for len(layer) > 1 {
 		if b.stats.Layers >= maxLayers {

@@ -8,6 +8,14 @@ import (
 	"github.com/greenps/greenps/internal/message"
 )
 
+// collect installs an observer on net that keeps each client's deliveries
+// in arrival order.
+func collect(net *Network) map[string][]Delivery {
+	got := make(map[string][]Delivery)
+	net.OnDelivery = func(d Delivery) { got[d.ClientID] = append(got[d.ClientID], d) }
+	return got
+}
+
 // TestDelayModelAccumulatesPerHop verifies the modeled delivery delay: at
 // each broker a publication pays the linear matching delay, and on each
 // link the transmission time (bytes over the sender's output bandwidth)
@@ -46,14 +54,15 @@ func TestDelayModelAccumulatesPerHop(t *testing.T) {
 	pub := message.NewPublication("A", 1, map[string]message.Value{"x": message.Number(1)})
 	env := &message.Envelope{Kind: message.KindPublication, Pub: pub}
 	size := float64(env.EncodedSize())
+	deliveries := collect(net)
 	if err := net.SendFromClient("pub", env); err != nil {
 		t.Fatal(err)
 	}
-	cl := net.Client("sub")
-	if len(cl.Delivered) != 1 {
-		t.Fatalf("deliveries = %d", len(cl.Delivered))
+	delivered := deliveries["sub"]
+	if len(delivered) != 1 {
+		t.Fatalf("deliveries = %d", len(delivered))
 	}
-	got := cl.Delivered[0].Delay
+	got := delivered[0].Delay
 	// Path: B0 (match) -> link -> B1 (match) -> link -> B2 (match) -> client.
 	// Every broker holds exactly 1 subscription, so matching delay is
 	// Base = 10 ms each; three transmissions at size/bw; two broker links
@@ -62,8 +71,8 @@ func TestDelayModelAccumulatesPerHop(t *testing.T) {
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("delay = %.6f s, want %.6f s", got, want)
 	}
-	if cl.Delivered[0].Hops != 2 {
-		t.Fatalf("hops = %d, want 2", cl.Delivered[0].Hops)
+	if delivered[0].Hops != 2 {
+		t.Fatalf("hops = %d, want 2", delivered[0].Hops)
 	}
 }
 
@@ -106,11 +115,12 @@ func TestDelayGrowsWithTableSize(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		deliveries := collect(net)
 		pub := message.NewPublication("A", 1, map[string]message.Value{"x": message.Number(1)})
 		if err := net.SendFromClient("pub", &message.Envelope{Kind: message.KindPublication, Pub: pub}); err != nil {
 			t.Fatal(err)
 		}
-		return net.Client("sub").Delivered[0].Delay
+		return deliveries["sub"][0].Delay
 	}
 	small := mk(0)
 	big := mk(20)

@@ -33,10 +33,9 @@ func TestSimMatchesLiveDeployment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.TracePaths = false
 	simCounts := make(map[string]int)
 	net.OnDelivery = func(d Delivery) { simCounts[d.ClientID]++ }
-	if err := publishRounds(net, sc, 0, rounds, nil); err != nil {
+	if err := publishRounds(net, sc, 0, rounds); err != nil {
 		t.Fatal(err)
 	}
 

@@ -157,7 +157,7 @@ func runReconfigured(sc *workload.Scenario, c ExperimentConfig) (*Result, error)
 		return nil, err
 	}
 	// Phase 1a: profiling traffic fills the bit vectors.
-	if err = profileTraffic(net, sc, c.ProfileRounds); err != nil {
+	if err = publishRounds(net, sc, 0, c.ProfileRounds); err != nil {
 		return nil, err
 	}
 	// Phase 1b: CROC connects to any broker and floods a BIR.
@@ -211,7 +211,7 @@ func Prepare(sc *workload.Scenario, profileRounds, capacity int) (*Network, []me
 	if err != nil {
 		return nil, nil, err
 	}
-	if err = profileTraffic(net, sc, profileRounds); err != nil {
+	if err = publishRounds(net, sc, 0, profileRounds); err != nil {
 		return nil, nil, err
 	}
 	infos, err := GatherInfos(net, sc.Brokers[0].ID)
@@ -262,7 +262,6 @@ func newBrokerCfg(b workload.BrokerDef, capacity int) broker.Config {
 // home broker.
 func deployManual(sc *workload.Scenario, capacity int, placement grape.Placement) (*Network, error) {
 	net := NewNetwork()
-	net.TracePaths = false
 	for _, b := range sc.Brokers {
 		if _, err := net.AddBroker(newBrokerCfg(b, capacity)); err != nil {
 			return nil, err
@@ -291,7 +290,6 @@ func deployManual(sc *workload.Scenario, capacity int, placement grape.Placement
 func deployAutomatic(sc *workload.Scenario, capacity int, seed int64) (*Network, error) {
 	rng := rand.New(rand.NewSource(seed ^ 0xA07003A7))
 	net := NewNetwork()
-	net.TracePaths = false
 	ids := make([]string, len(sc.Brokers))
 	for i, b := range sc.Brokers {
 		ids[i] = b.ID
@@ -318,7 +316,6 @@ func deployAutomatic(sc *workload.Scenario, capacity int, seed int64) (*Network,
 // publishers attach where the plan says.
 func deployPlan(sc *workload.Scenario, plan *core.Plan, capacity int) (*Network, error) {
 	net := NewNetwork()
-	net.TracePaths = false
 	for _, id := range plan.Tree.Brokers() {
 		spec := plan.Tree.Specs[id]
 		if _, err := net.AddBroker(broker.Config{
@@ -391,14 +388,13 @@ func attachClients(net *Network, sc *workload.Scenario,
 // its quote for the given sequence number) through a deployed network;
 // exposed for throughput benchmarks.
 func PublishRound(net *Network, sc *workload.Scenario, round int) error {
-	return publishRounds(net, sc, round, 1, nil)
+	return publishRounds(net, sc, round, 1)
 }
 
 // publishRounds replays rounds of publications: in each round every
 // publisher publishes one quote (sequence = round index) and the virtual
 // clock advances by one publication interval.
-func publishRounds(net *Network, sc *workload.Scenario, firstRound, rounds int,
-	onRound func(round int)) error {
+func publishRounds(net *Network, sc *workload.Scenario, firstRound, rounds int) error {
 	for r := firstRound; r < firstRound+rounds; r++ {
 		for i := range sc.Publishers {
 			p := &sc.Publishers[i]
@@ -412,23 +408,8 @@ func publishRounds(net *Network, sc *workload.Scenario, firstRound, rounds int,
 		if len(sc.Publishers) > 0 {
 			net.Advance(1 / sc.Publishers[0].Rate)
 		}
-		if onRound != nil {
-			onRound(r)
-		}
 	}
 	return nil
-}
-
-// profileTraffic replays the Phase-1 profiling traffic, which exists to
-// fill the brokers' bit vectors. Its deliveries are counted
-// (TotalDeliveries) but not logged on the clients: nothing reads that log,
-// and at the paper's scale it is a million entries that keep every
-// hop-count copy of a publication alive.
-func profileTraffic(net *Network, sc *workload.Scenario, rounds int) error {
-	prev := net.OnDelivery
-	net.OnDelivery = func(Delivery) {}
-	defer func() { net.OnDelivery = prev }()
-	return publishRounds(net, sc, 0, rounds, nil)
 }
 
 // measure runs the measured phase on a deployed network and assembles the
@@ -457,7 +438,7 @@ func measure(net *Network, sc *workload.Scenario, c ExperimentConfig,
 	}
 	defer func() { net.OnDelivery = nil }()
 
-	if err := publishRounds(net, sc, firstRound, c.MeasureRounds, nil); err != nil {
+	if err := publishRounds(net, sc, firstRound, c.MeasureRounds); err != nil {
 		return nil, err
 	}
 

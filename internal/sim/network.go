@@ -40,14 +40,11 @@ type Delivery struct {
 	Path []string
 }
 
-// Client is a simulated endpoint: it records everything delivered to it
-// unless the network has an observer installed.
+// Client is a simulated endpoint. Its publications go to the network's
+// OnDelivery observer; the BIAs it receives are kept here.
 type Client struct {
 	ID     string
 	Broker string
-	// Delivered accumulates publications in arrival order (nil when the
-	// network routes deliveries to an observer instead).
-	Delivered []Delivery
 	// BIAs accumulates Broker Information Answers (for CROC clients).
 	BIAs []*message.BIA
 }
@@ -66,10 +63,10 @@ type queued struct {
 // deterministic FIFO order under a virtual clock.
 type Network struct {
 	// TracePaths records full broker paths on deliveries (costs memory;
-	// tests use it, large experiments leave it off).
+	// off by default).
 	TracePaths bool
-	// OnDelivery, when non-nil, receives every client publication delivery
-	// instead of appending it to the client's log.
+	// OnDelivery receives every publication delivered to a client, in
+	// arrival order. Nil only counts them (TotalDeliveries).
 	OnDelivery func(Delivery)
 
 	brokers map[string]*broker.Core
@@ -83,13 +80,11 @@ type Network struct {
 	delivered int
 }
 
-// NewNetwork returns an empty network at virtual time zero with path
-// tracing enabled (the convenient default for tests and small runs).
+// NewNetwork returns an empty network at virtual time zero.
 func NewNetwork() *Network {
 	return &Network{
-		TracePaths: true,
-		brokers:    make(map[string]*broker.Core),
-		clients:    make(map[string]*Client),
+		brokers: make(map[string]*broker.Core),
+		clients: make(map[string]*Client),
 	}
 }
 
@@ -246,7 +241,8 @@ func (n *Network) Drain() error {
 	return nil
 }
 
-// deliverToClient hands a message to its client (or the observer).
+// deliverToClient hands a publication to the observer and a BIA to its
+// client.
 func (n *Network) deliverToClient(q queued) error {
 	cl, ok := n.clients[q.toClient]
 	if !ok {
@@ -254,18 +250,15 @@ func (n *Network) deliverToClient(q queued) error {
 	}
 	switch q.env.Kind {
 	case message.KindPublication:
-		d := Delivery{
-			ClientID: q.toClient,
-			Pub:      q.env.Pub,
-			Hops:     q.env.Pub.Hops,
-			Delay:    q.delay,
-			Path:     q.path,
-		}
 		n.delivered++
 		if n.OnDelivery != nil {
-			n.OnDelivery(d)
-		} else {
-			cl.Delivered = append(cl.Delivered, d)
+			n.OnDelivery(Delivery{
+				ClientID: q.toClient,
+				Pub:      q.env.Pub,
+				Hops:     q.env.Pub.Hops,
+				Delay:    q.delay,
+				Path:     q.path,
+			})
 		}
 	case message.KindBIA:
 		cl.BIAs = append(cl.BIAs, q.env.BIA)
@@ -276,12 +269,10 @@ func (n *Network) deliverToClient(q queued) error {
 // TotalDeliveries returns the count of publications delivered to clients.
 func (n *Network) TotalDeliveries() int { return n.delivered }
 
-// ResetClientLogs clears every client's delivery and BIA logs and the
-// global delivery counter; used between the profiling and measurement
-// phases of an experiment.
+// ResetClientLogs clears every client's BIA log and the global delivery
+// counter.
 func (n *Network) ResetClientLogs() {
 	for _, cl := range n.clients {
-		cl.Delivered = nil
 		cl.BIAs = nil
 	}
 	n.delivered = 0

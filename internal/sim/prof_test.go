@@ -18,7 +18,7 @@ func BenchmarkCRAMPlan4000(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := publishRounds(net, sc, 0, 200, nil); err != nil {
+	if err := publishRounds(net, sc, 0, 200); err != nil {
 		b.Fatal(err)
 	}
 	infos, err := GatherInfos(net, sc.Brokers[0].ID)

@@ -52,7 +52,7 @@ func NewFrameEncoder(pool *BufPool) *FrameEncoder {
 // the traffic, encoding a publication allocates nothing
 // (TestFrameEncoderAllocationFree).
 func (fe *FrameEncoder) Encode(env *message.Envelope, hops int) ([]byte, error) {
-	if err := message.PreEncode(env); err != nil {
+	if err := env.Validate(); err != nil {
 		return nil, err
 	}
 	var raw []byte

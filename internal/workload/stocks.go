@@ -40,18 +40,20 @@ type Stock struct {
 // scale drawn from the seed.
 func GenerateStock(seed int64, symbol string, days int) *Stock {
 	rng := rand.New(rand.NewSource(seed ^ int64(hashString(symbol))))
-	price := 5 + rng.Float64()*195 // starting price $5..$200
-	drift := (rng.Float64() - 0.5) * 0.002
-	vol := 0.005 + rng.Float64()*0.03
-	volScale := math.Exp(8 + rng.Float64()*6) // ~3k..3.3M shares
+	price := 5 + float64(rng.Float64()*195) // starting price $5..$200
+	// The inlined Float64 is itself a product, so it is rounded before the
+	// subtraction too (DESIGN.md §8).
+	drift := float64((float64(rng.Float64()) - 0.5) * 0.002)
+	vol := 0.005 + float64(rng.Float64()*0.03)
+	volScale := math.Exp(8 + float64(rng.Float64()*6)) // ~3k..3.3M shares
 	st := &Stock{Symbol: symbol, Days: make([]Quote, 0, days)}
 	for d := 0; d < days; d++ {
 		open := price
 		// Intraday extremes around the close.
-		ret := drift + vol*rng.NormFloat64()
+		ret := drift + float64(vol*rng.NormFloat64())
 		closeP := open * math.Exp(ret)
-		hi := math.Max(open, closeP) * (1 + vol*math.Abs(rng.NormFloat64())*0.5)
-		lo := math.Min(open, closeP) * (1 - vol*math.Abs(rng.NormFloat64())*0.5)
+		hi := math.Max(open, closeP) * (1 + float64(vol*math.Abs(rng.NormFloat64())*0.5))
+		lo := math.Min(open, closeP) * (1 - float64(vol*math.Abs(rng.NormFloat64())*0.5))
 		volume := volScale * math.Exp(0.5*rng.NormFloat64())
 		st.Days = append(st.Days, Quote{
 			Date:   fmt.Sprintf("day-%d", d),
@@ -138,7 +140,7 @@ func (s *Stock) Subscriptions(seed int64, idPrefix string, count int) []*message
 		if i%5 >= 2 { // 60%
 			attr := inequalityAttrs[rng.Intn(len(inequalityAttrs))]
 			lo, hi := s.rangeOf(attr)
-			v := lo + rng.Float64()*(hi-lo)
+			v := lo + float64(rng.Float64()*(hi-lo))
 			ops := []message.Op{message.OpLt, message.OpLe, message.OpGt, message.OpGe}
 			preds = append(preds, message.Pred(attr, ops[rng.Intn(len(ops))], message.Number(round2(v))))
 		}
