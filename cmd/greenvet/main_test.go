@@ -79,7 +79,7 @@ func TestReadmeAnalyzerCount(t *testing.T) {
 	}
 	suite := analysis.Suite()
 
-	rowRe := regexp.MustCompile("(?m)^\\| `([a-z-]+)` \\| (?:AST|CFG|call graph|(?:AST|CFG) \\+ call graph) \\|")
+	rowRe := regexp.MustCompile("(?m)^\\| `([a-z-]+)` \\| (?:AST|call graph|AST \\+ call graph) \\|")
 	rows := make(map[string]bool)
 	for _, m := range rowRe.FindAllStringSubmatch(string(data), -1) {
 		rows[m[1]] = true

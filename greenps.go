@@ -20,6 +20,7 @@ package greenps
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"github.com/greenps/greenps/internal/broker"
@@ -156,7 +157,8 @@ func attrValues(attrs map[string]any) (map[string]message.Value, error) {
 
 // Client is a live publish/subscribe client.
 type Client struct {
-	c *client.Client
+	c    *client.Client
+	subs atomic.Uint64 // Subscribe calls so far; part of each subscription ID
 }
 
 // Connect attaches a client to a broker.
@@ -200,7 +202,10 @@ func (c *Client) Subscribe(filter string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	subID := fmt.Sprintf("sub-%s-%d", c.c.ID(), time.Now().UnixNano())
+	// The timestamp keeps a reconnected client clear of its own stale
+	// subscriptions; the counter separates calls inside one clock tick,
+	// whose IDs the broker would otherwise take for one subscription.
+	subID := fmt.Sprintf("sub-%s-%d-%d", c.c.ID(), time.Now().UnixNano(), c.subs.Add(1))
 	sub := message.NewSubscription(subID, c.c.ID(), preds)
 	if err := c.c.Subscribe(sub); err != nil {
 		return "", err

@@ -100,6 +100,64 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSubscribeBackToBack subscribes two filters from one client with no
+// pause between them. The IDs must differ, or the broker takes the second
+// for the first and never delivers on it.
+func TestSubscribeBackToBack(t *testing.T) {
+	b, err := greenps.StartBroker(greenps.BrokerOptions{ID: "B1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Stop()
+	sub, err := greenps.Connect("watcher", b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = sub.Close() }()
+	idLow, err := sub.Subscribe("[class,=,'STOCK'],[low,<,10]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	idHigh, err := sub.Subscribe("[class,=,'STOCK'],[low,>,90]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idLow == idHigh {
+		t.Fatalf("both subscriptions got ID %q", idLow)
+	}
+
+	pub, err := greenps.Connect("ticker", b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = pub.Close() }()
+	advID, err := pub.Advertise("[class,=,'STOCK']")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The subscriptions and the publications travel on different
+	// connections, so publish until each filter has delivered once.
+	deliveries := sub.Deliveries()
+	got := make(map[float64]bool)
+	deadline := time.After(10 * time.Second)
+	for len(got) < 2 {
+		for _, low := range []float64{5, 95} {
+			if !got[low] {
+				if err := pub.Publish(advID, map[string]any{"class": "STOCK", "low": low}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		select {
+		case d := <-deliveries:
+			got[d.Attrs["low"].(float64)] = true
+		case <-time.After(20 * time.Millisecond):
+		case <-deadline:
+			t.Fatalf("deliveries by low = %v, want one at 5 and one at 95", got)
+		}
+	}
+}
+
 func TestFacadeValidation(t *testing.T) {
 	if _, err := greenps.StartBroker(greenps.BrokerOptions{}); err == nil {
 		t.Fatal("broker without ID accepted")

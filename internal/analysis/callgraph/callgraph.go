@@ -78,8 +78,10 @@ type Node struct {
 	Edges []*Edge
 	// Summary holds the node's interprocedural facts after Summarize.
 	Summary *Summary
-	// HeldSites lists, in block order, every blocking candidate in the
-	// body reached with locks that may be held (filled by Summarize).
+	// HeldSites lists, in source order, every blocking candidate in the
+	// body reached with locks that may be held (filled by Summarize). It
+	// is the one record of held locks: lockcheck classifies its sites and
+	// the order composition reads its calls.
 	HeldSites []HeldSite
 
 	sig   *types.Signature
@@ -102,10 +104,6 @@ type Edge struct {
 	// ArgIndex is the argument position carrying the callee when the
 	// edge models a function passed as an argument; -1 otherwise.
 	ArgIndex int
-	// Held lists the canonical lock roots that may be held at the call
-	// site (filled by Summarize; nil for go/defer edges, whose bodies
-	// run outside the caller's critical section or at exit).
-	Held []string
 }
 
 // Build constructs the call graph over pkgs. All packages must share one
@@ -135,7 +133,7 @@ func Build(pkgs []*framework.Package) *Graph {
 
 // Of returns the (summarized) call graph for the pass's whole program,
 // building it on first demand and sharing it across analyzers and
-// parallel per-package workers through the Program fact cache.
+// packages through the Program fact cache.
 func Of(pass *framework.Pass) *Graph {
 	return pass.Program.Fact("callgraph", func() any {
 		g := Build(pass.Program.Packages)

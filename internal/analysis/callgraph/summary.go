@@ -4,10 +4,10 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 	"strings"
 
-	"github.com/greenps/greenps/internal/analysis/cfg"
 	"github.com/greenps/greenps/internal/analysis/framework"
 	"github.com/greenps/greenps/internal/analysis/scope"
 )
@@ -196,9 +196,12 @@ func blockingOp(info *types.Info, m ast.Node) (string, bool) {
 			return "channel receive", true
 		}
 	case *ast.SelectStmt:
-		if !cfg.HasDefault(x) {
-			return "select without default", true
+		for _, c := range x.Body.List {
+			if c.(*ast.CommClause).Comm == nil {
+				return "", false
+			}
 		}
+		return "select without default", true
 	case *ast.RangeStmt:
 		if t := info.TypeOf(x.X); t != nil {
 			if _, ok := t.Underlying().(*types.Chan); ok {
@@ -254,131 +257,23 @@ type HeldLock struct {
 }
 
 // lockset maps a lock's canonical root to its latest acquisition position
-// on some path (may-analysis).
+// on some path (may-analysis). A nil lockset means no path reaches the
+// point.
 type lockset map[string]token.Pos
 
-func (ls lockset) clone() lockset {
-	out := make(lockset, len(ls))
-	for k, v := range ls {
-		out[k] = v
+// join merges b into a and returns the result; either may be nil. The
+// roots of a keep their positions, so the first path into a merge, in
+// source order, names the acquisition. join may return b itself.
+func join(a, b lockset) lockset {
+	if a == nil {
+		return b
 	}
-	return out
-}
-
-// lockPre runs the intraprocedural lockset analysis over one body: a
-// forward may-analysis whose join is union, so a lock counts as held at
-// a merge if any incoming path holds it. A sweep over the stable
-// in-facts then records (a) the lock roots the function acquires, (b)
-// direct nested acquisition order edges, (c) the may-held lockset at
-// every resolved call site (Edge.Held) and (d) the body's HeldSites.
-// Go and defer statements are skipped: a spawned body runs outside the
-// critical section, and deferred calls — `defer mu.Unlock()` included —
-// run at exit, so a deferred unlock keeps its lock held to the end.
-func (g *Graph) lockPre(n *Node) {
-	graph := cfg.New(n.Body)
-	analysis := cfg.Analysis[lockset]{
-		Boundary: lockset{},
-		Join: func(a, b lockset) lockset {
-			out := a.clone()
-			for k, v := range b {
-				if _, ok := out[k]; !ok {
-					out[k] = v
-				}
-			}
-			return out
-		},
-		Transfer: func(b *cfg.Block, in lockset) lockset {
-			out := in.clone()
-			for _, node := range b.Nodes {
-				g.applyLocks(n, node, out, false)
-			}
-			return out
-		},
-		Equal: func(a, b lockset) bool {
-			if len(a) != len(b) {
-				return false
-			}
-			for k := range a {
-				if _, ok := b[k]; !ok {
-					return false
-				}
-			}
-			return true
-		},
-	}
-	in := cfg.Forward(graph, analysis)
-	comms := selectComms(n.Body)
-	n.HeldSites = nil
-	for _, b := range graph.Blocks {
-		fact, ok := in[b]
-		if !ok {
-			continue // unreachable
-		}
-		cur := fact.clone()
-		for _, node := range b.Nodes {
-			mark := len(n.HeldSites)
-			g.applyLocks(n, node, cur, true)
-			if comms[node] {
-				// The select blocks, not its comm: keep the comm's lock
-				// effects and Edge.Held, drop its sites.
-				n.HeldSites = n.HeldSites[:mark]
-			}
+	for root, pos := range b {
+		if _, ok := a[root]; !ok {
+			a[root] = pos
 		}
 	}
-}
-
-// applyLocks applies one CFG node's lock effects; when record is true it
-// also collects acquires, order edges, Edge.Held and held sites.
-func (g *Graph) applyLocks(n *Node, node ast.Node, ls lockset, record bool) {
-	switch node.(type) {
-	case *ast.DeferStmt, *ast.GoStmt:
-		return
-	}
-	cfg.InspectShallow(node, func(m ast.Node) bool {
-		call, ok := m.(*ast.CallExpr)
-		if !ok {
-			if record && len(ls) > 0 {
-				if desc, ok := blockingOp(n.Pkg.Info, m); ok {
-					n.HeldSites = append(n.HeldSites, HeldSite{Node: m, Op: desc, Held: ls.held()})
-				}
-			}
-			return true
-		}
-		if root, op, ok := LockOp(n.Pkg, call); ok {
-			switch op {
-			case "Lock", "RLock":
-				if record {
-					f := n.facts
-					f.acquires[root] = true
-					for held := range ls {
-						if held != root {
-							g.orderEdges = append(g.orderEdges, OrderEdge{
-								Outer: held, Inner: root, Pos: call.Pos(), Pkg: n.Pkg,
-							})
-						}
-					}
-				}
-				ls[root] = call.Pos()
-			case "Unlock", "RUnlock":
-				delete(ls, root)
-			}
-			return false
-		}
-		if record && len(ls) > 0 {
-			site := HeldSite{Node: call, Held: ls.held()}
-			roots := make([]string, len(site.Held))
-			for i, h := range site.Held {
-				roots[i] = h.Root
-			}
-			for _, e := range g.CallEdges[call] {
-				if !e.Go && !e.Defer && e.Held == nil {
-					e.Held = roots
-				}
-			}
-			n.HeldSites = append(n.HeldSites, site)
-		}
-		return true
-	})
+	return a
 }
 
 // held lists the lockset sorted by root.
@@ -391,34 +286,336 @@ func (ls lockset) held() []HeldLock {
 	return out
 }
 
+// lockWalk carries one body's lockset walk.
+type lockWalk struct {
+	g *Graph
+	n *Node
+	// record marks the final pass, which fills Acquires, the direct order
+	// edges and HeldSites from the stable facts.
+	record bool
+	// heads holds each loop's stable head fact; labels the facts goto
+	// statements carry to each label, and grew whether a pass added to
+	// them.
+	heads  map[ast.Stmt]lockset
+	labels map[string]lockset
+	grew   bool
+	// jumps are the enclosing break and continue targets, innermost last.
+	jumps []*jumpTarget
+}
+
+// jumpTarget is a loop, switch or select that a break (and, for a loop, a
+// continue) can leave; brk and cont join the facts that arrive.
+type jumpTarget struct {
+	label     string
+	loop      bool
+	brk, cont lockset
+}
+
+// lockPre runs the intraprocedural lockset analysis over one body: a
+// forward may-analysis, walked over the syntax, whose join is union, so a
+// lock counts as held at a merge if any incoming path holds it. Loops
+// iterate to a fixpoint, and the walk repeats while a goto carries a new
+// lock to its label. One recording pass over the stable facts then
+// records (a) the lock roots the function acquires, (b) direct nested
+// acquisition order edges and (c) the body's HeldSites, in source order.
+// Go and defer statements are skipped: a spawned body runs outside the
+// critical section, and deferred calls — `defer mu.Unlock()` included —
+// run at exit, so a deferred unlock keeps its lock held to the end.
+func (g *Graph) lockPre(n *Node) {
+	w := &lockWalk{g: g, n: n, heads: make(map[ast.Stmt]lockset), labels: make(map[string]lockset)}
+	for w.grew = true; w.grew; {
+		w.grew = false
+		w.stmts(n.Body.List, lockset{})
+	}
+	w.record = true
+	w.stmts(n.Body.List, lockset{})
+	sort.SliceStable(n.HeldSites, func(i, j int) bool { return n.HeldSites[i].Node.Pos() < n.HeldSites[j].Node.Pos() })
+}
+
+func (w *lockWalk) stmts(list []ast.Stmt, ls lockset) lockset {
+	for _, s := range list {
+		ls = w.stmt(s, ls)
+	}
+	return ls
+}
+
+// stmt walks one statement from the fact before it, which it owns, and
+// returns the fact after it.
+func (w *lockWalk) stmt(s ast.Stmt, ls lockset) lockset {
+	label := ""
+	for l, ok := s.(*ast.LabeledStmt); ok; l, ok = s.(*ast.LabeledStmt) {
+		label, s = l.Label.Name, l.Stmt
+		ls = join(ls, maps.Clone(w.labels[label]))
+	}
+	if ls == nil {
+		return nil // no path reaches s
+	}
+	switch s := s.(type) {
+	case *ast.BlockStmt:
+		return w.stmts(s.List, ls)
+	case *ast.ReturnStmt:
+		w.apply(s, ls)
+		return nil
+	case *ast.ExprStmt:
+		w.apply(s, ls)
+		if call, ok := s.X.(*ast.CallExpr); ok {
+			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
+				return nil
+			}
+		}
+	case *ast.BranchStmt:
+		return w.branch(s, ls)
+	case *ast.GoStmt, *ast.DeferStmt:
+	case *ast.IfStmt:
+		w.apply(s.Init, ls)
+		w.apply(s.Cond, ls)
+		then := w.stmts(s.Body.List, maps.Clone(ls))
+		if s.Else != nil {
+			ls = w.stmt(s.Else, ls)
+		}
+		return join(then, ls)
+	case *ast.ForStmt, *ast.RangeStmt:
+		return w.loop(s, label, ls)
+	case *ast.SwitchStmt:
+		w.apply(s.Init, ls)
+		w.apply(s.Tag, ls)
+		return w.clauses(s.Body, label, ls)
+	case *ast.TypeSwitchStmt:
+		w.apply(s.Init, ls)
+		w.apply(s.Assign, ls)
+		return w.clauses(s.Body, label, ls)
+	case *ast.SelectStmt:
+		w.visit(s, ls) // the select blocks, not its comm clauses
+		t := w.push(label, false)
+		for _, c := range s.Body.List {
+			cc := c.(*ast.CommClause)
+			in := maps.Clone(ls)
+			if cc.Comm != nil {
+				mark := len(w.n.HeldSites)
+				w.apply(cc.Comm, in)
+				w.n.HeldSites = w.n.HeldSites[:mark]
+			}
+			t.brk = join(t.brk, w.stmts(cc.Body, in))
+		}
+		w.pop()
+		return t.brk
+	default:
+		w.apply(s, ls)
+	}
+	return ls
+}
+
+// branch sends the fact at a break, continue or goto to its target and
+// ends the path; a fallthrough's fact is carried on by clauses.
+func (w *lockWalk) branch(s *ast.BranchStmt, ls lockset) lockset {
+	switch s.Tok {
+	case token.FALLTHROUGH:
+		return ls
+	case token.GOTO:
+		old := w.labels[s.Label.Name]
+		size := len(old)
+		w.labels[s.Label.Name] = join(old, ls)
+		w.grew = w.grew || old == nil || len(w.labels[s.Label.Name]) > size
+		return nil
+	}
+	for i := len(w.jumps) - 1; i >= 0; i-- {
+		t := w.jumps[i]
+		if s.Label != nil && s.Label.Name != t.label || s.Label == nil && s.Tok == token.CONTINUE && !t.loop {
+			continue
+		}
+		if s.Tok == token.BREAK {
+			t.brk = join(t.brk, ls)
+		} else {
+			t.cont = join(t.cont, ls)
+		}
+		break
+	}
+	return nil
+}
+
+func (w *lockWalk) push(label string, loop bool) *jumpTarget {
+	t := &jumpTarget{label: label, loop: loop}
+	w.jumps = append(w.jumps, t)
+	return t
+}
+
+func (w *lockWalk) pop() { w.jumps = w.jumps[:len(w.jumps)-1] }
+
+// loop walks a for or range statement. Outside the recording pass its
+// head fact is iterated until it stops growing and then stored; the
+// recording pass walks the body once from the stored fact.
+func (w *lockWalk) loop(s ast.Stmt, label string, pre lockset) lockset {
+	if f, ok := s.(*ast.ForStmt); ok {
+		w.apply(f.Init, pre)
+	}
+	if w.record {
+		after, _ := w.iterate(s, label, w.heads[s])
+		return after
+	}
+	head := maps.Clone(pre)
+	for {
+		after, back := w.iterate(s, label, head)
+		// Roots only grow, so an unchanged count is an unchanged set.
+		next := join(maps.Clone(pre), back)
+		if len(next) == len(head) {
+			w.heads[s] = head
+			return after
+		}
+		head = next
+	}
+}
+
+// iterate walks one iteration of a loop from its head fact and returns
+// the facts that leave the loop and that return to its head. A for's
+// condition and a range's operands are seen with the head fact.
+func (w *lockWalk) iterate(s ast.Stmt, label string, head lockset) (after, back lockset) {
+	in := maps.Clone(head)
+	t := w.push(label, true)
+	var body *ast.BlockStmt
+	var post ast.Stmt
+	switch s := s.(type) {
+	case *ast.ForStmt:
+		body, post = s.Body, s.Post
+		if s.Cond != nil {
+			w.apply(s.Cond, in)
+			t.brk = maps.Clone(in)
+		}
+	case *ast.RangeStmt:
+		body = s.Body
+		w.visit(s, in)
+		for _, e := range []ast.Expr{s.Key, s.Value, s.X} {
+			w.apply(e, in)
+		}
+		t.brk = maps.Clone(in)
+	}
+	end := w.stmts(body.List, in)
+	w.pop()
+	back = join(t.cont, end)
+	if back != nil {
+		w.apply(post, back)
+	}
+	return t.brk, back
+}
+
+// clauses walks a switch or type switch body. Each clause starts from the
+// dispatch fact, joined with the clause that falls through into it; a
+// switch with no default also leaves by an implicit empty arm.
+func (w *lockWalk) clauses(body *ast.BlockStmt, label string, ls lockset) lockset {
+	t := w.push(label, false)
+	t.brk = maps.Clone(ls)
+	for _, c := range body.List {
+		if c.(*ast.CaseClause).List == nil {
+			t.brk = nil
+		}
+	}
+	var fall lockset
+	for _, c := range body.List {
+		cc := c.(*ast.CaseClause)
+		in := join(maps.Clone(ls), fall)
+		for _, e := range cc.List {
+			w.apply(e, in)
+		}
+		out := w.stmts(cc.Body, in)
+		fall = nil
+		if last := len(cc.Body) - 1; last >= 0 && isBranch(cc.Body[last], token.FALLTHROUGH) {
+			fall = out
+		} else {
+			t.brk = join(t.brk, out)
+		}
+	}
+	w.pop()
+	return t.brk
+}
+
+func isBranch(s ast.Stmt, tok token.Token) bool {
+	b, ok := s.(*ast.BranchStmt)
+	return ok && b.Tok == tok
+}
+
+// apply walks one statement or expression, if any, without entering
+// function literals, visiting each node in evaluation order.
+func (w *lockWalk) apply(node ast.Node, ls lockset) {
+	if node != nil {
+		ast.Inspect(node, func(m ast.Node) bool { return w.visit(m, ls) })
+	}
+}
+
+// visit applies one node to ls: a lock operation updates it and, on the
+// recording pass, Acquires and the direct order edges; any other call,
+// and a blocking channel operation, reached with a lock held is a
+// HeldSite.
+func (w *lockWalk) visit(m ast.Node, ls lockset) bool {
+	if _, ok := m.(*ast.FuncLit); ok {
+		return false
+	}
+	call, isCall := m.(*ast.CallExpr)
+	if !isCall {
+		if desc, ok := blockingOp(w.n.Pkg.Info, m); ok {
+			w.site(m, desc, ls)
+		}
+		return true
+	}
+	root, op, ok := LockOp(w.n.Pkg, call)
+	if !ok {
+		w.site(call, "", ls)
+		return true
+	}
+	switch op {
+	case "Lock", "RLock":
+		if w.record {
+			w.n.facts.acquires[root] = true
+			for held := range ls {
+				if held != root {
+					w.g.orderEdges = append(w.g.orderEdges, OrderEdge{
+						Outer: held, Inner: root, Pos: call.Pos(), Pkg: w.n.Pkg,
+					})
+				}
+			}
+		}
+		ls[root] = call.Pos()
+	case "Unlock", "RUnlock":
+		delete(ls, root)
+	}
+	return false
+}
+
+func (w *lockWalk) site(m ast.Node, op string, ls lockset) {
+	if w.record && len(ls) > 0 {
+		w.n.HeldSites = append(w.n.HeldSites, HeldSite{Node: m, Op: op, Held: ls.held()})
+	}
+}
+
 // composeOrder extends the direct order edges with call-chain
 // compositions: a lock held at a call site orders before every lock the
-// callee transitively acquires. Go edges are excluded (the spawned body
-// runs on another goroutine, which does not inherit the caller's locks)
-// and defer edges carry no held set (they run at exit).
+// callee transitively acquires. The held locks are the site's HeldSite;
+// go and defer statements are never sites, so a spawned body (on a
+// goroutine that does not inherit the caller's locks) and a deferred
+// call (run at exit) compose nothing.
 func (g *Graph) composeOrder() {
 	for _, n := range g.Nodes {
-		for _, e := range n.Edges {
-			if e.Go || e.Defer || len(e.Held) == 0 {
+		for _, site := range n.HeldSites {
+			call, ok := site.Node.(*ast.CallExpr)
+			if !ok {
 				continue
 			}
-			cs := e.Callee.Summary
-			if cs == nil || len(cs.Acquires) == 0 {
-				continue
-			}
-			acquired := make([]string, 0, len(cs.Acquires))
-			for root := range cs.Acquires {
-				acquired = append(acquired, root)
-			}
-			sort.Strings(acquired)
-			for _, h := range e.Held {
-				for _, a := range acquired {
-					if a == h {
-						continue
+			for _, e := range g.CallEdges[call] {
+				cs := e.Callee.Summary
+				if cs == nil || len(cs.Acquires) == 0 {
+					continue
+				}
+				acquired := make([]string, 0, len(cs.Acquires))
+				for root := range cs.Acquires {
+					acquired = append(acquired, root)
+				}
+				sort.Strings(acquired)
+				for _, h := range site.Held {
+					for _, a := range acquired {
+						if a != h.Root {
+							g.orderEdges = append(g.orderEdges, OrderEdge{
+								Outer: h.Root, Inner: a, Pos: call.Pos(), Pkg: n.Pkg, Via: e.Callee.Name,
+							})
+						}
 					}
-					g.orderEdges = append(g.orderEdges, OrderEdge{
-						Outer: h, Inner: a, Pos: e.Site.Pos(), Pkg: n.Pkg, Via: e.Callee.Name,
-					})
 				}
 			}
 		}

@@ -44,7 +44,7 @@ var Analyzer = &framework.Analyzer{
 	Run:  run,
 }
 
-// run classifies each of the package's held sites in block order — a
+// run classifies each of the package's held sites in source order — a
 // channel operation by its recorded description, a call as a curated
 // blocking operation or through its callees' summaries — and reports
 // each held lock at the first blocking site of its function.

@@ -1,4 +1,4 @@
-// Fixture for the lockcheck analyzer: locksets flow through the CFG, so
+// Fixture for the lockcheck analyzer: locksets flow along every path, so
 // a mutex held (on any path) at a blocking operation is reported, and
 // opposite-order nested acquisitions anywhere in the package are paired
 // up into an inversion report.
@@ -128,4 +128,181 @@ func orderBA() {
 	muA.Lock()
 	muA.Unlock()
 	muB.Unlock()
+}
+
+// --- control shapes: each case pins how a lockset crosses one construct ---
+
+// muC is taken by the control-shape cases only, never nested with another
+// lock, so none of them adds an order edge.
+var muC sync.Mutex
+
+// earlyReturnKeepsLock: the arm that unlocks returns, so the lock is still
+// held after the if.
+func earlyReturnKeepsLock(ch chan int, dup bool) {
+	muC.Lock()
+	if dup {
+		muC.Unlock()
+		return
+	}
+	ch <- 1 // want `lockcheck.muC may be held \(acquired at line 142\) across channel send`
+	muC.Unlock()
+}
+
+// backEdgeHolds: the lock taken at the end of one iteration is held at
+// the next iteration's send.
+func backEdgeHolds(ch chan int, n int) {
+	for i := 0; i < n; i++ {
+		ch <- i // want `lockcheck.muC may be held \(acquired at line 156\) across channel send`
+		muC.Lock()
+	}
+}
+
+// breakCarriesLock: the break leaves the loop with the lock held.
+func breakCarriesLock(ch chan int, xs []int) {
+	for _, x := range xs {
+		muC.Lock()
+		if x < 0 {
+			break
+		}
+		muC.Unlock()
+	}
+	ch <- 1 // want `lockcheck.muC may be held \(acquired at line 163\) across channel send`
+}
+
+// continueCarriesLock: the continue takes the lock back to the loop head.
+func continueCarriesLock(ch chan int, xs []int) {
+	for _, x := range xs {
+		ch <- x // want `lockcheck.muC may be held \(acquired at line 176\) across channel send`
+		muC.Lock()
+		if x < 0 {
+			continue
+		}
+		muC.Unlock()
+	}
+}
+
+// continueOuterCarriesLock: the labeled continue takes the inner loop's
+// lock to the outer loop's head.
+func continueOuterCarriesLock(ch chan int, rows [][]int) {
+outer:
+	for _, row := range rows {
+		ch <- len(row) // want `lockcheck.muC may be held \(acquired at line 191\) across channel send`
+		for _, x := range row {
+			muC.Lock()
+			if x < 0 {
+				continue outer
+			}
+			muC.Unlock()
+		}
+	}
+}
+
+// unlockedLoopExits: break, continue and the loop's end all leave with
+// the lock released: clean.
+func unlockedLoopExits(ch chan int, xs []int) {
+	for _, x := range xs {
+		muC.Lock()
+		if x < 0 {
+			muC.Unlock()
+			break
+		}
+		if x == 0 {
+			muC.Unlock()
+			continue
+		}
+		muC.Unlock()
+	}
+	ch <- 1
+}
+
+// switchNoDefault: the implicit arm of a switch with no default skips
+// both unlocks.
+func switchNoDefault(ch chan int, k int) {
+	muC.Lock()
+	switch k {
+	case 0:
+		muC.Unlock()
+	case 1:
+		muC.Unlock()
+	}
+	ch <- k // want `lockcheck.muC may be held \(acquired at line 221\) across channel send`
+}
+
+// switchFallthrough: the first clause falls into the second, whose unlock
+// every path shares: clean.
+func switchFallthrough(ch chan int, k int) {
+	muC.Lock()
+	switch k {
+	case 0:
+		k++
+		fallthrough
+	case 1:
+		muC.Unlock()
+	default:
+		muC.Unlock()
+	}
+	ch <- k
+}
+
+// selectArmUnlocks: only one arm of a non-blocking select unlocks, and the
+// receive in its comm clause is not itself a site.
+func selectArmUnlocks(ch, done chan int) {
+	muC.Lock()
+	select {
+	case <-done:
+		muC.Unlock()
+	default:
+	}
+	ch <- 1 // want `lockcheck.muC may be held \(acquired at line 250\) across channel send`
+}
+
+// selectArmsUnlock: every arm unlocks: clean.
+func selectArmsUnlock(ch, done chan int) {
+	muC.Lock()
+	select {
+	case <-done:
+		muC.Unlock()
+	default:
+		muC.Unlock()
+	}
+	ch <- 1
+}
+
+// panicEndsPath: the locked arm panics, so no path reaches the send with
+// the lock held: clean.
+func panicEndsPath(ch chan int, bad bool) {
+	if bad {
+		muC.Lock()
+		panic("bad")
+	}
+	ch <- 1
+}
+
+// unreachableAfterReturn: no path reaches the send: clean.
+func unreachableAfterReturn(ch chan int) {
+	muC.Lock()
+	defer muC.Unlock()
+	return
+	ch <- 1
+}
+
+// foreverLoop never leaves its loop, so the code after it is dead: clean.
+func foreverLoop(ch chan int) {
+	for {
+		muC.Lock()
+		muC.Unlock()
+	}
+	muC.Lock()
+	ch <- 1
+}
+
+// gotoBackEdge: the goto carries the lock back to its label.
+func gotoBackEdge(ch chan int, n int) {
+again:
+	ch <- n // want `lockcheck.muC may be held \(acquired at line 305\) across channel send`
+	if n > 0 {
+		n--
+		muC.Lock()
+		goto again
+	}
 }

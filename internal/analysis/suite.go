@@ -12,7 +12,7 @@ import (
 
 // Suite returns every greenvet analyzer in presentation order: the
 // AST-pattern check first, then the lock check, which classifies the
-// locksets internal/analysis/callgraph records over each body's CFG, then
+// locksets internal/analysis/callgraph records by walking each body, then
 // the determinism check, whose taint rules ride on the same call graph's
 // function summaries.
 func Suite() []*framework.Analyzer {
