@@ -20,6 +20,7 @@ package greenps
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -159,6 +160,9 @@ func attrValues(attrs map[string]any) (map[string]message.Value, error) {
 type Client struct {
 	c    *client.Client
 	subs atomic.Uint64 // Subscribe calls so far; part of each subscription ID
+
+	deliverOnce sync.Once
+	delivered   <-chan Delivery // the one converted stream Deliveries returns
 }
 
 // Connect attaches a client to a broker.
@@ -216,9 +220,12 @@ func (c *Client) Subscribe(filter string) (string, error) {
 // Unsubscribe withdraws a subscription.
 func (c *Client) Unsubscribe(subID string) error { return c.c.Unsubscribe(subID) }
 
-// Deliveries returns the channel of received publications. It closes when
-// the connection ends.
-func (c *Client) Deliveries() <-chan Delivery { return deliveries(c.c.Publications()) }
+// Deliveries returns the channel of received publications; every call
+// returns the same channel. It closes when the connection ends.
+func (c *Client) Deliveries() <-chan Delivery {
+	c.deliverOnce.Do(func() { c.delivered = deliveries(c.c.Publications()) })
+	return c.delivered
+}
 
 // Close disconnects the client.
 func (c *Client) Close() error { return c.c.Close() }

@@ -158,6 +158,78 @@ func TestSubscribeBackToBack(t *testing.T) {
 	}
 }
 
+// TestDeliveriesCalledTwice takes Deliveries twice from one client. Both
+// calls must return one channel, and it must carry every publication, in
+// Seq order: a second converter on the same connection would take some.
+func TestDeliveriesCalledTwice(t *testing.T) {
+	b, err := greenps.StartBroker(greenps.BrokerOptions{ID: "B1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Stop()
+	sub, err := greenps.Connect("watcher", b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = sub.Close() }()
+	if _, err := sub.Subscribe("[class,=,'STOCK']"); err != nil {
+		t.Fatal(err)
+	}
+	first, deliveries := sub.Deliveries(), sub.Deliveries()
+	if first != deliveries {
+		t.Error("second Deliveries call returned a different channel")
+	}
+
+	pub, err := greenps.Connect("ticker", b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = pub.Close() }()
+	advID, err := pub.Advertise("[class,=,'STOCK']")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The subscription and the publications travel on different
+	// connections, so publish probes until one is delivered.
+	deadline := time.After(10 * time.Second)
+	for probed := false; !probed; {
+		if err := pub.Publish(advID, map[string]any{"class": "STOCK", "probe": true}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-deliveries:
+			probed = true
+		case <-time.After(20 * time.Millisecond):
+		case <-deadline:
+			t.Fatal("no probe delivered")
+		}
+	}
+	const n = 20
+	for i := 0; i < n; i++ {
+		if err := pub.Publish(advID, map[string]any{"class": "STOCK", "n": i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Probes still in flight arrive first: one publisher's publications
+	// reach the subscriber in order.
+	lastSeq := -1
+	for got := 0; got < n; {
+		select {
+		case d := <-deliveries:
+			if d.Attrs["probe"] == true {
+				continue
+			}
+			if lastSeq >= 0 && d.Seq != lastSeq+1 {
+				t.Fatalf("publication %d has Seq %d after Seq %d", got, d.Seq, lastSeq)
+			}
+			lastSeq = d.Seq
+			got++
+		case <-time.After(2 * time.Second):
+			t.Fatalf("received %d of %d publications", got, n)
+		}
+	}
+}
+
 func TestFacadeValidation(t *testing.T) {
 	if _, err := greenps.StartBroker(greenps.BrokerOptions{}); err == nil {
 		t.Fatal("broker without ID accepted")

@@ -1,11 +1,10 @@
 // Package callgraph builds a whole-program call graph over the loaded
 // packages and computes bottom-up per-function summaries (may-block,
-// acquired locks, nondeterminism taint) with fixpoint iteration over
-// strongly connected components, so recursion and mutual recursion
-// converge. Its per-body lockset analysis is the tree's only one: besides
-// the summaries it records the locks held at every call and blocking
-// operation, which lockcheck classifies. It is the interprocedural
-// substrate under lockcheck and detflow.
+// acquired locks) with fixpoint iteration over strongly connected
+// components, so recursion and mutual recursion converge. Its per-body
+// lockset analysis is the tree's only one: besides the summaries it
+// records the locks held at every call and blocking operation for
+// lockcheck, its one client, to classify.
 //
 // Resolution policy (see DESIGN.md §13 for the full soundness argument):
 //
@@ -101,9 +100,6 @@ type Edge struct {
 	// function-literal arguments of such calls).
 	Go    bool
 	Defer bool
-	// ArgIndex is the argument position carrying the callee when the
-	// edge models a function passed as an argument; -1 otherwise.
-	ArgIndex int
 }
 
 // Build constructs the call graph over pkgs. All packages must share one
@@ -413,7 +409,7 @@ func (b *builder) call(caller *Node, call *ast.CallExpr, isGo, isDefer bool) {
 		return // conversion, not a call
 	}
 	emit := func(callee *Node) {
-		b.addEdge(&Edge{Caller: caller, Callee: callee, Site: call, Go: isGo, Defer: isDefer, ArgIndex: -1})
+		b.addEdge(&Edge{Caller: caller, Callee: callee, Site: call, Go: isGo, Defer: isDefer})
 	}
 	switch fun := unparen(call.Fun).(type) {
 	case *ast.FuncLit:
@@ -461,9 +457,9 @@ func (b *builder) call(caller *Node, call *ast.CallExpr, isGo, isDefer bool) {
 	}
 	// Function-valued arguments: assume the callee may invoke them
 	// synchronously (dynamic over-approximation for higher-order calls).
-	for i, arg := range call.Args {
+	for _, arg := range call.Args {
 		if t := b.resolveFuncExpr(caller.Pkg, arg); t != nil {
-			b.addEdge(&Edge{Caller: caller, Callee: t, Site: call, Go: isGo, Defer: isDefer, ArgIndex: i})
+			b.addEdge(&Edge{Caller: caller, Callee: t, Site: call, Go: isGo, Defer: isDefer})
 		}
 	}
 }

@@ -173,23 +173,6 @@ func TestComposedLockOrder(t *testing.T) {
 	}
 }
 
-func TestTaintThroughHelper(t *testing.T) {
-	g := testGraph(t)
-	if s := node(t, g, "cg.now").Summary; !s.Taints {
-		t.Error("now: Taints = false, want true (returns time.Now())")
-	}
-	s := node(t, g, "cg.Stamp").Summary
-	if !s.Taints {
-		t.Error("Stamp: Taints = false, want true (launders clock through helper)")
-	}
-	if !strings.Contains(s.TaintDesc, "wall-clock") {
-		t.Errorf("Stamp: TaintDesc = %q, want wall-clock source named", s.TaintDesc)
-	}
-	if s := node(t, g, "cg.Clean").Summary; s.Taints {
-		t.Errorf("Clean: Taints = true (desc %q), want false", s.TaintDesc)
-	}
-}
-
 // TestLockWalk pins the lockset walk one control shape at a time: each
 // want lists a function's HeldSites as "line op locks", a lock written
 // root@line-acquired.

@@ -62,92 +62,6 @@ var BlockingMethodPkgs = map[string]map[string]bool{
 	},
 }
 
-// NondetSource is one function outside the program whose result is hidden
-// nondeterminism. NondetSourceOf is the only list of them: detflow bans a
-// reference to any from a deterministic package and follows the values
-// they return everywhere.
-type NondetSource struct {
-	// Desc names what a value read from the source is; detflow reports it
-	// as a taint's origin.
-	Desc string
-	// Ban is detflow's reason for forbidding the reference: Desc plus,
-	// where there is one, what to do instead.
-	Ban string
-	// Clock marks the wall-clock reads, the one kind the telemetry package
-	// is banned from as well (its clocks are injected).
-	Clock bool
-}
-
-var (
-	wallClock  = NondetSource{Desc: "wall-clock read", Clock: true}
-	coreCount  = NondetSource{Desc: "core-count query", Ban: "core-count query; a plan must not depend on the machine, so take any worker count from an explicit option"}
-	cryptoRand = NondetSource{Desc: "crypto/rand read"}
-	globalRand = NondetSource{Desc: "global math/rand", Ban: "global math/rand state; plumb an explicitly seeded *rand.Rand through the options struct"}
-)
-
-// nondetSources is keyed by framework.FuncKey. math/rand is not listed:
-// the whole package is a source except seededRand.
-var nondetSources = map[string]NondetSource{
-	"time.Now":           wallClock,
-	"time.Since":         wallClock,
-	"time.Until":         wallClock,
-	"runtime.NumCPU":     coreCount,
-	"runtime.GOMAXPROCS": coreCount,
-	"crypto/rand.Read":   cryptoRand,
-	"crypto/rand.Int":    cryptoRand,
-	"crypto/rand.Prime":  cryptoRand,
-	"os.Getpid":          {Desc: "process-identity read"},
-	"os.Hostname":        {Desc: "host-identity read"},
-}
-
-// seededRand are the math/rand package-level functions that construct
-// explicitly seeded sources rather than touching process-global state —
-// how the FBF and PAIRWISE options plumb their Seed.
-var seededRand = map[string]bool{
-	"New":       true,
-	"NewSource": true,
-	"NewZipf":   true, // operates on an explicit *rand.Rand
-}
-
-// NondetSourceOf classifies a package-level function as a source of
-// hidden nondeterminism. Methods never are: those on *rand.Rand draw from
-// an explicit seeded source.
-func NondetSourceOf(fn *types.Func) (NondetSource, bool) {
-	if fn == nil || fn.Pkg() == nil {
-		return NondetSource{}, false
-	}
-	if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-		return NondetSource{}, false
-	}
-	src, ok := nondetSources[framework.FuncKey(fn)]
-	if path := fn.Pkg().Path(); path == "math/rand" || path == "math/rand/v2" {
-		src, ok = globalRand, !seededRand[fn.Name()]
-	}
-	if src.Ban == "" {
-		src.Ban = src.Desc
-	}
-	return src, ok
-}
-
-// taintSource describes why an external function's results are
-// nondeterministic: a NondetSource, or detflow's package-wide telemetry
-// policy (every value a telemetry function returns is a runtime
-// observation).
-func taintSource(fn *types.Func) (string, bool) {
-	if src, ok := NondetSourceOf(fn); ok {
-		return src.Desc, true
-	}
-	if fn != nil && fn.Pkg() != nil && scope.IsTelemetry(fn.Pkg().Path()) && returnsValues(fn) {
-		return "telemetry read", true
-	}
-	return "", false
-}
-
-func returnsValues(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Results().Len() > 0
-}
-
 // externalBlocking classifies a function outside the program as
 // blocking, by the curated tables plus the Wait-name join rule
 // (sync.WaitGroup, sync.Cond, and every Wait in the repo share the
@@ -156,11 +70,11 @@ func externalBlocking(fn *types.Func) (string, bool) {
 	sig, _ := fn.Type().(*types.Signature)
 	if sig != nil && sig.Recv() != nil {
 		if fn.Name() == "Wait" {
-			return MethodDesc(fn) + " (join)", true
+			return framework.MethodDesc(fn) + " (join)", true
 		}
 		if fn.Pkg() != nil {
 			if methods, ok := BlockingMethodPkgs[fn.Pkg().Path()]; ok && methods[fn.Name()] {
-				return MethodDesc(fn) + " (blocking I/O)", true
+				return framework.MethodDesc(fn) + " (blocking I/O)", true
 			}
 		}
 		return "", false
@@ -171,32 +85,12 @@ func externalBlocking(fn *types.Func) (string, bool) {
 	return "", false
 }
 
-// MethodDesc renders "Type.Method" for a method and the bare name for a
-// package-level function.
-func MethodDesc(fn *types.Func) string {
-	sig, _ := fn.Type().(*types.Signature)
-	if sig != nil && sig.Recv() != nil {
-		t := sig.Recv().Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if named, ok := t.(*types.Named); ok {
-			return named.Obj().Name() + "." + fn.Name()
-		}
-	}
-	return fn.Name()
-}
-
 // externalSummary builds the curated summary for a bodiless node.
 func externalSummary(fn *types.Func) *Summary {
 	s := &Summary{}
 	if desc, ok := externalBlocking(fn); ok {
 		s.MayBlock = true
 		s.BlockDesc = desc
-	}
-	if desc, ok := taintSource(fn); ok {
-		s.Taints = true
-		s.TaintDesc = desc
 	}
 	return s
 }

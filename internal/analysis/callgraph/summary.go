@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"github.com/greenps/greenps/internal/analysis/framework"
-	"github.com/greenps/greenps/internal/analysis/scope"
 )
 
 // Summary holds one function's interprocedural facts. Every field only
@@ -32,11 +31,6 @@ type Summary struct {
 	// Acquires are the canonical lock roots (callgraph.LockRoot) the
 	// function may acquire, transitively.
 	Acquires map[string]bool
-	// Taints: the function's return values may carry nondeterminism
-	// (wall clock, global rand, partial map-iteration order, telemetry).
-	Taints bool
-	// TaintDesc names the nondeterminism source behind Taints.
-	TaintDesc string
 }
 
 // BlockChain renders the blocking call chain for diagnostics.
@@ -69,9 +63,8 @@ func (g *Graph) OrderEdges() []OrderEdge { return g.orderEdges }
 
 // localFacts caches one body's intraprocedural scan.
 type localFacts struct {
-	blockDesc   string          // first local blocking operation, "" if none
-	taintPolicy string          // non-empty: policy taint (telemetry read)
-	acquires    map[string]bool // filled by the lockset pre-analysis
+	blockDesc string          // first local blocking operation, "" if none
+	acquires  map[string]bool // filled by the lockset pre-analysis
 }
 
 // Summarize computes every node's summary bottom-up over SCCs and then
@@ -96,7 +89,7 @@ func (g *Graph) Summarize() {
 		for changed := true; changed; {
 			changed = false
 			for _, n := range scc {
-				if !n.External() && g.update(n) {
+				if !n.External() && update(n) {
 					changed = true
 				}
 			}
@@ -107,7 +100,7 @@ func (g *Graph) Summarize() {
 
 // update recomputes n's summary from its local facts and current callee
 // summaries; reports whether anything changed.
-func (g *Graph) update(n *Node) bool {
+func update(n *Node) bool {
 	s, f := n.Summary, n.facts
 	changed := false
 	setBlock := func(desc string, path []string) {
@@ -147,30 +140,13 @@ func (g *Graph) update(n *Node) bool {
 			}
 		}
 	}
-	if f.taintPolicy != "" && !s.Taints {
-		s.Taints = true
-		s.TaintDesc = f.taintPolicy
-		changed = true
-	}
-	if !s.Taints {
-		if t := g.taintedReturn(n); t != nil {
-			s.Taints = true
-			s.TaintDesc = t.Desc
-			changed = true
-		}
-	}
 	return changed
 }
 
-// localScan computes the body-local facts: blocking operations outside
-// select guards and the telemetry taint policy (every value a telemetry
-// function returns is timing-dependent by definition, whatever its body
-// looks like).
+// localScan computes the body-local facts: the first blocking operation
+// outside select guards.
 func localScan(n *Node) *localFacts {
 	f := &localFacts{acquires: make(map[string]bool)}
-	if scope.IsTelemetry(n.Pkg.Path) && n.sig != nil && n.sig.Results().Len() > 0 {
-		f.taintPolicy = "telemetry read"
-	}
 	comms := selectComms(n.Body)
 	ast.Inspect(n.Body, func(m ast.Node) bool {
 		if _, ok := m.(*ast.FuncLit); ok {

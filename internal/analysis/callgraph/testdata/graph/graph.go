@@ -3,11 +3,7 @@
 // tests assert on by node name.
 package cg
 
-import (
-	"sort"
-	"sync"
-	"time"
-)
+import "sync"
 
 // --- transitive blocking: the operation is two calls deep ---
 
@@ -112,15 +108,4 @@ func (t *Two) NestedViaCall() {
 	t.a.Lock()
 	defer t.a.Unlock()
 	t.LockB() // composes order edge Two.a -> Two.b
-}
-
-// --- taint: a clock read laundered through a helper's return ---
-
-func now() time.Time { return time.Now() }
-
-func Stamp() int64 { return now().UnixNano() }
-
-func Clean(xs []int) int {
-	sort.Ints(xs)
-	return xs[0]
 }

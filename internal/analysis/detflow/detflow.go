@@ -6,11 +6,11 @@
 // In the deterministic packages (scope.DeterministicPackages) detflow
 // reports four kinds of finding:
 //
-//   - every reference, call or function value, to a
-//     callgraph.NondetSourceOf source: wall clock, global math/rand,
-//     crypto/rand, core count, process and host identity (seeded
-//     generators — rand.New, rand.NewSource — stay allowed; they are how
-//     the FBF and PAIRWISE options plumb their Seed);
+//   - every reference, call or function value, to a NondetSourceOf
+//     source: wall clock, global math/rand, crypto/rand, core count,
+//     process and host identity (seeded generators — rand.New,
+//     rand.NewSource — stay allowed; they are how the FBF and PAIRWISE
+//     options plumb their Seed);
 //   - every select with two or more communication cases, since the
 //     runtime picks a ready case at random;
 //   - every import of the telemetry package and every call into it:
@@ -21,12 +21,14 @@
 // The telemetry package itself may not reference the wall clock: its
 // clocks are injected, so it runs on a virtual clock under test.
 //
-// Everywhere, detflow also follows nondeterministic values through the
-// call graph (callgraph.Summary.Taints) and a per-function assignment
-// fixpoint, with conservative pass-through at calls, so a helper that
-// launders a clock read, a partial map range or a telemetry read is
-// caught where the value lands: returned from a deterministic-package
-// function, or stored into a core.Plan in any package.
+// Every check is syntactic and local to one package: detflow follows no
+// value across a call, so it does not see a nondeterministic value
+// produced outside the deterministic packages and passed in. The scope
+// package's TestPlanPathImportClosure holds the plan path's other
+// in-module imports to message, extsort and parwork, whose one source,
+// parwork's GOMAXPROCS worker count, the plan oracles
+// TestCRAMDeterministicAcrossParallelism and
+// TestPlanEquivalenceAcrossWorkers pin.
 //
 // A justified //greenvet:detflow-ok <why> on the flagged line (or the
 // line above) suppresses any of these findings; -audit tracks the
@@ -39,7 +41,6 @@ import (
 	"go/types"
 	"strconv"
 
-	"github.com/greenps/greenps/internal/analysis/callgraph"
 	"github.com/greenps/greenps/internal/analysis/framework"
 	"github.com/greenps/greenps/internal/analysis/scope"
 )
@@ -47,28 +48,15 @@ import (
 // Analyzer is the detflow check.
 var Analyzer = &framework.Analyzer{
 	Name: "detflow",
-	Doc:  "keeps plans pure functions of the snapshot: no clock, global rand, racy select, telemetry or order-dependent map range in plan-producing packages, and no nondeterministic value reaching their returns or a core.Plan store",
+	Doc:  "keeps plans pure functions of the snapshot: no clock, global rand, racy select, telemetry or order-dependent map range in plan-producing packages",
 	Run:  run,
 }
 
 func run(pass *framework.Pass) error {
-	path := pass.Pkg.Path()
-	det := scope.IsDeterministic(path)
-	if det {
+	if path := pass.Pkg.Path(); scope.IsDeterministic(path) {
 		checkSyntax(pass)
 	} else if scope.IsTelemetry(path) {
 		checkTelemetryClock(pass)
-	}
-	g := callgraph.Of(pass)
-	for _, n := range g.Nodes {
-		if n.External() || n.Pkg.Path != path {
-			continue
-		}
-		local := g.LocalTaints(n)
-		if det {
-			checkReturns(pass, g, n, local)
-		}
-		checkPlanStores(pass, g, n, local)
 	}
 	return nil
 }
@@ -96,7 +84,7 @@ func checkSyntax(pass *framework.Pass) {
 				// A bare reference counts: assigning time.Now to a clock
 				// field smuggles the wall clock in as surely as calling it.
 				fn := framework.FuncOf(pass.Info, x)
-				if src, ok := callgraph.NondetSourceOf(fn); ok {
+				if src, ok := NondetSourceOf(fn); ok {
 					reportf(pass, x.Pos(), "reference to %s in deterministic package: %s", framework.FuncKey(fn), src.Ban)
 				}
 			case *ast.CallExpr:
@@ -128,7 +116,7 @@ func checkTelemetryCall(pass *framework.Pass, call *ast.CallExpr) {
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != scope.TelemetryPath {
 		return
 	}
-	reportf(pass, sel.Pos(), "call to telemetry %s inside the deterministic core; telemetry observes the live path and must never touch plan computation", callgraph.MethodDesc(fn))
+	reportf(pass, sel.Pos(), "call to telemetry %s inside the deterministic core; telemetry observes the live path and must never touch plan computation", framework.MethodDesc(fn))
 }
 
 // checkSelect flags a select that can choose among several ready channels.
@@ -155,12 +143,72 @@ func checkTelemetryClock(pass *framework.Pass) {
 				return true
 			}
 			fn := framework.FuncOf(pass.Info, sel)
-			if src, ok := callgraph.NondetSourceOf(fn); ok && src.Clock {
+			if src, ok := NondetSourceOf(fn); ok && src.Clock {
 				reportf(pass, sel.Pos(), "reference to %s in the telemetry package: clocks are injected by callers so telemetry stays testable on a virtual clock", framework.FuncKey(fn))
 			}
 			return true
 		})
 	}
+}
+
+// NondetSource is one function outside the program whose result is hidden
+// nondeterminism. NondetSourceOf is the only list of them.
+type NondetSource struct {
+	// Ban is the reason a deterministic package may not reference the
+	// source: what a value read from it is and, where there is one, what
+	// to do instead.
+	Ban string
+	// Clock marks the wall-clock reads, the one kind the telemetry package
+	// is banned from as well (its clocks are injected).
+	Clock bool
+}
+
+var (
+	wallClock  = NondetSource{Ban: "wall-clock read", Clock: true}
+	coreCount  = NondetSource{Ban: "core-count query; a plan must not depend on the machine, so take any worker count from an explicit option"}
+	cryptoRand = NondetSource{Ban: "crypto/rand read"}
+	globalRand = NondetSource{Ban: "global math/rand state; plumb an explicitly seeded *rand.Rand through the options struct"}
+)
+
+// nondetSources is keyed by framework.FuncKey. math/rand is not listed:
+// the whole package is a source except seededRand.
+var nondetSources = map[string]NondetSource{
+	"time.Now":           wallClock,
+	"time.Since":         wallClock,
+	"time.Until":         wallClock,
+	"runtime.NumCPU":     coreCount,
+	"runtime.GOMAXPROCS": coreCount,
+	"crypto/rand.Read":   cryptoRand,
+	"crypto/rand.Int":    cryptoRand,
+	"crypto/rand.Prime":  cryptoRand,
+	"os.Getpid":          {Ban: "process-identity read"},
+	"os.Hostname":        {Ban: "host-identity read"},
+}
+
+// seededRand are the math/rand package-level functions that construct
+// explicitly seeded sources rather than touching process-global state —
+// how the FBF and PAIRWISE options plumb their Seed.
+var seededRand = map[string]bool{
+	"New":       true,
+	"NewSource": true,
+	"NewZipf":   true, // operates on an explicit *rand.Rand
+}
+
+// NondetSourceOf classifies a package-level function as a source of
+// hidden nondeterminism. Methods never are: those on *rand.Rand draw from
+// an explicit seeded source.
+func NondetSourceOf(fn *types.Func) (NondetSource, bool) {
+	if fn == nil || fn.Pkg() == nil {
+		return NondetSource{}, false
+	}
+	if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
+		return NondetSource{}, false
+	}
+	if path := fn.Pkg().Path(); path == "math/rand" || path == "math/rand/v2" {
+		return globalRand, !seededRand[fn.Name()]
+	}
+	src, ok := nondetSources[framework.FuncKey(fn)]
+	return src, ok
 }
 
 // orderIndependent reports whether every iteration of a map range
@@ -295,129 +343,4 @@ func sortedAfter(info *types.Info, body *ast.BlockStmt, loopEnd token.Pos, s typ
 		return !found
 	})
 	return found
-}
-
-// checkReturns flags tainted return values of a det-package function.
-// Every return site is checked independently so each gets its own
-// suppression decision.
-func checkReturns(pass *framework.Pass, g *callgraph.Graph, n *callgraph.Node, local map[types.Object]*callgraph.Taint) {
-	ast.Inspect(n.Body, func(m ast.Node) bool {
-		switch x := m.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.ReturnStmt:
-			if len(x.Results) == 0 {
-				if n.Obj == nil {
-					return true
-				}
-				sig := n.Obj.Type().(*types.Signature)
-				for i := 0; i < sig.Results().Len(); i++ {
-					if t, ok := local[sig.Results().At(i)]; ok {
-						reportTaint(pass, x.Pos(), t, "returned from deterministic package "+pass.Pkg.Name())
-						return true
-					}
-				}
-				return true
-			}
-			for _, res := range x.Results {
-				if t := g.ExprTaint(n, local, res); t != nil {
-					reportTaint(pass, x.Pos(), t, "returned from deterministic package "+pass.Pkg.Name())
-					return true
-				}
-			}
-		}
-		return true
-	})
-}
-
-// checkPlanStores flags tainted values stored into a core.Plan — field
-// assignments through any selector/index chain, and Plan composite
-// literals — in whatever package the store happens.
-func checkPlanStores(pass *framework.Pass, g *callgraph.Graph, n *callgraph.Node, local map[types.Object]*callgraph.Taint) {
-	info := n.Pkg.Info
-	ast.Inspect(n.Body, func(m ast.Node) bool {
-		switch x := m.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.AssignStmt:
-			if len(x.Lhs) != len(x.Rhs) {
-				return true
-			}
-			for i, lhs := range x.Lhs {
-				if !storesIntoPlan(info, lhs) {
-					continue
-				}
-				if t := g.ExprTaint(n, local, x.Rhs[i]); t != nil {
-					reportTaint(pass, x.Pos(), t, "stored into core.Plan")
-				}
-			}
-		case *ast.CompositeLit:
-			t := info.TypeOf(x)
-			if t == nil || !isPlanType(t) {
-				return true
-			}
-			for _, elt := range x.Elts {
-				v := elt
-				if kv, ok := elt.(*ast.KeyValueExpr); ok {
-					v = kv.Value
-				}
-				if taint := g.ExprTaint(n, local, v); taint != nil {
-					reportTaint(pass, v.Pos(), taint, "stored into core.Plan")
-				}
-			}
-		}
-		return true
-	})
-}
-
-func reportTaint(pass *framework.Pass, pos token.Pos, t *callgraph.Taint, sink string) {
-	reportf(pass, pos, "nondeterministic value (%s) %s; plans must be pure functions of the snapshot — plumb the value through an injected option or justify with //greenvet:detflow-ok",
-		t.Desc, sink)
-}
-
-// storesIntoPlan reports whether the assignment target writes through a
-// core.Plan value: some prefix of its selector/index chain has the Plan
-// type.
-func storesIntoPlan(info *types.Info, lhs ast.Expr) bool {
-	for {
-		switch x := lhs.(type) {
-		case *ast.SelectorExpr:
-			if isPlanType(info.TypeOf(x.X)) {
-				return true
-			}
-			lhs = x.X
-		case *ast.IndexExpr:
-			if isPlanType(info.TypeOf(x.X)) {
-				return true
-			}
-			lhs = x.X
-		case *ast.StarExpr:
-			lhs = x.X
-		case *ast.ParenExpr:
-			lhs = x.X
-		default:
-			return false
-		}
-	}
-}
-
-// isPlanType reports whether t (possibly behind a pointer) is the named
-// type Plan from the core package or from a fixture standing in for it.
-func isPlanType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj == nil || obj.Pkg() == nil || obj.Name() != "Plan" {
-		return false
-	}
-	path := obj.Pkg().Path()
-	return path == scope.CorePath || scope.IsFixture(path)
 }

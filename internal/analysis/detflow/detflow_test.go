@@ -7,13 +7,14 @@ import (
 	"github.com/greenps/greenps/internal/analysis/detflow"
 )
 
-// TestDetflow checks the taint rules: nondeterministic values laundered
-// through helpers are caught at det-package returns and core.Plan stores.
+// TestDetflow checks the bans at the determinism boundary: a source on its
+// way into a Plan or a return is flagged where it is referenced, and a
+// helper that only returns its result is not.
 func TestDetflow(t *testing.T) {
 	analysistest.Run(t, "testdata/src/detflow", "fixture/detflow", detflow.Analyzer)
 }
 
-// TestNondetSources checks that every callgraph.NondetSourceOf reference
+// TestNondetSources checks that every NondetSourceOf reference
 // and every racy select in a deterministic package is flagged, while
 // seeded generators and justified sites pass.
 func TestNondetSources(t *testing.T) {

@@ -21,7 +21,7 @@ func (r *run) instrumented(c *telemetry.Counter, h *telemetry.Histogram) {
 // feedback reads a counter into a plan decision — the exact loop the
 // boundary exists to prevent; reads are flagged the same as writes.
 func (r *run) feedback(c *telemetry.Counter) bool {
-	return c.Value() > 100 // want "call to telemetry Counter.Value inside the deterministic core" "nondeterministic value \\(telemetry read\\) returned"
+	return c.Value() > 100 // want "call to telemetry Counter.Value inside the deterministic core"
 }
 
 // justified call sites carry detflow-ok like every other detflow finding.

@@ -7,11 +7,11 @@ package maporder
 
 import "sort"
 
-// pickAny returns an arbitrary element — the classic order-dependent loop.
-// The key it returns is tainted as well.
+// pickAny returns an arbitrary element — the classic order-dependent loop:
+// which key comes back depends on the visit order.
 func pickAny(m map[string]int) string {
 	for k := range m { // want "range over map m has an order-dependent body"
-		return k // want "nondeterministic value \\(map-iteration order \\(partial range\\)\\) returned"
+		return k
 	}
 	return ""
 }
@@ -89,12 +89,12 @@ func justified(m map[string]bool) bool {
 }
 
 // unjustified shows that a bare directive is rejected: suppression without
-// a reason still fails the build. It covers the range, not the return a
-// line further down.
+// a reason still fails the build. The directive sits above the range, so
+// the finding it reports is the range's.
 func unjustified(m map[string]int) int {
 	//greenvet:detflow-ok
 	for k := range m { // want "suppression requires a justification"
-		return m[k] // want "nondeterministic value \\(map-iteration order \\(partial range\\)\\) returned"
+		return m[k]
 	}
 	return 0
 }

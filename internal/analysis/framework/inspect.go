@@ -81,6 +81,22 @@ func FuncKey(fn *types.Func) string {
 	return fn.Pkg().Path() + "." + fn.Name()
 }
 
+// MethodDesc renders "Type.Method" for a method and the bare name for a
+// package-level function.
+func MethodDesc(fn *types.Func) string {
+	sig, _ := fn.Type().(*types.Signature)
+	if sig != nil && sig.Recv() != nil {
+		t := sig.Recv().Type()
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		if named, ok := t.(*types.Named); ok {
+			return named.Obj().Name() + "." + fn.Name()
+		}
+	}
+	return fn.Name()
+}
+
 // IsPure conservatively reports whether evaluating the expression cannot
 // have side effects and cannot depend on evaluation order: no function
 // calls (except the pure builtins len, cap, min, max and type

@@ -18,7 +18,8 @@ const Module = "github.com/greenps/greenps"
 // counts parwork.Run as a join.
 const ParworkPath = Module + "/internal/parwork"
 
-// AllocationPath is the package owning the E7/E8 stat counters.
+// AllocationPath is the Phase-2 subscription allocation package, the
+// first of the deterministic packages.
 const AllocationPath = Module + "/internal/allocation"
 
 // TelemetryPath is the live-path instrumentation package. It sits on
@@ -34,11 +35,6 @@ const (
 	TransportPath = Module + "/internal/transport"
 	ClientPath    = Module + "/internal/client"
 )
-
-// CorePath is the package owning core.Plan, the canonical reconfiguration
-// artifact that CROC compares byte-for-byte. detflow treats any value
-// stored into a Plan as a determinism sink.
-const CorePath = Module + "/internal/core"
 
 // DeterministicPackages are the plan-producing packages: given one broker
 // snapshot they must produce one canonical answer — Phase-2 allocation,

@@ -13,8 +13,8 @@ import (
 // Suite returns every greenvet analyzer in presentation order: the
 // AST-pattern check first, then the lock check, which classifies the
 // locksets internal/analysis/callgraph records by walking each body, then
-// the determinism check, whose taint rules ride on the same call graph's
-// function summaries.
+// the determinism check, which, like the first, reads one package's
+// syntax at a time.
 func Suite() []*framework.Analyzer {
 	return []*framework.Analyzer{
 		shadow.Analyzer,

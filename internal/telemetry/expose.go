@@ -6,8 +6,6 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-
-	"github.com/greenps/greenps/internal/metrics"
 )
 
 // formatFloat renders a float the way Prometheus text exposition expects
@@ -82,28 +80,4 @@ func (r *Registry) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WritePrometheus(w)
 	})
-}
-
-// Series renders the registry snapshot as a metrics.Series table, the
-// same row/series format the offline experiment tables use.
-func (r *Registry) Series(title string) *metrics.Series {
-	s := &metrics.Series{
-		ID:     "RT",
-		Title:  title,
-		Header: []string{"metric", "kind", "value"},
-	}
-	for _, m := range r.Snapshot() {
-		switch m.Kind {
-		case KindHistogram:
-			mean := "n/a"
-			if m.Count > 0 {
-				mean = fmt.Sprintf("%g", m.Sum/float64(m.Count))
-			}
-			s.AddRow(m.Name, m.Kind.String(),
-				fmt.Sprintf("count=%d sum=%g mean=%s", m.Count, m.Sum, mean))
-		default:
-			s.AddRow(m.Name, m.Kind.String(), strconv.FormatInt(m.Value, 10))
-		}
-	}
-	return s
 }

@@ -1,8 +1,7 @@
 // Package telemetry is the live stack's instrumentation subsystem:
 // atomic counters and gauges, fixed-bucket histograms, and named span
 // timelines, collected in a Registry that snapshots deterministically
-// (sorted names) and renders both Prometheus text exposition and
-// metrics.Series tables.
+// (sorted names) and renders Prometheus text exposition.
 //
 // Design constraints, in order:
 //

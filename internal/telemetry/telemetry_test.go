@@ -133,23 +133,6 @@ func TestHandlerServesExposition(t *testing.T) {
 	}
 }
 
-func TestSeriesTable(t *testing.T) {
-	r := telemetry.New(nil)
-	r.Counter("a_total", "").Add(3)
-	h := r.Histogram("b_seconds", "", []float64{1})
-	h.Observe(0.5)
-	h.Observe(1.5)
-	s := r.Series("broker runtime")
-	var buf bytes.Buffer
-	if err := s.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "a_total") || !strings.Contains(out, "count=2 sum=2") {
-		t.Fatalf("series table:\n%s", out)
-	}
-}
-
 func TestInvalidRegistrationsPanic(t *testing.T) {
 	r := telemetry.New(nil)
 	mustPanic := func(name string, fn func()) {

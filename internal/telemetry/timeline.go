@@ -133,26 +133,3 @@ func (t *Timeline) Render(w io.Writer) error {
 	}
 	return nil
 }
-
-// Series renders the timeline as a metrics.Series table, matching the
-// offline experiment tables' format.
-func (t *Timeline) Series() *metrics.Series {
-	spans := t.Spans()
-	name := "timeline"
-	if t != nil && t.name != "" {
-		name = t.name
-	}
-	s := &metrics.Series{
-		ID:     "TL",
-		Title:  name,
-		Header: []string{"phase", "offset", "duration"},
-	}
-	if len(spans) == 0 {
-		return s
-	}
-	t0, _ := bounds(spans)
-	for _, sp := range spans {
-		s.AddRow(sp.Name, metrics.Dur(sp.Start.Sub(t0)), metrics.Dur(sp.Duration))
-	}
-	return s
-}
