@@ -1,5 +1,5 @@
 // Command greenvet is the multichecker driver for the repo's determinism
-// and concurrency lint suite (see DESIGN.md §8 and §13). It loads the
+// and concurrency lint suite (see DESIGN.md §8 and §11). It loads the
 // packages matching the given go-list patterns, runs every analyzer,
 // prints any findings in file:line:col form, and exits non-zero when
 // there are any — so CI fails on the first reintroduced invariant

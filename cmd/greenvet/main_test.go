@@ -32,7 +32,7 @@ func TestRenderJSONGolden(t *testing.T) {
 		},
 		{
 			Pos:      token.Position{Filename: "internal/demo/b.go", Line: 40, Column: 17},
-			Analyzer: "lockcheck-ip",
+			Analyzer: "lockcheck",
 			Message:  `Conn.wmu may be held (acquired at line 31) across Buffers.WriteTo (blocking I/O); a blocked holder stalls every contender — release the lock first or justify with //greenvet:lock-ok`,
 		},
 	}
@@ -79,7 +79,7 @@ func TestReadmeAnalyzerCount(t *testing.T) {
 	}
 	suite := analysis.Suite()
 
-	rowRe := regexp.MustCompile("(?m)^\\| `([a-z-]+)` \\| (?:AST|call graph|AST \\+ call graph) \\|")
+	rowRe := regexp.MustCompile("(?m)^\\| `([a-z-]+)` \\| AST \\|")
 	rows := make(map[string]bool)
 	for _, m := range rowRe.FindAllStringSubmatch(string(data), -1) {
 		rows[m[1]] = true

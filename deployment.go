@@ -2,6 +2,7 @@ package greenps
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"github.com/greenps/greenps/internal/deploy"
@@ -14,7 +15,9 @@ import (
 // from a clean state, and reconnect every client — while subscriber
 // delivery channels stay valid throughout.
 type Deployment struct {
-	d       *deploy.Deployment
+	d *deploy.Deployment
+
+	mu      sync.Mutex // guards nextSeq
 	nextSeq map[string]int
 }
 
@@ -50,14 +53,18 @@ func (dp *Deployment) AddPublisher(clientID, brokerID, filter string) (string, e
 	return advID, nil
 }
 
-// Publish sends one publication under a previously added publisher.
+// Publish sends one publication under a previously added publisher. It is
+// safe for concurrent use: each publication of one publisher gets its own
+// sequence number.
 func (dp *Deployment) Publish(advID string, attrs map[string]any) error {
 	converted, err := attrValues(attrs)
 	if err != nil {
 		return err
 	}
+	dp.mu.Lock()
 	seq := dp.nextSeq[advID]
 	dp.nextSeq[advID] = seq + 1
+	dp.mu.Unlock()
 	return dp.d.Publish(advID, message.NewPublication(advID, seq, converted))
 }
 

@@ -2,6 +2,7 @@ package greenps_test
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -74,6 +75,77 @@ func TestDeploymentReconfigureAndApply(t *testing.T) {
 	// Same channel keeps delivering on the consolidated system.
 	for seq := 10; seq < 14; seq++ {
 		publish(seq)
+	}
+}
+
+// TestDeploymentPublishConcurrent publishes from four goroutines under one
+// publisher: every publication arrives, and each gets its own sequence
+// number. Under -race it also pins that Publish's counter is guarded.
+func TestDeploymentPublishConcurrent(t *testing.T) {
+	const goroutines, each = 4, 50
+	dp := greenps.NewDeployment()
+	defer dp.Close()
+	if err := dp.StartBroker(greenps.BrokerOptions{ID: "B0"}); err != nil {
+		t.Fatal(err)
+	}
+	_, ch, err := dp.AddSubscriber("watcher", "B0", "[class,=,'STOCK']")
+	if err != nil {
+		t.Fatal(err)
+	}
+	advID, err := dp.AddPublisher("ticker", "B0", "[class,=,'STOCK']")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Subscribe is fire-and-forget: a probe publisher publishes until its
+	// first delivery shows the subscription is in place.
+	probeID, err := dp.AddPublisher("probe", "B0", "[class,=,'STOCK']")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for probed := false; !probed; {
+		if err := dp.Publish(probeID, map[string]any{"class": "STOCK"}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-ch:
+			probed = true
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
+
+	errs := make(chan error, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := dp.Publish(advID, map[string]any{"class": "STOCK"}); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	seen := make(map[int]bool)
+	for len(seen) < goroutines*each {
+		select {
+		case d := <-ch:
+			if d.PublisherID != advID {
+				continue // a late probe publication
+			}
+			if d.Seq < 0 || d.Seq >= goroutines*each || seen[d.Seq] {
+				t.Fatalf("delivery with Seq %d: out of range or repeated (%d seen)", d.Seq, len(seen))
+			}
+			seen[d.Seq] = true
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of %d publications delivered", len(seen), goroutines*each)
+		}
 	}
 }
 

@@ -45,34 +45,6 @@ type Diagnostic struct {
 	Message  string
 }
 
-// Program is the whole-program context shared by every Pass of one Run:
-// the full set of loaded packages plus a cache of expensive cross-package
-// facts (the call graph and its summaries live here). Facts are built
-// lazily by the first analyzer that asks and are then shared. Passes run
-// one at a time, so the cache needs no lock.
-type Program struct {
-	// Packages is every package of the run, in load order.
-	Packages []*Package
-
-	facts map[string]any
-}
-
-// NewProgram wraps a package set in a Program with an empty fact cache.
-func NewProgram(pkgs []*Package) *Program {
-	return &Program{Packages: pkgs, facts: make(map[string]any)}
-}
-
-// Fact returns the cached value under key, building it with build on the
-// first request.
-func (p *Program) Fact(key string, build func() any) any {
-	if v, ok := p.facts[key]; ok {
-		return v
-	}
-	v := build()
-	p.facts[key] = v
-	return v
-}
-
 // String formats the diagnostic in the canonical file:line:col form.
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s: %s", d.Pos, d.Analyzer, d.Message)
@@ -94,10 +66,6 @@ type Pass struct {
 	// Pkg and Info are the type-checker outputs for Files.
 	Pkg  *types.Package
 	Info *types.Info
-	// Program is the whole-program context of the run (never nil under
-	// Run/Audit); interprocedural analyzers fetch the call graph and
-	// function summaries through it.
-	Program *Program
 
 	diags      *[]Diagnostic
 	directives map[string]map[int]directive // file -> line -> directive
@@ -202,13 +170,12 @@ func Audit(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 }
 
 // execute runs the suite over every package in turn and sorts the
-// combined results. Directive liveness (audit mode) is tracked per
-// package; the only cross-package state is the Program fact cache.
+// combined results. Every analyzer reads one package at a time, so no
+// state crosses packages; directive liveness (audit mode) is per package.
 func execute(pkgs []*Package, analyzers []*Analyzer, audit bool) ([]Diagnostic, error) {
-	prog := NewProgram(pkgs)
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
-		d, err := executePackage(prog, pkg, analyzers, audit)
+		d, err := executePackage(pkg, analyzers, audit)
 		if err != nil {
 			return nil, err
 		}
@@ -221,7 +188,7 @@ func execute(pkgs []*Package, analyzers []*Analyzer, audit bool) ([]Diagnostic, 
 // executePackage runs every analyzer over one package. In audit mode the
 // analyzers' raw findings are discarded and the returned diagnostics are
 // the package's stale directives instead.
-func executePackage(prog *Program, pkg *Package, analyzers []*Analyzer, audit bool) ([]Diagnostic, error) {
+func executePackage(pkg *Package, analyzers []*Analyzer, audit bool) ([]Diagnostic, error) {
 	dirs := parseDirectives(pkg.Fset, pkg.Files)
 	var live map[string]bool
 	if audit {
@@ -235,7 +202,6 @@ func executePackage(prog *Program, pkg *Package, analyzers []*Analyzer, audit bo
 			Files:      pkg.Files,
 			Pkg:        pkg.Types,
 			Info:       pkg.Info,
-			Program:    prog,
 			diags:      &diags,
 			directives: dirs,
 			audit:      audit,

@@ -10,7 +10,3 @@ import (
 func TestLockcheck(t *testing.T) {
 	analysistest.Run(t, "testdata/src/lockcheck", "fixture/lockcheck", lockcheck.Analyzer)
 }
-
-func TestLockcheckInterprocedural(t *testing.T) {
-	analysistest.Run(t, "testdata/src/lockcheckip", "fixture/lockcheckip", lockcheck.Analyzer)
-}

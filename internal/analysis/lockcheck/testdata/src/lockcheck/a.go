@@ -306,3 +306,16 @@ again:
 		goto again
 	}
 }
+
+// push blocks on a channel send; it takes no lock itself.
+func push(ch chan int) { ch <- 1 }
+
+// heldAcrossHelper holds muC across a call to push, which blocks one call
+// down. The check reads one body at a time and does not follow calls, so
+// the call is not reported: only the curated blocking calls are
+// classified where they are made.
+func heldAcrossHelper(ch chan int) {
+	muC.Lock()
+	push(ch)
+	muC.Unlock()
+}

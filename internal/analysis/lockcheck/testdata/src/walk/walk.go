@@ -195,7 +195,7 @@ func UnreachableAfterReturn(ch chan int) {
 	ch <- 1
 }
 
-// FuncLit: the literal's send belongs to the literal's own node.
+// FuncLit: the literal's send belongs to the literal's own body.
 func FuncLit(ch chan int) {
 	mu.Lock()
 	f := func() { ch <- 1 }

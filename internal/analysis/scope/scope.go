@@ -14,7 +14,7 @@ import "strings"
 // Module is the repo's module path.
 const Module = "github.com/greenps/greenps"
 
-// ParworkPath is the fork/join helper package; callgraph's blocking table
+// ParworkPath is the fork/join helper package; lockcheck's blocking table
 // counts parwork.Run as a join.
 const ParworkPath = Module + "/internal/parwork"
 

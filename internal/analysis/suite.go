@@ -11,10 +11,9 @@ import (
 )
 
 // Suite returns every greenvet analyzer in presentation order: the
-// AST-pattern check first, then the lock check, which classifies the
-// locksets internal/analysis/callgraph records by walking each body, then
-// the determinism check, which, like the first, reads one package's
-// syntax at a time.
+// AST-pattern check first, then the lock check, which walks the locksets
+// of one function body at a time, then the determinism check. Each reads
+// one package at a time.
 func Suite() []*framework.Analyzer {
 	return []*framework.Analyzer{
 		shadow.Analyzer,

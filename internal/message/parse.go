@@ -2,6 +2,7 @@ package message
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -27,7 +28,7 @@ func ParsePredicates(s string) ([]Predicate, error) {
 		if rest[0] != '[' {
 			return nil, fmt.Errorf("message: expected '[' at %q", rest)
 		}
-		end := strings.IndexByte(rest, ']')
+		end := closingBracket(rest)
 		if end < 0 {
 			return nil, fmt.Errorf("message: unterminated predicate in %q", rest)
 		}
@@ -59,6 +60,21 @@ func ParsePredicates(s string) ([]Predicate, error) {
 	return out, nil
 }
 
+// closingBracket returns the index of the first ']' outside single
+// quotes, or -1.
+func closingBracket(s string) int {
+	inQuote := false
+	for i := 0; i < len(s); i++ {
+		switch {
+		case s[i] == '\'':
+			inQuote = !inQuote
+		case s[i] == ']' && !inQuote:
+			return i
+		}
+	}
+	return -1
+}
+
 // splitPredicate splits on commas outside single quotes.
 func splitPredicate(s string) []string {
 	var parts []string
@@ -80,7 +96,8 @@ func splitPredicate(s string) []string {
 	return parts
 }
 
-// parseValue interprets a literal: 'quoted string', true/false, or number.
+// parseValue interprets a literal: 'quoted string', true/false, or finite
+// number.
 func parseValue(s string) (Value, error) {
 	if len(s) >= 2 && s[0] == '\'' && s[len(s)-1] == '\'' {
 		return String(s[1 : len(s)-1]), nil
@@ -94,6 +111,10 @@ func parseValue(s string) (Value, error) {
 	f, err := strconv.ParseFloat(s, 64)
 	if err != nil {
 		return Value{}, fmt.Errorf("message: cannot parse value %q", s)
+	}
+	// The wire carries only finite numbers (Encode refuses NaN and ±Inf).
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return Value{}, fmt.Errorf("message: value %q is not a finite number", s)
 	}
 	return Number(f), nil
 }

@@ -35,6 +35,8 @@ func TestParsePredicatesAllForms(t *testing.T) {
 		{"[a,str-prefix,'YH']", Pred("a", OpPrefix, String("YH"))},
 		{"[a,isPresent]", Pred("a", OpPresent, Value{})},
 		{"[a,=,'has,comma']", Pred("a", OpEq, String("has,comma"))},
+		{"[symbol,=,'A]B']", Pred("symbol", OpEq, String("A]B"))}, // ']' inside quotes
+		{"[a,=,']'],[b,=,1]", Pred("a", OpEq, String("]"))},
 		{" [a,=,1] , [b,=,2] ", Pred("a", OpEq, Number(1))}, // whitespace tolerated
 	}
 	for _, tc := range cases {
@@ -65,6 +67,10 @@ func TestParsePredicatesErrors(t *testing.T) {
 		"[a,~~,'x']",              // unknown op
 		"[a,=,not a lit]",         // bad value
 		"[a,isPresent,'x',extra]", // malformed
+		"[a,=,'x]",                // quote never closed
+		"[low,<,NaN]",             // non-finite numbers: Encode refuses them
+		"[low,<,Inf]",
+		"[low,>,-infinity]",
 	} {
 		if _, err := ParsePredicates(in); err == nil {
 			t.Errorf("accepted %q", in)

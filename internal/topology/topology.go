@@ -16,6 +16,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -65,6 +66,17 @@ type File struct {
 	Subscribers []Subscriber
 }
 
+// declKeys lists the keys each declaration accepts; a link takes two
+// positional broker IDs instead. A key outside its declaration's list is
+// an error, so a misspelt one cannot silently drop a filter or a
+// throttle.
+var declKeys = map[string][]string{
+	"broker":     {"addr", "bw", "delay"},
+	"link":       nil,
+	"publisher":  {"broker", "advid", "adv", "rate"},
+	"subscriber": {"broker", "filter"},
+}
+
 // Parse reads a topology file.
 func Parse(r io.Reader) (*File, error) {
 	f := &File{}
@@ -86,9 +98,13 @@ func Parse(r io.Reader) (*File, error) {
 			return nil, fmt.Errorf("topology: line %d: incomplete declaration", lineNo)
 		}
 		kind, name := fields[0], fields[1]
+		keys, known := declKeys[kind]
+		if !known {
+			return nil, fmt.Errorf("topology: line %d: unknown declaration %q", lineNo, kind)
+		}
 		var kv map[string]string
 		if kind != "link" { // link declarations take positional broker IDs
-			kv, err = keyValues(fields[2:])
+			kv, err = keyValues(kind, fields[2:], keys)
 			if err != nil {
 				return nil, fmt.Errorf("topology: line %d: %w", lineNo, err)
 			}
@@ -122,8 +138,8 @@ func Parse(r io.Reader) (*File, error) {
 			brokerIDs[name] = true
 			f.Brokers = append(f.Brokers, b)
 		case "link":
-			if len(fields) < 3 {
-				return nil, fmt.Errorf("topology: line %d: link needs two broker IDs", lineNo)
+			if len(fields) != 3 {
+				return nil, fmt.Errorf("topology: line %d: link needs exactly two broker IDs", lineNo)
 			}
 			f.Links = append(f.Links, Link{A: name, B: fields[2]})
 		case "publisher":
@@ -156,8 +172,6 @@ func Parse(r io.Reader) (*File, error) {
 				}
 			}
 			f.Subscribers = append(f.Subscribers, s)
-		default:
-			return nil, fmt.Errorf("topology: line %d: unknown declaration %q", lineNo, kind)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -219,12 +233,15 @@ func splitFields(line string) ([]string, error) {
 }
 
 // keyValues parses key=value fields.
-func keyValues(fields []string) (map[string]string, error) {
+func keyValues(kind string, fields, keys []string) (map[string]string, error) {
 	out := make(map[string]string, len(fields))
 	for _, f := range fields {
 		i := strings.IndexByte(f, '=')
 		if i <= 0 {
 			return nil, fmt.Errorf("expected key=value, got %q", f)
+		}
+		if !slices.Contains(keys, f[:i]) {
+			return nil, fmt.Errorf("%s takes no key %q (keys: %s)", kind, f[:i], strings.Join(keys, ", "))
 		}
 		out[f[:i]] = f[i+1:]
 	}

@@ -66,6 +66,9 @@ func TestParseErrors(t *testing.T) {
 		{"bad filter", `broker B1 addr=a:1` + "\n" + `subscriber s broker=B1 filter="[x,~~,1]"`},
 		{"bad key=value", "broker B1 addr=a:1 oops"},
 		{"unterminated quote", `broker B1 addr=a:1 note="half`},
+		{"misspelt filter key", `broker B1 addr=a:1` + "\n" + `subscriber s1 broker=B1 filtr="[class,=,'STOCK']"`},
+		{"unknown broker key", "broker B1 addr=a:1 bandwidth=5"},
+		{"link with three IDs", "broker B1 addr=a:1\nbroker B2 addr=a:2\nbroker B3 addr=a:3\nlink B1 B2 B3"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
