@@ -367,17 +367,35 @@ func (r *cramRun) feasible(removed, added []*Unit) bool {
 	return r.pool.probe(removed, added)
 }
 
-// searchMaxFeasible runs the binary search shared by clusterSelf and
-// clusterCovering: the largest k in [lo, hi] whose hypothetical
-// modification mk(k) keeps the pool allocatable, or 0 when none does.
+// searchMaxFeasible is the cluster-size search shared by clusterSelf and
+// clusterCovering: searchMax over whether the hypothetical modification
+// mk(k) keeps the pool allocatable.
 func (r *cramRun) searchMaxFeasible(lo, hi int, mk func(k int) (removed []*Unit, merged *Unit)) int {
-	best := 0
-	for lo <= hi {
-		k := (lo + hi) / 2
+	return searchMax(lo, hi, func(k int) bool {
 		removed, merged := mk(k)
-		if r.feasible(removed, []*Unit{merged}) {
-			best = k
-			lo = k + 1
+		return r.feasible(removed, []*Unit{merged})
+	})
+}
+
+// searchMax returns a k in [lo, hi] for which packs(k) holds, or 0 when it
+// finds none. It probes hi first and returns it when it packs: the whole
+// group nearly always fits, and a binary search would climb to it one probe
+// per halving. Otherwise it binary-searches [lo, hi], answering hi from the
+// probe already made. First-fit is not monotone in k, so a binary search
+// may miss the largest feasible k; this one returns what the plain binary
+// search returns whenever hi does not pack, and hi, the largest, whenever
+// it does. No k is probed twice.
+func searchMax(lo, hi int, packs func(k int) bool) int {
+	if lo > hi {
+		return 0
+	}
+	if packs(hi) {
+		return hi
+	}
+	top, best := hi, 0
+	for lo <= hi {
+		if k := (lo + hi) / 2; k != top && packs(k) {
+			best, lo = k, k+1
 		} else {
 			hi = k - 1
 		}

@@ -16,9 +16,9 @@ import (
 // the only feasibility entry: one serial first-fit replay of the compiled
 // stream, from the empty pack. A probe replays nearly the whole pool whatever
 // it changes — the merged unit it adds is heavy and inserts near the front of
-// the bandwidth-descending order: 7,083 of the pool's units per probe on the
-// 20,000-subscription scale workload (seed 1; 7,419 probes, 52.5M
-// placements), 10.6M placements in one 8,000-subscription plan. What keeps
+// the bandwidth-descending order: ~6,018 of the pool's units per probe on the
+// 20,000-subscription scale workload (seed 1; 3,227 probes, 19.4M
+// placements), 8.9M placements in one 8,000-subscription plan. What keeps
 // that affordable is the cost of a placement, counted on those two
 // workloads:
 //
@@ -29,23 +29,23 @@ import (
 //     map lookup, no Unit or Profile dereference and, in the steady state,
 //     no allocation.
 //  2. Most broker tests are decided without vector arithmetic, and most of
-//     those without a call (packing.go). A placement passes ~17 brokers on
+//     those without a call (packing.go). A placement passes ~16 brokers on
 //     the 8k plan and ~8 on the 20k pool before one admits the unit; the 8k
-//     plan's leading brokers are rate-saturated (152M of 177M tests), the
-//     20k pool's out of bandwidth (372M of 424M), and place turns both away
+//     plan's leading brokers are rate-saturated (122M of 144M tests), the
+//     20k pool's out of bandwidth (140M of 160M), and place turns both away
 //     on its admission columns, two comparisons over three contiguous
-//     float64 arrays. What reaches fits is 2.3 calls per placement on the 8k
-//     plan and 1.0 on the 20k pool. Of those, the run memo answers 2.6M and
-//     29.6M — the pool is runs of identical compiled content, 1,634 distinct
-//     contents among the 20k pool's units — and 21.7M and 22.9M walk
+//     float64 arrays. What reaches fits is 2.4 calls per placement on the 8k
+//     plan and 1.0 on the 20k pool. Of those, the run memo answers 2.1M and
+//     10.8M — the pool is runs of identical compiled content, 1,634 distinct
+//     contents among the 20k pool's units — and 19.7M and 8.6M walk
 //     AndCount over the unit's publishers: two walks per placement on the 8k
 //     plan, less than one in two on the 20k pool. Unit windows are anchored
 //     at their first set bit and start anywhere in a word; vectors sit on an
 //     absolute word grid (bitvector, DESIGN.md §9.1), so a walk is one AND
 //     and one popcount per grid word the unit and the aggregate share. accept
-//     skips its OR walk for 3.1M of 10.6M and 37.2M of 52.5M placements.
+//     skips its OR walk for 2.5M of 8.9M and 13.6M of 19.4M placements.
 //
-// At ~55 ns a placement (2.9 s for the 20k row's 53M; BenchmarkProbeReplay
+// At ~55 ns a placement (~1.1 s for the 20k row's 19.4M; BenchmarkProbeReplay
 // reads 43–47 ns on its synthetic pool), neither splitting one across
 // goroutines, nor resuming a replay from saved broker states, nor
 // running a binary search's next probes ahead of time pays for its

@@ -209,3 +209,58 @@ func TestCRAMPosetRefusalIsAnError(t *testing.T) {
 		}
 	})
 }
+
+// TestSearchMaxTopFirst runs searchMax over every feasibility pattern of
+// every range lo ≤ hi ≤ 10 against the plain binary search it replaced:
+// the same k when hi does not pack or the pattern is monotone, hi whenever
+// hi packs, one probe then and at most one more than the binary search
+// otherwise, and never the same k twice.
+func TestSearchMaxTopFirst(t *testing.T) {
+	binarySearch := func(lo, hi int, packs func(k int) bool) int {
+		best := 0
+		for lo <= hi {
+			k := (lo + hi) / 2
+			if packs(k) {
+				best, lo = k, k+1
+			} else {
+				hi = k - 1
+			}
+		}
+		return best
+	}
+	for lo := 1; lo <= 10; lo++ {
+		for hi := lo; hi <= 10; hi++ {
+			n := hi - lo + 1
+			for mask := 0; mask < 1<<n; mask++ {
+				fits := func(k int) bool { return mask>>(k-lo)&1 == 1 }
+				monotone := mask&(mask+1) == 0 // a run of low bits: k fits up to some size
+				var want, wantProbes int
+				want = binarySearch(lo, hi, func(k int) bool { wantProbes++; return fits(k) })
+				probed := map[int]bool{}
+				got := searchMax(lo, hi, func(k int) bool {
+					if k < lo || k > hi || probed[k] {
+						t.Fatalf("[%d,%d] mask %b: probe of k=%d (probed %v)", lo, hi, mask, k, probed)
+					}
+					probed[k] = true
+					return fits(k)
+				})
+				switch {
+				case fits(hi):
+					if got != hi || len(probed) != 1 {
+						t.Errorf("[%d,%d] mask %b: got %d in %d probes, want %d in 1", lo, hi, mask, got, len(probed), hi)
+					}
+				case got != want:
+					t.Errorf("[%d,%d] mask %b: got %d, binary search %d", lo, hi, mask, got, want)
+				case len(probed) > wantProbes+1:
+					t.Errorf("[%d,%d] mask %b: %d probes, binary search %d", lo, hi, mask, len(probed), wantProbes)
+				}
+				if monotone && got != want {
+					t.Errorf("[%d,%d] monotone mask %b: got %d, binary search %d", lo, hi, mask, got, want)
+				}
+			}
+		}
+	}
+	if got := searchMax(3, 2, func(int) bool { t.Fatal("probe of an empty range"); return true }); got != 0 {
+		t.Errorf("empty range: got %d, want 0", got)
+	}
+}
