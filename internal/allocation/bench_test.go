@@ -308,3 +308,58 @@ func BenchmarkProbeReplay(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(units)), "ns/placement")
 }
+
+// BenchmarkExhaustiveBookkeeping times one clustering step's work besides
+// its feasibility probes, on a sharded exhaustive run at the scale of the
+// 20,000-subscription workload: ~21,800 units in ~1,600 GIFs. One op is what
+// a step of clusterLightest does around its probe: a unit founds a new GIF
+// (attachUnit, with its pushBest), another GIF re-searches (pushBest, a
+// sharded scan over the live GIFs, each op the next GIF in ID order), the
+// founder leaves and its GIF is dropped; plus a pool.commit of a heavy
+// merged unit — eight of a GIF's units, landing near the front of the pool
+// — and the commit that puts the eight back.
+func BenchmarkExhaustiveBookkeeping(b *testing.B) {
+	seedUnits, pubs := testWorkload(1, 40, 68, 5, 200)
+	var units []*Unit
+	var totalBW float64
+	for _, u := range seedUnits {
+		for c := 0; c < 8; c++ {
+			dup := *u
+			dup.ID = fmt.Sprintf("%s-dup%d", u.ID, c)
+			units = append(units, &dup)
+			totalBW += u.Load.Bandwidth
+		}
+	}
+	// Bandwidth-bound brokers at 2.2x the even share, as in BenchmarkProbeReplay.
+	brokers := testBrokers(20, 2.2*totalBW/20, message.MatchingDelayFn{PerSub: 1e-9, Base: 1e-6})
+	in := &Input{Units: units, Brokers: brokers, Publishers: pubs, ProfileCapacity: testCap}
+	r, err := (&CRAM{Metric: bitvector.MetricIOS, ExhaustiveSearch: true, Shards: 16}).start(in)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer r.spill.close()
+	gifs := append([]*gif(nil), r.live...)
+	if len(gifs) < 1600 || r.shards == nil {
+		b.Fatalf("%d GIFs, sharded %v: want a sharded run over at least 1,600", len(gifs), r.shards != nil)
+	}
+	founder := MergeUnits("bench-founder", testCap, gifs[0].units[0], gifs[len(gifs)-1].units[0])
+	key := founder.Profile.FingerprintKey()
+	if r.byKey[key] != nil {
+		b.Fatal("the founder's profile already has a GIF")
+	}
+	parts := gifs[len(gifs)/2].units[:8]
+	merged := MergeUnits("bench-merged", testCap, parts...)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.heap = r.heap[:0]
+		r.attachUnit(founder)
+		r.pushBest(gifs[i%len(gifs)])
+		r.detachUnit(r.byKey[key], founder)
+		if err := r.pool.commit(parts, []*Unit{merged}); err != nil {
+			b.Fatal(err)
+		}
+		if err := r.pool.commit([]*Unit{merged}, parts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -3,7 +3,9 @@ package allocation
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"github.com/greenps/greenps/internal/bitvector"
 	"github.com/greenps/greenps/internal/parwork"
@@ -165,6 +167,11 @@ type gif struct {
 	// bandwidth so the lightest unit is units[0].
 	units []*Unit
 	node  *poset.Node
+	shard int // the GIF's shard in cramRun.shards, set by shardSet.add
+	// blPartners are the GIFs whose pairing with this one was rejected
+	// (self-pairs excluded), in rejection order.
+	blPartners []*gif
+	dropped    bool // set by dropGIF; a dropped GIF never comes back
 }
 
 func (g *gif) sortUnits() {
@@ -188,18 +195,13 @@ func (g *gif) insertUnit(u *Unit) {
 		}
 		return g.units[i].ID > u.ID
 	})
-	g.units = append(g.units, nil)
-	copy(g.units[i+1:], g.units[i:])
-	g.units[i] = u
+	g.units = slices.Insert(g.units, i, u)
 }
 
 // removeUnit drops a unit by identity.
 func (g *gif) removeUnit(u *Unit) {
-	for i, x := range g.units {
-		if x == u {
-			g.units = append(g.units[:i], g.units[i+1:]...)
-			return
-		}
+	if i := slices.Index(g.units, u); i >= 0 {
+		g.units = slices.Delete(g.units, i, i+1)
 	}
 }
 
@@ -251,14 +253,14 @@ type cramRun struct {
 	// no poset is kept (ExhaustiveSearch, or grouping disabled).
 	exhaustive bool
 
-	gifs      map[string]*gif
-	byKey     map[string]*gif // gif.key -> gif
+	gifs  map[string]*gif
+	byKey map[string]*gif // gif.key -> gif
+	// live holds the live GIFs in ID (string) order, the order of the seed
+	// phase and every exhaustive scan; gifFor and dropGIF keep it sorted.
+	live      []*gif
 	ps        *poset.Poset
 	blacklist map[gifPair]struct{}
-	// blPartners indexes the blacklist per GIF (self-pairs excluded) for
-	// the sharded scan's pruned-shard accounting.
-	blPartners map[string][]string
-	heap       candHeap
+	heap      candHeap
 	// shards is the GIF pool sharded by summary signature for wholesale
 	// envelope pruning of the exhaustive scan; nil when sharding is
 	// inactive (poset search, bound pruning disabled, or a single shard).
@@ -269,9 +271,6 @@ type cramRun struct {
 	spill    *candSpill
 	nextGIF  int
 	nextUnit int
-	// gifIDs caches the sorted live GIF IDs for exhaustive scans.
-	gifIDs      []string
-	gifIDsDirty bool
 	// scan is the exhaustive scan's scratch for every search after the seed
 	// phase, all of them serial; the seed phase gives each chunk its own.
 	scan scanScratch
@@ -282,11 +281,10 @@ type cramRun struct {
 // allocating a pool's worth per search. One goroutine at a time: a scratch is
 // never shared between concurrent searches.
 type scanScratch struct {
-	skip []bool
-	ubs  []float64
-	ids  []string // the sharded scan's surviving IDs (shardSurvivors)
-	// survived flags, per shard, whether shardSurvivors kept it.
-	survived []bool
+	skip     []bool
+	ubs      []float64
+	live     []*gif // the sharded scan's surviving GIFs (shardSurvivors)
+	survived []bool // per shard, whether shardSurvivors kept it
 }
 
 // sized returns skip and ubs at length n, grown when the scratch is too
@@ -299,10 +297,8 @@ func (sc *scanScratch) sized(n int) (skip []bool, ubs []float64) {
 	return sc.skip[:n], sc.ubs[:n]
 }
 
-// gifPair is the blacklist key: two GIF IDs normalized so a <= b. A
-// struct key keeps the clustering inner loop's blacklist probes
-// allocation-free — the former string key concatenated a+"|"+b on every
-// lookup, one garbage string per probe across millions of probes.
+// gifPair is the blacklist key: two GIF IDs normalized so a <= b, a struct
+// so that a probe builds no string.
 type gifPair struct {
 	a, b string
 }
@@ -319,32 +315,21 @@ func (r *cramRun) blacklisted(a, b string) bool {
 	return ok
 }
 
-// noteBlacklist records a rejected pairing. The per-GIF partner index
-// lets the sharded scan subtract a wholesale-pruned shard's blacklisted
-// members from its stats tally in O(partners of g) instead of touching
-// every member; self-pairs never appear in the scan, so they are not
-// indexed.
-func (r *cramRun) noteBlacklist(a, b string) {
-	r.blacklist[pairKey(a, b)] = struct{}{}
+// noteBlacklist records a rejected pairing, in the blacklist and in both
+// GIFs' partner lists: the exhaustive scan skips g's blacklisted partners,
+// and tallies a wholesale-pruned shard's, in O(partners of g).
+func (r *cramRun) noteBlacklist(a, b *gif) {
+	r.blacklist[pairKey(a.id, b.id)] = struct{}{}
 	if a != b {
-		r.blPartners[a] = append(r.blPartners[a], b)
-		r.blPartners[b] = append(r.blPartners[b], a)
+		a.blPartners = append(a.blPartners, b)
+		b.blPartners = append(b.blPartners, a)
 	}
 }
 
-// sortedGIFIDs returns the live GIF IDs in sorted order, cached between
-// GIF-set changes (exhaustive partner scans hit this on every search).
-func (r *cramRun) sortedGIFIDs() []string {
-	if r.gifIDs == nil || r.gifIDsDirty {
-		ids := make([]string, 0, len(r.gifs))
-		for id := range r.gifs {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		r.gifIDs = ids
-		r.gifIDsDirty = false
-	}
-	return r.gifIDs
+// gifIndex is the position of the GIF ID in gifs, a slice in ID order, and
+// whether it is there.
+func gifIndex(gifs []*gif, id string) (int, bool) {
+	return slices.BinarySearchFunc(gifs, id, func(g *gif, id string) int { return strings.Compare(g.id, id) })
 }
 
 // commit replaces the removed units by their merged unit in the pool and
@@ -451,7 +436,8 @@ func (r *cramRun) gifFor(u *Unit) (g *gif, created bool) {
 	g = &gif{id: fmt.Sprintf("g%d", r.nextGIF), key: key, profile: prof, summary: bitvector.Summarize(prof)}
 	r.byKey[key] = g
 	r.gifs[g.id] = g
-	r.gifIDsDirty = true
+	i, _ := gifIndex(r.live, g.id)
+	r.live = slices.Insert(r.live, i, g)
 	return g, true
 }
 
@@ -475,7 +461,6 @@ func (c *CRAM) start(in *Input) (*cramRun, error) {
 		byKey:      make(map[string]*gif),
 		ps:         poset.New(),
 		blacklist:  make(map[gifPair]struct{}),
-		blPartners: make(map[string][]string),
 	}
 
 	// Group units into GIFs (Optimization 1).
@@ -486,8 +471,8 @@ func (c *CRAM) start(in *Input) (*cramRun, error) {
 		g, _ := r.gifFor(u)
 		g.units = append(g.units, u)
 	}
-	for _, id := range r.sortedGIFIDs() {
-		r.gifs[id].sortUnits()
+	for _, g := range r.live {
+		g.sortUnits()
 	}
 	c.stats.InitialGIFs = len(r.gifs)
 
@@ -504,8 +489,7 @@ func (c *CRAM) start(in *Input) (*cramRun, error) {
 
 	// Build the poset (unless running exhaustively).
 	if !r.exhaustive {
-		for _, id := range r.sortedGIFIDs() {
-			g := r.gifs[id]
+		for _, g := range r.live {
 			node, err := r.ps.Insert(g.id, g.profile, g)
 			if err != nil {
 				return nil, fmt.Errorf("CRAM: poset insert: %w", err)
@@ -519,10 +503,10 @@ func (c *CRAM) start(in *Input) (*cramRun, error) {
 	if r.exhaustive && !c.disableBoundPruning {
 		r.shards = newShardSet(shardCount(c.Shards, len(r.gifs)))
 		if r.shards != nil {
-			for _, id := range r.sortedGIFIDs() {
-				r.shards.add(r.gifs[id])
+			for _, g := range r.live {
+				r.shards.add(g)
 			}
-			r.shards.freshen(r.gifs)
+			r.shards.freshen()
 		}
 	}
 
@@ -533,15 +517,15 @@ func (c *CRAM) start(in *Input) (*cramRun, error) {
 	// collected candidates in GIF-ID order yields the same pop sequence as
 	// the serial seed at any worker count.
 	heap.Init(&r.heap)
-	seedIDs := r.sortedGIFIDs()
-	seedCands := make([]*candidate, len(seedIDs))
-	seedComps := make([]int, len(seedIDs))
-	seedPruned := make([]int, len(seedIDs))
-	seedShards := make([]int, len(seedIDs))
-	parwork.Run(len(seedIDs), parwork.Workers(c.Parallelism), func(lo, hi int) {
+	seed := r.live
+	seedCands := make([]*candidate, len(seed))
+	seedComps := make([]int, len(seed))
+	seedPruned := make([]int, len(seed))
+	seedShards := make([]int, len(seed))
+	parwork.Run(len(seed), parwork.Workers(c.Parallelism), func(lo, hi int) {
 		var scan scanScratch // this chunk's own
 		for i := lo; i < hi; i++ {
-			seedCands[i], seedComps[i], seedPruned[i], seedShards[i] = r.bestPartner(r.gifs[seedIDs[i]], &scan)
+			seedCands[i], seedComps[i], seedPruned[i], seedShards[i] = r.bestPartner(seed[i], &scan)
 		}
 	})
 	if c.SpillBudgetBytes > 0 {
@@ -620,7 +604,7 @@ func (r *cramRun) cluster() (*Assignment, error) {
 			c.stats.ClustersAccepted++
 		} else {
 			c.stats.ClustersRejected++
-			r.noteBlacklist(g.id, p.id)
+			r.noteBlacklist(g, p)
 			r.pushBest(g)
 			if p != g {
 				r.pushBest(p)
@@ -666,7 +650,7 @@ func (r *cramRun) nextCand() (candidate, bool, error) {
 // shard envelopes dirtied by the preceding one before the search reads them.
 func (r *cramRun) pushBest(g *gif) {
 	if r.shards != nil {
-		r.shards.freshen(r.gifs)
+		r.shards.freshen()
 	}
 	best, comps, pruned, shardsPruned := r.bestPartner(g, &r.scan)
 	r.c.stats.ClosenessComputations += comps
@@ -713,29 +697,35 @@ func (r *cramRun) bestPartner(g *gif, scan *scanScratch) (best *candidate, comps
 	if best != nil {
 		t0 = best.closeness
 	}
-	ids := r.sortedGIFIDs()
+	live := r.live
 	if r.shards != nil {
 		// Wholesale shard pruning against t0, so a pruned shard's members
 		// are exactly pairings the per-pair rule would have pruned
 		// individually (and none could have anchored). The surviving
-		// members arrive merged back into global ID order, keeping the
-		// reduction's tie-break canonical.
+		// members keep r.live's ID order, so the reduction's tie-break
+		// stays canonical.
 		var bulk int
-		ids, bulk, shardsPruned = r.shardSurvivors(g, t0, scan)
+		live, bulk, shardsPruned = r.shardSurvivors(g, t0, scan)
 		comps += bulk
 		pruned += bulk
 	}
-	skip, ubs := scan.sized(len(ids))
-	for i, id := range ids {
-		skip[i] = id == g.id || r.blacklisted(g.id, id)
+	// Skip g and its blacklisted partners, found by binary search.
+	skip, ubs := scan.sized(len(live))
+	for i, p := range live {
+		skip[i] = p == g
+	}
+	for _, p := range g.blPartners {
+		if i, ok := gifIndex(live, p.id); ok {
+			skip[i] = true
+		}
 	}
 	anchor, anchorC := -1, 0.0
 	if r.c.disableBoundPruning {
 		ubs = nil
 	} else {
-		anchor, anchorC = r.boundPruneScan(g, ids, skip, ubs, t0)
+		anchor, anchorC = r.boundPruneScan(g, live, skip, ubs, t0)
 	}
-	for i, id := range ids {
+	for i, p := range live {
 		if skip[i] {
 			continue
 		}
@@ -746,10 +736,10 @@ func (r *cramRun) bestPartner(g *gif, scan *scanScratch) (best *candidate, comps
 				pruned++
 				continue
 			}
-			c = bitvector.Closeness(r.c.Metric, g.profile, r.gifs[id].profile)
+			c = bitvector.Closeness(r.c.Metric, g.profile, p.profile)
 		}
 		if c > 0 && (best == nil || c > best.closeness) {
-			best = &candidate{gifID: g.id, partnerID: id, closeness: c}
+			best = &candidate{gifID: g.id, partnerID: p.id, closeness: c}
 		}
 	}
 	return best, comps, pruned, shardsPruned
@@ -758,7 +748,7 @@ func (r *cramRun) bestPartner(g *gif, scan *scanScratch) (best *candidate, comps
 // boundPruneScan is the bound stage of the exhaustive partner scan
 // (anchored bound pruning, DESIGN.md §9). It takes the summary-based
 // closeness upper bound of every admissible pairing into ubs (the caller's,
-// len(ids) long; entries of skipped pairings are left as they were), picks
+// len(live) long; entries of skipped pairings are left as they were), picks
 // the anchor — the first ID with the highest bound above the incumbent
 // threshold t0 — and evaluates the anchor's exact closeness. The caller then
 // prunes every other pairing whose bound proves it cannot change the scan's
@@ -775,19 +765,19 @@ func (r *cramRun) bestPartner(g *gif, scan *scanScratch) (best *candidate, comps
 // (derivation in DESIGN.md §9). The pruned set depends only on the bounds,
 // t0 and the one anchor evaluation — never on a running best — and it is
 // what BoundPruned, the shard accounting and BENCH_scale.json record.
-func (r *cramRun) boundPruneScan(g *gif, ids []string, skip []bool, ubs []float64, t0 float64) (anchor int, anchorC float64) {
+func (r *cramRun) boundPruneScan(g *gif, live []*gif, skip []bool, ubs []float64, t0 float64) (anchor int, anchorC float64) {
 	anchor = -1
-	for i, id := range ids {
+	for i, p := range live {
 		if skip[i] {
 			continue
 		}
-		ubs[i] = bitvector.ClosenessUpperBound(r.c.Metric, g.summary, r.gifs[id].summary)
+		ubs[i] = bitvector.ClosenessUpperBound(r.c.Metric, g.summary, p.summary)
 		if ubs[i] > t0 && (anchor < 0 || ubs[i] > ubs[anchor]) {
 			anchor = i
 		}
 	}
 	if anchor >= 0 {
-		anchorC = bitvector.Closeness(r.c.Metric, g.profile, r.gifs[ids[anchor]].profile)
+		anchorC = bitvector.Closeness(r.c.Metric, g.profile, live[anchor].profile)
 	}
 	return anchor, anchorC
 }
@@ -920,19 +910,16 @@ func (r *cramRun) tryCoveredSet(parent, other *gif) bool {
 	// Greedy set cover: repeatedly take the covered GIF contributing the
 	// most bits not yet in the CGS, stopping when the next addition would
 	// push the cluster's load past the original pair's.
-	type covEntry struct {
-		g *gif
-	}
-	var pool []covEntry
+	var pool []*gif
 	for _, n := range descendants {
 		dg, ok := n.Payload.(*gif)
 		if !ok || dg == nil {
 			continue
 		}
-		if _, live := r.gifs[dg.id]; !live {
+		if dg.dropped {
 			continue
 		}
-		pool = append(pool, covEntry{g: dg})
+		pool = append(pool, dg)
 	}
 	if len(pool) == 0 {
 		return false
@@ -942,8 +929,8 @@ func (r *cramRun) tryCoveredSet(parent, other *gif) bool {
 	load := parent.units[0].Load.Bandwidth
 	for len(pool) > 0 {
 		bestIdx, bestNew := -1, 0
-		for i, e := range pool {
-			nb := bitvector.DiffCount(e.g.profile, cgsProfile)
+		for i, pg := range pool {
+			nb := bitvector.DiffCount(pg.profile, cgsProfile)
 			r.c.stats.CoverComputations++
 			if nb > bestNew {
 				bestNew = nb
@@ -953,7 +940,7 @@ func (r *cramRun) tryCoveredSet(parent, other *gif) bool {
 		if bestIdx < 0 {
 			break // no remaining GIF adds coverage
 		}
-		g := pool[bestIdx].g
+		g := pool[bestIdx]
 		if load+g.units[0].Load.Bandwidth > pairLoad && len(cgs) > 0 {
 			break // would exceed the original pair's load requirement
 		}
@@ -1050,11 +1037,14 @@ func (r *cramRun) attachUnit(u *Unit) {
 func (r *cramRun) dropGIF(g *gif) {
 	delete(r.gifs, g.id)
 	delete(r.byKey, g.key)
-	r.gifIDsDirty = true
+	g.dropped = true
+	if i, ok := gifIndex(r.live, g.id); ok {
+		r.live = slices.Delete(r.live, i, i+1)
+	}
 	if r.shards != nil {
 		// Removal leaves the shard envelope stale on the admissible side
 		// (it can only prune less), so only the live count updates.
-		r.shards.drop(g.id)
+		r.shards.drop(g)
 	}
 	if g.node != nil {
 		g.node = nil

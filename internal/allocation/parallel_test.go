@@ -213,18 +213,15 @@ func TestCRAMConvergenceNoStarvation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids := r.sortedGIFIDs()
-		for i, aID := range ids {
-			a := r.gifs[aID]
+		for i, a := range r.live {
 			if len(a.units) >= 2 && bitvector.Closeness(metric, a.profile, a.profile) > 0 &&
-				!r.blacklisted(aID, aID) {
-				t.Errorf("metric=%v: self-pair %s never resolved (%d units)", metric, aID, len(a.units))
+				!r.blacklisted(a.id, a.id) {
+				t.Errorf("metric=%v: self-pair %s never resolved (%d units)", metric, a.id, len(a.units))
 			}
-			for _, bID := range ids[i+1:] {
-				b := r.gifs[bID]
-				if bitvector.Closeness(metric, a.profile, b.profile) > 0 && !r.blacklisted(aID, bID) {
+			for _, b := range r.live[i+1:] {
+				if bitvector.Closeness(metric, a.profile, b.profile) > 0 && !r.blacklisted(a.id, b.id) {
 					t.Errorf("metric=%v: live pair (%s, %s) with positive closeness never resolved",
-						metric, aID, bID)
+						metric, a.id, b.id)
 				}
 			}
 		}

@@ -71,44 +71,67 @@ func newPool(units []*Unit, brokers []*BrokerSpec, t *bitvector.PublisherTable, 
 }
 
 // commit replaces the removed units by the added ones. The added units are
-// compiled and interned, then both slices are spliced in place: the removed
-// positions cut out in one pass and each added unit inserted at its BIN
-// PACKING position with one shift. unitBefore is a strict total order, so
-// the result is the slice a sort of the modified pool would give. A removed
-// unit the pool does not hold (or one listed twice) is an error, and leaves
-// the pool as it was.
+// sorted, placed among the pool's by binary search, and compiled and
+// interned; splice then rewrites both slices in one pass. unitBefore is a
+// strict total order, so the result is the slice a sort of the modified pool
+// would give. A removed unit the pool does not hold (or one listed twice) is
+// an error, and leaves the pool as it was.
 func (p *pool) commit(removed, added []*Unit) error {
 	cut := p.positions(removed)
 	if len(cut) != len(removed) {
 		return fmt.Errorf("allocation: pool commit: %d of %d removed units are not in the pool or listed twice",
 			len(removed)-len(cut), len(removed))
 	}
-	compiled := compileUnits(added, p.table, &p.classes)
-	p.units, p.stream = cutAt(p.units, cut), cutAt(p.stream, cut)
+	added = sortUnitsByBandwidthDesc(added)
+	at := make([]int, len(added))
 	for j, u := range added {
-		i := sort.Search(len(p.units), func(i int) bool { return unitBefore(u, p.units[i]) })
-		p.units = slices.Insert(p.units, i, u)
-		p.stream = slices.Insert(p.stream, i, compiled[j])
+		at[j] = sort.Search(len(p.units), func(i int) bool { return unitBefore(u, p.units[i]) })
 	}
+	compiled := compileUnits(added, p.table, &p.classes)
+	p.units, p.stream = splice(p.units, cut, at, added), splice(p.stream, cut, at, compiled)
 	return nil
 }
 
-// cutAt removes the elements at the given ascending positions from s, in
-// place and in one pass.
-func cutAt[T any](s []T, cut []int) []T {
-	if len(cut) == 0 {
-		return s
-	}
-	w := cut[0]
-	for ci, i := range cut {
-		end := len(s)
-		if ci+1 < len(cut) {
-			end = cut[ci+1]
+// splice drops the elements of s at the ascending positions cut and inserts
+// add[j] ahead of s[at[j]] (at ascending; len(s) appends), in place. Each run
+// of kept elements between two such positions shifts by the inserts ahead of
+// it minus the cuts ahead of it; runs shifting left are copied first to last
+// and runs shifting right last to first, so no copy overwrites an element not
+// yet moved, each kept element moves at most once, and the elements ahead of
+// the first cut or insert not at all.
+func splice[T any](s []T, cut, at []int, add []T) []T {
+	type run struct{ lo, hi, d int } // s[lo:hi] moves to s[lo+d:hi+d]
+	n, m := len(s), len(s)-len(cut)+len(add)
+	runs, dst := make([]run, 0, len(cut)+len(at)+1), make([]int, len(add))
+	lo, d, j := 0, 0, 0
+	for ci := 0; ci <= len(cut); ci++ {
+		hi := n
+		if ci < len(cut) {
+			hi = cut[ci]
 		}
-		w += copy(s[w:], s[i+1:end])
+		for ; j < len(at) && at[j] <= hi; j++ {
+			runs = append(runs, run{lo, at[j], d})
+			dst[j], lo, d = at[j]+d, at[j], d+1
+		}
+		runs = append(runs, run{lo, hi, d})
+		lo, d = hi+1, d-1
 	}
-	clear(s[w:])
-	return s[:w]
+	s = slices.Grow(s, max(m-n, 0))[:max(m, n)]
+	for _, r := range runs {
+		if r.d < 0 {
+			copy(s[r.lo+r.d:], s[r.lo:r.hi])
+		}
+	}
+	for i := len(runs) - 1; i >= 0; i-- {
+		if r := runs[i]; r.d > 0 {
+			copy(s[r.lo+r.d:], s[r.lo:r.hi])
+		}
+	}
+	for j, q := range dst {
+		s[q] = add[j]
+	}
+	clear(s[m:])
+	return s[:m]
 }
 
 // positions returns the ascending, duplicate-free positions of the given

@@ -2,6 +2,8 @@ package allocation
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -70,27 +72,55 @@ func checkPoolInvariants(t *testing.T, p *pool) {
 	}
 }
 
+// checkLiveInvariants asserts what gifFor, dropGIF and the shard set must
+// preserve: r.live is exactly the live GIFs, sorted by ID as strings, none
+// of them dropped, and each live GIF of a sharded run in the shard its
+// summary routes to.
+func checkLiveInvariants(t *testing.T, r *cramRun) {
+	t.Helper()
+	ids := make([]string, 0, len(r.gifs))
+	for id := range r.gifs {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	if len(ids) != len(r.live) {
+		t.Fatalf("r.live holds %d GIFs, %d are live", len(r.live), len(ids))
+	}
+	for i, g := range r.live {
+		if g.id != ids[i] || r.gifs[g.id] != g || g.dropped {
+			t.Fatalf("r.live[%d] is %s (dropped %v); the sorted live IDs have %s there", i, g.id, g.dropped, ids[i])
+		}
+		if r.shards != nil && g.shard != routeShard(g.summary, r.shards.n) {
+			t.Fatalf("GIF %s is in shard %d, its summary routes to %d", g.id, g.shard, routeShard(g.summary, r.shards.n))
+		}
+	}
+}
+
 // TestPoolInvariantsAfterEveryCommit walks a full CRAM run one clustering
 // loop iteration at a time — a run capped at k iterations ends in the state
-// the full run is in after k, commits included — and checks the pool after
-// each, for the poset and the exhaustive search, grouping on and off.
+// the full run is in after k, commits included — and checks the pool and the
+// live GIF order after each, for the poset and the exhaustive search,
+// grouping on and off, and the sharded exhaustive search. Each run reaches
+// at least 11 live GIFs, so ID string order (g10 before g9) is exercised.
 func TestPoolInvariantsAfterEveryCommit(t *testing.T) {
 	units, pubs := testWorkload(42, 5, 8, 10, 100)
 	in := &Input{Units: units, Brokers: testBrokers(8, 10_000, stdDelay()), Publishers: pubs, ProfileCapacity: testCap}
 	cases := []struct {
 		name                   string
 		exhaustive, noGrouping bool
+		shards                 int
 	}{
-		{"poset", false, false},
-		{"exhaustive", true, false},
-		{"poset-ungrouped", false, true},
-		{"exhaustive-ungrouped", true, true},
+		{"poset", false, false, 0},
+		{"exhaustive", true, false, 0},
+		{"poset-ungrouped", false, true, 0},
+		{"exhaustive-ungrouped", true, true, 0},
+		{"exhaustive-sharded", true, false, 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			mk := func(maxIter int) *CRAM {
 				return &CRAM{Metric: bitvector.MetricIOS, ExhaustiveSearch: tc.exhaustive,
-					DisableGIFGrouping: tc.noGrouping, maxIterations: maxIter}
+					DisableGIFGrouping: tc.noGrouping, Shards: tc.shards, maxIterations: maxIter}
 			}
 			full := mk(0)
 			if _, _, err := full.run(in); err != nil {
@@ -99,13 +129,19 @@ func TestPoolInvariantsAfterEveryCommit(t *testing.T) {
 			if full.Stats().ClustersAccepted == 0 {
 				t.Fatal("the run commits nothing; the workload is too easy for the test")
 			}
+			maxLive := 0
 			for k := 1; ; k++ {
 				c := mk(k)
 				r, _, err := c.run(in)
 				if err != nil {
 					t.Fatalf("%d iterations: %v", k, err)
 				}
+				if (r.shards != nil) != (tc.shards > 1) {
+					t.Fatalf("Shards=%d, but the run is sharded: %v", tc.shards, r.shards != nil)
+				}
 				checkPoolInvariants(t, r.pool)
+				checkLiveInvariants(t, r)
+				maxLive = max(maxLive, len(r.live))
 				if c.Stats() == full.Stats() {
 					break
 				}
@@ -113,7 +149,97 @@ func TestPoolInvariantsAfterEveryCommit(t *testing.T) {
 					t.Fatal("capped runs never reach the full run's statistics")
 				}
 			}
+			if maxLive < 11 {
+				t.Fatalf("at most %d live GIFs; the run does not exercise ID string order", maxLive)
+			}
 		})
+	}
+}
+
+// TestPoolCommitSplice checks pool.commit's one-pass splice against cutting
+// the removed units and sorting the rest with the added ones, on random pools
+// with 1–5 removed units anywhere and 0–4 added units placed ahead of the
+// first cut, between cuts, after the last cut, at the front, at the end, and
+// on a bandwidth tie with a pool unit.
+func TestPoolCommitSplice(t *testing.T) {
+	base, pubs := testWorkload(7, 4, 12, 10, 100)
+	brokers := sortBrokersByCapacity(testBrokers(8, 18_000, stdDelay()))
+	table := newPublisherTable(pubs, base)
+	rng := rand.New(rand.NewSource(5))
+	const (
+		beforeFirst = iota
+		between
+		afterLast
+		front
+		end
+		tie
+		nPlaces
+	)
+	var seen [nPlaces]int
+	for trial := 0; trial < 300; trial++ {
+		p := newPool(base[:20+rng.Intn(len(base)-20)], brokers, table, testCap)
+		units := p.units
+		cut := rng.Perm(len(units))[:1+rng.Intn(5)]
+		slices.Sort(cut)
+		var removed, added []*Unit
+		for _, i := range cut {
+			removed = append(removed, units[i])
+		}
+		for j := rng.Intn(5); j > 0; j-- {
+			// The target position q in the old pool, and a bandwidth that
+			// lands the added unit there: between its neighbors', or a
+			// neighbor's own on a tie.
+			place := rng.Intn(nPlaces)
+			var q int
+			switch place {
+			case beforeFirst:
+				q = rng.Intn(cut[0] + 1)
+			case between:
+				if len(cut) < 2 {
+					continue
+				}
+				c := 1 + rng.Intn(len(cut)-1)
+				q = cut[c-1] + 1 + rng.Intn(cut[c]-cut[c-1])
+			case afterLast:
+				q = cut[len(cut)-1] + 1 + rng.Intn(len(units)-cut[len(cut)-1])
+			case front:
+				q = 0
+			case end:
+				q = len(units)
+			case tie:
+				q = rng.Intn(len(units))
+			}
+			var bw float64
+			switch {
+			case place == tie:
+				bw = units[q].Load.Bandwidth
+			case q == 0:
+				bw = units[0].Load.Bandwidth + 1
+			case q == len(units):
+				bw = units[q-1].Load.Bandwidth / 2
+			default:
+				bw = (units[q-1].Load.Bandwidth + units[q].Load.Bandwidth) / 2
+			}
+			u := *units[rng.Intn(len(units))]
+			u.ID = fmt.Sprintf("add-%d-%d", trial, j)
+			u.Load.Bandwidth = bw
+			added = append(added, &u)
+			seen[place]++
+		}
+		want := sortUnitsByBandwidthDesc(append(slices.DeleteFunc(slices.Clone(units),
+			func(u *Unit) bool { return slices.Contains(removed, u) }), added...))
+		if err := p.commit(removed, added); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !slices.Equal(p.units, want) {
+			t.Fatalf("trial %d: cut %v, %d added: the spliced pool is not the sorted modified pool", trial, cut, len(added))
+		}
+		checkPoolInvariants(t, p)
+	}
+	for place, n := range seen {
+		if n == 0 {
+			t.Errorf("no added unit was placed in case %d", place)
+		}
 	}
 }
 
@@ -198,8 +324,8 @@ func TestCRAMPosetRefusalIsAnError(t *testing.T) {
 	})
 	t.Run("remove", func(t *testing.T) {
 		r := start(t)
-		for _, id := range r.sortedGIFIDs() {
-			if err := r.ps.Remove(id); err != nil {
+		for _, g := range r.live {
+			if err := r.ps.Remove(g.id); err != nil {
 				t.Fatal(err)
 			}
 		}

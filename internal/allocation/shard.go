@@ -1,6 +1,8 @@
 package allocation
 
 import (
+	"slices"
+
 	"github.com/greenps/greenps/internal/bitvector"
 )
 
@@ -38,10 +40,9 @@ const (
 	windowBucketShift = 9
 )
 
-// shardSet is the sharded view of the live GIF pool.
+// shardSet is the sharded view of the live GIF pool (gif.shard indexes it).
 type shardSet struct {
 	n      int
-	of     map[string]int // gifID -> shard index; entries outlive drops
 	shards []*shardInfo
 }
 
@@ -52,12 +53,11 @@ type shardInfo struct {
 	// freshen; read-only between freshens, so parallel searches may
 	// evaluate it concurrently.
 	bound *bitvector.Summary
-	// ids holds member IDs in arrival order, including dropped ones
-	// until the next compaction; liveness is checked against the run's
-	// gif index at rebuild time.
-	ids   []string
-	live  int
-	dirty bool // a member arrived since the last envelope rebuild
+	// members holds the member GIFs in arrival order, including dropped
+	// ones until the next compaction at rebuild time.
+	members []*gif
+	live    int
+	dirty   bool // a member arrived since the last envelope rebuild
 }
 
 // shardCount resolves the configured shard count against the initial
@@ -86,7 +86,7 @@ func newShardSet(n int) *shardSet {
 	if n <= 1 {
 		return nil
 	}
-	s := &shardSet{n: n, of: make(map[string]int), shards: make([]*shardInfo, n)}
+	s := &shardSet{n: n, shards: make([]*shardInfo, n)}
 	for i := range s.shards {
 		s.shards[i] = &shardInfo{}
 	}
@@ -114,10 +114,9 @@ func routeShard(sum *bitvector.Summary, n int) int {
 
 // add routes a GIF into its shard. Coordinator only.
 func (s *shardSet) add(g *gif) {
-	idx := routeShard(g.summary, s.n)
-	s.of[g.id] = idx
-	sh := s.shards[idx]
-	sh.ids = append(sh.ids, g.id)
+	g.shard = routeShard(g.summary, s.n)
+	sh := s.shards[g.shard]
+	sh.members = append(sh.members, g)
 	sh.live++
 	sh.dirty = true
 }
@@ -126,31 +125,25 @@ func (s *shardSet) add(g *gif) {
 // envelope over a superset of the members is still admissible (it can
 // only prune less), so no rebuild is needed; the member list is
 // compacted lazily at the next rebuild. Coordinator only.
-func (s *shardSet) drop(id string) {
-	s.shards[s.of[id]].live--
+func (s *shardSet) drop(g *gif) {
+	s.shards[g.shard].live--
 }
 
 // freshen rebuilds the envelope of every shard that gained a member
 // since its last build and rematerializes its bound. Must run on the
 // coordinator before any search that could see the new member; a clean
 // shard set returns after n flag checks.
-func (s *shardSet) freshen(gifs map[string]*gif) {
+func (s *shardSet) freshen() {
 	for _, sh := range s.shards {
 		if !sh.dirty {
 			continue
 		}
-		if len(sh.ids) > 2*sh.live+8 {
-			kept := sh.ids[:0]
-			for _, id := range sh.ids {
-				if _, ok := gifs[id]; ok {
-					kept = append(kept, id)
-				}
-			}
-			sh.ids = kept
+		if len(sh.members) > 2*sh.live+8 {
+			sh.members = slices.DeleteFunc(sh.members, func(g *gif) bool { return g.dropped })
 		}
 		sh.env.Reset()
-		for _, id := range sh.ids {
-			if g, ok := gifs[id]; ok {
+		for _, g := range sh.members {
+			if !g.dropped {
 				sh.env.Absorb(g.summary)
 			}
 		}
@@ -160,22 +153,20 @@ func (s *shardSet) freshen(gifs map[string]*gif) {
 }
 
 // shardSurvivors is the wholesale-pruning stage of the sharded scan for
-// probe g with incumbent threshold t0. It returns the IDs of the
-// surviving shards' members in global sorted order (the cross-shard
-// merge of the scan input; the slice is scan's, good until its next
-// search), the number of admissible pairings the pruned shards contained
+// probe g with incumbent threshold t0. It returns the surviving shards'
+// live members in r.live's ID order (the slice is scan's, good until its
+// next search), the number of admissible pairings the pruned shards contained
 // — tallied into both ClosenessComputations and BoundPruned by the
 // caller, exactly as the per-pair rule would have — and the count of
 // shards pruned wholesale. It only reads run state: the seed phase calls
 // it from worker goroutines, each with a scratch of its own.
-func (r *cramRun) shardSurvivors(g *gif, t0 float64, scan *scanScratch) (ids []string, bulk, shardsPruned int) {
+func (r *cramRun) shardSurvivors(g *gif, t0 float64, scan *scanScratch) (live []*gif, bulk, shardsPruned int) {
 	s := r.shards
 	if cap(scan.survived) < s.n {
 		scan.survived = make([]bool, s.n)
 	}
 	survived := scan.survived[:s.n]
 	clear(survived)
-	gShard := s.of[g.id]
 	for i, sh := range s.shards {
 		if sh.live == 0 {
 			continue
@@ -189,29 +180,25 @@ func (r *cramRun) shardSurvivors(g *gif, t0 float64, scan *scanScratch) (ids []s
 		// probe itself minus live blacklisted partners — the same set the
 		// unsharded scan would have counted and bound-pruned one by one.
 		n := sh.live
-		if i == gShard {
+		if i == g.shard {
 			n--
 		}
-		for _, p := range r.blPartners[g.id] {
-			if s.of[p] != i {
-				continue
-			}
-			if _, live := r.gifs[p]; live {
+		for _, p := range g.blPartners {
+			if p.shard == i && !p.dropped {
 				n--
 			}
 		}
 		bulk += n
 	}
-	all := r.sortedGIFIDs()
-	if cap(scan.ids) < len(all) {
-		scan.ids = make([]string, len(all))
+	if cap(scan.live) < len(r.live) {
+		scan.live = make([]*gif, len(r.live))
 	}
-	ids, n := scan.ids[:len(all)], 0
-	for _, id := range all {
-		if survived[s.of[id]] {
-			ids[n] = id
+	live, n := scan.live[:len(r.live)], 0
+	for _, p := range r.live {
+		if survived[p.shard] {
+			live[n] = p
 			n++
 		}
 	}
-	return ids[:n], bulk, shardsPruned
+	return live[:n], bulk, shardsPruned
 }

@@ -2,6 +2,7 @@ package allocation
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/greenps/greenps/internal/bitvector"
@@ -174,10 +175,11 @@ func TestShardRoutingDeterministic(t *testing.T) {
 	}
 }
 
-// TestShardScanAllocationFree pins routeShard and shardSurvivors at zero
-// allocations on a sharded exhaustive run: every GIF is routed and scanned
-// against the incumbent its own search finds, so shards are both kept and
-// pruned wholesale.
+// TestShardScanAllocationFree pins the scan stage of the sharded exhaustive
+// search at zero allocations: routeShard, shardSurvivors, and boundPruneScan
+// over the surviving GIFs. Every GIF is routed and scanned against the
+// incumbent its own search finds, so shards are both kept and pruned
+// wholesale.
 func TestShardScanAllocationFree(t *testing.T) {
 	c := &CRAM{Metric: bitvector.MetricIOS, ExhaustiveSearch: true, Shards: 16}
 	r, err := c.start(shardTestInput(t))
@@ -185,28 +187,65 @@ func TestShardScanAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.spill.close()
-	ids := r.sortedGIFIDs()
-	t0 := make([]float64, len(ids))
-	for i, id := range ids {
-		if best, _, _, _ := r.bestPartner(r.gifs[id], &r.scan); best != nil {
+	t0 := make([]float64, len(r.live))
+	for i, g := range r.live {
+		if best, _, _, _ := r.bestPartner(g, &r.scan); best != nil {
 			t0[i] = best.closeness
 		}
 	}
-	pruned := 0
+	pruned, anchored := 0, 0
 	scan := func() {
-		for i, id := range ids {
-			g := r.gifs[id]
+		for i, g := range r.live {
 			routeShard(g.summary, r.shards.n)
-			_, _, n := r.shardSurvivors(g, t0[i], &r.scan)
+			live, _, n := r.shardSurvivors(g, t0[i], &r.scan)
 			pruned += n
+			skip, ubs := r.scan.sized(len(live))
+			for j, p := range live {
+				skip[j] = p == g
+			}
+			if anchor, _ := r.boundPruneScan(g, live, skip, ubs, t0[i]); anchor >= 0 {
+				anchored++
+			}
 		}
 	}
 	if n := testing.AllocsPerRun(10, scan); n != 0 {
-		t.Errorf("routeShard + shardSurvivors over %d GIFs allocate %v times, want 0", len(ids), n)
+		t.Errorf("routeShard + shardSurvivors + boundPruneScan over %d GIFs allocate %v times, want 0", len(r.live), n)
 	}
 	if pruned == 0 {
 		t.Error("no shard was pruned wholesale; the pin does not cover the pruned arm")
 	}
+	if anchored == 0 {
+		t.Error("no scan found an anchor; the pin does not cover the anchor's exact evaluation")
+	}
+}
+
+// TestShardBulkTally pins what a wholesale-pruned shard adds to the scan's
+// tallies: its live members, minus the probe itself, minus the probe's live
+// blacklisted partners — a partner counts again once it is dropped, since
+// dropping it also takes it out of the live count.
+func TestShardBulkTally(t *testing.T) {
+	c := &CRAM{Metric: bitvector.MetricIOS, ExhaustiveSearch: true, Shards: 4}
+	r, err := c.start(shardTestInput(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.spill.close()
+	g, p := r.live[0], r.live[len(r.live)-1]
+	check := func(step string, want int) {
+		t.Helper()
+		live, bulk, shardsPruned := r.shardSurvivors(g, math.Inf(1), &r.scan)
+		if len(live) != 0 || shardsPruned != r.shards.n {
+			t.Fatalf("%s: %d survivors and %d of %d shards pruned at t0 = +Inf", step, len(live), shardsPruned, r.shards.n)
+		}
+		if bulk != want {
+			t.Fatalf("%s: bulk tally %d, want %d", step, bulk, want)
+		}
+	}
+	check("fresh", len(r.live)-1)
+	r.noteBlacklist(g, p)
+	check("partner blacklisted", len(r.live)-2)
+	r.dropGIF(p)
+	check("partner dropped", len(r.live)-1)
 }
 
 // TestShardCountResolution pins the auto-sizing policy.
