@@ -372,7 +372,7 @@ func TestPairwiseRejectsBadK(t *testing.T) {
 
 func TestInputValidate(t *testing.T) {
 	units, pubs := testWorkload(1, 2, 2, 10, 100)
-	good := &Input{Units: units, Brokers: testBrokers(2, 1000, stdDelay()), Publishers: pubs}
+	good := &Input{Units: units, Brokers: testBrokers(2, 1000, stdDelay()), Publishers: pubs, ProfileCapacity: testCap}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("good input rejected: %v", err)
 	}
@@ -387,6 +387,8 @@ func TestInputValidate(t *testing.T) {
 			Brokers: testBrokers(1, 1000, stdDelay()), Publishers: pubs},
 		{Units: []*Unit{{ID: "u", Profile: bitvector.NewProfile(8)}},
 			Brokers: testBrokers(1, 1000, stdDelay()), Publishers: pubs},
+		// Vectors of testCap bits in a plan of the default capacity.
+		{Units: units, Brokers: testBrokers(2, 1000, stdDelay()), Publishers: pubs},
 	}
 	for i, in := range cases {
 		if err := in.Validate(); err == nil {

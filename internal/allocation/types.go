@@ -130,6 +130,10 @@ func (in *Input) Validate() error {
 			return fmt.Errorf("allocation: broker %q has non-positive bandwidth", b.ID)
 		}
 	}
+	capacity := in.ProfileCapacity
+	if capacity <= 0 {
+		capacity = bitvector.DefaultCapacity
+	}
 	seenU := make(map[string]bool, len(in.Units))
 	for _, u := range in.Units {
 		if u.ID == "" {
@@ -144,6 +148,11 @@ func (in *Input) Validate() error {
 		}
 		if len(u.Members) == 0 {
 			return fmt.Errorf("allocation: unit %q has no members", u.ID)
+		}
+		// Every kernel ANDs and ORs word by word: a vector of another
+		// capacity would be read past its end or only in part.
+		if adv, got, bad := u.Profile.CapacityMismatch(capacity); bad {
+			return fmt.Errorf("allocation: unit %q holds publisher %q's vector at capacity %d, want the plan's %d", u.ID, adv, got, capacity)
 		}
 		// A NaN load orders against nothing: it would void the pool order
 		// and every capacity test of the broker that took the unit.

@@ -169,6 +169,18 @@ func (p *Profile) Publishers() []string {
 	return out
 }
 
+// CapacityMismatch returns the first publisher, in ascending ID, whose
+// vector's capacity is not capacity, and that vector's capacity; ok is
+// false when every vector has the capacity.
+func (p *Profile) CapacityMismatch(capacity int) (advID string, got int, ok bool) {
+	for _, e := range p.entries {
+		if e.vec.capacity != capacity {
+			return e.advID, e.vec.capacity, true
+		}
+	}
+	return "", 0, false
+}
+
 // Clone returns a deep copy.
 func (p *Profile) Clone() *Profile {
 	cp := &Profile{capacity: p.capacity, entries: make([]entry, len(p.entries))}

@@ -2,6 +2,7 @@ package broker_test
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -120,6 +121,56 @@ func TestHandleBatchMatchesSequentialHandle(t *testing.T) {
 		if s != b {
 			t.Errorf("instrument %s: sequential %d, batch %d", name, s, b)
 		}
+	}
+}
+
+// TestInboundSizeStandsInForTheWalk: a batch whose publications carry
+// their size from an earlier hop emits, counts and meters exactly what
+// the same batch does when the core walks every publication itself.
+func TestInboundSizeStandsInForTheWalk(t *testing.T) {
+	walked := throughputCore(t, nil)
+	sized := throughputCore(t, nil)
+	plain := batchWorkload()
+	carried := slices.Clone(plain)
+	for i := range carried {
+		if carried[i].Env.Kind == message.KindPublication {
+			carried[i].Size = carried[i].Env.EncodedSize()
+		}
+	}
+	want, err := walked.HandleBatch(plain, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sized.HandleBatch(carried, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.EqualFunc(got, want, func(a, b broker.Outgoing) bool { return describeOutgoing(a) == describeOutgoing(b) }) {
+		t.Fatalf("carried sizes emitted %d messages, walked %d, or in another order", len(got), len(want))
+	}
+	if sized.Counters() != walked.Counters() {
+		t.Fatalf("counters: carried %+v, walked %+v", sized.Counters(), walked.Counters())
+	}
+	a, b := sized.Info().Publishers, walked.Info().Publishers
+	if len(a) != len(b) {
+		t.Fatalf("carried sizes metered %d publishers, walked %d", len(a), len(b))
+	}
+	for i := range a {
+		if *a[i].Stats != *b[i].Stats {
+			t.Errorf("publisher %s: carried %+v, walked %+v", a[i].Adv.ID, *a[i].Stats, *b[i].Stats)
+		}
+	}
+	// A local publisher is metered in publication bytes, envelope excluded.
+	msgs, bytes := 0, 0
+	for _, m := range plain {
+		if m.Env.Kind == message.KindPublication && m.From.Kind == broker.KindClient {
+			msgs++
+			bytes += m.Env.Pub.EncodedSize()
+		}
+	}
+	st := a[0].Stats
+	if got, want := st.Bandwidth/st.Rate, float64(bytes)/float64(msgs); msgs == 0 || math.Abs(got-want) > 1e-9*want {
+		t.Errorf("publisher %s metered %.3f bytes per publication, want %.3f", a[0].Adv.ID, got, want)
 	}
 }
 

@@ -59,14 +59,15 @@ func (b *cbc) unregisterPublisher(advID string) {
 	delete(b.publishers, advID)
 }
 
-// recordPublication meters a publication sent by a local publisher.
-func (b *cbc) recordPublication(pub *message.Publication) {
+// recordPublication meters a publication sent by a local publisher;
+// envSize is its envelope's EncodedSize.
+func (b *cbc) recordPublication(pub *message.Publication, envSize int) {
 	m, ok := b.publishers[pub.AdvID]
 	if !ok {
 		return
 	}
 	m.msgs++
-	m.bytes += pub.EncodedSize()
+	m.bytes += envSize - message.EnvelopeOverhead
 	if pub.Seq > m.lastSeq {
 		m.lastSeq = pub.Seq
 	}

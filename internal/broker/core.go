@@ -72,6 +72,11 @@ type Outgoing struct {
 type Inbound struct {
 	From Endpoint
 	Env  *message.Envelope
+	// Size, when nonzero, is Env.EncodedSize() for a publication
+	// envelope, carried from an earlier hop so the core need not walk the
+	// attributes again; zero makes the core walk them. It is ignored for
+	// other kinds.
+	Size int
 }
 
 // Clock supplies the broker's notion of elapsed time in seconds; the live
@@ -124,11 +129,13 @@ func (c Counters) Total() int { return c.MsgsIn + c.MsgsOut }
 type pubScratch struct {
 	// one backs the single-message Handle path as a 1-element run.
 	one [1]Inbound
-	// pubs/arrivals/envs are the current run, indexed alike; arrivals
-	// holds the route group of the link each publication came in on.
+	// pubs/arrivals/envs/sizes are the current run, indexed alike;
+	// arrivals holds the route group of the link each publication came in
+	// on, sizes each envelope's EncodedSize.
 	pubs     []*message.Publication
 	arrivals []int32
 	envs     []*message.Envelope
+	sizes    []int
 	// fwdIDs/deliv accumulate the fan-out of the publication currently
 	// being matched: neighbor-broker IDs (one per route group, so at most
 	// one per neighbor) and client endpoints (one entry per matching
@@ -261,7 +268,11 @@ func (c *Core) Handle(from Endpoint, env *message.Envelope, out []Outgoing) ([]O
 	if err := env.Validate(); err != nil {
 		return out, fmt.Errorf("broker %s: %w", c.cfg.ID, err)
 	}
-	c.accountIn(env)
+	if env.Kind == message.KindPublication {
+		c.scratch.one[0] = Inbound{From: from, Env: env}
+		return c.handlePublicationRun(c.scratch.one[:], out), nil
+	}
+	c.accountIn(env.EncodedSize())
 	before := len(out)
 	var err error
 	switch env.Kind {
@@ -273,9 +284,6 @@ func (c *Core) Handle(from Endpoint, env *message.Envelope, out []Outgoing) ([]O
 		out, err = c.handleSubscription(from, env.Sub, out)
 	case message.KindUnsubscription:
 		out, err = c.handleUnsubscription(from, env.UnsubID, out)
-	case message.KindPublication:
-		c.scratch.one[0] = Inbound{From: from, Env: env}
-		out = c.handlePublicationRun(c.scratch.one[:], out)
 	case message.KindBIR:
 		out = c.handleBIR(from, env.BIR, out)
 	case message.KindBIA:
@@ -285,31 +293,37 @@ func (c *Core) Handle(from Endpoint, env *message.Envelope, out []Outgoing) ([]O
 	return out, err
 }
 
-// accountIn advances the inbound counters and instruments by one message.
-func (c *Core) accountIn(env *message.Envelope) {
-	sz := env.EncodedSize()
+// accountIn advances the inbound counters and instruments by one message
+// of sz bytes.
+func (c *Core) accountIn(sz int) {
 	c.counters.MsgsIn++
 	c.counters.BytesIn += sz
 	c.inst.MsgsIn.Inc()
 	c.inst.BytesIn.Add(int64(sz))
 }
 
+// accountCopies advances the outbound counters and instruments by n
+// emitted copies of one sz-byte message.
+func (c *Core) accountCopies(n, sz int) {
+	c.counters.MsgsOut += n
+	c.counters.BytesOut += n * sz
+	c.inst.MsgsOut.Add(int64(n))
+	c.inst.BytesOut.Add(int64(n * sz))
+}
+
 // accountOut advances the outbound counters and instruments by the
-// emitted messages. The copies of one fan-out share their *Envelope, so a
-// size — a walk of the publication's attributes — is computed once per
-// run of outputs carrying the same pointer.
+// control messages a handler emitted. The copies of one flood share
+// their *Envelope, so a size is computed once per run of outputs
+// carrying the same pointer. Publications never come here: their run
+// accounts its fan-out with the size it already holds.
 func (c *Core) accountOut(outs []Outgoing) {
-	var env *message.Envelope
-	sz := 0
-	for i := range outs {
-		if outs[i].Env != env {
-			env = outs[i].Env
-			sz = env.EncodedSize()
+	for i := 0; i < len(outs); {
+		j := i + 1
+		for j < len(outs) && outs[j].Env == outs[i].Env {
+			j++
 		}
-		c.counters.MsgsOut++
-		c.counters.BytesOut += sz
-		c.inst.MsgsOut.Inc()
-		c.inst.BytesOut.Add(int64(sz))
+		c.accountCopies(j-i, outs[i].Env.EncodedSize())
+		i = j
 	}
 }
 
@@ -482,12 +496,7 @@ func (c *Core) HandleBatch(msgs []Inbound, out []Outgoing) ([]Outgoing, error) {
 			j++
 		}
 		if j > i {
-			before := len(out)
-			for k := i; k < j; k++ {
-				c.accountIn(msgs[k].Env)
-			}
 			out = c.handlePublicationRun(msgs[i:j], out)
-			c.accountOut(out[before:])
 			i = j
 			continue
 		}
@@ -503,18 +512,27 @@ func (c *Core) HandleBatch(msgs []Inbound, out []Outgoing) ([]Outgoing, error) {
 
 // handlePublicationRun matches a run of publications against the engine
 // in one pass, flushing each publication's fan-out as soon as the
-// matcher moves past it. Callers account MsgsIn/MsgsOut around it.
+// matcher moves past it. It accounts every publication in and every copy
+// out with the one size it takes for each envelope: the Inbound's Size,
+// or a walk of the attributes when that is zero.
 func (c *Core) handlePublicationRun(msgs []Inbound, out []Outgoing) []Outgoing {
 	s := &c.scratch
 	s.pubs = s.pubs[:0]
 	s.arrivals = s.arrivals[:0]
 	s.envs = s.envs[:0]
+	s.sizes = s.sizes[:0]
 	for k := range msgs {
+		sz := msgs[k].Size
+		if sz == 0 {
+			sz = msgs[k].Env.EncodedSize()
+		}
+		c.accountIn(sz)
 		s.pubs = append(s.pubs, msgs[k].Env.Pub)
 		s.arrivals = append(s.arrivals, c.routeGroup(msgs[k].From, false))
 		s.envs = append(s.envs, msgs[k].Env)
+		s.sizes = append(s.sizes, sz)
 		if msgs[k].From.Kind == KindClient {
-			c.cbc.recordPublication(msgs[k].Env.Pub)
+			c.cbc.recordPublication(msgs[k].Env.Pub, sz)
 		}
 	}
 	s.fwdIDs = s.fwdIDs[:0]
@@ -590,6 +608,9 @@ func (c *Core) flushPublication() {
 	}
 	c.inst.PubsForwarded.Add(int64(len(s.fwdIDs)))
 	c.inst.PubsDelivered.Add(int64(len(s.deliv)))
+	if n := len(s.fwdIDs) + len(s.deliv); n > 0 {
+		c.accountCopies(n, s.sizes[c.runPos])
+	}
 	for _, id := range s.fwdIDs {
 		c.runOut = append(c.runOut, Outgoing{To: Endpoint{Kind: KindBroker, ID: id}, Env: env, Hops: pub.Hops + 1})
 	}

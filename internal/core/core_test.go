@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,8 +15,13 @@ import (
 // buildInfos fabricates a gathered-BIA snapshot: nBrokers homogeneous
 // brokers, nPubs publishers on broker 0, and per-publisher subscription
 // groups spread over brokers (some identical full-stream profiles, some
-// partial).
+// partial), profiled in 256-bit vectors.
 func buildInfos(nBrokers, nPubs, subsPerPub int) []message.BrokerInfo {
+	return buildInfosAt(256, nBrokers, nPubs, subsPerPub)
+}
+
+// buildInfosAt is buildInfos with vectors of the given capacity.
+func buildInfosAt(capacity, nBrokers, nPubs, subsPerPub int) []message.BrokerInfo {
 	const window = 100
 	infos := make([]message.BrokerInfo, nBrokers)
 	for b := range infos {
@@ -37,7 +44,7 @@ func buildInfos(nBrokers, nPubs, subsPerPub int) []message.BrokerInfo {
 			},
 		})
 		for s := 0; s < subsPerPub; s++ {
-			prof := bitvector.NewProfile(256)
+			prof := bitvector.NewProfile(capacity)
 			lo, hi := 0, window-1
 			if s%2 == 1 {
 				lo, hi = 10*(s%5), 10*(s%5)+40
@@ -95,6 +102,38 @@ func TestComputePlanRejectsUnknownAlgorithm(t *testing.T) {
 	infos := buildInfos(4, 2, 4)
 	if _, err := ComputePlan(infos, Config{Algorithm: "MAGIC"}); err == nil {
 		t.Fatal("unknown algorithm accepted")
+	}
+}
+
+// TestComputePlanRejectsForeignCapacity: a BIA profile whose vectors
+// have another capacity than the plan's is refused with an error naming
+// the unit, the publisher and both capacities, not planned with kernels
+// that walk the two vectors word by word.
+func TestComputePlanRejectsForeignCapacity(t *testing.T) {
+	const planCap = 1280
+	infos := buildInfosAt(planCap, 4, 2, 6)
+	cfg := Config{Algorithm: AlgCRAMIOS, ProfileCapacity: planCap}
+	if _, err := ComputePlan(infos, cfg); err != nil {
+		t.Fatalf("uniform %d-bit profiles: %v", planCap, err)
+	}
+	// The same subscription's profile as a 640-bit broker would send it.
+	data, err := json.Marshal(buildInfosAt(640, 4, 2, 6)[1].Subscriptions[0].Profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := &infos[1].Subscriptions[0]
+	foreign.Profile = new(bitvector.Profile)
+	if err := json.Unmarshal(data, foreign.Profile); err != nil {
+		t.Fatal(err)
+	}
+	_, err = ComputePlan(infos, cfg)
+	if err == nil {
+		t.Fatal("a 640-bit profile was planned at 1280 bits")
+	}
+	for _, want := range []string{`"u-` + foreign.Sub.ID + `"`, `"` + foreign.Profile.Publishers()[0] + `"`, "640", "1280"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
 	}
 }
 

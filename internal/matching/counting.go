@@ -23,14 +23,15 @@ import (
 // the universal list.
 //
 // A publication is spread once by attribute index into engine-owned
-// scratch, then probes one equality bucket and one others list per
-// attribute it carries. Each subscription found there is a candidate: its
-// predicates, compiled against the attribute indices at Add, are
-// evaluated with Predicate.Matches on the spread values and it is emitted
-// when all hold. Match cost scales with the candidates — the
-// subscriptions sharing the publication's rarest constrained value — not
-// with the routing table, and a table ranging over an attribute the
-// publication lacks costs nothing. A bucket is keyed by canonical value,
+// scratch, walking whichever is shorter, the engine's interned names or
+// the publication's attributes, then probes one equality bucket and one
+// others list per attribute it carries. Each subscription found there is
+// a candidate: its predicates, compiled against the attribute indices at
+// Add, are evaluated in place with Predicate.Holds on the spread values
+// and it is emitted when all hold. Match cost scales with the
+// candidates — the subscriptions sharing the publication's rarest
+// constrained value — not with the routing table, and a table ranging
+// over an attribute the publication lacks costs nothing. A bucket is keyed by canonical value,
 // on which key equality is Value.Equal, so a bucket hit decides the access
 // equality and only the other predicates are compiled for verification.
 //
@@ -55,8 +56,10 @@ type CountingEngine struct {
 	// free holds the tombstoned slots Compact purged from the postings,
 	// highest first, so Add reuses the lowest.
 	free []int32
-	// attrs interns attribute names to dense indices into postings.
+	// attrs interns attribute names to dense indices into postings;
+	// names is its inverse, the interned names in index order.
 	attrs    map[string]int32
+	names    []string
 	postings []posting
 	// universal holds the slots of zero-predicate subscriptions.
 	universal []int32
@@ -205,6 +208,7 @@ func (e *CountingEngine) index(slot int32) {
 		if !ok { // first sight: grow the postings and the match scratch
 			a = int32(len(e.postings))
 			e.attrs[p.Attr] = a
+			e.names = append(e.names, p.Attr)
 			e.postings = append(e.postings, posting{eq: make(map[message.Value]*bucket)})
 			e.carried = append(e.carried, 0)
 		}
@@ -279,7 +283,7 @@ func (e *CountingEngine) Compact() {
 	}
 	slices.SortFunc(live, func(a, b int32) int { return strings.Compare(e.entries[a].sub.ID, e.entries[b].sub.ID) })
 	e.attrs = make(map[string]int32)
-	e.postings, e.universal, e.carried = nil, nil, nil
+	e.names, e.postings, e.universal, e.carried = nil, nil, nil, nil
 	for _, slot := range live {
 		e.index(slot)
 	}
@@ -337,15 +341,7 @@ func (e *CountingEngine) matchOne(pub *message.Publication, pubIdx int, arrival 
 	if arrival > 0 && int(arrival) < len(e.closed) {
 		e.closed[arrival] = e.epoch
 	}
-	n := 0
-	for attr, v := range pub.Attrs {
-		if a, ok := e.attrs[attr]; ok {
-			post := &e.postings[a]
-			post.val, post.seen = v, e.epoch
-			e.carried[n] = a
-			n++
-		}
-	}
+	n := e.spread(pub)
 	for _, a := range e.carried[:n] {
 		post := &e.postings[a]
 		if b := post.eq[canonicalValue(post.val)]; b != nil {
@@ -354,6 +350,37 @@ func (e *CountingEngine) matchOne(pub *message.Publication, pubIdx int, arrival 
 		e.probe(post.others, pubIdx, fn)
 	}
 	e.probe(e.universal, pubIdx, fn)
+}
+
+// spread records the publication's value of every interned attribute it
+// carries under the current epoch and lists those attributes in carried,
+// returning their number. It walks the smaller side: the engine's names,
+// each looked up in the publication, when the engine interns fewer names
+// than the publication carries, else the publication's attributes, each
+// looked up in the engine. Either way carried holds the same attributes;
+// only their order differs, and no emission depends on it.
+func (e *CountingEngine) spread(pub *message.Publication) int {
+	n := 0
+	if len(e.names) < len(pub.Attrs) {
+		for a, name := range e.names {
+			if v, ok := pub.Attrs[name]; ok {
+				post := &e.postings[a]
+				post.val, post.seen = v, e.epoch
+				e.carried[n] = int32(a)
+				n++
+			}
+		}
+		return n
+	}
+	for attr, v := range pub.Attrs {
+		if a, ok := e.attrs[attr]; ok {
+			post := &e.postings[a]
+			post.val, post.seen = v, e.epoch
+			e.carried[n] = a
+			n++
+		}
+	}
+	return n
 }
 
 // probe emits the live candidates among slots whose group is open and
@@ -372,11 +399,14 @@ func (e *CountingEngine) probe(slots []int32, pubIdx int, fn func(int, int32)) {
 	}
 }
 
-// holds evaluates a candidate's compiled predicates on the spread publication.
+// holds evaluates a candidate's compiled predicates on the spread
+// publication, in place: a predicate on an attribute the publication does
+// not carry fails, as Predicate.Matches with present false does.
 func (e *CountingEngine) holds(preds []cpred) bool {
 	for i := range preds {
-		post := &e.postings[preds[i].attr]
-		if !preds[i].pred.Matches(post.val, post.seen == e.epoch) {
+		p := &preds[i]
+		post := &e.postings[p.attr]
+		if post.seen != e.epoch || !p.pred.Holds(&post.val) {
 			return false
 		}
 	}

@@ -59,6 +59,22 @@ var accessCases = []struct {
 		sAdd(sPred(aClass, eq, vA), sPred(aSymbol, eq, vB)), sRemove(0), sRemove(0),
 		sAdd(sPred(aClass, eq, vA), sPred(aSymbol, eq, vA)), {opCompact},
 		sAdd(sPred(aSymbol, eq, vB), sPred(aClass, eq, vA))}, []string{"s002", "s004"}},
+	{"a publication carrying more attributes than the engine indexes", [][]byte{
+		sAdd(sPred(aSymbol, eq, vA)), sAdd(sPred(aSymbol, message.OpPrefix, vA), sPred(aLow, gt, vZero)),
+		sPublish(sAttr(aClass, vA), sAttr(aDate, vB), sAttr(aLow, vOne)),
+		sPublish(sAttr(aClass, vA), sAttr(aSymbol, vA), sAttr(aLow, vOne), sAttr(aDate, vB))}, []string{"s000", "s001"}},
+	{"a publication carrying fewer attributes than the engine indexes", [][]byte{
+		sAdd(sPred(aClass, eq, vA)), sAdd(sPred(aSymbol, eq, vA), sPred(aLow, gt, vZero)),
+		sAdd(sPred(aDate, message.OpPresent, vZero)), sAdd(sPred(aSymbol, message.OpPrefix, vEmpty)),
+		sPublish(sAttr(aSymbol, vA))}, []string{"s003"}},
+	{"the name list after compact", [][]byte{
+		sAdd(sPred(aDate, eq, vA)), sAdd(sPred(aSymbol, eq, vB)), sRemove(0), {opCompact},
+		sPublish(sAttr(aDate, vA), sAttr(aLow, vOne), sAttr(aSymbol, vB), sAttr(aClass, vA)),
+		sAdd(sPred(aLow, gt, vZero))}, []string{"s001", "s002"}},
+	{"a name interned between two publications", [][]byte{
+		sAdd(sPred(aSymbol, eq, vA)), sPublish(sAttr(aSymbol, vA), sAttr(aDate, vB), sAttr(aLow, vOne)),
+		sAdd(sPred(aDate, eq, vB)),
+		sPublish(sAttr(aSymbol, vA), sAttr(aDate, vB), sAttr(aClass, vA))}, []string{"s000", "s001"}},
 	{"no predicates, and removal of what is not there", [][]byte{
 		sAdd(), sPublish(), sRemove(5), sRemove(0), sAdd(), sPublish(sAttr(aLow, vTrue), sAttr(aDate, vFalse))}, []string{"s001"}},
 }

@@ -197,21 +197,25 @@ func (e *Envelope) validateKind() error {
 	return nil
 }
 
+// EnvelopeOverhead is what EncodedSize charges a data message's envelope
+// on top of its content.
+const EnvelopeOverhead = 8
+
 // EncodedSize approximates the envelope's wire size for bandwidth
 // accounting. Control messages are charged a small fixed size; data
-// messages are charged their content size.
+// messages are charged their content size plus EnvelopeOverhead.
 func (e *Envelope) EncodedSize() int {
 	switch e.Kind {
 	case KindPublication:
-		return e.Pub.EncodedSize() + 8
+		return e.Pub.EncodedSize() + EnvelopeOverhead
 	case KindSubscription:
-		return e.Sub.EncodedSize() + 8
+		return e.Sub.EncodedSize() + EnvelopeOverhead
 	case KindAdvertisement:
 		n := len(e.Adv.ID) + len(e.Adv.PublisherID)
 		for _, p := range e.Adv.Predicates {
 			n += p.EncodedSize()
 		}
-		return n + 8
+		return n + EnvelopeOverhead
 	default:
 		return 64
 	}

@@ -428,6 +428,49 @@ func TestEncodedSizes(t *testing.T) {
 	}
 }
 
+// TestPublicationSizeIsAFreshWalk: whichever way a publication was made,
+// its EncodedSize is a walk of its content as it is now — Hops is no part
+// of it, and a write to the exported Attrs map shows at once. The size a
+// publication carries from hop to hop is taken from it once on entry, so
+// nothing may memoize it on the publication itself.
+func TestPublicationSizeIsAFreshWalk(t *testing.T) {
+	walk := func(p *Publication) int {
+		n := len(p.AdvID) + 8 + 4
+		for k, v := range p.Attrs {
+			n += len(k) + 2 + v.EncodedSize()
+		}
+		return n
+	}
+	made := stockPub(4, "YHOO", 18)
+	data, err := Encode(&Envelope{Kind: KindPublication, Pub: made})
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range map[string]*Publication{
+		"NewPublication": made,
+		"Clone":          made.Clone(),
+		"Decode":         decoded.Pub,
+		"struct literal": {AdvID: "ADV-X", Seq: 2, Hops: 5, Attrs: map[string]Value{"class": String("STOCK"), "open": Number(1)}},
+	} {
+		want := walk(p)
+		if got := p.EncodedSize(); got != want {
+			t.Errorf("%s: EncodedSize = %d, a walk reads %d", name, got, want)
+		}
+		p.Hops += 3
+		if got := p.EncodedSize(); got != want {
+			t.Errorf("%s: EncodedSize = %d after a hop, want %d", name, got, want)
+		}
+		p.Attrs["volume"] = Number(9)
+		if got, want := p.EncodedSize(), walk(p); got != want {
+			t.Errorf("%s: EncodedSize = %d after an Attrs write, a walk reads %d", name, got, want)
+		}
+	}
+}
+
 func TestParseOpRoundTrip(t *testing.T) {
 	ops := []Op{OpEq, OpNeq, OpLt, OpLe, OpGt, OpGe, OpPrefix, OpPresent}
 	for _, op := range ops {

@@ -87,27 +87,31 @@ func Pred(attr string, op Op, v Value) Predicate {
 // Matches evaluates the predicate against an attribute value. present
 // reports whether the publication carries the attribute at all.
 func (p Predicate) Matches(v Value, present bool) bool {
-	if !present {
-		return false
-	}
+	return present && p.Holds(&v)
+}
+
+// Holds reports whether a value the publication carries satisfies the
+// predicate: Matches(*v, true), evaluated in place. The matching engine
+// verifies candidates with it, copying neither operand.
+func (p *Predicate) Holds(v *Value) bool {
 	switch p.Op {
 	case OpPresent:
 		return true
 	case OpEq:
-		return v.Equal(p.Value)
+		return v.equal(&p.Value)
 	case OpNeq:
-		return v.Kind == p.Value.Kind && !v.Equal(p.Value)
+		return v.Kind == p.Value.Kind && !v.equal(&p.Value)
 	case OpLt:
-		c, ok := v.Compare(p.Value)
+		c, ok := v.compare(&p.Value)
 		return ok && c < 0
 	case OpLe:
-		c, ok := v.Compare(p.Value)
+		c, ok := v.compare(&p.Value)
 		return ok && c <= 0
 	case OpGt:
-		c, ok := v.Compare(p.Value)
+		c, ok := v.compare(&p.Value)
 		return ok && c > 0
 	case OpGe:
-		c, ok := v.Compare(p.Value)
+		c, ok := v.compare(&p.Value)
 		return ok && c >= 0
 	case OpPrefix:
 		return v.Kind == KindString && p.Value.Kind == KindString &&

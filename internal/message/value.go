@@ -77,7 +77,10 @@ func (v Value) IsValid() bool {
 }
 
 // Equal reports exact equality of kind and payload.
-func (v Value) Equal(o Value) bool {
+func (v Value) Equal(o Value) bool { return v.equal(&o) }
+
+// equal is Equal in place.
+func (v *Value) equal(o *Value) bool {
 	if v.Kind != o.Kind {
 		return false
 	}
@@ -96,7 +99,10 @@ func (v Value) Equal(o Value) bool {
 // Compare returns -1, 0, or +1 ordering v against o, and false when the two
 // values are not comparable (different kinds, or booleans which are unordered
 // beyond equality).
-func (v Value) Compare(o Value) (int, bool) {
+func (v Value) Compare(o Value) (int, bool) { return v.compare(&o) }
+
+// compare is Compare in place.
+func (v *Value) compare(o *Value) (int, bool) {
 	if v.Kind != o.Kind {
 		return 0, false
 	}

@@ -49,14 +49,52 @@ type Client struct {
 	BIAs []*message.BIA
 }
 
-// queued is one in-flight message.
+// queued is one in-flight message. dst is the index of the destination
+// broker in the network's nodes, resolved when the message is queued, or
+// -1 when to names a client or a broker the network does not have.
 type queued struct {
-	toBroker string
-	toClient string
-	from     broker.Endpoint
-	env      *message.Envelope
-	delay    float64
-	path     []string
+	to   broker.Endpoint
+	dst  int32
+	from broker.Endpoint
+	env  *message.Envelope
+	// size is a publication envelope's EncodedSize, walked once when the
+	// publication enters the network and carried from hop to hop; zero
+	// for other kinds.
+	size  int
+	delay float64
+	path  []string
+}
+
+// node is one broker of the network: its core, the endpoint its
+// emissions come from and its links to neighbor brokers.
+type node struct {
+	core  *broker.Core
+	self  broker.Endpoint
+	links []link
+}
+
+// link names a neighbor broker and its index in the network's nodes. A
+// core emits only to its neighbors, so its outputs resolve by a scan of
+// its few links.
+type link struct {
+	id string
+	at int32
+}
+
+// hopCopy is a publication envelope re-stamped with another hop count,
+// allocated as one object. Its Attrs map is the original's.
+type hopCopy struct {
+	env message.Envelope
+	pub message.Publication
+}
+
+// withHops returns a copy of a publication envelope whose publication
+// carries the given hop count.
+func withHops(env *message.Envelope, hops int) *message.Envelope {
+	c := &hopCopy{pub: *env.Pub}
+	c.pub.Hops = hops
+	c.env = message.Envelope{Kind: message.KindPublication, Pub: &c.pub}
+	return &c.env
 }
 
 // Network wires broker cores and clients together and delivers messages in
@@ -69,12 +107,16 @@ type Network struct {
 	// arrival order. Nil only counts them (TotalDeliveries).
 	OnDelivery func(Delivery)
 
-	brokers map[string]*broker.Core
+	// index maps a broker ID to its position in nodes.
+	index   map[string]int32
+	nodes   []node
 	clients map[string]*Client
 	// queue[head:] is in flight; Drain empties it and reuses its array.
 	queue []queued
 	head  int
-	// outs is the buffer every Core.Handle call of Drain appends to.
+	// in is the one-message batch Drain hands a core, outs the buffer
+	// every core appends to.
+	in        [1]broker.Inbound
 	outs      []broker.Outgoing
 	now       float64
 	delivered int
@@ -83,7 +125,7 @@ type Network struct {
 // NewNetwork returns an empty network at virtual time zero.
 func NewNetwork() *Network {
 	return &Network{
-		brokers: make(map[string]*broker.Core),
+		index:   make(map[string]int32),
 		clients: make(map[string]*Client),
 	}
 }
@@ -97,7 +139,7 @@ func (n *Network) Advance(d float64) { n.now += d }
 // AddBroker creates a broker core on this network. The core's clock is the
 // network's virtual clock.
 func (n *Network) AddBroker(cfg broker.Config) (*broker.Core, error) {
-	if _, dup := n.brokers[cfg.ID]; dup {
+	if _, dup := n.index[cfg.ID]; dup {
 		return nil, fmt.Errorf("sim: broker %q already exists", cfg.ID)
 	}
 	cfg.Clock = n.Now
@@ -105,17 +147,23 @@ func (n *Network) AddBroker(cfg broker.Config) (*broker.Core, error) {
 	if err != nil {
 		return nil, err
 	}
-	n.brokers[cfg.ID] = core
+	n.index[cfg.ID] = int32(len(n.nodes))
+	n.nodes = append(n.nodes, node{core: core, self: broker.Endpoint{Kind: broker.KindBroker, ID: cfg.ID}})
 	return core, nil
 }
 
 // Broker returns a broker core by ID, or nil.
-func (n *Network) Broker(id string) *broker.Core { return n.brokers[id] }
+func (n *Network) Broker(id string) *broker.Core {
+	if i, ok := n.index[id]; ok {
+		return n.nodes[i].core
+	}
+	return nil
+}
 
 // Brokers returns all broker IDs, sorted.
 func (n *Network) Brokers() []string {
-	out := make([]string, 0, len(n.brokers))
-	for id := range n.brokers {
+	out := make([]string, 0, len(n.nodes))
+	for id := range n.index {
 		out = append(out, id)
 	}
 	sort.Strings(out)
@@ -124,16 +172,19 @@ func (n *Network) Brokers() []string {
 
 // ConnectBrokers links two brokers bidirectionally.
 func (n *Network) ConnectBrokers(a, b string) error {
-	ba, ok := n.brokers[a]
+	ia, ok := n.index[a]
 	if !ok {
 		return fmt.Errorf("sim: unknown broker %q", a)
 	}
-	bb, ok := n.brokers[b]
+	ib, ok := n.index[b]
 	if !ok {
 		return fmt.Errorf("sim: unknown broker %q", b)
 	}
-	ba.AddNeighbor(b)
-	bb.AddNeighbor(a)
+	na, nb := &n.nodes[ia], &n.nodes[ib]
+	na.core.AddNeighbor(b)
+	nb.core.AddNeighbor(a)
+	na.links = append(na.links, link{id: b, at: ib})
+	nb.links = append(nb.links, link{id: a, at: ia})
 	return nil
 }
 
@@ -142,8 +193,8 @@ func (n *Network) AttachClient(clientID, brokerID string) (*Client, error) {
 	if _, dup := n.clients[clientID]; dup {
 		return nil, fmt.Errorf("sim: client %q already exists", clientID)
 	}
-	core, ok := n.brokers[brokerID]
-	if !ok {
+	core := n.Broker(brokerID)
+	if core == nil {
 		return nil, fmt.Errorf("sim: unknown broker %q", brokerID)
 	}
 	cl := &Client{ID: clientID, Broker: brokerID}
@@ -162,12 +213,37 @@ func (n *Network) SendFromClient(clientID string, env *message.Envelope) error {
 	if !ok {
 		return fmt.Errorf("sim: unknown client %q", clientID)
 	}
-	n.queue = append(n.queue, queued{
-		toBroker: cl.Broker,
-		from:     broker.Endpoint{Kind: broker.KindClient, ID: clientID},
-		env:      env,
-	})
+	q := queued{
+		to:   broker.Endpoint{Kind: broker.KindBroker, ID: cl.Broker},
+		dst:  n.lookup(cl.Broker),
+		from: broker.Endpoint{Kind: broker.KindClient, ID: clientID},
+		env:  env,
+	}
+	if env.Kind == message.KindPublication && env.Pub != nil {
+		q.size = env.EncodedSize()
+	}
+	n.queue = append(n.queue, q)
 	return n.Drain()
+}
+
+// lookup returns the index of a broker, or -1 when the network has none.
+func (n *Network) lookup(id string) int32 {
+	if i, ok := n.index[id]; ok {
+		return i
+	}
+	return -1
+}
+
+// resolve returns the index of the broker a core at index from emits to:
+// one of its links, or, should the core have been given a neighbor
+// outside ConnectBrokers, whatever lookup finds.
+func (n *Network) resolve(from int32, id string) int32 {
+	for _, l := range n.nodes[from].links {
+		if l.id == id {
+			return l.at
+		}
+	}
+	return n.lookup(id)
 }
 
 // Drain processes the queue until quiescence, routing every emitted
@@ -175,65 +251,68 @@ func (n *Network) SendFromClient(clientID string, env *message.Envelope) error {
 // On an error the failed message is dropped and the rest stay queued.
 func (n *Network) Drain() error {
 	for n.head < len(n.queue) {
-		q := n.queue[n.head]
+		q := &n.queue[n.head]
 		n.head++
-		if q.toClient != "" {
+		if q.to.Kind == broker.KindClient {
 			if err := n.deliverToClient(q); err != nil {
 				return err
 			}
 			continue
 		}
-		core, ok := n.brokers[q.toBroker]
-		if !ok {
-			return fmt.Errorf("sim: message to unknown broker %q", q.toBroker)
+		if q.dst < 0 {
+			return fmt.Errorf("sim: message to unknown broker %q", q.to.ID)
 		}
+		at := q.dst
+		nd := &n.nodes[at]
 		// Matching happens once on arrival; charge its delay to every
 		// message the broker emits for this input.
+		isPub := q.env.Kind == message.KindPublication
 		arrivalDelay := q.delay
-		if q.env.Kind == message.KindPublication {
-			arrivalDelay += core.MatchingDelaySeconds()
+		if isPub {
+			arrivalDelay += nd.core.MatchingDelaySeconds()
 		}
+		n.in[0] = broker.Inbound{From: q.from, Env: q.env, Size: q.size}
 		var err error
-		n.outs, err = core.Handle(q.from, q.env, n.outs[:0])
+		n.outs, err = nd.core.HandleBatch(n.in[:], n.outs[:0])
+		n.in[0] = broker.Inbound{}
 		if err != nil {
 			return err
 		}
 		var path []string
-		if n.TracePaths && q.env.Kind == message.KindPublication {
-			path = append(append([]string{}, q.path...), q.toBroker)
+		if n.TracePaths && isPub {
+			path = append(append([]string{}, q.path...), nd.self.ID)
 		}
-		self := broker.Endpoint{Kind: broker.KindBroker, ID: q.toBroker}
-		bw := core.OutputBandwidth()
-		// The copies of one fan-out share their envelope, so its size is
-		// computed once per run of outputs carrying it, as Core does.
-		var sized *message.Envelope
-		size := 0
+		bw := nd.core.OutputBandwidth()
+		// Every publication the core emits for a publication input shares
+		// its content, hence its size. The core emits shared envelopes with
+		// the hop count in Outgoing.Hops (see broker.Outgoing); the hop
+		// count is materialized here, one copy per count that differs from
+		// the envelope's — the core emits all copies of one count in a row.
+		size := q.size
+		var src, copied *message.Envelope
+		copiedHops := 0
 		for _, o := range n.outs {
-			nq := queued{from: self, env: o.Env, path: path}
-			if o.Env.Kind == message.KindPublication {
-				if o.Env != sized {
-					sized, size = o.Env, o.Env.EncodedSize()
-				}
-				// The core emits shared publication envelopes with the
-				// hop count carried in Outgoing.Hops (see broker.Outgoing);
-				// materialize it here, at enqueue time, copying only when
-				// the count actually differs.
-				if o.Env.Pub.Hops != o.Hops {
-					pubCopy := *o.Env.Pub
-					pubCopy.Hops = o.Hops
-					nq.env = &message.Envelope{Kind: message.KindPublication, Pub: &pubCopy}
-				}
-				nq.delay = arrivalDelay + float64(size)/bw
-				if o.To.Kind == broker.KindBroker {
-					nq.delay += DefaultLinkLatency
-				}
-			}
+			env, dst, delay := o.Env, int32(-1), 0.0
 			if o.To.Kind == broker.KindBroker {
-				nq.toBroker = o.To.ID
-			} else {
-				nq.toClient = o.To.ID
+				dst = n.resolve(at, o.To.ID)
 			}
-			n.queue = append(n.queue, nq)
+			if env.Kind == message.KindPublication {
+				if env.Pub.Hops != o.Hops {
+					if env != src || o.Hops != copiedHops {
+						src, copiedHops, copied = env, o.Hops, withHops(env, o.Hops)
+					}
+					env = copied
+				}
+				delay = arrivalDelay + float64(size)/bw
+				if o.To.Kind == broker.KindBroker {
+					delay += DefaultLinkLatency
+				}
+			}
+			// Filled in place: a queued is too large to copy cheaply.
+			n.queue = append(n.queue, queued{})
+			nq := &n.queue[len(n.queue)-1]
+			nq.to, nq.dst, nq.from, nq.env = o.To, dst, nd.self, env
+			nq.size, nq.delay, nq.path = size, delay, path
 		}
 	}
 	clear(n.queue)
@@ -242,18 +321,15 @@ func (n *Network) Drain() error {
 }
 
 // deliverToClient hands a publication to the observer and a BIA to its
-// client.
-func (n *Network) deliverToClient(q queued) error {
-	cl, ok := n.clients[q.toClient]
-	if !ok {
-		return fmt.Errorf("sim: message to unknown client %q", q.toClient)
-	}
+// client. Only a core's own clients receive publications, so a
+// publication is counted without looking its client up.
+func (n *Network) deliverToClient(q *queued) error {
 	switch q.env.Kind {
 	case message.KindPublication:
 		n.delivered++
 		if n.OnDelivery != nil {
 			n.OnDelivery(Delivery{
-				ClientID: q.toClient,
+				ClientID: q.to.ID,
 				Pub:      q.env.Pub,
 				Hops:     q.env.Pub.Hops,
 				Delay:    q.delay,
@@ -261,6 +337,10 @@ func (n *Network) deliverToClient(q queued) error {
 			})
 		}
 	case message.KindBIA:
+		cl, ok := n.clients[q.to.ID]
+		if !ok {
+			return fmt.Errorf("sim: message to unknown client %q", q.to.ID)
+		}
 		cl.BIAs = append(cl.BIAs, q.env.BIA)
 	}
 	return nil
