@@ -258,12 +258,12 @@ func BenchmarkCRAMParallelism(b *testing.B) {
 func BenchmarkFeasProbe(b *testing.B) {
 	in := benchInput(b)
 	p := newPool(in.Units, in.Brokers, newPublisherTable(in.Publishers, in.Units), in.ProfileCapacity)
-	if !p.probe(nil, nil) {
+	if !p.probe(p.stage(nil, nil)) {
 		b.Fatal("pool must be feasible")
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !p.probe(nil, nil) {
+		if !p.probe(p.stage(nil, nil)) {
 			b.Fatal("pool must be feasible")
 		}
 	}
@@ -302,7 +302,7 @@ func BenchmarkProbeReplay(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.pk.clear()
-		if !p.replay(nil, nil) {
+		if !p.replay(change{}) {
 			b.Fatal("pool must be feasible")
 		}
 	}
@@ -313,11 +313,11 @@ func BenchmarkProbeReplay(b *testing.B) {
 // its feasibility probes, on a sharded exhaustive run at the scale of the
 // 20,000-subscription workload: ~21,800 units in ~1,600 GIFs. One op is what
 // a step of clusterLightest does around its probe: a unit founds a new GIF
-// (attachUnit, with its pushBest), another GIF re-searches (pushBest, a
-// sharded scan over the live GIFs, each op the next GIF in ID order), the
-// founder leaves and its GIF is dropped; plus a pool.commit of a heavy
-// merged unit — eight of a GIF's units, landing near the front of the pool
-// — and the commit that puts the eight back.
+// (move, with its pushBest), another GIF re-searches (pushBest, a sharded
+// scan over the live GIFs, each op the next GIF in ID order), the founder
+// leaves and its GIF is dropped; plus a pool.commit of a heavy merged unit —
+// eight of a GIF's units, landing near the front of the pool — and the
+// commit that puts the eight back, each staged first.
 func BenchmarkExhaustiveBookkeeping(b *testing.B) {
 	seedUnits, pubs := testWorkload(1, 40, 68, 5, 200)
 	var units []*Unit
@@ -352,13 +352,15 @@ func BenchmarkExhaustiveBookkeeping(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.heap = r.heap[:0]
-		r.attachUnit(founder)
+		r.move(nil, founder, nil)
 		r.pushBest(gifs[i%len(gifs)])
-		r.detachUnit(r.byKey[key], founder)
-		if err := r.pool.commit(parts, []*Unit{merged}); err != nil {
+		g := r.byKey[key]
+		g.units = g.units[:0]
+		r.dropGIF(g)
+		if err := r.pool.commit(r.pool.stage(parts, []*Unit{merged})); err != nil {
 			b.Fatal(err)
 		}
-		if err := r.pool.commit([]*Unit{merged}, parts); err != nil {
+		if err := r.pool.commit(r.pool.stage([]*Unit{merged}, parts)); err != nil {
 			b.Fatal(err)
 		}
 	}

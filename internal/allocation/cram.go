@@ -198,13 +198,6 @@ func (g *gif) insertUnit(u *Unit) {
 	g.units = slices.Insert(g.units, i, u)
 }
 
-// removeUnit drops a unit by identity.
-func (g *gif) removeUnit(u *Unit) {
-	if i := slices.Index(g.units, u); i >= 0 {
-		g.units = slices.Delete(g.units, i, i+1)
-	}
-}
-
 // candidate is a heap entry: a GIF and its best-known partner.
 type candidate struct {
 	gifID     string
@@ -332,36 +325,6 @@ func gifIndex(gifs []*gif, id string) (int, bool) {
 	return slices.BinarySearchFunc(gifs, id, func(g *gif, id string) int { return strings.Compare(g.id, id) })
 }
 
-// commit replaces the removed units by their merged unit in the pool and
-// reports whether it took. The pool's refusal — a removed unit it does not
-// hold, which no validated input leads to — is kept in err for run to return,
-// and nothing commits after it. The poset's refusals (attachUnit, dropGIF)
-// take the same path.
-func (r *cramRun) commit(removed []*Unit, merged *Unit) bool {
-	if r.err == nil {
-		r.err = r.pool.commit(removed, []*Unit{merged})
-	}
-	return r.err == nil
-}
-
-// feasible runs the allocation test on the current pool with the given
-// hypothetical modification: removed units are skipped and added units are
-// merged into the sorted order.
-func (r *cramRun) feasible(removed, added []*Unit) bool {
-	r.c.stats.PackAttempts++
-	return r.pool.probe(removed, added)
-}
-
-// searchMaxFeasible is the cluster-size search shared by clusterSelf and
-// clusterCovering: searchMax over whether the hypothetical modification
-// mk(k) keeps the pool allocatable.
-func (r *cramRun) searchMaxFeasible(lo, hi int, mk func(k int) (removed []*Unit, merged *Unit)) int {
-	return searchMax(lo, hi, func(k int) bool {
-		removed, merged := mk(k)
-		return r.feasible(removed, []*Unit{merged})
-	})
-}
-
 // searchMax returns a k in [lo, hi] for which packs(k) holds, or 0 when it
 // finds none. It probes hi first and returns it when it packs: the whole
 // group nearly always fits, and a binary search would climb to it one probe
@@ -386,16 +349,6 @@ func searchMax(lo, hi int, packs func(k int) bool) int {
 		}
 	}
 	return best
-}
-
-// probeUnitID names every hypothetical merged unit; nothing reads it. A
-// committed unit mints its cram-u ID at commit time instead.
-const probeUnitID = "probe"
-
-// newUnitID mints a unit ID for a merged cluster.
-func (r *cramRun) newUnitID() string {
-	r.nextUnit++
-	return fmt.Sprintf("cram-u%d", r.nextUnit)
 }
 
 // Allocate implements Algorithm.
@@ -483,7 +436,8 @@ func (c *CRAM) start(in *Input) (*cramRun, error) {
 
 	// Initial allocation test without clustering (the algorithm terminates
 	// immediately if the raw pool does not fit).
-	if !r.feasible(nil, nil) {
+	c.stats.PackAttempts++
+	if !r.pool.probe(r.pool.stage(nil, nil)) {
 		return nil, fmt.Errorf("CRAM: initial BIN PACKING of %d units failed: insufficient broker resources", len(in.Units))
 	}
 
@@ -814,83 +768,25 @@ func (r *cramRun) clusterPair(a, b *gif) bool {
 	}
 }
 
-// clusterSelf merges units within one GIF: binary search for the largest
-// cluster of its lightest units that still allocates. The committed merged
-// unit mints its cram-u ID only after the search settles, so minted IDs
-// never depend on how many infeasible probes ran.
+// clusterSelf merges units within one GIF: the largest cluster of its
+// lightest units that still allocates.
 func (r *cramRun) clusterSelf(g *gif) bool {
-	n := len(g.units)
-	if n < 2 {
-		return false
-	}
-	bestK := r.searchMaxFeasible(2, n, func(k int) ([]*Unit, *Unit) {
-		return g.units[:k], MergeUnits(probeUnitID, r.capacity, g.units[:k]...)
-	})
-	if bestK < 2 {
-		return false
-	}
-	removed := g.units[:bestK]
-	merged := MergeUnits(r.newUnitID(), r.capacity, removed...)
-	if !r.commit(removed, merged) {
-		return false
-	}
-	g.units = append([]*Unit{}, g.units[bestK:]...)
-	g.insertUnit(merged)
-	r.pushBest(g)
-	return true
+	return len(g.units) >= 2 && r.mergeLargest(2, len(g.units), []take{{g, 0}}, g)
 }
 
 // clusterLightest merges the lightest unit of each GIF into a new unit
 // whose profile is the OR of the two (the intersect case of Optimization 1
 // and the generic pairwise case).
 func (r *cramRun) clusterLightest(a, b *gif) bool {
-	ua, ub := a.units[0], b.units[0]
-	merged := MergeUnits(probeUnitID, r.capacity, ua, ub)
-	if !r.feasible([]*Unit{ua, ub}, []*Unit{merged}) {
-		return false
-	}
-	merged.ID = r.newUnitID() // mint only at commit
-	if !r.commit([]*Unit{ua, ub}, merged) {
-		return false
-	}
-	r.detachUnit(a, ua)
-	r.detachUnit(b, ub)
-	r.attachUnit(merged)
-	return true
+	return r.mergeLargest(1, 1, []take{{a, 1}, {b, 1}}, nil)
 }
 
 // clusterCovering handles the superset/subset case: the lightest unit of
-// the covering GIF clusters with as many of the covered GIF's units as
-// still allocate (binary search over the covered units sorted ascending by
-// bandwidth). The merged profile equals the covering GIF's profile, so the
-// merged unit joins the covering GIF.
+// the covering GIF clusters with as many of the covered GIF's lightest units
+// as still allocate. The merged profile equals the covering GIF's profile,
+// so the merged unit joins the covering GIF.
 func (r *cramRun) clusterCovering(covering, covered *gif) bool {
-	uc := covering.units[0]
-	n := len(covered.units)
-	bestM := r.searchMaxFeasible(1, n, func(m int) ([]*Unit, *Unit) {
-		parts := append([]*Unit{uc}, covered.units[:m]...)
-		return parts, MergeUnits(probeUnitID, r.capacity, parts...)
-	})
-	if bestM == 0 {
-		return false
-	}
-	parts := append([]*Unit{uc}, covered.units[:bestM]...)
-	merged := MergeUnits(r.newUnitID(), r.capacity, parts...)
-	if !r.commit(parts, merged) {
-		return false
-	}
-	covering.removeUnit(uc)
-	for _, u := range parts[1:] {
-		covered.removeUnit(u)
-	}
-	covering.insertUnit(merged)
-	if len(covered.units) == 0 {
-		r.dropGIF(covered)
-	} else {
-		r.pushBest(covered)
-	}
-	r.pushBest(covering)
-	return true
+	return r.mergeLargest(1, len(covered.units), []take{{covering, 1}, {covered, 0}}, covering)
 }
 
 // tryCoveredSet implements Optimization 3: build the Covered GIF Set of the
@@ -960,76 +856,107 @@ func (r *cramRun) tryCoveredSet(parent, other *gif) bool {
 	if cgsCloseness <= pairCloseness {
 		return false
 	}
-	// Allocation test: merge the parent's lightest unit with the lightest
-	// unit of every CGS member.
-	puc := parent.units[0]
-	parts := []*Unit{puc}
+	// Merge the parent's lightest unit with the lightest unit of every CGS
+	// member. The merged profile equals the parent's (CGS members are
+	// covered), so the merged unit joins the parent GIF.
+	takes := []take{{parent, 1}}
 	for _, g := range cgs {
-		parts = append(parts, g.units[0])
+		takes = append(takes, take{g, 1})
 	}
-	merged := MergeUnits(probeUnitID, r.capacity, parts...)
-	if !r.feasible(parts, []*Unit{merged}) {
-		return false
-	}
-	merged.ID = r.newUnitID() // mint only at commit
-	// Commit: merged profile equals the parent's (CGS members are covered),
-	// so the merged unit joins the parent GIF.
-	if !r.commit(parts, merged) {
-		return false
-	}
-	parent.removeUnit(puc)
-	for _, g := range cgs {
-		g.removeUnit(g.units[0])
-		if len(g.units) == 0 {
-			r.dropGIF(g)
-		} else {
-			r.pushBest(g)
+	return r.mergeLargest(1, 1, takes, parent)
+}
+
+// take is one GIF's share of a clustering: its n lightest units.
+type take struct {
+	g *gif
+	n int
+}
+
+// mergeLargest is CRAM's one clustering step. The takes' units, in take
+// order, merge into one unit, named with the cram-u ID its commit mints; the
+// last take's n is the cluster size searchMax picks from [lo, hi] (lo == hi
+// for a fixed cluster). Each size is merged and staged once and probed; the
+// committed change is the one staged for the last probe that packed, which
+// is the size searchMax returns. The takes then leave their GIFs and the
+// merged unit is filed under home (move). It reports whether a clustering
+// was committed.
+func (r *cramRun) mergeLargest(lo, hi int, takes []take, home *gif) bool {
+	id := fmt.Sprintf("cram-u%d", r.nextUnit+1)
+	last := &takes[len(takes)-1]
+	var staged change
+	var merged *Unit
+	k := searchMax(lo, hi, func(k int) bool {
+		last.n = k
+		var parts []*Unit
+		for _, t := range takes {
+			parts = append(parts, t.g.units[:t.n]...)
 		}
+		m := MergeUnits(id, r.capacity, parts...)
+		ch := r.pool.stage(parts, []*Unit{m})
+		r.c.stats.PackAttempts++
+		if !r.pool.probe(ch) {
+			return false
+		}
+		staged, merged = ch, m
+		return true
+	})
+	if k == 0 {
+		return false
 	}
-	parent.insertUnit(merged)
-	r.pushBest(parent)
+	if err := r.pool.commit(staged); err != nil {
+		r.err = err // a removed unit the pool does not hold: no validated input leads here
+		return false
+	}
+	r.nextUnit++
+	last.n = k
+	r.move(takes, merged, home)
 	return true
 }
 
-// detachUnit removes a unit from its GIF, dropping the GIF when emptied.
-// The pool is the caller's to change (pool.commit with the full delta).
-func (r *cramRun) detachUnit(g *gif, u *Unit) {
-	g.removeUnit(u)
-	if len(g.units) == 0 {
-		r.dropGIF(g)
-	} else {
-		r.pushBest(g)
-	}
-}
-
-// attachUnit files a (possibly merged) unit under the GIF matching its
-// profile, creating the GIF — and its poset node — when new. A poset that
-// refuses the node (its ID is taken, which no run of this code leads to)
-// fails the run through err.
-func (r *cramRun) attachUnit(u *Unit) {
-	g, created := r.gifFor(u)
-	if created {
-		if r.shards != nil {
-			// The new member makes its shard's envelope stale on the
-			// unsound side; the dirty flag defers the rebuild to the next
-			// pushBest, which runs before any search can read it.
-			r.shards.add(g)
+// move takes each take's units out of its GIF, which is dropped when emptied
+// and re-searched otherwise, and files u under home — or, with home nil,
+// under the GIF matching its profile, created with its shard entry and poset
+// node when new — which then re-searches. home is re-searched only once it
+// holds u. A poset that refuses the new node (its ID is taken, which no run
+// of this code leads to) fails the run through err.
+func (r *cramRun) move(takes []take, u *Unit, home *gif) {
+	for _, t := range takes {
+		t.g.units = slices.Delete(t.g.units, 0, t.n)
+		if t.g == home {
+			continue
 		}
-		if !r.exhaustive {
-			// Equal profiles always share a fingerprint, so the byKey miss
-			// guarantees this profile is new to the poset.
-			node, err := r.ps.Insert(g.id, g.profile, g)
-			if err != nil {
-				if r.err == nil {
-					r.err = fmt.Errorf("poset insert for new GIF %s: %w", g.id, err)
-				}
-				return
+		if len(t.g.units) == 0 {
+			r.dropGIF(t.g)
+		} else {
+			r.pushBest(t.g)
+		}
+	}
+	if home == nil {
+		g, created := r.gifFor(u)
+		if created {
+			if r.shards != nil {
+				// The new member makes its shard's envelope stale on the
+				// unsound side; the dirty flag defers the rebuild to the next
+				// pushBest, which runs before any search can read it.
+				r.shards.add(g)
 			}
-			g.node = node
+			if !r.exhaustive {
+				// Equal profiles always share a fingerprint, so the byKey miss
+				// guarantees this profile is new to the poset.
+				node, err := r.ps.Insert(g.id, g.profile, g)
+				if err != nil {
+					if r.err == nil {
+						r.err = fmt.Errorf("poset insert for new GIF %s: %w", g.id, err)
+					}
+					return
+				}
+				g.node = node
+			}
 		}
+		home = g
 	}
-	g.insertUnit(u)
-	r.pushBest(g)
+	home.insertUnit(u)
+	r.pushBest(home)
 }
 
 // dropGIF removes an emptied GIF from all indices. A poset that does not

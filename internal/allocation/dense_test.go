@@ -609,54 +609,6 @@ func FuzzDenseFitsEquivalence(f *testing.F) {
 	})
 }
 
-// TestProbeBandwidthTieOrder pins how a probe orders an added unit whose
-// bandwidth ties with base units: after all of them, not by ID as the
-// committed pool (unitBefore) would. The two orders can answer
-// differently, and a probe answers for its own. Here every unit needs
-// 1,000 B/s of a 2,500 B/s broker (two fit, three do not) and every broker
-// sustains two publishers' streams but not three:
-//
-//	probe's stream u1 u2 u3 m: u1,u2 fill B0; u3 opens B1 with P3; m (P1+P2)
-//	                           would be B1's third stream — infeasible.
-//	pool order     m u1 u2 u3: m opens B0 with P1+P2, u1 fills it; u2,u3
-//	                           share B1 — feasible.
-func TestProbeBandwidthTieOrder(t *testing.T) {
-	pubs := make(map[string]*bitvector.PublisherStats)
-	for _, adv := range []string{"P1", "P2", "P3"} {
-		pubs[adv] = &bitvector.PublisherStats{AdvID: adv, Rate: 10, Bandwidth: 1000, LastSeq: 99}
-	}
-	unit := func(id string, advs ...string) *Unit {
-		prof := bitvector.NewProfile(testCap)
-		for _, adv := range advs {
-			for seq := 0; seq < 100; seq++ {
-				prof.Record(adv, seq)
-			}
-		}
-		return &Unit{ID: id, Members: []Member{{SubID: id}}, Profile: prof,
-			Load: bitvector.Load{Rate: 10, Bandwidth: 1000}, Filters: 1}
-	}
-	u1, u2, u3 := unit("u1", "P1"), unit("u2", "P2"), unit("u3", "P3")
-	m := unit("cram-u1", "P1", "P2") // sorts ahead of u1..u3 by ID, as committed merges do
-	brokers := testBrokers(2, 2500, message.MatchingDelayFn{Base: 1.0 / 25})
-
-	base := []*Unit{u1, u2, u3}
-	got := newPool(base, brokers, newPublisherTable(pubs, base), testCap).probe(nil, []*Unit{m})
-	own := feasibleFirstFit([]*Unit{u1, u2, u3, m}, brokers, pubs, testCap)
-	if got != own {
-		t.Fatalf("probe = %v, from-scratch pack of the probe's own stream = %v", got, own)
-	}
-	if got {
-		t.Fatal("probe admitted the tie; it no longer places the added unit after its bandwidth ties")
-	}
-	committed := sortUnitsByBandwidthDesc([]*Unit{u1, u2, u3, m})
-	if committed[0] != m {
-		t.Fatalf("pool order no longer breaks the tie by ID: %s first", committed[0].ID)
-	}
-	if !feasibleFirstFit(committed, brokers, pubs, testCap) {
-		t.Fatal("the pool order of the same units should pack; the example no longer separates the two orders")
-	}
-}
-
 // TestPlacementAllocationFree pins fits, accept, place and replay — the
 // first-fit admission test, its commit, the column scan and the
 // feasibility replay loop — at zero allocations: once a scratch pack has
@@ -671,7 +623,7 @@ func TestPlacementAllocationFree(t *testing.T) {
 	p := newPool(units, brokers, newPublisherTable(pubs, units), testCap)
 	replay := func() {
 		p.pk.clear()
-		if !p.replay(nil, nil) {
+		if !p.replay(change{}) {
 			t.Fatal("pool must be feasible")
 		}
 	}

@@ -125,14 +125,15 @@ func TestFeasEngineMatchesFromScratch(t *testing.T) {
 		} else {
 			feasNo++
 		}
-		if got := p.probe(parts, added); got != want {
+		ch := p.stage(parts, added)
+		if got := p.probe(ch); got != want {
 			t.Fatalf("trial %d: pool probe=%v, from-scratch=%v (removed=%d, added=%d)",
 				trial, got, want, len(parts), len(added))
 		}
 
 		// Occasionally commit a feasible modification.
 		if want && trial%9 == 3 {
-			if err := p.commit(parts, added); err != nil {
+			if err := p.commit(ch); err != nil {
 				t.Fatalf("trial %d: commit: %v", trial, err)
 			}
 			if !slices.Equal(p.units, mod) {
@@ -145,7 +146,7 @@ func TestFeasEngineMatchesFromScratch(t *testing.T) {
 		t.Fatalf("one-sided fuzz coverage: %d feasible, %d infeasible, %d commits", feasYes, feasNo, commits)
 	}
 	before := slices.Clone(p.units)
-	if err := p.commit([]*Unit{p.units[0], {ID: "stranger"}}, nil); err == nil || !slices.Equal(p.units, before) {
+	if err := p.commit(p.stage([]*Unit{p.units[0], {ID: "stranger"}}, nil)); err == nil || !slices.Equal(p.units, before) {
 		t.Fatalf("commit of a unit the pool does not hold: err=%v, pool changed=%v", err, !slices.Equal(p.units, before))
 	}
 }

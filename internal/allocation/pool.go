@@ -11,16 +11,17 @@ import (
 // pool is CRAM's unit pool and the one place its feasibility is tested
 // ("does the pool still BIN-PACK with these units removed and that merged
 // unit added?"). It owns the committed units in BIN PACKING order
-// (unitBefore) and, position for position, their compiled form: commit is
-// the only function that changes either slice and it changes both. probe is
-// the only feasibility entry: one serial first-fit replay of the compiled
-// stream, from the empty pack. A probe replays nearly the whole pool whatever
-// it changes — the merged unit it adds is heavy and inserts near the front of
-// the bandwidth-descending order: ~6,018 of the pool's units per probe on the
-// 20,000-subscription scale workload (seed 1; 3,227 probes, 19.4M
-// placements), 8.9M placements in one 8,000-subscription plan. What keeps
-// that affordable is the cost of a placement, counted on those two
-// workloads:
+// (unitBefore) and, position for position, their compiled form. A change is
+// staged once (stage), tested (probe) and applied (commit): commit is the
+// only function that changes either slice and it changes both, and probe is
+// the only feasibility entry, one serial first-fit replay, from the empty
+// pack, of the stream that commit would leave. A probe replays nearly the
+// whole pool whatever it changes — the merged unit it adds is heavy and
+// inserts near the front of the bandwidth-descending order: ~6,018 of the
+// pool's units per probe on the 20,000-subscription scale workload (seed 1;
+// 3,227 probes, 19.4M placements), 8.9M placements in one
+// 8,000-subscription plan. What keeps that affordable is the cost of a
+// placement, counted on those two workloads:
 //
 //  1. The replay is flat. stream is one contiguous []packUnit (bandwidth,
 //     input load, filter count, class and publisher-indexed vector list per
@@ -54,7 +55,7 @@ import (
 // A pool is for one goroutine.
 type pool struct {
 	table *bitvector.PublisherTable
-	// classes interns the committed units' compiled content against table.
+	// classes interns every staged unit's compiled content against table.
 	classes classTable
 
 	units  []*Unit    // the committed pool in BIN PACKING order
@@ -70,25 +71,46 @@ func newPool(units []*Unit, brokers []*BrokerSpec, t *bitvector.PublisherTable, 
 	return p
 }
 
-// commit replaces the removed units by the added ones. The added units are
-// sorted, placed among the pool's by binary search, and compiled and
-// interned; splice then rewrites both slices in one pass. unitBefore is a
-// strict total order, so the result is the slice a sort of the modified pool
-// would give. A removed unit the pool does not hold (or one listed twice) is
-// an error, and leaves the pool as it was.
-func (p *pool) commit(removed, added []*Unit) error {
-	cut := p.positions(removed)
-	if len(cut) != len(removed) {
-		return fmt.Errorf("allocation: pool commit: %d of %d removed units are not in the pool or listed twice",
-			len(removed)-len(cut), len(removed))
+// change is one modification of the pool, staged against its committed
+// state: the removed units' positions, and the added units in BIN PACKING
+// order with where each goes and its compiled, interned form. probe replays
+// exactly the stream commit splices, so a probe vouches for the very pool
+// its commit makes. A change is good until the next commit.
+type change struct {
+	cut      []int      // the removed units' positions, ascending
+	at       []int      // added[j] goes ahead of the pool's unit at[j] (len: at the end)
+	added    []*Unit    // the added units, in BIN PACKING order
+	compiled []packUnit // added[j] compiled and interned
+	err      error      // a removed unit the pool does not hold, or one listed twice
+}
+
+// stage derives the change that replaces the removed units by the added
+// ones: the cut by binary search, the added units sorted, placed by binary
+// search on unitBefore and compiled. Everything probe and commit need is
+// derived here, once.
+func (p *pool) stage(removed, added []*Unit) change {
+	c := change{cut: p.positions(removed), added: sortUnitsByBandwidthDesc(added)}
+	if len(c.cut) != len(removed) {
+		c.err = fmt.Errorf("allocation: pool commit: %d of %d removed units are not in the pool or listed twice",
+			len(removed)-len(c.cut), len(removed))
 	}
-	added = sortUnitsByBandwidthDesc(added)
-	at := make([]int, len(added))
-	for j, u := range added {
-		at[j] = sort.Search(len(p.units), func(i int) bool { return unitBefore(u, p.units[i]) })
+	c.at = make([]int, len(c.added))
+	for j, u := range c.added {
+		c.at[j] = sort.Search(len(p.units), func(i int) bool { return unitBefore(u, p.units[i]) })
 	}
-	compiled := compileUnits(added, p.table, &p.classes)
-	p.units, p.stream = splice(p.units, cut, at, added), splice(p.stream, cut, at, compiled)
+	c.compiled = compileUnits(c.added, p.table, &p.classes)
+	return c
+}
+
+// commit applies a change staged since the last commit: splice rewrites both
+// slices in one pass. unitBefore is a strict total order, so the result is
+// the slice a sort of the modified pool would give. A change with an error
+// leaves the pool as it was and returns the error.
+func (p *pool) commit(c change) error {
+	if c.err != nil {
+		return c.err
+	}
+	p.units, p.stream = splice(p.units, c.cut, c.at, c.added), splice(p.stream, c.cut, c.at, c.compiled)
 	return nil
 }
 
@@ -149,51 +171,34 @@ func (p *pool) positions(units []*Unit) []int {
 	return slices.Compact(pos)
 }
 
-// probe reports whether the pool with the given hypothetical modification
-// still first-fit packs onto the broker pool: removed units are skipped,
-// added units are merged into the bandwidth-descending stream, each ahead of
-// the first pool unit of strictly lower bandwidth. The stream is NOT always
-// the BIN PACKING order of the modified pool: an added unit whose bandwidth
-// ties with pool units goes after all of them, where unitBefore — the order
-// the pool takes once the change is committed — breaks the tie by ID. The
-// two orders can pack differently, so a probe vouches for its own stream
-// only (ROADMAP item 5 records the divergence; TestProbeBandwidthTieOrder
-// pins the behaviour). Added units are compiled for this probe alone and
-// stay un-interned.
-func (p *pool) probe(removed, added []*Unit) bool {
-	rem := p.positions(removed)
-	sorted := sortUnitsByBandwidthDesc(added)
-	add := make([]packUnit, len(sorted))
-	for i, u := range sorted {
-		add[i] = compileUnit(u, p.table)
-	}
+// probe reports whether the pool with the change committed would still
+// first-fit pack onto the broker pool: one replay from the empty pack.
+func (p *pool) probe(c change) bool {
 	p.pk.clear()
-	return p.replay(rem, add)
+	return p.replay(c)
 }
 
 // replay first-fit packs the stream onto the scratch pack, which must be
-// empty, with the probe's modifications merged in: rem lists the positions
-// to skip, ascending; add the compiled units to insert, in stream order.
-func (p *pool) replay(rem []int, add []packUnit) bool {
-	pk, ai := p.pk, 0
+// empty, in the order commit would leave it: each added unit ahead of the
+// position staged for it, the cut positions skipped.
+func (p *pool) replay(c change) bool {
+	pk, cut, j := p.pk, c.cut, 0
 	for i := range p.stream {
-		pu := &p.stream[i]
-		for ai < len(add) && add[ai].load.Bandwidth > pu.load.Bandwidth {
-			if pk.place(&add[ai]) < 0 {
+		for ; j < len(c.at) && c.at[j] == i; j++ {
+			if pk.place(&c.compiled[j]) < 0 {
 				return false
 			}
-			ai++
 		}
-		if len(rem) > 0 && rem[0] == i {
-			rem = rem[1:]
+		if len(cut) > 0 && cut[0] == i {
+			cut = cut[1:]
 			continue
 		}
-		if pk.place(pu) < 0 {
+		if pk.place(&p.stream[i]) < 0 {
 			return false
 		}
 	}
-	for ; ai < len(add); ai++ {
-		if pk.place(&add[ai]) < 0 {
+	for ; j < len(c.compiled); j++ {
+		if pk.place(&c.compiled[j]) < 0 {
 			return false
 		}
 	}

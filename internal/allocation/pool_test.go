@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/greenps/greenps/internal/bitvector"
+	"github.com/greenps/greenps/internal/message"
 )
 
 // checkPoolInvariants asserts what pool.commit must preserve: units strictly
@@ -228,7 +229,7 @@ func TestPoolCommitSplice(t *testing.T) {
 		}
 		want := sortUnitsByBandwidthDesc(append(slices.DeleteFunc(slices.Clone(units),
 			func(u *Unit) bool { return slices.Contains(removed, u) }), added...))
-		if err := p.commit(removed, added); err != nil {
+		if err := p.commit(p.stage(removed, added)); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if !slices.Equal(p.units, want) {
@@ -340,7 +341,9 @@ func TestCRAMPosetRefusalIsAnError(t *testing.T) {
 // every range lo ≤ hi ≤ 10 against the plain binary search it replaced:
 // the same k when hi does not pack or the pattern is monotone, hi whenever
 // hi packs, one probe then and at most one more than the binary search
-// otherwise, and never the same k twice.
+// otherwise, and never the same k twice. The last probe that packed is of
+// the k returned (none when it returns 0): mergeLargest commits the change
+// it staged for that probe.
 func TestSearchMaxTopFirst(t *testing.T) {
 	binarySearch := func(lo, hi int, packs func(k int) bool) int {
 		best := 0
@@ -362,14 +365,20 @@ func TestSearchMaxTopFirst(t *testing.T) {
 				monotone := mask&(mask+1) == 0 // a run of low bits: k fits up to some size
 				var want, wantProbes int
 				want = binarySearch(lo, hi, func(k int) bool { wantProbes++; return fits(k) })
-				probed := map[int]bool{}
+				probed, lastFit := map[int]bool{}, 0
 				got := searchMax(lo, hi, func(k int) bool {
 					if k < lo || k > hi || probed[k] {
 						t.Fatalf("[%d,%d] mask %b: probe of k=%d (probed %v)", lo, hi, mask, k, probed)
 					}
 					probed[k] = true
+					if fits(k) {
+						lastFit = k
+					}
 					return fits(k)
 				})
+				if lastFit != got {
+					t.Errorf("[%d,%d] mask %b: returned %d, the last probe that packed was of %d", lo, hi, mask, got, lastFit)
+				}
 				switch {
 				case fits(hi):
 					if got != hi || len(probed) != 1 {
@@ -389,4 +398,156 @@ func TestSearchMaxTopFirst(t *testing.T) {
 	if got := searchMax(3, 2, func(int) bool { t.Fatal("probe of an empty range"); return true }); got != 0 {
 		t.Errorf("empty range: got %d, want 0", got)
 	}
+}
+
+// probeCase decodes bytes into a small pool and one change of it, built for
+// bandwidth ties: 2–4 publishers of 10 msgs/s and 1,000 B/s each, 3–6 units
+// of 500, 1,000 or 1,500 B/s over any subset of them, and 2–3 brokers that
+// hold two to four units' bandwidth and sustain two to four streams. The
+// change removes any subset of the pool and adds nothing, the merge of the
+// removed units or a unit of its own; the added unit's ID sorts ahead of,
+// among or behind the pool's. Missing bytes read as zero.
+//
+//	data[0..4]  publishers, units, brokers, broker bandwidth, broker delay
+//	then        per unit: its publisher mask and its bandwidth
+//	then        the removed-unit mask, the added kind (0 none, 1 merge,
+//	            2 own), the added ID, and for kind 2 its mask and bandwidth
+func probeCase(data []byte) (units, removed, added []*Unit, brokers []*BrokerSpec, pubs map[string]*bitvector.PublisherStats) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	nPubs, nUnits, nBrokers := 2+next()%3, 3+next()%4, 2+next()%2
+	brokerBW := []float64{2500, 3500, 4500}[next()%3]
+	delay := message.MatchingDelayFn{Base: 1 / []float64{25, 35, 45}[next()%3]}
+	pubs = make(map[string]*bitvector.PublisherStats, nPubs)
+	for i := 1; i <= nPubs; i++ {
+		adv := fmt.Sprintf("P%d", i)
+		pubs[adv] = &bitvector.PublisherStats{AdvID: adv, Rate: 10, Bandwidth: 1000, LastSeq: 99}
+	}
+	unit := func(id string) *Unit {
+		mask, bw := next()%(1<<nPubs), []float64{500, 1000, 1500}[next()%3]
+		prof := bitvector.NewProfile(testCap)
+		for i := 1; i <= nPubs; i++ {
+			if mask>>(i-1)&1 == 1 {
+				for seq := 0; seq < 100; seq++ {
+					prof.Record(fmt.Sprintf("P%d", i), seq)
+				}
+			}
+		}
+		return &Unit{ID: id, Members: []Member{{SubID: id}}, Profile: prof,
+			Load: bitvector.Load{Rate: bw / 100, Bandwidth: bw}, Filters: 1}
+	}
+	for i := 1; i <= nUnits; i++ {
+		units = append(units, unit(fmt.Sprintf("u%d", i)))
+	}
+	for i, mask := 0, next(); i < nUnits; i++ {
+		if mask>>i&1 == 1 {
+			removed = append(removed, units[i])
+		}
+	}
+	kind, id := next()%3, []string{"cram-u1", "u3x", "zz"}[next()%3]
+	switch {
+	case kind == 1 && len(removed) > 0:
+		added = []*Unit{MergeUnits(id, testCap, removed...)}
+	case kind == 2:
+		added = []*Unit{unit(id)}
+	}
+	return units, removed, added, sortBrokersByCapacity(testBrokers(nBrokers, brokerBW, delay)), pubs
+}
+
+// checkProbeMatchesCommit stages the change on a pool of the units, probes
+// it, commits it and holds the probe's answer to a from-scratch first-fit of
+// the pool the commit made. It returns that answer.
+func checkProbeMatchesCommit(t *testing.T, units, removed, added []*Unit, brokers []*BrokerSpec,
+	pubs map[string]*bitvector.PublisherStats) bool {
+	t.Helper()
+	p := newPool(units, brokers, newPublisherTable(pubs, append(slices.Clone(units), added...)), testCap)
+	ch := p.stage(removed, added)
+	got := p.probe(ch)
+	if err := p.commit(ch); err != nil {
+		t.Fatal(err)
+	}
+	if want := feasibleFirstFit(p.units, brokers, pubs, testCap); got != want {
+		ids := make([]string, len(p.units))
+		for i, u := range p.units {
+			ids[i] = u.ID
+		}
+		t.Fatalf("probe = %v, from-scratch first-fit of the committed pool %v = %v", got, ids, want)
+	}
+	return got
+}
+
+// tieCase is a pool where the merged unit ties every pool unit on
+// bandwidth: every unit needs 1,000 B/s of a 2,500 B/s broker (two fit,
+// three do not) and every broker sustains two publishers' streams but not
+// three. The pool order puts m (P1+P2) first by ID, and that packs: m opens
+// B0, u1 fills it, u2 and u3 share B1. With m after its ties instead, the
+// stream u1 u2 u3 m does not: u1 and u2 fill B0, u3 opens B1 with P3, and m
+// would be B1's third stream. A probe that ordered ties by bandwidth alone
+// would answer for that stream, not for the committed pool.
+var tieCase = []byte{1, 0, 0, 0, 0, 1, 1, 2, 1, 4, 1, 0, 2, 0, 3, 1}
+
+// probeDisagreement is a random case that separates the two tie orders the
+// other way: u5 merged alone and renamed cram-u1, which sorts it ahead of
+// its ties. The stream with it after its ties packs; the committed pool
+// does not.
+var probeDisagreement = []byte{175, 18, 93, 216, 39, 4, 87, 133, 84, 178, 10, 10, 92, 164, 23, 240, 247, 204}
+
+// TestProbeBandwidthTieOrder holds the probe to its commit on tieCase: a
+// merged unit that ties pool units on bandwidth is probed where the commit
+// files it, by ID.
+func TestProbeBandwidthTieOrder(t *testing.T) {
+	units, removed, added, brokers, pubs := probeCase(tieCase)
+	all := append(slices.Clone(units), added...)
+	if len(removed) != 0 || len(added) != 1 || sortUnitsByBandwidthDesc(all)[0] != added[0] {
+		t.Fatal("tieCase no longer decodes to the hand-built tie")
+	}
+	if !checkProbeMatchesCommit(t, units, removed, added, brokers, pubs) {
+		t.Fatal("the committed pool should pack; the example no longer separates the two orders")
+	}
+	if feasibleFirstFit(all, brokers, pubs, testCap) {
+		t.Fatal("the added unit merged after its ties should not pack; the example no longer separates the two orders")
+	}
+}
+
+// TestProbeMatchesCommit holds probe to commit on 10,000 random small pools
+// with bandwidth ties (probeCase), the tie case and the found disagreement
+// among them: the answer a probe of a staged change gives is the answer a
+// from-scratch first-fit gives for the pool its commit makes.
+func TestProbeMatchesCommit(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	cases := [][]byte{tieCase, probeDisagreement}
+	for i := 0; i < 10_000; i++ {
+		data := make([]byte, 24)
+		rng.Read(data)
+		cases = append(cases, data)
+	}
+	var packs [2]int
+	for _, data := range cases {
+		units, removed, added, brokers, pubs := probeCase(data)
+		if checkProbeMatchesCommit(t, units, removed, added, brokers, pubs) {
+			packs[1]++
+		} else {
+			packs[0]++
+		}
+	}
+	if packs[0] == 0 || packs[1] == 0 {
+		t.Fatalf("one-sided cases: %d pack, %d do not", packs[1], packs[0])
+	}
+}
+
+// FuzzProbeMatchesCommit is TestProbeMatchesCommit's property on inputs the
+// fuzzer chooses.
+func FuzzProbeMatchesCommit(f *testing.F) {
+	f.Add(tieCase)
+	f.Add(probeDisagreement)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		units, removed, added, brokers, pubs := probeCase(data)
+		checkProbeMatchesCommit(t, units, removed, added, brokers, pubs)
+	})
 }
