@@ -77,7 +77,6 @@ func publish(t *testing.T, net *sim.Network, clientID, advID string, seq int, sy
 
 func TestEndToEndRouting(t *testing.T) {
 	net := chain(t, 3)
-	net.TracePaths = true
 	deliveries := collect(net)
 	if _, err := net.AttachClient("pub", "B0"); err != nil {
 		t.Fatal(err)
@@ -110,16 +109,12 @@ func TestEndToEndRouting(t *testing.T) {
 		t.Fatalf("subOther got %d deliveries, want 0 (no false positives)", len(other))
 	}
 	// Hop counts: near is on the publisher's broker (0 broker hops), far is
-	// two brokers away.
+	// two brokers away, which on the chain fixes its path B0 -> B1 -> B2.
 	if near[0].Hops != 0 {
 		t.Errorf("near delivery hops = %d, want 0", near[0].Hops)
 	}
 	if far[0].Hops != 2 {
 		t.Errorf("far delivery hops = %d, want 2", far[0].Hops)
-	}
-	// Path tracing: far delivery crossed B0 -> B1 -> B2.
-	if got := fmt.Sprint(far[0].Path); got != "[B0 B1 B2]" {
-		t.Errorf("far delivery path = %v", got)
 	}
 }
 

@@ -139,7 +139,7 @@ func (c *Core) handleBIR(from Endpoint, bir *message.BIR, out []Outgoing) []Outg
 	st := &birState{parent: from, waiting: make(map[string]bool)}
 	c.cbc.pending[bir.RequestID] = st
 	env := &message.Envelope{Kind: message.KindBIR, BIR: bir}
-	for _, n := range c.Neighbors() {
+	for _, n := range c.neighbors {
 		if from.Kind == KindBroker && n == from.ID {
 			continue
 		}

@@ -17,7 +17,6 @@ package broker
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"github.com/greenps/greenps/internal/bitvector"
@@ -58,6 +57,13 @@ func (e Endpoint) String() string {
 // so the broker core never copies a publication. The aliasing contract:
 // envelopes handed to Handle/HandleBatch may be retained in the returned
 // Outgoings and must be treated as immutable until those are consumed.
+//
+// The emission-run invariant: in one Handle/HandleBatch output, every
+// copy of one (Env, Hops) pair comes in a single run of consecutive
+// Outgoings — a publication's forwards, then its deliveries, and each
+// flood or subscription routing step's copies. So a consumer that
+// remembers only the last pair it saw encodes or re-stamps each pair once
+// (Node.flushOutgoing, sim.Network.Drain).
 type Outgoing struct {
 	To  Endpoint
 	Env *message.Envelope
@@ -145,10 +151,12 @@ type pubScratch struct {
 }
 
 // route is the slot-keyed state of one indexed subscription: the endpoint
-// it arrived from and, for a local subscription, its CBC profile.
+// it arrived from, for a local subscription its CBC profile, and the
+// neighbors it has been sent to, ascending.
 type route struct {
 	hop  Endpoint
 	prof *bitvector.Profile
+	fwd  []string
 }
 
 // Core is the synchronous broker state machine. It is not safe for
@@ -162,14 +170,12 @@ type Core struct {
 	// route groups 1, 2, ...: every subscription behind one neighbor
 	// shares its group, so a publication is forwarded there at most once.
 	links map[string]int32
-	// subForwarded tracks which broker neighbors each subscription was
-	// already forwarded to.
-	subForwarded map[string]map[string]bool
-	advs         map[string]advEntry
-	neighbors    map[string]bool
-	clients      map[string]bool
-	cbc          *cbc
-	counters     Counters
+	advs  map[string]advEntry
+	// neighbors holds the connected broker IDs, ascending.
+	neighbors []string
+	clients   map[string]bool
+	cbc       *cbc
+	counters  Counters
 	// inst is never nil; the zero bundle no-ops.
 	inst *Instruments
 
@@ -197,15 +203,13 @@ func New(cfg Config) (*Core, error) {
 		inst = noopInstruments
 	}
 	c := &Core{
-		cfg:          cfg,
-		engine:       matching.NewCountingEngine(),
-		links:        make(map[string]int32),
-		subForwarded: make(map[string]map[string]bool),
-		advs:         make(map[string]advEntry),
-		neighbors:    make(map[string]bool),
-		clients:      make(map[string]bool),
-		cbc:          newCBC(cfg.ProfileCapacity, cfg.Clock),
-		inst:         inst,
+		cfg:     cfg,
+		engine:  matching.NewCountingEngine(),
+		links:   make(map[string]int32),
+		advs:    make(map[string]advEntry),
+		clients: make(map[string]bool),
+		cbc:     newCBC(cfg.ProfileCapacity, cfg.Clock),
+		inst:    inst,
 	}
 	c.batchCb = func(i int, slot int32) {
 		// MatchRouted reports matches in nondecreasing publication order,
@@ -240,21 +244,19 @@ func (c *Core) OutputBandwidth() float64 { return c.cfg.OutputBandwidth }
 // measurement phase uses it, and tests inspect it.
 func (c *Core) Info() message.BrokerInfo { return c.info() }
 
-// Neighbors returns the connected broker IDs, sorted.
-func (c *Core) Neighbors() []string {
-	out := make([]string, 0, len(c.neighbors))
-	for id := range c.neighbors {
-		out = append(out, id)
+// AddNeighbor registers a broker link.
+func (c *Core) AddNeighbor(id string) {
+	if i, ok := slices.BinarySearch(c.neighbors, id); !ok {
+		c.neighbors = slices.Insert(c.neighbors, i, id)
 	}
-	sort.Strings(out)
-	return out
 }
 
-// AddNeighbor registers a broker link.
-func (c *Core) AddNeighbor(id string) { c.neighbors[id] = true }
-
 // RemoveNeighbor drops a broker link.
-func (c *Core) RemoveNeighbor(id string) { delete(c.neighbors, id) }
+func (c *Core) RemoveNeighbor(id string) {
+	if i, ok := slices.BinarySearch(c.neighbors, id); ok {
+		c.neighbors = slices.Delete(c.neighbors, i, i+1)
+	}
+}
 
 // AddClient registers an attached client.
 func (c *Core) AddClient(id string) { c.clients[id] = true }
@@ -340,7 +342,7 @@ func (c *Core) handleAdvertisement(from Endpoint, adv *message.Advertisement, ou
 		c.cbc.registerPublisher(adv)
 	}
 	env := &message.Envelope{Kind: message.KindAdvertisement, Adv: adv}
-	for _, n := range c.Neighbors() {
+	for _, n := range c.neighbors {
 		if from.Kind == KindBroker && n == from.ID {
 			continue
 		}
@@ -358,29 +360,25 @@ func (c *Core) handleAdvertisement(from Endpoint, adv *message.Advertisement, ou
 				continue
 			}
 			slot, _ := c.engine.Slot(sub.ID)
-			if hop := c.routes[slot].hop; hop.Kind == KindBroker && hop.ID == from.ID {
+			if c.routes[slot].hop == from || !c.forward(slot, from.ID) {
 				continue
 			}
-			if c.subForwarded[sub.ID][from.ID] {
-				continue
-			}
-			markForwarded(c.subForwarded, sub.ID, from.ID)
-			out = append(out, Outgoing{
-				To:  Endpoint{Kind: KindBroker, ID: from.ID},
-				Env: &message.Envelope{Kind: message.KindSubscription, Sub: sub},
-			})
+			out = append(out, Outgoing{To: from, Env: &message.Envelope{Kind: message.KindSubscription, Sub: sub}})
 		}
 	}
 	return out
 }
 
-func markForwarded(m map[string]map[string]bool, subID, brokerID string) {
-	set, ok := m[subID]
-	if !ok {
-		set = make(map[string]bool)
-		m[subID] = set
+// forward records that the subscription in slot is sent to neighbor id,
+// keeping its forwarding set ascending, and reports false when it had
+// been sent there already.
+func (c *Core) forward(slot int32, id string) bool {
+	r := &c.routes[slot]
+	i, sent := slices.BinarySearch(r.fwd, id)
+	if !sent {
+		r.fwd = slices.Insert(r.fwd, i, id)
 	}
-	set[brokerID] = true
+	return !sent
 }
 
 // handleUnadvertisement removes the advertisement and floods the removal.
@@ -394,7 +392,7 @@ func (c *Core) handleUnadvertisement(from Endpoint, advID string, out []Outgoing
 		c.cbc.unregisterPublisher(advID)
 	}
 	env := &message.Envelope{Kind: message.KindUnadvertisement, UnadvID: advID}
-	for _, n := range c.Neighbors() {
+	for _, n := range c.neighbors {
 		if from.Kind == KindBroker && n == from.ID {
 			continue
 		}
@@ -421,30 +419,20 @@ func (c *Core) handleSubscription(from Endpoint, sub *message.Subscription, out 
 		c.routes = append(c.routes, make([]route, grow)...)
 	}
 	c.routes[slot] = r
-	env := &message.Envelope{Kind: message.KindSubscription, Sub: sub}
-	targets := make(map[string]bool)
+	var ids []string
 	for _, entry := range c.advs {
-		if entry.from.Kind != KindBroker {
-			continue
-		}
-		if from.Kind == KindBroker && entry.from.ID == from.ID {
-			continue
-		}
-		if entry.adv.IntersectsSubscription(sub) {
-			targets[entry.from.ID] = true
+		if entry.from.Kind == KindBroker && entry.from != from && entry.adv.IntersectsSubscription(sub) {
+			ids = append(ids, entry.from.ID)
 		}
 	}
-	ids := make([]string, 0, len(targets))
-	for id := range targets {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
+	// Sorted, so the emission order does not follow map order; forward
+	// drops the repeats of a neighbor behind several advertisements.
+	slices.Sort(ids)
+	env := &message.Envelope{Kind: message.KindSubscription, Sub: sub}
 	for _, id := range ids {
-		if c.subForwarded[sub.ID][id] {
-			continue
+		if c.forward(slot, id) {
+			out = append(out, Outgoing{To: Endpoint{Kind: KindBroker, ID: id}, Env: env})
 		}
-		markForwarded(c.subForwarded, sub.ID, id)
-		out = append(out, Outgoing{To: Endpoint{Kind: KindBroker, ID: id}, Env: env})
 	}
 	return out, nil
 }
@@ -459,19 +447,11 @@ func (c *Core) handleUnsubscription(from Endpoint, subID string, out []Outgoing)
 	if err := c.engine.Remove(subID); err != nil {
 		return out, fmt.Errorf("broker %s: %w", c.cfg.ID, err)
 	}
-	c.routes[slot] = route{}
-	// Emit in sorted neighbor order: subForwarded is a map, and map order
-	// would break the simulator's byte-identical emission order.
-	ids := make([]string, 0, len(c.subForwarded[subID]))
-	for id := range c.subForwarded[subID] {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
 	env := &message.Envelope{Kind: message.KindUnsubscription, UnsubID: subID}
-	for _, id := range ids {
+	for _, id := range c.routes[slot].fwd {
 		out = append(out, Outgoing{To: Endpoint{Kind: KindBroker, ID: id}, Env: env})
 	}
-	delete(c.subForwarded, subID)
+	c.routes[slot] = route{}
 	return out, nil
 }
 

@@ -40,34 +40,18 @@ type Node struct {
 	peers map[Endpoint]*peer
 
 	// Event-loop-only batching state (no locking): pool backs frame
-	// buffers on both directions, fenc encodes each unique
-	// (envelope, hops) pair once per flush, frameMemo remembers those
-	// encodings and their sizes across a fan-out, groups/groupIdx bucket
-	// a flush's outgoings per destination preserving first-touch order.
-	pool      *transport.BufPool
-	fenc      *transport.FrameEncoder
-	frameMemo map[frameKey]frame
-	groups    []sendGroup
-	groupIdx  map[Endpoint]int
-	outBuf    []Outgoing
+	// buffers on both directions, fenc encodes each run of one
+	// (envelope, hops) pair once per flush, groups/groupIdx bucket a
+	// flush's outgoings per destination preserving first-touch order.
+	pool     *transport.BufPool
+	fenc     *transport.FrameEncoder
+	groups   []sendGroup
+	groupIdx map[Endpoint]int
+	outBuf   []Outgoing
 
 	wg      sync.WaitGroup
 	closing chan struct{}
 	once    sync.Once
-}
-
-// frameKey identifies one encoded frame within a flush: the shared
-// envelope plus the hop count materialized into it.
-type frameKey struct {
-	env  *message.Envelope
-	hops int
-}
-
-// frame is one encoded frame of a flush and its envelope's EncodedSize,
-// the bytes the limiter charges per copy sent.
-type frame struct {
-	data []byte
-	size int
 }
 
 // sendGroup is one destination's share of a flush.
@@ -167,7 +151,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		peers:        make(map[Endpoint]*peer),
 		pool:         pool,
 		fenc:         transport.NewFrameEncoder(pool),
-		frameMemo:    make(map[frameKey]frame),
 		groupIdx:     make(map[Endpoint]int),
 		closing:      make(chan struct{}),
 	}
@@ -422,10 +405,11 @@ func (n *Node) handleAndFlush(batch []Inbound) []Inbound {
 }
 
 // flushOutgoing groups a batch's outgoing messages per destination
-// (first-touch order), encodes and sizes each unique (envelope, hops)
+// (first-touch order), encodes and sizes each run of one (envelope, hops)
 // pair once — so a publication fanned out to many neighbors is serialized
-// and walked for its EncodedSize a single time — and writes each
-// destination's frames in one gathered writev.
+// and walked for its EncodedSize a single time, the core emitting all its
+// copies in one run (the emission-run invariant, see Outgoing) — and
+// writes each destination's frames in one gathered writev.
 // Pooled encode buffers are released only after every group's write
 // finished, since groups share frames. Unreachable peers are logged and
 // skipped (the link-failure path is the overlay manager's
@@ -434,6 +418,14 @@ func (n *Node) flushOutgoing(outs []Outgoing) {
 	if len(outs) == 0 {
 		return
 	}
+	// The pair of the run being sent, its frame and its EncodedSize, the
+	// bytes the limiter charges per copy.
+	var (
+		env  *message.Envelope
+		hops int
+		data []byte
+		size int
+	)
 	for _, o := range outs {
 		gi, ok := n.groupIdx[o.To]
 		if !ok {
@@ -455,20 +447,17 @@ func (n *Node) flushOutgoing(outs []Outgoing) {
 			}
 			n.groupIdx[o.To] = gi
 		}
-		fk := frameKey{env: o.Env, hops: o.Hops}
-		f, ok := n.frameMemo[fk]
-		if !ok {
-			data, err := n.fenc.Encode(o.Env, o.Hops)
+		if o.Env != env || o.Hops != hops {
+			d, err := n.fenc.Encode(o.Env, o.Hops)
 			if err != nil {
 				n.logger.Printf("broker %s: encode for %s: %v", n.ID(), o.To, err)
 				continue
 			}
-			f = frame{data: data, size: o.Env.EncodedSize()}
-			n.frameMemo[fk] = f
+			env, hops, data, size = o.Env, o.Hops, d, o.Env.EncodedSize()
 		}
 		g := &n.groups[gi]
-		g.frames = append(g.frames, f.data)
-		g.bytes += f.size
+		g.frames = append(g.frames, data)
+		g.bytes += size
 	}
 	for i := range n.groups {
 		g := &n.groups[i]
@@ -486,7 +475,6 @@ func (n *Node) flushOutgoing(outs []Outgoing) {
 		}
 	}
 	n.fenc.Release()
-	clear(n.frameMemo)
 	clear(n.groupIdx)
 	for i := range n.groups {
 		n.groups[i].p = nil

@@ -5,6 +5,7 @@ import (
 	"io"
 	"log"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -38,9 +39,8 @@ func loopNode(t *testing.T, reg *telemetry.Registry) *Node {
 		peers:   make(map[Endpoint]*peer),
 		closing: make(chan struct{}),
 
-		fenc:      transport.NewFrameEncoder(nil),
-		frameMemo: make(map[frameKey]frame),
-		groupIdx:  make(map[Endpoint]int),
+		fenc:     transport.NewFrameEncoder(nil),
+		groupIdx: make(map[Endpoint]int),
 	}
 }
 
@@ -131,7 +131,7 @@ func fanoutNode(t *testing.T) (*Node, []Outgoing) {
 }
 
 // TestFlushAllocationFreeBeyondEncoder pins handleAndFlush's flush,
-// flushOutgoing — grouping per destination, the frame memo, the
+// flushOutgoing — grouping per destination, the one-run frame memo, the
 // publication writer, the limiter and one gathered write per peer — at
 // zero allocations (the HandleBatch before it is
 // TestBrokerSteadyStateAllocationFree's): flushing one publication to four
@@ -151,37 +151,51 @@ func TestFlushAllocationFreeBeyondEncoder(t *testing.T) {
 // TestFlushChargesEncodedSize pins what the bandwidth limiter is charged
 // per flush: each destination's group pays the EncodedSize of every
 // envelope sent to it, whether its frame was encoded for that group or
-// taken from the memo another group filled. The limiter runs at 1 B/s
-// with an empty bucket, so each Wait sleeps exactly its charge in seconds.
+// for an earlier copy of the same (envelope, hops) pair. The limiter runs
+// at 1 B/s with an empty bucket, so each Wait sleeps exactly its charge in
+// seconds.
 func TestFlushChargesEncodedSize(t *testing.T) {
 	n, outs := fanoutNode(t)
-	// A second envelope, sent twice to the first client (two hop counts,
-	// two frames) and once to the last.
+	first := outs[0].Env.EncodedSize()
 	other := &message.Envelope{Kind: message.KindPublication, Pub: message.NewPublication("ADV2", 1,
 		map[string]message.Value{"class": message.String("STOCK")})}
-	outs = append(outs,
-		Outgoing{To: outs[0].To, Env: other, Hops: 1},
-		Outgoing{To: outs[0].To, Env: other, Hops: 2},
-		Outgoing{To: outs[3].To, Env: other, Hops: 1})
-	want := make([]int, 4)
-	want[0] = outs[0].Env.EncodedSize() + 2*other.EncodedSize()
-	want[1] = outs[1].Env.EncodedSize()
-	want[2] = outs[2].Env.EncodedSize()
-	want[3] = outs[3].Env.EncodedSize() + other.EncodedSize()
-
-	l := NewLimiter(1)
-	var charged []int
-	l.sleep = func(d time.Duration) {
-		charged = append(charged, int(d/time.Second))
-		l.tokens = 0
-	}
-	l.burst, l.tokens = 0, 0
-	n.limiter = l
-	for round := 0; round < 3; round++ {
-		charged = charged[:0]
-		n.flushOutgoing(outs)
-		if fmt.Sprint(charged) != fmt.Sprint(want) {
-			t.Fatalf("flush %d charged %v bytes per destination, want %v", round, charged, want)
+	second := other.EncodedSize()
+	for _, tc := range []struct {
+		name string
+		outs []Outgoing
+		want []int
+	}{{
+		// Two publications as the core emits them, each fanned out in one
+		// run, the second to destinations the first reached too.
+		name: "two publications",
+		outs: append(slices.Clip(outs),
+			Outgoing{To: outs[3].To, Env: other, Hops: 0},
+			Outgoing{To: outs[1].To, Env: other, Hops: 0}),
+		want: []int{first, first + second, first, first + second},
+	}, {
+		// The second sent twice to the first client (two hop counts, two
+		// frames) and once more to the last, after the other hop count.
+		name: "copies outside one run",
+		outs: append(slices.Clip(outs),
+			Outgoing{To: outs[0].To, Env: other, Hops: 1},
+			Outgoing{To: outs[0].To, Env: other, Hops: 2},
+			Outgoing{To: outs[3].To, Env: other, Hops: 1}),
+		want: []int{first + 2*second, first, first, first + second},
+	}} {
+		l := NewLimiter(1)
+		var charged []int
+		l.sleep = func(d time.Duration) {
+			charged = append(charged, int(d/time.Second))
+			l.tokens = 0
+		}
+		l.burst, l.tokens = 0, 0
+		n.limiter = l
+		for round := 0; round < 3; round++ {
+			charged = charged[:0]
+			n.flushOutgoing(tc.outs)
+			if fmt.Sprint(charged) != fmt.Sprint(tc.want) {
+				t.Fatalf("%s: flush %d charged %v bytes per destination, want %v", tc.name, round, charged, tc.want)
+			}
 		}
 	}
 }

@@ -12,8 +12,8 @@ import (
 	"github.com/greenps/greenps/internal/message"
 )
 
-// Route script alphabets: a script subscribes from and publishes from these
-// clients and the first 1–4 of these neighbors.
+// Route script alphabets: a script subscribes, advertises and publishes
+// from these clients and the first 1–4 of these neighbors.
 var (
 	routeClients   = []string{"c0", "c1", "c2"}
 	routeNeighbors = []string{"n1", "n2", "n3", "n4"}
@@ -22,6 +22,7 @@ var (
 		message.OpPrefix, message.OpPresent, message.OpEq, message.OpEq}
 	routeValues = []message.Value{message.String("A"), message.String("B"), message.String("AB"),
 		message.Number(0), message.Number(1), message.Number(2), message.Bool(true)}
+	routeAdvs = []string{"ADV-0", "ADV-1", "ADV-2"}
 )
 
 // Route script opcodes; operands are bytes reduced modulo their alphabets.
@@ -30,16 +31,112 @@ const (
 	routeUnsubscribe             // i: the i-th live subscription in ID order, or a ghost
 	routeCompact                 //
 	routePublish                 // m, then m x (endpoint, adv, hops, n, then n x (attr, value)): one HandleBatch run
+	routeAdvertise               // endpoint, adv, n, then n x (attr, op, value)
+	routeUnadvertise             // endpoint, adv
+	routeOpcodes                 // the number of opcodes
 )
 
 // routeRef is the brute-force router FuzzRouteEquivalence holds Core to:
 // every live subscription with its last hop, matched by
-// Subscription.Matches, and the profile and counters that implies.
+// Subscription.Matches, and the profile and counters that implies; every
+// live advertisement with the endpoint it came from; and the neighbors
+// each subscription has been sent to, ascending.
 type routeRef struct {
-	subs     map[string]*message.Subscription
-	hops     map[string]Endpoint
-	profiles map[string]*bitvector.Profile
-	counters Counters
+	subs      map[string]*message.Subscription
+	hops      map[string]Endpoint
+	profiles  map[string]*bitvector.Profile
+	advs      map[string]advEntry
+	fwd       map[string][]string
+	neighbors []string
+	counters  Counters
+}
+
+// flood returns a copy of a control envelope to every neighbor but the
+// sender, in ID order.
+func (r *routeRef) flood(from Endpoint, env *message.Envelope) []Outgoing {
+	var out []Outgoing
+	for _, n := range r.neighbors {
+		if from != (Endpoint{Kind: KindBroker, ID: n}) {
+			out = append(out, Outgoing{To: Endpoint{Kind: KindBroker, ID: n}, Env: env})
+		}
+	}
+	return out
+}
+
+// forward records that subscription id goes to neighbor n and returns
+// that copy, or nothing when it was sent there already.
+func (r *routeRef) forward(id, n string) []Outgoing {
+	if slices.Contains(r.fwd[id], n) {
+		return nil
+	}
+	r.fwd[id] = append(r.fwd[id], n)
+	slices.Sort(r.fwd[id])
+	return []Outgoing{{To: Endpoint{Kind: KindBroker, ID: n}, Env: &message.Envelope{Kind: message.KindSubscription, Sub: r.subs[id]}}}
+}
+
+// subscribe indexes a new subscription and returns its copies: one to
+// each neighbor behind an intersecting advertisement but its own hop, in
+// ID order.
+func (r *routeRef) subscribe(from Endpoint, sub *message.Subscription) []Outgoing {
+	r.subs[sub.ID], r.hops[sub.ID] = sub, from
+	if from.Kind == KindClient {
+		r.profiles[sub.ID] = bitvector.NewProfile(0)
+	}
+	var targets []string
+	for _, a := range r.advs {
+		if a.from.Kind == KindBroker && a.from != from && a.adv.IntersectsSubscription(sub) {
+			targets = append(targets, a.from.ID)
+		}
+	}
+	slices.Sort(targets)
+	var out []Outgoing
+	for _, n := range slices.Compact(targets) {
+		out = append(out, r.forward(sub.ID, n)...)
+	}
+	return out
+}
+
+// advertise stores a new advertisement and returns its flood, then — for
+// one from a neighbor — every intersecting subscription not yet sent
+// there and not from there, in ID order.
+func (r *routeRef) advertise(from Endpoint, env *message.Envelope) []Outgoing {
+	if _, dup := r.advs[env.Adv.ID]; dup {
+		return nil
+	}
+	r.advs[env.Adv.ID] = advEntry{adv: env.Adv, from: from}
+	out := r.flood(from, env)
+	if from.Kind != KindBroker {
+		return out
+	}
+	ids := make([]string, 0, len(r.subs))
+	for id := range r.subs {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		if r.hops[id] != from && env.Adv.IntersectsSubscription(r.subs[id]) {
+			out = append(out, r.forward(id, from.ID)...)
+		}
+	}
+	return out
+}
+
+// unsubscribe drops a subscription and returns its removal, sent to
+// exactly the neighbors the subscription went to, ascending.
+func (r *routeRef) unsubscribe(env *message.Envelope) []Outgoing {
+	id := env.UnsubID
+	if _, ok := r.subs[id]; !ok {
+		return nil
+	}
+	var out []Outgoing
+	for _, n := range r.fwd[id] {
+		out = append(out, Outgoing{To: Endpoint{Kind: KindBroker, ID: n}, Env: env})
+	}
+	delete(r.subs, id)
+	delete(r.hops, id)
+	delete(r.profiles, id)
+	delete(r.fwd, id)
+	return out
 }
 
 // outputs returns what a broker routing by the reference emits for one
@@ -85,9 +182,63 @@ func (r *routeRef) account(env *message.Envelope, out []Outgoing) {
 	}
 }
 
+// sameOutputs reports whether two HandleBatch outputs agree copy for
+// copy. A publication copy must alias the very envelope handed in; a
+// control copy, which the core builds itself, must equal the reference's
+// by value.
+func sameOutputs(got, want []Outgoing) bool {
+	return slices.EqualFunc(got, want, func(g, w Outgoing) bool {
+		return g.To == w.To && g.Hops == w.Hops &&
+			(g.Env == w.Env || g.Env.Kind != message.KindPublication && reflect.DeepEqual(g.Env, w.Env))
+	})
+}
+
+// checkRuns fails unless every copy of one (Env, Hops) pair in a
+// HandleBatch output comes in one run of consecutive outputs: the
+// emission-run invariant broker.Outgoing states and its consumers rely on.
+func checkRuns(t *testing.T, step int, what string, outs []Outgoing) {
+	type pair struct {
+		env  *message.Envelope
+		hops int
+	}
+	seen := make(map[pair]bool)
+	for i, o := range outs {
+		p := pair{o.Env, o.Hops}
+		if i > 0 && p == (pair{outs[i-1].Env, outs[i-1].Hops}) {
+			continue
+		}
+		if seen[p] {
+			t.Fatalf("step %d (%s): output %d reopens an earlier run of one (envelope, hops) pair", step, what, i)
+		}
+		seen[p] = true
+	}
+}
+
+// describe renders outputs by destination, kind, payload and hops.
+func describe(outs []Outgoing) string {
+	var b strings.Builder
+	for _, o := range outs {
+		fmt.Fprintf(&b, "\n  %v %v", o.To, o.Env.Kind)
+		switch e := o.Env; e.Kind {
+		case message.KindPublication:
+			fmt.Fprintf(&b, " %s/%d hops %d", e.Pub.AdvID, e.Pub.Seq, o.Hops)
+		case message.KindSubscription:
+			fmt.Fprintf(&b, " %s", e.Sub.ID)
+		case message.KindUnsubscription:
+			fmt.Fprintf(&b, " %s", e.UnsubID)
+		case message.KindAdvertisement:
+			fmt.Fprintf(&b, " %s", e.Adv.ID)
+		case message.KindUnadvertisement:
+			fmt.Fprintf(&b, " %s", e.UnadvID)
+		}
+	}
+	return b.String()
+}
+
 // runRouteScript decodes a script and runs it through a Core and the
 // reference side by side, comparing every HandleBatch call's outputs, the
-// counters and the CBC profiles after every operation.
+// counters and the CBC profiles after every operation, and holding every
+// output to the emission-run invariant.
 func runRouteScript(t *testing.T, script []byte) {
 	next := func(mod int) int {
 		if len(script) == 0 {
@@ -101,38 +252,46 @@ func runRouteScript(t *testing.T, script []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref := &routeRef{subs: make(map[string]*message.Subscription), hops: make(map[string]Endpoint),
+		profiles: make(map[string]*bitvector.Profile), advs: make(map[string]advEntry), fwd: make(map[string][]string)}
 	endpoints := make([]Endpoint, 0, len(routeClients)+len(routeNeighbors))
 	for _, id := range routeClients {
 		c.AddClient(id)
 		endpoints = append(endpoints, Endpoint{Kind: KindClient, ID: id})
 	}
 	for _, id := range routeNeighbors[:1+next(len(routeNeighbors))] {
-		c.AddNeighbor(id)
+		ref.neighbors = append(ref.neighbors, id)
 		endpoints = append(endpoints, Endpoint{Kind: KindBroker, ID: id})
 	}
-	ref := &routeRef{subs: make(map[string]*message.Subscription), hops: make(map[string]Endpoint),
-		profiles: make(map[string]*bitvector.Profile)}
+	// Links come up out of order, one twice, and one goes down again: the
+	// floods still reach each live neighbor once, in ID order.
+	c.AddNeighbor("n9")
+	for i := len(ref.neighbors) - 1; i >= 0; i-- {
+		c.AddNeighbor(ref.neighbors[i])
+	}
+	c.AddNeighbor(ref.neighbors[0])
+	c.RemoveNeighbor("n9")
+	preds := func() []message.Predicate {
+		ps := make([]message.Predicate, next(4))
+		for i := range ps {
+			ps[i] = message.Pred(routeAttrs[next(len(routeAttrs))], routeOps[next(len(routeOps))], routeValues[next(len(routeValues))])
+		}
+		return ps
+	}
 	adds, seq := 0, 0
 	for step := 0; len(script) > 0; step++ {
 		var batch []Inbound
 		var want []Outgoing
 		what := ""
-		switch byte(next(4)) {
+		switch byte(next(int(routeOpcodes))) {
 		case routeSubscribe:
 			from := endpoints[next(len(endpoints))]
-			preds := make([]message.Predicate, next(4))
-			for i := range preds {
-				preds[i] = message.Pred(routeAttrs[next(len(routeAttrs))], routeOps[next(len(routeOps))], routeValues[next(len(routeValues))])
-			}
-			sub := message.NewSubscription(fmt.Sprintf("s%03d", adds), from.ID, preds)
+			sub := message.NewSubscription(fmt.Sprintf("s%03d", adds), from.ID, preds())
 			adds++
 			env := &message.Envelope{Kind: message.KindSubscription, Sub: sub}
 			batch = []Inbound{{From: from, Env: env}}
-			ref.subs[sub.ID], ref.hops[sub.ID] = sub, from
-			if from.Kind == KindClient {
-				ref.profiles[sub.ID] = bitvector.NewProfile(0)
-			}
-			ref.account(env, nil)
+			want = ref.subscribe(from, sub)
+			ref.account(env, want)
 			what = "subscribe " + sub.String() + " from " + from.String()
 		case routeUnsubscribe:
 			ids := make([]string, 0, len(ref.subs))
@@ -146,10 +305,8 @@ func runRouteScript(t *testing.T, script []byte) {
 			}
 			env := &message.Envelope{Kind: message.KindUnsubscription, UnsubID: id}
 			batch = []Inbound{{From: ref.hops[id], Env: env}}
-			delete(ref.subs, id)
-			delete(ref.hops, id)
-			delete(ref.profiles, id)
-			ref.account(env, nil)
+			want = ref.unsubscribe(env)
+			ref.account(env, want)
 			what = "unsubscribe " + id
 		case routeCompact:
 			c.engine.Compact()
@@ -172,14 +329,33 @@ func runRouteScript(t *testing.T, script []byte) {
 				ref.account(env, out)
 			}
 			what = fmt.Sprintf("publish %d", len(batch))
+		case routeAdvertise:
+			from := endpoints[next(len(endpoints))]
+			adv := message.NewAdvertisement(routeAdvs[next(len(routeAdvs))], from.ID, preds())
+			env := &message.Envelope{Kind: message.KindAdvertisement, Adv: adv}
+			batch = []Inbound{{From: from, Env: env}}
+			want = ref.advertise(from, env)
+			ref.account(env, want)
+			what = "advertise " + adv.String() + " from " + from.String()
+		case routeUnadvertise:
+			from := endpoints[next(len(endpoints))]
+			env := &message.Envelope{Kind: message.KindUnadvertisement, UnadvID: routeAdvs[next(len(routeAdvs))]}
+			batch = []Inbound{{From: from, Env: env}}
+			if _, ok := ref.advs[env.UnadvID]; ok {
+				delete(ref.advs, env.UnadvID)
+				want = ref.flood(from, env)
+			}
+			ref.account(env, want)
+			what = "unadvertise " + env.UnadvID + " from " + from.String()
 		}
 		got, err := c.HandleBatch(batch, nil)
 		if err != nil {
 			t.Fatalf("step %d (%s): %v", step, what, err)
 		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("step %d (%s):\ncore:        %v\nbrute force: %v", step, what, got, want)
+		if !sameOutputs(got, want) {
+			t.Fatalf("step %d (%s):\ncore:%s\nbrute force:%s", step, what, describe(got), describe(want))
 		}
+		checkRuns(t, step, what, got)
 		if c.Counters() != ref.counters {
 			t.Fatalf("step %d (%s): counters %+v, brute force %+v", step, what, c.Counters(), ref.counters)
 		}
@@ -195,16 +371,41 @@ func runRouteScript(t *testing.T, script []byte) {
 	}
 }
 
-// FuzzRouteEquivalence decodes its input as a script of subscriptions and
-// unsubscriptions from clients and 1–4 neighbors, compactions, and runs
-// of publications from clients and neighbors, and holds Core to the
-// brute-force reference after every operation: HandleBatch's outputs in
-// order, the traffic counters and the CBC profiles.
+// FuzzRouteEquivalence decodes its input as a script of subscriptions,
+// unsubscriptions, advertisements and unadvertisements from clients and
+// 1–4 neighbors, compactions, and runs of publications from clients and
+// neighbors, and holds Core to the brute-force reference after every
+// operation: HandleBatch's outputs in order, the traffic counters and the
+// CBC profiles.
 func FuzzRouteEquivalence(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
 		script := make([]byte, 300)
 		rand.New(rand.NewSource(seed)).Read(script)
 		f.Add(script)
 	}
+	// Endpoints are c0 c1 c2 n1 n2 n3 (a leading 2 opens three neighbors);
+	// a predicate is (attr, op, value) with class=0, Eq=0, "A"=0.
+	f.Add([]byte{2,
+		// A late advertisement: s000 from c0 and s001 from n1 want class
+		// "A"; then n2 advertises it and is sent both, then n1 advertises
+		// it and is sent only s000. s000's removal goes to n1 and n2.
+		routeSubscribe, 0, 1, 0, 0, 0,
+		routeSubscribe, 3, 1, 0, 0, 0,
+		routeAdvertise, 4, 0, 1, 0, 0, 0,
+		routeAdvertise, 3, 1, 0,
+		routeUnsubscribe, 0,
+	})
+	f.Add([]byte{2,
+		// Slot reuse: s000 is sent to n1, removed and compacted away; s001,
+		// from n1, takes its slot and was sent nowhere, so its removal goes
+		// nowhere.
+		routeAdvertise, 3, 0, 0,
+		routeSubscribe, 0, 0,
+		routeUnsubscribe, 0,
+		routeCompact,
+		routeSubscribe, 3, 0,
+		routeUnsubscribe, 0,
+		routeUnadvertise, 4, 0,
+	})
 	f.Fuzz(runRouteScript)
 }

@@ -34,10 +34,6 @@ type Delivery struct {
 	Hops int
 	// Delay is the modeled end-to-end delivery delay in seconds.
 	Delay float64
-	// Path is the broker path from the publisher's broker to the
-	// delivering broker inclusive; populated only when the network's
-	// TracePaths flag is set.
-	Path []string
 }
 
 // Client is a simulated endpoint. Its publications go to the network's
@@ -62,7 +58,6 @@ type queued struct {
 	// for other kinds.
 	size  int
 	delay float64
-	path  []string
 }
 
 // node is one broker of the network: its core, the endpoint its
@@ -100,9 +95,6 @@ func withHops(env *message.Envelope, hops int) *message.Envelope {
 // Network wires broker cores and clients together and delivers messages in
 // deterministic FIFO order under a virtual clock.
 type Network struct {
-	// TracePaths records full broker paths on deliveries (costs memory;
-	// off by default).
-	TracePaths bool
 	// OnDelivery receives every publication delivered to a client, in
 	// arrival order. Nil only counts them (TotalDeliveries).
 	OnDelivery func(Delivery)
@@ -278,16 +270,13 @@ func (n *Network) Drain() error {
 		if err != nil {
 			return err
 		}
-		var path []string
-		if n.TracePaths && isPub {
-			path = append(append([]string{}, q.path...), nd.self.ID)
-		}
 		bw := nd.core.OutputBandwidth()
 		// Every publication the core emits for a publication input shares
 		// its content, hence its size. The core emits shared envelopes with
 		// the hop count in Outgoing.Hops (see broker.Outgoing); the hop
 		// count is materialized here, one copy per count that differs from
-		// the envelope's — the core emits all copies of one count in a row.
+		// the envelope's — the core emits all copies of one count in one
+		// run (the emission-run invariant, see broker.Outgoing).
 		size := q.size
 		var src, copied *message.Envelope
 		copiedHops := 0
@@ -312,7 +301,7 @@ func (n *Network) Drain() error {
 			n.queue = append(n.queue, queued{})
 			nq := &n.queue[len(n.queue)-1]
 			nq.to, nq.dst, nq.from, nq.env = o.To, dst, nd.self, env
-			nq.size, nq.delay, nq.path = size, delay, path
+			nq.size, nq.delay = size, delay
 		}
 	}
 	clear(n.queue)
@@ -333,7 +322,6 @@ func (n *Network) deliverToClient(q *queued) error {
 				Pub:      q.env.Pub,
 				Hops:     q.env.Pub.Hops,
 				Delay:    q.delay,
-				Path:     q.path,
 			})
 		}
 	case message.KindBIA:
