@@ -1,10 +1,10 @@
 package allocation
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"github.com/greenps/greenps/internal/bitvector"
@@ -168,54 +168,49 @@ type gif struct {
 	units []*Unit
 	node  *poset.Node
 	shard int // the GIF's shard in cramRun.shards, set by shardSet.add
-	// blPartners are the GIFs whose pairing with this one was rejected
-	// (self-pairs excluded), in rejection order.
+	// blPartners and blSelf are the run's one record of rejected pairings:
+	// the GIFs whose pairing with this one was rejected, in rejection order,
+	// and whether its self-pair was.
 	blPartners []*gif
+	blSelf     bool
 	dropped    bool // set by dropGIF; a dropped GIF never comes back
 }
 
-func (g *gif) sortUnits() {
-	sort.Slice(g.units, func(i, j int) bool {
-		if g.units[i].Load.Bandwidth != g.units[j].Load.Bandwidth {
-			return g.units[i].Load.Bandwidth < g.units[j].Load.Bandwidth
-		}
-		return g.units[i].ID < g.units[j].ID
-	})
+// unitOrder is the order of a GIF's units: bandwidth ascending, then ID, a
+// strict total order since unit IDs are unique.
+func unitOrder(a, b *Unit) int {
+	if c := cmp.Compare(a.Load.Bandwidth, b.Load.Bandwidth); c != 0 {
+		return c
+	}
+	return strings.Compare(a.ID, b.ID)
 }
 
-// insertUnit places u at its position in the bandwidth-ascending unit
-// order — a binary search plus one shift, replacing the full resort the
-// commit sites used to run on every single-unit addition. The order is a
-// strict total order (IDs are unique), so the result is byte-identical
-// to sortUnits on the appended slice.
+func (g *gif) sortUnits() { slices.SortFunc(g.units, unitOrder) }
+
+// insertUnit places u at its position in the unit order: a binary search
+// plus one shift, byte-identical to sortUnits on the appended slice.
 func (g *gif) insertUnit(u *Unit) {
-	i := sort.Search(len(g.units), func(i int) bool {
-		if g.units[i].Load.Bandwidth != u.Load.Bandwidth {
-			return g.units[i].Load.Bandwidth > u.Load.Bandwidth
-		}
-		return g.units[i].ID > u.ID
-	})
+	i, _ := slices.BinarySearchFunc(g.units, u, unitOrder)
 	g.units = slices.Insert(g.units, i, u)
 }
 
 // candidate is a heap entry: a GIF and its best-known partner.
 type candidate struct {
-	gifID     string
-	partnerID string // equal to gifID for self-pairs
+	g, p      *gif // p == g for self-pairs
 	closeness float64
 }
 
 // candBefore is the canonical candidate priority: closeness descending,
-// then gifID, then partnerID — a strict total order shared by the heap
-// comparator and the spill stream's record encoding.
+// then the GIF's ID, then the partner's — a strict total order shared by the
+// heap comparator and the spill stream's record encoding.
 func candBefore(a, b candidate) bool {
 	if a.closeness != b.closeness {
 		return a.closeness > b.closeness
 	}
-	if a.gifID != b.gifID {
-		return a.gifID < b.gifID
+	if a.g.id != b.g.id {
+		return a.g.id < b.g.id
 	}
-	return a.partnerID < b.partnerID
+	return a.p.id < b.p.id
 }
 
 // candHeap is a max-heap of candidates by closeness.
@@ -246,14 +241,13 @@ type cramRun struct {
 	// no poset is kept (ExhaustiveSearch, or grouping disabled).
 	exhaustive bool
 
-	gifs  map[string]*gif
 	byKey map[string]*gif // gif.key -> gif
 	// live holds the live GIFs in ID (string) order, the order of the seed
-	// phase and every exhaustive scan; gifFor and dropGIF keep it sorted.
-	live      []*gif
-	ps        *poset.Poset
-	blacklist map[gifPair]struct{}
-	heap      candHeap
+	// phase and every exhaustive scan, and is the run's only index by ID;
+	// gifFor and dropGIF keep it sorted.
+	live []*gif
+	ps   *poset.Poset
+	heap candHeap
 	// shards is the GIF pool sharded by summary signature for wholesale
 	// envelope pruning of the exhaustive scan; nil when sharding is
 	// inactive (poset search, bound pruning disabled, or a single shard).
@@ -290,33 +284,28 @@ func (sc *scanScratch) sized(n int) (skip []bool, ubs []float64) {
 	return sc.skip[:n], sc.ubs[:n]
 }
 
-// gifPair is the blacklist key: two GIF IDs normalized so a <= b, a struct
-// so that a probe builds no string.
-type gifPair struct {
-	a, b string
-}
-
-func pairKey(a, b string) gifPair {
-	if a > b {
+// blacklisted reports whether the pairing of a and b was rejected, reading
+// the shorter of the two partner lists.
+func blacklisted(a, b *gif) bool {
+	if a == b {
+		return a.blSelf
+	}
+	if len(b.blPartners) < len(a.blPartners) {
 		a, b = b, a
 	}
-	return gifPair{a: a, b: b}
+	return slices.Contains(a.blPartners, b)
 }
 
-func (r *cramRun) blacklisted(a, b string) bool {
-	_, ok := r.blacklist[pairKey(a, b)]
-	return ok
-}
-
-// noteBlacklist records a rejected pairing, in the blacklist and in both
-// GIFs' partner lists: the exhaustive scan skips g's blacklisted partners,
-// and tallies a wholesale-pruned shard's, in O(partners of g).
-func (r *cramRun) noteBlacklist(a, b *gif) {
-	r.blacklist[pairKey(a.id, b.id)] = struct{}{}
-	if a != b {
-		a.blPartners = append(a.blPartners, b)
-		b.blPartners = append(b.blPartners, a)
+// noteBlacklist records a rejected pairing on its GIFs: the exhaustive scan
+// skips g's blacklisted partners, and tallies a wholesale-pruned shard's, in
+// O(partners of g).
+func noteBlacklist(a, b *gif) {
+	if a == b {
+		a.blSelf = true
+		return
 	}
+	a.blPartners = append(a.blPartners, b)
+	b.blPartners = append(b.blPartners, a)
 }
 
 // gifIndex is the position of the GIF ID in gifs, a slice in ID order, and
@@ -388,7 +377,6 @@ func (r *cramRun) gifFor(u *Unit) (g *gif, created bool) {
 	prof := u.Profile.Clone()
 	g = &gif{id: fmt.Sprintf("g%d", r.nextGIF), key: key, profile: prof, summary: bitvector.Summarize(prof)}
 	r.byKey[key] = g
-	r.gifs[g.id] = g
 	i, _ := gifIndex(r.live, g.id)
 	r.live = slices.Insert(r.live, i, g)
 	return g, true
@@ -410,10 +398,8 @@ func (c *CRAM) start(in *Input) (*cramRun, error) {
 		c:          c,
 		capacity:   in.ProfileCapacity,
 		exhaustive: c.ExhaustiveSearch || c.DisableGIFGrouping,
-		gifs:       make(map[string]*gif),
 		byKey:      make(map[string]*gif),
 		ps:         poset.New(),
-		blacklist:  make(map[gifPair]struct{}),
 	}
 
 	// Group units into GIFs (Optimization 1).
@@ -427,7 +413,7 @@ func (c *CRAM) start(in *Input) (*cramRun, error) {
 	for _, g := range r.live {
 		g.sortUnits()
 	}
-	c.stats.InitialGIFs = len(r.gifs)
+	c.stats.InitialGIFs = len(r.live)
 
 	// Ingest the pool: every input unit compiled against the run's publisher
 	// table up front. The table lives exactly as long as this call.
@@ -455,7 +441,7 @@ func (c *CRAM) start(in *Input) (*cramRun, error) {
 	// Shard the pool for wholesale envelope pruning of the exhaustive
 	// scan (DESIGN.md §14). The shard count is fixed for the run.
 	if r.exhaustive && !c.disableBoundPruning {
-		r.shards = newShardSet(shardCount(c.Shards, len(r.gifs)))
+		r.shards = newShardSet(shardCount(c.Shards, len(r.live)))
 		if r.shards != nil {
 			for _, g := range r.live {
 				r.shards.add(g)
@@ -467,38 +453,34 @@ func (c *CRAM) start(in *Input) (*cramRun, error) {
 	// Seed the candidate heap with every GIF's best partner, the searches
 	// fanned out across the workers — the run's only parallel loop. No run
 	// state mutates during the fan-out, and the heap comparator is a strict
-	// total order over (closeness, gifID, partnerID), so pushing the
+	// total order over (closeness, GIF ID, partner ID), so pushing the
 	// collected candidates in GIF-ID order yields the same pop sequence as
 	// the serial seed at any worker count.
-	heap.Init(&r.heap)
 	seed := r.live
-	seedCands := make([]*candidate, len(seed))
-	seedComps := make([]int, len(seed))
-	seedPruned := make([]int, len(seed))
-	seedShards := make([]int, len(seed))
+	found := make([]search, len(seed))
 	parwork.Run(len(seed), parwork.Workers(c.Parallelism), func(lo, hi int) {
 		var scan scanScratch // this chunk's own
 		for i := lo; i < hi; i++ {
-			seedCands[i], seedComps[i], seedPruned[i], seedShards[i] = r.bestPartner(seed[i], &scan)
+			found[i] = r.bestPartner(seed[i], &scan)
 		}
 	})
 	if c.SpillBudgetBytes > 0 {
-		r.spill = newCandSpill(c.SpillBudgetBytes, c.SpillDir)
+		// The spill resolves its records' IDs in a copy of the seed GIFs:
+		// every record names two of them, and r.live changes under it.
+		r.spill = newCandSpill(c.SpillBudgetBytes, c.SpillDir, slices.Clone(seed))
 	}
-	for i, cd := range seedCands {
-		c.stats.ClosenessComputations += seedComps[i]
-		c.stats.BoundPruned += seedPruned[i]
-		c.stats.ShardsPruned += seedShards[i]
-		if cd == nil {
+	for _, s := range found {
+		c.stats.addSearch(s)
+		if s.best.closeness == 0 {
 			continue
 		}
 		if r.spill != nil {
-			if err := r.spill.add(*cd); err != nil {
+			if err := r.spill.add(s.best); err != nil {
 				r.spill.close()
 				return nil, fmt.Errorf("CRAM: candidate spill: %w", err)
 			}
 		} else {
-			heap.Push(&r.heap, *cd)
+			heap.Push(&r.heap, s.best)
 		}
 	}
 	if r.spill != nil {
@@ -517,7 +499,7 @@ func (r *cramRun) cluster() (*Assignment, error) {
 	c := r.c
 	maxIter := c.maxIterations
 	if maxIter <= 0 {
-		maxIter = 64 * (len(r.gifs) + 1)
+		maxIter = 64 * (len(r.live) + 1)
 	}
 
 	for iter := 0; iter < maxIter; iter++ {
@@ -528,26 +510,21 @@ func (r *cramRun) cluster() (*Assignment, error) {
 		if !ok {
 			break
 		}
-		g, okG := r.gifs[cand.gifID]
-		p, okP := r.gifs[cand.partnerID]
-		if !okG {
+		g, p := cand.g, cand.p
+		if g.dropped {
 			// The owning GIF was consumed by an earlier clustering, but
 			// the partner may be live with no heap entry of its own (its
 			// last pushBest can have found nothing while this stale entry
 			// still represented the pair). Re-offer it so no live GIF
 			// with a positive-closeness partner is starved.
-			if okP && cand.partnerID != cand.gifID {
+			if !p.dropped && p != g {
 				r.pushBest(p)
 			}
 			continue
 		}
-		if !okP || r.blacklisted(cand.gifID, cand.partnerID) ||
-			(cand.gifID == cand.partnerID && len(g.units) < 2) {
+		if p.dropped || blacklisted(g, p) || (g == p && len(g.units) < 2) {
 			// Stale candidate: recompute this GIF's best partner.
 			r.pushBest(g)
-			continue
-		}
-		if cand.closeness <= 0 {
 			continue
 		}
 		accepted := r.clusterPair(g, p)
@@ -558,7 +535,7 @@ func (r *cramRun) cluster() (*Assignment, error) {
 			c.stats.ClustersAccepted++
 		} else {
 			c.stats.ClustersRejected++
-			r.noteBlacklist(g, p)
+			noteBlacklist(g, p)
 			r.pushBest(g)
 			if p != g {
 				r.pushBest(p)
@@ -606,51 +583,61 @@ func (r *cramRun) pushBest(g *gif) {
 	if r.shards != nil {
 		r.shards.freshen()
 	}
-	best, comps, pruned, shardsPruned := r.bestPartner(g, &r.scan)
-	r.c.stats.ClosenessComputations += comps
-	r.c.stats.BoundPruned += pruned
-	r.c.stats.ShardsPruned += shardsPruned
-	if best != nil {
-		heap.Push(&r.heap, *best)
+	s := r.bestPartner(g, &r.scan)
+	r.c.stats.addSearch(s)
+	if s.best.closeness > 0 {
+		heap.Push(&r.heap, s.best)
 	}
 }
 
-// bestPartner computes the GIF's best admissible partner, the number of
-// closeness evaluations the search considered, how many of those the
-// exhaustive scan answered by a summary bound instead of an exact metric
-// call, and how many shards the sharded scan discarded wholesale — all without
+// search is one partner search's result: the best candidate, with
+// closeness 0 when there is none, the closeness evaluations the search
+// considered, how many of those the exhaustive scan answered by a summary
+// bound instead of an exact metric call, and how many shards the sharded
+// scan discarded wholesale.
+type search struct {
+	best                  candidate
+	comps, pruned, shards int
+}
+
+// addSearch adds a search's work to the stats.
+func (st *CRAMStats) addSearch(s search) {
+	st.ClosenessComputations += s.comps
+	st.BoundPruned += s.pruned
+	st.ShardsPruned += s.shards
+}
+
+// bestPartner searches for the GIF's best admissible partner without
 // touching run state beyond the caller's scan scratch, so the seed phase can
 // run the searches of distinct GIFs on different workers. The exhaustive
 // scan reduces in GIF-ID order, first strict maximum winning, so the
 // returned candidate and the comps/pruned counts are identical at any shard
-// count (shardsPruned alone depends on the shard layout).
-func (r *cramRun) bestPartner(g *gif, scan *scanScratch) (best *candidate, comps, pruned, shardsPruned int) {
+// count (shards alone depends on the shard layout).
+func (r *cramRun) bestPartner(g *gif, scan *scanScratch) (s search) {
 	// Self-pair: the equal relationship pairs a GIF with itself whenever it
 	// holds more than one unit (Optimization 1's equal case).
-	if len(g.units) >= 2 && !r.blacklisted(g.id, g.id) {
+	if len(g.units) >= 2 && !blacklisted(g, g) {
 		c := bitvector.Closeness(r.c.Metric, g.profile, g.profile)
-		comps++
+		s.comps++
 		if c > 0 {
-			best = &candidate{gifID: g.id, partnerID: g.id, closeness: c}
+			s.best = candidate{g: g, p: g, closeness: c}
 		}
 	}
 	if !r.exhaustive {
 		res := r.ps.SearchClosest(g.profile, r.c.Metric, func(n *poset.Node) bool {
-			return n.ID == g.id || r.blacklisted(g.id, n.ID)
+			p := n.Payload.(*gif)
+			return p == g || blacklisted(g, p)
 		})
-		comps += res.Computations
-		if res.Best != nil && res.Closeness > 0 && (best == nil || res.Closeness > best.closeness) {
-			best = &candidate{gifID: g.id, partnerID: res.Best.ID, closeness: res.Closeness}
+		s.comps += res.Computations
+		if res.Best != nil && res.Closeness > s.best.closeness {
+			s.best = candidate{g: g, p: res.Best.Payload.(*gif), closeness: res.Closeness}
 		}
-		return best, comps, pruned, shardsPruned
+		return s
 	}
 
 	// t0 is the incumbent threshold of both pruning rules: only a strictly
 	// greater closeness replaces the self-pair.
-	t0 := 0.0
-	if best != nil {
-		t0 = best.closeness
-	}
+	t0 := s.best.closeness
 	live := r.live
 	if r.shards != nil {
 		// Wholesale shard pruning against t0, so a pruned shard's members
@@ -659,9 +646,9 @@ func (r *cramRun) bestPartner(g *gif, scan *scanScratch) (best *candidate, comps
 		// members keep r.live's ID order, so the reduction's tie-break
 		// stays canonical.
 		var bulk int
-		live, bulk, shardsPruned = r.shardSurvivors(g, t0, scan)
-		comps += bulk
-		pruned += bulk
+		live, bulk, s.shards = r.shardSurvivors(g, t0, scan)
+		s.comps += bulk
+		s.pruned += bulk
 	}
 	// Skip g and its blacklisted partners, found by binary search.
 	skip, ubs := scan.sized(len(live))
@@ -683,20 +670,20 @@ func (r *cramRun) bestPartner(g *gif, scan *scanScratch) (best *candidate, comps
 		if skip[i] {
 			continue
 		}
-		comps++
+		s.comps++
 		c := anchorC
 		if i != anchor {
 			if ubs != nil && (ubs[i] <= t0 || ubs[i] < anchorC) {
-				pruned++
+				s.pruned++
 				continue
 			}
 			c = bitvector.Closeness(r.c.Metric, g.profile, p.profile)
 		}
-		if c > 0 && (best == nil || c > best.closeness) {
-			best = &candidate{gifID: g.id, partnerID: p.id, closeness: c}
+		if c > s.best.closeness {
+			s.best = candidate{g: g, p: p, closeness: c}
 		}
 	}
-	return best, comps, pruned, shardsPruned
+	return s
 }
 
 // boundPruneScan is the bound stage of the exhaustive partner scan
@@ -962,7 +949,6 @@ func (r *cramRun) move(takes []take, u *Unit, home *gif) {
 // dropGIF removes an emptied GIF from all indices. A poset that does not
 // hold the GIF's node fails the run through err.
 func (r *cramRun) dropGIF(g *gif) {
-	delete(r.gifs, g.id)
 	delete(r.byKey, g.key)
 	g.dropped = true
 	if i, ok := gifIndex(r.live, g.id); ok {

@@ -10,12 +10,15 @@ import (
 
 // TestCRAMGolden pins what CRAM-IOS does on one 2,000-subscription pool —
 // every CRAMStats counter and the hash of the plan's fingerprint — in the
-// three partner-search modes. The brokers are tight enough that clusterings
-// get rejected, so the blacklist takes part in every search. The other equivalence tests compare one
-// run of today's code with another; this one compares today's code with the
-// code that wrote these values down, so a search loop that drifts a count or
-// a tie-break fails here and not only in the benchmark's digests. A change
-// that means to alter plans or counts re-reads the values and says so.
+// three partner-search modes, and in the exhaustive one with its seed
+// candidates spilled to disk, so that the spill's records resolve to the GIFs
+// they name, rejected and dropped ones included. The brokers are tight enough
+// that clusterings get rejected, so the rejection record takes part in every
+// search. The other equivalence tests compare one run of today's code with
+// another; this one compares today's code with the code that wrote these
+// values down, so a search loop that drifts a count or a tie-break fails here
+// and not only in the benchmark's digests. A change that means to alter plans
+// or counts re-reads the values and says so.
 func TestCRAMGolden(t *testing.T) {
 	units, pubs := testWorkload(1, 20, 100, 10, 100)
 	in := &Input{Units: units, Brokers: testBrokers(100, 25_000, stdDelay()), Publishers: pubs, ProfileCapacity: testCap}
@@ -44,6 +47,14 @@ func TestCRAMGolden(t *testing.T) {
 			stats: CRAMStats{InitialUnits: 2000, InitialGIFs: 1210, FinalUnits: 62,
 				ClosenessComputations: 3742622, BoundPruned: 3608364, PackAttempts: 1575,
 				ClustersAccepted: 1218, ClustersRejected: 156, ShardsPruned: 84630},
+			plan: "5bc519fba023d736",
+		},
+		{
+			name: "spilled-exhaustive", cram: CRAM{Metric: bitvector.MetricIOS, ExhaustiveSearch: true,
+				SpillBudgetBytes: 4096, SpillDir: t.TempDir()},
+			stats: CRAMStats{InitialUnits: 2000, InitialGIFs: 1210, FinalUnits: 62,
+				ClosenessComputations: 3742622, BoundPruned: 3608364, PackAttempts: 1575,
+				ClustersAccepted: 1218, ClustersRejected: 156, SpilledRuns: 5},
 			plan: "5bc519fba023d736",
 		},
 	}

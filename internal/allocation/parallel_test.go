@@ -216,11 +216,11 @@ func TestCRAMConvergenceNoStarvation(t *testing.T) {
 		}
 		for i, a := range r.live {
 			if len(a.units) >= 2 && bitvector.Closeness(metric, a.profile, a.profile) > 0 &&
-				!r.blacklisted(a.id, a.id) {
+				!blacklisted(a, a) {
 				t.Errorf("metric=%v: self-pair %s never resolved (%d units)", metric, a.id, len(a.units))
 			}
 			for _, b := range r.live[i+1:] {
-				if bitvector.Closeness(metric, a.profile, b.profile) > 0 && !r.blacklisted(a.id, b.id) {
+				if bitvector.Closeness(metric, a.profile, b.profile) > 0 && !blacklisted(a, b) {
 					t.Errorf("metric=%v: live pair (%s, %s) with positive closeness never resolved",
 						metric, a.id, b.id)
 				}

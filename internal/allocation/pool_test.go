@@ -74,22 +74,20 @@ func checkPoolInvariants(t *testing.T, p *pool) {
 }
 
 // checkLiveInvariants asserts what gifFor, dropGIF and the shard set must
-// preserve: r.live is exactly the live GIFs, sorted by ID as strings, none
+// preserve: r.live holds the GIFs byKey holds, sorted by ID as strings, none
 // of them dropped, and each live GIF of a sharded run in the shard its
 // summary routes to.
 func checkLiveInvariants(t *testing.T, r *cramRun) {
 	t.Helper()
-	ids := make([]string, 0, len(r.gifs))
-	for id := range r.gifs {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	if len(ids) != len(r.live) {
-		t.Fatalf("r.live holds %d GIFs, %d are live", len(r.live), len(ids))
+	if len(r.live) != len(r.byKey) {
+		t.Fatalf("r.live holds %d GIFs, byKey %d", len(r.live), len(r.byKey))
 	}
 	for i, g := range r.live {
-		if g.id != ids[i] || r.gifs[g.id] != g || g.dropped {
-			t.Fatalf("r.live[%d] is %s (dropped %v); the sorted live IDs have %s there", i, g.id, g.dropped, ids[i])
+		if r.byKey[g.key] != g || g.dropped {
+			t.Fatalf("r.live[%d] is %s (dropped %v), byKey holds %p for its key", i, g.id, g.dropped, r.byKey[g.key])
+		}
+		if i > 0 && r.live[i-1].id >= g.id {
+			t.Fatalf("r.live[%d] is %s after %s: not in ID order", i, g.id, r.live[i-1].id)
 		}
 		if r.shards != nil && g.shard != routeShard(g.summary, r.shards.n) {
 			t.Fatalf("GIF %s is in shard %d, its summary routes to %d", g.id, g.shard, routeShard(g.summary, r.shards.n))

@@ -189,9 +189,7 @@ func TestShardScanAllocationFree(t *testing.T) {
 	defer r.spill.close()
 	t0 := make([]float64, len(r.live))
 	for i, g := range r.live {
-		if best, _, _, _ := r.bestPartner(g, &r.scan); best != nil {
-			t0[i] = best.closeness
-		}
+		t0[i] = r.bestPartner(g, &r.scan).best.closeness
 	}
 	pruned, anchored := 0, 0
 	scan := func() {
@@ -242,7 +240,7 @@ func TestShardBulkTally(t *testing.T) {
 		}
 	}
 	check("fresh", len(r.live)-1)
-	r.noteBlacklist(g, p)
+	noteBlacklist(g, p)
 	check("partner blacklisted", len(r.live)-2)
 	r.dropGIF(p)
 	check("partner dropped", len(r.live)-1)
@@ -267,32 +265,41 @@ func TestShardCountResolution(t *testing.T) {
 	}
 }
 
+// String names a candidate in test failures.
+func (cd candidate) String() string { return fmt.Sprintf("%s/%s@%g", cd.g.id, cd.p.id, cd.closeness) }
+
 // TestCandRecordRoundTrip pins the spill encoding: candBefore order and
-// ascending byte order agree, and decode inverts encode exactly.
+// ascending byte order agree, decode inverts encode exactly, and a record
+// naming a GIF outside the seed fails to decode.
 func TestCandRecordRoundTrip(t *testing.T) {
+	seed := []*gif{{id: "g1"}, {id: "g10"}, {id: "g2"}, {id: "g3"}, {id: "g9"}} // ID order
+	g1, g10, g2, g3, g9 := seed[0], seed[1], seed[2], seed[3], seed[4]
 	cands := []candidate{
-		{gifID: "g1", partnerID: "g2", closeness: 0.5},
-		{gifID: "g1", partnerID: "g10", closeness: 0.5},
-		{gifID: "g10", partnerID: "g2", closeness: 0.5},
-		{gifID: "g2", partnerID: "g3", closeness: 12.75},
-		{gifID: "g2", partnerID: "g3", closeness: 1e-9},
-		{gifID: "g9", partnerID: "g9", closeness: bitvector.XorCap},
+		{g: g1, p: g2, closeness: 0.5},
+		{g: g1, p: g10, closeness: 0.5},
+		{g: g10, p: g2, closeness: 0.5},
+		{g: g2, p: g3, closeness: 12.75},
+		{g: g2, p: g3, closeness: 1e-9},
+		{g: g9, p: g9, closeness: bitvector.XorCap},
+	}
+	if _, err := decodeCand(encodeCand(nil, candidate{g: g1, p: &gif{id: "g4"}, closeness: 1}), seed); err == nil {
+		t.Error("a record naming a GIF outside the seed decoded")
 	}
 	for _, a := range cands {
 		rec := encodeCand(nil, a)
-		got, err := decodeCand(rec)
+		got, err := decodeCand(rec, seed)
 		if err != nil {
-			t.Fatalf("decode %+v: %v", a, err)
+			t.Fatalf("decode %v: %v", a, err)
 		}
 		if got != a {
-			t.Fatalf("round trip %+v -> %+v", a, got)
+			t.Fatalf("round trip %v -> %v", a, got)
 		}
 	}
 	for _, a := range cands {
 		for _, b := range cands {
 			ra, rb := string(encodeCand(nil, a)), string(encodeCand(nil, b))
 			if candBefore(a, b) != (ra < rb) {
-				t.Errorf("order mismatch: candBefore(%+v, %+v)=%v but bytes %q<%q=%v",
+				t.Errorf("order mismatch: candBefore(%v, %v)=%v but bytes %q<%q=%v",
 					a, b, candBefore(a, b), ra, rb, ra < rb)
 			}
 		}

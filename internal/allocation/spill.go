@@ -20,7 +20,7 @@ import (
 //
 // The candidate pop sequence is identical to the pure-heap run: the
 // record encoding makes ascending bytes.Compare coincide with the heap's
-// (closeness desc, gifID asc, partnerID asc) strict total order, so the
+// (closeness desc, GIF ID asc, partner ID asc) strict total order, so the
 // stream replays heap order exactly; the loop always takes the higher-
 // priority of {stream head, overlay top}; and on a tie — only possible
 // for bit-identical candidates — it takes the stream first, which
@@ -30,29 +30,30 @@ import (
 // encodeCand appends cd's order-preserving record to dst:
 //
 //	8 bytes  big-endian ^Float64bits(closeness)
-//	n bytes  gifID, NUL terminator
-//	m bytes  partnerID
+//	n bytes  the GIF's ID, NUL terminator
+//	m bytes  the partner's ID
 //
 // Closeness is always positive for pushed candidates, and for positive
 // floats the IEEE-754 bit pattern is monotone — complementing it makes
 // ascending byte order descending closeness order. GIF IDs ("g<n>") never
 // contain NUL, and the NUL terminator sorts before any ID byte, so the
 // record order on equal closeness is exactly Go's bytewise string
-// comparison of (gifID, partnerID).
+// comparison of (GIF ID, partner ID).
 func encodeCand(dst []byte, cd candidate) []byte {
 	bits := ^math.Float64bits(cd.closeness)
 	var key [8]byte
 	binary.BigEndian.PutUint64(key[:], bits)
 	dst = append(dst, key[:]...)
-	dst = append(dst, cd.gifID...)
+	dst = append(dst, cd.g.id...)
 	dst = append(dst, 0)
-	dst = append(dst, cd.partnerID...)
+	dst = append(dst, cd.p.id...)
 	return dst
 }
 
-// decodeCand inverts encodeCand. The record's ID bytes are copied out —
-// the input aliases iterator scratch.
-func decodeCand(rec []byte) (candidate, error) {
+// decodeCand inverts encodeCand, resolving the record's two IDs in seed, the
+// seed phase's GIFs in ID order: every spilled candidate names two of them,
+// dropped ones included.
+func decodeCand(rec []byte, seed []*gif) (candidate, error) {
 	if len(rec) < 9 {
 		return candidate{}, fmt.Errorf("allocation: short candidate record (%d bytes)", len(rec))
 	}
@@ -61,16 +62,18 @@ func decodeCand(rec []byte) (candidate, error) {
 	if i < 0 {
 		return candidate{}, fmt.Errorf("allocation: candidate record missing ID separator")
 	}
-	return candidate{
-		closeness: math.Float64frombits(^binary.BigEndian.Uint64(rec[:8])),
-		gifID:     string(rest[:i]),
-		partnerID: string(rest[i+1:]),
-	}, nil
+	g, okG := gifIndex(seed, string(rest[:i]))
+	p, okP := gifIndex(seed, string(rest[i+1:]))
+	if !okG || !okP {
+		return candidate{}, fmt.Errorf("allocation: candidate record %q names a GIF the seed phase did not hold", rest)
+	}
+	return candidate{g: seed[g], p: seed[p], closeness: math.Float64frombits(^binary.BigEndian.Uint64(rec[:8]))}, nil
 }
 
 // candSpill owns the external sorter, the merged stream, and its
 // current head candidate.
 type candSpill struct {
+	seed   []*gif // the seed phase's GIFs in ID order, which records name
 	sorter *extsort.Sorter
 	it     *extsort.Iterator
 	head   candidate
@@ -79,8 +82,8 @@ type candSpill struct {
 	runs   int    // runs spilled, captured at finish
 }
 
-func newCandSpill(budget int, dir string) *candSpill {
-	return &candSpill{sorter: extsort.NewSorter(extsort.Config{MemBudget: budget, Dir: dir})}
+func newCandSpill(budget int, dir string, seed []*gif) *candSpill {
+	return &candSpill{seed: seed, sorter: extsort.NewSorter(extsort.Config{MemBudget: budget, Dir: dir})}
 }
 
 // add encodes one seed candidate into the sorter.
@@ -112,7 +115,7 @@ func (s *candSpill) advance() error {
 		s.headOK = false
 		return nil
 	}
-	cd, err := decodeCand(rec)
+	cd, err := decodeCand(rec, s.seed)
 	if err != nil {
 		return err
 	}

@@ -12,6 +12,7 @@
 package deploy
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -65,11 +66,18 @@ func New() *Deployment {
 	}
 }
 
+// errClosed is what a closed deployment answers every request for new work
+// with: nothing would ever stop what it started.
+var errClosed = errors.New("deploy: deployment closed")
+
 // StartBroker launches a broker node and records its config for later
 // re-instantiation.
 func (d *Deployment) StartBroker(cfg broker.NodeConfig) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if d.closed {
+		return errClosed
+	}
 	if _, dup := d.nodes[cfg.ID]; dup {
 		return fmt.Errorf("deploy: broker %q already running", cfg.ID)
 	}
@@ -131,12 +139,15 @@ func (d *Deployment) AddPublisher(clientID, brokerID string, adv *message.Advert
 		return err
 	}
 	d.mu.Lock()
-	if _, dup := d.pubs[adv.ID]; dup {
+	if _, dup := d.pubs[adv.ID]; dup || d.closed {
 		// Close outside the lock: Close flushes the wire and can stall on
 		// a slow peer, and d.mu serializes every deployment accessor.
 		d.mu.Unlock()
 		_ = conn.Close()
-		return fmt.Errorf("deploy: advertisement %q already registered", adv.ID)
+		if dup {
+			return fmt.Errorf("deploy: advertisement %q already registered", adv.ID)
+		}
+		return errClosed
 	}
 	d.pubs[adv.ID] = &publisherState{clientID: clientID, adv: adv, conn: conn, broker: brokerID}
 	d.mu.Unlock()
@@ -177,10 +188,13 @@ func (d *Deployment) AddSubscriber(clientID, brokerID string, sub *message.Subsc
 		out:      make(chan *message.Publication, 256),
 	}
 	d.mu.Lock()
-	if _, dup := d.subs[sub.ID]; dup {
+	if _, dup := d.subs[sub.ID]; dup || d.closed {
 		d.mu.Unlock()
 		_ = conn.Close()
-		return nil, fmt.Errorf("deploy: subscription %q already registered", sub.ID)
+		if dup {
+			return nil, fmt.Errorf("deploy: subscription %q already registered", sub.ID)
+		}
+		return nil, errClosed
 	}
 	d.subs[sub.ID] = ss
 	d.mu.Unlock()
@@ -267,7 +281,7 @@ func (d *Deployment) Apply(plan *core.Plan, tl *telemetry.Timeline) error {
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
-		return fmt.Errorf("deploy: deployment closed")
+		return errClosed
 	}
 	oldNodes := d.nodes
 	brokers := make(map[string]broker.NodeConfig, len(d.brokers))

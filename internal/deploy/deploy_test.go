@@ -2,6 +2,7 @@ package deploy_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -139,6 +140,28 @@ func TestApplyOnClosedDeploymentFails(t *testing.T) {
 		t.Fatal("apply on closed deployment accepted")
 	}
 	d.Close() // idempotent
+}
+
+// TestClosedDeploymentRefusesNewWork: a closed deployment starts no broker
+// and attaches no client, since nothing would ever stop them.
+func TestClosedDeploymentRefusesNewWork(t *testing.T) {
+	d := deploy.New()
+	if err := d.StartBroker(broker.NodeConfig{ID: "B0", ListenAddr: "127.0.0.1:0"}); err != nil {
+		t.Fatal(err)
+	}
+	d.Close()
+	if err := d.StartBroker(broker.NodeConfig{ID: "late", ListenAddr: "127.0.0.1:0"}); err == nil {
+		t.Error("StartBroker on a closed deployment accepted")
+	}
+	if running := d.RunningBrokers(); slices.Contains(running, "late") {
+		t.Errorf("a closed deployment reports %v running", running)
+	}
+	if err := d.AddPublisher("p", "B0", message.NewAdvertisement("A", "p", nil)); err == nil {
+		t.Error("AddPublisher on a closed deployment accepted")
+	}
+	if _, err := d.AddSubscriber("c", "B0", message.NewSubscription("s", "c", nil)); err == nil {
+		t.Error("AddSubscriber on a closed deployment accepted")
+	}
 }
 
 func TestFromTopology(t *testing.T) {

@@ -46,8 +46,6 @@ type ExperimentConfig struct {
 	// MeasureRounds is the number of publications per publisher during
 	// the measured phase (default 100).
 	MeasureRounds int
-	// ProfileCapacity is the bit-vector capacity (default 1280).
-	ProfileCapacity int
 	// Seed drives random choices (AUTOMATIC topology, FBF order, ...).
 	Seed int64
 	// Core carries ablation switches through to the planner.
@@ -61,9 +59,6 @@ func (c *ExperimentConfig) withDefaults() ExperimentConfig {
 	}
 	if out.MeasureRounds == 0 {
 		out.MeasureRounds = 100
-	}
-	if out.ProfileCapacity == 0 {
-		out.ProfileCapacity = 1280
 	}
 	return out
 }
@@ -129,13 +124,13 @@ func Run(cfg ExperimentConfig) (*Result, error) {
 	// every approach sees the identical quote stream.
 	switch c.Approach {
 	case ApproachManual:
-		net, err := deployManual(sc, c.ProfileCapacity, nil)
+		net, err := deployManual(sc, profileCapacity, nil)
 		if err != nil {
 			return nil, err
 		}
 		return measure(net, sc, c, net.Brokers(), c.ProfileRounds, nil, nil, 0)
 	case ApproachAutomatic:
-		net, err := deployAutomatic(sc, c.ProfileCapacity, c.Seed)
+		net, err := deployAutomatic(sc, profileCapacity, c.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -152,23 +147,14 @@ func Run(cfg ExperimentConfig) (*Result, error) {
 // measurement — mirroring the paper's procedure of restarting every broker
 // from a clean state after Phase 3.
 func runReconfigured(sc *workload.Scenario, c ExperimentConfig) (*Result, error) {
-	net, err := deployManual(sc, c.ProfileCapacity, nil)
-	if err != nil {
-		return nil, err
-	}
-	// Phase 1a: profiling traffic fills the bit vectors.
-	if err = publishRounds(net, sc, 0, c.ProfileRounds); err != nil {
-		return nil, err
-	}
-	// Phase 1b: CROC connects to any broker and floods a BIR.
-	infos, err := GatherInfos(net, sc.Brokers[0].ID)
+	_, infos, err := Prepare(sc, c.ProfileRounds, profileCapacity)
 	if err != nil {
 		return nil, err
 	}
 	// Phases 2+3 and GRAPE.
 	coreCfg := c.Core
 	coreCfg.Algorithm = c.Approach
-	coreCfg.ProfileCapacity = c.ProfileCapacity
+	coreCfg.ProfileCapacity = profileCapacity
 	if coreCfg.Seed == 0 {
 		coreCfg.Seed = c.Seed
 	}
@@ -188,7 +174,7 @@ func runReconfigured(sc *workload.Scenario, c ExperimentConfig) (*Result, error)
 // to compare placements over one fixed overlay).
 func RunWithPlan(sc *workload.Scenario, plan *core.Plan, cfg ExperimentConfig) (*Result, error) {
 	c := cfg.withDefaults()
-	net, err := deployPlan(sc, plan, c.ProfileCapacity)
+	net, err := deployPlan(sc, plan, profileCapacity)
 	if err != nil {
 		return nil, err
 	}
@@ -196,24 +182,30 @@ func RunWithPlan(sc *workload.Scenario, plan *core.Plan, cfg ExperimentConfig) (
 		plan.CRAMStats, &plan.BuildStats, plan.ComputeTime)
 }
 
+// profileCapacity is the bit-vector capacity every experiment profiles at.
+const profileCapacity = 1280
+
 // Prepare deploys the scenario's MANUAL topology, runs the profiling
-// rounds, and gathers the broker information — Phase 1 as a standalone,
-// reusable step for planning-only experiments (the E7/E8 ablations plan
-// repeatedly over one gathered snapshot).
+// rounds, and gathers the broker information — Phase 1, which every
+// reconfiguring run starts with and planning-only experiments run alone (the
+// E7/E8 ablations plan repeatedly over one gathered snapshot). A capacity of
+// 0 means profileCapacity.
 func Prepare(sc *workload.Scenario, profileRounds, capacity int) (*Network, []message.BrokerInfo, error) {
 	if profileRounds <= 0 {
 		profileRounds = 200
 	}
 	if capacity <= 0 {
-		capacity = 1280
+		capacity = profileCapacity
 	}
 	net, err := deployManual(sc, capacity, nil)
 	if err != nil {
 		return nil, nil, err
 	}
+	// Phase 1a: profiling traffic fills the bit vectors.
 	if err = publishRounds(net, sc, 0, profileRounds); err != nil {
 		return nil, nil, err
 	}
+	// Phase 1b: CROC connects to any broker and floods a BIR.
 	infos, err := GatherInfos(net, sc.Brokers[0].ID)
 	if err != nil {
 		return nil, nil, err

@@ -17,18 +17,11 @@ import (
 // stay exactly where they are; only the publishers are relocated by GRAPE
 // using the profiles gathered in Phase 1.
 func runGrapeOnly(sc *workload.Scenario, c ExperimentConfig) (*Result, error) {
-	net, err := deployManual(sc, c.ProfileCapacity, nil)
+	_, infos, err := Prepare(sc, c.ProfileRounds, profileCapacity)
 	if err != nil {
 		return nil, err
 	}
-	if err = publishRounds(net, sc, 0, c.ProfileRounds); err != nil {
-		return nil, err
-	}
-	infos, err := GatherInfos(net, sc.Brokers[0].ID)
-	if err != nil {
-		return nil, err
-	}
-	tree, err := ManualTree(sc, infos, c.ProfileCapacity)
+	tree, err := ManualTree(sc, infos, profileCapacity)
 	if err != nil {
 		return nil, err
 	}
@@ -39,11 +32,11 @@ func runGrapeOnly(sc *workload.Scenario, c ExperimentConfig) (*Result, error) {
 
 	// Redeploy: identical brokers, links, and subscribers; publishers at
 	// their GRAPE-chosen brokers.
-	net2, err := deployManual(sc, c.ProfileCapacity, placement)
+	net, err := deployManual(sc, profileCapacity, placement)
 	if err != nil {
 		return nil, err
 	}
-	return measure(net2, sc, c, net2.Brokers(), c.ProfileRounds, nil, nil, 0)
+	return measure(net, sc, c, net.Brokers(), c.ProfileRounds, nil, nil, 0)
 }
 
 // publisherStats merges the publisher statistics from all broker infos.
