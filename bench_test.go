@@ -12,6 +12,7 @@ import (
 
 	"github.com/greenps/greenps/internal/core"
 	"github.com/greenps/greenps/internal/experiments"
+	"github.com/greenps/greenps/internal/message"
 	"github.com/greenps/greenps/internal/metrics"
 	"github.com/greenps/greenps/internal/sim"
 	"github.com/greenps/greenps/internal/workload"
@@ -271,9 +272,14 @@ func BenchmarkRoutingThroughput(b *testing.B) {
 	pubs := 0
 	for i := 0; i < b.N; i++ {
 		// Replay one publication round through the deployed overlay.
-		if err := sim.PublishRound(net, sc, i+1); err != nil {
-			b.Fatal(err)
+		for j := range sc.Publishers {
+			p := &sc.Publishers[j]
+			env := &message.Envelope{Kind: message.KindPublication, Pub: p.Stock.Publication(p.AdvID, i+1, i+1)}
+			if err := net.SendFromClient(p.ClientID, env); err != nil {
+				b.Fatal(err)
+			}
 		}
+		net.Advance(1 / sc.Publishers[0].Rate)
 		pubs += len(sc.Publishers)
 	}
 	b.ReportMetric(float64(pubs)/b.Elapsed().Seconds(), "pubs/s")

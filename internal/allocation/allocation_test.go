@@ -345,7 +345,7 @@ func TestPairwiseClusterCounts(t *testing.T) {
 			t.Errorf("k=%d: allocated %d brokers, want exactly k", k, got)
 		}
 		// Every subscription still placed exactly once.
-		placed := a.SubscriberPlacement()
+		placed := subscriberPlacement(a)
 		if len(placed) != len(in.Units) {
 			t.Errorf("k=%d: placed %d of %d subscriptions", k, len(placed), len(in.Units))
 		}
@@ -410,7 +410,7 @@ func TestNaNLoadRejected(t *testing.T) {
 		in.Units = append([]*Unit{&bad}, in.Units[1:]...)
 		for _, alg := range algs {
 			if a, err := alg.Allocate(&in); err == nil {
-				t.Errorf("%s planned a pool with load %+v: B00 output %+v", alg.Name(), load, a.Loads["B00"].Output)
+				t.Errorf("%T planned a pool with load %+v: B00 output %+v", alg, load, a.Loads["B00"].Output)
 			}
 		}
 	}
@@ -469,7 +469,7 @@ func TestQuickAllocationInvariants(t *testing.T) {
 							continue
 						}
 						if placed[m.SubID] {
-							t.Logf("%s: %s placed twice", alg.Name(), m.SubID)
+							t.Logf("%T: %s placed twice", alg, m.SubID)
 							return false
 						}
 						placed[m.SubID] = true
@@ -477,11 +477,11 @@ func TestQuickAllocationInvariants(t *testing.T) {
 				}
 			}
 			if len(placed) != len(units) {
-				t.Logf("%s: placed %d of %d", alg.Name(), len(placed), len(units))
+				t.Logf("%T: placed %d of %d", alg, len(placed), len(units))
 				return false
 			}
 			if err := a.CheckCapacity(pubs); err != nil {
-				t.Logf("%s: %v", alg.Name(), err)
+				t.Logf("%T: %v", alg, err)
 				return false
 			}
 		}
@@ -510,7 +510,7 @@ func TestAssignmentHelpers(t *testing.T) {
 	if a.UnitCount() != len(in.Units) {
 		t.Fatalf("UnitCount = %d, want %d", a.UnitCount(), len(in.Units))
 	}
-	placement := a.SubscriberPlacement()
+	placement := subscriberPlacement(a)
 	if len(placement) != len(in.Units) {
 		t.Fatalf("placement size = %d, want %d", len(placement), len(in.Units))
 	}
@@ -540,7 +540,7 @@ func TestCRAMOrderInvariance(t *testing.T) {
 		t.Fatalf("broker count depends on input order: %d vs %d",
 			a.NumAllocated(), b.NumAllocated())
 	}
-	pa, pb := a.SubscriberPlacement(), b.SubscriberPlacement()
+	pa, pb := subscriberPlacement(a), subscriberPlacement(b)
 	diffs := 0
 	for id, br := range pa {
 		if pb[id] != br {
@@ -550,4 +550,19 @@ func TestCRAMOrderInvariance(t *testing.T) {
 	if diffs != 0 {
 		t.Fatalf("%d of %d placements depend on input order", diffs, len(pa))
 	}
+}
+
+// subscriberPlacement maps every real subscription ID to its broker.
+func subscriberPlacement(a *Assignment) map[string]string {
+	out := make(map[string]string)
+	for b, us := range a.ByBroker {
+		for _, u := range us {
+			for _, m := range u.Members {
+				if m.SubID != "" {
+					out[m.SubID] = b
+				}
+			}
+		}
+	}
+	return out
 }

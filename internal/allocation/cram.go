@@ -144,9 +144,6 @@ type CRAMStats struct {
 	SpilledRuns int
 }
 
-// Name implements Algorithm.
-func (c *CRAM) Name() string { return "CRAM-" + c.Metric.String() }
-
 // Stats returns the statistics of the last Allocate run.
 func (c *CRAM) Stats() CRAMStats { return c.stats }
 

@@ -232,7 +232,7 @@ func checkDenseAgainstReference(t *testing.T, units []*Unit, brokers []*BrokerSp
 				t.Fatalf("unit %d broker %d: dense aggregate differs from Profile.Or reference:\n got %+v\nwant %+v",
 					ui, b, got.Snapshot(), ref[b].agg.Snapshot())
 			}
-			for _, adv := range got.Publishers() {
+			for adv := range got.Snapshot().Vectors {
 				if g, w := got.Vector(adv).Count(), ref[b].agg.Vector(adv).Count(); g != w {
 					t.Fatalf("unit %d broker %d publisher %s: cached count %d, reference %d", ui, b, adv, g, w)
 				}
@@ -387,8 +387,8 @@ func denseCase(seed int64, nUnits, nPubs int, mode uint8) ([]*Unit, []*BrokerSpe
 			if err != nil {
 				panic(err)
 			}
-			if w := v.Window(); w > 0 && w+3 <= v.Capacity() {
-				v.Observe(v.LastID() + 3)
+			if w := v.Window(); w > 0 && w+3 <= vs.Cap {
+				v.Observe(vs.Last + 3)
 			}
 			out.Vectors[adv] = v.Snapshot()
 		}

@@ -285,10 +285,10 @@ func TestUnitsReusedAcrossPublisherTables(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got.Fingerprint() != want.Fingerprint() {
-			t.Errorf("%s: units already allocated under another publisher table plan differently from fresh copies", mk().Name())
+			t.Errorf("%T: units already allocated under another publisher table plan differently from fresh copies", mk())
 		}
 		if got.Fingerprint() == first.Fingerprint() {
-			t.Errorf("%s: the two publisher tables give one plan; the example does not separate them", mk().Name())
+			t.Errorf("%T: the two publisher tables give one plan; the example does not separate them", mk())
 		}
 	}
 }

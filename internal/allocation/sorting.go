@@ -27,9 +27,6 @@ type FBF struct {
 
 var _ Algorithm = (*FBF)(nil)
 
-// Name implements Algorithm.
-func (*FBF) Name() string { return "FBF" }
-
 // Allocate implements Algorithm.
 func (f *FBF) Allocate(in *Input) (*Assignment, error) {
 	if err := in.Validate(); err != nil {
@@ -57,9 +54,6 @@ func (f *FBF) Allocate(in *Input) (*Assignment, error) {
 type BinPacking struct{}
 
 var _ Algorithm = (*BinPacking)(nil)
-
-// Name implements Algorithm.
-func (*BinPacking) Name() string { return "BINPACKING" }
 
 // Allocate implements Algorithm.
 func (*BinPacking) Allocate(in *Input) (*Assignment, error) {

@@ -213,21 +213,6 @@ func (a *Assignment) UnitCount() int {
 	return n
 }
 
-// SubscriberPlacement maps every real subscription ID to its broker.
-func (a *Assignment) SubscriberPlacement() map[string]string {
-	out := make(map[string]string)
-	for b, us := range a.ByBroker {
-		for _, u := range us {
-			for _, m := range u.Members {
-				if m.SubID != "" {
-					out[m.SubID] = b
-				}
-			}
-		}
-	}
-	return out
-}
-
 // Fingerprint returns a canonical textual digest of the assignment:
 // brokers in sorted ID order, each with its units in placement order, each
 // unit with its members and load. Two assignments produce the same
@@ -289,9 +274,6 @@ func (a *Assignment) CheckCapacity(pubs map[string]*bitvector.PublisherStats) er
 
 // Algorithm is a Phase-2 subscription allocation algorithm.
 type Algorithm interface {
-	// Name returns the paper's name for the algorithm (FBF, BINPACKING,
-	// CRAM-IOS, ...).
-	Name() string
 	// Allocate assigns every unit in the input to a broker, or fails if
 	// at least one unit cannot be placed.
 	Allocate(in *Input) (*Assignment, error)

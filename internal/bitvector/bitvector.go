@@ -83,16 +83,6 @@ func New(capacity int) *Vector {
 	}
 }
 
-// Capacity returns the maximum window width in bits.
-func (v *Vector) Capacity() int { return v.capacity }
-
-// FirstID returns the oldest message ID of the window.
-func (v *Vector) FirstID() int { return v.firstID }
-
-// LastID returns the highest message ID observed (set or slid past).
-// For an empty vector LastID() < FirstID().
-func (v *Vector) LastID() int { return v.lastID }
-
 // Window returns the number of valid bits, i.e. the number of message IDs
 // the vector currently has an opinion about.
 func (v *Vector) Window() int {

@@ -26,8 +26,8 @@ func TestEmptyVector(t *testing.T) {
 
 func TestDefaultCapacity(t *testing.T) {
 	v := New(0)
-	if v.Capacity() != DefaultCapacity {
-		t.Fatalf("capacity = %d, want %d", v.Capacity(), DefaultCapacity)
+	if v.capacity != DefaultCapacity {
+		t.Fatalf("capacity = %d, want %d", v.capacity, DefaultCapacity)
 	}
 	if DefaultCapacity != 1280 {
 		t.Fatalf("paper default capacity is 1280, got %d", DefaultCapacity)
@@ -52,11 +52,11 @@ func TestSetAndGet(t *testing.T) {
 	if v.Count() != 4 {
 		t.Fatalf("count = %d, want 4", v.Count())
 	}
-	if v.FirstID() != 5 {
-		t.Fatalf("firstID = %d, want 5 (anchored at first set)", v.FirstID())
+	if v.firstID != 5 {
+		t.Fatalf("firstID = %d, want 5 (anchored at first set)", v.firstID)
 	}
-	if v.LastID() != 100 {
-		t.Fatalf("lastID = %d, want 100", v.LastID())
+	if v.lastID != 100 {
+		t.Fatalf("lastID = %d, want 100", v.lastID)
 	}
 }
 
@@ -69,12 +69,12 @@ func TestPaperShiftExample(t *testing.T) {
 	for id := 101; id <= 109; id++ {
 		v.Set(id) // fill the window [100,109]
 	}
-	if v.FirstID() != 100 {
-		t.Fatalf("firstID = %d, want 100", v.FirstID())
+	if v.firstID != 100 {
+		t.Fatalf("firstID = %d, want 100", v.firstID)
 	}
 	v.Set(119)
-	if v.FirstID() != 110 {
-		t.Fatalf("after shift firstID = %d, want 110", v.FirstID())
+	if v.firstID != 110 {
+		t.Fatalf("after shift firstID = %d, want 110", v.firstID)
 	}
 	if !v.Get(119) {
 		t.Fatal("bit for ID 119 should be set at index 9")
@@ -120,8 +120,8 @@ func TestObserveSlidesWindow(t *testing.T) {
 		v.Set(id)
 	}
 	v.Observe(14) // slides 5 bits off
-	if v.FirstID() != 5 {
-		t.Fatalf("firstID = %d, want 5", v.FirstID())
+	if v.firstID != 5 {
+		t.Fatalf("firstID = %d, want 5", v.firstID)
 	}
 	if v.Count() != 5 {
 		t.Fatalf("count = %d, want 5", v.Count())
@@ -257,7 +257,7 @@ func TestCountsAcrossGridOffsets(t *testing.T) {
 		}
 		v.Observe(last)
 		m.Observe(last)
-		if v.FirstID() != first || v.LastID() != last {
+		if v.firstID != first || v.lastID != last {
 			t.Fatalf("grid vector %v, want window [%d,%d]", v, first, last)
 		}
 		switch {
@@ -319,20 +319,20 @@ func TestHostileIDs(t *testing.T) {
 					v.Observe(second)
 				}
 				v.Set(second)
-				if w := v.Window(); w < 1 || w > v.Capacity() {
-					t.Fatalf("Set(%d), Set(%d): window %d, capacity %d", first, second, w, v.Capacity())
+				if w := v.Window(); w < 1 || w > v.capacity {
+					t.Fatalf("Set(%d), Set(%d): window %d, capacity %d", first, second, w, v.capacity)
 				}
 				checkStored(t, v)
 				n := 0
 				for i := 0; i < v.Window(); i++ {
-					if v.Get(v.FirstID() + i) {
+					if v.Get(v.firstID + i) {
 						n++
 					}
 				}
 				if v.Count() != n {
 					t.Fatalf("Set(%d), Set(%d): Count() = %d, per-bit count = %d", first, second, v.Count(), n)
 				}
-				if newer := max(first, second); !v.Get(newer) || v.LastID() != newer {
+				if newer := max(first, second); !v.Get(newer) || v.lastID != newer {
 					t.Fatalf("Set(%d), Set(%d): %v does not end on the newer ID set", first, second, v)
 				}
 			}
@@ -466,7 +466,7 @@ func TestQuickAlignedOpsMatchModel(t *testing.T) {
 			}
 			v.Observe(start + width - 1)
 			// The model window after all ops:
-			return v, set, v.FirstID(), v.LastID()
+			return v, set, v.firstID, v.lastID
 		}
 		a, sa, af, al := build()
 		b, sb, bf, bl := build()
@@ -552,12 +552,12 @@ func TestQuickOrMatchesModel(t *testing.T) {
 		}
 		// Rebuild reference sets from the vectors themselves (window
 		// semantics already tested above).
-		for id := a.FirstID(); id <= a.LastID(); id++ {
+		for id := a.firstID; id <= a.lastID; id++ {
 			if a.Get(id) {
 				sa[id] = true
 			}
 		}
-		for id := b.FirstID(); id <= b.LastID(); id++ {
+		for id := b.firstID; id <= b.lastID; id++ {
 			if b.Get(id) {
 				sb[id] = true
 			}
@@ -568,7 +568,7 @@ func TestQuickOrMatchesModel(t *testing.T) {
 		for id := range sb {
 			sa[id] = true
 		}
-		for id := a.FirstID(); id <= a.LastID(); id++ {
+		for id := a.firstID; id <= a.lastID; id++ {
 			if sa[id] && !a.Get(id) {
 				t.Logf("union bit %d missing after Or", id)
 				return false
@@ -625,12 +625,12 @@ func TestOrIdempotent(t *testing.T) {
 		}
 		v := fill(caps[rng.Intn(len(caps))], vStart)
 		o := fill(caps[rng.Intn(len(caps))], oStart)
-		if o.Window() > v.Capacity() {
+		if o.Window() > v.capacity {
 			clamped++
 		}
 		union := make(map[int]bool)
 		for _, x := range []*Vector{v, o} {
-			for id := x.FirstID(); id <= x.LastID(); id++ {
+			for id := x.firstID; id <= x.lastID; id++ {
 				if x.Get(id) {
 					union[id] = true
 				}
@@ -649,7 +649,7 @@ func TestOrIdempotent(t *testing.T) {
 			}
 		}
 		n := 0
-		for id := v.FirstID(); id <= v.LastID(); id++ {
+		for id := v.firstID; id <= v.lastID; id++ {
 			if v.Get(id) != union[id] {
 				t.Fatalf("trial %d: bit %d = %v after Or, the union has %v (v=%v o=%v)", trial, id, v.Get(id), union[id], once, o)
 			}
@@ -688,8 +688,8 @@ func TestShiftAcrossManyWords(t *testing.T) {
 		v.Set(id)
 	}
 	v.Set(256 + 130) // shift by 131
-	if v.FirstID() != 131 {
-		t.Fatalf("firstID = %d, want 131", v.FirstID())
+	if v.firstID != 131 {
+		t.Fatalf("firstID = %d, want 131", v.firstID)
 	}
 	want := 256 - 131 + 1 // surviving bits + the new one
 	if v.Count() != want {

@@ -37,7 +37,6 @@ func TestConcurrentReaders(t *testing.T) {
 				_ = Closeness(MetricIOU, a, b)
 				_ = Relate(a, b)
 				_ = IntersectCount(a, b)
-				_ = UnionCount(a, b)
 				_ = DiffCount(a, b)
 				_ = XorProfileCount(a, b)
 				_ = EstimateLoad(a, stats)

@@ -39,9 +39,6 @@ func (e *Envelope) Reset() {
 	e.n = 0
 }
 
-// Len returns the number of summaries absorbed since the last Reset.
-func (e *Envelope) Len() int { return e.n }
-
 // Absorb folds one member summary into the envelope: a merge walk over
 // the two sorted publisher lists taking max counts and union windows,
 // plus the running min of totals. O(|e.pubs| + |s.pubs|).

@@ -29,8 +29,8 @@ func TestQuickEnvelopeBoundAdmissible(t *testing.T) {
 			sums[i] = Summarize(members[i])
 			env.Absorb(sums[i])
 		}
-		if env.Len() != len(members) {
-			t.Logf("Len = %d, want %d", env.Len(), len(members))
+		if env.n != len(members) {
+			t.Logf("n = %d, want %d", env.n, len(members))
 			return false
 		}
 		bound := env.Bound()

@@ -64,7 +64,7 @@ func checkModel(t *testing.T, v *Vector, m *model) {
 		}
 		return
 	}
-	if v.FirstID() != m.first || v.LastID() != m.last || v.Count() != m.Count() {
+	if v.firstID != m.first || v.lastID != m.last || v.Count() != m.Count() {
 		t.Fatalf("%v (count %d): model window [%d,%d], count %d", v, v.Count(), m.first, m.last, m.Count())
 	}
 	for id := m.first; id <= m.last; id++ {
@@ -79,15 +79,15 @@ func checkModel(t *testing.T, v *Vector, m *model) {
 // exactly. Get reads one bit at a time and or / xor / and-not are counted
 // from the bits, not derived from and.
 func refCounts(a, b *Vector) (and, or, xor, andnot int) {
-	lo, hi := a.FirstID(), a.LastID()
-	if b.FirstID() < lo {
-		lo = b.FirstID()
+	lo, hi := a.firstID, a.lastID
+	if b.firstID < lo {
+		lo = b.firstID
 	}
-	if b.LastID() > hi {
-		hi = b.LastID()
+	if b.lastID > hi {
+		hi = b.lastID
 	}
-	inA := func(id int) bool { return id >= a.FirstID() && id <= a.LastID() }
-	inB := func(id int) bool { return id >= b.FirstID() && id <= b.LastID() }
+	inA := func(id int) bool { return id >= a.firstID && id <= a.lastID }
+	inB := func(id int) bool { return id >= b.firstID && id <= b.lastID }
 	for id := lo; id <= hi; id++ {
 		x, y := a.Get(id), b.Get(id)
 		both := inA(id) && inB(id)
@@ -162,7 +162,7 @@ func checkOrMerge(t *testing.T, a, b *Vector, ma, mb *model) *Vector {
 	mm.Or(mb)
 	checkModel(t, m, mm)
 	want := 0
-	for id := m.FirstID(); id <= m.LastID(); id++ {
+	for id := m.firstID; id <= m.lastID; id++ {
 		union := a.Get(id) || b.Get(id)
 		if m.Get(id) != union {
 			t.Errorf("Or merge of %v into %v: bit %d = %v, reference = %v", b, a, id, m.Get(id), union)
@@ -213,9 +213,9 @@ func FuzzKernelEquivalence(f *testing.F) {
 		// Into an empty vector Or keeps the newest bits its capacity holds —
 		// the source may hold a wider window.
 		e := checkOrMerge(t, New(capA), b, newModel(capA), mb)
-		if e.LastID() != b.LastID() || e.Window() != min(b.Window(), capA) {
+		if e.lastID != b.lastID || e.Window() != min(b.Window(), capA) {
 			t.Errorf("Or into empty: window [%d,%d] from source [%d,%d] at capacity %d",
-				e.FirstID(), e.LastID(), b.FirstID(), b.LastID(), capA)
+				e.firstID, e.lastID, b.firstID, b.lastID, capA)
 		}
 	})
 }

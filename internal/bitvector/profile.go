@@ -94,9 +94,9 @@ func (m Metric) String() string {
 //
 // Concurrency: a Profile is not synchronized. Any number of goroutines may
 // call the read-only functions concurrently on the same profiles
-// (Closeness, Relate, IntersectCount, UnionCount, DiffCount,
-// XorProfileCount, EstimateLoad, IntersectLoad, Count, Empty, Vector,
-// Publishers, FingerprintKey, Clone, Snapshot) as long as no goroutine is
+// (Closeness, Relate, IntersectCount, DiffCount, XorProfileCount,
+// EstimateLoad, IntersectLoad, Count, Empty, Vector, FingerprintKey,
+// Clone, Snapshot) as long as no goroutine is
 // mutating them; the mutators (Record, Sync, Or) require exclusive access.
 // The parallel CRAM paths rely on this: profiles are frozen while the
 // allocation algorithms run.
@@ -158,15 +158,6 @@ func (p *Profile) Vector(advID string) *Vector {
 		return p.entries[i].vec
 	}
 	return nil
-}
-
-// Publishers returns the advertisement IDs present, sorted for determinism.
-func (p *Profile) Publishers() []string {
-	out := make([]string, len(p.entries))
-	for i, e := range p.entries {
-		out[i] = e.advID
-	}
-	return out
 }
 
 // CapacityMismatch returns the first publisher, in ascending ID, whose
@@ -264,11 +255,6 @@ func IntersectCount(a, b *Profile) int {
 		}
 	}
 	return n
-}
-
-// UnionCount returns |a ∪ b| summed across publishers.
-func UnionCount(a, b *Profile) int {
-	return a.Count() + b.Count() - IntersectCount(a, b)
 }
 
 // DiffCount returns |a \ b| summed across publishers: the bits of a not

@@ -47,7 +47,7 @@ func TestPublisherTable(t *testing.T) {
 		byPub[entries[i].Pub] = entries[i].V.Clone()
 	}
 	if got := tab.Profile(byPub, 64); !reflect.DeepEqual(got.Snapshot(), p.Snapshot()) ||
-		!reflect.DeepEqual(got.Publishers(), p.Publishers()) {
+		!reflect.DeepEqual(publishers(got), publishers(p)) {
 		t.Fatalf("Profile(Compile(p)) = %+v, want %+v", got.Snapshot(), p.Snapshot())
 	}
 

@@ -45,9 +45,6 @@ func Summarize(p *Profile) *Summary {
 	return s
 }
 
-// Total returns the summarized profile's total set-bit count.
-func (s *Summary) Total() int { return s.total }
-
 // intersectUpperBound returns an admissible upper bound on
 // IntersectCount(a, b) for the summarized profiles: per common publisher,
 // the intersection can set at most min(countA, countB) bits and at most

@@ -75,8 +75,8 @@ func TestSummaryTotals(t *testing.T) {
 		t.Fatalf("vector c count = %d, want 0 after slide", got)
 	}
 	s := Summarize(p)
-	if s.Total() != p.Count() {
-		t.Fatalf("summary total = %d, profile count = %d", s.Total(), p.Count())
+	if s.total != p.Count() {
+		t.Fatalf("summary total = %d, profile count = %d", s.total, p.Count())
 	}
 	for _, ps := range s.pubs {
 		if ps.count == 0 {

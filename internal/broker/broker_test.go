@@ -337,13 +337,18 @@ func TestFanoutDeliversOneCopyPerNeighbor(t *testing.T) {
 		}
 	}
 	base := net.Broker("B0").Counters()
+	deliveries := collect(net)
 	publish(t, net, "pub", "ADV-YHOO", 1, "YHOO", 10)
 	c := net.Broker("B0").Counters()
 	if got := c.MsgsOut - base.MsgsOut; got != 3 {
 		t.Fatalf("hub forwarded %d copies, want 3 (one per leaf, not per subscriber)", got)
 	}
-	if net.TotalDeliveries() != 6 {
-		t.Fatalf("total deliveries = %d, want 6", net.TotalDeliveries())
+	total := 0
+	for _, ds := range deliveries {
+		total += len(ds)
+	}
+	if total != 6 {
+		t.Fatalf("total deliveries = %d, want 6", total)
 	}
 }
 
@@ -389,7 +394,7 @@ func TestHostileSequenceNumbers(t *testing.T) {
 			}
 			info := c.Info()
 			v := info.Subscriptions[0].Profile.Vector("ADV-1")
-			if w := v.Window(); w < 1 || w > v.Capacity() || !v.Get(max(first, second)) {
+			if w := v.Window(); w < 1 || w > v.Snapshot().Cap || !v.Get(max(first, second)) {
 				t.Fatalf("seq %d then %d: profile vector %v", first, second, v)
 			}
 			// The BIA that carries the profile must decode at the planner.

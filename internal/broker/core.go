@@ -227,9 +227,6 @@ func (c *Core) ID() string { return c.cfg.ID }
 // Counters returns the traffic totals so far.
 func (c *Core) Counters() Counters { return c.counters }
 
-// NumSubscriptions returns the routing-table size.
-func (c *Core) NumSubscriptions() int { return c.engine.Len() }
-
 // MatchingDelaySeconds returns the modeled per-publication matching delay
 // at the current routing-table size (the paper's linear model).
 func (c *Core) MatchingDelaySeconds() float64 {
@@ -239,10 +236,6 @@ func (c *Core) MatchingDelaySeconds() float64 {
 // OutputBandwidth returns the broker's configured output bandwidth in
 // bytes/s.
 func (c *Core) OutputBandwidth() float64 { return c.cfg.OutputBandwidth }
-
-// Info exposes the broker's BIA contribution directly; the simulator's
-// measurement phase uses it, and tests inspect it.
-func (c *Core) Info() message.BrokerInfo { return c.info() }
 
 // AddNeighbor registers a broker link.
 func (c *Core) AddNeighbor(id string) {

@@ -87,10 +87,8 @@ type NodeConfig struct {
 	// ID is the broker identifier (required).
 	ID string
 	// ListenAddr is the TCP address to bind ("127.0.0.1:0" for tests).
+	// BIA messages report the bound address as the broker's URL.
 	ListenAddr string
-	// AdvertisedURL overrides the URL reported in BIA messages (defaults
-	// to the bound listen address).
-	AdvertisedURL string
 	// Delay is the matching-delay model reported to CROC.
 	Delay message.MatchingDelayFn
 	// OutputBandwidth throttles the broker's total output, bytes/s
@@ -115,15 +113,11 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	url := cfg.AdvertisedURL
-	if url == "" {
-		url = l.Addr()
-	}
 	epoch := time.Now()
 	inst := NewInstruments(cfg.Telemetry)
 	core, err := New(Config{
 		ID:              cfg.ID,
-		URL:             url,
+		URL:             l.Addr(),
 		Delay:           cfg.Delay,
 		OutputBandwidth: cfg.OutputBandwidth,
 		ProfileCapacity: cfg.ProfileCapacity,

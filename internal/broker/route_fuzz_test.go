@@ -359,7 +359,7 @@ func runRouteScript(t *testing.T, script []byte) {
 		if c.Counters() != ref.counters {
 			t.Fatalf("step %d (%s): counters %+v, brute force %+v", step, what, c.Counters(), ref.counters)
 		}
-		infos := c.Info().Subscriptions
+		infos := c.info().Subscriptions
 		if len(infos) != len(ref.profiles) {
 			t.Fatalf("step %d (%s): %d profiled subscriptions, brute force %d", step, what, len(infos), len(ref.profiles))
 		}

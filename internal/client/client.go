@@ -124,11 +124,6 @@ func (c *Client) Advertise(adv *message.Advertisement) error {
 	return c.conn.Send(&message.Envelope{Kind: message.KindAdvertisement, Adv: adv})
 }
 
-// Unadvertise withdraws an advertisement.
-func (c *Client) Unadvertise(advID string) error {
-	return c.conn.Send(&message.Envelope{Kind: message.KindUnadvertisement, UnadvID: advID})
-}
-
 // Publish sends a publication under the given advertisement, stamping the
 // per-publisher sequence number automatically.
 func (c *Client) Publish(advID string, attrs map[string]message.Value) error {

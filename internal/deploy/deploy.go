@@ -276,8 +276,8 @@ func (d *Deployment) Apply(plan *core.Plan, tl *telemetry.Timeline) error {
 	// Snapshot everything the apply reads under the lock once; the
 	// network steps below run unlocked (dialing and handshaking under
 	// d.mu would stall every concurrent read accessor), and individual
-	// state swaps re-take the lock so PublisherBroker/SubscriberBroker
-	// never observe a torn update.
+	// state swaps re-take the lock so a concurrent Publish or Close never
+	// observes a torn update.
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
@@ -396,28 +396,6 @@ func (d *Deployment) Apply(plan *core.Plan, tl *telemetry.Timeline) error {
 	d.mu.Unlock()
 	step()
 	return nil
-}
-
-// SubscriberBroker reports where a subscription currently lives.
-func (d *Deployment) SubscriberBroker(subID string) (string, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	ss, ok := d.subs[subID]
-	if !ok {
-		return "", fmt.Errorf("deploy: unknown subscription %q", subID)
-	}
-	return ss.broker, nil
-}
-
-// PublisherBroker reports where a publisher currently lives.
-func (d *Deployment) PublisherBroker(advID string) (string, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	ps, ok := d.pubs[advID]
-	if !ok {
-		return "", fmt.Errorf("deploy: unknown advertisement %q", advID)
-	}
-	return ps.broker, nil
 }
 
 // Close tears the whole deployment down and closes every delivery channel.

@@ -60,7 +60,6 @@ type Sorter struct {
 	arena  []byte // concatenated record payloads of the current batch
 	offs   []recRef
 	runs   []*os.File // spilled runs, in spill order
-	n      int        // total records added
 	sorted bool       // Sort was called; Add is no longer legal
 }
 
@@ -79,9 +78,6 @@ func NewSorter(cfg Config) *Sorter {
 	}
 	return &Sorter{cfg: cfg}
 }
-
-// Len returns the number of records added so far.
-func (s *Sorter) Len() int { return s.n }
 
 // Runs returns the number of on-disk runs spilled so far (0 while the
 // working set has stayed within the budget).
@@ -106,7 +102,6 @@ func (s *Sorter) Add(rec []byte) error {
 	off := len(s.arena)
 	s.arena = append(s.arena, rec...)
 	s.offs = append(s.offs, recRef{off: off, len: len(rec)})
-	s.n++
 	return nil
 }
 

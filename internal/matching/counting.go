@@ -72,8 +72,6 @@ type CountingEngine struct {
 	epoch uint64
 	// tombstones counts dead entries awaiting Compact.
 	tombstones int
-	// matchCount tallies publications matched, preserved across Compact.
-	matchCount int
 }
 
 // centry is the engine's record of one subscription; a tombstone has a nil sub.
@@ -133,13 +131,6 @@ func canonicalValue(v message.Value) message.Value {
 
 // Len returns the number of live subscriptions.
 func (e *CountingEngine) Len() int { return len(e.byID) }
-
-// Tombstones reports the number of dead entries awaiting Compact.
-func (e *CountingEngine) Tombstones() int { return e.tombstones }
-
-// MatchCount returns the number of publications matched, a proxy for the
-// broker's matching work.
-func (e *CountingEngine) MatchCount() int { return e.matchCount }
 
 // keyed reports whether p has an equality class: it is an equality on a
 // value that equals itself, which no invalid kind and no NaN does.
@@ -296,22 +287,6 @@ func (e *CountingEngine) Compact() {
 	e.tombstones = 0
 }
 
-// Match returns the IDs of all live subscriptions the publication
-// satisfies. The returned slice is freshly allocated and owned by the
-// caller.
-func (e *CountingEngine) Match(pub *message.Publication) []string {
-	var out []string
-	e.MatchFunc(pub, func(s *message.Subscription) { out = append(out, s.ID) })
-	return out
-}
-
-// MatchFunc invokes fn for every live subscription the publication
-// satisfies, in unspecified order. fn must not mutate the engine. The
-// broker's hot path uses MatchRouted, which avoids this adapter closure.
-func (e *CountingEngine) MatchFunc(pub *message.Publication, fn func(*message.Subscription)) {
-	e.matchOne(pub, 0, 0, func(_ int, slot int32) { fn(e.entries[slot].sub) })
-}
-
 // MatchBatch matches every publication of a batch in one pass over the
 // engine, invoking fn(i, sub) for each satisfied subscription of pubs[i].
 // Calls arrive in nondecreasing i order, which lets callers process
@@ -336,7 +311,6 @@ func (e *CountingEngine) MatchRouted(pubs []*message.Publication, arrivals []int
 // arrival group, probes the postings of the attributes the publication
 // carries and emits the candidates whose predicates all hold.
 func (e *CountingEngine) matchOne(pub *message.Publication, pubIdx int, arrival int32, fn func(int, int32)) {
-	e.matchCount++
 	e.epoch++
 	if arrival > 0 && int(arrival) < len(e.closed) {
 		e.closed[arrival] = e.epoch

@@ -38,7 +38,7 @@ func TestCountingEngineMatchesBruteForceUnderChurn(t *testing.T) {
 			h.run(slices.Concat(randomOps(rng, opPublish, maxScriptPubs), randomOps(rng, opAdd, 200),
 				randomOps(rng, opPublish, maxScriptPubs), randomOps(rng, opRemove, 120)))
 			// Some 115 removals of 200 (a few name a ghost): tombstones outnumbered the living on the way.
-			if tomb := h.e.Tombstones(); tomb == h.adds-len(h.live) {
+			if tomb := h.e.tombstones; tomb == h.adds-len(h.live) {
 				t.Fatalf("seed %d: %d tombstones beside %d live subscriptions, auto-compact never fired", seed, tomb, len(h.live))
 			}
 			h.run(slices.Concat(randomOps(rng, opAdd, 50), randomOps(rng, opPublish, maxScriptPubs),
@@ -48,8 +48,8 @@ func TestCountingEngineMatchesBruteForceUnderChurn(t *testing.T) {
 				t.Fatalf("seed %d: Compact freed %d of %d slots beside %d live subscriptions", seed, freed, slots, len(h.live))
 			}
 			h.run(randomOps(rng, opAdd, 20))
-			if h.e.Tombstones() != 0 || h.adds != 270 {
-				t.Fatalf("seed %d: %d tombstones after Compact, %d adds", seed, h.e.Tombstones(), h.adds)
+			if h.e.tombstones != 0 || h.adds != 270 {
+				t.Fatalf("seed %d: %d tombstones after Compact, %d adds", seed, h.e.tombstones, h.adds)
 			}
 			if want := slots + max(0, 20-freed); len(h.e.entries) != want {
 				t.Fatalf("seed %d: %d slots after 20 adds into %d with %d free, want %d", seed, len(h.e.entries), slots, freed, want)
@@ -82,25 +82,6 @@ func TestCountingEngineMatchBatchOrder(t *testing.T) {
 	}
 }
 
-// TestCompactPreservesMatchCount is the regression test for Compact
-// zeroing matchCount (broker matching metrics silently reset after
-// every reconfiguration): the counter must survive explicit Compact.
-func TestCompactPreservesMatchCount(t *testing.T) {
-	pub := message.NewPublication("adv", 0, map[string]message.Value{"a": message.Number(1)})
-	e := NewCountingEngine()
-	mustAdd(t, e, "s1", message.Pred("a", message.OpEq, message.Number(1)))
-	for i := 0; i < 7; i++ {
-		e.Match(pub)
-	}
-	e.Compact()
-	if got := e.MatchCount(); got != 7 {
-		t.Fatalf("MatchCount after Compact = %d, want 7", got)
-	}
-	if got := e.Match(pub); len(got) != 1 || got[0] != "s1" {
-		t.Fatalf("match after Compact = %v", got)
-	}
-}
-
 // TestAutoCompactOnChurn verifies Remove triggers compaction once
 // tombstones outnumber live entries (beyond the floor), so sustained
 // churn cannot degrade matching unboundedly.
@@ -115,7 +96,7 @@ func TestAutoCompactOnChurn(t *testing.T) {
 		}
 	}
 	// Without auto-compaction 150 tombstones would remain.
-	if tomb := e.Tombstones(); tomb > autoCompactMinTombstones {
+	if tomb := e.tombstones; tomb > autoCompactMinTombstones {
 		t.Fatalf("%d tombstones survived churn, auto-compact never fired", tomb)
 	}
 	if e.Len() != 50 {

@@ -39,6 +39,14 @@ func newHarness(tb testing.TB) *harness {
 		slots: make(map[string]int32), groups: make(map[string]int32)}
 }
 
+// Match returns the IDs of the live subscriptions the publication
+// satisfies, through the engine's one-publication match.
+func (e *CountingEngine) Match(pub *message.Publication) []string {
+	var out []string
+	e.matchOne(pub, 0, 0, func(_ int, slot int32) { out = append(out, e.entries[slot].sub.ID) })
+	return out
+}
+
 // check fails unless the engine's match set for p is the oracle's; it
 // returns the set, sorted.
 func (h *harness) check(p *message.Publication, when string) []string {

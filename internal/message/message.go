@@ -35,14 +35,6 @@ func NewPublication(advID string, seq int, attrs map[string]Value) *Publication 
 	return &Publication{AdvID: advID, Seq: seq, Attrs: cp}
 }
 
-// Clone returns a deep copy. Brokers forward clones so that hop counters do
-// not alias across branches of the overlay tree.
-func (p *Publication) Clone() *Publication {
-	cp := NewPublication(p.AdvID, p.Seq, p.Attrs)
-	cp.Hops = p.Hops
-	return cp
-}
-
 // EncodedSize approximates the publication's wire size in bytes; it is the
 // quantity bandwidth limiters and CROC's load estimator account in.
 func (p *Publication) EncodedSize() int {
@@ -94,17 +86,6 @@ func (s *Subscription) Matches(p *Publication) bool {
 		}
 	}
 	return true
-}
-
-// Key returns a canonical string for the predicate set, used to detect
-// syntactically identical subscriptions (independent of predicate order).
-func (s *Subscription) Key() string {
-	parts := make([]string, len(s.Predicates))
-	for i, pr := range s.Predicates {
-		parts[i] = pr.String()
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, "")
 }
 
 // EncodedSize approximates the subscription's wire size in bytes.

@@ -98,20 +98,6 @@ func TestSubscriptionMatches(t *testing.T) {
 	}
 }
 
-func TestSubscriptionKeyOrderIndependent(t *testing.T) {
-	a := NewSubscription("a", "c", []Predicate{
-		Pred("class", OpEq, String("STOCK")),
-		Pred("low", OpLt, Number(19)),
-	})
-	b := NewSubscription("b", "c", []Predicate{
-		Pred("low", OpLt, Number(19)),
-		Pred("class", OpEq, String("STOCK")),
-	})
-	if a.Key() != b.Key() {
-		t.Error("Key must be independent of predicate order")
-	}
-}
-
 func TestPredicatesIntersect(t *testing.T) {
 	cases := []struct {
 		a, b Predicate
@@ -276,7 +262,7 @@ func TestEncodeDecodeSubscription(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if got.Sub.Key() != sub.Key() {
+	if got.Sub.String() != sub.String() {
 		t.Fatal("subscription predicates lost in round trip")
 	}
 	if !got.Sub.Matches(stockPub(1, "X", 18)) {
@@ -330,7 +316,7 @@ func TestBIARoundTrip(t *testing.T) {
 	}
 	for i, want := range []*bitvector.Profile{info.Subscriptions[1].Profile, populated} {
 		g := got[i+1]
-		if g.Sub.Key() != info.Subscriptions[i+1].Sub.Key() {
+		if g.Sub.String() != info.Subscriptions[i+1].Sub.String() {
 			t.Errorf("%s: subscription lost in round trip", g.Sub.ID)
 		}
 		if g.Profile == nil {
@@ -400,20 +386,6 @@ func TestDecodeRejectsHostileBIA(t *testing.T) {
 	}
 }
 
-func TestPublicationClone(t *testing.T) {
-	p := stockPub(1, "YHOO", 18)
-	p.Hops = 3
-	c := p.Clone()
-	c.Hops = 7
-	c.Attrs["low"] = Number(99)
-	if p.Hops != 3 {
-		t.Error("clone hop write leaked")
-	}
-	if !p.Attrs["low"].Equal(Number(18)) {
-		t.Error("clone attr write leaked")
-	}
-}
-
 func TestEncodedSizes(t *testing.T) {
 	p := stockPub(1, "YHOO", 18)
 	if p.EncodedSize() <= 0 {
@@ -452,7 +424,6 @@ func TestPublicationSizeIsAFreshWalk(t *testing.T) {
 	}
 	for name, p := range map[string]*Publication{
 		"NewPublication": made,
-		"Clone":          made.Clone(),
 		"Decode":         decoded.Pub,
 		"struct literal": {AdvID: "ADV-X", Seq: 2, Hops: 5, Attrs: map[string]Value{"class": String("STOCK"), "open": Number(1)}},
 	} {

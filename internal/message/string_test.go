@@ -76,15 +76,6 @@ func TestValueJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestIsValid(t *testing.T) {
-	if (Value{}).IsValid() {
-		t.Error("zero value claims validity")
-	}
-	if !Number(0).IsValid() || !String("").IsValid() || !Bool(false).IsValid() {
-		t.Error("constructed values claim invalidity")
-	}
-}
-
 func TestEncodedSizeComponents(t *testing.T) {
 	if String("abc").EncodedSize() != 5 || Number(1).EncodedSize() != 8 || Bool(true).EncodedSize() != 1 {
 		t.Error("value sizes wrong")

@@ -66,16 +66,6 @@ func Number(f float64) Value { return Value{Kind: KindNumber, Num: f} }
 // Bool constructs a boolean Value.
 func Bool(b bool) Value { return Value{Kind: KindBool, B: b} }
 
-// IsValid reports whether the value was constructed with a known kind.
-func (v Value) IsValid() bool {
-	switch v.Kind {
-	case KindString, KindNumber, KindBool:
-		return true
-	default:
-		return false
-	}
-}
-
 // Equal reports exact equality of kind and payload.
 func (v Value) Equal(o Value) bool { return v.equal(&o) }
 

@@ -107,20 +107,6 @@ func (t *Tree) Validate() error {
 	return nil
 }
 
-// PureForwarders returns brokers that host no subscriptions and have
-// exactly one child — the anomaly optimization 1 eliminates. A valid
-// optimized tree returns none.
-func (t *Tree) PureForwarders() []string {
-	var out []string
-	for id := range t.Specs {
-		if len(t.Hosted[id]) == 0 && len(t.Children[id]) == 1 {
-			out = append(out, id)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Stats reports what the construction did, feeding the E10 ablation.
 type Stats struct {
 	// Layers is the number of allocation layers run (tree height above

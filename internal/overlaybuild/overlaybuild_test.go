@@ -3,6 +3,7 @@ package overlaybuild
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -302,4 +303,18 @@ func TestQuickBuildInvariants(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// PureForwarders returns brokers that host no subscriptions and have
+// exactly one child — the anomaly optimization 1 eliminates. A valid
+// optimized tree returns none.
+func (t *Tree) PureForwarders() []string {
+	var out []string
+	for id := range t.Specs {
+		if len(t.Hosted[id]) == 0 && len(t.Children[id]) == 1 {
+			out = append(out, id)
+		}
+	}
+	sort.Strings(out)
+	return out
 }

@@ -54,10 +54,6 @@ type Node struct {
 // The slice is shared and must not be modified.
 func (n *Node) Children() []*Node { return n.children }
 
-// Parents returns the node's direct parents sorted by ID. The slice is
-// shared and must not be modified.
-func (n *Node) Parents() []*Node { return n.parents }
-
 // find returns n's position in the ID-sorted list, or where it would go.
 func find(list []*Node, n *Node) (int, bool) {
 	i := sort.Search(len(list), func(i int) bool { return list[i].ID >= n.ID })
@@ -142,15 +138,6 @@ func New() *Poset {
 
 // newVisited returns an empty visited set over the poset's slots.
 func (p *Poset) newVisited() visited { return make(visited, (p.slots+63)/64) }
-
-// Len returns the number of real (non-root) nodes.
-func (p *Poset) Len() int { return len(p.nodes) }
-
-// Root returns the virtual root.
-func (p *Poset) Root() *Node { return p.root }
-
-// Node returns the node with the given ID, or nil.
-func (p *Poset) Node(id string) *Node { return p.nodes[id] }
 
 // RelateCount returns the number of relationship computations performed.
 func (p *Poset) RelateCount() int { return p.relateCount }
@@ -394,12 +381,7 @@ type SearchResult struct {
 	Computations int
 }
 
-// SearchClosest is SearchClosestOpts as the paper runs it: both prunings on.
-func (p *Poset) SearchClosest(query *bitvector.Profile, metric bitvector.Metric, skip func(*Node) bool) SearchResult {
-	return p.SearchClosestOpts(query, metric, skip, true)
-}
-
-// SearchClosestOpts finds the admissible node with the highest closeness to
+// SearchClosest finds the admissible node with the highest closeness to
 // the query profile, ties going to the lower ID. skip marks nodes that must
 // not be returned (the query's own node, blacklisted pairs) — they are still
 // traversed. The poset must not be mutated during the search; concurrent
@@ -416,7 +398,7 @@ func (p *Poset) SearchClosest(query *bitvector.Profile, metric bitvector.Metric,
 //     has an empty relationship with the query, and every descendant is a
 //     subset of the node, so the whole subtree is skipped. This pruning is
 //     exact.
-//   - Decrease pruning (pruneDecreasing, the paper's Optimization 2): stop
+//   - Decrease pruning (the paper's Optimization 2): stop
 //     descending below a child whose closeness drops strictly under its
 //     parent's, on the grounds that closeness rises toward the query's own
 //     poset position and falls past it. This is a heuristic: on chains
@@ -424,7 +406,7 @@ func (p *Poset) SearchClosest(query *bitvector.Profile, metric bitvector.Metric,
 //     miss the true maximum, trading exactness for the large search-space
 //     reduction the paper reports. The pruned child itself is still
 //     considered as a candidate.
-func (p *Poset) SearchClosestOpts(query *bitvector.Profile, metric bitvector.Metric, skip func(*Node) bool, pruneDecreasing bool) SearchResult {
+func (p *Poset) SearchClosest(query *bitvector.Profile, metric bitvector.Metric, skip func(*Node) bool) SearchResult {
 	var res SearchResult
 	prunable := metric != bitvector.MetricXor
 
@@ -452,7 +434,7 @@ func (p *Poset) SearchClosestOpts(query *bitvector.Profile, metric bitvector.Met
 					(c == res.Closeness && ch.ID < res.Best.ID)) {
 					res.Best, res.Closeness = ch, c
 				}
-				if prunable && pruneDecreasing && !rootLevel && c < it.closeness {
+				if prunable && !rootLevel && c < it.closeness {
 					continue // closeness decreasing: candidate only, no descent
 				}
 				next = append(next, item{node: ch, closeness: c})
@@ -464,97 +446,4 @@ func (p *Poset) SearchClosestOpts(query *bitvector.Profile, metric bitvector.Met
 	// node with which the query shares nothing — the paper observes exactly
 	// this defect; we do not mask it.
 	return res
-}
-
-// Walk visits every node (excluding the root) in BFS order.
-func (p *Poset) Walk(fn func(*Node)) {
-	seen := p.newVisited()
-	queue := []*Node{p.root}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur != p.root {
-			fn(cur)
-		}
-		// Enqueue in sorted order: the callback observes the visit order,
-		// so it must not depend on map iteration.
-		for _, ch := range cur.Children() {
-			if seen.mark(ch) {
-				queue = append(queue, ch)
-			}
-		}
-	}
-}
-
-// CheckInvariants verifies structural soundness: every live node holds a
-// slot of its own, every node is reachable from the root, every edge respects
-// the superset order, and the graph is acyclic. Intended for tests; returns
-// the first violation in node-ID order, so a broken graph produces the same
-// witness on every run.
-func (p *Poset) CheckInvariants() error {
-	ids := make([]string, 0, len(p.nodes))
-	for id := range p.nodes {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	// Slots first: the walks below mark nodes by them.
-	taken := make([]bool, p.slots)
-	taken[p.root.slot] = true
-	for _, id := range ids {
-		n := p.nodes[id]
-		if n.slot < 0 || n.slot >= p.slots || taken[n.slot] {
-			return fmt.Errorf("poset: node %s holds slot %d of %d, out of range or held by another node", n.ID, n.slot, p.slots)
-		}
-		taken[n.slot] = true
-	}
-	for _, s := range p.free {
-		if s < 0 || s >= p.slots || taken[s] {
-			return fmt.Errorf("poset: free slot %d of %d is out of range, held by a node or listed twice", s, p.slots)
-		}
-		taken[s] = true
-	}
-	if 1+len(p.nodes)+len(p.free) != p.slots {
-		return fmt.Errorf("poset: %d slots handed out, but %d nodes, %d free and the root", p.slots, len(p.nodes), len(p.free))
-	}
-	reached := 0
-	p.Walk(func(*Node) { reached++ })
-	if reached != len(p.nodes) {
-		return fmt.Errorf("poset: %d nodes reachable, %d registered", reached, len(p.nodes))
-	}
-	for _, id := range ids {
-		n := p.nodes[id]
-		for _, ch := range n.Children() {
-			r := bitvector.Relate(n.Profile, ch.Profile)
-			if r != bitvector.RelSuperset {
-				return fmt.Errorf("poset: edge %s -> %s has relationship %v, want superset", n.ID, ch.ID, r)
-			}
-			if _, ok := find(ch.parents, n); !ok {
-				return fmt.Errorf("poset: edge %s -> %s missing back-link", n.ID, ch.ID)
-			}
-		}
-	}
-	// Acyclicity via DFS coloring.
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make(map[*Node]int)
-	var visit func(n *Node) error
-	visit = func(n *Node) error {
-		color[n] = gray
-		for _, ch := range n.Children() {
-			switch color[ch] {
-			case gray:
-				return fmt.Errorf("poset: cycle through %s", ch.ID)
-			case white:
-				if err := visit(ch); err != nil {
-					return err
-				}
-			}
-		}
-		color[n] = black
-		return nil
-	}
-	return visit(p.root)
 }

@@ -54,7 +54,7 @@ func TestFigure2Shape(t *testing.T) {
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	rootKids := p.Root().Children()
+	rootKids := p.root.Children()
 	if len(rootKids) != 2 {
 		t.Fatalf("root children = %d, want 2 (stock, sports)", len(rootKids))
 	}
@@ -64,7 +64,7 @@ func TestFigure2Shape(t *testing.T) {
 	if got := sports.Children(); len(got) != 1 || got[0] != racing {
 		t.Fatalf("sports children = %v, want racing", names(got))
 	}
-	if len(yhoo.Parents()) != 1 || yhoo.Parents()[0] != stock {
+	if len(yhoo.parents) != 1 || yhoo.parents[0] != stock {
 		t.Fatal("yhoo parent should be stock")
 	}
 	_ = vol
@@ -105,14 +105,14 @@ func TestInsertOrderIndependence(t *testing.T) {
 		if err := p.CheckInvariants(); err != nil {
 			t.Fatalf("order %v: %v", order, err)
 		}
-		big := p.Node("big")
-		if len(p.Root().Children()) != 1 || p.Root().Children()[0] != big {
-			t.Fatalf("order %v: root child should be big, got %v", order, names(p.Root().Children()))
+		big := p.nodes["big"]
+		if len(p.root.Children()) != 1 || p.root.Children()[0] != big {
+			t.Fatalf("order %v: root child should be big, got %v", order, names(p.root.Children()))
 		}
 		if kids := big.Children(); len(kids) != 1 || kids[0].ID != "mid" {
 			t.Fatalf("order %v: big children = %v, want [mid]", order, names(kids))
 		}
-		mid := p.Node("mid")
+		mid := p.nodes["mid"]
 		if kids := mid.Children(); len(kids) != 1 || kids[0].ID != "small" {
 			t.Fatalf("order %v: mid children = %v, want [small]", order, names(kids))
 		}
@@ -128,11 +128,11 @@ func TestInsertRewiresTransitiveEdge(t *testing.T) {
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	big, small := p.Node("big"), p.Node("small")
+	big, small := p.nodes["big"], p.nodes["small"]
 	if kids := big.Children(); len(kids) != 1 || kids[0] != mid {
 		t.Fatalf("big children = %v, want [mid]", names(kids))
 	}
-	if pars := small.Parents(); len(pars) != 1 || pars[0] != mid {
+	if pars := small.parents; len(pars) != 1 || pars[0] != mid {
 		t.Fatalf("small parents = %v, want [mid]", names(pars))
 	}
 }
@@ -165,12 +165,12 @@ func TestRemoveReconnects(t *testing.T) {
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	big, small := p.Node("big"), p.Node("small")
+	big, small := p.nodes["big"], p.nodes["small"]
 	if kids := big.Children(); len(kids) != 1 || kids[0] != small {
 		t.Fatalf("big children after removal = %v, want [small]", names(kids))
 	}
-	if p.Len() != 2 {
-		t.Fatalf("len = %d, want 2", p.Len())
+	if len(p.nodes) != 2 {
+		t.Fatalf("len = %d, want 2", len(p.nodes))
 	}
 	if err := p.Remove("mid"); err == nil {
 		t.Error("removing absent node must fail")
@@ -187,7 +187,7 @@ func TestRemoveRootChildReattaches(t *testing.T) {
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if kids := p.Root().Children(); len(kids) != 1 || kids[0].ID != "small" {
+	if kids := p.root.Children(); len(kids) != 1 || kids[0].ID != "small" {
 		t.Fatalf("root children = %v, want [small]", names(kids))
 	}
 }
@@ -314,6 +314,36 @@ func TestQuickPosetInvariants(t *testing.T) {
 	}
 }
 
+// searchUnpruned is SearchClosest's walk with zero pruning only, the
+// reference decrease pruning is held to: every node is skipped or reached
+// in the same level order, and none is passed over for its closeness
+// falling below its parent's.
+func searchUnpruned(p *Poset, query *bitvector.Profile, metric bitvector.Metric) SearchResult {
+	var res SearchResult
+	seen := p.newVisited()
+	for level := []*Node{p.root}; len(level) > 0; {
+		var next []*Node
+		for _, n := range level {
+			for _, ch := range n.Children() {
+				if !seen.mark(ch) {
+					continue
+				}
+				res.Computations++
+				c := bitvector.Closeness(metric, query, ch.Profile)
+				if c == 0 {
+					continue
+				}
+				if res.Best == nil || c > res.Closeness || (c == res.Closeness && ch.ID < res.Best.ID) {
+					res.Best, res.Closeness = ch, c
+				}
+				next = append(next, ch)
+			}
+		}
+		level = next
+	}
+	return res
+}
+
 // TestQuickSearchClosestMatchesExhaustive compares the pruned search with a
 // brute-force scan over all nodes for the prunable metrics.
 func TestQuickSearchClosestMatchesExhaustive(t *testing.T) {
@@ -377,7 +407,7 @@ func TestQuickSearchClosestMatchesExhaustive(t *testing.T) {
 			})
 			// With only the exact zero-pruning, the search must find the
 			// true maximum.
-			exact := p.SearchClosestOpts(query, m, func(*Node) bool { return false }, false)
+			exact := searchUnpruned(p, query, m)
 			if bestVal == 0 {
 				if exact.Best != nil {
 					t.Logf("%v: exact search found %s where exhaustive found nothing", m, exact.Best.ID)

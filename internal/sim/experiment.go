@@ -55,7 +55,7 @@ type ExperimentConfig struct {
 func (c *ExperimentConfig) withDefaults() ExperimentConfig {
 	out := *c
 	if out.ProfileRounds == 0 {
-		out.ProfileRounds = 200
+		out.ProfileRounds = defaultProfileRounds
 	}
 	if out.MeasureRounds == 0 {
 		out.MeasureRounds = 100
@@ -116,8 +116,8 @@ type Result struct {
 func Run(cfg ExperimentConfig) (*Result, error) {
 	c := cfg.withDefaults()
 	sc := c.Scenario
-	if sc == nil {
-		return nil, fmt.Errorf("sim: no scenario configured")
+	if err := checkScenario(sc); err != nil {
+		return nil, err
 	}
 	// Baselines measure over the same publication rounds
 	// [ProfileRounds, ProfileRounds+MeasureRounds) as reconfigured runs, so
@@ -140,6 +140,18 @@ func Run(cfg ExperimentConfig) (*Result, error) {
 	default:
 		return runReconfigured(sc, c)
 	}
+}
+
+// checkScenario rejects a scenario no run can measure: the measured phase
+// paces its rounds by the publishers' rate.
+func checkScenario(sc *workload.Scenario) error {
+	if sc == nil {
+		return fmt.Errorf("sim: no scenario configured")
+	}
+	if len(sc.Publishers) == 0 {
+		return fmt.Errorf("sim: scenario %q has no publishers", sc.Name)
+	}
+	return nil
 }
 
 // runReconfigured performs the full 3-phase pipeline: MANUAL deployment,
@@ -173,6 +185,9 @@ func runReconfigured(sc *workload.Scenario, c ExperimentConfig) (*Result, error)
 // step as a reusable building block (used by the GRAPE priority example
 // to compare placements over one fixed overlay).
 func RunWithPlan(sc *workload.Scenario, plan *core.Plan, cfg ExperimentConfig) (*Result, error) {
+	if err := checkScenario(sc); err != nil {
+		return nil, err
+	}
 	c := cfg.withDefaults()
 	net, err := deployPlan(sc, plan, profileCapacity)
 	if err != nil {
@@ -185,6 +200,10 @@ func RunWithPlan(sc *workload.Scenario, plan *core.Plan, cfg ExperimentConfig) (
 // profileCapacity is the bit-vector capacity every experiment profiles at.
 const profileCapacity = 1280
 
+// defaultProfileRounds is the number of Phase-1 publications per publisher
+// when a run or Prepare names none.
+const defaultProfileRounds = 200
+
 // Prepare deploys the scenario's MANUAL topology, runs the profiling
 // rounds, and gathers the broker information — Phase 1, which every
 // reconfiguring run starts with and planning-only experiments run alone (the
@@ -192,7 +211,7 @@ const profileCapacity = 1280
 // 0 means profileCapacity.
 func Prepare(sc *workload.Scenario, profileRounds, capacity int) (*Network, []message.BrokerInfo, error) {
 	if profileRounds <= 0 {
-		profileRounds = 200
+		profileRounds = defaultProfileRounds
 	}
 	if capacity <= 0 {
 		capacity = profileCapacity
@@ -374,13 +393,6 @@ func attachClients(net *Network, sc *workload.Scenario,
 		}
 	}
 	return nil
-}
-
-// PublishRound replays a single publication round (every publisher sends
-// its quote for the given sequence number) through a deployed network;
-// exposed for throughput benchmarks.
-func PublishRound(net *Network, sc *workload.Scenario, round int) error {
-	return publishRounds(net, sc, round, 1)
 }
 
 // publishRounds replays rounds of publications: in each round every

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/greenps/greenps/internal/core"
 	"github.com/greenps/greenps/internal/workload"
 )
 
@@ -193,6 +194,34 @@ func TestHeterogeneousScenarioRuns(t *testing.T) {
 	}
 }
 
+// TestRunRejectsScenarioWithoutPublishers: the measured phase paces its
+// rounds by the first publisher's rate, so a scenario without publishers
+// is an error from every approach and from RunWithPlan, not a panic.
+func TestRunRejectsScenarioWithoutPublishers(t *testing.T) {
+	sc, err := workload.Build("small", smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, infos, err := Prepare(sc, 20, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := core.ComputePlan(infos, core.Config{Algorithm: core.AlgCRAMIOS, ProfileCapacity: profileCapacity})
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := *sc
+	empty.Publishers = nil
+	for _, ap := range append(Approaches(), ApproachGrapeOnly) {
+		if _, err := Run(smallConfig(&empty, ap)); err == nil {
+			t.Errorf("%s: a scenario without publishers was run", ap)
+		}
+	}
+	if _, err := RunWithPlan(&empty, plan, smallConfig(&empty, core.AlgCRAMIOS)); err == nil {
+		t.Error("RunWithPlan: a scenario without publishers was run")
+	}
+}
+
 func TestRunValidation(t *testing.T) {
 	if _, err := Run(ExperimentConfig{}); err == nil {
 		t.Error("missing scenario accepted")
@@ -207,17 +236,26 @@ func TestRunValidation(t *testing.T) {
 }
 
 // TestPrepareCountsProfilingDeliveries pins what the profiling rounds
-// leave behind: the delivery count and no observer.
+// leave behind: deliveries counted in the subscriptions' profiles and no
+// observer.
 func TestPrepareCountsProfilingDeliveries(t *testing.T) {
 	sc, err := workload.Build("profiling", smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, _, err := Prepare(sc, 20, 0)
+	net, infos, err := Prepare(sc, 20, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if net.TotalDeliveries() == 0 {
+	counted := 0
+	for _, info := range infos {
+		for _, s := range info.Subscriptions {
+			if s.Profile != nil {
+				counted += s.Profile.Count()
+			}
+		}
+	}
+	if counted == 0 {
 		t.Fatal("profiling delivered nothing")
 	}
 	if net.OnDelivery != nil {
@@ -237,17 +275,12 @@ func TestNetworkHelpers(t *testing.T) {
 	if len(infos) != len(sc.Brokers) {
 		t.Fatalf("Prepare gathered %d infos", len(infos))
 	}
-	if net.TotalDeliveries() == 0 {
-		t.Fatal("profiling delivered nothing")
-	}
-	net.ResetClientLogs()
-	if net.TotalDeliveries() != 0 {
-		t.Fatal("ResetClientLogs kept the counter")
-	}
-	if err := PublishRound(net, sc, 21); err != nil {
+	delivered := 0
+	net.OnDelivery = func(Delivery) { delivered++ }
+	if err := publishRounds(net, sc, 20, 1); err != nil {
 		t.Fatal(err)
 	}
-	if net.TotalDeliveries() == 0 {
-		t.Fatal("PublishRound delivered nothing")
+	if delivered == 0 {
+		t.Fatal("a round after profiling delivered nothing")
 	}
 }

@@ -96,7 +96,7 @@ func withHops(env *message.Envelope, hops int) *message.Envelope {
 // deterministic FIFO order under a virtual clock.
 type Network struct {
 	// OnDelivery receives every publication delivered to a client, in
-	// arrival order. Nil only counts them (TotalDeliveries).
+	// arrival order, or nil.
 	OnDelivery func(Delivery)
 
 	// index maps a broker ID to its position in nodes.
@@ -108,10 +108,9 @@ type Network struct {
 	head  int
 	// in is the one-message batch Drain hands a core, outs the buffer
 	// every core appends to.
-	in        [1]broker.Inbound
-	outs      []broker.Outgoing
-	now       float64
-	delivered int
+	in   [1]broker.Inbound
+	outs []broker.Outgoing
+	now  float64
 }
 
 // NewNetwork returns an empty network at virtual time zero.
@@ -311,11 +310,10 @@ func (n *Network) Drain() error {
 
 // deliverToClient hands a publication to the observer and a BIA to its
 // client. Only a core's own clients receive publications, so a
-// publication is counted without looking its client up.
+// publication is observed without looking its client up.
 func (n *Network) deliverToClient(q *queued) error {
 	switch q.env.Kind {
 	case message.KindPublication:
-		n.delivered++
 		if n.OnDelivery != nil {
 			n.OnDelivery(Delivery{
 				ClientID: q.to.ID,
@@ -332,16 +330,4 @@ func (n *Network) deliverToClient(q *queued) error {
 		cl.BIAs = append(cl.BIAs, q.env.BIA)
 	}
 	return nil
-}
-
-// TotalDeliveries returns the count of publications delivered to clients.
-func (n *Network) TotalDeliveries() int { return n.delivered }
-
-// ResetClientLogs clears every client's BIA log and the global delivery
-// counter.
-func (n *Network) ResetClientLogs() {
-	for _, cl := range n.clients {
-		cl.BIAs = nil
-	}
-	n.delivered = 0
 }

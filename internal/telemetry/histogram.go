@@ -78,8 +78,6 @@ func (h *Histogram) Count() uint64 {
 	return h.count.Load()
 }
 
-func (h *Histogram) metricName() string { return h.name }
-
 func (h *Histogram) snapshot() Metric {
 	m := Metric{
 		Name:    h.name,

@@ -75,14 +75,6 @@ func (g *Gauge) Set(n int64) {
 	g.v.Store(n)
 }
 
-// Add adjusts the value by delta (may be negative).
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 {
 	if g == nil {
@@ -137,16 +129,13 @@ type Metric struct {
 
 // instrument is the Registry-internal view of one registered metric.
 type instrument interface {
-	metricName() string
 	snapshot() Metric
 }
 
-func (c *Counter) metricName() string { return c.name }
 func (c *Counter) snapshot() Metric {
 	return Metric{Name: c.name, Help: c.help, Kind: KindCounter, Value: c.Value()}
 }
 
-func (g *Gauge) metricName() string { return g.name }
 func (g *Gauge) snapshot() Metric {
 	return Metric{Name: g.name, Help: g.help, Kind: KindGauge, Value: g.Value()}
 }

@@ -96,7 +96,7 @@ func TestConnInstruments(t *testing.T) {
 	}
 	// Detaching restores the no-op bundle.
 	c.SetInstruments(nil)
-	if err := c.Send(&message.Envelope{Kind: message.KindPublication, Pub: pub.Clone()}); err != nil {
+	if err := c.Send(&message.Envelope{Kind: message.KindPublication, Pub: pub}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Recv(); err != nil {

@@ -191,9 +191,6 @@ func (c *Conn) Close() error {
 	return c.closeErr
 }
 
-// RemoteAddr returns the peer address.
-func (c *Conn) RemoteAddr() string { return c.nc.RemoteAddr().String() }
-
 // writeFrame sends one length-prefixed payload: SendFrames of one.
 func (c *Conn) writeFrame(payload []byte) error {
 	return c.SendFrames([][]byte{payload})

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"github.com/greenps/greenps/internal/message"
@@ -98,9 +99,13 @@ func Defaults() Options {
 	}
 }
 
-// Build generates the scenario.
+// Build generates the scenario. It rejects options no run can use: no
+// broker or publisher, a negative subscription count, stock histories
+// shorter than a day, and a publication rate that is not finite and
+// positive.
 func Build(name string, o Options) (*Scenario, error) {
-	if o.Brokers < 1 || o.Publishers < 1 || o.SubsPerPublisher < 0 {
+	if o.Brokers < 1 || o.Publishers < 1 || o.SubsPerPublisher < 0 || o.Days < 1 ||
+		!(o.PubRate > 0) || math.IsInf(o.PubRate, 1) {
 		return nil, fmt.Errorf("workload: invalid options %+v", o)
 	}
 	rng := rand.New(rand.NewSource(o.Seed))

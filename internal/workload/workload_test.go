@@ -8,6 +8,33 @@ import (
 	"github.com/greenps/greenps/internal/message"
 )
 
+// TestBuildRejectsBadOptions: every option below breaks a run later (a
+// division by zero in the simulator, negative or zero rates, a NaN load
+// inside allocation), so Build refuses it up front.
+func TestBuildRejectsBadOptions(t *testing.T) {
+	for name, edit := range map[string]func(*Options){
+		"no brokers":    func(o *Options) { o.Brokers = 0 },
+		"no publishers": func(o *Options) { o.Publishers = 0 },
+		"Days 0":        func(o *Options) { o.Days = 0 },
+		"PubRate -1":    func(o *Options) { o.PubRate = -1 },
+		"PubRate 0":     func(o *Options) { o.PubRate = 0 },
+		"PubRate NaN":   func(o *Options) { o.PubRate = math.NaN() },
+		"PubRate +Inf":  func(o *Options) { o.PubRate = math.Inf(1) },
+	} {
+		o := Defaults()
+		o.Brokers, o.Publishers, o.SubsPerPublisher = 4, 2, 3
+		edit(&o)
+		if _, err := Build("bad", o); err == nil {
+			t.Errorf("%s: Build accepted %+v", name, o)
+		}
+	}
+	o := Defaults()
+	o.Brokers, o.Publishers, o.SubsPerPublisher = 4, 2, 3
+	if _, err := Build("good", o); err != nil {
+		t.Errorf("the unedited options: %v", err)
+	}
+}
+
 func TestGenerateStockDeterministic(t *testing.T) {
 	a := GenerateStock(7, "YHOO", 100)
 	b := GenerateStock(7, "YHOO", 100)
@@ -270,7 +297,7 @@ func TestQuickScenarioDeterminism(t *testing.T) {
 		}
 		for i := range a.Subscribers {
 			if a.Subscribers[i].HomeBroker != b.Subscribers[i].HomeBroker ||
-				a.Subscribers[i].Sub.Key() != b.Subscribers[i].Sub.Key() {
+				a.Subscribers[i].Sub.String() != b.Subscribers[i].Sub.String() {
 				return false
 			}
 		}
