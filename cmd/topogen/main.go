@@ -14,6 +14,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -55,15 +56,20 @@ func run() error {
 
 	w := bufio.NewWriter(os.Stdout)
 	defer w.Flush()
+	writeTopology(w, sc, *host, *basePort)
+	return nil
+}
+
+// writeTopology renders the scenario as a topology file whose brokers
+// listen on host from basePort up.
+func writeTopology(w io.Writer, sc *workload.Scenario, host string, basePort int) {
 	fmt.Fprintf(w, "# generated by topogen: %d brokers, %d publishers, %d subscriptions\n",
 		len(sc.Brokers), len(sc.Publishers), len(sc.Subscribers))
 	fmt.Fprintf(w, "# deploy with: panda -file <this file>; reconfigure with: croc -broker %s:%d\n\n",
-		*host, *basePort)
-	addr := make(map[string]string, len(sc.Brokers))
+		host, basePort)
 	for i, b := range sc.Brokers {
-		addr[b.ID] = fmt.Sprintf("%s:%d", *host, *basePort+i)
-		fmt.Fprintf(w, "broker %s addr=%s bw=%.0f delay=%g,%g\n",
-			b.ID, addr[b.ID], b.OutputBandwidth, b.Delay.PerSub, b.Delay.Base)
+		fmt.Fprintf(w, "broker %s addr=%s:%d bw=%.0f delay=%g,%g\n",
+			b.ID, host, basePort+i, b.OutputBandwidth, b.Delay.PerSub, b.Delay.Base)
 	}
 	fmt.Fprintln(w)
 	for _, e := range sc.Tree {
@@ -71,16 +77,15 @@ func run() error {
 	}
 	fmt.Fprintln(w)
 	for _, p := range sc.Publishers {
-		fmt.Fprintf(w, "publisher %s broker=%s advid=%s adv=\"%s\" rate=%g\n",
+		fmt.Fprintf(w, "publisher %s broker=%s advid=%s adv=\"%s\"\n",
 			p.ClientID, p.HomeBroker, p.AdvID,
-			predString(p.Stock.Advertisement(p.AdvID, p.ClientID).Predicates), p.Rate)
+			predString(p.Stock.Advertisement(p.AdvID, p.ClientID).Predicates))
 	}
 	fmt.Fprintln(w)
 	for _, s := range sc.Subscribers {
 		fmt.Fprintf(w, "subscriber %s broker=%s filter=\"%s\"\n",
 			s.Sub.SubscriberID, s.HomeBroker, predString(s.Sub.Predicates))
 	}
-	return nil
 }
 
 // predString renders predicates in the filter syntax topology.Parse reads.

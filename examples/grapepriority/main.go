@@ -14,10 +14,8 @@ import (
 	"fmt"
 	"log"
 
-	"github.com/greenps/greenps/internal/bitvector"
 	"github.com/greenps/greenps/internal/core"
 	"github.com/greenps/greenps/internal/grape"
-	"github.com/greenps/greenps/internal/message"
 	"github.com/greenps/greenps/internal/sim"
 	"github.com/greenps/greenps/internal/workload"
 )
@@ -56,7 +54,7 @@ func run() error {
 	plan := &core.Plan{Algorithm: "GRAPE", Tree: tree, Subscribers: tree.SubscriberPlacement()}
 	fmt.Printf("fixed overlay: the MANUAL fan-out-2 tree over all %d brokers\n\n", len(sc.Brokers))
 
-	stats := gatherStats(infos)
+	stats := core.PublisherStats(infos)
 	fmt.Printf("%-14s %14s %10s %12s\n", "load priority", "total msgs/s", "avg hops", "avg delay ms")
 	for _, priority := range []int{0, 25, 50, 75, 100} {
 		placement, err := grape.RelocateWithPriority(plan.Tree, stats, priority)
@@ -81,15 +79,4 @@ func run() error {
 	fmt.Println("lower priorities accept equal-or-higher broker load in exchange for")
 	fmt.Println("shorter rate-weighted delivery paths")
 	return nil
-}
-
-// gatherStats merges the publisher statistics from the gathered infos.
-func gatherStats(infos []message.BrokerInfo) map[string]*bitvector.PublisherStats {
-	out := make(map[string]*bitvector.PublisherStats)
-	for i := range infos {
-		for _, pi := range infos[i].Publishers {
-			out[pi.Stats.AdvID] = pi.Stats
-		}
-	}
-	return out
 }

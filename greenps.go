@@ -261,7 +261,7 @@ func summarize(plan *core.Plan) *PlanSummary {
 		Children:    doc.Edges,
 		Subscribers: doc.Subscribers,
 		Publishers:  doc.Publishers,
-		ComputeTime: plan.ComputeTime,
+		ComputeTime: plan.ComputeTime(),
 	}
 }
 

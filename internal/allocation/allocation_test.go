@@ -46,9 +46,8 @@ func testWorkload(seed int64, nPubs, nSubsPerPub int, rate, msgBytes float64) ([
 			}
 			prof.Sync(pubs)
 			id := fmt.Sprintf("s-%d-%d", p, s)
-			sub := message.NewSubscription(id, "client-"+id, nil)
 			load := bitvector.EstimateLoad(prof, pubs)
-			units = append(units, NewSubscriptionUnit("u-"+id, sub, prof, load))
+			units = append(units, NewSubscriptionUnit("u-"+id, id, prof, load))
 		}
 	}
 	return units, pubs
@@ -319,8 +318,7 @@ func TestCRAMHandlesEmptyProfiles(t *testing.T) {
 	// Add subscriptions that sank nothing.
 	for i := 0; i < 5; i++ {
 		id := fmt.Sprintf("idle-%d", i)
-		sub := message.NewSubscription(id, "client-"+id, nil)
-		units = append(units, NewSubscriptionUnit("u-"+id, sub,
+		units = append(units, NewSubscriptionUnit("u-"+id, id,
 			bitvector.NewProfile(testCap), bitvector.Load{}))
 	}
 	in := &Input{Units: units, Brokers: testBrokers(10, 6_000, stdDelay()),
@@ -419,8 +417,8 @@ func TestNaNLoadRejected(t *testing.T) {
 func TestMergeUnits(t *testing.T) {
 	units, _ := testWorkload(5, 1, 4, 10, 100)
 	m := MergeUnits("merged", testCap, units...)
-	if len(m.Members) != 4 || m.Filters != 4 {
-		t.Fatalf("members=%d filters=%d, want 4/4", len(m.Members), m.Filters)
+	if len(m.Members) != 4 {
+		t.Fatalf("members=%d, want 4", len(m.Members))
 	}
 	var wantBW float64
 	for _, u := range units {

@@ -44,7 +44,7 @@ func (rb *refBroker) fits(u *Unit, uIn bitvector.Load, pubs map[string]*bitvecto
 	}
 	inter := bitvector.IntersectLoad(rb.agg, u.Profile, pubs)
 	newInRate := rb.inLoad.Rate + uIn.Rate - inter.Rate
-	return newInRate <= rb.spec.Delay.MaxRate(rb.filters+u.Filters), inter
+	return newInRate <= rb.spec.Delay.MaxRate(rb.filters+len(u.Members)), inter
 }
 
 func (rb *refBroker) accept(u *Unit, uIn, inter bitvector.Load) {
@@ -52,7 +52,7 @@ func (rb *refBroker) accept(u *Unit, uIn, inter bitvector.Load) {
 	rb.inLoad.Bandwidth += uIn.Bandwidth - inter.Bandwidth
 	rb.agg.Or(u.Profile)
 	rb.outLoad = rb.outLoad.Add(u.Load)
-	rb.filters += u.Filters
+	rb.filters += len(u.Members)
 }
 
 func sameLoad(a, b bitvector.Load) bool {
@@ -305,10 +305,11 @@ const (
 // a negative publisher rate, which must switch the mark off.
 //
 // denseEdges aims at what place's column scan must get right: one unit in
-// four occupies no filter, so a saturated broker's mark may not turn it away;
-// the first broker keeps a narrow pipe when denseSaturated widens the others,
-// so a unit is turned away by bandwidth and then by a mark; and one case in
-// four carries a NaN publisher rate, under which no mark may fire.
+// four has no member and so occupies no filter, so a saturated broker's
+// mark may not turn it away; the first broker keeps a narrow pipe when
+// denseSaturated widens the others, so a unit is turned away by bandwidth
+// and then by a mark; and one case in four carries a NaN publisher rate,
+// under which no mark may fire.
 func denseCase(seed int64, nUnits, nPubs int, mode uint8) ([]*Unit, []*BrokerSpec, map[string]*bitvector.PublisherStats, int) {
 	rng := rand.New(rand.NewSource(seed))
 	caps := []int{64, 100, 128, 256, bitvector.DefaultCapacity}
@@ -434,13 +435,11 @@ func denseCase(seed int64, nUnits, nPubs int, mode uint8) ([]*Unit, []*BrokerSpe
 		if err != nil {
 			panic(err)
 		}
-		units[i] = &Unit{
-			ID:      fmt.Sprintf("u%d", i),
-			Members: []Member{{SubID: fmt.Sprintf("s%d", i)}},
-			Profile: prof,
-			Load:    load,
-			Filters: filters,
+		members := make([]Member, filters)
+		for k := range members {
+			members[k].SubID = fmt.Sprintf("s%d-%d", i, k)
 		}
+		units[i] = &Unit{ID: fmt.Sprintf("u%d", i), Members: members, Profile: prof, Load: load}
 	}
 	brokers := make([]*BrokerSpec, 1+rng.Intn(5))
 	for i := range brokers {
@@ -563,7 +562,7 @@ func TestInternIsExactContent(t *testing.T) {
 			prof.Record("P", seq)
 		}
 		prof.Sync(map[string]*bitvector.PublisherStats{"P": {AdvID: "P", LastSeq: last}})
-		return &Unit{ID: id, Members: []Member{{SubID: id}}, Profile: prof, Filters: 1}
+		return &Unit{ID: id, Members: []Member{{SubID: id}}, Profile: prof}
 	}
 	a, b, c := unit("a", 99), unit("b", 99), unit("c", 149)
 	if a.Profile.FingerprintKey() != c.Profile.FingerprintKey() {

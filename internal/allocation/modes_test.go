@@ -51,7 +51,7 @@ func cramModesCase(data []byte) (*Input, bitvector.Metric) {
 		}
 		prof.Sync(pubs)
 		id := fmt.Sprintf("s%d", i)
-		units[i] = NewSubscriptionUnit("u-"+id, message.NewSubscription(id, "c-"+id, nil), prof, bitvector.EstimateLoad(prof, pubs))
+		units[i] = NewSubscriptionUnit("u-"+id, id, prof, bitvector.EstimateLoad(prof, pubs))
 	}
 	return &Input{Units: units, Brokers: testBrokers(nBrokers, brokerBW, delay), Publishers: pubs, ProfileCapacity: testCap}, metric
 }

@@ -16,7 +16,7 @@ type packUnit struct {
 	load bitvector.Load
 	// in is the unit's input-side load: the traffic matching its profile.
 	in bitvector.Load
-	// filters is the unit's routing-table entry count, Unit.Filters.
+	// filters is the unit's routing-table entry count, one per member.
 	filters int
 	// entries lists the profile's vectors by ascending publisher index —
 	// ascending advertisement ID, the order bitvector.EstimateLoad and
@@ -32,7 +32,7 @@ type packUnit struct {
 // (unit, table).
 func compileUnit(u *Unit, t *bitvector.PublisherTable) packUnit {
 	entries := t.Compile(u.Profile)
-	return packUnit{load: u.Load, in: inputLoad(entries, t.Stats()), filters: u.Filters, entries: entries}
+	return packUnit{load: u.Load, in: inputLoad(entries, t.Stats()), filters: len(u.Members), entries: entries}
 }
 
 // inputLoad is bitvector.EstimateLoad over a compiled profile: the same

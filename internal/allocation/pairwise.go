@@ -210,7 +210,7 @@ func (p *Pairwise) Allocate(in *Input) (*Assignment, error) {
 		out.Loads[spec.ID] = BrokerLoad{
 			Input:   inLoad,
 			Output:  unit.Load,
-			Filters: unit.Filters,
+			Filters: len(unit.Members),
 		}
 		out.Profiles[spec.ID] = unit.Profile.Clone()
 	}

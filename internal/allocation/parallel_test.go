@@ -84,7 +84,7 @@ func TestFeasEngineMatchesFromScratch(t *testing.T) {
 		for c := rng.Intn(4); c > 0; c-- {
 			dup := *u
 			dup.ID = fmt.Sprintf("%s-dup%d", u.ID, c)
-			dup.Members = []Member{{SubID: dup.ID, Load: u.Load}}
+			dup.Members = []Member{{SubID: dup.ID}}
 			dup.Profile = u.Profile.Clone()
 			units = append(units, &dup)
 		}

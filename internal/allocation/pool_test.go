@@ -438,7 +438,7 @@ func probeCase(data []byte) (units, removed, added []*Unit, brokers []*BrokerSpe
 			}
 		}
 		return &Unit{ID: id, Members: []Member{{SubID: id}}, Profile: prof,
-			Load: bitvector.Load{Rate: bw / 100, Bandwidth: bw}, Filters: 1}
+			Load: bitvector.Load{Rate: bw / 100, Bandwidth: bw}}
 	}
 	for i := 1; i <= nUnits; i++ {
 		units = append(units, unit(fmt.Sprintf("u%d", i)))

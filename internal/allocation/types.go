@@ -35,18 +35,15 @@ type BrokerSpec struct {
 }
 
 // Member is one constituent of a unit: either a real subscription or, in
-// Phase 3, a child broker represented as a pseudo-subscription.
+// Phase 3, a child broker represented as a pseudo-subscription. Each
+// member is one routing-table entry for the matching-delay model: a child
+// broker's aggregate filter is stored once.
 type Member struct {
 	// SubID is the subscription ID (empty for pseudo-members).
 	SubID string
-	// SubscriberID is the owning client (empty for pseudo-members).
-	SubscriberID string
 	// ChildBroker is the represented child broker ID (empty for real
 	// subscriptions).
 	ChildBroker string
-	// Load is the member's own delivery requirement: the publication rate
-	// and bandwidth its broker must send it.
-	Load bitvector.Load
 }
 
 // Unit is an allocatable cluster of members that share a broker. Its
@@ -60,31 +57,23 @@ type Unit struct {
 	Members []Member
 	// Profile is the OR of the members' bit-vector profiles.
 	Profile *bitvector.Profile
-	// Load is the sum of the members' delivery loads.
+	// Load is the sum of the members' delivery loads: the publication
+	// rate and bandwidth its broker must send them.
 	Load bitvector.Load
-	// Filters is the number of routing-table entries the unit occupies for
-	// the matching-delay model: one per real subscription, one per child
-	// broker (whose aggregate filter the parent stores once).
-	Filters int
 }
 
-// NewSubscriptionUnit wraps a single subscription into a unit.
-func NewSubscriptionUnit(id string, sub *message.Subscription, profile *bitvector.Profile, load bitvector.Load) *Unit {
+// NewSubscriptionUnit wraps subscription subID into a unit.
+func NewSubscriptionUnit(id, subID string, profile *bitvector.Profile, load bitvector.Load) *Unit {
 	return &Unit{
-		ID: id,
-		Members: []Member{{
-			SubID:        sub.ID,
-			SubscriberID: sub.SubscriberID,
-			Load:         load,
-		}},
+		ID:      id,
+		Members: []Member{{SubID: subID}},
 		Profile: profile,
 		Load:    load,
-		Filters: 1,
 	}
 }
 
 // MergeUnits combines units into one cluster: members concatenate, profiles
-// OR together, loads and filter counts add.
+// OR together, loads add.
 func MergeUnits(id string, capacity int, units ...*Unit) *Unit {
 	out := &Unit{ID: id, Profile: bitvector.NewProfile(capacity)}
 	members := 0
@@ -96,7 +85,6 @@ func MergeUnits(id string, capacity int, units ...*Unit) *Unit {
 		out.Members = append(out.Members, u.Members...)
 		out.Profile.Or(u.Profile)
 		out.Load = out.Load.Add(u.Load)
-		out.Filters += u.Filters
 	}
 	return out
 }

@@ -20,8 +20,6 @@ import (
 type Package struct {
 	// Path is the import path diagnostics and scope decisions key on.
 	Path string
-	// Dir is the package's source directory.
-	Dir  string
 	Fset *token.FileSet
 	// Files holds the non-test source files in file-name order.
 	Files []*ast.File
@@ -34,7 +32,6 @@ type listPkg struct {
 	ImportPath string
 	Dir        string
 	GoFiles    []string
-	Imports    []string
 	Export     string
 	DepOnly    bool
 }
@@ -47,7 +44,7 @@ type listPkg struct {
 func goList(dir string, patterns []string) ([]listPkg, error) {
 	args := append([]string{
 		"list", "-export", "-deps",
-		"-json=ImportPath,Dir,GoFiles,Imports,Export,DepOnly",
+		"-json=ImportPath,Dir,GoFiles,Export,DepOnly",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -99,7 +96,6 @@ func newInfo() *types.Info {
 func check(fset *token.FileSet, imp types.Importer, path, dir string, fileNames []string) (*Package, error) {
 	pkg := &Package{
 		Path: path,
-		Dir:  dir,
 		Fset: fset,
 		Info: newInfo(),
 	}

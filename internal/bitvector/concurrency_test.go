@@ -44,7 +44,9 @@ func TestConcurrentReaders(t *testing.T) {
 				_ = a.Count()
 				_ = a.FingerprintKey()
 				_ = a.Clone()
-				_ = Merged(capacity, a, b)
+				m := NewProfile(capacity)
+				m.Or(a)
+				m.Or(b)
 			}
 		}()
 	}

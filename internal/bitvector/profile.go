@@ -198,17 +198,6 @@ func (p *Profile) Or(o *Profile) {
 	}
 }
 
-// Merged returns a new profile equal to the OR of all given profiles.
-func Merged(capacity int, profiles ...*Profile) *Profile {
-	out := NewProfile(capacity)
-	for _, pr := range profiles {
-		if pr != nil {
-			out.Or(pr)
-		}
-	}
-	return out
-}
-
 // Count returns the total number of set bits across all publishers. Each
 // per-vector popcount is an O(1) cached load, so the sum is O(publishers)
 // regardless of capacity. The per-vector caches — not a profile-level total

@@ -48,7 +48,9 @@ func TestPaperFigure1Clustering(t *testing.T) {
 	s2.Vector("Adv1").Observe(75) // no-op: Observe only advances
 	s2.Record("Adv3", 4)
 
-	merged := Merged(64, s1, s2)
+	merged := NewProfile(64)
+	merged.Or(s1)
+	merged.Or(s2)
 	if got := merged.Vector("Adv1").Count(); got != 5 {
 		t.Errorf("merged Adv1 count = %d, want 5", got)
 	}

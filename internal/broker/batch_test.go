@@ -128,8 +128,9 @@ func TestHandleBatchMatchesSequentialHandle(t *testing.T) {
 // their size from an earlier hop emits, counts and meters exactly what
 // the same batch does when the core walks every publication itself.
 func TestInboundSizeStandsInForTheWalk(t *testing.T) {
-	walked := throughputCore(t, nil)
-	sized := throughputCore(t, nil)
+	regWalked, regSized := telemetry.New(nil), telemetry.New(nil)
+	walked := throughputCore(t, broker.NewInstruments(regWalked))
+	sized := throughputCore(t, broker.NewInstruments(regSized))
 	plain := batchWorkload()
 	carried := slices.Clone(plain)
 	for i := range carried {
@@ -150,6 +151,10 @@ func TestInboundSizeStandsInForTheWalk(t *testing.T) {
 	}
 	if sized.Counters() != walked.Counters() {
 		t.Fatalf("counters: carried %+v, walked %+v", sized.Counters(), walked.Counters())
+	}
+	const bytesIn = "greenps_broker_bytes_in_total"
+	if a, b := counterValueTB(t, regSized, bytesIn), counterValueTB(t, regWalked, bytesIn); a != b || a == 0 {
+		t.Fatalf("%s: carried %d, walked %d", bytesIn, a, b)
 	}
 	a, b := sized.Info().Publishers, walked.Info().Publishers
 	if len(a) != len(b) {

@@ -8,18 +8,25 @@ import (
 	"github.com/greenps/greenps/internal/broker"
 	"github.com/greenps/greenps/internal/message"
 	"github.com/greenps/greenps/internal/sim"
+	"github.com/greenps/greenps/internal/telemetry"
 )
 
-// chain builds B0 - B1 - ... - B(n-1) on a fresh network.
-func chain(t *testing.T, n int) *sim.Network {
+// chain builds B0 - B1 - ... - B(n-1) on a fresh network; broker Bi
+// reports its metrics to regs[i] when there is one.
+func chain(t *testing.T, n int, regs ...*telemetry.Registry) *sim.Network {
 	t.Helper()
 	net := sim.NewNetwork()
 	for i := 0; i < n; i++ {
+		var inst *broker.Instruments
+		if i < len(regs) {
+			inst = broker.NewInstruments(regs[i])
+		}
 		if _, err := net.AddBroker(broker.Config{
 			ID:              fmt.Sprintf("B%d", i),
 			URL:             fmt.Sprintf("inproc://B%d", i),
 			Delay:           message.MatchingDelayFn{PerSub: 0.0001, Base: 0.001},
 			OutputBandwidth: 1e6,
+			Instruments:     inst,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +265,8 @@ func TestBIRBIAAggregation(t *testing.T) {
 }
 
 func TestCountersAccumulate(t *testing.T) {
-	net := chain(t, 2)
+	reg0 := telemetry.New(nil)
+	net := chain(t, 2, reg0)
 	if _, err := net.AttachClient("pub", "B0"); err != nil {
 		t.Fatal(err)
 	}
@@ -269,6 +277,8 @@ func TestCountersAccumulate(t *testing.T) {
 	subscribe(t, net, "sub", "s1", "YHOO")
 	base0 := net.Broker("B0").Counters()
 	base1 := net.Broker("B1").Counters()
+	const bytesIn = "greenps_broker_bytes_in_total"
+	baseIn0 := counterValueTB(t, reg0, bytesIn)
 	publish(t, net, "pub", "ADV-YHOO", 1, "YHOO", 10)
 	c0 := net.Broker("B0").Counters()
 	c1 := net.Broker("B1").Counters()
@@ -279,7 +289,7 @@ func TestCountersAccumulate(t *testing.T) {
 	if c1.MsgsIn-base1.MsgsIn != 1 || c1.MsgsOut-base1.MsgsOut != 1 {
 		t.Errorf("B1 delta in/out = %d/%d, want 1/1", c1.MsgsIn-base1.MsgsIn, c1.MsgsOut-base1.MsgsOut)
 	}
-	if c0.BytesIn <= base0.BytesIn || c0.BytesOut <= base0.BytesOut {
+	if c0.BytesOut <= base0.BytesOut || counterValueTB(t, reg0, bytesIn) <= baseIn0 {
 		t.Error("byte counters did not grow")
 	}
 }

@@ -121,7 +121,6 @@ type advEntry struct {
 type Counters struct {
 	MsgsIn   int
 	MsgsOut  int
-	BytesIn  int
 	BytesOut int
 }
 
@@ -292,7 +291,6 @@ func (c *Core) Handle(from Endpoint, env *message.Envelope, out []Outgoing) ([]O
 // of sz bytes.
 func (c *Core) accountIn(sz int) {
 	c.counters.MsgsIn++
-	c.counters.BytesIn += sz
 	c.inst.MsgsIn.Inc()
 	c.inst.BytesIn.Add(int64(sz))
 }

@@ -9,8 +9,9 @@ import "github.com/greenps/greenps/internal/telemetry"
 // uses the shared no-op set, so the simulator path pays one nil check
 // per counter site and never allocates.
 type Instruments struct {
-	// MsgsIn/MsgsOut and BytesIn/BytesOut mirror Counters as live
-	// metrics (every envelope through Handle, all kinds).
+	// MsgsIn/MsgsOut and BytesOut mirror Counters as live metrics, and
+	// BytesIn counts the inbound bytes (every envelope through Handle,
+	// all kinds).
 	MsgsIn   *telemetry.Counter
 	MsgsOut  *telemetry.Counter
 	BytesIn  *telemetry.Counter

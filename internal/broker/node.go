@@ -167,7 +167,7 @@ func (n *Node) ConnectNeighbor(addr string) error {
 	if err != nil {
 		return err
 	}
-	if err = conn.SendHello(transport.Hello{Kind: transport.PeerBroker, ID: n.ID(), URL: n.Addr()}); err != nil {
+	if err = conn.SendHello(transport.Hello{Kind: transport.PeerBroker, ID: n.ID()}); err != nil {
 		_ = conn.Close()
 		return err
 	}
@@ -210,7 +210,7 @@ func (n *Node) acceptLoop() {
 				_ = conn.Close()
 				return
 			}
-			if err := conn.SendHello(transport.Hello{Kind: transport.PeerBroker, ID: n.ID(), URL: n.Addr()}); err != nil {
+			if err := conn.SendHello(transport.Hello{Kind: transport.PeerBroker, ID: n.ID()}); err != nil {
 				_ = conn.Close()
 				return
 			}

@@ -10,6 +10,7 @@ import (
 
 	"github.com/greenps/greenps/internal/bitvector"
 	"github.com/greenps/greenps/internal/message"
+	"github.com/greenps/greenps/internal/telemetry"
 )
 
 // Route script alphabets: a script subscribes, advertises and publishes
@@ -38,8 +39,8 @@ const (
 
 // routeRef is the brute-force router FuzzRouteEquivalence holds Core to:
 // every live subscription with its last hop, matched by
-// Subscription.Matches, and the profile and counters that implies; every
-// live advertisement with the endpoint it came from; and the neighbors
+// Subscription.Matches, and the profile, counters and inbound bytes that
+// implies; every live advertisement with the endpoint it came from; and the neighbors
 // each subscription has been sent to, ascending.
 type routeRef struct {
 	subs      map[string]*message.Subscription
@@ -49,6 +50,7 @@ type routeRef struct {
 	fwd       map[string][]string
 	neighbors []string
 	counters  Counters
+	bytesIn   int64
 }
 
 // flood returns a copy of a control envelope to every neighbor but the
@@ -175,7 +177,7 @@ func (r *routeRef) outputs(from Endpoint, env *message.Envelope) []Outgoing {
 // account advances the reference counters by one input and its outputs.
 func (r *routeRef) account(env *message.Envelope, out []Outgoing) {
 	r.counters.MsgsIn++
-	r.counters.BytesIn += env.EncodedSize()
+	r.bytesIn += int64(env.EncodedSize())
 	for _, o := range out {
 		r.counters.MsgsOut++
 		r.counters.BytesOut += o.Env.EncodedSize()
@@ -237,7 +239,8 @@ func describe(outs []Outgoing) string {
 
 // runRouteScript decodes a script and runs it through a Core and the
 // reference side by side, comparing every HandleBatch call's outputs, the
-// counters and the CBC profiles after every operation, and holding every
+// counters, the inbound-bytes metric and the CBC profiles after every
+// operation, and holding every
 // output to the emission-run invariant.
 func runRouteScript(t *testing.T, script []byte) {
 	next := func(mod int) int {
@@ -248,7 +251,8 @@ func runRouteScript(t *testing.T, script []byte) {
 		script = script[1:]
 		return int(b) % mod
 	}
-	c, err := New(Config{ID: "B", Delay: message.MatchingDelayFn{Base: 0.001}, Clock: func() float64 { return 0 }})
+	c, err := New(Config{ID: "B", Delay: message.MatchingDelayFn{Base: 0.001}, Clock: func() float64 { return 0 },
+		Instruments: NewInstruments(telemetry.New(nil))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,6 +363,9 @@ func runRouteScript(t *testing.T, script []byte) {
 		if c.Counters() != ref.counters {
 			t.Fatalf("step %d (%s): counters %+v, brute force %+v", step, what, c.Counters(), ref.counters)
 		}
+		if got := c.inst.BytesIn.Value(); got != ref.bytesIn {
+			t.Fatalf("step %d (%s): %d bytes in, brute force %d", step, what, got, ref.bytesIn)
+		}
 		infos := c.info().Subscriptions
 		if len(infos) != len(ref.profiles) {
 			t.Fatalf("step %d (%s): %d profiled subscriptions, brute force %d", step, what, len(infos), len(ref.profiles))
@@ -375,8 +382,8 @@ func runRouteScript(t *testing.T, script []byte) {
 // unsubscriptions, advertisements and unadvertisements from clients and
 // 1–4 neighbors, compactions, and runs of publications from clients and
 // neighbors, and holds Core to the brute-force reference after every
-// operation: HandleBatch's outputs in order, the traffic counters and the
-// CBC profiles.
+// operation: HandleBatch's outputs in order, the traffic counters, the
+// inbound-bytes metric and the CBC profiles.
 func FuzzRouteEquivalence(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
 		script := make([]byte, 300)

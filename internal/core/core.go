@@ -57,10 +57,11 @@ type Config struct {
 	// Seed drives FBF's draw order and the PAIRWISE/AUTOMATIC random
 	// choices.
 	Seed int64
-	// Clock, when non-nil, is sampled around planning to fill
-	// Plan.ComputeTime (experiment E7). The core package never reads the
-	// wall clock itself — the plan must be a pure function of its inputs —
-	// so callers that want timing pass time.Now explicitly.
+	// Clock, when non-nil, is sampled between the pipeline stages to fill
+	// Plan.PhaseTimes, whose sum is Plan.ComputeTime (experiment E7). The
+	// core package never reads the wall clock itself — the plan must be a
+	// pure function of its inputs — so callers that want timing pass
+	// time.Now explicitly.
 	Clock func() time.Time
 	// CRAM ablation switches (experiment E8); zero values = paper
 	// behavior.
@@ -96,12 +97,9 @@ type Plan struct {
 	CRAMStats *allocation.CRAMStats
 	// BuildStats reports the overlay construction optimizations.
 	BuildStats overlaybuild.Stats
-	// ComputeTime is the wall time spent planning (experiment E7).
-	ComputeTime time.Duration
-	// PhaseTimes breaks ComputeTime into pipeline stages. Like
-	// ComputeTime it is measurement, not plan content: sampled from
-	// Config.Clock (all zero when the clock is nil) and never fed back
-	// into planning.
+	// PhaseTimes breaks ComputeTime into pipeline stages. It is
+	// measurement, not plan content: sampled from Config.Clock (all zero
+	// when the clock is nil) and never fed back into planning.
 	PhaseTimes PhaseTimes
 }
 
@@ -113,10 +111,18 @@ type PhaseTimes struct {
 	Inputs time.Duration
 	// Allocate covers the Phase-2 subscription allocation.
 	Allocate time.Duration
-	// Build covers the Phase-3 recursive overlay construction.
+	// Build covers the Phase-3 recursive overlay construction and the
+	// subscriber placement read off it.
 	Build time.Duration
 	// Grape covers publisher relocation.
 	Grape time.Duration
+}
+
+// ComputeTime is the wall time spent planning (experiment E7), the sum
+// of PhaseTimes.
+func (p *Plan) ComputeTime() time.Duration {
+	pt := p.PhaseTimes
+	return pt.Inputs + pt.Allocate + pt.Build + pt.Grape
 }
 
 // stageTimer laps the injected clock between pipeline stages; with no
@@ -148,6 +154,29 @@ func (t *stageTimer) lap() time.Duration {
 // NumBrokers returns the number of brokers the plan allocates.
 func (p *Plan) NumBrokers() int { return p.Tree.NumBrokers() }
 
+// PublisherStats merges the publisher statistics of every BIA (Broker
+// Information Answer), keyed by advertisement ID.
+func PublisherStats(infos []message.BrokerInfo) map[string]*bitvector.PublisherStats {
+	out := make(map[string]*bitvector.PublisherStats)
+	for i := range infos {
+		for _, pi := range infos[i].Publishers {
+			out[pi.Stats.AdvID] = pi.Stats
+		}
+	}
+	return out
+}
+
+// SubscriptionUnit converts one BIA subscription into a planner unit: ID
+// "u-" plus the subscription ID, an empty profile of the given capacity
+// when the broker reported none, and the load the profile draws from pubs.
+func SubscriptionUnit(si message.SubscriptionInfo, capacity int, pubs map[string]*bitvector.PublisherStats) *allocation.Unit {
+	prof := si.Profile
+	if prof == nil {
+		prof = bitvector.NewProfile(capacity)
+	}
+	return allocation.NewSubscriptionUnit("u-"+si.Sub.ID, si.Sub.ID, prof, bitvector.EstimateLoad(prof, pubs))
+}
+
 // inputsFromInfos converts the aggregated BIA contents into an allocation
 // input: one unit per subscription, the global broker pool, and the merged
 // publisher statistics.
@@ -156,7 +185,7 @@ func inputsFromInfos(infos []message.BrokerInfo, capacity int) (*allocation.Inpu
 		return nil, fmt.Errorf("core: no broker information gathered")
 	}
 	in := &allocation.Input{
-		Publishers:      make(map[string]*bitvector.PublisherStats),
+		Publishers:      PublisherStats(infos),
 		ProfileCapacity: capacity,
 	}
 	for i := range infos {
@@ -173,20 +202,8 @@ func inputsFromInfos(infos []message.BrokerInfo, capacity int) (*allocation.Inpu
 			Delay:           bi.Delay,
 			OutputBandwidth: bw,
 		})
-		for _, pi := range bi.Publishers {
-			in.Publishers[pi.Stats.AdvID] = pi.Stats
-		}
-	}
-	// Units second, so load estimation sees every publisher.
-	for i := range infos {
-		for _, si := range infos[i].Subscriptions {
-			prof := si.Profile
-			if prof == nil {
-				prof = bitvector.NewProfile(capacity)
-			}
-			load := bitvector.EstimateLoad(prof, in.Publishers)
-			in.Units = append(in.Units,
-				allocation.NewSubscriptionUnit("u-"+si.Sub.ID, si.Sub, prof, load))
+		for _, si := range bi.Subscriptions {
+			in.Units = append(in.Units, SubscriptionUnit(si, capacity, in.Publishers))
 		}
 	}
 	sort.Slice(in.Units, func(a, b int) bool { return in.Units[a].ID < in.Units[b].ID })
@@ -200,10 +217,6 @@ func inputsFromInfos(infos []message.BrokerInfo, capacity int) (*allocation.Inpu
 // ComputePlan runs Phases 2 and 3 and GRAPE over the gathered broker
 // information.
 func ComputePlan(infos []message.BrokerInfo, cfg Config) (*Plan, error) {
-	var started time.Time
-	if cfg.Clock != nil {
-		started = cfg.Clock()
-	}
 	st := newStageTimer(cfg.Clock)
 	in, err := inputsFromInfos(infos, cfg.ProfileCapacity)
 	if err != nil {
@@ -225,10 +238,6 @@ func ComputePlan(infos []message.BrokerInfo, cfg Config) (*Plan, error) {
 		if err := planThreePhase(plan, in, cfg, mode, st); err != nil {
 			return nil, err
 		}
-	}
-	plan.Subscribers = plan.Tree.SubscriberPlacement()
-	if cfg.Clock != nil {
-		plan.ComputeTime = cfg.Clock().Sub(started)
 	}
 	return plan, nil
 }
@@ -292,6 +301,7 @@ func planThreePhase(plan *Plan, in *allocation.Input, cfg Config, mode grape.Mod
 		return fmt.Errorf("core: phase 3: %w", err)
 	}
 	plan.Tree = tree
+	plan.Subscribers = tree.SubscriberPlacement()
 	plan.BuildStats = builder.Stats()
 	plan.PhaseTimes.Build = st.lap()
 	placement, err := grape.Relocate(tree, in.Publishers, mode)
@@ -336,6 +346,7 @@ func planPairwise(plan *Plan, in *allocation.Input, cfg Config, st *stageTimer) 
 		return err
 	}
 	plan.Tree = tree
+	plan.Subscribers = tree.SubscriberPlacement()
 	plan.PhaseTimes.Build = st.lap()
 	// Random publisher placement over the allocated brokers.
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x9e3779b9))
@@ -367,20 +378,16 @@ func RandomTree(assign *allocation.Assignment, seed int64) (*overlaybuild.Tree, 
 	t := &overlaybuild.Tree{
 		Root:     ids[0],
 		Children: make(map[string][]string),
-		Parent:   make(map[string]string),
 		Hosted:   make(map[string][]*allocation.Unit),
-		Profiles: make(map[string]*bitvector.Profile),
 		Specs:    make(map[string]*allocation.BrokerSpec),
 	}
 	for i, id := range ids {
 		t.Specs[id] = assign.Specs[id]
 		t.Hosted[id] = assign.ByBroker[id]
-		t.Profiles[id] = assign.Profiles[id]
 		if i == 0 {
 			continue
 		}
 		parent := ids[rng.Intn(i)]
-		t.Parent[id] = parent
 		t.Children[parent] = append(t.Children[parent], id)
 	}
 	for _, id := range ids {

@@ -91,10 +91,31 @@ func TestComputePlanAllAlgorithms(t *testing.T) {
 					t.Fatalf("%s: publisher %s placed on unallocated broker %s", alg, advID, b)
 				}
 			}
-			if plan.ComputeTime <= 0 {
+			if plan.ComputeTime() <= 0 {
 				t.Errorf("%s: missing compute time", alg)
 			}
 		})
+	}
+}
+
+// TestPhaseTimesSumToComputeTime plans with a clock that steps 1 ms per
+// read: the four stages take one step each and add up to 4 ms, so no
+// clock read and no planning work falls outside a stage.
+func TestPhaseTimesSumToComputeTime(t *testing.T) {
+	infos := buildInfos(8, 3, 10)
+	for _, alg := range []string{AlgBinPacking, AlgPairwiseK} {
+		var now time.Time
+		clock := func() time.Time {
+			now = now.Add(time.Millisecond)
+			return now
+		}
+		plan, err := ComputePlan(infos, Config{Algorithm: alg, ProfileCapacity: 256, Clock: clock})
+		if err != nil {
+			t.Fatalf("%s: %v", alg, err)
+		}
+		if got := plan.ComputeTime(); got != 4*time.Millisecond {
+			t.Errorf("%s: stages %+v sum to %v, want 4ms", alg, plan.PhaseTimes, got)
+		}
 	}
 }
 

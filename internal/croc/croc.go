@@ -136,7 +136,7 @@ func ToDoc(p *core.Plan) *PlanDoc {
 		Edges:         p.Tree.Children,
 		Subscribers:   p.Subscribers,
 		Publishers:    map[string]string(p.Publishers),
-		ComputeMillis: p.ComputeTime.Milliseconds(),
+		ComputeMillis: p.ComputeTime().Milliseconds(),
 	}
 	for _, id := range p.Tree.Brokers() {
 		doc.Brokers[id] = p.Tree.Specs[id].URL
@@ -158,7 +158,7 @@ func WriteJSON(w io.Writer, p *core.Plan) error {
 func Render(w io.Writer, p *core.Plan) error {
 	fmt.Fprintf(w, "algorithm: %s\n", p.Algorithm)
 	fmt.Fprintf(w, "allocated brokers: %d (root %s)\n", p.Tree.NumBrokers(), p.Tree.Root)
-	fmt.Fprintf(w, "compute time: %v\n", p.ComputeTime.Round(time.Millisecond))
+	fmt.Fprintf(w, "compute time: %v\n", p.ComputeTime().Round(time.Millisecond))
 	if p.CRAMStats != nil {
 		st := p.CRAMStats
 		fmt.Fprintf(w, "CRAM: %d subs -> %d GIFs -> %d units; %d closeness computations, %d pack attempts\n",

@@ -21,7 +21,6 @@ func consolidationPlan(root, advID, subID string) *core.Plan {
 		Tree: &overlaybuild.Tree{
 			Root:     root,
 			Children: map[string][]string{},
-			Parent:   map[string]string{},
 			Specs:    map[string]*allocation.BrokerSpec{root: nil},
 		},
 		Subscribers: map[string]string{subID: root},

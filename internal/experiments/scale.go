@@ -87,10 +87,9 @@ func ScaleWorkload(seed int64, subs int) (*allocation.Input, error) {
 		}
 		prof.Sync(pubs)
 		id := fmt.Sprintf("s%d", s)
-		sub := message.NewSubscription(id, "c"+id, nil)
 		load := bitvector.EstimateLoad(prof, pubs)
 		totalBW += load.Bandwidth
-		units = append(units, allocation.NewSubscriptionUnit("u"+id, sub, prof, load))
+		units = append(units, allocation.NewSubscriptionUnit("u"+id, id, prof, load))
 	}
 	nBrokers := nPubs / 2
 	if nBrokers < 8 {

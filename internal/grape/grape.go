@@ -108,8 +108,7 @@ func RelocateWithPriority(t *overlaybuild.Tree, pubs map[string]*bitvector.Publi
 		delayScores := make([]float64, len(brokers))
 		var maxLoad, maxDelay float64
 		for i, b := range brokers {
-			loadScores[i] = scoreCandidate(b, pubs[advID], local, adj, ModeLoad)
-			delayScores[i] = scoreCandidate(b, pubs[advID], local, adj, ModeDelay)
+			loadScores[i], delayScores[i] = scoreCandidate(b, pubs[advID], local, adj)
 			if loadScores[i] > maxLoad {
 				maxLoad = loadScores[i]
 			}
@@ -188,19 +187,19 @@ func localVectors(t *overlaybuild.Tree, brokers []string, advID string) map[stri
 	return out
 }
 
-// scoreCandidate computes the cost of attaching the publisher at broker b.
+// scoreCandidate computes both costs of attaching the publisher at broker
+// b from one walk of the tree rooted there.
 //
-// Load mode: the publisher's rate times the sum over tree edges of the
+// load: the publisher's rate times the sum over tree edges of the
 // fraction of its publications that must cross each edge — a publication
 // crosses the edge toward a subtree iff the subtree holds a matching
 // subscription (the down-vector OR). This is the exact per-edge flow of
 // filter-based routing.
 //
-// Delay mode: the sum over brokers of the delivered rate at that broker
-// times its hop distance from b.
+// delay: the sum over brokers of the delivered rate at that broker times
+// its hop distance from b.
 func scoreCandidate(b string, st *bitvector.PublisherStats,
-	local map[string]*bitvector.Vector, adj map[string][]string, mode Mode) float64 {
-	score := 0.0
+	local map[string]*bitvector.Vector, adj map[string][]string) (load, delay float64) {
 	type frame struct {
 		node, parent string
 		depth        int
@@ -239,22 +238,14 @@ func scoreCandidate(b string, st *bitvector.PublisherStats,
 		}
 		down[f.node] = agg
 	}
-	switch mode {
-	case ModeLoad:
-		for _, f := range order {
-			if f.node == b {
-				continue // no edge above the attachment broker
-			}
-			if dv := down[f.node]; dv != nil {
-				score += float64(st.Rate * dv.Fraction())
-			}
+	for _, f := range order {
+		// The attachment broker has no edge above it.
+		if dv := down[f.node]; dv != nil && f.node != b {
+			load += float64(st.Rate * dv.Fraction())
 		}
-	case ModeDelay:
-		for _, f := range order {
-			if lv, ok := local[f.node]; ok {
-				score += float64(st.Rate * lv.Fraction() * float64(f.depth))
-			}
+		if lv, ok := local[f.node]; ok {
+			delay += float64(st.Rate * lv.Fraction() * float64(f.depth))
 		}
 	}
-	return score
+	return load, delay
 }

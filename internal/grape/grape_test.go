@@ -27,29 +27,20 @@ func chainTree(t *testing.T) (*overlaybuild.Tree, map[string]*bitvector.Publishe
 		prof := mkProfile(advID)
 		return &allocation.Unit{
 			ID:      id,
-			Members: []allocation.Member{{SubID: id, SubscriberID: "c-" + id, Load: bitvector.Load{Rate: 10, Bandwidth: 1000}}},
+			Members: []allocation.Member{{SubID: id}},
 			Profile: prof,
 			Load:    bitvector.Load{Rate: 10, Bandwidth: 1000},
-			Filters: 1,
 		}
 	}
 	spec := func(id string) *allocation.BrokerSpec {
 		return &allocation.BrokerSpec{ID: id, OutputBandwidth: 1e6}
 	}
-	leafProf := mkProfile("A")
-	rootProf := mkProfile("B")
-	midProf := leafProf.Clone()
-	midProf.Or(rootProf)
 	tree := &overlaybuild.Tree{
 		Root:     "ROOT",
 		Children: map[string][]string{"ROOT": {"MID"}, "MID": {"LEAF"}},
-		Parent:   map[string]string{"MID": "ROOT", "LEAF": "MID"},
 		Hosted: map[string][]*allocation.Unit{
 			"LEAF": {mkUnit("sA", "A")},
 			"ROOT": {mkUnit("sB", "B")},
-		},
-		Profiles: map[string]*bitvector.Profile{
-			"ROOT": midProf, "MID": leafProf, "LEAF": leafProf,
 		},
 		Specs: map[string]*allocation.BrokerSpec{
 			"ROOT": spec("ROOT"), "MID": spec("MID"), "LEAF": spec("LEAF"),
@@ -101,10 +92,9 @@ func TestRelocateBalancedPublisher(t *testing.T) {
 		}
 		return &allocation.Unit{
 			ID:      id,
-			Members: []allocation.Member{{SubID: id, SubscriberID: "c", Load: bitvector.Load{Rate: 5, Bandwidth: 500}}},
+			Members: []allocation.Member{{SubID: id}},
 			Profile: p,
 			Load:    bitvector.Load{Rate: 5, Bandwidth: 500},
-			Filters: 1,
 		}
 	}
 	tree.Hosted["LEAF"] = append(tree.Hosted["LEAF"], mk("sC1"))
@@ -189,9 +179,7 @@ func TestRelocateStarTopology(t *testing.T) {
 	tree := &overlaybuild.Tree{
 		Root:     "HUB",
 		Children: map[string][]string{"HUB": {"L1", "L2", "L3", "L4"}},
-		Parent:   map[string]string{"L1": "HUB", "L2": "HUB", "L3": "HUB", "L4": "HUB"},
 		Hosted:   map[string][]*allocation.Unit{},
-		Profiles: map[string]*bitvector.Profile{},
 		Specs: map[string]*allocation.BrokerSpec{
 			"HUB": spec("HUB"), "L1": spec("L1"), "L2": spec("L2"), "L3": spec("L3"), "L4": spec("L4"),
 		},
@@ -201,12 +189,10 @@ func TestRelocateStarTopology(t *testing.T) {
 		prof := mkProf("P", frac)
 		tree.Hosted[leaf] = []*allocation.Unit{{
 			ID:      "u" + leaf,
-			Members: []allocation.Member{{SubID: "s" + leaf, SubscriberID: "c", Load: bitvector.Load{Rate: 1, Bandwidth: 100}}},
+			Members: []allocation.Member{{SubID: "s" + leaf}},
 			Profile: prof,
 			Load:    bitvector.Load{Rate: 1, Bandwidth: 100},
-			Filters: 1,
 		}}
-		tree.Profiles[leaf] = prof
 	}
 	pubs := map[string]*bitvector.PublisherStats{
 		"P": {AdvID: "P", Rate: 10, Bandwidth: 1000, LastSeq: 99},

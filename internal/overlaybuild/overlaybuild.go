@@ -33,14 +33,9 @@ type Tree struct {
 	// Children maps a broker to its child brokers (sorted; absent key =
 	// leaf).
 	Children map[string][]string
-	// Parent maps a broker to its parent (the root has no entry).
-	Parent map[string]string
 	// Hosted maps a broker to the real subscription units it serves
 	// directly.
 	Hosted map[string][]*allocation.Unit
-	// Profiles maps a broker to the OR of every profile at or below it
-	// (the filter its parent routes by).
-	Profiles map[string]*bitvector.Profile
 	// Specs indexes the specs of allocated brokers.
 	Specs map[string]*allocation.BrokerSpec
 }
@@ -73,17 +68,15 @@ func (t *Tree) SubscriberPlacement() map[string]string {
 	return out
 }
 
-// Validate checks the structural invariants: a single root, parent/child
-// link symmetry, acyclicity, and full reachability.
+// Validate checks that Children is a tree over exactly the allocated
+// brokers: every broker reached from the root is reached once and has a
+// spec, and every spec is reached.
 func (t *Tree) Validate() error {
 	if t.Root == "" {
 		return fmt.Errorf("overlaybuild: tree has no root")
 	}
 	if _, ok := t.Specs[t.Root]; !ok {
 		return fmt.Errorf("overlaybuild: root %q has no spec", t.Root)
-	}
-	if _, hasParent := t.Parent[t.Root]; hasParent {
-		return fmt.Errorf("overlaybuild: root %q has a parent", t.Root)
 	}
 	seen := map[string]bool{t.Root: true}
 	queue := []string{t.Root}
@@ -94,15 +87,17 @@ func (t *Tree) Validate() error {
 			if seen[ch] {
 				return fmt.Errorf("overlaybuild: broker %q reached twice (cycle or DAG)", ch)
 			}
-			if t.Parent[ch] != cur {
-				return fmt.Errorf("overlaybuild: child %q parent link = %q, want %q", ch, t.Parent[ch], cur)
+			if _, ok := t.Specs[ch]; !ok {
+				return fmt.Errorf("overlaybuild: child %q of %q has no spec", ch, cur)
 			}
 			seen[ch] = true
 			queue = append(queue, ch)
 		}
 	}
-	if len(seen) != len(t.Specs) {
-		return fmt.Errorf("overlaybuild: %d brokers reachable from root, %d allocated", len(seen), len(t.Specs))
+	for _, id := range t.Brokers() {
+		if !seen[id] {
+			return fmt.Errorf("overlaybuild: broker %q is not reachable from root %q", id, t.Root)
+		}
 	}
 	return nil
 }
@@ -160,10 +155,9 @@ func pseudoUnit(n *node, pubs map[string]*bitvector.PublisherStats) *allocation.
 	in := bitvector.EstimateLoad(n.profile, pubs)
 	return &allocation.Unit{
 		ID:      "ps-" + n.id,
-		Members: []allocation.Member{{ChildBroker: n.id, Load: in}},
+		Members: []allocation.Member{{ChildBroker: n.id}},
 		Profile: n.profile,
 		Load:    in,
-		Filters: 1,
 	}
 }
 
@@ -410,21 +404,17 @@ func flatten(root *node) *Tree {
 	t := &Tree{
 		Root:     root.id,
 		Children: make(map[string][]string),
-		Parent:   make(map[string]string),
 		Hosted:   make(map[string][]*allocation.Unit),
-		Profiles: make(map[string]*bitvector.Profile),
 		Specs:    make(map[string]*allocation.BrokerSpec),
 	}
 	var visit func(n *node)
 	visit = func(n *node) {
 		t.Specs[n.id] = n.spec
-		t.Profiles[n.id] = n.profile
 		if len(n.hosted) > 0 {
 			t.Hosted[n.id] = n.hosted
 		}
 		for _, c := range n.children {
 			t.Children[n.id] = append(t.Children[n.id], c.id)
-			t.Parent[c.id] = n.id
 			visit(c)
 		}
 		sort.Strings(t.Children[n.id])

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -40,8 +41,7 @@ func buildWorkload(seed int64, nPubs, nSubsPerPub int, rate, msgBytes float64) (
 			}
 			prof.Sync(pubs)
 			id := fmt.Sprintf("s-%d-%d", p, s)
-			sub := message.NewSubscription(id, "client-"+id, nil)
-			units = append(units, allocation.NewSubscriptionUnit("u-"+id, sub, prof,
+			units = append(units, allocation.NewSubscriptionUnit("u-"+id, id, prof,
 				bitvector.EstimateLoad(prof, pubs)))
 		}
 	}
@@ -120,6 +120,37 @@ func TestBuildSingleLeafIsRoot(t *testing.T) {
 	}
 	if err := tree.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestValidateRejects holds Validate to the brokers it is given: each row
+// breaks one rule of a tree over exactly the allocated brokers, and the
+// spec-less child reaches as many brokers as are allocated.
+func TestValidateRejects(t *testing.T) {
+	specs := func(ids ...string) map[string]*allocation.BrokerSpec {
+		out := make(map[string]*allocation.BrokerSpec)
+		for _, id := range ids {
+			out[id] = &allocation.BrokerSpec{ID: id, OutputBandwidth: 1}
+		}
+		return out
+	}
+	cases := []struct {
+		name string
+		tree Tree
+		want string
+	}{
+		{"no root", Tree{Specs: specs("R")}, "no root"},
+		{"a root without a spec", Tree{Root: "R", Specs: specs("A")}, "root \"R\" has no spec"},
+		{"a child without a spec", Tree{Root: "R", Children: map[string][]string{"R": {"X"}}, Specs: specs("R", "A")}, "child \"X\" of \"R\" has no spec"},
+		{"an unreachable broker", Tree{Root: "R", Children: map[string][]string{"R": {"A"}}, Specs: specs("R", "A", "B")}, "\"B\" is not reachable"},
+		{"a broker reached twice", Tree{Root: "R", Children: map[string][]string{"R": {"A", "B"}, "B": {"A"}}, Specs: specs("R", "A", "B")}, "\"A\" reached twice"},
+		{"the root listed as a child", Tree{Root: "R", Children: map[string][]string{"R": {"A"}, "A": {"R"}}, Specs: specs("R", "A")}, "\"R\" reached twice"},
+	}
+	for _, tc := range cases {
+		err := tc.tree.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate = %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -207,18 +238,29 @@ func TestTakeoverAbsorbsUnderutilizedChildren(t *testing.T) {
 	}
 	// With takeover enabled, internal brokers may host subscriptions.
 	// Verify capacity still holds everywhere: recompute each broker's
-	// hypothetical unit set and check it fits.
+	// hypothetical unit set and check it fits. A child's filter is the OR
+	// of every profile hosted at or below it.
+	var subtree func(id string, into *bitvector.Profile)
+	subtree = func(id string, into *bitvector.Profile) {
+		for _, u := range tree.Hosted[id] {
+			into.Or(u.Profile)
+		}
+		for _, ch := range tree.Children[id] {
+			subtree(ch, into)
+		}
+	}
 	for _, id := range tree.Brokers() {
 		var units []*allocation.Unit
 		units = append(units, tree.Hosted[id]...)
 		for _, ch := range tree.Children[id] {
-			in := bitvector.EstimateLoad(tree.Profiles[ch], in.Publishers)
+			prof := bitvector.NewProfile(testCap)
+			subtree(ch, prof)
+			in := bitvector.EstimateLoad(prof, in.Publishers)
 			units = append(units, &allocation.Unit{
 				ID:      "ps-" + ch,
-				Members: []allocation.Member{{ChildBroker: ch, Load: in}},
-				Profile: tree.Profiles[ch],
+				Members: []allocation.Member{{ChildBroker: ch}},
+				Profile: prof,
 				Load:    in,
-				Filters: 1,
 			})
 		}
 		if !allocation.FitsBroker(tree.Specs[id], units, in.Publishers, testCap) {

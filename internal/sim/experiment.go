@@ -6,12 +6,10 @@ import (
 	"sort"
 	"time"
 
-	"github.com/greenps/greenps/internal/allocation"
 	"github.com/greenps/greenps/internal/broker"
 	"github.com/greenps/greenps/internal/core"
 	"github.com/greenps/greenps/internal/grape"
 	"github.com/greenps/greenps/internal/message"
-	"github.com/greenps/greenps/internal/overlaybuild"
 	"github.com/greenps/greenps/internal/workload"
 )
 
@@ -63,29 +61,15 @@ func (c *ExperimentConfig) withDefaults() ExperimentConfig {
 	return out
 }
 
-// BrokerStat is one broker's measured load.
-type BrokerStat struct {
-	ID string
-	// MsgRate is (input + output) messages per second.
-	MsgRate float64
-	// Utilization is output bytes per second over capacity.
-	Utilization float64
-}
-
 // Result is one experiment run's measurements — one point on each of the
 // paper's evaluation curves.
 type Result struct {
-	Scenario      string
-	Approach      string
 	Subscriptions int
 	// AllocatedBrokers is the broker count carrying the workload.
 	AllocatedBrokers int
 	// PoolBrokers is the size of the full broker pool the scenario
 	// provides (deallocated brokers idle at zero load).
 	PoolBrokers int
-	// AvgBrokerMsgRate is the mean per-broker (in+out) message rate over
-	// allocated brokers, msgs/s.
-	AvgBrokerMsgRate float64
 	// AvgRatePerPoolBroker is the total message rate normalized by the
 	// full pool size — the paper's "average broker message rate", where
 	// brokers freed by the reconfiguration contribute zero.
@@ -104,11 +88,6 @@ type Result struct {
 	// ComputeTime is the reconfiguration planning time (zero for
 	// baselines).
 	ComputeTime time.Duration
-	// Brokers is the per-broker breakdown.
-	Brokers []BrokerStat
-	// CRAMStats/BuildStats are populated for reconfiguring approaches.
-	CRAMStats  *allocation.CRAMStats
-	BuildStats *overlaybuild.Stats
 }
 
 // Run executes one experiment: deploy, profile, (optionally) reconfigure,
@@ -128,13 +107,13 @@ func Run(cfg ExperimentConfig) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return measure(net, sc, c, net.Brokers(), c.ProfileRounds, nil, nil, 0)
+		return measure(net, sc, c, net.Brokers(), c.ProfileRounds, 0)
 	case ApproachAutomatic:
 		net, err := deployAutomatic(sc, profileCapacity, c.Seed)
 		if err != nil {
 			return nil, err
 		}
-		return measure(net, sc, c, net.Brokers(), c.ProfileRounds, nil, nil, 0)
+		return measure(net, sc, c, net.Brokers(), c.ProfileRounds, 0)
 	case ApproachGrapeOnly:
 		return runGrapeOnly(sc, c)
 	default:
@@ -193,8 +172,7 @@ func RunWithPlan(sc *workload.Scenario, plan *core.Plan, cfg ExperimentConfig) (
 	if err != nil {
 		return nil, err
 	}
-	return measure(net, sc, c, plan.Tree.Brokers(), c.ProfileRounds,
-		plan.CRAMStats, &plan.BuildStats, plan.ComputeTime)
+	return measure(net, sc, c, plan.Tree.Brokers(), c.ProfileRounds, plan.ComputeTime())
 }
 
 // profileCapacity is the bit-vector capacity every experiment profiles at.
@@ -420,9 +398,7 @@ func publishRounds(net *Network, sc *workload.Scenario, firstRound, rounds int) 
 // Result. firstRound continues the publication sequence space so bit
 // vectors and dedup behave exactly as in a continuous run.
 func measure(net *Network, sc *workload.Scenario, c ExperimentConfig,
-	allocated []string, firstRound int,
-	cramStats *allocation.CRAMStats, buildStats *overlaybuild.Stats,
-	computeTime time.Duration) (*Result, error) {
+	allocated []string, firstRound int, computeTime time.Duration) (*Result, error) {
 
 	// Snapshot counters so deployment control traffic is excluded.
 	base := make(map[string]broker.Counters, len(allocated))
@@ -449,14 +425,10 @@ func measure(net *Network, sc *workload.Scenario, c ExperimentConfig,
 	rate := sc.Publishers[0].Rate
 	duration := float64(c.MeasureRounds) / rate
 	res := &Result{
-		Scenario:         sc.Name,
-		Approach:         c.Approach,
 		Subscriptions:    len(sc.Subscribers),
 		AllocatedBrokers: len(allocated),
 		Deliveries:       deliveries,
 		ComputeTime:      computeTime,
-		CRAMStats:        cramStats,
-		BuildStats:       buildStats,
 	}
 	sort.Strings(allocated)
 	for _, id := range allocated {
@@ -464,17 +436,10 @@ func measure(net *Network, sc *workload.Scenario, c ExperimentConfig,
 		b := base[id]
 		msgs := float64(cnt.Total() - b.Total())
 		outBytes := float64(cnt.BytesOut - b.BytesOut)
-		stat := BrokerStat{
-			ID:          id,
-			MsgRate:     msgs / duration,
-			Utilization: outBytes / duration / net.Broker(id).OutputBandwidth(),
-		}
-		res.Brokers = append(res.Brokers, stat)
-		res.TotalMsgRate += stat.MsgRate
-		res.AvgUtilization += stat.Utilization
+		res.TotalMsgRate += msgs / duration
+		res.AvgUtilization += outBytes / duration / net.Broker(id).OutputBandwidth()
 	}
 	if n := float64(len(allocated)); n > 0 {
-		res.AvgBrokerMsgRate = res.TotalMsgRate / n
 		res.AvgUtilization /= n
 	}
 	res.PoolBrokers = len(sc.Brokers)

@@ -5,7 +5,7 @@ import (
 	"sort"
 
 	"github.com/greenps/greenps/internal/allocation"
-	"github.com/greenps/greenps/internal/bitvector"
+	"github.com/greenps/greenps/internal/core"
 	"github.com/greenps/greenps/internal/grape"
 	"github.com/greenps/greenps/internal/message"
 	"github.com/greenps/greenps/internal/overlaybuild"
@@ -25,7 +25,7 @@ func runGrapeOnly(sc *workload.Scenario, c ExperimentConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	placement, err := grape.Relocate(tree, publisherStats(infos), grape.ModeLoad)
+	placement, err := grape.Relocate(tree, core.PublisherStats(infos), grape.ModeLoad)
 	if err != nil {
 		return nil, err
 	}
@@ -36,18 +36,7 @@ func runGrapeOnly(sc *workload.Scenario, c ExperimentConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return measure(net, sc, c, net.Brokers(), c.ProfileRounds, nil, nil, 0)
-}
-
-// publisherStats merges the publisher statistics from all broker infos.
-func publisherStats(infos []message.BrokerInfo) map[string]*bitvector.PublisherStats {
-	out := make(map[string]*bitvector.PublisherStats)
-	for i := range infos {
-		for _, pi := range infos[i].Publishers {
-			out[pi.Stats.AdvID] = pi.Stats
-		}
-	}
-	return out
+	return measure(net, sc, c, net.Brokers(), c.ProfileRounds, 0)
 }
 
 // ManualTree converts the scenario's MANUAL fan-out-2 topology plus the
@@ -61,9 +50,7 @@ func ManualTree(sc *workload.Scenario, infos []message.BrokerInfo, capacity int)
 	t := &overlaybuild.Tree{
 		Root:     sc.Brokers[0].ID,
 		Children: make(map[string][]string),
-		Parent:   make(map[string]string),
 		Hosted:   make(map[string][]*allocation.Unit),
-		Profiles: make(map[string]*bitvector.Profile),
 		Specs:    make(map[string]*allocation.BrokerSpec),
 	}
 	for _, b := range sc.Brokers {
@@ -76,26 +63,15 @@ func ManualTree(sc *workload.Scenario, infos []message.BrokerInfo, capacity int)
 	}
 	for _, e := range sc.Tree {
 		t.Children[e[0]] = append(t.Children[e[0]], e[1])
-		t.Parent[e[1]] = e[0]
 	}
 	for _, kids := range t.Children {
 		sort.Strings(kids)
 	}
-	pubs := publisherStats(infos)
+	pubs := core.PublisherStats(infos)
 	for i := range infos {
 		bi := &infos[i]
 		for _, si := range bi.Subscriptions {
-			prof := si.Profile
-			if prof == nil {
-				prof = bitvector.NewProfile(capacity)
-			}
-			load := bitvector.EstimateLoad(prof, pubs)
-			t.Hosted[bi.ID] = append(t.Hosted[bi.ID],
-				allocation.NewSubscriptionUnit("u-"+si.Sub.ID, si.Sub, prof, load))
-		}
-		t.Profiles[bi.ID] = bitvector.Merged(capacity)
-		for _, u := range t.Hosted[bi.ID] {
-			t.Profiles[bi.ID].Or(u.Profile)
+			t.Hosted[bi.ID] = append(t.Hosted[bi.ID], core.SubscriptionUnit(si, capacity, pubs))
 		}
 	}
 	if err := t.Validate(); err != nil {

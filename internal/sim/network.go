@@ -39,7 +39,6 @@ type Delivery struct {
 // Client is a simulated endpoint. Its publications go to the network's
 // OnDelivery observer; the BIAs it receives are kept here.
 type Client struct {
-	ID     string
 	Broker string
 	// BIAs accumulates Broker Information Answers (for CROC clients).
 	BIAs []*message.BIA
@@ -188,7 +187,7 @@ func (n *Network) AttachClient(clientID, brokerID string) (*Client, error) {
 	if core == nil {
 		return nil, fmt.Errorf("sim: unknown broker %q", brokerID)
 	}
-	cl := &Client{ID: clientID, Broker: brokerID}
+	cl := &Client{Broker: brokerID}
 	n.clients[clientID] = cl
 	core.AddClient(clientID)
 	return cl, nil

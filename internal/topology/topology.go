@@ -6,7 +6,7 @@
 //	# comment
 //	broker  B001 addr=127.0.0.1:7001 bw=300000 delay=0.0001,0.001
 //	link    B001 B002
-//	publisher pub-YHOO broker=B001 adv="[class,=,'STOCK'],[symbol,=,'YHOO']" rate=1.17
+//	publisher pub-YHOO broker=B001 adv="[class,=,'STOCK'],[symbol,=,'YHOO']"
 //	subscriber s1 broker=B002 filter="[class,=,'STOCK'],[symbol,=,'YHOO'],[low,<,19]"
 //
 // cmd/panda deploys parsed files as live TCP processes-in-threads.
@@ -47,8 +47,6 @@ type Publisher struct {
 	AdvID string
 	// Predicates is the advertisement filter.
 	Predicates []message.Predicate
-	// Rate is publications per second (used by replay drivers).
-	Rate float64
 }
 
 // Subscriber declares one subscriber client.
@@ -73,7 +71,7 @@ type File struct {
 var declKeys = map[string][]string{
 	"broker":     {"addr", "bw", "delay"},
 	"link":       nil,
-	"publisher":  {"broker", "advid", "adv", "rate"},
+	"publisher":  {"broker", "advid", "adv"},
 	"subscriber": {"broker", "filter"},
 }
 
@@ -143,17 +141,12 @@ func Parse(r io.Reader) (*File, error) {
 			}
 			f.Links = append(f.Links, Link{A: name, B: fields[2]})
 		case "publisher":
-			p := Publisher{ID: name, Broker: kv["broker"], AdvID: kv["advid"], Rate: 1}
+			p := Publisher{ID: name, Broker: kv["broker"], AdvID: kv["advid"]}
 			if p.Broker == "" {
 				return nil, fmt.Errorf("topology: line %d: publisher %s needs broker=", lineNo, name)
 			}
 			if p.AdvID == "" {
 				p.AdvID = "ADV-" + name
-			}
-			if v := kv["rate"]; v != "" {
-				if p.Rate, err = strconv.ParseFloat(v, 64); err != nil {
-					return nil, fmt.Errorf("topology: line %d: rate: %w", lineNo, err)
-				}
 			}
 			if v := kv["adv"]; v != "" {
 				if p.Predicates, err = message.ParsePredicates(v); err != nil {

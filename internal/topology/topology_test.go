@@ -16,7 +16,7 @@ broker  B003 addr=127.0.0.1:7003
 link    B001 B002
 link    B002 B003
 
-publisher pub-YHOO broker=B001 adv="[class,=,'STOCK'],[symbol,=,'YHOO']" rate=1.17
+publisher pub-YHOO broker=B001 adv="[class,=,'STOCK'],[symbol,=,'YHOO']"
 subscriber s1 broker=B002 filter="[class,=,'STOCK'],[symbol,=,'YHOO'],[low,<,19]"
 subscriber s2 broker=B003 filter="[class,=,'STOCK'],[symbol,=,'YHOO']"
 `
@@ -37,7 +37,7 @@ func TestParseSample(t *testing.T) {
 		t.Fatalf("delay = %+v", b.Delay)
 	}
 	p := f.Publishers[0]
-	if p.AdvID != "ADV-pub-YHOO" || p.Rate != 1.17 || len(p.Predicates) != 2 {
+	if p.AdvID != "ADV-pub-YHOO" || len(p.Predicates) != 2 {
 		t.Fatalf("publisher = %+v", p)
 	}
 	s := f.Subscribers[0]
@@ -61,7 +61,7 @@ func TestParseErrors(t *testing.T) {
 		{"link unknown broker", "broker B1 addr=a:1\nlink B1 B9"},
 		{"link incomplete", "broker B1 addr=a:1\nlink B1"},
 		{"publisher unknown broker", "publisher p broker=B9"},
-		{"publisher missing broker", "publisher p rate=1"},
+		{"publisher missing broker", "publisher p advid=A"},
 		{"subscriber unknown broker", "subscriber s broker=B9"},
 		{"bad filter", `broker B1 addr=a:1` + "\n" + `subscriber s broker=B1 filter="[x,~~,1]"`},
 		{"bad key=value", "broker B1 addr=a:1 oops"},
@@ -94,7 +94,7 @@ func TestPublisherDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Publishers[0].AdvID != "ADV-p1" || f.Publishers[0].Rate != 1 {
+	if f.Publishers[0].AdvID != "ADV-p1" {
 		t.Fatalf("defaults = %+v", f.Publishers[0])
 	}
 }

@@ -41,9 +41,6 @@ type Hello struct {
 	Kind PeerKind `json:"kind"`
 	// ID is the broker or client identifier.
 	ID string `json:"id"`
-	// URL is the advertised listen address (brokers only), so the
-	// acceptor can reciprocate links.
-	URL string `json:"url,omitempty"`
 }
 
 // TimeoutError is the typed error returned when a frame write exceeds

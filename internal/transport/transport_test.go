@@ -43,7 +43,7 @@ func pair(t *testing.T) (*Conn, *Conn) {
 
 func TestHelloRoundTrip(t *testing.T) {
 	c, s := pair(t)
-	want := Hello{Kind: PeerBroker, ID: "B1", URL: "127.0.0.1:9"}
+	want := Hello{Kind: PeerBroker, ID: "B1"}
 	if err := c.SendHello(want); err != nil {
 		t.Fatal(err)
 	}

@@ -50,8 +50,6 @@ type Scenario struct {
 	// Tree lists the MANUAL overlay edges (parent, child) — a fan-out-2
 	// tree per the paper's baseline.
 	Tree [][2]string
-	// Seed drives every random choice in the scenario.
-	Seed int64
 }
 
 // Options calibrates scenario generation. The defaults (via Defaults)
@@ -109,7 +107,7 @@ func Build(name string, o Options) (*Scenario, error) {
 		return nil, fmt.Errorf("workload: invalid options %+v", o)
 	}
 	rng := rand.New(rand.NewSource(o.Seed))
-	sc := &Scenario{Name: name, Seed: o.Seed}
+	sc := &Scenario{Name: name}
 
 	// Brokers: homogeneous, or the paper's 15/25/rest capacity tiers.
 	for i := 0; i < o.Brokers; i++ {
