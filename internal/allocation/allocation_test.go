@@ -379,6 +379,14 @@ func TestInputValidate(t *testing.T) {
 		{Units: units, Brokers: []*BrokerSpec{{ID: "", OutputBandwidth: 1}}, Publishers: pubs},
 		{Units: units, Brokers: []*BrokerSpec{{ID: "a", OutputBandwidth: 1}, {ID: "a", OutputBandwidth: 1}}, Publishers: pubs},
 		{Units: units, Brokers: []*BrokerSpec{{ID: "a", OutputBandwidth: 0}}, Publishers: pubs},
+		// A NaN or infinite capacity, and a NaN matching delay, in an
+		// input otherwise good.
+		{Units: units, Brokers: []*BrokerSpec{{ID: "a", OutputBandwidth: math.NaN()}}, Publishers: pubs, ProfileCapacity: testCap},
+		{Units: units, Brokers: []*BrokerSpec{{ID: "a", OutputBandwidth: math.Inf(1)}}, Publishers: pubs, ProfileCapacity: testCap},
+		{Units: units, Brokers: []*BrokerSpec{{ID: "a", OutputBandwidth: 1, Delay: message.MatchingDelayFn{PerSub: math.NaN()}}},
+			Publishers: pubs, ProfileCapacity: testCap},
+		{Units: units, Brokers: []*BrokerSpec{{ID: "a", OutputBandwidth: 1, Delay: message.MatchingDelayFn{Base: math.NaN()}}},
+			Publishers: pubs, ProfileCapacity: testCap},
 		{Units: []*Unit{{ID: "", Profile: bitvector.NewProfile(8), Members: []Member{{}}}},
 			Brokers: testBrokers(1, 1000, stdDelay()), Publishers: pubs},
 		{Units: []*Unit{{ID: "u", Profile: nil, Members: []Member{{}}}},

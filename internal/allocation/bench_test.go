@@ -258,12 +258,12 @@ func BenchmarkCRAMParallelism(b *testing.B) {
 func BenchmarkFeasProbe(b *testing.B) {
 	in := benchInput(b)
 	p := newPool(in.Units, in.Brokers, newPublisherTable(in.Publishers, in.Units), in.ProfileCapacity)
-	if !p.probe(p.stage(nil, nil)) {
-		b.Fatal("pool must be feasible")
+	if packs, certified := p.probe(p.stage(nil, nil)); !packs || certified {
+		b.Fatal("pool must be feasible, and the replay must answer")
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !p.probe(p.stage(nil, nil)) {
+		if packs, _ := p.probe(p.stage(nil, nil)); !packs {
 			b.Fatal("pool must be feasible")
 		}
 	}

@@ -125,6 +125,9 @@ type CRAMStats struct {
 	// PackAttempts counts allocation feasibility tests: every probe of the
 	// pool, the initial one included.
 	PackAttempts int
+	// ProbesCertified counts the probes the pool's capacity certificate
+	// answered without a replay (DESIGN.md §7.1); the rest replayed.
+	ProbesCertified int
 	// ClustersAccepted and ClustersRejected count clustering attempts.
 	ClustersAccepted int
 	ClustersRejected int
@@ -419,8 +422,7 @@ func (c *CRAM) start(in *Input) (*cramRun, error) {
 
 	// Initial allocation test without clustering (the algorithm terminates
 	// immediately if the raw pool does not fit).
-	c.stats.PackAttempts++
-	if !r.pool.probe(r.pool.stage(nil, nil)) {
+	if !r.probe(r.pool.stage(nil, nil)) {
 		return nil, fmt.Errorf("CRAM: initial BIN PACKING of %d units failed: insufficient broker resources", len(in.Units))
 	}
 
@@ -850,6 +852,16 @@ func (r *cramRun) tryCoveredSet(parent, other *gif) bool {
 	return r.mergeLargest(1, 1, takes, parent)
 }
 
+// probe is the run's feasibility test of a staged change, counted.
+func (r *cramRun) probe(ch change) bool {
+	packs, certified := r.pool.probe(ch)
+	r.c.stats.PackAttempts++
+	if certified {
+		r.c.stats.ProbesCertified++
+	}
+	return packs
+}
+
 // take is one GIF's share of a clustering: its n lightest units.
 type take struct {
 	g *gif
@@ -877,8 +889,7 @@ func (r *cramRun) mergeLargest(lo, hi int, takes []take, home *gif) bool {
 		}
 		m := MergeUnits(id, r.capacity, parts...)
 		ch := r.pool.stage(parts, []*Unit{m})
-		r.c.stats.PackAttempts++
-		if !r.pool.probe(ch) {
+		if !r.probe(ch) {
 			return false
 		}
 		staged, merged = ch, m

@@ -615,7 +615,8 @@ func FuzzDenseFitsEquivalence(f *testing.F) {
 // the whole pool allocates nothing.
 // Two in five of the pool's subscriptions sink everything their publisher
 // sends, so the stream has runs of one class and the replay goes through
-// the run memo and the skipped OR as well as the walk.
+// the run memo and the skipped OR as well as the walk. A probe the capacity
+// certificate answers allocates nothing either.
 func TestPlacementAllocationFree(t *testing.T) {
 	units, pubs := testWorkload(3, 6, 40, 10, 100)
 	brokers := sortBrokersByCapacity(testBrokers(12, 30_000, stdDelay()))
@@ -639,5 +640,14 @@ func TestPlacementAllocationFree(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(20, replay); n != 0 {
 		t.Errorf("steady-state replay allocates %v times per pool, want 0", n)
+	}
+	roomy := newPool(units, sortBrokersByCapacity(testBrokers(12, 1e6, message.MatchingDelayFn{Base: 1e-6})), p.table, testCap)
+	certify := func() {
+		if packs, certified := roomy.probe(change{}); !packs || !certified {
+			t.Fatal("the roomy pool must be certified")
+		}
+	}
+	if n := testing.AllocsPerRun(20, certify); n != 0 {
+		t.Errorf("a certified probe allocates %v times, want 0", n)
 	}
 }

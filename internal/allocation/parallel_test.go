@@ -126,7 +126,7 @@ func TestFeasEngineMatchesFromScratch(t *testing.T) {
 			feasNo++
 		}
 		ch := p.stage(parts, added)
-		if got := p.probe(ch); got != want {
+		if got, _ := p.probe(ch); got != want {
 			t.Fatalf("trial %d: pool probe=%v, from-scratch=%v (removed=%d, added=%d)",
 				trial, got, want, len(parts), len(added))
 		}

@@ -2,6 +2,8 @@ package allocation
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -404,12 +406,15 @@ func TestSearchMaxTopFirst(t *testing.T) {
 // hold two to four units' bandwidth and sustain two to four streams. The
 // change removes any subset of the pool and adds nothing, the merge of the
 // removed units or a unit of its own; the added unit's ID sorts ahead of,
-// among or behind the pool's. Missing bytes read as zero.
+// among or behind the pool's. An odd last byte makes the broker pool roomy
+// and bandwidth-bound: twice the brokers, each sustaining 1,000 msgs/s,
+// where the capacity certificate can answer. Missing bytes read as zero.
 //
 //	data[0..4]  publishers, units, brokers, broker bandwidth, broker delay
 //	then        per unit: its publisher mask and its bandwidth
 //	then        the removed-unit mask, the added kind (0 none, 1 merge,
 //	            2 own), the added ID, and for kind 2 its mask and bandwidth
+//	then        the roomy byte
 func probeCase(data []byte) (units, removed, added []*Unit, brokers []*BrokerSpec, pubs map[string]*bitvector.PublisherStats) {
 	next := func() int {
 		if len(data) == 0 {
@@ -455,18 +460,22 @@ func probeCase(data []byte) (units, removed, added []*Unit, brokers []*BrokerSpe
 	case kind == 2:
 		added = []*Unit{unit(id)}
 	}
+	if next()%2 == 1 {
+		nBrokers, delay = 2*nBrokers, message.MatchingDelayFn{Base: 1e-3}
+	}
 	return units, removed, added, sortBrokersByCapacity(testBrokers(nBrokers, brokerBW, delay)), pubs
 }
 
 // checkProbeMatchesCommit stages the change on a pool of the units, probes
-// it, commits it and holds the probe's answer to a from-scratch first-fit of
-// the pool the commit made. It returns that answer.
+// it, commits it and holds the probe's answer — certified or replayed — to a
+// from-scratch first-fit of the pool the commit made. It returns that answer
+// and whether the certificate gave it.
 func checkProbeMatchesCommit(t *testing.T, units, removed, added []*Unit, brokers []*BrokerSpec,
-	pubs map[string]*bitvector.PublisherStats) bool {
+	pubs map[string]*bitvector.PublisherStats) (packs, certified bool) {
 	t.Helper()
 	p := newPool(units, brokers, newPublisherTable(pubs, append(slices.Clone(units), added...)), testCap)
 	ch := p.stage(removed, added)
-	got := p.probe(ch)
+	got, certified := p.probe(ch)
 	if err := p.commit(ch); err != nil {
 		t.Fatal(err)
 	}
@@ -475,9 +484,9 @@ func checkProbeMatchesCommit(t *testing.T, units, removed, added []*Unit, broker
 		for i, u := range p.units {
 			ids[i] = u.ID
 		}
-		t.Fatalf("probe = %v, from-scratch first-fit of the committed pool %v = %v", got, ids, want)
+		t.Fatalf("probe = %v (certified %v), from-scratch first-fit of the committed pool %v = %v", got, certified, ids, want)
 	}
-	return got
+	return got, certified
 }
 
 // tieCase is a pool where the merged unit ties every pool unit on
@@ -496,46 +505,128 @@ var tieCase = []byte{1, 0, 0, 0, 0, 1, 1, 2, 1, 4, 1, 0, 2, 0, 3, 1}
 // does not.
 var probeDisagreement = []byte{175, 18, 93, 216, 39, 4, 87, 133, 84, 178, 10, 10, 92, 164, 23, 240, 247, 204}
 
+// roomyTieCase is tieCase on the roomy broker pool: four brokers of 2,500
+// B/s, whose pairs hold 5,000 B/s against the pool's 4,000, so the capacity
+// certificate answers.
+var roomyTieCase = []byte{1, 0, 0, 0, 0, 1, 1, 2, 1, 4, 1, 0, 2, 0, 3, 1, 1}
+
 // TestProbeBandwidthTieOrder holds the probe to its commit on tieCase: a
 // merged unit that ties pool units on bandwidth is probed where the commit
-// files it, by ID.
+// files it, by ID. The replay answers there, and the certificate on
+// roomyTieCase.
 func TestProbeBandwidthTieOrder(t *testing.T) {
 	units, removed, added, brokers, pubs := probeCase(tieCase)
 	all := append(slices.Clone(units), added...)
 	if len(removed) != 0 || len(added) != 1 || sortUnitsByBandwidthDesc(all)[0] != added[0] {
 		t.Fatal("tieCase no longer decodes to the hand-built tie")
 	}
-	if !checkProbeMatchesCommit(t, units, removed, added, brokers, pubs) {
-		t.Fatal("the committed pool should pack; the example no longer separates the two orders")
+	if packs, certified := checkProbeMatchesCommit(t, units, removed, added, brokers, pubs); !packs || certified {
+		t.Fatal("the committed pool should pack on a replay; the example no longer separates the two orders")
 	}
 	if feasibleFirstFit(all, brokers, pubs, testCap) {
 		t.Fatal("the added unit merged after its ties should not pack; the example no longer separates the two orders")
 	}
+	units, removed, added, brokers, pubs = probeCase(roomyTieCase)
+	if packs, certified := checkProbeMatchesCommit(t, units, removed, added, brokers, pubs); !packs || !certified {
+		t.Fatal("roomyTieCase should be certified")
+	}
 }
 
 // TestProbeMatchesCommit holds probe to commit on 10,000 random small pools
-// with bandwidth ties (probeCase), the tie case and the found disagreement
-// among them: the answer a probe of a staged change gives is the answer a
-// from-scratch first-fit gives for the pool its commit makes.
+// with bandwidth ties (probeCase), the tie case, its roomy twin and the found
+// disagreement among them: the answer a probe of a staged change gives is
+// the answer a from-scratch first-fit gives for the pool its commit makes,
+// whether the capacity certificate gave it or a replay did. Half the random
+// pools are roomy, so both kinds of answer are held to it in numbers.
 func TestProbeMatchesCommit(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	cases := [][]byte{tieCase, probeDisagreement}
+	cases := [][]byte{tieCase, probeDisagreement, roomyTieCase}
 	for i := 0; i < 10_000; i++ {
 		data := make([]byte, 24)
 		rng.Read(data)
 		cases = append(cases, data)
 	}
 	var packs [2]int
+	certified := 0
 	for _, data := range cases {
 		units, removed, added, brokers, pubs := probeCase(data)
-		if checkProbeMatchesCommit(t, units, removed, added, brokers, pubs) {
+		ok, cert := checkProbeMatchesCommit(t, units, removed, added, brokers, pubs)
+		if ok {
 			packs[1]++
 		} else {
 			packs[0]++
 		}
+		if cert {
+			certified++
+		}
 	}
 	if packs[0] == 0 || packs[1] == 0 {
 		t.Fatalf("one-sided cases: %d pack, %d do not", packs[1], packs[0])
+	}
+	// 4,534 and 5,468 at this seed.
+	if replayed := len(cases) - certified; certified < 4_000 || replayed < 4_000 {
+		t.Fatalf("%d probes certified and %d replayed; want at least 4,000 of each", certified, replayed)
+	}
+}
+
+// certPool is a pool of units of the given bandwidths, each sinking all of
+// one publisher's 1 msg/s, on four brokers of 1,000 B/s sustaining 1,000
+// msgs/s, so that no rate test binds; extra adds publishers no unit sinks.
+func certPool(bandwidths []float64, extra map[string]*bitvector.PublisherStats) *Input {
+	pubs := maps.Clone(extra)
+	if pubs == nil {
+		pubs = make(map[string]*bitvector.PublisherStats)
+	}
+	pubs["P"] = &bitvector.PublisherStats{AdvID: "P", Rate: 1, Bandwidth: 100, LastSeq: 99}
+	units := make([]*Unit, len(bandwidths))
+	for i, bw := range bandwidths {
+		prof := bitvector.NewProfile(testCap)
+		for seq := 0; seq < 100; seq++ {
+			prof.Record("P", seq)
+		}
+		id := fmt.Sprintf("u%d", i)
+		units[i] = NewSubscriptionUnit(id, id, prof, bitvector.Load{Rate: 1, Bandwidth: bw})
+	}
+	return &Input{Units: units, Brokers: testBrokers(4, 1000, message.MatchingDelayFn{Base: 1e-3}), Publishers: pubs}
+}
+
+// TestProbeCertificate holds the capacity certificate to hand-built pools on
+// either side of its tests: whether it answers, and that the answer is the
+// from-scratch first-fit's.
+func TestProbeCertificate(t *testing.T) {
+	nan := map[string]*bitvector.PublisherStats{"Q": {AdvID: "Q", Rate: math.NaN(), Bandwidth: 100, LastSeq: 99}}
+	cases := []struct {
+		name                string
+		in                  *Input
+		wantPacks, wantCert bool
+	}{
+		// Five units of C/2+ε on four brokers: one unit per broker, and the
+		// fifth finds no room. Their 2,502.5 B/s exceed the pairs' 2,000
+		// but not the 4,000 of all four brokers, so a certificate without
+		// the factor of two would answer yes.
+		{"|B|+1 units of C/2+ε", certPool([]float64{500.5, 500.5, 500.5, 500.5, 500.5}, nil), false, false},
+		// 1,999.9 B/s under the pairs' 2,000, packed onto three brokers.
+		{"just under the pair sum", certPool([]float64{600, 600, 400, 399.9}, nil), true, true},
+		// 2,000.4 B/s: one unit per broker packs, but the pairs cannot say so.
+		{"just over the pair sum", certPool([]float64{500.1, 500.1, 500.1, 500.1}, nil), true, false},
+		// 1,000 B/s is under the pairs' 2,000, but no broker has room for
+		// it: the widest unit must fit an empty broker.
+		{"a unit as wide as a broker", certPool([]float64{1000}, nil), false, false},
+		// The matching delay binds: the certificate cannot rule out a
+		// refusal on rate, however roomy the bandwidth.
+		{"rate-bound (stdDelay)", stdInput(t), true, false},
+		// A NaN rate, even of a publisher no unit sinks, leaves the rates
+		// unordered.
+		{"NaN publisher rate", certPool([]float64{600, 600, 400, 399.9}, nan), true, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			in := tc.in
+			packs, certified := checkProbeMatchesCommit(t, in.Units, nil, nil, sortBrokersByCapacity(in.Brokers), in.Publishers)
+			if packs != tc.wantPacks || certified != tc.wantCert {
+				t.Fatalf("probe = %v (certified %v), want %v (certified %v)", packs, certified, tc.wantPacks, tc.wantCert)
+			}
+		})
 	}
 }
 
@@ -544,6 +635,7 @@ func TestProbeMatchesCommit(t *testing.T) {
 func FuzzProbeMatchesCommit(f *testing.F) {
 	f.Add(tieCase)
 	f.Add(probeDisagreement)
+	f.Add(roomyTieCase)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		units, removed, added, brokers, pubs := probeCase(data)
 		checkProbeMatchesCommit(t, units, removed, added, brokers, pubs)

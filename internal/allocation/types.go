@@ -114,8 +114,15 @@ func (in *Input) Validate() error {
 			return fmt.Errorf("allocation: duplicate broker %q", b.ID)
 		}
 		seenB[b.ID] = true
-		if b.OutputBandwidth <= 0 {
-			return fmt.Errorf("allocation: broker %q has non-positive bandwidth", b.ID)
+		// No bandwidth test refuses a unit against a NaN capacity, and the
+		// capacity certificate takes capacities finite.
+		if !(b.OutputBandwidth > 0 && b.OutputBandwidth <= math.MaxFloat64) {
+			return fmt.Errorf("allocation: broker %q has bandwidth %v, want a finite positive number", b.ID, b.OutputBandwidth)
+		}
+		// A NaN matching delay is a NaN rate limit, which refuses every
+		// unit.
+		if math.IsNaN(b.Delay.PerSub) || math.IsNaN(b.Delay.Base) {
+			return fmt.Errorf("allocation: broker %q has a NaN matching delay", b.ID)
 		}
 	}
 	capacity := in.ProfileCapacity

@@ -130,6 +130,7 @@ type ScalePoint struct {
 	ShardsPruned     int   `json:"shards_pruned"`
 	BoundPruned      int   `json:"bound_pruned"`
 	SpilledRuns      int   `json:"spilled_runs"`
+	ProbesCertified  int   `json:"probes_certified"`
 	GenMillis        int64 `json:"gen_millis"`
 	AllocMillis      int64 `json:"alloc_millis"`
 	// PrevAllocMillis is the alloc_millis this row held before it was last
@@ -175,6 +176,7 @@ func RunScalePoint(o ScaleOpts) (*ScalePoint, error) {
 		ShardsPruned:     st.ShardsPruned,
 		BoundPruned:      st.BoundPruned,
 		SpilledRuns:      st.SpilledRuns,
+		ProbesCertified:  st.ProbesCertified,
 		GenMillis:        gen.Milliseconds(),
 		AllocMillis:      time.Since(allocStart).Milliseconds(),
 	}, nil
@@ -198,7 +200,7 @@ func ScaleSweep(cfg Config, full bool) (*metrics.Series, []*ScalePoint, error) {
 		ID:    "E13",
 		Title: "CRAM allocation at scale (sharded exhaustive search, spill-to-disk candidates)",
 		Header: []string{"subscriptions", "GIFs", "final units", "brokers",
-			"shards pruned", "bound pruned", "spilled runs", "generate", "allocate"},
+			"shards pruned", "bound pruned", "spilled runs", "probes certified", "generate", "allocate"},
 		Notes: []string{
 			fmt.Sprintf("spill budget %d KiB; shard count automatic; plans are identical at any shard count or budget", scaleSpillBudget>>10),
 			"paper evaluation tops out at 8,000 subscriptions; this series is the repo's extension (DESIGN.md section 14)",
@@ -213,10 +215,10 @@ func ScaleSweep(cfg Config, full bool) (*metrics.Series, []*ScalePoint, error) {
 		points = append(points, pt)
 		out.AddRow(metrics.I(pt.Subs), metrics.I(pt.GIFs), metrics.I(pt.FinalUnits),
 			metrics.I(pt.AllocatedBrokers), metrics.I(pt.ShardsPruned), metrics.I(pt.BoundPruned),
-			metrics.I(pt.SpilledRuns), metrics.Dur(time.Duration(pt.GenMillis)*time.Millisecond),
+			metrics.I(pt.SpilledRuns), metrics.I(pt.ProbesCertified), metrics.Dur(time.Duration(pt.GenMillis)*time.Millisecond),
 			metrics.Dur(time.Duration(pt.AllocMillis)*time.Millisecond))
-		c.logf("E13 %d subs: gifs=%d shardsPruned=%d spilledRuns=%d alloc=%dms",
-			pt.Subs, pt.GIFs, pt.ShardsPruned, pt.SpilledRuns, pt.AllocMillis)
+		c.logf("E13 %d subs: gifs=%d shardsPruned=%d spilledRuns=%d probesCertified=%d alloc=%dms",
+			pt.Subs, pt.GIFs, pt.ShardsPruned, pt.SpilledRuns, pt.ProbesCertified, pt.AllocMillis)
 	}
 	return out, points, nil
 }
