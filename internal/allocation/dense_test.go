@@ -15,14 +15,10 @@ import (
 // pack onto the brokers: the from-scratch oracle the pool's probes are held
 // to. It is a plain packFirstFit — the same dense state as every other
 // packing, with no stream or scratch reuse — over units compiled against a
-// table of its own and never interned, so it never takes the run memo.
+// table of its own.
 func feasibleFirstFit(units []*Unit, brokers []*BrokerSpec, pubs map[string]*bitvector.PublisherStats, capacity int) bool {
 	table := newPublisherTable(pubs, units)
-	compiled := make([]packUnit, len(units))
-	for i, u := range units {
-		compiled[i] = compileUnit(u, table)
-	}
-	_, err := packFirstFit(units, compiled, brokers, table, capacity)
+	_, err := packFirstFit(units, compileUnits(units, table), brokers, table, capacity)
 	return err == nil
 }
 
@@ -98,9 +94,8 @@ type denseCoverage struct {
 	placed int
 	// fullRejects are fits calls the saturation mark decided — the
 	// reference's walk must reject each of them too — and walkRejects rate
-	// rejections left to the walk; memoFits are fits calls answered from the
-	// run memo, orSkips accepts that left the aggregate alone.
-	fullRejects, walkRejects, memoFits, orSkips int
+	// rejections left to the walk.
+	fullRejects, walkRejects int
 	// The admission scan's corners. bwThenMark are units turned away by one
 	// broker's bandwidth and then by a later broker's mark; markSpared are
 	// tests of a unit without filters against a mark above its rate, which
@@ -114,8 +109,6 @@ func (c *denseCoverage) add(o denseCoverage) {
 	c.placed += o.placed
 	c.fullRejects += o.fullRejects
 	c.walkRejects += o.walkRejects
-	c.memoFits += o.memoFits
-	c.orSkips += o.orSkips
 	c.bwThenMark += o.bwThenMark
 	c.markSpared += o.markSpared
 	c.unordered += o.unordered
@@ -130,8 +123,7 @@ func (c *denseCoverage) add(o denseCoverage) {
 // intersect load wherever the unit is admitted (a rejected fits leaves it
 // unspecified), and after every placement the accepting broker's loads,
 // filter count and full aggregate (publisher set, windows, words, cached
-// popcounts). The units are compiled and interned as an algorithm would
-// (compileUnits), so equal contents share a class and the run memo is live;
+// popcounts). The units are compiled as an algorithm would (compileUnits);
 // every few units the stream so far is replayed onto the pack after a clear,
 // as a probe reuses a scratch pack, so the comparison also runs against
 // states built on parked vectors.
@@ -146,7 +138,7 @@ func checkDenseAgainstReference(t *testing.T, units []*Unit, brokers []*BrokerSp
 	pubs map[string]*bitvector.PublisherStats, capacity int) denseCoverage {
 	t.Helper()
 	table := newPublisherTable(pubs, units)
-	compiled := compileUnits(units, table, new(classTable))
+	compiled := compileUnits(units, table)
 	pk := newPack(brokers, table, capacity)
 	scan := newPack(brokers, table, capacity) // driven through place only
 	checkColumns(t, scan, "new pack")
@@ -179,7 +171,6 @@ func checkDenseAgainstReference(t *testing.T, units []*Unit, brokers []*BrokerSp
 		want, bwRejected := -1, false
 		for b := range pk.states {
 			bs := &pk.states[b]
-			memo := bs.lastKnown && pu.class == bs.last
 			ok, inter := bs.fits(&pu, pk.stats, pk.ratesOrdered)
 			wantOK, wantInter := ref[b].fits(u, uIn, pubs)
 			if ok != wantOK || ok && !sameLoad(inter, wantInter) {
@@ -200,8 +191,6 @@ func checkDenseAgainstReference(t *testing.T, units []*Unit, brokers []*BrokerSp
 						cov.bwThenMark++
 						bwRejected = false // once per unit
 					}
-				case memo:
-					cov.memoFits++
 				case !ok:
 					cov.walkRejects++
 				}
@@ -210,9 +199,6 @@ func checkDenseAgainstReference(t *testing.T, units []*Unit, brokers []*BrokerSp
 			}
 			if !ok {
 				continue
-			}
-			if pu.class == bs.last {
-				cov.orSkips++
 			}
 			bs.accept(&pu, inter, capacity, pk.ratesOrdered)
 			ref[b].accept(u, uIn, wantInter)
@@ -297,8 +283,8 @@ const (
 // denseRepeats makes the stream runs of 2–6 units of one content, with equal
 // or differing loads and filter counts, some runs broken by a unit of other
 // content, and some members carrying the same set bits in a longer window —
-// an equal fingerprint, another class: interning by fingerprint or by hash
-// alone would hand them the wrong intersect load. denseSaturated gives the
+// an equal fingerprint, but a wider window and so another intersect load.
+// denseSaturated gives the
 // brokers ample bandwidth and a steep matching-delay slope, so that the rate
 // criterion rejects both by the saturation mark and — where the overlap with
 // the aggregate decides — only after the walk; one case in four of it carries
@@ -479,8 +465,8 @@ var admissionSeeds = []struct {
 // TestDenseFitsMatchesReference is the property test behind the dense
 // kernel: across a few hundred generated inputs the dense state and the
 // map-based reference agree bit for bit after every placement, and the
-// inputs reach every path of the kernel — the walk, the saturation mark, a
-// rate rejection by the walk, the run memo and the skipped OR.
+// inputs reach every path of the kernel — the walk, the saturation mark and
+// a rate rejection by the walk.
 func TestDenseFitsMatchesReference(t *testing.T) {
 	var cov denseCoverage
 	total := 0
@@ -508,7 +494,7 @@ func TestDenseFitsMatchesReference(t *testing.T) {
 	if cov.placed == 0 || cov.placed == total {
 		t.Fatalf("one-sided coverage: %d of %d units placed; the inputs must both admit and reject", cov.placed, total)
 	}
-	if cov.fullRejects == 0 || cov.walkRejects == 0 || cov.memoFits == 0 || cov.orSkips == 0 ||
+	if cov.fullRejects == 0 || cov.walkRejects == 0 ||
 		cov.unplaced == 0 || cov.soloRejects == 0 {
 		t.Fatalf("a kernel path went unexercised: %+v", cov)
 	}
@@ -550,38 +536,6 @@ func TestSaturationImpliesBound(t *testing.T) {
 	}
 }
 
-// TestInternIsExactContent pins what a class is: equal bits in equal
-// windows. Two profiles with one fingerprint but different window ends must
-// not share a class — their intersect loads divide by different widths —
-// while a clone must.
-func TestInternIsExactContent(t *testing.T) {
-	pubs := map[string]*bitvector.PublisherStats{"P": {AdvID: "P", Rate: 10, Bandwidth: 1000}}
-	unit := func(id string, last int) *Unit {
-		prof := bitvector.NewProfile(testCap)
-		for seq := 0; seq < 50; seq++ {
-			prof.Record("P", seq)
-		}
-		prof.Sync(map[string]*bitvector.PublisherStats{"P": {AdvID: "P", LastSeq: last}})
-		return &Unit{ID: id, Members: []Member{{SubID: id}}, Profile: prof}
-	}
-	a, b, c := unit("a", 99), unit("b", 99), unit("c", 149)
-	if a.Profile.FingerprintKey() != c.Profile.FingerprintKey() {
-		t.Fatal("the example needs equal fingerprints")
-	}
-	units := []*Unit{a, b, c}
-	compiled := compileUnits(units, newPublisherTable(pubs, units), new(classTable))
-	pa, pb, pc := compiled[0], compiled[1], compiled[2]
-	if pa.class == 0 || pa.class != pb.class {
-		t.Fatalf("equal contents got classes %d and %d", pa.class, pb.class)
-	}
-	if &pa.entries[0] != &pb.entries[0] {
-		t.Fatal("units of one class must share the canonical entries")
-	}
-	if pc.class == pa.class {
-		t.Fatal("a longer window with the same bits was interned into the same class")
-	}
-}
-
 // FuzzDenseFitsEquivalence drives random unit streams — publishers missing
 // from the statistics, empty vectors, misaligned and disjoint windows,
 // capacity-clamped Or, profiles of 1 and of 40 publishers, runs of repeated
@@ -614,8 +568,7 @@ func FuzzDenseFitsEquivalence(f *testing.F) {
 // seen every publisher on every broker it uses, clearing it and replaying
 // the whole pool allocates nothing.
 // Two in five of the pool's subscriptions sink everything their publisher
-// sends, so the stream has runs of one class and the replay goes through
-// the run memo and the skipped OR as well as the walk. A probe the capacity
+// sends, so the stream has runs of one content. A probe the capacity
 // certificate answers allocates nothing either.
 func TestPlacementAllocationFree(t *testing.T) {
 	units, pubs := testWorkload(3, 6, 40, 10, 100)
@@ -627,17 +580,7 @@ func TestPlacementAllocationFree(t *testing.T) {
 			t.Fatal("pool must be feasible")
 		}
 	}
-	memo := false
-	for i := range p.stream {
-		if b := p.pk.place(&p.stream[i]); b >= 0 && p.pk.states[b].lastKnown {
-			memo = true
-		}
-	}
 	replay()
-	if !memo || len(p.classes.entries) >= len(units) {
-		t.Fatalf("%d classes over %d units, memo reached: %v — the replay does not cover the run memo",
-			len(p.classes.entries), len(units), memo)
-	}
 	if n := testing.AllocsPerRun(20, replay); n != 0 {
 		t.Errorf("steady-state replay allocates %v times per pool, want 0", n)
 	}

@@ -20,12 +20,8 @@ type packUnit struct {
 	filters int
 	// entries lists the profile's vectors by ascending publisher index —
 	// ascending advertisement ID, the order bitvector.EstimateLoad and
-	// IntersectLoad accumulate in. Units of one class share one slice.
+	// IntersectLoad accumulate in.
 	entries []bitvector.PubVector
-	// class names the exact content of entries within the run (see
-	// classTable); 0 means not interned — a hypothetical merged unit
-	// compiled for one probe.
-	class int32
 }
 
 // compileUnit compiles the unit against the table. A pure function of
@@ -62,45 +58,11 @@ func newPublisherTable(pubs map[string]*bitvector.PublisherStats, units []*Unit)
 	return bitvector.NewPublisherTable(pubs, profiles)
 }
 
-// classTable interns compiled entry lists by exact content for one run —
-// one table pairs with one PublisherTable and dies with it. Two units are of
-// one class iff bitvector.CompiledEqual holds for their entries (publisher
-// index, firstID, lastID, capacity, words; the hash only indexes): equal
-// fingerprints are not enough, because the intersect load divides by window
-// widths a fingerprint does not see. Units of a class share the canonical
-// entries slice, and a broker that has just accepted one knows what the next
-// one does to it (brokerState.last). The zero value is ready to use; intern
-// is for the coordinating goroutine only.
-type classTable struct {
-	byHash  map[uint64][]int32
-	entries [][]bitvector.PubVector // entries[c-1] is class c's canonical list
-}
-
-// intern gives pu its class, minting one when its content is new, and
-// points it at the class's canonical entries.
-func (ct *classTable) intern(pu *packUnit) {
-	if ct.byHash == nil {
-		ct.byHash = make(map[uint64][]int32)
-	}
-	h := bitvector.HashCompiled(pu.entries)
-	for _, c := range ct.byHash[h] {
-		if bitvector.CompiledEqual(ct.entries[c-1], pu.entries) {
-			pu.entries, pu.class = ct.entries[c-1], c
-			return
-		}
-	}
-	ct.entries = append(ct.entries, pu.entries)
-	pu.class = int32(len(ct.entries))
-	ct.byHash[h] = append(ct.byHash[h], pu.class)
-}
-
-// compileUnits returns the units' compiled forms, position for position,
-// each interned in unit order.
-func compileUnits(units []*Unit, t *bitvector.PublisherTable, classes *classTable) []packUnit {
+// compileUnits returns the units' compiled forms, position for position.
+func compileUnits(units []*Unit, t *bitvector.PublisherTable) []packUnit {
 	packed := make([]packUnit, len(units))
 	for i, u := range units {
 		packed[i] = compileUnit(u, t)
-		classes.intern(&packed[i])
 	}
 	return packed
 }
@@ -124,15 +86,6 @@ type brokerState struct {
 	outLoad bitvector.Load
 	// filters is the routing-table entry count.
 	filters int
-	// last is the class of the unit accepted last, 0 when that unit had none
-	// or nothing is hosted: agg already contains every unit of that class.
-	// lastInter is the intersect load of such a unit against agg, valid once
-	// lastKnown — from the second consecutive accept of the class on, when
-	// fits has computed it against an aggregate the accept then left as it
-	// was. Any accept of another class overwrites all three.
-	last      int32
-	lastKnown bool
-	lastInter bitvector.Load
 	// fullBelow marks a rate-saturated broker: fits' walk would reject every
 	// unit of at least one filter whose input rate is below it, whatever
 	// else the unit holds (see saturation). accept recomputes it from the
@@ -152,20 +105,15 @@ type brokerState struct {
 // as an array walk: for each publisher both sides hold and the statistics
 // describe, the intersection cardinality over the wider window, summed in
 // ascending advertisement-ID order — the same terms in the same order, so
-// the same bits. Exact shortcuts keep most calls off that walk (DESIGN.md
-// §7.1):
-//
-//   - Saturation (ratesOrdered: every publisher rate finite and
-//     non-negative): fullBelow caches, per accept, for which units the walk
-//     is certain to reject, so a full broker costs one comparison beyond the
-//     bandwidth test. The walk's inter.Rate cannot exceed pu.in.Rate — each
-//     of its terms is at most the matching term of pu.in.Rate, accumulated
-//     in the same order over a subset, and IEEE operations are monotone — so
-//     the rate it tests is at least (inLoad.Rate + pu.in.Rate) − pu.in.Rate,
-//     which the mark keeps above the limit.
-//   - Run memo: when the broker's last two accepts were of the unit's class,
-//     the aggregate is what the previous fits of that class walked, and the
-//     walk would return lastInter again.
+// the same bits. One exact shortcut keeps many calls off that walk
+// (DESIGN.md §7.1): under ratesOrdered (every publisher rate finite and
+// non-negative), fullBelow caches, per accept, for which units the walk is
+// certain to reject, so a full broker costs one comparison beyond the
+// bandwidth test. The walk's inter.Rate cannot exceed pu.in.Rate — each of
+// its terms is at most the matching term of pu.in.Rate, accumulated in the
+// same order over a subset, and IEEE operations are monotone — so the rate
+// it tests is at least (inLoad.Rate + pu.in.Rate) − pu.in.Rate, which the
+// mark keeps above the limit.
 func (bs *brokerState) fits(pu *packUnit, stats []*bitvector.PublisherStats, ratesOrdered bool) (bool, bitvector.Load) {
 	if bs.outLoad.Bandwidth+pu.load.Bandwidth >= bs.spec.OutputBandwidth {
 		return false, bitvector.Load{}
@@ -175,9 +123,6 @@ func (bs *brokerState) fits(pu *packUnit, stats []*bitvector.PublisherStats, rat
 	}
 	lim := bs.spec.Delay.MaxRate(bs.filters + pu.filters)
 	sum := bs.inLoad.Rate + pu.in.Rate
-	if bs.lastKnown && pu.class == bs.last {
-		return sum-bs.lastInter.Rate <= lim, bs.lastInter
-	}
 	var inter bitvector.Load
 	for i := range pu.entries {
 		e := &pu.entries[i]
@@ -207,10 +152,7 @@ func (bs *brokerState) fits(pu *packUnit, stats []*bitvector.PublisherStats, rat
 // fits returned for the same unit against the same state. The aggregate
 // update is Profile.Or entry by entry: a publisher the unit mentions gains
 // a vector even when the unit's own is empty, and Vector.Or drops bits
-// older than the aggregate's window exactly as it does there. A unit of the
-// class accepted last finds its content already in the aggregate — Vector.Or
-// is idempotent — so the walk is skipped and inter, which fits computed
-// against this very aggregate, is what the next unit of the class will get.
+// older than the aggregate's window exactly as it does there.
 func (bs *brokerState) accept(pu *packUnit, inter bitvector.Load, capacity int, ratesOrdered bool) {
 	bs.inLoad.Rate += pu.in.Rate - inter.Rate
 	bs.inLoad.Bandwidth += pu.in.Bandwidth - inter.Bandwidth
@@ -223,10 +165,6 @@ func (bs *brokerState) accept(pu *packUnit, inter bitvector.Load, capacity int, 
 	bs.fullBelow = 0
 	if ratesOrdered && bs.spec.Delay.PerSub >= 0 && bs.inLoad.Rate*bs.spec.Delay.Delay(bs.filters+1) > 0.99 {
 		bs.fullBelow = saturation(bs.inLoad.Rate, bs.spec.Delay.MaxRate(bs.filters+1))
-	}
-	if pu.class != 0 && pu.class == bs.last {
-		bs.lastKnown, bs.lastInter = true, inter
-		return
 	}
 	for i := range pu.entries {
 		e := &pu.entries[i]
@@ -241,7 +179,6 @@ func (bs *brokerState) accept(pu *packUnit, inter bitvector.Load, capacity int, 
 		}
 		v.Or(&e.V)
 	}
-	bs.last, bs.lastKnown = pu.class, false
 }
 
 // saturation returns the input rate below which fits' walk rejects every
@@ -417,7 +354,7 @@ func packFirstFit(units []*Unit, compiled []packUnit, brokers []*BrokerSpec, t *
 // optimizations use it to test hypothetical broker contents.
 func FitsBroker(spec *BrokerSpec, units []*Unit, pubs map[string]*bitvector.PublisherStats, capacity int) bool {
 	t := newPublisherTable(pubs, units)
-	compiled := compileUnits(units, t, new(classTable))
+	compiled := compileUnits(units, t)
 	p := newPack([]*BrokerSpec{spec}, t, capacity)
 	for i := range compiled {
 		if p.place(&compiled[i]) < 0 {

@@ -71,10 +71,8 @@ func TestCRAMDeterministicAcrossParallelism(t *testing.T) {
 // one scratch pack are exercised too; every probe must give the reference's
 // answer, and every commit must leave the units a sort of the modified pool
 // would. The pool is duplicated — every subscription appears one to four
-// times under distinct IDs — so that the replay stream is runs of one class
-// and committed merges of duplicates re-enter the class table; the oracle
-// compiles against a table of its own, without classes, and so never takes
-// the memo path.
+// times under distinct IDs — so that the replay stream is runs of one
+// content; the oracle compiles against a table of its own.
 func TestFeasEngineMatchesFromScratch(t *testing.T) {
 	seedUnits, pubs := testWorkload(7, 6, 12, 10, 100)
 	rng := rand.New(rand.NewSource(99))
@@ -91,8 +89,8 @@ func TestFeasEngineMatchesFromScratch(t *testing.T) {
 	}
 	brokers := sortBrokersByCapacity(testBrokers(8, 18_000, stdDelay()))
 	p := newPool(units, brokers, newPublisherTable(pubs, units), testCap)
-	if len(p.classes.entries) >= len(units) {
-		t.Fatalf("%d classes for %d units: the pool has no duplicates", len(p.classes.entries), len(units))
+	if len(units) == len(seedUnits) {
+		t.Fatal("the pool has no duplicates")
 	}
 
 	feasYes, feasNo, commits := 0, 0, 0

@@ -31,7 +31,7 @@ import (
 // with every probe replayed:
 //
 //  1. The replay is flat. stream is one contiguous []packUnit (bandwidth,
-//     input load, filter count, class and publisher-indexed vector list per
+//     input load, filter count and publisher-indexed vector list per
 //     position), removed units are a sorted position list walked alongside
 //     it, and the broker states are one scratch pack cleared in place — no
 //     map lookup, no Unit or Profile dereference and, in the steady state,
@@ -43,30 +43,24 @@ import (
 //     20k pool's out of bandwidth (140M of 160M), and place turns both away
 //     on its admission columns, two comparisons over three contiguous
 //     float64 arrays. What reaches fits is 2.4 calls per placement on the 8k
-//     plan and 1.0 on the 20k pool. Of those, the run memo answers 2.1M and
-//     10.8M — the pool is runs of identical compiled content, 1,634 distinct
-//     contents among the 20k pool's units — and 19.7M and 8.6M walk
-//     AndCount over the unit's publishers: two walks per placement on the 8k
-//     plan, less than one in two on the 20k pool. Unit windows are anchored
-//     at their first set bit and start anywhere in a word; vectors sit on an
-//     absolute word grid (bitvector, DESIGN.md §9.1), so a walk is one AND
-//     and one popcount per grid word the unit and the aggregate share. accept
-//     skips its OR walk for 2.5M of 8.9M and 13.6M of 19.4M placements.
+//     plan and 1.0 on the 20k pool, each a walk of AndCount over the unit's
+//     publishers. Unit windows are anchored at their first set bit and start
+//     anywhere in a word; vectors sit on an absolute word grid (bitvector,
+//     DESIGN.md §9.1), so a walk is one AND and one popcount per grid word
+//     the unit and the aggregate share.
 //
-// At ~55 ns a placement (~1.1 s for the 20k row's 19.4M; BenchmarkProbeReplay
-// reads 43–47 ns on its synthetic pool), neither splitting one across
-// goroutines, nor resuming a replay from saved broker states, nor
-// running a binary search's next probes ahead of time pays for its
-// bookkeeping, and a tournament tree over remaining bandwidth costs per
-// placement what the column scan does (EXPERIMENTS.md, "Mechanism census").
+// At ~100 ns a placement (BenchmarkProbeReplay on its synthetic pool, 2-vCPU
+// Xeon), neither splitting one across goroutines, nor resuming a replay from
+// saved broker states, nor running a binary search's next probes ahead of
+// time pays for its bookkeeping, and a tournament tree over remaining
+// bandwidth costs per placement what the column scan does (EXPERIMENTS.md,
+// "Mechanism census").
 // A pool is for one goroutine.
 type pool struct {
 	table *bitvector.PublisherTable
-	// classes interns every staged unit's compiled content against table.
-	classes classTable
 
 	units  []*Unit    // the committed pool in BIN PACKING order
-	stream []packUnit // stream[i] is units[i] compiled and interned
+	stream []packUnit // stream[i] is units[i] compiled
 	pk     *pack      // the scratch pack every probe replays onto
 
 	// What the capacity certificate reads (certify). bandwidth bounds the
@@ -82,11 +76,11 @@ type pool struct {
 	pairs, narrowest float64
 }
 
-// newPool ingests the units: sorted into BIN PACKING order, then compiled
-// and interned in that order. brokers are in trial order.
+// newPool ingests the units: sorted into BIN PACKING order, then compiled.
+// brokers are in trial order.
 func newPool(units []*Unit, brokers []*BrokerSpec, t *bitvector.PublisherTable, capacity int) *pool {
 	p := &pool{table: t, units: sortUnitsByBandwidthDesc(units), pk: newPack(brokers, t, capacity)}
-	p.stream = compileUnits(p.units, t, &p.classes)
+	p.stream = compileUnits(p.units, t)
 	for i := range p.stream {
 		pu := &p.stream[i]
 		p.bandwidth, p.filters = roundUp(p.bandwidth+pu.load.Bandwidth), p.filters+pu.filters
@@ -123,14 +117,14 @@ func roundUp(x float64) float64 { return math.Nextafter(x, math.Inf(1)) }
 
 // change is one modification of the pool, staged against its committed
 // state: the removed units' positions, and the added units in BIN PACKING
-// order with where each goes and its compiled, interned form. probe replays
-// exactly the stream commit splices, so a probe vouches for the very pool
-// its commit makes. A change is good until the next commit.
+// order with where each goes and its compiled form. probe replays exactly
+// the stream commit splices, so a probe vouches for the very pool its commit
+// makes. A change is good until the next commit.
 type change struct {
 	cut      []int      // the removed units' positions, ascending
 	at       []int      // added[j] goes ahead of the pool's unit at[j] (len: at the end)
 	added    []*Unit    // the added units, in BIN PACKING order
-	compiled []packUnit // added[j] compiled and interned
+	compiled []packUnit // added[j] compiled
 	err      error      // a removed unit the pool does not hold, or one listed twice
 	// The pool's bandwidth and filters with the change committed.
 	bandwidth float64
@@ -152,7 +146,7 @@ func (p *pool) stage(removed, added []*Unit) change {
 	for j, u := range c.added {
 		c.at[j] = sort.Search(len(p.units), func(i int) bool { return unitBefore(u, p.units[i]) })
 	}
-	c.compiled = compileUnits(c.added, p.table, &p.classes)
+	c.compiled = compileUnits(c.added, p.table)
 	c.bandwidth, c.filters = p.bandwidth, p.filters
 	for _, i := range c.cut {
 		pu := &p.stream[i]

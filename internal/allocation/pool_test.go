@@ -5,6 +5,7 @@ import (
 	"maps"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -14,9 +15,7 @@ import (
 )
 
 // checkPoolInvariants asserts what pool.commit must preserve: units strictly
-// in BIN PACKING order, stream[i] the compiled form of units[i], and classes
-// partitioning the stream exactly as a fresh classTable partitions it — equal
-// compiled content, equal class, the canonical entries shared. It ends by
+// in BIN PACKING order and stream[i] the compiled form of units[i]. It ends by
 // replaying the pool onto its scratch pack: the admission columns must mirror
 // the broker states where the run's last probe left them, after the clear and
 // after every placement, and place must land each unit where the linear scan
@@ -26,35 +25,14 @@ func checkPoolInvariants(t *testing.T, p *pool) {
 	if len(p.stream) != len(p.units) {
 		t.Fatalf("%d compiled units for %d units", len(p.stream), len(p.units))
 	}
-	fresh := compileUnits(p.units, p.table, new(classTable))
-	toFresh := make(map[int32]int32)
-	fromFresh := make(map[int32]int32)
-	canonical := make(map[int32]*bitvector.PubVector)
 	for i, u := range p.units {
 		if i > 0 && !unitBefore(p.units[i-1], u) {
 			t.Fatalf("units %d (%s) and %d (%s) are out of BIN PACKING order", i-1, p.units[i-1].ID, i, u.ID)
 		}
 		got, want := &p.stream[i], compileUnit(u, p.table)
 		if !sameLoad(got.load, want.load) || !sameLoad(got.in, want.in) || got.filters != want.filters ||
-			!bitvector.CompiledEqual(got.entries, want.entries) {
+			!reflect.DeepEqual(got.entries, want.entries) {
 			t.Fatalf("stream[%d] is not unit %s compiled", i, u.ID)
-		}
-		if got.class == 0 {
-			t.Fatalf("stream[%d] (unit %s) was never interned", i, u.ID)
-		}
-		f := fresh[i].class
-		if c, ok := toFresh[got.class]; ok && c != f {
-			t.Fatalf("class %d holds two contents (unit %s)", got.class, u.ID)
-		}
-		if c, ok := fromFresh[f]; ok && c != got.class {
-			t.Fatalf("one content in classes %d and %d (unit %s)", c, got.class, u.ID)
-		}
-		toFresh[got.class], fromFresh[f] = f, got.class
-		if len(got.entries) > 0 {
-			if first, ok := canonical[got.class]; ok && first != &got.entries[0] {
-				t.Fatalf("stream[%d] (unit %s) does not share its class's entries", i, u.ID)
-			}
-			canonical[got.class] = &got.entries[0]
 		}
 	}
 

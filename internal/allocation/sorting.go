@@ -38,7 +38,7 @@ func (f *FBF) Allocate(in *Input) (*Assignment, error) {
 	rng.Shuffle(len(units), func(i, j int) { units[i], units[j] = units[j], units[i] })
 	brokers := sortBrokersByCapacity(in.Brokers)
 	table := newPublisherTable(in.Publishers, units)
-	compiled := compileUnits(units, table, new(classTable))
+	compiled := compileUnits(units, table)
 	a, err := packFirstFit(units, compiled, brokers, table, in.ProfileCapacity)
 	if err != nil {
 		return nil, fmt.Errorf("FBF: %w", err)
@@ -63,7 +63,7 @@ func (*BinPacking) Allocate(in *Input) (*Assignment, error) {
 	units := sortUnitsByBandwidthDesc(in.Units)
 	brokers := sortBrokersByCapacity(in.Brokers)
 	table := newPublisherTable(in.Publishers, units)
-	compiled := compileUnits(units, table, new(classTable))
+	compiled := compileUnits(units, table)
 	a, err := packFirstFit(units, compiled, brokers, table, in.ProfileCapacity)
 	if err != nil {
 		return nil, fmt.Errorf("BINPACKING: %w", err)

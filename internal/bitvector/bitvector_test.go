@@ -585,10 +585,9 @@ func TestQuickOrMatchesModel(t *testing.T) {
 	}
 }
 
-// TestOrIdempotent is the property allocation's first-fit kernel rests its
-// skipped OR on: after v.Or(o), a second v.Or(o) changes nothing — firstID,
-// lastID, cached count and every word stay bit-equal — and the merge is the
-// per-bit union over the merged window. Destinations are empty or filled;
+// TestOrIdempotent pins Vector.Or as a set union: after v.Or(o), a second
+// v.Or(o) changes nothing — firstID, lastID, cached count and every word stay
+// bit-equal — and the merge is the per-bit union over the merged window. Destinations are empty or filled;
 // sources start a whole number of words from them, anywhere else, or past
 // them (disjoint), are empty, slid clean of bits, and of a larger capacity
 // holding a wider window than the destination can, so that Or has to clamp.

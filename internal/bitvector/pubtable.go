@@ -115,42 +115,3 @@ func (t *PublisherTable) Profile(byPub []*Vector, capacity int) *Profile {
 	}
 	return p
 }
-
-// HashCompiled hashes a compiled profile's exact content — publisher index,
-// window, capacity and words of every entry — for interning. Equal content
-// hashes equal; the converse is CompiledEqual's to decide.
-func HashCompiled(entries []PubVector) uint64 {
-	const prime = 0x100000001b3
-	h := uint64(0xcbf29ce484222325)
-	mix := func(x uint64) { h = (h ^ x) * prime }
-	for i := range entries {
-		e := &entries[i]
-		mix(uint64(e.Pub))
-		mix(uint64(e.V.firstID))
-		mix(uint64(e.V.lastID))
-		mix(uint64(e.V.capacity))
-		for _, w := range e.V.words {
-			mix(w)
-		}
-	}
-	return h
-}
-
-// CompiledEqual reports whether two compiled profiles hold exactly the same
-// content: the same publishers in the same order, each with the same
-// firstID, lastID, capacity, popcount and words. Stricter than equal
-// fingerprints, which ignore where a window starts and ends; two lists that
-// pass are interchangeable in every vector operation.
-func CompiledEqual(a, b []PubVector) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		x, y := &a[i], &b[i]
-		if x.Pub != y.Pub || x.V.firstID != y.V.firstID || x.V.lastID != y.V.lastID ||
-			x.V.capacity != y.V.capacity || x.V.count != y.V.count || !slices.Equal(x.V.words, y.V.words) {
-			return false
-		}
-	}
-	return true
-}

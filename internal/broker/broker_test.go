@@ -307,11 +307,31 @@ func TestDuplicateSubscriptionIgnored(t *testing.T) {
 }
 
 func TestBrokerConfigValidation(t *testing.T) {
-	if _, err := broker.New(broker.Config{Clock: func() float64 { return 0 }}); err == nil {
-		t.Error("missing ID accepted")
-	}
-	if _, err := broker.New(broker.Config{ID: "B"}); err == nil {
-		t.Error("missing clock accepted")
+	clock := func() float64 { return 0 }
+	delay := message.MatchingDelayFn{PerSub: 1e-4, Base: 1e-3}
+	for _, tc := range []struct {
+		name string
+		cfg  broker.Config
+		ok   bool
+	}{
+		{"valid", broker.Config{ID: "B", Clock: clock, Delay: delay, OutputBandwidth: 1000}, true},
+		{"negative bandwidth and delay mean unthrottled", broker.Config{ID: "B", Clock: clock,
+			Delay: message.MatchingDelayFn{PerSub: -1, Base: -1}, OutputBandwidth: -1}, true},
+		{"missing ID", broker.Config{Clock: clock}, false},
+		{"missing clock", broker.Config{ID: "B"}, false},
+		{"NaN bandwidth", broker.Config{ID: "B", Clock: clock, Delay: delay, OutputBandwidth: math.NaN()}, false},
+		{"infinite bandwidth", broker.Config{ID: "B", Clock: clock, Delay: delay, OutputBandwidth: math.Inf(1)}, false},
+		{"negative infinite bandwidth", broker.Config{ID: "B", Clock: clock, Delay: delay, OutputBandwidth: math.Inf(-1)}, false},
+		{"NaN per-subscription delay", broker.Config{ID: "B", Clock: clock,
+			Delay: message.MatchingDelayFn{PerSub: math.NaN(), Base: 1e-3}}, false},
+		{"infinite base delay", broker.Config{ID: "B", Clock: clock,
+			Delay: message.MatchingDelayFn{PerSub: 1e-4, Base: math.Inf(1)}}, false},
+		{"NaN base delay", broker.Config{ID: "B", Clock: clock,
+			Delay: message.MatchingDelayFn{PerSub: 1e-4, Base: math.NaN()}}, false},
+	} {
+		if _, err := broker.New(tc.cfg); (err == nil) != tc.ok {
+			t.Errorf("%s: New returned %v, want ok=%v", tc.name, err, tc.ok)
+		}
 	}
 }
 

@@ -16,6 +16,7 @@ package broker
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -196,6 +197,17 @@ func New(cfg Config) (*Core, error) {
 	}
 	if cfg.Clock == nil {
 		return nil, fmt.Errorf("broker: config requires a clock")
+	}
+	// A BIA carries these as JSON numbers, which have no NaN or infinity:
+	// a broker holding one could not answer a BIR. Negative values stay
+	// allowed and mean unthrottled.
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"output bandwidth", cfg.OutputBandwidth}, {"matching delay per subscription", cfg.Delay.PerSub}, {"matching delay base", cfg.Delay.Base}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return nil, fmt.Errorf("broker %s: %s %v is not finite", cfg.ID, f.name, f.v)
+		}
 	}
 	inst := cfg.Instruments
 	if inst == nil {

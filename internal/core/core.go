@@ -184,6 +184,20 @@ func inputsFromInfos(infos []message.BrokerInfo, capacity int) (*allocation.Inpu
 	if len(infos) == 0 {
 		return nil, fmt.Errorf("core: no broker information gathered")
 	}
+	// A BIA is outside input: a null entry is an error, not a panic.
+	for i := range infos {
+		bi := &infos[i]
+		for j := range bi.Subscriptions {
+			if bi.Subscriptions[j].Sub == nil {
+				return nil, fmt.Errorf("core: broker %q: subscription entry %d is null", bi.ID, j)
+			}
+		}
+		for j := range bi.Publishers {
+			if bi.Publishers[j].Stats == nil {
+				return nil, fmt.Errorf("core: broker %q: publisher entry %d has null statistics", bi.ID, j)
+			}
+		}
+	}
 	in := &allocation.Input{
 		Publishers:      PublisherStats(infos),
 		ProfileCapacity: capacity,

@@ -130,6 +130,7 @@ type ScalePoint struct {
 	ShardsPruned     int   `json:"shards_pruned"`
 	BoundPruned      int   `json:"bound_pruned"`
 	SpilledRuns      int   `json:"spilled_runs"`
+	PackAttempts     int   `json:"pack_attempts"`
 	ProbesCertified  int   `json:"probes_certified"`
 	GenMillis        int64 `json:"gen_millis"`
 	AllocMillis      int64 `json:"alloc_millis"`
@@ -176,6 +177,7 @@ func RunScalePoint(o ScaleOpts) (*ScalePoint, error) {
 		ShardsPruned:     st.ShardsPruned,
 		BoundPruned:      st.BoundPruned,
 		SpilledRuns:      st.SpilledRuns,
+		PackAttempts:     st.PackAttempts,
 		ProbesCertified:  st.ProbesCertified,
 		GenMillis:        gen.Milliseconds(),
 		AllocMillis:      time.Since(allocStart).Milliseconds(),

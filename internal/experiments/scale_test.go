@@ -88,7 +88,9 @@ func TestScalePointSmall(t *testing.T) {
 // it). The 100k point is the gate: automatic sharding must have pruned
 // shards wholesale and the candidate generator must have spilled under
 // the default budget — if either stays at zero the optimization has
-// silently disengaged.
+// silently disengaged. At both sizes the capacity certificate must answer
+// every feasibility probe: the first-fit replay has no shortcut for the
+// runs of equal content these pools are made of (DESIGN.md §7.1).
 func TestWriteScaleBenchJSON(t *testing.T) {
 	path := os.Getenv("BENCH_SCALE_JSON")
 	if path == "" {
@@ -112,6 +114,12 @@ func TestWriteScaleBenchJSON(t *testing.T) {
 	}
 	if headline.SpilledRuns == 0 {
 		t.Error("100k point spilled no runs: candidate generation stayed in memory")
+	}
+	for _, pt := range points {
+		if pt.ProbesCertified != pt.PackAttempts {
+			t.Errorf("%d-subscription point: the capacity certificate answered %d of %d probes; the rest replayed",
+				pt.Subs, pt.ProbesCertified, pt.PackAttempts)
+		}
 	}
 	// Carry each row's previous wall time along, so the file always shows
 	// the before/after of the last change to the allocation path.
