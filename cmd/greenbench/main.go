@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"github.com/greenps/greenps/internal/experiments"
@@ -44,6 +45,35 @@ var descriptions = []struct{ id, desc string }{
 	{"e12", "poset insertion scalability"},
 	{"e13", "CRAM allocation at scale (sharded search, spill-to-disk)"},
 	{"t1", "summary: reductions vs MANUAL"},
+}
+
+// parseExperiments reads the -exp value: comma-separated experiment IDs in
+// any case, or "all" for every one. It names each unknown ID, so a typo
+// fails the run instead of silently dropping a table.
+func parseExperiments(list string) (map[string]bool, error) {
+	want := map[string]bool{}
+	var unknown, valid []string
+	for _, d := range descriptions {
+		valid = append(valid, d.id)
+	}
+	for _, id := range strings.Split(list, ",") {
+		id = strings.ToLower(strings.TrimSpace(id))
+		switch {
+		case id == "all":
+			for _, v := range valid {
+				want[v] = true
+			}
+		case slices.Contains(valid, id):
+			want[id] = true
+		default:
+			unknown = append(unknown, fmt.Sprintf("%q", id))
+		}
+	}
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("unknown experiment %s (valid: %s, all)",
+			strings.Join(unknown, ", "), strings.Join(valid, ", "))
+	}
+	return want, nil
 }
 
 func run() error {
@@ -76,15 +106,9 @@ func run() error {
 		cfg.Log = os.Stderr
 	}
 
-	want := map[string]bool{}
-	if *expFlag == "all" {
-		for _, d := range descriptions {
-			want[d.id] = true
-		}
-	} else {
-		for _, id := range strings.Split(*expFlag, ",") {
-			want[strings.ToLower(strings.TrimSpace(id))] = true
-		}
+	want, err := parseExperiments(*expFlag)
+	if err != nil {
+		return err
 	}
 
 	rendered := 0

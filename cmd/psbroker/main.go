@@ -46,7 +46,7 @@ func run() error {
 		bw        = flag.Float64("bw", 0, "output bandwidth throttle, bytes/s (0 = unthrottled)")
 		delayStr  = flag.String("delay", "0.0001,0.001", "matching delay model perSub,base in seconds")
 		neighbors = flag.String("neighbors", "", "comma-separated neighbor addresses to dial")
-		capacity  = flag.Int("profile-bits", 1280, "CBC bit-vector capacity")
+		capacity  = flag.Int("profile-bits", 1280, "CBC bit-vector capacity; the planner reads it from this broker's BIA")
 		quiet     = flag.Bool("q", false, "suppress runtime diagnostics")
 		metrics   = flag.String("metrics-addr", "", "serve Prometheus metrics on this address at /metrics (empty = disabled)")
 		wtimeout  = flag.Duration("write-timeout", 0, "per-frame write deadline to peers (0 = none)")

@@ -83,10 +83,9 @@ func stdInput(t *testing.T) *Input {
 	t.Helper()
 	units, pubs := testWorkload(42, 8, 25, 10, 100)
 	in := &Input{
-		Units:           units,
-		Brokers:         testBrokers(20, 25_000, stdDelay()),
-		Publishers:      pubs,
-		ProfileCapacity: testCap,
+		Units:      units,
+		Brokers:    testBrokers(20, 25_000, stdDelay()),
+		Publishers: pubs,
 	}
 	if err := in.Validate(); err != nil {
 		t.Fatalf("stdInput invalid: %v", err)
@@ -155,7 +154,7 @@ func TestBinPackingBeatsOrTiesFBF(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		units, pubs := testWorkload(seed, 8, 25, 10, 100)
 		in := &Input{Units: units, Brokers: testBrokers(20, 25_000, stdDelay()),
-			Publishers: pubs, ProfileCapacity: testCap}
+			Publishers: pubs}
 		fa, err := (&FBF{Seed: seed}).Allocate(in)
 		if err != nil {
 			t.Fatalf("FBF seed %d: %v", seed, err)
@@ -174,7 +173,7 @@ func TestBinPackingBeatsOrTiesFBF(t *testing.T) {
 func TestAllocationFailsWhenInsufficientResources(t *testing.T) {
 	units, pubs := testWorkload(3, 8, 25, 10, 100)
 	in := &Input{Units: units, Brokers: testBrokers(2, 500, stdDelay()),
-		Publishers: pubs, ProfileCapacity: testCap}
+		Publishers: pubs}
 	if _, err := (&BinPacking{}).Allocate(in); err == nil {
 		t.Fatal("expected allocation failure on tiny broker pool")
 	}
@@ -228,7 +227,7 @@ func TestCRAMReducesBrokersVsSorting(t *testing.T) {
 	// brokers; clustering per interest packs to the bandwidth limit.
 	delay := message.MatchingDelayFn{PerSub: 0.002, Base: 0.001}
 	in := &Input{Units: units, Brokers: testBrokers(60, 25_000, delay),
-		Publishers: pubs, ProfileCapacity: testCap}
+		Publishers: pubs}
 	ba, err := (&BinPacking{}).Allocate(in)
 	if err != nil {
 		t.Fatalf("BINPACKING: %v", err)
@@ -322,7 +321,7 @@ func TestCRAMHandlesEmptyProfiles(t *testing.T) {
 			bitvector.NewProfile(testCap), bitvector.Load{}))
 	}
 	in := &Input{Units: units, Brokers: testBrokers(10, 6_000, stdDelay()),
-		Publishers: pubs, ProfileCapacity: testCap}
+		Publishers: pubs}
 	cram := &CRAM{Metric: bitvector.MetricIOU}
 	a, err := cram.Allocate(in)
 	if err != nil {
@@ -359,10 +358,9 @@ func TestPairwiseRejectsBadK(t *testing.T) {
 	// requested cluster count exceeds the pool.
 	units, pubs := testWorkload(9, 2, 5, 10, 100)
 	if _, err := (&Pairwise{Clusters: 4}).Allocate(&Input{
-		Units:           units,
-		Brokers:         testBrokers(1, 25_000, stdDelay()),
-		Publishers:      pubs,
-		ProfileCapacity: testCap,
+		Units:      units,
+		Brokers:    testBrokers(1, 25_000, stdDelay()),
+		Publishers: pubs,
 	}); err == nil {
 		t.Fatal("more clusters than brokers accepted")
 	}
@@ -370,7 +368,7 @@ func TestPairwiseRejectsBadK(t *testing.T) {
 
 func TestInputValidate(t *testing.T) {
 	units, pubs := testWorkload(1, 2, 2, 10, 100)
-	good := &Input{Units: units, Brokers: testBrokers(2, 1000, stdDelay()), Publishers: pubs, ProfileCapacity: testCap}
+	good := &Input{Units: units, Brokers: testBrokers(2, 1000, stdDelay()), Publishers: pubs}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("good input rejected: %v", err)
 	}
@@ -381,24 +379,35 @@ func TestInputValidate(t *testing.T) {
 		{Units: units, Brokers: []*BrokerSpec{{ID: "a", OutputBandwidth: 0}}, Publishers: pubs},
 		// A NaN or infinite capacity, and a NaN matching delay, in an
 		// input otherwise good.
-		{Units: units, Brokers: []*BrokerSpec{{ID: "a", OutputBandwidth: math.NaN()}}, Publishers: pubs, ProfileCapacity: testCap},
-		{Units: units, Brokers: []*BrokerSpec{{ID: "a", OutputBandwidth: math.Inf(1)}}, Publishers: pubs, ProfileCapacity: testCap},
+		{Units: units, Brokers: []*BrokerSpec{{ID: "a", OutputBandwidth: math.NaN()}}, Publishers: pubs},
+		{Units: units, Brokers: []*BrokerSpec{{ID: "a", OutputBandwidth: math.Inf(1)}}, Publishers: pubs},
 		{Units: units, Brokers: []*BrokerSpec{{ID: "a", OutputBandwidth: 1, Delay: message.MatchingDelayFn{PerSub: math.NaN()}}},
-			Publishers: pubs, ProfileCapacity: testCap},
+			Publishers: pubs},
 		{Units: units, Brokers: []*BrokerSpec{{ID: "a", OutputBandwidth: 1, Delay: message.MatchingDelayFn{Base: math.NaN()}}},
-			Publishers: pubs, ProfileCapacity: testCap},
+			Publishers: pubs},
 		{Units: []*Unit{{ID: "", Profile: bitvector.NewProfile(8), Members: []Member{{}}}},
 			Brokers: testBrokers(1, 1000, stdDelay()), Publishers: pubs},
 		{Units: []*Unit{{ID: "u", Profile: nil, Members: []Member{{}}}},
 			Brokers: testBrokers(1, 1000, stdDelay()), Publishers: pubs},
 		{Units: []*Unit{{ID: "u", Profile: bitvector.NewProfile(8)}},
 			Brokers: testBrokers(1, 1000, stdDelay()), Publishers: pubs},
-		// Vectors of testCap bits in a plan of the default capacity.
-		{Units: units, Brokers: testBrokers(2, 1000, stdDelay()), Publishers: pubs},
 	}
 	for i, in := range cases {
 		if err := in.Validate(); err == nil {
 			t.Errorf("case %d: invalid input accepted", i)
+		}
+	}
+	// A unit at another capacity than the first unit's: the error names
+	// both units and both capacities.
+	wide := &Unit{ID: "wide", Profile: bitvector.NewProfile(2 * testCap), Members: []Member{{SubID: "w"}}}
+	mixed := &Input{Units: append(units[:1:1], wide), Brokers: testBrokers(2, 1000, stdDelay()), Publishers: pubs}
+	err := mixed.Validate()
+	if err == nil {
+		t.Fatal("units of two capacities accepted")
+	}
+	for _, want := range []string{`"wide"`, fmt.Sprintf("%q", units[0].ID), fmt.Sprint(testCap), fmt.Sprint(2 * testCap)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
 		}
 	}
 }
@@ -424,7 +433,7 @@ func TestNaNLoadRejected(t *testing.T) {
 
 func TestMergeUnits(t *testing.T) {
 	units, _ := testWorkload(5, 1, 4, 10, 100)
-	m := MergeUnits("merged", testCap, units...)
+	m := MergeUnits("merged", units...)
 	if len(m.Members) != 4 {
 		t.Fatalf("members=%d, want 4", len(m.Members))
 	}
@@ -453,7 +462,7 @@ func TestQuickAllocationInvariants(t *testing.T) {
 		nSubs := 1 + rng.Intn(20)
 		units, pubs := testWorkload(seed, nPubs, nSubs, 5+rng.Float64()*20, 50+rng.Float64()*200)
 		brokers := testBrokers(1+rng.Intn(25), 500+rng.Float64()*8000, stdDelay())
-		in := &Input{Units: units, Brokers: brokers, Publishers: pubs, ProfileCapacity: testCap}
+		in := &Input{Units: units, Brokers: brokers, Publishers: pubs}
 		algos := []Algorithm{
 			&FBF{Seed: seed},
 			&BinPacking{},
@@ -528,7 +537,7 @@ func TestCRAMOrderInvariance(t *testing.T) {
 	base := stdInput(t)
 	run := func(units []*Unit) *Assignment {
 		in := &Input{Units: units, Brokers: base.Brokers,
-			Publishers: base.Publishers, ProfileCapacity: testCap}
+			Publishers: base.Publishers}
 		cram := &CRAM{Metric: bitvector.MetricIOS}
 		a, err := cram.Allocate(in)
 		if err != nil {

@@ -18,10 +18,9 @@ func benchInput(b *testing.B) *Input {
 	// feasible (so every algorithm can run), while clustering still pays.
 	delay := message.MatchingDelayFn{PerSub: 0.00005, Base: 0.001}
 	in := &Input{
-		Units:           units,
-		Brokers:         testBrokers(40, 80_000, delay),
-		Publishers:      pubs,
-		ProfileCapacity: testCap,
+		Units:      units,
+		Brokers:    testBrokers(40, 80_000, delay),
+		Publishers: pubs,
 	}
 	if err := in.Validate(); err != nil {
 		b.Fatal(err)
@@ -91,10 +90,9 @@ func benchInput8k(b *testing.B) *Input {
 	units, pubs := testWorkload(1, 40, 200, 10, 100)
 	delay := message.MatchingDelayFn{PerSub: 0.00005, Base: 0.001}
 	in := &Input{
-		Units:           units,
-		Brokers:         testBrokers(160, 80_000, delay),
-		Publishers:      pubs,
-		ProfileCapacity: testCap,
+		Units:      units,
+		Brokers:    testBrokers(160, 80_000, delay),
+		Publishers: pubs,
 	}
 	if err := in.Validate(); err != nil {
 		b.Fatal(err)
@@ -257,7 +255,7 @@ func BenchmarkCRAMParallelism(b *testing.B) {
 // and replay.
 func BenchmarkFeasProbe(b *testing.B) {
 	in := benchInput(b)
-	p := newPool(in.Units, in.Brokers, newPublisherTable(in.Publishers, in.Units), in.ProfileCapacity)
+	p := newPool(in.Units, in.Brokers, newPublisherTable(in.Publishers, in.Units))
 	if packs, certified := p.probe(p.stage(nil, nil)); !packs || certified {
 		b.Fatal("pool must be feasible, and the replay must answer")
 	}
@@ -278,7 +276,7 @@ func BenchmarkFeasibilityTest(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !feasibleFirstFit(units, brokers, in.Publishers, in.ProfileCapacity) {
+		if !feasibleFirstFit(units, brokers, in.Publishers) {
 			b.Fatal("pool must be feasible")
 		}
 	}
@@ -297,7 +295,7 @@ func BenchmarkProbeReplay(b *testing.B) {
 	// Bandwidth-bound brokers at 2.2x the even share, as in the E13 scale
 	// workload.
 	brokers := testBrokers(20, 2.2*totalBW/20, message.MatchingDelayFn{PerSub: 1e-9, Base: 1e-6})
-	p := newPool(units, brokers, newPublisherTable(pubs, units), testCap)
+	p := newPool(units, brokers, newPublisherTable(pubs, units))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -332,7 +330,7 @@ func BenchmarkExhaustiveBookkeeping(b *testing.B) {
 	}
 	// Bandwidth-bound brokers at 2.2x the even share, as in BenchmarkProbeReplay.
 	brokers := testBrokers(20, 2.2*totalBW/20, message.MatchingDelayFn{PerSub: 1e-9, Base: 1e-6})
-	in := &Input{Units: units, Brokers: brokers, Publishers: pubs, ProfileCapacity: testCap}
+	in := &Input{Units: units, Brokers: brokers, Publishers: pubs}
 	r, err := (&CRAM{Metric: bitvector.MetricIOS, ExhaustiveSearch: true, Shards: 16}).start(in)
 	if err != nil {
 		b.Fatal(err)
@@ -342,13 +340,13 @@ func BenchmarkExhaustiveBookkeeping(b *testing.B) {
 	if len(gifs) < 1600 || r.shards == nil {
 		b.Fatalf("%d GIFs, sharded %v: want a sharded run over at least 1,600", len(gifs), r.shards != nil)
 	}
-	founder := MergeUnits("bench-founder", testCap, gifs[0].units[0], gifs[len(gifs)-1].units[0])
+	founder := MergeUnits("bench-founder", gifs[0].units[0], gifs[len(gifs)-1].units[0])
 	key := founder.Profile.FingerprintKey()
 	if r.byKey[key] != nil {
 		b.Fatal("the founder's profile already has a GIF")
 	}
 	parts := gifs[len(gifs)/2].units[:8]
-	merged := MergeUnits("bench-merged", testCap, parts...)
+	merged := MergeUnits("bench-merged", parts...)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.heap = r.heap[:0]

@@ -230,9 +230,8 @@ func (h *candHeap) Pop() any {
 
 // cramRun holds the mutable state of one Allocate call.
 type cramRun struct {
-	c        *CRAM
-	capacity int
-	brokers  []*BrokerSpec // in trial order
+	c       *CRAM
+	brokers []*BrokerSpec // in trial order
 	// pool is the committed unit pool and its feasibility test; commit is
 	// the only way it changes, and err the failure of one.
 	pool *pool
@@ -396,7 +395,6 @@ func (c *CRAM) start(in *Input) (*cramRun, error) {
 
 	r := &cramRun{
 		c:          c,
-		capacity:   in.ProfileCapacity,
 		exhaustive: c.ExhaustiveSearch || c.DisableGIFGrouping,
 		byKey:      make(map[string]*gif),
 		ps:         poset.New(),
@@ -418,7 +416,7 @@ func (c *CRAM) start(in *Input) (*cramRun, error) {
 	// Ingest the pool: every input unit compiled against the run's publisher
 	// table up front. The table lives exactly as long as this call.
 	r.brokers = sortBrokersByCapacity(in.Brokers)
-	r.pool = newPool(in.Units, r.brokers, newPublisherTable(in.Publishers, in.Units), r.capacity)
+	r.pool = newPool(in.Units, r.brokers, newPublisherTable(in.Publishers, in.Units))
 
 	// Initial allocation test without clustering (the algorithm terminates
 	// immediately if the raw pool does not fit).
@@ -543,7 +541,7 @@ func (r *cramRun) cluster() (*Assignment, error) {
 	}
 
 	// Materialize the final (feasible by construction) allocation.
-	a, err := packFirstFit(r.pool.units, r.pool.stream, r.brokers, r.pool.table, r.capacity)
+	a, err := packFirstFit(r.pool.units, r.pool.stream, r.brokers, r.pool.table)
 	if err != nil {
 		// Cannot happen: every committed pool passed the feasibility test.
 		return nil, fmt.Errorf("CRAM: final pack of feasible pool failed: %w", err)
@@ -806,7 +804,7 @@ func (r *cramRun) tryCoveredSet(parent, other *gif) bool {
 	if len(pool) == 0 {
 		return false
 	}
-	cgsProfile := bitvector.NewProfile(r.capacity)
+	cgsProfile := bitvector.NewProfile(parent.profile.Capacity())
 	var cgs []*gif
 	load := parent.units[0].Load.Bandwidth
 	for len(pool) > 0 {
@@ -887,7 +885,7 @@ func (r *cramRun) mergeLargest(lo, hi int, takes []take, home *gif) bool {
 		for _, t := range takes {
 			parts = append(parts, t.g.units[:t.n]...)
 		}
-		m := MergeUnits(id, r.capacity, parts...)
+		m := MergeUnits(id, parts...)
 		ch := r.pool.stage(parts, []*Unit{m})
 		if !r.probe(ch) {
 			return false

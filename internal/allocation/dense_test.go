@@ -16,9 +16,9 @@ import (
 // to. It is a plain packFirstFit — the same dense state as every other
 // packing, with no stream or scratch reuse — over units compiled against a
 // table of its own.
-func feasibleFirstFit(units []*Unit, brokers []*BrokerSpec, pubs map[string]*bitvector.PublisherStats, capacity int) bool {
+func feasibleFirstFit(units []*Unit, brokers []*BrokerSpec, pubs map[string]*bitvector.PublisherStats) bool {
 	table := newPublisherTable(pubs, units)
-	_, err := packFirstFit(units, compileUnits(units, table), brokers, table, capacity)
+	_, err := packFirstFit(units, compileUnits(units, table), brokers, table)
 	return err == nil
 }
 
@@ -135,12 +135,13 @@ func (c *denseCoverage) add(o denseCoverage) {
 // repeat the placements. Last, FitsBroker's answer for each broker on its own
 // is held to the reference's.
 func checkDenseAgainstReference(t *testing.T, units []*Unit, brokers []*BrokerSpec,
-	pubs map[string]*bitvector.PublisherStats, capacity int) denseCoverage {
+	pubs map[string]*bitvector.PublisherStats) denseCoverage {
 	t.Helper()
 	table := newPublisherTable(pubs, units)
 	compiled := compileUnits(units, table)
-	pk := newPack(brokers, table, capacity)
-	scan := newPack(brokers, table, capacity) // driven through place only
+	pk := newPack(brokers, table)
+	scan := newPack(brokers, table) // driven through place only
+	capacity := pk.capacity         // the reference aggregates at the kernel's capacity
 	checkColumns(t, scan, "new pack")
 	landed := make([]int, 0, len(units)) // where scan put each unit so far
 	ref := make([]*refBroker, len(brokers))
@@ -207,20 +208,24 @@ func checkDenseAgainstReference(t *testing.T, units []*Unit, brokers []*BrokerSp
 				t.Fatalf("unit %d broker %d: dense state in=%+v out=%+v f=%d, reference in=%+v out=%+v f=%d",
 					ui, b, bs.inLoad, bs.outLoad, bs.filters, ref[b].inLoad, ref[b].outLoad, ref[b].filters)
 			}
-			agg := make([]*bitvector.Vector, len(bs.agg))
-			for p, v := range bs.agg {
+			wantAgg, held := table.Compile(ref[b].agg), 0
+			for _, v := range bs.agg {
 				if v != nil {
-					agg[p] = v.Clone()
+					held++
 				}
 			}
-			got := table.Profile(agg, capacity)
-			if !reflect.DeepEqual(got.Snapshot(), ref[b].agg.Snapshot()) {
-				t.Fatalf("unit %d broker %d: dense aggregate differs from Profile.Or reference:\n got %+v\nwant %+v",
-					ui, b, got.Snapshot(), ref[b].agg.Snapshot())
+			if held != len(wantAgg) {
+				t.Fatalf("unit %d broker %d: dense aggregate holds %d publishers, the Profile.Or reference %d",
+					ui, b, held, len(wantAgg))
 			}
-			for adv := range got.Snapshot().Vectors {
-				if g, w := got.Vector(adv).Count(), ref[b].agg.Vector(adv).Count(); g != w {
-					t.Fatalf("unit %d broker %d publisher %s: cached count %d, reference %d", ui, b, adv, g, w)
+			for _, w := range wantAgg {
+				got := bs.agg[w.Pub]
+				if got == nil || !reflect.DeepEqual(got.Snapshot(), w.V.Snapshot()) {
+					t.Fatalf("unit %d broker %d publisher %d: dense aggregate %+v, Profile.Or reference %+v",
+						ui, b, w.Pub, got, w.V.Snapshot())
+				}
+				if g, want := got.Count(), w.V.Count(); g != want {
+					t.Fatalf("unit %d broker %d publisher %d: cached count %d, reference %d", ui, b, w.Pub, g, want)
 				}
 			}
 			cov.placed++
@@ -252,7 +257,7 @@ func checkDenseAgainstReference(t *testing.T, units []*Unit, brokers []*BrokerSp
 			}
 			solo.accept(u, uIn, inter)
 		}
-		if got := FitsBroker(b, units, pubs, capacity); got != want {
+		if got := FitsBroker(b, units, pubs); got != want {
 			t.Fatalf("FitsBroker(%s) = %v, the reference broker hosting the units in order = %v", b.ID, got, want)
 		}
 		if want {
@@ -296,7 +301,7 @@ const (
 // denseSaturated widens the others, so a unit is turned away by bandwidth
 // and then by a mark; and one case in four carries a NaN publisher rate,
 // under which no mark may fire.
-func denseCase(seed int64, nUnits, nPubs int, mode uint8) ([]*Unit, []*BrokerSpec, map[string]*bitvector.PublisherStats, int) {
+func denseCase(seed int64, nUnits, nPubs int, mode uint8) ([]*Unit, []*BrokerSpec, map[string]*bitvector.PublisherStats) {
 	rng := rand.New(rand.NewSource(seed))
 	caps := []int{64, 100, 128, 256, bitvector.DefaultCapacity}
 	capacity := caps[int(mode&0x07)%len(caps)]
@@ -441,7 +446,7 @@ func denseCase(seed int64, nUnits, nPubs int, mode uint8) ([]*Unit, []*BrokerSpe
 			brokers[i].Delay.PerSub = 0.0005 + 0.004*rng.Float64()
 		}
 	}
-	return units, brokers, pubs, capacity
+	return units, brokers, pubs
 }
 
 // admissionSeeds are the fuzz seeds aimed at place's column scan, each with
@@ -478,13 +483,13 @@ func TestDenseFitsMatchesReference(t *testing.T) {
 		if seed >= 300 {
 			mode |= []uint8{denseRepeats, denseSaturated, denseRepeats | denseSaturated}[seed%3]
 		}
-		units, brokers, pubs, capacity := denseCase(seed, 40, nPubs, mode)
-		cov.add(checkDenseAgainstReference(t, units, brokers, pubs, capacity))
+		units, brokers, pubs := denseCase(seed, 40, nPubs, mode)
+		cov.add(checkDenseAgainstReference(t, units, brokers, pubs))
 		total += len(units)
 	}
 	for _, as := range admissionSeeds {
-		units, brokers, pubs, capacity := denseCase(as.seed, 1+int(as.nUnits)%64, 1+int(as.nPubs)%40, as.mode)
-		c := checkDenseAgainstReference(t, units, brokers, pubs, capacity)
+		units, brokers, pubs := denseCase(as.seed, 1+int(as.nUnits)%64, 1+int(as.nPubs)%40, as.mode)
+		c := checkDenseAgainstReference(t, units, brokers, pubs)
 		if as.reached(c) == 0 {
 			t.Errorf("fuzz seed %q no longer reaches its corner: %+v", as.name, c)
 		}
@@ -557,8 +562,8 @@ func FuzzDenseFitsEquivalence(f *testing.F) {
 		f.Add(as.seed, as.nUnits, as.nPubs, as.mode)
 	}
 	f.Fuzz(func(t *testing.T, seed int64, nUnits, nPubs, mode uint8) {
-		units, brokers, pubs, capacity := denseCase(seed, 1+int(nUnits)%64, 1+int(nPubs)%40, mode)
-		checkDenseAgainstReference(t, units, brokers, pubs, capacity)
+		units, brokers, pubs := denseCase(seed, 1+int(nUnits)%64, 1+int(nPubs)%40, mode)
+		checkDenseAgainstReference(t, units, brokers, pubs)
 	})
 }
 
@@ -573,7 +578,7 @@ func FuzzDenseFitsEquivalence(f *testing.F) {
 func TestPlacementAllocationFree(t *testing.T) {
 	units, pubs := testWorkload(3, 6, 40, 10, 100)
 	brokers := sortBrokersByCapacity(testBrokers(12, 30_000, stdDelay()))
-	p := newPool(units, brokers, newPublisherTable(pubs, units), testCap)
+	p := newPool(units, brokers, newPublisherTable(pubs, units))
 	replay := func() {
 		p.pk.clear()
 		if !p.replay(change{}) {
@@ -584,7 +589,7 @@ func TestPlacementAllocationFree(t *testing.T) {
 	if n := testing.AllocsPerRun(20, replay); n != 0 {
 		t.Errorf("steady-state replay allocates %v times per pool, want 0", n)
 	}
-	roomy := newPool(units, sortBrokersByCapacity(testBrokers(12, 1e6, message.MatchingDelayFn{Base: 1e-6})), p.table, testCap)
+	roomy := newPool(units, sortBrokersByCapacity(testBrokers(12, 1e6, message.MatchingDelayFn{Base: 1e-6})), p.table)
 	certify := func() {
 		if packs, certified := roomy.probe(change{}); !packs || !certified {
 			t.Fatal("the roomy pool must be certified")

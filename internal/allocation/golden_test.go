@@ -21,7 +21,7 @@ import (
 // or counts re-reads the values and says so.
 func TestCRAMGolden(t *testing.T) {
 	units, pubs := testWorkload(1, 20, 100, 10, 100)
-	in := &Input{Units: units, Brokers: testBrokers(100, 25_000, stdDelay()), Publishers: pubs, ProfileCapacity: testCap}
+	in := &Input{Units: units, Brokers: testBrokers(100, 25_000, stdDelay()), Publishers: pubs}
 	cases := []struct {
 		name  string
 		cram  CRAM

@@ -53,7 +53,7 @@ func cramModesCase(data []byte) (*Input, bitvector.Metric) {
 		id := fmt.Sprintf("s%d", i)
 		units[i] = NewSubscriptionUnit("u-"+id, id, prof, bitvector.EstimateLoad(prof, pubs))
 	}
-	return &Input{Units: units, Brokers: testBrokers(nBrokers, brokerBW, delay), Publishers: pubs, ProfileCapacity: testCap}, metric
+	return &Input{Units: units, Brokers: testBrokers(nBrokers, brokerBW, delay), Publishers: pubs}, metric
 }
 
 // cramModesRejecting decodes to a pool whose exhaustive runs reject

@@ -1,8 +1,11 @@
 package allocation
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"github.com/greenps/greenps/internal/bitvector"
 )
@@ -237,8 +240,8 @@ type pack struct {
 }
 
 // newPack returns an empty packing of the brokers, tried in the given
-// order.
-func newPack(brokers []*BrokerSpec, t *bitvector.PublisherTable, capacity int) *pack {
+// order, whose aggregates have the table's capacity.
+func newPack(brokers []*BrokerSpec, t *bitvector.PublisherTable) *pack {
 	n := t.Len()
 	states := make([]brokerState, len(brokers))
 	aggs := make([]*bitvector.Vector, len(brokers)*n)
@@ -250,7 +253,7 @@ func newPack(brokers []*BrokerSpec, t *bitvector.PublisherTable, capacity int) *
 	return &pack{
 		states: states,
 		out:    make([]float64, len(brokers)), limit: limit, mark: make([]float64, len(brokers)),
-		stats: t.Stats(), ratesOrdered: t.RatesOrdered(), capacity: capacity,
+		stats: t.Stats(), ratesOrdered: t.RatesOrdered(), capacity: t.Capacity(),
 	}
 }
 
@@ -287,19 +290,21 @@ func (p *pack) place(pu *packUnit) int {
 	return -1
 }
 
-// sortBrokersByCapacity returns the broker pool ordered most-resourceful
-// first. From the paper's experience the broker bottleneck is network I/O,
-// so resourcefulness is total output bandwidth (ties broken by ID for
-// determinism).
+// CompareBrokers is the broker trial order, most resourceful first: from
+// the paper's experience the broker bottleneck is network I/O, so
+// resourcefulness is total output bandwidth, ties broken by ID. Broker IDs
+// are unique, so the order is strict and total.
+func CompareBrokers(a, b *BrokerSpec) int {
+	if c := cmp.Compare(b.OutputBandwidth, a.OutputBandwidth); c != 0 {
+		return c
+	}
+	return strings.Compare(a.ID, b.ID)
+}
+
+// sortBrokersByCapacity returns the broker pool in trial order.
 func sortBrokersByCapacity(brokers []*BrokerSpec) []*BrokerSpec {
-	out := make([]*BrokerSpec, len(brokers))
-	copy(out, brokers)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].OutputBandwidth != out[j].OutputBandwidth {
-			return out[i].OutputBandwidth > out[j].OutputBandwidth
-		}
-		return out[i].ID < out[j].ID
-	})
+	out := slices.Clone(brokers)
+	slices.SortFunc(out, CompareBrokers)
 	return out
 }
 
@@ -317,9 +322,8 @@ func (e *errUnitUnplaceable) Error() string {
 // unit goes to the first broker with capacity for it. It fails on the first
 // unplaceable unit, exactly as the paper's algorithms terminate.
 // compiled[i] must be units[i] compiled against t.
-func packFirstFit(units []*Unit, compiled []packUnit, brokers []*BrokerSpec, t *bitvector.PublisherTable,
-	capacity int) (*Assignment, error) {
-	p := newPack(brokers, t, capacity)
+func packFirstFit(units []*Unit, compiled []packUnit, brokers []*BrokerSpec, t *bitvector.PublisherTable) (*Assignment, error) {
+	p := newPack(brokers, t)
 	hosted := make([][]*Unit, len(brokers))
 	for i, u := range units {
 		b := p.place(&compiled[i])
@@ -331,7 +335,6 @@ func packFirstFit(units []*Unit, compiled []packUnit, brokers []*BrokerSpec, t *
 	out := &Assignment{
 		ByBroker: make(map[string][]*Unit),
 		Loads:    make(map[string]BrokerLoad),
-		Profiles: make(map[string]*bitvector.Profile),
 		Specs:    make(map[string]*BrokerSpec, len(brokers)),
 	}
 	for _, b := range brokers {
@@ -344,7 +347,6 @@ func packFirstFit(units []*Unit, compiled []packUnit, brokers []*BrokerSpec, t *
 		bs := &p.states[i]
 		out.ByBroker[bs.spec.ID] = hosted[i]
 		out.Loads[bs.spec.ID] = BrokerLoad{Input: bs.inLoad, Output: bs.outLoad, Filters: bs.filters}
-		out.Profiles[bs.spec.ID] = t.Profile(bs.agg, capacity)
 	}
 	return out, nil
 }
@@ -352,10 +354,10 @@ func packFirstFit(units []*Unit, compiled []packUnit, brokers []*BrokerSpec, t *
 // FitsBroker reports whether the entire unit set can be hosted by one
 // broker within both capacity constraints. Phase 3's takeover and best-fit
 // optimizations use it to test hypothetical broker contents.
-func FitsBroker(spec *BrokerSpec, units []*Unit, pubs map[string]*bitvector.PublisherStats, capacity int) bool {
+func FitsBroker(spec *BrokerSpec, units []*Unit, pubs map[string]*bitvector.PublisherStats) bool {
 	t := newPublisherTable(pubs, units)
 	compiled := compileUnits(units, t)
-	p := newPack([]*BrokerSpec{spec}, t, capacity)
+	p := newPack([]*BrokerSpec{spec}, t)
 	for i := range compiled {
 		if p.place(&compiled[i]) < 0 {
 			return false

@@ -182,7 +182,6 @@ func (p *Pairwise) Allocate(in *Input) (*Assignment, error) {
 	out := &Assignment{
 		ByBroker: make(map[string][]*Unit),
 		Loads:    make(map[string]BrokerLoad),
-		Profiles: make(map[string]*bitvector.Profile),
 		Specs:    make(map[string]*BrokerSpec, len(brokers)),
 	}
 	for _, b := range brokers {
@@ -204,7 +203,7 @@ func (p *Pairwise) Allocate(in *Input) (*Assignment, error) {
 		c := clusters[ci]
 		spec := brokers[perm[k]]
 		mergedID++
-		unit := MergeUnits(fmt.Sprintf("pw-c%d", mergedID), in.ProfileCapacity, c.units...)
+		unit := MergeUnits(fmt.Sprintf("pw-c%d", mergedID), c.units...)
 		inLoad := bitvector.EstimateLoad(unit.Profile, in.Publishers)
 		out.ByBroker[spec.ID] = append(out.ByBroker[spec.ID], unit)
 		out.Loads[spec.ID] = BrokerLoad{
@@ -212,7 +211,6 @@ func (p *Pairwise) Allocate(in *Input) (*Assignment, error) {
 			Output:  unit.Load,
 			Filters: len(unit.Members),
 		}
-		out.Profiles[spec.ID] = unit.Profile.Clone()
 	}
 	return out, nil
 }

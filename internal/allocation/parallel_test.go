@@ -88,7 +88,7 @@ func TestFeasEngineMatchesFromScratch(t *testing.T) {
 		}
 	}
 	brokers := sortBrokersByCapacity(testBrokers(8, 18_000, stdDelay()))
-	p := newPool(units, brokers, newPublisherTable(pubs, units), testCap)
+	p := newPool(units, brokers, newPublisherTable(pubs, units))
 	if len(units) == len(seedUnits) {
 		t.Fatal("the pool has no duplicates")
 	}
@@ -109,7 +109,7 @@ func TestFeasEngineMatchesFromScratch(t *testing.T) {
 			parts = append(parts, u)
 		}
 		if trial%7 != 0 { // every 7th probe is removal-only
-			added = append(added, MergeUnits(fmt.Sprintf("probe-%d", trial), testCap, parts...))
+			added = append(added, MergeUnits(fmt.Sprintf("probe-%d", trial), parts...))
 		}
 		for _, u := range p.units {
 			if !removed[u] {
@@ -117,7 +117,7 @@ func TestFeasEngineMatchesFromScratch(t *testing.T) {
 			}
 		}
 		mod = sortUnitsByBandwidthDesc(append(mod, added...))
-		want := feasibleFirstFit(mod, brokers, pubs, testCap)
+		want := feasibleFirstFit(mod, brokers, pubs)
 		if want {
 			feasYes++
 		} else {

@@ -78,8 +78,8 @@ type pool struct {
 
 // newPool ingests the units: sorted into BIN PACKING order, then compiled.
 // brokers are in trial order.
-func newPool(units []*Unit, brokers []*BrokerSpec, t *bitvector.PublisherTable, capacity int) *pool {
-	p := &pool{table: t, units: sortUnitsByBandwidthDesc(units), pk: newPack(brokers, t, capacity)}
+func newPool(units []*Unit, brokers []*BrokerSpec, t *bitvector.PublisherTable) *pool {
+	p := &pool{table: t, units: sortUnitsByBandwidthDesc(units), pk: newPack(brokers, t)}
 	p.stream = compileUnits(p.units, t)
 	for i := range p.stream {
 		pu := &p.stream[i]

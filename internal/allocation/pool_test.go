@@ -43,7 +43,7 @@ func checkPoolInvariants(t *testing.T, p *pool) {
 	for b := range brokers {
 		brokers[b] = p.pk.states[b].spec
 	}
-	linear := newPack(brokers, p.table, p.pk.capacity)
+	linear := newPack(brokers, p.table)
 	for i := range p.stream {
 		got, want := p.pk.place(&p.stream[i]), placeLinear(linear, &p.stream[i])
 		if got != want {
@@ -83,7 +83,7 @@ func checkLiveInvariants(t *testing.T, r *cramRun) {
 // at least 11 live GIFs, so ID string order (g10 before g9) is exercised.
 func TestPoolInvariantsAfterEveryCommit(t *testing.T) {
 	units, pubs := testWorkload(42, 5, 8, 10, 100)
-	in := &Input{Units: units, Brokers: testBrokers(8, 10_000, stdDelay()), Publishers: pubs, ProfileCapacity: testCap}
+	in := &Input{Units: units, Brokers: testBrokers(8, 10_000, stdDelay()), Publishers: pubs}
 	cases := []struct {
 		name                   string
 		exhaustive, noGrouping bool
@@ -156,7 +156,7 @@ func TestPoolCommitSplice(t *testing.T) {
 	)
 	var seen [nPlaces]int
 	for trial := 0; trial < 300; trial++ {
-		p := newPool(base[:20+rng.Intn(len(base)-20)], brokers, table, testCap)
+		p := newPool(base[:20+rng.Intn(len(base)-20)], brokers, table)
 		units := p.units
 		cut := rng.Perm(len(units))[:1+rng.Intn(5)]
 		slices.Sort(cut)
@@ -434,7 +434,7 @@ func probeCase(data []byte) (units, removed, added []*Unit, brokers []*BrokerSpe
 	kind, id := next()%3, []string{"cram-u1", "u3x", "zz"}[next()%3]
 	switch {
 	case kind == 1 && len(removed) > 0:
-		added = []*Unit{MergeUnits(id, testCap, removed...)}
+		added = []*Unit{MergeUnits(id, removed...)}
 	case kind == 2:
 		added = []*Unit{unit(id)}
 	}
@@ -451,13 +451,13 @@ func probeCase(data []byte) (units, removed, added []*Unit, brokers []*BrokerSpe
 func checkProbeMatchesCommit(t *testing.T, units, removed, added []*Unit, brokers []*BrokerSpec,
 	pubs map[string]*bitvector.PublisherStats) (packs, certified bool) {
 	t.Helper()
-	p := newPool(units, brokers, newPublisherTable(pubs, append(slices.Clone(units), added...)), testCap)
+	p := newPool(units, brokers, newPublisherTable(pubs, append(slices.Clone(units), added...)))
 	ch := p.stage(removed, added)
 	got, certified := p.probe(ch)
 	if err := p.commit(ch); err != nil {
 		t.Fatal(err)
 	}
-	if want := feasibleFirstFit(p.units, brokers, pubs, testCap); got != want {
+	if want := feasibleFirstFit(p.units, brokers, pubs); got != want {
 		ids := make([]string, len(p.units))
 		for i, u := range p.units {
 			ids[i] = u.ID
@@ -501,7 +501,7 @@ func TestProbeBandwidthTieOrder(t *testing.T) {
 	if packs, certified := checkProbeMatchesCommit(t, units, removed, added, brokers, pubs); !packs || certified {
 		t.Fatal("the committed pool should pack on a replay; the example no longer separates the two orders")
 	}
-	if feasibleFirstFit(all, brokers, pubs, testCap) {
+	if feasibleFirstFit(all, brokers, pubs) {
 		t.Fatal("the added unit merged after its ties should not pack; the example no longer separates the two orders")
 	}
 	units, removed, added, brokers, pubs = probeCase(roomyTieCase)

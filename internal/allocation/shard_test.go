@@ -15,10 +15,9 @@ func shardTestInput(t *testing.T) *Input {
 	t.Helper()
 	units, pubs := testWorkload(7, 8, 60, 10, 100)
 	in := &Input{
-		Units:           units,
-		Brokers:         testBrokers(40, 25_000, stdDelay()),
-		Publishers:      pubs,
-		ProfileCapacity: testCap,
+		Units:      units,
+		Brokers:    testBrokers(40, 25_000, stdDelay()),
+		Publishers: pubs,
 	}
 	if err := in.Validate(); err != nil {
 		t.Fatalf("shardTestInput invalid: %v", err)

@@ -39,7 +39,7 @@ func (f *FBF) Allocate(in *Input) (*Assignment, error) {
 	brokers := sortBrokersByCapacity(in.Brokers)
 	table := newPublisherTable(in.Publishers, units)
 	compiled := compileUnits(units, table)
-	a, err := packFirstFit(units, compiled, brokers, table, in.ProfileCapacity)
+	a, err := packFirstFit(units, compiled, brokers, table)
 	if err != nil {
 		return nil, fmt.Errorf("FBF: %w", err)
 	}
@@ -64,7 +64,7 @@ func (*BinPacking) Allocate(in *Input) (*Assignment, error) {
 	brokers := sortBrokersByCapacity(in.Brokers)
 	table := newPublisherTable(in.Publishers, units)
 	compiled := compileUnits(units, table)
-	a, err := packFirstFit(units, compiled, brokers, table, in.ProfileCapacity)
+	a, err := packFirstFit(units, compiled, brokers, table)
 	if err != nil {
 		return nil, fmt.Errorf("BINPACKING: %w", err)
 	}

@@ -73,8 +73,12 @@ func NewSubscriptionUnit(id, subID string, profile *bitvector.Profile, load bitv
 }
 
 // MergeUnits combines units into one cluster: members concatenate, profiles
-// OR together, loads add.
-func MergeUnits(id string, capacity int, units ...*Unit) *Unit {
+// OR together at the first unit's capacity, loads add.
+func MergeUnits(id string, units ...*Unit) *Unit {
+	capacity := 0
+	if len(units) > 0 {
+		capacity = units[0].Profile.Capacity()
+	}
 	out := &Unit{ID: id, Profile: bitvector.NewProfile(capacity)}
 	members := 0
 	for _, u := range units {
@@ -95,9 +99,6 @@ type Input struct {
 	Units      []*Unit
 	Brokers    []*BrokerSpec
 	Publishers map[string]*bitvector.PublisherStats
-	// ProfileCapacity is the bit-vector capacity used when algorithms
-	// build merged profiles (0 = default).
-	ProfileCapacity int
 }
 
 // Validate checks structural soundness of the input.
@@ -125,10 +126,6 @@ func (in *Input) Validate() error {
 			return fmt.Errorf("allocation: broker %q has a NaN matching delay", b.ID)
 		}
 	}
-	capacity := in.ProfileCapacity
-	if capacity <= 0 {
-		capacity = bitvector.DefaultCapacity
-	}
 	seenU := make(map[string]bool, len(in.Units))
 	for _, u := range in.Units {
 		if u.ID == "" {
@@ -145,9 +142,12 @@ func (in *Input) Validate() error {
 			return fmt.Errorf("allocation: unit %q has no members", u.ID)
 		}
 		// Every kernel ANDs and ORs word by word: a vector of another
-		// capacity would be read past its end or only in part.
-		if adv, got, bad := u.Profile.CapacityMismatch(capacity); bad {
-			return fmt.Errorf("allocation: unit %q holds publisher %q's vector at capacity %d, want the plan's %d", u.ID, adv, got, capacity)
+		// capacity would be read past its end or only in part. A profile's
+		// vectors have its capacity, so the run has one capacity when every
+		// profile has the first's.
+		if first := in.Units[0]; u.Profile.Capacity() != first.Profile.Capacity() {
+			return fmt.Errorf("allocation: unit %q has vector capacity %d, unit %q has %d",
+				u.ID, u.Profile.Capacity(), first.ID, first.Profile.Capacity())
 		}
 		// A NaN load orders against nothing: it would void the pool order
 		// and every capacity test of the broker that took the unit.
@@ -178,9 +178,6 @@ type Assignment struct {
 	ByBroker map[string][]*Unit
 	// Loads maps broker ID to its predicted load.
 	Loads map[string]BrokerLoad
-	// Profiles maps broker ID to the OR of its hosted unit profiles (the
-	// broker's pseudo-subscription for Phase 3).
-	Profiles map[string]*bitvector.Profile
 	// Specs indexes the broker pool by ID (all brokers, allocated or not).
 	Specs map[string]*BrokerSpec
 }

@@ -160,17 +160,8 @@ func (p *Profile) Vector(advID string) *Vector {
 	return nil
 }
 
-// CapacityMismatch returns the first publisher, in ascending ID, whose
-// vector's capacity is not capacity, and that vector's capacity; ok is
-// false when every vector has the capacity.
-func (p *Profile) CapacityMismatch(capacity int) (advID string, got int, ok bool) {
-	for _, e := range p.entries {
-		if e.vec.capacity != capacity {
-			return e.advID, e.vec.capacity, true
-		}
-	}
-	return "", 0, false
-}
+// Capacity returns the capacity of the profile's vectors.
+func (p *Profile) Capacity() int { return p.capacity }
 
 // Clone returns a deep copy.
 func (p *Profile) Clone() *Profile {

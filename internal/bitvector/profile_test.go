@@ -505,6 +505,22 @@ func TestSnapshotRejectsCorrupt(t *testing.T) {
 			t.Errorf("%s: ProfileFromSnapshot accepted it", c.name)
 		}
 	}
+	// A valid vector whose capacity is not its profile's, which is
+	// DefaultCapacity when the image names none.
+	for _, c := range []struct {
+		name string
+		prof ProfileSnapshot
+	}{
+		{"a 128-bit vector in a 64-bit profile", ProfileSnapshot{Cap: 64, Vectors: map[string]VectorSnapshot{"P": full}}},
+		{"a 64-bit vector in a profile of no capacity", ProfileSnapshot{Vectors: map[string]VectorSnapshot{"P": New(64).Snapshot()}}},
+	} {
+		if _, err := ProfileFromSnapshot(c.prof); err == nil {
+			t.Errorf("%s: ProfileFromSnapshot accepted it", c.name)
+		}
+	}
+	if p, err := ProfileFromSnapshot(ProfileSnapshot{Cap: 128, Vectors: map[string]VectorSnapshot{"P": full}}); err != nil || p.Capacity() != 128 {
+		t.Errorf("a 128-bit vector in a 128-bit profile: %v", err)
+	}
 	// The boundaries of each check are valid images.
 	for _, snap := range []VectorSnapshot{
 		New(64).Snapshot(),

@@ -22,6 +22,8 @@ type PublisherTable struct {
 	// ratesOrdered records that every statistics entry's Rate is finite and
 	// non-negative, checked once at construction.
 	ratesOrdered bool
+	// capacity is the first indexed profile's, DefaultCapacity without one.
+	capacity int
 }
 
 // PubVector is one publisher's vector of a compiled profile. V is a
@@ -36,7 +38,9 @@ type PubVector struct {
 }
 
 // NewPublisherTable indexes the union of the statistics' advertisement IDs
-// and every publisher appearing in the given profiles.
+// and every publisher appearing in the given profiles, and records the
+// profiles' vector capacity: the first profile's, which a validated
+// allocation input guarantees is every profile's.
 func NewPublisherTable(stats map[string]*PublisherStats, profiles []*Profile) *PublisherTable {
 	ids := make([]string, 0, len(stats))
 	for id := range stats {
@@ -60,7 +64,10 @@ func NewPublisherTable(stats map[string]*PublisherStats, profiles []*Profile) *P
 	if len(ids) > known {
 		sort.Strings(ids)
 	}
-	t := &PublisherTable{ids: ids, stats: make([]*PublisherStats, len(ids)), ratesOrdered: true}
+	t := &PublisherTable{ids: ids, stats: make([]*PublisherStats, len(ids)), ratesOrdered: true, capacity: DefaultCapacity}
+	if len(profiles) > 0 {
+		t.capacity = profiles[0].capacity
+	}
 	for i, id := range ids {
 		st := stats[id]
 		t.stats[i] = st
@@ -73,6 +80,10 @@ func NewPublisherTable(stats map[string]*PublisherStats, profiles []*Profile) *P
 
 // Len returns the number of indexed publishers.
 func (t *PublisherTable) Len() int { return len(t.ids) }
+
+// Capacity returns the vector capacity of the run the table indexes: the
+// one place an allocation run reads it.
+func (t *PublisherTable) Capacity() int { return t.capacity }
 
 // Stats returns the per-index publisher statistics, nil where a publisher
 // has none. The slice is shared and must not be modified.
@@ -101,17 +112,4 @@ func (t *PublisherTable) Compile(p *Profile) []PubVector {
 		out[i] = PubVector{Pub: int32(at), V: *e.vec}
 	}
 	return out
-}
-
-// Profile assembles a profile of the given vector capacity from vectors
-// indexed by this table (nil = publisher absent). The profile takes
-// ownership of the vectors.
-func (t *PublisherTable) Profile(byPub []*Vector, capacity int) *Profile {
-	p := NewProfile(capacity)
-	for i, v := range byPub {
-		if v != nil {
-			p.entries = append(p.entries, entry{t.ids[i], v})
-		}
-	}
-	return p
 }

@@ -8,7 +8,7 @@ import (
 // TestPublisherTable covers the table's contract: indices are ranks in the
 // sorted union of the statistics' and the profiles' publishers, Compile
 // lists a profile's vectors in that order as views of the originals, and
-// Profile assembles the inverse.
+// the table records the profiles' capacity.
 func TestPublisherTable(t *testing.T) {
 	stats := map[string]*PublisherStats{
 		"adv2":  {AdvID: "adv2", Rate: 2},
@@ -42,13 +42,11 @@ func TestPublisherTable(t *testing.T) {
 		t.Fatalf("compiled view %+v differs from its vector %+v", got, want)
 	}
 
-	byPub := make([]*Vector, tab.Len())
-	for i := range entries {
-		byPub[entries[i].Pub] = entries[i].V.Clone()
+	if got := tab.Capacity(); got != 64 {
+		t.Fatalf("table over 64-bit profiles has capacity %d", got)
 	}
-	if got := tab.Profile(byPub, 64); !reflect.DeepEqual(got.Snapshot(), p.Snapshot()) ||
-		!reflect.DeepEqual(publishers(got), publishers(p)) {
-		t.Fatalf("Profile(Compile(p)) = %+v, want %+v", got.Snapshot(), p.Snapshot())
+	if got := NewPublisherTable(stats, nil).Capacity(); got != DefaultCapacity {
+		t.Fatalf("table over no profiles has capacity %d, want DefaultCapacity %d", got, DefaultCapacity)
 	}
 
 	stranger := NewProfile(64)

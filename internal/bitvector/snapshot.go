@@ -106,7 +106,10 @@ func (p *Profile) Snapshot() ProfileSnapshot {
 	return out
 }
 
-// ProfileFromSnapshot reconstructs a profile.
+// ProfileFromSnapshot reconstructs a profile. Every vector must have the
+// profile's capacity (DefaultCapacity when Cap is not positive), as every
+// profile built in process does: the kernels AND and OR a profile's vectors
+// word by word against other profiles of its capacity.
 func ProfileFromSnapshot(s ProfileSnapshot) (*Profile, error) {
 	p := NewProfile(s.Cap)
 	keys := make([]string, 0, len(s.Vectors))
@@ -118,6 +121,9 @@ func ProfileFromSnapshot(s ProfileSnapshot) (*Profile, error) {
 		v, err := FromSnapshot(s.Vectors[advID])
 		if err != nil {
 			return nil, fmt.Errorf("bitvector: profile vector %q: %w", advID, err)
+		}
+		if v.capacity != p.capacity {
+			return nil, fmt.Errorf("bitvector: profile vector %q has capacity %d, its profile %d", advID, v.capacity, p.capacity)
 		}
 		p.entries = append(p.entries, entry{advID, v}) // ascending: keys sorted above
 	}

@@ -44,29 +44,55 @@ func TestComputePlanRejectsNullBIAEntries(t *testing.T) {
 }
 
 // FuzzBIAPlan feeds arbitrary frames through message.Decode and every BIA
-// that decodes through ComputePlan under BIN PACKING and CRAM-IOS at 64-bit
-// profiles: the planner must return an error or a plan whose tree
-// validates, and must not panic.
+// that decodes through ComputePlan under BIN PACKING and CRAM-IOS at the
+// capacity its profiles carry: the planner must return an error or a plan
+// whose tree validates, and must not panic. Among the seeds, a two-broker
+// BIA at 640 bits must plan and one whose profiles have 64 and 128 bits
+// must be refused.
 func FuzzBIAPlan(f *testing.F) {
-	valid, err := message.Encode(&message.Envelope{Kind: message.KindBIA,
-		BIA: &message.BIA{RequestID: "r", Infos: buildInfosAt(64, 2, 1, 1)}})
-	if err != nil {
-		f.Fatal(err)
+	frame := func(infos []message.BrokerInfo) []byte {
+		data, err := message.Encode(&message.Envelope{Kind: message.KindBIA,
+			BIA: &message.BIA{RequestID: "r", Infos: infos}})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
 	}
-	f.Add(valid)
-	f.Add([]byte(biaNullSub))
-	f.Add([]byte(biaNullStats))
-	f.Fuzz(func(t *testing.T, data []byte) {
+	mixed := buildInfosAt(64, 2, 1, 2)
+	mixed[1].Subscriptions[0].Profile = buildInfosAt(128, 2, 1, 2)[1].Subscriptions[0].Profile
+	seeds := []struct {
+		data  []byte
+		plans bool
+	}{
+		{frame(buildInfosAt(64, 2, 1, 1)), true},
+		{frame(buildInfosAt(640, 2, 1, 2)), true},
+		{frame(mixed), false},
+		{[]byte(biaNullSub), false},
+		{[]byte(biaNullStats), false},
+	}
+	plan := func(data []byte, alg string) (p *Plan, decoded bool, err error) {
 		env, err := message.Decode(data)
 		if err != nil || env.Kind != message.KindBIA {
-			return
+			return nil, false, nil
 		}
+		p, err = ComputePlan(env.BIA.Infos, Config{Algorithm: alg})
+		return p, true, err
+	}
+	for i, sd := range seeds {
 		for _, alg := range []string{AlgBinPacking, AlgCRAMIOS} {
-			plan, err := ComputePlan(env.BIA.Infos, Config{Algorithm: alg, ProfileCapacity: 64})
-			if err != nil {
+			if _, ok, err := plan(sd.data, alg); !ok || (err == nil) != sd.plans {
+				f.Fatalf("seed %d, %s: decoded %v, plan error %v; want a plan: %v", i, alg, ok, err, sd.plans)
+			}
+		}
+		f.Add(sd.data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, alg := range []string{AlgBinPacking, AlgCRAMIOS} {
+			p, ok, err := plan(data, alg)
+			if !ok || err != nil {
 				continue
 			}
-			if err := plan.Tree.Validate(); err != nil {
+			if err := p.Tree.Validate(); err != nil {
 				t.Fatalf("%s: plan tree does not validate: %v", alg, err)
 			}
 		}

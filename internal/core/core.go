@@ -52,7 +52,9 @@ type Config struct {
 	Algorithm string
 	// GrapeMode is the publisher-relocation objective (default load).
 	GrapeMode grape.Mode
-	// ProfileCapacity is the bit-vector capacity (0 = default 1280).
+	// ProfileCapacity is the bit-vector capacity every BIA profile must
+	// have; 0 takes the capacity the profiles carry (DefaultCapacity when
+	// none carries one).
 	ProfileCapacity int
 	// Seed drives FBF's draw order and the PAIRWISE/AUTOMATIC random
 	// choices.
@@ -179,17 +181,29 @@ func SubscriptionUnit(si message.SubscriptionInfo, capacity int, pubs map[string
 
 // inputsFromInfos converts the aggregated BIA contents into an allocation
 // input: one unit per subscription, the global broker pool, and the merged
-// publisher statistics.
+// publisher statistics. A positive capacity is the one every profile must
+// have; 0 takes the first profile's, or DefaultCapacity without one. A
+// subscription reported without a profile gets an empty one at that
+// capacity.
 func inputsFromInfos(infos []message.BrokerInfo, capacity int) (*allocation.Input, error) {
 	if len(infos) == 0 {
 		return nil, fmt.Errorf("core: no broker information gathered")
 	}
-	// A BIA is outside input: a null entry is an error, not a panic.
+	// A BIA is outside input: a null entry is an error, not a panic. Profiles
+	// of two capacities fail the input's validation below.
+	configured := capacity
 	for i := range infos {
 		bi := &infos[i]
-		for j := range bi.Subscriptions {
-			if bi.Subscriptions[j].Sub == nil {
+		for j, si := range bi.Subscriptions {
+			switch {
+			case si.Sub == nil:
 				return nil, fmt.Errorf("core: broker %q: subscription entry %d is null", bi.ID, j)
+			case si.Profile == nil:
+			case configured > 0 && si.Profile.Capacity() != configured:
+				return nil, fmt.Errorf("core: broker %q: subscription %q is profiled at capacity %d, want the configured %d",
+					bi.ID, si.Sub.ID, si.Profile.Capacity(), configured)
+			case capacity <= 0:
+				capacity = si.Profile.Capacity()
 			}
 		}
 		for j := range bi.Publishers {
@@ -198,10 +212,7 @@ func inputsFromInfos(infos []message.BrokerInfo, capacity int) (*allocation.Inpu
 			}
 		}
 	}
-	in := &allocation.Input{
-		Publishers:      PublisherStats(infos),
-		ProfileCapacity: capacity,
-	}
+	in := &allocation.Input{Publishers: PublisherStats(infos)}
 	for i := range infos {
 		bi := &infos[i]
 		bw := bi.OutputBandwidth
@@ -310,7 +321,7 @@ func planThreePhase(plan *Plan, in *allocation.Input, cfg Config, mode grape.Mod
 		DisableTakeover:            cfg.DisableTakeover,
 		DisableBestFit:             cfg.DisableBestFit,
 	}
-	tree, err := builder.Build(assign, in.Publishers, in.ProfileCapacity)
+	tree, err := builder.Build(assign, in.Publishers)
 	if err != nil {
 		return fmt.Errorf("core: phase 3: %w", err)
 	}

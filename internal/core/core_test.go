@@ -126,10 +126,11 @@ func TestComputePlanRejectsUnknownAlgorithm(t *testing.T) {
 	}
 }
 
-// TestComputePlanRejectsForeignCapacity: a BIA profile whose vectors
-// have another capacity than the plan's is refused with an error naming
-// the unit, the publisher and both capacities, not planned with kernels
-// that walk the two vectors word by word.
+// TestComputePlanRejectsForeignCapacity: a BIA profile of another capacity
+// than the configured one is refused with an error naming the subscription
+// and both capacities, and without a configured capacity a BIA of two
+// capacities is refused with an error naming two subscriptions and both
+// capacities — not planned with kernels that walk two vectors word by word.
 func TestComputePlanRejectsForeignCapacity(t *testing.T) {
 	const planCap = 1280
 	infos := buildInfosAt(planCap, 4, 2, 6)
@@ -147,19 +148,28 @@ func TestComputePlanRejectsForeignCapacity(t *testing.T) {
 	if err := json.Unmarshal(data, foreign.Profile); err != nil {
 		t.Fatal(err)
 	}
-	_, err = ComputePlan(infos, cfg)
-	if err == nil {
-		t.Fatal("a 640-bit profile was planned at 1280 bits")
-	}
-	firstAdv := ""
-	for adv := range foreign.Profile.Snapshot().Vectors {
-		if firstAdv == "" || adv < firstAdv {
-			firstAdv = adv
+	first := infos[0].Subscriptions[0].Sub.ID // the lowest unit ID
+	for _, bi := range infos {
+		for _, si := range bi.Subscriptions {
+			first = min(first, si.Sub.ID)
 		}
 	}
-	for _, want := range []string{`"u-` + foreign.Sub.ID + `"`, `"` + firstAdv + `"`, "640", "1280"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not name %s", err, want)
+	for _, c := range []struct {
+		capacity int
+		names    []string
+	}{
+		{planCap, []string{`"` + foreign.Sub.ID + `"`, "640", "1280"}},
+		{0, []string{`"u-` + foreign.Sub.ID + `"`, `"u-` + first + `"`, "640", "1280"}},
+	} {
+		cfg.ProfileCapacity = c.capacity
+		_, err := ComputePlan(infos, cfg)
+		if err == nil {
+			t.Fatalf("ProfileCapacity %d: profiles of 640 and 1280 bits were planned", c.capacity)
+		}
+		for _, want := range c.names {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("ProfileCapacity %d: error %q does not name %s", c.capacity, err, want)
+			}
 		}
 	}
 }

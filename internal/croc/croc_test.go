@@ -16,9 +16,9 @@ import (
 )
 
 // liveOverlay starts a live 4-broker chain with one publisher (20 quotes)
-// and three subscribers, returning the first broker's address and a
-// cleanup function.
-func liveOverlay(t *testing.T) string {
+// and three subscribers, its brokers profiling at the given capacity (0 =
+// the default), and returns the first broker's address.
+func liveOverlay(t *testing.T, capacity int) string {
 	t.Helper()
 	var nodes []*broker.Node
 	for i := 0; i < 4; i++ {
@@ -27,6 +27,7 @@ func liveOverlay(t *testing.T) string {
 			ListenAddr:      "127.0.0.1:0",
 			Delay:           message.MatchingDelayFn{PerSub: 0.0001, Base: 0.001},
 			OutputBandwidth: 1 << 20,
+			ProfileCapacity: capacity,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -86,7 +87,7 @@ func liveOverlay(t *testing.T) string {
 }
 
 func TestGatherLive(t *testing.T) {
-	addr := liveOverlay(t)
+	addr := liveOverlay(t, 0)
 	infos, err := croc.Gather(addr, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +113,7 @@ func TestGatherLive(t *testing.T) {
 }
 
 func TestReconfigureLive(t *testing.T) {
-	addr := liveOverlay(t)
+	addr := liveOverlay(t, 0)
 	plan, err := croc.Reconfigure(addr, core.Config{Algorithm: core.AlgCRAMIOS}, 10*time.Second, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -144,6 +145,23 @@ func TestReconfigureLive(t *testing.T) {
 	}
 	if doc.Root != plan.Tree.Root || len(doc.Brokers) != 1 {
 		t.Fatalf("doc = %+v", doc)
+	}
+}
+
+// TestReconfigureLiveAtProfileBits: brokers profiling at 640 bits, as
+// psbroker -profile-bits 640 runs them, are planned under a Config that
+// names no capacity: the plan reads it from the gathered BIA.
+func TestReconfigureLiveAtProfileBits(t *testing.T) {
+	addr := liveOverlay(t, 640)
+	plan, err := croc.Reconfigure(addr, core.Config{Algorithm: core.AlgCRAMIOS}, 10*time.Second, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plan.Tree.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Subscribers) != 3 || len(plan.Publishers) != 1 {
+		t.Fatalf("plan places %d subs / %d pubs", len(plan.Subscribers), len(plan.Publishers))
 	}
 }
 

@@ -28,7 +28,7 @@ func stepClock() func() time.Time {
 // fields must agree — telemetry observes planning but contributes
 // nothing to it.
 func TestPlanEquivalence(t *testing.T) {
-	addr := liveOverlay(t)
+	addr := liveOverlay(t, 0)
 	infos, err := croc.Gather(addr, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestPlanEquivalence(t *testing.T) {
 // must not change with the worker count. Shard counts and spill budgets are
 // CRAM-level settings; allocation's TestCRAMShardSpillEquivalence covers them.
 func TestPlanEquivalenceAcrossWorkers(t *testing.T) {
-	addr := liveOverlay(t)
+	addr := liveOverlay(t, 0)
 	infos, err := croc.Gather(addr, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestPlanEquivalenceAcrossWorkers(t *testing.T) {
 // timeline and checks the rendered reconfiguration history names every
 // phase.
 func TestReconfigureTimedTimeline(t *testing.T) {
-	addr := liveOverlay(t)
+	addr := liveOverlay(t, 0)
 	tl := telemetry.NewTimeline("reconfiguration", time.Now)
 	plan, err := croc.Reconfigure(addr, core.Config{Algorithm: core.AlgCRAMIOS}, 10*time.Second, tl)
 	if err != nil {

@@ -283,8 +283,9 @@ func syntheticGIFProfiles(seed int64, n, pubs int) []*bitvector.Profile {
 	return out
 }
 
-// newRand mirrors math/rand.New(rand.NewSource(seed)) without importing
-// math/rand at the top of the file twice; kept tiny and local.
+// newRand returns a splitmix64 generator whose state starts one LCG step
+// from seed: deterministic across platforms and Go releases, and not
+// math/rand's sequence.
 func newRand(seed int64) *randSource {
 	return &randSource{state: uint64(seed)*6364136223846793005 + 1442695040888963407}
 }

@@ -108,12 +108,7 @@ func ScaleWorkload(seed int64, subs int) (*allocation.Input, error) {
 			OutputBandwidth: perBroker,
 		}
 	}
-	in := &allocation.Input{
-		Units:           units,
-		Brokers:         brokers,
-		Publishers:      pubs,
-		ProfileCapacity: scaleProfileCapacity,
-	}
+	in := &allocation.Input{Units: units, Brokers: brokers, Publishers: pubs}
 	if err := in.Validate(); err != nil {
 		return nil, fmt.Errorf("experiments: scale workload: %w", err)
 	}

@@ -20,6 +20,7 @@ package overlaybuild
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/greenps/greenps/internal/allocation"
@@ -175,8 +176,7 @@ func unitSet(hosted []*allocation.Unit, children []*node, pubs map[string]*bitve
 // Build constructs the overlay tree for a Phase-2 assignment. The broker
 // pool for upper layers is every broker in the assignment's specs that
 // received no units.
-func (b *Builder) Build(a *allocation.Assignment, pubs map[string]*bitvector.PublisherStats,
-	capacity int) (*Tree, error) {
+func (b *Builder) Build(a *allocation.Assignment, pubs map[string]*bitvector.PublisherStats) (*Tree, error) {
 	if b.Algorithm == nil {
 		return nil, fmt.Errorf("overlaybuild: no allocation algorithm configured")
 	}
@@ -189,9 +189,9 @@ func (b *Builder) Build(a *allocation.Assignment, pubs map[string]*bitvector.Pub
 	var layer []*node
 	used := make(map[string]bool)
 	for _, id := range a.AllocatedBrokers() {
-		spec := a.Specs[id]
-		prof := a.Profiles[id]
-		layer = append(layer, &node{id: id, spec: spec, hosted: a.ByBroker[id], profile: prof})
+		// A broker's filter is the OR of what it hosts, in placement order.
+		hosted := a.ByBroker[id]
+		layer = append(layer, &node{id: id, spec: a.Specs[id], hosted: hosted, profile: allocation.MergeUnits(id, hosted...).Profile})
 		used[id] = true
 	}
 	// Pool: everything else, most resourceful first.
@@ -201,12 +201,7 @@ func (b *Builder) Build(a *allocation.Assignment, pubs map[string]*bitvector.Pub
 			pool = append(pool, spec)
 		}
 	}
-	sort.Slice(pool, func(i, j int) bool {
-		if pool[i].OutputBandwidth != pool[j].OutputBandwidth {
-			return pool[i].OutputBandwidth > pool[j].OutputBandwidth
-		}
-		return pool[i].ID < pool[j].ID
-	})
+	slices.SortFunc(pool, allocation.CompareBrokers)
 
 	for len(layer) > 1 {
 		if b.stats.Layers >= maxLayers {
@@ -216,7 +211,7 @@ func (b *Builder) Build(a *allocation.Assignment, pubs map[string]*bitvector.Pub
 		if len(pool) == 0 {
 			return nil, fmt.Errorf("overlaybuild: broker pool exhausted with %d subtrees remaining", len(layer))
 		}
-		next, newPool, err := b.buildLayer(layer, pool, pubs, capacity)
+		next, newPool, err := b.buildLayer(layer, pool, pubs)
 		if err != nil {
 			return nil, err
 		}
@@ -233,14 +228,14 @@ func (b *Builder) Build(a *allocation.Assignment, pubs map[string]*bitvector.Pub
 // buildLayer allocates parents for the current layer and applies the three
 // optimizations. It returns the next layer and the remaining pool.
 func (b *Builder) buildLayer(layer []*node, pool []*allocation.BrokerSpec,
-	pubs map[string]*bitvector.PublisherStats, capacity int) ([]*node, []*allocation.BrokerSpec, error) {
+	pubs map[string]*bitvector.PublisherStats) ([]*node, []*allocation.BrokerSpec, error) {
 	units := make([]*allocation.Unit, len(layer))
 	byID := make(map[string]*node, len(layer))
 	for i, n := range layer {
 		units[i] = pseudoUnit(n, pubs)
 		byID[n.id] = n
 	}
-	in := &allocation.Input{Units: units, Brokers: pool, Publishers: pubs, ProfileCapacity: capacity}
+	in := &allocation.Input{Units: units, Brokers: pool, Publishers: pubs}
 	assign, err := b.Algorithm.Allocate(in)
 	if err != nil {
 		return nil, nil, fmt.Errorf("overlaybuild: layer allocation: %w", err)
@@ -259,7 +254,7 @@ func (b *Builder) buildLayer(layer []*node, pool []*allocation.BrokerSpec,
 
 	var next []*node
 	for _, pid := range assign.AllocatedBrokers() {
-		parent := &node{id: pid, spec: assign.Specs[pid], profile: assign.Profiles[pid].Clone()}
+		parent := &node{id: pid, spec: assign.Specs[pid], profile: allocation.MergeUnits(pid, assign.ByBroker[pid]...).Profile}
 		for _, u := range assign.ByBroker[pid] {
 			for _, m := range u.Members {
 				child, ok := byID[m.ChildBroker]
@@ -283,13 +278,13 @@ func (b *Builder) buildLayer(layer []*node, pool []*allocation.BrokerSpec,
 		// Optimization 2: absorb children the parent can serve directly,
 		// least-utilized first.
 		if !b.DisableTakeover {
-			poolLeft = b.takeover(parent, poolLeft, pubs, capacity)
+			poolLeft = b.takeover(parent, poolLeft, pubs)
 		}
 
 		// Optimization 3: swap the parent for the smallest sufficient
 		// pool broker.
 		if !b.DisableBestFit {
-			poolLeft = b.bestFit(parent, poolLeft, pubs, capacity)
+			poolLeft = b.bestFit(parent, poolLeft, pubs)
 		}
 
 		next = append(next, parent)
@@ -303,7 +298,7 @@ func (b *Builder) buildLayer(layer []*node, pool []*allocation.BrokerSpec,
 // units plus forwarding to grandchildren) fit into the parent alongside
 // everything else the parent serves is absorbed and its broker freed.
 func (b *Builder) takeover(parent *node, pool []*allocation.BrokerSpec,
-	pubs map[string]*bitvector.PublisherStats, capacity int) []*allocation.BrokerSpec {
+	pubs map[string]*bitvector.PublisherStats) []*allocation.BrokerSpec {
 	for {
 		// Sort (remaining) children by utilization ascending.
 		type cu struct {
@@ -338,7 +333,7 @@ func (b *Builder) takeover(parent *node, pool []*allocation.BrokerSpec,
 			hosted := make([]*allocation.Unit, 0, len(parent.hosted)+len(c.hosted))
 			hosted = append(hosted, parent.hosted...)
 			hosted = append(hosted, c.hosted...)
-			if !allocation.FitsBroker(parent.spec, unitSet(hosted, rest, pubs), pubs, capacity) {
+			if !allocation.FitsBroker(parent.spec, unitSet(hosted, rest, pubs), pubs) {
 				continue
 			}
 			parent.hosted = hosted
@@ -358,14 +353,14 @@ func (b *Builder) takeover(parent *node, pool []*allocation.BrokerSpec,
 // bestFit implements optimization 3 on one parent: replace it with the
 // least-capacity pool broker that can still carry its full unit set.
 func (b *Builder) bestFit(parent *node, pool []*allocation.BrokerSpec,
-	pubs map[string]*bitvector.PublisherStats, capacity int) []*allocation.BrokerSpec {
+	pubs map[string]*bitvector.PublisherStats) []*allocation.BrokerSpec {
 	units := unitSet(parent.hosted, parent.children, pubs)
 	bestIdx := -1
 	for i, spec := range pool {
 		if spec.OutputBandwidth >= parent.spec.OutputBandwidth {
 			continue // not a downgrade
 		}
-		if !allocation.FitsBroker(spec, units, pubs, capacity) {
+		if !allocation.FitsBroker(spec, units, pubs) {
 			continue
 		}
 		if bestIdx < 0 || spec.OutputBandwidth < pool[bestIdx].OutputBandwidth {
@@ -387,16 +382,8 @@ func (b *Builder) bestFit(parent *node, pool []*allocation.BrokerSpec,
 // insertSorted returns the pool with the spec inserted, keeping the
 // most-resourceful-first order.
 func insertSorted(pool []*allocation.BrokerSpec, spec *allocation.BrokerSpec) []*allocation.BrokerSpec {
-	i := sort.Search(len(pool), func(i int) bool {
-		if pool[i].OutputBandwidth != spec.OutputBandwidth {
-			return pool[i].OutputBandwidth < spec.OutputBandwidth
-		}
-		return pool[i].ID > spec.ID
-	})
-	pool = append(pool, nil)
-	copy(pool[i+1:], pool[i:])
-	pool[i] = spec
-	return pool
+	i, _ := slices.BinarySearchFunc(pool, spec, allocation.CompareBrokers)
+	return slices.Insert(pool, i, spec)
 }
 
 // flatten converts the node tree into the exported Tree form.

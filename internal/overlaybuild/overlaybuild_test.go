@@ -67,7 +67,7 @@ func phase2(t *testing.T, seed int64, nBrokers int, bw float64) (*allocation.Ass
 	t.Helper()
 	units, pubs := buildWorkload(seed, 6, 20, 10, 100)
 	in := &allocation.Input{Units: units, Brokers: brokerPool(nBrokers, bw),
-		Publishers: pubs, ProfileCapacity: testCap}
+		Publishers: pubs}
 	a, err := (&allocation.BinPacking{}).Allocate(in)
 	if err != nil {
 		t.Fatalf("phase 2: %v", err)
@@ -78,7 +78,7 @@ func phase2(t *testing.T, seed int64, nBrokers int, bw float64) (*allocation.Ass
 func TestBuildProducesValidTree(t *testing.T) {
 	a, in := phase2(t, 1, 30, 12_000)
 	b := &Builder{Algorithm: &allocation.BinPacking{}}
-	tree, err := b.Build(a, in.Publishers, testCap)
+	tree, err := b.Build(a, in.Publishers)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
@@ -102,7 +102,7 @@ func TestBuildProducesValidTree(t *testing.T) {
 func TestBuildSingleLeafIsRoot(t *testing.T) {
 	units, pubs := buildWorkload(2, 1, 3, 1, 50)
 	in := &allocation.Input{Units: units, Brokers: brokerPool(5, 50_000),
-		Publishers: pubs, ProfileCapacity: testCap}
+		Publishers: pubs}
 	a, err := (&allocation.BinPacking{}).Allocate(in)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestBuildSingleLeafIsRoot(t *testing.T) {
 		t.Fatalf("want single-broker assignment, got %d", a.NumAllocated())
 	}
 	b := &Builder{Algorithm: &allocation.BinPacking{}}
-	tree, err := b.Build(a, pubs, testCap)
+	tree, err := b.Build(a, pubs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestValidateRejects(t *testing.T) {
 func TestBuildRequiresAlgorithm(t *testing.T) {
 	a, in := phase2(t, 3, 30, 12_000)
 	b := &Builder{}
-	if _, err := b.Build(a, in.Publishers, testCap); err == nil {
+	if _, err := b.Build(a, in.Publishers); err == nil {
 		t.Fatal("nil algorithm accepted")
 	}
 }
@@ -166,7 +166,7 @@ func TestBuildFailsOnExhaustedPool(t *testing.T) {
 	// Exactly enough brokers for the leaves, none left for upper layers.
 	units, pubs := buildWorkload(4, 6, 20, 10, 100)
 	in := &allocation.Input{Units: units, Brokers: brokerPool(40, 12_000),
-		Publishers: pubs, ProfileCapacity: testCap}
+		Publishers: pubs}
 	a, err := (&allocation.BinPacking{}).Allocate(in)
 	if err != nil {
 		t.Fatal(err)
@@ -177,14 +177,13 @@ func TestBuildFailsOnExhaustedPool(t *testing.T) {
 	trimmed := &allocation.Assignment{
 		ByBroker: a.ByBroker,
 		Loads:    a.Loads,
-		Profiles: a.Profiles,
 		Specs:    make(map[string]*allocation.BrokerSpec),
 	}
 	for id := range a.ByBroker {
 		trimmed.Specs[id] = a.Specs[id]
 	}
 	b := &Builder{Algorithm: &allocation.BinPacking{}}
-	if _, err := b.Build(trimmed, pubs, testCap); err == nil {
+	if _, err := b.Build(trimmed, pubs); err == nil {
 		t.Fatal("expected failure with no spare brokers for upper layers")
 	}
 }
@@ -195,7 +194,7 @@ func TestBuildFailsOnExhaustedPool(t *testing.T) {
 func TestOptimizationsReduceBrokerCount(t *testing.T) {
 	a, in := phase2(t, 5, 40, 12_000)
 	opt := &Builder{Algorithm: &allocation.BinPacking{}}
-	optTree, err := opt.Build(a, in.Publishers, testCap)
+	optTree, err := opt.Build(a, in.Publishers)
 	if err != nil {
 		t.Fatalf("optimized build: %v", err)
 	}
@@ -205,7 +204,7 @@ func TestOptimizationsReduceBrokerCount(t *testing.T) {
 		DisableTakeover:            true,
 		DisableBestFit:             true,
 	}
-	rawTree, err := raw.Build(a, in.Publishers, testCap)
+	rawTree, err := raw.Build(a, in.Publishers)
 	if err != nil {
 		t.Fatalf("raw build: %v", err)
 	}
@@ -229,7 +228,7 @@ func TestOptimizationsReduceBrokerCount(t *testing.T) {
 func TestTakeoverAbsorbsUnderutilizedChildren(t *testing.T) {
 	a, in := phase2(t, 6, 40, 12_000)
 	b := &Builder{Algorithm: &allocation.BinPacking{}, DisableBestFit: true}
-	tree, err := b.Build(a, in.Publishers, testCap)
+	tree, err := b.Build(a, in.Publishers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +262,7 @@ func TestTakeoverAbsorbsUnderutilizedChildren(t *testing.T) {
 				Load:    in,
 			})
 		}
-		if !allocation.FitsBroker(tree.Specs[id], units, in.Publishers, testCap) {
+		if !allocation.FitsBroker(tree.Specs[id], units, in.Publishers) {
 			t.Errorf("broker %s over capacity after construction", id)
 		}
 	}
@@ -289,13 +288,13 @@ func TestBestFitPrefersSmallBrokers(t *testing.T) {
 			OutputBandwidth: 9_000,
 		})
 	}
-	in := &allocation.Input{Units: units, Brokers: pool, Publishers: pubs, ProfileCapacity: testCap}
+	in := &allocation.Input{Units: units, Brokers: pool, Publishers: pubs}
 	a, err := (&allocation.BinPacking{}).Allocate(in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := &Builder{Algorithm: &allocation.BinPacking{}}
-	tree, err := b.Build(a, pubs, testCap)
+	tree, err := b.Build(a, pubs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,17 +313,16 @@ func TestQuickBuildInvariants(t *testing.T) {
 		nPubs := 1 + rng.Intn(5)
 		units, pubs := buildWorkload(seed, nPubs, 1+rng.Intn(15), 5+rng.Float64()*15, 100)
 		in := &allocation.Input{
-			Units:           units,
-			Brokers:         brokerPool(10+rng.Intn(30), 6_000+rng.Float64()*20_000),
-			Publishers:      pubs,
-			ProfileCapacity: testCap,
+			Units:      units,
+			Brokers:    brokerPool(10+rng.Intn(30), 6_000+rng.Float64()*20_000),
+			Publishers: pubs,
 		}
 		a, err := (&allocation.BinPacking{}).Allocate(in)
 		if err != nil {
 			return true // infeasible phase 2 is fine
 		}
 		b := &Builder{Algorithm: &allocation.BinPacking{}}
-		tree, err := b.Build(a, pubs, testCap)
+		tree, err := b.Build(a, pubs)
 		if err != nil {
 			return true // pool exhaustion etc is a legitimate failure
 		}

@@ -145,7 +145,6 @@ func runReconfigured(sc *workload.Scenario, c ExperimentConfig) (*Result, error)
 	// Phases 2+3 and GRAPE.
 	coreCfg := c.Core
 	coreCfg.Algorithm = c.Approach
-	coreCfg.ProfileCapacity = profileCapacity
 	if coreCfg.Seed == 0 {
 		coreCfg.Seed = c.Seed
 	}
