@@ -44,8 +44,8 @@ func run() error {
 		id        = flag.String("id", "", "broker ID (required)")
 		listen    = flag.String("listen", "127.0.0.1:0", "TCP listen address")
 		bw        = flag.Float64("bw", 0, "output bandwidth throttle, bytes/s (0 = unthrottled)")
-		delayStr  = flag.String("delay", "0.0001,0.001", "matching delay model perSub,base in seconds")
-		neighbors = flag.String("neighbors", "", "comma-separated neighbor addresses to dial")
+		delayStr  = flag.String("delay", "0.0001,0.001", "matching delay model perSub,base in seconds, both non-negative")
+		neighbors = flag.String("neighbors", "", "comma-separated neighbor addresses to dial; list each link on one of its two brokers only")
 		capacity  = flag.Int("profile-bits", 1280, "CBC bit-vector capacity; the planner reads it from this broker's BIA")
 		quiet     = flag.Bool("q", false, "suppress runtime diagnostics")
 		metrics   = flag.String("metrics-addr", "", "serve Prometheus metrics on this address at /metrics (empty = disabled)")

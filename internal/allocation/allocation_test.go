@@ -2,6 +2,7 @@ package allocation
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"strings"
@@ -372,29 +373,85 @@ func TestInputValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("good input rejected: %v", err)
 	}
-	cases := []*Input{
-		{Units: units, Brokers: nil, Publishers: pubs},
-		{Units: units, Brokers: []*BrokerSpec{{ID: "", OutputBandwidth: 1}}, Publishers: pubs},
-		{Units: units, Brokers: []*BrokerSpec{{ID: "a", OutputBandwidth: 1}, {ID: "a", OutputBandwidth: 1}}, Publishers: pubs},
-		{Units: units, Brokers: []*BrokerSpec{{ID: "a", OutputBandwidth: 0}}, Publishers: pubs},
-		// A NaN or infinite capacity, and a NaN matching delay, in an
-		// input otherwise good.
-		{Units: units, Brokers: []*BrokerSpec{{ID: "a", OutputBandwidth: math.NaN()}}, Publishers: pubs},
-		{Units: units, Brokers: []*BrokerSpec{{ID: "a", OutputBandwidth: math.Inf(1)}}, Publishers: pubs},
-		{Units: units, Brokers: []*BrokerSpec{{ID: "a", OutputBandwidth: 1, Delay: message.MatchingDelayFn{PerSub: math.NaN()}}},
-			Publishers: pubs},
-		{Units: units, Brokers: []*BrokerSpec{{ID: "a", OutputBandwidth: 1, Delay: message.MatchingDelayFn{Base: math.NaN()}}},
-			Publishers: pubs},
-		{Units: []*Unit{{ID: "", Profile: bitvector.NewProfile(8), Members: []Member{{}}}},
-			Brokers: testBrokers(1, 1000, stdDelay()), Publishers: pubs},
-		{Units: []*Unit{{ID: "u", Profile: nil, Members: []Member{{}}}},
-			Brokers: testBrokers(1, 1000, stdDelay()), Publishers: pubs},
-		{Units: []*Unit{{ID: "u", Profile: bitvector.NewProfile(8)}},
-			Brokers: testBrokers(1, 1000, stdDelay()), Publishers: pubs},
+	// withPub is the good input with publisher ADV1 reporting the given rate
+	// and bandwidth; withLoad is it with unit 0 carrying the given load, and
+	// withDelay with every broker on the given matching delay.
+	withPub := func(rate, bw float64) *Input {
+		in := *good
+		in.Publishers = maps.Clone(pubs)
+		in.Publishers["ADV1"] = &bitvector.PublisherStats{AdvID: "ADV1", Rate: rate, Bandwidth: bw, LastSeq: 199}
+		return &in
 	}
-	for i, in := range cases {
-		if err := in.Validate(); err == nil {
-			t.Errorf("case %d: invalid input accepted", i)
+	withLoad := func(rate, bw float64) *Input {
+		in, u := *good, *units[0]
+		u.Load = bitvector.Load{Rate: rate, Bandwidth: bw}
+		in.Units = append([]*Unit{&u}, units[1:]...)
+		return &in
+	}
+	withDelay := func(perSub, base float64) *Input {
+		in := *good
+		in.Brokers = testBrokers(2, 1000, message.MatchingDelayFn{PerSub: perSub, Base: base})
+		return &in
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		in   *Input
+		want string // what the error must name, if anything
+	}{
+		{"no brokers", &Input{Units: units, Brokers: nil, Publishers: pubs}, ""},
+		{"empty broker ID", &Input{Units: units, Brokers: []*BrokerSpec{{ID: "", OutputBandwidth: 1}}, Publishers: pubs}, ""},
+		{"duplicate broker", &Input{Units: units, Brokers: []*BrokerSpec{{ID: "a", OutputBandwidth: 1}, {ID: "a", OutputBandwidth: 1}}, Publishers: pubs}, `"a"`},
+		{"zero bandwidth", &Input{Units: units, Brokers: []*BrokerSpec{{ID: "a", OutputBandwidth: 0}}, Publishers: pubs}, `"a"`},
+		{"NaN bandwidth", &Input{Units: units, Brokers: []*BrokerSpec{{ID: "a", OutputBandwidth: nan}}, Publishers: pubs}, `"a"`},
+		{"infinite bandwidth", &Input{Units: units, Brokers: []*BrokerSpec{{ID: "a", OutputBandwidth: inf}}, Publishers: pubs}, `"a"`},
+		{"NaN per-filter delay", withDelay(nan, 1e-3), `"B00"`},
+		{"NaN base delay", withDelay(1e-4, nan), `"B00"`},
+		{"negative per-filter delay", withDelay(-1e-4, 1e-3), `"B00"`},
+		{"negative base delay", withDelay(1e-4, -1e-3), `"B00"`},
+		{"infinite per-filter delay", withDelay(inf, 1e-3), `"B00"`},
+		{"infinite base delay", withDelay(1e-4, inf), `"B00"`},
+		{"negative publisher rate", withPub(-1, 1000), `"ADV1"`},
+		{"NaN publisher rate", withPub(nan, 1000), `"ADV1"`},
+		{"infinite publisher rate", withPub(inf, 1000), `"ADV1"`},
+		{"negative publisher bandwidth", withPub(10, -1), `"ADV1"`},
+		{"NaN publisher bandwidth", withPub(10, nan), `"ADV1"`},
+		{"infinite publisher bandwidth", withPub(10, inf), `"ADV1"`},
+		{"negative unit rate", withLoad(-1, 100), fmt.Sprintf("%q", units[0].ID)},
+		{"negative unit bandwidth", withLoad(1, -100), fmt.Sprintf("%q", units[0].ID)},
+		{"infinite unit rate", withLoad(inf, 100), fmt.Sprintf("%q", units[0].ID)},
+		{"infinite unit bandwidth", withLoad(1, inf), fmt.Sprintf("%q", units[0].ID)},
+		{"empty unit ID", &Input{Units: []*Unit{{ID: "", Profile: bitvector.NewProfile(8), Members: []Member{{}}}},
+			Brokers: testBrokers(1, 1000, stdDelay()), Publishers: pubs}, ""},
+		{"nil profile", &Input{Units: []*Unit{{ID: "u", Profile: nil, Members: []Member{{}}}},
+			Brokers: testBrokers(1, 1000, stdDelay()), Publishers: pubs}, `"u"`},
+		{"no members", &Input{Units: []*Unit{{ID: "u", Profile: bitvector.NewProfile(8)}},
+			Brokers: testBrokers(1, 1000, stdDelay()), Publishers: pubs}, `"u"`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.in.Validate()
+			if err == nil {
+				t.Fatal("invalid input accepted")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not name %s", err, tc.want)
+			}
+		})
+	}
+	// Several bad publishers: the first in ID order is reported, whatever
+	// order the map yields them in.
+	several := withPub(nan, 1000)
+	for _, id := range []string{"ADV0", "ADV7", "ADV3"} {
+		several.Publishers[id] = &bitvector.PublisherStats{AdvID: id, Rate: -1}
+	}
+	first := several.Validate()
+	if first == nil || !strings.Contains(first.Error(), `"ADV0"`) {
+		t.Fatalf("several bad publishers: error %v, want one naming \"ADV0\"", first)
+	}
+	for range 50 {
+		if err := several.Validate(); err == nil || err.Error() != first.Error() {
+			t.Fatalf("several bad publishers: error %v, earlier %v", err, first)
 		}
 	}
 	// A unit at another capacity than the first unit's: the error names
@@ -413,12 +470,16 @@ func TestInputValidate(t *testing.T) {
 }
 
 // TestNaNLoadRejected: a NaN unit load voids the >= bandwidth test of the
-// broker that takes it and the order the pool is kept in, so every algorithm
-// must refuse the input instead of returning a plan CheckCapacity cannot
-// fault.
+// broker that takes it and the order the pool is kept in, and a negative or
+// infinite one the capacity certificate's sums, so every algorithm must
+// refuse the input instead of returning a plan CheckCapacity cannot fault.
 func TestNaNLoadRejected(t *testing.T) {
 	algs := []Algorithm{&FBF{Seed: 1}, &BinPacking{}, &CRAM{Metric: bitvector.MetricIOS}}
-	for _, load := range []bitvector.Load{{Rate: 1, Bandwidth: math.NaN()}, {Rate: math.NaN(), Bandwidth: 1}} {
+	for _, load := range []bitvector.Load{
+		{Rate: 1, Bandwidth: math.NaN()}, {Rate: math.NaN(), Bandwidth: 1},
+		{Rate: 1, Bandwidth: -1}, {Rate: -1, Bandwidth: 1},
+		{Rate: 1, Bandwidth: math.Inf(1)}, {Rate: math.Inf(1), Bandwidth: 1},
+	} {
 		in := *stdInput(t)
 		bad := *in.Units[0]
 		bad.Load = load

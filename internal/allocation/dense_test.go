@@ -63,8 +63,8 @@ func sameLoad(a, b bitvector.Load) bool {
 func placeLinear(p *pack, pu *packUnit) int {
 	for b := range p.states {
 		bs := &p.states[b]
-		if ok, inter := bs.fits(pu, p.stats, p.ratesOrdered); ok {
-			bs.accept(pu, inter, p.capacity, p.ratesOrdered)
+		if ok, inter := bs.fits(pu, p.stats); ok {
+			bs.accept(pu, inter, p.capacity)
 			return b
 		}
 	}
@@ -97,12 +97,10 @@ type denseCoverage struct {
 	// rejections left to the walk.
 	fullRejects, walkRejects int
 	// The admission scan's corners. bwThenMark are units turned away by one
-	// broker's bandwidth and then by a later broker's mark; markSpared are
-	// tests of a unit without filters against a mark above its rate, which
-	// must not fire; unordered are units placed under a table whose rates are
-	// not ordered, where no mark may; unplaced are units no broker admits;
-	// soloFits and soloRejects are FitsBroker's two answers.
-	bwThenMark, markSpared, unordered, unplaced, soloFits, soloRejects int
+	// broker's bandwidth and then by a later broker's mark; unplaced are
+	// units no broker admits; soloFits and soloRejects are FitsBroker's two
+	// answers.
+	bwThenMark, unplaced, soloFits, soloRejects int
 }
 
 func (c *denseCoverage) add(o denseCoverage) {
@@ -110,8 +108,6 @@ func (c *denseCoverage) add(o denseCoverage) {
 	c.fullRejects += o.fullRejects
 	c.walkRejects += o.walkRejects
 	c.bwThenMark += o.bwThenMark
-	c.markSpared += o.markSpared
-	c.unordered += o.unordered
 	c.unplaced += o.unplaced
 	c.soloFits += o.soloFits
 	c.soloRejects += o.soloRejects
@@ -134,9 +130,18 @@ func (c *denseCoverage) add(o denseCoverage) {
 // every placement and every clear, and a replay onto its parked vectors must
 // repeat the placements. Last, FitsBroker's answer for each broker on its own
 // is held to the reference's.
-func checkDenseAgainstReference(t *testing.T, units []*Unit, brokers []*BrokerSpec,
+//
+// The kernel serves what Input.Validate admits, so every input outside
+// denseMixedCaps mode, whose capacities Validate refuses to mix, must pass it.
+func checkDenseAgainstReference(t *testing.T, mode uint8, units []*Unit, brokers []*BrokerSpec,
 	pubs map[string]*bitvector.PublisherStats) denseCoverage {
 	t.Helper()
+	if mode&denseMixedCaps == 0 {
+		in := &Input{Units: units, Brokers: brokers, Publishers: pubs}
+		if err := in.Validate(); err != nil {
+			t.Fatalf("generated input outside the kernel's contract: %v", err)
+		}
+	}
 	table := newPublisherTable(pubs, units)
 	compiled := compileUnits(units, table)
 	pk := newPack(brokers, table)
@@ -172,21 +177,15 @@ func checkDenseAgainstReference(t *testing.T, units []*Unit, brokers []*BrokerSp
 		want, bwRejected := -1, false
 		for b := range pk.states {
 			bs := &pk.states[b]
-			ok, inter := bs.fits(&pu, pk.stats, pk.ratesOrdered)
+			ok, inter := bs.fits(&pu, pk.stats)
 			wantOK, wantInter := ref[b].fits(u, uIn, pubs)
 			if ok != wantOK || ok && !sameLoad(inter, wantInter) {
 				t.Fatalf("unit %d broker %d: dense fits = %v %+v, reference = %v %+v",
 					ui, b, ok, inter, wantOK, wantInter)
 			}
-			if !pk.ratesOrdered && bs.fullBelow != 0 {
-				t.Fatalf("unit %d broker %d: mark %v under unordered rates", ui, b, bs.fullBelow)
-			}
 			if bs.outLoad.Bandwidth+pu.load.Bandwidth < bs.spec.OutputBandwidth {
-				if pk.ratesOrdered && pu.in.Rate < bs.fullBelow && pu.filters < 1 {
-					cov.markSpared++
-				}
 				switch {
-				case pk.ratesOrdered && pu.in.Rate < bs.fullBelow && pu.filters >= 1:
+				case pu.in.Rate < bs.fullBelow:
 					cov.fullRejects++
 					if bwRejected {
 						cov.bwThenMark++
@@ -201,7 +200,7 @@ func checkDenseAgainstReference(t *testing.T, units []*Unit, brokers []*BrokerSp
 			if !ok {
 				continue
 			}
-			bs.accept(&pu, inter, capacity, pk.ratesOrdered)
+			bs.accept(&pu, inter, capacity)
 			ref[b].accept(u, uIn, wantInter)
 			if !sameLoad(bs.inLoad, ref[b].inLoad) || !sameLoad(bs.outLoad, ref[b].outLoad) ||
 				bs.filters != ref[b].filters {
@@ -234,8 +233,6 @@ func checkDenseAgainstReference(t *testing.T, units []*Unit, brokers []*BrokerSp
 		}
 		if want < 0 {
 			cov.unplaced++
-		} else if !pk.ratesOrdered {
-			cov.unordered++
 		}
 		got := scan.place(&compiled[ui])
 		if got != want {
@@ -292,15 +289,11 @@ const (
 // denseSaturated gives the
 // brokers ample bandwidth and a steep matching-delay slope, so that the rate
 // criterion rejects both by the saturation mark and — where the overlap with
-// the aggregate decides — only after the walk; one case in four of it carries
-// a negative publisher rate, which must switch the mark off.
+// the aggregate decides — only after the walk.
 //
-// denseEdges aims at what place's column scan must get right: one unit in
-// four has no member and so occupies no filter, so a saturated broker's
-// mark may not turn it away; the first broker keeps a narrow pipe when
-// denseSaturated widens the others, so a unit is turned away by bandwidth
-// and then by a mark; and one case in four carries a NaN publisher rate,
-// under which no mark may fire.
+// denseEdges aims at what place's column scan must get right: the first
+// broker keeps a narrow pipe when denseSaturated widens the others, so a
+// unit is turned away by bandwidth and then by a mark.
 func denseCase(seed int64, nUnits, nPubs int, mode uint8) ([]*Unit, []*BrokerSpec, map[string]*bitvector.PublisherStats) {
 	rng := rand.New(rand.NewSource(seed))
 	caps := []int{64, 100, 128, 256, bitvector.DefaultCapacity}
@@ -315,14 +308,6 @@ func denseCase(seed int64, nUnits, nPubs int, mode uint8) ([]*Unit, []*BrokerSpe
 			pubs[advs[p]] = &bitvector.PublisherStats{
 				AdvID: advs[p], Rate: 1 + 99*rng.Float64(), Bandwidth: 100 + 9900*rng.Float64(),
 			}
-		}
-	}
-	if st := pubs[advs[0]]; st != nil {
-		switch {
-		case mode&denseSaturated != 0 && seed%4 == 0:
-			st.Rate = -st.Rate
-		case mode&denseEdges != 0 && seed%4 == 1:
-			st.Rate = math.NaN()
 		}
 	}
 	newVector := func(unitCap int) *bitvector.Vector {
@@ -387,11 +372,7 @@ func denseCase(seed int64, nUnits, nPubs int, mode uint8) ([]*Unit, []*BrokerSpe
 		return out
 	}
 	newLoad := func() (bitvector.Load, int) {
-		load, filters := bitvector.Load{Rate: 50 * rng.Float64(), Bandwidth: 1000 * rng.Float64()}, 1+rng.Intn(3)
-		if mode&denseEdges != 0 && rng.Intn(4) == 0 {
-			filters = 0
-		}
-		return load, filters
+		return bitvector.Load{Rate: 50 * rng.Float64(), Bandwidth: 1000 * rng.Float64()}, 1 + rng.Intn(3)
 	}
 
 	units := make([]*Unit, nUnits)
@@ -459,10 +440,10 @@ var admissionSeeds = []struct {
 }{
 	{"a broker out of bandwidth, then a saturated one", 33, 63, 5, denseEdges | denseSaturated,
 		func(c denseCoverage) int { return c.bwThenMark }},
-	{"units without filters against saturated brokers", 35, 63, 0, denseEdges | denseSaturated | denseRepeats | 2,
-		func(c denseCoverage) int { return c.markSpared }},
-	{"a NaN publisher rate: no mark may fire", 37, 63, 2, denseEdges | denseSaturated,
-		func(c denseCoverage) int { return c.unordered }},
+	{"a rate rejection only the walk finds", 35, 63, 0, denseEdges | denseSaturated | denseRepeats | 2,
+		func(c denseCoverage) int { return c.walkRejects }},
+	{"units no broker admits", 37, 63, 2, denseEdges | denseSaturated,
+		func(c denseCoverage) int { return c.unplaced }},
 	{"one broker, which FitsBroker fills", 33, 2, 5, denseEdges | denseSaturated,
 		func(c denseCoverage) int { return c.soloFits }},
 }
@@ -484,12 +465,12 @@ func TestDenseFitsMatchesReference(t *testing.T) {
 			mode |= []uint8{denseRepeats, denseSaturated, denseRepeats | denseSaturated}[seed%3]
 		}
 		units, brokers, pubs := denseCase(seed, 40, nPubs, mode)
-		cov.add(checkDenseAgainstReference(t, units, brokers, pubs))
+		cov.add(checkDenseAgainstReference(t, mode, units, brokers, pubs))
 		total += len(units)
 	}
 	for _, as := range admissionSeeds {
 		units, brokers, pubs := denseCase(as.seed, 1+int(as.nUnits)%64, 1+int(as.nPubs)%40, as.mode)
-		c := checkDenseAgainstReference(t, units, brokers, pubs)
+		c := checkDenseAgainstReference(t, as.mode, units, brokers, pubs)
 		if as.reached(c) == 0 {
 			t.Errorf("fuzz seed %q no longer reaches its corner: %+v", as.name, c)
 		}
@@ -499,8 +480,8 @@ func TestDenseFitsMatchesReference(t *testing.T) {
 	if cov.placed == 0 || cov.placed == total {
 		t.Fatalf("one-sided coverage: %d of %d units placed; the inputs must both admit and reject", cov.placed, total)
 	}
-	if cov.fullRejects == 0 || cov.walkRejects == 0 ||
-		cov.unplaced == 0 || cov.soloRejects == 0 {
+	if cov.fullRejects == 0 || cov.walkRejects == 0 || cov.bwThenMark == 0 ||
+		cov.unplaced == 0 || cov.soloFits == 0 || cov.soloRejects == 0 {
 		t.Fatalf("a kernel path went unexercised: %+v", cov)
 	}
 	t.Logf("coverage over %d units: %+v", total, cov)
@@ -544,11 +525,11 @@ func TestSaturationImpliesBound(t *testing.T) {
 // FuzzDenseFitsEquivalence drives random unit streams — publishers missing
 // from the statistics, empty vectors, misaligned and disjoint windows,
 // capacity-clamped Or, profiles of 1 and of 40 publishers, runs of repeated
-// contents, rate-saturated brokers, units without filters, unordered rates —
-// through the dense first-fit state and through the retained
-// bitvector.IntersectLoad + Profile.Or reference, with place's column scan
-// held to the linear loop over that reference and its columns to the states
-// they copy (checkDenseAgainstReference).
+// contents, rate-saturated brokers, a narrow first broker — through the dense
+// first-fit state and through the retained bitvector.IntersectLoad +
+// Profile.Or reference, with place's column scan held to the linear loop over
+// that reference and its columns to the states they copy
+// (checkDenseAgainstReference).
 func FuzzDenseFitsEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(20), uint8(1), uint8(0))
 	f.Add(int64(2), uint8(30), uint8(40), uint8(0x20))
@@ -563,7 +544,7 @@ func FuzzDenseFitsEquivalence(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed int64, nUnits, nPubs, mode uint8) {
 		units, brokers, pubs := denseCase(seed, 1+int(nUnits)%64, 1+int(nPubs)%40, mode)
-		checkDenseAgainstReference(t, units, brokers, pubs)
+		checkDenseAgainstReference(t, mode, units, brokers, pubs)
 	})
 }
 

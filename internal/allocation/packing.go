@@ -90,8 +90,8 @@ type brokerState struct {
 	// filters is the routing-table entry count.
 	filters int
 	// fullBelow marks a rate-saturated broker: fits' walk would reject every
-	// unit of at least one filter whose input rate is below it, whatever
-	// else the unit holds (see saturation). accept recomputes it from the
+	// unit whose input rate is below it, whatever else the unit holds (see
+	// saturation; every unit has a filter). accept recomputes it from the
 	// state it leaves; it is positive only once the broker is saturated.
 	fullBelow float64
 }
@@ -109,19 +109,16 @@ type brokerState struct {
 // describe, the intersection cardinality over the wider window, summed in
 // ascending advertisement-ID order — the same terms in the same order, so
 // the same bits. One exact shortcut keeps many calls off that walk
-// (DESIGN.md §7.1): under ratesOrdered (every publisher rate finite and
-// non-negative), fullBelow caches, per accept, for which units the walk is
-// certain to reject, so a full broker costs one comparison beyond the
-// bandwidth test. The walk's inter.Rate cannot exceed pu.in.Rate — each of
-// its terms is at most the matching term of pu.in.Rate, accumulated in the
-// same order over a subset, and IEEE operations are monotone — so the rate
-// it tests is at least (inLoad.Rate + pu.in.Rate) − pu.in.Rate, which the
-// mark keeps above the limit.
-func (bs *brokerState) fits(pu *packUnit, stats []*bitvector.PublisherStats, ratesOrdered bool) (bool, bitvector.Load) {
-	if bs.outLoad.Bandwidth+pu.load.Bandwidth >= bs.spec.OutputBandwidth {
-		return false, bitvector.Load{}
-	}
-	if ratesOrdered && pu.in.Rate < bs.fullBelow && pu.filters >= 1 {
+// (DESIGN.md §7.1): fullBelow caches, per accept, for which units the walk
+// is certain to reject, so a full broker costs one comparison beyond the
+// bandwidth test. With publisher rates finite and non-negative, as
+// Input.Validate requires, the walk's inter.Rate cannot exceed pu.in.Rate —
+// each of its terms is at most the matching term of pu.in.Rate, accumulated
+// in the same order over a subset, and IEEE operations are monotone — so
+// the rate it tests is at least (inLoad.Rate + pu.in.Rate) − pu.in.Rate,
+// which the mark keeps above the limit.
+func (bs *brokerState) fits(pu *packUnit, stats []*bitvector.PublisherStats) (bool, bitvector.Load) {
+	if bs.outLoad.Bandwidth+pu.load.Bandwidth >= bs.spec.OutputBandwidth || pu.in.Rate < bs.fullBelow {
 		return false, bitvector.Load{}
 	}
 	lim := bs.spec.Delay.MaxRate(bs.filters + pu.filters)
@@ -156,7 +153,7 @@ func (bs *brokerState) fits(pu *packUnit, stats []*bitvector.PublisherStats, rat
 // update is Profile.Or entry by entry: a publisher the unit mentions gains
 // a vector even when the unit's own is empty, and Vector.Or drops bits
 // older than the aggregate's window exactly as it does there.
-func (bs *brokerState) accept(pu *packUnit, inter bitvector.Load, capacity int, ratesOrdered bool) {
+func (bs *brokerState) accept(pu *packUnit, inter bitvector.Load, capacity int) {
 	bs.inLoad.Rate += pu.in.Rate - inter.Rate
 	bs.inLoad.Bandwidth += pu.in.Bandwidth - inter.Bandwidth
 	bs.outLoad = bs.outLoad.Add(pu.load)
@@ -166,7 +163,7 @@ func (bs *brokerState) accept(pu *packUnit, inter bitvector.Load, capacity int, 
 	// the only one on a bandwidth-bound pool — it stays 0 for the price of a
 	// multiplication instead of MaxRate's division.
 	bs.fullBelow = 0
-	if ratesOrdered && bs.spec.Delay.PerSub >= 0 && bs.inLoad.Rate*bs.spec.Delay.Delay(bs.filters+1) > 0.99 {
+	if bs.inLoad.Rate*bs.spec.Delay.Delay(bs.filters+1) > 0.99 {
 		bs.fullBelow = saturation(bs.inLoad.Rate, bs.spec.Delay.MaxRate(bs.filters+1))
 	}
 	for i := range pu.entries {
@@ -233,10 +230,7 @@ type pack struct {
 	// where the brokerState changes (DESIGN.md §7.1).
 	out, limit, mark []float64
 	stats            []*bitvector.PublisherStats
-	// ratesOrdered is the table's RatesOrdered: whether the saturation
-	// mark may be used.
-	ratesOrdered bool
-	capacity     int
+	capacity         int
 }
 
 // newPack returns an empty packing of the brokers, tried in the given
@@ -253,7 +247,7 @@ func newPack(brokers []*BrokerSpec, t *bitvector.PublisherTable) *pack {
 	return &pack{
 		states: states,
 		out:    make([]float64, len(brokers)), limit: limit, mark: make([]float64, len(brokers)),
-		stats: t.Stats(), ratesOrdered: t.RatesOrdered(), capacity: t.Capacity(),
+		stats: t.Stats(), capacity: t.Capacity(),
 	}
 }
 
@@ -274,15 +268,14 @@ func (p *pack) clear() {
 // test, and it stays the one definition of admission.
 func (p *pack) place(pu *packUnit) int {
 	bw, rate := pu.load.Bandwidth, pu.in.Rate
-	marked := p.ratesOrdered && pu.filters >= 1
 	limit, mark := p.limit[:len(p.out)], p.mark[:len(p.out)]
 	for b, out := range p.out {
-		if out+bw >= limit[b] || marked && rate < mark[b] {
+		if out+bw >= limit[b] || rate < mark[b] {
 			continue
 		}
 		bs := &p.states[b]
-		if ok, inter := bs.fits(pu, p.stats, p.ratesOrdered); ok {
-			bs.accept(pu, inter, p.capacity, p.ratesOrdered)
+		if ok, inter := bs.fits(pu, p.stats); ok {
+			bs.accept(pu, inter, p.capacity)
 			p.out[b], p.mark[b] = bs.outLoad.Bandwidth, bs.fullBelow
 			return b
 		}
@@ -353,7 +346,9 @@ func packFirstFit(units []*Unit, compiled []packUnit, brokers []*BrokerSpec, t *
 
 // FitsBroker reports whether the entire unit set can be hosted by one
 // broker within both capacity constraints. Phase 3's takeover and best-fit
-// optimizations use it to test hypothetical broker contents.
+// optimizations use it to test hypothetical broker contents. The spec, units
+// and statistics must meet Input.Validate's contract, as Phase 3's
+// pseudo-units do by construction.
 func FitsBroker(spec *BrokerSpec, units []*Unit, pubs map[string]*bitvector.PublisherStats) bool {
 	t := newPublisherTable(pubs, units)
 	compiled := compileUnits(units, t)

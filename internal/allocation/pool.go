@@ -66,10 +66,9 @@ type pool struct {
 	// What the capacity certificate reads (certify). bandwidth bounds the
 	// committed stream's total bandwidth from above and filters counts its
 	// routing-table entries; commit adopts both from the change. rho is the
-	// largest rateShare of any unit the pool has compiled, NaN once one had
-	// a load the certificate cannot reason about. pairs sums the capacities
-	// at trial positions 0, 2, 4, … (⌊|B|/2⌋ terms) and narrowest is the
-	// smallest capacity.
+	// largest rateShare of any unit the pool has compiled, NaN once one's
+	// input rate overflowed. pairs sums the capacities at trial positions
+	// 0, 2, 4, … (⌊|B|/2⌋ terms) and narrowest is the smallest capacity.
 	bandwidth        float64
 	filters          int
 	rho              float64
@@ -98,17 +97,19 @@ func newPool(units []*Unit, brokers []*BrokerSpec, t *bitvector.PublisherTable) 
 
 // rateShare is the unit's input rate per byte/s of delivery bandwidth: 0
 // for a unit that draws no input, +Inf for one that needs no bandwidth but
-// draws input, and NaN when the rate is negative or not finite or the
-// bandwidth negative or NaN.
+// draws input, and NaN for one whose input rate — a sum of finite
+// non-negative terms under Input.Validate — overflowed to +Inf: no broker
+// limit bounds it, and a replay's Inf − Inf is NaN, which the rate test
+// refuses.
 func rateShare(pu *packUnit) float64 {
-	q, bw := pu.in.Rate, pu.load.Bandwidth
+	q := pu.in.Rate
 	switch {
-	case !(q >= 0 && q <= math.MaxFloat64 && bw >= 0):
-		return math.NaN()
 	case q == 0:
 		return 0
+	case q > math.MaxFloat64:
+		return math.NaN()
 	}
-	return q / bw
+	return q / pu.load.Bandwidth
 }
 
 // roundUp returns the next float64 above x: an upper bound on the exact
@@ -259,18 +260,15 @@ func (p *pool) probe(c change) (packs, certified bool) {
 //	    refused, so each such pair holds more than C_2k, and |B| open
 //	    brokers would hold more than the pool has.
 //
-// (a) comes first and fails at the first broker of a rate-bound pool.
-// Unordered rates, a negative PerSub or a NaN anywhere fail a test.
+// (a) comes first and fails at the first broker of a rate-bound pool. A NaN
+// anywhere fails a test.
 func (p *pool) certify(c change) bool {
 	pk := p.pk
-	if !pk.ratesOrdered {
-		return false
-	}
 	n := len(p.stream) - len(c.cut) + len(c.compiled)
 	slack := 1 + float64(float64(n+len(pk.limit)+2)*0x1p-51)
 	for b := range pk.states {
 		d := &pk.states[b].spec.Delay
-		if !(d.PerSub >= 0 && p.rho*pk.limit[b]*slack <= d.MaxRate(c.filters+1)) {
+		if !(p.rho*pk.limit[b]*slack <= d.MaxRate(c.filters+1)) {
 			return false
 		}
 	}

@@ -3,7 +3,6 @@ package allocation
 import (
 	"fmt"
 	"maps"
-	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -572,7 +571,19 @@ func certPool(bandwidths []float64, extra map[string]*bitvector.PublisherStats) 
 // either side of its tests: whether it answers, and that the answer is the
 // from-scratch first-fit's.
 func TestProbeCertificate(t *testing.T) {
-	nan := map[string]*bitvector.PublisherStats{"Q": {AdvID: "Q", Rate: math.NaN(), Bandwidth: 100, LastSeq: 99}}
+	// Three units, each sinking two publishers of 1e308 msgs/s, on two
+	// brokers of zero matching delay: every unit's input rate overflows to
+	// +Inf, which even an unbounded limit admits once, but a broker's second
+	// unit makes the rate test's Inf − Inf a NaN, so the third finds no room.
+	overflow := certPool([]float64{300, 300, 300}, map[string]*bitvector.PublisherStats{
+		"Q": {AdvID: "Q", Rate: 1e308, Bandwidth: 100, LastSeq: 99}})
+	overflow.Publishers["P"].Rate = 1e308
+	for _, u := range overflow.Units {
+		for seq := 0; seq < 100; seq++ {
+			u.Profile.Record("Q", seq)
+		}
+	}
+	overflow.Brokers = testBrokers(2, 1000, message.MatchingDelayFn{})
 	cases := []struct {
 		name                string
 		in                  *Input
@@ -593,9 +604,8 @@ func TestProbeCertificate(t *testing.T) {
 		// The matching delay binds: the certificate cannot rule out a
 		// refusal on rate, however roomy the bandwidth.
 		{"rate-bound (stdDelay)", stdInput(t), true, false},
-		// A NaN rate, even of a publisher no unit sinks, leaves the rates
-		// unordered.
-		{"NaN publisher rate", certPool([]float64{600, 600, 400, 399.9}, nan), true, false},
+		// ρ·C is +Inf ≤ +Inf unless rateShare makes an overflowed rate NaN.
+		{"input rate overflows to +Inf", overflow, false, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -101,7 +101,10 @@ type Input struct {
 	Publishers map[string]*bitvector.PublisherStats
 }
 
-// Validate checks structural soundness of the input.
+// Validate checks structural soundness of the input, and is the one
+// statement of what the first-fit kernel assumes (DESIGN.md §7.1): every
+// publisher rate and bandwidth, unit load and matching-delay term finite and
+// non-negative, every unit at least one member, one vector capacity.
 func (in *Input) Validate() error {
 	if len(in.Brokers) == 0 {
 		return fmt.Errorf("allocation: no brokers in pool")
@@ -120,11 +123,26 @@ func (in *Input) Validate() error {
 		if !(b.OutputBandwidth > 0 && b.OutputBandwidth <= math.MaxFloat64) {
 			return fmt.Errorf("allocation: broker %q has bandwidth %v, want a finite positive number", b.ID, b.OutputBandwidth)
 		}
-		// A NaN matching delay is a NaN rate limit, which refuses every
-		// unit.
-		if math.IsNaN(b.Delay.PerSub) || math.IsNaN(b.Delay.Base) {
-			return fmt.Errorf("allocation: broker %q has a NaN matching delay", b.ID)
+		// A delay that falls as filters are added voids the saturation
+		// mark, and a NaN one is a NaN rate limit, which refuses every unit.
+		if !finiteNonNegative(b.Delay.PerSub) || !finiteNonNegative(b.Delay.Base) {
+			return fmt.Errorf("allocation: broker %q has matching delay %+v, want finite non-negative terms", b.ID, b.Delay)
 		}
+	}
+	// A negative or non-finite rate breaks the monotone sums the saturation
+	// mark and the capacity certificate rest on. The first bad publisher in
+	// ID order is reported, whatever the map order; the test is written out
+	// because detflow admits no call in a map range.
+	var bad []string
+	for id, st := range in.Publishers {
+		if st != nil && !(st.Rate >= 0 && st.Rate <= math.MaxFloat64 && st.Bandwidth >= 0 && st.Bandwidth <= math.MaxFloat64) {
+			bad = append(bad, id)
+		}
+	}
+	sort.Strings(bad)
+	if len(bad) > 0 {
+		st := in.Publishers[bad[0]]
+		return fmt.Errorf("allocation: publisher %q has rate %v and bandwidth %v, want finite non-negative numbers", bad[0], st.Rate, st.Bandwidth)
 	}
 	seenU := make(map[string]bool, len(in.Units))
 	for _, u := range in.Units {
@@ -150,13 +168,17 @@ func (in *Input) Validate() error {
 				u.ID, u.Profile.Capacity(), first.ID, first.Profile.Capacity())
 		}
 		// A NaN load orders against nothing: it would void the pool order
-		// and every capacity test of the broker that took the unit.
-		if math.IsNaN(u.Load.Rate) || math.IsNaN(u.Load.Bandwidth) {
-			return fmt.Errorf("allocation: unit %q has a NaN load", u.ID)
+		// and every capacity test of the broker that took the unit. A
+		// negative or infinite one voids the capacity certificate.
+		if !finiteNonNegative(u.Load.Rate) || !finiteNonNegative(u.Load.Bandwidth) {
+			return fmt.Errorf("allocation: unit %q has load %+v, want finite non-negative rate and bandwidth", u.ID, u.Load)
 		}
 	}
 	return nil
 }
+
+// finiteNonNegative reports whether x is a finite number of at least zero.
+func finiteNonNegative(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
 
 // BrokerLoad summarizes one allocated broker's predicted load.
 type BrokerLoad struct {

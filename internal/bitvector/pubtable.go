@@ -2,7 +2,6 @@ package bitvector
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 )
@@ -19,9 +18,6 @@ import (
 type PublisherTable struct {
 	ids   []string
 	stats []*PublisherStats // nil where the publisher has no statistics entry
-	// ratesOrdered records that every statistics entry's Rate is finite and
-	// non-negative, checked once at construction.
-	ratesOrdered bool
 	// capacity is the first indexed profile's, DefaultCapacity without one.
 	capacity int
 }
@@ -64,16 +60,12 @@ func NewPublisherTable(stats map[string]*PublisherStats, profiles []*Profile) *P
 	if len(ids) > known {
 		sort.Strings(ids)
 	}
-	t := &PublisherTable{ids: ids, stats: make([]*PublisherStats, len(ids)), ratesOrdered: true, capacity: DefaultCapacity}
+	t := &PublisherTable{ids: ids, stats: make([]*PublisherStats, len(ids)), capacity: DefaultCapacity}
 	if len(profiles) > 0 {
 		t.capacity = profiles[0].capacity
 	}
 	for i, id := range ids {
-		st := stats[id]
-		t.stats[i] = st
-		if st != nil && !(st.Rate >= 0 && st.Rate <= math.MaxFloat64) {
-			t.ratesOrdered = false
-		}
+		t.stats[i] = stats[id]
 	}
 	return t
 }
@@ -88,13 +80,6 @@ func (t *PublisherTable) Capacity() int { return t.capacity }
 // Stats returns the per-index publisher statistics, nil where a publisher
 // has none. The slice is shared and must not be modified.
 func (t *PublisherTable) Stats() []*PublisherStats { return t.stats }
-
-// RatesOrdered reports whether every publisher's Rate was finite and
-// non-negative when the table was built. Only then is a sum of rate ×
-// fraction terms monotone in its fractions under floating-point rounding —
-// what allocation's saturation mark rests on (DESIGN.md §7.1); a NaN,
-// infinite or negative rate turns the mark off for the run.
-func (t *PublisherTable) RatesOrdered() bool { return t.ratesOrdered }
 
 // Compile lists the profile's vectors by table index, ascending, as views
 // that share the profile's bit storage. It panics on a publisher the table

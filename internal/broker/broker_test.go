@@ -315,8 +315,11 @@ func TestBrokerConfigValidation(t *testing.T) {
 		ok   bool
 	}{
 		{"valid", broker.Config{ID: "B", Clock: clock, Delay: delay, OutputBandwidth: 1000}, true},
-		{"negative bandwidth and delay mean unthrottled", broker.Config{ID: "B", Clock: clock,
-			Delay: message.MatchingDelayFn{PerSub: -1, Base: -1}, OutputBandwidth: -1}, true},
+		{"negative bandwidth means unthrottled", broker.Config{ID: "B", Clock: clock, Delay: delay, OutputBandwidth: -1}, true},
+		{"negative per-subscription delay", broker.Config{ID: "B", Clock: clock,
+			Delay: message.MatchingDelayFn{PerSub: -1e-4, Base: 1e-3}}, false},
+		{"negative base delay", broker.Config{ID: "B", Clock: clock,
+			Delay: message.MatchingDelayFn{PerSub: 1e-4, Base: -1e-3}}, false},
 		{"missing ID", broker.Config{Clock: clock}, false},
 		{"missing clock", broker.Config{ID: "B"}, false},
 		{"NaN bandwidth", broker.Config{ID: "B", Clock: clock, Delay: delay, OutputBandwidth: math.NaN()}, false},

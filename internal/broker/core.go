@@ -97,7 +97,8 @@ type Config struct {
 	ID string
 	// URL is the address reported in BIA messages.
 	URL string
-	// Delay is the matching-delay model reported in BIA messages.
+	// Delay is the matching-delay model reported in BIA messages. Both terms
+	// must be finite and non-negative.
 	Delay message.MatchingDelayFn
 	// OutputBandwidth is the total output bandwidth reported in BIA
 	// messages, bytes/s.
@@ -199,8 +200,9 @@ func New(cfg Config) (*Core, error) {
 		return nil, fmt.Errorf("broker: config requires a clock")
 	}
 	// A BIA carries these as JSON numbers, which have no NaN or infinity:
-	// a broker holding one could not answer a BIR. Negative values stay
-	// allowed and mean unthrottled.
+	// a broker holding one could not answer a BIR. A negative bandwidth
+	// stays allowed and means unthrottled; a negative delay term is refused,
+	// as the planner refuses every BIA that reports one.
 	for _, f := range [...]struct {
 		name string
 		v    float64
@@ -208,6 +210,9 @@ func New(cfg Config) (*Core, error) {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return nil, fmt.Errorf("broker %s: %s %v is not finite", cfg.ID, f.name, f.v)
 		}
+	}
+	if cfg.Delay.PerSub < 0 || cfg.Delay.Base < 0 {
+		return nil, fmt.Errorf("broker %s: matching delay %v per subscription + %v is negative", cfg.ID, cfg.Delay.PerSub, cfg.Delay.Base)
 	}
 	inst := cfg.Instruments
 	if inst == nil {

@@ -47,8 +47,9 @@ func TestComputePlanRejectsNullBIAEntries(t *testing.T) {
 // that decodes through ComputePlan under BIN PACKING and CRAM-IOS at the
 // capacity its profiles carry: the planner must return an error or a plan
 // whose tree validates, and must not panic. Among the seeds, a two-broker
-// BIA at 640 bits must plan and one whose profiles have 64 and 128 bits
-// must be refused.
+// BIA at 640 bits must plan, and one whose profiles have 64 and 128 bits and
+// one whose publisher reports a negative rate must be refused, the latter
+// with an error naming the publisher.
 func FuzzBIAPlan(f *testing.F) {
 	frame := func(infos []message.BrokerInfo) []byte {
 		data, err := message.Encode(&message.Envelope{Kind: message.KindBIA,
@@ -60,15 +61,19 @@ func FuzzBIAPlan(f *testing.F) {
 	}
 	mixed := buildInfosAt(64, 2, 1, 2)
 	mixed[1].Subscriptions[0].Profile = buildInfosAt(128, 2, 1, 2)[1].Subscriptions[0].Profile
+	negative := buildInfosAt(64, 2, 1, 2)
+	negative[0].Publishers[0].Stats.Rate = -1
 	seeds := []struct {
 		data  []byte
 		plans bool
+		names string // what a refusal must name, if anything
 	}{
-		{frame(buildInfosAt(64, 2, 1, 1)), true},
-		{frame(buildInfosAt(640, 2, 1, 2)), true},
-		{frame(mixed), false},
-		{[]byte(biaNullSub), false},
-		{[]byte(biaNullStats), false},
+		{frame(buildInfosAt(64, 2, 1, 1)), true, ""},
+		{frame(buildInfosAt(640, 2, 1, 2)), true, ""},
+		{frame(mixed), false, ""},
+		{[]byte(biaNullSub), false, ""},
+		{[]byte(biaNullStats), false, ""},
+		{frame(negative), false, `publisher "ADV0"`},
 	}
 	plan := func(data []byte, alg string) (p *Plan, decoded bool, err error) {
 		env, err := message.Decode(data)
@@ -82,6 +87,8 @@ func FuzzBIAPlan(f *testing.F) {
 		for _, alg := range []string{AlgBinPacking, AlgCRAMIOS} {
 			if _, ok, err := plan(sd.data, alg); !ok || (err == nil) != sd.plans {
 				f.Fatalf("seed %d, %s: decoded %v, plan error %v; want a plan: %v", i, alg, ok, err, sd.plans)
+			} else if err != nil && !strings.Contains(err.Error(), sd.names) {
+				f.Fatalf("seed %d, %s: plan error %q does not name %s", i, alg, err, sd.names)
 			}
 		}
 		f.Add(sd.data)

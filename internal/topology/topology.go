@@ -34,7 +34,8 @@ type Broker struct {
 	Delay message.MatchingDelayFn
 }
 
-// Link declares one overlay edge.
+// Link declares one overlay edge. A file declares each edge once, in
+// either direction, between two distinct brokers.
 type Link struct {
 	A, B string
 }
@@ -82,6 +83,7 @@ func Parse(r io.Reader) (*File, error) {
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	lineNo := 0
 	brokerIDs := make(map[string]bool)
+	linkLines := make(map[Link]int) // each link, either way round, to its line
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
@@ -139,7 +141,18 @@ func Parse(r io.Reader) (*File, error) {
 			if len(fields) != 3 {
 				return nil, fmt.Errorf("topology: line %d: link needs exactly two broker IDs", lineNo)
 			}
-			f.Links = append(f.Links, Link{A: name, B: fields[2]})
+			// A deployment dials each declared link: a second declaration of
+			// the pair would dial it again, and the new connection replaces
+			// and closes the one in use.
+			l := Link{A: name, B: fields[2]}
+			if l.A == l.B {
+				return nil, fmt.Errorf("topology: line %d: link from broker %s to itself", lineNo, l.A)
+			}
+			if prev, dup := linkLines[l]; dup {
+				return nil, fmt.Errorf("topology: line %d: link %s %s repeats line %d", lineNo, l.A, l.B, prev)
+			}
+			linkLines[l], linkLines[Link{A: l.B, B: l.A}] = lineNo, lineNo
+			f.Links = append(f.Links, l)
 		case "publisher":
 			p := Publisher{ID: name, Broker: kv["broker"], AdvID: kv["advid"]}
 			if p.Broker == "" {

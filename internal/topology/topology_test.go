@@ -69,6 +69,9 @@ func TestParseErrors(t *testing.T) {
 		{"misspelt filter key", `broker B1 addr=a:1` + "\n" + `subscriber s1 broker=B1 filtr="[class,=,'STOCK']"`},
 		{"unknown broker key", "broker B1 addr=a:1 bandwidth=5"},
 		{"link with three IDs", "broker B1 addr=a:1\nbroker B2 addr=a:2\nbroker B3 addr=a:3\nlink B1 B2 B3"},
+		{"repeated link", "broker B1 addr=a:1\nbroker B2 addr=a:2\nlink B1 B2\nlink B1 B2"},
+		{"reversed link", "broker B1 addr=a:1\nbroker B2 addr=a:2\nlink B1 B2\nlink B2 B1"},
+		{"self link", "broker B1 addr=a:1\nlink B1 B1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -76,6 +79,11 @@ func TestParseErrors(t *testing.T) {
 				t.Fatalf("accepted %q", tc.in)
 			}
 		})
+	}
+	// A repeated link names both of its lines.
+	_, err := Parse(strings.NewReader("broker B1 addr=a:1\nbroker B2 addr=a:2\nlink B1 B2\nlink B2 B1"))
+	if err == nil || !strings.Contains(err.Error(), "line 4") || !strings.Contains(err.Error(), "line 3") {
+		t.Errorf("reversed link: error %v, want one naming lines 3 and 4", err)
 	}
 }
 
