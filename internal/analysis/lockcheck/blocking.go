@@ -51,7 +51,7 @@ var BlockingMethodPkgs = map[string]map[string]bool{
 	},
 	scope.TransportPath: {
 		"Send": true, "SendFrames": true,
-		"Recv": true, "SendHello": true, "RecvHello": true,
+		"Recv": true, "SendHello": true, "RecvHello": true, "Handshake": true,
 		"writeFrame": true, "readFrame": true, "Accept": true,
 	},
 	scope.ClientPath: {

@@ -270,9 +270,6 @@ func (c *Core) RemoveNeighbor(id string) {
 // AddClient registers an attached client.
 func (c *Core) AddClient(id string) { c.clients[id] = true }
 
-// RemoveClient detaches a client.
-func (c *Core) RemoveClient(id string) { delete(c.clients, id) }
-
 // Handle processes one incoming envelope and appends every message the
 // broker must emit to out. It returns out (possibly grown).
 func (c *Core) Handle(from Endpoint, env *message.Envelope, out []Outgoing) ([]Outgoing, error) {

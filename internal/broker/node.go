@@ -160,20 +160,19 @@ func (n *Node) ID() string { return n.core.ID() }
 // Addr returns the bound listen address.
 func (n *Node) Addr() string { return n.listener.Addr() }
 
+// handshakeTimeout bounds a neighbor dial's TCP connect and every hello
+// exchange, dialed or accepted.
+var handshakeTimeout = 5 * time.Second
+
 // ConnectNeighbor dials a neighbor broker and registers the link on both
 // ends.
 func (n *Node) ConnectNeighbor(addr string) error {
-	conn, err := transport.Dial(addr, 5*time.Second)
+	conn, err := transport.Dial(addr, handshakeTimeout)
 	if err != nil {
 		return err
 	}
-	if err = conn.SendHello(transport.Hello{Kind: transport.PeerBroker, ID: n.ID()}); err != nil {
-		_ = conn.Close()
-		return err
-	}
-	h, err := conn.RecvHello()
+	h, err := conn.Handshake(transport.Hello{Kind: transport.PeerBroker, ID: n.ID()}, false, handshakeTimeout)
 	if err != nil {
-		_ = conn.Close()
 		return err
 	}
 	if h.Kind != transport.PeerBroker {
@@ -204,14 +203,9 @@ func (n *Node) acceptLoop() {
 		n.wg.Add(1)
 		go func() {
 			defer n.wg.Done()
-			h, err := conn.RecvHello()
+			h, err := conn.Handshake(transport.Hello{Kind: transport.PeerBroker, ID: n.ID()}, true, handshakeTimeout)
 			if err != nil {
 				n.logger.Printf("broker %s: handshake: %v", n.ID(), err)
-				_ = conn.Close()
-				return
-			}
-			if err := conn.SendHello(transport.Hello{Kind: transport.PeerBroker, ID: n.ID()}); err != nil {
-				_ = conn.Close()
 				return
 			}
 			kind := KindClient
@@ -233,6 +227,15 @@ func (n *Node) registerPeer(ep Endpoint, conn *transport.Conn) {
 	conn.SetBufferPool(n.pool)
 	p := &peer{ep: ep, conn: conn}
 	n.mu.Lock()
+	select {
+	case <-n.closing:
+		// Stop has closed the table: a handshake finishing after it
+		// must not add a connection nothing will close.
+		n.mu.Unlock()
+		_ = conn.Close()
+		return
+	default:
+	}
 	if old, ok := n.peers[ep]; ok {
 		_ = old.conn.Close()
 	}
@@ -240,13 +243,9 @@ func (n *Node) registerPeer(ep Endpoint, conn *transport.Conn) {
 	n.mu.Unlock()
 
 	// Membership changes go through the event loop for serialization.
-	n.enqueueFn(func() {
-		if ep.Kind == KindBroker {
-			n.core.AddNeighbor(ep.ID)
-		} else {
-			n.core.AddClient(ep.ID)
-		}
-	})
+	if ep.Kind == KindBroker {
+		n.enqueueFn(func() { n.core.AddNeighbor(ep.ID) })
+	}
 
 	n.wg.Add(1)
 	go func() {
@@ -275,7 +274,8 @@ func (n *Node) readPump(p *peer) {
 					n.logger.Printf("broker %s: read from %s: %v", n.ID(), p.ep, err)
 				}
 			}
-			n.dropPeer(p)
+			_ = p.conn.Close()
+			n.enqueueFn(func() { n.drop(p) })
 			return
 		}
 		select {
@@ -286,52 +286,22 @@ func (n *Node) readPump(p *peer) {
 	}
 }
 
-// dropPeer removes a disconnected peer. It must only be called off the
-// event-loop goroutine: the membership update is enqueued onto the inbox,
-// and the event loop enqueueing against itself deadlocks once the inbox
-// is full (the loop is the sole drainer). The loop's own failure path is
-// dropPeerOnLoop.
-func (n *Node) dropPeer(p *peer) {
-	n.removePeer(p)
-	n.enqueueFn(func() { n.forgetIfDisconnected(p.ep) })
-}
-
-// dropPeerOnLoop is dropPeer for callers already running on the event
-// loop: Core access is serialized here by construction, so the
-// membership update runs inline instead of round-tripping the inbox.
-func (n *Node) dropPeerOnLoop(p *peer) {
-	n.removePeer(p)
-	n.forgetIfDisconnected(p.ep)
-}
-
-// removePeer unregisters the connection (if still current) and closes it.
-func (n *Node) removePeer(p *peer) {
+// drop retires a peer: it closes the connection and, only while p is
+// still the endpoint's entry in the table, deletes that entry and removes
+// a broker from the core's neighbors. A peer registerPeer replaced is no
+// longer current, so its late drop cannot undo its successor's
+// registration, whichever of the two the loop runs first. Event-loop
+// only: it touches the core and never enqueues.
+func (n *Node) drop(p *peer) {
+	_ = p.conn.Close()
 	n.mu.Lock()
-	if cur, ok := n.peers[p.ep]; ok && cur == p {
+	current := n.peers[p.ep] == p
+	if current {
 		delete(n.peers, p.ep)
 	}
 	n.mu.Unlock()
-	_ = p.conn.Close()
-}
-
-// forgetIfDisconnected updates the core's membership only when the
-// endpoint has no live connection. The guard closes the reconnect
-// membership race: when a peer reconnects, registerPeer replaces the
-// table entry and closes the old connection, whose dying readPump then
-// enqueues this forget — which, unconditional, would deregister the
-// *new* link's neighbor/client registration and silently stop routing
-// to a connected peer. Event-loop only.
-func (n *Node) forgetIfDisconnected(ep Endpoint) {
-	n.mu.Lock()
-	_, connected := n.peers[ep]
-	n.mu.Unlock()
-	if connected {
-		return
-	}
-	if ep.Kind == KindBroker {
-		n.core.RemoveNeighbor(ep.ID)
-	} else {
-		n.core.RemoveClient(ep.ID)
+	if current && p.ep.Kind == KindBroker {
+		n.core.RemoveNeighbor(p.ep.ID)
 	}
 }
 
@@ -442,7 +412,15 @@ func (n *Node) flushOutgoing(outs []Outgoing) {
 			n.groupIdx[o.To] = gi
 		}
 		if o.Env != env || o.Hops != hops {
-			d, err := n.fenc.Encode(o.Env, o.Hops)
+			var d []byte
+			var err error
+			if h := n.tinst.EncodeSeconds; h != nil {
+				start := time.Now()
+				d, err = n.fenc.Encode(o.Env, o.Hops)
+				h.ObserveDuration(time.Since(start))
+			} else {
+				d, err = n.fenc.Encode(o.Env, o.Hops)
+			}
 			if err != nil {
 				n.logger.Printf("broker %s: encode for %s: %v", n.ID(), o.To, err)
 				continue
@@ -461,11 +439,7 @@ func (n *Node) flushOutgoing(outs []Outgoing) {
 		n.inst.LimiterWaitSeconds.ObserveDuration(n.limiter.Wait(g.bytes))
 		if err := g.p.conn.SendFrames(g.frames); err != nil {
 			n.logger.Printf("broker %s: send to %s: %v", n.ID(), g.p.ep, err)
-			// flushOutgoing runs on the event-loop goroutine, so the
-			// async dropPeer would enqueue against the very inbox this
-			// goroutine drains — a self-deadlock once the inbox is
-			// full. Run the membership update inline instead.
-			n.dropPeerOnLoop(g.p)
+			n.drop(g.p)
 		}
 	}
 	n.fenc.Release()
@@ -490,7 +464,10 @@ func (n *Node) Counters() Counters {
 	}
 }
 
-// Stop shuts the node down and waits for all goroutines to exit.
+// Stop shuts the node down and waits for all goroutines to exit. It
+// closes the listener and every registered peer; a handshake still
+// pending ends at its deadline, and one that completes after Stop began
+// closes its connection instead of registering it.
 func (n *Node) Stop() {
 	n.once.Do(func() {
 		close(n.closing)

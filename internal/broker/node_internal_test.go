@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -45,22 +46,22 @@ func loopNode(t *testing.T, reg *telemetry.Registry) *Node {
 }
 
 // TestSendFailureOnLoopDoesNotDeadlock pins the event-loop re-entrancy
-// fix: flushOutgoing runs on the event-loop goroutine, and a send failure
-// used to route through dropPeer, whose membership update is a blocking
-// enqueue onto the inbox — the very channel the event loop drains. With
-// the inbox full (modeled here as unbuffered) the loop deadlocked against
-// itself. flushOutgoing must instead drop the peer inline and return
-// promptly.
+// rule: flushOutgoing runs on the event-loop goroutine, and a send failure
+// once retired the peer through a blocking enqueue onto the inbox — the
+// very channel the event loop drains. With the inbox full (modeled here
+// as unbuffered) the loop deadlocked against itself. flushOutgoing must
+// instead drop the peer inline, taking the dead broker out of the
+// connection table and the core's neighbors, and return promptly.
 func TestSendFailureOnLoopDoesNotDeadlock(t *testing.T) {
 	n := loopNode(t, nil)
 	core := n.core
-	ep := Endpoint{Kind: KindClient, ID: "c1"}
+	ep := Endpoint{Kind: KindBroker, ID: "B2"}
 	a, b := net.Pipe()
 	_ = b.Close()
 	conn := transport.NewConn(a)
 	_ = conn.Close() // guarantee the SendFrames below fails immediately
 	n.peers[ep] = &peer{ep: ep, conn: conn}
-	core.AddClient(ep.ID)
+	core.AddNeighbor(ep.ID)
 
 	done := make(chan struct{})
 	go func() {
@@ -79,8 +80,37 @@ func TestSendFailureOnLoopDoesNotDeadlock(t *testing.T) {
 	if stillThere {
 		t.Fatal("dead peer not removed from the connection table")
 	}
-	if core.clients[ep.ID] {
-		t.Fatal("dead client still in core membership")
+	if slices.Contains(core.neighbors, ep.ID) {
+		t.Fatal("dead broker still in the core's neighbors")
+	}
+}
+
+// TestNodeDropRetiresOnlyTheCurrentPeer pins drop's current-peer rule:
+// the drop of a connection registerPeer already replaced closes it and
+// leaves the successor in the table and the core's neighbors, while the
+// drop of the current connection takes the broker out of both.
+func TestNodeDropRetiresOnlyTheCurrentPeer(t *testing.T) {
+	n := loopNode(t, nil)
+	ep := Endpoint{Kind: KindBroker, ID: "B2"}
+	newPeer := func() *peer {
+		a, b := net.Pipe()
+		t.Cleanup(func() { _ = b.Close() })
+		return &peer{ep: ep, conn: transport.NewConn(a)}
+	}
+	replaced, current := newPeer(), newPeer()
+	n.peers[ep] = current
+	n.core.AddNeighbor(ep.ID)
+
+	n.drop(replaced)
+	if _, err := replaced.conn.Recv(); !errors.Is(err, io.ErrClosedPipe) {
+		t.Fatalf("replaced connection still open after its drop: %v", err)
+	}
+	if n.peers[ep] != current || !slices.Contains(n.core.neighbors, ep.ID) {
+		t.Fatal("a replaced peer's drop retired its successor")
+	}
+	n.drop(current)
+	if _, ok := n.peers[ep]; ok || slices.Contains(n.core.neighbors, ep.ID) {
+		t.Fatal("the current peer's drop left the broker in the table or the neighbors")
 	}
 }
 
@@ -145,6 +175,17 @@ func TestFlushAllocationFreeBeyondEncoder(t *testing.T) {
 	}
 	if flush != 0 {
 		t.Errorf("flushOutgoing allocates %v times per flush, want 0", flush)
+	}
+}
+
+// TestFlushObservesEncodeLatency: the node times its frame encodes on
+// the transport encode histogram, once per frame, so a flush of one
+// publication to four clients observes one encode.
+func TestFlushObservesEncodeLatency(t *testing.T) {
+	n, outs := fanoutNode(t)
+	n.flushOutgoing(outs)
+	if got := n.tinst.EncodeSeconds.Count(); got != 1 {
+		t.Fatalf("encode histogram count = %d after one fanned-out publication, want 1", got)
 	}
 }
 

@@ -1,12 +1,14 @@
 package broker_test
 
 import (
+	"net"
 	"testing"
 	"time"
 
 	"github.com/greenps/greenps/internal/broker"
 	"github.com/greenps/greenps/internal/client"
 	"github.com/greenps/greenps/internal/message"
+	"github.com/greenps/greenps/internal/transport"
 )
 
 func startNode(t *testing.T, id string) *broker.Node {
@@ -142,12 +144,12 @@ func TestNodeDuplicatePeerReplaced(t *testing.T) {
 // TestNodeBrokerReconnectKeepsForwarding is the regression test for the
 // reconnect membership race: when a neighbor broker reconnects,
 // registerPeer replaces the connection table entry and closes the old
-// connection — whose dying readPump then enqueues a membership forget.
-// Unconditional, that forget deregistered the *new* link's neighbor
+// connection — whose dying readPump then enqueues its drop.
+// Unconditional, that drop deregistered the *new* link's neighbor
 // registration from the core, so advertisement floods (and with them
 // subscription routing and publication forwarding) silently skipped a
-// connected neighbor. The forget must be a no-op while the endpoint has
-// a live connection.
+// connected neighbor. The drop of a replaced connection must leave its
+// successor registered.
 func TestNodeBrokerReconnectKeepsForwarding(t *testing.T) {
 	b1 := startNode(t, "B1")
 	b2 := startNode(t, "B2")
@@ -195,5 +197,82 @@ func TestNodeBrokerReconnectKeepsForwarding(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("publication never crossed the reconnected broker link")
+	}
+}
+
+// silentListener accepts TCP connections through the kernel backlog and
+// never reads or writes: a peer that never answers a hello.
+func silentListener(t *testing.T) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = l.Close() })
+	return l.Addr().String()
+}
+
+// TestNodeConnectNeighborSilentPeerTimesOut: a neighbor address that
+// accepts TCP and never sends its hello fails ConnectNeighbor at the
+// hello deadline instead of blocking it for good.
+func TestNodeConnectNeighborSilentPeerTimesOut(t *testing.T) {
+	const deadline = 300 * time.Millisecond
+	broker.SetHandshakeTimeout(t, deadline)
+	n := startNode(t, "B1")
+	addr := silentListener(t)
+	done := make(chan error, 1)
+	go func() { done <- n.ConnectNeighbor(addr) }()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("ConnectNeighbor to a silent peer succeeded")
+		}
+	case <-time.After(deadline + 5*time.Second):
+		t.Fatal("ConnectNeighbor to a silent peer still blocked past the hello deadline")
+	}
+}
+
+// TestNodeStopWithPendingHandshakes: Stop returns within the hello
+// deadline while one accepted connection stays silent and another sends
+// its hello only after Stop began, which must not register a peer that
+// nothing closes.
+func TestNodeStopWithPendingHandshakes(t *testing.T) {
+	const deadline = time.Second
+	broker.SetHandshakeTimeout(t, deadline)
+	n := startNode(t, "B1")
+	var raw [2]*transport.Conn
+	for i := range raw {
+		c, err := transport.Dial(n.Addr(), time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = c.Close() })
+		raw[i] = c
+	}
+	// The node accepts in arrival order, so once a later client's
+	// handshake completes both raw connections are in theirs.
+	c, err := client.Connect("c1", n.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+
+	stopped := make(chan struct{})
+	start := time.Now()
+	go func() {
+		n.Stop()
+		close(stopped)
+	}()
+	time.Sleep(50 * time.Millisecond)
+	if err := raw[1].SendHello(transport.Hello{Kind: transport.PeerClient, ID: "late"}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-stopped:
+		if d := time.Since(start); d > deadline+time.Second {
+			t.Fatalf("Stop took %v with a %v hello deadline", d, deadline)
+		}
+	case <-time.After(deadline + 5*time.Second):
+		t.Fatal("Stop still blocked past the hello deadline")
 	}
 }

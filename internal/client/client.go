@@ -36,21 +36,19 @@ type Client struct {
 	readErr error
 }
 
+// handshakeTimeout bounds Connect's TCP connect and its hello exchange.
+var handshakeTimeout = 5 * time.Second
+
 // Connect dials a broker and performs the handshake.
 func Connect(id, brokerAddr string) (*Client, error) {
 	if id == "" {
 		return nil, fmt.Errorf("client: empty id")
 	}
-	conn, err := transport.Dial(brokerAddr, 5*time.Second)
+	conn, err := transport.Dial(brokerAddr, handshakeTimeout)
 	if err != nil {
 		return nil, err
 	}
-	if err := conn.SendHello(transport.Hello{Kind: transport.PeerClient, ID: id}); err != nil {
-		_ = conn.Close()
-		return nil, err
-	}
-	if _, err := conn.RecvHello(); err != nil {
-		_ = conn.Close()
+	if _, err := conn.Handshake(transport.Hello{Kind: transport.PeerClient, ID: id}, false, handshakeTimeout); err != nil {
 		return nil, err
 	}
 	c := &Client{

@@ -2,6 +2,7 @@ package client_test
 
 import (
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -298,5 +299,33 @@ func TestClientBIRBIARoundTrip(t *testing.T) {
 	pub := message.NewPublication("A", 77, map[string]message.Value{"x": message.Number(1)})
 	if err := c.PublishAt(pub); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConnectSilentBrokerTimesOut: an address that accepts TCP and never
+// answers the hello fails Connect at the hello deadline.
+func TestConnectSilentBrokerTimesOut(t *testing.T) {
+	const deadline = 300 * time.Millisecond
+	client.SetHandshakeTimeout(t, deadline)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = l.Close() }()
+	done := make(chan error, 1)
+	go func() {
+		c, err := client.Connect("c1", l.Addr().String())
+		if err == nil {
+			_ = c.Close()
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("Connect to a silent broker succeeded")
+		}
+	case <-time.After(deadline + 5*time.Second):
+		t.Fatal("Connect to a silent broker still blocked past the hello deadline")
 	}
 }

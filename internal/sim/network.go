@@ -46,7 +46,7 @@ type Client struct {
 
 // queued is one in-flight message. dst is the index of the destination
 // broker in the network's nodes, resolved when the message is queued, or
-// -1 when to names a client or a broker the network does not have.
+// -1 when to names a client or a broker the sender has no link to.
 type queued struct {
 	to   broker.Endpoint
 	dst  int32
@@ -183,13 +183,11 @@ func (n *Network) AttachClient(clientID, brokerID string) (*Client, error) {
 	if _, dup := n.clients[clientID]; dup {
 		return nil, fmt.Errorf("sim: client %q already exists", clientID)
 	}
-	core := n.Broker(brokerID)
-	if core == nil {
+	if _, ok := n.index[brokerID]; !ok {
 		return nil, fmt.Errorf("sim: unknown broker %q", brokerID)
 	}
 	cl := &Client{Broker: brokerID}
 	n.clients[clientID] = cl
-	core.AddClient(clientID)
 	return cl, nil
 }
 
@@ -224,16 +222,15 @@ func (n *Network) lookup(id string) int32 {
 	return -1
 }
 
-// resolve returns the index of the broker a core at index from emits to:
-// one of its links, or, should the core have been given a neighbor
-// outside ConnectBrokers, whatever lookup finds.
+// resolve returns the index of the linked broker a core at index from
+// emits to, or -1 when id names none of its links.
 func (n *Network) resolve(from int32, id string) int32 {
 	for _, l := range n.nodes[from].links {
 		if l.id == id {
 			return l.at
 		}
 	}
-	return n.lookup(id)
+	return -1
 }
 
 // Drain processes the queue until quiescence, routing every emitted

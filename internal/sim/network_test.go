@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/greenps/greenps/internal/broker"
@@ -225,4 +226,26 @@ func BenchmarkPrepare(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(hops)/float64(b.N), "msgs/op")
+}
+
+// TestDrainRefusesUnlinkedNeighbor: a core's emissions resolve over the
+// links ConnectBrokers made, so a neighbor the core was given any other
+// way is no destination, even when the network has a broker of that ID,
+// and the advertisement flooded to it fails as a message to an unknown
+// broker.
+func TestDrainRefusesUnlinkedNeighbor(t *testing.T) {
+	net := NewNetwork()
+	for _, id := range []string{"B1", "B2"} {
+		if _, err := net.AddBroker(broker.Config{ID: id, URL: id, Delay: message.MatchingDelayFn{Base: 0.001}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net.Broker("B1").AddNeighbor("B2")
+	if _, err := net.AttachClient("pub", "B1"); err != nil {
+		t.Fatal(err)
+	}
+	adv := &message.Envelope{Kind: message.KindAdvertisement, Adv: message.NewAdvertisement("A", "pub", nil)}
+	if err := net.SendFromClient("pub", adv); err == nil || !strings.Contains(err.Error(), `unknown broker "B2"`) {
+		t.Fatalf("advertisement to an unlinked neighbor: err = %v, want a message to unknown broker \"B2\"", err)
+	}
 }

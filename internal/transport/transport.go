@@ -78,7 +78,9 @@ type Instruments struct {
 	// BytesSent/BytesRecv count wire bytes including the 4-byte header.
 	BytesSent *telemetry.Counter
 	BytesRecv *telemetry.Counter
-	// EncodeSeconds/DecodeSeconds time envelope JSON encode/decode.
+	// EncodeSeconds times the frame encodes of a broker's event loop
+	// (Conn.Send does not observe it); DecodeSeconds times every decode
+	// in Recv.
 	EncodeSeconds *telemetry.Histogram
 	DecodeSeconds *telemetry.Histogram
 	// WriteTimeouts counts frame writes that exceeded the write timeout.
@@ -301,17 +303,35 @@ func (c *Conn) RecvHello() (Hello, error) {
 	return h, nil
 }
 
+// Handshake exchanges hellos on a fresh connection: it sends mine and
+// reads the peer's, or, accepting, reads the peer's first and answers.
+// The exchange shares one deadline timeout away, so a peer that accepts
+// TCP and never speaks fails the handshake instead of blocking it. On an
+// error the connection is closed.
+func (c *Conn) Handshake(mine Hello, accepting bool, timeout time.Duration) (Hello, error) {
+	var peer Hello
+	err := c.nc.SetDeadline(time.Now().Add(timeout))
+	if err == nil && !accepting {
+		err = c.SendHello(mine)
+	}
+	if err == nil {
+		peer, err = c.RecvHello()
+	}
+	if err == nil && accepting {
+		err = c.SendHello(mine)
+	}
+	if err == nil {
+		err = c.nc.SetDeadline(time.Time{})
+	}
+	if err != nil {
+		_ = c.Close()
+	}
+	return peer, err
+}
+
 // Send encodes and sends one envelope.
 func (c *Conn) Send(env *message.Envelope) error {
-	var data []byte
-	var err error
-	if h := c.inst.EncodeSeconds; h != nil {
-		start := time.Now()
-		data, err = message.Encode(env)
-		h.ObserveDuration(time.Since(start))
-	} else {
-		data, err = message.Encode(env)
-	}
+	data, err := message.Encode(env)
 	if err != nil {
 		return err
 	}
