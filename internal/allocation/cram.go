@@ -125,9 +125,13 @@ type CRAMStats struct {
 	// PackAttempts counts allocation feasibility tests: every probe of the
 	// pool, the initial one included.
 	PackAttempts int
-	// ProbesCertified counts the probes the pool's capacity certificate
-	// answered without a replay (DESIGN.md §7.1); the rest replayed.
+	// ProbesCertified counts the probes answered before any placement, by
+	// the pool's capacity certificate at the head of the stream (DESIGN.md
+	// §7.1); the rest replayed part of it or all of it.
 	ProbesCertified int
+	// PlacementsReplayed counts the first-fit placements the probes' replays
+	// made, the certificate stopping each as soon as it held.
+	PlacementsReplayed int
 	// ClustersAccepted and ClustersRejected count clustering attempts.
 	ClustersAccepted int
 	ClustersRejected int
@@ -852,9 +856,10 @@ func (r *cramRun) tryCoveredSet(parent, other *gif) bool {
 
 // probe is the run's feasibility test of a staged change, counted.
 func (r *cramRun) probe(ch change) bool {
-	packs, certified := r.pool.probe(ch)
+	packs, placed := r.pool.probe(ch)
 	r.c.stats.PackAttempts++
-	if certified {
+	r.c.stats.PlacementsReplayed += placed
+	if placed == 0 {
 		r.c.stats.ProbesCertified++
 	}
 	return packs

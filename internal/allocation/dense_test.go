@@ -201,6 +201,7 @@ func checkDenseAgainstReference(t *testing.T, mode uint8, units []*Unit, brokers
 				continue
 			}
 			bs.accept(&pu, inter, capacity)
+			pk.opened = max(pk.opened, b+1) // as place records it, so the next clear empties b
 			ref[b].accept(u, uIn, wantInter)
 			if !sameLoad(bs.inLoad, ref[b].inLoad) || !sameLoad(bs.outLoad, ref[b].outLoad) ||
 				bs.filters != ref[b].filters {
@@ -550,9 +551,10 @@ func FuzzDenseFitsEquivalence(f *testing.F) {
 
 // TestPlacementAllocationFree pins fits, accept, place and replay — the
 // first-fit admission test, its commit, the column scan and the
-// feasibility replay loop — at zero allocations: once a scratch pack has
-// seen every publisher on every broker it uses, clearing it and replaying
-// the whole pool allocates nothing.
+// feasibility replay loop with its certificate questions — at zero
+// allocations: once a scratch pack has seen every publisher on every broker
+// it uses, clearing it and placing the whole pool, or probing a staged
+// change, allocates nothing.
 // Two in five of the pool's subscriptions sink everything their publisher
 // sends, so the stream has runs of one content. A probe the capacity
 // certificate answers allocates nothing either.
@@ -560,23 +562,46 @@ func TestPlacementAllocationFree(t *testing.T) {
 	units, pubs := testWorkload(3, 6, 40, 10, 100)
 	brokers := sortBrokersByCapacity(testBrokers(12, 30_000, stdDelay()))
 	p := newPool(units, brokers, newPublisherTable(pubs, units))
-	replay := func() {
-		p.pk.clear()
-		if !p.replay(change{}) {
+	pass := func() {
+		if !firstFitPass(p) {
 			t.Fatal("pool must be feasible")
 		}
 	}
-	replay()
-	if n := testing.AllocsPerRun(20, replay); n != 0 {
-		t.Errorf("steady-state replay allocates %v times per pool, want 0", n)
+	pass()
+	if n := testing.AllocsPerRun(20, pass); n != 0 {
+		t.Errorf("a steady-state first-fit pass allocates %v times per pool, want 0", n)
+	}
+	ch := p.stage(nil, nil)
+	probe := func() {
+		if packs, placed := p.probe(ch); !packs || placed == 0 {
+			t.Fatal("the pool must pack, and its probe must replay")
+		}
+	}
+	if n := testing.AllocsPerRun(20, probe); n != 0 {
+		t.Errorf("a steady-state probe allocates %v times, want 0", n)
 	}
 	roomy := newPool(units, sortBrokersByCapacity(testBrokers(12, 1e6, message.MatchingDelayFn{Base: 1e-6})), p.table)
+	roomyCh := roomy.stage(nil, nil)
 	certify := func() {
-		if packs, certified := roomy.probe(change{}); !packs || !certified {
+		if packs, placed := roomy.probe(roomyCh); !packs || placed != 0 {
 			t.Fatal("the roomy pool must be certified")
 		}
 	}
 	if n := testing.AllocsPerRun(20, certify); n != 0 {
 		t.Errorf("a certified probe allocates %v times, want 0", n)
 	}
+}
+
+// firstFitPass first-fit places the pool's whole committed stream onto its
+// scratch pack, as a replay the capacity certificate never stops would, and
+// reports whether every unit found a broker. It leaves the pack empty, as a
+// probe does.
+func firstFitPass(p *pool) bool {
+	defer p.pk.clear()
+	for i := range p.stream {
+		if p.pk.place(&p.stream[i]) < 0 {
+			return false
+		}
+	}
+	return true
 }

@@ -31,21 +31,21 @@ func TestCRAMGolden(t *testing.T) {
 		{
 			name: "poset", cram: CRAM{Metric: bitvector.MetricIOS},
 			stats: CRAMStats{InitialUnits: 2000, InitialGIFs: 1210, FinalUnits: 61,
-				ClosenessComputations: 181204, CoverComputations: 11206, PackAttempts: 1401,
+				ClosenessComputations: 181204, CoverComputations: 11206, PackAttempts: 1401, PlacementsReplayed: 527276,
 				ClustersAccepted: 1053, ClustersRejected: 147, OneToManyApplied: 103},
 			plan: "175bc7c98af9a0d9",
 		},
 		{
 			name: "exhaustive", cram: CRAM{Metric: bitvector.MetricIOS, ExhaustiveSearch: true},
 			stats: CRAMStats{InitialUnits: 2000, InitialGIFs: 1210, FinalUnits: 62,
-				ClosenessComputations: 3742622, BoundPruned: 3608364, PackAttempts: 1575,
+				ClosenessComputations: 3742622, BoundPruned: 3608364, PackAttempts: 1575, PlacementsReplayed: 588632,
 				ClustersAccepted: 1218, ClustersRejected: 156},
 			plan: "5bc519fba023d736",
 		},
 		{
 			name: "sharded-exhaustive", cram: CRAM{Metric: bitvector.MetricIOS, ExhaustiveSearch: true, Shards: 16},
 			stats: CRAMStats{InitialUnits: 2000, InitialGIFs: 1210, FinalUnits: 62,
-				ClosenessComputations: 3742622, BoundPruned: 3608364, PackAttempts: 1575,
+				ClosenessComputations: 3742622, BoundPruned: 3608364, PackAttempts: 1575, PlacementsReplayed: 588632,
 				ClustersAccepted: 1218, ClustersRejected: 156, ShardsPruned: 84630},
 			plan: "5bc519fba023d736",
 		},
@@ -53,7 +53,7 @@ func TestCRAMGolden(t *testing.T) {
 			name: "spilled-exhaustive", cram: CRAM{Metric: bitvector.MetricIOS, ExhaustiveSearch: true,
 				SpillBudgetBytes: 4096, SpillDir: t.TempDir()},
 			stats: CRAMStats{InitialUnits: 2000, InitialGIFs: 1210, FinalUnits: 62,
-				ClosenessComputations: 3742622, BoundPruned: 3608364, PackAttempts: 1575,
+				ClosenessComputations: 3742622, BoundPruned: 3608364, PackAttempts: 1575, PlacementsReplayed: 588632,
 				ClustersAccepted: 1218, ClustersRejected: 156, SpilledRuns: 5},
 			plan: "5bc519fba023d736",
 		},

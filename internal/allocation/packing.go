@@ -20,7 +20,10 @@ type packUnit struct {
 	// in is the unit's input-side load: the traffic matching its profile.
 	in bitvector.Load
 	// filters is the unit's routing-table entry count, one per member.
-	filters int
+	filters int32
+	// lone marks a unit an empty broker may refuse on rate; CRAM's pool sets
+	// it (pool.compile) and its capacity certificate counts it.
+	lone bool
 	// entries lists the profile's vectors by ascending publisher index —
 	// ascending advertisement ID, the order bitvector.EstimateLoad and
 	// IntersectLoad accumulate in.
@@ -31,7 +34,7 @@ type packUnit struct {
 // (unit, table).
 func compileUnit(u *Unit, t *bitvector.PublisherTable) packUnit {
 	entries := t.Compile(u.Profile)
-	return packUnit{load: u.Load, in: inputLoad(entries, t.Stats()), filters: len(u.Members), entries: entries}
+	return packUnit{load: u.Load, in: inputLoad(entries, t.Stats()), filters: int32(len(u.Members)), entries: entries}
 }
 
 // inputLoad is bitvector.EstimateLoad over a compiled profile: the same
@@ -121,7 +124,7 @@ func (bs *brokerState) fits(pu *packUnit, stats []*bitvector.PublisherStats) (bo
 	if bs.outLoad.Bandwidth+pu.load.Bandwidth >= bs.spec.OutputBandwidth || pu.in.Rate < bs.fullBelow {
 		return false, bitvector.Load{}
 	}
-	lim := bs.spec.Delay.MaxRate(bs.filters + pu.filters)
+	lim := bs.spec.Delay.MaxRate(bs.filters + int(pu.filters))
 	sum := bs.inLoad.Rate + pu.in.Rate
 	var inter bitvector.Load
 	for i := range pu.entries {
@@ -157,7 +160,7 @@ func (bs *brokerState) accept(pu *packUnit, inter bitvector.Load, capacity int) 
 	bs.inLoad.Rate += pu.in.Rate - inter.Rate
 	bs.inLoad.Bandwidth += pu.in.Bandwidth - inter.Bandwidth
 	bs.outLoad = bs.outLoad.Add(pu.load)
-	bs.filters += pu.filters
+	bs.filters += int(pu.filters)
 	// The mark can be positive only where the rate exceeds the limit with
 	// one more filter, 1/delay; well short of that — the common case, and
 	// the only one on a bandwidth-bound pool — it stays 0 for the price of a
@@ -229,8 +232,11 @@ type pack struct {
 	// on every broker; it, clear and newPack are the only writers, each right
 	// where the brokerState changes (DESIGN.md §7.1).
 	out, limit, mark []float64
-	stats            []*bitvector.PublisherStats
-	capacity         int
+	// opened is one past the last broker a unit was placed on since the last
+	// clear: the brokers from it on are empty, and clear empties the rest.
+	opened   int
+	stats    []*bitvector.PublisherStats
+	capacity int
 }
 
 // newPack returns an empty packing of the brokers, tried in the given
@@ -251,13 +257,15 @@ func newPack(brokers []*BrokerSpec, t *bitvector.PublisherTable) *pack {
 	}
 }
 
-// clear empties the packing in place, keeping its vectors for reuse.
+// clear empties the packing in place, keeping its vectors for reuse. Only
+// the brokers below opened can hold anything.
 func (p *pack) clear() {
-	for i := range p.states {
+	for i := range p.states[:p.opened] {
 		p.states[i].clear()
 	}
-	clear(p.out)
-	clear(p.mark)
+	clear(p.out[:p.opened])
+	clear(p.mark[:p.opened])
+	p.opened = 0
 }
 
 // place puts the unit on the first broker with capacity for it and returns
@@ -277,6 +285,7 @@ func (p *pack) place(pu *packUnit) int {
 		if ok, inter := bs.fits(pu, p.stats); ok {
 			bs.accept(pu, inter, p.capacity)
 			p.out[b], p.mark[b] = bs.outLoad.Bandwidth, bs.fullBelow
+			p.opened = max(p.opened, b+1)
 			return b
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"github.com/greenps/greenps/internal/bitvector"
+	"github.com/greenps/greenps/internal/message"
 )
 
 // pool is CRAM's unit pool and the one place its feasibility is tested
@@ -15,27 +16,31 @@ import (
 // (unitBefore) and, position for position, their compiled form. A change is
 // staged once (stage), tested (probe) and applied (commit): commit is the
 // only function that changes either slice and it changes both, and probe is
-// the only feasibility entry. A probe first asks the capacity certificate
-// (certify), which proves from the pool's totals, in O(1) beyond the staged
-// change, that first-fit packs the stream commit would leave: the rate test
-// cannot refuse, every unit fits an empty broker, and the total bandwidth is
-// below the capacity of every other broker in trial order. It answers all
-// 3,227 probes on the 20,000-subscription scale workload (seed 1), which
-// replayed 19.4M placements without it, and none of the 3,609 in one
-// 8,000-subscription plan, whose matching delay binds. Any other probe is
-// one serial first-fit replay, from the empty pack, of that stream, and it
-// replays nearly the whole pool whatever it changes — the merged unit it
-// adds is heavy and inserts near the front of the bandwidth-descending
-// order: 8.9M placements in the 8k plan, ~2,470 per probe. What keeps that
-// affordable is the cost of a placement, counted on those two workloads
-// with every probe replayed:
+// the only feasibility entry. A probe is one serial first-fit replay, from
+// the empty pack, of the stream commit would leave. At the head of the
+// stream and every certifyEvery positions after, it asks the capacity
+// certificate (certify) whether the units still to come provably fit the
+// brokers the replay has not opened, and stops with yes as soon as they do.
+// The certificate reads the change's totals less what the replay has placed,
+// in O(1) beyond the pool's constants: every unit to come fits an empty
+// broker, and their bandwidth is below the capacity of every other unopened
+// broker in trial order, less as many pairs as refusals on rate can have
+// opened. On the 20,000-subscription scale workload (seed 1) it answers all
+// 3,227 probes at the head; on one 8,000-subscription plan, whose matching
+// delay binds, it answers 1,952 of the 3,609 there and stops the others
+// part-way, after 0.21M placements in all where 8.9M were replayed before it
+// — the merged unit a probe adds is heavy, often lone, and inserts near the
+// front of the bandwidth-descending order, so a replay without the
+// certificate redoes nearly the whole pool. What keeps a placement cheap was
+// counted on those two workloads with every probe replayed:
 //
 //  1. The replay is flat. stream is one contiguous []packUnit (bandwidth,
 //     input load, filter count and publisher-indexed vector list per
 //     position), removed units are a sorted position list walked alongside
-//     it, and the broker states are one scratch pack cleared in place — no
-//     map lookup, no Unit or Profile dereference and, in the steady state,
-//     no allocation.
+//     it, and the broker states are one scratch pack, left empty between
+//     probes by clearing the brokers the last replay opened — no map
+//     lookup, no Unit or Profile dereference and, in the steady state, no
+//     allocation.
 //  2. Most broker tests are decided without vector arithmetic, and most of
 //     those without a call (packing.go). A placement passes ~16 brokers on
 //     the 8k plan and ~8 on the 20k pool before one admits the unit; the 8k
@@ -61,38 +66,116 @@ type pool struct {
 
 	units  []*Unit    // the committed pool in BIN PACKING order
 	stream []packUnit // stream[i] is units[i] compiled
-	pk     *pack      // the scratch pack every probe replays onto
+	pk     *pack      // the scratch pack every probe replays onto, empty between probes
 
-	// What the capacity certificate reads (certify). bandwidth bounds the
-	// committed stream's total bandwidth from above and filters counts its
-	// routing-table entries; commit adopts both from the change. rho is the
+	// What the capacity certificate reads (certify). totals are the
+	// committed stream's; commit adopts them from the change. rho is the
 	// largest rateShare of any unit the pool has compiled, NaN once one's
-	// input rate overflowed. pairs sums the capacities at trial positions
-	// 0, 2, 4, … (⌊|B|/2⌋ terms) and narrowest is the smallest capacity.
-	bandwidth        float64
-	filters          int
-	rho              float64
-	pairs, narrowest float64
+	// input rate overflowed. worst is a matching delay no broker's exceeds
+	// at any table size: the largest Base and the largest PerSub. pairs[b]
+	// sums the capacities at trial positions b, b+2, … that have a successor
+	// (0 from |B|−1 on; |B|+1 entries), and narrowest is the smallest
+	// capacity.
+	totals
+	rho       float64
+	worst     message.MatchingDelayFn
+	pairs     []float64
+	narrowest float64
+}
+
+// totals are what the capacity certificate reads of a stream: upper bounds
+// on its total bandwidth and input rate, its routing-table entries and its
+// lone units.
+type totals struct {
+	bandwidth, rate float64
+	filters, lone   int
+}
+
+// join and leave move the totals by a unit that joins or leaves the stream,
+// rounding each sum and difference up (roundUp): however many units have
+// come and gone, the float totals never fall below the exact ones.
+func (t *totals) join(pu *packUnit) {
+	t.bandwidth, t.rate = roundUp(t.bandwidth+pu.load.Bandwidth), roundUp(t.rate+pu.in.Rate)
+	t.filters += int(pu.filters)
+	if pu.lone {
+		t.lone++
+	}
+}
+
+func (t *totals) leave(pu *packUnit) {
+	t.bandwidth, t.rate = roundUp(t.bandwidth-pu.load.Bandwidth), roundUp(t.rate-pu.in.Rate)
+	t.filters -= int(pu.filters)
+	if pu.lone {
+		t.lone--
+	}
+}
+
+// add adds a unit to plain float sums, as minus expects them.
+func (t *totals) add(pu *packUnit) {
+	t.bandwidth += pu.load.Bandwidth
+	t.rate += pu.in.Rate
+	t.filters += int(pu.filters)
+	if pu.lone {
+		t.lone++
+	}
+}
+
+// minus returns upper bounds on the totals of the stream t describes once
+// the n units whose plain float sums are in done have left it. A sum of n
+// non-negative terms is at most (1+u)^(n−1) times the exact one (u = 2⁻⁵³),
+// so done scaled by 1 − 2nu, rounded, is below the exact sum; the difference,
+// rounded, is at least (1−u) times its exact value, and scaled by 1 + 4u and
+// rounded again it is above the exact rest.
+func (t totals) minus(done totals, n int) totals {
+	if n == 0 {
+		return t
+	}
+	d := 1 - float64(float64(n)*0x1p-52)
+	return totals{
+		bandwidth: (t.bandwidth - float64(done.bandwidth*d)) * (1 + 0x1p-51),
+		rate:      (t.rate - float64(done.rate*d)) * (1 + 0x1p-51),
+		filters:   t.filters - done.filters,
+		lone:      t.lone - done.lone,
+	}
 }
 
 // newPool ingests the units: sorted into BIN PACKING order, then compiled.
 // brokers are in trial order.
 func newPool(units []*Unit, brokers []*BrokerSpec, t *bitvector.PublisherTable) *pool {
-	p := &pool{table: t, units: sortUnitsByBandwidthDesc(units), pk: newPack(brokers, t)}
-	p.stream = compileUnits(p.units, t)
-	for i := range p.stream {
-		pu := &p.stream[i]
-		p.bandwidth, p.filters = roundUp(p.bandwidth+pu.load.Bandwidth), p.filters+pu.filters
-		p.rho = max(p.rho, rateShare(pu))
+	p := &pool{table: t, units: sortUnitsByBandwidthDesc(units), pk: newPack(brokers, t), narrowest: math.Inf(1)}
+	for _, b := range brokers {
+		p.worst.Base, p.worst.PerSub = max(p.worst.Base, b.Delay.Base), max(p.worst.PerSub, b.Delay.PerSub)
 	}
-	p.narrowest = math.Inf(1)
-	for b, c := range p.pk.limit {
-		if b%2 == 0 && b+1 < len(p.pk.limit) {
-			p.pairs += c
+	limit := p.pk.limit
+	p.pairs = make([]float64, len(limit)+1)
+	for b, c := range limit {
+		for i := b; i+1 < len(limit); i += 2 {
+			p.pairs[b] += limit[i]
 		}
 		p.narrowest = min(p.narrowest, c)
 	}
+	p.stream = p.compile(p.units)
+	for i := range p.stream {
+		p.join(&p.stream[i])
+	}
 	return p
+}
+
+// compile compiles the units against the pool's table and marks the lone
+// ones: a unit is lone when an empty broker may refuse it on rate, its
+// input rate above worst.MaxRate(filters). That limit is at most every
+// broker's MaxRate(filters), the same expression over terms no larger, and
+// an empty broker tests the unit's own input rate against its own limit, so
+// a unit that is not lone passes every empty broker's rate test. compile
+// also raises rho.
+func (p *pool) compile(units []*Unit) []packUnit {
+	s := compileUnits(units, p.table)
+	for i := range s {
+		pu := &s[i]
+		pu.lone = !(pu.in.Rate <= p.worst.MaxRate(int(pu.filters)))
+		p.rho = max(p.rho, rateShare(pu))
+	}
+	return s
 }
 
 // rateShare is the unit's input rate per byte/s of delivery bandwidth: 0
@@ -127,9 +210,7 @@ type change struct {
 	added    []*Unit    // the added units, in BIN PACKING order
 	compiled []packUnit // added[j] compiled
 	err      error      // a removed unit the pool does not hold, or one listed twice
-	// The pool's bandwidth and filters with the change committed.
-	bandwidth float64
-	filters   int
+	totals              // the pool's totals with the change committed
 }
 
 // stage derives the change that replaces the removed units by the added
@@ -147,16 +228,13 @@ func (p *pool) stage(removed, added []*Unit) change {
 	for j, u := range c.added {
 		c.at[j] = sort.Search(len(p.units), func(i int) bool { return unitBefore(u, p.units[i]) })
 	}
-	c.compiled = compileUnits(c.added, p.table)
-	c.bandwidth, c.filters = p.bandwidth, p.filters
+	c.compiled = p.compile(c.added)
+	c.totals = p.totals
 	for _, i := range c.cut {
-		pu := &p.stream[i]
-		c.bandwidth, c.filters = roundUp(c.bandwidth-pu.load.Bandwidth), c.filters-pu.filters
+		c.leave(&p.stream[i])
 	}
 	for j := range c.compiled {
-		pu := &c.compiled[j]
-		c.bandwidth, c.filters = roundUp(c.bandwidth+pu.load.Bandwidth), c.filters+pu.filters
-		p.rho = max(p.rho, rateShare(pu))
+		c.join(&c.compiled[j])
 	}
 	return c
 }
@@ -170,7 +248,7 @@ func (p *pool) commit(c change) error {
 		return c.err
 	}
 	p.units, p.stream = splice(p.units, c.cut, c.at, c.added), splice(p.stream, c.cut, c.at, c.compiled)
-	p.bandwidth, p.filters = c.bandwidth, c.filters
+	p.totals = c.totals
 	return nil
 }
 
@@ -232,81 +310,131 @@ func (p *pool) positions(units []*Unit) []int {
 }
 
 // probe reports whether the pool with the change committed would still
-// first-fit pack onto the broker pool, and whether the capacity certificate
-// answered: when it holds the answer is yes without a replay, and otherwise
-// one replay from the empty pack answers.
-func (p *pool) probe(c change) (packs, certified bool) {
-	if p.certify(c) {
-		return true, true
-	}
+// first-fit pack onto the broker pool, and how many placements its replay
+// made to tell: none when the capacity certificate answered at once. It
+// leaves the scratch pack empty.
+func (p *pool) probe(c change) (packs bool, placed int) {
+	packs, placed = p.replay(c)
 	p.pk.clear()
-	return p.replay(c), false
+	return packs, placed
 }
 
-// certify reports whether the pool with the change committed provably
-// first-fit packs, from its totals alone (DESIGN.md §7.1, "The capacity
-// certificate"). With ρ the largest rateShare the pool has compiled, F its
-// routing-table entries after the change and s = 1 + (n+|B|+2)·2⁻⁵¹ the
-// rounding slack of a replay of its n units onto |B| brokers, it tests:
-//
-//	(a) ρ·C_b·s ≤ MaxRate(F+1) for every broker b of capacity C_b: no
-//	    broker refuses a unit on rate and no saturation mark is set, so
-//	    every refusal is on bandwidth;
-//	(b) the widest unit is narrower than the narrowest broker: an empty
-//	    broker admits any unit, so the open brokers are a prefix of the
-//	    trial order and a unit no broker admits found them all open;
-//	(c) the total bandwidth, times s, is below the capacity at trial
-//	    positions 0, 2, 4, …: broker 2k+1 opened on a unit broker 2k
-//	    refused, so each such pair holds more than C_2k, and |B| open
-//	    brokers would hold more than the pool has.
-//
-// (a) comes first and fails at the first broker of a rate-bound pool. A NaN
-// anywhere fails a test.
-func (p *pool) certify(c change) bool {
-	pk := p.pk
-	n := len(p.stream) - len(c.cut) + len(c.compiled)
+// certifyEvery is how many stream positions a replay passes between two
+// questions to the capacity certificate. A question costs about what a
+// placement does, most of it in branches the placements have pushed out of
+// the predictor. Asked this often, the questions and the sums minus reads
+// add about 3% to a replay they never stop (BenchmarkFeasProbe's pool);
+// asked every 16 positions, they would save 7% of plan_paper8k's
+// placements.
+const certifyEvery = 32
+
+// replay first-fit packs the change's stream onto the scratch pack, which
+// must be empty, in the order commit would leave it: each added unit ahead
+// of the position staged for it, the cut positions skipped. At every
+// certifyEvery-th position of the committed stream, the first included, it
+// asks the capacity certificate about the units still to come, and returns
+// yes as soon as that holds. It returns whether the stream packs and how
+// many placements it made, the one that found no broker included: ahead of
+// stream[i], i positions less the ci cuts passed, plus the j added units.
+func (p *pool) replay(c change) (packs bool, placed int) {
+	pk, stream := p.pk, p.stream
+	n := len(stream) - len(c.cut) + len(c.compiled)
 	slack := 1 + float64(float64(n+len(pk.limit)+2)*0x1p-51)
-	for b := range pk.states {
-		d := &pk.states[b].spec.Delay
-		if !(p.rho*pk.limit[b]*slack <= d.MaxRate(c.filters+1)) {
-			return false
-		}
-	}
-	// The stream head is its widest unit, and compiled[0] the widest added
-	// one; a cut head only makes the bound looser.
-	var widest float64
-	if len(p.stream) > 0 {
-		widest = p.stream[0].load.Bandwidth
-	}
-	if len(c.compiled) > 0 {
-		widest = max(widest, c.compiled[0].load.Bandwidth)
-	}
-	return widest < p.narrowest && c.bandwidth*slack < p.pairs
-}
-
-// replay first-fit packs the stream onto the scratch pack, which must be
-// empty, in the order commit would leave it: each added unit ahead of the
-// position staged for it, the cut positions skipped.
-func (p *pool) replay(c change) bool {
-	pk, cut, j := p.pk, c.cut, 0
-	for i := range p.stream {
-		for ; j < len(c.at) && c.at[j] == i; j++ {
-			if pk.place(&c.compiled[j]) < 0 {
-				return false
+	free := p.rateFree(c.filters, slack)
+	var done totals // plain sums over the units placed, for minus
+	ci, j := 0, 0
+	for i := range stream {
+		if i%certifyEvery == 0 {
+			// The widest unit to come is the next added one or stream[i],
+			// cut or not.
+			head := stream[i].load.Bandwidth
+			if j < len(c.compiled) {
+				head = max(head, c.compiled[j].load.Bandwidth)
+			}
+			if placed := i - ci + j; p.certify(free, slack, pk.opened, head, c.minus(done, placed)) {
+				return true, placed
 			}
 		}
-		if len(cut) > 0 && cut[0] == i {
-			cut = cut[1:]
+		for ; j < len(c.at) && c.at[j] == i; j++ {
+			done.add(&c.compiled[j])
+			if pk.place(&c.compiled[j]) < 0 {
+				return false, i - ci + j + 1
+			}
+		}
+		if ci < len(c.cut) && c.cut[ci] == i {
+			ci++
 			continue
 		}
-		if pk.place(&p.stream[i]) < 0 {
-			return false
+		done.add(&stream[i])
+		if pk.place(&stream[i]) < 0 {
+			return false, i - ci + j + 1
 		}
 	}
 	for ; j < len(c.compiled); j++ {
 		if pk.place(&c.compiled[j]) < 0 {
+			return false, len(stream) - ci + j + 1
+		}
+	}
+	return true, n
+}
+
+// rateFree is the capacity certificate's test (a) for a stream of the given
+// routing-table entries: ρ·C_b·s ≤ MaxRate_b(filters+1) for every broker b
+// of capacity C_b, with ρ the largest rateShare the pool has compiled and s
+// the replay's slack. When it holds no broker refuses a unit on rate and no
+// saturation mark is set, so every refusal is on bandwidth (DESIGN.md §7.1).
+// It fails at the first broker of a rate-bound pool; a NaN fails it.
+func (p *pool) rateFree(filters int, slack float64) bool {
+	pk := p.pk
+	for b := range pk.states {
+		if !(p.rho*pk.limit[b]*slack <= pk.states[b].spec.Delay.MaxRate(filters+1)) {
 			return false
 		}
 	}
 	return true
+}
+
+// certify is the capacity certificate (DESIGN.md §7.1): it reports whether
+// units still to come of totals rest, none wider than head, provably
+// first-fit pack, given that brokers [k, |B|) are empty. With s the
+// replay's slack and free its test (a):
+//
+//	(b) head is below the narrowest broker's capacity and, unless free, no
+//	    unit to come is lone: an empty broker admits any of them, so a unit
+//	    no broker admits found every broker from k on open, each opened by
+//	    a unit to come;
+//	(c) the rest's bandwidth, times s, is below the capacities at trial
+//	    positions k+2g, k+2g+2, …: broker k+2j+1 opened on a unit broker
+//	    k+2j refused, so each such pair holds at least C_{k+2j} or, refused
+//	    on rate, more input for its filters than any broker sustains; at
+//	    most g pairs (ratePairs, 0 when free) are of the second kind, and
+//	    the others hold at least the last even capacities.
+//
+// (c) is asked at g = 0 first, which settles most failing questions
+// without the square root. A NaN anywhere fails a test.
+func (p *pool) certify(free bool, slack float64, k int, head float64, rest totals) bool {
+	if !(head < p.narrowest) || !free && rest.lone > 0 || !(rest.bandwidth*slack < p.pairs[k]) {
+		return false
+	}
+	return free || rest.bandwidth*slack < p.pairs[k+2*p.ratePairs(rest, slack, (len(p.pk.limit)-k)/2)]
+}
+
+// ratePairs bounds the number g of a tail's pairs whose odd broker a rate
+// refusal opened. Such a pair holds units of input rate IN_p and filters
+// F_p with IN_p·s·Delay_max(F_p) > 1, Delay_max = worst, so over the g pairs
+// Σ 1/IN_p < s·(Base_max·g + PerSub_max·F), F the rest's filters; by
+// convexity Σ 1/IN_p ≥ g²/Σ IN_p ≥ g²/IN, IN the rest's input rate, so
+// g² < IN·s·(Base_max·g + PerSub_max·F). The quadratic's positive root,
+// evaluated in six roundings and scaled by s once more to cover them, bounds
+// g: the result is its floor, or pairs when it is not below pairs (+Inf and
+// NaN included).
+func (p *pool) ratePairs(rest totals, slack float64, pairs int) int {
+	in := float64(rest.rate * slack)
+	c1 := float64(in * p.worst.Base)
+	c0 := float64(in * float64(p.worst.PerSub*float64(rest.filters)))
+	r := (c1 + math.Sqrt(float64(c1*c1)+float64(4*c0))) / 2 * slack
+	if !(r < float64(pairs)) {
+		return pairs
+	}
+	return int(r)
 }

@@ -14,11 +14,12 @@ import (
 )
 
 // checkPoolInvariants asserts what pool.commit must preserve: units strictly
-// in BIN PACKING order and stream[i] the compiled form of units[i]. It ends by
-// replaying the pool onto its scratch pack: the admission columns must mirror
-// the broker states where the run's last probe left them, after the clear and
-// after every placement, and place must land each unit where the linear scan
-// over fits lands it on a pack of its own.
+// in BIN PACKING order and stream[i] the compiled form of units[i], its lone
+// mark included. It ends by replaying the pool onto its scratch pack: the
+// pack must be empty where the run's last probe left it, the admission
+// columns must mirror the broker states after every placement, and place
+// must land each unit where the linear scan over fits lands it on a pack of
+// its own.
 func checkPoolInvariants(t *testing.T, p *pool) {
 	t.Helper()
 	if len(p.stream) != len(p.units) {
@@ -29,15 +30,17 @@ func checkPoolInvariants(t *testing.T, p *pool) {
 			t.Fatalf("units %d (%s) and %d (%s) are out of BIN PACKING order", i-1, p.units[i-1].ID, i, u.ID)
 		}
 		got, want := &p.stream[i], compileUnit(u, p.table)
+		want.lone = !(want.in.Rate <= p.worst.MaxRate(int(want.filters)))
 		if !sameLoad(got.load, want.load) || !sameLoad(got.in, want.in) || got.filters != want.filters ||
-			!reflect.DeepEqual(got.entries, want.entries) {
+			got.lone != want.lone || !reflect.DeepEqual(got.entries, want.entries) {
 			t.Fatalf("stream[%d] is not unit %s compiled", i, u.ID)
 		}
 	}
 
+	if p.pk.opened != 0 {
+		t.Fatalf("the last probe left %d brokers open on the scratch pack", p.pk.opened)
+	}
 	checkColumns(t, p.pk, "as the last probe left the scratch pack")
-	p.pk.clear()
-	checkColumns(t, p.pk, "after clear")
 	brokers := make([]*BrokerSpec, len(p.pk.states))
 	for b := range brokers {
 		brokers[b] = p.pk.states[b].spec
@@ -50,6 +53,7 @@ func checkPoolInvariants(t *testing.T, p *pool) {
 		}
 		checkColumns(t, p.pk, fmt.Sprintf("stream[%d] placed on %d", i, got))
 	}
+	p.pk.clear() // a probe expects the pack empty
 }
 
 // checkLiveInvariants asserts what gifFor, dropGIF and the shard set must
@@ -383,15 +387,27 @@ func TestSearchMaxTopFirst(t *testing.T) {
 // hold two to four units' bandwidth and sustain two to four streams. The
 // change removes any subset of the pool and adds nothing, the merge of the
 // removed units or a unit of its own; the added unit's ID sorts ahead of,
-// among or behind the pool's. An odd last byte makes the broker pool roomy
-// and bandwidth-bound: twice the brokers, each sustaining 1,000 msgs/s,
-// where the capacity certificate can answer. Missing bytes read as zero.
+// among or behind the pool's. The mode byte picks the broker pool, and mode 2
+// adds units too:
+//
+//	0  the tight one above;
+//	1  roomy and bandwidth-bound: twice the brokers, each sustaining 1,000
+//	   msgs/s, where the capacity certificate answers from test (a);
+//	2  rate-bound: 30–80 more units of 50–200 B/s, each sinking one or two
+//	   of three more publishers of 1 msg/s, on 4–12 brokers of half to one
+//	   and a half times the tight bandwidth, whose matching delays (Base
+//	   1/45–1/25 s, PerSub 0.1–0.4 ms) differ broker by broker. Test (a)
+//	   fails, the decoded units can be lone, and the certificate answers by
+//	   counting rate refusals, mostly part-way through the replay. Two seed
+//	   bytes draw it.
+//
+// Missing bytes read as zero.
 //
 //	data[0..4]  publishers, units, brokers, broker bandwidth, broker delay
 //	then        per unit: its publisher mask and its bandwidth
 //	then        the removed-unit mask, the added kind (0 none, 1 merge,
 //	            2 own), the added ID, and for kind 2 its mask and bandwidth
-//	then        the roomy byte
+//	then        the mode byte, and in mode 2 the two seed bytes
 func probeCase(data []byte) (units, removed, added []*Unit, brokers []*BrokerSpec, pubs map[string]*bitvector.PublisherStats) {
 	next := func() int {
 		if len(data) == 0 {
@@ -437,22 +453,68 @@ func probeCase(data []byte) (units, removed, added []*Unit, brokers []*BrokerSpe
 	case kind == 2:
 		added = []*Unit{unit(id)}
 	}
-	if next()%2 == 1 {
-		nBrokers, delay = 2*nBrokers, message.MatchingDelayFn{Base: 1e-3}
+	switch next() % 3 {
+	case 0:
+		brokers = testBrokers(nBrokers, brokerBW, delay)
+	case 1:
+		brokers = testBrokers(2*nBrokers, brokerBW, message.MatchingDelayFn{Base: 1e-3})
+	case 2:
+		rng := rand.New(rand.NewSource(int64(next() | next()<<8)))
+		for i := 1; i <= 3; i++ {
+			adv := fmt.Sprintf("L%d", i)
+			pubs[adv] = &bitvector.PublisherStats{AdvID: adv, Rate: 1, Bandwidth: 100, LastSeq: 99}
+		}
+		for i := 30 + rng.Intn(51); i > 0; i-- {
+			prof := bitvector.NewProfile(testCap)
+			for _, l := range []int{1 + rng.Intn(3), 1 + rng.Intn(3)} {
+				for seq := 0; seq < 100; seq++ {
+					prof.Record(fmt.Sprintf("L%d", l), seq)
+				}
+			}
+			id, bw := fmt.Sprintf("v%02d", i), []float64{50, 100, 200}[rng.Intn(3)]
+			units = append(units, &Unit{ID: id, Members: []Member{{SubID: id}}, Profile: prof,
+				Load: bitvector.Load{Rate: bw / 100, Bandwidth: bw}})
+		}
+		brokers = testBrokers(4+rng.Intn(9), 0, message.MatchingDelayFn{})
+		for _, b := range brokers {
+			b.OutputBandwidth = brokerBW * float64(1+rng.Intn(3)) / 2
+			b.Delay = message.MatchingDelayFn{PerSub: float64(1+rng.Intn(4)) * 1e-4, Base: 1 / []float64{25, 35, 45}[rng.Intn(3)]}
+		}
 	}
-	return units, removed, added, sortBrokersByCapacity(testBrokers(nBrokers, brokerBW, delay)), pubs
+	return units, removed, added, sortBrokersByCapacity(brokers), pubs
+}
+
+// probeOutcome is where a probe's answer came from.
+type probeOutcome int
+
+const (
+	atHead     probeOutcome = iota // the capacity certificate, before any placement
+	cutShort                       // the certificate, part-way through the replay
+	fullReplay                     // the replay: the whole stream placed, or a unit no broker admits
+)
+
+func (o probeOutcome) String() string {
+	return [...]string{"certified at the head", "cut short", "full replay"}[o]
 }
 
 // checkProbeMatchesCommit stages the change on a pool of the units, probes
 // it, commits it and holds the probe's answer — certified or replayed — to a
 // from-scratch first-fit of the pool the commit made. It returns that answer
-// and whether the certificate gave it.
+// and where it came from.
 func checkProbeMatchesCommit(t *testing.T, units, removed, added []*Unit, brokers []*BrokerSpec,
-	pubs map[string]*bitvector.PublisherStats) (packs, certified bool) {
+	pubs map[string]*bitvector.PublisherStats) (packs bool, how probeOutcome) {
 	t.Helper()
 	p := newPool(units, brokers, newPublisherTable(pubs, append(slices.Clone(units), added...)))
 	ch := p.stage(removed, added)
-	got, certified := p.probe(ch)
+	got, placed := p.probe(ch)
+	switch n := len(p.stream) - len(ch.cut) + len(ch.compiled); {
+	case placed == 0:
+		how = atHead
+	case got && placed < n:
+		how = cutShort
+	default:
+		how = fullReplay
+	}
 	if err := p.commit(ch); err != nil {
 		t.Fatal(err)
 	}
@@ -461,9 +523,9 @@ func checkProbeMatchesCommit(t *testing.T, units, removed, added []*Unit, broker
 		for i, u := range p.units {
 			ids[i] = u.ID
 		}
-		t.Fatalf("probe = %v (certified %v), from-scratch first-fit of the committed pool %v = %v", got, certified, ids, want)
+		t.Fatalf("probe = %v (%v after %d placements), from-scratch first-fit of the committed pool %v = %v", got, how, placed, ids, want)
 	}
-	return got, certified
+	return got, how
 }
 
 // tieCase is a pool where the merged unit ties every pool unit on
@@ -497,15 +559,15 @@ func TestProbeBandwidthTieOrder(t *testing.T) {
 	if len(removed) != 0 || len(added) != 1 || sortUnitsByBandwidthDesc(all)[0] != added[0] {
 		t.Fatal("tieCase no longer decodes to the hand-built tie")
 	}
-	if packs, certified := checkProbeMatchesCommit(t, units, removed, added, brokers, pubs); !packs || certified {
-		t.Fatal("the committed pool should pack on a replay; the example no longer separates the two orders")
+	if packs, how := checkProbeMatchesCommit(t, units, removed, added, brokers, pubs); !packs || how != fullReplay {
+		t.Fatal("the committed pool should pack on a full replay; the example no longer separates the two orders")
 	}
 	if feasibleFirstFit(all, brokers, pubs) {
 		t.Fatal("the added unit merged after its ties should not pack; the example no longer separates the two orders")
 	}
 	units, removed, added, brokers, pubs = probeCase(roomyTieCase)
-	if packs, certified := checkProbeMatchesCommit(t, units, removed, added, brokers, pubs); !packs || !certified {
-		t.Fatal("roomyTieCase should be certified")
+	if packs, how := checkProbeMatchesCommit(t, units, removed, added, brokers, pubs); !packs || how != atHead {
+		t.Fatal("roomyTieCase should be certified at the head")
 	}
 }
 
@@ -513,8 +575,10 @@ func TestProbeBandwidthTieOrder(t *testing.T) {
 // with bandwidth ties (probeCase), the tie case, its roomy twin and the found
 // disagreement among them: the answer a probe of a staged change gives is
 // the answer a from-scratch first-fit gives for the pool its commit makes,
-// whether the capacity certificate gave it or a replay did. Half the random
-// pools are roomy, so both kinds of answer are held to it in numbers.
+// whether the capacity certificate gave it at the head of the stream or
+// part-way through the replay, or the replay did. The random pools are
+// tight, roomy and rate-bound in about equal parts, so every kind of answer
+// is held to it in numbers.
 func TestProbeMatchesCommit(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	cases := [][]byte{tieCase, probeDisagreement, roomyTieCase}
@@ -524,25 +588,25 @@ func TestProbeMatchesCommit(t *testing.T) {
 		cases = append(cases, data)
 	}
 	var packs [2]int
-	certified := 0
+	var outcomes [3]int
 	for _, data := range cases {
 		units, removed, added, brokers, pubs := probeCase(data)
-		ok, cert := checkProbeMatchesCommit(t, units, removed, added, brokers, pubs)
+		ok, how := checkProbeMatchesCommit(t, units, removed, added, brokers, pubs)
 		if ok {
 			packs[1]++
 		} else {
 			packs[0]++
 		}
-		if cert {
-			certified++
-		}
+		outcomes[how]++
 	}
 	if packs[0] == 0 || packs[1] == 0 {
 		t.Fatalf("one-sided cases: %d pack, %d do not", packs[1], packs[0])
 	}
-	// 4,534 and 5,468 at this seed.
-	if replayed := len(cases) - certified; certified < 4_000 || replayed < 4_000 {
-		t.Fatalf("%d probes certified and %d replayed; want at least 4,000 of each", certified, replayed)
+	// 4,016, 2,362 and 3,625 at this seed.
+	for how, floor := range [...]int{3_500, 2_000, 3_000} {
+		if outcomes[how] < floor {
+			t.Errorf("%d probes %v, want at least %d (outcomes %v)", outcomes[how], probeOutcome(how), floor, outcomes)
+		}
 	}
 }
 
@@ -567,9 +631,53 @@ func certPool(bandwidths []float64, extra map[string]*bitvector.PublisherStats) 
 	return &Input{Units: units, Brokers: testBrokers(4, 1000, message.MatchingDelayFn{Base: 1e-3}), Publishers: pubs}
 }
 
+// rateUnits are n units of one bandwidth, each sinking every message of the
+// publishers its pubs string names, one letter each.
+type rateUnits struct {
+	n    int
+	bw   float64
+	pubs string
+}
+
+// ratePool is a pool for the certificate's rate tests: publishers P and Q of
+// 1 msg/s and R of 20 msgs/s, the given units and the given brokers.
+func ratePool(brokers []*BrokerSpec, specs ...rateUnits) *Input {
+	pubs := map[string]*bitvector.PublisherStats{
+		"P": {AdvID: "P", Rate: 1, Bandwidth: 100, LastSeq: 99},
+		"Q": {AdvID: "Q", Rate: 1, Bandwidth: 100, LastSeq: 99},
+		"R": {AdvID: "R", Rate: 20, Bandwidth: 2000, LastSeq: 99},
+	}
+	var units []*Unit
+	for _, sp := range specs {
+		for range sp.n {
+			prof := bitvector.NewProfile(testCap)
+			for _, adv := range sp.pubs {
+				for seq := 0; seq < 100; seq++ {
+					prof.Record(string(adv), seq)
+				}
+			}
+			id := fmt.Sprintf("u%02d", len(units))
+			units = append(units, NewSubscriptionUnit(id, id, prof, bitvector.Load{Rate: 1, Bandwidth: sp.bw}))
+		}
+	}
+	return &Input{Units: units, Brokers: brokers, Publishers: pubs}
+}
+
+// mixedBrokers returns one broker per capacity, with the matching delays
+// given position for position.
+func mixedBrokers(capacities []float64, delays []message.MatchingDelayFn) []*BrokerSpec {
+	out := testBrokers(len(capacities), 0, message.MatchingDelayFn{})
+	for i, b := range out {
+		b.OutputBandwidth, b.Delay = capacities[i], delays[i]
+	}
+	return out
+}
+
 // TestProbeCertificate holds the capacity certificate to hand-built pools on
-// either side of its tests: whether it answers, and that the answer is the
-// from-scratch first-fit's.
+// either side of its tests: where the answer came from, and that it is the
+// from-scratch first-fit's. The rate-bound pools' brokers sustain 10 msgs/s
+// (Base 0.1 s) unless a case says otherwise, so test (a) fails on every one
+// of them and the certificate counts rate refusals.
 func TestProbeCertificate(t *testing.T) {
 	// Three units, each sinking two publishers of 1e308 msgs/s, on two
 	// brokers of zero matching delay: every unit's input rate overflows to
@@ -584,35 +692,78 @@ func TestProbeCertificate(t *testing.T) {
 		}
 	}
 	overflow.Brokers = testBrokers(2, 1000, message.MatchingDelayFn{})
+	slow := message.MatchingDelayFn{Base: 0.1}
 	cases := []struct {
-		name                string
-		in                  *Input
-		wantPacks, wantCert bool
+		name      string
+		in        *Input
+		wantPacks bool
+		wantHow   probeOutcome
 	}{
 		// Five units of C/2+ε on four brokers: one unit per broker, and the
 		// fifth finds no room. Their 2,502.5 B/s exceed the pairs' 2,000
 		// but not the 4,000 of all four brokers, so a certificate without
 		// the factor of two would answer yes.
-		{"|B|+1 units of C/2+ε", certPool([]float64{500.5, 500.5, 500.5, 500.5, 500.5}, nil), false, false},
+		{"|B|+1 units of C/2+ε", certPool([]float64{500.5, 500.5, 500.5, 500.5, 500.5}, nil), false, fullReplay},
 		// 1,999.9 B/s under the pairs' 2,000, packed onto three brokers.
-		{"just under the pair sum", certPool([]float64{600, 600, 400, 399.9}, nil), true, true},
+		{"just under the pair sum", certPool([]float64{600, 600, 400, 399.9}, nil), true, atHead},
 		// 2,000.4 B/s: one unit per broker packs, but the pairs cannot say so.
-		{"just over the pair sum", certPool([]float64{500.1, 500.1, 500.1, 500.1}, nil), true, false},
+		{"just over the pair sum", certPool([]float64{500.1, 500.1, 500.1, 500.1}, nil), true, fullReplay},
 		// 1,000 B/s is under the pairs' 2,000, but no broker has room for
 		// it: the widest unit must fit an empty broker.
-		{"a unit as wide as a broker", certPool([]float64{1000}, nil), false, false},
-		// The matching delay binds: the certificate cannot rule out a
-		// refusal on rate, however roomy the bandwidth.
-		{"rate-bound (stdDelay)", stdInput(t), true, false},
-		// ρ·C is +Inf ≤ +Inf unless rateShare makes an overflowed rate NaN.
-		{"input rate overflows to +Inf", overflow, false, false},
+		{"a unit as wide as a broker", certPool([]float64{1000}, nil), false, fullReplay},
+		// The matching delay binds. At the head, the 200 units' input rate
+		// and filters let rate refusals have opened all ten pairs; part-way
+		// through, what is still to come bounds them to fewer than the
+		// unopened brokers leave over.
+		{"rate-bound (stdDelay)", stdInput(t), true, cutShort},
+		// ρ·C is +Inf ≤ +Inf unless rateShare makes an overflowed rate NaN,
+		// and the counting bound's +Inf·0 is a NaN.
+		{"input rate overflows to +Inf", overflow, false, fullReplay},
+		// 900 B/s sinking 19 msgs/s on four brokers of 1,000 B/s: a pair
+		// opened on a rate refusal holds more than 10 msgs/s, so at most one
+		// of the two pairs is such (1² < 19·0.1·1), and the other, the
+		// smaller at 1,000 B/s, holds more than the pool.
+		{"the counting bound certifies", ratePool(testBrokers(4, 1000, slow), rateUnits{9, 90, "PQ"}, rateUnits{1, 90, "P"}),
+			true, atHead},
+		// 20 msgs/s: now both pairs may have opened on rate (2² < 20·0.1·2
+		// up to the slack), no pair is left to hold the pool and the
+		// certificate cannot answer, though one broker hosts every unit.
+		{"just past the counting bound", ratePool(testBrokers(4, 1000, slow), rateUnits{10, 90, "PQ"}), true, fullReplay},
+		// A unit sinking R's 20 msgs/s is refused on rate by every broker,
+		// empty or not, and the pool does not pack. Its input rate alone
+		// lets rate refusals have opened two of the six brokers' three
+		// pairs, and the 520 B/s pool fits the third: only the rule that
+		// no unit to come be lone keeps the certificate from answering.
+		{"a lone unit", ratePool(testBrokers(6, 1000, slow), rateUnits{1, 500, "R"}, rateUnits{2, 10, "P"}), false, fullReplay},
+		// The widest unit sinks R: lone for the 10 msgs/s brokers, but the
+		// first broker sustains 100 and takes it. A lone unit is still to
+		// come at the head; 32 placements in, the first broker is the only
+		// one open, and the 29 units to come, 290 B/s and 29 msgs/s, can
+		// have opened two of the three pairs left on rate, and fit the
+		// third.
+		{"the tail test answers", ratePool(
+			mixedBrokers([]float64{2000, 1000, 1000, 1000, 1000, 1000, 1000, 1000},
+				[]message.MatchingDelayFn{{Base: 0.01}, slow, slow, slow, slow, slow, slow, slow}),
+			rateUnits{1, 500, "R"}, rateUnits{60, 10, "P"}), true, cutShort},
+		// Capacities of 3,000 to 1,000 B/s and four matching delays: the
+		// counting bound takes the largest Base and PerSub, 0.1 s and 2 ms,
+		// which leave one pair to a rate refusal ((1.2 + √(1.2² + 4·0.288))/2
+		// ≈ 1.4 for 12 msgs/s and 12 filters), and the 1,200 B/s pool is
+		// below the other pair's 1,500.
+		{"heterogeneous capacities and delays", ratePool(
+			mixedBrokers([]float64{3000, 2000, 1500, 1000},
+				[]message.MatchingDelayFn{{Base: 0.02}, {Base: 0.05, PerSub: 1e-3}, slow, {Base: 0.04, PerSub: 2e-3}}),
+			rateUnits{12, 100, "P"}), true, atHead},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			in := tc.in
-			packs, certified := checkProbeMatchesCommit(t, in.Units, nil, nil, sortBrokersByCapacity(in.Brokers), in.Publishers)
-			if packs != tc.wantPacks || certified != tc.wantCert {
-				t.Fatalf("probe = %v (certified %v), want %v (certified %v)", packs, certified, tc.wantPacks, tc.wantCert)
+			if err := in.Validate(); err != nil && tc.name != "input rate overflows to +Inf" {
+				t.Fatal(err)
+			}
+			packs, how := checkProbeMatchesCommit(t, in.Units, nil, nil, sortBrokersByCapacity(in.Brokers), in.Publishers)
+			if packs != tc.wantPacks || how != tc.wantHow {
+				t.Fatalf("probe = %v (%v), want %v (%v)", packs, how, tc.wantPacks, tc.wantHow)
 			}
 		})
 	}
