@@ -267,6 +267,39 @@ func TestCRAMGIFGroupingReducesGroups(t *testing.T) {
 	}
 }
 
+// TestCRAMGIFGroupingKeepsDisjointProfilesApart: two subscriptions with
+// disjoint profiles stay in two GIFs however their advertisement IDs are
+// spelt — here x:{1}, y:{2} against "x:1,;y":{2}, which a key that writes
+// the pairs out as text would file together.
+func TestCRAMGIFGroupingKeepsDisjointProfilesApart(t *testing.T) {
+	pubs := map[string]*bitvector.PublisherStats{}
+	for _, adv := range []string{"x", "y", "x:1,;y"} {
+		pubs[adv] = &bitvector.PublisherStats{AdvID: adv, Rate: 10, Bandwidth: 1000, LastSeq: 9}
+	}
+	unit := func(id string, recs map[string]int) *Unit {
+		prof := bitvector.NewProfile(testCap)
+		for adv, seq := range recs {
+			prof.Record(adv, seq)
+		}
+		prof.Sync(pubs)
+		return NewSubscriptionUnit("u-"+id, id, prof, bitvector.EstimateLoad(prof, pubs))
+	}
+	in := &Input{
+		Units:      []*Unit{unit("a", map[string]int{"x": 1, "y": 2}), unit("b", map[string]int{"x:1,;y": 2})},
+		Brokers:    testBrokers(2, 25_000, stdDelay()),
+		Publishers: pubs,
+	}
+	cram := &CRAM{Metric: bitvector.MetricIOS}
+	a, err := cram.Allocate(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAssignment(t, in, a)
+	if got := cram.Stats().InitialGIFs; got != 2 {
+		t.Fatalf("InitialGIFs = %d, want 2: disjoint profiles share a GIF", got)
+	}
+}
+
 // TestCRAMPosetPruningReducesComputations verifies optimization 2: the
 // pruned poset search performs fewer closeness computations than the
 // exhaustive scan on a workload with many empty relations.

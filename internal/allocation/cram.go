@@ -246,8 +246,8 @@ type cramRun struct {
 
 	byKey map[string]*gif // gif.key -> gif
 	// live holds the live GIFs in ID (string) order, the order of the seed
-	// phase and every exhaustive scan, and is the run's only index by ID;
-	// gifFor and dropGIF keep it sorted.
+	// phase and every exhaustive scan, and is the run's only index by ID:
+	// start sorts it once, move and dropGIF keep it sorted.
 	live []*gif
 	ps   *poset.Poset
 	heap candHeap
@@ -367,7 +367,8 @@ func (c *CRAM) run(in *Input) (*cramRun, *Assignment, error) {
 
 // gifFor returns the GIF the unit belongs to (Optimization 1: one per
 // profile fingerprint; one per unit with grouping disabled), registering a
-// new, empty one when there is none yet.
+// new, empty one in byKey when there is none yet. The caller files a new GIF
+// in live.
 func (r *cramRun) gifFor(u *Unit) (g *gif, created bool) {
 	key := "unit:" + u.ID
 	if !r.c.DisableGIFGrouping {
@@ -380,8 +381,6 @@ func (r *cramRun) gifFor(u *Unit) (g *gif, created bool) {
 	prof := u.Profile.Clone()
 	g = &gif{id: fmt.Sprintf("g%d", r.nextGIF), key: key, profile: prof, summary: bitvector.Summarize(prof)}
 	r.byKey[key] = g
-	i, _ := gifIndex(r.live, g.id)
-	r.live = slices.Insert(r.live, i, g)
 	return g, true
 }
 
@@ -409,9 +408,14 @@ func (c *CRAM) start(in *Input) (*cramRun, error) {
 		if u.Profile.Empty() {
 			continue // packed with the pool but never clustered
 		}
-		g, _ := r.gifFor(u)
+		g, created := r.gifFor(u)
+		if created {
+			r.live = append(r.live, g)
+		}
 		g.units = append(g.units, u)
 	}
+	// GIF IDs sort as strings ("g10" < "g2"), not in creation order.
+	slices.SortFunc(r.live, func(a, b *gif) int { return strings.Compare(a.id, b.id) })
 	for _, g := range r.live {
 		g.sortUnits()
 	}
@@ -932,6 +936,8 @@ func (r *cramRun) move(takes []take, u *Unit, home *gif) {
 	if home == nil {
 		g, created := r.gifFor(u)
 		if created {
+			i, _ := gifIndex(r.live, g.id)
+			r.live = slices.Insert(r.live, i, g)
 			if r.shards != nil {
 				// The new member makes its shard's envelope stale on the
 				// unsound side; the dirty flag defers the rebuild to the next

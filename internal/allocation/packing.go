@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"github.com/greenps/greenps/internal/bitvector"
@@ -375,6 +374,6 @@ func FitsBroker(spec *BrokerSpec, units []*Unit, pubs map[string]*bitvector.Publ
 func sortUnitsByBandwidthDesc(units []*Unit) []*Unit {
 	out := make([]*Unit, len(units))
 	copy(out, units)
-	sort.Slice(out, func(i, j int) bool { return unitBefore(out[i], out[j]) })
+	slices.SortFunc(out, compareUnits)
 	return out
 }

@@ -1,20 +1,26 @@
 package allocation
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"strings"
 )
 
-// unitBefore is the BIN PACKING pool order — bandwidth descending, ties
-// by ID ascending. The full sort (sortUnitsByBandwidthDesc) and the splice
-// of CRAM's pool (pool.commit) share it: both must agree exactly for a
-// spliced pool to be byte-identical to a sorted one.
-func unitBefore(a, b *Unit) bool {
-	if a.Load.Bandwidth != b.Load.Bandwidth {
-		return a.Load.Bandwidth > b.Load.Bandwidth
+// compareUnits is the BIN PACKING pool order — bandwidth descending, ties
+// by ID ascending — a strict total order over a validated input's units (no
+// NaN load, no repeated ID). The full sort (sortUnitsByBandwidthDesc) and the
+// splice of CRAM's pool (pool.commit, through unitBefore) share it: both must
+// agree exactly for a spliced pool to be byte-identical to a sorted one.
+func compareUnits(a, b *Unit) int {
+	if c := cmp.Compare(b.Load.Bandwidth, a.Load.Bandwidth); c != 0 {
+		return c
 	}
-	return a.ID < b.ID
+	return strings.Compare(a.ID, b.ID)
 }
+
+// unitBefore reports whether a comes before b in the pool order.
+func unitBefore(a, b *Unit) bool { return compareUnits(a, b) < 0 }
 
 // FBF is the Fastest Broker First algorithm (Section IV-A): brokers are
 // sorted in descending order of total available output bandwidth, and

@@ -1,10 +1,9 @@
 package bitvector
 
 import (
+	"encoding/binary"
 	"fmt"
-	"math/bits"
 	"slices"
-	"strconv"
 	"strings"
 )
 
@@ -377,28 +376,56 @@ func IntersectLoad(a, b *Profile, stats map[string]*PublisherStats) Load {
 }
 
 // FingerprintKey returns a canonical string identifying the exact set of
-// (publisher, bit) pairs in the profile. Two profiles have equal keys iff
-// they sank exactly the same publications; the GIF optimization
+// (publisher, message ID) pairs in the profile. Two profiles have equal keys
+// iff they sank exactly the same publications; the GIF optimization
 // (Section IV-C.1) groups subscriptions by this key.
+//
+// The key is binary, one record per publisher with a set bit, in entry
+// (advertisement ID) order: the advertisement ID prefixed with its uvarint
+// length, the varint grid index of the first non-zero word, a uvarint word
+// count and the words from the first non-zero one to the last, little-endian.
+// Every field is self-delimiting, so a key parses back into exactly one list
+// of records; and a record is canonical, because its first and last words are
+// non-zero and the grid places every ID, so it names exactly one ID set.
+// Equal keys therefore mean equal sets (DESIGN.md §7).
 func (p *Profile) FingerprintKey() string {
-	var key []byte
+	n := 0 // a bound on the key's length, so that the key is one allocation
 	for _, e := range p.entries {
-		v := e.vec
-		if v.count == 0 {
+		if lo, hi, ok := e.vec.setWords(); ok {
+			n += 3*binary.MaxVarintLen64 + len(e.advID) + 8*(hi-lo)
+		}
+	}
+	var key strings.Builder
+	key.Grow(n)
+	var buf [binary.MaxVarintLen64]byte
+	for _, e := range p.entries {
+		lo, hi, ok := e.vec.setWords()
+		if !ok {
 			continue
 		}
-		key = append(key, e.advID...)
-		key = append(key, ':')
-		// The window's set bits in ascending ID order, a word at a time; no
-		// word holds a bit outside the window.
-		base := v.firstID &^ (wordBits - 1)
-		for i, w := range v.words {
-			for ; w != 0; w &= w - 1 {
-				key = strconv.AppendInt(key, int64(base+i*wordBits+bits.TrailingZeros64(w)), 10)
-				key = append(key, ',')
-			}
+		key.Write(binary.AppendUvarint(buf[:0], uint64(len(e.advID))))
+		key.WriteString(e.advID)
+		key.Write(binary.AppendVarint(buf[:0], int64(e.vec.firstID>>6+lo)))
+		key.Write(binary.AppendUvarint(buf[:0], uint64(hi-lo)))
+		for _, w := range e.vec.words[lo:hi] {
+			key.Write(binary.LittleEndian.AppendUint64(buf[:0], w))
 		}
-		key = append(key, ';')
 	}
-	return string(key)
+	return key.String()
+}
+
+// setWords returns the span [lo, hi) of v's words from the first non-zero
+// one to the last, and false when v holds no ID.
+func (v *Vector) setWords() (lo, hi int, ok bool) {
+	if v.count == 0 {
+		return 0, 0, false
+	}
+	lo, hi = 0, len(v.words)
+	for v.words[lo] == 0 {
+		lo++
+	}
+	for v.words[hi-1] == 0 {
+		hi--
+	}
+	return lo, hi, true
 }

@@ -1,11 +1,11 @@
 package bitvector
 
 import (
-	"fmt"
+	"encoding/binary"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -362,69 +362,210 @@ func TestFingerprintKeyGroupsEqualProfiles(t *testing.T) {
 	if a.FingerprintKey() == b.FingerprintKey() {
 		t.Fatal("different profiles must not share a fingerprint key")
 	}
+	// Disjoint profiles whose advertisement IDs and message IDs, spelt out
+	// one after the other, read the same.
+	x, y := NewProfile(64), NewProfile(64)
+	x.Record("x", 1)
+	x.Record("y", 2)
+	y.Record("x:1,;y", 2)
+	if Relate(x, y) != RelEmpty {
+		t.Fatalf("Relate = %v, want empty", Relate(x, y))
+	}
+	if x.FingerprintKey() == y.FingerprintKey() {
+		t.Fatalf("disjoint profiles share the fingerprint key %q", x.FingerprintKey())
+	}
 }
 
-// publishers returns the profile's advertisement IDs in entry order.
-func publishers(p *Profile) []string {
-	out := make([]string, len(p.entries))
-	for i, e := range p.entries {
-		out[i] = e.advID
+// idPair is one (publisher, message ID) pair of a profile's set.
+type idPair struct {
+	adv string
+	id  int
+}
+
+// idSet lists the profile's (publisher, message ID) pairs in entry and ID
+// order, read one bit at a time through Get: the set a fingerprint key must
+// identify, computed without the key's word arithmetic.
+func idSet(p *Profile) []idPair {
+	var out []idPair
+	for _, e := range p.entries {
+		for id := e.vec.firstID; id <= e.vec.lastID; id++ {
+			if e.vec.Get(id) {
+				out = append(out, idPair{e.advID, id})
+			}
+		}
 	}
 	return out
 }
 
-// fmtFingerprintKey is FingerprintKey as it was written with fmt: one
-// Fprintf per set bit of the window. Test-only, the golden the strconv form
-// is held to.
-func fmtFingerprintKey(p *Profile) string {
-	var b strings.Builder
-	for _, advID := range publishers(p) {
-		v := p.Vector(advID)
-		if v.Count() == 0 {
-			continue
-		}
-		b.WriteString(advID)
-		b.WriteByte(':')
-		for i := 0; i < v.Window(); i++ {
-			if id := v.firstID + i; v.Get(id) {
-				fmt.Fprintf(&b, "%d,", id)
-			}
-		}
-		b.WriteByte(';')
+// checkKeyInjective fails unless p and q have equal fingerprint keys exactly
+// when they hold the same (publisher, message ID) set.
+func checkKeyInjective(t *testing.T, p, q *Profile) {
+	t.Helper()
+	sp, sq := idSet(p), idSet(q)
+	if same, keys := slices.Equal(sp, sq), p.FingerprintKey() == q.FingerprintKey(); same != keys {
+		t.Fatalf("sets %v and %v: equal sets %v, equal keys %v (%q, %q)", sp, sq, same, keys, p.FingerprintKey(), q.FingerprintKey())
 	}
-	return b.String()
 }
 
-// TestFingerprintKeyGolden compares FingerprintKey with the fmt formatting
-// it replaced on random profiles: several publishers, vectors that are empty
-// or slid clean of bits (skipped), windows slid past capacity, negative IDs
-// and capacities off the word grid.
-func TestFingerprintKeyGolden(t *testing.T) {
+// keyAdvIDs are advertisement IDs built to collide when keys are spelt out:
+// prefixes of each other, digits, and the old text key's separators.
+var keyAdvIDs = []string{"x", "y", "x:1,;y", "x:1", "1", "12", "1:2,", ",", ";", ":", "x;", ""}
+
+// keyCapacities are the profile capacities the key tests draw from: on and
+// off the word grid, below and above one word.
+var keyCapacities = []int{1, 63, 64, 65, 100, 128, 200, DefaultCapacity}
+
+// TestFingerprintKeyInjective holds FingerprintKey to its contract on random
+// pairs of profiles built to nearly collide: one ID set materialized at
+// different capacities, windows slid so that leading or trailing words are
+// zero, negative IDs, pairs one bit (or one grid word, or one publisher)
+// apart, vectors that are empty or whose bits were slid out, and
+// advertisement IDs that spell out like each other.
+func TestFingerprintKeyInjective(t *testing.T) {
+	// Pairs that would collide were a field left out of the key: without the
+	// length prefix the second advertisement ID swallows the head of the
+	// first's record, and without the word count the first profile's words
+	// run on into the next publisher's record.
+	w := binary.LittleEndian.Uint64([]byte{6, 'b', 'b', 'b', 'b', 'b', 'b', 0})
+	checkKeyInjective(t, withWords(NewProfile(0), "a", 1<<56, 1), withWords(NewProfile(0), "a\x00\x02\x00\x00\x00\x00\x00\x00", 1))
+	checkKeyInjective(t, withWords(withWords(NewProfile(0), "a", 1), "bbbbbb", 1), withWords(NewProfile(0), "a", 1, w, 1))
+
 	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 500; trial++ {
-		capacity := []int{1, 63, 64, 100, 128, DefaultCapacity}[rng.Intn(6)]
-		p := NewProfile(capacity)
-		for pub := rng.Intn(6); pub >= 0; pub-- {
-			adv := fmt.Sprintf("adv%d", rng.Intn(12))
-			start := rng.Intn(5000) - 1000
-			switch rng.Intn(5) {
-			case 0: // recorded, then slid out: present, no set bit
-				p.Record(adv, start)
-				p.Vector(adv).Observe(start + 2*capacity)
-			case 1: // never recorded: an empty window, as Profile.Or can leave
-				p.Or(&Profile{capacity: capacity, entries: []entry{{adv, New(capacity)}}})
-			default:
-				for id := start; id < start+rng.Intn(3*capacity)+1; id++ {
-					if rng.Intn(3) == 0 {
-						p.Record(adv, id)
-					}
+	for trial := 0; trial < 4000; trial++ {
+		// The ID set: a few publishers, each a run of IDs inside one span
+		// that every capacity above 100 holds whole.
+		spec := map[string][]int{}
+		for pub := rng.Intn(4); pub >= 0; pub-- {
+			adv := keyAdvIDs[rng.Intn(len(keyAdvIDs))]
+			start := rng.Intn(3000) - 1500
+			for id := start; id < start+rng.Intn(100)+1; id++ {
+				if rng.Intn(3) == 0 {
+					spec[adv] = append(spec[adv], id)
 				}
 			}
 		}
-		if got, want := p.FingerprintKey(), fmtFingerprintKey(p); got != want {
-			t.Fatalf("trial %d: FingerprintKey = %q, fmt formatting = %q", trial, got, want)
+		// The other set: the same, or one publisher's IDs changed.
+		other := map[string][]int{}
+		for adv, ids := range spec {
+			other[adv] = slices.Clone(ids)
+		}
+		if advs := sortedAdvs(spec); len(advs) > 0 {
+			adv := advs[rng.Intn(len(advs))]
+			ids := other[adv] // never empty
+			switch rng.Intn(6) {
+			case 0: // one bit more
+				other[adv] = append(ids, ids[len(ids)-1]+1+rng.Intn(3))
+			case 1: // one bit less
+				other[adv] = slices.Delete(ids, len(ids)/2, len(ids)/2+1)
+			case 2: // the same words one grid word further on
+				for i := range ids {
+					ids[i] += 64
+				}
+			case 3: // the same bits under another publisher
+				delete(other, adv)
+				other[keyAdvIDs[rng.Intn(len(keyAdvIDs))]] = ids
+			default: // the same set
+			}
+		}
+		p := materialize(rng, keyCapacities[rng.Intn(len(keyCapacities))], spec)
+		q := materialize(rng, keyCapacities[rng.Intn(len(keyCapacities))], other)
+		checkKeyInjective(t, p, q)
+		checkKeyInjective(t, p, p.Clone())
+	}
+}
+
+// withWords records into p, under adv, the IDs of the given grid words from
+// grid word 0 on, and returns p.
+func withWords(p *Profile, adv string, words ...uint64) *Profile {
+	for k, w := range words {
+		for ; w != 0; w &= w - 1 {
+			p.Record(adv, k*wordBits+bits.TrailingZeros64(w))
 		}
 	}
+	return p
+}
+
+// sortedAdvs returns the advertisement IDs of an ID set in ascending order.
+func sortedAdvs(spec map[string][]int) []string {
+	advs := make([]string, 0, len(spec))
+	for adv := range spec {
+		advs = append(advs, adv)
+	}
+	slices.Sort(advs)
+	return advs
+}
+
+// materialize records an ID set into a new profile of the given capacity, in
+// ascending advertisement ID order, shaping each vector's window at random:
+// anchored up to a few words before its first ID (leading zero words), slid
+// past its last (trailing zero words, or no bit left), or just as recorded.
+// Publishers with no IDs still get a vector, empty or slid clean. A capacity
+// smaller than a run keeps only the run's tail.
+func materialize(rng *rand.Rand, capacity int, spec map[string][]int) *Profile {
+	p := NewProfile(capacity)
+	for _, adv := range sortedAdvs(spec) {
+		ids := spec[adv]
+		if len(ids) == 0 {
+			p.Or(&Profile{capacity: capacity, entries: []entry{{adv, New(capacity)}}})
+			continue
+		}
+		if rng.Intn(3) == 0 {
+			p.Or(&Profile{capacity: capacity, entries: []entry{{adv, New(capacity)}}})
+			p.Vector(adv).Observe(ids[0] - rng.Intn(3*wordBits))
+		}
+		for _, id := range ids {
+			p.Record(adv, id)
+		}
+		if rng.Intn(3) == 0 {
+			p.Vector(adv).Observe(ids[len(ids)-1] + rng.Intn(2*capacity+1))
+		}
+	}
+	return p
+}
+
+// keyProfiles decodes two profiles from fuzz input: capacities from capP and
+// capQ, then one step per 4 bytes of steps. A step's first byte names the
+// target (bits 0-1: both profiles, the first or the second) and the action
+// (bit 2: Observe, else Record), the next two a signed 16-bit message ID, and
+// the last the publisher: keyAdvIDs by index, extra past their end. Equal
+// sets, sets a step apart and sets under colliding advertisement IDs all
+// decode from short inputs.
+func keyProfiles(capP, capQ byte, extra string, steps []byte) (p, q *Profile) {
+	n := len(keyCapacities)
+	p, q = NewProfile(keyCapacities[int(capP)%n]), NewProfile(keyCapacities[int(capQ)%n])
+	for ; len(steps) >= 4; steps = steps[4:] {
+		id := int(int16(binary.LittleEndian.Uint16(steps[1:3])))
+		adv := extra
+		if i := int(steps[3]); i < len(keyAdvIDs) {
+			adv = keyAdvIDs[i]
+		}
+		target := steps[0] & 3 // 1: the first only, 2: the second only, else both
+		for k, pr := range []*Profile{p, q} {
+			if target == byte(2-k) {
+				continue
+			}
+			if steps[0]&4 != 0 {
+				if v := pr.Vector(adv); v != nil {
+					v.Observe(id)
+				}
+				continue
+			}
+			pr.Record(adv, id)
+		}
+	}
+	return p, q
+}
+
+// FuzzFingerprintKey holds FingerprintKey to its contract on two profiles
+// decoded from the input (keyProfiles): equal keys exactly when the
+// (publisher, message ID) sets are equal. The seeds (testdata/fuzz) are the
+// pair the text key filed together and pairs a key without its length
+// prefix, word count or grid index would.
+func FuzzFingerprintKey(f *testing.F) {
+	f.Fuzz(func(t *testing.T, capP, capQ byte, extra string, steps []byte) {
+		p, q := keyProfiles(capP, capQ, extra, steps)
+		checkKeyInjective(t, p, q)
+	})
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {

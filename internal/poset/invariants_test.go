@@ -9,7 +9,7 @@ import (
 
 // Walk visits every node (excluding the root) in BFS order.
 func (p *Poset) Walk(fn func(*Node)) {
-	seen := p.newVisited()
+	seen := make(visited, (p.slots+63)/64)
 	queue := []*Node{p.root}
 	for len(queue) > 0 {
 		cur := queue[0]

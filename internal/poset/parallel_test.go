@@ -61,3 +61,22 @@ func TestSearchClosestParallelConcurrentQueries(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestSearchClosestAllocationFree pins a steady-state SearchClosest at zero
+// allocations: the walk's visited set and level queues come from the pool
+// and go back to it.
+func TestSearchClosestAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop pooled scratch at random")
+	}
+	p, profiles := randomPoset(t, 23, 40)
+	for _, m := range []bitvector.Metric{bitvector.MetricIOS, bitvector.MetricXor} {
+		if n := testing.AllocsPerRun(100, func() {
+			for _, q := range profiles {
+				p.SearchClosest(q, m, func(*Node) bool { return false })
+			}
+		}); n != 0 {
+			t.Errorf("%v: %d searches allocate %v times, want 0", m, len(profiles), n)
+		}
+	}
+}

@@ -20,6 +20,8 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
+	"sync"
 
 	"github.com/greenps/greenps/internal/bitvector"
 )
@@ -46,7 +48,7 @@ type Node struct {
 
 	// slot is the node's dense index among the poset's live nodes (the root
 	// holds 0): assigned at Insert, handed to a later Insert after Remove.
-	// Walks mark visited nodes by it in a bitmap of their own (visited).
+	// Walks mark visited nodes by it in a bitmap of their own (walk.seen).
 	slot int
 }
 
@@ -93,8 +95,7 @@ func unlink(par, ch *Node) {
 	ch.parents = without(ch.parents, par)
 }
 
-// visited is the set of nodes one walk has reached, one bit per slot. A walk
-// makes its own — searches over a frozen poset run concurrently — and the
+// visited is the set of nodes one walk has reached, one bit per slot. The
 // poset must not be mutated while it is in use.
 type visited []uint64
 
@@ -111,6 +112,47 @@ func (v visited) mark(n *Node) bool {
 // has reports whether n is in the set.
 func (v visited) has(n *Node) bool {
 	return v[n.slot/64]&(uint64(1)<<(uint(n.slot)%64)) != 0
+}
+
+// walk is the scratch of one walk over the poset: its visited set and its
+// breadth-first queues. Walks take one from walks and give it back when they
+// end, so that a steady state of searches allocates nothing. A walk owns its
+// scratch while it runs — searches over a frozen poset run concurrently and
+// share nothing — which is why the scratch is pooled, not kept on the Poset.
+type walk struct {
+	seen        visited
+	queue       []*Node
+	level, next []searchItem // SearchClosest's current and next levels
+}
+
+// searchItem is a node SearchClosest descends into, with its closeness.
+type searchItem struct {
+	node      *Node
+	closeness float64
+}
+
+var walks = sync.Pool{New: func() any { return new(walk) }}
+
+// startWalk takes a walk's scratch from the pool, its visited set empty and
+// sized to the poset's slots and its queues empty.
+func (p *Poset) startWalk() *walk {
+	w := walks.Get().(*walk)
+	n := (p.slots + 63) / 64
+	if cap(w.seen) < n {
+		w.seen = make(visited, n)
+	} else {
+		w.seen = w.seen[:n]
+		clear(w.seen)
+	}
+	return w
+}
+
+// end gives the scratch back to the pool. The queues' used entries are
+// cleared so that a pooled scratch keeps no node alive.
+func (w *walk) end() {
+	clear(w.queue)
+	w.queue = w.queue[:0]
+	walks.Put(w)
 }
 
 // Poset is the DAG. It is not safe for concurrent use.
@@ -135,9 +177,6 @@ func New() *Poset {
 		slots: 1,
 	}
 }
-
-// newVisited returns an empty visited set over the poset's slots.
-func (p *Poset) newVisited() visited { return make(visited, (p.slots+63)/64) }
 
 // RelateCount returns the number of relationship computations performed.
 func (p *Poset) RelateCount() int { return p.relateCount }
@@ -192,15 +231,18 @@ func (p *Poset) Insert(id string, prof *bitvector.Profile, payload any) (*Node, 
 // the root, descending into any node that covers prof; a covering node none
 // of whose children cover prof is a parent. If a node with an equal profile
 // exists it is returned separately so Insert can reject the duplicate.
+//
+// Every node enters the queue once (the root is nobody's child: it needs no
+// mark), so no parent is listed twice.
 func (p *Poset) findParents(prof *bitvector.Profile) (parents []*Node, equal *Node) {
-	seen := p.newVisited() // the root is nobody's child: it needs no mark
-	queue := []*Node{p.root}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
+	w := p.startWalk()
+	defer w.end()
+	w.queue = append(w.queue, p.root)
+	for i := 0; i < len(w.queue); i++ {
+		cur := w.queue[i]
 		descended := false
 		for _, ch := range cur.Children() {
-			if seen.has(ch) {
+			if w.seen.has(ch) {
 				descended = true // covering child already being explored
 				continue
 			}
@@ -208,8 +250,8 @@ func (p *Poset) findParents(prof *bitvector.Profile) (parents []*Node, equal *No
 			case bitvector.RelEqual:
 				return nil, ch
 			case bitvector.RelSuperset:
-				seen.mark(ch)
-				queue = append(queue, ch)
+				w.seen.mark(ch)
+				w.queue = append(w.queue, ch)
 				descended = true
 			}
 		}
@@ -217,22 +259,7 @@ func (p *Poset) findParents(prof *bitvector.Profile) (parents []*Node, equal *No
 			parents = append(parents, cur)
 		}
 	}
-	if len(parents) == 0 {
-		parents = []*Node{p.root}
-	}
-	return p.dedupeMinimal(parents), nil
-}
-
-// dedupeMinimal removes duplicates while preserving order.
-func (p *Poset) dedupeMinimal(in []*Node) []*Node {
-	seen := p.newVisited()
-	out := in[:0]
-	for _, n := range in {
-		if seen.mark(n) {
-			out = append(out, n)
-		}
-	}
-	return out
+	return parents, nil
 }
 
 // findChildren locates the maximal nodes strictly covered by prof,
@@ -242,11 +269,10 @@ func (p *Poset) dedupeMinimal(in []*Node) []*Node {
 // with an empty relationship cannot (its descendants are subsets of it).
 func (p *Poset) findChildren(parents []*Node, prof *bitvector.Profile) []*Node {
 	var children []*Node
-	seen := p.newVisited()
-	var queue []*Node
+	w := p.startWalk()
 	enqueue := func(n *Node) {
-		if seen.mark(n) {
-			queue = append(queue, n)
+		if w.seen.mark(n) {
+			w.queue = append(w.queue, n)
 		}
 	}
 	for _, par := range parents {
@@ -254,11 +280,9 @@ func (p *Poset) findChildren(parents []*Node, prof *bitvector.Profile) []*Node {
 			enqueue(ch)
 		}
 	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		r := p.relate(prof, cur.Profile)
-		switch r {
+	for i := 0; i < len(w.queue); i++ {
+		cur := w.queue[i]
+		switch p.relate(prof, cur.Profile) {
 		case bitvector.RelSuperset:
 			children = append(children, cur)
 		case bitvector.RelIntersect:
@@ -270,6 +294,7 @@ func (p *Poset) findChildren(parents []*Node, prof *bitvector.Profile) []*Node {
 			// Subset/Empty hide no covered descendants.
 		}
 	}
+	w.end()
 	// Keep only maximal nodes: drop any candidate that is a descendant of
 	// another candidate.
 	return p.maximalOnly(children)
@@ -281,30 +306,31 @@ func (p *Poset) maximalOnly(cands []*Node) []*Node {
 	if len(cands) <= 1 {
 		return cands
 	}
-	candSet, seen := p.newVisited(), p.newVisited()
+	candSet, w := p.startWalk(), p.startWalk()
+	defer candSet.end()
+	defer w.end()
 	for _, c := range cands {
-		candSet.mark(c)
+		candSet.seen.mark(c)
 	}
 	var out []*Node
 	for _, c := range cands {
 		reachable := false
 		// BFS upward from c looking for another candidate.
-		clear(seen)
-		seen.mark(c)
-		queue := []*Node{c}
-		for len(queue) > 0 && !reachable {
-			cur := queue[0]
-			queue = queue[1:]
-			for _, par := range cur.parents {
-				if seen.has(par) {
+		clear(w.seen)
+		clear(w.queue)
+		w.seen.mark(c)
+		w.queue = append(w.queue[:0], c)
+		for i := 0; i < len(w.queue) && !reachable; i++ {
+			for _, par := range w.queue[i].parents {
+				if w.seen.has(par) {
 					continue
 				}
-				if candSet.has(par) {
+				if candSet.seen.has(par) {
 					reachable = true
 					break
 				}
-				seen.mark(par)
-				queue = append(queue, par)
+				w.seen.mark(par)
+				w.queue = append(w.queue, par)
 			}
 		}
 		if !reachable {
@@ -349,24 +375,22 @@ func (p *Poset) Remove(id string) error {
 // its descendants in the DAG. Used by one-to-many clustering, where the
 // lookup of covered GIFs is O(1)-per-node via the child links.
 func (p *Poset) CoveredBy(n *Node) []*Node {
-	var out []*Node
-	seen := p.newVisited()
-	queue := make([]*Node, 0, len(n.children))
-	for _, ch := range n.children {
-		queue = append(queue, ch)
-		seen.mark(ch)
+	w := p.startWalk()
+	defer w.end()
+	// The breadth-first queue is the result: every node it takes in is a
+	// descendant, taken in once.
+	out := slices.Clone(n.children)
+	for _, ch := range out {
+		w.seen.mark(ch)
 	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		out = append(out, cur)
-		for _, ch := range cur.children {
-			if seen.mark(ch) {
-				queue = append(queue, ch)
+	for i := 0; i < len(out); i++ {
+		for _, ch := range out[i].children {
+			if w.seen.mark(ch) {
+				out = append(out, ch)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b *Node) int { return strings.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -410,16 +434,12 @@ func (p *Poset) SearchClosest(query *bitvector.Profile, metric bitvector.Metric,
 	var res SearchResult
 	prunable := metric != bitvector.MetricXor
 
-	type item struct {
-		node      *Node
-		closeness float64
-	}
-	seen := p.newVisited()
-	level, next := []item{{node: p.root}}, []item(nil)
+	w := p.startWalk()
+	level, next := append(w.level[:0], searchItem{node: p.root}), w.next[:0]
 	for rootLevel := true; len(level) > 0; rootLevel = false {
 		for _, it := range level {
 			for _, ch := range it.node.Children() {
-				if !seen.mark(ch) {
+				if !w.seen.mark(ch) {
 					continue
 				}
 				res.Computations++
@@ -437,11 +457,14 @@ func (p *Poset) SearchClosest(query *bitvector.Profile, metric bitvector.Metric,
 				if prunable && !rootLevel && c < it.closeness {
 					continue // closeness decreasing: candidate only, no descent
 				}
-				next = append(next, item{node: ch, closeness: c})
+				next = append(next, searchItem{node: ch, closeness: c})
 			}
 		}
+		clear(level)
 		level, next = next, level[:0]
 	}
+	w.level, w.next = level, next
+	w.end()
 	// XOR assigns positive closeness to empty relations, so Best can be a
 	// node with which the query shares nothing — the paper observes exactly
 	// this defect; we do not mask it.

@@ -320,7 +320,7 @@ func TestQuickPosetInvariants(t *testing.T) {
 // falling below its parent's.
 func searchUnpruned(p *Poset, query *bitvector.Profile, metric bitvector.Metric) SearchResult {
 	var res SearchResult
-	seen := p.newVisited()
+	seen := make(visited, (p.slots+63)/64)
 	for level := []*Node{p.root}; len(level) > 0; {
 		var next []*Node
 		for _, n := range level {
