@@ -528,8 +528,12 @@ func TestNaNLoadRejected(t *testing.T) {
 func TestMergeUnits(t *testing.T) {
 	units, _ := testWorkload(5, 1, 4, 10, 100)
 	m := MergeUnits("merged", units...)
+	if m.filters() != 4 {
+		t.Fatalf("members=%d, want 4", m.filters())
+	}
+	m.fill()
 	if len(m.Members) != 4 {
-		t.Fatalf("members=%d, want 4", len(m.Members))
+		t.Fatalf("filled members=%d, want 4", len(m.Members))
 	}
 	var wantBW float64
 	for _, u := range units {

@@ -3,6 +3,7 @@ package allocation
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -261,9 +262,9 @@ func BenchmarkFeasProbe(b *testing.B) {
 	in := benchInput(b)
 	p := newPool(in.Units, in.Brokers[:24], newPublisherTable(in.Publishers, in.Units))
 	ch := p.stage(nil, nil)
-	if packs, placed := p.probe(ch); !packs || placed != len(p.stream) || p.lone != 0 {
+	if packs, placed := p.probe(ch); !packs || placed != p.size() || p.lone != 0 {
 		b.Fatalf("probe = %v after %d of %d placements, %d lone units: the pool must pack, with no lone unit, and the whole stream replay",
-			packs, placed, len(p.stream), p.lone)
+			packs, placed, p.size(), p.lone)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -271,7 +272,43 @@ func BenchmarkFeasProbe(b *testing.B) {
 			b.Fatal("pool must be feasible")
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(p.stream)), "ns/placement")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*p.size()), "ns/placement")
+}
+
+// BenchmarkPoolCommit times pool.commit where CRAM's commits land: a heavy
+// merged unit — eight units from the middle of the pool — staged and
+// committed at the front of a 20,000-unit pool and of a 200,000-unit one,
+// then staged and committed back out, each stage-and-commit counted. A commit
+// that moves only the blocks its change touches costs about the same at both
+// sizes; one that shifts the stream behind the merged unit costs in
+// proportion to the pool.
+func BenchmarkPoolCommit(b *testing.B) {
+	stock, pubs := testWorkload(1, 40, 500, 5, 200)
+	table := newPublisherTable(pubs, stock)
+	for _, n := range []int{20_000, 200_000} {
+		b.Run(fmt.Sprintf("units=%d", n), func(b *testing.B) {
+			units := make([]*Unit, n)
+			for i := range units {
+				u := *stock[i%len(stock)]
+				u.ID = fmt.Sprintf("u%06d", i)
+				units[i] = &u
+			}
+			p := newPool(units, testBrokers(20, 1e9, message.MatchingDelayFn{}), table)
+			parts := slices.Clone(poolUnits(p)[n/2 : n/2+8])
+			merged := []*Unit{MergeUnits("merged", parts...)}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := p.commit(p.stage(parts, merged)); err != nil {
+					b.Fatal(err)
+				}
+				if err := p.commit(p.stage(merged, parts)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*b.N), "ns/commit")
+		})
+	}
 }
 
 // BenchmarkFeasibilityTest isolates CRAM's inner loop: one BIN PACKING

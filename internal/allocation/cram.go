@@ -358,7 +358,10 @@ func (c *CRAM) run(in *Input) (*cramRun, *Assignment, error) {
 		return nil, nil, err
 	}
 	defer r.spill.close()
-	a, err := r.cluster()
+	if err = r.cluster(); err != nil {
+		return nil, nil, err
+	}
+	a, err := r.pack()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -499,8 +502,8 @@ func (c *CRAM) start(in *Input) (*cramRun, error) {
 }
 
 // cluster is the second half of run: the clustering loop over the
-// candidates, then the final pack of the pool it leaves.
-func (r *cramRun) cluster() (*Assignment, error) {
+// candidates. pack then places the pool it leaves.
+func (r *cramRun) cluster() error {
 	c := r.c
 	maxIter := c.maxIterations
 	if maxIter <= 0 {
@@ -510,7 +513,7 @@ func (r *cramRun) cluster() (*Assignment, error) {
 	for iter := 0; iter < maxIter; iter++ {
 		cand, ok, err := r.nextCand()
 		if err != nil {
-			return nil, fmt.Errorf("CRAM: candidate spill: %w", err)
+			return fmt.Errorf("CRAM: candidate spill: %w", err)
 		}
 		if !ok {
 			break
@@ -534,7 +537,7 @@ func (r *cramRun) cluster() (*Assignment, error) {
 		}
 		accepted := r.clusterPair(g, p)
 		if r.err != nil {
-			return nil, fmt.Errorf("CRAM: %w", r.err)
+			return fmt.Errorf("CRAM: %w", r.err)
 		}
 		if accepted {
 			c.stats.ClustersAccepted++
@@ -547,14 +550,18 @@ func (r *cramRun) cluster() (*Assignment, error) {
 			}
 		}
 	}
+	return nil
+}
 
-	// Materialize the final (feasible by construction) allocation.
-	a, err := packFirstFit(r.pool.units, r.pool.stream, r.brokers, r.pool.table)
+// pack materializes the final (feasible by construction) allocation of the
+// committed pool, its merged units' members spelled out.
+func (r *cramRun) pack() (*Assignment, error) {
+	a, err := packFirstFit(r.pool.blocks, r.brokers, r.pool.table)
 	if err != nil {
 		// Cannot happen: every committed pool passed the feasibility test.
 		return nil, fmt.Errorf("CRAM: final pack of feasible pool failed: %w", err)
 	}
-	c.stats.FinalUnits = len(r.pool.units)
+	r.c.stats.FinalUnits = r.pool.size()
 	return a, nil
 }
 

@@ -18,7 +18,7 @@ import (
 // table of its own.
 func feasibleFirstFit(units []*Unit, brokers []*BrokerSpec, pubs map[string]*bitvector.PublisherStats) bool {
 	table := newPublisherTable(pubs, units)
-	_, err := packFirstFit(units, compileUnits(units, table), brokers, table)
+	_, err := packFirstFit([]block{{units, compileUnits(units, table)}}, brokers, table)
 	return err == nil
 }
 
@@ -556,12 +556,16 @@ func FuzzDenseFitsEquivalence(f *testing.F) {
 // it uses, clearing it and placing the whole pool, or probing a staged
 // change, allocates nothing.
 // Two in five of the pool's subscriptions sink everything their publisher
-// sends, so the stream has runs of one content. A probe the capacity
-// certificate answers allocates nothing either.
+// sends, so the stream has runs of one content, and the pool spans three
+// blocks, so a pass and a replay cross block boundaries. A probe the
+// capacity certificate answers allocates nothing either.
 func TestPlacementAllocationFree(t *testing.T) {
-	units, pubs := testWorkload(3, 6, 40, 10, 100)
-	brokers := sortBrokersByCapacity(testBrokers(12, 30_000, stdDelay()))
+	units, pubs := testWorkload(3, 6, 100, 10, 100)
+	brokers := sortBrokersByCapacity(testBrokers(30, 30_000, stdDelay()))
 	p := newPool(units, brokers, newPublisherTable(pubs, units))
+	if len(p.blocks) < 3 {
+		t.Fatalf("the pool spans %d blocks, want at least 3", len(p.blocks))
+	}
 	pass := func() {
 		if !firstFitPass(p) {
 			t.Fatal("pool must be feasible")
@@ -573,8 +577,8 @@ func TestPlacementAllocationFree(t *testing.T) {
 	}
 	ch := p.stage(nil, nil)
 	probe := func() {
-		if packs, placed := p.probe(ch); !packs || placed == 0 {
-			t.Fatal("the pool must pack, and its probe must replay")
+		if packs, placed := p.probe(ch); !packs || placed <= blockSize {
+			t.Fatalf("probe = %v after %d placements: the pool must pack, and its probe must replay past its first block", packs, placed)
 		}
 	}
 	if n := testing.AllocsPerRun(20, probe); n != 0 {
@@ -598,9 +602,11 @@ func TestPlacementAllocationFree(t *testing.T) {
 // probe does.
 func firstFitPass(p *pool) bool {
 	defer p.pk.clear()
-	for i := range p.stream {
-		if p.pk.place(&p.stream[i]) < 0 {
-			return false
+	for _, bl := range p.blocks {
+		for i := range bl.stream {
+			if p.pk.place(&bl.stream[i]) < 0 {
+				return false
+			}
 		}
 	}
 	return true

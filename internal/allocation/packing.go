@@ -12,7 +12,7 @@ import (
 // packUnit is a unit compiled for first-fit packing against one run's
 // publisher table: everything fits and accept read, flat, so a placement
 // never touches the Unit, its Profile or a string-keyed map. CRAM's pool
-// keeps its committed units as a contiguous []packUnit.
+// keeps its committed units as blocks of contiguous []packUnit.
 type packUnit struct {
 	// load is the unit's delivery (output) requirement, Unit.Load.
 	load bitvector.Load
@@ -33,7 +33,7 @@ type packUnit struct {
 // (unit, table).
 func compileUnit(u *Unit, t *bitvector.PublisherTable) packUnit {
 	entries := t.Compile(u.Profile)
-	return packUnit{load: u.Load, in: inputLoad(entries, t.Stats()), filters: int32(len(u.Members)), entries: entries}
+	return packUnit{load: u.Load, in: inputLoad(entries, t.Stats()), filters: int32(u.filters()), entries: entries}
 }
 
 // inputLoad is bitvector.EstimateLoad over a compiled profile: the same
@@ -318,20 +318,23 @@ func (e *errUnitUnplaceable) Error() string {
 	return fmt.Sprintf("allocation: unit %q cannot be allocated to any broker", e.unitID)
 }
 
-// packFirstFit places units (in the given order) onto brokers (tried in the
-// given order), implementing the shared core of FBF and BIN PACKING: each
-// unit goes to the first broker with capacity for it. It fails on the first
-// unplaceable unit, exactly as the paper's algorithms terminate.
-// compiled[i] must be units[i] compiled against t.
-func packFirstFit(units []*Unit, compiled []packUnit, brokers []*BrokerSpec, t *bitvector.PublisherTable) (*Assignment, error) {
+// packFirstFit places the blocks' units, block by block and each block in
+// order, onto brokers (tried in the given order), implementing the shared
+// core of FBF and BIN PACKING: each unit goes to the first broker with
+// capacity for it. It fails on the first unplaceable unit, exactly as the
+// paper's algorithms terminate. Each block's stream must be its units
+// compiled against t. Every unit the Assignment hosts has its Members.
+func packFirstFit(blocks []block, brokers []*BrokerSpec, t *bitvector.PublisherTable) (*Assignment, error) {
 	p := newPack(brokers, t)
 	hosted := make([][]*Unit, len(brokers))
-	for i, u := range units {
-		b := p.place(&compiled[i])
-		if b < 0 {
-			return nil, &errUnitUnplaceable{unitID: u.ID}
+	for _, bl := range blocks {
+		for i, u := range bl.units {
+			b := p.place(&bl.stream[i])
+			if b < 0 {
+				return nil, &errUnitUnplaceable{unitID: u.ID}
+			}
+			hosted[b] = append(hosted[b], u)
 		}
-		hosted[b] = append(hosted[b], u)
 	}
 	out := &Assignment{
 		ByBroker: make(map[string][]*Unit),
@@ -344,6 +347,9 @@ func packFirstFit(units []*Unit, compiled []packUnit, brokers []*BrokerSpec, t *
 	for i := range p.states {
 		if len(hosted[i]) == 0 {
 			continue
+		}
+		for _, u := range hosted[i] {
+			u.fill()
 		}
 		bs := &p.states[i]
 		out.ByBroker[bs.spec.ID] = hosted[i]

@@ -204,6 +204,7 @@ func (p *Pairwise) Allocate(in *Input) (*Assignment, error) {
 		spec := brokers[perm[k]]
 		mergedID++
 		unit := MergeUnits(fmt.Sprintf("pw-c%d", mergedID), c.units...)
+		unit.fill()
 		inLoad := bitvector.EstimateLoad(unit.Profile, in.Publishers)
 		out.ByBroker[spec.ID] = append(out.ByBroker[spec.ID], unit)
 		out.Loads[spec.ID] = BrokerLoad{

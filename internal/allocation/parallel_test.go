@@ -100,8 +100,9 @@ func TestFeasEngineMatchesFromScratch(t *testing.T) {
 		var parts, added, mod []*Unit
 		k := 1 + rng.Intn(40)
 		removed := make(map[*Unit]bool)
-		for len(parts) < k && len(parts) < len(p.units) {
-			u := p.units[rng.Intn(len(p.units))]
+		units := poolUnits(p)
+		for len(parts) < k && len(parts) < len(units) {
+			u := units[rng.Intn(len(units))]
 			if removed[u] {
 				continue
 			}
@@ -111,7 +112,7 @@ func TestFeasEngineMatchesFromScratch(t *testing.T) {
 		if trial%7 != 0 { // every 7th probe is removal-only
 			added = append(added, MergeUnits(fmt.Sprintf("probe-%d", trial), parts...))
 		}
-		for _, u := range p.units {
+		for _, u := range units {
 			if !removed[u] {
 				mod = append(mod, u)
 			}
@@ -134,7 +135,7 @@ func TestFeasEngineMatchesFromScratch(t *testing.T) {
 			if err := p.commit(ch); err != nil {
 				t.Fatalf("trial %d: commit: %v", trial, err)
 			}
-			if !slices.Equal(p.units, mod) {
+			if !slices.Equal(poolUnits(p), mod) {
 				t.Fatalf("trial %d: committed pool is not the sorted modified pool", trial)
 			}
 			commits++
@@ -143,9 +144,9 @@ func TestFeasEngineMatchesFromScratch(t *testing.T) {
 	if feasYes == 0 || feasNo == 0 || commits == 0 {
 		t.Fatalf("one-sided fuzz coverage: %d feasible, %d infeasible, %d commits", feasYes, feasNo, commits)
 	}
-	before := slices.Clone(p.units)
-	if err := p.commit(p.stage([]*Unit{p.units[0], {ID: "stranger"}}, nil)); err == nil || !slices.Equal(p.units, before) {
-		t.Fatalf("commit of a unit the pool does not hold: err=%v, pool changed=%v", err, !slices.Equal(p.units, before))
+	before := poolUnits(p)
+	if err := p.commit(p.stage([]*Unit{before[0], {ID: "stranger"}}, nil)); err == nil || !slices.Equal(poolUnits(p), before) {
+		t.Fatalf("commit of a unit the pool does not hold: err=%v, pool changed=%v", err, !slices.Equal(poolUnits(p), before))
 	}
 }
 

@@ -13,11 +13,11 @@ import (
 // pool is CRAM's unit pool and the one place its feasibility is tested
 // ("does the pool still BIN-PACK with these units removed and that merged
 // unit added?"). It owns the committed units in BIN PACKING order
-// (unitBefore) and, position for position, their compiled form. A change is
-// staged once (stage), tested (probe) and applied (commit): commit is the
-// only function that changes either slice and it changes both, and probe is
-// the only feasibility entry. A probe is one serial first-fit replay, from
-// the empty pack, of the stream commit would leave. At the head of the
+// (unitBefore) and, position for position, their compiled form, in blocks
+// (item 1 below). A change is staged once (stage), tested (probe) and
+// applied (commit): commit is the only function that changes the blocks,
+// and probe is the only feasibility entry. A probe is one serial first-fit
+// replay, from the empty pack, of the stream commit would leave. At the head of the
 // stream and every certifyEvery positions after, it asks the capacity
 // certificate (certify) whether the units still to come provably fit the
 // brokers the replay has not opened, and stops with yes as soon as they do.
@@ -34,13 +34,18 @@ import (
 // certificate redoes nearly the whole pool. What keeps a placement cheap was
 // counted on those two workloads with every probe replayed:
 //
-//  1. The replay is flat. stream is one contiguous []packUnit (bandwidth,
-//     input load, filter count and publisher-indexed vector list per
-//     position), removed units are a sorted position list walked alongside
-//     it, and the broker states are one scratch pack, left empty between
-//     probes by clearing the brokers the last replay opened — no map
-//     lookup, no Unit or Profile dereference and, in the steady state, no
-//     allocation.
+//  1. The replay is flat. The stream is a short list of blocks, each at most
+//     blockSize units: a contiguous []packUnit (bandwidth, input load,
+//     filter count and publisher-indexed vector list per position) with its
+//     units beside it. A replay walks a block's []packUnit as one flat loop,
+//     removed units are a sorted position list walked alongside it, and the
+//     broker states are one scratch pack, left empty between probes by
+//     clearing the brokers the last replay opened — no map lookup, no Unit
+//     or Profile dereference and, in the steady state, no allocation. The
+//     blocks keep a commit cheap: it moves units only inside the blocks its
+//     change touches, O(change + block), though the merged unit it adds
+//     sorts near the front of the pool and the units it removes lie
+//     anywhere.
 //  2. Most broker tests are decided without vector arithmetic, and most of
 //     those without a call (packing.go). A placement passes ~16 brokers on
 //     the 8k plan and ~8 on the 20k pool before one admits the unit; the 8k
@@ -64,9 +69,12 @@ import (
 type pool struct {
 	table *bitvector.PublisherTable
 
-	units  []*Unit    // the committed pool in BIN PACKING order
-	stream []packUnit // stream[i] is units[i] compiled
-	pk     *pack      // the scratch pack every probe replays onto, empty between probes
+	// blocks hold the committed pool in BIN PACKING order, 1 to blockSize
+	// units each; starts[b] is the pool position of blocks[b]'s first unit,
+	// and starts[len(blocks)] the pool's size.
+	blocks []block
+	starts []int
+	pk     *pack // the scratch pack every probe replays onto, empty between probes
 
 	// What the capacity certificate reads (certify). totals are the
 	// committed stream's; commit adopts them from the change. rho is the
@@ -81,6 +89,19 @@ type pool struct {
 	worst     message.MatchingDelayFn
 	pairs     []float64
 	narrowest float64
+}
+
+// blockSize is the most units a block of the pool holds. Per block its change
+// touches, a commit moves at most a block's units and a split copies a
+// block's; a replay pays a loop exit per block. 128, 256 and 512 read alike
+// on the scale benchmarks (EXPERIMENTS.md, "Mechanism census").
+const blockSize = 256
+
+// block is a run of units in BIN PACKING order and, position for position,
+// their compiled form.
+type block struct {
+	units  []*Unit
+	stream []packUnit
 }
 
 // totals are what the capacity certificate reads of a stream: upper bounds
@@ -142,7 +163,7 @@ func (t totals) minus(done totals, n int) totals {
 // newPool ingests the units: sorted into BIN PACKING order, then compiled.
 // brokers are in trial order.
 func newPool(units []*Unit, brokers []*BrokerSpec, t *bitvector.PublisherTable) *pool {
-	p := &pool{table: t, units: sortUnitsByBandwidthDesc(units), pk: newPack(brokers, t), narrowest: math.Inf(1)}
+	p := &pool{table: t, pk: newPack(brokers, t), narrowest: math.Inf(1)}
 	for _, b := range brokers {
 		p.worst.Base, p.worst.PerSub = max(p.worst.Base, b.Delay.Base), max(p.worst.PerSub, b.Delay.PerSub)
 	}
@@ -154,11 +175,39 @@ func newPool(units []*Unit, brokers []*BrokerSpec, t *bitvector.PublisherTable) 
 		}
 		p.narrowest = min(p.narrowest, c)
 	}
-	p.stream = p.compile(p.units)
-	for i := range p.stream {
-		p.join(&p.stream[i])
+	sorted := sortUnitsByBandwidthDesc(units)
+	stream := p.compile(sorted)
+	p.starts = []int{0}
+	for lo := 0; lo < len(sorted); lo += blockSize {
+		hi := min(lo+blockSize, len(sorted))
+		p.blocks = append(p.blocks, block{sorted[lo:hi:hi], stream[lo:hi:hi]})
+		p.starts = append(p.starts, hi)
+	}
+	for i := range stream {
+		p.join(&stream[i])
 	}
 	return p
+}
+
+// size returns the number of units in the pool.
+func (p *pool) size() int { return p.starts[len(p.blocks)] }
+
+// find returns the block and the offset in it of the first unit in the
+// pool for which f holds, f false up to some position and true from there
+// on; len(blocks) and 0 when f holds for none.
+func (p *pool) find(f func(*Unit) bool) (b, k int) {
+	b = sort.Search(len(p.blocks), func(b int) bool { us := p.blocks[b].units; return f(us[len(us)-1]) })
+	if b < len(p.blocks) {
+		us := p.blocks[b].units
+		k = sort.Search(len(us), func(k int) bool { return f(us[k]) })
+	}
+	return b, k
+}
+
+// compiledAt returns the compiled unit at pool position i.
+func (p *pool) compiledAt(i int) *packUnit {
+	b := sort.Search(len(p.blocks), func(b int) bool { return p.starts[b+1] > i })
+	return &p.blocks[b].stream[i-p.starts[b]]
 }
 
 // compile compiles the units against the pool's table and marks the lone
@@ -226,12 +275,13 @@ func (p *pool) stage(removed, added []*Unit) change {
 	}
 	c.at = make([]int, len(c.added))
 	for j, u := range c.added {
-		c.at[j] = sort.Search(len(p.units), func(i int) bool { return unitBefore(u, p.units[i]) })
+		b, k := p.find(func(v *Unit) bool { return unitBefore(u, v) })
+		c.at[j] = p.starts[b] + k
 	}
 	c.compiled = p.compile(c.added)
 	c.totals = p.totals
 	for _, i := range c.cut {
-		c.leave(&p.stream[i])
+		c.leave(p.compiledAt(i))
 	}
 	for j := range c.compiled {
 		c.join(&c.compiled[j])
@@ -239,39 +289,105 @@ func (p *pool) stage(removed, added []*Unit) change {
 	return c
 }
 
-// commit applies a change staged since the last commit: splice rewrites both
-// slices in one pass. unitBefore is a strict total order, so the result is
-// the slice a sort of the modified pool would give. A change with an error
-// leaves the pool as it was and returns the error.
+// commit applies a change staged since the last commit, block by block from
+// the last one its positions fall in: splice rewrites a block's two slices in
+// place, a block grown past blockSize is split into even blocks, one emptied
+// is dropped, and the block offsets are recounted from the first block
+// touched. An added unit staged at a block's first position goes to the head
+// of that block; one staged at the end, to the end of the last. unitBefore
+// is a strict total order, so the blocks read in order are the slice a sort
+// of the modified pool would give. A change with an error leaves the pool as
+// it was and returns the error.
 func (p *pool) commit(c change) error {
 	if c.err != nil {
 		return c.err
 	}
-	p.units, p.stream = splice(p.units, c.cut, c.at, c.added), splice(p.stream, c.cut, c.at, c.compiled)
+	if len(p.blocks) == 0 && len(c.added) > 0 {
+		p.blocks, p.starts = []block{{}}, []int{0, 0}
+	}
+	ci, j, first := len(c.cut), len(c.at), len(p.blocks)
+	for ci > 0 || j > 0 {
+		// The block of the last position still to apply: the blocks from
+		// first on are done, and starts still holds the others'.
+		q := -1
+		if ci > 0 {
+			q = c.cut[ci-1]
+		}
+		if j > 0 {
+			q = max(q, c.at[j-1])
+		}
+		b := min(sort.Search(first, func(b int) bool { return p.starts[b+1] > q }), first-1)
+		lo, c0, j0 := p.starts[b], ci, j
+		for c0 > 0 && c.cut[c0-1] >= lo {
+			c0--
+		}
+		for j0 > 0 && c.at[j0-1] >= lo {
+			j0--
+		}
+		bl := &p.blocks[b]
+		bl.units = splice(bl.units, lo, c.cut[c0:ci], c.at[j0:j], c.added[j0:j])
+		bl.stream = splice(bl.stream, lo, c.cut[c0:ci], c.at[j0:j], c.compiled[j0:j])
+		p.rebalance(b)
+		ci, j, first = c0, j0, b
+	}
+	p.starts = p.starts[:first+1]
+	for b := first; b < len(p.blocks); b++ {
+		p.starts = append(p.starts, p.starts[b]+len(p.blocks[b].units))
+	}
 	p.totals = c.totals
 	return nil
 }
 
+// rebalance drops block b when it is empty and splits it into the fewest
+// blocks of even size when it holds more than blockSize units; the first of
+// them keeps b's slices, the others get slices of their own with room to
+// grow to blockSize.
+func (p *pool) rebalance(b int) {
+	bl := p.blocks[b]
+	n := len(bl.units)
+	switch {
+	case n == 0:
+		p.blocks = slices.Delete(p.blocks, b, b+1)
+	case n > blockSize:
+		k := (n + blockSize - 1) / blockSize
+		split := make([]block, k-1)
+		for i := range split {
+			lo, hi := n*(i+1)/k, n*(i+2)/k
+			split[i] = block{
+				append(make([]*Unit, 0, blockSize), bl.units[lo:hi]...),
+				append(make([]packUnit, 0, blockSize), bl.stream[lo:hi]...),
+			}
+		}
+		head := n / k
+		clear(bl.units[head:])
+		clear(bl.stream[head:])
+		p.blocks[b] = block{bl.units[:head], bl.stream[:head]}
+		p.blocks = slices.Insert(p.blocks, b+1, split...)
+	}
+}
+
 // splice drops the elements of s at the ascending positions cut and inserts
-// add[j] ahead of s[at[j]] (at ascending; len(s) appends), in place. Each run
-// of kept elements between two such positions shifts by the inserts ahead of
-// it minus the cuts ahead of it; runs shifting left are copied first to last
-// and runs shifting right last to first, so no copy overwrites an element not
-// yet moved, each kept element moves at most once, and the elements ahead of
-// the first cut or insert not at all.
-func splice[T any](s []T, cut, at []int, add []T) []T {
+// add[j] ahead of s[at[j]] (at ascending; len(s) appends), in place, all
+// positions offset by off. Each run of kept elements between two such
+// positions shifts by the inserts ahead of it minus the cuts ahead of it;
+// runs shifting left are copied first to last and runs shifting right last to
+// first, so no copy overwrites an element not yet moved, each kept element
+// moves at most once, and the elements ahead of the first cut or insert not
+// at all. add[j] lands at at[j] plus the inserts ahead of it less the cuts
+// ahead of it: an insert at a cut position goes ahead of the cut element.
+func splice[T any](s []T, off int, cut, at []int, add []T) []T {
 	type run struct{ lo, hi, d int } // s[lo:hi] moves to s[lo+d:hi+d]
 	n, m := len(s), len(s)-len(cut)+len(add)
-	runs, dst := make([]run, 0, len(cut)+len(at)+1), make([]int, len(add))
+	runs := make([]run, 0, 16)
 	lo, d, j := 0, 0, 0
 	for ci := 0; ci <= len(cut); ci++ {
 		hi := n
 		if ci < len(cut) {
-			hi = cut[ci]
+			hi = cut[ci] - off
 		}
-		for ; j < len(at) && at[j] <= hi; j++ {
-			runs = append(runs, run{lo, at[j], d})
-			dst[j], lo, d = at[j]+d, at[j], d+1
+		for ; j < len(at) && at[j]-off <= hi; j++ {
+			runs = append(runs, run{lo, at[j] - off, d})
+			lo, d = at[j]-off, d+1
 		}
 		runs = append(runs, run{lo, hi, d})
 		lo, d = hi+1, d-1
@@ -287,8 +403,12 @@ func splice[T any](s []T, cut, at []int, add []T) []T {
 			copy(s[r.lo+r.d:], s[r.lo:r.hi])
 		}
 	}
-	for j, q := range dst {
-		s[q] = add[j]
+	ci := 0
+	for j, q := range at {
+		for ci < len(cut) && cut[ci] < q {
+			ci++
+		}
+		s[q-off+j-ci] = add[j]
 	}
 	clear(s[m:])
 	return s[:m]
@@ -300,9 +420,9 @@ func splice[T any](s []T, cut, at []int, add []T) []T {
 func (p *pool) positions(units []*Unit) []int {
 	pos := make([]int, 0, len(units))
 	for _, u := range units {
-		i := sort.Search(len(p.units), func(i int) bool { return !unitBefore(p.units[i], u) })
-		if i < len(p.units) && p.units[i] == u {
-			pos = append(pos, i)
+		b, k := p.find(func(v *Unit) bool { return !unitBefore(v, u) })
+		if b < len(p.blocks) && p.blocks[b].units[k] == u {
+			pos = append(pos, p.starts[b]+k)
 		}
 	}
 	sort.Ints(pos)
@@ -337,42 +457,46 @@ const certifyEvery = 32
 // many placements it made, the one that found no broker included: ahead of
 // stream[i], i positions less the ci cuts passed, plus the j added units.
 func (p *pool) replay(c change) (packs bool, placed int) {
-	pk, stream := p.pk, p.stream
-	n := len(stream) - len(c.cut) + len(c.compiled)
+	pk := p.pk
+	n := p.size() - len(c.cut) + len(c.compiled)
 	slack := 1 + float64(float64(n+len(pk.limit)+2)*0x1p-51)
 	free := p.rateFree(c.filters, slack)
 	var done totals // plain sums over the units placed, for minus
 	ci, j := 0, 0
-	for i := range stream {
-		if i%certifyEvery == 0 {
-			// The widest unit to come is the next added one or stream[i],
-			// cut or not.
-			head := stream[i].load.Bandwidth
-			if j < len(c.compiled) {
-				head = max(head, c.compiled[j].load.Bandwidth)
+	for b := range p.blocks {
+		base, stream := p.starts[b], p.blocks[b].stream
+		for k := range stream {
+			i, pu := base+k, &stream[k]
+			if i%certifyEvery == 0 {
+				// The widest unit to come is the next added one or this
+				// one, cut or not.
+				head := pu.load.Bandwidth
+				if j < len(c.compiled) {
+					head = max(head, c.compiled[j].load.Bandwidth)
+				}
+				if placed := i - ci + j; p.certify(free, slack, pk.opened, head, c.minus(done, placed)) {
+					return true, placed
+				}
 			}
-			if placed := i - ci + j; p.certify(free, slack, pk.opened, head, c.minus(done, placed)) {
-				return true, placed
+			for ; j < len(c.at) && c.at[j] == i; j++ {
+				done.add(&c.compiled[j])
+				if pk.place(&c.compiled[j]) < 0 {
+					return false, i - ci + j + 1
+				}
 			}
-		}
-		for ; j < len(c.at) && c.at[j] == i; j++ {
-			done.add(&c.compiled[j])
-			if pk.place(&c.compiled[j]) < 0 {
+			if ci < len(c.cut) && c.cut[ci] == i {
+				ci++
+				continue
+			}
+			done.add(pu)
+			if pk.place(pu) < 0 {
 				return false, i - ci + j + 1
 			}
-		}
-		if ci < len(c.cut) && c.cut[ci] == i {
-			ci++
-			continue
-		}
-		done.add(&stream[i])
-		if pk.place(&stream[i]) < 0 {
-			return false, i - ci + j + 1
 		}
 	}
 	for ; j < len(c.compiled); j++ {
 		if pk.place(&c.compiled[j]) < 0 {
-			return false, len(stream) - ci + j + 1
+			return false, p.size() - ci + j + 1
 		}
 	}
 	return true, n

@@ -13,27 +13,39 @@ import (
 	"github.com/greenps/greenps/internal/message"
 )
 
-// checkPoolInvariants asserts what pool.commit must preserve: units strictly
-// in BIN PACKING order and stream[i] the compiled form of units[i], its lone
-// mark included. It ends by replaying the pool onto its scratch pack: the
-// pack must be empty where the run's last probe left it, the admission
-// columns must mirror the broker states after every placement, and place
-// must land each unit where the linear scan over fits lands it on a pack of
-// its own.
+// checkPoolInvariants asserts what pool.commit must preserve: every block
+// holds 1 to blockSize units and as many compiled ones, starts counts them,
+// the units read block by block are strictly in BIN PACKING order across
+// block boundaries too, and each compiled unit is the unit beside it
+// compiled, its lone mark included. It ends by replaying the pool onto its
+// scratch pack: the pack must be empty where the run's last probe left it,
+// the admission columns must mirror the broker states after every placement,
+// and place must land each unit where the linear scan over fits lands it on
+// a pack of its own.
 func checkPoolInvariants(t *testing.T, p *pool) {
 	t.Helper()
-	if len(p.stream) != len(p.units) {
-		t.Fatalf("%d compiled units for %d units", len(p.stream), len(p.units))
+	if len(p.starts) != len(p.blocks)+1 || p.starts[0] != 0 {
+		t.Fatalf("%d block offsets starting at %v for %d blocks", len(p.starts), p.starts[:min(1, len(p.starts))], len(p.blocks))
 	}
-	for i, u := range p.units {
-		if i > 0 && !unitBefore(p.units[i-1], u) {
-			t.Fatalf("units %d (%s) and %d (%s) are out of BIN PACKING order", i-1, p.units[i-1].ID, i, u.ID)
+	var prev *Unit
+	for b, bl := range p.blocks {
+		if n := len(bl.units); n == 0 || n > blockSize || len(bl.stream) != n {
+			t.Fatalf("block %d holds %d units and %d compiled units, want 1 to %d of each", b, n, len(bl.stream), blockSize)
 		}
-		got, want := &p.stream[i], compileUnit(u, p.table)
-		want.lone = !(want.in.Rate <= p.worst.MaxRate(int(want.filters)))
-		if !sameLoad(got.load, want.load) || !sameLoad(got.in, want.in) || got.filters != want.filters ||
-			got.lone != want.lone || !reflect.DeepEqual(got.entries, want.entries) {
-			t.Fatalf("stream[%d] is not unit %s compiled", i, u.ID)
+		if p.starts[b+1] != p.starts[b]+len(bl.units) {
+			t.Fatalf("block %d starts at %d and holds %d units, block %d starts at %d", b, p.starts[b], len(bl.units), b+1, p.starts[b+1])
+		}
+		for k, u := range bl.units {
+			if prev != nil && !unitBefore(prev, u) {
+				t.Fatalf("units %s and %s (block %d, offset %d) are out of BIN PACKING order", prev.ID, u.ID, b, k)
+			}
+			prev = u
+			got, want := &bl.stream[k], compileUnit(u, p.table)
+			want.lone = !(want.in.Rate <= p.worst.MaxRate(int(want.filters)))
+			if !sameLoad(got.load, want.load) || !sameLoad(got.in, want.in) || got.filters != want.filters ||
+				got.lone != want.lone || !reflect.DeepEqual(got.entries, want.entries) {
+				t.Fatalf("block %d, offset %d is not unit %s compiled", b, k, u.ID)
+			}
 		}
 	}
 
@@ -46,14 +58,25 @@ func checkPoolInvariants(t *testing.T, p *pool) {
 		brokers[b] = p.pk.states[b].spec
 	}
 	linear := newPack(brokers, p.table)
-	for i := range p.stream {
-		got, want := p.pk.place(&p.stream[i]), placeLinear(linear, &p.stream[i])
-		if got != want {
-			t.Fatalf("stream[%d] (unit %s): place chose broker %d, the linear scan over fits %d", i, p.units[i].ID, got, want)
+	for _, bl := range p.blocks {
+		for k := range bl.stream {
+			got, want := p.pk.place(&bl.stream[k]), placeLinear(linear, &bl.stream[k])
+			if got != want {
+				t.Fatalf("unit %s: place chose broker %d, the linear scan over fits %d", bl.units[k].ID, got, want)
+			}
+			checkColumns(t, p.pk, fmt.Sprintf("unit %s placed on %d", bl.units[k].ID, got))
 		}
-		checkColumns(t, p.pk, fmt.Sprintf("stream[%d] placed on %d", i, got))
 	}
 	p.pk.clear() // a probe expects the pack empty
+}
+
+// poolUnits returns the pool's units in order, block by block.
+func poolUnits(p *pool) []*Unit {
+	var out []*Unit
+	for _, bl := range p.blocks {
+		out = append(out, bl.units...)
+	}
+	return out
 }
 
 // checkLiveInvariants asserts what gifFor, dropGIF and the shard set must
@@ -138,11 +161,13 @@ func TestPoolInvariantsAfterEveryCommit(t *testing.T) {
 	}
 }
 
-// TestPoolCommitSplice checks pool.commit's one-pass splice against cutting
-// the removed units and sorting the rest with the added ones, on random pools
-// with 1–5 removed units anywhere and 0–4 added units placed ahead of the
-// first cut, between cuts, after the last cut, at the front, at the end, and
-// on a bandwidth tie with a pool unit.
+// TestPoolCommitSplice checks pool.commit against cutting the removed units
+// and sorting the rest with the added ones: on random one-block pools with
+// 1–5 removed units anywhere and 0–4 added units placed ahead of the first
+// cut, between cuts, after the last cut, at the front, at the end, and on a
+// bandwidth tie with a pool unit; then on scripts of commits over pools of
+// three or four blocks (spliceScript), each kind of block edit made at least
+// once; and on an empty pool.
 func TestPoolCommitSplice(t *testing.T) {
 	base, pubs := testWorkload(7, 4, 12, 10, 100)
 	brokers := sortBrokersByCapacity(testBrokers(8, 18_000, stdDelay()))
@@ -160,7 +185,7 @@ func TestPoolCommitSplice(t *testing.T) {
 	var seen [nPlaces]int
 	for trial := 0; trial < 300; trial++ {
 		p := newPool(base[:20+rng.Intn(len(base)-20)], brokers, table)
-		units := p.units
+		units := poolUnits(p)
 		cut := rng.Perm(len(units))[:1+rng.Intn(5)]
 		slices.Sort(cut)
 		var removed, added []*Unit
@@ -213,7 +238,7 @@ func TestPoolCommitSplice(t *testing.T) {
 		if err := p.commit(p.stage(removed, added)); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if !slices.Equal(p.units, want) {
+		if !slices.Equal(poolUnits(p), want) {
 			t.Fatalf("trial %d: cut %v, %d added: the spliced pool is not the sorted modified pool", trial, cut, len(added))
 		}
 		checkPoolInvariants(t, p)
@@ -223,6 +248,200 @@ func TestPoolCommitSplice(t *testing.T) {
 			t.Errorf("no added unit was placed in case %d", place)
 		}
 	}
+
+	// Multi-block scripts: the hand-built ones first, then random ones.
+	var got spliceSeen
+	scripts := spliceSeeds()
+	for range 60 {
+		data := make([]byte, 40)
+		rng.Read(data)
+		scripts = append(scripts, data)
+	}
+	for _, data := range scripts {
+		got.add(spliceScript(t, data))
+	}
+	for kind, n := range got {
+		if n == 0 {
+			t.Errorf("no script made %v (counts %v)", spliceKind(kind), got)
+		}
+	}
+
+	// A pool with no block takes added units into a block of its own.
+	empty := newPool(nil, brokers, table)
+	if err := empty.commit(empty.stage(nil, base[:3])); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := poolUnits(empty), sortUnitsByBandwidthDesc(base[:3]); !slices.Equal(got, want) {
+		t.Fatalf("an empty pool committed to %d units, want %d", len(got), len(want))
+	}
+	checkPoolInvariants(t, empty)
+}
+
+// spliceKind is one thing a multi-block splice script is to make happen.
+type spliceKind int
+
+const (
+	edgeCut   spliceKind = iota // a unit cut at a block's first or last position
+	edgeAdd                     // a unit added next to a block's first unit
+	tieAcross                   // an added unit tied on bandwidth with the units on both sides of a block boundary
+	emptied                     // a block's units all cut, and the block dropped
+	split                       // a block grown past blockSize and split
+	nSpliceKinds
+)
+
+func (k spliceKind) String() string {
+	return [...]string{"a cut at a block edge", "an add at a block edge", "a tie across a block boundary",
+		"an emptied block", "a split block"}[k]
+}
+
+// spliceSeen counts the commits that made each spliceKind happen.
+type spliceSeen [nSpliceKinds]int
+
+func (s *spliceSeen) add(o spliceSeen) {
+	for k := range s {
+		s[k] += o[k]
+	}
+}
+
+// spliceScript decodes bytes into a pool of 2·blockSize+1 to 4·blockSize
+// units — three or four blocks — and a script of up to eight commits of one
+// to three edits each, and holds every commit to cutting the removed units
+// and sorting the rest with the added ones, then checks the pool's
+// invariants. Bandwidths take one of four values, so runs of ties span block
+// boundaries. An edit is one of:
+//
+//	0  cut the units on both sides of a block boundary;
+//	1  add a unit tied with a block's first unit, ahead of it or after it;
+//	2  cut every unit of a block;
+//	3  add 1 to blockSize units among one block's, which splits a full one;
+//	4  cut and add a unit anywhere.
+//
+// Missing bytes read as zero.
+//
+//	data[0..1]  the seed of the pool's bandwidths and profiles
+//	data[2]     the pool's size
+//	then        per commit: its edit count, then per edit its kind, a block
+//	            and one argument
+func spliceScript(t *testing.T, data []byte) (seen spliceSeen) {
+	t.Helper()
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	rng := rand.New(rand.NewSource(int64(next() | next()<<8)))
+	stock, pubs := testWorkload(7, 4, 12, 10, 100)
+	n := 2*blockSize + 1 + next()*(2*blockSize-1)/255
+	units := make([]*Unit, n)
+	for i := range units {
+		u := *stock[rng.Intn(len(stock))]
+		u.ID = fmt.Sprintf("u%04d:", i)
+		u.Load.Bandwidth = float64(100 * (1 + rng.Intn(4)))
+		units[i] = &u
+	}
+	p := newPool(units, sortBrokersByCapacity(testBrokers(8, 18_000, stdDelay())), newPublisherTable(pubs, units))
+	want := poolUnits(p)
+	added := 0
+	// beside returns a unit tied with u that sorts right ahead of it, or
+	// right after it: its ID with ':' made '.' or ';'.
+	beside := func(u *Unit, after bool) *Unit {
+		v := *u
+		v.ID = strings.Replace(u.ID, ":", ".", 1)
+		if after {
+			v.ID = strings.Replace(u.ID, ":", ";", 1)
+		}
+		v.ID += fmt.Sprint(added)
+		added++
+		return &v
+	}
+	for step := 0; step < 8 && len(p.blocks) > 1; step++ {
+		var removed, add []*Unit
+		cut := func(u *Unit) {
+			if !slices.Contains(removed, u) {
+				removed = append(removed, u)
+			}
+		}
+		var done spliceSeen
+		for e := 1 + next()%3; e > 0; e-- {
+			kind, b, arg := next()%5, next()%len(p.blocks), next()
+			bl := p.blocks[b]
+			switch kind {
+			case 0:
+				if b == 0 {
+					b++
+					bl = p.blocks[b]
+				}
+				cut(p.blocks[b-1].units[len(p.blocks[b-1].units)-1])
+				cut(bl.units[0])
+				done[edgeCut] = 1
+			case 1:
+				add = append(add, beside(bl.units[0], arg%2 == 1))
+				done[edgeAdd] = 1
+				if b > 0 {
+					last := p.blocks[b-1].units[len(p.blocks[b-1].units)-1]
+					if last.Load.Bandwidth == bl.units[0].Load.Bandwidth {
+						done[tieAcross] = 1
+					}
+				}
+			case 2:
+				for _, u := range bl.units {
+					cut(u)
+				}
+			case 3:
+				for i := 1 + arg*(blockSize-1)/255; i > 0; i-- {
+					add = append(add, beside(bl.units[rng.Intn(len(bl.units))], rng.Intn(2) == 1))
+				}
+			case 4:
+				all := poolUnits(p)
+				cut(all[rng.Intn(len(all))])
+				add = append(add, beside(all[rng.Intn(len(all))], arg%2 == 1))
+			}
+		}
+		before := len(p.blocks)
+		want = sortUnitsByBandwidthDesc(append(slices.DeleteFunc(want,
+			func(u *Unit) bool { return slices.Contains(removed, u) }), add...))
+		if err := p.commit(p.stage(removed, add)); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if got := poolUnits(p); !slices.Equal(got, want) {
+			t.Fatalf("step %d: %d cut, %d added: the spliced pool is not the sorted modified pool", step, len(removed), len(add))
+		}
+		checkPoolInvariants(t, p)
+		if len(p.blocks) > before {
+			done[split] = 1
+		}
+		if len(p.blocks) < before {
+			done[emptied] = 1
+		}
+		seen.add(done)
+	}
+	return seen
+}
+
+// spliceSeeds are scripts that each make one spliceKind happen on the first
+// commit: a cut at a block edge, an add after a block's first unit, a
+// 256-unit add into the second block, and the first block cut whole.
+func spliceSeeds() [][]byte {
+	return [][]byte{
+		{1, 0, 0, 0, 0, 1, 0},
+		{1, 0, 0, 0, 1, 1, 1},
+		{1, 0, 0, 0, 3, 1, 255},
+		{1, 0, 0, 0, 2, 0, 0},
+	}
+}
+
+// FuzzPoolSplice is TestPoolCommitSplice's multi-block scripts on inputs
+// the fuzzer chooses.
+func FuzzPoolSplice(f *testing.F) {
+	for _, data := range spliceSeeds() {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spliceScript(t, data)
+	})
 }
 
 // TestUnitsReusedAcrossPublisherTables allocates one []*Unit twice, under two
@@ -299,7 +518,7 @@ func TestCRAMPosetRefusalIsAnError(t *testing.T) {
 		if _, err := r.ps.Insert(taken, foreign, nil); err != nil {
 			t.Fatal(err)
 		}
-		_, err := r.cluster()
+		err := r.cluster()
 		if err == nil || !strings.Contains(err.Error(), "CRAM: poset insert for new GIF "+taken) {
 			t.Fatalf("cluster() = %v, want a poset insert error for %s", err, taken)
 		}
@@ -311,7 +530,7 @@ func TestCRAMPosetRefusalIsAnError(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		_, err := r.cluster()
+		err := r.cluster()
 		if err == nil || !strings.Contains(err.Error(), "CRAM: poset remove of GIF ") {
 			t.Fatalf("cluster() = %v, want a poset remove error", err)
 		}
@@ -507,7 +726,7 @@ func checkProbeMatchesCommit(t *testing.T, units, removed, added []*Unit, broker
 	p := newPool(units, brokers, newPublisherTable(pubs, append(slices.Clone(units), added...)))
 	ch := p.stage(removed, added)
 	got, placed := p.probe(ch)
-	switch n := len(p.stream) - len(ch.cut) + len(ch.compiled); {
+	switch n := p.size() - len(ch.cut) + len(ch.compiled); {
 	case placed == 0:
 		how = atHead
 	case got && placed < n:
@@ -518,9 +737,10 @@ func checkProbeMatchesCommit(t *testing.T, units, removed, added []*Unit, broker
 	if err := p.commit(ch); err != nil {
 		t.Fatal(err)
 	}
-	if want := feasibleFirstFit(p.units, brokers, pubs); got != want {
-		ids := make([]string, len(p.units))
-		for i, u := range p.units {
+	committed := poolUnits(p)
+	if want := feasibleFirstFit(committed, brokers, pubs); got != want {
+		ids := make([]string, len(committed))
+		for i, u := range committed {
 			ids[i] = u.ID
 		}
 		t.Fatalf("probe = %v (%v after %d placements), from-scratch first-fit of the committed pool %v = %v", got, how, placed, ids, want)

@@ -14,6 +14,7 @@ package allocation
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -53,13 +54,19 @@ type Member struct {
 type Unit struct {
 	// ID uniquely names the unit within one allocation run.
 	ID string
-	// Members lists the subscriptions (or child brokers) in the cluster.
+	// Members lists the subscriptions (or child brokers) in the cluster. A
+	// unit MergeUnits made holds nil here until an Assignment hosts it.
 	Members []Member
 	// Profile is the OR of the members' bit-vector profiles.
 	Profile *bitvector.Profile
 	// Load is the sum of the members' delivery loads: the publication
 	// rate and bandwidth its broker must send them.
 	Load bitvector.Load
+
+	// parts are the units MergeUnits merged into this one, in merge order,
+	// and size is their member count, until fill spells the members out.
+	parts []*Unit
+	size  int
 }
 
 // NewSubscriptionUnit wraps subscription subID into a unit.
@@ -73,24 +80,55 @@ func NewSubscriptionUnit(id, subID string, profile *bitvector.Profile, load bitv
 }
 
 // MergeUnits combines units into one cluster: members concatenate, profiles
-// OR together at the first unit's capacity, loads add.
+// OR together at the first unit's capacity, loads add. The merged unit keeps
+// its parts rather than a copy of their members — a unit grown by repeated
+// merges would copy all of them again at every merge — and its Members stay
+// nil until an Assignment hosts it: the allocation that places it fills them
+// once, in merge order. Filling writes the unit, so a merged unit is placed
+// by one allocation at a time.
 func MergeUnits(id string, units ...*Unit) *Unit {
 	capacity := 0
 	if len(units) > 0 {
 		capacity = units[0].Profile.Capacity()
 	}
-	out := &Unit{ID: id, Profile: bitvector.NewProfile(capacity)}
-	members := 0
+	out := &Unit{ID: id, Profile: bitvector.NewProfile(capacity), parts: slices.Clone(units)}
 	for _, u := range units {
-		members += len(u.Members)
-	}
-	out.Members = make([]Member, 0, members)
-	for _, u := range units {
-		out.Members = append(out.Members, u.Members...)
+		out.size += u.filters()
 		out.Profile.Or(u.Profile)
 		out.Load = out.Load.Add(u.Load)
 	}
 	return out
+}
+
+// filters returns the unit's member count: its routing-table entries.
+func (u *Unit) filters() int {
+	if u.parts != nil {
+		return u.size
+	}
+	return len(u.Members)
+}
+
+// fill spells out the members of a unit MergeUnits made, depth first
+// through its parts in merge order — the concatenation a merge that copied
+// would have built — and drops the parts. Any other unit it leaves as it is.
+func (u *Unit) fill() {
+	if u.parts == nil {
+		return
+	}
+	members := make([]Member, 0, u.size)
+	stack := []*Unit{u}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if v.parts == nil {
+			members = append(members, v.Members...)
+			continue
+		}
+		for i := len(v.parts) - 1; i >= 0; i-- {
+			stack = append(stack, v.parts[i])
+		}
+	}
+	u.Members, u.parts = members, nil
 }
 
 // Input is everything an allocation algorithm needs: the unit pool, the
@@ -156,7 +194,7 @@ func (in *Input) Validate() error {
 		if u.Profile == nil {
 			return fmt.Errorf("allocation: unit %q has nil profile", u.ID)
 		}
-		if len(u.Members) == 0 {
+		if u.filters() == 0 {
 			return fmt.Errorf("allocation: unit %q has no members", u.ID)
 		}
 		// Every kernel ANDs and ORs word by word: a vector of another
