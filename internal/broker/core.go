@@ -172,6 +172,8 @@ type Core struct {
 	// shares its group, so a publication is forwarded there at most once.
 	links map[string]int32
 	advs  map[string]advEntry
+	// advIndex holds the advertisements in advs that came over broker links.
+	advIndex advIndex
 	// neighbors holds the connected broker IDs, ascending.
 	neighbors []string
 	clients   map[string]bool
@@ -219,13 +221,14 @@ func New(cfg Config) (*Core, error) {
 		inst = noopInstruments
 	}
 	c := &Core{
-		cfg:     cfg,
-		engine:  matching.NewCountingEngine(),
-		links:   make(map[string]int32),
-		advs:    make(map[string]advEntry),
-		clients: make(map[string]bool),
-		cbc:     newCBC(cfg.ProfileCapacity, cfg.Clock),
-		inst:    inst,
+		cfg:      cfg,
+		engine:   matching.NewCountingEngine(),
+		links:    make(map[string]int32),
+		advs:     make(map[string]advEntry),
+		advIndex: advIndex{attrs: make(map[string]*advAttr)},
+		clients:  make(map[string]bool),
+		cbc:      newCBC(cfg.ProfileCapacity, cfg.Clock),
+		inst:     inst,
 	}
 	c.batchCb = func(i int, slot int32) {
 		// MatchRouted reports matches in nondecreasing publication order,
@@ -342,9 +345,13 @@ func (c *Core) handleAdvertisement(from Endpoint, adv *message.Advertisement, ou
 	if _, dup := c.advs[adv.ID]; dup {
 		return out // flood duplicate in a non-tree overlay; trees never hit this
 	}
-	c.advs[adv.ID] = advEntry{adv: adv, from: from}
-	if from.Kind == KindClient {
+	entry := advEntry{adv: adv, from: from}
+	c.advs[adv.ID] = entry
+	switch from.Kind {
+	case KindClient:
 		c.cbc.registerPublisher(adv)
+	case KindBroker:
+		c.advIndex.update(entry, true)
 	}
 	env := &message.Envelope{Kind: message.KindAdvertisement, Adv: adv}
 	for _, n := range c.neighbors {
@@ -393,8 +400,11 @@ func (c *Core) handleUnadvertisement(from Endpoint, advID string, out []Outgoing
 		return out
 	}
 	delete(c.advs, advID)
-	if entry.from.Kind == KindClient {
+	switch entry.from.Kind {
+	case KindClient:
 		c.cbc.unregisterPublisher(advID)
+	case KindBroker:
+		c.advIndex.update(entry, false)
 	}
 	env := &message.Envelope{Kind: message.KindUnadvertisement, UnadvID: advID}
 	for _, n := range c.neighbors {
@@ -407,7 +417,8 @@ func (c *Core) handleUnadvertisement(from Endpoint, advID string, out []Outgoing
 }
 
 // handleSubscription indexes the subscription and forwards it toward every
-// neighbor that is the last hop of an intersecting advertisement.
+// neighbor that is the last hop of an intersecting advertisement, testing
+// only the advertisements the index cannot rule out.
 func (c *Core) handleSubscription(from Endpoint, sub *message.Subscription, out []Outgoing) ([]Outgoing, error) {
 	if c.engine.Get(sub.ID) != nil {
 		return out, nil
@@ -425,8 +436,8 @@ func (c *Core) handleSubscription(from Endpoint, sub *message.Subscription, out 
 	}
 	c.routes[slot] = r
 	var ids []string
-	for _, entry := range c.advs {
-		if entry.from.Kind == KindBroker && entry.from != from && entry.adv.IntersectsSubscription(sub) {
+	for _, entry := range c.advIndex.candidates(sub) {
+		if entry.from != from && entry.adv.IntersectsSubscription(sub) {
 			ids = append(ids, entry.from.ID)
 		}
 	}

@@ -2,6 +2,7 @@ package broker
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -22,7 +23,7 @@ var (
 	routeOps       = []message.Op{message.OpEq, message.OpNeq, message.OpLt, message.OpGt,
 		message.OpPrefix, message.OpPresent, message.OpEq, message.OpEq}
 	routeValues = []message.Value{message.String("A"), message.String("B"), message.String("AB"),
-		message.Number(0), message.Number(1), message.Number(2), message.Bool(true)}
+		message.Number(0), message.Number(1), message.Number(2), message.Bool(true), message.Number(math.NaN())}
 	routeAdvs = []string{"ADV-0", "ADV-1", "ADV-2"}
 )
 
@@ -413,6 +414,58 @@ func FuzzRouteEquivalence(f *testing.F) {
 		routeSubscribe, 3, 0,
 		routeUnsubscribe, 0,
 		routeUnadvertise, 4, 0,
+	})
+	// The advertisement index may rule out only what
+	// message.PredicatesIntersect would: each seed below fails a router
+	// that takes any two differing equalities on one attribute, or an
+	// advertisement without the attribute, for a miss. Values: "A"=0,
+	// "B"=1, 1=4, true=6, NaN=7; attributes: class=0, symbol=1, low=2.
+	f.Add([]byte{2,
+		// A bool equality and a number equality: n1 states low=true, n2
+		// low=1, and s000 on low=1 goes to both.
+		routeAdvertise, 3, 0, 1, 2, 0, 6,
+		routeAdvertise, 4, 1, 1, 2, 0, 4,
+		routeSubscribe, 0, 1, 2, 0, 4,
+	})
+	f.Add([]byte{2,
+		// NaN: n1 states low=NaN, n2 low=1; s000 on low=1 and s001 on
+		// low=NaN each go to both.
+		routeAdvertise, 3, 0, 1, 2, 0, 7,
+		routeAdvertise, 4, 1, 1, 2, 0, 4,
+		routeSubscribe, 0, 1, 2, 0, 4,
+		routeSubscribe, 1, 1, 2, 0, 7,
+	})
+	f.Add([]byte{2,
+		// An advertisement without the attribute: n1 states symbol="A",
+		// n2 only class="A"; s000 on symbol="B" goes to n2 alone.
+		routeAdvertise, 3, 0, 1, 1, 0, 0,
+		routeAdvertise, 4, 1, 1, 0, 0, 0,
+		routeSubscribe, 0, 1, 1, 0, 1,
+	})
+	f.Add([]byte{2,
+		// Two equalities on one attribute: n1 states symbol="A" and "B",
+		// n2 symbol="A" twice, n3 no symbol. s000 on symbol="A" goes to n2
+		// and n3, s001 on symbol="B" to n3 alone; without ADV-1, s002 on
+		// symbol="B" still goes to n3 alone.
+		routeAdvertise, 3, 0, 2, 1, 0, 0, 1, 0, 1,
+		routeAdvertise, 4, 1, 2, 1, 0, 0, 1, 0, 0,
+		routeAdvertise, 5, 2, 1, 0, 0, 0,
+		routeSubscribe, 0, 1, 1, 0, 0,
+		routeSubscribe, 1, 1, 1, 0, 1,
+		routeUnadvertise, 4, 1,
+		routeSubscribe, 2, 1, 1, 0, 1,
+	})
+	f.Add([]byte{2,
+		// Unadvertise, then advertise again: n3 states symbol="A" as
+		// ADV-1 throughout; n1 states it as ADV-0, withdraws it, and n2
+		// advertises ADV-0 without a symbol. s000 on symbol="B", from
+		// before, is re-forwarded to n2; s001, after, goes to n2.
+		routeAdvertise, 5, 1, 1, 1, 0, 0,
+		routeAdvertise, 3, 0, 1, 1, 0, 0,
+		routeSubscribe, 0, 1, 1, 0, 1,
+		routeUnadvertise, 3, 0,
+		routeAdvertise, 4, 0, 1, 0, 0, 0,
+		routeSubscribe, 1, 1, 1, 0, 1,
 	})
 	f.Fuzz(runRouteScript)
 }

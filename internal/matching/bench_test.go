@@ -9,23 +9,33 @@ import (
 	"github.com/greenps/greenps/internal/message"
 )
 
-// benchTables are the routing tables the engine is timed and pinned on,
-// each with a publication that hits it.
-var benchTables = []struct {
+// benchTable is a named routing table and a publication that hits it.
+type benchTable struct {
 	name  string
 	build func(add func(id string, preds ...message.Predicate)) *message.Publication
-}{
+}
+
+// benchTables are the routing tables the engine is timed and pinned on,
+// each with a publication that hits it.
+var benchTables = []benchTable{
 	// The paper's table: every subscription names the class, one of 40
 	// symbols and, three in five, a bound on low.
 	{"paper8000", func(add func(string, ...message.Predicate)) *message.Publication {
 		rng := rand.New(rand.NewSource(1))
 		for i := 0; i < 8000; i++ {
-			preds := []message.Predicate{message.Pred("class", eq, message.String("STOCK")),
-				message.Pred("symbol", eq, message.String(fmt.Sprintf("SYM%02d", i%40)))}
-			if i%5 >= 2 {
-				preds = append(preds, message.Pred("low", message.OpLt, message.Number(rng.Float64()*100)))
+			add(fmt.Sprintf("s%d", i), paperPreds(rng, i%40, i)...)
+		}
+		return pub("SYM07", 50, 1000)
+	}},
+	// The same table in the order workload.Build emits it, grouped by
+	// symbol: each SYM00 subscription ties the class with its symbol when
+	// it is added, so only re-examination moves them off the class.
+	{"paper8000grouped", func(add func(string, ...message.Predicate)) *message.Publication {
+		rng := rand.New(rand.NewSource(1))
+		for s := 0; s < 40; s++ {
+			for i := 0; i < 200; i++ {
+				add(fmt.Sprintf("s-SYM%02d-%d", s, i), paperPreds(rng, s, i)...)
 			}
-			add(fmt.Sprintf("s%d", i), preds...)
 		}
 		return pub("SYM07", 50, 1000)
 	}},
@@ -61,6 +71,17 @@ var benchTables = []struct {
 		return message.NewPublication("ADV-T", 1, map[string]message.Value{
 			"symbol": message.String("SYM007"), "price": message.Number(7.5)})
 	}},
+}
+
+// paperPreds returns the predicates of the i-th subscription on a
+// symbol: the class, the symbol and, three in five, a bound on low.
+func paperPreds(rng *rand.Rand, symbol, i int) []message.Predicate {
+	preds := []message.Predicate{message.Pred("class", eq, message.String("STOCK")),
+		message.Pred("symbol", eq, message.String(fmt.Sprintf("SYM%02d", symbol)))}
+	if i%5 >= 2 {
+		preds = append(preds, message.Pred("low", message.OpLt, message.Number(rng.Float64()*100)))
+	}
+	return preds
 }
 
 // buildTable indexes one bench table and returns the engine's input too.

@@ -15,12 +15,17 @@ import (
 
 // CountingEngine is a candidate-and-verify matcher. Every subscription is
 // posted exactly once, under its access predicate: the keyed predicate
-// (see keyed) whose (attribute, value) the fewest live subscriptions
-// constrain — so the paper's [class,=,'STOCK'], which every subscription
-// carries, is not the access path of one that also names a symbol — or,
-// when it has none, its first predicate, in that attribute's others list.
+// (see bucket) whose (attribute, value) the fewest live subscriptions
+// constrained when it was added, the first of equals winning — or, when
+// it has none, its first predicate, in that attribute's others list.
 // Subscriptions with no predicates match every publication and live on
-// the universal list.
+// the universal list. A choice made early can go stale: while every
+// subscription so far names one symbol, each ties that symbol with the
+// paper's [class,=,'STOCK'], which every subscription carries, and is
+// posted under the class. So each time a class's popularity doubles since
+// it was last looked at, the engine re-examines the live subscriptions
+// posted in it and moves each to its least popular keyed class when that
+// is now strictly less popular.
 //
 // A publication is spread once by attribute index into engine-owned
 // scratch, walking whichever is shorter, the engine's interned names or
@@ -31,9 +36,10 @@ import (
 // and it is emitted when all hold. Match cost scales with the
 // candidates — the subscriptions sharing the publication's rarest
 // constrained value — not with the routing table, and a table ranging
-// over an attribute the publication lacks costs nothing. A bucket is keyed by canonical value,
-// on which key equality is Value.Equal, so a bucket hit decides the access
-// equality and only the other predicates are compiled for verification.
+// over an attribute the publication lacks costs nothing. A string class is
+// keyed by its string and a number class by its float64, on which key
+// equality is Value.Equal, so a bucket hit decides the access equality and
+// only the other predicates are compiled for verification.
 //
 // Each subscription occupies a slot, a dense index that stays its own
 // until it is removed; a slot is reused only after Compact has purged
@@ -81,6 +87,8 @@ type centry struct {
 	// verification; nil when the bucket hit decides them all.
 	preds []cpred
 	group int32
+	// at indexes the access equality in sub.Predicates, -1 when it has none.
+	at int32
 }
 
 // cpred is one predicate with its attribute interned.
@@ -92,8 +100,12 @@ type cpred struct {
 // posting holds the subscriptions posted under one attribute and, while
 // seen equals the engine's epoch, the current publication's value for it.
 type posting struct {
-	// eq buckets subscriptions by the canonical value of their access equality.
-	eq map[message.Value]*bucket
+	// str, num, yes and no are the equality classes on the attribute's
+	// string, number, true and false values; num has no NaN key, and its
+	// float64 keys make +0 and -0 one class.
+	str     map[string]*bucket
+	num     map[float64]*bucket
+	yes, no *bucket
 	// others holds the subscriptions without a keyed predicate whose first
 	// predicate is on this attribute.
 	others []int32
@@ -106,49 +118,68 @@ type bucket struct {
 	// pop counts the equality predicates live subscriptions have on this
 	// value, posted here or not: the popularity Add minimizes.
 	pop int32
-	ids []int32
+	// looked is pop when the live postings in ids were last re-examined.
+	looked int32
+	ids    []int32
 }
+
+// reexamineFloor is the popularity below which a class is never
+// re-examined: a small class costs little to probe whatever it holds.
+// Above it a class is re-examined each time its popularity doubles, so the
+// work is amortized over the adds that made it grow.
+const reexamineFloor = 8
 
 // NewCountingEngine returns an empty engine.
 func NewCountingEngine() *CountingEngine {
 	return &CountingEngine{byID: make(map[string]int32), attrs: make(map[string]int32), closed: make([]uint64, 1)}
 }
 
-// canonicalValue normalizes a value so that struct equality on the
-// result coincides with Value.Equal for valid kinds. Invalid kinds map
-// to the (invalid) zero Value, which never collides with a valid key.
-func canonicalValue(v message.Value) message.Value {
-	switch v.Kind {
-	case message.KindString:
-		return message.String(v.Str)
-	case message.KindNumber:
-		return message.Number(v.Num)
-	case message.KindBool:
-		return message.Bool(v.B)
-	}
-	return message.Value{}
-}
-
 // Len returns the number of live subscriptions.
 func (e *CountingEngine) Len() int { return len(e.byID) }
 
-// keyed reports whether p has an equality class: it is an equality on a
-// value that equals itself, which no invalid kind and no NaN does.
-func keyed(p message.Predicate) bool { return p.Op == message.OpEq && p.Value.Equal(p.Value) }
-
 // bucket returns the equality class of a keyed predicate on attribute a,
-// creating it when asked, and nil for any other predicate.
+// creating it when asked, and nil for any other predicate. A predicate is
+// keyed when it is an equality on a value that equals itself, which no
+// invalid kind and no NaN does.
 func (e *CountingEngine) bucket(a int32, p message.Predicate, create bool) *bucket {
-	if !keyed(p) {
+	if p.Op != message.OpEq {
 		return nil
 	}
-	post, k := &e.postings[a], canonicalValue(p.Value)
-	b := post.eq[k]
-	if b == nil && create {
-		b = &bucket{}
-		post.eq[k] = b
+	return e.postings[a].class(&p.Value, create)
+}
+
+// class returns the equality class of v, creating it when asked, and nil
+// for NaN and invalid kinds, which equal nothing.
+func (post *posting) class(v *message.Value, create bool) *bucket {
+	switch v.Kind {
+	case message.KindString:
+		b := post.str[v.Str]
+		if b == nil && create {
+			b = &bucket{}
+			post.str[v.Str] = b
+		}
+		return b
+	case message.KindNumber:
+		if v.Num != v.Num {
+			return nil
+		}
+		b := post.num[v.Num]
+		if b == nil && create {
+			b = &bucket{}
+			post.num[v.Num] = b
+		}
+		return b
+	case message.KindBool:
+		b := &post.no
+		if v.B {
+			b = &post.yes
+		}
+		if *b == nil && create {
+			*b = &bucket{}
+		}
+		return *b
 	}
-	return b
+	return nil
 }
 
 // Add indexes a subscription in route group 0. Adding an ID that is
@@ -186,28 +217,33 @@ func (e *CountingEngine) AddInGroup(sub *message.Subscription, group int32) (int
 }
 
 // index chooses the access predicate of the subscription in slot, counts
-// its popularity, compiles the rest of its predicates and posts it.
+// its popularity, compiles the rest of its predicates and posts it. A
+// class whose popularity this doubles since its last look is re-examined
+// before the subscription is posted.
 func (e *CountingEngine) index(slot int32) {
 	ent := &e.entries[slot]
 	// access is the least popular equality class so far and least its
 	// popularity without this subscription; ties keep the first predicate.
 	var access *bucket
 	var least int32
-	at := -1
+	ent.at = -1
 	for i, p := range ent.sub.Predicates {
 		a, ok := e.attrs[p.Attr]
 		if !ok { // first sight: grow the postings and the match scratch
 			a = int32(len(e.postings))
 			e.attrs[p.Attr] = a
 			e.names = append(e.names, p.Attr)
-			e.postings = append(e.postings, posting{eq: make(map[message.Value]*bucket)})
+			e.postings = append(e.postings, posting{str: make(map[string]*bucket), num: make(map[float64]*bucket)})
 			e.carried = append(e.carried, 0)
 		}
 		if b := e.bucket(a, p, true); b != nil {
 			if access == nil || b.pop < least {
-				access, least, at = b, b.pop, i
+				access, least, ent.at = b, b.pop, int32(i)
 			}
 			b.pop++
+			if b.pop >= reexamineFloor && b.pop >= 2*b.looked {
+				e.reexamine(b)
+			}
 		}
 	}
 	verify := len(ent.sub.Predicates)
@@ -216,11 +252,7 @@ func (e *CountingEngine) index(slot int32) {
 	}
 	if verify > 0 {
 		ent.preds = make([]cpred, 0, verify)
-		for i, p := range ent.sub.Predicates {
-			if i != at {
-				ent.preds = append(ent.preds, cpred{attr: e.attrs[p.Attr], pred: p})
-			}
-		}
+		e.compile(ent)
 	}
 	switch {
 	case len(ent.sub.Predicates) == 0:
@@ -231,6 +263,52 @@ func (e *CountingEngine) index(slot int32) {
 	default:
 		access.ids = append(access.ids, slot)
 	}
+}
+
+// compile writes the predicates of ent but its access equality into
+// ent.preds, in order, with their attributes interned. It reuses the
+// slice, which holds all of them.
+func (e *CountingEngine) compile(ent *centry) {
+	ent.preds = ent.preds[:0]
+	for i, p := range ent.sub.Predicates {
+		if i != int(ent.at) {
+			ent.preds = append(ent.preds, cpred{attr: e.attrs[p.Attr], pred: p})
+		}
+	}
+}
+
+// reexamine moves every live subscription posted in b to its least
+// popular keyed class, the first of equals winning, when that is strictly
+// less popular than b, and recompiles its predicates in place. The slots
+// that stay, tombstones among them until Compact, keep their order.
+func (e *CountingEngine) reexamine(b *bucket) {
+	b.looked = b.pop
+	kept := b.ids[:0]
+	for _, slot := range b.ids {
+		ent := &e.entries[slot]
+		if ent.sub == nil {
+			kept = append(kept, slot)
+			continue
+		}
+		// ent.preds holds the predicates in order but the one at ent.at.
+		to, at := b, ent.at
+		for k := range ent.preds {
+			if c := e.bucket(ent.preds[k].attr, ent.preds[k].pred, false); c != nil && c.pop < to.pop {
+				to, at = c, int32(k)
+				if at >= ent.at {
+					at++
+				}
+			}
+		}
+		if to == b {
+			kept = append(kept, slot)
+			continue
+		}
+		ent.at = at
+		e.compile(ent)
+		to.ids = append(to.ids, slot)
+	}
+	b.ids = kept
 }
 
 // autoCompactMinTombstones is the floor below which Remove never
@@ -318,7 +396,7 @@ func (e *CountingEngine) matchOne(pub *message.Publication, pubIdx int, arrival 
 	n := e.spread(pub)
 	for _, a := range e.carried[:n] {
 		post := &e.postings[a]
-		if b := post.eq[canonicalValue(post.val)]; b != nil {
+		if b := post.class(&post.val, false); b != nil {
 			e.probe(b.ids, pubIdx, fn)
 		}
 		e.probe(post.others, pubIdx, fn)

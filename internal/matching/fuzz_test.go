@@ -112,7 +112,7 @@ func TestPopularityFollowsRemove(t *testing.T) {
 	}
 	mustAdd(t, e, "new", class, symA)
 	mustAdd(t, e, "tie", date, message.Pred("symbol", eq, message.String("Z")))
-	bucketOf := func(p message.Predicate) *bucket { return e.postings[e.attrs[p.Attr]].eq[canonicalValue(p.Value)] }
+	bucketOf := func(p message.Predicate) *bucket { return e.bucket(e.attrs[p.Attr], p, false) }
 	if ids := bucketOf(symA).ids; !slices.Contains(ids, e.byID["new"]) || bucketOf(symA).pop != 1 {
 		t.Fatalf("symbol='A' holds %v at popularity %d: want entry %d, the one live subscription on it", ids, bucketOf(symA).pop, e.byID["new"])
 	}
@@ -120,6 +120,42 @@ func TestPopularityFollowsRemove(t *testing.T) {
 		t.Fatalf("date bucket holds %v: want entry %d, posted under the first of its two unseen values", ids, e.byID["tie"])
 	}
 }
+
+// TestReexamineLeavesClass holds re-examination to its purpose on the
+// table workload.Build emits: the SYM00 subscriptions, posted under
+// class='STOCK' while their symbol was as popular, leave it once the class
+// outgrows the symbol, so that no live subscription is posted there after
+// the table is built, nor after Compact rebuilds it.
+func TestReexamineLeavesClass(t *testing.T) {
+	e, _, _ := buildTable(t, slices.IndexFunc(benchTables, func(b benchTable) bool { return b.name == "paper8000grouped" }))
+	class := message.Pred("class", eq, message.String("STOCK"))
+	for _, when := range []string{"built", "compacted"} {
+		b := e.bucket(e.attrs[class.Attr], class, false)
+		for _, slot := range b.ids {
+			if sub := e.entries[slot].sub; sub != nil {
+				t.Fatalf("%s: %s is posted under class='STOCK' at popularity %d", when, sub, b.pop)
+			}
+		}
+		e.Compact()
+	}
+}
+
+// reexamineScript crosses the re-examination floor. The first [class=A,
+// symbol=A] subscriptions tie and are posted under the class, one with
+// its class predicate second and one stating symbol=A twice, and one of
+// them is removed. The eighth class predicate re-examines the class: the
+// four live ones move to symbol=A, the tombstone stays, and a publication
+// on symbol=A without the class must then verify the class predicate
+// each of them carries afresh.
+var reexamineScript = slices.Concat(
+	sAdd(sPred(aClass, eq, vA), sPred(aSymbol, eq, vA)), sAdd(sPred(aClass, eq, vA), sPred(aLow, gt, vZero), sPred(aSymbol, eq, vA)),
+	sAdd(sPred(aClass, eq, vA), sPred(aSymbol, eq, vA), sPred(aSymbol, eq, vA)), sAdd(sPred(aLow, gt, vZero), sPred(aClass, eq, vA), sPred(aSymbol, eq, vA)),
+	sAdd(sPred(aClass, eq, vA), sPred(aSymbol, eq, vA)), sAdd(sPred(aClass, eq, vA), sPred(aDate, eq, vA), sPred(aSymbol, eq, vA)),
+	sPublish(sAttr(aClass, vA), sAttr(aSymbol, vA), sAttr(aLow, vOne), sAttr(aDate, vA)), sRemove(0),
+	sAdd(sPred(aClass, eq, vA), sPred(aSymbol, eq, vB)), sAdd(sPred(aSymbol, eq, vB), sPred(aClass, eq, vA)),
+	sPublish(sAttr(aClass, vA), sAttr(aSymbol, vB)), sPublish(sAttr(aSymbol, vA), sAttr(aLow, vOne)),
+	sAdd(sPred(aClass, eq, vA), sPred(aSymbol, eq, vA), sPred(aLow, gt, vZero)), []byte{opCompact},
+	sPublish(sAttr(aClass, vA), sAttr(aSymbol, vA), sAttr(aLow, vOne)))
 
 // FuzzMatchEquivalence decodes its input as a script — a table, the churn
 // on it and the publications matched against it — and holds the engine to
@@ -129,6 +165,7 @@ func FuzzMatchEquivalence(f *testing.F) {
 	for _, c := range accessCases {
 		f.Add(slices.Concat(c.script...))
 	}
+	f.Add(reexamineScript)
 	f.Fuzz(func(t *testing.T, script []byte) {
 		for _, grouped := range []bool{false, true} {
 			h := newHarness(t)

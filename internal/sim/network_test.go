@@ -207,10 +207,19 @@ func TestPublicationHopSteadyStateAllocs(t *testing.T) {
 // starts from, on a paper-shaped scenario: the plan_paper8k generator at
 // 20 brokers, 10 publishers and 40 subscriptions per publisher, profiled
 // for 200 rounds. It reports the publication hops it ran.
-func BenchmarkPrepare(b *testing.B) {
+func BenchmarkPrepare(b *testing.B) { benchPrepare(b, "prepare", 20, 10, 40) }
+
+// BenchmarkPrepare8k is the set-up the benchmark's plan_paper8k times as
+// setup_s: 80 brokers, 40 publishers with 200 subscriptions each, seed 1,
+// profiled for 200 rounds.
+func BenchmarkPrepare8k(b *testing.B) { benchPrepare(b, "plan_paper8k", 80, 40, 200) }
+
+// benchPrepare times sim.Prepare for 200 rounds on the named paper-shaped
+// scenario and reports the publication hops it ran.
+func benchPrepare(b *testing.B, name string, brokers, publishers, subsPerPublisher int) {
 	o := workload.Defaults()
-	o.Brokers, o.Publishers, o.SubsPerPublisher = 20, 10, 40
-	sc, err := workload.Build("prepare", o)
+	o.Brokers, o.Publishers, o.SubsPerPublisher = brokers, publishers, subsPerPublisher
+	sc, err := workload.Build(name, o)
 	if err != nil {
 		b.Fatal(err)
 	}
