@@ -2,6 +2,7 @@ package allocation
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
@@ -405,5 +406,52 @@ func BenchmarkExhaustiveBookkeeping(b *testing.B) {
 		if err := r.pool.commit(r.pool.stage([]*Unit{merged}, parts)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkGIFCloseness times the pairwise walks of CRAM's partner searches
+// over the GIF profiles of the 8k paper workload: IOS closeness and its
+// summary upper bound, on the run's profiles, bound to its publisher table,
+// and on unbound clones of them. One op is one pair, drawn from a fixed
+// list of 4,096.
+func BenchmarkGIFCloseness(b *testing.B) {
+	r, err := (&CRAM{Metric: bitvector.MetricIOS, ExhaustiveSearch: true}).start(benchInput8k(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer r.spill.close()
+	bound := make([]*bitvector.Profile, len(r.live))
+	for i, g := range r.live {
+		bound[i] = g.profile
+	}
+	unbound := make([]*bitvector.Profile, len(bound))
+	for i, p := range bound {
+		unbound[i] = p.Clone()
+	}
+	rng := rand.New(rand.NewSource(1))
+	pairs := make([][2]int, 4096)
+	for i := range pairs {
+		pairs[i] = [2]int{rng.Intn(len(bound)), rng.Intn(len(bound))}
+	}
+	for _, arm := range []struct {
+		name     string
+		profiles []*bitvector.Profile
+	}{{"bound", bound}, {"unbound", unbound}} {
+		summaries := make([]*bitvector.Summary, len(arm.profiles))
+		for i, p := range arm.profiles {
+			summaries[i] = bitvector.Summarize(p)
+		}
+		b.Run("IOS/"+arm.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				pr := pairs[i%len(pairs)]
+				bitvector.Closeness(bitvector.MetricIOS, arm.profiles[pr[0]], arm.profiles[pr[1]])
+			}
+		})
+		b.Run("upper_bound/"+arm.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				pr := pairs[i%len(pairs)]
+				bitvector.ClosenessUpperBound(bitvector.MetricIOS, summaries[pr[0]], summaries[pr[1]])
+			}
+		})
 	}
 }

@@ -232,6 +232,22 @@ func (h *candHeap) Pop() any {
 	return x
 }
 
+// push and pop are heap.Push and heap.Pop without boxing a candidate in an
+// any per call: the same swaps in the same order, so the same pop sequence.
+func (h *candHeap) push(c candidate) {
+	*h = append(*h, c)
+	heap.Fix(h, len(*h)-1)
+}
+
+func (h *candHeap) pop() candidate {
+	old := *h
+	n := len(old) - 1
+	old.Swap(0, n)
+	*h = old[:n]
+	heap.Fix(h, 0)
+	return old[n]
+}
+
 // cramRun holds the mutable state of one Allocate call.
 type cramRun struct {
 	c       *CRAM
@@ -381,7 +397,9 @@ func (r *cramRun) gifFor(u *Unit) (g *gif, created bool) {
 		return g, false
 	}
 	r.nextGIF++
-	prof := u.Profile.Clone()
+	// The GIF's profile is bound to the run's table: a copy that shares the
+	// founder's vectors, or a merged unit's own profile, already bound.
+	prof := r.pool.table.Bind(u.Profile)
 	g = &gif{id: fmt.Sprintf("g%d", r.nextGIF), key: key, profile: prof, summary: bitvector.Summarize(prof)}
 	r.byKey[key] = g
 	return g, true
@@ -406,6 +424,12 @@ func (c *CRAM) start(in *Input) (*cramRun, error) {
 		ps:         poset.New(),
 	}
 
+	// Ingest the pool: the run's publisher table, built before anything
+	// compares profiles, and every input unit compiled against it up front.
+	// The table lives exactly as long as this call.
+	r.brokers = sortBrokersByCapacity(in.Brokers)
+	r.pool = newPool(in.Units, r.brokers, newPublisherTable(in.Publishers, in.Units))
+
 	// Group units into GIFs (Optimization 1).
 	for _, u := range in.Units {
 		if u.Profile.Empty() {
@@ -423,11 +447,6 @@ func (c *CRAM) start(in *Input) (*cramRun, error) {
 		g.sortUnits()
 	}
 	c.stats.InitialGIFs = len(r.live)
-
-	// Ingest the pool: every input unit compiled against the run's publisher
-	// table up front. The table lives exactly as long as this call.
-	r.brokers = sortBrokersByCapacity(in.Brokers)
-	r.pool = newPool(in.Units, r.brokers, newPublisherTable(in.Publishers, in.Units))
 
 	// Initial allocation test without clustering (the algorithm terminates
 	// immediately if the raw pool does not fit).
@@ -488,7 +507,7 @@ func (c *CRAM) start(in *Input) (*cramRun, error) {
 				return nil, fmt.Errorf("CRAM: candidate spill: %w", err)
 			}
 		} else {
-			heap.Push(&r.heap, s.best)
+			r.heap.push(s.best)
 		}
 	}
 	if r.spill != nil {
@@ -582,7 +601,7 @@ func (r *cramRun) nextCand() (candidate, bool, error) {
 		}
 	}
 	if r.heap.Len() > 0 {
-		return heap.Pop(&r.heap).(candidate), true, nil
+		return r.heap.pop(), true, nil
 	}
 	return candidate{}, false, nil
 }
@@ -598,7 +617,7 @@ func (r *cramRun) pushBest(g *gif) {
 	s := r.bestPartner(g, &r.scan)
 	r.c.stats.addSearch(s)
 	if s.best.closeness > 0 {
-		heap.Push(&r.heap, s.best)
+		r.heap.push(s.best)
 	}
 }
 
@@ -902,6 +921,9 @@ func (r *cramRun) mergeLargest(lo, hi int, takes []take, home *gif) bool {
 			parts = append(parts, t.g.units[:t.n]...)
 		}
 		m := MergeUnits(id, parts...)
+		// The OR is unbound whenever an input unit is among the parts; the
+		// run owns m, so a bound copy takes its place.
+		m.Profile = r.pool.table.Bind(m.Profile)
 		ch := r.pool.stage(parts, []*Unit{m})
 		if !r.probe(ch) {
 			return false

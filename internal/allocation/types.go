@@ -80,12 +80,13 @@ func NewSubscriptionUnit(id, subID string, profile *bitvector.Profile, load bitv
 }
 
 // MergeUnits combines units into one cluster: members concatenate, profiles
-// OR together at the first unit's capacity, loads add. The merged unit keeps
-// its parts rather than a copy of their members — a unit grown by repeated
-// merges would copy all of them again at every merge — and its Members stay
-// nil until an Assignment hosts it: the allocation that places it fills them
-// once, in merge order. Filling writes the unit, so a merged unit is placed
-// by one allocation at a time.
+// OR together at the first unit's capacity (bound to the parts' publisher
+// table when every part's is bound to it, see Profile.Or), loads add. The
+// merged unit keeps its parts rather than a copy of their members — a unit
+// grown by repeated merges would copy all of them again at every merge — and
+// its Members stay nil until an Assignment hosts it: the allocation that
+// places it fills them once, in merge order. Filling writes the unit, so a
+// merged unit is placed by one allocation at a time.
 func MergeUnits(id string, units ...*Unit) *Unit {
 	capacity := 0
 	if len(units) > 0 {

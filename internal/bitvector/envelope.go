@@ -29,7 +29,10 @@ type Envelope struct {
 	merge []pubSummary // double-buffer for the Absorb merge walk
 	total int          // min over member totals
 	n     int          // members absorbed since Reset
-	out   Summary      // materialized view handed to ClosenessUpperBound
+	// table is the one table every member's summary is keyed by, nil when
+	// they are not all bound to one; pubs carry its ranks.
+	table *PublisherTable
+	out   Summary // materialized view handed to ClosenessUpperBound
 }
 
 // Reset empties the envelope, keeping its buffers for the next build.
@@ -37,27 +40,34 @@ func (e *Envelope) Reset() {
 	e.pubs = e.pubs[:0]
 	e.total = 0
 	e.n = 0
+	e.table = nil
 }
 
 // Absorb folds one member summary into the envelope: a merge walk over
 // the two sorted publisher lists taking max counts and union windows,
-// plus the running min of totals. O(|e.pubs| + |s.pubs|).
+// plus the running min of totals. O(|e.pubs| + |s.pubs|). The walk is keyed
+// by rank while every member absorbed is bound to one table.
 func (e *Envelope) Absorb(s *Summary) {
 	if e.n == 0 {
 		e.total = s.total
+		e.table = s.table
 	} else if s.total < e.total {
 		e.total = s.total
 	}
 	e.n++
+	ranked := byRank(e.table, s.table)
+	if !ranked {
+		e.table = nil
+	}
 	dst := e.merge[:0]
 	i, j := 0, 0
 	for i < len(e.pubs) && j < len(s.pubs) {
 		pe, ps := &e.pubs[i], &s.pubs[j]
-		switch {
-		case pe.advID < ps.advID:
+		switch c := cmpKey(pe.rank, ps.rank, pe.advID, ps.advID, ranked); {
+		case c < 0:
 			dst = append(dst, *pe)
 			i++
-		case pe.advID > ps.advID:
+		case c > 0:
 			dst = append(dst, *ps)
 			j++
 		default:
@@ -87,6 +97,7 @@ func (e *Envelope) Absorb(s *Summary) {
 func (e *Envelope) Bound() *Summary {
 	e.out.pubs = e.pubs
 	e.out.total = e.total
+	e.out.table = e.table
 	return &e.out
 }
 

@@ -91,14 +91,23 @@ func (m Metric) String() string {
 // Profile is a subscription profile: one windowed bit vector per publisher
 // the subscription received publications from, keyed by advertisement ID.
 //
+// A profile may be bound to a PublisherTable (PublisherTable.Bind): each
+// entry then also carries its publisher's rank in the table, and the
+// pairwise walks between two profiles bound to one table compare ranks
+// instead of advertisement IDs. Ranks are sorted-ID indices, so both keys
+// order the entries alike and every walk meets them in the same order.
+//
 // Concurrency: a Profile is not synchronized. Any number of goroutines may
 // call the read-only functions concurrently on the same profiles
 // (Closeness, Relate, IntersectCount, DiffCount, XorProfileCount,
 // EstimateLoad, IntersectLoad, Count, Empty, Vector, FingerprintKey,
-// Clone, Snapshot) as long as no goroutine is
+// Clone, Snapshot, PublisherTable.Bind) as long as no goroutine is
 // mutating them; the mutators (Record, Sync, Or) require exclusive access.
-// The parallel CRAM paths rely on this: profiles are frozen while the
-// allocation algorithms run.
+// A bound copy shares its vectors with the profile it was bound from, so a
+// write to either's vectors is a write to both, and it caches its total,
+// which a write through Vector leaves stale. The parallel CRAM paths rely on
+// this: profiles are frozen while the allocation algorithms run, and a run
+// binds copies, never the caller's profiles.
 type Profile struct {
 	capacity int
 	// entries holds one vector per publisher in ascending advertisement ID,
@@ -106,12 +115,37 @@ type Profile struct {
 	// EstimateLoad/IntersectLoad is order-sensitive, so load estimates are
 	// bit-for-bit reproducible between runs only because the order is fixed.
 	entries []entry
+	// table is the table the entries' ranks index, nil for an unbound
+	// profile, whose ranks mean nothing.
+	table *PublisherTable
+	// total is Count's answer for a bound profile.
+	total int
 }
 
 // entry is one publisher's vector in a Profile.
 type entry struct {
 	advID string
 	vec   *Vector
+	rank  int32 // the publisher's index in the profile's table, if bound
+}
+
+// byRank reports whether a walk over a and b may compare ranks: both are
+// bound to one table.
+func byRank(a, b *PublisherTable) bool { return a != nil && a == b }
+
+// cmpKey orders two publishers met by a walk over two profiles or two
+// summaries, given as rank and advertisement ID: by rank when byRank held for
+// the two, by ID otherwise. It is the key compare of every pairwise walk.
+func cmpKey(rankA, rankB int32, idA, idB string, ranked bool) int {
+	switch {
+	case ranked:
+		return int(rankA) - int(rankB)
+	case idA == idB:
+		return 0
+	case idA < idB:
+		return -1
+	}
+	return 1
 }
 
 // NewProfile returns an empty profile whose vectors will have the given
@@ -132,18 +166,22 @@ func (p *Profile) search(advID string) (int, bool) {
 }
 
 // Record marks that the publication (advID, seq) was sunk by this
-// subscription, creating the per-publisher vector on first use.
+// subscription, creating the per-publisher vector on first use. A bound
+// profile comes out of it unbound.
 func (p *Profile) Record(advID string, seq int) {
+	p.table = nil
 	i, ok := p.search(advID)
 	if !ok {
-		p.entries = slices.Insert(p.entries, i, entry{advID, New(p.capacity)})
+		p.entries = slices.Insert(p.entries, i, entry{advID: advID, vec: New(p.capacity)})
 	}
 	p.entries[i].vec.Set(seq)
 }
 
 // Sync advances every per-publisher window to the publisher's last sent
-// message ID so that unmatched publications count against the window.
+// message ID so that unmatched publications count against the window. A
+// bound profile comes out of it unbound.
 func (p *Profile) Sync(stats map[string]*PublisherStats) {
+	p.table = nil
 	for _, e := range p.entries {
 		if st, ok := stats[e.advID]; ok {
 			e.vec.Observe(st.LastSeq)
@@ -162,38 +200,63 @@ func (p *Profile) Vector(advID string) *Vector {
 // Capacity returns the capacity of the profile's vectors.
 func (p *Profile) Capacity() int { return p.capacity }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy, unbound: it owns its vectors, which its
+// holder may write.
 func (p *Profile) Clone() *Profile {
 	cp := &Profile{capacity: p.capacity, entries: make([]entry, len(p.entries))}
 	for i, e := range p.entries {
-		cp.entries[i] = entry{e.advID, e.vec.Clone()}
+		cp.entries[i] = entry{advID: e.advID, vec: e.vec.Clone()}
 	}
 	return cp
 }
 
 // Or merges another profile into p (the OR bit operation of Figure 1,
 // used when clustering subscriptions and when aggregating a broker's hosted
-// subscriptions into a pseudo-subscription in Phase 3).
+// subscriptions into a pseudo-subscription in Phase 3). p's vectors are
+// written, so p must own them: a bound copy, which shares its source's,
+// never takes an Or. p stays bound when o is bound to p's table; an empty p
+// takes o's binding, so an OR of profiles bound to one table, started from
+// NewProfile, is bound to it. Otherwise p comes out unbound.
 func (p *Profile) Or(o *Profile) {
+	if len(p.entries) == 0 {
+		p.table = o.table
+	}
+	ranked := byRank(p.table, o.table)
 	i := 0
-	for _, oe := range o.entries {
-		for i < len(p.entries) && p.entries[i].advID < oe.advID {
+	for k := range o.entries {
+		oe := &o.entries[k]
+		c := -1
+		for i < len(p.entries) {
+			if c = cmpKey(p.entries[i].rank, oe.rank, p.entries[i].advID, oe.advID, ranked); c >= 0 {
+				break
+			}
 			i++
 		}
-		if i == len(p.entries) || p.entries[i].advID != oe.advID {
-			p.entries = slices.Insert(p.entries, i, entry{oe.advID, New(p.capacity)})
+		if c != 0 {
+			p.entries = slices.Insert(p.entries, i, entry{advID: oe.advID, vec: New(p.capacity), rank: oe.rank})
 		}
 		p.entries[i].vec.Or(oe.vec)
 		i++
 	}
+	if !ranked {
+		p.table = nil
+		return
+	}
+	p.total = 0
+	for _, e := range p.entries {
+		p.total += e.vec.count
+	}
 }
 
-// Count returns the total number of set bits across all publishers. Each
-// per-vector popcount is an O(1) cached load, so the sum is O(publishers)
-// regardless of capacity. The per-vector caches — not a profile-level total
-// — are authoritative because callers legitimately mutate individual
+// Count returns the total number of set bits across all publishers: a bound
+// profile's cached total, or the sum of the per-vector popcounts, each an
+// O(1) cached load, so O(publishers) regardless of capacity. An unbound
+// profile keeps no total because callers legitimately mutate individual
 // vectors in place via p.Vector(adv).Observe(...)/Set(...).
 func (p *Profile) Count() int {
+	if p.table != nil {
+		return p.total
+	}
 	n := 0
 	for _, e := range p.entries {
 		n += e.vec.count
@@ -213,21 +276,24 @@ func (p *Profile) Empty() bool {
 }
 
 // IntersectCount returns |a ∩ b| summed across publishers: one AndCount per
-// common publisher, met in a merge walk over the two sorted lists. It is the
+// common publisher, met in a merge walk over the two sorted lists, keyed by
+// rank when both profiles are bound to one table. It is the
 // only pairwise profile walk that counts bits; a profile is a set of
 // (publisher, message ID) pairs of cardinality Count(), so the union,
 // difference and symmetric-difference cardinalities below, Closeness and
 // Relate are all arithmetic on it.
 func IntersectCount(a, b *Profile) int {
+	ranked := byRank(a.table, b.table)
 	n := 0
 	i, j := 0, 0
 	for i < len(a.entries) && j < len(b.entries) {
-		switch ea, eb := &a.entries[i], &b.entries[j]; {
-		case ea.advID == eb.advID:
+		ea, eb := &a.entries[i], &b.entries[j]
+		switch c := cmpKey(ea.rank, eb.rank, ea.advID, eb.advID, ranked); {
+		case c == 0:
 			n += AndCount(ea.vec, eb.vec)
 			i++
 			j++
-		case ea.advID < eb.advID:
+		case c < 0:
 			i++
 		default:
 			j++

@@ -16,8 +16,8 @@ import (
 // map lookup per publisher. A table is immutable once built and safe for
 // concurrent use.
 type PublisherTable struct {
-	ids   []string
-	stats []*PublisherStats // nil where the publisher has no statistics entry
+	index map[string]int32  // each advertisement ID's rank: its sorted index
+	stats []*PublisherStats // by rank; nil where the publisher has no statistics entry
 	// capacity is the first indexed profile's, DefaultCapacity without one.
 	capacity int
 }
@@ -44,15 +44,12 @@ func NewPublisherTable(stats map[string]*PublisherStats, profiles []*Profile) *P
 	}
 	sort.Strings(ids)
 	// Publishers a profile saw but no statistics describe are rare (the
-	// workloads report every publisher), so membership is a search of the
-	// sorted statistics keys and the extras are merged in once at the end.
+	// workloads report every publisher), so the extras are merged in once
+	// at the end.
 	known := len(ids)
 	for _, p := range profiles {
 		for _, e := range p.entries {
-			if i := sort.SearchStrings(ids[:known], e.advID); i < known && ids[i] == e.advID {
-				continue
-			}
-			if !slices.Contains(ids[known:], e.advID) {
+			if _, ok := stats[e.advID]; !ok && !slices.Contains(ids[known:], e.advID) {
 				ids = append(ids, e.advID)
 			}
 		}
@@ -60,18 +57,19 @@ func NewPublisherTable(stats map[string]*PublisherStats, profiles []*Profile) *P
 	if len(ids) > known {
 		sort.Strings(ids)
 	}
-	t := &PublisherTable{ids: ids, stats: make([]*PublisherStats, len(ids)), capacity: DefaultCapacity}
+	t := &PublisherTable{index: make(map[string]int32, len(ids)), stats: make([]*PublisherStats, len(ids)), capacity: DefaultCapacity}
 	if len(profiles) > 0 {
 		t.capacity = profiles[0].capacity
 	}
 	for i, id := range ids {
+		t.index[id] = int32(i)
 		t.stats[i] = stats[id]
 	}
 	return t
 }
 
 // Len returns the number of indexed publishers.
-func (t *PublisherTable) Len() int { return len(t.ids) }
+func (t *PublisherTable) Len() int { return len(t.stats) }
 
 // Capacity returns the vector capacity of the run the table indexes: the
 // one place an allocation run reads it.
@@ -81,20 +79,47 @@ func (t *PublisherTable) Capacity() int { return t.capacity }
 // has none. The slice is shared and must not be modified.
 func (t *PublisherTable) Stats() []*PublisherStats { return t.stats }
 
+// Bind returns a copy of p bound to the table: its entries carry their
+// publishers' ranks, it shares p's vectors — no word is copied — and it
+// caches its total (see Profile). Walks between profiles bound to one table
+// compare ranks instead of advertisement IDs, and Compile reads the ranks
+// instead of looking them up. A profile already bound to the table is
+// returned as it is. Bind panics on a publisher the table was not built
+// over, which only a caller bug can produce.
+func (t *PublisherTable) Bind(p *Profile) *Profile {
+	if p.table == t {
+		return p
+	}
+	b := &Profile{capacity: p.capacity, entries: make([]entry, len(p.entries)), table: t}
+	for i, e := range p.entries {
+		b.entries[i] = entry{advID: e.advID, vec: e.vec, rank: t.rank(e.advID)}
+		b.total += e.vec.count
+	}
+	return b
+}
+
+// rank returns the index of advID in the table. It panics on an ID the
+// table does not hold.
+func (t *PublisherTable) rank(advID string) int32 {
+	r, ok := t.index[advID]
+	if !ok {
+		panic(fmt.Sprintf("bitvector: publisher %q is not in the table", advID))
+	}
+	return r
+}
+
 // Compile lists the profile's vectors by table index, ascending, as views
-// that share the profile's bit storage. It panics on a publisher the table
-// was not built over, which only a caller bug can produce.
+// that share the profile's bit storage: a profile bound to the table gives
+// its ranks, any other is looked up. It panics on a publisher the table was
+// not built over, which only a caller bug can produce.
 func (t *PublisherTable) Compile(p *Profile) []PubVector {
 	out := make([]PubVector, len(p.entries))
-	at := 0
 	for i, e := range p.entries {
-		// Both ID lists are sorted, so the search resumes where the
-		// previous ID was found.
-		at += sort.SearchStrings(t.ids[at:], e.advID)
-		if at == len(t.ids) || t.ids[at] != e.advID {
-			panic(fmt.Sprintf("bitvector: publisher %q is not in the table", e.advID))
+		r := e.rank
+		if p.table != t {
+			r = t.rank(e.advID)
 		}
-		out[i] = PubVector{Pub: int32(at), V: *e.vec}
+		out[i] = PubVector{Pub: r, V: *e.vec}
 	}
 	return out
 }

@@ -7,10 +7,11 @@ package bitvector
 // summaries into an admissible bound — never below the true closeness —
 // in a merge walk over the sorted publisher lists, with no per-bit work.
 
-// pubSummary condenses one per-publisher vector: its advertisement ID,
-// cached popcount, and window bounds.
+// pubSummary condenses one per-publisher vector: its advertisement ID and
+// rank (see Profile), cached popcount, and window bounds.
 type pubSummary struct {
 	advID       string
+	rank        int32
 	count       int
 	first, last int
 }
@@ -28,18 +29,22 @@ type Summary struct {
 	pubs []pubSummary
 	// total is the profile's total set-bit count (Profile.Count).
 	total int
+	// table is the summarized profile's table, whose ranks pubs carry; nil
+	// when it was unbound.
+	table *PublisherTable
 }
 
 // Summarize captures a profile's summary. O(publishers): every count is a
-// cached popcount load.
+// cached popcount load. The summary of a bound profile is keyed by its
+// ranks, as the profile is.
 func Summarize(p *Profile) *Summary {
-	s := &Summary{pubs: make([]pubSummary, 0, len(p.entries))}
+	s := &Summary{pubs: make([]pubSummary, 0, len(p.entries)), table: p.table}
 	for _, e := range p.entries {
 		v := e.vec
 		if v.count == 0 {
 			continue
 		}
-		s.pubs = append(s.pubs, pubSummary{advID: e.advID, count: v.count, first: v.firstID, last: v.lastID})
+		s.pubs = append(s.pubs, pubSummary{advID: e.advID, rank: e.rank, count: v.count, first: v.firstID, last: v.lastID})
 		s.total += v.count
 	}
 	return s
@@ -48,16 +53,18 @@ func Summarize(p *Profile) *Summary {
 // intersectUpperBound returns an admissible upper bound on
 // IntersectCount(a, b) for the summarized profiles: per common publisher,
 // the intersection can set at most min(countA, countB) bits and at most
-// one bit per position of the window overlap.
+// one bit per position of the window overlap. The walk is keyed by rank when
+// both summaries are of profiles bound to one table.
 func intersectUpperBound(a, b *Summary) int {
+	ranked := byRank(a.table, b.table)
 	ub := 0
 	i, j := 0, 0
 	for i < len(a.pubs) && j < len(b.pubs) {
 		pa, pb := &a.pubs[i], &b.pubs[j]
-		switch {
-		case pa.advID < pb.advID:
+		switch c := cmpKey(pa.rank, pb.rank, pa.advID, pb.advID, ranked); {
+		case c < 0:
 			i++
-		case pa.advID > pb.advID:
+		case c > 0:
 			j++
 		default:
 			m := min(pa.count, pb.count)

@@ -109,6 +109,11 @@ type posting struct {
 	// others holds the subscriptions without a keyed predicate whose first
 	// predicate is on this attribute.
 	others []int32
+	// posted is the number of slots posted in the classes, tombstones
+	// included: the sum of their len(ids). matchOne skips the class lookup
+	// when it is 0, as it is for class='STOCK' once re-examination has
+	// moved every subscription out.
+	posted int
 	val    message.Value
 	seen   uint64
 }
@@ -225,7 +230,7 @@ func (e *CountingEngine) index(slot int32) {
 	// access is the least popular equality class so far and least its
 	// popularity without this subscription; ties keep the first predicate.
 	var access *bucket
-	var least int32
+	var least, accessAttr int32
 	ent.at = -1
 	for i, p := range ent.sub.Predicates {
 		a, ok := e.attrs[p.Attr]
@@ -238,11 +243,11 @@ func (e *CountingEngine) index(slot int32) {
 		}
 		if b := e.bucket(a, p, true); b != nil {
 			if access == nil || b.pop < least {
-				access, least, ent.at = b, b.pop, int32(i)
+				access, least, ent.at, accessAttr = b, b.pop, int32(i), a
 			}
 			b.pop++
 			if b.pop >= reexamineFloor && b.pop >= 2*b.looked {
-				e.reexamine(b)
+				e.reexamine(a, b)
 			}
 		}
 	}
@@ -262,6 +267,7 @@ func (e *CountingEngine) index(slot int32) {
 		post.others = append(post.others, slot)
 	default:
 		access.ids = append(access.ids, slot)
+		e.postings[accessAttr].posted++
 	}
 }
 
@@ -277,11 +283,12 @@ func (e *CountingEngine) compile(ent *centry) {
 	}
 }
 
-// reexamine moves every live subscription posted in b to its least
-// popular keyed class, the first of equals winning, when that is strictly
-// less popular than b, and recompiles its predicates in place. The slots
-// that stay, tombstones among them until Compact, keep their order.
-func (e *CountingEngine) reexamine(b *bucket) {
+// reexamine moves every live subscription posted in b, a class on
+// attribute a, to its least popular keyed class, the first of equals
+// winning, when that is strictly less popular than b, and recompiles its
+// predicates in place. The slots that stay, tombstones among them until
+// Compact, keep their order.
+func (e *CountingEngine) reexamine(a int32, b *bucket) {
 	b.looked = b.pop
 	kept := b.ids[:0]
 	for _, slot := range b.ids {
@@ -291,10 +298,10 @@ func (e *CountingEngine) reexamine(b *bucket) {
 			continue
 		}
 		// ent.preds holds the predicates in order but the one at ent.at.
-		to, at := b, ent.at
+		to, toAttr, at := b, a, ent.at
 		for k := range ent.preds {
 			if c := e.bucket(ent.preds[k].attr, ent.preds[k].pred, false); c != nil && c.pop < to.pop {
-				to, at = c, int32(k)
+				to, toAttr, at = c, ent.preds[k].attr, int32(k)
 				if at >= ent.at {
 					at++
 				}
@@ -307,6 +314,8 @@ func (e *CountingEngine) reexamine(b *bucket) {
 		ent.at = at
 		e.compile(ent)
 		to.ids = append(to.ids, slot)
+		e.postings[a].posted--
+		e.postings[toAttr].posted++
 	}
 	b.ids = kept
 }
@@ -396,8 +405,10 @@ func (e *CountingEngine) matchOne(pub *message.Publication, pubIdx int, arrival 
 	n := e.spread(pub)
 	for _, a := range e.carried[:n] {
 		post := &e.postings[a]
-		if b := post.class(&post.val, false); b != nil {
-			e.probe(b.ids, pubIdx, fn)
+		if post.posted > 0 {
+			if b := post.class(&post.val, false); b != nil {
+				e.probe(b.ids, pubIdx, fn)
+			}
 		}
 		e.probe(post.others, pubIdx, fn)
 	}

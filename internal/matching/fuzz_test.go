@@ -140,6 +140,54 @@ func TestReexamineLeavesClass(t *testing.T) {
 	}
 }
 
+// checkPosted holds every posting's posted count to the slots its classes
+// hold, tombstones included.
+func checkPosted(t *testing.T, e *CountingEngine, when string) {
+	t.Helper()
+	for a := range e.postings {
+		post := &e.postings[a]
+		n := 0
+		for _, b := range post.str {
+			n += len(b.ids)
+		}
+		for _, b := range post.num {
+			n += len(b.ids)
+		}
+		for _, b := range []*bucket{post.yes, post.no} {
+			if b != nil {
+				n += len(b.ids)
+			}
+		}
+		if post.posted != n {
+			t.Fatalf("%s: attribute %q counts %d posted slots, its classes hold %d", when, e.names[a], post.posted, n)
+		}
+	}
+}
+
+// TestPostedCounts holds the posted count matchOne skips class lookups on
+// to the classes it counts: on the grouped table, where re-examination
+// leaves the class attribute with nothing posted, built and compacted; and
+// after the churn scripts, which post, move, tombstone and compact.
+func TestPostedCounts(t *testing.T) {
+	e, _, _ := buildTable(t, slices.IndexFunc(benchTables, func(b benchTable) bool { return b.name == "paper8000grouped" }))
+	for _, when := range []string{"built", "compacted"} {
+		checkPosted(t, e, when)
+		if n := e.postings[e.attrs["class"]].posted; n != 0 {
+			t.Fatalf("%s: the class attribute counts %d posted slots, want 0", when, n)
+		}
+		e.Compact()
+	}
+	scripts := [][]byte{reexamineScript}
+	for _, c := range accessCases {
+		scripts = append(scripts, slices.Concat(c.script...))
+	}
+	for i, script := range scripts {
+		h := newHarness(t)
+		h.run(script)
+		checkPosted(t, h.e, fmt.Sprintf("script %d", i))
+	}
+}
+
 // reexamineScript crosses the re-examination floor. The first [class=A,
 // symbol=A] subscriptions tie and are posted under the class, one with
 // its class predicate second and one stating symbol=A twice, and one of
