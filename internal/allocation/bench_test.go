@@ -261,7 +261,7 @@ func BenchmarkCRAMParallelism(b *testing.B) {
 // question the certificate can cost it.
 func BenchmarkFeasProbe(b *testing.B) {
 	in := benchInput(b)
-	p := newPool(in.Units, in.Brokers[:24], newPublisherTable(in.Publishers, in.Units))
+	p := poolOf(in.Units, in.Brokers[:24], newPublisherTable(in.Publishers, in.Units))
 	ch := p.stage(nil, nil)
 	if packs, placed := p.probe(ch); !packs || placed != p.size() || p.lone != 0 {
 		b.Fatalf("probe = %v after %d of %d placements, %d lone units: the pool must pack, with no lone unit, and the whole stream replay",
@@ -294,7 +294,7 @@ func BenchmarkPoolCommit(b *testing.B) {
 				u.ID = fmt.Sprintf("u%06d", i)
 				units[i] = &u
 			}
-			p := newPool(units, testBrokers(20, 1e9, message.MatchingDelayFn{}), table)
+			p := poolOf(units, testBrokers(20, 1e9, message.MatchingDelayFn{}), table)
 			parts := slices.Clone(poolUnits(p)[n/2 : n/2+8])
 			merged := []*Unit{MergeUnits("merged", parts...)}
 			b.ReportAllocs()
@@ -341,7 +341,7 @@ func BenchmarkProbeReplay(b *testing.B) {
 	// Bandwidth-bound brokers at 2.2x the even share, as in the E13 scale
 	// workload.
 	brokers := testBrokers(20, 2.2*totalBW/20, message.MatchingDelayFn{PerSub: 1e-9, Base: 1e-6})
-	p := newPool(units, brokers, newPublisherTable(pubs, units))
+	p := poolOf(units, brokers, newPublisherTable(pubs, units))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -385,13 +385,13 @@ func BenchmarkExhaustiveBookkeeping(b *testing.B) {
 	if len(gifs) < 1600 || r.shards == nil {
 		b.Fatalf("%d GIFs, sharded %v: want a sharded run over at least 1,600", len(gifs), r.shards != nil)
 	}
-	founder := MergeUnits("bench-founder", gifs[0].units[0], gifs[len(gifs)-1].units[0])
-	key := founder.Profile.FingerprintKey()
+	founder := r.merge("bench-founder", []take{{gifs[0], 1}, {gifs[len(gifs)-1], 1}})
+	key := founder.prof.FingerprintKey()
 	if r.byKey[key] != nil {
 		b.Fatal("the founder's profile already has a GIF")
 	}
-	parts := gifs[len(gifs)/2].units[:8]
-	merged := MergeUnits("bench-merged", parts...)
+	merged := r.merge("bench-merged", []take{{gifs[len(gifs)/2], 8}})
+	parts := merged.parts
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.heap = r.heap[:0]
@@ -400,10 +400,10 @@ func BenchmarkExhaustiveBookkeeping(b *testing.B) {
 		g := r.byKey[key]
 		g.units = g.units[:0]
 		r.dropGIF(g)
-		if err := r.pool.commit(r.pool.stage(parts, []*Unit{merged})); err != nil {
+		if err := r.pool.commit(r.pool.stage(parts, []*Unit{merged.Unit})); err != nil {
 			b.Fatal(err)
 		}
-		if err := r.pool.commit(r.pool.stage([]*Unit{merged}, parts)); err != nil {
+		if err := r.pool.commit(r.pool.stage([]*Unit{merged.Unit}, parts)); err != nil {
 			b.Fatal(err)
 		}
 	}

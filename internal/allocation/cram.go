@@ -169,7 +169,7 @@ type gif struct {
 	summary *bitvector.Summary
 	// units are the group's clusters, kept sorted ascending by output
 	// bandwidth so the lightest unit is units[0].
-	units []*Unit
+	units []gifUnit
 	node  *poset.Node
 	shard int // the GIF's shard in cramRun.shards, set by shardSet.add
 	// blPartners and blSelf are the run's one record of rejected pairings:
@@ -180,9 +180,16 @@ type gif struct {
 	dropped    bool // set by dropGIF; a dropped GIF never comes back
 }
 
+// gifUnit is one of a GIF's units with its profile bound to the run's table:
+// the pool's copy for an input unit, a merged unit's own otherwise.
+type gifUnit struct {
+	*Unit
+	prof *bitvector.Profile
+}
+
 // unitOrder is the order of a GIF's units: bandwidth ascending, then ID, a
 // strict total order since unit IDs are unique.
-func unitOrder(a, b *Unit) int {
+func unitOrder(a, b gifUnit) int {
 	if c := cmp.Compare(a.Load.Bandwidth, b.Load.Bandwidth); c != 0 {
 		return c
 	}
@@ -193,7 +200,7 @@ func (g *gif) sortUnits() { slices.SortFunc(g.units, unitOrder) }
 
 // insertUnit places u at its position in the unit order: a binary search
 // plus one shift, byte-identical to sortUnits on the appended slice.
-func (g *gif) insertUnit(u *Unit) {
+func (g *gif) insertUnit(u gifUnit) {
 	i, _ := slices.BinarySearchFunc(g.units, u, unitOrder)
 	g.units = slices.Insert(g.units, i, u)
 }
@@ -386,21 +393,18 @@ func (c *CRAM) run(in *Input) (*cramRun, *Assignment, error) {
 
 // gifFor returns the GIF the unit belongs to (Optimization 1: one per
 // profile fingerprint; one per unit with grouping disabled), registering a
-// new, empty one in byKey when there is none yet. The caller files a new GIF
-// in live.
-func (r *cramRun) gifFor(u *Unit) (g *gif, created bool) {
+// new, empty one in byKey when there is none yet, whose profile is its
+// founder's bound one. The caller files a new GIF in live.
+func (r *cramRun) gifFor(u gifUnit) (g *gif, created bool) {
 	key := "unit:" + u.ID
 	if !r.c.DisableGIFGrouping {
-		key = u.Profile.FingerprintKey()
+		key = u.prof.FingerprintKey()
 	}
 	if g = r.byKey[key]; g != nil {
 		return g, false
 	}
 	r.nextGIF++
-	// The GIF's profile is bound to the run's table: a copy that shares the
-	// founder's vectors, or a merged unit's own profile, already bound.
-	prof := r.pool.table.Bind(u.Profile)
-	g = &gif{id: fmt.Sprintf("g%d", r.nextGIF), key: key, profile: prof, summary: bitvector.Summarize(prof)}
+	g = &gif{id: fmt.Sprintf("g%d", r.nextGIF), key: key, profile: u.prof, summary: bitvector.Summarize(u.prof)}
 	r.byKey[key] = g
 	return g, true
 }
@@ -428,18 +432,20 @@ func (c *CRAM) start(in *Input) (*cramRun, error) {
 	// compares profiles, and every input unit compiled against it up front.
 	// The table lives exactly as long as this call.
 	r.brokers = sortBrokersByCapacity(in.Brokers)
-	r.pool = newPool(in.Units, r.brokers, newPublisherTable(in.Publishers, in.Units))
+	var bound []*bitvector.Profile
+	r.pool, bound = newPool(in.Units, r.brokers, newPublisherTable(in.Publishers, in.Units))
 
-	// Group units into GIFs (Optimization 1).
-	for _, u := range in.Units {
+	// Group units into GIFs (Optimization 1), each with its pool profile.
+	for i, u := range in.Units {
 		if u.Profile.Empty() {
 			continue // packed with the pool but never clustered
 		}
-		g, created := r.gifFor(u)
+		gu := gifUnit{u, bound[i]}
+		g, created := r.gifFor(gu)
 		if created {
 			r.live = append(r.live, g)
 		}
-		g.units = append(g.units, u)
+		g.units = append(g.units, gu)
 	}
 	// GIF IDs sort as strings ("g10" < "g2"), not in creation order.
 	slices.SortFunc(r.live, func(a, b *gif) int { return strings.Compare(a.id, b.id) })
@@ -913,22 +919,15 @@ func (r *cramRun) mergeLargest(lo, hi int, takes []take, home *gif) bool {
 	id := fmt.Sprintf("cram-u%d", r.nextUnit+1)
 	last := &takes[len(takes)-1]
 	var staged change
-	var merged *Unit
+	var m gifUnit
 	k := searchMax(lo, hi, func(k int) bool {
 		last.n = k
-		var parts []*Unit
-		for _, t := range takes {
-			parts = append(parts, t.g.units[:t.n]...)
-		}
-		m := MergeUnits(id, parts...)
-		// The OR is unbound whenever an input unit is among the parts; the
-		// run owns m, so a bound copy takes its place.
-		m.Profile = r.pool.table.Bind(m.Profile)
-		ch := r.pool.stage(parts, []*Unit{m})
+		u := r.merge(id, takes)
+		ch := r.pool.stage(u.parts, []*Unit{u.Unit})
 		if !r.probe(ch) {
 			return false
 		}
-		staged, merged = ch, m
+		staged, m = ch, u
 		return true
 	})
 	if k == 0 {
@@ -940,8 +939,20 @@ func (r *cramRun) mergeLargest(lo, hi int, takes []take, home *gif) bool {
 	}
 	r.nextUnit++
 	last.n = k
-	r.move(takes, merged, home)
+	r.move(takes, m, home)
 	return true
+}
+
+// merge merges the takes' units, in take order, as MergeUnits does but ORing
+// their bound profiles: the merged profile is born bound, compiled as it is.
+func (r *cramRun) merge(id string, takes []take) gifUnit {
+	m := &Unit{ID: id, Profile: bitvector.NewProfile(r.pool.table.Capacity())}
+	for _, t := range takes {
+		for _, u := range t.g.units[:t.n] {
+			m.add(u.Unit, u.prof)
+		}
+	}
+	return gifUnit{m, m.Profile}
 }
 
 // move takes each take's units out of its GIF, which is dropped when emptied
@@ -950,7 +961,7 @@ func (r *cramRun) mergeLargest(lo, hi int, takes []take, home *gif) bool {
 // node when new — which then re-searches. home is re-searched only once it
 // holds u. A poset that refuses the new node (its ID is taken, which no run
 // of this code leads to) fails the run through err.
-func (r *cramRun) move(takes []take, u *Unit, home *gif) {
+func (r *cramRun) move(takes []take, u gifUnit, home *gif) {
 	for _, t := range takes {
 		t.g.units = slices.Delete(t.g.units, 0, t.n)
 		if t.g == home {

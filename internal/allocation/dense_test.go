@@ -208,7 +208,7 @@ func checkDenseAgainstReference(t *testing.T, mode uint8, units []*Unit, brokers
 				t.Fatalf("unit %d broker %d: dense state in=%+v out=%+v f=%d, reference in=%+v out=%+v f=%d",
 					ui, b, bs.inLoad, bs.outLoad, bs.filters, ref[b].inLoad, ref[b].outLoad, ref[b].filters)
 			}
-			wantAgg, held := table.Compile(ref[b].agg), 0
+			wantAgg, held := table.Bind(ref[b].agg).Pubs(), 0
 			for _, v := range bs.agg {
 				if v != nil {
 					held++
@@ -218,14 +218,15 @@ func checkDenseAgainstReference(t *testing.T, mode uint8, units []*Unit, brokers
 				t.Fatalf("unit %d broker %d: dense aggregate holds %d publishers, the Profile.Or reference %d",
 					ui, b, held, len(wantAgg))
 			}
-			for _, w := range wantAgg {
-				got := bs.agg[w.Pub]
-				if got == nil || !reflect.DeepEqual(got.Snapshot(), w.V.Snapshot()) {
+			for k := range wantAgg {
+				r, w := wantAgg.Pub(k)
+				got := bs.agg[r]
+				if got == nil || !reflect.DeepEqual(got.Snapshot(), w.Snapshot()) {
 					t.Fatalf("unit %d broker %d publisher %d: dense aggregate %+v, Profile.Or reference %+v",
-						ui, b, w.Pub, got, w.V.Snapshot())
+						ui, b, r, got, w.Snapshot())
 				}
-				if g, want := got.Count(), w.V.Count(); g != want {
-					t.Fatalf("unit %d broker %d publisher %d: cached count %d, reference %d", ui, b, w.Pub, g, want)
+				if g, want := got.Count(), w.Count(); g != want {
+					t.Fatalf("unit %d broker %d publisher %d: cached count %d, reference %d", ui, b, r, g, want)
 				}
 			}
 			cov.placed++
@@ -562,7 +563,7 @@ func FuzzDenseFitsEquivalence(f *testing.F) {
 func TestPlacementAllocationFree(t *testing.T) {
 	units, pubs := testWorkload(3, 6, 100, 10, 100)
 	brokers := sortBrokersByCapacity(testBrokers(30, 30_000, stdDelay()))
-	p := newPool(units, brokers, newPublisherTable(pubs, units))
+	p := poolOf(units, brokers, newPublisherTable(pubs, units))
 	if len(p.blocks) < 3 {
 		t.Fatalf("the pool spans %d blocks, want at least 3", len(p.blocks))
 	}
@@ -584,7 +585,7 @@ func TestPlacementAllocationFree(t *testing.T) {
 	if n := testing.AllocsPerRun(20, probe); n != 0 {
 		t.Errorf("a steady-state probe allocates %v times, want 0", n)
 	}
-	roomy := newPool(units, sortBrokersByCapacity(testBrokers(12, 1e6, message.MatchingDelayFn{Base: 1e-6})), p.table)
+	roomy := poolOf(units, sortBrokersByCapacity(testBrokers(12, 1e6, message.MatchingDelayFn{Base: 1e-6})), p.table)
 	roomyCh := roomy.stage(nil, nil)
 	certify := func() {
 		if packs, placed := roomy.probe(roomyCh); !packs || placed != 0 {

@@ -10,9 +10,9 @@ import (
 )
 
 // packUnit is a unit compiled for first-fit packing against one run's
-// publisher table: everything fits and accept read, flat, so a placement
-// never touches the Unit, its Profile or a string-keyed map. CRAM's pool
-// keeps its committed units as blocks of contiguous []packUnit.
+// publisher table: everything fits and accept read, so a placement never
+// touches the Unit or a string-keyed map. CRAM's pool keeps its committed
+// units as blocks of contiguous []packUnit.
 type packUnit struct {
 	// load is the unit's delivery (output) requirement, Unit.Load.
 	load bitvector.Load
@@ -23,34 +23,28 @@ type packUnit struct {
 	// lone marks a unit an empty broker may refuse on rate; CRAM's pool sets
 	// it (pool.compile) and its capacity certificate counts it.
 	lone bool
-	// entries lists the profile's vectors by ascending publisher index —
-	// ascending advertisement ID, the order bitvector.EstimateLoad and
-	// IntersectLoad accumulate in.
-	entries []bitvector.PubVector
+	// prof is the unit's profile bound to the table, and pubs its vectors by
+	// ascending rank — ascending advertisement ID, the order EstimateLoad and
+	// IntersectLoad add in — which fits and accept walk without a hop.
+	prof *bitvector.Profile
+	pubs bitvector.Pubs
 }
 
-// compileUnit compiles the unit against the table. A pure function of
-// (unit, table).
+// compileUnit compiles the unit against the table, a pure function of the
+// two: its profile bound, and its loads, the input load EstimateLoad's terms
+// over the bound entries added in the same order, so the same bits.
 func compileUnit(u *Unit, t *bitvector.PublisherTable) packUnit {
-	entries := t.Compile(u.Profile)
-	return packUnit{load: u.Load, in: inputLoad(entries, t.Stats()), filters: int32(u.filters()), entries: entries}
-}
-
-// inputLoad is bitvector.EstimateLoad over a compiled profile: the same
-// terms added in the same order, so the result is bit-identical.
-func inputLoad(entries []bitvector.PubVector, stats []*bitvector.PublisherStats) bitvector.Load {
-	var out bitvector.Load
-	for i := range entries {
-		e := &entries[i]
-		st := stats[e.Pub]
-		if st == nil {
-			continue
+	pu := packUnit{load: u.Load, filters: int32(u.filters()), prof: t.Bind(u.Profile)}
+	pu.pubs = pu.prof.Pubs()
+	for i := range pu.pubs {
+		r, v := pu.pubs.Pub(i)
+		if st := t.Stats()[r]; st != nil {
+			f := v.Fraction()
+			pu.in.Rate += float64(st.Rate * f)
+			pu.in.Bandwidth += float64(st.Bandwidth * f)
 		}
-		f := e.V.Fraction()
-		out.Rate += float64(st.Rate * f)
-		out.Bandwidth += float64(st.Bandwidth * f)
 	}
-	return out
+	return pu
 }
 
 // newPublisherTable indexes the publishers of one run: the reported
@@ -126,24 +120,24 @@ func (bs *brokerState) fits(pu *packUnit, stats []*bitvector.PublisherStats) (bo
 	lim := bs.spec.Delay.MaxRate(bs.filters + int(pu.filters))
 	sum := bs.inLoad.Rate + pu.in.Rate
 	var inter bitvector.Load
-	for i := range pu.entries {
-		e := &pu.entries[i]
-		av := bs.agg[e.Pub]
+	for i := range pu.pubs {
+		r, uv := pu.pubs.Pub(i)
+		av := bs.agg[r]
 		if av == nil {
 			continue
 		}
-		st := stats[e.Pub]
+		st := stats[r]
 		if st == nil {
 			continue
 		}
 		w := av.Window()
-		if uw := e.V.Window(); uw > w {
+		if uw := uv.Window(); uw > w {
 			w = uw
 		}
 		if w == 0 {
 			continue
 		}
-		f := float64(bitvector.AndCount(av, &e.V)) / float64(w)
+		f := float64(bitvector.AndCount(av, uv)) / float64(w)
 		inter.Rate += float64(st.Rate * f)
 		inter.Bandwidth += float64(st.Bandwidth * f)
 	}
@@ -168,18 +162,19 @@ func (bs *brokerState) accept(pu *packUnit, inter bitvector.Load, capacity int) 
 	if bs.inLoad.Rate*bs.spec.Delay.Delay(bs.filters+1) > 0.99 {
 		bs.fullBelow = saturation(bs.inLoad.Rate, bs.spec.Delay.MaxRate(bs.filters+1))
 	}
-	for i := range pu.entries {
-		e := &pu.entries[i]
-		v := bs.agg[e.Pub]
+	for i := range pu.pubs {
+		r, uv := pu.pubs.Pub(i)
+		v := bs.agg[r]
 		if v == nil {
-			if v = bs.takeSpare(); v != nil {
+			if k := len(bs.spare); k > 0 {
+				v, bs.spare = bs.spare[k-1], bs.spare[:k-1]
 				v.Reset()
 			} else {
 				v = bitvector.New(capacity)
 			}
-			bs.agg[e.Pub] = v
+			bs.agg[r] = v
 		}
-		v.Or(&e.V)
+		v.Or(uv)
 	}
 }
 
@@ -207,17 +202,6 @@ func (bs *brokerState) clear() {
 		}
 	}
 	*bs = brokerState{spec: bs.spec, agg: bs.agg, spare: bs.spare}
-}
-
-// takeSpare pops a parked vector, or returns nil when none is parked.
-func (bs *brokerState) takeSpare() *bitvector.Vector {
-	n := len(bs.spare)
-	if n == 0 {
-		return nil
-	}
-	v := bs.spare[n-1]
-	bs.spare = bs.spare[:n-1]
-	return v
 }
 
 // pack is one first-fit packing in progress: the broker states in trial

@@ -88,7 +88,7 @@ func TestFeasEngineMatchesFromScratch(t *testing.T) {
 		}
 	}
 	brokers := sortBrokersByCapacity(testBrokers(8, 18_000, stdDelay()))
-	p := newPool(units, brokers, newPublisherTable(pubs, units))
+	p := poolOf(units, brokers, newPublisherTable(pubs, units))
 	if len(units) == len(seedUnits) {
 		t.Fatal("the pool has no duplicates")
 	}

@@ -36,16 +36,16 @@ import (
 //
 //  1. The replay is flat. The stream is a short list of blocks, each at most
 //     blockSize units: a contiguous []packUnit (bandwidth, input load,
-//     filter count and publisher-indexed vector list per position) with its
-//     units beside it. A replay walks a block's []packUnit as one flat loop,
-//     removed units are a sorted position list walked alongside it, and the
-//     broker states are one scratch pack, left empty between probes by
-//     clearing the brokers the last replay opened — no map lookup, no Unit
-//     or Profile dereference and, in the steady state, no allocation. The
-//     blocks keep a commit cheap: it moves units only inside the blocks its
-//     change touches, O(change + block), though the merged unit it adds
-//     sorts near the front of the pool and the units it removes lie
-//     anywhere.
+//     filter count and the profile bound to the run's table per position)
+//     with its units beside it. A replay walks a block's []packUnit as one
+//     flat loop, removed units are a sorted position list walked alongside
+//     it, and the broker states are one scratch pack, left empty between
+//     probes by clearing the brokers the last replay opened — no map lookup,
+//     no Unit dereference, no string compare and, in the steady state, no
+//     allocation. The blocks keep a commit cheap: it moves units only inside
+//     the blocks its change touches, O(change + block), though the merged
+//     unit it adds sorts near the front of the pool and the units it removes
+//     lie anywhere.
 //  2. Most broker tests are decided without vector arithmetic, and most of
 //     those without a call (packing.go). A placement passes ~16 brokers on
 //     the 8k plan and ~8 on the 20k pool before one admits the unit; the 8k
@@ -160,9 +160,10 @@ func (t totals) minus(done totals, n int) totals {
 	}
 }
 
-// newPool ingests the units: sorted into BIN PACKING order, then compiled.
-// brokers are in trial order.
-func newPool(units []*Unit, brokers []*BrokerSpec, t *bitvector.PublisherTable) *pool {
+// newPool ingests the units, brokers in trial order: sorted into BIN PACKING
+// order and compiled in it, so that their bound profiles lie in memory in the
+// order a replay walks them. It returns the bound profiles by input position.
+func newPool(units []*Unit, brokers []*BrokerSpec, t *bitvector.PublisherTable) (*pool, []*bitvector.Profile) {
 	p := &pool{table: t, pk: newPack(brokers, t), narrowest: math.Inf(1)}
 	for _, b := range brokers {
 		p.worst.Base, p.worst.PerSub = max(p.worst.Base, b.Delay.Base), max(p.worst.PerSub, b.Delay.PerSub)
@@ -175,18 +176,31 @@ func newPool(units []*Unit, brokers []*BrokerSpec, t *bitvector.PublisherTable) 
 		}
 		p.narrowest = min(p.narrowest, c)
 	}
-	sorted := sortUnitsByBandwidthDesc(units)
+	type input struct {
+		u  *Unit
+		at int
+	}
+	order := make([]input, len(units))
+	for i, u := range units {
+		order[i] = input{u, i}
+	}
+	slices.SortFunc(order, func(a, b input) int { return compareUnits(a.u, b.u) })
+	sorted, bound := make([]*Unit, len(units)), make([]*bitvector.Profile, len(units))
+	for k, in := range order {
+		sorted[k] = in.u
+	}
 	stream := p.compile(sorted)
+	for k, in := range order {
+		bound[in.at] = stream[k].prof
+		p.join(&stream[k])
+	}
 	p.starts = []int{0}
 	for lo := 0; lo < len(sorted); lo += blockSize {
 		hi := min(lo+blockSize, len(sorted))
 		p.blocks = append(p.blocks, block{sorted[lo:hi:hi], stream[lo:hi:hi]})
 		p.starts = append(p.starts, hi)
 	}
-	for i := range stream {
-		p.join(&stream[i])
-	}
-	return p
+	return p, bound
 }
 
 // size returns the number of units in the pool.

@@ -17,11 +17,11 @@ import (
 // holds 1 to blockSize units and as many compiled ones, starts counts them,
 // the units read block by block are strictly in BIN PACKING order across
 // block boundaries too, and each compiled unit is the unit beside it
-// compiled, its lone mark included. It ends by replaying the pool onto its
-// scratch pack: the pack must be empty where the run's last probe left it,
-// the admission columns must mirror the broker states after every placement,
-// and place must land each unit where the linear scan over fits lands it on
-// a pack of its own.
+// compiled, its lone mark included and its profile bound to the pool's
+// table. It ends by replaying the pool onto its scratch pack: the pack must
+// be empty where the run's last probe left it, the admission columns must
+// mirror the broker states after every placement, and place must land each
+// unit where the linear scan over fits lands it on a pack of its own.
 func checkPoolInvariants(t *testing.T, p *pool) {
 	t.Helper()
 	if len(p.starts) != len(p.blocks)+1 || p.starts[0] != 0 {
@@ -43,7 +43,7 @@ func checkPoolInvariants(t *testing.T, p *pool) {
 			got, want := &bl.stream[k], compileUnit(u, p.table)
 			want.lone = !(want.in.Rate <= p.worst.MaxRate(int(want.filters)))
 			if !sameLoad(got.load, want.load) || !sameLoad(got.in, want.in) || got.filters != want.filters ||
-				got.lone != want.lone || !reflect.DeepEqual(got.entries, want.entries) {
+				got.lone != want.lone || !reflect.DeepEqual(got.prof, want.prof) || p.table.Bind(got.prof) != got.prof {
 				t.Fatalf("block %d, offset %d is not unit %s compiled", b, k, u.ID)
 			}
 		}
@@ -68,6 +68,12 @@ func checkPoolInvariants(t *testing.T, p *pool) {
 		}
 	}
 	p.pk.clear() // a probe expects the pack empty
+}
+
+// poolOf is newPool's pool.
+func poolOf(units []*Unit, brokers []*BrokerSpec, t *bitvector.PublisherTable) *pool {
+	p, _ := newPool(units, brokers, t)
+	return p
 }
 
 // poolUnits returns the pool's units in order, block by block.
@@ -184,7 +190,7 @@ func TestPoolCommitSplice(t *testing.T) {
 	)
 	var seen [nPlaces]int
 	for trial := 0; trial < 300; trial++ {
-		p := newPool(base[:20+rng.Intn(len(base)-20)], brokers, table)
+		p := poolOf(base[:20+rng.Intn(len(base)-20)], brokers, table)
 		units := poolUnits(p)
 		cut := rng.Perm(len(units))[:1+rng.Intn(5)]
 		slices.Sort(cut)
@@ -267,7 +273,7 @@ func TestPoolCommitSplice(t *testing.T) {
 	}
 
 	// A pool with no block takes added units into a block of its own.
-	empty := newPool(nil, brokers, table)
+	empty := poolOf(nil, brokers, table)
 	if err := empty.commit(empty.stage(nil, base[:3])); err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +348,7 @@ func spliceScript(t *testing.T, data []byte) (seen spliceSeen) {
 		u.Load.Bandwidth = float64(100 * (1 + rng.Intn(4)))
 		units[i] = &u
 	}
-	p := newPool(units, sortBrokersByCapacity(testBrokers(8, 18_000, stdDelay())), newPublisherTable(pubs, units))
+	p := poolOf(units, sortBrokersByCapacity(testBrokers(8, 18_000, stdDelay())), newPublisherTable(pubs, units))
 	want := poolUnits(p)
 	added := 0
 	// beside returns a unit tied with u that sorts right ahead of it, or
@@ -723,7 +729,7 @@ func (o probeOutcome) String() string {
 func checkProbeMatchesCommit(t *testing.T, units, removed, added []*Unit, brokers []*BrokerSpec,
 	pubs map[string]*bitvector.PublisherStats) (packs bool, how probeOutcome) {
 	t.Helper()
-	p := newPool(units, brokers, newPublisherTable(pubs, append(slices.Clone(units), added...)))
+	p := poolOf(units, brokers, newPublisherTable(pubs, append(slices.Clone(units), added...)))
 	ch := p.stage(removed, added)
 	got, placed := p.probe(ch)
 	switch n := p.size() - len(ch.cut) + len(ch.compiled); {

@@ -14,7 +14,6 @@ package allocation
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"strings"
 
@@ -92,13 +91,20 @@ func MergeUnits(id string, units ...*Unit) *Unit {
 	if len(units) > 0 {
 		capacity = units[0].Profile.Capacity()
 	}
-	out := &Unit{ID: id, Profile: bitvector.NewProfile(capacity), parts: slices.Clone(units)}
+	out := &Unit{ID: id, Profile: bitvector.NewProfile(capacity)}
 	for _, u := range units {
-		out.size += u.filters()
-		out.Profile.Or(u.Profile)
-		out.Load = out.Load.Add(u.Load)
+		out.add(u, u.Profile)
 	}
 	return out
+}
+
+// add merges part into u, a merged unit, as its next part: prof, part's
+// profile or its bound copy, is ORed into u's.
+func (u *Unit) add(part *Unit, prof *bitvector.Profile) {
+	u.parts = append(u.parts, part)
+	u.size += part.filters()
+	u.Profile.Or(prof)
+	u.Load = u.Load.Add(part.Load)
 }
 
 // filters returns the unit's member count: its routing-table entries.

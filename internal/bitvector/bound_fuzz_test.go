@@ -76,6 +76,13 @@ func sameEntries(a, b *Profile) bool {
 	})
 }
 
+// sharesWords reports whether v is a copy of w's header that shares w's
+// words, as a bound copy's vector is of its source's.
+func sharesWords(v, w *Vector) bool {
+	return v.firstID == w.firstID && v.lastID == w.lastID && v.capacity == w.capacity && v.count == w.count &&
+		len(v.words) == len(w.words) && &v.words[0] == &w.words[0]
+}
+
 var walkMetrics = []Metric{MetricIntersect, MetricXor, MetricIOS, MetricIOU}
 
 // FuzzBoundWalks holds every walk that keys on ranks to the same walk over
@@ -83,9 +90,9 @@ var walkMetrics = []Metric{MetricIntersect, MetricXor, MetricIOS, MetricIOU}
 // (boundWalkProfiles), each left unbound or bound to one of two tables whose
 // ranks differ (binding, two bits a profile), and then IntersectCount,
 // Closeness under all four metrics, Relate and DiffCount of every ordered
-// pair, the OR of all three, Compile, ClosenessUpperBound over their
-// summaries and an Envelope absorbing them. Profiles bound to different
-// tables must be walked by ID.
+// pair, the OR of all three, Bind to either table with the ranks and vectors
+// Pub reads, ClosenessUpperBound over their summaries and an Envelope
+// absorbing them. Profiles bound to different tables must be walked by ID.
 func FuzzBoundWalks(f *testing.F) {
 	f.Fuzz(func(t *testing.T, binding, capacity byte, steps []byte) {
 		plain := boundWalkProfiles(capacity, steps)
@@ -142,11 +149,25 @@ func FuzzBoundWalks(f *testing.F) {
 			t.Fatalf("OR of three profiles bound to one table is bound to %p, want %p", orWalked.table, one)
 		}
 
+		// Bind to either table, from unbound, from bound to the other table
+		// or from bound to this one: one list of ranks and vectors.
 		for ti, tab := range tables {
 			for i := range plain {
-				got, want := tab.Compile(walked[i]), tab.Compile(plain[i])
-				if !slices.EqualFunc(got, want, func(x, y PubVector) bool { return x.Pub == y.Pub && x.V.Snapshot() == y.V.Snapshot() }) {
-					t.Fatalf("table %d: Compile(%d) = %v bound, %v unbound", ti, i, got, want)
+				got, want := tab.Bind(walked[i]), tab.Bind(plain[i])
+				checkBoundProfile(t, got, "rebound")
+				if walked[i].table == tab && got != walked[i] {
+					t.Fatalf("table %d: Bind(%d) copied a profile already bound to it", ti, i)
+				}
+				gp, wp := got.Pubs(), want.Pubs()
+				if len(gp) != len(wp) {
+					t.Fatalf("table %d: Bind(%d) lists %d publishers bound, %d unbound", ti, i, len(gp), len(wp))
+				}
+				for k := range gp {
+					rg, vg := gp.Pub(k)
+					rw, vw := wp.Pub(k)
+					if rg != rw || !sharesWords(vg, vw) || k > 0 && got.entries[k-1].rank >= rg {
+						t.Fatalf("table %d: Bind(%d) entry %d is rank %d of %p bound, rank %d of %p unbound", ti, i, k, rg, vg, rw, vw)
+					}
 				}
 			}
 		}

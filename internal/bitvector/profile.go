@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"sort"
 	"strings"
 )
 
@@ -100,14 +101,14 @@ func (m Metric) String() string {
 // Concurrency: a Profile is not synchronized. Any number of goroutines may
 // call the read-only functions concurrently on the same profiles
 // (Closeness, Relate, IntersectCount, DiffCount, XorProfileCount,
-// EstimateLoad, IntersectLoad, Count, Empty, Vector, FingerprintKey,
-// Clone, Snapshot, PublisherTable.Bind) as long as no goroutine is
-// mutating them; the mutators (Record, Sync, Or) require exclusive access.
-// A bound copy shares its vectors with the profile it was bound from, so a
-// write to either's vectors is a write to both, and it caches its total,
-// which a write through Vector leaves stale. The parallel CRAM paths rely on
-// this: profiles are frozen while the allocation algorithms run, and a run
-// binds copies, never the caller's profiles.
+// EstimateLoad, IntersectLoad, Count, Empty, Vector, Pubs,
+// FingerprintKey, Clone, Snapshot, PublisherTable.Bind) as long as no
+// goroutine is mutating them; the mutators (Record, Sync, Or) require
+// exclusive access.
+// A bound copy holds copies of its source's vector headers that share its
+// words, and caches its total: it reads as its source read at Bind while
+// neither is written. Profiles are frozen while the allocation algorithms
+// run, and a run binds copies, never the caller's profiles.
 type Profile struct {
 	capacity int
 	// entries holds one vector per publisher in ascending advertisement ID,
@@ -122,11 +123,12 @@ type Profile struct {
 	total int
 }
 
-// entry is one publisher's vector in a Profile.
+// entry is one publisher's vector in a Profile, held by value so that a walk
+// finds its window and words on the entry it reads, not one pointer further.
 type entry struct {
-	advID string
-	vec   *Vector
+	vec   Vector
 	rank  int32 // the publisher's index in the profile's table, if bound
+	advID string
 }
 
 // byRank reports whether a walk over a and b may compare ranks: both are
@@ -160,9 +162,8 @@ func NewProfile(capacity int) *Profile {
 // search returns the position of advID in p.entries, or where it would be
 // inserted, and whether it is present.
 func (p *Profile) search(advID string) (int, bool) {
-	return slices.BinarySearchFunc(p.entries, advID, func(e entry, id string) int {
-		return strings.Compare(e.advID, id)
-	})
+	i := sort.Search(len(p.entries), func(i int) bool { return p.entries[i].advID >= advID })
+	return i, i < len(p.entries) && p.entries[i].advID == advID
 }
 
 // Record marks that the publication (advID, seq) was sunk by this
@@ -172,7 +173,7 @@ func (p *Profile) Record(advID string, seq int) {
 	p.table = nil
 	i, ok := p.search(advID)
 	if !ok {
-		p.entries = slices.Insert(p.entries, i, entry{advID: advID, vec: New(p.capacity)})
+		p.entries = slices.Insert(p.entries, i, entry{advID: advID, vec: *New(p.capacity)})
 	}
 	p.entries[i].vec.Set(seq)
 }
@@ -182,17 +183,18 @@ func (p *Profile) Record(advID string, seq int) {
 // bound profile comes out of it unbound.
 func (p *Profile) Sync(stats map[string]*PublisherStats) {
 	p.table = nil
-	for _, e := range p.entries {
-		if st, ok := stats[e.advID]; ok {
-			e.vec.Observe(st.LastSeq)
+	for i := range p.entries {
+		if st, ok := stats[p.entries[i].advID]; ok {
+			p.entries[i].vec.Observe(st.LastSeq)
 		}
 	}
 }
 
-// Vector returns the vector for a publisher, or nil.
+// Vector returns the vector for a publisher, or nil. The pointer is valid
+// until the next Record or Or adds a publisher to p.
 func (p *Profile) Vector(advID string) *Vector {
 	if i, ok := p.search(advID); ok {
-		return p.entries[i].vec
+		return &p.entries[i].vec
 	}
 	return nil
 }
@@ -200,12 +202,23 @@ func (p *Profile) Vector(advID string) *Vector {
 // Capacity returns the capacity of the profile's vectors.
 func (p *Profile) Capacity() int { return p.capacity }
 
+// Pubs is a read-only view of a profile's vectors in its publisher order,
+// which ascends by rank in a bound profile. It is valid until p is written.
+type Pubs []entry
+
+// Pubs returns the view of p's vectors.
+func (p *Profile) Pubs() Pubs { return p.entries }
+
+// Pub returns the i-th vector and its publisher's rank, which means
+// something only in a bound profile.
+func (s Pubs) Pub(i int) (rank int32, v *Vector) { return s[i].rank, &s[i].vec }
+
 // Clone returns a deep copy, unbound: it owns its vectors, which its
 // holder may write.
 func (p *Profile) Clone() *Profile {
 	cp := &Profile{capacity: p.capacity, entries: make([]entry, len(p.entries))}
 	for i, e := range p.entries {
-		cp.entries[i] = entry{advID: e.advID, vec: e.vec.Clone()}
+		cp.entries[i] = entry{advID: e.advID, vec: *e.vec.Clone()}
 	}
 	return cp
 }
@@ -213,10 +226,10 @@ func (p *Profile) Clone() *Profile {
 // Or merges another profile into p (the OR bit operation of Figure 1,
 // used when clustering subscriptions and when aggregating a broker's hosted
 // subscriptions into a pseudo-subscription in Phase 3). p's vectors are
-// written, so p must own them: a bound copy, which shares its source's,
-// never takes an Or. p stays bound when o is bound to p's table; an empty p
-// takes o's binding, so an OR of profiles bound to one table, started from
-// NewProfile, is bound to it. Otherwise p comes out unbound.
+// written, so p must own them: a bound copy, which shares its source's
+// words, never takes an Or. p stays bound when o is bound to p's table; an
+// empty p takes o's binding, so an OR of profiles bound to one table, started
+// from NewProfile, is bound to it. Otherwise p comes out unbound.
 func (p *Profile) Or(o *Profile) {
 	if len(p.entries) == 0 {
 		p.table = o.table
@@ -233,9 +246,9 @@ func (p *Profile) Or(o *Profile) {
 			i++
 		}
 		if c != 0 {
-			p.entries = slices.Insert(p.entries, i, entry{advID: oe.advID, vec: New(p.capacity), rank: oe.rank})
+			p.entries = slices.Insert(p.entries, i, entry{advID: oe.advID, vec: *New(p.capacity), rank: oe.rank})
 		}
-		p.entries[i].vec.Or(oe.vec)
+		p.entries[i].vec.Or(&oe.vec)
 		i++
 	}
 	if !ranked {
@@ -243,8 +256,8 @@ func (p *Profile) Or(o *Profile) {
 		return
 	}
 	p.total = 0
-	for _, e := range p.entries {
-		p.total += e.vec.count
+	for i := range p.entries {
+		p.total += p.entries[i].vec.count
 	}
 }
 
@@ -258,8 +271,8 @@ func (p *Profile) Count() int {
 		return p.total
 	}
 	n := 0
-	for _, e := range p.entries {
-		n += e.vec.count
+	for i := range p.entries {
+		n += p.entries[i].vec.count
 	}
 	return n
 }
@@ -267,8 +280,8 @@ func (p *Profile) Count() int {
 // Empty reports whether the profile sank no publications at all,
 // early-exiting on the first publisher with any set bit.
 func (p *Profile) Empty() bool {
-	for _, e := range p.entries {
-		if e.vec.count != 0 {
+	for i := range p.entries {
+		if p.entries[i].vec.count != 0 {
 			return false
 		}
 	}
@@ -290,7 +303,7 @@ func IntersectCount(a, b *Profile) int {
 		ea, eb := &a.entries[i], &b.entries[j]
 		switch c := cmpKey(ea.rank, eb.rank, ea.advID, eb.advID, ranked); {
 		case c == 0:
-			n += AndCount(ea.vec, eb.vec)
+			n += AndCount(&ea.vec, &eb.vec)
 			i++
 			j++
 		case c < 0:
@@ -429,7 +442,7 @@ func IntersectLoad(a, b *Profile, stats map[string]*PublisherStats) Load {
 			if !ok || w == 0 {
 				continue
 			}
-			f := float64(AndCount(ea.vec, eb.vec)) / float64(w)
+			f := float64(AndCount(&ea.vec, &eb.vec)) / float64(w)
 			out.Rate += float64(st.Rate * f)
 			out.Bandwidth += float64(st.Bandwidth * f)
 		case ea.advID < eb.advID:
@@ -456,7 +469,8 @@ func IntersectLoad(a, b *Profile, stats map[string]*PublisherStats) Load {
 // Equal keys therefore mean equal sets (DESIGN.md §7).
 func (p *Profile) FingerprintKey() string {
 	n := 0 // a bound on the key's length, so that the key is one allocation
-	for _, e := range p.entries {
+	for i := range p.entries {
+		e := &p.entries[i]
 		if lo, hi, ok := e.vec.setWords(); ok {
 			n += 3*binary.MaxVarintLen64 + len(e.advID) + 8*(hi-lo)
 		}
@@ -464,7 +478,8 @@ func (p *Profile) FingerprintKey() string {
 	var key strings.Builder
 	key.Grow(n)
 	var buf [binary.MaxVarintLen64]byte
-	for _, e := range p.entries {
+	for i := range p.entries {
+		e := &p.entries[i]
 		lo, hi, ok := e.vec.setWords()
 		if !ok {
 			continue

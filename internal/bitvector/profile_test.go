@@ -179,7 +179,7 @@ func TestQuickRelateMatchesSetModel(t *testing.T) {
 				case 0:
 					continue
 				case 1:
-					p.Or(&Profile{capacity: 64, entries: []entry{{advID: pub, vec: New(64)}}})
+					p.Or(&Profile{capacity: 64, entries: []entry{{advID: pub, vec: *New(64)}}})
 					continue
 				}
 				start := rng.Intn(30)
@@ -506,11 +506,11 @@ func materialize(rng *rand.Rand, capacity int, spec map[string][]int) *Profile {
 	for _, adv := range sortedAdvs(spec) {
 		ids := spec[adv]
 		if len(ids) == 0 {
-			p.Or(&Profile{capacity: capacity, entries: []entry{{advID: adv, vec: New(capacity)}}})
+			p.Or(&Profile{capacity: capacity, entries: []entry{{advID: adv, vec: *New(capacity)}}})
 			continue
 		}
 		if rng.Intn(3) == 0 {
-			p.Or(&Profile{capacity: capacity, entries: []entry{{advID: adv, vec: New(capacity)}}})
+			p.Or(&Profile{capacity: capacity, entries: []entry{{advID: adv, vec: *New(capacity)}}})
 			p.Vector(adv).Observe(ids[0] - rng.Intn(3*wordBits))
 		}
 		for _, id := range ids {
@@ -576,7 +576,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		p.Record("Z", 1000+37+i) // a window that starts mid-word
 	}
 	p.Vector("X").Observe(60)
-	p.Or(&Profile{capacity: 96, entries: []entry{{advID: "E", vec: New(96)}}}) // an empty vector
+	p.Or(&Profile{capacity: 96, entries: []entry{{advID: "E", vec: *New(96)}}}) // an empty vector
 	snap := p.Snapshot()
 	q, err := ProfileFromSnapshot(snap)
 	if err != nil {

@@ -22,17 +22,6 @@ type PublisherTable struct {
 	capacity int
 }
 
-// PubVector is one publisher's vector of a compiled profile. V is a
-// read-only view: a copy of the profile vector's header that shares its bit
-// storage, held by value so that a walk over compiled entries finds window
-// and storage pointer on the cache line it is already reading instead of
-// behind one more pointer. It is valid for as long as the profile stays
-// unmodified — which holds while an allocation algorithm runs (see Profile).
-type PubVector struct {
-	Pub int32
-	V   Vector
-}
-
 // NewPublisherTable indexes the union of the statistics' advertisement IDs
 // and every publisher appearing in the given profiles, and records the
 // profiles' vector capacity: the first profile's, which a validated
@@ -80,46 +69,25 @@ func (t *PublisherTable) Capacity() int { return t.capacity }
 func (t *PublisherTable) Stats() []*PublisherStats { return t.stats }
 
 // Bind returns a copy of p bound to the table: its entries carry their
-// publishers' ranks, it shares p's vectors — no word is copied — and it
-// caches its total (see Profile). Walks between profiles bound to one table
-// compare ranks instead of advertisement IDs, and Compile reads the ranks
-// instead of looking them up. A profile already bound to the table is
-// returned as it is. Bind panics on a publisher the table was not built
-// over, which only a caller bug can produce.
+// publishers' ranks and copies of p's vector headers that share p's words —
+// no word is copied — and it caches its total (see Profile). Walks between
+// profiles bound to one table compare ranks instead of advertisement IDs, and
+// Pubs hands the ranks to allocation's first-fit kernel. A profile already
+// bound to the table is returned as it is. Bind panics on a publisher the
+// table was not built over, which only a caller bug can produce.
 func (t *PublisherTable) Bind(p *Profile) *Profile {
 	if p.table == t {
 		return p
 	}
 	b := &Profile{capacity: p.capacity, entries: make([]entry, len(p.entries)), table: t}
-	for i, e := range p.entries {
-		b.entries[i] = entry{advID: e.advID, vec: e.vec, rank: t.rank(e.advID)}
+	for i := range p.entries {
+		e := &p.entries[i]
+		r, ok := t.index[e.advID]
+		if !ok {
+			panic(fmt.Sprintf("bitvector: publisher %q is not in the table", e.advID))
+		}
+		b.entries[i] = entry{advID: e.advID, vec: e.vec, rank: r}
 		b.total += e.vec.count
 	}
 	return b
-}
-
-// rank returns the index of advID in the table. It panics on an ID the
-// table does not hold.
-func (t *PublisherTable) rank(advID string) int32 {
-	r, ok := t.index[advID]
-	if !ok {
-		panic(fmt.Sprintf("bitvector: publisher %q is not in the table", advID))
-	}
-	return r
-}
-
-// Compile lists the profile's vectors by table index, ascending, as views
-// that share the profile's bit storage: a profile bound to the table gives
-// its ranks, any other is looked up. It panics on a publisher the table was
-// not built over, which only a caller bug can produce.
-func (t *PublisherTable) Compile(p *Profile) []PubVector {
-	out := make([]PubVector, len(p.entries))
-	for i, e := range p.entries {
-		r := e.rank
-		if p.table != t {
-			r = t.rank(e.advID)
-		}
-		out[i] = PubVector{Pub: r, V: *e.vec}
-	}
-	return out
 }

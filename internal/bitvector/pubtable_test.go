@@ -6,9 +6,10 @@ import (
 )
 
 // TestPublisherTable covers the table's contract: indices are ranks in the
-// sorted union of the statistics' and the profiles' publishers, Compile
-// lists a profile's vectors in that order as views of the originals, and
-// the table records the profiles' capacity.
+// sorted union of the statistics' and the profiles' publishers, a profile
+// bound to the table lists its vectors in that order through Pub, each a
+// copy of the profile's vector that shares its words, and the table records
+// the profiles' capacity.
 func TestPublisherTable(t *testing.T) {
 	stats := map[string]*PublisherStats{
 		"adv2":  {AdvID: "adv2", Rate: 2},
@@ -31,15 +32,21 @@ func TestPublisherTable(t *testing.T) {
 		t.Fatalf("stats by index = %v, want %v", tab.Stats(), wantStats)
 	}
 
-	entries := tab.Compile(p)
-	wantPubs := []int32{1, 2, 3}
-	for i, e := range entries {
-		if e.Pub != wantPubs[i] {
-			t.Fatalf("entry %d has publisher index %d, want %d", i, e.Pub, wantPubs[i])
+	b := tab.Bind(p)
+	pubs, wantPubs := b.Pubs(), []int32{1, 2, 3}
+	if len(pubs) != len(wantPubs) {
+		t.Fatalf("bound profile holds %d publishers, want %d", len(pubs), len(wantPubs))
+	}
+	for i, want := range wantPubs {
+		if r, _ := pubs.Pub(i); r != want {
+			t.Fatalf("entry %d has publisher index %d, want %d", i, r, want)
 		}
 	}
-	if got, want := entries[0].V.Snapshot(), p.Vector("adv10").Snapshot(); got != want {
-		t.Fatalf("compiled view %+v differs from its vector %+v", got, want)
+	if _, v := pubs.Pub(0); !sharesWords(v, p.Vector("adv10")) {
+		t.Fatalf("bound entry 0 holds %+v, not a copy of the profile's adv10 vector %+v", v, p.Vector("adv10"))
+	}
+	if tab.Bind(b) != b {
+		t.Fatal("Bind copied a profile already bound to the table")
 	}
 
 	if got := tab.Capacity(); got != 64 {
@@ -53,10 +60,10 @@ func TestPublisherTable(t *testing.T) {
 	stranger.Record("elsewhere", 1)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Compile accepted a publisher the table does not index")
+			t.Fatal("Bind accepted a publisher the table does not index")
 		}
 	}()
-	tab.Compile(stranger)
+	tab.Bind(stranger)
 }
 
 // TestVectorReset checks the in-place mutator the packing scratch state

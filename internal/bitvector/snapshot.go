@@ -125,7 +125,7 @@ func ProfileFromSnapshot(s ProfileSnapshot) (*Profile, error) {
 		if v.capacity != p.capacity {
 			return nil, fmt.Errorf("bitvector: profile vector %q has capacity %d, its profile %d", advID, v.capacity, p.capacity)
 		}
-		p.entries = append(p.entries, entry{advID: advID, vec: v}) // ascending: keys sorted above
+		p.entries = append(p.entries, entry{advID: advID, vec: *v}) // ascending: keys sorted above
 	}
 	return p, nil
 }

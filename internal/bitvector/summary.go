@@ -39,8 +39,9 @@ type Summary struct {
 // ranks, as the profile is.
 func Summarize(p *Profile) *Summary {
 	s := &Summary{pubs: make([]pubSummary, 0, len(p.entries)), table: p.table}
-	for _, e := range p.entries {
-		v := e.vec
+	for i := range p.entries {
+		e := &p.entries[i]
+		v := &e.vec
 		if v.count == 0 {
 			continue
 		}
