@@ -278,9 +278,10 @@ func plan(brokerAddr, algorithm string, timeout time.Duration) (*core.Plan, erro
 // information via BIR/BIA through any broker, allocate subscriptions with
 // the named algorithm, construct the overlay recursively, and place
 // publishers with GRAPE. The timeout bounds the information-gathering
-// phase (0 = 30s). The returned plan is a description; applying it
-// (re-instantiating brokers and reconnecting clients, as the paper does)
-// is the deployer's job.
+// phase (0 = 30s). A plan that overloads a broker, as a PAIRWISE plan may,
+// is refused with an error naming it. The returned plan is a description;
+// applying it (re-instantiating brokers and reconnecting clients, as the
+// paper does) is the deployer's job.
 func Reconfigure(brokerAddr, algorithm string, timeout time.Duration) (*PlanSummary, error) {
 	p, err := plan(brokerAddr, algorithm, timeout)
 	if err != nil {

@@ -301,8 +301,10 @@ func (a *Assignment) Fingerprint() string {
 	return sb.String()
 }
 
-// CheckCapacity verifies that every allocated broker is within both
-// capacity constraints; used by tests and by Phase 3's optimizations.
+// CheckCapacity checks the algorithm's own recorded tallies, Loads, against
+// both capacity constraints: it reads no profile (pubs is unused) and sees
+// nothing Phase 3 moves afterwards, so it cannot judge a deployed plan —
+// core.Verify does. The benchmark's plan checks (bench/plan.go) keep it.
 func (a *Assignment) CheckCapacity(pubs map[string]*bitvector.PublisherStats) error {
 	// Walk brokers in sorted order so that with several violations the
 	// reported one is always the same.

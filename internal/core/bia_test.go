@@ -15,14 +15,16 @@ const (
 )
 
 // TestComputePlanRejectsNullBIAEntries: a decoded BIA whose subscription or
-// publisher statistics are null is refused with an error naming the broker
-// and the entry, not planned into a nil dereference.
+// publisher statistics are null, or whose subscription has no ID, is
+// refused with an error naming the broker and the entry, not planned into a
+// nil dereference or a plan that cannot say where the subscription goes.
 func TestComputePlanRejectsNullBIAEntries(t *testing.T) {
 	for _, tc := range []struct {
 		name, frame, want string
 	}{
 		{"null subscription", biaNullSub, "subscription entry 0"},
 		{"null publisher statistics", biaNullStats, "publisher entry 0"},
+		{"a subscription without an ID", `{"kind":7,"bia":{"req":"r","infos":[{"id":"B1","url":"u","delay":{"per_sub":0.0001,"base":0.001},"out_bw":1000,"subs":[{"sub":{}}]}]}}`, "subscription entry 0 has no ID"},
 		{"both", `{"kind":7,"bia":{"req":"r","infos":[{"id":"B1","url":"u","delay":{"per_sub":0.0001,"base":0.001},"out_bw":1000,"subs":[{"sub":null}],"pubs":[{"adv":null,"stats":null}]}]}}`, "entry 0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -46,7 +48,7 @@ func TestComputePlanRejectsNullBIAEntries(t *testing.T) {
 // FuzzBIAPlan feeds arbitrary frames through message.Decode and every BIA
 // that decodes through ComputePlan under BIN PACKING and CRAM-IOS at the
 // capacity its profiles carry: the planner must return an error or a plan
-// whose tree validates, and must not panic. Among the seeds, a two-broker
+// that Verify accepts against the BIA, and must not panic. Among the seeds, a two-broker
 // BIA at 640 bits must plan, and one whose profiles have 64 and 128 bits and
 // one whose publisher reports a negative rate must be refused, the latter
 // with an error naming the publisher.
@@ -75,18 +77,18 @@ func FuzzBIAPlan(f *testing.F) {
 		{[]byte(biaNullStats), false, ""},
 		{frame(negative), false, `publisher "ADV0"`},
 	}
-	plan := func(data []byte, alg string) (p *Plan, decoded bool, err error) {
+	plan := func(data []byte, alg string) (p *Plan, infos []message.BrokerInfo, err error) {
 		env, err := message.Decode(data)
 		if err != nil || env.Kind != message.KindBIA {
-			return nil, false, nil
+			return nil, nil, nil
 		}
 		p, err = ComputePlan(env.BIA.Infos, Config{Algorithm: alg})
-		return p, true, err
+		return p, env.BIA.Infos, err
 	}
 	for i, sd := range seeds {
 		for _, alg := range []string{AlgBinPacking, AlgCRAMIOS} {
-			if _, ok, err := plan(sd.data, alg); !ok || (err == nil) != sd.plans {
-				f.Fatalf("seed %d, %s: decoded %v, plan error %v; want a plan: %v", i, alg, ok, err, sd.plans)
+			if _, infos, err := plan(sd.data, alg); infos == nil || (err == nil) != sd.plans {
+				f.Fatalf("seed %d, %s: decoded %v, plan error %v; want a plan: %v", i, alg, infos != nil, err, sd.plans)
 			} else if err != nil && !strings.Contains(err.Error(), sd.names) {
 				f.Fatalf("seed %d, %s: plan error %q does not name %s", i, alg, err, sd.names)
 			}
@@ -95,12 +97,12 @@ func FuzzBIAPlan(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, alg := range []string{AlgBinPacking, AlgCRAMIOS} {
-			p, ok, err := plan(data, alg)
-			if !ok || err != nil {
+			p, infos, err := plan(data, alg)
+			if err != nil || p == nil {
 				continue
 			}
-			if err := p.Tree.Validate(); err != nil {
-				t.Fatalf("%s: plan tree does not validate: %v", alg, err)
+			if err := Verify(p, infos); err != nil {
+				t.Fatalf("%s: %v", alg, err)
 			}
 		}
 	})

@@ -10,8 +10,8 @@ import (
 
 // TestComputePlanAtBrokerCapacity: brokers that profile at 640 bits, as
 // psbroker -profile-bits 640 does, are planned by every algorithm under a
-// zero Config — the plan takes its capacity from the BIA — and each tree
-// validates. The scenario needs more than one broker, so Phase 3 ORs
+// zero Config — the plan takes its capacity from the BIA — and each plan
+// verifies, but for a PAIRWISE plan's overloaded broker. The scenario needs more than one broker, so Phase 3 ORs
 // brokers' units into their filters.
 func TestComputePlanAtBrokerCapacity(t *testing.T) {
 	const capacity = 640
@@ -44,7 +44,7 @@ func TestComputePlanAtBrokerCapacity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
-		if err := plan.Tree.Validate(); err != nil {
+		if err := core.Verify(plan, infos); err != nil && !refusable(alg, err) {
 			t.Fatalf("%s: %v", alg, err)
 		}
 		if n := plan.Assignment.NumAllocated(); n < 2 {

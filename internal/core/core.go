@@ -198,6 +198,9 @@ func inputsFromInfos(infos []message.BrokerInfo, capacity int) (*allocation.Inpu
 			switch {
 			case si.Sub == nil:
 				return nil, fmt.Errorf("core: broker %q: subscription entry %d is null", bi.ID, j)
+			case si.Sub.ID == "":
+				// A plan maps subscriptions by ID: one without could not be placed.
+				return nil, fmt.Errorf("core: broker %q: subscription entry %d has no ID", bi.ID, j)
 			case si.Profile == nil:
 			case configured > 0 && si.Profile.Capacity() != configured:
 				return nil, fmt.Errorf("core: broker %q: subscription %q is profiled at capacity %d, want the configured %d",

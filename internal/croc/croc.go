@@ -84,15 +84,20 @@ func Reconfigure(brokerAddr string, cfg core.Config, timeout time.Duration, tl *
 }
 
 // Plan computes the reconfiguration plan from gathered broker
-// information and lays the planning stages onto the timeline. Telemetry
-// stays strictly outside the computation: the plan is produced by
-// core.ComputePlan alone, and the spans are derived afterwards from the
-// plan's own PhaseTimes (zero-length spans when cfg.Clock is nil).
+// information and lays the planning stages onto the timeline. A plan
+// core.Verify refuses (say, a PAIRWISE plan that overloads a broker) is
+// returned as Verify's error instead. Telemetry stays strictly
+// outside the computation: the plan is produced by core.ComputePlan alone,
+// and the spans are derived afterwards from the plan's own PhaseTimes
+// (zero-length spans when cfg.Clock is nil).
 func Plan(infos []message.BrokerInfo, cfg core.Config, tl *telemetry.Timeline) (*core.Plan, error) {
 	start := tl.Now()
 	plan, err := core.ComputePlan(infos, cfg)
 	if err != nil {
 		return nil, err
+	}
+	if err := core.Verify(plan, infos); err != nil {
+		return nil, fmt.Errorf("croc: %s plan refused: %w", cfg.Algorithm, err)
 	}
 	pt := plan.PhaseTimes
 	at := start

@@ -13,6 +13,8 @@ import (
 	"github.com/greenps/greenps/internal/core"
 	"github.com/greenps/greenps/internal/croc"
 	"github.com/greenps/greenps/internal/message"
+	"github.com/greenps/greenps/internal/sim"
+	"github.com/greenps/greenps/internal/workload"
 )
 
 // liveOverlay starts a live 4-broker chain with one publisher (20 quotes)
@@ -118,14 +120,8 @@ func TestReconfigureLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := plan.Tree.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if plan.NumBrokers() != 1 {
 		t.Fatalf("tiny workload should consolidate to 1 broker, got %d", plan.NumBrokers())
-	}
-	if len(plan.Subscribers) != 3 || len(plan.Publishers) != 1 {
-		t.Fatalf("plan places %d subs / %d pubs", len(plan.Subscribers), len(plan.Publishers))
 	}
 	// Rendering round trips.
 	var human bytes.Buffer
@@ -150,18 +146,36 @@ func TestReconfigureLive(t *testing.T) {
 
 // TestReconfigureLiveAtProfileBits: brokers profiling at 640 bits, as
 // psbroker -profile-bits 640 runs them, are planned under a Config that
-// names no capacity: the plan reads it from the gathered BIA.
+// names no capacity: the plan reads it from the gathered BIA, and verifies.
 func TestReconfigureLiveAtProfileBits(t *testing.T) {
 	addr := liveOverlay(t, 640)
-	plan, err := croc.Reconfigure(addr, core.Config{Algorithm: core.AlgCRAMIOS}, 10*time.Second, nil)
+	if _, err := croc.Reconfigure(addr, core.Config{Algorithm: core.AlgCRAMIOS}, 10*time.Second, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPlanRefusesOverloadedPlan: croc.Plan hands out a plan only when
+// core.Verify accepts it. PAIRWISE-K places clusters with no capacity test,
+// and on this scenario its plan sends 11,978.5 B/s from broker B001, whose
+// limit is 8,000 B/s: croc refuses it, naming the check and the broker,
+// while CRAM-IOS's plan of the same BIA is handed out.
+func TestPlanRefusesOverloadedPlan(t *testing.T) {
+	o := workload.Defaults()
+	o.Brokers, o.Publishers, o.SubsPerPublisher, o.BaseBandwidth = 32, 10, 60, 8_000
+	sc, err := workload.Build("golden", o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := plan.Tree.Validate(); err != nil {
+	_, infos, err := sim.Prepare(sc, 80, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Subscribers) != 3 || len(plan.Publishers) != 1 {
-		t.Fatalf("plan places %d subs / %d pubs", len(plan.Subscribers), len(plan.Publishers))
+	if _, err := croc.Plan(infos, core.Config{Algorithm: core.AlgCRAMIOS, Seed: 1}, nil); err != nil {
+		t.Fatalf("CRAM-IOS: %v", err)
+	}
+	_, err = croc.Plan(infos, core.Config{Algorithm: core.AlgPairwiseK, Seed: 1}, nil)
+	if err == nil || !strings.Contains(err.Error(), `capacity: broker "B001"`) {
+		t.Fatalf("PAIRWISE-K: croc.Plan = %v, want a capacity refusal naming B001", err)
 	}
 }
 

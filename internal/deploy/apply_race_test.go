@@ -21,6 +21,7 @@ func consolidationPlan(root, advID, subID string) *core.Plan {
 		Tree: &overlaybuild.Tree{
 			Root:     root,
 			Children: map[string][]string{},
+			Hosted:   map[string][]*allocation.Unit{root: {{ID: "u-" + subID, Members: []allocation.Member{{SubID: subID}}}}},
 			Specs:    map[string]*allocation.BrokerSpec{root: nil},
 		},
 		Subscribers: map[string]string{subID: root},

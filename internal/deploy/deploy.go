@@ -272,7 +272,14 @@ func (d *Deployment) FromTopology(f *topology.File) error {
 // On the timeline, each of the five deployment steps becomes one span. A
 // span is recorded only when its step completes, so a failed apply shows
 // exactly the steps that finished. A nil timeline records nothing.
+//
+// A plan that fails core.Plan.Validate is refused before any broker starts;
+// clients the plan does not name (they joined after the gather) reconnect
+// to the root.
 func (d *Deployment) Apply(plan *core.Plan, tl *telemetry.Timeline) error {
+	if err := plan.Validate(); err != nil {
+		return fmt.Errorf("deploy: %w", err)
+	}
 	// Snapshot everything the apply reads under the lock once; the
 	// network steps below run unlocked (dialing and handshaking under
 	// d.mu would stall every concurrent read accessor), and individual

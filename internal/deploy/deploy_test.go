@@ -7,11 +7,14 @@ import (
 	"testing"
 	"time"
 
+	"github.com/greenps/greenps/internal/allocation"
 	"github.com/greenps/greenps/internal/broker"
 	"github.com/greenps/greenps/internal/core"
 	"github.com/greenps/greenps/internal/croc"
 	"github.com/greenps/greenps/internal/deploy"
+	"github.com/greenps/greenps/internal/grape"
 	"github.com/greenps/greenps/internal/message"
+	"github.com/greenps/greenps/internal/overlaybuild"
 	"github.com/greenps/greenps/internal/topology"
 )
 
@@ -131,6 +134,52 @@ func TestLiveReconfigurationEndToEnd(t *testing.T) {
 	for seq := 100; seq < 105; seq++ {
 		publishAndExpect(t, d, seq, chans)
 	}
+}
+
+// TestApplyRefusesInvalidPlan: a plan that names a broker outside its tree —
+// children listed for a ghost broker, a publisher or a subscriber placed on a
+// running broker the tree leaves out — is refused before any fresh broker
+// starts, and the old overlay keeps delivering.
+func TestApplyRefusesInvalidPlan(t *testing.T) {
+	d, chans := liveCluster(t)
+	publishAndExpect(t, d, 0, chans)
+	before := d.RunningBrokers()
+	plan := func() *core.Plan {
+		return &core.Plan{
+			Tree: &overlaybuild.Tree{
+				Root:     "B0",
+				Children: map[string][]string{"B0": {"B1"}},
+				Hosted: map[string][]*allocation.Unit{"B1": {
+					{ID: "u-s", Members: []allocation.Member{{SubID: "s0"}, {SubID: "s1"}}},
+				}},
+				Specs: map[string]*allocation.BrokerSpec{"B0": nil, "B1": nil},
+			},
+			Subscribers: map[string]string{"s0": "B1", "s1": "B1"},
+			Publishers:  grape.Placement{"ADV-YHOO": "B0"},
+		}
+	}
+	if err := plan().Validate(); err != nil {
+		t.Fatalf("the unplanted plan is refused: %v", err)
+	}
+	for _, tc := range []struct {
+		name  string
+		plant func(*core.Plan)
+		want  string
+	}{
+		{"children listed for a ghost broker", func(p *core.Plan) { p.Tree.Children["ghost"] = []string{"B1"} }, `"ghost"`},
+		{"a publisher off the tree", func(p *core.Plan) { p.Publishers["ADV-YHOO"] = "B3" }, `"B3"`},
+		{"a subscriber off the tree", func(p *core.Plan) { p.Subscribers["s1"] = "B3" }, `"B3"`},
+	} {
+		p := plan()
+		tc.plant(p)
+		if err := d.Apply(p, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: Apply = %v, want an error naming %s", tc.name, err, tc.want)
+		}
+		if got := d.RunningBrokers(); !slices.Equal(got, before) {
+			t.Fatalf("%s: %v running after a refused apply, want %v", tc.name, got, before)
+		}
+	}
+	publishAndExpect(t, d, 1, chans)
 }
 
 func TestApplyOnClosedDeploymentFails(t *testing.T) {

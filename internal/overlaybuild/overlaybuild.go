@@ -71,7 +71,8 @@ func (t *Tree) SubscriberPlacement() map[string]string {
 
 // Validate checks that Children is a tree over exactly the allocated
 // brokers: every broker reached from the root is reached once and has a
-// spec, and every spec is reached.
+// spec, every spec is reached, and Children and Hosted name no broker
+// outside the tree.
 func (t *Tree) Validate() error {
 	if t.Root == "" {
 		return fmt.Errorf("overlaybuild: tree has no root")
@@ -99,6 +100,21 @@ func (t *Tree) Validate() error {
 		if !seen[id] {
 			return fmt.Errorf("overlaybuild: broker %q is not reachable from root %q", id, t.Root)
 		}
+	}
+	var ghosts []string
+	for id := range t.Children {
+		if !seen[id] {
+			ghosts = append(ghosts, id)
+		}
+	}
+	for id := range t.Hosted {
+		if !seen[id] {
+			ghosts = append(ghosts, id)
+		}
+	}
+	sort.Strings(ghosts)
+	if len(ghosts) > 0 {
+		return fmt.Errorf("overlaybuild: %q has children or hosted units but is not in the tree", ghosts[0])
 	}
 	return nil
 }

@@ -145,6 +145,8 @@ func TestValidateRejects(t *testing.T) {
 		{"an unreachable broker", Tree{Root: "R", Children: map[string][]string{"R": {"A"}}, Specs: specs("R", "A", "B")}, "\"B\" is not reachable"},
 		{"a broker reached twice", Tree{Root: "R", Children: map[string][]string{"R": {"A", "B"}, "B": {"A"}}, Specs: specs("R", "A", "B")}, "\"A\" reached twice"},
 		{"the root listed as a child", Tree{Root: "R", Children: map[string][]string{"R": {"A"}, "A": {"R"}}, Specs: specs("R", "A")}, "\"R\" reached twice"},
+		{"children listed for a broker outside the tree", Tree{Root: "R", Children: map[string][]string{"R": {"A"}, "ghost": {"A"}}, Specs: specs("R", "A")}, "\"ghost\" has children or hosted units"},
+		{"units hosted on a broker outside the tree", Tree{Root: "R", Children: map[string][]string{"R": {"A"}}, Hosted: map[string][]*allocation.Unit{"ghost": nil}, Specs: specs("R", "A")}, "\"ghost\" has children or hosted units"},
 	}
 	for _, tc := range cases {
 		err := tc.tree.Validate()
