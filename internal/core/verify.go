@@ -8,6 +8,7 @@ import (
 	"github.com/greenps/greenps/internal/allocation"
 	"github.com/greenps/greenps/internal/bitvector"
 	"github.com/greenps/greenps/internal/message"
+	"github.com/greenps/greenps/internal/overlaybuild"
 )
 
 // Validate checks what a deployer reads off the plan, which needs no BIA:
@@ -33,18 +34,12 @@ func (p *Plan) Validate() error {
 			}
 		}
 	}
-	subs := append(sortedKeys(hostedOn), sortedKeys(p.Subscribers)...)
-	sort.Strings(subs)
-	for _, sub := range subs {
-		to, mapped := p.Subscribers[sub]
-		if on, hosted := hostedOn[sub]; !mapped || !hosted || to != on {
-			return fmt.Errorf("core: plan: subscribers: subscription %q is mapped to %q but hosted on %q", sub, to, on)
-		}
+	if sub, ok := firstMismatch(p.Subscribers, hostedOn); ok {
+		return fmt.Errorf("core: plan: subscribers: subscription %q is mapped to %q but hosted on %q", sub, p.Subscribers[sub], hostedOn[sub])
 	}
 	for _, adv := range sortedKeys(p.Publishers) {
-		to := p.Publishers[adv]
-		if _, ok := p.Tree.Specs[to]; !ok {
-			return fmt.Errorf("core: plan: publishers: advertisement %q is placed on %q, which is not a tree broker", adv, to)
+		if _, ok := p.Tree.Specs[p.Publishers[adv]]; !ok {
+			return fmt.Errorf("core: plan: publishers: advertisement %q is placed on %q, which is not a tree broker", adv, p.Publishers[adv])
 		}
 	}
 	return nil
@@ -54,28 +49,26 @@ func (p *Plan) Validate() error {
 // plan validates, every subscription the BIA reports is hosted and nothing
 // else is, every publisher it reports is placed, and every tree broker is
 // within both capacity constraints as deployed. It replays no first-fit
-// kernel, whose union estimate depends on placement order.
+// kernel, whose union estimate depends on the order its producer placed
+// units in, which a plan does not record.
 func Verify(p *Plan, infos []message.BrokerInfo) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	reported := make(map[string]bool)
+	// reported maps each subscription the BIA reports to where p hosts it.
+	reported := make(map[string]string)
 	for i := range infos {
 		for _, si := range infos[i].Subscriptions {
 			if si.Sub != nil {
-				reported[si.Sub.ID] = true
+				reported[si.Sub.ID] = p.Subscribers[si.Sub.ID]
 			}
 		}
 	}
-	for _, sub := range sortedKeys(reported) {
-		if _, ok := p.Subscribers[sub]; !ok {
-			return fmt.Errorf("core: plan: hosting: subscription %q is not hosted", sub)
+	if sub, ok := firstMismatch(reported, p.Subscribers); ok {
+		if on, hosted := p.Subscribers[sub]; hosted {
+			return fmt.Errorf("core: plan: hosting: subscription %q is hosted on %q but not in the BIA", sub, on)
 		}
-	}
-	for _, sub := range sortedKeys(p.Subscribers) {
-		if !reported[sub] {
-			return fmt.Errorf("core: plan: hosting: subscription %q is hosted on %q but not in the BIA", sub, p.Subscribers[sub])
-		}
+		return fmt.Errorf("core: plan: hosting: subscription %q is not hosted", sub)
 	}
 	pubs := PublisherStats(infos)
 	for _, adv := range sortedKeys(pubs) {
@@ -85,21 +78,7 @@ func Verify(p *Plan, infos []message.BrokerInfo) error {
 	}
 
 	t := p.Tree
-	// filter[b], the OR of every profile at or below b, is what b receives.
-	filter := make(map[string]*bitvector.Profile, len(t.Specs))
-	var or func(b string) *bitvector.Profile
-	or = func(b string) *bitvector.Profile {
-		parts := slices.Clone(t.Hosted[b])
-		for _, c := range t.Children[b] {
-			// An empty subtree adds nothing, and would set the OR's capacity.
-			if cp := or(c); len(cp.Pubs()) > 0 {
-				parts = append(parts, &allocation.Unit{Profile: cp})
-			}
-		}
-		filter[b] = allocation.MergeUnits(b, parts...).Profile
-		return filter[b]
-	}
-	or(t.Root)
+	filter := subtreeFilters(t)
 	for _, b := range t.Brokers() {
 		spec := t.Specs[b]
 		if spec == nil {
@@ -122,6 +101,45 @@ func Verify(p *Plan, infos []message.BrokerInfo) error {
 		}
 	}
 	return nil
+}
+
+// subtreeFilters returns, per tree broker b, the OR of every profile at or
+// below b: what b receives. An OR depends on the order it merges in, since
+// a vector's window anchors on the first vector merged into it and drops
+// the older IDs of later ones, so the order is the plan's own: b's hosted
+// units as Hosted lists them, then its children's ORs as Children lists
+// them (in ID order in a built tree).
+func subtreeFilters(t *overlaybuild.Tree) map[string]*bitvector.Profile {
+	filter := make(map[string]*bitvector.Profile, len(t.Specs))
+	var or func(b string) *bitvector.Profile
+	or = func(b string) *bitvector.Profile {
+		parts := slices.Clone(t.Hosted[b])
+		for _, c := range t.Children[b] {
+			// An empty subtree adds nothing, and would set the OR's capacity.
+			if cp := or(c); len(cp.Pubs()) > 0 {
+				parts = append(parts, &allocation.Unit{Profile: cp})
+			}
+		}
+		filter[b] = allocation.MergeUnits(b, parts...).Profile
+		return filter[b]
+	}
+	or(t.Root)
+	return filter
+}
+
+// firstMismatch returns the least key that a and b disagree on: one of them
+// maps it and the other does not, or they map it to different values.
+func firstMismatch[V comparable](a, b map[string]V) (string, bool) {
+	keys := append(sortedKeys(a), sortedKeys(b)...)
+	sort.Strings(keys)
+	for _, k := range keys {
+		av, inA := a[k]
+		bv, inB := b[k]
+		if inA != inB || av != bv {
+			return k, true
+		}
+	}
+	return "", false
 }
 
 // sortedKeys returns m's keys in ascending order.

@@ -146,14 +146,14 @@ func TestVerifyRefusesPlantedFaults(t *testing.T) {
 
 // TestFirstFitRateEstimateOnPaper8k plans plan_paper8k's set-up (80
 // brokers, 40 publishers of 200 subscriptions, seed 1, 200 profiling rounds)
-// with FBF, requires the plan to verify, and logs, for the broker whose
-// children carry the most units, two input-rate estimates of what it
-// receives: DESIGN.md §5's, EstimateLoad over the OR of its profiles, and
+// with FBF and holds, for the broker whose children carry the most units,
+// what DESIGN.md §5 says of two input-rate estimates of what it receives:
+// Verify's, EstimateLoad over the OR of its profiles, is within its MaxRate;
 // the first-fit kernel's, load(a∪b) = load(a) + load(b) − IntersectLoad(a,
 // b) summed unit by unit (the reference FuzzDenseFitsEquivalence holds the
-// kernel to) in child-ID order and in reverse, beside its MaxRate. The
-// kernel's sum depends on the order, and overshoots the OR's estimate
-// wherever the units' windows differ, so no check replays it.
+// kernel to), exceeds MaxRate in child-ID order and not in reverse, so a
+// replay of the kernel would refuse the plan in one order and accept it in
+// the other.
 func TestFirstFitRateEstimateOnPaper8k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("plans an 8,000-subscription scenario")
@@ -172,19 +172,7 @@ func TestFirstFitRateEstimateOnPaper8k(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := core.Verify(p, infos); err != nil {
-		t.Fatal(err)
-	}
 	pubs := core.PublisherStats(infos)
-	// below returns the OR of every profile at or below b.
-	var below func(b string) *bitvector.Profile
-	below = func(b string) *bitvector.Profile {
-		parts := slices.Clone(p.Tree.Hosted[b])
-		for _, c := range p.Tree.Children[b] {
-			parts = append(parts, &allocation.Unit{Profile: below(c)})
-		}
-		return allocation.MergeUnits(b, parts...).Profile
-	}
 	kernel := func(units []*allocation.Unit) float64 {
 		agg, rate := bitvector.NewProfile(units[0].Profile.Capacity()), 0.0
 		for _, u := range units {
@@ -202,17 +190,25 @@ func TestFirstFitRateEstimateOnPaper8k(t *testing.T) {
 	if broker == "" {
 		t.Fatal("the plan has no Phase-3 broker")
 	}
+	filter := core.SubtreeFilters(p.Tree)
 	units := slices.Clone(p.Tree.Hosted[broker])
 	for _, c := range p.Tree.Children[broker] {
-		units = append(units, &allocation.Unit{Profile: below(c)})
+		units = append(units, &allocation.Unit{Profile: filter[c]})
 	}
 	filters := len(p.Tree.Children[broker])
 	for _, u := range p.Tree.Hosted[broker] {
 		filters += len(u.Members)
 	}
+	or, limit := bitvector.EstimateLoad(filter[broker], pubs).Rate, p.Tree.Specs[broker].Delay.MaxRate(filters)
 	forward := kernel(units)
 	slices.Reverse(units)
+	reverse := kernel(units)
 	t.Logf("broker %s, %d units: input rate over the OR %.2f msg/s; first-fit sum %.2f msg/s in child-ID order, %.2f in reverse; MaxRate(%d) %.2f msg/s",
-		broker, len(units), bitvector.EstimateLoad(below(broker), pubs).Rate, forward, kernel(units),
-		filters, p.Tree.Specs[broker].Delay.MaxRate(filters))
+		broker, len(units), or, forward, reverse, filters, limit)
+	if !(or <= limit && forward > limit && reverse <= limit) {
+		t.Errorf("want the OR's estimate and the reverse sum within MaxRate and the child-ID-order sum over it")
+	}
+	if err := core.Verify(p, infos); err != nil {
+		t.Error(err)
+	}
 }

@@ -145,11 +145,24 @@ func TestReconfigureLive(t *testing.T) {
 }
 
 // TestReconfigureLiveAtProfileBits: brokers profiling at 640 bits, as
-// psbroker -profile-bits 640 runs them, are planned under a Config that
-// names no capacity: the plan reads it from the gathered BIA, and verifies.
+// psbroker -profile-bits 640 runs them, report every client, and are planned
+// under a Config that names no capacity: the plan reads it from the gathered
+// BIA, and verifies. Verify checks the plan against the gather only, so the
+// gather's own counts are checked here.
 func TestReconfigureLiveAtProfileBits(t *testing.T) {
-	addr := liveOverlay(t, 640)
-	if _, err := croc.Reconfigure(addr, core.Config{Algorithm: core.AlgCRAMIOS}, 10*time.Second, nil); err != nil {
+	infos, err := croc.Gather(liveOverlay(t, 640), 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs, pubs := 0, 0
+	for _, bi := range infos {
+		subs += len(bi.Subscriptions)
+		pubs += len(bi.Publishers)
+	}
+	if subs != 3 || pubs != 1 {
+		t.Fatalf("gathered %d subs / %d pubs, want 3/1", subs, pubs)
+	}
+	if _, err := croc.Plan(infos, core.Config{Algorithm: core.AlgCRAMIOS}, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -185,8 +185,8 @@ func TestApplyRefusesInvalidPlan(t *testing.T) {
 func TestApplyOnClosedDeploymentFails(t *testing.T) {
 	d := deploy.New()
 	d.Close()
-	if err := d.Apply(&core.Plan{}, nil); err == nil {
-		t.Fatal("apply on closed deployment accepted")
+	if err := d.Apply(consolidationPlan("B0", "A", "s"), nil); err == nil || !strings.Contains(err.Error(), "deployment closed") {
+		t.Fatalf("Apply on a closed deployment = %v, want it refused as closed", err)
 	}
 	d.Close() // idempotent
 }
