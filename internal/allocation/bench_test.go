@@ -10,6 +10,7 @@ import (
 
 	"github.com/greenps/greenps/internal/bitvector"
 	"github.com/greenps/greenps/internal/message"
+	"github.com/greenps/greenps/internal/poset"
 )
 
 // benchInput builds a 2,000-subscription pool against 40 brokers.
@@ -454,4 +455,26 @@ func BenchmarkGIFCloseness(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkPosetSearch times CRAM-IOS's poset partner search over the 8k
+// paper workload's GIFs, bound to the run's publisher table: one op is one
+// SearchClosest from a GIF's profile over the poset the run builds, every
+// GIF the query in turn, skipping itself. It reports the closeness
+// evaluations a search considers, which the publisher summaries answer
+// without a walk for the GIFs that share no publisher with the query.
+func BenchmarkPosetSearch(b *testing.B) {
+	r, err := (&CRAM{Metric: bitvector.MetricIOS}).start(benchInput8k(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer r.spill.close()
+	comps := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g := r.live[i%len(r.live)]
+		res := r.ps.SearchClosest(g.profile, bitvector.MetricIOS, func(n *poset.Node) bool { return n == g.node })
+		comps += res.Computations
+	}
+	b.ReportMetric(float64(comps)/float64(b.N), "comps/search")
 }

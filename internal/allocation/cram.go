@@ -110,7 +110,9 @@ type CRAMStats struct {
 	// computation are included — the counter tracks how many pairings the
 	// searches considered, so the E8 tables read the same whether bound
 	// pruning is on or off; the exact-evaluation count is
-	// ClosenessComputations − BoundPruned.
+	// ClosenessComputations − BoundPruned. Likewise the poset search counts
+	// the children it answers as closeness 0 from their publisher summaries
+	// alone (poset.SearchResult.Computations), with no counter of its own.
 	ClosenessComputations int
 	// BoundPruned counts the exhaustive scan's considered closeness
 	// evaluations that were answered by a ClosenessUpperBound instead of an

@@ -288,6 +288,23 @@ func (p *Profile) Empty() bool {
 	return true
 }
 
+// PublisherMask summarizes in one word the publishers p has entries for: bit
+// FNV-1a(advertisement ID) mod 64 is set for each. Two profiles whose masks
+// share no bit have no publisher in common, so their intersection is empty;
+// a shared bit proves nothing, since two IDs may land on one bit. The mask
+// depends on the IDs alone, so a bound copy and its source agree.
+func (p *Profile) PublisherMask() uint64 {
+	var m uint64
+	for i := range p.entries {
+		h := uint64(14695981039346656037) // FNV-1a 64-bit offset basis
+		for _, c := range []byte(p.entries[i].advID) {
+			h = (h ^ uint64(c)) * 1099511628211
+		}
+		m |= 1 << (h % 64)
+	}
+	return m
+}
+
 // IntersectCount returns |a ∩ b| summed across publishers: one AndCount per
 // common publisher, met in a merge walk over the two sorted lists, keyed by
 // rank when both profiles are bound to one table. It is the

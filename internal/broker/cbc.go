@@ -74,8 +74,9 @@ func (b *cbc) recordPublication(pub *message.Publication, envSize int) {
 }
 
 // stats derives the publisher profile reported in BIA messages: rate and
-// bandwidth over the metering window plus the last message ID, which
-// synchronizes all bit vectors recorded against this publisher.
+// bandwidth over the metering window plus the last message ID, against
+// which the bit vectors recorded for this publisher can be synchronized
+// (Profile.Sync); no code on the plan path does so yet (ROADMAP item 24).
 func (m *pubMeter) stats(now float64) *bitvector.PublisherStats {
 	elapsed := now - m.started
 	if elapsed <= 0 {
@@ -90,8 +91,10 @@ func (m *pubMeter) stats(now float64) *bitvector.PublisherStats {
 }
 
 // info assembles this broker's BrokerInfo contribution. Profiles are
-// synchronized against every local publisher's last sequence number and
-// cloned, so the caller owns the result.
+// cloned as recorded, so the caller owns the result; they are not
+// synchronized against the local publishers' last sequence numbers, so each
+// vector's window ends at the last publication its subscription sank
+// (ROADMAP item 24).
 func (c *Core) info() message.BrokerInfo {
 	now := c.cfg.Clock()
 	bi := message.BrokerInfo{

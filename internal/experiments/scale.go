@@ -16,7 +16,8 @@ import (
 // million live brokers through the simulation harness would measure the
 // harness, not the algorithm — with the sharded exhaustive partner
 // search and the spill-to-disk candidate generator engaged, which is
-// the configuration whose memory stays bounded at this scale.
+// the configuration whose memory stays bounded at this scale, and again
+// through the poset search, the paper's CRAM, on the same pool.
 
 // scaleProfileCapacity bounds the bit vectors; the synthetic windows
 // live in [0, scaleWindow).
@@ -142,41 +143,53 @@ type ScaleOpts struct {
 	Parallelism int
 }
 
-// RunScalePoint builds the workload and allocates it through sharded
-// exhaustive CRAM-IOS under the scaleSpillBudget, returning the measured
-// point.
-func RunScalePoint(o ScaleOpts) (*ScalePoint, error) {
+// RunScalePoint builds the workload and allocates it twice: through
+// sharded exhaustive CRAM-IOS under the scaleSpillBudget (sharded, the
+// BENCH_scale.json row) and through CRAM-IOS's poset search (poset, whose
+// shard, bound and spill counts are 0 and whose GenMillis repeats
+// sharded's: both allocate the one generated pool).
+func RunScalePoint(o ScaleOpts) (sharded, poset *ScalePoint, err error) {
 	genStart := time.Now()
 	in, err := ScaleWorkload(o.Seed, o.Subs)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	gen := time.Since(genStart)
-	cram := &allocation.CRAM{
+	run := func(cram *allocation.CRAM) (*ScalePoint, error) {
+		allocStart := time.Now()
+		asg, allocErr := cram.Allocate(in)
+		if allocErr != nil {
+			return nil, fmt.Errorf("experiments: scale %d subs: %w", o.Subs, allocErr)
+		}
+		st := cram.Stats()
+		return &ScalePoint{
+			Subs:             o.Subs,
+			GIFs:             st.InitialGIFs,
+			FinalUnits:       st.FinalUnits,
+			AllocatedBrokers: asg.NumAllocated(),
+			ShardsPruned:     st.ShardsPruned,
+			BoundPruned:      st.BoundPruned,
+			SpilledRuns:      st.SpilledRuns,
+			PackAttempts:     st.PackAttempts,
+			ProbesCertified:  st.ProbesCertified,
+			GenMillis:        gen.Milliseconds(),
+			AllocMillis:      time.Since(allocStart).Milliseconds(),
+		}, nil
+	}
+	sharded, err = run(&allocation.CRAM{
 		Metric:           bitvector.MetricIOS,
 		ExhaustiveSearch: true,
 		SpillBudgetBytes: scaleSpillBudget,
 		Parallelism:      o.Parallelism,
-	}
-	allocStart := time.Now()
-	asg, err := cram.Allocate(in)
+	})
 	if err != nil {
-		return nil, fmt.Errorf("experiments: scale %d subs: %w", o.Subs, err)
+		return nil, nil, err
 	}
-	st := cram.Stats()
-	return &ScalePoint{
-		Subs:             o.Subs,
-		GIFs:             st.InitialGIFs,
-		FinalUnits:       st.FinalUnits,
-		AllocatedBrokers: asg.NumAllocated(),
-		ShardsPruned:     st.ShardsPruned,
-		BoundPruned:      st.BoundPruned,
-		SpilledRuns:      st.SpilledRuns,
-		PackAttempts:     st.PackAttempts,
-		ProbesCertified:  st.ProbesCertified,
-		GenMillis:        gen.Milliseconds(),
-		AllocMillis:      time.Since(allocStart).Milliseconds(),
-	}, nil
+	poset, err = run(&allocation.CRAM{Metric: bitvector.MetricIOS, Parallelism: o.Parallelism})
+	if err != nil {
+		return nil, nil, err
+	}
+	return sharded, poset, nil
 }
 
 // ScaleSizes returns the sweep's subscription counts: 20k and 100k
@@ -189,33 +202,39 @@ func ScaleSizes(full bool) []int {
 	return sizes
 }
 
-// ScaleSweep runs experiment E13 and returns both the renderable series
-// and the raw points (the BENCH_scale.json payload).
+// ScaleSweep runs experiment E13 and returns both the renderable series,
+// a sharded and a poset row per size, and the sharded points (the
+// BENCH_scale.json payload).
 func ScaleSweep(cfg Config, full bool) (*metrics.Series, []*ScalePoint, error) {
 	c := cfg.withDefaults()
 	out := &metrics.Series{
 		ID:    "E13",
-		Title: "CRAM allocation at scale (sharded exhaustive search, spill-to-disk candidates)",
-		Header: []string{"subscriptions", "GIFs", "final units", "brokers",
-			"shards pruned", "bound pruned", "spilled runs", "probes certified", "generate", "allocate"},
+		Title: "CRAM allocation at scale (sharded exhaustive search with spill-to-disk candidates, and the poset search)",
+		Header: []string{"subscriptions", "search", "GIFs", "final units", "brokers", "shards pruned",
+			"bound pruned", "spilled runs", "pack attempts", "probes certified", "generate", "allocate"},
 		Notes: []string{
-			fmt.Sprintf("spill budget %d KiB; shard count automatic; plans are identical at any shard count or budget", scaleSpillBudget>>10),
+			fmt.Sprintf("sharded: exhaustive scan, spill budget %d KiB, shard count automatic; plans are identical at any shard count or budget", scaleSpillBudget>>10),
+			"poset: the paper's pruned poset search over the same pool (no shards, bounds or spill)",
 			"paper evaluation tops out at 8,000 subscriptions; this series is the repo's extension (DESIGN.md section 14)",
 		},
 	}
 	var points []*ScalePoint
 	for _, subs := range ScaleSizes(full) {
-		pt, err := RunScalePoint(ScaleOpts{Seed: c.Seed, Subs: subs, Parallelism: c.Parallelism})
+		pt, ps, err := RunScalePoint(ScaleOpts{Seed: c.Seed, Subs: subs, Parallelism: c.Parallelism})
 		if err != nil {
 			return nil, nil, err
 		}
 		points = append(points, pt)
-		out.AddRow(metrics.I(pt.Subs), metrics.I(pt.GIFs), metrics.I(pt.FinalUnits),
-			metrics.I(pt.AllocatedBrokers), metrics.I(pt.ShardsPruned), metrics.I(pt.BoundPruned),
-			metrics.I(pt.SpilledRuns), metrics.I(pt.ProbesCertified), metrics.Dur(time.Duration(pt.GenMillis)*time.Millisecond),
-			metrics.Dur(time.Duration(pt.AllocMillis)*time.Millisecond))
-		c.logf("E13 %d subs: gifs=%d shardsPruned=%d spilledRuns=%d probesCertified=%d alloc=%dms",
-			pt.Subs, pt.GIFs, pt.ShardsPruned, pt.SpilledRuns, pt.ProbesCertified, pt.AllocMillis)
+		row := func(search string, r *ScalePoint, gen string) {
+			out.AddRow(metrics.I(r.Subs), search, metrics.I(r.GIFs), metrics.I(r.FinalUnits),
+				metrics.I(r.AllocatedBrokers), metrics.I(r.ShardsPruned), metrics.I(r.BoundPruned),
+				metrics.I(r.SpilledRuns), metrics.I(r.PackAttempts), metrics.I(r.ProbesCertified), gen,
+				metrics.Dur(time.Duration(r.AllocMillis)*time.Millisecond))
+		}
+		row("sharded", pt, metrics.Dur(time.Duration(pt.GenMillis)*time.Millisecond))
+		row("poset", ps, "-") // it allocates the pool generated for the sharded row
+		c.logf("E13 %d subs: gifs=%d shardsPruned=%d spilledRuns=%d probesCertified=%d alloc=%dms, poset alloc=%dms",
+			pt.Subs, pt.GIFs, pt.ShardsPruned, pt.SpilledRuns, pt.ProbesCertified, pt.AllocMillis, ps.AllocMillis)
 	}
 	return out, points, nil
 }

@@ -39,12 +39,17 @@ func TestScaleWorkloadDeterministic(t *testing.T) {
 // TestScalePointSmall runs a reduced point end to end and checks it
 // against direct runs of the same pool: an unsharded in-memory one, and one
 // with the shard count and budget forced low, whose machinery must engage
-// (shards pruned, runs spilled) without changing the assignment.
+// (shards pruned, runs spilled) without changing the assignment. The poset
+// row groups the same pool and engages none of that machinery.
 func TestScalePointSmall(t *testing.T) {
 	const subs = 4_000
-	pt, err := RunScalePoint(ScaleOpts{Seed: 3, Subs: subs})
+	pt, ps, err := RunScalePoint(ScaleOpts{Seed: 3, Subs: subs})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ps.GIFs != pt.GIFs || ps.ShardsPruned != 0 || ps.BoundPruned != 0 || ps.SpilledRuns != 0 {
+		t.Errorf("poset row: %d GIFs (sharded %d), %d shards pruned, %d bound pruned, %d runs spilled; want the same GIFs and no scan machinery",
+			ps.GIFs, pt.GIFs, ps.ShardsPruned, ps.BoundPruned, ps.SpilledRuns)
 	}
 	if pt.SpilledRuns != 0 {
 		t.Errorf("RunScalePoint spilled %d runs at %d subs; the shared temp dir must stay untouched", pt.SpilledRuns, subs)

@@ -20,7 +20,7 @@ func (p *Poset) Walk(fn func(*Node)) {
 		// Enqueue in sorted order: the callback observes the visit order,
 		// so it must not depend on map iteration.
 		for _, ch := range cur.Children() {
-			if seen.mark(ch) {
+			if seen.mark(ch.slot) {
 				queue = append(queue, ch)
 			}
 		}
@@ -28,10 +28,11 @@ func (p *Poset) Walk(fn func(*Node)) {
 }
 
 // CheckInvariants verifies structural soundness: every live node holds a
-// slot of its own, every node is reachable from the root, every edge respects
-// the superset order, and the graph is acyclic. It returns the first
-// violation in node-ID order, so a broken graph produces the same witness
-// on every run.
+// slot of its own and its profile's publisher summary, the slices kept
+// beside the root's children match them, every node is reachable from the
+// root, every edge respects the superset order, and the graph is acyclic. It
+// returns the first violation in node-ID order, so a broken graph produces
+// the same witness on every run.
 func (p *Poset) CheckInvariants() error {
 	ids := make([]string, 0, len(p.nodes))
 	for id := range p.nodes {
@@ -56,6 +57,21 @@ func (p *Poset) CheckInvariants() error {
 	}
 	if 1+len(p.nodes)+len(p.free) != p.slots {
 		return fmt.Errorf("poset: %d slots handed out, but %d nodes, %d free and the root", p.slots, len(p.nodes), len(p.free))
+	}
+	for _, id := range ids {
+		n := p.nodes[id]
+		if want := n.Profile.PublisherMask(); n.pubs != want {
+			return fmt.Errorf("poset: node %s holds publisher summary %#x, its profile's is %#x", n.ID, n.pubs, want)
+		}
+	}
+	kids := p.root.children
+	if len(p.rootPubs) != len(kids) || len(p.rootSlots) != len(kids) {
+		return fmt.Errorf("poset: root has %d children but %d summaries and %d slots beside them", len(kids), len(p.rootPubs), len(p.rootSlots))
+	}
+	for j, ch := range kids {
+		if p.rootPubs[j] != ch.pubs || p.rootSlots[j] != ch.slot {
+			return fmt.Errorf("poset: root child %d (%s) is kept as summary %#x, slot %d; it holds %#x, %d", j, ch.ID, p.rootPubs[j], p.rootSlots[j], ch.pubs, ch.slot)
+		}
 	}
 	reached := 0
 	p.Walk(func(*Node) { reached++ })

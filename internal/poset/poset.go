@@ -11,6 +11,13 @@
 // also has zero closeness, and the search below a child can stop once the
 // closeness value starts to decrease.
 //
+// Each node keeps a one-word summary of the publishers its profile has
+// entries for (bitvector.Profile.PublisherMask). A node whose summary shares
+// no bit with the query's shares no publisher with it, so the walks answer
+// it — closeness 0 in SearchClosest, RelEmpty in Insert's walks — without
+// reading its profile, and still count it as a pairing considered. Two
+// publishers hashed to one bit only cost the exact evaluation.
+//
 // Profiles that sank no publications cannot be ordered meaningfully (they
 // are subsets of everything); callers keep them out of the poset and
 // allocate them separately.
@@ -50,6 +57,9 @@ type Node struct {
 	// holds 0): assigned at Insert, handed to a later Insert after Remove.
 	// Walks mark visited nodes by it in a bitmap of their own (walk.seen).
 	slot int
+	// pubs is the profile's PublisherMask, taken at Insert: a node's profile
+	// does not change while it is in the poset.
+	pubs uint64
 }
 
 // Children returns the node's direct children sorted by ID (deterministic).
@@ -99,9 +109,10 @@ func unlink(par, ch *Node) {
 // poset must not be mutated while it is in use.
 type visited []uint64
 
-// mark adds n to the set and reports whether it was absent.
-func (v visited) mark(n *Node) bool {
-	w, bit := &v[n.slot/64], uint64(1)<<(uint(n.slot)%64)
+// mark adds the node holding slot to the set and reports whether it was
+// absent.
+func (v visited) mark(slot int) bool {
+	w, bit := &v[slot/64], uint64(1)<<(uint(slot)%64)
 	if *w&bit != 0 {
 		return false
 	}
@@ -109,9 +120,9 @@ func (v visited) mark(n *Node) bool {
 	return true
 }
 
-// has reports whether n is in the set.
-func (v visited) has(n *Node) bool {
-	return v[n.slot/64]&(uint64(1)<<(uint(n.slot)%64)) != 0
+// has reports whether the node holding slot is in the set.
+func (v visited) has(slot int) bool {
+	return v[slot/64]&(uint64(1)<<(uint(slot)%64)) != 0
 }
 
 // walk is the scratch of one walk over the poset: its visited set and its
@@ -164,8 +175,18 @@ type Poset struct {
 	// first-out so the count stays the peak number of live nodes.
 	slots int
 	free  []int
-	// relateCount tallies Relate calls, the unit of work the paper's
-	// Optimization 2 reduces; exposed for the E8 ablation experiment.
+	// rootPubs and rootSlots hold the summary and slot of each of the root's
+	// children, in root.children's order, so that a walk skips a root child
+	// the summary answers without dereferencing it. Insert and Remove
+	// rebuild them whenever they change the root's children (indexRoot);
+	// walks only read them.
+	rootPubs  []uint64
+	rootSlots []int
+	// relateCount tallies the relationships Insert's walks considered, the
+	// unit of work the paper's Optimization 2 reduces; exposed for the E8
+	// ablation experiment. A pair whose publisher summaries share no bit is
+	// answered RelEmpty without a Relate call and still counted, so the
+	// count is the same with or without the summaries.
 	relateCount int
 }
 
@@ -178,8 +199,29 @@ func New() *Poset {
 	}
 }
 
-// RelateCount returns the number of relationship computations performed.
+// RelateCount returns the number of relationships Insert's walks
+// considered (see relateCount).
 func (p *Poset) RelateCount() int { return p.relateCount }
+
+// summary returns the publisher summary and slot of par's j-th child: from
+// the slices kept beside the root's children when par is the root, so that
+// reading them leaves the child untouched, and from the child otherwise.
+func (p *Poset) summary(par *Node, j int) (pubs uint64, slot int) {
+	if par == p.root {
+		return p.rootPubs[j], p.rootSlots[j]
+	}
+	ch := par.children[j]
+	return ch.pubs, ch.slot
+}
+
+// indexRoot rebuilds rootPubs and rootSlots from the root's children.
+func (p *Poset) indexRoot() {
+	p.rootPubs, p.rootSlots = p.rootPubs[:0], p.rootSlots[:0]
+	for _, ch := range p.root.children {
+		p.rootPubs = append(p.rootPubs, ch.pubs)
+		p.rootSlots = append(p.rootSlots, ch.slot)
+	}
+}
 
 // relate computes the relationship of a (non-root) profile pair, counting
 // the work.
@@ -198,13 +240,19 @@ func (p *Poset) Insert(id string, prof *bitvector.Profile, payload any) (*Node, 
 	if prof == nil || prof.Empty() {
 		return nil, fmt.Errorf("poset: node %q has an empty profile", id)
 	}
-	n := &Node{ID: id, Profile: prof, Payload: payload}
+	n := &Node{ID: id, Profile: prof, Payload: payload, pubs: prof.PublisherMask()}
 
-	parents, equal := p.findParents(prof)
+	parents, equal := p.findParents(n)
 	if equal != nil {
 		return nil, fmt.Errorf("poset: node %q has a profile equal to existing node %q; group them into one GIF instead", id, equal.ID)
 	}
-	children := p.findChildren(parents, prof)
+	children := p.findChildren(parents, n)
+	if k := len(p.free); k > 0 {
+		n.slot, p.free = p.free[k-1], p.free[:k-1]
+	} else {
+		n.slot = p.slots
+		p.slots++
+	}
 
 	for _, par := range parents {
 		for _, ch := range children {
@@ -217,40 +265,44 @@ func (p *Poset) Insert(id string, prof *bitvector.Profile, payload any) (*Node, 
 	for _, ch := range children {
 		link(n, ch)
 	}
-	if k := len(p.free); k > 0 {
-		n.slot, p.free = p.free[k-1], p.free[:k-1]
-	} else {
-		n.slot = p.slots
-		p.slots++
+	if slices.Contains(parents, p.root) {
+		p.indexRoot()
 	}
 	p.nodes[id] = n
 	return n, nil
 }
 
-// findParents locates the minimal nodes strictly covering prof: BFS from
-// the root, descending into any node that covers prof; a covering node none
-// of whose children cover prof is a parent. If a node with an equal profile
-// exists it is returned separately so Insert can reject the duplicate.
+// findParents locates the minimal nodes strictly covering n's profile: BFS
+// from the root, descending into any node that covers it; a covering node
+// none of whose children cover it is a parent. If a node with an equal
+// profile exists it is returned separately so Insert can reject the
+// duplicate. A child whose publisher summary shares no bit with n's is
+// RelEmpty (both profiles are non-empty) and is counted without a Relate.
 //
 // Every node enters the queue once (the root is nobody's child: it needs no
 // mark), so no parent is listed twice.
-func (p *Poset) findParents(prof *bitvector.Profile) (parents []*Node, equal *Node) {
+func (p *Poset) findParents(n *Node) (parents []*Node, equal *Node) {
 	w := p.startWalk()
 	defer w.end()
 	w.queue = append(w.queue, p.root)
 	for i := 0; i < len(w.queue); i++ {
 		cur := w.queue[i]
 		descended := false
-		for _, ch := range cur.Children() {
-			if w.seen.has(ch) {
+		for j, ch := range cur.Children() {
+			pubs, slot := p.summary(cur, j)
+			if w.seen.has(slot) {
 				descended = true // covering child already being explored
 				continue
 			}
-			switch p.relate(ch.Profile, prof) {
+			if pubs&n.pubs == 0 {
+				p.relateCount++
+				continue
+			}
+			switch p.relate(ch.Profile, n.Profile) {
 			case bitvector.RelEqual:
 				return nil, ch
 			case bitvector.RelSuperset:
-				w.seen.mark(ch)
+				w.seen.mark(slot)
 				w.queue = append(w.queue, ch)
 				descended = true
 			}
@@ -262,33 +314,39 @@ func (p *Poset) findParents(prof *bitvector.Profile) (parents []*Node, equal *No
 	return parents, nil
 }
 
-// findChildren locates the maximal nodes strictly covered by prof,
+// findChildren locates the maximal nodes strictly covered by n's profile,
 // searching the descendants of the chosen parents. A node that is covered
 // is taken whole (no need to descend); a node that merely intersects may
 // still hide covered descendants, so the search continues below it; a node
 // with an empty relationship cannot (its descendants are subsets of it).
-func (p *Poset) findChildren(parents []*Node, prof *bitvector.Profile) []*Node {
+// A node whose publisher summary shares no bit with n's is such a node: it
+// is counted when it is reached, without a Relate, and not queued.
+func (p *Poset) findChildren(parents []*Node, n *Node) []*Node {
 	var children []*Node
 	w := p.startWalk()
-	enqueue := func(n *Node) {
-		if w.seen.mark(n) {
-			w.queue = append(w.queue, n)
+	enqueue := func(par *Node) {
+		for j, ch := range par.Children() {
+			pubs, slot := p.summary(par, j)
+			if !w.seen.mark(slot) {
+				continue
+			}
+			if pubs&n.pubs == 0 {
+				p.relateCount++
+				continue
+			}
+			w.queue = append(w.queue, ch)
 		}
 	}
 	for _, par := range parents {
-		for _, ch := range par.Children() {
-			enqueue(ch)
-		}
+		enqueue(par)
 	}
 	for i := 0; i < len(w.queue); i++ {
 		cur := w.queue[i]
-		switch p.relate(prof, cur.Profile) {
+		switch p.relate(n.Profile, cur.Profile) {
 		case bitvector.RelSuperset:
 			children = append(children, cur)
 		case bitvector.RelIntersect:
-			for _, ch := range cur.Children() {
-				enqueue(ch)
-			}
+			enqueue(cur)
 		default:
 			// Equal cannot happen (IDs are unique per fingerprint);
 			// Subset/Empty hide no covered descendants.
@@ -310,7 +368,7 @@ func (p *Poset) maximalOnly(cands []*Node) []*Node {
 	defer candSet.end()
 	defer w.end()
 	for _, c := range cands {
-		candSet.seen.mark(c)
+		candSet.seen.mark(c.slot)
 	}
 	var out []*Node
 	for _, c := range cands {
@@ -318,18 +376,18 @@ func (p *Poset) maximalOnly(cands []*Node) []*Node {
 		// BFS upward from c looking for another candidate.
 		clear(w.seen)
 		clear(w.queue)
-		w.seen.mark(c)
+		w.seen.mark(c.slot)
 		w.queue = append(w.queue[:0], c)
 		for i := 0; i < len(w.queue) && !reachable; i++ {
 			for _, par := range w.queue[i].parents {
-				if w.seen.has(par) {
+				if w.seen.has(par.slot) {
 					continue
 				}
-				if candSet.seen.has(par) {
+				if candSet.seen.has(par.slot) {
 					reachable = true
 					break
 				}
-				w.seen.mark(par)
+				w.seen.mark(par.slot)
 				w.queue = append(w.queue, par)
 			}
 		}
@@ -349,6 +407,7 @@ func (p *Poset) Remove(id string) error {
 		return fmt.Errorf("poset: node %q not present", id)
 	}
 	parents, children := n.parents, n.children
+	rootChanged := slices.Contains(parents, p.root)
 	for _, par := range parents {
 		unlink(par, n)
 	}
@@ -364,7 +423,11 @@ func (p *Poset) Remove(id string) error {
 	for _, ch := range children {
 		if len(ch.parents) == 0 {
 			link(p.root, ch)
+			rootChanged = true
 		}
+	}
+	if rootChanged {
+		p.indexRoot()
 	}
 	delete(p.nodes, id)
 	p.free = append(p.free, n.slot)
@@ -381,11 +444,11 @@ func (p *Poset) CoveredBy(n *Node) []*Node {
 	// descendant, taken in once.
 	out := slices.Clone(n.children)
 	for _, ch := range out {
-		w.seen.mark(ch)
+		w.seen.mark(ch.slot)
 	}
 	for i := 0; i < len(out); i++ {
 		for _, ch := range out[i].children {
-			if w.seen.mark(ch) {
+			if w.seen.mark(ch.slot) {
 				out = append(out, ch)
 			}
 		}
@@ -401,7 +464,10 @@ type SearchResult struct {
 	Best *Node
 	// Closeness is Best's metric value.
 	Closeness float64
-	// Computations counts the closeness evaluations the search made.
+	// Computations counts the closeness evaluations the search considered:
+	// a child the publisher summaries answer as closeness 0, without an
+	// evaluation, is counted too, so the count is the same with or without
+	// the summaries.
 	Computations int
 }
 
@@ -421,7 +487,10 @@ type SearchResult struct {
 //   - Zero pruning (always on for those metrics): a node with closeness 0
 //     has an empty relationship with the query, and every descendant is a
 //     subset of the node, so the whole subtree is skipped. This pruning is
-//     exact.
+//     exact. A node whose publisher summary shares no bit with the query's
+//     is answered as closeness 0 without its profile being read; at the
+//     root level the summary comes from the slices kept beside the root's
+//     children, so such a child is not even dereferenced.
 //   - Decrease pruning (the paper's Optimization 2): stop
 //     descending below a child whose closeness drops strictly under its
 //     parent's, on the grounds that closeness rises toward the query's own
@@ -433,16 +502,26 @@ type SearchResult struct {
 func (p *Poset) SearchClosest(query *bitvector.Profile, metric bitvector.Metric, skip func(*Node) bool) SearchResult {
 	var res SearchResult
 	prunable := metric != bitvector.MetricXor
+	// Under XOR every summary meets the query's: a node's profile is never
+	// empty, so its summary has a bit set.
+	qpubs := ^uint64(0)
+	if prunable {
+		qpubs = query.PublisherMask()
+	}
 
 	w := p.startWalk()
 	level, next := append(w.level[:0], searchItem{node: p.root}), w.next[:0]
 	for rootLevel := true; len(level) > 0; rootLevel = false {
 		for _, it := range level {
-			for _, ch := range it.node.Children() {
-				if !w.seen.mark(ch) {
+			for j, ch := range it.node.Children() {
+				pubs, slot := p.summary(it.node, j)
+				if !w.seen.mark(slot) {
 					continue
 				}
 				res.Computations++
+				if pubs&qpubs == 0 {
+					continue // no publisher in common: closeness 0
+				}
 				c := bitvector.Closeness(metric, query, ch.Profile)
 				if prunable && c == 0 {
 					continue // empty relation: all descendants empty too

@@ -325,7 +325,7 @@ func searchUnpruned(p *Poset, query *bitvector.Profile, metric bitvector.Metric)
 		var next []*Node
 		for _, n := range level {
 			for _, ch := range n.Children() {
-				if !seen.mark(ch) {
+				if !seen.mark(ch.slot) {
 					continue
 				}
 				res.Computations++
