@@ -43,7 +43,7 @@ var descriptions = []struct{ id, desc string }{
 	{"e10", "Phase-3 overlay optimization ablation"},
 	{"e11", "publisher relocation alone vs full pipeline"},
 	{"e12", "poset insertion scalability"},
-	{"e13", "CRAM allocation at scale (sharded search, spill-to-disk)"},
+	{"e13", "CRAM allocation at scale: sharded search with spill-to-disk, and the poset search"},
 	{"t1", "summary: reductions vs MANUAL"},
 }
 

@@ -804,7 +804,9 @@ func TestProbeBandwidthTieOrder(t *testing.T) {
 // whether the capacity certificate gave it at the head of the stream or
 // part-way through the replay, or the replay did. The random pools are
 // tight, roomy and rate-bound in about equal parts, so every kind of answer
-// is held to it in numbers.
+// is held to it in numbers. The cases run in parallel chunks (the race
+// detector makes one pass take minutes); the tallies are summed once every
+// chunk has finished.
 func TestProbeMatchesCommit(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	cases := [][]byte{tieCase, probeDisagreement, roomyTieCase}
@@ -813,17 +815,39 @@ func TestProbeMatchesCommit(t *testing.T) {
 		rng.Read(data)
 		cases = append(cases, data)
 	}
+	const chunks = 8
+	type tally struct {
+		packs    [2]int
+		outcomes [3]int
+	}
+	tallies := make([]tally, chunks)
+	t.Run("cases", func(t *testing.T) {
+		for c := range tallies {
+			lo, hi := c*len(cases)/chunks, (c+1)*len(cases)/chunks
+			t.Run(fmt.Sprintf("%d-%d", lo, hi), func(t *testing.T) {
+				t.Parallel()
+				for _, data := range cases[lo:hi] {
+					units, removed, added, brokers, pubs := probeCase(data)
+					ok, how := checkProbeMatchesCommit(t, units, removed, added, brokers, pubs)
+					if ok {
+						tallies[c].packs[1]++
+					} else {
+						tallies[c].packs[0]++
+					}
+					tallies[c].outcomes[how]++
+				}
+			})
+		}
+	})
 	var packs [2]int
 	var outcomes [3]int
-	for _, data := range cases {
-		units, removed, added, brokers, pubs := probeCase(data)
-		ok, how := checkProbeMatchesCommit(t, units, removed, added, brokers, pubs)
-		if ok {
-			packs[1]++
-		} else {
-			packs[0]++
+	for _, tl := range tallies {
+		for i, n := range tl.packs {
+			packs[i] += n
 		}
-		outcomes[how]++
+		for i, n := range tl.outcomes {
+			outcomes[i] += n
+		}
 	}
 	if packs[0] == 0 || packs[1] == 0 {
 		t.Fatalf("one-sided cases: %d pack, %d do not", packs[1], packs[0])

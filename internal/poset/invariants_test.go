@@ -28,11 +28,10 @@ func (p *Poset) Walk(fn func(*Node)) {
 }
 
 // CheckInvariants verifies structural soundness: every live node holds a
-// slot of its own and its profile's publisher summary, the slices kept
-// beside the root's children match them, every node is reachable from the
-// root, every edge respects the superset order, and the graph is acyclic. It
-// returns the first violation in node-ID order, so a broken graph produces
-// the same witness on every run.
+// slot of its own and its profile's publisher summary, every node is
+// reachable from the root, every edge respects the superset order, and the
+// graph is acyclic. It returns the first violation in node-ID order, so a
+// broken graph produces the same witness on every run.
 func (p *Poset) CheckInvariants() error {
 	ids := make([]string, 0, len(p.nodes))
 	for id := range p.nodes {
@@ -62,15 +61,6 @@ func (p *Poset) CheckInvariants() error {
 		n := p.nodes[id]
 		if want := n.Profile.PublisherMask(); n.pubs != want {
 			return fmt.Errorf("poset: node %s holds publisher summary %#x, its profile's is %#x", n.ID, n.pubs, want)
-		}
-	}
-	kids := p.root.children
-	if len(p.rootPubs) != len(kids) || len(p.rootSlots) != len(kids) {
-		return fmt.Errorf("poset: root has %d children but %d summaries and %d slots beside them", len(kids), len(p.rootPubs), len(p.rootSlots))
-	}
-	for j, ch := range kids {
-		if p.rootPubs[j] != ch.pubs || p.rootSlots[j] != ch.slot {
-			return fmt.Errorf("poset: root child %d (%s) is kept as summary %#x, slot %d; it holds %#x, %d", j, ch.ID, p.rootPubs[j], p.rootSlots[j], ch.pubs, ch.slot)
 		}
 	}
 	reached := 0

@@ -175,13 +175,6 @@ type Poset struct {
 	// first-out so the count stays the peak number of live nodes.
 	slots int
 	free  []int
-	// rootPubs and rootSlots hold the summary and slot of each of the root's
-	// children, in root.children's order, so that a walk skips a root child
-	// the summary answers without dereferencing it. Insert and Remove
-	// rebuild them whenever they change the root's children (indexRoot);
-	// walks only read them.
-	rootPubs  []uint64
-	rootSlots []int
 	// relateCount tallies the relationships Insert's walks considered, the
 	// unit of work the paper's Optimization 2 reduces; exposed for the E8
 	// ablation experiment. A pair whose publisher summaries share no bit is
@@ -202,26 +195,6 @@ func New() *Poset {
 // RelateCount returns the number of relationships Insert's walks
 // considered (see relateCount).
 func (p *Poset) RelateCount() int { return p.relateCount }
-
-// summary returns the publisher summary and slot of par's j-th child: from
-// the slices kept beside the root's children when par is the root, so that
-// reading them leaves the child untouched, and from the child otherwise.
-func (p *Poset) summary(par *Node, j int) (pubs uint64, slot int) {
-	if par == p.root {
-		return p.rootPubs[j], p.rootSlots[j]
-	}
-	ch := par.children[j]
-	return ch.pubs, ch.slot
-}
-
-// indexRoot rebuilds rootPubs and rootSlots from the root's children.
-func (p *Poset) indexRoot() {
-	p.rootPubs, p.rootSlots = p.rootPubs[:0], p.rootSlots[:0]
-	for _, ch := range p.root.children {
-		p.rootPubs = append(p.rootPubs, ch.pubs)
-		p.rootSlots = append(p.rootSlots, ch.slot)
-	}
-}
 
 // relate computes the relationship of a (non-root) profile pair, counting
 // the work.
@@ -265,9 +238,6 @@ func (p *Poset) Insert(id string, prof *bitvector.Profile, payload any) (*Node, 
 	for _, ch := range children {
 		link(n, ch)
 	}
-	if slices.Contains(parents, p.root) {
-		p.indexRoot()
-	}
 	p.nodes[id] = n
 	return n, nil
 }
@@ -288,13 +258,12 @@ func (p *Poset) findParents(n *Node) (parents []*Node, equal *Node) {
 	for i := 0; i < len(w.queue); i++ {
 		cur := w.queue[i]
 		descended := false
-		for j, ch := range cur.Children() {
-			pubs, slot := p.summary(cur, j)
-			if w.seen.has(slot) {
+		for _, ch := range cur.Children() {
+			if w.seen.has(ch.slot) {
 				descended = true // covering child already being explored
 				continue
 			}
-			if pubs&n.pubs == 0 {
+			if ch.pubs&n.pubs == 0 {
 				p.relateCount++
 				continue
 			}
@@ -302,7 +271,7 @@ func (p *Poset) findParents(n *Node) (parents []*Node, equal *Node) {
 			case bitvector.RelEqual:
 				return nil, ch
 			case bitvector.RelSuperset:
-				w.seen.mark(slot)
+				w.seen.mark(ch.slot)
 				w.queue = append(w.queue, ch)
 				descended = true
 			}
@@ -325,12 +294,11 @@ func (p *Poset) findChildren(parents []*Node, n *Node) []*Node {
 	var children []*Node
 	w := p.startWalk()
 	enqueue := func(par *Node) {
-		for j, ch := range par.Children() {
-			pubs, slot := p.summary(par, j)
-			if !w.seen.mark(slot) {
+		for _, ch := range par.Children() {
+			if !w.seen.mark(ch.slot) {
 				continue
 			}
-			if pubs&n.pubs == 0 {
+			if ch.pubs&n.pubs == 0 {
 				p.relateCount++
 				continue
 			}
@@ -407,7 +375,6 @@ func (p *Poset) Remove(id string) error {
 		return fmt.Errorf("poset: node %q not present", id)
 	}
 	parents, children := n.parents, n.children
-	rootChanged := slices.Contains(parents, p.root)
 	for _, par := range parents {
 		unlink(par, n)
 	}
@@ -423,11 +390,7 @@ func (p *Poset) Remove(id string) error {
 	for _, ch := range children {
 		if len(ch.parents) == 0 {
 			link(p.root, ch)
-			rootChanged = true
 		}
-	}
-	if rootChanged {
-		p.indexRoot()
 	}
 	delete(p.nodes, id)
 	p.free = append(p.free, n.slot)
@@ -488,9 +451,7 @@ type SearchResult struct {
 //     has an empty relationship with the query, and every descendant is a
 //     subset of the node, so the whole subtree is skipped. This pruning is
 //     exact. A node whose publisher summary shares no bit with the query's
-//     is answered as closeness 0 without its profile being read; at the
-//     root level the summary comes from the slices kept beside the root's
-//     children, so such a child is not even dereferenced.
+//     is answered as closeness 0 without its profile being read.
 //   - Decrease pruning (the paper's Optimization 2): stop
 //     descending below a child whose closeness drops strictly under its
 //     parent's, on the grounds that closeness rises toward the query's own
@@ -513,13 +474,12 @@ func (p *Poset) SearchClosest(query *bitvector.Profile, metric bitvector.Metric,
 	level, next := append(w.level[:0], searchItem{node: p.root}), w.next[:0]
 	for rootLevel := true; len(level) > 0; rootLevel = false {
 		for _, it := range level {
-			for j, ch := range it.node.Children() {
-				pubs, slot := p.summary(it.node, j)
-				if !w.seen.mark(slot) {
+			for _, ch := range it.node.Children() {
+				if !w.seen.mark(ch.slot) {
 					continue
 				}
 				res.Computations++
-				if pubs&qpubs == 0 {
+				if ch.pubs&qpubs == 0 {
 					continue // no publisher in common: closeness 0
 				}
 				c := bitvector.Closeness(metric, query, ch.Profile)
