@@ -186,6 +186,22 @@ const defaultProfileRounds = 200
 // reconfiguring run starts with and planning-only experiments run alone (the
 // E7/E8 ablations plan repeatedly over one gathered snapshot). A capacity of
 // 0 means profileCapacity.
+//
+// The profiling rounds replay publisher by publisher (replayProfiling), not
+// round by round as the measured phase does, so that one symbol's
+// subscriptions, predicates and profiles stay in cache while its rounds
+// run. The infos, every broker's Counters and Now are exactly those of a
+// round-by-round replay (DESIGN.md §12.8), for five reasons:
+//   - Stock.Publication is a pure function of (stock, round);
+//   - the rounds change no routing state, so every publication reaches the
+//     same subscriptions in either order;
+//   - a broker's CBC reads the clock only when it registers a publisher and
+//     when it answers a BIR, and both happen outside the rounds, after which
+//     the clock has taken the same Advance steps;
+//   - every bit vector is indexed by its own publisher's sequence numbers
+//     and receives them in the same order, sliding its window at the same
+//     points;
+//   - the publisher and broker meters are integer counts.
 func Prepare(sc *workload.Scenario, profileRounds, capacity int) (*Network, []message.BrokerInfo, error) {
 	if profileRounds <= 0 {
 		profileRounds = defaultProfileRounds
@@ -198,7 +214,7 @@ func Prepare(sc *workload.Scenario, profileRounds, capacity int) (*Network, []me
 		return nil, nil, err
 	}
 	// Phase 1a: profiling traffic fills the bit vectors.
-	if err = publishRounds(net, sc, 0, profileRounds); err != nil {
+	if err = replayProfiling(net, sc, profileRounds); err != nil {
 		return nil, nil, err
 	}
 	// Phase 1b: CROC connects to any broker and floods a BIR.
@@ -378,24 +394,56 @@ func attachClients(net *Network, sc *workload.Scenario,
 func publishRounds(net *Network, sc *workload.Scenario, firstRound, rounds int) error {
 	for r := firstRound; r < firstRound+rounds; r++ {
 		for i := range sc.Publishers {
-			p := &sc.Publishers[i]
-			pub := p.Stock.Publication(p.AdvID, r, r)
-			if err := net.SendFromClient(p.ClientID, &message.Envelope{
-				Kind: message.KindPublication, Pub: pub,
-			}); err != nil {
+			if err := publish(net, &sc.Publishers[i], r); err != nil {
 				return err
 			}
 		}
-		if len(sc.Publishers) > 0 {
-			net.Advance(1 / sc.Publishers[0].Rate)
-		}
+		advanceRounds(net, sc, 1)
 	}
 	return nil
 }
 
+// replayProfiling replays the profiling rounds [0, rounds) publisher by
+// publisher — all of one publisher's quotes, each drained to quiescence,
+// before the next publisher's — and then advances the clock by the same
+// steps publishRounds takes. See Prepare for why this equals the
+// round-by-round replay.
+func replayProfiling(net *Network, sc *workload.Scenario, rounds int) error {
+	for i := range sc.Publishers {
+		for r := 0; r < rounds; r++ {
+			if err := publish(net, &sc.Publishers[i], r); err != nil {
+				return err
+			}
+		}
+	}
+	advanceRounds(net, sc, rounds)
+	return nil
+}
+
+// publish sends publisher p's quote of round r (sequence = round index).
+func publish(net *Network, p *workload.PublisherDef, r int) error {
+	return net.SendFromClient(p.ClientID, &message.Envelope{
+		Kind: message.KindPublication, Pub: p.Stock.Publication(p.AdvID, r, r),
+	})
+}
+
+// advanceRounds advances the virtual clock by one publication interval per
+// round, one Advance call each, so that the float sum is the same however
+// the rounds' publications were ordered.
+func advanceRounds(net *Network, sc *workload.Scenario, rounds int) {
+	if len(sc.Publishers) == 0 {
+		return
+	}
+	for range rounds {
+		net.Advance(1 / sc.Publishers[0].Rate)
+	}
+}
+
 // measure runs the measured phase on a deployed network and assembles the
-// Result. firstRound continues the publication sequence space so bit
-// vectors and dedup behave exactly as in a continuous run.
+// Result. firstRound continues the publication sequence space, so each
+// bit vector keeps receiving its publisher's sequence numbers in order, as
+// in a continuous run. The rounds replay round by round, since OnDelivery
+// sums float delays in arrival order.
 func measure(net *Network, sc *workload.Scenario, c ExperimentConfig,
 	allocated []string, firstRound int, computeTime time.Duration) (*Result, error) {
 

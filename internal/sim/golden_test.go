@@ -60,7 +60,7 @@ func TestPrepareInfosGolden(t *testing.T) {
 }
 
 // profilingDeliveries counts the publications Prepare's profiling rounds
-// deliver, by running the same rounds on a fresh deployment of sc.
+// deliver, by running Prepare's own replay on a fresh deployment of sc.
 func profilingDeliveries(t *testing.T, sc *workload.Scenario, rounds int) int {
 	t.Helper()
 	net, err := deployManual(sc, profileCapacity, nil)
@@ -69,7 +69,7 @@ func profilingDeliveries(t *testing.T, sc *workload.Scenario, rounds int) int {
 	}
 	n := 0
 	net.OnDelivery = func(Delivery) { n++ }
-	if err := publishRounds(net, sc, 0, rounds); err != nil {
+	if err := replayProfiling(net, sc, rounds); err != nil {
 		t.Fatal(err)
 	}
 	return n
