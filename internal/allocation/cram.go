@@ -86,6 +86,10 @@ type CRAM struct {
 	// bit-for-bit identical either way; in-package equivalence tests and
 	// BenchmarkPartnerSearchPruned set it. The poset search takes no bounds.
 	disableBoundPruning bool
+	// checkSearchMemo makes every reuse of a GIF's memoized search also run
+	// the search and fail the run when the two differ in candidate or in any
+	// count (DESIGN.md §7, "Search memo"); in-package tests set it.
+	checkSearchMemo bool
 
 	stats CRAMStats
 }
@@ -105,7 +109,9 @@ type CRAMStats struct {
 	// ClosenessComputations counts closeness evaluations across all
 	// partner searches. This is the counter behind the paper's E8
 	// closeness-computation column; set-cover bookkeeping is tallied
-	// separately in CoverComputations. Evaluations the exhaustive scan
+	// separately in CoverComputations. A search reused from a GIF's memo
+	// (SearchesReused) counts its evaluations again, so the counter reads as
+	// if every search had run. Evaluations the exhaustive scan
 	// answered by a summary upper bound rather than an exact metric
 	// computation are included — the counter tracks how many pairings the
 	// searches considered, so the E8 tables read the same whether bound
@@ -151,6 +157,10 @@ type CRAMStats struct {
 	// SpillBudgetBytes or spilling is off). It is the only stat that
 	// depends on the memory budget.
 	SpilledRuns int
+	// SearchesReused counts the partner searches after the seed phase that
+	// a GIF's memo answered: no write the search reads had happened since
+	// that GIF's previous search, so it would have returned the same result.
+	SearchesReused int
 }
 
 // Stats returns the statistics of the last Allocate run.
@@ -180,6 +190,10 @@ type gif struct {
 	blPartners []*gif
 	blSelf     bool
 	dropped    bool // set by dropGIF; a dropped GIF never comes back
+	// memo is the GIF's last partner search, run at generation memoGen of
+	// cramRun.gen; 0 matches no generation.
+	memo    search
+	memoGen uint64
 }
 
 // gifUnit is one of a GIF's units with its profile bound to the run's table:
@@ -286,6 +300,11 @@ type cramRun struct {
 	spill    *candSpill
 	nextGIF  int
 	nextUnit int
+	// gen is the run's mutation generation, starting at 1. Every write that
+	// a partner search reads bumps it — a GIF's unit count, the live set with
+	// its shards and poset, a rejected pairing — so a GIF whose memoGen
+	// equals it would search the state its memo was found on.
+	gen uint64
 	// scan is the exhaustive scan's scratch for every search after the seed
 	// phase, all of them serial; the seed phase gives each chunk its own.
 	scan scanScratch
@@ -408,6 +427,7 @@ func (r *cramRun) gifFor(u gifUnit) (g *gif, created bool) {
 	r.nextGIF++
 	g = &gif{id: fmt.Sprintf("g%d", r.nextGIF), key: key, profile: u.prof, summary: bitvector.Summarize(u.prof)}
 	r.byKey[key] = g
+	r.gen++ // the caller files it in live, its shard and the poset
 	return g, true
 }
 
@@ -428,6 +448,7 @@ func (c *CRAM) start(in *Input) (*cramRun, error) {
 		exhaustive: c.ExhaustiveSearch || c.DisableGIFGrouping,
 		byKey:      make(map[string]*gif),
 		ps:         poset.New(),
+		gen:        1,
 	}
 
 	// Ingest the pool: the run's publisher table, built before anything
@@ -504,7 +525,8 @@ func (c *CRAM) start(in *Input) (*cramRun, error) {
 		// every record names two of them, and r.live changes under it.
 		r.spill = newCandSpill(c.SpillBudgetBytes, c.SpillDir, slices.Clone(seed))
 	}
-	for _, s := range found {
+	for i, s := range found {
+		seed[i].memo, seed[i].memoGen = s, r.gen
 		c.stats.addSearch(s)
 		if s.best.closeness == 0 {
 			continue
@@ -537,7 +559,7 @@ func (r *cramRun) cluster() error {
 		maxIter = 64 * (len(r.live) + 1)
 	}
 
-	for iter := 0; iter < maxIter; iter++ {
+	for iter := 0; iter < maxIter && r.err == nil; iter++ {
 		cand, ok, err := r.nextCand()
 		if err != nil {
 			return fmt.Errorf("CRAM: candidate spill: %w", err)
@@ -571,11 +593,15 @@ func (r *cramRun) cluster() error {
 		} else {
 			c.stats.ClustersRejected++
 			noteBlacklist(g, p)
+			r.gen++
 			r.pushBest(g)
 			if p != g {
 				r.pushBest(p)
 			}
 		}
+	}
+	if r.err != nil {
+		return fmt.Errorf("CRAM: %w", r.err)
 	}
 	return nil
 }
@@ -618,14 +644,36 @@ func (r *cramRun) nextCand() (candidate, bool, error) {
 // the heap. GIFs with no positive-closeness partner push nothing.
 // pushBest runs between commits, so it is the safe point to rebuild any
 // shard envelopes dirtied by the preceding one before the search reads them.
+// When nothing a search reads has been written since the GIF's last search,
+// that search's result is pushed again and its work counted again.
 func (r *cramRun) pushBest(g *gif) {
-	if r.shards != nil {
-		r.shards.freshen()
+	s := g.memo
+	if g.memoGen == r.gen {
+		r.c.stats.SearchesReused++
+		if r.c.checkSearchMemo {
+			r.checkMemo(g)
+		}
+	} else {
+		if r.shards != nil {
+			r.shards.freshen()
+		}
+		s = r.bestPartner(g, &r.scan)
+		g.memo, g.memoGen = s, r.gen
 	}
-	s := r.bestPartner(g, &r.scan)
 	r.c.stats.addSearch(s)
 	if s.best.closeness > 0 {
 		r.heap.push(s.best)
+	}
+}
+
+// checkMemo runs the search g's memo stands for and fails the run through
+// err when the two differ.
+func (r *cramRun) checkMemo(g *gif) {
+	if r.shards != nil {
+		r.shards.freshen()
+	}
+	if s := r.bestPartner(g, &r.scan); s != g.memo && r.err == nil {
+		r.err = fmt.Errorf("GIF %s reused search %+v at generation %d, the search finds %+v", g.id, g.memo, r.gen, s)
 	}
 }
 
@@ -966,6 +1014,7 @@ func (r *cramRun) merge(id string, takes []take) gifUnit {
 func (r *cramRun) move(takes []take, u gifUnit, home *gif) {
 	for _, t := range takes {
 		t.g.units = slices.Delete(t.g.units, 0, t.n)
+		r.gen++
 		if t.g == home {
 			continue
 		}
@@ -1002,12 +1051,14 @@ func (r *cramRun) move(takes []take, u gifUnit, home *gif) {
 		home = g
 	}
 	home.insertUnit(u)
+	r.gen++
 	r.pushBest(home)
 }
 
 // dropGIF removes an emptied GIF from all indices. A poset that does not
 // hold the GIF's node fails the run through err.
 func (r *cramRun) dropGIF(g *gif) {
+	r.gen++
 	delete(r.byKey, g.key)
 	g.dropped = true
 	if i, ok := gifIndex(r.live, g.id); ok {

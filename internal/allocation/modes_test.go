@@ -63,7 +63,9 @@ var cramModesRejecting = []byte{68, 201, 31, 83, 99, 96, 48, 53, 113, 91, 88, 17
 
 // checkCRAMModes runs BinPacking and CRAM on the input: exhaustive CRAM
 // with bounds on and off, one and four shards, spill off and on a 4 KiB
-// budget, and the poset and grouping-off searches. Every run fails exactly
+// budget, and the poset and grouping-off searches, every run with the
+// search-memo oracle on, which fails a run whose memo answers a search with
+// anything the search would not return. Every run fails exactly
 // when BinPacking does, since they share its initial first-fit. Otherwise
 // every plan places each subscription once within capacity, and the
 // exhaustive runs agree on the plan and on every stat but the three that
@@ -81,7 +83,7 @@ func checkCRAMModes(t *testing.T, in *Input, metric bitvector.Metric) *cramRun {
 			for _, budget := range []int{0, 4096} {
 				name := fmt.Sprintf("%v noBounds=%v shards=%d budget=%d", metric, noBounds, shards, budget)
 				c := &CRAM{Metric: metric, ExhaustiveSearch: true, Shards: shards, disableBoundPruning: noBounds,
-					SpillBudgetBytes: budget, SpillDir: dir}
+					SpillBudgetBytes: budget, SpillDir: dir, checkSearchMemo: true}
 				r, a, err := c.run(in)
 				if (err != nil) != (bpErr != nil) {
 					t.Fatalf("%s: error %v, BinPacking's %v", name, err, bpErr)
@@ -105,7 +107,7 @@ func checkCRAMModes(t *testing.T, in *Input, metric bitvector.Metric) *cramRun {
 			}
 		}
 	}
-	for _, c := range []*CRAM{{Metric: metric}, {Metric: metric, DisableGIFGrouping: true}} {
+	for _, c := range []*CRAM{{Metric: metric, checkSearchMemo: true}, {Metric: metric, DisableGIFGrouping: true, checkSearchMemo: true}} {
 		a, err := c.Allocate(in)
 		if (err != nil) != (bpErr != nil) {
 			t.Fatalf("%v grouping-off=%v: error %v, BinPacking's %v", metric, c.DisableGIFGrouping, err, bpErr)
@@ -117,11 +119,17 @@ func checkCRAMModes(t *testing.T, in *Input, metric bitvector.Metric) *cramRun {
 	return first
 }
 
-// FuzzCRAMModes holds CRAM's search modes to one another on small pools the
-// fuzzer chooses (checkCRAMModes).
+// FuzzCRAMModes holds CRAM's search modes to one another, and every search
+// a GIF's memo answers to the search itself, on small pools the fuzzer
+// chooses (checkCRAMModes).
 func FuzzCRAMModes(f *testing.F) {
 	f.Add(cramModesRejecting)
 	f.Add([]byte{101, 190, 250, 46, 93, 97, 224, 87, 135, 30, 183, 158})
+	// An INTERSECT run in which a GIF that gives up units to a clustering
+	// is re-searched on a run state nothing else has changed since its last
+	// search: its self-pair goes, so a memo kept across the units leaving
+	// would be wrong.
+	f.Add([]byte("21\t1700011"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in, metric := cramModesCase(data)
 		checkCRAMModes(t, in, metric)

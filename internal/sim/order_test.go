@@ -1,11 +1,12 @@
 package sim
 
 import (
-	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"math"
 	"testing"
 
+	"github.com/greenps/greenps/internal/broker"
 	"github.com/greenps/greenps/internal/message"
 	"github.com/greenps/greenps/internal/workload"
 )
@@ -32,7 +33,7 @@ func roundByRound(net *Network, sc *workload.Scenario, rounds int) error {
 }
 
 // prepareWith is Prepare with the given replay as its profiling phase.
-func prepareWith(t testing.TB, sc *workload.Scenario, capacity int, replay func(*Network) error) (*Network, []message.BrokerInfo) {
+func prepareWith(t testing.TB, sc *workload.Scenario, capacity int, replay func(*Network) error) profiling {
 	t.Helper()
 	net, err := deployManual(sc, capacity, nil)
 	if err != nil {
@@ -45,31 +46,45 @@ func prepareWith(t testing.TB, sc *workload.Scenario, capacity int, replay func(
 	if err != nil {
 		t.Fatal(err)
 	}
-	return net, infos
+	return profiled(t, net, infos)
+}
+
+// profiling is what a profiled network shows the order tests: the sha256
+// of its gathered infos' JSON, every broker's counters and the clock.
+type profiling struct {
+	infos    [sha256.Size]byte
+	counters map[string]broker.Counters
+	clock    float64
+}
+
+// profiled takes what the order tests compare of a profiled network.
+func profiled(t testing.TB, net *Network, infos []message.BrokerInfo) profiling {
+	t.Helper()
+	js, err := json.Marshal(infos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := profiling{infos: sha256.Sum256(js), counters: make(map[string]broker.Counters), clock: net.Now()}
+	for _, id := range net.Brokers() {
+		p.counters[id] = net.Broker(id).Counters()
+	}
+	return p
 }
 
 // sameProfiling fails unless two profiled networks gathered byte-identical
 // infos, hold equal counters on every broker and read the same clock.
-func sameProfiling(t testing.TB, want, got *Network, wantInfos, gotInfos []message.BrokerInfo) {
+func sameProfiling(t testing.TB, want, got profiling) {
 	t.Helper()
-	w, err := json.Marshal(wantInfos)
-	if err != nil {
-		t.Fatal(err)
+	if got.infos != want.infos {
+		t.Errorf("infos differ from the round-by-round replay's (sha256 %x vs %x)", got.infos[:8], want.infos[:8])
 	}
-	g, err := json.Marshal(gotInfos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(w, g) {
-		t.Errorf("infos differ from the round-by-round replay's (%d vs %d bytes)", len(g), len(w))
-	}
-	for _, id := range want.Brokers() {
-		if wc, gc := want.Broker(id).Counters(), got.Broker(id).Counters(); wc != gc {
+	for id, wc := range want.counters {
+		if gc := got.counters[id]; wc != gc {
 			t.Errorf("broker %s: counters %+v, round by round %+v", id, gc, wc)
 		}
 	}
-	if math.Float64bits(want.Now()) != math.Float64bits(got.Now()) {
-		t.Errorf("clock reads %v, round by round %v", got.Now(), want.Now())
+	if math.Float64bits(want.clock) != math.Float64bits(got.clock) {
+		t.Errorf("clock reads %v, round by round %v", got.clock, want.clock)
 	}
 }
 
@@ -107,10 +122,10 @@ func TestProfilingOrderIsExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, wantInfos := prepareWith(t, sc, tc.capacity, func(net *Network) error {
+			want := prepareWith(t, sc, tc.capacity, func(net *Network) error {
 				return roundByRound(net, sc, tc.rounds)
 			})
-			sameProfiling(t, want, got, wantInfos, gotInfos)
+			sameProfiling(t, want, profiled(t, got, gotInfos))
 			if slid := slidWindows(sc, gotInfos, tc.rounds, tc.capacity); (slid > 0) != tc.wantSlidingWindow {
 				t.Errorf("%d vectors slid their window, want sliding %v", slid, tc.wantSlidingWindow)
 			}
@@ -184,12 +199,16 @@ func mergeOrder(data []byte, publishers, rounds int) []int {
 // replay. The first byte picks a window of 64–256 bits, the second the
 // number of rounds (up to 319, so windows slide), the rest the merge
 // (mergeOrder). The committed seeds are the round-by-round merge, the
-// publisher-by-publisher one and the publishers in reverse.
+// publisher-by-publisher one and the publishers in reverse. The reference
+// depends on the window and the number of rounds alone, so each fuzzing
+// process replays it once per pair.
 func FuzzProfilingOrder(f *testing.F) {
 	sc, err := workload.Build("small", smallOpts())
 	if err != nil {
 		f.Fatal(err)
 	}
+	type shape struct{ capacity, rounds int }
+	refs := make(map[shape]profiling)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -197,7 +216,7 @@ func FuzzProfilingOrder(f *testing.F) {
 		capacity := 64 + int(data[0])%193
 		rounds := 1 + int(data[1])*5/4
 		order := mergeOrder(data[2:], len(sc.Publishers), rounds)
-		got, gotInfos := prepareWith(t, sc, capacity, func(net *Network) error {
+		got := prepareWith(t, sc, capacity, func(net *Network) error {
 			next := make([]int, len(sc.Publishers))
 			for _, p := range order {
 				if err := publish(net, &sc.Publishers[p], next[p]); err != nil {
@@ -208,9 +227,13 @@ func FuzzProfilingOrder(f *testing.F) {
 			advanceRounds(net, sc, rounds)
 			return nil
 		})
-		want, wantInfos := prepareWith(t, sc, capacity, func(net *Network) error {
-			return roundByRound(net, sc, rounds)
-		})
-		sameProfiling(t, want, got, wantInfos, gotInfos)
+		want, ok := refs[shape{capacity, rounds}]
+		if !ok {
+			want = prepareWith(t, sc, capacity, func(net *Network) error {
+				return roundByRound(net, sc, rounds)
+			})
+			refs[shape{capacity, rounds}] = want
+		}
+		sameProfiling(t, want, got)
 	})
 }
