@@ -86,10 +86,6 @@ type CRAM struct {
 	// bit-for-bit identical either way; in-package equivalence tests and
 	// BenchmarkPartnerSearchPruned set it. The poset search takes no bounds.
 	disableBoundPruning bool
-	// checkSearchMemo makes every reuse of a GIF's memoized search also run
-	// the search and fail the run when the two differ in candidate or in any
-	// count (DESIGN.md §7, "Search memo"); in-package tests set it.
-	checkSearchMemo bool
 
 	stats CRAMStats
 }
@@ -109,9 +105,10 @@ type CRAMStats struct {
 	// ClosenessComputations counts closeness evaluations across all
 	// partner searches. This is the counter behind the paper's E8
 	// closeness-computation column; set-cover bookkeeping is tallied
-	// separately in CoverComputations. A search reused from a GIF's memo
-	// (SearchesReused) counts its evaluations again, so the counter reads as
-	// if every search had run. Evaluations the exhaustive scan
+	// separately in CoverComputations. It counts the evaluations the
+	// searches ran: one search per GIF in the seed phase, then one per GIF
+	// a clustering or a rejection changed and one per popped candidate
+	// whose partner was dropped (DESIGN.md §7). Evaluations the exhaustive scan
 	// answered by a summary upper bound rather than an exact metric
 	// computation are included — the counter tracks how many pairings the
 	// searches considered, so the E8 tables read the same whether bound
@@ -157,10 +154,6 @@ type CRAMStats struct {
 	// SpillBudgetBytes or spilling is off). It is the only stat that
 	// depends on the memory budget.
 	SpilledRuns int
-	// SearchesReused counts the partner searches after the seed phase that
-	// a GIF's memo answered: no write the search reads had happened since
-	// that GIF's previous search, so it would have returned the same result.
-	SearchesReused int
 }
 
 // Stats returns the statistics of the last Allocate run.
@@ -190,10 +183,11 @@ type gif struct {
 	blPartners []*gif
 	blSelf     bool
 	dropped    bool // set by dropGIF; a dropped GIF never comes back
-	// memo is the GIF's last partner search, run at generation memoGen of
-	// cramRun.gen; 0 matches no generation.
-	memo    search
-	memoGen uint64
+	// at is the index of the GIF's candidate in cramRun.heap, -1 when it has
+	// none there; seeded says its candidate is its seed record in the spill
+	// stream instead. A GIF has at most one candidate (DESIGN.md §7).
+	at     int
+	seeded bool
 }
 
 // gifUnit is one of a GIF's units with its profile bound to the run's table:
@@ -221,32 +215,36 @@ func (g *gif) insertUnit(u gifUnit) {
 	g.units = slices.Insert(g.units, i, u)
 }
 
-// candidate is a heap entry: a GIF and its best-known partner.
+// candidate is a GIF's one candidate: the GIF and its best-known partner.
 type candidate struct {
 	g, p      *gif // p == g for self-pairs
 	closeness float64
 }
 
-// candBefore is the canonical candidate priority: closeness descending,
-// then the GIF's ID, then the partner's — a strict total order shared by the
-// heap comparator and the spill stream's record encoding.
+// candBefore is the canonical candidate priority: closeness descending, then
+// the GIF's ID — a strict total order over candidates of distinct GIFs,
+// which is all the heap and the spill stream ever compare.
 func candBefore(a, b candidate) bool {
 	if a.closeness != b.closeness {
 		return a.closeness > b.closeness
 	}
-	if a.g.id != b.g.id {
-		return a.g.id < b.g.id
-	}
-	return a.p.id < b.p.id
+	return a.g.id < b.g.id
 }
 
-// candHeap is a max-heap of candidates by closeness.
+// candHeap is a max-heap of candidates by closeness, at most one per GIF,
+// each GIF's at kept at its entry's index.
 type candHeap []candidate
 
-func (h candHeap) Len() int           { return len(h) }
-func (h candHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h candHeap) Len() int { return len(h) }
+func (h candHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].g.at, h[j].g.at = i, j
+}
 func (h candHeap) Less(i, j int) bool { return candBefore(h[i], h[j]) }
-func (h *candHeap) Push(x any)        { *h = append(*h, x.(candidate)) }
+
+// Push and Pop only satisfy heap.Interface: set and remove never box a
+// candidate in an any.
+func (h *candHeap) Push(x any) { *h = append(*h, x.(candidate)) }
 func (h *candHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -255,19 +253,30 @@ func (h *candHeap) Pop() any {
 	return x
 }
 
-// push and pop are heap.Push and heap.Pop without boxing a candidate in an
-// any per call: the same swaps in the same order, so the same pop sequence.
-func (h *candHeap) push(c candidate) {
-	*h = append(*h, c)
-	heap.Fix(h, len(*h)-1)
+// set makes c its GIF's candidate, replacing the GIF's entry in place or
+// adding one.
+func (h *candHeap) set(c candidate) {
+	i := c.g.at
+	if i < 0 {
+		i = len(*h)
+		*h = append(*h, c)
+	} else {
+		(*h)[i] = c
+	}
+	c.g.at = i
+	heap.Fix(h, i)
 }
 
-func (h *candHeap) pop() candidate {
+// remove takes the entry at index i out of the heap and returns it.
+func (h *candHeap) remove(i int) candidate {
 	old := *h
 	n := len(old) - 1
-	old.Swap(0, n)
+	old.Swap(i, n)
 	*h = old[:n]
-	heap.Fix(h, 0)
+	if i < n {
+		heap.Fix(h, i)
+	}
+	old[n].g.at = -1
 	return old[n]
 }
 
@@ -300,11 +309,6 @@ type cramRun struct {
 	spill    *candSpill
 	nextGIF  int
 	nextUnit int
-	// gen is the run's mutation generation, starting at 1. Every write that
-	// a partner search reads bumps it — a GIF's unit count, the live set with
-	// its shards and poset, a rejected pairing — so a GIF whose memoGen
-	// equals it would search the state its memo was found on.
-	gen uint64
 	// scan is the exhaustive scan's scratch for every search after the seed
 	// phase, all of them serial; the seed phase gives each chunk its own.
 	scan scanScratch
@@ -425,9 +429,8 @@ func (r *cramRun) gifFor(u gifUnit) (g *gif, created bool) {
 		return g, false
 	}
 	r.nextGIF++
-	g = &gif{id: fmt.Sprintf("g%d", r.nextGIF), key: key, profile: u.prof, summary: bitvector.Summarize(u.prof)}
+	g = &gif{id: fmt.Sprintf("g%d", r.nextGIF), key: key, profile: u.prof, summary: bitvector.Summarize(u.prof), at: -1}
 	r.byKey[key] = g
-	r.gen++ // the caller files it in live, its shard and the poset
 	return g, true
 }
 
@@ -448,7 +451,6 @@ func (c *CRAM) start(in *Input) (*cramRun, error) {
 		exhaustive: c.ExhaustiveSearch || c.DisableGIFGrouping,
 		byKey:      make(map[string]*gif),
 		ps:         poset.New(),
-		gen:        1,
 	}
 
 	// Ingest the pool: the run's publisher table, built before anything
@@ -509,9 +511,8 @@ func (c *CRAM) start(in *Input) (*cramRun, error) {
 	// Seed the candidate heap with every GIF's best partner, the searches
 	// fanned out across the workers — the run's only parallel loop. No run
 	// state mutates during the fan-out, and the heap comparator is a strict
-	// total order over (closeness, GIF ID, partner ID), so pushing the
-	// collected candidates in GIF-ID order yields the same pop sequence as
-	// the serial seed at any worker count.
+	// total order over (closeness, GIF ID), so the collected candidates pop
+	// in the same sequence as the serial seed's at any worker count.
 	seed := r.live
 	found := make([]search, len(seed))
 	parwork.Run(len(seed), parwork.Workers(c.Parallelism), func(lo, hi int) {
@@ -526,7 +527,6 @@ func (c *CRAM) start(in *Input) (*cramRun, error) {
 		r.spill = newCandSpill(c.SpillBudgetBytes, c.SpillDir, slices.Clone(seed))
 	}
 	for i, s := range found {
-		seed[i].memo, seed[i].memoGen = s, r.gen
 		c.stats.addSearch(s)
 		if s.best.closeness == 0 {
 			continue
@@ -536,8 +536,9 @@ func (c *CRAM) start(in *Input) (*cramRun, error) {
 				r.spill.close()
 				return nil, fmt.Errorf("CRAM: candidate spill: %w", err)
 			}
+			seed[i].seeded = true
 		} else {
-			r.heap.push(s.best)
+			r.heap.set(s.best)
 		}
 	}
 	if r.spill != nil {
@@ -567,20 +568,11 @@ func (r *cramRun) cluster() error {
 		if !ok {
 			break
 		}
+		// g is live: dropGIF takes a GIF's candidate with it. Every write to
+		// g or to its pairing with p re-searches g, so the candidate is stale
+		// only when p was dropped since.
 		g, p := cand.g, cand.p
-		if g.dropped {
-			// The owning GIF was consumed by an earlier clustering, but
-			// the partner may be live with no heap entry of its own (its
-			// last pushBest can have found nothing while this stale entry
-			// still represented the pair). Re-offer it so no live GIF
-			// with a positive-closeness partner is starved.
-			if !p.dropped && p != g {
-				r.pushBest(p)
-			}
-			continue
-		}
-		if p.dropped || blacklisted(g, p) || (g == p && len(g.units) < 2) {
-			// Stale candidate: recompute this GIF's best partner.
+		if p.dropped {
 			r.pushBest(g)
 			continue
 		}
@@ -590,10 +582,15 @@ func (r *cramRun) cluster() error {
 		}
 		if accepted {
 			c.stats.ClustersAccepted++
+			// A live g without a candidate gave nothing to the clustering
+			// (p's covered set was accepted), or its re-search in move ran
+			// before the merged unit was filed and found no partner.
+			if !g.dropped && g.at < 0 {
+				r.pushBest(g)
+			}
 		} else {
 			c.stats.ClustersRejected++
 			noteBlacklist(g, p)
-			r.gen++
 			r.pushBest(g)
 			if p != g {
 				r.pushBest(p)
@@ -618,16 +615,20 @@ func (r *cramRun) pack() (*Assignment, error) {
 	return a, nil
 }
 
-// nextCand pops the highest-priority candidate across the two sources:
-// the spilled seed stream (already in candBefore order) and the overlay
-// heap of post-seed candidates. Ties — possible only for bit-identical
-// candidates — go to the stream, which is one of the valid adjacent pop
-// orders of the duplicate pair; without a spill this is exactly the old
-// heap pop.
+// nextCand takes the highest-priority candidate out of the two sources:
+// the spilled seed stream (already in candBefore order), whose records of
+// GIFs no longer seeded it skips, and the heap of post-seed candidates.
+// The two never hold a candidate of the same GIF, so they never tie.
 func (r *cramRun) nextCand() (candidate, bool, error) {
-	if r.spill != nil && r.spill.headOK {
-		if r.heap.Len() == 0 || !candBefore(r.heap[0], r.spill.head) {
+	if r.spill != nil {
+		for r.spill.headOK && !r.spill.head.g.seeded {
+			if err := r.spill.advance(); err != nil {
+				return candidate{}, false, err
+			}
+		}
+		if r.spill.headOK && (r.heap.Len() == 0 || candBefore(r.spill.head, r.heap[0])) {
 			cd := r.spill.head
+			cd.g.seeded = false
 			if err := r.spill.advance(); err != nil {
 				return candidate{}, false, err
 			}
@@ -635,45 +636,26 @@ func (r *cramRun) nextCand() (candidate, bool, error) {
 		}
 	}
 	if r.heap.Len() > 0 {
-		return r.heap.pop(), true, nil
+		return r.heap.remove(0), true, nil
 	}
 	return candidate{}, false, nil
 }
 
-// pushBest computes the GIF's best admissible partner and pushes it onto
-// the heap. GIFs with no positive-closeness partner push nothing.
+// pushBest computes the GIF's best admissible partner and makes it the
+// GIF's one candidate; a GIF with no positive-closeness partner keeps none.
 // pushBest runs between commits, so it is the safe point to rebuild any
 // shard envelopes dirtied by the preceding one before the search reads them.
-// When nothing a search reads has been written since the GIF's last search,
-// that search's result is pushed again and its work counted again.
 func (r *cramRun) pushBest(g *gif) {
-	s := g.memo
-	if g.memoGen == r.gen {
-		r.c.stats.SearchesReused++
-		if r.c.checkSearchMemo {
-			r.checkMemo(g)
-		}
-	} else {
-		if r.shards != nil {
-			r.shards.freshen()
-		}
-		s = r.bestPartner(g, &r.scan)
-		g.memo, g.memoGen = s, r.gen
-	}
-	r.c.stats.addSearch(s)
-	if s.best.closeness > 0 {
-		r.heap.push(s.best)
-	}
-}
-
-// checkMemo runs the search g's memo stands for and fails the run through
-// err when the two differ.
-func (r *cramRun) checkMemo(g *gif) {
 	if r.shards != nil {
 		r.shards.freshen()
 	}
-	if s := r.bestPartner(g, &r.scan); s != g.memo && r.err == nil {
-		r.err = fmt.Errorf("GIF %s reused search %+v at generation %d, the search finds %+v", g.id, g.memo, r.gen, s)
+	s := r.bestPartner(g, &r.scan)
+	r.c.stats.addSearch(s)
+	g.seeded = false
+	if s.best.closeness > 0 {
+		r.heap.set(s.best)
+	} else if g.at >= 0 {
+		r.heap.remove(g.at)
 	}
 }
 
@@ -825,7 +807,11 @@ func (r *cramRun) clusterPair(a, b *gif) bool {
 		// pairs do get clustered. Optimization 3 applies to intersecting
 		// pairs first.
 		if rel == bitvector.RelIntersect && !r.c.DisableOneToMany && !r.exhaustive {
-			if r.tryCoveredSet(a, b) || r.tryCoveredSet(b, a) {
+			if r.tryCoveredSet(a, b) {
+				r.c.stats.OneToManyApplied++
+				return true
+			}
+			if r.tryCoveredSet(b, a) {
 				r.c.stats.OneToManyApplied++
 				return true
 			}
@@ -1014,7 +1000,6 @@ func (r *cramRun) merge(id string, takes []take) gifUnit {
 func (r *cramRun) move(takes []take, u gifUnit, home *gif) {
 	for _, t := range takes {
 		t.g.units = slices.Delete(t.g.units, 0, t.n)
-		r.gen++
 		if t.g == home {
 			continue
 		}
@@ -1051,16 +1036,18 @@ func (r *cramRun) move(takes []take, u gifUnit, home *gif) {
 		home = g
 	}
 	home.insertUnit(u)
-	r.gen++
 	r.pushBest(home)
 }
 
-// dropGIF removes an emptied GIF from all indices. A poset that does not
-// hold the GIF's node fails the run through err.
+// dropGIF removes an emptied GIF from all indices, its candidate with it.
+// A poset that does not hold the GIF's node fails the run through err.
 func (r *cramRun) dropGIF(g *gif) {
-	r.gen++
 	delete(r.byKey, g.key)
 	g.dropped = true
+	if g.at >= 0 {
+		r.heap.remove(g.at)
+	}
+	g.seeded = false
 	if i, ok := gifIndex(r.live, g.id); ok {
 		r.live = slices.Delete(r.live, i, i+1)
 	}

@@ -19,48 +19,48 @@ type cramGoldenCase struct {
 }
 
 // cramGolden is TestCRAMGolden's 2,000-subscription pool, whose tight brokers
-// reject 147–156 clusterings, and its four rows.
+// reject 144–156 clusterings, and its four rows.
 func cramGolden(t *testing.T) (*Input, []cramGoldenCase) {
 	units, pubs := testWorkload(1, 20, 100, 10, 100)
 	in := &Input{Units: units, Brokers: testBrokers(100, 25_000, stdDelay()), Publishers: pubs}
 	return in, []cramGoldenCase{
 		{
 			name: "poset", cram: CRAM{Metric: bitvector.MetricIOS},
-			stats: CRAMStats{InitialUnits: 2000, InitialGIFs: 1210, FinalUnits: 61,
-				ClosenessComputations: 181204, CoverComputations: 11206, PackAttempts: 1401, PlacementsReplayed: 527276,
-				ClustersAccepted: 1053, ClustersRejected: 147, OneToManyApplied: 103, SearchesReused: 1365},
-			plan: "175bc7c98af9a0d9",
+			stats: CRAMStats{InitialUnits: 2000, InitialGIFs: 1210, FinalUnits: 60,
+				ClosenessComputations: 132817, CoverComputations: 11488, PackAttempts: 1382, PlacementsReplayed: 525287,
+				ClustersAccepted: 1037, ClustersRejected: 144, OneToManyApplied: 107},
+			plan: "0c00ea846916a3b4",
 		},
 		{
 			name: "exhaustive", cram: CRAM{Metric: bitvector.MetricIOS, ExhaustiveSearch: true},
 			stats: CRAMStats{InitialUnits: 2000, InitialGIFs: 1210, FinalUnits: 62,
-				ClosenessComputations: 3742622, BoundPruned: 3608364, PackAttempts: 1575, PlacementsReplayed: 588632,
-				ClustersAccepted: 1218, ClustersRejected: 156, SearchesReused: 1846},
+				ClosenessComputations: 2877050, BoundPruned: 2768856, PackAttempts: 1575, PlacementsReplayed: 588632,
+				ClustersAccepted: 1218, ClustersRejected: 156},
 			plan: "5bc519fba023d736",
 		},
 		{
 			name: "sharded-exhaustive", cram: CRAM{Metric: bitvector.MetricIOS, ExhaustiveSearch: true, Shards: 16},
 			stats: CRAMStats{InitialUnits: 2000, InitialGIFs: 1210, FinalUnits: 62,
-				ClosenessComputations: 3742622, BoundPruned: 3608364, PackAttempts: 1575, PlacementsReplayed: 588632,
-				ClustersAccepted: 1218, ClustersRejected: 156, ShardsPruned: 84630, SearchesReused: 1846},
+				ClosenessComputations: 2877050, BoundPruned: 2768856, PackAttempts: 1575, PlacementsReplayed: 588632,
+				ClustersAccepted: 1218, ClustersRejected: 156, ShardsPruned: 54480},
 			plan: "5bc519fba023d736",
 		},
 		{
 			name: "spilled-exhaustive", cram: CRAM{Metric: bitvector.MetricIOS, ExhaustiveSearch: true,
 				SpillBudgetBytes: 4096, SpillDir: t.TempDir()},
 			stats: CRAMStats{InitialUnits: 2000, InitialGIFs: 1210, FinalUnits: 62,
-				ClosenessComputations: 3742622, BoundPruned: 3608364, PackAttempts: 1575, PlacementsReplayed: 588632,
-				ClustersAccepted: 1218, ClustersRejected: 156, SpilledRuns: 5, SearchesReused: 1846},
+				ClosenessComputations: 2877050, BoundPruned: 2768856, PackAttempts: 1575, PlacementsReplayed: 588632,
+				ClustersAccepted: 1218, ClustersRejected: 156, SpilledRuns: 5},
 			plan: "5bc519fba023d736",
 		},
 	}
 }
 
-// checkCRAMGolden runs one row and fails unless its stats and plan read as
-// the row records them.
+// checkCRAMGolden runs one row through runChecked and fails unless its stats
+// and plan read as the row records them.
 func checkCRAMGolden(t *testing.T, in *Input, tc cramGoldenCase) {
 	t.Helper()
-	a, err := tc.cram.Allocate(in)
+	_, a, err := runChecked(t, &tc.cram, in)
 	if err != nil {
 		t.Fatal(err)
 	}

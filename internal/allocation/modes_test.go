@@ -61,11 +61,66 @@ func cramModesCase(data []byte) (*Input, bitvector.Metric) {
 var cramModesRejecting = []byte{68, 201, 31, 83, 99, 96, 48, 53, 113, 91, 88, 174, 64, 141,
 	35, 255, 168, 212, 187, 107, 218, 223, 187, 208, 184, 86, 115}
 
+// checkHeap fails the test unless r's candidates keep the heap's invariant
+// (DESIGN.md §7, "One candidate per GIF"): every entry's GIF records the
+// entry's index in at, so no GIF holds two entries; no entry's GIF is dropped
+// or has its candidate in the spill stream instead; no entry names a
+// rejected pairing or a self-pair of fewer than two units; and no entry
+// comes before its parent in candBefore order.
+func checkHeap(t *testing.T, r *cramRun) {
+	t.Helper()
+	for i, cd := range r.heap {
+		g := cd.g
+		switch {
+		case g.at != i:
+			t.Fatalf("heap entry %d is GIF %s's, whose at reads %d", i, g.id, g.at)
+		case g.dropped:
+			t.Fatalf("heap entry %d is dropped GIF %s's", i, g.id)
+		case g.seeded:
+			t.Fatalf("GIF %s holds heap entry %d and its seed record", g.id, i)
+		case blacklisted(g, cd.p):
+			t.Fatalf("heap entry %d pairs GIF %s with %s, a rejected pairing", i, g.id, cd.p.id)
+		case cd.p == g && len(g.units) < 2:
+			t.Fatalf("heap entry %d is GIF %s's self-pair with %d units", i, g.id, len(g.units))
+		case i > 0 && candBefore(cd, r.heap[(i-1)/2]):
+			t.Fatalf("heap entry %d comes before its parent", i)
+		}
+	}
+	for _, g := range r.live {
+		if g.at >= len(r.heap) || g.at >= 0 && r.heap[g.at].g != g {
+			t.Fatalf("GIF %s's at reads %d, not its heap entry", g.id, g.at)
+		}
+	}
+}
+
+// runChecked is c.run one clustering iteration at a time (maxIterations 1),
+// with checkHeap after the seed phase and after every iteration.
+func runChecked(t *testing.T, c *CRAM, in *Input) (*cramRun, *Assignment, error) {
+	t.Helper()
+	r, err := c.start(in)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer r.spill.close()
+	c.maxIterations = 1
+	defer func() { c.maxIterations = 0 }()
+	for checkHeap(t, r); r.heap.Len() > 0 || r.spill != nil && r.spill.headOK; checkHeap(t, r) {
+		if err := r.cluster(); err != nil {
+			return nil, nil, err
+		}
+	}
+	a, err := r.pack()
+	if err != nil {
+		return nil, nil, err
+	}
+	return r, a, nil
+}
+
 // checkCRAMModes runs BinPacking and CRAM on the input: exhaustive CRAM
 // with bounds on and off, one and four shards, spill off and on a 4 KiB
-// budget, and the poset and grouping-off searches, every run with the
-// search-memo oracle on, which fails a run whose memo answers a search with
-// anything the search would not return. Every run fails exactly
+// budget, and the poset and grouping-off searches, every run through
+// runChecked, which holds the candidate heap to its invariant after every
+// iteration. Every run fails exactly
 // when BinPacking does, since they share its initial first-fit. Otherwise
 // every plan places each subscription once within capacity, and the
 // exhaustive runs agree on the plan and on every stat but the three that
@@ -83,8 +138,8 @@ func checkCRAMModes(t *testing.T, in *Input, metric bitvector.Metric) *cramRun {
 			for _, budget := range []int{0, 4096} {
 				name := fmt.Sprintf("%v noBounds=%v shards=%d budget=%d", metric, noBounds, shards, budget)
 				c := &CRAM{Metric: metric, ExhaustiveSearch: true, Shards: shards, disableBoundPruning: noBounds,
-					SpillBudgetBytes: budget, SpillDir: dir, checkSearchMemo: true}
-				r, a, err := c.run(in)
+					SpillBudgetBytes: budget, SpillDir: dir}
+				r, a, err := runChecked(t, c, in)
 				if (err != nil) != (bpErr != nil) {
 					t.Fatalf("%s: error %v, BinPacking's %v", name, err, bpErr)
 				}
@@ -107,8 +162,8 @@ func checkCRAMModes(t *testing.T, in *Input, metric bitvector.Metric) *cramRun {
 			}
 		}
 	}
-	for _, c := range []*CRAM{{Metric: metric, checkSearchMemo: true}, {Metric: metric, DisableGIFGrouping: true, checkSearchMemo: true}} {
-		a, err := c.Allocate(in)
+	for _, c := range []*CRAM{{Metric: metric}, {Metric: metric, DisableGIFGrouping: true}} {
+		_, a, err := runChecked(t, c, in)
 		if (err != nil) != (bpErr != nil) {
 			t.Fatalf("%v grouping-off=%v: error %v, BinPacking's %v", metric, c.DisableGIFGrouping, err, bpErr)
 		}
@@ -119,16 +174,14 @@ func checkCRAMModes(t *testing.T, in *Input, metric bitvector.Metric) *cramRun {
 	return first
 }
 
-// FuzzCRAMModes holds CRAM's search modes to one another, and every search
-// a GIF's memo answers to the search itself, on small pools the fuzzer
-// chooses (checkCRAMModes).
+// FuzzCRAMModes holds CRAM's search modes to one another, and the candidate
+// heap to its invariant after every clustering iteration, on small pools the
+// fuzzer chooses (checkCRAMModes).
 func FuzzCRAMModes(f *testing.F) {
 	f.Add(cramModesRejecting)
 	f.Add([]byte{101, 190, 250, 46, 93, 97, 224, 87, 135, 30, 183, 158})
 	// An INTERSECT run in which a GIF that gives up units to a clustering
-	// is re-searched on a run state nothing else has changed since its last
-	// search: its self-pair goes, so a memo kept across the units leaving
-	// would be wrong.
+	// loses its self-pair: the re-search that follows must not keep it.
 	f.Add([]byte("21\t1700011"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in, metric := cramModesCase(data)

@@ -15,17 +15,16 @@ import (
 // are encoded as order-preserving byte records and fed to an external
 // sorter instead of the heap; past the budget the sorter writes sorted
 // runs to temp files. The clustering loop then consumes the merged
-// stream head-to-head with the overlay heap that receives every
-// post-seed candidate (re-offers, new GIFs).
+// stream head-to-head with the heap that receives every post-seed
+// candidate.
 //
-// The candidate pop sequence is identical to the pure-heap run: the
-// record encoding makes ascending bytes.Compare coincide with the heap's
-// (closeness desc, GIF ID asc, partner ID asc) strict total order, so the
-// stream replays heap order exactly; the loop always takes the higher-
-// priority of {stream head, overlay top}; and on a tie — only possible
-// for bit-identical candidates — it takes the stream first, which
-// matches some valid pop order of the duplicate pair and leaves the run
-// state evolution unchanged either way.
+// The candidate pop sequence is identical to the pure-heap run. A GIF's
+// seed record stands for its candidate while the GIF is seeded; its first
+// re-search moves its candidate to the heap, and the loop skips the record.
+// So the stream and the heap together hold at most one candidate per GIF,
+// on which the record encoding's ascending bytes.Compare coincides with the
+// heap's (closeness desc, GIF ID asc) strict total order, and the loop
+// always takes the higher-priority of {stream head, heap top}.
 
 // encodeCand appends cd's order-preserving record to dst:
 //
@@ -37,8 +36,9 @@ import (
 // floats the IEEE-754 bit pattern is monotone — complementing it makes
 // ascending byte order descending closeness order. GIF IDs ("g<n>") never
 // contain NUL, and the NUL terminator sorts before any ID byte, so the
-// record order on equal closeness is exactly Go's bytewise string
-// comparison of (GIF ID, partner ID).
+// record order on equal closeness is Go's bytewise string comparison of the
+// GIF IDs. The partner's ID is there to be decoded: the records name
+// distinct GIFs, so the order never reaches it.
 func encodeCand(dst []byte, cd candidate) []byte {
 	bits := ^math.Float64bits(cd.closeness)
 	var key [8]byte

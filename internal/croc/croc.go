@@ -166,8 +166,8 @@ func Render(w io.Writer, p *core.Plan) error {
 	fmt.Fprintf(w, "compute time: %v\n", p.ComputeTime().Round(time.Millisecond))
 	if p.CRAMStats != nil {
 		st := p.CRAMStats
-		fmt.Fprintf(w, "CRAM: %d subs -> %d GIFs -> %d units; %d closeness computations (%d searches reused), %d pack attempts (%d certified, %d placements replayed)\n",
-			st.InitialUnits, st.InitialGIFs, st.FinalUnits, st.ClosenessComputations, st.SearchesReused, st.PackAttempts, st.ProbesCertified, st.PlacementsReplayed)
+		fmt.Fprintf(w, "CRAM: %d subs -> %d GIFs -> %d units; %d closeness computations, %d pack attempts (%d certified, %d placements replayed)\n",
+			st.InitialUnits, st.InitialGIFs, st.FinalUnits, st.ClosenessComputations, st.PackAttempts, st.ProbesCertified, st.PlacementsReplayed)
 	}
 	bs := p.BuildStats
 	fmt.Fprintf(w, "overlay: %d layers; %d forwarders eliminated, %d takeovers, %d best-fit swaps\n",

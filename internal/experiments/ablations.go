@@ -34,12 +34,11 @@ func CRAMAblation(cfg Config) (*metrics.Series, error) {
 		ID: "E8",
 		Title: fmt.Sprintf("CRAM optimization ablation (%d subscriptions, %d brokers)",
 			len(sc.Subscribers), c.Brokers),
-		Header: []string{"variant", "groups", "closeness comps", "searches reused", "cover comps",
+		Header: []string{"variant", "groups", "closeness comps", "cover comps",
 			"pack attempts", "brokers", "compute"},
 		Notes: []string{
 			"paper: 8,000 subs -> ~3,200 GIFs (61% fewer); ~5,000,000 -> ~280,000 computations with the poset; XOR >= 75% slower",
 			"closeness comps counts closeness evaluations only; the greedy set cover's DiffCount work is the separate cover-comps column",
-			"searches reused counts partner searches a GIF's memo answered (nothing they read had changed); closeness comps counts their evaluations again",
 		},
 	}
 	variants := []struct {
@@ -67,7 +66,7 @@ func CRAMAblation(cfg Config) (*metrics.Series, error) {
 		elapsed := time.Since(started)
 		st := plan.CRAMStats
 		out.AddRow(v.name, metrics.I(st.InitialGIFs), metrics.I(st.ClosenessComputations),
-			metrics.I(st.SearchesReused), metrics.I(st.CoverComputations), metrics.I(st.PackAttempts),
+			metrics.I(st.CoverComputations), metrics.I(st.PackAttempts),
 			metrics.I(plan.NumBrokers()), metrics.Dur(elapsed))
 		c.logf("E8 %s: gifs=%d comps=%d brokers=%d (%.1fs)",
 			v.name, st.InitialGIFs, st.ClosenessComputations, plan.NumBrokers(), elapsed.Seconds())
